@@ -1,6 +1,6 @@
 # Convenience targets; everything is driven by dune underneath.
 
-.PHONY: all build lint taint test bench trace perf soak soak-sample ci clean
+.PHONY: all build lint taint test bench trace perf perfbench-selfcheck soak soak-sample ci clean
 
 all: build
 
@@ -67,6 +67,14 @@ perf: build
 	rm -f _perf_results.json _perf_head.json _perf_head_sim.json _perf_now_sim.json _perf_benchdiff.txt
 	@echo "perf: simulated-time figures unchanged vs HEAD; crypto trend within budget"
 
+# Real-time benchmark determinism gate (perfbench/): each workload runs
+# twice with one seed, and the two runs must agree on allocation per
+# op, per-layer counter deltas, span counts and the engines' ledgers.
+# A change to a cache or any other hot-path structure has to keep the
+# program's own work deterministic, not only the simulated figures.
+perfbench-selfcheck: build
+	python3 perfbench/run.py --selfcheck
+
 # Chaos soak (tools/soak): seeded fault plans against a 60-client
 # pipelined fleet (25 plans) and the read-only replica tier (5 plans),
 # each plan run twice with a byte-identical-ledger determinism check.
@@ -82,11 +90,12 @@ soak-sample: build
 
 # Everything the CI workflow runs, in the same order: build, the full
 # tier-1 test suite (which includes the @lint/@taint drift gates), the
-# perf determinism gate, the SHA-rotated chaos-soak sample, and a
+# perf determinism gate, the real-time benchmark self-check, the
+# SHA-rotated chaos-soak sample, and a
 # strict static-analysis pass (no promotion: a stale committed report
 # fails here, as in CI).  Mirrors .github/workflows/ci.yml — see the
 # "CI" section of README.md for the job-by-job mapping.
-ci: build test perf soak-sample
+ci: build test perf perfbench-selfcheck soak-sample
 	dune build @lint @taint
 	@echo "ci: all gates passed"
 

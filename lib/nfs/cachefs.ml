@@ -17,13 +17,19 @@
 
    Access-check results are cached with attributes (SFS's enhanced
    access caching), which is what lets SFS close most of its latency
-   gap on the Andrew benchmark (section 4.3). *)
+   gap on the Andrew benchmark (section 4.3).
+
+   The block cache is an LRU bounded in bytes.  Recency is insert/write
+   order: a block fetched from the server, prefetched, or written
+   becomes the most recent; a read hit does not promote.  Eviction
+   drops least-recent blocks until the cache fits. *)
 
 open Nfs_types
 module Simos = Sfs_os.Simos
 module Simclock = Sfs_net.Simclock
 module Obs = Sfs_obs.Obs
 module Slice = Sfs_util.Slice
+module Lru = Sfs_util.Lru
 
 type policy = {
   attr_ttl_s : float; (* fixed attribute timeout when no lease is used *)
@@ -77,8 +83,7 @@ type t = {
      are views into the opened wire frame (no per-block copy between
      the channel and here); elsewhere they wrap whole strings for
      free. *)
-  blocks : (fh * int, Slice.t) Hashtbl.t;
-  mutable block_lru : (fh * int) list;
+  blocks : (fh * int, Slice.t) Lru.t;
   mutable cached_bytes : int;
   mutable lookups : int;
   mutable lookup_hits : int;
@@ -108,8 +113,7 @@ let create ?(take_invalidations = no_invalidations) ?obs ?pipeline ?(write_behin
     names = Hashtbl.create 512;
     access_cache = Hashtbl.create 512;
     negatives = Hashtbl.create 512;
-    blocks = Hashtbl.create 4096;
-    block_lru = [];
+    blocks = Lru.create 4096;
     cached_bytes = 0;
     lookups = 0;
     lookup_hits = 0;
@@ -120,15 +124,12 @@ let create ?(take_invalidations = no_invalidations) ?obs ?pipeline ?(write_behin
   }
 
 let drop_blocks (t : t) (h : fh) : unit =
-  let doomed = Hashtbl.fold (fun (f, b) _ acc -> if f = h then (f, b) :: acc else acc) t.blocks [] in
+  let doomed = Lru.fold (fun (f, b) data acc -> if f = h then ((f, b), data) :: acc else acc) t.blocks [] in
   List.iter
-    (fun k ->
-      (match Hashtbl.find_opt t.blocks k with
-      | Some data -> t.cached_bytes <- t.cached_bytes - Slice.length data
-      | None -> ());
-      Hashtbl.remove t.blocks k)
-    doomed;
-  if doomed <> [] then t.block_lru <- List.filter (fun k -> not (List.mem k doomed)) t.block_lru
+    (fun (k, data) ->
+      t.cached_bytes <- t.cached_bytes - Slice.length data;
+      Lru.remove t.blocks k)
+    doomed
 
 let drop_access (t : t) (h : fh) : unit =
   let doomed =
@@ -175,10 +176,9 @@ let invalidate_all (t : t) : unit =
   Hashtbl.reset t.names;
   Hashtbl.reset t.access_cache;
   Hashtbl.reset t.negatives;
-  Hashtbl.reset t.blocks;
+  Lru.clear t.blocks;
   Hashtbl.reset t.inflight;
   Hashtbl.reset t.last_read;
-  t.block_lru <- [];
   t.cached_bytes <- 0
 
 let charge_hit (t : t) (bytes : int) : unit =
@@ -202,27 +202,20 @@ let fresh_attr (t : t) (h : fh) : attr_entry option =
   | Some e when e.expires_us > Simclock.now_us t.clock -> Some e
   | _ -> None
 
-let evict_blocks_if_needed (t : t) : unit =
-  while t.cached_bytes > t.policy.data_cache_bytes do
-    match List.rev t.block_lru with
-    | [] ->
-        Hashtbl.reset t.blocks;
-        t.cached_bytes <- 0
-    | victim :: _ ->
-        (match Hashtbl.find_opt t.blocks victim with
-        | Some data -> t.cached_bytes <- t.cached_bytes - Slice.length data
-        | None -> ());
-        Hashtbl.remove t.blocks victim;
-        t.block_lru <- List.filter (fun k -> k <> victim) t.block_lru
-  done
+let rec evict_blocks_if_needed (t : t) : unit =
+  if t.cached_bytes > t.policy.data_cache_bytes then
+    match Lru.pop_lru t.blocks with
+    | Some (_, data) ->
+        t.cached_bytes <- t.cached_bytes - Slice.length data;
+        evict_blocks_if_needed t
+    | None -> t.cached_bytes <- 0
 
 let note_block (t : t) (h : fh) (block : int) (data : Slice.t) : unit =
-  (match Hashtbl.find_opt t.blocks (h, block) with
+  (match Lru.peek t.blocks (h, block) with
   | Some old -> t.cached_bytes <- t.cached_bytes - Slice.length old
   | None -> ());
-  Hashtbl.replace t.blocks (h, block) data;
+  Lru.replace t.blocks (h, block) data;
   t.cached_bytes <- t.cached_bytes + Slice.length data;
-  t.block_lru <- (h, block) :: List.filter (fun k -> k <> (h, block)) t.block_lru;
   evict_blocks_if_needed t
 
 (* Name-cache entry lifetime: under leases a directory entry cannot
@@ -331,7 +324,7 @@ let top_up (t : t) (cred : Simos.cred) (h : fh) ~(next : int) : unit =
          for b = next to next + pl.Fs_intf.pl_depth - 1 do
            if
              b * block_size < size
-             && (not (Hashtbl.mem t.blocks (h, b)))
+             && (not (Lru.mem t.blocks (h, b)))
              && not (Hashtbl.mem t.inflight (h, b))
            then
              match pl.Fs_intf.pl_submit cred h ~off:(b * block_size) ~count:block_size with
@@ -343,36 +336,44 @@ let top_up (t : t) (cred : Simos.cred) (h : fh) ~(next : int) : unit =
        with Exit -> ())
   | _ -> ()
 
-(* Serve a read from cached blocks, bounded by the fresh size; [None]
-   when anything needed is missing (caller falls back to the wire). *)
+(* Copy a read out of cached blocks, bounded by the fresh size in [e]:
+   one allocation of exactly the reply's length, filled straight from
+   the cached slices.  [None] when a needed block is missing or short
+   (the caller goes to the wire).  Recency is not touched: a hit is not
+   a use. *)
+let copy_out (t : t) (h : fh) (e : attr_entry) ~(off : int) ~(count : int) :
+    (string * bool * fattr) option =
+  let size = e.attr.size in
+  let n = min count (max 0 (size - off)) in
+  let out = Bytes.create n in
+  let rec fill filled =
+    filled >= n
+    ||
+    let pos = off + filled in
+    let b = pos / block_size in
+    match Lru.peek t.blocks (h, b) with
+    | None -> false
+    | Some data ->
+        let block_off = pos - (b * block_size) in
+        block_off < Slice.length data
+        &&
+        let take = min (Slice.length data - block_off) (n - filled) in
+        Slice.blit data ~src_off:block_off out ~dst_off:filled ~len:take;
+        fill (filled + take)
+  in
+  if fill 0 then Some (Bytes.unsafe_to_string out, off + n >= size, e.attr) else None
+
+(* Serve a read from cached blocks; [None] when anything needed is
+   missing. *)
 let serve_cached (t : t) (h : fh) ~(off : int) ~(count : int) : (string * bool * fattr) option =
   match fresh_attr t h with
   | None -> None
-  | Some e ->
-      let size = e.attr.size in
-      let avail = max 0 (size - off) in
-      let n = min count avail in
-      let buf = Buffer.create n in
-      let pos = ref off in
-      let ok = ref true in
-      while !ok && Buffer.length buf < n do
-        let b = !pos / block_size in
-        match Hashtbl.find_opt t.blocks (h, b) with
-        | None -> ok := false
-        | Some data ->
-            let block_off = !pos - (b * block_size) in
-            if block_off >= Slice.length data then ok := false
-            else begin
-              let take = min (Slice.length data - block_off) (n - Buffer.length buf) in
-              Slice.add_to_buffer buf data ~off:block_off ~len:take;
-              pos := !pos + take
-            end
-      done;
-      if !ok then begin
-        charge_hit t count;
-        Some (Buffer.contents buf, off + n >= size, e.attr)
-      end
-      else None
+  | Some e -> (
+      match copy_out t h e ~off ~count with
+      | Some _ as r ->
+          charge_hit t count;
+          r
+      | None -> None)
 
 (* Fetch the demanded blocks through the windowed dispatcher, top the
    readahead window up behind them so everything overlaps, then await
@@ -389,7 +390,7 @@ let fetch_pipelined (t : t) (cred : Simos.cred) (h : fh) ~(off : int) ~(count : 
           (last - first + 1)
           (fun i ->
             let b = first + i in
-            if Hashtbl.mem t.blocks (h, b) then Some None
+            if Lru.mem t.blocks (h, b) then Some None
             else
               match pl.Fs_intf.pl_submit cred h ~off:(b * block_size) ~count:block_size with
               | Some thunk -> Some (Some (b, thunk))
@@ -573,36 +574,13 @@ let ops (t : t) : Fs_intf.ops =
         if t.pipeline <> None then claim_inflight t h first last;
         let run = if t.pipeline <> None then note_seq t h first last else 0 in
         let cached =
-          fresh_attr t h <> None
-          &&
-          let rec all b = b > last || (Hashtbl.mem t.blocks (h, b) && all (b + 1)) in
-          all first
+          match fresh_attr t h with
+          | Some e ->
+              let rec all b = b > last || (Lru.mem t.blocks (h, b) && all (b + 1)) in
+              if all first then Some e else None
+          | None -> None
         in
-        if cached && not (may cred (match fresh_attr t h with Some e -> e.attr | None -> assert false) ~want:4)
-        then Error NFS3ERR_ACCES
-        else if cached then begin
-          t.read_hits <- t.read_hits + 1;
-          Obs.incr t.obs "cache.read.hit";
-          charge_hit t count;
-          let e = match fresh_attr t h with Some e -> e | None -> assert false in
-          let size = e.attr.size in
-          let avail = max 0 (size - off) in
-          let n = min count avail in
-          let buf = Buffer.create n in
-          let pos = ref off in
-          while Buffer.length buf < n do
-            let b = !pos / block_size in
-            let data = Hashtbl.find t.blocks (h, b) in
-            let block_off = !pos - (b * block_size) in
-            let take = min (Slice.length data - block_off) (n - Buffer.length buf) in
-            Slice.add_to_buffer buf data ~off:block_off ~len:take;
-            pos := !pos + take
-          done;
-          (* Keep the window full behind a sequential consumer. *)
-          if run >= readahead_min_run then top_up t cred h ~next:(last + 1);
-          Ok (Buffer.contents buf, off + n >= size, e.attr)
-        end
-        else begin
+        let miss () =
           Obs.incr t.obs "cache.read.miss";
           match
             if run >= readahead_min_run then fetch_pipelined t cred h ~off ~count ~first ~last
@@ -622,7 +600,20 @@ let ops (t : t) : Fs_intf.ops =
                   (Sfs_util.Bytesutil.chunks ~size:block_size data)
               end;
               Ok (data, eof, a)
-        end);
+        in
+        match cached with
+        | Some e when not (may cred e.attr ~want:4) -> Error NFS3ERR_ACCES
+        | Some e -> (
+            match copy_out t h e ~off ~count with
+            | Some r ->
+                t.read_hits <- t.read_hits + 1;
+                Obs.incr t.obs "cache.read.hit";
+                charge_hit t count;
+                (* Keep the window full behind a sequential consumer. *)
+                if run >= readahead_min_run then top_up t cred h ~next:(last + 1);
+                Ok r
+            | None -> miss ())
+        | None -> miss ());
     fs_write =
       (fun cred h ~off ~stable data ->
         drain_invalidations t;

@@ -1,6 +1,8 @@
 (** Disk and buffer-cache timing model: an FFS-era SCSI disk behind a
-    fixed-capacity LRU block cache (see the implementation header for
-    the modeled behaviours and DESIGN.md for calibration). *)
+    fixed-capacity LRU block cache whose recency is insert/write order
+    (a read hit does not promote; dirty victims are written back).  See
+    the implementation header for the modeled behaviours and DESIGN.md
+    for calibration. *)
 
 type params = {
   position_us : float; (** average seek + rotational delay *)

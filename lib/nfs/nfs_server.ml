@@ -23,11 +23,12 @@ type t = {
   fh_prefix : string; (* distinguishes wire handles from backend ones *)
   mutable calls : int;
   obs : Obs.registry option;
-  enc : Xdr.enc; (* reusable reply encoder *)
+  enc : Xdr.enc; (* reusable reply encoder (RPC envelope) *)
+  res_enc : Xdr.enc; (* reusable results encoder, copied out per reply *)
 }
 
 let create ?(fh_prefix = "nfs3:") ?obs (backend : Fs_intf.ops) : t =
-  { backend; fh_prefix; calls = 0; obs; enc = Xdr.make_enc () }
+  { backend; fh_prefix; calls = 0; obs; enc = Xdr.make_enc (); res_enc = Xdr.make_enc () }
 
 (* Wire handles just prefix the backend handle: deliberately guessable,
    like the weak handles the paper warns about (section 3.3). *)
@@ -62,7 +63,11 @@ let dispatch_body (t : t) (cred : Simos.cred) (proc : int) (args : string) : str
   let run dec_args enc_result f =
     match Xdr.run args dec_args with
     | Result.Error _ -> None
-    | Ok a -> Some (Xdr.encode enc_result (f a))
+    | Ok a ->
+        let r = f a in
+        Xdr.reset t.res_enc;
+        enc_result t.res_enc r;
+        Some (Xdr.to_string t.res_enc)
   in
   let open Nfs_proto in
   if proc = proc_null then Some ""

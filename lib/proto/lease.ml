@@ -26,10 +26,13 @@ type t = {
      -client hot-file scan quadratic). *)
   holders : (string (* fh *), (int, float (* expiry *)) Hashtbl.t) Hashtbl.t;
   pending : (int, string list ref) Hashtbl.t; (* conn -> queued invalidations *)
+  mutable sweep_at : int; (* [holders] size that triggers the next expired-lease sweep *)
   mutable next_conn : int;
   mutable invalidations_sent : int;
   obs : Obs.registry option;
 }
+
+let sweep_floor = 1024
 
 let create ?(lease_s = 60) ?obs (clock : Simclock.t) : t =
   {
@@ -37,6 +40,7 @@ let create ?(lease_s = 60) ?obs (clock : Simclock.t) : t =
     lease_s;
     holders = Hashtbl.create 256;
     pending = Hashtbl.create 16;
+    sweep_at = sweep_floor;
     next_conn = 1;
     invalidations_sent = 0;
     obs;
@@ -53,6 +57,22 @@ let register_conn (t : t) : int =
 
 let drop_conn (t : t) (conn : int) : unit = Hashtbl.remove t.pending conn
 
+(* Forget the files whose every lease has expired (read once, or since
+   removed): an expired holder is never invalidated, and a later grant
+   counts as new whether or not its table survived, so the sweep changes
+   nothing observable except memory.  Leases count as expired only a
+   full lease period late, because the clock can step back by an
+   absorbed exchange (Simclock.absorb), which is far shorter than that.
+   The sweep runs when [holders] has doubled since the last one, which
+   keeps grants amortized O(1). *)
+let sweep_expired (t : t) (now : float) : unit =
+  let cutoff = now -. (float_of_int t.lease_s *. 1_000_000.0) in
+  Hashtbl.filter_map_inplace
+    (fun _ tbl ->
+      if Hashtbl.fold (fun _ expiry live -> live || expiry > cutoff) tbl false then Some tbl else None)
+    t.holders;
+  t.sweep_at <- max sweep_floor (2 * Hashtbl.length t.holders)
+
 (* Record that [conn] received attributes for [fh] (it will cache them
    until the lease expires).  When the connection already holds an
    unexpired lease on the file — every block of a sequential scan
@@ -66,6 +86,7 @@ let grant (t : t) ~(conn : int) (fh : string) : unit =
     match Hashtbl.find_opt t.holders fh with
     | Some tbl -> tbl
     | None ->
+        if Hashtbl.length t.holders >= t.sweep_at then sweep_expired t now;
         let tbl = Hashtbl.create 8 in
         Hashtbl.replace t.holders fh tbl;
         tbl
@@ -127,5 +148,6 @@ let holder_count (t : t) (fh : string) : int =
    on reconnect, so nothing stale outlives the lost leases). *)
 let reset (t : t) : unit =
   Hashtbl.reset t.holders;
+  t.sweep_at <- sweep_floor;
   Hashtbl.reset t.pending;
   Obs.incr t.obs "recover.lease_reset"

@@ -38,8 +38,8 @@ val pending_count : t -> int
 
 val holder_count : t -> string -> int
 (** How many connections currently hold a lease entry on this wire
-    handle (expired entries included until the next invalidation) —
-    fan-in visibility for the fleet tests. *)
+    handle (expired entries included until the next invalidation or
+    expired-lease sweep) — fan-in visibility for the fleet tests. *)
 
 val reset : t -> unit
 (** Server crash/restart: forget every holder and queued callback

@@ -2,7 +2,8 @@
    path (DESIGN.md §14).  A decrypted wire frame is allocated once by
    Channel.open_slice; XDR decoding, the RPC demux and the block cache
    all pass around [t] values into that one buffer, and bytes are only
-   copied again at the final user-visible boundary (Buffer copyout).
+   copied again at the final user-visible boundary (the block cache's
+   copy-out, via [blit]).
 
    Slices never own their base: holding a slice retains the whole
    backing string.  That is the intended trade on the read path — an
@@ -40,10 +41,9 @@ let sub (t : t) ~(off : int) ~(len : int) : t =
 let to_string (t : t) : string =
   if t.off = 0 && t.len = String.length t.base then t.base else String.sub t.base t.off t.len
 
-let add_to_buffer (b : Buffer.t) (t : t) ~(off : int) ~(len : int) : unit =
-  if off < 0 || len < 0 || off + len > t.len then
-    invalid_arg "Slice.add_to_buffer: range outside slice";
-  Buffer.add_substring b t.base (t.off + off) len
+let blit (t : t) ~(src_off : int) (dst : Bytes.t) ~(dst_off : int) ~(len : int) : unit =
+  if src_off < 0 || len < 0 || src_off + len > t.len then invalid_arg "Slice.blit: range outside slice";
+  Bytes.blit_string t.base (t.off + src_off) dst dst_off len
 
 let equal (a : t) (b : t) : bool =
   a.len = b.len

@@ -31,9 +31,10 @@ val sub : t -> off:int -> len:int -> t
 val to_string : t -> string
 (** The only copy point; whole-base views return the base unchanged. *)
 
-val add_to_buffer : Buffer.t -> t -> off:int -> len:int -> unit
-(** Copy a sub-range into a buffer (the read path's final copyout).
-    @raise Invalid_argument out of bounds. *)
+val blit : t -> src_off:int -> Bytes.t -> dst_off:int -> len:int -> unit
+(** Copy a sub-range into [dst] at [dst_off] (the read path's final
+    copy-out).  @raise Invalid_argument when either range is out of
+    bounds. *)
 
 val equal : t -> t -> bool
 (** Content equality. *)

@@ -2,6 +2,7 @@ let () =
   Alcotest.run "sfs"
     [
       Test_util.suite;
+      Test_lru.suite;
       Test_bignum.suite;
       Test_crypto.suite;
       Test_xdr.suite;

@@ -350,6 +350,24 @@ let test_lease_dedup () =
   Lease.invalidate reg ~by:c1 "fh-c";
   Alcotest.(check (list string)) "deduplicated" [ "fh-c" ] (Lease.take reg c2)
 
+(* Files whose leases all lapsed long ago are swept from the holder
+   table once it grows; live leases survive the sweep and are still
+   called back. *)
+let test_lease_sweep () =
+  let clock = Simclock.create () in
+  let reg = Lease.create ~lease_s:60 clock in
+  let c1 = Lease.register_conn reg in
+  let c2 = Lease.register_conn reg in
+  for i = 0 to 1023 do
+    Lease.grant reg ~conn:c2 (Printf.sprintf "old-%d" i)
+  done;
+  Simclock.advance clock 121_000_000.0;
+  Lease.grant reg ~conn:c2 "live";
+  Testkit.check_int "lapsed holders swept" 0 (Lease.holder_count reg "old-0");
+  Testkit.check_int "live holder kept" 1 (Lease.holder_count reg "live");
+  Lease.invalidate reg ~by:c1 "live";
+  Alcotest.(check (list string)) "live lease still called back" [ "live" ] (Lease.take reg c2)
+
 (* --- SFS RW wire messages --- *)
 
 let test_sfsrw_roundtrip () =
@@ -433,6 +451,7 @@ let suite =
       Alcotest.test_case "leases basic" `Quick test_leases;
       Alcotest.test_case "lease expiry" `Quick test_lease_expiry;
       Alcotest.test_case "lease dedup" `Quick test_lease_dedup;
+      Alcotest.test_case "lease sweep" `Quick test_lease_sweep;
       Alcotest.test_case "sfsrw wire roundtrip" `Quick test_sfsrw_roundtrip;
       Alcotest.test_case "readonly objects" `Quick test_readonly_objects;
       Alcotest.test_case "readonly fsinfo signature" `Quick test_readonly_fsinfo_signature;
