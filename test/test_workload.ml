@@ -283,6 +283,78 @@ let test_flashcrowd_20k () =
   let p99 = Sfs_obs.Sketch.quantile r.Flashcrowd.r_read_lat 0.99 in
   Testkit.check_bool "latency quantiles ordered" true (0 < p50 && p50 <= p99)
 
+(* --- Golden ledgers: SHA-1 of each engine's ledger for small fixed
+   configs.  The determinism tests above only compare two runs of one
+   build; these pin the bytes across builds, so an engine refactor that
+   claims byte-identity has to keep every digest unchanged. *)
+
+let ledger_sha1 (ledger : string) : string = Sfs_util.Hex.encode (Sfs_crypto.Sha1.digest ledger)
+
+let crash_window ~host ~down_s ~up_s =
+  { Sfs_fault.Fault.c_host = host; c_down_us = down_s *. 1e6; c_up_us = up_s *. 1e6 }
+
+let golden_fleet =
+  [
+    ("default", Fleet.default, "c9609fbbb4e78fcdad4836c95f3ef3d9777c55d6");
+    ( "admission cap",
+      { Fleet.default with Fleet.clients = 6; servers = 1; admit_per_server = Some 2 },
+      "bae10f7e2c8c947736ee5701cac6deaed58c672d" );
+    ( "zipf ramp",
+      {
+        Fleet.default with
+        Fleet.clients = 32;
+        servers = 1;
+        ops_per_client = 6;
+        workload = Fleet.Zipf { dirs = 4; files_per_dir = 8; file_bytes = 1024; theta = 1.0 };
+        arrival = Fleet.Ramp 20_000.0;
+      },
+      "f34d291683e8ed70c61c49c0db0903d73e8d8157" );
+    ( "server crash",
+      {
+        Fleet.default with
+        Fleet.clients = 16;
+        admit_per_server = Some 6;
+        fault =
+          Some
+            (Sfs_fault.Fault.make
+               ~crashes:[ crash_window ~host:"srv0.fleet.lcs.mit.edu" ~down_s:0.02 ~up_s:0.1 ]
+               ~seed:"golden/rw-crash" ());
+      },
+      "7e38575038399bc9507f9f731a5ab2554fc15033" );
+  ]
+
+let golden_flashcrowd =
+  [
+    ("default + republish", { Flashcrowd.default with Flashcrowd.republish_at_us = Some 30_000.0 },
+      "3e07e3e78baf02582fd4a86934befe8df09ededd" );
+    ( "mirror crash",
+      {
+        Flashcrowd.default with
+        Flashcrowd.clients = 24;
+        replicas = 3;
+        reads_per_client = 6;
+        admit_per_mirror = Some 12;
+        republish_at_us = Some 120_000.0;
+        fault =
+          Some
+            (Sfs_fault.Fault.make
+               ~crashes:[ crash_window ~host:(Flashcrowd.mirror_loc 0) ~down_s:0.03 ~up_s:0.1 ]
+               ~seed:"golden/ro-crash" ());
+      },
+      "cec46ba034d2d8e56b1645f29cc340a878e7972e" );
+  ]
+
+let test_golden_ledgers () =
+  List.iter
+    (fun (name, cfg, sha) ->
+      Testkit.check_string ("fleet " ^ name) sha (ledger_sha1 (Fleet.ledger (Fleet.run cfg))))
+    golden_fleet;
+  List.iter
+    (fun (name, cfg, sha) ->
+      Testkit.check_string ("flashcrowd " ^ name) sha
+        (ledger_sha1 (Flashcrowd.ledger (Flashcrowd.run cfg))))
+    golden_flashcrowd
+
 let suite =
   ( "workload",
     [
@@ -304,4 +376,5 @@ let suite =
       Alcotest.test_case "flashcrowd admission failover" `Quick test_flashcrowd_admission_failover;
       Alcotest.test_case "flashcrowd republish" `Quick test_flashcrowd_republish;
       Alcotest.test_case "flashcrowd 20k clients" `Slow test_flashcrowd_20k;
+      Alcotest.test_case "golden ledgers" `Quick test_golden_ledgers;
     ] )
