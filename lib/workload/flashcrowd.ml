@@ -1,36 +1,14 @@
-(* Flash-crowd simulation: the read-only dialect as a CDN tier.
-
-   A publisher signs a snapshot of a two-level file tree and fans it
-   out to N untrusted mirrors (Replica); then a crowd of up to 10^4-10^5
-   read-only clients arrives on an accelerating ramp, each fetching
-   Zipf-popular files and verifying every object against the hash chain
-   ending at the signed root.  The engine is the same discrete-event
-   model as Fleet (DESIGN.md §15): every client action is an event,
-   its measured cost is split into a client/wire slice and a serving
-   slice that queues on the mirror host's run queue.
-
-   Two deliberate asymmetries against the read-write arm:
-
-   - Per-client state is a slim record (an index, a Prng, a connection,
-     a verification cache) — no key negotiation, no encrypted channel,
-     no Cachefs, no agent.  This is what lets the crowd scale past the
-     read-write fleet's 10^4 toward 10^5.
-
-   - Mirrors burn no cryptography per request (a boundary crossing and
-     a buffer copy), so aggregate capacity scales with the replica
-     count; clients pay SHA-1 once per object and then hit their
-     verification cache.
-
-   Failover uses the same admission machinery as Fleet: a refused or
-   timed-out client backs off (capped linear) and re-dials the
-   least-loaded mirror.  Everything is deterministic — seeded Prngs,
-   the simulated clock — and two same-config runs must produce
-   byte-identical ledgers. *)
+(* Flash-crowd simulation, the read-only kind of the Crowd engine.
+   Per-client state is a slim record plus a verification cache (no key
+   negotiation, no channel, no Cachefs), and mirrors burn no
+   cryptography per request, so capacity scales with the replica count.
+   A read is one verified chain, so a failed read is retried, not
+   skipped: a route failure re-dials the least-loaded mirror, a
+   verification failure refreshes the root and re-walks. *)
 
 module Simclock = Sfs_net.Simclock
 module Simnet = Sfs_net.Simnet
 module Costmodel = Sfs_net.Costmodel
-module Simos = Sfs_os.Simos
 module Memfs = Sfs_nfs.Memfs
 module Prng = Sfs_crypto.Prng
 module Rabin = Sfs_crypto.Rabin
@@ -38,7 +16,6 @@ module Core = Sfs_core
 module Ro = Sfs_proto.Readonly_proto
 module Obs = Sfs_obs.Obs
 module Sketch = Sfs_obs.Sketch
-module Fault = Sfs_fault.Fault
 
 type config = {
   clients : int;
@@ -51,16 +28,9 @@ type config = {
   vcache_objs : int; (* per-client verification cache bound *)
   admit_per_mirror : int option;
   ramp_us : float; (* the whole crowd arrives within this window *)
-  republish_at_us : float option;
-      (* mid-crowd update: the publisher rewrites the hottest file in
-         every directory, publishes incrementally, and fans the delta
-         out — exercising eviction and client root refresh under load *)
-  attempt_limit : int;
-  key_bits : int;
-  duration_s : int;
-  max_spans : int;
+  republish_at_us : float option; (* mid-crowd rewrite, incremental publish, fan-out *)
   seed : string;
-  fault : Fault.spec option;
+  fault : Sfs_fault.Fault.spec option;
 }
 
 let default : config =
@@ -76,13 +46,14 @@ let default : config =
     admit_per_mirror = None;
     ramp_us = 50_000.0;
     republish_at_us = None;
-    attempt_limit = 1000;
-    key_bits = 512;
-    duration_s = 24 * 3600;
-    max_spans = 20_000;
     seed = "flashcrowd";
     fault = None;
   }
+
+(* Fixed for every crowd. *)
+let attempt_limit = 1000 (* consecutive failures before a client gives up *)
+let key_bits = 512
+let duration_s = 24 * 3600 (* validity window of each signed root *)
 
 type result = {
   r_cfg : config;
@@ -106,8 +77,7 @@ type result = {
 }
 
 let throughput_reads_s (r : result) : float =
-  if r.r_last_ready_us <= 0.0 then 0.0
-  else float_of_int r.r_reads_ok /. (r.r_last_ready_us /. 1_000_000.0)
+  Crowd.throughput r.r_reads_ok ~last_ready_us:r.r_last_ready_us
 
 let publisher_loc : string = "publisher.ro.fleet"
 let mirror_loc (m : int) : string = Printf.sprintf "mirror%d.ro.fleet" m
@@ -117,59 +87,48 @@ let client_loc (i : int) : string = Printf.sprintf "c%d.ro.client" i
    whole footprint — compare Fleet's cl, which drags a full Core.Client
    (keyed channel, Cachefs, agent, mux) per connection. *)
 type rcl = {
-  idx : int;
   from : string; (* this client's host name *)
   rng : Prng.t;
   mutable conn : Simnet.conn option;
   mutable mirror : int; (* index of the mirror currently dialed *)
   mutable ro : Core.Readonly.client option; (* survives failover: content addressing *)
-  mutable reads_done : int;
-  mutable attempts : int; (* consecutive failed attempts at the current step *)
   mutable pending : int; (* file index mid-retry, or -1 *)
 }
+
+(* Walk [names] down from the directory object [hash] to a file's
+   bytes.  A missing entry or an object of the wrong shape is a tree the
+   signed root never described: fatal, not a route failure to fail over
+   from.  Verification failures raise out of [fetch]. *)
+let rec walk ~(fetch : string -> Ro.obj) (hash : string) (names : string list) :
+    (string, Crowd.failure) Stdlib.result =
+  match (fetch hash, names) with
+  | Ro.O_file data, [] -> Ok data
+  | Ro.O_dir entries, name :: rest -> (
+      match List.find_opt (fun e -> e.Ro.e_name = name) entries with
+      | Some e -> walk ~fetch e.Ro.e_hash rest
+      | None -> Error Crowd.Fatal)
+  | _ -> Error Crowd.Fatal
+
+let rec all_bytes (data : string) (b : char) (i : int) : bool =
+  i >= String.length data || (data.[i] = b && all_bytes data b (i + 1))
 
 let run (cfg : config) : result =
   if cfg.clients < 1 || cfg.replicas < 1 || cfg.dirs < 1 || cfg.files_per_dir < 1 then
     invalid_arg "Flashcrowd.run: counts must be positive";
-  let clock = Simclock.create () in
-  let obs = Obs.create ~max_spans:cfg.max_spans ~now_us:(fun () -> Simclock.now_us clock) () in
+  let w = Crowd.world () in
+  let clock = w.Crowd.clock and obs = w.Crowd.obs and net = w.Crowd.net in
   let costs = Costmodel.default in
-  let net = Simnet.create ~costs ~obs clock in
-  let now () = Sfs_nfs.Nfs_types.time_of_us (Simclock.now_us clock) in
-  let root_cred = Simos.cred_of_user Simos.root_user in
   (* --- the publisher: file tree, private key, snapshot --- *)
   ignore (Simnet.add_host net publisher_loc);
+  let now () = Sfs_nfs.Nfs_types.time_of_us (Simclock.now_us clock) in
   let fs = Memfs.create ~fsid:7 ~now () in
-  let mkdir ~dir name =
-    match Memfs.mkdir fs root_cred ~dir name ~mode:0o777 with
-    | Ok (ino, _) -> ino
-    | Error _ -> assert false
-  in
-  let write_file ~dir name data =
-    let ino =
-      match Memfs.lookup fs root_cred ~dir name with
-      | Ok (ino, _) -> ino
-      | Error _ -> (
-          match Memfs.create_file fs root_cred ~dir name ~mode:0o666 with
-          | Ok (ino, _) -> ino
-          | Error _ -> assert false)
-    in
-    match Memfs.write fs root_cred ino ~off:0 data with Ok _ -> () | Error _ -> assert false
-  in
   let dirs =
-    Array.init cfg.dirs (fun d ->
-        let dir = mkdir ~dir:Memfs.root_id ("d" ^ string_of_int d) in
-        for f = 0 to cfg.files_per_dir - 1 do
-          let file = (d * cfg.files_per_dir) + f in
-          write_file ~dir ("f" ^ string_of_int f)
-            (String.make cfg.file_bytes (Fleet.zipf_file_char file))
-        done;
-        dir)
+    Crowd.seed_zipf_tree fs ~parent:Memfs.root_id ~dirs:cfg.dirs ~files_per_dir:cfg.files_per_dir
+      ~file_bytes:cfg.file_bytes
   in
-  let key = Rabin.generate ~bits:cfg.key_bits (Prng.create [ cfg.seed; "rokey" ]) in
+  let key = Rabin.generate ~bits:key_bits (Prng.create [ cfg.seed; "rokey" ]) in
   let publisher =
-    Core.Replica.publisher ~obs ~costs ~duration_s:cfg.duration_s ~net ~host:publisher_loc ~key
-      ~clock fs
+    Core.Replica.publisher ~obs ~costs ~duration_s ~net ~host:publisher_loc ~key ~clock fs
   in
   ignore (Core.Replica.publish publisher);
   (* --- the mirror tier --- *)
@@ -184,66 +143,24 @@ let run (cfg : config) : result =
         Simnet.set_admission h cfg.admit_per_mirror;
         h)
   in
-  let targets = Array.to_list (Array.init cfg.replicas (fun m -> Core.Replica.target ~addr:(mirror_loc m))) in
+  let targets =
+    Array.to_list (Array.init cfg.replicas (fun m -> Core.Replica.target ~addr:(mirror_loc m)))
+  in
   let fanout_failures = ref (Core.Replica.fan_out publisher targets) in
   let pubkey = Core.Replica.pubkey publisher in
-  (* --- fault plan (chaos soak): mirrors keep their stores across
-     crash epochs (the store models a disk), so no on_restart hook --- *)
-  (match cfg.fault with
-  | None -> ()
-  | Some spec ->
-      let inj = Fault.injector ~obs ~on_restart:[] ~now_us:(fun () -> Simclock.now_us clock) spec in
-      Simnet.set_injector net (Some inj));
-  (* --- engine state --- *)
-  let cdf = Fleet.zipf_cdf ~n:(cfg.dirs * cfg.files_per_dir) ~theta:cfg.theta in
-  let reads_ok = ref 0 and reads_failed = ref 0 in
-  let clients_ok = ref 0 and clients_failed = ref 0 in
-  let failovers = ref 0 and retries = ref 0 and bad_content = ref 0 in
-  let republishes = ref 0 in
-  let last_ready = ref 0.0 in
-  let read_lat = Sketch.create () and connect_lat = Sketch.create () in
-  let seen_ready us = if us > !last_ready then last_ready := us in
+  let cdf = Crowd.zipf_cdf ~n:(cfg.dirs * cfg.files_per_dir) ~theta:cfg.theta in
+  let bad_content = ref 0 and republishes = ref 0 in
   let cls =
     Array.init cfg.clients (fun i ->
         ignore (Simnet.add_host net (client_loc i));
         {
-          idx = i;
           from = client_loc i;
           rng = Prng.create [ cfg.seed; "roclient"; string_of_int i ];
           conn = None;
           mirror = i mod cfg.replicas;
           ro = None;
-          reads_done = 0;
-          attempts = 0;
           pending = -1;
         })
-  in
-  (* Same re-accounting as Fleet.exec_timed, but the serving host is
-     whatever mirror the client is currently dialed to. *)
-  let exec_timed (c : rcl) (action : unit -> ('a, string) Stdlib.result) :
-      ('a, string) Stdlib.result * float * float =
-    let mhost = mhosts.(c.mirror) in
-    let t0 = Simclock.now_us clock in
-    let s0 = Simnet.host_served_us mhost in
-    let r, d =
-      (* sfstaint: allow TNT004 — absorb re-raises the action's exception untouched after restoring the clock; no secret-derived value is interpolated *)
-      Simclock.absorb clock (fun () ->
-          try action () with
-          | Simnet.Timeout -> Error "timeout"
-          | Simnet.No_route _ -> Error "no route"
-          | Core.Readonly.Verification_failed e -> Error ("verify: " ^ e)
-          (* sfstaint: allow TNT004 — harness-fatal exceptions pass through verbatim; nothing secret-derived is attached *)
-          | Stack_overflow | Out_of_memory | Assert_failure _ as e -> raise e
-          | e -> Error ("exn: " ^ Printexc.to_string e))
-    in
-    let s = Simnet.host_served_us mhost -. s0 in
-    let s = if s < 0.0 then 0.0 else s in
-    let cpu = if d -. s < 0.0 then 0.0 else d -. s in
-    let ready =
-      if s > 0.0 then Simnet.host_occupy mhost ~at_us:(t0 +. cpu) ~dur_us:s else t0 +. d
-    in
-    seen_ready ready;
-    (r, t0, ready)
   in
   let drop_conn (c : rcl) : unit =
     (match c.conn with Some conn -> (try Simnet.close conn with _ -> ()) | None -> ());
@@ -260,11 +177,9 @@ let run (cfg : config) : result =
     done;
     !best
   in
-  let backoff (attempts : int) : float = Float.min 500_000.0 (20_000.0 *. float_of_int attempts) in
-  (* The exchange closure reads [c.conn] at call time, so the same
-     Readonly.client (and its verification cache) survives reconnects
-     and mirror switches: a content hash names the same bytes
-     everywhere. *)
+  (* Reads [c.conn] at call time, so one Readonly.client and its
+     verification cache survive reconnects and mirror switches: a
+     content hash names the same bytes everywhere. *)
   let exchange (c : rcl) (bytes : string) : string =
     match c.conn with
     | None -> raise Simnet.Timeout
@@ -277,130 +192,72 @@ let run (cfg : config) : result =
      verification cache and check every byte against the published
      generations.  A wrong byte here would mean unverified data reached
      the application — counted, and asserted zero by [reconcile]. *)
-  let do_read (c : rcl) () : (unit, string) Stdlib.result =
+  let do_read (c : rcl) : (unit, Crowd.failure) Stdlib.result =
     let ro = match c.ro with Some ro -> ro | None -> assert false in
-    let file = if c.pending >= 0 then c.pending else Fleet.zipf_sample cdf c.rng in
+    let file = if c.pending >= 0 then c.pending else Crowd.zipf_sample cdf c.rng in
     c.pending <- file;
-    let d = file / cfg.files_per_dir and f = file mod cfg.files_per_dir in
-    let info = Core.Readonly.current_fsinfo ro in
-    let find_entry entries name =
-      match List.find_opt (fun e -> e.Ro.e_name = name) entries with
-      | Some e -> Ok e.Ro.e_hash
-      | None -> Error ("no entry " ^ name)
-    in
-    let ( let* ) = Result.bind in
-    let* root =
-      match Core.Readonly.fetch ro info.Ro.root_hash with
-      | Ro.O_dir entries -> Ok entries
-      | _ -> Error "root is not a directory"
-    in
-    let* dh = find_entry root ("d" ^ string_of_int d) in
-    let* dir =
-      match Core.Readonly.fetch ro dh with
-      | Ro.O_dir entries -> Ok entries
-      | _ -> Error "dir object is not a directory"
-    in
-    let* fh = find_entry dir ("f" ^ string_of_int f) in
-    let* data =
-      match Core.Readonly.fetch ro fh with
-      | Ro.O_file data -> Ok data
-      | _ -> Error "file object is not a file"
-    in
-    (* Either generation of the file is fine (a republish rewrites the
-       hottest file per directory with 'Z'); anything else is bytes the
-       hash chain never vouched for. *)
-    let fresh = String.make cfg.file_bytes 'Z' in
-    let stale = String.make cfg.file_bytes (Fleet.zipf_file_char file) in
-    if String.equal data stale || String.equal data fresh then Ok ()
-    else begin
-      incr bad_content;
-      Error "bad content"
-    end
+    let d, f = Crowd.zipf_names ~files_per_dir:cfg.files_per_dir file in
+    let root = (Core.Readonly.current_fsinfo ro).Ro.root_hash in
+    match walk ~fetch:(Core.Readonly.fetch ro) root [ d; f ] with
+    | Error _ as e -> e
+    | Ok data ->
+        (* Either generation of the file is fine (a republish rewrites
+           the hottest file per directory with 'Z'); anything else is
+           bytes the hash chain never vouched for.  Checked in place,
+           without building either generation. *)
+        if
+          String.length data = cfg.file_bytes
+          && (cfg.file_bytes = 0
+             ||
+             let b = data.[0] in
+             (b = 'Z' || b = Crowd.zipf_file_char file) && all_bytes data b 1)
+        then begin
+          c.pending <- -1;
+          Obs.incr (Some obs) "ro.reads";
+          Ok ()
+        end
+        else begin
+          incr bad_content;
+          Error Crowd.Fatal
+        end
   in
-  let do_connect (c : rcl) () : (unit, string) Stdlib.result =
+  let do_connect (c : rcl) : (unit, Crowd.failure) Stdlib.result =
     let conn =
       (* sfstaint: allow TNT003 TNT004 — Simnet.connect interpolates only host names and ports into its errors and span labels; the client's Zipf Prng stays out of both *)
       Simnet.connect net ~from_host:c.from ~addr:(mirror_loc c.mirror) ~port:Core.Replica.ro_port
         ~proto:Costmodel.Tcp
     in
     c.conn <- Some conn;
-    match c.ro with
-    | Some _ -> Ok () (* reconnect: root already verified *)
-    | None ->
-        c.ro <-
-          Some
-            (* sfstaint: allow TNT004 — connect raises plain Simnet/Verification errors; the per-client Zipf Prng never reaches the exchange or the message *)
-            (Core.Readonly.connect ~obs ~cache_objs:cfg.vcache_objs ~costs
-               ~exchange:(exchange c) ~pubkey ~clock ());
-        Ok ()
+    (* on a reconnect the root is already verified *)
+    if Option.is_none c.ro then
+      c.ro <-
+        Some
+          (* sfstaint: allow TNT004 — connect raises plain Simnet/Verification errors; the per-client Zipf Prng never reaches the exchange or the message *)
+          (Core.Readonly.connect ~obs ~cache_objs:cfg.vcache_objs ~costs
+             ~exchange:(exchange c) ~pubkey ~clock ());
+    Ok ()
   in
-  let give_up (c : rcl) : unit =
-    incr clients_failed;
-    reads_failed := !reads_failed + (cfg.reads_per_client - c.reads_done);
-    drop_conn c
-  in
-  let retryable (e : string) : bool =
-    String.length e >= 2 && (String.sub e 0 2 = "ti" || String.sub e 0 2 = "no")
-  in
-  let verify_failure (e : string) : bool = String.length e >= 6 && String.sub e 0 6 = "verify" in
-  let rec ev_read (c : rcl) () =
-    if c.reads_done >= cfg.reads_per_client then begin
-      incr clients_ok;
-      drop_conn c
-    end
-    else begin
-      let r, t0, ready = exec_timed c (do_read c) in
-      match r with
-      | Ok () ->
-          c.reads_done <- c.reads_done + 1;
-          c.pending <- -1;
-          c.attempts <- 0;
-          incr reads_ok;
-          Obs.incr (Some obs) "ro.reads";
-          Sketch.observe read_lat (int_of_float (ready -. t0));
-          Simclock.schedule clock ~at_us:ready (ev_read c)
-      | Error e when c.attempts < cfg.attempt_limit && retryable e ->
-          (* the mirror died or refused: back off and re-dial the
-             least-loaded one, keeping the half-done read pending *)
-          c.attempts <- c.attempts + 1;
-          incr failovers;
+  let kind =
+    {
+      Crowd.host = (fun c -> mhosts.(c.mirror));
+      connect = do_connect;
+      op = (fun c _ -> do_read c);
+      redial =
+        (fun c ->
           Obs.incr (Some obs) "ro.client.failover";
           drop_conn c;
-          c.mirror <- pick_mirror ();
-          Simclock.schedule clock ~at_us:(ready +. backoff c.attempts) (ev_connect c)
-      | Error e when c.attempts < cfg.attempt_limit && verify_failure e ->
-          (* corrupt or missing object: refresh the root (a republish
-             may have evicted what the old root referenced) and retry;
-             nothing wrong ever got cached *)
-          c.attempts <- c.attempts + 1;
-          incr retries;
+          c.mirror <- pick_mirror ());
+      refresh =
+        (fun c ->
           Obs.incr (Some obs) "ro.client.retry";
-          let refresh () =
-            match c.ro with
-            (* sfstaint: allow TNT004 — refresh raises Verification_failed with protocol text only; the client's Zipf Prng is not part of the exception *)
-            | Some ro -> Result.ok (Core.Readonly.refresh ro)
-            | None -> Error "no client"
-          in
-          let rr, _, rready = exec_timed c refresh in
-          ignore rr;
-          Simclock.schedule clock ~at_us:(rready +. backoff c.attempts) (ev_read c)
-      | Error _ -> give_up c
-    end
-  and ev_connect (c : rcl) () =
-    let r, t0, ready = exec_timed c (do_connect c) in
-    match r with
-    | Ok () ->
-        c.attempts <- 0;
-        Sketch.observe connect_lat (int_of_float (ready -. t0));
-        Simclock.schedule clock ~at_us:ready (ev_read c)
-    | Error e when c.attempts < cfg.attempt_limit && (retryable e || verify_failure e) ->
-        c.attempts <- c.attempts + 1;
-        incr failovers;
-        Obs.incr (Some obs) "ro.client.failover";
-        drop_conn c;
-        c.mirror <- pick_mirror ();
-        Simclock.schedule clock ~at_us:(ready +. backoff c.attempts) (ev_connect c)
-    | Error _ -> give_up c
+          match c.ro with
+          (* sfstaint: allow TNT004 — refresh raises Verification_failed with protocol text only; the client's Zipf Prng is not part of the exception *)
+          | Some ro -> Core.Readonly.refresh ro
+          | None -> ());
+      finish = drop_conn;
+      retry_ops = true;
+      retry_limit = attempt_limit;
+    }
   in
   (* Mid-crowd republish: rewrite the hottest file of every directory,
      snapshot incrementally, fan the delta out.  The fan-out's serving
@@ -411,7 +268,8 @@ let run (cfg : config) : result =
     let (), d =
       (* sfstaint: allow TNT004 — absorb re-raises the action's exception untouched after restoring the clock; the signing key never appears in a message *)
       Simclock.absorb clock (fun () ->
-          Array.iter (fun dir -> write_file ~dir "f0" (String.make cfg.file_bytes 'Z')) dirs;
+          let fresh = String.make cfg.file_bytes 'Z' in
+          Array.iter (fun dir -> Crowd.write_file fs ~dir "f0" fresh) dirs;
           ignore (Core.Replica.publish publisher);
           fanout_failures := !fanout_failures + Core.Replica.fan_out publisher targets;
           incr republishes)
@@ -421,62 +279,45 @@ let run (cfg : config) : result =
         let s = Simnet.host_served_us h -. s0.(m) in
         if s > 0.0 then ignore (Simnet.host_occupy h ~at_us:t0 ~dur_us:s))
       mhosts;
-    seen_ready (t0 +. d)
+    t0 +. d
   in
-  (* Accelerating arrivals: the whole crowd is in by ramp_us. *)
-  Array.iter
-    (fun c ->
-      let at =
-        cfg.ramp_us *. sqrt (float_of_int (c.idx + 1) /. float_of_int cfg.clients)
-      in
-      Simclock.schedule clock ~at_us:at (ev_connect c))
-    cls;
-  (match cfg.republish_at_us with
-  | Some at -> Simclock.schedule clock ~at_us:at ev_republish
-  | None -> ());
-  let events = Simclock.run_all clock in
-  Simnet.set_injector net None;
+  let extra = match cfg.republish_at_us with Some at -> [ (at, ev_republish) ] | None -> [] in
+  let t =
+    Crowd.run w kind ~arrival:(Crowd.Ramp cfg.ramp_us) ~ops:cfg.reads_per_client ~fault:cfg.fault
+      ~extra cls
+  in
   List.iter Core.Replica.disconnect targets;
   {
     r_cfg = cfg;
-    r_reads_ok = !reads_ok;
-    r_reads_failed = !reads_failed;
-    r_clients_ok = !clients_ok;
-    r_clients_failed = !clients_failed;
-    r_failovers = !failovers;
-    r_retries = !retries;
+    r_reads_ok = t.Crowd.ops_ok;
+    r_reads_failed = t.Crowd.ops_abandoned;
+    r_clients_ok = t.Crowd.finished;
+    r_clients_failed = t.Crowd.gave_up;
+    r_failovers = t.Crowd.redials;
+    r_retries = t.Crowd.refreshes;
     r_bad_content = !bad_content;
     r_republishes = !republishes;
     r_fanout_failures = !fanout_failures;
-    r_last_ready_us = !last_ready;
-    r_read_lat = read_lat;
-    r_connect_lat = connect_lat;
-    r_events = events;
+    r_last_ready_us = t.Crowd.last_ready_us;
+    r_read_lat = t.Crowd.op_lat;
+    r_connect_lat = t.Crowd.connect_lat;
+    r_events = t.Crowd.events;
     r_mirrors = mirrors;
     r_mhosts = mhosts;
     r_publisher = publisher;
     r_obs = obs;
   }
 
-(* Counter balance: exact equalities on fault-free runs.  The one that
-   matters most is [no_unverified_bytes]: every byte an application saw
-   either came out of the verification cache or passed SHA-1 against
-   the hash that named it this run — and matched a published
-   generation. *)
 let reconcile (r : result) : (string * bool) list =
   let snap = Obs.snapshot r.r_obs in
   let ctr name = Obs.snap_counter snap name in
-  let served_objs, served_bytes =
-    Array.fold_left
-      (fun (o, b) m ->
-        let mo, mb = Core.Replica.mirror_served m in
-        (o + mo, b + mb))
-      (0, 0) r.r_mirrors
-  in
-  let snap_objs =
+  let served = Array.map Core.Replica.mirror_served r.r_mirrors in
+  let served_objs = Array.fold_left (fun a (o, _) -> a + o) 0 served in
+  let served_bytes = Array.fold_left (fun a (_, b) -> a + b) 0 served in
+  let snap_objs, serial =
     match Core.Replica.current r.r_publisher with
-    | Some s -> Core.Readonly.object_count s
-    | None -> -1
+    | Some s -> (Core.Readonly.object_count s, Some (Core.Readonly.fsinfo s).Ro.serial)
+    | None -> (-1, None)
   in
   [
     ("all_arrived", r.r_clients_ok + r.r_clients_failed = r.r_cfg.clients);
@@ -492,36 +333,23 @@ let reconcile (r : result) : (string * bool) list =
       Array.for_all
         (fun m ->
           Core.Replica.mirror_objects m = snap_objs
-          &&
-          match Core.Replica.mirror_root m with
-          | Some i -> i.Ro.serial = (Core.Readonly.fsinfo (Option.get (Core.Replica.current r.r_publisher))).Ro.serial
-          | None -> false)
+          && Option.map (fun i -> i.Ro.serial) (Core.Replica.mirror_root m) = serial)
         r.r_mirrors );
     ("all_conns_closed", Array.for_all (fun h -> Simnet.host_active_conns h = 0) r.r_mhosts);
     ("fanout_clean", r.r_fanout_failures = 0);
   ]
 
-(* The determinism artifact, mirroring Fleet.ledger: config, tallies,
-   sketches, then every counter sorted — two same-config runs must be
-   byte-identical. *)
 let ledger (r : result) : string =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b
-    (Printf.sprintf "flashcrowd clients=%d replicas=%d files=%d file_bytes=%d reads=%d\n"
-       r.r_cfg.clients r.r_cfg.replicas
-       (r.r_cfg.dirs * r.r_cfg.files_per_dir)
-       r.r_cfg.file_bytes r.r_cfg.reads_per_client);
-  Buffer.add_string b
-    (Printf.sprintf
-       "tally reads_ok=%d reads_failed=%d clients_ok=%d clients_failed=%d failovers=%d \
-        retries=%d republishes=%d\n"
-       r.r_reads_ok r.r_reads_failed r.r_clients_ok r.r_clients_failed r.r_failovers r.r_retries
-       r.r_republishes);
-  Buffer.add_string b (Printf.sprintf "last_ready_us %.3f\n" r.r_last_ready_us);
-  Buffer.add_string b ("sketch read_lat " ^ Sketch.to_json r.r_read_lat ^ "\n");
-  Buffer.add_string b ("sketch connect_lat " ^ Sketch.to_json r.r_connect_lat ^ "\n");
-  let snap = Obs.snapshot r.r_obs in
-  List.iter
-    (fun (name, v) -> Buffer.add_string b (Printf.sprintf "counter %s %d\n" name v))
-    snap.Obs.snap_counters;
-  Buffer.contents b
+  let c = r.r_cfg in
+  Crowd.ledger r.r_obs
+    ~header:
+      (Printf.sprintf "flashcrowd clients=%d replicas=%d files=%d file_bytes=%d reads=%d" c.clients
+         c.replicas (c.dirs * c.files_per_dir) c.file_bytes c.reads_per_client)
+    ~tally:
+      (Printf.sprintf
+         "tally reads_ok=%d reads_failed=%d clients_ok=%d clients_failed=%d failovers=%d \
+          retries=%d republishes=%d"
+         r.r_reads_ok r.r_reads_failed r.r_clients_ok r.r_clients_failed r.r_failovers r.r_retries
+         r.r_republishes)
+    ~last_ready_us:r.r_last_ready_us
+    ~sketches:[ ("read_lat", r.r_read_lat); ("connect_lat", r.r_connect_lat) ]

@@ -1,17 +1,11 @@
-(** Flash-crowd simulation: the read-only dialect as a CDN tier.
-
-    A publisher signs a snapshot, fans it out to N untrusted mirrors
-    ({!Sfs_core.Replica}), and a crowd of read-only clients arrives on
-    an accelerating ramp, reading Zipf-popular files through per-client
-    verification caches with least-loaded failover across mirrors.
-    Per-client state is deliberately slim — no key negotiation, no
-    encrypted channel, no Cachefs — which is what lets the crowd scale
-    past the read-write fleet's 10^4 clients toward 10^5.  Same
-    discrete-event engine and determinism contract as {!Fleet}. *)
-
-module Simnet = Sfs_net.Simnet
-module Sketch = Sfs_obs.Sketch
-module Core = Sfs_core
+(** Flash-crowd simulation: the read-only dialect as a CDN tier, and
+    the read-only kind of the {!Crowd} engine.  A publisher signs a
+    snapshot and fans it out to N untrusted mirrors
+    ({!Sfs_core.Replica}); read-only clients arrive on
+    [Crowd.Ramp ramp_us], read Zipf-popular files through per-client
+    verification caches, and fail over to the least-loaded mirror.  A
+    client gives up after 1000 consecutive failures; the publisher
+    signs with a 512-bit key and a one-day validity window. *)
 
 type config = {
   clients : int;
@@ -27,10 +21,6 @@ type config = {
   republish_at_us : float option;
       (** mid-crowd incremental publish + fan-out (tests eviction and
           client root refresh under load) *)
-  attempt_limit : int;
-  key_bits : int;
-  duration_s : int;
-  max_spans : int;
   seed : string;
   fault : Sfs_fault.Fault.spec option;
 }
@@ -50,12 +40,12 @@ type result = {
   r_republishes : int;
   r_fanout_failures : int;
   r_last_ready_us : float;
-  r_read_lat : Sketch.t;  (** per-read latency, microseconds *)
-  r_connect_lat : Sketch.t;
+  r_read_lat : Sfs_obs.Sketch.t;  (** per-read latency, microseconds *)
+  r_connect_lat : Sfs_obs.Sketch.t;
   r_events : int;
-  r_mirrors : Core.Replica.mirror array;
-  r_mhosts : Simnet.host array;
-  r_publisher : Core.Replica.publisher;
+  r_mirrors : Sfs_core.Replica.mirror array;
+  r_mhosts : Sfs_net.Simnet.host array;
+  r_publisher : Sfs_core.Replica.publisher;
   r_obs : Sfs_obs.Obs.registry;
 }
 
@@ -74,6 +64,14 @@ val reconcile : result -> (string * bool) list
 val ledger : result -> string
 (** Byte-identity artifact for the determinism gates (config, tallies,
     sketches, sorted counters). *)
+
+val walk :
+  fetch:(string -> Sfs_proto.Readonly_proto.obj) -> string -> string list ->
+  (string, Crowd.failure) Stdlib.result
+(** [walk ~fetch root names]: follow [names] from the directory object
+    [root] to a file's bytes.  A missing entry or an object of the
+    wrong shape is [Fatal] — the signed tree never had that path, so no
+    other mirror will either. *)
 
 val publisher_loc : string
 val mirror_loc : int -> string

@@ -1,42 +1,13 @@
-(* Fleet-scale simulation: thousands of concurrent clients against a
-   farm of sfssd servers fronted by a sharded authserv.
+(* Fleet-scale simulation: the read-write kind of the Crowd engine.  A
+   client connects by mounting (key negotiation), authenticating
+   through its agent and resolving its working handles; each op is one
+   Cachefs call.  Ops are independent NFS calls, so a failed one is
+   counted and the client moves on.  Pipelined clients keep private mux
+   timelines (~mux_shared_srv:false): absorb does not roll back
+   host-timeline writes, so a mux booking occupancy inside a measured
+   action would double-charge the host the engine re-accounts. *)
 
-   The single-client stacks (Stacks) run workloads synchronously on one
-   simulated clock.  At fleet scale that breaks down: 10,000 clients'
-   operations overlap in simulated time, so the engine here is
-   discrete-event — every client action is an event on the shared
-   clock's queue (Simclock.schedule / run_all), executed under
-   Simclock.absorb and re-accounted:
-
-     T      the instant the event fires (the op's submit time)
-     d      total simulated time the action charged (absorb measures it)
-     s      the slice of d spent inside the serving host's handlers
-            (read off the host's served-time accumulator)
-     c      d - s: client-side compute plus wire time
-
-   The client's own work starts immediately (each client has its own
-   machine), but the server slice must queue on the serving host's run
-   queue behind every other client's slices:
-
-     ready = Simnet.host_occupy host ~at_us:(T + c) ~dur_us:s
-
-   and the op's latency is ready - T.  With one client the host queue
-   is always free at T + c, so ready = T + d: the fleet model
-   degenerates exactly to the serial one.
-
-   Pipelined clients keep their private mux timelines here
-   (~mux_shared_srv:false): host-timeline writes are not rolled back by
-   absorb, so letting the mux book occupancy during a measured action
-   would double-charge the host once the engine re-accounts s.
-
-   Everything is deterministic: seeded Prngs, the simulated clock, and
-   counters/sketches keyed to it.  Two same-config runs must produce
-   byte-identical ledgers (the scale figure's byte-diff gate and the
-   chaos-soak job both check this). *)
-
-module Simclock = Sfs_net.Simclock
 module Simnet = Sfs_net.Simnet
-module Costmodel = Sfs_net.Costmodel
 module Simos = Sfs_os.Simos
 module Memfs = Sfs_nfs.Memfs
 module Memfs_ops = Sfs_nfs.Memfs_ops
@@ -48,21 +19,12 @@ module Rabin = Sfs_crypto.Rabin
 module Core = Sfs_core
 module Obs = Sfs_obs.Obs
 module Sketch = Sfs_obs.Sketch
-module Fault = Sfs_fault.Fault
 
-(* What each client does after mounting.  [Hotfile] is the original
-   lease fan-in workload.  [Zipf] is the flash-crowd read mix: a
-   two-level tree of [dirs] x [files_per_dir] files read with Zipf
-   popularity — the same layout Flashcrowd serves from read-only
-   mirrors, so the two arms of the CDN figure are apples-to-apples. *)
 type workload =
   | Hotfile
   | Zipf of { dirs : int; files_per_dir : int; file_bytes : int; theta : float }
 
-(* How client arrivals are spaced: the original fixed [Stagger], or an
-   accelerating flash-crowd [Ramp] where client i mounts at
-   ramp_us * sqrt((i+1)/n) — arrival rate grows linearly with time. *)
-type arrival = Stagger | Ramp of float
+type arrival = Crowd.arrival = Stagger of float | Ramp of float
 
 type config = {
   clients : int;
@@ -74,15 +36,8 @@ type config = {
   ops_per_client : int;
   admit_per_server : int option; (* connection admission cap per server *)
   hot_write_every : int; (* every k-th client also writes the hot file *)
-  lease_s : int;
-  drc_size : int; (* per-server duplicate-request cache bound *)
-  server_key_bits : int;
-  user_key_bits : int;
-  stagger_us : float; (* arrival spacing between client mounts *)
-  mount_attempt_limit : int;
-  max_spans : int; (* obs retention bound: fleets drop spans, keep counters *)
   seed : string;
-  fault : Fault.spec option;
+  fault : Sfs_fault.Fault.spec option;
   workload : workload;
   arrival : arrival;
 }
@@ -98,44 +53,21 @@ let default : config =
     ops_per_client = 4;
     admit_per_server = None;
     hot_write_every = 4;
-    lease_s = 60;
-    drc_size = 512;
-    server_key_bits = 512; (* encryption target: OAEP needs >= 512 bits *)
-    user_key_bits = 384; (* signing only, so the smaller modulus is fine *)
-    stagger_us = 200.0;
-    mount_attempt_limit = 1000;
-    max_spans = 20_000;
     seed = "fleet";
     fault = None;
     workload = Hotfile;
-    arrival = Stagger;
+    arrival = Stagger 200.0;
   }
 
-(* Zipf CDF over [n] items with exponent [theta], hottest first.
-   Sampling is a uniform draw plus binary search — deterministic given
-   the client's seeded Prng. *)
-let zipf_cdf ~(n : int) ~(theta : float) : float array =
-  let cdf = Array.make n 0.0 in
-  let acc = ref 0.0 in
-  for i = 0 to n - 1 do
-    acc := !acc +. (1.0 /. (float_of_int (i + 1) ** theta));
-    cdf.(i) <- !acc
-  done;
-  let total = !acc in
-  Array.map (fun v -> v /. total) cdf
+(* Fixed for every fleet. *)
+let lease_s = 60
+let drc_size = 512 (* per-server duplicate-request cache bound *)
+let server_key_bits = 512 (* encryption target: OAEP needs >= 512 bits *)
+let user_key_bits = 384 (* signing only, so the smaller modulus is fine *)
+let mount_retry_limit = 999 (* a client gives up on its 1000th failed mount *)
 
-let zipf_sample (cdf : float array) (rng : Prng.t) : int =
-  let r = float_of_int (Prng.random_int rng 1_000_000) /. 1_000_000.0 in
-  let lo = ref 0 and hi = ref (Array.length cdf - 1) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if cdf.(mid) < r then lo := mid + 1 else hi := mid
-  done;
-  !lo
-
-(* Deterministic file contents for the Zipf tree; Flashcrowd seeds the
-   publisher's tree with the same function so reads are checkable. *)
-let zipf_file_char (file : int) : char = Char.chr (Char.code 'a' + (file mod 26))
+let zipf_cdf = Crowd.zipf_cdf
+let zipf_sample = Crowd.zipf_sample
 
 type result = {
   r_cfg : config;
@@ -155,26 +87,27 @@ type result = {
 }
 
 let throughput_ops_s (r : result) : float =
-  if r.r_last_ready_us <= 0.0 then 0.0
-  else float_of_int r.r_completed /. (r.r_last_ready_us /. 1_000_000.0)
+  Crowd.throughput r.r_completed ~last_ready_us:r.r_last_ready_us
 
 let server_loc (s : int) : string = Printf.sprintf "srv%d.fleet.lcs.mit.edu" s
 let client_loc (i : int) : string = Printf.sprintf "c%d.client.fleet" i
 
-(* Per-client progress; the event callbacks close over this. *)
+(* A mount, its ops, and the working handles resolved right after it. *)
+type mounted = {
+  m : Core.Client.mount;
+  o : Fs_intf.ops;
+  cred : Simos.cred;
+  fh_hot : string;
+  fh_own : string;
+  fh_bench : string;
+}
+
+(* Per-client state; client i mounts server i mod servers as user
+   i mod user_pool. *)
 type cl = {
   idx : int;
   cc : Core.Client.t;
-  path : Core.Pathname.t;
-  chost : Simnet.host; (* the serving host, for occupancy accounting *)
-  agent : Core.Agent.t;
-  cred : Simos.cred;
-  mutable mount : Core.Client.mount option;
-  mutable fh_hot : string;
-  mutable fh_own : string;
-  mutable fh_bench : string;
-  mutable ops_done : int;
-  mutable attempts : int;
+  mutable mounted : mounted option;
   zrng : Prng.t option; (* Zipf draw stream; None under Hotfile *)
   zfh : (int, string) Hashtbl.t; (* file index -> resolved handle *)
 }
@@ -185,10 +118,9 @@ let own_write_bytes = 1024
 let run (cfg : config) : result =
   if cfg.clients < 1 || cfg.servers < 1 || cfg.auth_shards < 1 || cfg.user_pool < 1 then
     invalid_arg "Fleet.run: counts must be positive";
-  let clock = Simclock.create () in
-  let obs = Obs.create ~max_spans:cfg.max_spans ~now_us:(fun () -> Simclock.now_us clock) () in
-  let net = Simnet.create ~costs:Costmodel.default ~obs clock in
-  let now () = Sfs_nfs.Nfs_types.time_of_us (Simclock.now_us clock) in
+  let w = Crowd.world () in
+  let clock = w.Crowd.clock and obs = w.Crowd.obs and net = w.Crowd.net in
+  let now () = Sfs_nfs.Nfs_types.time_of_us (Sfs_net.Simclock.now_us clock) in
   (* --- the authserv ring --- *)
   let shards =
     Array.init cfg.auth_shards (fun i ->
@@ -205,11 +137,10 @@ let run (cfg : config) : result =
         let user = Simos.add_user os name in
         let cred = Simos.cred_of_user user in
         let key =
-          Rabin.generate ~bits:cfg.user_key_bits
-            (Prng.create [ cfg.seed; "userkey"; string_of_int j ])
+          Rabin.generate ~bits:user_key_bits (Prng.create [ cfg.seed; "userkey"; string_of_int j ])
         in
         ignore (Core.Authshard.add_user_key ring ~user:name ~cred key.Rabin.pub);
-        let agent = Core.Agent.create ~now_us:(fun () -> Simclock.now_us clock) ~obs user in
+        let agent = Core.Agent.create ~now_us:(fun () -> Sfs_net.Simclock.now_us clock) ~obs user in
         Core.Agent.add_key agent key;
         (cred, agent))
   in
@@ -228,301 +159,147 @@ let run (cfg : config) : result =
     (* Seed the shared hot file and each resident client's own file so
        the measured phase is pure steady-state traffic (no create
        storm). *)
-    let seed_file name bytes =
-      match Memfs.create_file fs root_cred ~dir:bench name ~mode:0o666 with
-      | Ok (ino, _) -> (
-          match Memfs.write fs root_cred ino ~off:0 (String.make bytes 'x') with
-          | Ok _ -> ()
-          | Error _ -> assert false)
-      | Error _ -> assert false
-    in
-    seed_file "hot" hot_read_bytes;
+    Crowd.write_file fs ~dir:bench "hot" (String.make hot_read_bytes 'x');
     let i = ref s in
     while !i < cfg.clients do
-      seed_file ("c" ^ string_of_int !i) own_write_bytes;
+      Crowd.write_file fs ~dir:bench ("c" ^ string_of_int !i) (String.make own_write_bytes 'x');
       i := !i + cfg.servers
     done;
     (match cfg.workload with
     | Hotfile -> ()
     | Zipf z ->
-        (* The flash-crowd tree: bench/d<i>/f<j>, contents a pure
-           function of the flat file index. *)
-        for d = 0 to z.dirs - 1 do
-          let dir =
-            match Memfs.mkdir fs root_cred ~dir:bench ("d" ^ string_of_int d) ~mode:0o777 with
-            | Ok (ino, _) -> ino
-            | Error _ -> assert false
-          in
-          for f = 0 to z.files_per_dir - 1 do
-            let file = (d * z.files_per_dir) + f in
-            match Memfs.create_file fs root_cred ~dir ("f" ^ string_of_int f) ~mode:0o666 with
-            | Ok (ino, _) -> (
-                match
-                  Memfs.write fs root_cred ino ~off:0
-                    (String.make z.file_bytes (zipf_file_char file))
-                with
-                | Ok _ -> ()
-                | Error _ -> assert false)
-            | Error _ -> assert false
-          done
-        done);
+        ignore
+          (Crowd.seed_zipf_tree fs ~parent:bench ~dirs:z.dirs ~files_per_dir:z.files_per_dir
+             ~file_bytes:z.file_bytes));
     let rng = Prng.create [ cfg.seed; "server"; string_of_int s ] in
-    let key = Rabin.generate ~bits:cfg.server_key_bits rng in
+    let key = Rabin.generate ~bits:server_key_bits rng in
     let srv =
-      Core.Server.create ~lease_s:cfg.lease_s ~drc_size:cfg.drc_size ~auth_backend ~obs net ~host
-        ~location ~key ~rng ~backend ~authserv:shards.(s mod cfg.auth_shards) ()
+      Core.Server.create ~lease_s ~drc_size ~auth_backend ~obs net ~host ~location ~key ~rng
+        ~backend ~authserv:shards.(s mod cfg.auth_shards) ()
     in
     Simnet.set_admission host cfg.admit_per_server;
     (srv, host)
   in
-  let farm = Array.init cfg.servers mk_server in
-  let servers = Array.map fst farm in
-  let hosts = Array.map snd farm in
+  let servers, hosts = Array.split (Array.init cfg.servers mk_server) in
   (* --- the clients: one shared temp key (generating thousands of
      K_C's is real CPU for no model fidelity), private rngs --- *)
   let temp_key = Rabin.generate ~bits:512 (Prng.create [ cfg.seed; "tempkey" ]) in
   let mk_client i =
     let from = client_loc i in
     ignore (Simnet.add_host net from);
-    let s = i mod cfg.servers in
-    let cred, agent = users.(i mod cfg.user_pool) in
     let cc =
       Core.Client.create ~temp_key ~mux_shared_srv:false ~rpc_window:cfg.window
         ~readahead:cfg.readahead ~obs net ~from_host:from
         ~rng:(Prng.create [ cfg.seed; "client"; string_of_int i ])
         ()
     in
-    {
-      idx = i;
-      cc;
-      path = Core.Server.self_path servers.(s);
-      chost = hosts.(s);
-      agent;
-      cred;
-      mount = None;
-      fh_hot = "";
-      fh_own = "";
-      fh_bench = "";
-      ops_done = 0;
-      attempts = 0;
-      zrng =
-        (match cfg.workload with
-        | Hotfile -> None
-        | Zipf _ -> Some (Prng.create [ cfg.seed; "zipf"; string_of_int i ]));
-      zfh = Hashtbl.create 8;
-    }
+    let zrng =
+      match cfg.workload with
+      | Hotfile -> None
+      | Zipf _ -> Some (Prng.create [ cfg.seed; "zipf"; string_of_int i ])
+    in
+    { idx = i; cc; mounted = None; zrng; zfh = Hashtbl.create 8 }
   in
   let cls = Array.init cfg.clients mk_client in
-  let cdf =
-    match cfg.workload with
-    | Hotfile -> [||]
-    | Zipf z -> zipf_cdf ~n:(z.dirs * z.files_per_dir) ~theta:z.theta
-  in
-  (* --- fault plan (chaos soak): armed over the whole run --- *)
-  (match cfg.fault with
-  | None -> ()
-  | Some spec ->
-      let on_restart =
-        Array.to_list
-          (Array.mapi (fun s srv -> (server_loc s, fun () -> Core.Server.crash_recover srv)) servers)
-      in
-      let inj = Fault.injector ~obs ~on_restart ~now_us:(fun () -> Simclock.now_us clock) spec in
-      Simnet.set_injector net (Some inj));
-  (* --- engine state --- *)
-  let completed = ref 0 and failed = ref 0 in
-  let mount_ok = ref 0 and mount_failed = ref 0 and mount_retries = ref 0 in
   let dropped_invals = ref 0 in
-  let last_ready = ref 0.0 in
-  let op_lat = Sketch.create () and mount_lat = Sketch.create () in
-  let seen_ready us = if us > !last_ready then last_ready := us in
-  (* Run [action] at the current event instant and re-account it: the
-     serving host's slice queues on its run queue, the rest is the
-     client's own machine and the wire.  Exceptions become [Error]. *)
-  let exec_timed :
-      'a. cl -> (unit -> ('a, string) Stdlib.result) -> ('a, string) Stdlib.result * float * float
-      =
-   fun c action ->
-    let t0 = Simclock.now_us clock in
-    let s0 = Simnet.host_served_us c.chost in
-    let r, d =
-      (* sfstaint: allow TNT004 — absorb re-raises the action's exception untouched after restoring the clock; no secret-derived value is interpolated *)
-      Simclock.absorb clock (fun () ->
-          try action () with
-          | Simnet.Timeout -> Error "timeout"
-          | Sfs_nfs.Nfs_client.Rpc_failure e -> Error ("rpc: " ^ e)
-          (* sfstaint: allow TNT004 — harness-fatal exceptions pass through verbatim; nothing secret-derived is attached *)
-          | Stack_overflow | Out_of_memory | Assert_failure _ as e -> raise e
-          | e ->
-              (* Chaos plans can push failures out of exotic corners
-                 (corrupted negotiation frames, mid-handshake crashes);
-                 a fleet client that dies takes only its own ops with
-                 it.  Printexc strings are deterministic for these. *)
-              Error ("exn: " ^ Printexc.to_string e))
+  let get = function Some v -> v | None -> assert false in
+  let ( let* ) r f = match r with Ok v -> f v | Error _ -> Error Crowd.Fatal in
+  let status = function Ok _ -> Ok () | Error _ -> Error Crowd.Fatal in
+  (* The flash-crowd micro-op: draw a file by Zipf popularity, resolve
+     its handle through the protocol once (then a client-side name
+     cache), and read it whole.  All-read by construction — the rw arm
+     of the CDN figure measures serving cost, not write contention. *)
+  let do_zipf_op ~(cdf : float array) ~(files_per_dir : int) ~(file_bytes : int) (c : cl)
+      (_ : int) =
+    let { o; cred; fh_bench; _ } = get c.mounted in
+    let file = zipf_sample cdf (get c.zrng) in
+    let* fh =
+      match Hashtbl.find_opt c.zfh file with
+      | Some fh -> Ok fh
+      | None ->
+          let dname, fname = Crowd.zipf_names ~files_per_dir file in
+          let* d, _ = o.Fs_intf.fs_lookup cred ~dir:fh_bench dname in
+          let* fh, _ = o.Fs_intf.fs_lookup cred ~dir:d fname in
+          Hashtbl.replace c.zfh file fh;
+          Ok fh
     in
-    let s = Simnet.host_served_us c.chost -. s0 in
-    let s = if s < 0.0 then 0.0 else s in
-    let cpu = if d -. s < 0.0 then 0.0 else d -. s in
-    let ready =
-      if s > 0.0 then Simnet.host_occupy c.chost ~at_us:(t0 +. cpu) ~dur_us:s else t0 +. d
-    in
-    seen_ready ready;
-    (r, t0, ready)
+    let* data, _, _ = o.Fs_intf.fs_read cred fh ~off:0 ~count:file_bytes in
+    if String.length data = file_bytes then Ok () else Error Crowd.Fatal
   in
   (* Micro-op k for client i.  Reads of the shared hot file dominate
      (lease fan-in: every client holds it); writes go to the client's
      own pre-seeded file; every [hot_write_every]-th client's last op
      writes the hot file, triggering an invalidation to every holder. *)
-  (* The flash-crowd micro-op: draw a file by Zipf popularity, resolve
-     its handle through the protocol once (then a client-side name
-     cache), and read it whole.  All-read by construction — the rw arm
-     of the CDN figure measures serving cost, not write contention. *)
-  let do_zipf_op (c : cl) ~(files_per_dir : int) ~(file_bytes : int) () :
-      (unit, string) Stdlib.result =
-    let m = match c.mount with Some m -> m | None -> assert false in
-    let o = Core.Client.ops m in
-    let rng = match c.zrng with Some r -> r | None -> assert false in
-    let file = zipf_sample cdf rng in
-    let ( let* ) r f =
-      match r with Ok v -> f v | Error e -> Error (Sfs_nfs.Nfs_types.status_to_string e)
-    in
-    let fh_res =
-      match Hashtbl.find_opt c.zfh file with
-      | Some fh -> Ok fh
-      | None ->
-          let dname = "d" ^ string_of_int (file / files_per_dir) in
-          let fname = "f" ^ string_of_int (file mod files_per_dir) in
-          let* d, _ = o.Fs_intf.fs_lookup c.cred ~dir:c.fh_bench dname in
-          let* fh, _ = o.Fs_intf.fs_lookup c.cred ~dir:d fname in
-          Hashtbl.replace c.zfh file fh;
-          Stdlib.Result.Ok fh
-    in
-    match fh_res with
-    | Error e -> Error e
-    | Ok fh ->
-        let* data, _, _ = o.Fs_intf.fs_read c.cred fh ~off:0 ~count:file_bytes in
-        if String.length data = file_bytes then Ok () else Error "short read"
-  in
-  let do_hotfile_op (c : cl) (k : int) () : (unit, string) Stdlib.result =
-    let m = match c.mount with Some m -> m | None -> assert false in
-    let o = Core.Client.ops m in
+  let do_hotfile_op (c : cl) (k : int) =
+    let { o; cred; fh_hot; fh_own; _ } = get c.mounted in
     let hot_writer = cfg.hot_write_every > 0 && c.idx mod cfg.hot_write_every = 0 in
     if hot_writer && k = cfg.ops_per_client - 1 then
-      match
-        o.Fs_intf.fs_write c.cred c.fh_hot
-          ~off:(c.idx mod 16 * 256)
-          ~stable:true (String.make 256 'w')
-      with
-      | Ok _ -> Ok ()
-      | Error e -> Error (Sfs_nfs.Nfs_types.status_to_string e)
-    else if k land 1 = 0 then
-      match o.Fs_intf.fs_read c.cred c.fh_hot ~off:0 ~count:hot_read_bytes with
-      | Ok _ -> Ok ()
-      | Error e -> Error (Sfs_nfs.Nfs_types.status_to_string e)
-    else
-      match o.Fs_intf.fs_write c.cred c.fh_own ~off:0 ~stable:false (String.make 64 'o') with
-      | Ok _ -> Ok ()
-      | Error e -> Error (Sfs_nfs.Nfs_types.status_to_string e)
+      let off = c.idx mod 16 * 256 in
+      status (o.Fs_intf.fs_write cred fh_hot ~off ~stable:true (String.make 256 'w'))
+    else if k land 1 = 0 then status (o.Fs_intf.fs_read cred fh_hot ~off:0 ~count:hot_read_bytes)
+    else status (o.Fs_intf.fs_write cred fh_own ~off:0 ~stable:false (String.make 64 'o'))
   in
-  let do_op (c : cl) (k : int) () : (unit, string) Stdlib.result =
-    match cfg.workload with
-    | Hotfile -> do_hotfile_op c k ()
-    | Zipf { dirs = _; files_per_dir; file_bytes; theta = _ } ->
-        do_zipf_op c ~files_per_dir ~file_bytes ()
-  in
-  let do_unmount (c : cl) () : (unit, string) Stdlib.result =
-    (match c.mount with
-    | Some m ->
-        dropped_invals := !dropped_invals + Core.Client.pending_invalidations m;
-        Core.Client.unmount c.cc m;
-        c.mount <- None
-    | None -> ());
-    Ok ()
-  in
-  let rec ev_op (c : cl) () =
-    if c.ops_done >= cfg.ops_per_client then begin
-      let _, _, _ = exec_timed c (do_unmount c) in
-      ()
-    end
-    else begin
-      let k = c.ops_done in
-      c.ops_done <- k + 1;
-      let r, t0, ready = exec_timed c (do_op c k) in
-      (match r with
-      | Ok () ->
-          incr completed;
-          Sketch.observe op_lat (int_of_float (ready -. t0))
-      | Error _ -> incr failed);
-      Simclock.schedule clock ~at_us:ready (ev_op c)
-    end
-  in
-  (* Mount, authenticate, resolve the working handles: one setup action.
-     Admission refusals and crash windows surface as Host_unreachable /
-     timeout; those back off and re-dial (counted). *)
-  let do_mount (c : cl) () : (Core.Client.mount, string) Stdlib.result =
-    match Core.Client.mount c.cc c.path with
-    | Error e -> Error (Core.Client.mount_error_to_string e)
-    | Ok m -> (
-        ignore (Core.Client.authenticate c.cc m c.agent);
-        let o = Core.Client.ops m in
-        let ( let* ) r f =
-          match r with
-          | Ok v -> f v
-          | Error e -> Error (Sfs_nfs.Nfs_types.status_to_string e)
-        in
-        let* bench, _ = o.Fs_intf.fs_lookup c.cred ~dir:o.Fs_intf.fs_root "bench" in
-        let* hot, _ = o.Fs_intf.fs_lookup c.cred ~dir:bench "hot" in
-        let* own, _ = o.Fs_intf.fs_lookup c.cred ~dir:bench ("c" ^ string_of_int c.idx) in
-        c.fh_hot <- hot;
-        c.fh_own <- own;
-        c.fh_bench <- bench;
-        Ok m)
-  in
-  let retryable (e : string) : bool =
-    (* admission refusal / crash window / torn negotiation *)
-    String.length e >= 4 && (String.sub e 0 4 = "host" || String.sub e 0 4 = "time")
-  in
-  let rec ev_mount (c : cl) () =
-    c.attempts <- c.attempts + 1;
-    let r, t0, ready = exec_timed c (do_mount c) in
-    match r with
+  (* Mount, authenticate, resolve the working handles: one connect
+     step.  Admission refusals and crash windows surface as
+     Host_unreachable / timeout; those back off and re-dial. *)
+  let do_mount (c : cl) =
+    let cred, agent = users.(c.idx mod cfg.user_pool) in
+    match Core.Client.mount c.cc (Core.Server.self_path servers.(c.idx mod cfg.servers)) with
+    | Error (Core.Client.Host_unreachable _) -> Error Crowd.Retry
+    | Error _ -> Error Crowd.Fatal
     | Ok m ->
-        incr mount_ok;
-        c.mount <- Some m;
-        Sketch.observe mount_lat (int_of_float (ready -. t0));
-        Simclock.schedule clock ~at_us:ready (ev_op c)
-    | Error e when retryable e && c.attempts < cfg.mount_attempt_limit ->
-        incr mount_retries;
-        (* capped linear backoff; deterministic, spreads re-dials *)
-        let backoff = Float.min 500_000.0 (20_000.0 *. float_of_int c.attempts) in
-        Simclock.schedule clock ~at_us:(ready +. backoff) (ev_mount c)
-    | Error _ ->
-        incr mount_failed;
-        let _, _, _ = exec_timed c (do_unmount c) in
-        ()
+        ignore (Core.Client.authenticate c.cc m agent);
+        let o = Core.Client.ops m in
+        let* fh_bench, _ = o.Fs_intf.fs_lookup cred ~dir:o.Fs_intf.fs_root "bench" in
+        let* fh_hot, _ = o.Fs_intf.fs_lookup cred ~dir:fh_bench "hot" in
+        let* fh_own, _ = o.Fs_intf.fs_lookup cred ~dir:fh_bench ("c" ^ string_of_int c.idx) in
+        c.mounted <- Some { m; o; cred; fh_hot; fh_own; fh_bench };
+        Ok ()
   in
-  let arrival_at (i : int) : float =
-    match cfg.arrival with
-    | Stagger -> float_of_int i *. cfg.stagger_us
-    | Ramp ramp_us ->
-        (* accelerating arrivals: rate grows linearly until the whole
-           crowd is in by [ramp_us] *)
-        ramp_us *. sqrt (float_of_int (i + 1) /. float_of_int cfg.clients)
+  let do_unmount (c : cl) =
+    Option.iter
+      (fun { m; _ } ->
+        dropped_invals := !dropped_invals + Core.Client.pending_invalidations m;
+        Core.Client.unmount c.cc m)
+      c.mounted;
+    c.mounted <- None
   in
-  Array.iter (fun c -> Simclock.schedule clock ~at_us:(arrival_at c.idx) (ev_mount c)) cls;
-  let events = Simclock.run_all clock in
-  Simnet.set_injector net None;
+  let kind =
+    {
+      Crowd.host = (fun c -> hosts.(c.idx mod cfg.servers));
+      connect = do_mount;
+      op =
+        (match cfg.workload with
+        | Hotfile -> do_hotfile_op
+        | Zipf z ->
+            let cdf = zipf_cdf ~n:(z.dirs * z.files_per_dir) ~theta:z.theta in
+            do_zipf_op ~cdf ~files_per_dir:z.files_per_dir ~file_bytes:z.file_bytes);
+      redial = ignore;
+      refresh = ignore;
+      finish = do_unmount;
+      retry_ops = false;
+      retry_limit = mount_retry_limit;
+    }
+  in
+  let on_restart =
+    Array.to_list
+      (Array.mapi (fun s srv -> (server_loc s, fun () -> Core.Server.crash_recover srv)) servers)
+  in
+  let t =
+    Crowd.run w kind ~arrival:cfg.arrival ~ops:cfg.ops_per_client ~fault:cfg.fault ~on_restart cls
+  in
   {
     r_cfg = cfg;
-    r_completed = !completed;
-    r_failed = !failed;
-    r_mount_ok = !mount_ok;
-    r_mount_failed = !mount_failed;
-    r_mount_retries = !mount_retries;
-    r_last_ready_us = !last_ready;
-    r_op_lat = op_lat;
-    r_mount_lat = mount_lat;
+    r_completed = t.Crowd.ops_ok;
+    r_failed = t.Crowd.ops_failed;
+    r_mount_ok = t.Crowd.connected;
+    r_mount_failed = t.Crowd.gave_up;
+    r_mount_retries = t.Crowd.redials;
+    r_last_ready_us = t.Crowd.last_ready_us;
+    r_op_lat = t.Crowd.op_lat;
+    r_mount_lat = t.Crowd.connect_lat;
     r_dropped_invals = !dropped_invals;
-    r_events = events;
+    r_events = t.Crowd.events;
     r_servers = servers;
     r_hosts = hosts;
     r_obs = obs;
@@ -540,8 +317,7 @@ let reconcile (r : result) : (string * bool) list =
   in
   let shard_validates =
     List.fold_left
-      (fun a (name, v) ->
-        if String.length name > 10 && String.sub name 0 10 = "authshard." then a + v else a)
+      (fun a (name, v) -> if String.starts_with ~prefix:"authshard." name then a + v else a)
       0 snap.Obs.snap_counters
   in
   [
@@ -555,22 +331,14 @@ let reconcile (r : result) : (string * bool) list =
     ("all_mounted", r.r_mount_ok + r.r_mount_failed = r.r_cfg.clients);
   ]
 
-(* The determinism artifact: every counter, the latency sketches and
-   the tallies, one line each, sorted — two same-config runs must
-   produce byte-identical ledgers. *)
 let ledger (r : result) : string =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b
-    (Printf.sprintf "fleet clients=%d servers=%d shards=%d window=%d ops=%d\n" r.r_cfg.clients
-       r.r_cfg.servers r.r_cfg.auth_shards r.r_cfg.window r.r_cfg.ops_per_client);
-  Buffer.add_string b
-    (Printf.sprintf "tally completed=%d failed=%d mount_ok=%d mount_failed=%d retries=%d\n"
-       r.r_completed r.r_failed r.r_mount_ok r.r_mount_failed r.r_mount_retries);
-  Buffer.add_string b (Printf.sprintf "last_ready_us %.3f\n" r.r_last_ready_us);
-  Buffer.add_string b ("sketch op_lat " ^ Sketch.to_json r.r_op_lat ^ "\n");
-  Buffer.add_string b ("sketch mount_lat " ^ Sketch.to_json r.r_mount_lat ^ "\n");
-  let snap = Obs.snapshot r.r_obs in
-  List.iter
-    (fun (name, v) -> Buffer.add_string b (Printf.sprintf "counter %s %d\n" name v))
-    snap.Obs.snap_counters;
-  Buffer.contents b
+  let c = r.r_cfg in
+  Crowd.ledger r.r_obs
+    ~header:
+      (Printf.sprintf "fleet clients=%d servers=%d shards=%d window=%d ops=%d" c.clients c.servers
+         c.auth_shards c.window c.ops_per_client)
+    ~tally:
+      (Printf.sprintf "tally completed=%d failed=%d mount_ok=%d mount_failed=%d retries=%d"
+         r.r_completed r.r_failed r.r_mount_ok r.r_mount_failed r.r_mount_retries)
+    ~last_ready_us:r.r_last_ready_us
+    ~sketches:[ ("op_lat", r.r_op_lat); ("mount_lat", r.r_mount_lat) ]

@@ -1,19 +1,8 @@
-(** Fleet-scale simulation: thousands of concurrent clients against a
-    farm of sfssd servers fronted by a sharded authserv ring
-    ({!Sfs_core.Authshard}), driven by the discrete-event engine in
-    {!Sfs_net.Simclock} — DESIGN.md §15.
-
-    Every client action (mount, micro-op, unmount) is an event; its
-    measured cost is split into a client/wire part and a serving-host
-    part, and the latter queues on the host's run queue
-    ({!Sfs_net.Simnet.host_occupy}), so overlapped load serializes on
-    the server while client machines stay independent.  With one client
-    the model degenerates exactly to the serial stacks. *)
-
-module Simnet = Sfs_net.Simnet
-module Sketch = Sfs_obs.Sketch
-module Core = Sfs_core
-module Prng = Sfs_crypto.Prng
+(** Fleet-scale simulation, the read-write kind of the {!Crowd} engine
+    (DESIGN.md §15): thousands of clients mount (key negotiation),
+    authenticate through their agents and run Cachefs micro-ops against
+    a farm of sfssd servers fronted by a sharded authserv ring
+    ({!Sfs_core.Authshard}). *)
 
 (** What each client does after mounting: the original hot-file lease
     fan-in mix, or the flash-crowd Zipf read mix over a two-level
@@ -24,10 +13,7 @@ type workload =
   | Hotfile
   | Zipf of { dirs : int; files_per_dir : int; file_bytes : int; theta : float }
 
-(** Arrival spacing: fixed [Stagger], or a flash-crowd [Ramp] where
-    client [i] arrives at [ramp_us * sqrt((i+1)/n)] — the arrival rate
-    grows linearly until the whole crowd is in. *)
-type arrival = Stagger | Ramp of float
+type arrival = Crowd.arrival = Stagger of float | Ramp of float
 
 type config = {
   clients : int;
@@ -39,13 +25,6 @@ type config = {
   ops_per_client : int;
   admit_per_server : int option;  (** connection admission cap *)
   hot_write_every : int;  (** every k-th client also writes the hot file *)
-  lease_s : int;
-  drc_size : int;
-  server_key_bits : int;
-  user_key_bits : int;
-  stagger_us : float;  (** arrival spacing between client mounts *)
-  mount_attempt_limit : int;
-  max_spans : int;
   seed : string;
   fault : Sfs_fault.Fault.spec option;
   workload : workload;
@@ -53,7 +32,8 @@ type config = {
 }
 
 val default : config
-(** A small smoke-sized fleet (8 clients, 2 servers, 2 shards). *)
+(** A small smoke-sized fleet (8 clients, 2 servers, 2 shards, mounts
+    staggered 200 us apart). *)
 
 type result = {
   r_cfg : config;
@@ -63,19 +43,19 @@ type result = {
   r_mount_failed : int;
   r_mount_retries : int;
   r_last_ready_us : float;
-  r_op_lat : Sketch.t;  (** per-op latency, microseconds *)
-  r_mount_lat : Sketch.t;
+  r_op_lat : Sfs_obs.Sketch.t;  (** per-op latency, microseconds *)
+  r_mount_lat : Sfs_obs.Sketch.t;
   r_dropped_invals : int;  (** invalidations pending at unmount *)
   r_events : int;
-  r_servers : Core.Server.t array;
-  r_hosts : Simnet.host array;
+  r_servers : Sfs_core.Server.t array;
+  r_hosts : Sfs_net.Simnet.host array;
   r_obs : Sfs_obs.Obs.registry;
 }
 
 val run : config -> result
-(** Build the world (servers, shards, seeded files, clients), schedule
-    every client's mount (staggered by [stagger_us]) and pump the event
-    queue dry.  Deterministic: same config, byte-identical {!ledger}. *)
+(** Build the world (servers, shards, seeded files, clients), let the
+    clients arrive and pump the event queue dry.  Deterministic: same
+    config, byte-identical {!ledger}. *)
 
 val throughput_ops_s : result -> float
 (** Completed ops over the full simulated span (mounts included). *)
@@ -90,14 +70,8 @@ val ledger : result -> string
 (** Counters, sketches and tallies, one sorted line each — the
     byte-identity artifact for the determinism gates. *)
 
-(** {2 Zipf sampling (shared with {!Flashcrowd})} *)
-
 val zipf_cdf : n:int -> theta:float -> float array
-(** CDF over [n] items, hottest first. *)
+(** {!Crowd.zipf_cdf}. *)
 
-val zipf_sample : float array -> Prng.t -> int
-(** Uniform draw + binary search; deterministic per seeded Prng. *)
-
-val zipf_file_char : int -> char
-(** Deterministic file contents for the Zipf tree, by flat index —
-    readers can check every byte they were served. *)
+val zipf_sample : float array -> Sfs_crypto.Prng.t -> int
+(** {!Crowd.zipf_sample}. *)

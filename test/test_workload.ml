@@ -129,7 +129,13 @@ let test_fleet_admission () =
      at once: mounts must be refused, back off, re-dial, and all
      eventually complete. *)
   let cfg =
-    { Fleet.default with Fleet.clients = 6; servers = 1; admit_per_server = Some 2; stagger_us = 0.0 }
+    {
+      Fleet.default with
+      Fleet.clients = 6;
+      servers = 1;
+      admit_per_server = Some 2;
+      arrival = Fleet.Stagger 0.0;
+    }
   in
   let r = Fleet.run cfg in
   check_reconcile r;
@@ -283,6 +289,67 @@ let test_flashcrowd_20k () =
   let p99 = Sfs_obs.Sketch.quantile r.Flashcrowd.r_read_lat 0.99 in
   Testkit.check_bool "latency quantiles ordered" true (0 < p50 && p50 <= p99)
 
+(* --- Crowd: one engine, typed failures --- *)
+
+let test_crowd_failure_classes () =
+  (* One client whose first op fails once, by each route into the
+     engine's failure classes: a route failure re-dials, a verification
+     failure refreshes and re-walks, anything else gives up — unless
+     the kind skips failed ops. *)
+  let run ?(retry_ops = true) (fail : unit -> (unit, Crowd.failure) result) =
+    let w = Crowd.world () in
+    let h = Sfs_net.Simnet.add_host w.Crowd.net "server" in
+    let failed = ref false in
+    let kind =
+      {
+        Crowd.host = (fun () -> h);
+        connect = (fun () -> Ok ());
+        op =
+          (fun () _ ->
+            if !failed then Ok ()
+            else begin
+              failed := true;
+              fail ()
+            end);
+        redial = ignore;
+        refresh = ignore;
+        finish = ignore;
+        retry_ops;
+        retry_limit = 3;
+      }
+    in
+    let t = Crowd.run w kind ~arrival:(Crowd.Stagger 0.0) ~ops:2 ~fault:None [| () |] in
+    [ t.Crowd.connected; t.Crowd.redials; t.Crowd.refreshes; t.Crowd.ops_ok; t.Crowd.gave_up ]
+  in
+  (* [connected; redials; refreshes; ops_ok; gave_up] *)
+  let check = Alcotest.(check (list int)) in
+  check "timeout re-dials" [ 2; 1; 0; 2; 0 ] (run (fun () -> raise Sfs_net.Simnet.Timeout));
+  check "no route re-dials" [ 2; 1; 0; 2; 0 ] (run (fun () -> raise (Sfs_net.Simnet.No_route "x")));
+  check "verification failure refreshes" [ 1; 0; 1; 2; 0 ]
+    (run (fun () -> raise (Sfs_core.Readonly.Verification_failed "x")));
+  check "other exceptions give up" [ 1; 0; 0; 0; 1 ] (run (fun () -> failwith "x"));
+  check "Fatal gives up" [ 1; 0; 0; 0; 1 ] (run (fun () -> Error Crowd.Fatal));
+  check "skipped, not retried" [ 1; 0; 0; 1; 0 ] (run ~retry_ops:false (fun () -> Error Crowd.Retry))
+
+let test_flashcrowd_missing_entry () =
+  (* A path the signed tree does not have is a shape error like a wrong
+     object type: Fatal, so the client gives up instead of failing over
+     to a mirror that serves the same tree. *)
+  let module Ro = Sfs_proto.Readonly_proto in
+  let objs =
+    [
+      ("root", Ro.O_dir [ { Ro.e_name = "d0"; e_kind = Ro.K_dir; e_hash = "dir" } ]);
+      ("dir", Ro.O_dir [ { Ro.e_name = "f0"; e_kind = Ro.K_file; e_hash = "file" } ]);
+      ("file", Ro.O_file "bytes");
+    ]
+  in
+  let walk names = Flashcrowd.walk ~fetch:(fun h -> List.assoc h objs) "root" names in
+  Testkit.check_bool "present path reads" true (walk [ "d0"; "f0" ] = Ok "bytes");
+  Testkit.check_bool "no file entry" true (walk [ "d0"; "f1" ] = Error Crowd.Fatal);
+  Testkit.check_bool "no dir entry" true (walk [ "d1"; "f0" ] = Error Crowd.Fatal);
+  Testkit.check_bool "file is not a directory" true (walk [ "d0"; "f0"; "x" ] = Error Crowd.Fatal);
+  Testkit.check_bool "directory is not a file" true (walk [ "d0" ] = Error Crowd.Fatal)
+
 (* --- Golden ledgers: SHA-1 of each engine's ledger for small fixed
    configs.  The determinism tests above only compare two runs of one
    build; these pin the bytes across builds, so an engine refactor that
@@ -377,4 +444,6 @@ let suite =
       Alcotest.test_case "flashcrowd republish" `Quick test_flashcrowd_republish;
       Alcotest.test_case "flashcrowd 20k clients" `Slow test_flashcrowd_20k;
       Alcotest.test_case "golden ledgers" `Quick test_golden_ledgers;
+      Alcotest.test_case "crowd failure classes" `Quick test_crowd_failure_classes;
+      Alcotest.test_case "flashcrowd missing entry is fatal" `Quick test_flashcrowd_missing_entry;
     ] )
