@@ -74,36 +74,38 @@ type t = {
   costs : Costmodel.t;
   rng : Prng.t;
   from_host : string;
-  temp_key_bits : int;
-  temp_key_lifetime_s : float;
   mutable temp_key : Rabin.priv option;
   mutable temp_key_born_us : float;
   mounts : (string, mount) Hashtbl.t; (* by Pathname.to_name *)
   mutable encrypt : bool; (* ablation switch: "SFS w/o encryption" *)
   mutable cache_policy : Cachefs.policy;
-  rpc_attempts : int; (* per-RPC budget incl. the first transmission *)
   rpc_window : int; (* concurrent in-flight calls (1 = fully serial) *)
   readahead : int; (* sequential-read prefetch depth, in blocks *)
   mux_shared_srv : bool; (* pipelined muxes serialize on the host run queue *)
   obs : Obs.registry option;
 }
 
+(* K_C: a 512-bit Rabin key, regenerated hourly. *)
+let temp_key_bits = 512
+let temp_key_lifetime_us = 3600.0 *. 1_000_000.0
+
+(* Per-RPC recovery budget, including the first transmission. *)
+let rpc_attempts = 8
+
 (* Capped exponential backoff between RPC recovery attempts: the wait
    before attempt [i+1] is min(base * 2^i, max). *)
 let rpc_backoff_base_us = 50_000.0
 let rpc_backoff_max_us = 1_600_000.0
 
-let create ?(temp_key_bits = 512) ?(temp_key_lifetime_s = 3600.0) ?temp_key ?(encrypt = true)
-    ?(cache_policy = Cachefs.sfs_policy) ?(rpc_attempts = 8) ?(rpc_window = 1) ?(readahead = 0)
-    ?(mux_shared_srv = true) ?obs (net : Simnet.t) ~(from_host : string) ~(rng : Prng.t) () : t =
+let create ?temp_key ?(encrypt = true) ?(cache_policy = Cachefs.sfs_policy) ?(rpc_window = 1)
+    ?(readahead = 0) ?(mux_shared_srv = true) ?obs (net : Simnet.t) ~(from_host : string)
+    ~(rng : Prng.t) () : t =
   {
     net;
     clock = Simnet.clock net;
     costs = Simnet.costs net;
     rng;
     from_host;
-    temp_key_bits;
-    temp_key_lifetime_s;
     (* A pre-generated [temp_key] lets a fleet of simulated clients on
        one machine share a single K_C (generating 10,000 of them is
        real CPU); lifetime rotation still applies from t=0. *)
@@ -112,7 +114,6 @@ let create ?(temp_key_bits = 512) ?(temp_key_lifetime_s = 3600.0) ?temp_key ?(en
     mounts = Hashtbl.create 8;
     encrypt;
     cache_policy;
-    rpc_attempts = max 1 rpc_attempts;
     rpc_window = max 1 rpc_window;
     readahead = max 0 readahead;
     mux_shared_srv;
@@ -124,9 +125,9 @@ let create ?(temp_key_bits = 512) ?(temp_key_lifetime_s = 3600.0) ?temp_key ?(en
 let temp_key (t : t) : Rabin.priv =
   let now = Simclock.now_us t.clock in
   match t.temp_key with
-  | Some k when now -. t.temp_key_born_us < t.temp_key_lifetime_s *. 1_000_000.0 -> k
+  | Some k when now -. t.temp_key_born_us < temp_key_lifetime_us -> k
   | _ ->
-      let k = Rabin.generate ~bits:t.temp_key_bits t.rng in
+      let k = Rabin.generate ~bits:temp_key_bits t.rng in
       t.temp_key <- Some k;
       t.temp_key_born_us <- now;
       k
@@ -291,6 +292,247 @@ let reconnect (t : t) (m : mount) : (unit, mount_error) result =
           Simnet.close m.m_conn;
           Error (Host_unreachable (Pathname.location m.m_path))
 
+(* --- The read-write data path ---
+
+   Every Fs_call is built by [fs_request] and rides one of two muxes
+   over the mount's connection: a window-1 mux for serial calls, and —
+   with readahead on — a windowed mux for pipelined READs.
+   Write-behind (unstable WRITEs) alone stays on [Simnet.call_async]. *)
+
+(* A reply that proves the channel poisoned (MAC failure, stream
+   desync, garbled frame): the recovery path reconnects and re-issues. *)
+exception Poisoned of string
+
+let next_xid (m : mount) : int =
+  let xid = m.m_xid in
+  m.m_xid <- xid + 1;
+  xid
+
+(* The Fs_call for one attempt at [xid]: the caller's authno, and the
+   attempt's op span context, which rides the wire so the server's
+   spans attach to this attempt.  Reads the mount's state afresh, so a
+   reconnection between attempts is transparent. *)
+let fs_request (m : mount) ~(cred : Simos.cred) ~(proc : int) ~(xid : int) (os : Obs.open_span)
+    (args : string) : string =
+  let authno =
+    match Hashtbl.find_opt m.m_authnos cred.Simos.cred_uid with
+    | Some a -> a
+    | None -> Sfsrw.authno_anonymous
+  in
+  let trace, span =
+    match Obs.open_ctx os with Some cx -> (cx.Obs.cx_trace, cx.Obs.cx_span) | None -> (0, 0)
+  in
+  Sfsrw.request_to_string (Sfsrw.Fs_call { xid; authno; proc; trace; span; args })
+
+(* Seal a request for an overlapped send (write-behind, windowed
+   READs): the pipeline hides most of the user-level crossings and part
+   of the encryption, so only the residual fractions are charged.
+   Returns the wire bytes, the seal time charged, and the full seal
+   cost (the counter attribution). *)
+let seal_overlapped (t : t) (m : mount) (req : string) : string * float * float =
+  Simclock.advance t.clock
+    (t.costs.Costmodel.async_userlevel_factor *. (2.0 *. t.costs.Costmodel.userlevel_us_per_side));
+  let wire = Channel.seal ~bill:false m.m_channel req in
+  let full = Channel.crypto_cost_us m.m_channel (String.length req) in
+  let crypto_up = t.costs.Costmodel.async_crypto_factor *. full in
+  Simclock.advance t.clock crypto_up;
+  (wire, crypto_up, full)
+
+(* Open and decode one Fs_call reply on [channel], banking its
+   invalidation callbacks; returns the results and the plaintext
+   length.  A poisoned channel raises [Poisoned] (after bumping its
+   recover counter); a protocol error or a stray auth reply raises
+   [Rpc_failure] — the channel is fine, the call is not. *)
+let open_fs_reply ?obs (channel : Channel.t) (invalidations : fh list ref) (reply : string) :
+    string * int =
+  match Channel.open_ channel reply with
+  | Error `Mac_mismatch ->
+      Obs.incr obs "recover.mac_mismatch";
+      raise (Poisoned "mac mismatch")
+  | Error `Replay ->
+      Obs.incr obs "recover.replay";
+      raise (Poisoned "channel desync")
+  | Ok plain -> (
+      match Sfsrw.response_of_string plain with
+      | Ok (Sfsrw.Fs_reply { results; invalidations = inv }) ->
+          invalidations := !invalidations @ inv;
+          (results, String.length plain)
+      | Ok (Sfsrw.Proto_error e) -> raise (Nfs_client.Rpc_failure e)
+      | Ok (Sfsrw.Auth_granted _ | Sfsrw.Auth_denied _) ->
+          raise (Nfs_client.Rpc_failure "unexpected auth response")
+      | Result.Error e -> raise (Poisoned ("garbled response: " ^ e)))
+
+(* A mux over the mount's connection.  Its exchanges read m_conn and
+   m_channel afresh, so a reconnection swaps them underneath. *)
+let mount_mux ?obs ?precompute ?srv_timeline (t : t) ~(window : int) ~(op_us : float)
+    (exchange : string -> 'a Rpc_mux.completion) : 'a Rpc_mux.t =
+  Rpc_mux.create ?obs ?precompute ?srv_timeline ~window ~clock:t.clock
+    ~wire_us:(fun bytes -> Costmodel.transfer_us t.costs Costmodel.Tcp bytes)
+    ~latency_us:(Costmodel.rpc_fixed_us t.costs Costmodel.Tcp)
+    ~op_us ~exchange ()
+
+(* The serial mux: a private server timeline, no per-reply residual and
+   no keystream donation, so a call costs exactly its round trip.  No
+   registry either — its traffic is counted under net.*, and the op
+   spans carry the critical-path samples. *)
+let serial_mux (t : t) (m : mount) : string Rpc_mux.t =
+  mount_mux t ~window:1 ~op_us:0.0 (fun wire ->
+      let reply, server_us = Simnet.call_measured m.m_conn wire in
+      let results, plain_len =
+        open_fs_reply ?obs:t.obs m.m_channel m.m_invalidations reply
+      in
+      {
+        Rpc_mux.c_payload = results;
+        c_server_us = server_us;
+        c_wire_bytes = String.length reply;
+        c_crypto_us = Channel.crypto_cost_us m.m_channel plain_len;
+        c_claim_us = 0.0;
+      })
+
+(* One serial attempt: seal at full cost, then a window-1 round trip
+   whose critical-path sample the mux records at decode success. *)
+let serial_call (t : t) (m : mount) (mux : string Rpc_mux.t) (os : Obs.open_span)
+    ~(opname : string) (req : string) : string =
+  let t0 = Simclock.now_us t.clock in
+  Simclock.advance t.clock t.costs.Costmodel.userlevel_us_per_side;
+  let wire = Channel.seal m.m_channel req in
+  let crypto_up = Channel.crypto_cost_us m.m_channel (String.length req) in
+  let info =
+    {
+      Rpc_mux.ci_op = opname;
+      ci_t0_us = t0;
+      ci_crypto_up_us = crypto_up;
+      ci_crypto_up_ctr = int_of_float crypto_up;
+      ci_span = os;
+    }
+  in
+  Rpc_mux.await mux (Rpc_mux.submit ~info mux ~wire_bytes:(String.length wire) wire)
+
+(* One write-behind attempt: the pipeline hides the round-trip latency,
+   most of the user-level crossings and part of the encryption, so the
+   residual fractions are charged and [Simnet.call_async] bills the
+   wire plus a floor.  Its sampler inverts exactly those charges. *)
+let write_behind (t : t) (m : mount) (os : Obs.open_span) ~(opname : string) (req : string) :
+    string =
+  let t0 = Simclock.now_us t.clock in
+  let wire, crypto_up, full = seal_overlapped t m req in
+  let t1 = Simclock.now_us t.clock in
+  let reply = Simnet.call_async m.m_conn wire in
+  let results, plain_len = open_fs_reply ?obs:t.obs m.m_channel m.m_invalidations reply in
+  let t2 = Simclock.now_us t.clock in
+  let crypto_down = Channel.crypto_cost_us m.m_channel plain_len in
+  let up_wire = Costmodel.transfer_us t.costs Costmodel.Tcp (String.length wire) in
+  let floor = t.costs.Costmodel.async_floor_us in
+  let trace, span =
+    match Obs.open_ctx os with Some cx -> (cx.Obs.cx_trace, cx.Obs.cx_span) | None -> (0, 0)
+  in
+  Obs.span_end ~end_us:t2 os;
+  Obs.cp_record t.obs
+    {
+      Obs.cp_op = opname;
+      cp_trace = trace;
+      cp_span = span;
+      cp_start_us = t0;
+      cp_wall_us = t2 -. t0;
+      cp_segments =
+        [
+          ("client", t1 -. t0 -. crypto_up);
+          ("crypto_up", crypto_up);
+          ("latency", floor);
+          ("up_wire", up_wire);
+          ("server_cpu", t2 -. t1 -. floor -. up_wire -. crypto_down);
+          ("crypto_down", crypto_down);
+        ];
+      cp_crypto_up_ctr = int_of_float full;
+      cp_crypto_down_ctr = int_of_float crypto_down;
+    };
+  results
+
+(* The windowed READ path (readahead).  Requests ride the same secure
+   channel in submission order — the mux runs exchanges eagerly, so the
+   ARC4 stream positions and the server's execution order are
+   byte-identical to the serial client's — while the round trips
+   overlap in simulated time. *)
+let read_pipeline (t : t) (m : mount) : Fs_intf.pipeline =
+  (* Fan-in: the mux's server timeline is the serving host's run queue,
+     so several pipelined clients of one server queue behind each
+     other's measured occupancy instead of each assuming an idle
+     server.  (The fleet engine disables this and re-accounts server
+     time itself.) *)
+  let srv_timeline =
+    if t.mux_shared_srv then begin
+      let h = Simnet.conn_host m.m_conn in
+      Some ((fun () -> Simnet.host_timeline h), fun v -> Simnet.set_host_timeline h v)
+    end
+    else None
+  in
+  let mux =
+    mount_mux ?obs:t.obs ?srv_timeline t ~window:t.rpc_window
+      (* Donated idle wire time becomes reply-stream keystream, banked
+         ahead of the replies it will decrypt (reads m_channel afresh,
+         so a reconnection swaps the beneficiary too). *)
+      ~precompute:(fun ~budget_us -> Channel.precompute m.m_channel ~budget_us)
+      ~op_us:t.costs.Costmodel.pipeline_sfs_op_us
+      (fun wire ->
+        let reply, server_us = Simnet.call_measured m.m_conn wire in
+        (* Zero-copy: the opened frame is the single buffer the reply
+           rides from here to the block cache — the decode below and
+           the READ payload are views into it. *)
+        match Channel.open_slice m.m_channel reply with
+        | Ok frame -> (
+            match Sfsrw.fs_reply_of_slice frame with
+            | Ok (results, inv) ->
+                (* Capture invalidations eagerly: a ticket the cache
+                   later abandons must not lose a callback. *)
+                m.m_invalidations := !(m.m_invalidations) @ inv;
+                {
+                  Rpc_mux.c_payload = results;
+                  c_server_us = server_us;
+                  c_wire_bytes = String.length reply;
+                  (* Of the measured server time, the reply seal —
+                     attributed to the down direction so the analyzer
+                     never double-counts full-duplex crypto overlap. *)
+                  c_crypto_us = Channel.crypto_cost_us m.m_channel (Slice.length frame);
+                  (* Keystream this open_ consumed from the idle-time
+                     prefetch: that slice of the seal already ran
+                     during dead wire time. *)
+                  c_claim_us = Channel.take_recv_claim m.m_channel;
+                }
+            | Result.Error _ -> raise Simnet.Timeout)
+        | Error _ ->
+            (* Poisoned streams: surface as a timeout; the serial
+               fallback's recovery reconnects and re-authenticates. *)
+            raise Simnet.Timeout)
+  in
+  let pl_submit cred fh ~off ~count =
+    let t0 = Simclock.now_us t.clock in
+    let xid = next_xid m in
+    (* sfslint: allow SL012 — the open span is handed to Rpc_mux.submit via ~info, which closes it at the op's ready time (or at submit time on a failed exchange) *)
+    let os = Obs.span_begin t.obs ~cat:"op" "read" in
+    let req =
+      fs_request m ~cred ~proc:Nfs_proto.proc_read ~xid os
+        (Xdr.encode Nfs_proto.enc_read_args (fh, off, count))
+    in
+    let wire, crypto_up, full = seal_overlapped t m req in
+    let info =
+      {
+        Rpc_mux.ci_op = "read";
+        ci_t0_us = t0;
+        ci_crypto_up_us = crypto_up;
+        ci_crypto_up_ctr = int_of_float full;
+        ci_span = os;
+      }
+    in
+    let ticket = Rpc_mux.submit ~info mux ~wire_bytes:(String.length wire) wire in
+    Some
+      (fun () ->
+        let results = Rpc_mux.await mux ticket in
+        match Xdr.run_slice results (Nfs_proto.dec_res Nfs_proto.dec_read_ok_slice) with
+        | Ok v -> v
+        | Result.Error e -> raise (Nfs_client.Rpc_failure ("unparsable result: " ^ e)))
+  in
+  { Fs_intf.pl_depth = t.readahead; pl_submit }
+
 let mount (t : t) (path : Pathname.t) : (mount, mount_error) result =
   match find_mount t path with
   | Some m -> Ok m
@@ -322,11 +564,9 @@ let mount (t : t) (path : Pathname.t) : (mount, mount_error) result =
                   m_readonly = false;
                 }
               in
+              let serial = serial_mux t m in
               (* The secure-channel transport for the read-write
-                 protocol; every relayed RPC also pays the client
-                 daemon's user-level crossing.  Reads the mount's
-                 channel and connection afresh on every attempt, so a
-                 mid-call reconnection is transparent to callers. *)
+                 protocol. *)
               let raw_call : Nfs_client.raw_call =
                fun ~cred ~proc ~async args ->
                 (* One xid per logical call, held across every retry of
@@ -334,36 +574,21 @@ let mount (t : t) (path : Pathname.t) : (mount, mount_error) result =
                    the server's duplicate request cache can recognise a
                    retransmission whose first execution succeeded but
                    whose reply was lost. *)
-                let xid = m.m_xid in
-                m.m_xid <- m.m_xid + 1;
+                let xid = next_xid m in
                 let opname =
                   (if proc = Sfsrw.proc_getroot then "getroot" else Nfs_proto.proc_name proc)
                   ^ if async then "/wb" else ""
                 in
                 let rec go (i : int) : string =
-                  let channel = m.m_channel and conn = m.m_conn in
-                  let authno =
-                    match Hashtbl.find_opt m.m_authnos cred.Simos.cred_uid with
-                    | Some a -> a
-                    | None -> Sfsrw.authno_anonymous
-                  in
-                  (* Per-attempt op span; its context rides the wire so
-                     the server's spans attach to this attempt. *)
+                  (* Per-attempt op span. *)
                   let os = Obs.span_begin t.obs ~cat:"op" opname in
-                  let trace, span =
-                    match Obs.open_ctx os with
-                    | Some cx -> (cx.Obs.cx_trace, cx.Obs.cx_span)
-                    | None -> (0, 0)
-                  in
-                  let req =
-                    Sfsrw.request_to_string (Sfsrw.Fs_call { xid; authno; proc; trace; span; args })
-                  in
+                  let req = fs_request m ~cred ~proc ~xid os args in
                   (* Any transport or channel failure poisons the ARC4
                      streams; retransmission on the same channel is
                      useless.  Back off, reconnect, re-issue. *)
                   let recover (why : string) : string =
                     Obs.span_end os;
-                    if i + 1 >= t.rpc_attempts then begin
+                    if i + 1 >= rpc_attempts then begin
                       Obs.incr t.obs "recover.rpc_giveup";
                       raise (Nfs_client.Rpc_failure why)
                     end
@@ -382,125 +607,16 @@ let mount (t : t) (path : Pathname.t) : (mount, mount_error) result =
                       go (i + 1)
                     end
                   in
-                  (* [exchange] also returns a sampler that, called at
-                     decode success, records the attempt's critical-path
-                     decomposition (branch-specific: the serial and
-                     write-behind paths charge different cost shares).
-                     Each sampler's segments telescope to the attempt's
-                     wall time by construction — the analytic inverse of
-                     exactly the charges Simnet.call/call_async made. *)
-                  let exchange () =
-                    if async then begin
-                      let t0 = Simclock.now_us t.clock in
-                      (* Write-behind: the pipeline hides most of the
-                         user-level crossings and overlaps encryption
-                         with the wire; charge the residual fractions. *)
-                      Simclock.advance t.clock
-                        (t.costs.Costmodel.async_userlevel_factor
-                        *. (2.0 *. t.costs.Costmodel.userlevel_us_per_side));
-                      let wire = Channel.seal ~bill:false channel req in
-                      let crypto_up_full = Channel.crypto_cost_us channel (String.length req) in
-                      let crypto_up = t.costs.Costmodel.async_crypto_factor *. crypto_up_full in
-                      Simclock.advance t.clock crypto_up;
-                      let t1 = Simclock.now_us t.clock in
-                      let reply = Simnet.call_async conn wire in
-                      let sample (plain : string) : unit =
-                        let t2 = Simclock.now_us t.clock in
-                        let crypto_down = Channel.crypto_cost_us channel (String.length plain) in
-                        let up_wire =
-                          Costmodel.transfer_us t.costs Costmodel.Tcp (String.length wire)
-                        in
-                        let floor = t.costs.Costmodel.async_floor_us in
-                        Obs.span_end ~end_us:t2 os;
-                        Obs.cp_record t.obs
-                          {
-                            Obs.cp_op = opname;
-                            cp_trace = trace;
-                            cp_span = span;
-                            cp_start_us = t0;
-                            cp_wall_us = t2 -. t0;
-                            cp_segments =
-                              [
-                                ("client", t1 -. t0 -. crypto_up);
-                                ("crypto_up", crypto_up);
-                                ("latency", floor);
-                                ("up_wire", up_wire);
-                                ("server_cpu", t2 -. t1 -. floor -. up_wire -. crypto_down);
-                                ("crypto_down", crypto_down);
-                              ];
-                            cp_crypto_up_ctr = int_of_float crypto_up_full;
-                            cp_crypto_down_ctr = int_of_float crypto_down;
-                          }
-                      in
-                      (reply, sample)
-                    end
-                    else begin
-                      let t0 = Simclock.now_us t.clock in
-                      Simclock.advance t.clock t.costs.Costmodel.userlevel_us_per_side;
-                      let wire = Channel.seal channel req in
-                      let t1 = Simclock.now_us t.clock in
-                      (* sfslint: allow SL010 — sync fallback: metadata ops and the recovery path; READs pipeline via Rpc_mux *)
-                      let reply = Simnet.call conn wire in
-                      let sample (plain : string) : unit =
-                        let t2 = Simclock.now_us t.clock in
-                        let crypto_up = Channel.crypto_cost_us channel (String.length req) in
-                        let crypto_down = Channel.crypto_cost_us channel (String.length plain) in
-                        let up_wire =
-                          Costmodel.transfer_us t.costs Costmodel.Tcp (String.length wire)
-                        in
-                        let down_wire =
-                          Costmodel.transfer_us t.costs Costmodel.Tcp (String.length reply)
-                        in
-                        let latency = Costmodel.rpc_fixed_us t.costs Costmodel.Tcp in
-                        Obs.span_end ~end_us:t2 os;
-                        Obs.cp_record t.obs
-                          {
-                            Obs.cp_op = opname;
-                            cp_trace = trace;
-                            cp_span = span;
-                            cp_start_us = t0;
-                            cp_wall_us = t2 -. t0;
-                            cp_segments =
-                              [
-                                ("client", t1 -. t0 -. crypto_up);
-                                ("crypto_up", crypto_up);
-                                ("latency", latency);
-                                ("up_wire", up_wire);
-                                ( "server_cpu",
-                                  t2 -. t1 -. latency -. up_wire -. down_wire -. crypto_down );
-                                ("crypto_down", crypto_down);
-                                ("down_wire", down_wire);
-                              ];
-                            cp_crypto_up_ctr = int_of_float crypto_up;
-                            cp_crypto_down_ctr = int_of_float crypto_down;
-                          }
-                      in
-                      (reply, sample)
-                    end
-                  in
-                  match exchange () with
+                  match
+                    if async then write_behind t m os ~opname req
+                    else serial_call t m serial os ~opname req
+                  with
+                  | results -> results
                   | exception Simnet.Timeout -> recover "timeout"
-                  | reply, sample -> (
-                      match Channel.open_ channel reply with
-                      | Error `Mac_mismatch ->
-                          Obs.incr t.obs "recover.mac_mismatch";
-                          recover "mac mismatch"
-                      | Error `Replay ->
-                          Obs.incr t.obs "recover.replay";
-                          recover "channel desync"
-                      | Ok plain -> (
-                          match Sfsrw.response_of_string plain with
-                          | Ok (Sfsrw.Fs_reply { results; invalidations = inv }) ->
-                              m.m_invalidations := !(m.m_invalidations) @ inv;
-                              sample plain;
-                              results
-                          | Ok (Sfsrw.Proto_error e) ->
-                              Obs.span_end os;
-                              raise (Nfs_client.Rpc_failure e)
-                          | Ok (Sfsrw.Auth_granted _ | Sfsrw.Auth_denied _) ->
-                              Obs.span_end os;
-                              raise (Nfs_client.Rpc_failure "unexpected auth response")
-                          | Result.Error e -> recover ("garbled response: " ^ e)))
+                  | exception Poisoned why -> recover why
+                  | exception (Nfs_client.Rpc_failure _ as e) ->
+                      Obs.span_end os;
+                      raise e
                 in
                 go 0
               in
@@ -520,145 +636,8 @@ let mount (t : t) (path : Pathname.t) : (mount, mount_error) result =
                   Simnet.close m.m_conn;
                   Error (Negotiation_failed e)
               | Ok root ->
-                  let inner_ops = Nfs_client.generic_ops raw_call ~root in
-                  (* The windowed READ path (readahead).  Requests ride
-                     the same secure channel in submission order — the
-                     mux runs exchanges eagerly, so the ARC4 stream
-                     positions and the server's execution order are
-                     byte-identical to the serial client's — while the
-                     round trips overlap in simulated time. *)
                   let pipeline =
-                    if t.rpc_window > 1 && t.readahead > 0 then begin
-                      (* Fan-in: the mux's server timeline is the serving
-                         host's run queue, so several pipelined clients
-                         of one server queue behind each other's measured
-                         occupancy instead of each assuming an idle
-                         server.  (The fleet engine disables this and
-                         re-accounts server time itself.) *)
-                      let srv_timeline =
-                        if t.mux_shared_srv then begin
-                          let h = Simnet.conn_host m.m_conn in
-                          Some
-                            ( (fun () -> Simnet.host_timeline h),
-                              fun v -> Simnet.set_host_timeline h v )
-                        end
-                        else None
-                      in
-                      let mux =
-                        Rpc_mux.create ?obs:t.obs ?srv_timeline ~window:t.rpc_window ~clock:t.clock
-                          (* Donated idle wire time becomes reply-stream
-                             keystream, banked ahead of the replies it
-                             will decrypt (reads m_channel afresh, so a
-                             reconnection swaps the beneficiary too). *)
-                          ~precompute:(fun ~budget_us ->
-                            Channel.precompute m.m_channel ~budget_us)
-                          ~wire_us:(fun bytes -> Costmodel.transfer_us t.costs Costmodel.Tcp bytes)
-                          ~latency_us:t.costs.Costmodel.tcp_rpc_us
-                          ~op_us:t.costs.Costmodel.pipeline_sfs_op_us
-                          ~exchange:(fun wire ->
-                            let reply, server_us = Simnet.call_measured m.m_conn wire in
-                            (* Zero-copy: the opened frame is the single
-                               buffer the reply rides from here to the
-                               block cache — the decode below and the
-                               READ payload are views into it. *)
-                            match Channel.open_slice m.m_channel reply with
-                            | Ok frame -> (
-                                match Sfsrw.fs_reply_of_slice frame with
-                                | Ok (results, inv) ->
-                                    (* Capture invalidations eagerly: a
-                                       ticket the cache later abandons
-                                       must not lose a callback. *)
-                                    m.m_invalidations := !(m.m_invalidations) @ inv;
-                                    {
-                                      Rpc_mux.c_payload = results;
-                                      c_server_us = server_us;
-                                      c_wire_bytes = String.length reply;
-                                      (* Of the measured server time, the
-                                         reply seal — attributed to the
-                                         down direction so the analyzer
-                                         never double-counts full-duplex
-                                         crypto overlap. *)
-                                      c_crypto_us =
-                                        Channel.crypto_cost_us m.m_channel (Slice.length frame);
-                                      (* Keystream this open_ consumed
-                                         from the idle-time prefetch:
-                                         that slice of the seal already
-                                         ran during dead wire time. *)
-                                      c_claim_us = Channel.take_recv_claim m.m_channel;
-                                    }
-                                | Result.Error _ -> raise Simnet.Timeout)
-                            | Error _ ->
-                                (* Poisoned streams: surface as a
-                                   timeout; the sync fallback's recovery
-                                   reconnects and re-authenticates. *)
-                                raise Simnet.Timeout)
-                          ()
-                      in
-                      let pl_submit cred fh ~off ~count =
-                        (* Reads m_channel/m_conn afresh, so a
-                           reconnection between reads is transparent. *)
-                        let xid = m.m_xid in
-                        m.m_xid <- m.m_xid + 1;
-                        let authno =
-                          match Hashtbl.find_opt m.m_authnos cred.Simos.cred_uid with
-                          | Some a -> a
-                          | None -> Sfsrw.authno_anonymous
-                        in
-                        let t0 = Simclock.now_us t.clock in
-                        let os = Obs.span_begin t.obs ~cat:"op" "read" in
-                        let trace, span =
-                          match Obs.open_ctx os with
-                          | Some cx -> (cx.Obs.cx_trace, cx.Obs.cx_span)
-                          | None -> (0, 0)
-                        in
-                        let req =
-                          Sfsrw.request_to_string
-                            (Sfsrw.Fs_call
-                               {
-                                 xid;
-                                 authno;
-                                 proc = Nfs_proto.proc_read;
-                                 trace;
-                                 span;
-                                 args = Xdr.encode Nfs_proto.enc_read_args (fh, off, count);
-                               })
-                        in
-                        (* Residual client-side costs; the window hides
-                           the rest (the write-behind path's overlap
-                           fractions). *)
-                        Simclock.advance t.clock
-                          (t.costs.Costmodel.async_userlevel_factor
-                          *. (2.0 *. t.costs.Costmodel.userlevel_us_per_side));
-                        let channel = m.m_channel in
-                        let wire = Channel.seal ~bill:false channel req in
-                        let crypto_up_full = Channel.crypto_cost_us channel (String.length req) in
-                        let crypto_up = t.costs.Costmodel.async_crypto_factor *. crypto_up_full in
-                        Simclock.advance t.clock crypto_up;
-                        let info =
-                          {
-                            Rpc_mux.ci_op = "read";
-                            ci_t0_us = t0;
-                            ci_crypto_up_us = crypto_up;
-                            ci_crypto_up_ctr = int_of_float crypto_up_full;
-                            ci_span = os;
-                          }
-                        in
-                        let ticket =
-                          Rpc_mux.submit ~info mux ~wire_bytes:(String.length wire) wire
-                        in
-                        Some
-                          (fun () ->
-                            let results = Rpc_mux.await mux ticket in
-                            match
-                              Xdr.run_slice results (Nfs_proto.dec_res Nfs_proto.dec_read_ok_slice)
-                            with
-                            | Ok v -> v
-                            | Result.Error e ->
-                                raise (Nfs_client.Rpc_failure ("unparsable result: " ^ e)))
-                      in
-                      Some { Fs_intf.pl_depth = t.readahead; pl_submit }
-                    end
-                    else None
+                    if t.rpc_window > 1 && t.readahead > 0 then Some (read_pipeline t m) else None
                   in
                   let cache =
                     Cachefs.create
@@ -668,7 +647,8 @@ let mount (t : t) (path : Pathname.t) : (mount, mount_error) result =
                         inv)
                       ?obs:t.obs ?pipeline
                       ~write_behind:(t.rpc_window > 1)
-                      ~clock:t.clock ~policy:t.cache_policy inner_ops
+                      ~clock:t.clock ~policy:t.cache_policy
+                      (Nfs_client.generic_ops raw_call ~root)
                   in
                   m.m_cache <- Some cache;
                   m.m_ops <- Some (Cachefs.ops cache);

@@ -24,12 +24,9 @@ type mount
 type t
 
 val create :
-  ?temp_key_bits:int ->
-  ?temp_key_lifetime_s:float ->
   ?temp_key:Rabin.priv ->
   ?encrypt:bool ->
   ?cache_policy:Cachefs.policy ->
-  ?rpc_attempts:int ->
   ?rpc_window:int ->
   ?readahead:int ->
   ?mux_shared_srv:bool ->
@@ -41,25 +38,29 @@ val create :
   t
 (** [~encrypt:false] negotiates the "SFS w/o encryption" dialect;
     [cache_policy] defaults to lease-based SFS caching.  The short-lived
-    key regenerates after [temp_key_lifetime_s] (default one hour) for
-    forward secrecy.  [rpc_attempts] (default 8) bounds the per-RPC
-    recovery budget: a timeout or channel failure backs off (capped
-    exponential), reconnects and re-issues, because any loss poisons
-    the ARC4 streams.  [rpc_window] (default 1 = fully serial) allows
-    that many concurrent in-flight calls through the windowed
-    dispatcher, enabling sequential-read readahead of [readahead]
-    blocks (default 0) and write-behind gathering in the cache layer —
-    DESIGN.md §11.  A pre-generated [temp_key] skips the (expensive)
-    per-client key generation — fleet simulations share one K_C across
-    thousands of clients; rotation after [temp_key_lifetime_s] still
-    applies.  [mux_shared_srv] (default true) makes pipelined muxes
-    serialize their modeled server occupancy on the serving host's run
-    queue, so concurrent clients of one server contend instead of each
-    assuming an idle server; the fleet engine passes [false] and
-    re-accounts occupancy itself (DESIGN.md §15).  When [obs] is given,
-    automount and authentication spans are recorded, and the mount's
-    channel and cache are instrumented too ([channel.client.*],
-    [cache.*]). *)
+    key K_C (512 bits) regenerates every hour for forward secrecy.
+    Each RPC gets 8 attempts: a timeout or channel failure backs off
+    (capped exponential), reconnects and re-issues, because any loss
+    poisons the ARC4 streams.
+
+    File system calls go through {!Sfs_net.Rpc_mux}.  Serial calls use
+    a window-1 mux per mount, which costs exactly one round trip and
+    records each call's critical-path sample.  [rpc_window] (default
+    1) is the window of a second mux for sequential-read readahead of
+    [readahead] blocks (default 0); any window above 1 also turns on
+    write-behind gathering in the cache layer.  Unstable WRITEs stay
+    on {!Simnet.call_async} — DESIGN.md §11.
+
+    A pre-generated [temp_key] skips the (expensive) per-client key
+    generation — fleet simulations share one K_C across thousands of
+    clients; hourly rotation still applies.  [mux_shared_srv] (default
+    true) makes the readahead mux serialize its modeled server
+    occupancy on the serving host's run queue, so concurrent clients of
+    one server contend instead of each assuming an idle server; the
+    fleet engine passes [false] and re-accounts occupancy itself
+    (DESIGN.md §15).  When [obs] is given, automount and authentication
+    spans are recorded, and the mount's channel and cache are
+    instrumented too ([channel.client.*], [cache.*]). *)
 
 val mount : t -> Pathname.t -> (mount, mount_error) result
 (** Dial the Location, negotiate keys, verify the HostID, fetch the

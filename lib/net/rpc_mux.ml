@@ -228,7 +228,10 @@ let submit ?on_complete ?info (t : 'a t) ~(wire_bytes : int) (request : string) 
             in
             Obs.span_end ~end_us:ready ci.ci_span;
             let cx = Obs.open_ctx ci.ci_span in
-            Obs.cp_record t.obs
+            (* The sample belongs with the op's span, not the mux: a
+               serial mux keeps no registry of its own, so the mux.*
+               counters describe the windowed paths only. *)
+            Obs.cp_record (Obs.open_registry ci.ci_span)
               {
                 Obs.cp_op = ci.ci_op;
                 cp_trace = (match cx with Some c -> c.Obs.cx_trace | None -> 0);

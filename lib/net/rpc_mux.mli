@@ -107,9 +107,9 @@ val submit :
     captured in the ticket and re-raised at {!await}.  [wire_bytes] is
     the request's on-the-wire length.  [on_complete] fires exactly once,
     when the ticket completes (forced or awaited).  With [?info], the
-    mux records an {!Sfs_obs.Obs.cp_sample} decomposing the op's wall
-    time (submit begin to reply ready) into additive segments, and
-    closes [ci_span] at the ready time. *)
+    mux records in [ci_span]'s registry an {!Sfs_obs.Obs.cp_sample}
+    decomposing the op's wall time (submit begin to reply ready) into
+    additive segments, and closes [ci_span] at the ready time. *)
 
 val await : 'a t -> 'a ticket -> 'a
 (** Advance the clock to the ticket's ready time (if not already past)

@@ -55,36 +55,60 @@ let rpc_auth_of_cred (machine : string) (c : Simos.cred) : Sunrpc.auth_flavor =
 let create ?retry ?obs ~(machine : string) (send : transport) : t =
   { send; xid = 1; machine; enc = Xdr.make_enc (); retry; obs }
 
-let of_conn ?retry ?obs ~(machine : string) (conn : Simnet.conn) : t =
-  (* sfslint: allow SL010 — mount/setup transport; data reads pipeline via conn_pipeline *)
-  create ?retry ?obs ~machine (fun bytes -> Simnet.call conn bytes)
-
 exception Rpc_failure of string
 
 let backoff_us (r : retry) (i : int) : float =
   Float.min (r.r_base_us *. float_of_int (1 lsl min i 16)) r.r_max_us
 
+let next_xid (t : t) : int =
+  let xid = t.xid in
+  t.xid <- xid + 1;
+  xid
+
+(* One marshaled Sun RPC call.  [ctx] is the causal context for the
+   trace annex, so server-side spans attach to the op that caused
+   them. *)
+let call_msg ~(enc : Xdr.enc) ~(machine : string) ~(xid : int) ~(ctx : Obs.ctx option)
+    ~(cred : Simos.cred) ~(prog : int) ~(vers : int) ~(proc : int) (args : string) : string =
+  let trace, span = match ctx with Some cx -> (cx.Obs.cx_trace, cx.Obs.cx_span) | None -> (0, 0) in
+  Sunrpc.msg_to_string ~enc
+    (Sunrpc.Call
+       { Sunrpc.xid; prog; vers; proc; trace; span; cred = rpc_auth_of_cred machine cred; args })
+
+(* The results a reply to [xid] carries, or why it carries none:
+   [`Retry] when the bytes on the wire were damaged (retransmitting
+   may help), [`Fail] for an RPC-level rejection (it will not). *)
+let reply_results ~(xid : int) (reply : string) :
+    (string, [ `Retry of string | `Fail of string ]) result =
+  match Sunrpc.msg_of_string reply with
+  | Ok (Sunrpc.Reply r) when r.Sunrpc.reply_xid = xid || r.Sunrpc.reply_xid = 0 -> (
+      match r.Sunrpc.body with
+      | Sunrpc.Success results -> Ok results
+      | Sunrpc.Garbage_args ->
+          (* Our request arrived corrupted; the bytes on the wire were
+             damaged, not the program. *)
+          Error (`Retry "garbage args")
+      | Sunrpc.Prog_unavail -> Error (`Fail "program unavailable")
+      | Sunrpc.Prog_mismatch _ -> Error (`Fail "program version mismatch")
+      | Sunrpc.Proc_unavail -> Error (`Fail "procedure unavailable")
+      | Sunrpc.System_err -> Error (`Fail "system error")
+      | Sunrpc.Rejected _ -> Error (`Fail "call rejected"))
+  | Ok (Sunrpc.Reply _) -> Error (`Retry "xid mismatch")
+  | Ok (Sunrpc.Call _) -> Error (`Fail "unexpected call")
+  | Result.Error e -> Error (`Retry ("unparsable reply: " ^ e))
+
 (* One call: marshal, send, unmarshal, check xid.  With a retry policy,
    timeouts and garbled replies retransmit the same xid (the server's
    duplicate request cache absorbs re-executions); RPC-level rejections
-   are hard errors and never retried. *)
+   are hard errors and never retried.  Retransmissions reuse the
+   message verbatim, keeping the byte-comparing duplicate request cache
+   effective. *)
 let call_raw (t : t) ~(cred : Simos.cred) ~(prog : int) ~(vers : int) ~(proc : int) (args : string) :
     string =
-  let xid = t.xid in
-  t.xid <- t.xid + 1;
-  (* Piggyback the ambient causal context (the enclosing Cachefs op
-     root), so server-side spans attach to the op that caused them.
-     Retransmissions reuse [msg] verbatim, keeping the server's
-     byte-comparing duplicate request cache effective. *)
-  let trace, span =
-    match Obs.current t.obs with
-    | Some cx -> (cx.Obs.cx_trace, cx.Obs.cx_span)
-    | None -> (0, 0)
-  in
+  let xid = next_xid t in
+  (* The ambient causal context: the enclosing Cachefs op root. *)
   let msg =
-    Sunrpc.msg_to_string ~enc:t.enc
-      (Sunrpc.Call
-         { Sunrpc.xid; prog; vers; proc; trace; span; cred = rpc_auth_of_cred t.machine cred; args })
+    call_msg ~enc:t.enc ~machine:t.machine ~xid ~ctx:(Obs.current t.obs) ~cred ~prog ~vers ~proc args
   in
   let attempts = match t.retry with None -> 1 | Some r -> r.r_attempts in
   let rec attempt (i : int) : string =
@@ -103,22 +127,10 @@ let call_raw (t : t) ~(cred : Simos.cred) ~(prog : int) ~(vers : int) ~(proc : i
     match t.send msg with
     | exception Simnet.Timeout -> retry_or "timeout"
     | reply -> (
-        match Sunrpc.msg_of_string reply with
-        | Ok (Sunrpc.Reply r) when r.Sunrpc.reply_xid = xid || r.Sunrpc.reply_xid = 0 -> (
-            match r.Sunrpc.body with
-            | Sunrpc.Success results -> results
-            | Sunrpc.Garbage_args ->
-                (* Our request arrived corrupted; the bytes on the wire
-                   were damaged, not the program — retransmit. *)
-                retry_or "garbage args"
-            | Sunrpc.Prog_unavail -> raise (Rpc_failure "program unavailable")
-            | Sunrpc.Prog_mismatch _ -> raise (Rpc_failure "program version mismatch")
-            | Sunrpc.Proc_unavail -> raise (Rpc_failure "procedure unavailable")
-            | Sunrpc.System_err -> raise (Rpc_failure "system error")
-            | Sunrpc.Rejected _ -> raise (Rpc_failure "call rejected"))
-        | Ok (Sunrpc.Reply _) -> retry_or "xid mismatch"
-        | Ok (Sunrpc.Call _) -> raise (Rpc_failure "unexpected call")
-        | Result.Error e -> retry_or ("unparsable reply: " ^ e))
+        match reply_results ~xid reply with
+        | Ok results -> results
+        | Error (`Retry why) -> retry_or why
+        | Error (`Fail why) -> raise (Rpc_failure why))
   in
   attempt 0
 
@@ -205,15 +217,41 @@ let generic_ops (call : raw_call) ~(root : fh) : Fs_intf.ops =
     fs_fsstat = (fun cred h -> nfs_call ~cred ~proc:proc_fsstat enc_fh h (dec_res dec_fsstat_ok));
   }
 
-(* A variant of [of_conn] whose transport routes async traffic through
-   the pipelined path.  [stall] models FreeBSD's suboptimal kernel
+(* A mux over [conn], pricing [proto]'s round trip.  The exchange runs
+   the full tap / fault / handler path and charges nothing itself. *)
+let conn_mux ?obs ~(window : int) ~(op_us : float) (net : Simnet.t)
+    ~(proto : Costmodel.transport_proto) (conn : Simnet.conn) : string Rpc_mux.t =
+  let costs = Simnet.costs net in
+  Rpc_mux.create ?obs ~window ~clock:(Simnet.clock net)
+    ~wire_us:(fun bytes -> Costmodel.transfer_us costs proto bytes)
+    ~latency_us:(Costmodel.rpc_fixed_us costs proto) ~op_us
+    ~exchange:(fun msg ->
+      let reply, server_us = Simnet.call_measured conn msg in
+      {
+        Rpc_mux.c_payload = reply;
+        c_server_us = server_us;
+        c_wire_bytes = String.length reply;
+        c_crypto_us = 0.0 (* clear transport *);
+        c_claim_us = 0.0;
+      })
+    ()
+
+(* Ops over a network connection.  Serial calls ride a window-1 mux,
+   which prices exactly one round trip; it keeps no registry and takes
+   no critical-path samples, so the mux.* counters describe readahead
+   alone.  Async traffic (unstable WRITEs) goes through
+   [Simnet.call_async].  [stall] models FreeBSD's suboptimal kernel
    NFS-over-TCP (paper section 4.1): requests spanning multiple TCP
    segments hit delayed-ACK/Nagle stalls — the pathology behind NFS 3
    (TCP)'s poor showing on write-heavy workloads. *)
-let conn_ops ?(stall = fun (_ : int) -> ()) ?retry ?obs ~(machine : string) (conn : Simnet.conn)
-    ~(root : fh) : Fs_intf.ops =
-  (* sfslint: allow SL010 — metadata/sync ops keep NFS RPC semantics; READs pipeline, WRITEs go async *)
-  let sync = create ?retry ?obs ~machine (fun b -> Simnet.call conn b) in
+let conn_ops ~(stall : int -> unit) ?retry ?obs (net : Simnet.t)
+    ~(proto : Costmodel.transport_proto) ~(machine : string) (conn : Simnet.conn) ~(root : fh) :
+    Fs_intf.ops =
+  let serial = conn_mux ~window:1 ~op_us:0.0 net ~proto conn in
+  let sync =
+    create ?retry ?obs ~machine (fun msg ->
+        Rpc_mux.await serial (Rpc_mux.submit serial ~wire_bytes:(String.length msg) msg))
+  in
   let async_t =
     { (create ?retry ?obs ~machine (fun b -> Simnet.call_async conn b)) with xid = 100_000_000 }
   in
@@ -224,63 +262,29 @@ let conn_ops ?(stall = fun (_ : int) -> ()) ?retry ?obs ~(machine : string) (con
       call_raw t ~cred ~prog:Nfs_proto.prog ~vers:Nfs_proto.vers ~proc args)
     ~root
 
-let ops (t : t) ~(root : fh) : Fs_intf.ops =
-  generic_ops
-    (fun ~cred ~proc ~async:_ args ->
-      call_raw t ~cred ~prog:Nfs_proto.prog ~vers:Nfs_proto.vers ~proc args)
-    ~root
-
 (* The windowed READ path (readahead): its own xid space, so pipelined
    traffic can never collide with the sync (base 1) or async (base 1e8)
-   clients, and its own Rpc_mux over the measured exchange.  No
-   retransmission here — a fault raises out of the await thunk, and the
-   caller (Cachefs) falls back to the synchronous path, whose retry
-   machinery recovers; READs are idempotent, so the abandoned xid is
-   harmless. *)
-let conn_pipeline ?obs ?(window = 16) ?(depth = 16) (net : Simnet.t)
+   clients, and its own Rpc_mux.  No retransmission here — a fault
+   raises out of the await thunk, and the caller (Cachefs) falls back
+   to the synchronous path, whose retry machinery recovers; READs are
+   idempotent, so the abandoned xid is harmless. *)
+let conn_pipeline ?obs ~(window : int) ~(depth : int) (net : Simnet.t)
     ~(proto : Costmodel.transport_proto) ~(machine : string) (conn : Simnet.conn) :
     Fs_intf.pipeline =
-  let costs = Simnet.costs net in
+  let op_us = (Simnet.costs net).Costmodel.pipeline_nfs_op_us in
+  let mux = conn_mux ?obs ~window ~op_us net ~proto conn in
   let enc = Xdr.make_enc () in
-  let xid = ref 200_000_000 in
-  let mux =
-    Rpc_mux.create ?obs ~window ~clock:(Simnet.clock net)
-      ~wire_us:(fun bytes -> Costmodel.transfer_us costs proto bytes)
-      ~latency_us:(Costmodel.rpc_fixed_us costs proto)
-      ~op_us:costs.Costmodel.pipeline_nfs_op_us
-      ~exchange:(fun msg ->
-        let reply, server_us = Simnet.call_measured conn msg in
-        {
-          Rpc_mux.c_payload = reply;
-          c_server_us = server_us;
-          c_wire_bytes = String.length reply;
-          c_crypto_us = 0.0 (* clear transport *);
-          c_claim_us = 0.0;
-        })
-      ()
-  in
+  let next_xid = ref 200_000_000 in
   let pl_submit cred h ~off ~count =
-    let this_xid = !xid in
-    incr xid;
+    let xid = !next_xid in
+    incr next_xid;
     let t0 = Sfs_net.Simclock.now_us (Simnet.clock net) in
     (* sfslint: allow SL012 — the open span is handed to Rpc_mux.submit via ~info, which closes it at the op's ready time (or at submit time on a failed exchange) *)
     let os = Obs.span_begin obs ~cat:"op" "read" in
-    let trace, span =
-      match Obs.open_ctx os with Some cx -> (cx.Obs.cx_trace, cx.Obs.cx_span) | None -> (0, 0)
-    in
     let msg =
-      Sunrpc.msg_to_string ~enc
-        (Sunrpc.Call
-           {
-             Sunrpc.xid = this_xid;
-             prog = Nfs_proto.prog;
-             vers = Nfs_proto.vers;
-             proc = Nfs_proto.proc_read;
-             trace;
-             span;
-             cred = rpc_auth_of_cred machine cred;
-             args = Xdr.encode Nfs_proto.enc_read_args (h, off, count);
-           })
+      call_msg ~enc ~machine ~xid ~ctx:(Obs.open_ctx os) ~cred ~prog:Nfs_proto.prog
+        ~vers:Nfs_proto.vers ~proc:Nfs_proto.proc_read
+        (Xdr.encode Nfs_proto.enc_read_args (h, off, count))
     in
     let info =
       {
@@ -291,23 +295,17 @@ let conn_pipeline ?obs ?(window = 16) ?(depth = 16) (net : Simnet.t)
         ci_span = os;
       }
     in
-    match Rpc_mux.submit ~info mux ~wire_bytes:(String.length msg) msg with
-    | ticket ->
-        Some
-          (fun () ->
-            let reply = Rpc_mux.await mux ticket in
-            match Sunrpc.msg_of_string reply with
-            | Ok (Sunrpc.Reply r) when r.Sunrpc.reply_xid = this_xid || r.Sunrpc.reply_xid = 0 -> (
-                match r.Sunrpc.body with
-                | Sunrpc.Success results -> (
-                    (* Slice decode: the block cache keeps a view into
-                       [results] instead of a copied-out string. *)
-                    match Xdr.run results (Nfs_proto.dec_res Nfs_proto.dec_read_ok_slice) with
-                    | Ok v -> v
-                    | Result.Error e -> raise (Rpc_failure ("unparsable result: " ^ e)))
-                | _ -> raise (Rpc_failure "pipelined read rejected"))
-            | _ -> raise (Rpc_failure "pipelined read: bad reply"))
-    | exception Simnet.Timeout -> None
+    let ticket = Rpc_mux.submit ~info mux ~wire_bytes:(String.length msg) msg in
+    Some
+      (fun () ->
+        match reply_results ~xid (Rpc_mux.await mux ticket) with
+        | Ok results -> (
+            (* Slice decode: the block cache keeps a view into
+               [results] instead of a copied-out string. *)
+            match Xdr.run results (Nfs_proto.dec_res Nfs_proto.dec_read_ok_slice) with
+            | Ok v -> v
+            | Result.Error e -> raise (Rpc_failure ("unparsable result: " ^ e)))
+        | Error (`Retry why | `Fail why) -> raise (Rpc_failure ("pipelined read: " ^ why)))
   in
   { Fs_intf.pl_depth = depth; pl_submit }
 
@@ -315,27 +313,29 @@ let conn_pipeline ?obs ?(window = 16) ?(depth = 16) (net : Simnet.t)
    its export; [window]/[readahead] > trivial also build the pipelined
    read path for the caching layer. *)
 let mount_pipelined ?retry ?obs ?(window = 1) ?(readahead = 0) (net : Simnet.t)
-    ~(from_host : string) ~(addr : string) ~(proto : Sfs_net.Costmodel.transport_proto)
+    ~(from_host : string) ~(addr : string) ~(proto : Costmodel.transport_proto)
     ~(cred : Simos.cred) : Fs_intf.ops * Fs_intf.pipeline option =
   let conn = Simnet.connect net ~from_host ~addr ~port:2049 ~proto in
-  let t = of_conn ?retry ?obs ~machine:from_host conn in
-  let root = mount_root t ~cred in
+  let root =
+    (* sfslint: allow SL010 — the MOUNT handshake is serial by design; data calls ride Rpc_mux *)
+    mount_root (create ?retry ?obs ~machine:from_host (fun bytes -> Simnet.call conn bytes)) ~cred
+  in
   let costs = Simnet.costs net in
   let stall =
     match proto with
-    | Sfs_net.Costmodel.Udp -> fun _ -> ()
-    | Sfs_net.Costmodel.Tcp ->
+    | Costmodel.Udp -> fun _ -> ()
+    | Costmodel.Tcp ->
         fun bytes ->
-          if bytes > costs.Sfs_net.Costmodel.mss_bytes then
-            Sfs_net.Simclock.advance (Simnet.clock net) costs.Sfs_net.Costmodel.nfs_tcp_stall_us
+          if bytes > costs.Costmodel.mss_bytes then
+            Sfs_net.Simclock.advance (Simnet.clock net) costs.Costmodel.nfs_tcp_stall_us
   in
   let pipeline =
     if window > 1 && readahead > 0 then
       Some (conn_pipeline ?obs ~window ~depth:readahead net ~proto ~machine:from_host conn)
     else None
   in
-  (conn_ops ~stall ?retry ?obs ~machine:from_host conn ~root, pipeline)
+  (conn_ops ~stall ?retry ?obs net ~proto ~machine:from_host conn ~root, pipeline)
 
 let mount ?retry (net : Simnet.t) ~(from_host : string) ~(addr : string)
-    ~(proto : Sfs_net.Costmodel.transport_proto) ~(cred : Simos.cred) : Fs_intf.ops =
+    ~(proto : Costmodel.transport_proto) ~(cred : Simos.cred) : Fs_intf.ops =
   fst (mount_pipelined ?retry net ~from_host ~addr ~proto ~cred)

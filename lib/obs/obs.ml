@@ -60,6 +60,16 @@ type cp_sample = {
   cp_crypto_down_ctr : int;
 }
 
+(* A retained sample, stored compactly: a registry keeps up to
+   [max_spans] of them, so the segment values sit unboxed in one float
+   array and the names array is reused from the previous sample
+   whenever the layout repeats. *)
+type cp_stored = {
+  cs_sample : cp_sample; (* with [cp_segments = []] *)
+  cs_names : string array;
+  cs_values : float array;
+}
+
 type registry = {
   now_us : unit -> float;
   max_spans : int;
@@ -74,7 +84,8 @@ type registry = {
   mutable next_span : int;
   mutable next_trace : int;
   mutable ctx_stack : frame list;
-  mutable cps : cp_sample list; (* newest first *)
+  mutable cps : cp_stored list; (* newest first *)
+  mutable cp_names : string array; (* the last stored layout *)
   mutable cp_count : int;
   mutable dropped_cps : int;
 }
@@ -93,6 +104,7 @@ let create ?(max_spans = 200_000) ~(now_us : unit -> float) () : registry =
     next_trace = 1;
     ctx_stack = [];
     cps = [];
+    cp_names = [||];
     cp_count = 0;
     dropped_cps = 0;
   }
@@ -328,6 +340,8 @@ let span_end ?(args = []) ?end_us (os : open_span) : unit =
 let open_ctx (os : open_span) : ctx option =
   if os.os_trace > 0 then Some { cx_trace = os.os_trace; cx_span = os.os_sid } else None
 
+let open_registry (os : open_span) : registry option = os.os_reg
+
 let spans (r : registry) : span list = List.rev r.spans
 let dropped_spans (r : registry) : int = r.dropped_spans
 
@@ -339,11 +353,31 @@ let cp_record (r : registry option) (s : cp_sample) : unit =
   | Some r ->
       if r.cp_count >= r.max_spans then r.dropped_cps <- r.dropped_cps + 1
       else begin
-        r.cps <- s :: r.cps;
+        let segs = s.cp_segments in
+        let rec same_layout i = function
+          | [] -> i = Array.length r.cp_names
+          | (k, _) :: rest ->
+              i < Array.length r.cp_names
+              && String.equal k r.cp_names.(i)
+              && same_layout (i + 1) rest
+        in
+        if not (same_layout 0 segs) then r.cp_names <- Array.of_list (List.map fst segs);
+        let values = Array.make (Array.length r.cp_names) 0.0 in
+        List.iteri (fun i (_, v) -> values.(i) <- v) segs;
+        r.cps <-
+          { cs_sample = { s with cp_segments = [] }; cs_names = r.cp_names; cs_values = values }
+          :: r.cps;
         r.cp_count <- r.cp_count + 1
       end
 
-let cp_samples (r : registry) : cp_sample list = List.rev r.cps
+let cp_samples (r : registry) : cp_sample list =
+  List.rev_map
+    (fun st ->
+      {
+        st.cs_sample with
+        cp_segments = List.combine (Array.to_list st.cs_names) (Array.to_list st.cs_values);
+      })
+    r.cps
 
 (* -- snapshots ------------------------------------------------------- *)
 
@@ -554,7 +588,7 @@ let jsonl_into (buf : Buffer.t) (r : registry) : unit =
            "{\"type\":\"critical_path\",\"op\":\"%s\",\"trace\":%d,\"span\":%d,\"ts\":%s,\"wall\":%s,\"segments\":{%s}}\n"
            (json_escape cp.cp_op) cp.cp_trace cp.cp_span (us cp.cp_start_us) (us cp.cp_wall_us)
            (String.concat "," segs)))
-    (List.rev r.cps)
+    (cp_samples r)
 
 let jsonl (r : registry) : string =
   let buf = Buffer.create 4096 in

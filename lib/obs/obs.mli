@@ -112,6 +112,10 @@ val span_end : ?args:(string * string) list -> ?end_us:float -> open_span -> uni
 val open_ctx : open_span -> ctx option
 (** The context of an open span, to piggyback on its own RPC. *)
 
+val open_registry : open_span -> registry option
+(** The registry the span records into: where samples about the op it
+    brackets belong ([None] for a span begun without one). *)
+
 val spans : registry -> span list
 (** Completed spans in completion order. *)
 

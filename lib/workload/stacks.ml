@@ -80,15 +80,16 @@ let arm_faults (w : world) (spec : Fault.spec) : unit =
 let disarm_faults (w : world) : unit = Simnet.set_injector w.net None
 
 (* A fixed small key size keeps world construction fast; the crypto
-   micro-benchmarks measure the full-size primitives separately.
+   micro-benchmarks measure the full-size primitives separately. *)
+let key_bits = 512
 
-   [rpc_window]/[readahead] select the pipelined dispatch path (DESIGN.md
+(* [rpc_window]/[readahead] select the pipelined dispatch path (DESIGN.md
    §11) on the remote stacks: windowed in-flight RPCs with sequential-read
    readahead, plus write-behind gathering on the SFS stacks.  The defaults
    model the paper's async clients; pass [~rpc_window:1 ~readahead:0] for
    the fully serial lockstep client (the equivalence tests' baseline). *)
-let make ?fault ?(key_bits = 512) ?(server_disk_params = Diskmodel.default_params)
-    ?(costs = Costmodel.default) ?(rpc_window = 16) ?readahead (stack : stack) : world =
+let make ?fault ?(server_disk_params = Diskmodel.default_params) ?(rpc_window = 16) ?readahead
+    (stack : stack) : world =
   let rpc_window = max 1 rpc_window in
   let readahead = match readahead with Some r -> max 0 r | None -> rpc_window in
   let clock = Simclock.create () in
@@ -96,7 +97,7 @@ let make ?fault ?(key_bits = 512) ?(server_disk_params = Diskmodel.default_param
      Everything below it keys its spans and counters to the simulated
      clock, so two identical runs export byte-identical traces. *)
   let obs = Obs.create ~now_us:(fun () -> Simclock.now_us clock) () in
-  let net = Simnet.create ~costs ~obs clock in
+  let net = Simnet.create ~obs clock in
   let server_host = Simnet.add_host net server_location in
   let _client_h = Simnet.add_host net client_host in
   let now () = Nfs_types.time_of_us (Simclock.now_us clock) in

@@ -45,16 +45,14 @@ val client_host : string
 
 val make :
   ?fault:Sfs_fault.Fault.spec ->
-  ?key_bits:int ->
   ?server_disk_params:Diskmodel.params ->
-  ?costs:Costmodel.t ->
   ?rpc_window:int ->
   ?readahead:int ->
   stack ->
   world
-(** Build a ready world: server with a world-writable /bench, client
-    machine, and (for SFS stacks) keys, authserv, agent and a primed
-    authenticated mount.  [fault] arms a fault plan on the network
+(** Build a ready world over {!Costmodel.default}: server with a
+    world-writable /bench, client machine, and (for SFS stacks) 512-bit
+    keys, authserv, agent and a primed authenticated mount.  [fault] arms a fault plan on the network
     {e after} construction and priming (construction always runs
     clean).  [rpc_window] (default 16) and [readahead] (default
     [rpc_window]) configure the pipelined RPC dispatcher on the remote

@@ -166,6 +166,111 @@ let test_crash_recovery () =
   Testkit.check_bool "post-crash writes survived" true
     (contains "bench/during" && contains "bench/during/f")
 
+(* --- Serial SFS calls recover through the window-1 mux --- *)
+
+module Simnet = Sfs_net.Simnet
+module Client = Sfs_core.Client
+
+(* A fully serial SFS world whose client connections all carry one tap.
+   The primed mount is dropped first, so the remount (and every later
+   reconnection) dials under the tap.  [arm dir f] makes the tap apply
+   [f] to the next message in [dir] only; everything else passes. *)
+let tapped_serial_world () =
+  let w = Stacks.make ~rpc_window:1 ~readahead:0 Stacks.Sfs in
+  let client = Option.get w.Stacks.sfs_client in
+  List.iter (Client.unmount client) (Client.mounts client);
+  let tap = Simnet.passive_tap () in
+  Simnet.set_default_tap w.Stacks.net (Some tap);
+  (match Vfs.stat w.Stacks.vfs w.Stacks.cred w.Stacks.workdir with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "remount: %s" (Vfs.verror_to_string e));
+  let m = List.hd (Client.mounts client) in
+  let arm dir f =
+    tap.Simnet.on_message <-
+      (fun d msg ->
+        if d <> dir then Simnet.Pass
+        else begin
+          tap.Simnet.on_message <- (fun _ _ -> Simnet.Pass);
+          f msg
+        end)
+  in
+  (w, tap, m, arm)
+
+(* One uncached GETATTR of the mount's root: exactly one serial RPC. *)
+let getattr_root (w : Stacks.world) (m : Client.mount) : unit =
+  Cachefs.invalidate_all (Client.cache m);
+  let ops = Client.ops m in
+  match ops.Sfs_nfs.Fs_intf.fs_getattr w.Stacks.cred ops.Sfs_nfs.Fs_intf.fs_root with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "getattr: %s" (Sfs_nfs.Nfs_types.status_to_string e)
+
+let getattr_samples (w : Stacks.world) : int =
+  List.length (List.filter (fun s -> s.Obs.cp_op = "getattr") (Obs.cp_samples w.Stacks.obs))
+
+let test_serial_mac_mismatch () =
+  let w, _, m, arm = tapped_serial_world () in
+  let samples0 = getattr_samples w in
+  (* Flip a bit of the reply's MAC tag: the frame stays well-formed. *)
+  arm Simnet.To_client (fun msg ->
+      let b = Bytes.of_string msg in
+      let i = Bytes.length b - 1 in
+      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1));
+      Simnet.Replace (Bytes.to_string b));
+  getattr_root w m;
+  Testkit.check_int "mac mismatch counted" 1 (Obs.counter w.Stacks.obs "recover.mac_mismatch");
+  Testkit.check_int "no replay counted" 0 (Obs.counter w.Stacks.obs "recover.replay");
+  Testkit.check_int "one reconnect" 1 (Obs.counter w.Stacks.obs "recover.reconnect");
+  Testkit.check_int "only the good attempt sampled" 1 (getattr_samples w - samples0)
+
+let test_serial_replay () =
+  let w, tap, m, arm = tapped_serial_world () in
+  (* Answer with the previous reply again: the receive stream has moved
+     on, so it no longer decrypts to a sane frame. *)
+  let previous =
+    match List.find_opt (fun (d, _) -> d = Simnet.To_client) tap.Simnet.observed with
+    | Some (_, msg) -> msg
+    | None -> Alcotest.fail "no earlier reply to replay"
+  in
+  arm Simnet.To_client (fun _ -> Simnet.Replace previous);
+  getattr_root w m;
+  Testkit.check_int "replay counted" 1 (Obs.counter w.Stacks.obs "recover.replay");
+  Testkit.check_int "no mac mismatch counted" 0 (Obs.counter w.Stacks.obs "recover.mac_mismatch");
+  Testkit.check_int "one reconnect" 1 (Obs.counter w.Stacks.obs "recover.reconnect")
+
+(* A lost request charges nothing past the client's own work before the
+   send: the failed attempt's span lasts exactly as long as the
+   successful retry's client-side segments, and the retry starts no
+   sooner than one backoff later. *)
+let test_serial_drop_charges_nothing () =
+  let w, _, m, arm = tapped_serial_world () in
+  arm Simnet.To_server (fun _ -> Simnet.Drop);
+  getattr_root w m;
+  Testkit.check_int "one retry" 1 (Obs.counter w.Stacks.obs "recover.rpc_retry");
+  (* The client's per-attempt spans, children of the cache's op root. *)
+  let attempts =
+    List.filter
+      (fun s -> s.Obs.sp_cat = "op" && s.Obs.sp_name = "getattr" && s.Obs.sp_parent <> 0)
+      (Obs.spans w.Stacks.obs)
+  in
+  let failed, retry =
+    match List.rev attempts with
+    | retry :: failed :: _ -> (failed, retry)
+    | _ -> Alcotest.fail "expected a failed attempt and its retry"
+  in
+  let sample =
+    match List.rev (Obs.cp_samples w.Stacks.obs) with
+    | s :: _ when s.Obs.cp_op = "getattr" -> s
+    | _ -> Alcotest.fail "retry not sampled"
+  in
+  let before_send =
+    List.assoc "client" sample.Obs.cp_segments +. List.assoc "crypto_up" sample.Obs.cp_segments
+  in
+  Alcotest.(check (float 1e-6)) "failed attempt charged only pre-send work" before_send
+    failed.Obs.sp_dur_us;
+  let failed_end = failed.Obs.sp_start_us +. failed.Obs.sp_dur_us in
+  Testkit.check_bool "retry waits out the backoff" true
+    (retry.Obs.sp_start_us -. failed_end >= 50_000.0)
+
 (* --- The oracle property --- *)
 
 (* Derive a whole scenario (stack, rates, optional crash window, ops)
@@ -276,5 +381,9 @@ let suite =
       Alcotest.test_case "same-seed ledger determinism" `Quick test_ledger_determinism;
       Alcotest.test_case "retransmit cache absorbs duplicates" `Quick test_retransmit_cache;
       Alcotest.test_case "crash window: reconnect + reauth" `Quick test_crash_recovery;
+      Alcotest.test_case "serial reply MAC mismatch recovers" `Quick test_serial_mac_mismatch;
+      Alcotest.test_case "serial replayed reply recovers" `Quick test_serial_replay;
+      Alcotest.test_case "serial dropped request charges nothing" `Quick
+        test_serial_drop_charges_nothing;
     ]
     @ Testkit.to_alcotest [ oracle_prop; pipeline_equiv_prop; pipeline_fault_oracle_prop ] )

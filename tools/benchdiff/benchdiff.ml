@@ -28,7 +28,16 @@
 
    Rows present on only one side are reported but never fail the gate:
    adding a figure or renaming a row is an intentional, reviewable
-   change, and the byte-diff gate flags it anyway. *)
+   change, and the byte-diff gate flags it anyway.
+
+   Before the gates, a drift report names every simulated-figure cell
+   and every critical-path op whose value moved at all, e.g.
+
+     [drift] faults/sfs-mab-drop1-delay50#seconds: 9.161 -> 9.075
+     [drift] scale/scale/serial/1/write/wb: wall_us 299.598 -> 311.745, p50_us 303 -> 319
+
+   so a one-cell move is named instead of surfacing as a whole-figure
+   JSON line in the byte-diff.  The report never fails the gate. *)
 
 let throughput_drop_tolerance = 0.10
 let p99_inflation_tolerance = 0.15
@@ -207,11 +216,17 @@ type metrics = {
   p99 : (string * float) list;
   ns : (string * float) list;
   alloc : (string * float) list;
+  cells : (string * float) list; (* every simulated-figure row value, "figure/system#header" *)
+  cp_ops : (string * (string * float) list) list;
+      (* "figure/label/op" -> its count, wall time and quantiles *)
 }
+
+let cp_fields = [ "count"; "wall_us"; "p50_us"; "p95_us"; "p99_us" ]
 
 let metrics_of_file (path : string) : metrics =
   let ic = open_in path in
   let thr = ref [] and p99 = ref [] and ns = ref [] and alloc = ref [] in
+  let cells = ref [] and cp_ops = ref [] in
   (try
      while true do
        let line = input_line ic in
@@ -263,10 +278,12 @@ let metrics_of_file (path : string) : metrics =
                    List.iteri
                      (fun i v ->
                        match List.nth_opt headers i with
-                       | Some h
-                         when String.length h >= 10 && String.sub h 0 10 = "throughput" ->
-                           thr := (Printf.sprintf "%s/%s#%s" fig system h, v) :: !thr
-                       | _ -> ())
+                       | Some h ->
+                           let key = Printf.sprintf "%s/%s#%s" fig system h in
+                           cells := (key, v) :: !cells;
+                           if String.length h >= 10 && String.sub h 0 10 = "throughput" then
+                             thr := (key, v) :: !thr
+                       | None -> ())
                      values)
                  rows
            | _ -> ());
@@ -278,10 +295,17 @@ let metrics_of_file (path : string) : metrics =
                    | Obj ops ->
                        List.iter
                          (fun (op, agg) ->
-                           match member "p99_us" agg with
-                           | Some (Num v) ->
-                               p99 := (Printf.sprintf "%s/%s/%s" fig label op, v) :: !p99
-                           | _ -> ())
+                           let key = Printf.sprintf "%s/%s/%s" fig label op in
+                           let fields =
+                             List.filter_map
+                               (fun f ->
+                                 match member f agg with Some (Num v) -> Some (f, v) | _ -> None)
+                               cp_fields
+                           in
+                           cp_ops := (key, fields) :: !cp_ops;
+                           match List.assoc_opt "p99_us" fields with
+                           | Some v -> p99 := (key, v) :: !p99
+                           | None -> ())
                          ops
                    | _ -> ())
                  labels
@@ -291,7 +315,48 @@ let metrics_of_file (path : string) : metrics =
      done
    with End_of_file -> ());
   close_in ic;
-  { thr = List.rev !thr; p99 = List.rev !p99; ns = List.rev !ns; alloc = List.rev !alloc }
+  {
+    thr = List.rev !thr;
+    p99 = List.rev !p99;
+    ns = List.rev !ns;
+    alloc = List.rev !alloc;
+    cells = List.rev !cells;
+    cp_ops = List.rev !cp_ops;
+  }
+
+(* The drift report: every matched cell or critical-path op whose
+   value moved, however little.  Report only — the gates below and the
+   byte-diff decide. *)
+let report_drift (base : metrics) (cur : metrics) : int =
+  let num v = if Float.is_integer v then Printf.sprintf "%.0f" v else Printf.sprintf "%.3f" v in
+  let moved = ref 0 in
+  List.iter
+    (fun (key, b) ->
+      match List.assoc_opt key cur.cells with
+      | Some c when c <> b ->
+          incr moved;
+          Printf.printf "  [drift] %s: %.3f -> %.3f\n" key b c
+      | _ -> ())
+    base.cells;
+  List.iter
+    (fun (key, bf) ->
+      match List.assoc_opt key cur.cp_ops with
+      | None -> ()
+      | Some cf ->
+          let changes =
+            List.filter_map
+              (fun (f, b) ->
+                match List.assoc_opt f cf with
+                | Some c when c <> b -> Some (Printf.sprintf "%s %s -> %s" f (num b) (num c))
+                | _ -> None)
+              bf
+          in
+          if changes <> [] then begin
+            incr moved;
+            Printf.printf "  [drift] %s: %s\n" key (String.concat ", " changes)
+          end)
+    base.cp_ops;
+  !moved
 
 let load_allowlist (path : string option) : string list =
   match path with
@@ -350,6 +415,7 @@ let () =
   in
   let base = metrics_of_file baseline and cur = metrics_of_file current in
   let allow = load_allowlist !allow_file in
+  let drifted = report_drift base cur in
   let failures = ref 0 and compared = ref 0 and waivers = ref 0 in
   let check ~(kind : string) ~(worse : float -> float -> bool) ~(tolerance : float)
       (base_kv : (string * float) list) (cur_kv : (string * float) list) : unit =
@@ -418,6 +484,6 @@ let () =
   check ~kind:"ns_per_op"
     ~worse:(fun b c -> c /. ns_norm > b *. (1.0 +. crypto_ns_backstop_tolerance))
     ~tolerance:crypto_ns_backstop_tolerance base.ns cur.ns;
-  Printf.printf "benchdiff: %d metric(s) compared, %d failure(s), %d waiver(s)\n" !compared
-    !failures !waivers;
+  Printf.printf "benchdiff: %d metric(s) compared, %d drifted, %d failure(s), %d waiver(s)\n"
+    !compared drifted !failures !waivers;
   if !failures > 0 then exit 1
