@@ -811,6 +811,16 @@ let crypto () =
            (an even modulus would fall back to the reference path). *)
         let m = modexp_operand 'M' in
         fun () -> ignore (Sfs_bignum.Nat.modexp ~base:b ~exp:e ~modulus:m) );
+      (* Long division at the width Rabin reduces a product by its
+         modulus: the kernel under every [Nat.rem]. *)
+      ( "nat-divmod-1024/512",
+        let a = Sfs_bignum.Nat.of_bytes_be (String.make 128 'A') and b = modexp_operand 'D' in
+        fun () -> ignore (Sfs_bignum.Nat.divmod a b) );
+      (* One 512-bit key from a fixed seed, so every op runs the same
+         prime search: trial division, Miller-Rabin, the modulus. *)
+      ( "rabin-512-generate",
+        fun () ->
+          ignore (Sfs_crypto.Rabin.generate ~bits:512 (Sfs_crypto.Prng.create [ "bench-rabin-generate" ])) );
       ("rabin-sign", fun () -> ignore (Sfs_crypto.Rabin.sign key512 "benchmark message"));
       ( "rabin-verify",
         let s = Sfs_crypto.Rabin.sign key512 "benchmark message" in

@@ -75,20 +75,6 @@ let sqrt_3mod4 ~(x : Nat.t) ~(p : Nat.t) : Nat.t option =
   let r = Nat.modexp ~base:x ~exp:e ~modulus:p in
   if Nat.equal (Nat.rem (Nat.mul r r) p) (Nat.rem x p) then Some r else None
 
-(* Chinese remainder theorem for two coprime moduli. *)
-let crt ~(r1 : Nat.t) ~(m1 : Nat.t) ~(r2 : Nat.t) ~(m2 : Nat.t) : Nat.t =
-  match inverse ~x:m1 ~modulus:m2 with
-  | None -> invalid_arg "Modarith.crt: moduli not coprime"
-  | Some m1_inv ->
-      (* x = r1 + m1 * ((r2 - r1) * m1^-1 mod m2) *)
-      let diff =
-        if Nat.compare r2 r1 >= 0 then Nat.rem (Nat.sub r2 r1) m2
-        else Nat.sub m2 (Nat.rem (Nat.sub r1 r2) m2)
-      in
-      let diff = Nat.rem diff m2 in
-      let h = Nat.rem (Nat.mul diff m1_inv) m2 in
-      Nat.add r1 (Nat.mul m1 h)
-
 let mulmod a b m = Nat.rem (Nat.mul a b) m
 
 let submod a b m =
@@ -100,3 +86,8 @@ let addmod a b m = Nat.rem (Nat.add a b) m
 let negmod a m =
   let a = Nat.rem a m in
   if Nat.is_zero a then Nat.zero else Nat.sub m a
+
+(* Chinese remainder theorem for two coprime moduli, given the CRT
+   coefficient m1⁻¹ mod m2: x = r1 + m1·((r2 - r1)·m1⁻¹ mod m2). *)
+let crt ~(m1_inv : Nat.t) ~(r1 : Nat.t) ~(m1 : Nat.t) ~(r2 : Nat.t) ~(m2 : Nat.t) : Nat.t =
+  Nat.add r1 (Nat.mul m1 (mulmod (submod r2 r1 m2) m1_inv m2))

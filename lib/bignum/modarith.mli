@@ -1,10 +1,5 @@
 (** Modular arithmetic: inverses, Jacobi symbols, square roots, CRT. *)
 
-type sign = Pos | Neg
-
-val egcd : Nat.t -> Nat.t -> Nat.t * Nat.t * sign
-(** [egcd a b] is [(g, s, sign)] with [sign·s·a ≡ g (mod b)]. *)
-
 val inverse : x:Nat.t -> modulus:Nat.t -> Nat.t option
 (** Modular inverse, [None] when [gcd x modulus <> 1]. *)
 
@@ -16,9 +11,11 @@ val sqrt_3mod4 : x:Nat.t -> p:Nat.t -> Nat.t option
 (** Square root of [x] modulo a prime [p ≡ 3 (mod 4)]; [None] when [x] is
     not a quadratic residue. *)
 
-val crt : r1:Nat.t -> m1:Nat.t -> r2:Nat.t -> m2:Nat.t -> Nat.t
-(** The unique [x < m1·m2] with [x ≡ r1 (mod m1)] and [x ≡ r2 (mod m2)].
-    @raise Invalid_argument when the moduli share a factor. *)
+val crt : m1_inv:Nat.t -> r1:Nat.t -> m1:Nat.t -> r2:Nat.t -> m2:Nat.t -> Nat.t
+(** The unique [x < m1·m2] with [x ≡ r1 (mod m1)] and [x ≡ r2 (mod m2)],
+    for [r1 < m1] and coprime moduli.  [m1_inv] is the CRT coefficient
+    [m1⁻¹ mod m2] (see {!inverse}); callers combining many residue pairs
+    over one pair of moduli compute it once. *)
 
 val mulmod : Nat.t -> Nat.t -> Nat.t -> Nat.t
 val addmod : Nat.t -> Nat.t -> Nat.t -> Nat.t

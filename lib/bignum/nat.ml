@@ -180,11 +180,35 @@ let shift_right (a : t) (bits : int) : t =
     end
   end
 
-(* Knuth algorithm D long division, on half-limbs packed into full limbs.
-   We instead use a simpler normalized schoolbook division on 26-bit limbs:
-   estimate each quotient limb from the top two dividend limbs divided by
-   the top divisor limb (after normalizing so the divisor's top bit is
-   set), then correct by at most two decrements. *)
+(* Left shift by [bits] < limb_bits into [dst]; a carry out of the top
+   limb lands one limb past it, where [dst] must then have room. *)
+let shift_left_into (src : t) (bits : int) (dst : int array) : unit =
+  let carry = ref 0 in
+  for i = 0 to Array.length src - 1 do
+    let x = (src.(i) lsl bits) lor !carry in
+    dst.(i) <- x land limb_mask;
+    carry := x lsr limb_bits
+  done;
+  if !carry <> 0 then dst.(Array.length src) <- !carry
+
+(* x[0 .. n) ← x[0 .. n) >> s; returns the new normalized length. *)
+let shift_right_in_place (x : int array) (n : int) (s : int) : int =
+  let limbs = s / limb_bits and off = s mod limb_bits in
+  let m = n - limbs in
+  for i = 0 to m - 1 do
+    let hi = if i + limbs + 1 < n then (x.(i + limbs + 1) lsl (limb_bits - off)) land limb_mask else 0 in
+    x.(i) <- (x.(i + limbs) lsr off) lor hi
+  done;
+  let m = ref m in
+  while !m > 0 && x.(!m - 1) = 0 do decr m done;
+  !m
+
+(* Knuth's algorithm D (TAOCP vol. 2, §4.3.1), in place on one normalized
+   copy of each operand.  Shifting both so the divisor's top limb has its
+   high bit set makes the estimate q̂ = ⌊(u_top·base + u_next) / v_top⌋
+   at most two too large; refining it against the divisor's top two
+   limbs leaves it at most one too large, and that rare case is undone
+   by a single add-back after the multiply-subtract. *)
 let divmod (a : t) (b : t) : t * t =
   if is_zero b then raise Division_by_zero;
   if compare a b < 0 then (zero, a)
@@ -202,46 +226,67 @@ let divmod (a : t) (b : t) : t * t =
     (normalize q, of_int !r)
   end
   else begin
-    (* Normalize so divisor's top limb has its high bit set. *)
-    let shift = limb_bits - (num_bits b - ((Array.length b - 1) * limb_bits)) in
-    let u = shift_left a shift and v = shift_left b shift in
-    let nv = Array.length v in
-    let top = v.(nv - 1) in
-    let rem = ref u in
-    let nq = Array.length u - nv + 1 in
-    let q = Array.make (max nq 1) 0 in
-    for j = nq - 1 downto 0 do
-      let r = !rem in
-      let nr = Array.length r in
-      (* Estimate q_j = floor(rem / (v << j*limb)) from leading limbs. *)
-      let r_at i = if i >= 0 && i < nr then r.(i) else 0 in
-      let hi = r_at (j + nv) and lo = r_at (j + nv - 1) in
-      let qhat = ref (((hi lsl limb_bits) lor lo) / top) in
-      if !qhat > limb_mask then qhat := limb_mask;
-      let vj = shift_limbs v j in
-      if !qhat > 0 then begin
-        (* Correct an overestimate by walking the product down one
-           [v << j] per decrement — O(n) per step instead of
-           re-materialising the full qhat * v product each time. *)
-        let prod = ref (shift_limbs (mul_schoolbook v (of_int !qhat)) j) in
-        while compare !prod r > 0 do
-          decr qhat;
-          prod := sub !prod vj
-        done;
-        rem := sub r !prod
-      end;
-      (* After estimation the remainder may still admit one more v<<j. *)
-      while compare !rem vj >= 0 do
-        incr qhat;
-        rem := sub !rem vj
+    let na = Array.length a and nb = Array.length b in
+    let shift = limb_bits - (num_bits b - ((nb - 1) * limb_bits)) in
+    let u = Array.make (na + 1) 0 and v = Array.make nb 0 in
+    shift_left_into a shift u;
+    shift_left_into b shift v;
+    let vtop = v.(nb - 1) and vnext = v.(nb - 2) in
+    let q = Array.make (na - nb + 1) 0 in
+    for j = na - nb downto 0 do
+      let num = (u.(j + nb) lsl limb_bits) lor u.(j + nb - 1) in
+      let qhat = ref (num / vtop) and rhat = ref (num mod vtop) in
+      while
+        !rhat < limb_base
+        && (!qhat > limb_mask || !qhat * vnext > (!rhat lsl limb_bits) lor u.(j + nb - 2))
+      do
+        decr qhat;
+        rhat := !rhat + vtop
       done;
+      (* u[j .. j+nb] -= q̂·v *)
+      let carry = ref 0 and borrow = ref 0 in
+      for i = 0 to nb - 1 do
+        let p = (!qhat * v.(i)) + !carry in
+        carry := p lsr limb_bits;
+        let d = u.(i + j) - (p land limb_mask) - !borrow in
+        u.(i + j) <- d land limb_mask;
+        borrow := if d < 0 then 1 else 0
+      done;
+      let d = u.(j + nb) - !carry - !borrow in
+      if d >= 0 then u.(j + nb) <- d
+      else begin
+        (* q̂ was one too large: add v back; the carry out of the top
+           limb cancels the borrow. *)
+        decr qhat;
+        let c = ref 0 in
+        for i = 0 to nb - 1 do
+          let s = u.(i + j) + v.(i) + !c in
+          u.(i + j) <- s land limb_mask;
+          c := s lsr limb_bits
+        done;
+        u.(j + nb) <- (d + !c) land limb_mask
+      end;
       q.(j) <- !qhat
     done;
-    (normalize q, shift_right !rem shift)
+    (* The remainder is u[0 .. nb-1], still shifted. *)
+    let nr = shift_right_in_place u nb shift in
+    (normalize q, Array.sub u 0 nr)
   end
 
 let div a b = fst (divmod a b)
 let rem a b = snd (divmod a b)
+
+(* [r·base + limb] stays below 2^62 while r < 2^36. *)
+let rem_int_limit = 1 lsl 36
+
+let rem_int (a : t) (d : int) : int =
+  if d = 0 then raise Division_by_zero;
+  if d < 0 || d > rem_int_limit then invalid_arg "Nat.rem_int";
+  let r = ref 0 in
+  for i = Array.length a - 1 downto 0 do
+    r := ((!r lsl limb_bits) lor a.(i)) mod d
+  done;
+  !r
 
 (* Right-to-left binary exponentiation with a full division per step.
    Kept as the oracle the Montgomery path is equivalence-tested against,
@@ -262,71 +307,69 @@ let modexp_reference ~(base : t) ~(exp : t) ~(modulus : t) : t =
 
 (* --- Montgomery exponentiation (DESIGN.md §14) ---
 
-   For an odd k-limb modulus m, work in the residue ring scaled by
-   R = base^k: a Montgomery value ā = a·R mod m.  REDC(T) = T·R⁻¹ mod m
-   costs two k-limb multiplies (which [mul] runs through Karatsuba above
-   the threshold) and replaces the full division of [modexp_reference]'s
-   every step.  m' = -m⁻¹ mod R comes from Hensel lifting the one-limb
-   odd inverse, doubling precision each round. *)
+   For an odd k-limb modulus m and R = 2^(26k), the Montgomery form of a
+   is a·R mod m, and a Montgomery product of two such values is
+   a·b·R mod m.  CIOS (coarsely integrated operand scanning) interleaves
+   multiplication and reduction one limb of a at a time: add a_i·b to a
+   (k+2)-limb accumulator t, add u·m with u = t_0·m' mod 2^26 so the low
+   limb becomes zero, and shift t down one limb.  Only the one-limb
+   m' = -m⁻¹ mod 2^26 is needed, and every operand is a fixed-width
+   k-limb buffer. *)
 
-(* Low k limbs of a (a mod base^k), normalized. *)
-let trunc_limbs (a : t) (k : int) : t =
-  if Array.length a <= k then a else normalize (Array.sub a 0 k)
-
-(* Drop the low k limbs of a (a / base^k). *)
-let drop_limbs (a : t) (k : int) : t =
-  let n = Array.length a in
-  if n <= k then zero else Array.sub a k (n - k)
-
-type mont = {
-  mg_m : t; (* the (odd) modulus, k limbs *)
-  mg_k : int;
-  mg_m' : t; (* -m⁻¹ mod base^k *)
-  mg_r2 : t; (* base^2k mod m: the into-Montgomery-form multiplier *)
-  mg_one : t; (* base^k mod m: 1 in Montgomery form *)
-}
-
-(* Hensel lifting: x ≡ m⁻¹ (mod base^j) refines to mod base^2j via
-   x ← x·(2 - m·x).  Seed with the exact inverse mod base (one limb,
-   Newton on native ints), then double until k limbs are valid. *)
-let mont_of_modulus (m : t) : mont =
-  let k = Array.length m in
-  let inv0 =
-    let m0 = m.(0) in
-    let x = ref m0 in
-    (* x ≡ m0⁻¹ mod 2^3 for odd m0; five squarings reach 2^48 > 2^26. *)
-    for _ = 1 to 5 do
-      x := !x * (2 - (m0 * !x)) land limb_mask
-    done;
-    !x land limb_mask
-  in
-  let x = ref (of_int inv0) in
-  let j = ref 1 in
-  while !j < k do
-    j := min (2 * !j) k;
-    let mx = trunc_limbs (mul (trunc_limbs m !j) !x) !j in
-    (* 2 - m·x mod base^j: m·x ≡ 1 mod base^(j/2), so this never hits
-       the degenerate 0 case unless m·x = 1 exactly (then x is done). *)
-    let two_minus =
-      if compare mx two <= 0 then sub two mx
-      else sub (add (shift_limbs one !j) two) mx
-    in
-    x := trunc_limbs (mul !x two_minus) !j
+(* -m0⁻¹ mod 2^26 for odd m0.  x = m0 is already an inverse mod 2^3
+   (odd squares are 1 mod 8), and each Newton step x ← x·(2 - m0·x)
+   doubles the valid bits: 3 → 6 → 12 → 24 → 48.  Products wrap mod
+   2^63, which the final mask makes harmless. *)
+let neg_inv_limb (m0 : int) : int =
+  let x = ref m0 in
+  for _ = 1 to 4 do
+    x := !x * (2 - (m0 * !x)) land limb_mask
   done;
-  let inv = trunc_limbs !x k in
-  (* m' = -m⁻¹ mod base^k *)
-  let m' = if is_zero inv then zero else sub (shift_limbs one k) inv in
-  let r2 = rem (shift_limbs one (2 * k)) m in
-  let one_m = rem (shift_limbs one k) m in
-  { mg_m = m; mg_k = k; mg_m' = m'; mg_r2 = r2; mg_one = one_m }
+  (limb_base - !x) land limb_mask
 
-(* REDC: T < m·base^k  ↦  T·base^-k mod m. *)
-let mont_redc (g : mont) (t : t) : t =
-  let u = trunc_limbs (mul (trunc_limbs t g.mg_k) g.mg_m') g.mg_k in
-  let s = drop_limbs (add t (mul u g.mg_m)) g.mg_k in
-  if compare s g.mg_m >= 0 then sub s g.mg_m else s
-
-let mont_mul (g : mont) (a : t) (b : t) : t = mont_redc g (mul a b)
+(* out ← a·b·R⁻¹ mod m, for k-limb a, b < m.  [t] is k+2 limbs of
+   scratch.  [out] may be [a] or [b]: it is written only after the last
+   read of either, which is what lets the ladder below square in place.
+   Only [modexp] calls this, with every buffer sized from k, so the two
+   inner loops skip bounds checks (a third of the run time). *)
+let mont_mul ~(m : t) ~(m' : int) ~(t : int array) (a : int array) (b : int array) (out : int array) :
+    unit =
+  let k = Array.length m in
+  Array.fill t 0 (k + 2) 0;
+  for i = 0 to k - 1 do
+    let ai = a.(i) in
+    let c = ref 0 in
+    for j = 0 to k - 1 do
+      let v = Array.unsafe_get t j + (ai * Array.unsafe_get b j) + !c in
+      Array.unsafe_set t j (v land limb_mask);
+      c := v lsr limb_bits
+    done;
+    let v = t.(k) + !c in
+    t.(k) <- v land limb_mask;
+    t.(k + 1) <- v lsr limb_bits;
+    let u = t.(0) * m' land limb_mask in
+    let c = ref ((t.(0) + (u * m.(0))) lsr limb_bits) in
+    for j = 1 to k - 1 do
+      let v = Array.unsafe_get t j + (u * Array.unsafe_get m j) + !c in
+      Array.unsafe_set t (j - 1) (v land limb_mask);
+      c := v lsr limb_bits
+    done;
+    let v = t.(k) + !c in
+    t.(k - 1) <- v land limb_mask;
+    t.(k) <- t.(k + 1) + (v lsr limb_bits)
+  done;
+  (* t = t[0 .. k] < 2m: subtract m once if t >= m. *)
+  let i = ref (k - 1) in
+  while !i >= 0 && t.(!i) = m.(!i) do decr i done;
+  if t.(k) <> 0 || !i < 0 || t.(!i) > m.(!i) then begin
+    let borrow = ref 0 in
+    for j = 0 to k - 1 do
+      let d = t.(j) - m.(j) - !borrow in
+      out.(j) <- d land limb_mask;
+      borrow := if d < 0 then 1 else 0
+    done
+  end
+  else Array.blit t 0 out 0 k
 
 (* Sliding-window width by exponent size: 4 covers SRP's 512-bit group,
    5 the 1024-bit-plus Rabin keys; tiny exponents stay binary. *)
@@ -341,45 +384,123 @@ let modexp ~(base : t) ~(exp : t) ~(modulus : t) : t =
     modexp_reference ~base ~exp ~modulus
   else if is_zero exp then one
   else begin
-    let g = mont_of_modulus modulus in
+    let m = modulus in
+    let k = Array.length m in
+    let m' = neg_inv_limb m.(0) in
+    let t = Array.make (k + 2) 0 in
     let w = window_bits (num_bits exp) in
-    let bm = mont_redc g (mul (rem base modulus) g.mg_r2) in
+    (* base·R mod m, zero-padded to k limbs: one division. *)
+    let bm = Array.make k 0 in
+    let b = rem (shift_limbs base k) m in
+    Array.blit b 0 bm 0 (Array.length b);
     (* Odd powers bm^1, bm^3, ... bm^(2^w - 1), in Montgomery form. *)
     let odd = Array.make (1 lsl (w - 1)) bm in
     if w > 1 then begin
-      let b2 = mont_mul g bm bm in
+      let b2 = Array.make k 0 in
+      mont_mul ~m ~m' ~t bm bm b2;
       for i = 1 to Array.length odd - 1 do
-        odd.(i) <- mont_mul g odd.(i - 1) b2
+        odd.(i) <- Array.make k 0;
+        mont_mul ~m ~m' ~t odd.(i - 1) b2 odd.(i)
       done
     end;
-    let result = ref g.mg_one in
+    (* The top bit of exp is set, so the first window seeds [acc]
+       directly instead of squaring R mod m. *)
+    let acc = Array.make k 0 in
+    let seeded = ref false in
     let i = ref (num_bits exp - 1) in
     while !i >= 0 do
       if not (testbit exp !i) then begin
-        result := mont_mul g !result !result;
+        mont_mul ~m ~m' ~t acc acc acc;
         decr i
       end
       else begin
         (* Longest window ending in a set bit, at most w bits. *)
-        let l = max 0 (!i - w + 1) in
-        let l = ref l in
+        let l = ref (max 0 (!i - w + 1)) in
         while not (testbit exp !l) do incr l done;
-        let width = !i - !l + 1 in
         let v = ref 0 in
         for b = !i downto !l do
           v := (!v lsl 1) lor (if testbit exp b then 1 else 0)
         done;
-        for _ = 1 to width do
-          result := mont_mul g !result !result
-        done;
-        result := mont_mul g !result odd.(!v lsr 1);
+        if !seeded then begin
+          for _ = !l to !i do
+            mont_mul ~m ~m' ~t acc acc acc
+          done;
+          mont_mul ~m ~m' ~t acc odd.(!v lsr 1) acc
+        end
+        else begin
+          Array.blit odd.(!v lsr 1) 0 acc 0 k;
+          seeded := true
+        end;
         i := !l - 1
       end
     done;
-    mont_redc g !result
+    (* Out of Montgomery form: one more product, by 1. *)
+    let unit = Array.make k 0 in
+    unit.(0) <- 1;
+    mont_mul ~m ~m' ~t acc unit acc;
+    normalize acc
   end
 
-let rec gcd (a : t) (b : t) : t = if is_zero b then a else gcd b (rem a b)
+(* --- Binary gcd, in place ---
+   The helpers work on a limb buffer and an explicit length, so the
+   loop below runs on two private copies without allocating. *)
+
+(* Trailing zero bits of a nonzero buffer. *)
+let trailing_zeros (x : int array) : int =
+  let i = ref 0 in
+  while x.(!i) = 0 do incr i done;
+  let v = ref x.(!i) and z = ref (!i * limb_bits) in
+  while !v land 1 = 0 do
+    v := !v lsr 1;
+    incr z
+  done;
+  !z
+
+(* x[0 .. nx) ← x - y for x >= y; returns the new normalized length. *)
+let sub_in_place (x : int array) (nx : int) (y : int array) (ny : int) : int =
+  let borrow = ref 0 in
+  for i = 0 to nx - 1 do
+    let d = x.(i) - (if i < ny then y.(i) else 0) - !borrow in
+    x.(i) <- d land limb_mask;
+    borrow := if d < 0 then 1 else 0
+  done;
+  let n = ref nx in
+  while !n > 0 && x.(!n - 1) = 0 do decr n done;
+  !n
+
+(* x[0 .. nx) < y[0 .. ny), both normalized. *)
+let less_in_place (x : int array) (nx : int) (y : int array) (ny : int) : bool =
+  if nx <> ny then nx < ny
+  else begin
+    let i = ref (nx - 1) in
+    while !i >= 0 && x.(!i) = y.(!i) do decr i done;
+    !i >= 0 && x.(!i) < y.(!i)
+  end
+
+(* Stein's algorithm: strip the common power of two, then, with both
+   values odd, subtract the smaller from the larger and shift the
+   zeros out of the difference until it vanishes. *)
+let gcd (a : t) (b : t) : t =
+  if is_zero a then b
+  else if is_zero b then a
+  else begin
+    let za = trailing_zeros a and zb = trailing_zeros b in
+    let u = ref (Array.copy a) and v = ref (Array.copy b) in
+    let nu = ref (shift_right_in_place !u (Array.length a) za) in
+    let nv = ref (shift_right_in_place !v (Array.length b) zb) in
+    while !nv > 0 do
+      if less_in_place !v !nv !u !nu then begin
+        let x = !u and nx = !nu in
+        u := !v;
+        nu := !nv;
+        v := x;
+        nv := nx
+      end;
+      nv := sub_in_place !v !nv !u !nu;
+      if !nv > 0 then nv := shift_right_in_place !v !nv (trailing_zeros !v)
+    done;
+    shift_left (Array.sub !u 0 !nu) (min za zb)
+  end
 
 let of_bytes_be (s : string) : t =
   let n = String.length s in

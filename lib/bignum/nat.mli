@@ -34,26 +34,36 @@ val mul : t -> t -> t
 (** Karatsuba above 32 limbs, schoolbook below. *)
 
 val divmod : t -> t -> t * t
-(** [divmod a b] is [(a / b, a mod b)].
+(** [divmod a b] is [(a / b, a mod b)]: Knuth's algorithm D, in place on
+    one normalized copy of each operand.
     @raise Division_by_zero when [b] is zero. *)
 
 val div : t -> t -> t
 val rem : t -> t -> t
 
+val rem_int : t -> int -> int
+(** [rem_int a d] is [a mod d] for a native [d] in [(0, 2^36]], with no
+    allocation: trial division by small primes runs on it.
+    @raise Division_by_zero when [d] is zero.
+    @raise Invalid_argument when [d] is negative or above [2^36]. *)
+
 val shift_left : t -> int -> t
 val shift_right : t -> int -> t
 
 val modexp : base:t -> exp:t -> modulus:t -> t
-(** Montgomery multiplication with sliding-window exponentiation
-    (window 4–5 at cryptographic sizes): per-modulus precomputed
-    -m⁻¹ mod R and R² replace {!modexp_reference}'s full division per
-    step.  Falls back to the reference path for even moduli. *)
+(** Sliding-window exponentiation (window 4–5 at cryptographic sizes)
+    over CIOS Montgomery products on fixed k-limb buffers: each product
+    interleaves multiply and reduce limb by limb with the one-limb
+    -m⁻¹ mod 2^26, so a whole exponentiation allocates only its
+    window table and a few scratch buffers.  Falls back to
+    {!modexp_reference} for even moduli. *)
 
 val modexp_reference : base:t -> exp:t -> modulus:t -> t
 (** Binary exponentiation with a division per step: the slow, obviously
     correct oracle the Montgomery path is equivalence-tested against. *)
 
 val gcd : t -> t -> t
+(** Binary (Stein) gcd on private copies of the operands; no division. *)
 
 val of_bytes_be : string -> t
 (** Big-endian byte-string interpretation, as protocol fields use. *)

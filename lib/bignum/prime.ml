@@ -23,12 +23,9 @@ let small_primes =
   done;
   !acc
 
+(* A hit is rare, so only then is [n = p] (n itself a small prime) ruled out. *)
 let divisible_by_small_prime (n : Nat.t) : bool =
-  List.exists
-    (fun p ->
-      let p' = Nat.of_int p in
-      (not (Nat.equal n p')) && Nat.is_zero (Nat.rem n p'))
-    small_primes
+  List.exists (fun p -> Nat.rem_int n p = 0 && not (Nat.equal n (Nat.of_int p))) small_primes
 
 (* One Miller-Rabin round with witness [a]. *)
 let miller_rabin_witness (n : Nat.t) (a : Nat.t) : bool =
@@ -103,12 +100,3 @@ let generate ?(congruence : (int * int) option) ~(rand_bits : int -> Nat.t) (bit
     else try_candidate ()
   in
   try_candidate ()
-
-(* Safe prime p = 2q + 1 with q prime, as SRP groups require. *)
-let generate_safe ~(rand_bits : int -> Nat.t) (bits : int) : Nat.t =
-  let rec go () =
-    let q = generate ~rand_bits (bits - 1) in
-    let p = Nat.add (Nat.shift_left q 1) Nat.one in
-    if is_probably_prime ~rounds:16 ~rand_bits p then p else go ()
-  in
-  go ()

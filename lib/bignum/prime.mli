@@ -15,6 +15,3 @@ val generate : ?congruence:int * int -> rand_bits:(int -> Nat.t) -> int -> Nat.t
 (** [generate ~rand_bits bits] draws a random prime of exactly [bits]
     bits.  [~congruence:(r, m)] additionally forces [p ≡ r (mod m)], as
     Rabin-Williams needs [p ≡ 3 (mod 8)] and [q ≡ 7 (mod 8)]. *)
-
-val generate_safe : rand_bits:(int -> Nat.t) -> int -> Nat.t
-(** A safe prime [p = 2q + 1] with [q] prime, as SRP groups require. *)

@@ -120,7 +120,12 @@ let sqrts (sk : priv) (x : Nat.t) : Nat.t list =
   match (Modarith.sqrt_3mod4 ~x:(Nat.rem x sk.p) ~p:sk.p, Modarith.sqrt_3mod4 ~x:(Nat.rem x sk.q) ~p:sk.q) with
   | Some rp, Some rq ->
       let n = sk.pub.n in
-      let combine a b = Modarith.crt ~r1:a ~m1:sk.p ~r2:b ~m2:sk.q in
+      let m1_inv =
+        match Modarith.inverse ~x:sk.p ~modulus:sk.q with
+        | Some v -> v
+        | None -> invalid_arg "Rabin.sqrts: p and q not coprime"
+      in
+      let combine a b = Modarith.crt ~m1_inv ~r1:a ~m1:sk.p ~r2:b ~m2:sk.q in
       let rp' = Modarith.negmod rp sk.p and rq' = Modarith.negmod rq sk.q in
       [ combine rp rq; combine rp rq'; combine rp' rq; combine rp' rq' ]
       |> List.map (fun r -> Nat.rem r n)
@@ -144,11 +149,8 @@ let sign (sk : priv) (message : string) : signature =
   (* Apply the {1,2} tweak to reach Jacobi symbol +1. *)
   let double = Modarith.jacobi m n <> 1 in
   let m1 =
-    if double then
-      match Modarith.inverse ~x:Nat.two ~modulus:n with
-      | Some inv2 -> Modarith.mulmod m inv2 n
-      | None -> assert false (* n is odd *)
-    else m
+    (* n is odd, so 2⁻¹ mod n = (n + 1) / 2. *)
+    if double then Modarith.mulmod m (Nat.shift_right (Nat.add n Nat.one) 1) n else m
   in
   (* Apply the {1,-1} tweak to reach an actual residue. *)
   let negate = not (is_qr_mod (Nat.rem m1 sk.p) sk.p) in

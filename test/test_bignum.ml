@@ -3,6 +3,15 @@ open Sfs_bignum
 let n = Nat.of_string
 let check_nat msg a b = Alcotest.(check string) msg (Nat.to_string a) (Nat.to_string b)
 
+(* Values built limb by limb, for the division and remainder kernels'
+   corner cases.  Limbs are 26 bits wide. *)
+let limb_bits = 26
+let limb_max = (1 lsl limb_bits) - 1
+
+let of_limbs (limbs : int list) : Nat.t =
+  List.fold_left (fun acc l -> Nat.add (Nat.shift_left acc limb_bits) (Nat.of_int l)) Nat.zero
+    (List.rev limbs)
+
 let test_basic_arith () =
   check_nat "add" (n "579") (Nat.add (n "123") (n "456"));
   check_nat "sub" (n "333") (Nat.sub (n "456") (n "123"));
@@ -43,13 +52,23 @@ let test_modexp () =
   (* Fermat: a^(p-1) = 1 mod p *)
   let p = n "1000000007" in
   check_nat "fermat" Nat.one (Nat.modexp ~base:(n "123456") ~exp:(Nat.sub p Nat.one) ~modulus:p);
-  check_nat "mod 1" Nat.zero (Nat.modexp ~base:(n "5") ~exp:(n "5") ~modulus:Nat.one)
+  check_nat "mod 1" Nat.zero (Nat.modexp ~base:(n "5") ~exp:(n "5") ~modulus:Nat.one);
+  (* Powers that vanish mod m: the Montgomery ladder must reduce fully,
+     or a zero residue comes out as a nonzero multiple of m. *)
+  let rec pow3 k = if k = 0 then Nat.one else Nat.mul (Nat.of_int 3) (pow3 (k - 1)) in
+  List.iter
+    (fun (b, e, m) ->
+      check_nat "vanishing power" Nat.zero (Nat.modexp ~base:(pow3 b) ~exp:(Nat.of_int e) ~modulus:(pow3 m)))
+    [ (1, 300, 200); (40, 3, 100); (7, 100, 500); (100, 2, 200) ];
+  let m = Nat.mul (pow3 1) (n "170141183460469231731687303715884105727") in
+  check_nat "base = m" Nat.zero (Nat.modexp ~base:m ~exp:(n "65537") ~modulus:m)
 
-(* Regression for the divmod quotient-digit walk-down (the qhat
-   correction loop is now a constant number of O(n) subtractions, not a
-   re-multiplication per retry).  Runs of all-ones limbs over divisors
-   just above a power of two force the estimate to overshoot maximally;
-   the Euclidean identity is a complete correctness check. *)
+(* Knuth D's quotient-limb estimate on fixed hard cases.  Runs of
+   all-ones limbs over divisors just above a power of two make the
+   estimate overshoot maximally; the last case (the base-2^26 analogue
+   of Hacker's Delight's add-back example) passes the two-limb q̂ test
+   still one too large, so only the add-back step repairs it.  The
+   Euclidean identity is a complete correctness check. *)
 let test_divmod_qhat () =
   let ones k = Nat.sub (Nat.shift_left Nat.one k) Nat.one in
   let cases =
@@ -60,6 +79,7 @@ let test_divmod_qhat () =
       (Nat.shift_left Nat.one 511, Nat.add (Nat.shift_left Nat.one 255) Nat.one);
       (Nat.add (Nat.shift_left (ones 256) 256) (Nat.of_int 7), Nat.add (ones 256) Nat.one);
       (ones 960, Nat.add (ones 320) Nat.two);
+      (of_limbs [ 0; 0; 1 lsl 25; (1 lsl 25) - 1 ], of_limbs [ 1; 0; 1 lsl 25 ]);
     ]
   in
   List.iter
@@ -108,8 +128,11 @@ let test_sqrt () =
   Alcotest.(check bool) "nonresidue rejected" true (Modarith.sqrt_3mod4 ~x:(find_nonresidue 2) ~p = None)
 
 let test_crt () =
-  let x = Modarith.crt ~r1:(n "2") ~m1:(n "3") ~r2:(n "3") ~m2:(n "5") in
-  check_nat "crt" (n "8") x
+  match Modarith.inverse ~x:(n "3") ~modulus:(n "5") with
+  | None -> Alcotest.fail "3 is invertible mod 5"
+  | Some m1_inv ->
+      let x = Modarith.crt ~m1_inv ~r1:(n "2") ~m1:(n "3") ~r2:(n "3") ~m2:(n "5") in
+      check_nat "crt" (n "8") x
 
 let test_primality () =
   let rand_bits = Testkit.rand_bits_fn 1 in
@@ -132,6 +155,21 @@ let test_generation () =
   let p7 = Prime.generate ~congruence:(7, 8) ~rand_bits 96 in
   Alcotest.(check (option int)) "q mod 8 = 7" (Some 7) (Nat.to_int_opt (Nat.rem p7 (Nat.of_int 8)))
 
+(* Seeded key generation is pinned by the SHA-1 of the public key, so a
+   change in how the prime search consumes randomness (trial division,
+   witness draws, congruence fix-up) fails here by name, not only
+   through a fleet ledger digest downstream. *)
+let test_seeded_keys () =
+  List.iter
+    (fun (bits, want) ->
+      let rng = Sfs_crypto.Prng.create [ "bignum-pinned-key"; string_of_int bits ] in
+      let sk = Sfs_crypto.Rabin.generate ~bits rng in
+      let got =
+        Sfs_util.Hex.encode (Sfs_crypto.Sha1.digest (Sfs_crypto.Rabin.pub_to_string sk.Sfs_crypto.Rabin.pub))
+      in
+      Testkit.check_string (Printf.sprintf "rabin-%d public key sha1" bits) want got)
+    [ (384, "59b9c4fe66758aac56fa5856b2dfeda849d46b3c"); (512, "ea54a4750a477bf338f4e427772c6a546b3ab3f6") ]
+
 (* Property tests: arithmetic laws on random values. *)
 let nat_gen =
   let open QCheck.Gen in
@@ -153,6 +191,28 @@ let wide_arb = QCheck.make ~print:Nat.to_string wide_gen
 
 let wide_nonzero_arb =
   QCheck.make ~print:Nat.to_string (QCheck.Gen.map (fun x -> Nat.add x Nat.one) wide_gen)
+
+(* Knuth D's hard cases: a divisor whose top limb sits at or just above
+   half the base (already normalized, so no shift hides the case) and a
+   dividend of mostly all-ones limbs.  The quotient estimate then
+   overshoots as far as it can, driving both the two-limb q̂ correction
+   and the add-back step. *)
+let knuth_arb =
+  let open QCheck.Gen in
+  let half = 1 lsl (limb_bits - 1) in
+  let low_limb = oneof [ return 0; return 1; return limb_max; return (limb_max - 1); int_bound limb_max ] in
+  let gen =
+    int_range 2 12 >>= fun nb ->
+    int_range 0 12 >>= fun extra ->
+    list_repeat (nb - 1) low_limb >>= fun v_low ->
+    int_range 0 3 >>= fun top_delta ->
+    list_repeat (nb + extra)
+      (frequency [ (6, return limb_max); (1, low_limb); (1, return half); (1, return (half - 1)) ])
+    >>= fun u -> return (of_limbs u, of_limbs (v_low @ [ half + top_delta ]))
+  in
+  QCheck.make ~print:(fun (a, b) -> Nat.to_hex a ^ " / " ^ Nat.to_hex b) gen
+
+let rec euclid_gcd a b = if Nat.is_zero b then a else euclid_gcd b (Nat.rem a b)
 
 let props =
   let open QCheck in
@@ -195,13 +255,24 @@ let props =
         Nat.equal
           (Nat.modexp ~base:(Nat.mul a b) ~exp:e ~modulus:m)
           (Nat.rem (Nat.mul (Nat.modexp ~base:a ~exp:e ~modulus:m) (Nat.modexp ~base:b ~exp:e ~modulus:m)) m));
+    Test.make ~count:500 ~name:"divmod knuth d corner cases" knuth_arb (fun (a, b) ->
+        let q, r = Nat.divmod a b in
+        Nat.equal a (Nat.add (Nat.mul q b) r) && Nat.compare r b < 0);
+    Test.make ~count:300 ~name:"rem_int agrees with rem"
+      (pair wide_arb (oneof [ int_range 1 1000; int_range 1 (1 lsl 36) ])) (fun (a, d) ->
+        Nat.equal (Nat.of_int (Nat.rem_int a d)) (Nat.rem a (Nat.of_int d)));
+    Test.make ~count:200 ~name:"binary gcd agrees with euclid"
+      (triple wide_arb wide_arb (int_range 0 80)) (fun (a, b, k) ->
+        (* A shared power of two exercises the final shift back. *)
+        let a = Nat.shift_left a k and b = Nat.shift_left b (k / 2) in
+        Nat.equal (Nat.gcd a b) (euclid_gcd a b));
     Test.make ~count:200 ~name:"gcd divides both" (pair nonzero_arb nonzero_arb) (fun (a, b) ->
         let g = Nat.gcd a b in
         Nat.is_zero (Nat.rem a g) && Nat.is_zero (Nat.rem b g));
     (* Montgomery fast path vs the retained reference ladder.  Wide
        operands so the sliding window actually widens past 1 bit; the
        modulus parity is whatever falls out of the generator, covering
-       both the REDC path (odd) and the reference fallback (even). *)
+       both the Montgomery path (odd) and the reference fallback (even). *)
     Test.make ~count:200 ~name:"montgomery modexp agrees with reference"
       (triple wide_arb wide_arb wide_nonzero_arb) (fun (b, e, m) ->
         Nat.equal (Nat.modexp ~base:b ~exp:e ~modulus:m)
@@ -247,5 +318,6 @@ let suite =
       Alcotest.test_case "crt" `Quick test_crt;
       Alcotest.test_case "primality" `Quick test_primality;
       Alcotest.test_case "prime generation" `Slow test_generation;
+      Alcotest.test_case "seeded key digests" `Quick test_seeded_keys;
     ]
     @ Testkit.to_alcotest props )

@@ -11,8 +11,9 @@
      - a `crypto` figure case's alloc_b_per_op — the deterministic
        bytes-allocated-per-op work proxy — grows by more than 10%, or
      - a `crypto` figure case's ns_per_op inflates past a coarse 2.5x
-       backstop after dividing out the median host-speed drift (time on
-       a shared virtualized host is too noisy for a tight gate; the
+       backstop after dividing out the host-speed drift, the median ns
+       ratio over the cases whose allocation did not move (time on a
+       shared virtualized host is too noisy for a tight gate; the
        allocation column is the hard 10% gate, time only catches
        non-allocating disasters).
 
@@ -458,29 +459,46 @@ let () =
      scaling, hypervisor steal): consecutive clean runs of the crypto
      figure routinely move individual cases tens of percent.  The
      backstop removes the common factor first — the median
-     current/baseline ratio across all matched crypto cases — then
-     fails only a case that still inflated past 2.5x: a non-allocating
-     catastrophic regression, not measurement noise.  A genuine
-     regression moves one case against the pack; a loaded machine moves
-     the pack together. *)
-  let ns_norm =
-    let ratios =
+     current/baseline ratio — then fails only a case that still
+     inflated past 2.5x: a non-allocating catastrophic regression, not
+     measurement noise.  A genuine regression moves one case against
+     the pack; a loaded machine moves the pack together.  The median
+     is taken over the cases whose allocation stayed inside the alloc
+     gate's band, i.e. whose work did not change: a kernel change that
+     speeds up most cases would otherwise read as a faster host, and
+     dividing that out would make the untouched cases look slower.
+     When no case qualifies, every matched case counts. *)
+  let ns_norm, ns_norm_cases =
+    let alloc_of kv k =
+      let case = match String.index_opt k '#' with Some i -> String.sub k 0 i | None -> k in
+      List.assoc_opt (case ^ "#alloc_b_per_op") kv
+    in
+    let unmoved k =
+      match (alloc_of base.alloc k, alloc_of cur.alloc k) with
+      | Some b, Some c -> Float.abs (c -. b) <= b *. crypto_alloc_inflation_tolerance
+      | _ -> false
+    in
+    let ratios keep =
       List.filter_map
         (fun (k, b) ->
           match List.assoc_opt k cur.ns with
-          | Some c when b > 0.0 -> Some (c /. b)
+          | Some c when b > 0.0 && keep k -> Some (c /. b)
           | _ -> None)
         base.ns
     in
-    match List.sort compare ratios with
-    | [] -> 1.0
-    | rs ->
-        let n = List.length rs in
-        if n mod 2 = 1 then List.nth rs (n / 2)
-        else (List.nth rs ((n / 2) - 1) +. List.nth rs (n / 2)) /. 2.0
+    let median rs =
+      let rs = List.sort compare rs and n = List.length rs in
+      if n mod 2 = 1 then List.nth rs (n / 2)
+      else (List.nth rs ((n / 2) - 1) +. List.nth rs (n / 2)) /. 2.0
+    in
+    match (match ratios unmoved with [] -> ratios (fun _ -> true) | rs -> rs) with
+    | [] -> (1.0, 0)
+    | rs -> (median rs, List.length rs)
   in
   if base.ns <> [] then
-    Printf.printf "  crypto host-speed factor %.3f (median ns ratio, divided out)\n" ns_norm;
+    Printf.printf
+      "  crypto host-speed factor %.3f (median ns ratio over %d case(s) with unmoved allocation, divided out)\n"
+      ns_norm ns_norm_cases;
   check ~kind:"ns_per_op"
     ~worse:(fun b c -> c /. ns_norm > b *. (1.0 +. crypto_ns_backstop_tolerance))
     ~tolerance:crypto_ns_backstop_tolerance base.ns cur.ns;
