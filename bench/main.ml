@@ -859,15 +859,26 @@ let crypto () =
      reports the minimum over three windows — as with CPU time below,
      interference only ever adds. *)
   let alloc_iters = 5 in
+  (* Bytes allocated so far: minor-heap words plus words allocated
+     directly in the major heap, less promoted words (counted once
+     already).  Not [Gc.allocated_bytes]: on OCaml 5.1.1 the minor part
+     of [Gc.counters] divides the uncollected minor heap by the word
+     size a second time, so a window without a minor collection read
+     words.  [Gc.minor_words] is exact, and so are [Gc.counters]'
+     major and promoted parts. *)
+  let allocated_bytes () =
+    let _, promoted, major = Gc.counters () in
+    (Gc.minor_words () +. major -. promoted) *. float_of_int (Sys.word_size / 8)
+  in
   let alloc_rows =
     List.map
       (fun (name, f) ->
         let window () =
-          let a0 = Gc.allocated_bytes () in
+          let a0 = allocated_bytes () in
           for _ = 1 to alloc_iters do
             f ()
           done;
-          (Gc.allocated_bytes () -. a0) /. float_of_int alloc_iters
+          (allocated_bytes () -. a0) /. float_of_int alloc_iters
         in
         let w1 = window () in
         let w2 = window () in

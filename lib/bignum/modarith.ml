@@ -1,5 +1,5 @@
-(* Modular arithmetic over naturals: inverses, Jacobi symbols, and the
-   modular square roots Rabin decryption needs. *)
+(* Modular arithmetic over naturals: inverses and the modular square
+   roots Rabin decryption needs. *)
 
 type sign = Pos | Neg
 
@@ -38,34 +38,6 @@ let inverse ~(x : Nat.t) ~(modulus : Nat.t) : Nat.t option =
       | Pos -> Some s
       | Neg -> Some (if Nat.is_zero s then Nat.zero else Nat.sub modulus s)
   end
-
-(* Jacobi symbol (a/n) for odd n, by quadratic reciprocity. *)
-let jacobi (a : Nat.t) (n : Nat.t) : int =
-  if Nat.is_zero n || not (Nat.testbit n 0) then invalid_arg "Modarith.jacobi: even modulus";
-  let rec go a n acc =
-    let a = Nat.rem a n in
-    if Nat.is_zero a then if Nat.equal n Nat.one then acc else 0
-    else begin
-      (* Strip factors of two; each contributes (2/n) = -1 iff n ≡ 3,5 (mod 8). *)
-      let twos = ref 0 in
-      let a = ref a in
-      while not (Nat.testbit !a 0) do
-        a := Nat.shift_right !a 1;
-        incr twos
-      done;
-      let n_mod8 = (if Nat.testbit n 0 then 1 else 0) lor (if Nat.testbit n 1 then 2 else 0) lor (if Nat.testbit n 2 then 4 else 0) in
-      let acc = if !twos land 1 = 1 && (n_mod8 = 3 || n_mod8 = 5) then -acc else acc in
-      if Nat.equal !a Nat.one then acc
-      else begin
-        (* Reciprocity: flip sign iff a ≡ n ≡ 3 (mod 4). *)
-        let a_mod4 = (if Nat.testbit !a 0 then 1 else 0) lor (if Nat.testbit !a 1 then 2 else 0) in
-        let n_mod4 = n_mod8 land 3 in
-        let acc = if a_mod4 = 3 && n_mod4 = 3 then -acc else acc in
-        go n !a acc
-      end
-    end
-  in
-  go a n 1
 
 (* Square root modulo a prime p ≡ 3 (mod 4): x^((p+1)/4). The caller must
    ensure x is a quadratic residue; we verify and return None otherwise. *)

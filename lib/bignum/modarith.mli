@@ -1,11 +1,7 @@
-(** Modular arithmetic: inverses, Jacobi symbols, square roots, CRT. *)
+(** Modular arithmetic: inverses, square roots, CRT. *)
 
 val inverse : x:Nat.t -> modulus:Nat.t -> Nat.t option
 (** Modular inverse, [None] when [gcd x modulus <> 1]. *)
-
-val jacobi : Nat.t -> Nat.t -> int
-(** Jacobi symbol [(a/n)] for odd [n]; result in [{-1, 0, 1}].
-    @raise Invalid_argument on even [n]. *)
 
 val sqrt_3mod4 : x:Nat.t -> p:Nat.t -> Nat.t option
 (** Square root of [x] modulo a prime [p ≡ 3 (mod 4)]; [None] when [x] is

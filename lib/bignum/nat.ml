@@ -502,6 +502,32 @@ let gcd (a : t) (b : t) : t =
     shift_left (Array.sub !u 0 !nu) (min za zb)
   end
 
+(* Binary Jacobi symbol: the [gcd] loop with the sign tracked.  Each
+   two stripped from a flips it when n ≡ 3, 5 (mod 8); swapping odd a
+   and n flips it when both are 3 (mod 4); (a/n) = ((a - n)/n).  The
+   loop ends with n = gcd(a, n), so the symbol is 0 unless n = 1. *)
+let jacobi (a : t) (n : t) : int =
+  if not (testbit n 0) then invalid_arg "Nat.jacobi: even modulus";
+  let u = ref (Array.copy a) and v = ref (Array.copy n) in
+  let nu = ref (Array.length a) and nv = ref (Array.length n) in
+  let s = ref 1 in
+  while !nu > 0 do
+    let z = trailing_zeros !u in
+    nu := shift_right_in_place !u !nu z;
+    let n8 = !v.(0) land 7 in
+    if z land 1 = 1 && (n8 = 3 || n8 = 5) then s := - !s;
+    if less_in_place !u !nu !v !nv then begin
+      if !u.(0) land 3 = 3 && n8 land 3 = 3 then s := - !s;
+      let x = !u and nx = !nu in
+      u := !v;
+      nu := !nv;
+      v := x;
+      nv := nx
+    end;
+    nu := sub_in_place !u !nu !v !nv
+  done;
+  if !nv = 1 && !v.(0) = 1 then !s else 0
+
 let of_bytes_be (s : string) : t =
   let n = String.length s in
   let nbits = 8 * n in

@@ -65,6 +65,11 @@ val modexp_reference : base:t -> exp:t -> modulus:t -> t
 val gcd : t -> t -> t
 (** Binary (Stein) gcd on private copies of the operands; no division. *)
 
+val jacobi : t -> t -> int
+(** Jacobi symbol [(a/n)] for odd [n], any [a]; result in [{-1, 0, 1}].
+    Binary, on private copies of the operands, like {!gcd}.
+    @raise Invalid_argument on even [n]. *)
+
 val of_bytes_be : string -> t
 (** Big-endian byte-string interpretation, as protocol fields use. *)
 

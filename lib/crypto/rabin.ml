@@ -20,11 +20,22 @@ open Sfs_bignum
 
 type pub = { n : Nat.t; bits : int }
 
+(* [p_inv] = p⁻¹ mod q, the CRT coefficient (PKCS #1's qInv with the
+   primes swapped): computed once per key, never serialized. *)
 type priv = {
   pub : pub;
   p : Nat.t;
   q : Nat.t;
+  p_inv : Nat.t;
 }
+
+(* The key for primes p and q; [None] when they are not coprime. *)
+let priv_of_primes (p : Nat.t) (q : Nat.t) : priv option =
+  match Modarith.inverse ~x:p ~modulus:q with
+  | None -> None
+  | Some p_inv ->
+      let n = Nat.mul p q in
+      Some { pub = { n; bits = Nat.num_bits n }; p; q; p_inv }
 
 let modulus_bytes (pk : pub) = (pk.bits + 7) / 8
 
@@ -37,10 +48,7 @@ let generate ?(bits = 1024) (rng : Prng.t) : priv =
   let rec go () =
     let p = Prime.generate ~congruence:(3, 8) ~rand_bits half in
     let q = Prime.generate ~congruence:(7, 8) ~rand_bits (bits - half) in
-    if Nat.equal p q then go ()
-    else
-      let n = Nat.mul p q in
-      { pub = { n; bits = Nat.num_bits n }; p; q }
+    match priv_of_primes p q with Some sk -> sk | None -> go ()
   in
   go ()
 
@@ -89,10 +97,7 @@ let priv_of_string (s : string) : priv option =
       if String.length s <> plen + 8 + lp + lq then None
       else begin
         let q = Nat.of_bytes_be (String.sub s (plen + 8 + lp) lq) in
-        if Nat.is_zero p || Nat.is_zero q then None
-        else
-          let n = Nat.mul p q in
-          Some { pub = { n; bits = Nat.num_bits n }; p; q }
+        if Nat.is_zero p || Nat.is_zero q then None else priv_of_primes p q
       end
     end
   end
@@ -110,26 +115,23 @@ let mgf1 (seed : string) (len : int) : string =
 
 (* --- Square roots mod n via CRT --- *)
 
-let half_exp p = Nat.shift_right (Nat.sub p Nat.one) 1 (* (p-1)/2 *)
+(* One square root of x modulo each prime, if x is a residue mod both. *)
+let prime_roots (sk : priv) (x : Nat.t) : (Nat.t * Nat.t) option =
+  match (Modarith.sqrt_3mod4 ~x:(Nat.rem x sk.p) ~p:sk.p, Modarith.sqrt_3mod4 ~x:(Nat.rem x sk.q) ~p:sk.q) with
+  | Some rp, Some rq -> Some (rp, rq)
+  | _ -> None
 
-let is_qr_mod (x : Nat.t) (p : Nat.t) : bool =
-  Nat.equal (Nat.modexp ~base:x ~exp:(half_exp p) ~modulus:p) Nat.one
+(* The root mod n = pq that is rp mod p and rq mod q. *)
+let combine (sk : priv) (rp : Nat.t) (rq : Nat.t) : Nat.t =
+  Modarith.crt ~m1_inv:sk.p_inv ~r1:rp ~m1:sk.p ~r2:rq ~m2:sk.q
 
 (* All four square roots of a residue x mod n = pq. *)
 let sqrts (sk : priv) (x : Nat.t) : Nat.t list =
-  match (Modarith.sqrt_3mod4 ~x:(Nat.rem x sk.p) ~p:sk.p, Modarith.sqrt_3mod4 ~x:(Nat.rem x sk.q) ~p:sk.q) with
-  | Some rp, Some rq ->
-      let n = sk.pub.n in
-      let m1_inv =
-        match Modarith.inverse ~x:sk.p ~modulus:sk.q with
-        | Some v -> v
-        | None -> invalid_arg "Rabin.sqrts: p and q not coprime"
-      in
-      let combine a b = Modarith.crt ~m1_inv ~r1:a ~m1:sk.p ~r2:b ~m2:sk.q in
+  match prime_roots sk x with
+  | Some (rp, rq) ->
       let rp' = Modarith.negmod rp sk.p and rq' = Modarith.negmod rq sk.q in
-      [ combine rp rq; combine rp rq'; combine rp' rq; combine rp' rq' ]
-      |> List.map (fun r -> Nat.rem r n)
-  | _ -> []
+      [ combine sk rp rq; combine sk rp rq'; combine sk rp' rq; combine sk rp' rq' ]
+  | None -> []
 
 (* --- Signatures --- *)
 
@@ -147,17 +149,18 @@ let sign (sk : priv) (message : string) : signature =
   let n = sk.pub.n in
   let m = fdh sk.pub message in
   (* Apply the {1,2} tweak to reach Jacobi symbol +1. *)
-  let double = Modarith.jacobi m n <> 1 in
+  let double = Nat.jacobi m n <> 1 in
   let m1 =
     (* n is odd, so 2⁻¹ mod n = (n + 1) / 2. *)
     if double then Modarith.mulmod m (Nat.shift_right (Nat.add n Nat.one) 1) n else m
   in
-  (* Apply the {1,-1} tweak to reach an actual residue. *)
-  let negate = not (is_qr_mod (Nat.rem m1 sk.p) sk.p) in
+  (* Apply the {1,-1} tweak to reach an actual residue: the Legendre
+     symbol (m1/p) is 1 exactly for residues mod the prime p. *)
+  let negate = Nat.jacobi m1 sk.p <> 1 in
   let m2 = if negate then Modarith.negmod m1 n else m1 in
-  match sqrts sk m2 with
-  | root :: _ -> { root; negate; double }
-  | [] ->
+  match prime_roots sk m2 with
+  | Some (rp, rq) -> { root = combine sk rp rq; negate; double }
+  | None ->
       (* m shares a factor with n: the signer's key is broken. *)
       failwith "Rabin.sign: message hash not invertible (degenerate key)"
 

@@ -6,7 +6,8 @@
 open Sfs_bignum
 
 type pub = { n : Nat.t; bits : int }
-type priv = { pub : pub [@sfs.public]; p : Nat.t; q : Nat.t }
+type priv = { pub : pub [@sfs.public]; p : Nat.t [@sfs.secret]; q : Nat.t [@sfs.secret]; p_inv : Nat.t [@sfs.secret] }
+(** [p_inv] is the CRT coefficient p⁻¹ mod q, computed once per key. *)
 
 val generate : ?bits:int -> Prng.t -> priv
 [@@sfs.secret]
@@ -28,7 +29,9 @@ val priv_to_string : priv -> string
 val priv_of_string : string -> priv option
 [@@sfs.secret]
 (** Private-key serialization, for agent storage and the encrypted-key
-    deposit with authserv. *)
+    deposit with authserv.  Only p and q are stored; [priv_of_string]
+    recomputes [p_inv] and returns [None] when p and q are not
+    coprime. *)
 
 (** {2 Signatures} *)
 
@@ -63,9 +66,3 @@ val encrypt_blob : pub -> Prng.t -> string -> string
 
 val decrypt_blob : priv -> string -> string option
 [@@sfs.declassify "recovered plaintext is the caller's message, not key material; callers re-assert secrecy where the payload is a key"]
-
-(**/**)
-
-val fdh : pub -> string -> Nat.t
-val mgf1 : string -> int -> string
-val sqrts : priv -> Nat.t -> Nat.t list

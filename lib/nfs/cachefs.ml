@@ -58,11 +58,12 @@ let readahead_min_run = 8
 
 type attr_entry = { attr : fattr; expires_us : float }
 
-(* The single active write-behind buffer: contiguous unstable writes by
-   one user to one file.  Exactly one may be live at a time — a write to
-   any other file flushes it first — which bounds memory and keeps the
-   RPC count of mixed workloads essentially unchanged. *)
-type wbuf = { wb_fh : fh; wb_off : int; wb_buf : Buffer.t; wb_cred : Simos.cred }
+(* The single active write-behind run: contiguous unstable writes by
+   one user to one file, gathered in the cache's one [gather] buffer.
+   Exactly one may be live at a time — a write to any other file
+   flushes it first — which bounds memory and keeps the RPC count of
+   mixed workloads essentially unchanged. *)
+type wbuf = { wb_fh : fh; wb_off : int; wb_cred : Simos.cred }
 
 type t = {
   inner : Fs_intf.ops;
@@ -75,6 +76,7 @@ type t = {
   (* submitted readahead, by block; claimed (awaited) on the next read *)
   last_read : (fh, int * int) Hashtbl.t; (* last block read, run length *)
   mutable wbuf : wbuf option;
+  gather : Buffer.t; (* the live run's bytes; cleared, not freed, by each flush *)
   attrs : (fh, attr_entry) Hashtbl.t;
   names : (fh * string, (fh * float) (* target, expiry *)) Hashtbl.t;
   access_cache : (fh * int * int, int * float) Hashtbl.t; (* (fh, uid, mask) -> granted, expiry *)
@@ -106,14 +108,15 @@ let create ?(take_invalidations = no_invalidations) ?obs ?pipeline ?(write_behin
     obs;
     pipeline;
     write_behind;
-    inflight = Hashtbl.create 64;
-    last_read = Hashtbl.create 64;
+    inflight = Hashtbl.create 16;
+    last_read = Hashtbl.create 16;
     wbuf = None;
-    attrs = Hashtbl.create 512;
-    names = Hashtbl.create 512;
-    access_cache = Hashtbl.create 512;
-    negatives = Hashtbl.create 512;
-    blocks = Lru.create 4096;
+    gather = Buffer.create 16;
+    attrs = Hashtbl.create 16;
+    names = Hashtbl.create 16;
+    access_cache = Hashtbl.create 16;
+    negatives = Hashtbl.create 16;
+    blocks = Lru.create 16;
     cached_bytes = 0;
     lookups = 0;
     lookup_hits = 0;
@@ -269,7 +272,8 @@ let flush_dirty (t : t) : unit =
   | None -> ()
   | Some w ->
       t.wbuf <- None;
-      let data = Buffer.contents w.wb_buf in
+      let data = Buffer.contents t.gather in
+      Buffer.clear t.gather;
       if data <> "" then begin
         Obs.incr t.obs "cache.wb.flush";
         match t.inner.Fs_intf.fs_write w.wb_cred w.wb_fh ~off:w.wb_off ~stable:false data with
@@ -636,11 +640,25 @@ let ops (t : t) : Fs_intf.ops =
         let predict (w : wbuf) : fattr option =
           match Hashtbl.find_opt t.attrs h with
           | Some e ->
-              let extent = w.wb_off + Buffer.length w.wb_buf in
+              let extent = w.wb_off + Buffer.length t.gather in
               let a = if extent > e.attr.size then { e.attr with size = extent } else e.attr in
               Hashtbl.replace t.attrs h { e with attr = a };
               Some a
           | None -> None
+        in
+        (* Append to the live run; flush it at the gather threshold. *)
+        let buffer (w : wbuf) =
+          Buffer.add_string t.gather data;
+          Obs.add t.obs "cache.wb.bytes" (String.length data);
+          match predict w with
+          | Some a ->
+              if Buffer.length t.gather >= gather_bytes then flush_dirty t;
+              Ok a
+          | None ->
+              (* No cached attributes to predict from: give up on
+                 buffering this run. *)
+              flush_dirty t;
+              inner.Fs_intf.fs_getattr cred h
         in
         if not (t.write_behind && not stable) then begin
           if t.write_behind then flush_for t h;
@@ -649,38 +667,19 @@ let ops (t : t) : Fs_intf.ops =
         else begin
           match t.wbuf with
           | Some w
-            when w.wb_fh = h && w.wb_cred = cred && off = w.wb_off + Buffer.length w.wb_buf -> (
-              Buffer.add_string w.wb_buf data;
-              Obs.add t.obs "cache.wb.bytes" (String.length data);
-              match predict w with
-              | Some a ->
-                  if Buffer.length w.wb_buf >= gather_bytes then flush_dirty t;
-                  Ok a
-              | None ->
-                  (* No cached attributes to predict from: give up on
-                     buffering this run. *)
-                  flush_dirty t;
-                  inner.Fs_intf.fs_getattr cred h)
+            when w.wb_fh = h && w.wb_cred = cred && off = w.wb_off + Buffer.length t.gather ->
+              buffer w
           | other -> (
               (* Non-contiguous, different user, or nothing buffered:
-                 flush and try to start a fresh buffer. *)
+                 flush, and start a fresh run when there are cached
+                 attributes to predict from. *)
               (match other with Some _ -> flush_dirty t | None -> ());
               match fresh_attr t h with
               | None -> write_through ()
-              | Some _ -> (
-                  let w =
-                    { wb_fh = h; wb_off = off; wb_buf = Buffer.create (2 * gather_bytes); wb_cred = cred }
-                  in
-                  Buffer.add_string w.wb_buf data;
+              | Some _ ->
+                  let w = { wb_fh = h; wb_off = off; wb_cred = cred } in
                   t.wbuf <- Some w;
-                  Obs.add t.obs "cache.wb.bytes" (String.length data);
-                  match predict w with
-                  | Some a ->
-                      if Buffer.length w.wb_buf >= gather_bytes then flush_dirty t;
-                      Ok a
-                  | None ->
-                      t.wbuf <- None;
-                      write_through ()))
+                  buffer w)
         end);
     fs_create =
       (fun cred ~dir name ~mode ->
@@ -692,8 +691,6 @@ let ops (t : t) : Fs_intf.ops =
         if not t.policy.use_leases then Hashtbl.remove t.attrs dir;
         note_attr t h a;
         Hashtbl.remove t.negatives (dir, name);
-        Hashtbl.remove t.negatives (dir, name);
-        Hashtbl.remove t.negatives (dir, name);
         Hashtbl.replace t.names (dir, name) (h, Simclock.now_us t.clock +. (name_ttl_s t a *. 1_000_000.0));
         Ok (h, a));
     fs_mkdir =
@@ -701,6 +698,7 @@ let ops (t : t) : Fs_intf.ops =
         let* h, a = inner.Fs_intf.fs_mkdir cred ~dir name ~mode in
         if not t.policy.use_leases then Hashtbl.remove t.attrs dir;
         note_attr t h a;
+        Hashtbl.remove t.negatives (dir, name);
         Hashtbl.replace t.names (dir, name) (h, Simclock.now_us t.clock +. (name_ttl_s t a *. 1_000_000.0));
         Ok (h, a));
     fs_symlink =
@@ -708,6 +706,7 @@ let ops (t : t) : Fs_intf.ops =
         let* h, a = inner.Fs_intf.fs_symlink cred ~dir name ~target in
         if not t.policy.use_leases then Hashtbl.remove t.attrs dir;
         note_attr t h a;
+        Hashtbl.remove t.negatives (dir, name);
         Hashtbl.replace t.names (dir, name) (h, Simclock.now_us t.clock +. (name_ttl_s t a *. 1_000_000.0));
         Ok (h, a));
     fs_remove =
@@ -730,6 +729,7 @@ let ops (t : t) : Fs_intf.ops =
         let* () = inner.Fs_intf.fs_rename cred ~from_dir ~from_name ~to_dir ~to_name in
         Hashtbl.remove t.names (from_dir, from_name);
         Hashtbl.remove t.names (to_dir, to_name);
+        Hashtbl.remove t.negatives (to_dir, to_name);
         if not t.policy.use_leases then begin
           Hashtbl.remove t.attrs from_dir;
           Hashtbl.remove t.attrs to_dir
@@ -739,6 +739,7 @@ let ops (t : t) : Fs_intf.ops =
       (fun cred ~target ~dir name ->
         let* a = inner.Fs_intf.fs_link cred ~target ~dir name in
         if not t.policy.use_leases then Hashtbl.remove t.attrs dir;
+        Hashtbl.remove t.negatives (dir, name);
         note_attr t target a;
         Ok a);
     fs_readdir =

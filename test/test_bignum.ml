@@ -109,10 +109,39 @@ let test_inverse () =
 let test_jacobi () =
   (* Squares have symbol 1 mod a prime; known non-residues -1. *)
   let p = n "23" in
-  Testkit.check_int "square" 1 (Modarith.jacobi (n "2") p);
-  Testkit.check_int "nonresidue" (-1) (Modarith.jacobi (n "5") p);
-  Testkit.check_int "zero" 0 (Modarith.jacobi (n "23") p);
-  Testkit.check_int "jacobi(1/9)" 1 (Modarith.jacobi Nat.one (n "9"))
+  Testkit.check_int "square" 1 (Nat.jacobi (n "2") p);
+  Testkit.check_int "nonresidue" (-1) (Nat.jacobi (n "5") p);
+  Testkit.check_int "zero" 0 (Nat.jacobi (n "23") p);
+  Testkit.check_int "jacobi(1/9)" 1 (Nat.jacobi Nat.one (n "9"));
+  Testkit.check_int "jacobi(0/1)" 1 (Nat.jacobi Nat.zero Nat.one);
+  Testkit.check_int "jacobi(0/9)" 0 (Nat.jacobi Nat.zero (n "9"));
+  Testkit.check_int "a > n" (-1) (Nat.jacobi (n "51") p);
+  Testkit.check_int "composite n" (-1) (Nat.jacobi (n "7") (n "15"));
+  Alcotest.check_raises "even modulus" (Invalid_argument "Nat.jacobi: even modulus") (fun () ->
+      ignore (Nat.jacobi Nat.one (n "10")))
+
+(* The reciprocity-with-division algorithm [Nat.jacobi] replaced, kept
+   as its oracle: reduce a mod n, strip twos with (2/n), flip by
+   reciprocity, recurse on (n mod a / a). *)
+let jacobi_reciprocity (a : Nat.t) (n : Nat.t) : int =
+  let rec go a n acc =
+    let a = Nat.rem a n in
+    if Nat.is_zero a then if Nat.equal n Nat.one then acc else 0
+    else begin
+      let twos = ref 0 and a = ref a in
+      while not (Nat.testbit !a 0) do
+        a := Nat.shift_right !a 1;
+        incr twos
+      done;
+      let n8 = Nat.rem_int n 8 in
+      let acc = if !twos land 1 = 1 && (n8 = 3 || n8 = 5) then -acc else acc in
+      if Nat.equal !a Nat.one then acc
+      else
+        let acc = if Nat.rem_int !a 4 = 3 && n8 land 3 = 3 then -acc else acc in
+        go n !a acc
+    end
+  in
+  go a n 1
 
 let test_sqrt () =
   let p = n "1000000007" in
@@ -123,7 +152,7 @@ let test_sqrt () =
   | None -> Alcotest.fail "expected sqrt");
   (* A non-residue must be rejected. *)
   let rec find_nonresidue c =
-    if Modarith.jacobi (n (string_of_int c)) p = -1 then n (string_of_int c) else find_nonresidue (c + 1)
+    if Nat.jacobi (n (string_of_int c)) p = -1 then n (string_of_int c) else find_nonresidue (c + 1)
   in
   Alcotest.(check bool) "nonresidue rejected" true (Modarith.sqrt_3mod4 ~x:(find_nonresidue 2) ~p = None)
 
@@ -214,9 +243,23 @@ let knuth_arb =
 
 let rec euclid_gcd a b = if Nat.is_zero b then a else euclid_gcd b (Nat.rem a b)
 
+(* Odd moduli, composite included: 2x + 1 over the wide range, and
+   n = 1 outright. *)
+let odd_arb =
+  QCheck.make ~print:Nat.to_string
+    QCheck.Gen.(
+      frequency
+        [ (1, return Nat.one); (9, map (fun x -> Nat.add (Nat.shift_left x 1) Nat.one) wide_gen) ])
+
 let props =
   let open QCheck in
   [
+    (* a ranges over zero, values below n and values far above it. *)
+    Test.make ~count:500 ~name:"binary jacobi agrees with reciprocity" (pair wide_arb odd_arb)
+      (fun (a, m) -> Nat.jacobi a m = jacobi_reciprocity a m);
+    Test.make ~count:200 ~name:"jacobi of a square product" (pair wide_arb odd_arb) (fun (a, m) ->
+        let sq = Nat.mul a a in
+        Nat.jacobi sq m = if Nat.equal (Nat.gcd a m) Nat.one then 1 else 0);
     Test.make ~count:300 ~name:"add commutative" (pair nat_arb nat_arb) (fun (a, b) ->
         Nat.equal (Nat.add a b) (Nat.add b a));
     Test.make ~count:300 ~name:"add associative" (triple nat_arb nat_arb nat_arb) (fun (a, b, c) ->

@@ -1,5 +1,6 @@
 open Sfs_crypto
 module Nat = Sfs_bignum.Nat
+module Modarith = Sfs_bignum.Modarith
 
 (* --- SHA-1: FIPS 180-1 test vectors --- *)
 
@@ -247,6 +248,40 @@ let test_rabin_pub_serialization () =
   Testkit.check_bool "truncated rejected" true
     (Rabin.pub_of_string (String.sub (Rabin.pub_to_string pk) 0 20) = None)
 
+let test_rabin_priv_serialization () =
+  let sk = Lazy.force test_key in
+  (match Rabin.priv_of_string (Rabin.priv_to_string sk) with
+  | Some sk' ->
+      Testkit.check_bool "same primes" true (Nat.equal sk.Rabin.p sk'.Rabin.p && Nat.equal sk.Rabin.q sk'.Rabin.q);
+      Testkit.check_bool "crt coefficient kept" true (Nat.equal sk.Rabin.p_inv sk'.Rabin.p_inv);
+      Testkit.check_bool "p * p_inv = 1 mod q" true
+        (Nat.equal Nat.one (Modarith.mulmod sk'.Rabin.p sk'.Rabin.p_inv sk'.Rabin.q))
+  | None -> Alcotest.fail "priv roundtrip");
+  (* p = q has no CRT coefficient: the key is refused, not built broken. *)
+  let twin = Rabin.priv_to_string { sk with Rabin.q = sk.Rabin.p } in
+  Testkit.check_bool "p = q rejected" true (Rabin.priv_of_string twin = None)
+
+(* Signing is pinned to its output before the CRT coefficient moved
+   into the key and the residue test became a Legendre symbol: the same
+   seeded key signs the same messages to the same bytes. *)
+let test_rabin_sign_pinned () =
+  let sk = Rabin.generate ~bits:512 (Prng.create [ "rabin-sign-pin" ]) in
+  let sigs =
+    List.init 16 (fun i -> Rabin.signature_to_string (Rabin.sign sk (Printf.sprintf "msg %d" i)))
+  in
+  Testkit.check_string "signatures sha1" "14ecd69a4cf72ab2fcead889e1b85e4f10f07f89"
+    (Sha1.hex (String.concat "" sigs))
+
+(* Allocation guards: about 4x the measured figure (512-bit key:
+   sign 11.6 KB, decrypt 17.0 KB), well under the 176 KB and 93 KB a
+   call cost while each recomputed p⁻¹ mod q. *)
+let test_rabin_alloc () =
+  let sk = Lazy.force test_key in
+  let c = Rabin.encrypt sk.Rabin.pub test_rng "twenty byte session!" in
+  ignore (Rabin.sign sk "warm-up");
+  Testkit.check_alloc_under "sign" ~bound:48_000 (fun () -> ignore (Rabin.sign sk "benchmark message"));
+  Testkit.check_alloc_under "decrypt" ~bound:68_000 (fun () -> ignore (Rabin.decrypt sk c))
+
 (* --- SRP --- *)
 
 let srp_rng = Prng.create [ "srp-test-rng" ]
@@ -465,6 +500,9 @@ let suite =
       Alcotest.test_case "rabin encryption" `Quick test_rabin_encrypt;
       Alcotest.test_case "rabin hybrid blob" `Quick test_rabin_blob;
       Alcotest.test_case "rabin pub serialization" `Quick test_rabin_pub_serialization;
+      Alcotest.test_case "rabin priv serialization" `Quick test_rabin_priv_serialization;
+      Alcotest.test_case "rabin signatures pinned" `Quick test_rabin_sign_pinned;
+      Alcotest.test_case "rabin allocation" `Quick test_rabin_alloc;
       Alcotest.test_case "srp agreement" `Quick test_srp_agreement;
       Alcotest.test_case "srp wrong password" `Quick test_srp_wrong_password;
       Alcotest.test_case "srp server proof" `Quick test_srp_server_proof;

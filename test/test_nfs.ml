@@ -320,7 +320,22 @@ let test_cachefs_negative_lookup () =
   Testkit.check_int "no server trip for cached negative" calls (Nfs_server.calls server);
   (* Creating the name must clear the negative entry. *)
   ignore (ok "create" (cops.Fs_intf.fs_create root ~dir:cops.Fs_intf.fs_root "ghost" ~mode:0o644));
-  ignore (ok "now found" (cops.Fs_intf.fs_lookup root ~dir:cops.Fs_intf.fs_root "ghost"));
+  let ghost, _ = ok "now found" (cops.Fs_intf.fs_lookup root ~dir:cops.Fs_intf.fs_root "ghost") in
+  (* So must every other mutation of ours that makes a name appear: the
+     server calls back other clients, never the one that changed the
+     directory. *)
+  let appears what name (mutate : unit -> unit) =
+    let dir = cops.Fs_intf.fs_root in
+    expect_err (what ^ ": cached miss") NFS3ERR_NOENT (cops.Fs_intf.fs_lookup root ~dir name);
+    mutate ();
+    ignore (ok (what ^ ": found after") (cops.Fs_intf.fs_lookup root ~dir name))
+  in
+  let dir = cops.Fs_intf.fs_root in
+  appears "mkdir" "d" (fun () -> ignore (ok "mkdir" (cops.Fs_intf.fs_mkdir root ~dir "d" ~mode:0o755)));
+  appears "symlink" "s" (fun () -> ignore (ok "symlink" (cops.Fs_intf.fs_symlink root ~dir "s" ~target:"ghost")));
+  appears "link" "hard" (fun () -> ignore (ok "link" (cops.Fs_intf.fs_link root ~target:ghost ~dir "hard")));
+  appears "rename target" "moved" (fun () ->
+      ok "rename" (cops.Fs_intf.fs_rename root ~from_dir:dir ~from_name:"ghost" ~to_dir:dir ~to_name:"moved"));
   (* NFS policy: negatives are never cached. *)
   let cache2 = Cachefs.create ~clock ~policy:Cachefs.nfs_policy ops in
   let cops2 = Cachefs.ops cache2 in
@@ -328,6 +343,75 @@ let test_cachefs_negative_lookup () =
   let calls2 = Nfs_server.calls server in
   expect_err "miss again" NFS3ERR_NOENT (cops2.Fs_intf.fs_lookup root ~dir:cops2.Fs_intf.fs_root "phantom");
   Testkit.check_bool "nfs policy refetches negatives" true (Nfs_server.calls server > calls2)
+
+(* A write-behind cache over a memfs whose WRITEs are logged as
+   (offset, length), so a test can see each gather run arrive. *)
+let make_gathering () =
+  let clock = Simclock.create () in
+  let fs = Memfs.create ~now:(now_fn clock) () in
+  let backing = Memfs_ops.make ~fs ~disk:(Diskmodel.create clock) in
+  let writes = ref [] in
+  let logged =
+    { backing with
+      Fs_intf.fs_write =
+        (fun c h ~off ~stable data ->
+          writes := (off, String.length data) :: !writes;
+          backing.Fs_intf.fs_write c h ~off ~stable data);
+    }
+  in
+  let cops = Cachefs.ops (Cachefs.create ~write_behind:true ~clock ~policy:Cachefs.sfs_policy logged) in
+  (backing, cops, writes)
+
+let chunk i len = String.make len (Char.chr (Char.code 'a' + (i mod 26)))
+
+(* Write [chunks] back to back from offset 0 as unstable writes. *)
+let write_run cops f (chunks : string list) =
+  ignore
+    (List.fold_left
+       (fun off data ->
+         ignore (ok "buffered write" (cops.Fs_intf.fs_write root f ~off ~stable:false data));
+         off + String.length data)
+       0 chunks)
+
+let server_bytes backing f =
+  let a = ok "server getattr" (backing.Fs_intf.fs_getattr root f) in
+  let data, _, _ = ok "server read" (backing.Fs_intf.fs_read root f ~off:0 ~count:a.size) in
+  data
+
+let test_cachefs_gather_runs () =
+  let backing, cops, writes = make_gathering () in
+  let dir = cops.Fs_intf.fs_root in
+  let f1, _ = ok "create f1" (cops.Fs_intf.fs_create root ~dir "f1" ~mode:0o644) in
+  let f2, _ = ok "create f2" (cops.Fs_intf.fs_create root ~dir "f2" ~mode:0o644) in
+  (* Two runs back to back through the one gather buffer, the second
+     shorter: the switch to f2 flushes f1's run. *)
+  let run1 = List.init 3 (fun i -> chunk i 1000) and run2 = List.init 2 (fun i -> chunk (i + 10) 700) in
+  write_run cops f1 run1;
+  write_run cops f2 run2;
+  ignore (ok "commit f2" (cops.Fs_intf.fs_commit root f2));
+  Testkit.check_string "f1 byte-exact" (String.concat "" run1) (server_bytes backing f1);
+  Testkit.check_string "f2 byte-exact, no stale tail" (String.concat "" run2) (server_bytes backing f2);
+  Alcotest.(check (list (pair int int))) "one WRITE per run" [ (0, 1400); (0, 3000) ] !writes;
+  (* A run that reaches the 64 KB threshold flushes and carries on. *)
+  writes := [];
+  let f3, _ = ok "create f3" (cops.Fs_intf.fs_create root ~dir "f3" ~mode:0o644) in
+  let run3 = List.init 10 (fun i -> chunk i 8192) in
+  write_run cops f3 run3;
+  ignore (ok "commit f3" (cops.Fs_intf.fs_commit root f3));
+  Testkit.check_string "f3 byte-exact" (String.concat "" run3) (server_bytes backing f3);
+  Alcotest.(check (list (pair int int))) "flush at 64 KB, then the rest" [ (65536, 16384); (0, 65536) ] !writes
+
+(* Allocation guard: a buffered 1 KB write costs about 0.6 KB once the
+   gather buffer has grown (bound 4x that), not the 128 KB buffer each
+   run used to allocate. *)
+let test_cachefs_write_alloc () =
+  let _, cops, _ = make_gathering () in
+  let f, _ = ok "create" (cops.Fs_intf.fs_create root ~dir:cops.Fs_intf.fs_root "f" ~mode:0o644) in
+  let data = chunk 0 1024 in
+  ignore (ok "warm-up write" (cops.Fs_intf.fs_write root f ~off:0 ~stable:false data));
+  ignore (ok "warm-up commit" (cops.Fs_intf.fs_commit root f));
+  Testkit.check_alloc_under "1 KB write-behind write" ~bound:2_560 (fun () ->
+      ignore (cops.Fs_intf.fs_write root f ~off:1024 ~stable:false data))
 
 let cache_read_equivalence =
   (* Property: reads through the cache agree with direct reads for
@@ -385,5 +469,7 @@ let suite =
       Alcotest.test_case "cachefs lease invalidation" `Quick test_cachefs_lease_invalidation;
       Alcotest.test_case "cachefs hit permissions" `Quick test_cachefs_hit_permissions;
       Alcotest.test_case "cachefs negative lookups" `Quick test_cachefs_negative_lookup;
+      Alcotest.test_case "cachefs gather runs" `Quick test_cachefs_gather_runs;
+      Alcotest.test_case "cachefs write-behind allocation" `Quick test_cachefs_write_alloc;
     ]
     @ Testkit.to_alcotest [ cache_read_equivalence ] )

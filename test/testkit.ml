@@ -30,3 +30,24 @@ let rand_bits_fn seed =
 let check_string = Alcotest.(check string)
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
+
+(* Words allocated so far: minor-heap words plus words allocated
+   directly in the major heap, less promoted words (counted once
+   already).  On OCaml 5.1.1 the minor part of [Gc.counters] divides
+   the uncollected minor heap by the word size a second time;
+   [Gc.minor_words] is exact, and so are [Gc.counters]' major and
+   promoted parts. *)
+let allocated_words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
+let alloc_bytes (f : unit -> unit) : int =
+  let w0 = allocated_words () in
+  f ();
+  int_of_float (allocated_words () -. w0) * (Sys.word_size / 8)
+
+(* Fails when one call of [f] allocates more than [bound] bytes; a
+   reading costs a few words of its own. *)
+let check_alloc_under msg ~(bound : int) (f : unit -> unit) =
+  let got = alloc_bytes f in
+  if got > bound then Alcotest.failf "%s: allocated %d B, bound %d B" msg got bound
