@@ -294,10 +294,10 @@ let reconnect (t : t) (m : mount) : (unit, mount_error) result =
 
 (* --- The read-write data path ---
 
-   Every Fs_call is built by [fs_request] and rides one of two muxes
-   over the mount's connection: a window-1 mux for serial calls, and —
-   with readahead on — a windowed mux for pipelined READs.
-   Write-behind (unstable WRITEs) alone stays on [Simnet.call_async]. *)
+   Every Fs_call is built by [fs_request] and rides a mux over the
+   mount's connection: a window-1 mux for serial calls, a second one
+   for write-behind (unstable WRITEs), and — with readahead on — a
+   windowed mux for pipelined READs. *)
 
 (* A reply that proves the channel poisoned (MAC failure, stream
    desync, garbled frame): the recovery path reconnects and re-issues. *)
@@ -364,19 +364,18 @@ let open_fs_reply ?obs (channel : Channel.t) (invalidations : fh list ref) (repl
 
 (* A mux over the mount's connection.  Its exchanges read m_conn and
    m_channel afresh, so a reconnection swaps them underneath. *)
-let mount_mux ?obs ?precompute ?srv_timeline (t : t) ~(window : int) ~(op_us : float)
-    (exchange : string -> 'a Rpc_mux.completion) : 'a Rpc_mux.t =
+let mount_mux ?obs ?precompute ?srv_timeline (t : t) ~(window : int) ~(latency_us : float)
+    ~(op_us : float) (exchange : string -> 'a Rpc_mux.completion) : 'a Rpc_mux.t =
   Rpc_mux.create ?obs ?precompute ?srv_timeline ~window ~clock:t.clock
     ~wire_us:(fun bytes -> Costmodel.transfer_us t.costs Costmodel.Tcp bytes)
-    ~latency_us:(Costmodel.rpc_fixed_us t.costs Costmodel.Tcp)
-    ~op_us ~exchange ()
+    ~latency_us ~op_us ~exchange ()
 
-(* The serial mux: a private server timeline, no per-reply residual and
-   no keystream donation, so a call costs exactly its round trip.  No
-   registry either — its traffic is counted under net.*, and the op
-   spans carry the critical-path samples. *)
-let serial_mux (t : t) (m : mount) : string Rpc_mux.t =
-  mount_mux t ~window:1 ~op_us:0.0 (fun wire ->
+(* A window-1 mux: a private server timeline, no per-reply residual and
+   no keystream donation, so a call costs exactly its wire, server time
+   and [latency_us].  No registry either — its traffic is counted under
+   net.*, and the op spans carry the critical-path samples. *)
+let window1_mux (t : t) (m : mount) ~(latency_us : float) : string Rpc_mux.t =
+  mount_mux t ~window:1 ~latency_us ~op_us:0.0 (fun wire ->
       let reply, server_us = Simnet.call_measured m.m_conn wire in
       let results, plain_len =
         open_fs_reply ?obs:t.obs m.m_channel m.m_invalidations reply
@@ -389,64 +388,31 @@ let serial_mux (t : t) (m : mount) : string Rpc_mux.t =
         c_claim_us = 0.0;
       })
 
-(* One serial attempt: seal at full cost, then a window-1 round trip
-   whose critical-path sample the mux records at decode success. *)
-let serial_call (t : t) (m : mount) (mux : string Rpc_mux.t) (os : Obs.open_span)
-    ~(opname : string) (req : string) : string =
+(* One attempt on a window-1 mux, which records the critical-path
+   sample at decode success.  A serial call pays a user-level crossing
+   and its full seal; write-behind seals overlapped. *)
+let attempt (t : t) (m : mount) (mux : string Rpc_mux.t) (os : Obs.open_span)
+    ~(opname : string) ~(overlapped : bool) (req : string) : string =
   let t0 = Simclock.now_us t.clock in
-  Simclock.advance t.clock t.costs.Costmodel.userlevel_us_per_side;
-  let wire = Channel.seal m.m_channel req in
-  let crypto_up = Channel.crypto_cost_us m.m_channel (String.length req) in
+  let wire, crypto_up, full =
+    if overlapped then seal_overlapped t m req
+    else begin
+      Simclock.advance t.clock t.costs.Costmodel.userlevel_us_per_side;
+      let wire = Channel.seal m.m_channel req in
+      let crypto_up = Channel.crypto_cost_us m.m_channel (String.length req) in
+      (wire, crypto_up, crypto_up)
+    end
+  in
   let info =
     {
       Rpc_mux.ci_op = opname;
       ci_t0_us = t0;
       ci_crypto_up_us = crypto_up;
-      ci_crypto_up_ctr = int_of_float crypto_up;
+      ci_crypto_up_ctr = int_of_float full;
       ci_span = os;
     }
   in
   Rpc_mux.await mux (Rpc_mux.submit ~info mux ~wire_bytes:(String.length wire) wire)
-
-(* One write-behind attempt: the pipeline hides the round-trip latency,
-   most of the user-level crossings and part of the encryption, so the
-   residual fractions are charged and [Simnet.call_async] bills the
-   wire plus a floor.  Its sampler inverts exactly those charges. *)
-let write_behind (t : t) (m : mount) (os : Obs.open_span) ~(opname : string) (req : string) :
-    string =
-  let t0 = Simclock.now_us t.clock in
-  let wire, crypto_up, full = seal_overlapped t m req in
-  let t1 = Simclock.now_us t.clock in
-  let reply = Simnet.call_async m.m_conn wire in
-  let results, plain_len = open_fs_reply ?obs:t.obs m.m_channel m.m_invalidations reply in
-  let t2 = Simclock.now_us t.clock in
-  let crypto_down = Channel.crypto_cost_us m.m_channel plain_len in
-  let up_wire = Costmodel.transfer_us t.costs Costmodel.Tcp (String.length wire) in
-  let floor = t.costs.Costmodel.async_floor_us in
-  let trace, span =
-    match Obs.open_ctx os with Some cx -> (cx.Obs.cx_trace, cx.Obs.cx_span) | None -> (0, 0)
-  in
-  Obs.span_end ~end_us:t2 os;
-  Obs.cp_record t.obs
-    {
-      Obs.cp_op = opname;
-      cp_trace = trace;
-      cp_span = span;
-      cp_start_us = t0;
-      cp_wall_us = t2 -. t0;
-      cp_segments =
-        [
-          ("client", t1 -. t0 -. crypto_up);
-          ("crypto_up", crypto_up);
-          ("latency", floor);
-          ("up_wire", up_wire);
-          ("server_cpu", t2 -. t1 -. floor -. up_wire -. crypto_down);
-          ("crypto_down", crypto_down);
-        ];
-      cp_crypto_up_ctr = int_of_float full;
-      cp_crypto_down_ctr = int_of_float crypto_down;
-    };
-  results
 
 (* The windowed READ path (readahead).  Requests ride the same secure
    channel in submission order — the mux runs exchanges eagerly, so the
@@ -468,6 +434,7 @@ let read_pipeline (t : t) (m : mount) : Fs_intf.pipeline =
   in
   let mux =
     mount_mux ?obs:t.obs ?srv_timeline t ~window:t.rpc_window
+      ~latency_us:(Costmodel.rpc_fixed_us t.costs Costmodel.Tcp)
       (* Donated idle wire time becomes reply-stream keystream, banked
          ahead of the replies it will decrypt (reads m_channel afresh,
          so a reconnection swaps the beneficiary too). *)
@@ -564,7 +531,10 @@ let mount (t : t) (path : Pathname.t) : (mount, mount_error) result =
                   m_readonly = false;
                 }
               in
-              let serial = serial_mux t m in
+              let serial =
+                window1_mux t m ~latency_us:(Costmodel.rpc_fixed_us t.costs Costmodel.Tcp)
+              in
+              let write_behind = window1_mux t m ~latency_us:t.costs.Costmodel.async_floor_us in
               (* The secure-channel transport for the read-write
                  protocol. *)
               let raw_call : Nfs_client.raw_call =
@@ -608,8 +578,8 @@ let mount (t : t) (path : Pathname.t) : (mount, mount_error) result =
                     end
                   in
                   match
-                    if async then write_behind t m os ~opname req
-                    else serial_call t m serial os ~opname req
+                    attempt t m (if async then write_behind else serial) os ~opname
+                      ~overlapped:async req
                   with
                   | results -> results
                   | exception Simnet.Timeout -> recover "timeout"

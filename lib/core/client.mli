@@ -43,13 +43,15 @@ val create :
     (capped exponential), reconnects and re-issues, because any loss
     poisons the ARC4 streams.
 
-    File system calls go through {!Sfs_net.Rpc_mux}.  Serial calls use
-    a window-1 mux per mount, which costs exactly one round trip and
-    records each call's critical-path sample.  [rpc_window] (default
-    1) is the window of a second mux for sequential-read readahead of
-    [readahead] blocks (default 0); any window above 1 also turns on
-    write-behind gathering in the cache layer.  Unstable WRITEs stay
-    on {!Simnet.call_async} — DESIGN.md §11.
+    File system calls go through {!Sfs_net.Rpc_mux}, which records
+    each call's critical-path sample.  Serial calls use a window-1 mux
+    per mount, which costs exactly one round trip.  Unstable WRITEs
+    use a second window-1 mux whose latency is
+    [Costmodel.async_floor_us], with an overlapped seal.  [rpc_window]
+    (default 1) is the window of a third mux for sequential-read
+    readahead of [readahead] blocks (default 0); any window above 1
+    also turns on write-behind gathering in the cache layer — DESIGN.md
+    §11.
 
     A pre-generated [temp_key] skips the (expensive) per-client key
     generation — fleet simulations share one K_C across thousands of

@@ -15,10 +15,11 @@
      message at the sender (the receiver's decrypt overlaps the
      sender's next encrypt), plus 10 us fixed per sealed message —
      which also reproduces the ~20 us encryption share of a null RPC;
-   - asynchronous (write-behind) RPCs pipeline: they pay wire transfer
-     but not the fixed round-trip latency, and only a fraction of the
-     user-level and crypto costs ("multiple outstanding requests can
-     overlap the latency of NFS RPCs", section 4.2);
+   - write-behind (unstable WRITE) RPCs ride a window-1 Rpc_mux whose
+     latency is async_floor_us, not the fixed round trip, and pay only
+     a fraction of the user-level and crypto costs, as readahead's
+     seals do ("multiple outstanding requests can overlap the latency
+     of NFS RPCs", section 4.2);
    - windowed (readahead) RPCs through Rpc_mux overlap round trips
      completely, so a saturated window is bandwidth-bound: its ceiling
      is set by reply wire transfer (the full-duplex wire carries the
@@ -43,7 +44,7 @@ type t = {
   userlevel_us_per_side : float; (* kernel/user crossing per RPC per daemon *)
   crypto_us_per_byte : float; (* ARC4 + MAC, charged at the sender *)
   crypto_us_per_msg : float; (* fixed MAC/rekey cost per sealed message *)
-  async_floor_us : float; (* minimum per-op cost of a pipelined RPC *)
+  async_floor_us : float; (* write-behind mux latency: the round trip's unhidden part *)
   nfs_tcp_stall_us : float; (* FreeBSD TCP-NFS delayed-ACK stall on multi-segment requests *)
   mss_bytes : int;
   async_userlevel_factor : float; (* share of user-level cost not hidden by the pipeline *)

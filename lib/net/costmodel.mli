@@ -13,12 +13,15 @@ type t = {
   userlevel_us_per_side : float;  (** kernel/user crossing per RPC per daemon *)
   crypto_us_per_byte : float;  (** ARC4 + MAC, charged at the sender *)
   crypto_us_per_msg : float;  (** fixed MAC/rekey cost per sealed message *)
-  async_floor_us : float;  (** minimum per-op cost of a pipelined RPC *)
+  async_floor_us : float;
+      (** latency of the write-behind mux: the part of a round trip a
+          write-behind caller still waits for *)
   nfs_tcp_stall_us : float;
       (** FreeBSD TCP-NFS delayed-ACK stall on multi-segment requests *)
   mss_bytes : int;
   async_userlevel_factor : float;
-      (** share of user-level cost not hidden by the pipeline *)
+      (** share of user-level cost not hidden by the pipeline
+          (write-behind and readahead seals) *)
   async_crypto_factor : float;  (** share of crypto cost not hidden by the pipeline *)
   pipeline_nfs_op_us : float;
       (** per-reply residual of a windowed ({!Rpc_mux}) NFS exchange:

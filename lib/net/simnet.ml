@@ -159,13 +159,9 @@ let remove_host (t : t) (name : string) : unit =
       Hashtbl.remove t.hosts h.host_name;
       List.iter (Hashtbl.remove t.hosts) h.aliases
 
-let find_host (t : t) (name : string) : host option = Hashtbl.find_opt t.hosts name
-
 let listen (t : t) (h : host) ~(port : int) (service : service) : unit =
   ignore t;
   Hashtbl.replace h.services port service
-
-let unlisten (h : host) ~(port : int) : unit = Hashtbl.remove h.services port
 
 type conn = {
   net : t;
@@ -276,12 +272,13 @@ let corrupt_byte (msg : string) (idx : int) : string =
     Bytes.unsafe_to_string b
   end
 
-(* Check the peer is alive and, after a restart, re-resolve the
-   connection: datagram transports rebind transparently to the restarted
-   process (whose per-connection state — e.g. the duplicate request
-   cache — starts empty); stream transports are dead for good and the
-   caller must reconnect. *)
+(* Check the connection is open and the peer alive and, after a
+   restart, re-resolve the connection: datagram transports rebind
+   transparently to the restarted process (whose per-connection state
+   — e.g. the duplicate request cache — starts empty); stream
+   transports are dead for good and the caller must reconnect. *)
 let check_liveness (c : conn) : unit =
+  if c.closed then raise Timeout;
   match c.net.injector with
   | None -> ()
   | Some inj ->
@@ -355,89 +352,55 @@ let deliver_reply (c : conn) (reply : string) : string =
           reply
       | Fault_corrupt idx -> corrupt_byte reply idx)
 
-(* One synchronous request/reply exchange: charges the fixed per-RPC
-   cost plus transfer time for both messages, runs the taps, runs the
-   server handler (which charges its own processing costs). *)
-let call (c : conn) (request : string) : string =
-  if c.closed then raise Timeout;
-  check_liveness c;
+(* The one delivery body: taps, the injector's verdict on both
+   directions and the handler, with the byte counters and the serving
+   host's [served_us].  It runs under [Simclock.absorb], so it charges
+   nothing: the simulated time the server side spent (handler charges
+   plus injector delays) is returned for the caller to account.  A
+   failed exchange restores the clock and propagates, and the caller's
+   backoff prices the loss. *)
+let exchange (c : conn) (request : string) : string * float =
   let t = c.net in
+  c.rpc_count <- c.rpc_count + 1;
+  c.bytes_sent <- c.bytes_sent + String.length request;
+  Obs.incr t.obs c.keys.k_rpcs;
+  Obs.add t.obs c.keys.k_bytes_out (String.length request);
+  let reply, server_us =
+    Simclock.absorb t.clock (fun () ->
+        let request = apply_tap c To_server request in
+        let reply = deliver c request in
+        let reply = apply_tap c To_client reply in
+        deliver_reply c reply)
+  in
+  c.host.served_us <- c.host.served_us +. server_us;
+  c.bytes_received <- c.bytes_received + String.length reply;
+  Obs.add t.obs c.keys.k_bytes_in (String.length reply);
+  (reply, server_us)
+
+(* A windowed-pipeline exchange (Rpc_mux): the delivery body alone; the
+   dispatcher re-accounts the returned server time under its overlapped
+   time model. *)
+let call_measured (c : conn) (request : string) : string * float =
+  check_liveness c;
+  Obs.span ~args:c.keys.span_args c.net.obs ~cat:"net" "rpc_pipe" (fun () -> exchange c request)
+
+(* One serial round trip: the delivery body plus the fixed per-RPC cost
+   and the wire time of both messages.  The request's half is charged
+   before delivery, so the handler runs at the instant the request
+   arrives; a failed exchange rolls that half back too. *)
+let call (c : conn) (request : string) : string =
+  let t = c.net in
+  let send () =
+    Simclock.advance t.clock (Costmodel.rpc_fixed_us t.costs c.proto);
+    Simclock.advance t.clock (Costmodel.transfer_us t.costs c.proto (String.length request))
+  in
+  check_liveness c;
   Obs.span ~args:c.keys.span_args t.obs ~cat:"net" "rpc" (fun () ->
       let start_us = Simclock.now_us t.clock in
-      c.rpc_count <- c.rpc_count + 1;
-      c.bytes_sent <- c.bytes_sent + String.length request;
-      Obs.incr t.obs c.keys.k_rpcs;
-      Obs.add t.obs c.keys.k_bytes_out (String.length request);
-      Simclock.advance t.clock (Costmodel.rpc_fixed_us t.costs c.proto);
-      Simclock.advance t.clock (Costmodel.transfer_us t.costs c.proto (String.length request));
-      let reply, served =
-        Simclock.time t.clock (fun () ->
-            let request = apply_tap c To_server request in
-            let reply = deliver c request in
-            let reply = apply_tap c To_client reply in
-            deliver_reply c reply)
-      in
-      c.host.served_us <- c.host.served_us +. served;
-      c.bytes_received <- c.bytes_received + String.length reply;
-      Obs.add t.obs c.keys.k_bytes_in (String.length reply);
+      let (reply, server_us), _ = Simclock.absorb t.clock (fun () -> send (); exchange c request) in
+      send ();
+      Simclock.advance t.clock server_us;
       Simclock.advance t.clock (Costmodel.transfer_us t.costs c.proto (String.length reply));
-      Obs.observe t.obs c.keys.k_rpc_us (int_of_float (Simclock.now_us t.clock -. start_us));
-      reply)
-
-(* A windowed-pipeline exchange (Rpc_mux): runs the full tap / fault /
-   handler path like [call], but charges *nothing* to the clock itself.
-   Server-side processing time (the handler's own charges, plus any
-   injector delays) is measured with [Simclock.absorb] and returned so
-   the dispatcher can re-account it under an overlapped time model.
-   Exceptions (drops, corruption-induced timeouts) restore the clock and
-   propagate to the caller. *)
-let call_measured (c : conn) (request : string) : string * float =
-  if c.closed then raise Timeout;
-  check_liveness c;
-  let t = c.net in
-  Obs.span ~args:c.keys.span_args t.obs ~cat:"net" "rpc_pipe" (fun () ->
-      c.rpc_count <- c.rpc_count + 1;
-      c.bytes_sent <- c.bytes_sent + String.length request;
-      Obs.incr t.obs c.keys.k_rpcs;
-      Obs.add t.obs c.keys.k_bytes_out (String.length request);
-      let reply, server_us =
-        Simclock.absorb t.clock (fun () ->
-            let request = apply_tap c To_server request in
-            let reply = deliver c request in
-            let reply = apply_tap c To_client reply in
-            deliver_reply c reply)
-      in
-      c.host.served_us <- c.host.served_us +. server_us;
-      c.bytes_received <- c.bytes_received + String.length reply;
-      Obs.add t.obs c.keys.k_bytes_in (String.length reply);
-      (reply, server_us))
-
-(* A pipelined (write-behind) exchange: the caller does not wait for
-   the reply, so the fixed round-trip latency is hidden; only wire
-   transfer plus a small per-op floor is charged.  Taps still see the
-   traffic. *)
-let call_async (c : conn) (request : string) : string =
-  if c.closed then raise Timeout;
-  check_liveness c;
-  let t = c.net in
-  Obs.span ~args:c.keys.span_args t.obs ~cat:"net" "rpc_async" (fun () ->
-      let start_us = Simclock.now_us t.clock in
-      c.rpc_count <- c.rpc_count + 1;
-      c.bytes_sent <- c.bytes_sent + String.length request;
-      Obs.incr t.obs c.keys.k_rpcs;
-      Obs.add t.obs c.keys.k_bytes_out (String.length request);
-      Simclock.advance t.clock t.costs.Costmodel.async_floor_us;
-      Simclock.advance t.clock (Costmodel.transfer_us t.costs c.proto (String.length request));
-      let reply, served =
-        Simclock.time t.clock (fun () ->
-            let request = apply_tap c To_server request in
-            let reply = deliver c request in
-            let reply = apply_tap c To_client reply in
-            deliver_reply c reply)
-      in
-      c.host.served_us <- c.host.served_us +. served;
-      c.bytes_received <- c.bytes_received + String.length reply;
-      Obs.add t.obs c.keys.k_bytes_in (String.length reply);
       Obs.observe t.obs c.keys.k_rpc_us (int_of_float (Simclock.now_us t.clock -. start_us));
       reply)
 

@@ -60,7 +60,7 @@ val set_injector : t -> injector option -> unit
 val create : ?costs:Costmodel.t -> ?obs:Sfs_obs.Obs.registry -> Simclock.t -> t
 (** When [obs] is given, every connection records per-peer RPC, byte
     and modeled-latency metrics under [net.<addr>:<port>.*], plus one
-    span per {!call}/{!call_async}.  {!inject} (the adversary's raw
+    span per {!call}/{!call_measured}.  {!inject} (the adversary's raw
     entry point) is deliberately not instrumented. *)
 
 val clock : t -> Simclock.t
@@ -69,9 +69,7 @@ val costs : t -> Costmodel.t
 val add_host : t -> string -> host
 val add_alias : t -> host -> string -> unit
 val remove_host : t -> string -> unit
-val find_host : t -> string -> host option
 val listen : t -> host -> port:int -> service -> unit
-val unlisten : host -> port:int -> unit
 
 (** {2 Per-host run queue and admission}
 
@@ -111,24 +109,20 @@ val conn_host : conn -> host
 
 val call : conn -> string -> string
 [@@sfs.sink "wire"]
-(** One request/reply exchange.  Charges wire time, runs taps, then
-    applies the armed injector's verdict (if any) to both directions.
+(** One serial exchange for the handshakes: the {!call_measured}
+    delivery body plus the fixed per-RPC cost and both messages' wire
+    time, the request's half charged before delivery.
     @raise Timeout when the adversary or the fault plan loses either
-    message, or the peer is down/restarted (TCP). *)
-
-val call_async : conn -> string -> string
-[@@sfs.sink "wire"]
-(** Pipelined exchange (write-behind traffic): charges wire transfer of
-    the request plus a small floor, hiding the round-trip latency. *)
+    message, or the peer is down/restarted (TCP).  A failed exchange
+    charges nothing; the caller's backoff prices the loss. *)
 
 val call_measured : conn -> string -> string * float
 [@@sfs.sink "wire"]
-(** Windowed-pipeline exchange ({!Rpc_mux}): runs the same tap / fault /
-    handler path as {!call} but charges nothing to the clock.  Returns
-    the raw reply together with the simulated microseconds the server
-    side spent producing it (handler charges plus injector delays),
-    measured with {!Simclock.absorb}, so the dispatcher can re-account
-    that time under an overlapped model.
+(** The delivery body ({!Rpc_mux}'s transport): runs the taps, the
+    armed injector's verdict on both directions and the handler, but
+    charges nothing to the clock.  Returns the raw reply and the
+    simulated microseconds the server side spent producing it (handler
+    charges plus injector delays), measured with {!Simclock.absorb}.
     @raise Timeout as {!call} does; the clock is left unchanged. *)
 
 val inject : conn -> string -> string

@@ -217,14 +217,14 @@ let generic_ops (call : raw_call) ~(root : fh) : Fs_intf.ops =
     fs_fsstat = (fun cred h -> nfs_call ~cred ~proc:proc_fsstat enc_fh h (dec_res dec_fsstat_ok));
   }
 
-(* A mux over [conn], pricing [proto]'s round trip.  The exchange runs
-   the full tap / fault / handler path and charges nothing itself. *)
-let conn_mux ?obs ~(window : int) ~(op_us : float) (net : Simnet.t)
+(* A mux over [conn], pricing [proto]'s wire.  The exchange runs the
+   full tap / fault / handler path and charges nothing itself. *)
+let conn_mux ?obs ~(window : int) ~(latency_us : float) ~(op_us : float) (net : Simnet.t)
     ~(proto : Costmodel.transport_proto) (conn : Simnet.conn) : string Rpc_mux.t =
   let costs = Simnet.costs net in
   Rpc_mux.create ?obs ~window ~clock:(Simnet.clock net)
     ~wire_us:(fun bytes -> Costmodel.transfer_us costs proto bytes)
-    ~latency_us:(Costmodel.rpc_fixed_us costs proto) ~op_us
+    ~latency_us ~op_us
     ~exchange:(fun msg ->
       let reply, server_us = Simnet.call_measured conn msg in
       {
@@ -237,24 +237,26 @@ let conn_mux ?obs ~(window : int) ~(op_us : float) (net : Simnet.t)
     ()
 
 (* Ops over a network connection.  Serial calls ride a window-1 mux,
-   which prices exactly one round trip; it keeps no registry and takes
-   no critical-path samples, so the mux.* counters describe readahead
-   alone.  Async traffic (unstable WRITEs) goes through
-   [Simnet.call_async].  [stall] models FreeBSD's suboptimal kernel
-   NFS-over-TCP (paper section 4.1): requests spanning multiple TCP
-   segments hit delayed-ACK/Nagle stalls — the pathology behind NFS 3
-   (TCP)'s poor showing on write-heavy workloads. *)
+   which prices exactly one round trip.  Async traffic (unstable
+   WRITEs) rides a second one, whose latency is [async_floor_us]: the
+   part of the round trip a write-behind caller still waits for.
+   Neither keeps a registry or takes critical-path samples, so the
+   mux.* counters describe readahead alone.  [stall] models FreeBSD's
+   suboptimal kernel NFS-over-TCP (paper section 4.1): requests
+   spanning multiple TCP segments hit delayed-ACK/Nagle stalls — the
+   pathology behind NFS 3 (TCP)'s poor showing on write-heavy
+   workloads. *)
 let conn_ops ~(stall : int -> unit) ?retry ?obs (net : Simnet.t)
     ~(proto : Costmodel.transport_proto) ~(machine : string) (conn : Simnet.conn) ~(root : fh) :
     Fs_intf.ops =
-  let serial = conn_mux ~window:1 ~op_us:0.0 net ~proto conn in
-  let sync =
+  let costs = Simnet.costs net in
+  let client latency_us =
+    let mux = conn_mux ~window:1 ~latency_us ~op_us:0.0 net ~proto conn in
     create ?retry ?obs ~machine (fun msg ->
-        Rpc_mux.await serial (Rpc_mux.submit serial ~wire_bytes:(String.length msg) msg))
+        Rpc_mux.await mux (Rpc_mux.submit mux ~wire_bytes:(String.length msg) msg))
   in
-  let async_t =
-    { (create ?retry ?obs ~machine (fun b -> Simnet.call_async conn b)) with xid = 100_000_000 }
-  in
+  let sync = client (Costmodel.rpc_fixed_us costs proto) in
+  let async_t = { (client costs.Costmodel.async_floor_us) with xid = 100_000_000 } in
   generic_ops
     (fun ~cred ~proc ~async args ->
       stall (String.length args);
@@ -271,8 +273,11 @@ let conn_ops ~(stall : int -> unit) ?retry ?obs (net : Simnet.t)
 let conn_pipeline ?obs ~(window : int) ~(depth : int) (net : Simnet.t)
     ~(proto : Costmodel.transport_proto) ~(machine : string) (conn : Simnet.conn) :
     Fs_intf.pipeline =
-  let op_us = (Simnet.costs net).Costmodel.pipeline_nfs_op_us in
-  let mux = conn_mux ?obs ~window ~op_us net ~proto conn in
+  let costs = Simnet.costs net in
+  let mux =
+    conn_mux ?obs ~window ~latency_us:(Costmodel.rpc_fixed_us costs proto)
+      ~op_us:costs.Costmodel.pipeline_nfs_op_us net ~proto conn
+  in
   let enc = Xdr.make_enc () in
   let next_xid = ref 200_000_000 in
   let pl_submit cred h ~off ~count =

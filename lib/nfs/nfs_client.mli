@@ -61,6 +61,7 @@ val mount_pipelined :
 (** Like {!mount}, but when [window > 1] and [readahead > 0] (defaults
     are the trivial 1/0) also returns the pipelined read path for
     {!Cachefs.create}'s [pipeline].  Only the MOUNT handshake uses
-    {!Simnet.call}.  Serial calls ride a window-1 {!Sfs_net.Rpc_mux},
-    and unstable WRITEs go through {!Simnet.call_async}.  Readahead
-    has its own windowed mux and xid space. *)
+    {!Simnet.call}.  Serial calls ride a window-1 {!Sfs_net.Rpc_mux}.
+    Unstable WRITEs ride a second window-1 mux whose latency is
+    [Costmodel.async_floor_us], in their own xid space.  Readahead has
+    its own windowed mux and xid space. *)

@@ -22,19 +22,9 @@ let is_anonymous (c : cred) = c.cred_uid = -2
 
 let in_group (c : cred) (gid : int) = c.cred_gid = gid || List.mem gid c.cred_groups
 
-(* A process: the unit that file system requests are attributed to.
-   The SFS client maps "every file system operation to a particular
-   agent based on the local credentials of the particular process
-   making the request" (section 2.3). *)
-type process = { pid : int; pcred : cred; powner : string (* user name, for display *) }
+type t = { mutable users : user list; mutable next_uid : int }
 
-type t = {
-  mutable users : user list;
-  mutable next_pid : int;
-  mutable next_uid : int;
-}
-
-let create () : t = { users = [ root_user ]; next_pid = 100; next_uid = 1000 }
+let create () : t = { users = [ root_user ]; next_uid = 1000 }
 
 let add_user ?uid ?(groups = []) (t : t) (name : string) : user =
   if List.exists (fun u -> u.name = name) t.users then invalid_arg ("Simos.add_user: duplicate " ^ name);
@@ -52,8 +42,3 @@ let add_user ?uid ?(groups = []) (t : t) (name : string) : user =
 
 let find_user (t : t) (name : string) : user option = List.find_opt (fun u -> u.name = name) t.users
 let find_user_by_uid (t : t) (uid : int) : user option = List.find_opt (fun u -> u.uid = uid) t.users
-
-let spawn (t : t) (u : user) : process =
-  let pid = t.next_pid in
-  t.next_pid <- t.next_pid + 1;
-  { pid; pcred = cred_of_user u; powner = u.name }

@@ -1,4 +1,4 @@
-(** A miniature multi-user Unix: users, credentials, processes.
+(** A miniature multi-user Unix: users and credentials.
 
     SFS's design hangs off this separation — servers grant access to
     users, not clients (paper section 2.1.1), and agents are per-user
@@ -18,8 +18,6 @@ val is_superuser : cred -> bool
 val is_anonymous : cred -> bool
 val in_group : cred -> int -> bool
 
-type process = { pid : int; pcred : cred; powner : string }
-
 type t
 
 val create : unit -> t
@@ -29,4 +27,3 @@ val add_user : ?uid:int -> ?groups:int list -> t -> string -> user
 
 val find_user : t -> string -> user option
 val find_user_by_uid : t -> int -> user option
-val spawn : t -> user -> process

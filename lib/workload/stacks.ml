@@ -77,8 +77,6 @@ let arm_faults (w : world) (spec : Fault.spec) : unit =
   in
   Simnet.set_injector w.net (Some inj)
 
-let disarm_faults (w : world) : unit = Simnet.set_injector w.net None
-
 (* A fixed small key size keeps world construction fast; the crypto
    micro-benchmarks measure the full-size primitives separately. *)
 let key_bits = 512

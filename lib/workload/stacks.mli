@@ -64,8 +64,6 @@ val arm_faults : world -> Sfs_fault.Fault.spec -> unit
     install it.  For SFS stacks, the server's volatile state dies with
     each crash window.  Replaces any previously armed plan. *)
 
-val disarm_faults : world -> unit
-
 val flush_caches : world -> unit
 (** Client caches dropped, server disk flushed: benchmark hygiene. *)
 

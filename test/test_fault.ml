@@ -29,23 +29,31 @@ type op =
 
 (* Faults surface as errors ([Error _] results, RPC give-ups, raw
    timeouts); the workload shrugs and moves on — what matters is that
-   the surviving state matches the oracle, not that every op wins. *)
-let apply (w : Stacks.world) (op : op) : unit =
+   the surviving state matches the oracle, not that every op wins.
+   [apply] reports whether the op gave up with [Rpc_failure]: the
+   client spent its retry budget, and the op may or may not have
+   reached the server. *)
+let apply (w : Stacks.world) (op : op) : bool =
   let vfs = w.Stacks.vfs and cred = w.Stacks.cred in
   let p rel = w.Stacks.workdir ^ "/" ^ rel in
-  let tolerate f =
-    try f () with Sfs_nfs.Nfs_client.Rpc_failure _ | Sfs_net.Simnet.Timeout -> ()
-  in
-  tolerate (fun () ->
-      match op with
-      | Mkdir d -> ignore (Vfs.mkdir vfs cred (p d))
-      | Write (f, data) -> ignore (Vfs.write_file vfs cred (p f) data)
-      | Read f -> ignore (Vfs.read_file vfs cred (p f))
-      | Remove f -> ignore (Vfs.unlink vfs cred (p f))
-      | Rename (a, b) -> ignore (Vfs.rename vfs cred ~src:(p a) ~dst:(p b))
-      | Readdir d -> ignore (Vfs.readdir vfs cred (p d)))
+  match
+    match op with
+    | Mkdir d -> ignore (Vfs.mkdir vfs cred (p d))
+    | Write (f, data) -> ignore (Vfs.write_file vfs cred (p f) data)
+    | Read f -> ignore (Vfs.read_file vfs cred (p f))
+    | Remove f -> ignore (Vfs.unlink vfs cred (p f))
+    | Rename (a, b) -> ignore (Vfs.rename vfs cred ~src:(p a) ~dst:(p b))
+    | Readdir d -> ignore (Vfs.readdir vfs cred (p d))
+  with
+  | () -> false
+  | exception Sfs_nfs.Nfs_client.Rpc_failure _ -> true
+  | exception Sfs_net.Simnet.Timeout -> false
 
-let run_ops (w : Stacks.world) (ops : op list) : unit = List.iter (apply w) ops
+(* Run [ops]; returns the indices of those that gave up. *)
+let run_recording (w : Stacks.world) (ops : op list) : int list =
+  List.concat (List.mapi (fun i op -> if apply w op then [ i ] else []) ops)
+
+let run_ops (w : Stacks.world) (ops : op list) : unit = ignore (run_recording w ops)
 
 (* Deterministic op sequence from an integer seed: mkdirs first so
    later ops have somewhere to land, then a shuffle of mutations and
@@ -237,19 +245,36 @@ let test_serial_replay () =
   Testkit.check_int "no mac mismatch counted" 0 (Obs.counter w.Stacks.obs "recover.mac_mismatch");
   Testkit.check_int "one reconnect" 1 (Obs.counter w.Stacks.obs "recover.reconnect")
 
+(* A fresh file in the world's working directory, created under the
+   tap (every message passes). *)
+let fresh_file (w : Stacks.world) (m : Client.mount) (name : string) : Sfs_nfs.Nfs_types.fh =
+  let ops = Client.ops m and cred = w.Stacks.cred in
+  let ok what = function
+    | Ok (fh, _) -> fh
+    | Error e -> Alcotest.failf "%s: %s" what (Sfs_nfs.Nfs_types.status_to_string e)
+  in
+  let dir = ok "lookup bench" (ops.Sfs_nfs.Fs_intf.fs_lookup cred ~dir:ops.Sfs_nfs.Fs_intf.fs_root "bench") in
+  ok "create" (ops.Sfs_nfs.Fs_intf.fs_create cred ~dir name ~mode:0o644)
+
+(* One unstable WRITE: with gathering off (window 1) the cache passes it
+   straight to the write-behind mux, as one "write/wb" call. *)
+let write_behind_once (w : Stacks.world) (m : Client.mount) (fh : Sfs_nfs.Nfs_types.fh) : unit =
+  let ops = Client.ops m in
+  match ops.Sfs_nfs.Fs_intf.fs_write w.Stacks.cred fh ~off:0 ~stable:false "write-behind" with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "write: %s" (Sfs_nfs.Nfs_types.status_to_string e)
+
 (* A lost request charges nothing past the client's own work before the
    send: the failed attempt's span lasts exactly as long as the
    successful retry's client-side segments, and the retry starts no
    sooner than one backoff later. *)
-let test_serial_drop_charges_nothing () =
-  let w, _, m, arm = tapped_serial_world () in
-  arm Simnet.To_server (fun _ -> Simnet.Drop);
-  getattr_root w m;
+let check_drop_charges_nothing (w : Stacks.world) ~(opname : string) (run : unit -> unit) : unit =
+  run ();
   Testkit.check_int "one retry" 1 (Obs.counter w.Stacks.obs "recover.rpc_retry");
   (* The client's per-attempt spans, children of the cache's op root. *)
   let attempts =
     List.filter
-      (fun s -> s.Obs.sp_cat = "op" && s.Obs.sp_name = "getattr" && s.Obs.sp_parent <> 0)
+      (fun s -> s.Obs.sp_cat = "op" && s.Obs.sp_name = opname && s.Obs.sp_parent <> 0)
       (Obs.spans w.Stacks.obs)
   in
   let failed, retry =
@@ -259,7 +284,7 @@ let test_serial_drop_charges_nothing () =
   in
   let sample =
     match List.rev (Obs.cp_samples w.Stacks.obs) with
-    | s :: _ when s.Obs.cp_op = "getattr" -> s
+    | s :: _ when s.Obs.cp_op = opname -> s
     | _ -> Alcotest.fail "retry not sampled"
   in
   let before_send =
@@ -270,6 +295,42 @@ let test_serial_drop_charges_nothing () =
   let failed_end = failed.Obs.sp_start_us +. failed.Obs.sp_dur_us in
   Testkit.check_bool "retry waits out the backoff" true
     (retry.Obs.sp_start_us -. failed_end >= 50_000.0)
+
+let test_serial_drop_charges_nothing () =
+  let w, _, m, arm = tapped_serial_world () in
+  arm Simnet.To_server (fun _ -> Simnet.Drop);
+  check_drop_charges_nothing w ~opname:"getattr" (fun () -> getattr_root w m)
+
+let test_write_behind_drop_charges_nothing () =
+  let w, _, m, arm = tapped_serial_world () in
+  let fh = fresh_file w m "wb-drop" in
+  arm Simnet.To_server (fun _ -> Simnet.Drop);
+  check_drop_charges_nothing w ~opname:"write/wb" (fun () -> write_behind_once w m fh)
+
+(* A write-behind caller waits for [async_floor_us] of the round trip
+   plus both messages' wire time: the reply's wire time is a segment of
+   its own. *)
+let test_write_behind_sample () =
+  let w, tap, m, _ = tapped_serial_world () in
+  let fh = fresh_file w m "wb-sample" in
+  write_behind_once w m fh;
+  let costs = Simnet.costs w.Stacks.net in
+  let reply =
+    match tap.Simnet.observed with
+    | (Simnet.To_client, msg) :: _ -> msg
+    | _ -> Alcotest.fail "no reply observed"
+  in
+  let sample =
+    match List.rev (Obs.cp_samples w.Stacks.obs) with
+    | s :: _ when s.Obs.cp_op = "write/wb" -> s
+    | _ -> Alcotest.fail "write-behind not sampled"
+  in
+  let seg name = List.assoc name sample.Obs.cp_segments in
+  Alcotest.(check (float 1e-9)) "latency is the async floor" costs.Sfs_net.Costmodel.async_floor_us
+    (seg "latency");
+  Alcotest.(check (float 1e-9)) "down_wire is the sealed reply's wire time"
+    (Sfs_net.Costmodel.transfer_us costs Sfs_net.Costmodel.Tcp (String.length reply))
+    (seg "down_wire")
 
 (* --- The oracle property --- *)
 
@@ -297,16 +358,57 @@ let scenario_of_seed (seed : int) : Stacks.stack * Fault.spec * op list =
   in
   (stack, spec, ops_of_seed seed)
 
+(* The oracle: the faulty tree equals the tree a fresh [clean ()] world
+   leaves after [ops] with some subset of the faulty run's given-up ops
+   skipped, the empty subset (the full tree) first.  Denial is allowed
+   — a given-up op may or may not have reached the server — but
+   corruption never is, and an op that returned normally is never
+   skipped. *)
+let converges ~(clean : unit -> Stacks.world) (ops : op list) ~(gave_up : int list)
+    (faulty : Stacks.world) : bool =
+  let want = signature faulty.Stacks.server_fs in
+  let rec subsets = function
+    | [] -> [ [] ]
+    | i :: rest ->
+        let s = subsets rest in
+        s @ List.map (fun l -> i :: l) s
+  in
+  List.exists
+    (fun skip ->
+      let w = clean () in
+      run_ops w (List.filteri (fun i _ -> not (List.mem i skip)) ops);
+      signature w.Stacks.server_fs = want)
+    (subsets gave_up)
+
 let oracle_prop =
   QCheck.Test.make ~count:100 ~name:"faulty run converges to the fault-free oracle"
     QCheck.(int_bound 1_000_000)
     (fun seed ->
       let stack, spec, ops = scenario_of_seed seed in
       let faulty = Stacks.make ~fault:spec stack in
-      run_ops faulty ops;
-      let clean = Stacks.make stack in
-      run_ops clean ops;
-      signature faulty.Stacks.server_fs = signature clean.Stacks.server_fs)
+      let gave_up = run_recording faulty ops in
+      converges ~clean:(fun () -> Stacks.make stack) ops ~gave_up faulty)
+
+(* Seed 338826 gives up exactly one op, its last: a 280-byte write to
+   d2/f2 that loses eight attempts in a row.  The write never lands, so
+   the faulty tree is the clean tree of the first 16 ops — a denial,
+   which the oracle accepts, where the full-tree comparison alone
+   failed. *)
+let test_oracle_gave_up_write () =
+  let stack, spec, ops = scenario_of_seed 338826 in
+  let faulty = Stacks.make ~fault:spec stack in
+  let gave_up = run_recording faulty ops in
+  let last = List.length ops - 1 in
+  Alcotest.(check (list int)) "only the last op gave up" [ last ] gave_up;
+  (match List.nth ops last with
+  | Write ("d2/f2", data) -> Testkit.check_int "a 280-byte write" 280 (String.length data)
+  | _ -> Alcotest.fail "last op is not the write to d2/f2");
+  let clean = Stacks.make stack in
+  run_ops clean ops;
+  Testkit.check_bool "full clean tree differs" false
+    (signature clean.Stacks.server_fs = signature faulty.Stacks.server_fs);
+  Testkit.check_bool "clean tree of the first 16 ops matches" true
+    (converges ~clean:(fun () -> Stacks.make stack) ops ~gave_up faulty)
 
 (* --- Pipelining is invisible to correctness (DESIGN.md §11) --- *)
 
@@ -368,11 +470,9 @@ let pipeline_fault_oracle_prop =
       let stack, spec, ops = scenario_of_seed seed in
       let ops = ops @ seq_phase seed in
       let faulty = Stacks.make ~fault:spec ~rpc_window:(2 + (seed mod 15)) stack in
-      run_ops faulty ops;
+      let gave_up = run_recording faulty ops in
       settle faulty;
-      let serial = Stacks.make ~rpc_window:1 ~readahead:0 stack in
-      run_ops serial ops;
-      signature faulty.Stacks.server_fs = signature serial.Stacks.server_fs)
+      converges ~clean:(fun () -> Stacks.make ~rpc_window:1 ~readahead:0 stack) ops ~gave_up faulty)
 
 let suite =
   ( "fault",
@@ -385,5 +485,11 @@ let suite =
       Alcotest.test_case "serial replayed reply recovers" `Quick test_serial_replay;
       Alcotest.test_case "serial dropped request charges nothing" `Quick
         test_serial_drop_charges_nothing;
+      Alcotest.test_case "write-behind dropped request charges nothing" `Quick
+        test_write_behind_drop_charges_nothing;
+      Alcotest.test_case "write-behind sample prices the reply wire" `Quick
+        test_write_behind_sample;
+      Alcotest.test_case "oracle accepts a given-up write (seed 338826)" `Quick
+        test_oracle_gave_up_write;
     ]
     @ Testkit.to_alcotest [ oracle_prop; pipeline_equiv_prop; pipeline_fault_oracle_prop ] )

@@ -189,8 +189,6 @@ let test_sl010 () =
     {|let f conn wire = Simnet.call conn wire|};
   fires "fully qualified" ~path:"lib/nfs/nfs_client.ml" ~code:"SL010"
     {|let f conn wire = Sfs_net.Simnet.call conn wire|};
-  silent "call_async is the point" ~path:"lib/core/client.ml" ~code:"SL010"
-    {|let f conn wire = Simnet.call_async conn wire|};
   silent "call_measured feeds the mux" ~path:"lib/nfs/nfs_client.ml" ~code:"SL010"
     {|let f conn wire = Simnet.call_measured conn wire|};
   silent "outside the client hot paths" ~path:"lib/core/server.ml" ~code:"SL010"

@@ -87,6 +87,17 @@ let test_lfs_small_shape () =
   Testkit.check_bool "unlink within 10%" true
     (sfs.Sprite_lfs.unlink_s < 1.1 *. udp.Sprite_lfs.unlink_s)
 
+(* Figure 9's write ordering: SFS's sequential write is slower than
+   NFS 3 over UDP (the paper has it 44% above), which is slower than
+   the local file system.  Write-behind's accounting must keep it. *)
+let test_fig9_write_ordering () =
+  let seq_write s = (Sprite_lfs.run_large (Stacks.make s)).Sprite_lfs.seq_write_s in
+  let local = seq_write Stacks.Local in
+  let udp = seq_write Stacks.Nfs_udp in
+  let sfs = seq_write Stacks.Sfs in
+  Testkit.check_bool "sfs above nfs/udp" true (sfs > udp);
+  Testkit.check_bool "nfs/udp above local" true (udp > local)
+
 let test_compile_crossover () =
   (* Figure 7's coup: SFS beats NFS 3 over TCP while losing to UDP. *)
   let time s = Compile.run (Stacks.make s) in
@@ -362,10 +373,10 @@ let crash_window ~host ~down_s ~up_s =
 
 let golden_fleet =
   [
-    ("default", Fleet.default, "c9609fbbb4e78fcdad4836c95f3ef3d9777c55d6");
+    ("default", Fleet.default, "63737929f94ca27bb095596c573054824916b9b2");
     ( "admission cap",
       { Fleet.default with Fleet.clients = 6; servers = 1; admit_per_server = Some 2 },
-      "bae10f7e2c8c947736ee5701cac6deaed58c672d" );
+      "db3f1636d6044e44f6e5f76347ba4f00d2343a77" );
     ( "zipf ramp",
       {
         Fleet.default with
@@ -387,7 +398,7 @@ let golden_fleet =
                ~crashes:[ crash_window ~host:"srv0.fleet.lcs.mit.edu" ~down_s:0.02 ~up_s:0.1 ]
                ~seed:"golden/rw-crash" ());
       },
-      "7e38575038399bc9507f9f731a5ab2554fc15033" );
+      "77b56a097494a34e8022e97639d644bd0270c4b2" );
   ]
 
 let golden_flashcrowd =
@@ -411,16 +422,22 @@ let golden_flashcrowd =
       "cec46ba034d2d8e56b1645f29cc340a878e7972e" );
   ]
 
+(* Every digest is computed before the test fails, so one run names
+   each moved ledger with its wanted and actual SHA-1. *)
 let test_golden_ledgers () =
-  List.iter
-    (fun (name, cfg, sha) ->
-      Testkit.check_string ("fleet " ^ name) sha (ledger_sha1 (Fleet.ledger (Fleet.run cfg))))
-    golden_fleet;
-  List.iter
-    (fun (name, cfg, sha) ->
-      Testkit.check_string ("flashcrowd " ^ name) sha
-        (ledger_sha1 (Flashcrowd.ledger (Flashcrowd.run cfg))))
-    golden_flashcrowd
+  let results =
+    List.map
+      (fun (name, cfg, want) ->
+        ("fleet " ^ name, want, ledger_sha1 (Fleet.ledger (Fleet.run cfg))))
+      golden_fleet
+    @ List.map
+        (fun (name, cfg, want) ->
+          ("flashcrowd " ^ name, want, ledger_sha1 (Flashcrowd.ledger (Flashcrowd.run cfg))))
+        golden_flashcrowd
+  in
+  let moved = List.filter (fun (_, want, got) -> want <> got) results in
+  List.iter (fun (name, want, got) -> Printf.printf "%s: want %s got %s\n" name want got) moved;
+  Testkit.check_int "golden ledgers that moved" 0 (List.length moved)
 
 let suite =
   ( "workload",
@@ -432,6 +449,7 @@ let suite =
       Alcotest.test_case "fig6 MAB shape" `Slow test_mab_shape;
       Alcotest.test_case "fig8 LFS small shape" `Slow test_lfs_small_shape;
       Alcotest.test_case "fig7 compile crossover" `Slow test_compile_crossover;
+      Alcotest.test_case "fig9 write ordering" `Slow test_fig9_write_ordering;
       Alcotest.test_case "flush caches" `Quick test_flush_caches;
       Alcotest.test_case "fleet smoke" `Quick test_fleet_smoke;
       Alcotest.test_case "fleet admission" `Quick test_fleet_admission;

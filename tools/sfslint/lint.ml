@@ -96,7 +96,7 @@ let rules : rule_info list =
       ri_code = "SL010";
       ri_title = "blocking Simnet.call on a client hot path";
       ri_hint =
-        "route request/reply traffic through Rpc_mux (Simnet.call_measured) or Simnet.call_async so round trips can overlap; waive with a pragma for setup/auth/recovery exchanges that are serial by design";
+        "route request/reply traffic through Rpc_mux (Simnet.call_measured) so round trips can overlap; waive with a pragma for setup/auth/recovery exchanges that are serial by design";
     };
     {
       ri_code = "SL011";
