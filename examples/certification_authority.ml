@@ -90,7 +90,7 @@ let () =
 
   step "The CA snapshot is signed once and served read-only";
   let snapshot =
-    Readonly.snapshot ~key:ca_key ~now_s:(Simclock.seconds clock) ~duration_s:(24 * 3600) ca_fs
+    Readonly.snapshot ~key:ca_key ~now_s:(Simclock.seconds clock) ca_fs
   in
   Server.serve_readonly ca_server snapshot;
   Printf.printf "snapshot: %d bytes of content-hashed objects, one Rabin signature\n"

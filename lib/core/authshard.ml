@@ -37,7 +37,10 @@ let point (label : string) : int64 =
   done;
   !v
 
-let create ?(vnodes = 32) ?obs (shards : Authserv.t array) : t =
+(* Virtual ring points per shard. *)
+let vnodes = 32
+
+let create ?obs (shards : Authserv.t array) : t =
   if Array.length shards = 0 then invalid_arg "Authshard.create: no shards";
   let points = ref [] in
   Array.iteri
@@ -70,6 +73,8 @@ let shard_for_hash (t : t) (h : int64) : int =
   let idx = if !lo = n then 0 else !lo in
   snd t.ring.(idx)
 
+(* The shard owning a public key, or a user name (failure logging has
+   no key in hand). *)
 let shard_for_key (t : t) (pub : Rabin.pub) : int =
   shard_for_hash t (point (Rabin.pub_to_string pub))
 

@@ -7,20 +7,13 @@
 
 type t
 
-val create : ?vnodes:int -> ?obs:Sfs_obs.Obs.registry -> Authserv.t array -> t
-(** [vnodes] (default 32) virtual ring points per shard.  When [obs]
-    is given, each routed validation bumps [authshard.<i>.validate].
+val create : ?obs:Sfs_obs.Obs.registry -> Authserv.t array -> t
+(** Each shard holds 32 virtual points on the ring.  When [obs] is
+    given, each routed validation bumps [authshard.<i>.validate].
     @raise Invalid_argument on an empty shard array. *)
 
 val n_shards : t -> int
 val shard : t -> int -> Authserv.t
-
-val shard_for_key : t -> Sfs_crypto.Rabin.pub -> int
-(** The shard owning a public key (ring successor of its hash). *)
-
-val shard_for_user : t -> string -> int
-(** The shard owning a user name (management operations that have no
-    key in hand). *)
 
 val add_user_key : t -> user:string -> cred:Sfs_os.Simos.cred -> Sfs_crypto.Rabin.pub -> int
 (** Register [user] with [cred] and their public key on the owning

@@ -71,7 +71,6 @@ type mount = {
 type t = {
   net : Simnet.t;
   clock : Simclock.t;
-  costs : Costmodel.t;
   rng : Prng.t;
   from_host : string;
   mutable temp_key : Rabin.priv option;
@@ -103,7 +102,6 @@ let create ?temp_key ?(encrypt = true) ?(cache_policy = Cachefs.sfs_policy) ?(rp
   {
     net;
     clock = Simnet.clock net;
-    costs = Simnet.costs net;
     rng;
     from_host;
     (* A pre-generated [temp_key] lets a fleet of simulated clients on
@@ -180,7 +178,7 @@ let dial (t : t) (path : Pathname.t) :
           Error (Host_unreachable location)
       | { Keyneg.keys; server_pub } ->
           let channel =
-            Channel.create ~encrypt:t.encrypt ~clock:t.clock ~costs:t.costs ?obs:t.obs
+            Channel.create ~encrypt:t.encrypt ~clock:t.clock ?obs:t.obs
               ~label:"client" ~send_key:keys.Keyneg.kcs ~recv_key:keys.Keyneg.ksc ()
           in
           Ok (conn, channel, keys.Keyneg.session_id, server_pub))
@@ -331,10 +329,10 @@ let fs_request (m : mount) ~(cred : Simos.cred) ~(proc : int) ~(xid : int) (os :
    cost (the counter attribution). *)
 let seal_overlapped (t : t) (m : mount) (req : string) : string * float * float =
   Simclock.advance t.clock
-    (t.costs.Costmodel.async_userlevel_factor *. (2.0 *. t.costs.Costmodel.userlevel_us_per_side));
+    (Costmodel.async_userlevel_factor *. (2.0 *. Costmodel.userlevel_us_per_side));
   let wire = Channel.seal ~bill:false m.m_channel req in
   let full = Channel.crypto_cost_us m.m_channel (String.length req) in
-  let crypto_up = t.costs.Costmodel.async_crypto_factor *. full in
+  let crypto_up = Costmodel.async_crypto_factor *. full in
   Simclock.advance t.clock crypto_up;
   (wire, crypto_up, full)
 
@@ -367,7 +365,7 @@ let open_fs_reply ?obs (channel : Channel.t) (invalidations : fh list ref) (repl
 let mount_mux ?obs ?precompute ?srv_timeline (t : t) ~(window : int) ~(latency_us : float)
     ~(op_us : float) (exchange : string -> 'a Rpc_mux.completion) : 'a Rpc_mux.t =
   Rpc_mux.create ?obs ?precompute ?srv_timeline ~window ~clock:t.clock
-    ~wire_us:(fun bytes -> Costmodel.transfer_us t.costs Costmodel.Tcp bytes)
+    ~wire_us:(Costmodel.transfer_us Costmodel.Tcp)
     ~latency_us ~op_us ~exchange ()
 
 (* A window-1 mux: a private server timeline, no per-reply residual and
@@ -397,7 +395,7 @@ let attempt (t : t) (m : mount) (mux : string Rpc_mux.t) (os : Obs.open_span)
   let wire, crypto_up, full =
     if overlapped then seal_overlapped t m req
     else begin
-      Simclock.advance t.clock t.costs.Costmodel.userlevel_us_per_side;
+      Simclock.advance t.clock Costmodel.userlevel_us_per_side;
       let wire = Channel.seal m.m_channel req in
       let crypto_up = Channel.crypto_cost_us m.m_channel (String.length req) in
       (wire, crypto_up, crypto_up)
@@ -434,12 +432,12 @@ let read_pipeline (t : t) (m : mount) : Fs_intf.pipeline =
   in
   let mux =
     mount_mux ?obs:t.obs ?srv_timeline t ~window:t.rpc_window
-      ~latency_us:(Costmodel.rpc_fixed_us t.costs Costmodel.Tcp)
+      ~latency_us:(Costmodel.rpc_fixed_us Costmodel.Tcp)
       (* Donated idle wire time becomes reply-stream keystream, banked
          ahead of the replies it will decrypt (reads m_channel afresh,
          so a reconnection swaps the beneficiary too). *)
       ~precompute:(fun ~budget_us -> Channel.precompute m.m_channel ~budget_us)
-      ~op_us:t.costs.Costmodel.pipeline_sfs_op_us
+      ~op_us:Costmodel.pipeline_sfs_op_us
       (fun wire ->
         let reply, server_us = Simnet.call_measured m.m_conn wire in
         (* Zero-copy: the opened frame is the single buffer the reply
@@ -532,9 +530,9 @@ let mount (t : t) (path : Pathname.t) : (mount, mount_error) result =
                 }
               in
               let serial =
-                window1_mux t m ~latency_us:(Costmodel.rpc_fixed_us t.costs Costmodel.Tcp)
+                window1_mux t m ~latency_us:(Costmodel.rpc_fixed_us Costmodel.Tcp)
               in
-              let write_behind = window1_mux t m ~latency_us:t.costs.Costmodel.async_floor_us in
+              let write_behind = window1_mux t m ~latency_us:Costmodel.async_floor_us in
               (* The secure-channel transport for the read-write
                  protocol. *)
               let raw_call : Nfs_client.raw_call =
@@ -663,12 +661,12 @@ let mount_readonly (t : t) (path : Pathname.t) : (mount, mount_error) result =
                 Error (Negotiation_failed "server key does not match HostID")
               else
                 let exchange bytes =
-                  Simclock.advance t.clock t.costs.Costmodel.userlevel_us_per_side;
+                  Simclock.advance t.clock Costmodel.userlevel_us_per_side;
                   (* sfslint: allow SL010 — read-only dialect: every fetch is hash-verified against the previous, so the chain is serial *)
                   Simnet.call conn bytes
                 in
                 match
-                  Readonly.connect ?obs:t.obs ~costs:t.costs ~exchange ~pubkey ~clock:t.clock ()
+                  Readonly.connect ?obs:t.obs ~exchange ~pubkey ~clock:t.clock ()
                 with
                 | exception Readonly.Verification_failed e -> Error (Negotiation_failed e)
                 | ro ->

@@ -129,7 +129,10 @@ let rec snap_inode (fs : Memfs.t) ~(prev : snapshot option) (b : build) (cred : 
              read them to find the dirt below. *)
           Some (Ro.K_dir, put b (Ro.O_dir children)))
 
-let snapshot ?(duration_s = 24 * 3600) ?(serial = 1) ?prev ~(key : Rabin.priv) ~(now_s : int)
+(* Validity window of every signed root: a day. *)
+let duration_s = 24 * 3600
+
+let snapshot ?(serial = 1) ?prev ~(key : Rabin.priv) ~(now_s : int)
     (fs : Memfs.t) : snapshot =
   let b =
     {
@@ -198,7 +201,6 @@ type client = {
   exchange : string -> string;
   pubkey : Rabin.pub;
   clock : Simclock.t;
-  costs : Costmodel.t;
   obs : Obs.registry option;
   cache : Vcache.t; (* verified objects, LRU-bounded *)
   mutable fsinfo : Ro.fsinfo;
@@ -214,7 +216,7 @@ type client = {
    is skipped; the validity-window and rollback checks always run —
    they depend on the present, not on the bytes. *)
 let fetch_root ~(exchange : string -> string) ~(pubkey : Rabin.pub) ~(clock : Simclock.t)
-    ~(costs : Costmodel.t) ~(min_serial : int) ~(cached : string option) :
+    ~(min_serial : int) ~(cached : string option) :
     Ro.fsinfo * string * bool =
   let raw = exchange (Ro.ro_request_to_string Ro.Get_fsinfo) in
   match Ro.ro_response_of_string raw with
@@ -225,7 +227,7 @@ let fetch_root ~(exchange : string -> string) ~(pubkey : Rabin.pub) ~(clock : Si
         | None -> false
       in
       if not skipped then begin
-        Simclock.advance clock costs.Costmodel.rabin_verify_us;
+        Simclock.advance clock Costmodel.rabin_verify_us;
         if not (Ro.verify_fsinfo pubkey fsinfo ~signature) then
           raise (Verification_failed "bad root signature")
       end;
@@ -238,17 +240,16 @@ let fetch_root ~(exchange : string -> string) ~(pubkey : Rabin.pub) ~(clock : Si
   | Ok (Ro.Obj_is _ | Ro.Put_ok _) -> raise (Verification_failed "unexpected response")
   | Result.Error e -> raise (Verification_failed e)
 
-let connect ?obs ?(cache_objs = 4096) ?(costs = Costmodel.default) ~(exchange : string -> string)
+let connect ?obs ?(cache_objs = 4096) ~(exchange : string -> string)
     ~(pubkey : Rabin.pub) ~(clock : Simclock.t) () : client =
   let fsinfo, raw, _ =
-    fetch_root ~exchange ~pubkey ~clock ~costs ~min_serial:0 ~cached:None
+    fetch_root ~exchange ~pubkey ~clock ~min_serial:0 ~cached:None
   in
   Obs.incr obs "ro.root.verify";
   {
     exchange;
     pubkey;
     clock;
-    costs;
     obs;
     cache = Vcache.create ?obs ~cap:cache_objs ();
     fsinfo;
@@ -270,7 +271,7 @@ let fetch (c : client) (h : string) : Ro.obj =
       match Ro.ro_response_of_string (c.exchange (Ro.ro_request_to_string (Ro.Get_obj h))) with
       | Ok (Ro.Obj_is bytes) -> (
           let n = String.length bytes in
-          Simclock.advance c.clock (float_of_int n *. c.costs.Costmodel.sha1_us_per_byte);
+          Simclock.advance c.clock (float_of_int n *. Costmodel.sha1_us_per_byte);
           if not (Sfs_util.Bytesutil.ct_equal (Sha1.digest bytes) h) then begin
             Obs.incr c.obs "ro.verify.fail";
             raise (Verification_failed "object does not match its hash")
@@ -412,7 +413,7 @@ let ops (c : client) : Sfs_nfs.Fs_intf.ops =
    reachable from the new root names the same bytes. *)
 let refresh (c : client) : unit =
   let fsinfo, raw, skipped =
-    fetch_root ~exchange:c.exchange ~pubkey:c.pubkey ~clock:c.clock ~costs:c.costs
+    fetch_root ~exchange:c.exchange ~pubkey:c.pubkey ~clock:c.clock
       ~min_serial:c.last_serial ~cached:(Some c.root_frame)
   in
   if skipped then begin

@@ -7,7 +7,6 @@ module Ro = Sfs_proto.Readonly_proto
 module Rabin = Sfs_crypto.Rabin
 module Memfs = Sfs_nfs.Memfs
 module Simclock = Sfs_net.Simclock
-module Costmodel = Sfs_net.Costmodel
 
 exception Verification_failed of string
 
@@ -16,7 +15,6 @@ exception Verification_failed of string
 type snapshot
 
 val snapshot :
-  ?duration_s:int ->
   ?serial:int ->
   ?prev:snapshot ->
   key:Rabin.priv ->
@@ -24,11 +22,12 @@ val snapshot :
   Memfs.t ->
   snapshot
 (** Hash a Memfs tree bottom-up and sign the root; the one private-key
-    operation per snapshot.  [serial] must increase across snapshots to
-    stop rollback.  With [?prev], the build is incremental: a leaf
-    whose Memfs content generation is unchanged since [prev] carries
-    its hash and bytes over without re-reading or re-hashing, so the
-    publish cost tracks the rate of change, not the tree size. *)
+    operation per snapshot.  The signed root is valid for a day.
+    [serial] must increase across snapshots to stop rollback.  With
+    [?prev], the build is incremental: a leaf whose Memfs content
+    generation is unchanged since [prev] carries its hash and bytes
+    over without re-reading or re-hashing, so the publish cost tracks
+    the rate of change, not the tree size. *)
 
 val snapshot_size : snapshot -> int
 (** Total marshaled bytes in the store. *)
@@ -62,7 +61,6 @@ type client
 val connect :
   ?obs:Sfs_obs.Obs.registry ->
   ?cache_objs:int ->
-  ?costs:Costmodel.t ->
   exchange:(string -> string) ->
   pubkey:Rabin.pub ->
   clock:Simclock.t ->

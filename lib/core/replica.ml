@@ -41,20 +41,18 @@ type mirror = {
   mutable mi_fsinfo : Ro.fsinfo option;
   mutable mi_signature : string;
   mi_clock : Simclock.t;
-  mi_costs : Costmodel.t;
   mi_obs : Obs.registry option;
   mutable mi_served_objs : int;
   mutable mi_served_bytes : int;
 }
 
-let mirror ?obs ?(costs = Costmodel.default) ~(clock : Simclock.t) ~(name : string) () : mirror =
+let mirror ?obs ~(clock : Simclock.t) ~(name : string) () : mirror =
   {
     mi_name = name;
     mi_store = Hashtbl.create 256;
     mi_fsinfo = None;
     mi_signature = "";
     mi_clock = clock;
-    mi_costs = costs;
     mi_obs = obs;
     mi_served_objs = 0;
     mi_served_bytes = 0;
@@ -65,8 +63,8 @@ let mirror ?obs ?(costs = Costmodel.default) ~(clock : Simclock.t) ~(name : stri
    attributes it to the mirror host's run queue. *)
 let serve_cost (m : mirror) (bytes : int) : unit =
   Simclock.advance m.mi_clock
-    (m.mi_costs.Costmodel.userlevel_us_per_side
-    +. (float_of_int bytes /. m.mi_costs.Costmodel.copy_bytes_per_us))
+    (Costmodel.userlevel_us_per_side
+    +. (float_of_int bytes /. Costmodel.copy_bytes_per_us))
 
 let handle (m : mirror) (bytes : string) : string =
   let res =
@@ -126,9 +124,7 @@ type publisher = {
   p_fs : Memfs.t;
   p_net : Simnet.t;
   p_host : string; (* the publisher's own host name, for dialing out *)
-  p_duration_s : int;
   p_clock : Simclock.t;
-  p_costs : Costmodel.t;
   p_obs : Obs.registry option;
   mutable p_snapshot : Readonly.snapshot option;
   mutable p_serial : int;
@@ -143,16 +139,14 @@ type target = {
   mutable t_serial : int; (* last root serial the mirror acknowledged *)
 }
 
-let publisher ?obs ?(costs = Costmodel.default) ?(duration_s = 24 * 3600) ~(net : Simnet.t)
-    ~(host : string) ~(key : Rabin.priv) ~(clock : Simclock.t) (fs : Memfs.t) : publisher =
+let publisher ?obs ~(net : Simnet.t) ~(host : string) ~(key : Rabin.priv) ~(clock : Simclock.t)
+    (fs : Memfs.t) : publisher =
   {
     p_key = key;
     p_fs = fs;
     p_net = net;
     p_host = host;
-    p_duration_s = duration_s;
     p_clock = clock;
-    p_costs = costs;
     p_obs = obs;
     p_snapshot = None;
     p_serial = 0;
@@ -172,14 +166,14 @@ let target_synced (t : target) : int = Hashtbl.length t.t_synced
 let publish (p : publisher) : Readonly.snapshot =
   p.p_serial <- p.p_serial + 1;
   let snap =
-    Readonly.snapshot ~duration_s:p.p_duration_s ~serial:p.p_serial ?prev:p.p_snapshot
+    Readonly.snapshot ~serial:p.p_serial ?prev:p.p_snapshot
       ~key:p.p_key
       ~now_s:(Simclock.seconds p.p_clock)
       p.p_fs
   in
   Simclock.advance p.p_clock
-    ((float_of_int (Readonly.fresh_bytes snap) *. p.p_costs.Costmodel.sha1_us_per_byte)
-    +. p.p_costs.Costmodel.rabin_sign_us);
+    ((float_of_int (Readonly.fresh_bytes snap) *. Costmodel.sha1_us_per_byte)
+    +. Costmodel.rabin_sign_us);
   let reused, hashed = Readonly.reuse_stats snap in
   Obs.incr p.p_obs "ro.publish.count";
   Obs.add p.p_obs "ro.publish.reused" reused;
@@ -225,7 +219,7 @@ let rec chunked (n : int) (xs : 'a list) : 'a list list =
 let push_target (p : publisher) (snap : Readonly.snapshot) (t : target) : unit =
   let conn = conn_of p t in
   let exchange req =
-    Simclock.advance p.p_clock p.p_costs.Costmodel.userlevel_us_per_side;
+    Simclock.advance p.p_clock Costmodel.userlevel_us_per_side;
     match Ro.ro_response_of_string (Simnet.call conn (Ro.ro_request_to_string req)) with
     | Ok r -> r
     | Result.Error e -> failwith ("replica push: " ^ e)

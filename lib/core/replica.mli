@@ -17,7 +17,6 @@ module Rabin = Sfs_crypto.Rabin
 module Memfs = Sfs_nfs.Memfs
 module Simnet = Sfs_net.Simnet
 module Simclock = Sfs_net.Simclock
-module Costmodel = Sfs_net.Costmodel
 
 val ro_port : int
 (** Port mirrors (and their clients) use for the read-only dialect. *)
@@ -28,7 +27,6 @@ type mirror
 
 val mirror :
   ?obs:Sfs_obs.Obs.registry ->
-  ?costs:Costmodel.t ->
   clock:Simclock.t ->
   name:string ->
   unit ->
@@ -60,9 +58,7 @@ type publisher = private {
   p_fs : Memfs.t;
   p_net : Simnet.t;
   p_host : string;
-  p_duration_s : int;
   p_clock : Simclock.t;
-  p_costs : Costmodel.t;
   p_obs : Sfs_obs.Obs.registry option;
   mutable p_snapshot : Readonly.snapshot option;
   mutable p_serial : int;
@@ -74,8 +70,6 @@ type target
 
 val publisher :
   ?obs:Sfs_obs.Obs.registry ->
-  ?costs:Costmodel.t ->
-  ?duration_s:int ->
   net:Simnet.t ->
   host:string ->
   key:Rabin.priv ->

@@ -38,7 +38,6 @@ let sfs_port = 4
 type t = {
   net : Simnet.t;
   clock : Simclock.t;
-  costs : Costmodel.t;
   rng : Prng.t;
   location : string;
   key : Rabin.priv;
@@ -62,11 +61,11 @@ type t = {
      FIFO eviction, volatile across crash_recover. *)
   drc : (string * int, int * string * Sfsrw.response) Hashtbl.t;
   drc_order : (string * int) Queue.t;
-  drc_size : int;
   obs : Obs.registry option;
 }
 
-let default_drc_size = 512
+(* Bound on the duplicate request cache. *)
+let drc_size = 512
 
 let ( let* ) = Result.bind
 
@@ -82,8 +81,7 @@ let secure_ops (t : t) ~(conn : int) : Fs_intf.ops =
   let dec h =
     match Fhcrypt.decrypt t.fhc h with Some inner -> Ok inner | None -> Error NFS3ERR_BADHANDLE
   in
-  let lease_s = Lease.lease_seconds t.leases in
-  let stamp (a : fattr) : fattr = { a with lease = lease_s } in
+  let stamp (a : fattr) : fattr = { a with lease = Lease.lease_s } in
   let grant wire_fh = Lease.grant t.leases ~conn wire_fh in
   let mutate wire_fh = Lease.invalidate t.leases ~by:conn wire_fh in
   let attr_out wire_fh a =
@@ -224,7 +222,7 @@ let execute_fs_call (t : t) (s : fs_session) ~(authno : int) ~(proc : int) (args
     | Ok (_, _, stable, _) -> not stable
     | Result.Error _ -> false
   in
-  if not unstable_write then Simclock.advance t.clock t.costs.Costmodel.userlevel_us_per_side;
+  if not unstable_write then Simclock.advance t.clock Costmodel.userlevel_us_per_side;
   let cred =
     if authno = Sfsrw.authno_anonymous then Simos.anonymous_cred
     else match Hashtbl.find_opt s.authnos authno with Some (_, c) -> c | None -> Simos.anonymous_cred
@@ -299,7 +297,7 @@ let handle_fs_request (t : t) (s : fs_session) (req : Sfsrw.request) : Sfsrw.res
               if previous = None then begin
                 Obs.incr t.obs "server.drc_insert";
                 Queue.push key t.drc_order;
-                if Queue.length t.drc_order > t.drc_size then begin
+                if Queue.length t.drc_order > drc_size then begin
                   Obs.incr t.obs "server.drc_evict";
                   Hashtbl.remove t.drc (Queue.pop t.drc_order)
                 end
@@ -320,7 +318,7 @@ let fs_connection ?(encrypt = true) ~(peer : string) (t : t) : string -> string 
         | Ok (keys, response) ->
             let conn_id = Lease.register_conn t.leases in
             let channel =
-              Channel.create ~encrypt ~clock:t.clock ~costs:t.costs ?obs:t.obs ~label:"server"
+              Channel.create ~encrypt ~clock:t.clock ?obs:t.obs ~label:"server"
                 ~send_key:keys.Keyneg.ksc ~recv_key:keys.Keyneg.kcs ()
             in
             let dispatcher =
@@ -406,7 +404,7 @@ let connection (t : t) ~(peer : string) : string -> string =
                       Xdr.encode Keyneg.enc_connect_res (Keyneg.Connect_ok { pubkey = t.key.Rabin.pub })
                 end))
 
-let create ?(lease_s = 60) ?(allow_anonymous = true) ?(drc_size = default_drc_size) ?auth_backend
+let create ?(allow_anonymous = true) ?auth_backend
     ?obs (net : Simnet.t) ~(host : Simnet.host) ~(location : string) ~(key : Rabin.priv)
     ~(rng : Prng.t) ~(backend : Fs_intf.ops) ~(authserv : Authserv.t) () : t =
   let clock = Simnet.clock net in
@@ -417,13 +415,12 @@ let create ?(lease_s = 60) ?(allow_anonymous = true) ?(drc_size = default_drc_si
     {
       net;
       clock;
-      costs = Simnet.costs net;
       rng;
       location;
       key;
       path = Pathname.of_server ~location ~pubkey:key.Rabin.pub;
       backend;
-      leases = Lease.create ~lease_s ?obs clock;
+      leases = Lease.create ?obs clock;
       fhc = Fhcrypt.of_prng rng;
       authserv;
       auth;
@@ -434,7 +431,6 @@ let create ?(lease_s = 60) ?(allow_anonymous = true) ?(drc_size = default_drc_si
       fs_calls = 0;
       drc = Hashtbl.create 64;
       drc_order = Queue.create ();
-      drc_size;
       obs;
     }
   in

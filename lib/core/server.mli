@@ -15,9 +15,7 @@ val sfs_port : int
 type t
 
 val create :
-  ?lease_s:int ->
   ?allow_anonymous:bool ->
-  ?drc_size:int ->
   ?auth_backend:Authserv.backend ->
   ?obs:Sfs_obs.Obs.registry ->
   Simnet.t ->
@@ -31,18 +29,17 @@ val create :
   t
 (** Registers the listener on {!sfs_port}.  [backend] is the NFS
     backend (in deployment, an NFS server on the same machine reached
-    over loopback).  [lease_s] (default 60) is the attribute lease;
-    [allow_anonymous] (default true) controls whether unauthenticated
-    requests reach the file system at all (section 2.5).  When [obs]
-    is given the leases, per-connection channels ([channel.server.*])
-    and NFS dispatcher are instrumented, plus [server.connections] /
-    [server.drc_insert] / [server.drc_evict] counters.  [drc_size]
-    (default 512) bounds the duplicate-request cache — a fleet-sized
-    farm wants it scaled to its client count so retransmissions still
-    hit after thousands of interleaved peers.  [auth_backend] routes
-    signed authentication requests elsewhere than the local [authserv]
-    (e.g. an {!Authshard} ring); the local instance still serves the
-    SRP service. *)
+    over loopback).  Attributes carry {!Sfs_proto.Lease.lease_s}
+    leases.  [allow_anonymous] (default true) controls whether
+    unauthenticated requests reach the file system at all (section
+    2.5).  When [obs] is given the leases, per-connection channels
+    ([channel.server.*]) and NFS dispatcher are instrumented, plus
+    [server.connections] / [server.drc_insert] / [server.drc_evict]
+    counters.  The duplicate-request cache holds the 512 most recent
+    replies, evicted FIFO, in every deployment, fleets included.
+    [auth_backend] routes signed authentication requests elsewhere
+    than the local [authserv] (e.g. an {!Authshard} ring); the local
+    instance still serves the SRP service. *)
 
 val crash_recover : t -> unit
 (** Simulated crash/restart: volatile state (leases, queued

@@ -14,14 +14,10 @@ type error =
 
 val error_to_string : error -> string
 
-(** {2 Private-key encryption under the password}
+(** {2 Private-key decryption under the password}
 
-    Derived independently of the SRP verifier, so a stolen verifier
-    does not reveal the key-encryption key. *)
-
-val encrypt_privkey :
-  cost:int -> salt:string -> user:string -> password:string -> Rabin.priv -> string
-[@@sfs.declassify "the private key leaves here only under the password-derived ARC4+MAC seal (section 2.4)"]
+    The key-encryption key is derived independently of the SRP
+    verifier, so a stolen verifier does not reveal it. *)
 
 val decrypt_privkey :
   cost:int -> salt:string -> user:string -> password:string -> string -> Rabin.priv option

@@ -71,7 +71,7 @@ val create :
     fixed per-RPC round-trip cost (paid by every call, overlapped by the
     window); [op_us] is the per-reply client processing residual that
     serialises on the receive path
-    ({!Costmodel.t.pipeline_nfs_op_us} / [pipeline_sfs_op_us]).
+    ({!Costmodel.pipeline_nfs_op_us} / {!Costmodel.pipeline_sfs_op_us}).
     [exchange] performs one request/reply synchronously under
     {!Simclock.absorb} discipline — it must charge nothing to the clock
     (use {!Simnet.call_measured}).  When [obs] is given, counters

@@ -90,7 +90,6 @@ type endpoint_keys = {
 
 type t = {
   clock : Simclock.t;
-  costs : Costmodel.t;
   hosts : (string, host) Hashtbl.t; (* by name and alias *)
   keys_cache : (string, endpoint_keys) Hashtbl.t; (* by "addr:port" *)
   mutable default_tap : tap option; (* applied to new connections *)
@@ -98,10 +97,9 @@ type t = {
   obs : Obs.registry option;
 }
 
-let create ?(costs = Costmodel.default) ?obs (clock : Simclock.t) : t =
+let create ?obs (clock : Simclock.t) : t =
   {
     clock;
-    costs;
     hosts = Hashtbl.create 16;
     keys_cache = Hashtbl.create 16;
     default_tap = None;
@@ -112,7 +110,6 @@ let create ?(costs = Costmodel.default) ?obs (clock : Simclock.t) : t =
 let set_injector (t : t) (inj : injector option) : unit = t.injector <- inj
 
 let clock (t : t) = t.clock
-let costs (t : t) = t.costs
 
 let add_host (t : t) (name : string) : host =
   if Hashtbl.mem t.hosts name then invalid_arg ("Simnet.add_host: duplicate " ^ name);
@@ -391,8 +388,8 @@ let call_measured (c : conn) (request : string) : string * float =
 let call (c : conn) (request : string) : string =
   let t = c.net in
   let send () =
-    Simclock.advance t.clock (Costmodel.rpc_fixed_us t.costs c.proto);
-    Simclock.advance t.clock (Costmodel.transfer_us t.costs c.proto (String.length request))
+    Simclock.advance t.clock (Costmodel.rpc_fixed_us c.proto);
+    Simclock.advance t.clock (Costmodel.transfer_us c.proto (String.length request))
   in
   check_liveness c;
   Obs.span ~args:c.keys.span_args t.obs ~cat:"net" "rpc" (fun () ->
@@ -400,7 +397,7 @@ let call (c : conn) (request : string) : string =
       let (reply, server_us), _ = Simclock.absorb t.clock (fun () -> send (); exchange c request) in
       send ();
       Simclock.advance t.clock server_us;
-      Simclock.advance t.clock (Costmodel.transfer_us t.costs c.proto (String.length reply));
+      Simclock.advance t.clock (Costmodel.transfer_us c.proto (String.length reply));
       Obs.observe t.obs c.keys.k_rpc_us (int_of_float (Simclock.now_us t.clock -. start_us));
       reply)
 

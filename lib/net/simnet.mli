@@ -57,14 +57,13 @@ val set_injector : t -> injector option -> unit
     connections become permanently dead and raise {!Timeout} — callers
     must reconnect. *)
 
-val create : ?costs:Costmodel.t -> ?obs:Sfs_obs.Obs.registry -> Simclock.t -> t
+val create : ?obs:Sfs_obs.Obs.registry -> Simclock.t -> t
 (** When [obs] is given, every connection records per-peer RPC, byte
     and modeled-latency metrics under [net.<addr>:<port>.*], plus one
     span per {!call}/{!call_measured}.  {!inject} (the adversary's raw
     entry point) is deliberately not instrumented. *)
 
 val clock : t -> Simclock.t
-val costs : t -> Costmodel.t
 
 val add_host : t -> string -> host
 val add_alias : t -> host -> string -> unit

@@ -24,16 +24,17 @@ type transport = string -> string
    server's duplicate request cache to keep retried non-idempotent
    procedures harmless. *)
 type retry = {
-  r_attempts : int; (* total attempts, including the first *)
-  r_base_us : float; (* first backoff *)
-  r_max_us : float; (* backoff cap *)
   r_charge : float -> unit; (* bill the wait to the simulated clock *)
   r_obs : Obs.registry option;
 }
 
-let retry_policy ?(attempts = 8) ?(base_us = 20_000.) ?(max_us = 800_000.) ?obs
-    ~(charge : float -> unit) () : retry =
-  { r_attempts = max 1 attempts; r_base_us = base_us; r_max_us = max_us; r_charge = charge; r_obs = obs }
+let retry_policy ?obs ~(charge : float -> unit) () : retry = { r_charge = charge; r_obs = obs }
+
+(* Total attempts, including the first; the backoff before attempt
+   [i + 1] is [min (retry_base_us * 2^i) retry_max_us]. *)
+let retry_attempts = 8
+let retry_base_us = 20_000.
+let retry_max_us = 800_000.
 
 (* [enc] is the connection's reusable RPC encoder: one buffer serves
    every call this client makes. *)
@@ -57,8 +58,7 @@ let create ?retry ?obs ~(machine : string) (send : transport) : t =
 
 exception Rpc_failure of string
 
-let backoff_us (r : retry) (i : int) : float =
-  Float.min (r.r_base_us *. float_of_int (1 lsl min i 16)) r.r_max_us
+let backoff_us (i : int) : float = Float.min (retry_base_us *. float_of_int (1 lsl min i 16)) retry_max_us
 
 let next_xid (t : t) : int =
   let xid = t.xid in
@@ -110,14 +110,14 @@ let call_raw (t : t) ~(cred : Simos.cred) ~(prog : int) ~(vers : int) ~(proc : i
   let msg =
     call_msg ~enc:t.enc ~machine:t.machine ~xid ~ctx:(Obs.current t.obs) ~cred ~prog ~vers ~proc args
   in
-  let attempts = match t.retry with None -> 1 | Some r -> r.r_attempts in
+  let attempts = match t.retry with None -> 1 | Some _ -> retry_attempts in
   let rec attempt (i : int) : string =
     (* A transient failure: back off and retransmit, or give up. *)
     let retry_or (why : string) : string =
       match t.retry with
       | Some r when i + 1 < attempts ->
           Obs.incr r.r_obs "recover.rpc_retry";
-          r.r_charge (backoff_us r i);
+          r.r_charge (backoff_us i);
           attempt (i + 1)
       | Some r ->
           Obs.incr r.r_obs "recover.rpc_giveup";
@@ -221,9 +221,8 @@ let generic_ops (call : raw_call) ~(root : fh) : Fs_intf.ops =
    full tap / fault / handler path and charges nothing itself. *)
 let conn_mux ?obs ~(window : int) ~(latency_us : float) ~(op_us : float) (net : Simnet.t)
     ~(proto : Costmodel.transport_proto) (conn : Simnet.conn) : string Rpc_mux.t =
-  let costs = Simnet.costs net in
   Rpc_mux.create ?obs ~window ~clock:(Simnet.clock net)
-    ~wire_us:(fun bytes -> Costmodel.transfer_us costs proto bytes)
+    ~wire_us:(Costmodel.transfer_us proto)
     ~latency_us ~op_us
     ~exchange:(fun msg ->
       let reply, server_us = Simnet.call_measured conn msg in
@@ -249,14 +248,13 @@ let conn_mux ?obs ~(window : int) ~(latency_us : float) ~(op_us : float) (net : 
 let conn_ops ~(stall : int -> unit) ?retry ?obs (net : Simnet.t)
     ~(proto : Costmodel.transport_proto) ~(machine : string) (conn : Simnet.conn) ~(root : fh) :
     Fs_intf.ops =
-  let costs = Simnet.costs net in
   let client latency_us =
     let mux = conn_mux ~window:1 ~latency_us ~op_us:0.0 net ~proto conn in
     create ?retry ?obs ~machine (fun msg ->
         Rpc_mux.await mux (Rpc_mux.submit mux ~wire_bytes:(String.length msg) msg))
   in
-  let sync = client (Costmodel.rpc_fixed_us costs proto) in
-  let async_t = { (client costs.Costmodel.async_floor_us) with xid = 100_000_000 } in
+  let sync = client (Costmodel.rpc_fixed_us proto) in
+  let async_t = { (client Costmodel.async_floor_us) with xid = 100_000_000 } in
   generic_ops
     (fun ~cred ~proc ~async args ->
       stall (String.length args);
@@ -273,10 +271,9 @@ let conn_ops ~(stall : int -> unit) ?retry ?obs (net : Simnet.t)
 let conn_pipeline ?obs ~(window : int) ~(depth : int) (net : Simnet.t)
     ~(proto : Costmodel.transport_proto) ~(machine : string) (conn : Simnet.conn) :
     Fs_intf.pipeline =
-  let costs = Simnet.costs net in
   let mux =
-    conn_mux ?obs ~window ~latency_us:(Costmodel.rpc_fixed_us costs proto)
-      ~op_us:costs.Costmodel.pipeline_nfs_op_us net ~proto conn
+    conn_mux ?obs ~window ~latency_us:(Costmodel.rpc_fixed_us proto)
+      ~op_us:Costmodel.pipeline_nfs_op_us net ~proto conn
   in
   let enc = Xdr.make_enc () in
   let next_xid = ref 200_000_000 in
@@ -325,14 +322,13 @@ let mount_pipelined ?retry ?obs ?(window = 1) ?(readahead = 0) (net : Simnet.t)
     (* sfslint: allow SL010 — the MOUNT handshake is serial by design; data calls ride Rpc_mux *)
     mount_root (create ?retry ?obs ~machine:from_host (fun bytes -> Simnet.call conn bytes)) ~cred
   in
-  let costs = Simnet.costs net in
   let stall =
     match proto with
     | Costmodel.Udp -> fun _ -> ()
     | Costmodel.Tcp ->
         fun bytes ->
-          if bytes > costs.Costmodel.mss_bytes then
-            Sfs_net.Simclock.advance (Simnet.clock net) costs.Costmodel.nfs_tcp_stall_us
+          if bytes > Costmodel.mss_bytes then
+            Sfs_net.Simclock.advance (Simnet.clock net) Costmodel.nfs_tcp_stall_us
   in
   let pipeline =
     if window > 1 && readahead > 0 then

@@ -17,17 +17,10 @@ type retry
     exhausting the budget bumps [recover.rpc_giveup] and raises
     {!Rpc_failure}. *)
 
-val retry_policy :
-  ?attempts:int ->
-  ?base_us:float ->
-  ?max_us:float ->
-  ?obs:Sfs_obs.Obs.registry ->
-  charge:(float -> unit) ->
-  unit ->
-  retry
-(** [attempts] (default 8) counts the first transmission; backoff for
-    attempt [i] is [min (base_us * 2^i) max_us] (defaults 20ms base,
-    800ms cap), billed to the simulated clock via [charge]. *)
+val retry_policy : ?obs:Sfs_obs.Obs.registry -> charge:(float -> unit) -> unit -> retry
+(** Eight attempts, counting the first transmission; the backoff
+    before attempt [i + 1] is [min (20 ms * 2^i) 800 ms], billed to the
+    simulated clock via [charge]. *)
 
 type raw_call = cred:Simos.cred -> proc:int -> async:bool -> string -> string
 (** A procedure-level transport.  [async] marks write-behind traffic

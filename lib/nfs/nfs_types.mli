@@ -105,8 +105,6 @@ val enc_status : Sfs_xdr.Xdr.enc -> nfsstat -> unit
 val dec_status : Sfs_xdr.Xdr.dec -> nfsstat
 val enc_fh : Sfs_xdr.Xdr.enc -> fh -> unit
 val dec_fh : Sfs_xdr.Xdr.dec -> fh
-val enc_time : Sfs_xdr.Xdr.enc -> nfstime -> unit
-val dec_time : Sfs_xdr.Xdr.dec -> nfstime
 val enc_fattr : Sfs_xdr.Xdr.enc -> fattr -> unit
 val dec_fattr : Sfs_xdr.Xdr.dec -> fattr
 val enc_sattr : Sfs_xdr.Xdr.enc -> sattr -> unit

@@ -26,17 +26,11 @@ type t = { mutable users : user list; mutable next_uid : int }
 
 let create () : t = { users = [ root_user ]; next_uid = 1000 }
 
-let add_user ?uid ?(groups = []) (t : t) (name : string) : user =
+let add_user (t : t) (name : string) : user =
   if List.exists (fun u -> u.name = name) t.users then invalid_arg ("Simos.add_user: duplicate " ^ name);
-  let uid =
-    match uid with
-    | Some u -> u
-    | None ->
-        let u = t.next_uid in
-        t.next_uid <- t.next_uid + 1;
-        u
-  in
-  let u = { name; uid; gid = uid; groups = uid :: groups } in
+  let uid = t.next_uid in
+  t.next_uid <- uid + 1;
+  let u = { name; uid; gid = uid; groups = [ uid ] } in
   t.users <- u :: t.users;
   u
 

@@ -22,8 +22,10 @@ type t
 
 val create : unit -> t
 
-val add_user : ?uid:int -> ?groups:int list -> t -> string -> user
-(** @raise Invalid_argument on duplicate names. *)
+val add_user : t -> string -> user
+(** A new user with the next free uid (from 1000) and a personal group
+    of the same number.
+    @raise Invalid_argument on duplicate names. *)
 
 val find_user : t -> string -> user option
 val find_user_by_uid : t -> int -> user option

@@ -79,7 +79,6 @@ type t = {
   recv_half : half;
   encrypt : bool;
   clock : Simclock.t option;
-  costs : Costmodel.t;
   obs : Obs.registry option;
   keys : keys;
   mutable sent : int;
@@ -103,7 +102,7 @@ let pre_cap = 1 lsl 18
 let fresh_half (key : string) : half =
   { stream = Arc4.create key; buf = Bytes.create 256; pre = Bytes.create 0; pre_len = 0; pre_pos = 0 }
 
-let create ?(encrypt = true) ?clock ?(costs = Costmodel.default) ?obs ?(label = "chan")
+let create ?(encrypt = true) ?clock ?obs ?(label = "chan")
     ~(send_key : string) ~(recv_key : string) () : t =
   let k s = "channel." ^ label ^ "." ^ s in (* sfslint: allow SL009 — one-time counter names at create *)
   {
@@ -111,7 +110,6 @@ let create ?(encrypt = true) ?clock ?(costs = Costmodel.default) ?obs ?(label = 
     recv_half = fresh_half recv_key;
     encrypt;
     clock;
-    costs;
     obs;
     keys =
       {
@@ -136,7 +134,7 @@ let create ?(encrypt = true) ?clock ?(costs = Costmodel.default) ?obs ?(label = 
 
 let charge (t : t) (bytes : int) : unit =
   match t.clock with
-  | Some clock when t.encrypt -> Simclock.advance clock (Costmodel.crypto_us t.costs bytes)
+  | Some clock when t.encrypt -> Simclock.advance clock (Costmodel.crypto_us bytes)
   | _ -> ()
 
 (* The per-direction frame buffer, grown geometrically and reused for
@@ -218,7 +216,7 @@ let seal ?(bill = true) (t : t) (plaintext : string) : string =
       Obs.add t.obs t.keys.k_bytes_out n;
       if t.encrypt then
         Obs.add t.obs t.keys.k_crypto_us_out
-          (int_of_float (Costmodel.crypto_us t.costs n));
+          (int_of_float (Costmodel.crypto_us n));
       if bill then charge t n;
       let mac_key = take_keystream t.send_half mac_key_bytes in
       let sched = Mac.schedule ~key:mac_key in
@@ -254,7 +252,7 @@ let open_ (t : t) (wire : string) : (string, open_error) result =
            [seal]'s crypto_us_out (the framing overhead is not payload). *)
         if t.encrypt then
           Obs.add t.obs t.keys.k_crypto_us_in
-            (int_of_float (Costmodel.crypto_us t.costs (wire_len - 4 - Mac.mac_size)));
+            (int_of_float (Costmodel.crypto_us (wire_len - 4 - Mac.mac_size)));
         let mac_key = take_keystream t.recv_half mac_key_bytes in
         let sched = Mac.schedule ~key:mac_key in
         let buf = frame_buf t.recv_half wire_len in
@@ -291,7 +289,7 @@ let open_ (t : t) (wire : string) : (string, open_error) result =
                the payload's keystream share so framing overhead served
                from the buffer is never monetised. *)
             if t.encrypt && from_buf > 0 then
-              t.recv_claim_us <- Costmodel.keystream_us t.costs (min len from_buf);
+              t.recv_claim_us <- Costmodel.keystream_us (min len from_buf);
             Ok (Bytes.sub_string buf 4 len)
           end
         end
@@ -319,7 +317,7 @@ let open_slice (t : t) (wire : string) : (Sfs_util.Slice.t, open_error) result =
       else begin
         if t.encrypt then
           Obs.add t.obs t.keys.k_crypto_us_in
-            (int_of_float (Costmodel.crypto_us t.costs (wire_len - 4 - Mac.mac_size)));
+            (int_of_float (Costmodel.crypto_us (wire_len - 4 - Mac.mac_size)));
         let mac_key = take_keystream t.recv_half mac_key_bytes in
         let sched = Mac.schedule ~key:mac_key in
         let buf, from_buf, plain =
@@ -354,7 +352,7 @@ let open_slice (t : t) (wire : string) : (Sfs_util.Slice.t, open_error) result =
             t.bytes_in <- t.bytes_in + len;
             Obs.add t.obs t.keys.k_bytes_in len;
             if t.encrypt && from_buf > 0 then
-              t.recv_claim_us <- Costmodel.keystream_us t.costs (min len from_buf);
+              t.recv_claim_us <- Costmodel.keystream_us (min len from_buf);
             Ok (Sfs_util.Slice.make plain ~off:4 ~len)
           end
         end
@@ -372,7 +370,7 @@ let stats (t : t) : stats =
 (* The crypto time [seal] would charge for [bytes], for callers that
    bill pipelined traffic at a fraction. *)
 let crypto_cost_us (t : t) (bytes : int) : float =
-  if t.encrypt then Costmodel.crypto_us t.costs bytes else 0.0
+  if t.encrypt then Costmodel.crypto_us bytes else 0.0
 
 let charge_us (t : t) (us : float) : unit =
   match t.clock with Some clock -> Simclock.advance clock us | None -> ()
@@ -386,35 +384,32 @@ let charge_us (t : t) (us : float) : unit =
 let precompute ?(dir = `Recv) (t : t) ~(budget_us : float) : float =
   if (not t.encrypt) || budget_us <= 0.0 then 0.0
   else begin
-    let rate = t.costs.Costmodel.keystream_us_per_byte in
-    if rate <= 0.0 then 0.0
+    let rate = Costmodel.keystream_us_per_byte in
+    let h = match dir with `Send -> t.send_half | `Recv -> t.recv_half in
+    let avail = pre_avail h in
+    let want = min (int_of_float (budget_us /. rate)) (pre_cap - avail) in
+    if want <= 0 then 0.0
     else begin
-      let h = match dir with `Send -> t.send_half | `Recv -> t.recv_half in
-      let avail = pre_avail h in
-      let want = min (int_of_float (budget_us /. rate)) (pre_cap - avail) in
-      if want <= 0 then 0.0
-      else begin
-        (* Compact the unconsumed tail to the front, grow on demand. *)
-        if h.pre_pos > 0 then begin
-          Bytes.blit h.pre h.pre_pos h.pre 0 avail;
-          h.pre_pos <- 0;
-          h.pre_len <- avail
-        end;
-        if Bytes.length h.pre < avail + want then begin
-          let cap = ref (max 256 (Bytes.length h.pre)) in
-          while !cap < avail + want do
-            cap := !cap * 2
-          done;
-          let grown = Bytes.create !cap in
-          Bytes.blit h.pre 0 grown 0 avail;
-          h.pre <- grown
-        end;
-        Arc4.keystream_into h.stream h.pre ~off:h.pre_len ~len:want;
-        h.pre_len <- h.pre_len + want;
-        let used_us = float_of_int want *. rate in
-        Obs.add t.obs t.keys.k_keystream_pre (int_of_float used_us);
-        used_us
-      end
+      (* Compact the unconsumed tail to the front, grow on demand. *)
+      if h.pre_pos > 0 then begin
+        Bytes.blit h.pre h.pre_pos h.pre 0 avail;
+        h.pre_pos <- 0;
+        h.pre_len <- avail
+      end;
+      if Bytes.length h.pre < avail + want then begin
+        let cap = ref (max 256 (Bytes.length h.pre)) in
+        while !cap < avail + want do
+          cap := !cap * 2
+        done;
+        let grown = Bytes.create !cap in
+        Bytes.blit h.pre 0 grown 0 avail;
+        h.pre <- grown
+      end;
+      Arc4.keystream_into h.stream h.pre ~off:h.pre_len ~len:want;
+      h.pre_len <- h.pre_len + want;
+      let used_us = float_of_int want *. rate in
+      Obs.add t.obs t.keys.k_keystream_pre (int_of_float used_us);
+      used_us
     end
   end
 

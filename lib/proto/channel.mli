@@ -25,7 +25,6 @@ type stats = {
 val create :
   ?encrypt:bool ->
   ?clock:Sfs_net.Simclock.t ->
-  ?costs:Sfs_net.Costmodel.t ->
   ?obs:Sfs_obs.Obs.registry ->
   ?label:string ->
   send_key:string ->
@@ -72,7 +71,7 @@ val charge_us : t -> float -> unit
 
 val precompute : ?dir:[ `Send | `Recv ] -> t -> budget_us:float -> float
 (** [precompute t ~budget_us] generates up to [budget_us] worth of ARC4
-    keystream (at {!Sfs_net.Costmodel.t.keystream_us_per_byte}) for the
+    keystream (at {!Sfs_net.Costmodel.keystream_us_per_byte}) for the
     given direction (default [`Recv]) ahead of need, buffered until
     {!seal}/{!open_} consume it.  The cipher bytes are byte-identical
     to the eager path — only when the keystream is generated changes.

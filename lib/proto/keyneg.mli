@@ -42,14 +42,6 @@ type connect_res =
 val enc_connect_res : Xdr.enc -> connect_res -> unit
 val dec_connect_res : Xdr.dec -> connect_res
 
-type keyneg_req = { kc_pub : Rabin.pub; sealed_client_halves : string }
-type keyneg_res = { sealed_server_halves : string }
-
-val enc_keyneg_req : Xdr.enc -> keyneg_req -> unit
-val dec_keyneg_req : Xdr.dec -> keyneg_req
-val enc_keyneg_res : Xdr.enc -> keyneg_res -> unit
-val dec_keyneg_res : Xdr.dec -> keyneg_res
-
 (** {2 Session keys} *)
 
 type session_keys = {

@@ -19,7 +19,6 @@ module Obs = Sfs_obs.Obs
 
 type t = {
   clock : Simclock.t;
-  lease_s : int; (* lease duration stamped into attributes *)
   (* Per-fh holder tables keyed by connection id.  A popular file at
      fleet scale has thousands of holders; grants and refreshes must be
      O(1), not a linear scan of an association list (which made a 10k
@@ -34,10 +33,11 @@ type t = {
 
 let sweep_floor = 1024
 
-let create ?(lease_s = 60) ?obs (clock : Simclock.t) : t =
+let lease_s = 60
+
+let create ?obs (clock : Simclock.t) : t =
   {
     clock;
-    lease_s;
     holders = Hashtbl.create 256;
     pending = Hashtbl.create 16;
     sweep_at = sweep_floor;
@@ -45,8 +45,6 @@ let create ?(lease_s = 60) ?obs (clock : Simclock.t) : t =
     invalidations_sent = 0;
     obs;
   }
-
-let lease_seconds (t : t) : int = t.lease_s
 
 (* Register a new client connection; the id keys its callback queue. *)
 let register_conn (t : t) : int =
@@ -66,7 +64,7 @@ let drop_conn (t : t) (conn : int) : unit = Hashtbl.remove t.pending conn
    The sweep runs when [holders] has doubled since the last one, which
    keeps grants amortized O(1). *)
 let sweep_expired (t : t) (now : float) : unit =
-  let cutoff = now -. (float_of_int t.lease_s *. 1_000_000.0) in
+  let cutoff = now -. (float_of_int lease_s *. 1_000_000.0) in
   Hashtbl.filter_map_inplace
     (fun _ tbl ->
       if Hashtbl.fold (fun _ expiry live -> live || expiry > cutoff) tbl false then Some tbl else None)
@@ -81,7 +79,7 @@ let sweep_expired (t : t) (now : float) : unit =
    scan costs one grant per file, not one per block. *)
 let grant (t : t) ~(conn : int) (fh : string) : unit =
   let now = Simclock.now_us t.clock in
-  let expiry = now +. (float_of_int t.lease_s *. 1_000_000.0) in
+  let expiry = now +. (float_of_int lease_s *. 1_000_000.0) in
   let tbl =
     match Hashtbl.find_opt t.holders fh with
     | Some tbl -> tbl

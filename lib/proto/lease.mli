@@ -6,12 +6,12 @@
 
 type t
 
-val create : ?lease_s:int -> ?obs:Sfs_obs.Obs.registry -> Sfs_net.Simclock.t -> t
-(** [lease_s] (default 60) is stamped into every attribute served.
-    When [obs] is given, [lease.grants] and [lease.invalidations]
-    counters are recorded. *)
+val lease_s : int
+(** 60: the lease, in seconds, stamped into every attribute served. *)
 
-val lease_seconds : t -> int
+val create : ?obs:Sfs_obs.Obs.registry -> Sfs_net.Simclock.t -> t
+(** When [obs] is given, [lease.grants] and [lease.invalidations]
+    counters are recorded. *)
 
 val register_conn : t -> int
 (** A new client connection; the id keys its callback queue. *)

@@ -11,7 +11,6 @@
 
 module Simclock = Sfs_net.Simclock
 module Simnet = Sfs_net.Simnet
-module Costmodel = Sfs_net.Costmodel
 module Simos = Sfs_os.Simos
 module Memfs = Sfs_nfs.Memfs
 module Obs = Sfs_obs.Obs
@@ -27,7 +26,7 @@ let max_spans = 20_000
 let world () : world =
   let clock = Simclock.create () in
   let obs = Obs.create ~max_spans ~now_us:(fun () -> Simclock.now_us clock) () in
-  { clock; obs; net = Simnet.create ~costs:Costmodel.default ~obs clock }
+  { clock; obs; net = Simnet.create ~obs clock }
 
 type 'c kind = {
   host : 'c -> Simnet.host;

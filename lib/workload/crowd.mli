@@ -21,7 +21,7 @@ type failure =
     whose arrival rate grows linearly until everyone is in. *)
 type arrival = Stagger of float | Ramp of float
 
-(** The clock, a span-capped registry and a network on [Costmodel.default]. *)
+(** The clock, a span-capped registry and a simulated network. *)
 type world = { clock : Sfs_net.Simclock.t; obs : Sfs_obs.Obs.registry; net : Sfs_net.Simnet.t }
 
 val world : unit -> world

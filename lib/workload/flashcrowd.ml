@@ -53,7 +53,6 @@ let default : config =
 (* Fixed for every crowd. *)
 let attempt_limit = 1000 (* consecutive failures before a client gives up *)
 let key_bits = 512
-let duration_s = 24 * 3600 (* validity window of each signed root *)
 
 type result = {
   r_cfg : config;
@@ -117,7 +116,6 @@ let run (cfg : config) : result =
     invalid_arg "Flashcrowd.run: counts must be positive";
   let w = Crowd.world () in
   let clock = w.Crowd.clock and obs = w.Crowd.obs and net = w.Crowd.net in
-  let costs = Costmodel.default in
   (* --- the publisher: file tree, private key, snapshot --- *)
   ignore (Simnet.add_host net publisher_loc);
   let now () = Sfs_nfs.Nfs_types.time_of_us (Simclock.now_us clock) in
@@ -127,14 +125,12 @@ let run (cfg : config) : result =
       ~file_bytes:cfg.file_bytes
   in
   let key = Rabin.generate ~bits:key_bits (Prng.create [ cfg.seed; "rokey" ]) in
-  let publisher =
-    Core.Replica.publisher ~obs ~costs ~duration_s ~net ~host:publisher_loc ~key ~clock fs
-  in
+  let publisher = Core.Replica.publisher ~obs ~net ~host:publisher_loc ~key ~clock fs in
   ignore (Core.Replica.publish publisher);
   (* --- the mirror tier --- *)
   let mirrors =
     Array.init cfg.replicas (fun m ->
-        Core.Replica.mirror ~obs ~costs ~clock ~name:(mirror_loc m) ())
+        Core.Replica.mirror ~obs ~clock ~name:(mirror_loc m) ())
   in
   let mhosts =
     Array.init cfg.replicas (fun m ->
@@ -184,7 +180,7 @@ let run (cfg : config) : result =
     match c.conn with
     | None -> raise Simnet.Timeout
     | Some conn ->
-        Simclock.advance clock costs.Costmodel.userlevel_us_per_side;
+        Simclock.advance clock Costmodel.userlevel_us_per_side;
         (* sfslint: allow SL010 — read-only dialect: every fetch is hash-verified against the previous, so the chain is serial *)
         Simnet.call conn bytes
   in
@@ -233,7 +229,7 @@ let run (cfg : config) : result =
       c.ro <-
         Some
           (* sfstaint: allow TNT004 — connect raises plain Simnet/Verification errors; the per-client Zipf Prng never reaches the exchange or the message *)
-          (Core.Readonly.connect ~obs ~cache_objs:cfg.vcache_objs ~costs
+          (Core.Readonly.connect ~obs ~cache_objs:cfg.vcache_objs
              ~exchange:(exchange c) ~pubkey ~clock ());
     Ok ()
   in

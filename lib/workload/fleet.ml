@@ -60,8 +60,6 @@ let default : config =
   }
 
 (* Fixed for every fleet. *)
-let lease_s = 60
-let drc_size = 512 (* per-server duplicate-request cache bound *)
 let server_key_bits = 512 (* encryption target: OAEP needs >= 512 bits *)
 let user_key_bits = 384 (* signing only, so the smaller modulus is fine *)
 let mount_retry_limit = 999 (* a client gives up on its 1000th failed mount *)
@@ -149,7 +147,7 @@ let run (cfg : config) : result =
     let location = server_loc s in
     let host = Simnet.add_host net location in
     let fs = Memfs.create ~fsid:(100 + s) ~now () in
-    let disk = Diskmodel.create ~params:Diskmodel.default_params clock in
+    let disk = Diskmodel.create clock in
     let backend = Memfs_ops.make ~fs ~disk in
     let bench =
       match Memfs.mkdir fs root_cred ~dir:Memfs.root_id "bench" ~mode:0o777 with
@@ -174,7 +172,7 @@ let run (cfg : config) : result =
     let rng = Prng.create [ cfg.seed; "server"; string_of_int s ] in
     let key = Rabin.generate ~bits:server_key_bits rng in
     let srv =
-      Core.Server.create ~lease_s ~drc_size ~auth_backend ~obs net ~host ~location ~key ~rng
+      Core.Server.create ~auth_backend ~obs net ~host ~location ~key ~rng
         ~backend ~authserv:shards.(s mod cfg.auth_shards) ()
     in
     Simnet.set_admission host cfg.admit_per_server;

@@ -50,7 +50,7 @@ val make :
   ?readahead:int ->
   stack ->
   world
-(** Build a ready world over {!Costmodel.default}: server with a
+(** Build a ready world on the simulated testbed ({!Costmodel}): server with a
     world-writable /bench, client machine, and (for SFS stacks) 512-bit
     keys, authserv, agent and a primed authenticated mount.  [fault] arms a fault plan on the network
     {e after} construction and priming (construction always runs

@@ -38,9 +38,6 @@ type msg = Call of call | Reply of reply
 val enc_auth : Xdr.enc -> auth_flavor -> unit
 val dec_auth : Xdr.dec -> auth_flavor
 
-val enc_msg : Xdr.enc -> msg -> unit
-val dec_msg : Xdr.dec -> msg
-
 val msg_to_string : ?enc:Xdr.enc -> msg -> string
 (** [?enc] reuses the given encoder (it is reset first) instead of
     allocating one per call. *)

@@ -637,6 +637,84 @@ let test_no_anonymous_server () =
   Vfs.set_agent vfs ~uid:alice.Simos.uid agent;
   ignore (vok "alice allowed" (Vfs.readdir vfs (Simos.cred_of_user alice) (base ^ "/pub")))
 
+(* Section 2.4: after a server's key changes, the old file system's
+   root holds forwarding symlinks to the new self-certifying pathname,
+   and a client still using the old pathname follows them. *)
+let test_forwarding_root () =
+  let w = make_world () in
+  let cred = Simos.cred_of_user w.alice in
+  let root_cred = Simos.cred_of_user Simos.root_user in
+  let old_base = Pathname.to_string (Server.self_path w.server) in
+  (* The file system moves to a new host under a new key. *)
+  let new_host = Simnet.add_host w.net "new.example.com" in
+  let now () = Nfs_types.time_of_us (Simclock.now_us w.clock) in
+  let new_fs = Memfs.create ~now () in
+  (match Memfs.create_file new_fs root_cred ~dir:Memfs.root_id "notes.txt" ~mode:0o644 with
+  | Ok (id, _) -> ignore (Memfs.write new_fs root_cred id ~off:0 "moved here")
+  | Error _ -> Alcotest.fail "seed new fs");
+  let new_server =
+    Server.create w.net ~host:new_host ~location:"new.example.com" ~key:(Lazy.force key_b) ~rng
+      ~backend:(Memfs_ops.make ~fs:new_fs ~disk:(Diskmodel.create w.clock))
+      ~authserv:(Authserv.create rng) ()
+  in
+  let new_path = Server.self_path new_server in
+  Keymgmt.install_forwarding_root w.server_fs ~new_path;
+  Alcotest.(check (list string)) "old root holds only the forwarding links" [ ".forward"; "FORWARDED" ]
+    (List.sort compare (vok "ls old" (Vfs.readdir w.vfs cred old_base)));
+  List.iter
+    (fun link ->
+      Testkit.check_string (link ^ " names the new path") (Pathname.to_string new_path)
+        (vok "readlink" (Vfs.readlink w.vfs cred (old_base ^ "/" ^ link))))
+    [ ".forward"; "FORWARDED" ];
+  Testkit.check_string "client follows the forwarding link" "moved here"
+    (vok "read via old path" (Vfs.read_file w.vfs cred (old_base ^ "/FORWARDED/notes.txt")))
+
+(* An agent that forgets its keys signs nothing, so the user's next
+   mount authenticates anonymously: world-readable files still read,
+   the user's own private files do not. *)
+let test_agent_forget_keys () =
+  let w = make_world () in
+  let cred = Simos.cred_of_user w.alice in
+  let base = Pathname.to_string (Server.self_path w.server) in
+  let home =
+    match Memfs.lookup w.server_fs cred ~dir:Memfs.root_id "home" with
+    | Ok (id, _) -> id
+    | Error _ -> Alcotest.fail "no /home"
+  in
+  let seed ~dir name ~mode =
+    match Memfs.create_file w.server_fs cred ~dir name ~mode with
+    | Ok (id, _) -> ignore (Memfs.write w.server_fs cred id ~off:0 name)
+    | Error _ -> Alcotest.fail ("seed " ^ name)
+  in
+  seed ~dir:home "public.txt" ~mode:0o644;
+  (match Memfs.mkdir w.server_fs cred ~dir:home "private" ~mode:0o700 with
+  | Ok (id, _) -> seed ~dir:id "secret.txt" ~mode:0o600
+  | Error _ -> Alcotest.fail "seed private");
+  Agent.forget_keys w.alice_agent;
+  let info =
+    {
+      Sfs_proto.Authproto.service = "FS";
+      location = "server.example.com";
+      hostid = "h";
+      session_id = "s";
+    }
+  in
+  Testkit.check_int "no signed requests" 0
+    (List.length (Agent.sign_requests w.alice_agent info ~seqno_of:Fun.id));
+  Testkit.check_string "world-readable file" "public.txt"
+    (vok "read public" (Vfs.read_file w.vfs cred (base ^ "/home/public.txt")));
+  vexpect "own private file" (Vfs.read_file w.vfs cred (base ^ "/home/private/secret.txt"))
+
+let test_agent_remove_link () =
+  let w = make_world () in
+  let target = Pathname.to_string (Server.self_path w.server) in
+  Agent.add_link w.alice_agent ~name:"work" ~target;
+  Agent.add_link w.alice_agent ~name:"play" ~target;
+  Agent.remove_link w.alice_agent "work";
+  Alcotest.(check (list (pair string string))) "links" [ ("play", target) ] (Agent.links w.alice_agent);
+  Alcotest.(check (option string)) "removed name unresolved" None (Agent.resolve_name w.alice_agent "work");
+  Alcotest.(check (option string)) "other name kept" (Some target) (Agent.resolve_name w.alice_agent "play")
+
 let suite =
   ( "core",
     [
@@ -666,4 +744,7 @@ let suite =
       Alcotest.test_case "srp connection misuse" `Quick test_srp_connection_protocol_errors;
       Alcotest.test_case "sfskey remote key change" `Quick test_sfskey_remote_key_change;
       Alcotest.test_case "anonymous access refused" `Quick test_no_anonymous_server;
+      Alcotest.test_case "forwarding root after key change" `Quick test_forwarding_root;
+      Alcotest.test_case "agent forgets keys" `Quick test_agent_forget_keys;
+      Alcotest.test_case "agent removes a link" `Quick test_agent_remove_link;
     ] )

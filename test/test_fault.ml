@@ -314,7 +314,6 @@ let test_write_behind_sample () =
   let w, tap, m, _ = tapped_serial_world () in
   let fh = fresh_file w m "wb-sample" in
   write_behind_once w m fh;
-  let costs = Simnet.costs w.Stacks.net in
   let reply =
     match tap.Simnet.observed with
     | (Simnet.To_client, msg) :: _ -> msg
@@ -326,10 +325,10 @@ let test_write_behind_sample () =
     | _ -> Alcotest.fail "write-behind not sampled"
   in
   let seg name = List.assoc name sample.Obs.cp_segments in
-  Alcotest.(check (float 1e-9)) "latency is the async floor" costs.Sfs_net.Costmodel.async_floor_us
+  Alcotest.(check (float 1e-9)) "latency is the async floor" Sfs_net.Costmodel.async_floor_us
     (seg "latency");
   Alcotest.(check (float 1e-9)) "down_wire is the sealed reply's wire time"
-    (Sfs_net.Costmodel.transfer_us costs Sfs_net.Costmodel.Tcp (String.length reply))
+    (Sfs_net.Costmodel.transfer_us Sfs_net.Costmodel.Tcp (String.length reply))
     (seg "down_wire")
 
 (* --- The oracle property --- *)

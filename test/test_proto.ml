@@ -317,7 +317,7 @@ let seq_window_prop =
 
 let test_leases () =
   let clock = Simclock.create () in
-  let reg = Lease.create ~lease_s:60 clock in
+  let reg = Lease.create clock in
   let c1 = Lease.register_conn reg in
   let c2 = Lease.register_conn reg in
   Lease.grant reg ~conn:c1 "fh-a";
@@ -330,12 +330,12 @@ let test_leases () =
 
 let test_lease_expiry () =
   let clock = Simclock.create () in
-  let reg = Lease.create ~lease_s:60 clock in
+  let reg = Lease.create clock in
   let c1 = Lease.register_conn reg in
   let c2 = Lease.register_conn reg in
   Lease.grant reg ~conn:c2 "fh-b";
   (* After the lease expires no callback is needed. *)
-  Simclock.advance clock 61_000_000.0;
+  Simclock.advance clock (float_of_int (Lease.lease_s + 1) *. 1_000_000.0);
   Lease.invalidate reg ~by:c1 "fh-b";
   Alcotest.(check (list string)) "expired lease not notified" [] (Lease.take reg c2)
 
@@ -355,7 +355,7 @@ let test_lease_dedup () =
    called back. *)
 let test_lease_sweep () =
   let clock = Simclock.create () in
-  let reg = Lease.create ~lease_s:60 clock in
+  let reg = Lease.create clock in
   let c1 = Lease.register_conn reg in
   let c2 = Lease.register_conn reg in
   for i = 0 to 1023 do

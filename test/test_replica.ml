@@ -5,7 +5,6 @@
 
 module Simclock = Sfs_net.Simclock
 module Simnet = Sfs_net.Simnet
-module Costmodel = Sfs_net.Costmodel
 module Simos = Sfs_os.Simos
 module Memfs = Sfs_nfs.Memfs
 module Nfs_types = Sfs_nfs.Nfs_types
@@ -115,7 +114,7 @@ let test_incremental_snapshot () =
 let mk_world () =
   let clock = Simclock.create () in
   let obs = Obs.create ~now_us:(fun () -> Simclock.now_us clock) () in
-  let net = Simnet.create ~costs:Costmodel.default ~obs clock in
+  let net = Simnet.create ~obs clock in
   (clock, obs, net)
 
 let test_fanout_delta_and_evict () =
