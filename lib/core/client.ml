@@ -65,6 +65,7 @@ type mount = {
   m_agents : (int, Agent.t) Hashtbl.t; (* uid -> agent, for re-authentication *)
   mutable m_seqno : int;
   mutable m_xid : int; (* next Fs_call xid; NOT reset on reconnect *)
+  m_enc : Xdr.enc; (* every Fs_call is marshaled here, then sealed *)
   m_readonly : bool;
 }
 
@@ -230,12 +231,12 @@ let authenticate ?local_uid (t : t) (m : mount) (agent : Agent.t) : int =
               | Result.Error _ ->
                   raise Simnet.Timeout
             in
-            let authno =
-              List.fold_left
-                (fun acc (i, msg) -> match acc with Some _ -> acc | None -> try_one i msg)
-                None
-                (List.mapi (fun i msg -> (i, msg)) msgs)
+            (* The first granted request wins; later ones are not sent. *)
+            let rec first i = function
+              | [] -> None
+              | msg :: rest -> ( match try_one i msg with Some _ as a -> a | None -> first (i + 1) rest)
             in
+            let authno = first 0 msgs in
             if authno <> None then Obs.incr t.obs "client.auth_granted";
             let authno = Option.value authno ~default:Sfsrw.authno_anonymous in
             Hashtbl.replace m.m_authnos uid authno;
@@ -309,9 +310,11 @@ let next_xid (m : mount) : int =
 (* The Fs_call for one attempt at [xid]: the caller's authno, and the
    attempt's op span context, which rides the wire so the server's
    spans attach to this attempt.  Reads the mount's state afresh, so a
-   reconnection between attempts is transparent. *)
+   reconnection between attempts is transparent.  [args] marshals the
+   NFS arguments straight into the mount's encoder, which is copied
+   out once as the plaintext to seal. *)
 let fs_request (m : mount) ~(cred : Simos.cred) ~(proc : int) ~(xid : int) (os : Obs.open_span)
-    (args : string) : string =
+    (args : Xdr.enc -> unit) : string =
   let authno =
     match Hashtbl.find_opt m.m_authnos cred.Simos.cred_uid with
     | Some a -> a
@@ -320,7 +323,9 @@ let fs_request (m : mount) ~(cred : Simos.cred) ~(proc : int) ~(xid : int) (os :
   let trace, span =
     match Obs.open_ctx os with Some cx -> (cx.Obs.cx_trace, cx.Obs.cx_span) | None -> (0, 0)
   in
-  Sfsrw.request_to_string (Sfsrw.Fs_call { xid; authno; proc; trace; span; args })
+  Xdr.reset m.m_enc;
+  Sfsrw.enc_fs_call m.m_enc ~xid ~authno ~proc ~trace ~span args;
+  Xdr.to_string m.m_enc
 
 (* Seal a request for an overlapped send (write-behind, windowed
    READs): the pipeline hides most of the user-level crossings and part
@@ -475,8 +480,8 @@ let read_pipeline (t : t) (m : mount) : Fs_intf.pipeline =
     (* sfslint: allow SL012 — the open span is handed to Rpc_mux.submit via ~info, which closes it at the op's ready time (or at submit time on a failed exchange) *)
     let os = Obs.span_begin t.obs ~cat:"op" "read" in
     let req =
-      fs_request m ~cred ~proc:Nfs_proto.proc_read ~xid os
-        (Xdr.encode Nfs_proto.enc_read_args (fh, off, count))
+      fs_request m ~cred ~proc:Nfs_proto.proc_read ~xid os (fun e ->
+          Nfs_proto.enc_read_args e (fh, off, count))
     in
     let wire, crypto_up, full = seal_overlapped t m req in
     let info =
@@ -526,6 +531,7 @@ let mount (t : t) (path : Pathname.t) : (mount, mount_error) result =
                   m_agents = Hashtbl.create 4;
                   m_seqno = 1;
                   m_xid = 1;
+                  m_enc = Xdr.make_enc ();
                   m_readonly = false;
                 }
               in
@@ -550,7 +556,7 @@ let mount (t : t) (path : Pathname.t) : (mount, mount_error) result =
                 let rec go (i : int) : string =
                   (* Per-attempt op span. *)
                   let os = Obs.span_begin t.obs ~cat:"op" opname in
-                  let req = fs_request m ~cred ~proc ~xid os args in
+                  let req = fs_request m ~cred ~proc ~xid os (fun e -> Xdr.enc_raw e args) in
                   (* Any transport or channel failure poisons the ARC4
                      streams; retransmission on the same channel is
                      useless.  Back off, reconnect, re-issue. *)
@@ -688,6 +694,7 @@ let mount_readonly (t : t) (path : Pathname.t) : (mount, mount_error) result =
                         m_agents = Hashtbl.create 1;
                         m_seqno = 1;
                         m_xid = 1;
+                        m_enc = Xdr.make_enc ();
                         m_readonly = true;
                       }
                     in

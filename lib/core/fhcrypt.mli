@@ -11,9 +11,10 @@ val create : string -> t
 val of_prng : Sfs_crypto.Prng.t -> t
 
 val encrypt : t -> string -> string
-[@@sfs.declassify "blinded file handle: Arc4+MAC output reveals nothing about the handle key"]
-(** Inner handles up to 40 bytes. *)
+[@@sfs.declassify "blinded file handle: Blowfish-CBC over keyed redundancy reveals nothing about the handle key"]
+(** Inner handles up to 40 bytes.  Runs CBC in place on the instance's
+    scratch block; allocates only the returned handle. *)
 
 val decrypt : t -> string -> string option
 (** [None] for anything not produced by this instance's {!encrypt} —
-    guessed, tampered or cross-key handles. *)
+    guessed, tampered, truncated, extended or cross-key handles. *)

@@ -57,9 +57,11 @@ type t = {
      reconnects after a lost reply re-issues the same xid, and the
      stored reply is replayed instead of re-executing a non-idempotent
      procedure.  (In real SFS the loopback NFS server's cache plays
-     this role; here the relay serves the backend directly.)  Bounded,
-     FIFO eviction, volatile across crash_recover. *)
-  drc : (string * int, int * string * Sfsrw.response) Hashtbl.t;
+     this role; here the relay serves the backend directly.)  Each
+     entry holds the procedure, the arguments and the marshaled reply
+     plaintext — the very string that was sealed.  Bounded, FIFO
+     eviction, volatile across crash_recover. *)
+  drc : (string * int, int * string * string) Hashtbl.t;
   drc_order : (string * int) Queue.t;
   obs : Obs.registry option;
 }
@@ -200,6 +202,7 @@ let secure_ops (t : t) ~(conn : int) : Fs_intf.ops =
 
 type fs_session = {
   channel : Channel.t;
+  enc : Xdr.enc; (* every reply is marshaled here, then copied out once *)
   conn_id : int;
   peer : string; (* client host; keys the duplicate request cache *)
   dispatcher : Nfs_server.t;
@@ -209,8 +212,10 @@ type fs_session = {
   session_id : string;
 }
 
-let execute_fs_call (t : t) (s : fs_session) ~(authno : int) ~(proc : int) (args : string) :
-    Sfsrw.response =
+(* Run one file system call, marshaling its reply into [s.enc]: the
+   NFS results are written in place inside the Fs_reply, never built
+   as a string of their own. *)
+let execute_fs_call (t : t) (s : fs_session) ~(authno : int) ~(proc : int) (args : string) : unit =
   t.fs_calls <- t.fs_calls + 1;
   (* The paper's user-level server implementation cost.  Unstable
      writes ride the write-behind pipeline, whose residual cost the
@@ -218,8 +223,8 @@ let execute_fs_call (t : t) (s : fs_session) ~(authno : int) ~(proc : int) (args
   let unstable_write =
     proc = Sfs_nfs.Nfs_proto.proc_write
     &&
-    match Xdr.run args Sfs_nfs.Nfs_proto.dec_write_args with
-    | Ok (_, _, stable, _) -> not stable
+    match Xdr.run args Sfs_nfs.Nfs_proto.dec_write_stable with
+    | Ok stable -> not stable
     | Result.Error _ -> false
   in
   if not unstable_write then Simclock.advance t.clock Costmodel.userlevel_us_per_side;
@@ -227,26 +232,33 @@ let execute_fs_call (t : t) (s : fs_session) ~(authno : int) ~(proc : int) (args
     if authno = Sfsrw.authno_anonymous then Simos.anonymous_cred
     else match Hashtbl.find_opt s.authnos authno with Some (_, c) -> c | None -> Simos.anonymous_cred
   in
+  let e = s.enc in
+  let take () = Lease.take t.leases s.conn_id in
+  Xdr.reset e;
   if Simos.is_anonymous cred && not t.allow_anonymous && proc <> Sfsrw.proc_getroot then
     (* "Depending on the server's configuration, this may permit
        access to certain parts of the file system" — here, none. *)
-    Sfsrw.Fs_reply
-      {
-        results = Xdr.encode Sfs_nfs.Nfs_types.enc_status Sfs_nfs.Nfs_types.NFS3ERR_ACCES;
-        invalidations = Lease.take t.leases s.conn_id;
-      }
+    ignore
+      (Sfsrw.enc_fs_reply e
+         (fun e ->
+           Sfs_nfs.Nfs_types.enc_status e Sfs_nfs.Nfs_types.NFS3ERR_ACCES;
+           true)
+         take)
   else if proc = Sfsrw.proc_getroot then
-    Sfsrw.Fs_reply
-      {
-        results = Xdr.encode enc_fh (Fhcrypt.encrypt t.fhc t.backend.Fs_intf.fs_root);
-        invalidations = [];
-      }
-  else
-    match Nfs_server.dispatch s.dispatcher cred proc args with
-    | Some results -> Sfsrw.Fs_reply { results; invalidations = Lease.take t.leases s.conn_id }
-    | None -> Sfsrw.Proto_error "bad procedure or arguments"
+    ignore
+      (Sfsrw.enc_fs_reply e
+         (fun e ->
+           enc_fh e (Fhcrypt.encrypt t.fhc t.backend.Fs_intf.fs_root);
+           true)
+         (fun () -> []))
+  else if not (Sfsrw.enc_fs_reply e (Nfs_server.dispatch_into s.dispatcher cred proc args) take)
+  then begin
+    Xdr.reset e;
+    Sfsrw.enc_response e (Sfsrw.Proto_error "bad procedure or arguments")
+  end
 
-let handle_fs_request (t : t) (s : fs_session) (req : Sfsrw.request) : Sfsrw.response =
+(* One request to its marshaled reply plaintext. *)
+let handle_fs_request (t : t) (s : fs_session) (req : Sfsrw.request) : string =
   match req with
   | Sfsrw.Auth_req { seqno; authmsg } -> (
       (* Figure 4, server side: check the AuthID names this session,
@@ -260,18 +272,19 @@ let handle_fs_request (t : t) (s : fs_session) (req : Sfsrw.request) : Sfsrw.res
             session_id = s.session_id;
           }
       in
-      if not (Authproto.window_accept s.window seqno) then
-        Sfsrw.Auth_denied { seqno; reason = "replayed or stale sequence number" }
-      else
-        match t.auth.Authserv.b_validate ~authmsg ~authid ~seqno with
-        | Error reason ->
-            t.auth.Authserv.b_log_failure ~user:"?" ~reason;
-            Sfsrw.Auth_denied { seqno; reason }
-        | Ok (user, cred) ->
-            let authno = s.next_authno in
-            s.next_authno <- authno + 1;
-            Hashtbl.replace s.authnos authno (user, cred);
-            Sfsrw.Auth_granted { authno; seqno })
+      Sfsrw.response_to_string
+        (if not (Authproto.window_accept s.window seqno) then
+           Sfsrw.Auth_denied { seqno; reason = "replayed or stale sequence number" }
+         else
+           match t.auth.Authserv.b_validate ~authmsg ~authid ~seqno with
+           | Error reason ->
+               t.auth.Authserv.b_log_failure ~user:"?" ~reason;
+               Sfsrw.Auth_denied { seqno; reason }
+           | Ok (user, cred) ->
+               let authno = s.next_authno in
+               s.next_authno <- authno + 1;
+               Hashtbl.replace s.authnos authno (user, cred);
+               Sfsrw.Auth_granted { authno; seqno }))
   | Sfsrw.Fs_call { xid; authno; proc; trace; span; args } ->
       (* Adopt the client's causal context for the extent of the call:
          every span recorded below (DRC hit, NFS proc execution, lease
@@ -292,7 +305,9 @@ let handle_fs_request (t : t) (s : fs_session) (req : Sfsrw.request) : Sfsrw.res
               Obs.span t.obs ~cat:"server" "drc_hit" (fun () -> ());
               reply
           | previous ->
-              let reply = execute_fs_call t s ~authno ~proc args in
+              execute_fs_call t s ~authno ~proc args;
+              (* The one copy of the reply: DRC entry and seal input. *)
+              let reply = Xdr.to_string s.enc in
               Hashtbl.replace t.drc key (proc, args, reply);
               if previous = None then begin
                 Obs.incr t.obs "server.drc_insert";
@@ -328,6 +343,7 @@ let fs_connection ?(encrypt = true) ~(peer : string) (t : t) : string -> string 
               `Established
                 {
                   channel;
+                  enc = Xdr.make_enc ();
                   conn_id;
                   peer;
                   dispatcher;
@@ -352,12 +368,12 @@ let fs_connection ?(encrypt = true) ~(peer : string) (t : t) : string -> string 
             state := `Dead;
             raise Simnet.Timeout
         | Ok plaintext ->
-            let response =
+            let reply =
               match Sfsrw.request_of_string plaintext with
               | Ok req -> handle_fs_request t s req
-              | Result.Error e -> Sfsrw.Proto_error e
+              | Result.Error e -> Sfsrw.response_to_string (Sfsrw.Proto_error e)
             in
-            Channel.seal s.channel (Sfsrw.response_to_string response))
+            Channel.seal s.channel reply)
     | `Dead -> raise Simnet.Timeout
 
 (* --- The connection dispatcher (sfssd proper) --- *)

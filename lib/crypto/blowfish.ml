@@ -50,18 +50,22 @@ let encrypt_words (st : state) (xl : int) (xr : int) : int * int =
   let xl = !xr lxor st.p.(17) and xr = t lxor st.p.(16) in
   (xl, xr)
 
-let decrypt_words (st : state) (xl : int) (xr : int) : int * int =
-  let xl = ref xl and xr = ref xr in
-  for i = 17 downto 2 do
-    xl := !xl lxor st.p.(i);
+(* One block in place at [off], as two big-endian words: the rounds of
+   [encrypt_words]/[decrypt_words] on local refs, with no result tuple
+   (the CBC passes run allocation-free). *)
+let crypt_at ~(decrypt : bool) (st : state) (buf : Bytes.t) (off : int) : unit =
+  let xl = ref (Sfs_util.Bytesutil.get_be32 buf ~off)
+  and xr = ref (Sfs_util.Bytesutil.get_be32 buf ~off:(off + 4)) in
+  for r = 0 to 15 do
+    xl := !xl lxor st.p.(if decrypt then 17 - r else r);
     xr := !xr lxor feistel st !xl;
     let t = !xl in
     xl := !xr;
     xr := t
   done;
   let t = !xl in
-  let xl = !xr lxor st.p.(0) and xr = t lxor st.p.(1) in
-  (xl, xr)
+  Sfs_util.Bytesutil.put_be32 buf ~off (!xr lxor st.p.(if decrypt then 0 else 17));
+  Sfs_util.Bytesutil.put_be32 buf ~off:(off + 4) (t lxor st.p.(if decrypt then 1 else 16))
 
 let key_word (key : string) (pos : int) : int * int =
   (* 32 bits of key material starting at byte offset [pos], cyclic. *)
@@ -118,46 +122,49 @@ let create (key : string) : t =
 
 let block_size = 8
 
-let encrypt_block (st : t) (block : string) : string =
-  if String.length block <> 8 then invalid_arg "Blowfish.encrypt_block";
-  let xl = Sfs_util.Bytesutil.int_of_be32 block ~off:0
-  and xr = Sfs_util.Bytesutil.int_of_be32 block ~off:4 in
-  let xl, xr = encrypt_words st xl xr in
-  Sfs_util.Bytesutil.be32_of_int xl ^ Sfs_util.Bytesutil.be32_of_int xr
+let crypt_block (f : t -> Bytes.t -> int -> unit) (name : string) (st : t) (block : string) : string =
+  if String.length block <> 8 then invalid_arg name;
+  let b = Bytes.of_string block in
+  f st b 0;
+  Bytes.unsafe_to_string b
 
-let decrypt_block (st : t) (block : string) : string =
-  if String.length block <> 8 then invalid_arg "Blowfish.decrypt_block";
-  let xl = Sfs_util.Bytesutil.int_of_be32 block ~off:0
-  and xr = Sfs_util.Bytesutil.int_of_be32 block ~off:4 in
-  let xl, xr = decrypt_words st xl xr in
-  Sfs_util.Bytesutil.be32_of_int xl ^ Sfs_util.Bytesutil.be32_of_int xr
+let encrypt_block = crypt_block (crypt_at ~decrypt:false) "Blowfish.encrypt_block"
+let decrypt_block = crypt_block (crypt_at ~decrypt:true) "Blowfish.decrypt_block"
 
-(* CBC over whole blocks; SFS file handles are padded to a block multiple
-   by the caller, so no padding scheme lives here. *)
-let encrypt_cbc (st : t) ~(iv : string) (plaintext : string) : string =
-  if String.length iv <> 8 then invalid_arg "Blowfish.encrypt_cbc: iv";
-  if String.length plaintext mod 8 <> 0 then invalid_arg "Blowfish.encrypt_cbc: not block-aligned";
-  let out = Buffer.create (String.length plaintext) in
-  let prev = ref iv in
-  List.iter
-    (fun block ->
-      let c = encrypt_block st (Sfs_util.Bytesutil.xor block !prev) in
-      Buffer.add_string out c;
-      prev := c)
-    (Sfs_util.Bytesutil.chunks ~size:8 plaintext);
-  Buffer.contents out
+(* CBC over whole blocks, in place; SFS file handles are padded to a
+   block multiple by the caller, so no padding scheme lives here. *)
+let check_cbc (name : string) ~(iv : string) (buf : Bytes.t) ~(off : int) ~(len : int) : unit =
+  if String.length iv <> 8 then invalid_arg (name ^ ": iv");
+  if off < 0 || len < 0 || off + len > Bytes.length buf then invalid_arg (name ^ ": range");
+  if len mod 8 <> 0 then invalid_arg (name ^ ": not block-aligned")
 
-let decrypt_cbc (st : t) ~(iv : string) (ciphertext : string) : string =
-  if String.length iv <> 8 then invalid_arg "Blowfish.decrypt_cbc: iv";
-  if String.length ciphertext mod 8 <> 0 then invalid_arg "Blowfish.decrypt_cbc: not block-aligned";
-  let out = Buffer.create (String.length ciphertext) in
-  let prev = ref iv in
-  List.iter
-    (fun block ->
-      Buffer.add_string out (Sfs_util.Bytesutil.xor (decrypt_block st block) !prev);
-      prev := block)
-    (Sfs_util.Bytesutil.chunks ~size:8 ciphertext);
-  Buffer.contents out
+(* XOR the block at [b] with its chain value: the IV for the first
+   block (at [off]), else the block before it. *)
+let xor_chain ~(iv : string) (buf : Bytes.t) ~(off : int) (b : int) : unit =
+  for i = 0 to 7 do
+    let c = if b = off then String.get iv i else Bytes.get buf (b - 8 + i) in
+    Bytes.set buf (b + i) (Char.chr (Char.code (Bytes.get buf (b + i)) lxor Char.code c))
+  done
+
+let encrypt_cbc_into (st : t) ~(iv : string) (buf : Bytes.t) ~(off : int) ~(len : int) : unit =
+  check_cbc "Blowfish.encrypt_cbc_into" ~iv buf ~off ~len;
+  let b = ref off in
+  while !b < off + len do
+    xor_chain ~iv buf ~off !b;
+    crypt_at ~decrypt:false st buf !b;
+    b := !b + 8
+  done
+
+(* Back to front, so each block is unchained against its
+   predecessor's ciphertext before that is decrypted in turn. *)
+let decrypt_cbc_into (st : t) ~(iv : string) (buf : Bytes.t) ~(off : int) ~(len : int) : unit =
+  check_cbc "Blowfish.decrypt_cbc_into" ~iv buf ~off ~len;
+  let b = ref (off + len - 8) in
+  while !b >= off do
+    crypt_at ~decrypt:true st buf !b;
+    xor_chain ~iv buf ~off !b;
+    b := !b - 8
+  done
 
 (* Exposed for eksblowfish. *)
 let raw_initial () = copy_state (Lazy.force initial)

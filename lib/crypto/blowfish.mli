@@ -14,9 +14,11 @@ val encrypt_block : t -> string -> string
 val decrypt_block : t -> string -> string
 (** Single 8-byte blocks. @raise Invalid_argument on other lengths. *)
 
-val encrypt_cbc : t -> iv:string -> string -> string
-val decrypt_cbc : t -> iv:string -> string -> string
-(** CBC over block-aligned input with an 8-byte IV. *)
+val encrypt_cbc_into : t -> iv:string -> Bytes.t -> off:int -> len:int -> unit
+val decrypt_cbc_into : t -> iv:string -> Bytes.t -> off:int -> len:int -> unit
+(** CBC in place over the [len] bytes at [off] (a whole number of
+    blocks) with an 8-byte IV, with no allocation.
+    @raise Invalid_argument on a bad IV, range or alignment. *)
 
 (**/**)
 

@@ -15,7 +15,7 @@ type ctx = {
   mutable h4 : int;
   block : Bytes.t; (* 64-byte staging buffer *)
   mutable used : int; (* bytes currently staged *)
-  mutable length : int64; (* total message bytes *)
+  mutable length : int; (* total message bytes, unboxed *)
 }
 
 let mask32 = 0xFFFFFFFF
@@ -29,23 +29,31 @@ let init () =
     h4 = 0xC3D2E1F0;
     block = Bytes.create 64;
     used = 0;
-    length = 0L;
+    length = 0;
   }
 
-(* Clone a running context: the basis of the cached HMAC schedules
-   (Mac.schedule), which resume from a pre-fed key block instead of
-   recompressing it per message. *)
-let copy (c : ctx) : ctx =
-  {
-    h0 = c.h0;
-    h1 = c.h1;
-    h2 = c.h2;
-    h3 = c.h3;
-    h4 = c.h4;
-    block = Bytes.copy c.block;
-    used = c.used;
-    length = c.length;
-  }
+let reset (c : ctx) : unit =
+  c.h0 <- 0x67452301;
+  c.h1 <- 0xEFCDAB89;
+  c.h2 <- 0x98BADCFE;
+  c.h3 <- 0x10325476;
+  c.h4 <- 0xC3D2E1F0;
+  c.used <- 0;
+  c.length <- 0
+
+(* Overwrite [dst] with a running context: the basis of the reusable
+   HMAC schedules (Mac.schedule), which resume from a pre-fed key block
+   instead of recompressing it per message, with no allocation.  Only
+   the staged bytes of the block are live. *)
+let copy_into (src : ctx) ~(dst : ctx) : unit =
+  dst.h0 <- src.h0;
+  dst.h1 <- src.h1;
+  dst.h2 <- src.h2;
+  dst.h3 <- src.h3;
+  dst.h4 <- src.h4;
+  Bytes.blit src.block 0 dst.block 0 src.used;
+  dst.used <- src.used;
+  dst.length <- src.length
 
 (* The compression core runs on [int32], not tagged [int]: the
    compiler unboxes local int32 arithmetic into genuine 32-bit
@@ -376,7 +384,7 @@ let compress (st : ctx) (buf : Bytes.t) (off : int) =
    unavoidable partial-block carry. *)
 let feed_bytes (c : ctx) (buf : Bytes.t) ~(off : int) ~(len : int) : unit =
   if off < 0 || len < 0 || off + len > Bytes.length buf then invalid_arg "Sha1.feed_bytes";
-  c.length <- Int64.add c.length (Int64.of_int len);
+  c.length <- c.length + len;
   let pos = ref off in
   let stop = off + len in
   (* Fill a partial block first. *)
@@ -407,7 +415,7 @@ let update (c : ctx) (s : string) =
 (* Pad, length-terminate and write the 20-byte digest at [off]. *)
 let digest_into (c : ctx) (out : Bytes.t) ~(off : int) : unit =
   if off < 0 || off + 20 > Bytes.length out then invalid_arg "Sha1.digest_into";
-  let bitlen = Int64.mul c.length 8L in
+  let bitlen = c.length lsl 3 in
   (* Append 0x80, pad with zeros to 56 mod 64, append 64-bit length. *)
   Bytes.set c.block c.used '\x80';
   c.used <- c.used + 1;
@@ -417,7 +425,8 @@ let digest_into (c : ctx) (out : Bytes.t) ~(off : int) : unit =
     c.used <- 0
   end;
   Bytes.fill c.block c.used (56 - c.used) '\000';
-  Sfs_util.Bytesutil.put_be64 c.block ~off:56 bitlen;
+  Sfs_util.Bytesutil.put_be32 c.block ~off:56 ((bitlen lsr 32) land mask32);
+  Sfs_util.Bytesutil.put_be32 c.block ~off:60 (bitlen land mask32);
   compress c c.block 0;
   Sfs_util.Bytesutil.put_be32 out ~off c.h0;
   Sfs_util.Bytesutil.put_be32 out ~off:(off + 4) c.h1;

@@ -12,8 +12,12 @@ val feed_bytes : ctx -> Bytes.t -> off:int -> len:int -> unit
     only read. @raise Invalid_argument when the range is out of
     bounds. *)
 
-val copy : ctx -> ctx
-(** A clone that advances independently; the basis of precomputed HMAC
+val reset : ctx -> unit
+(** Back to the initial state, keeping the context's storage. *)
+
+val copy_into : ctx -> dst:ctx -> unit
+(** Overwrites [dst] with the state of the first context, which is left
+    untouched — an allocation-free clone, the basis of precomputed HMAC
     key schedules. *)
 
 val final : ctx -> string

@@ -67,6 +67,7 @@ val create :
   exchange:(string -> 'a completion) ->
   unit ->
   'a t
+[@@sfs.declassify "an opaque transport handle: the exchange closure and any channel state it captures stay inside the mux; submit emits only the payload it is handed, and await returns replies already opened off the wire"]
 (** [wire_us] maps a wire length to link occupancy; [latency_us] is the
     fixed per-RPC round-trip cost (paid by every call, overlapped by the
     window); [op_us] is the per-reply client processing residual that

@@ -23,12 +23,27 @@ type t = {
   fh_prefix : string; (* distinguishes wire handles from backend ones *)
   mutable calls : int;
   obs : Obs.registry option;
+  op_keys : string array; (* "nfs.op.<name>" by procedure number, when observed *)
   enc : Xdr.enc; (* reusable reply encoder (RPC envelope) *)
-  res_enc : Xdr.enc; (* reusable results encoder, copied out per reply *)
+  res_enc : Xdr.enc; (* reusable results encoder for [dispatch] *)
 }
 
+(* Procedures 0 .. [max_proc] get their counter name built once here,
+   not per call. *)
+let max_proc = 21
+
+let op_key (proc : int) : string = "nfs.op." ^ Nfs_proto.proc_name proc
+
 let create ?(fh_prefix = "nfs3:") ?obs (backend : Fs_intf.ops) : t =
-  { backend; fh_prefix; calls = 0; obs; enc = Xdr.make_enc (); res_enc = Xdr.make_enc () }
+  {
+    backend;
+    fh_prefix;
+    calls = 0;
+    obs;
+    op_keys = (if obs = None then [||] else Array.init (max_proc + 1) op_key);
+    enc = Xdr.make_enc ();
+    res_enc = Xdr.make_enc ();
+  }
 
 (* Wire handles just prefix the backend handle: deliberately guessable,
    like the weak handles the paper warns about (section 3.3). *)
@@ -57,20 +72,19 @@ let export_lookup (t : t) (r : (fh * fattr) res) : (fh * fattr) res =
 let export_dirents (t : t) (r : dirent list res) : dirent list res =
   Result.map (List.map (fun de -> { de with d_fh = export_fh t de.d_fh })) r
 
-let dispatch_body (t : t) (cred : Simos.cred) (proc : int) (args : string) : string option =
-  (* [None] = unparsable args (GARBAGE_ARGS). *)
+(* Runs one procedure and marshals its results onto [e]; [false] (with
+   nothing written) = unparsable args or unknown procedure. *)
+let dispatch_body (t : t) (cred : Simos.cred) (proc : int) (args : string) (e : Xdr.enc) : bool =
   let b = t.backend in
   let run dec_args enc_result f =
     match Xdr.run args dec_args with
-    | Result.Error _ -> None
+    | Result.Error _ -> false
     | Ok a ->
-        let r = f a in
-        Xdr.reset t.res_enc;
-        enc_result t.res_enc r;
-        Some (Xdr.to_string t.res_enc)
+        enc_result e (f a);
+        true
   in
   let open Nfs_proto in
-  if proc = proc_null then Some ""
+  if proc = proc_null then true
   else if proc = proc_getattr then
     run dec_fh (enc_res enc_fattr) (fun h ->
         let* h = import_fh t h in
@@ -143,19 +157,23 @@ let dispatch_body (t : t) (cred : Simos.cred) (proc : int) (args : string) : str
     run dec_read_args (enc_res enc_unit_ok) (fun (h, _off, _count) ->
         let* h = import_fh t h in
         b.Fs_intf.fs_commit cred h)
-  else None
+  else false
 
 (* The counting/span wrapper sits here (not in [handle_message]) so the
-   SFS server path — which calls [dispatch] directly with its own
+   SFS server path — which calls [dispatch_into] directly with its own
    credential mapping — is observed too. *)
-let dispatch (t : t) (cred : Simos.cred) (proc : int) (args : string) : string option =
+let dispatch_into (t : t) (cred : Simos.cred) (proc : int) (args : string) (e : Xdr.enc) : bool =
   match t.obs with
-  | None -> dispatch_body t cred proc args
+  | None -> dispatch_body t cred proc args e
   | Some _ as obs ->
       let name = Nfs_proto.proc_name proc in
       Obs.incr obs "nfs.calls";
-      Obs.incr obs ("nfs.op." ^ name);
-      Obs.span obs ~cat:"nfs" name (fun () -> dispatch_body t cred proc args)
+      Obs.incr obs (if proc >= 0 && proc <= max_proc then t.op_keys.(proc) else op_key proc);
+      Obs.span obs ~cat:"nfs" name (fun () -> dispatch_body t cred proc args e)
+
+let dispatch (t : t) (cred : Simos.cred) (proc : int) (args : string) : string option =
+  Xdr.reset t.res_enc;
+  if dispatch_into t cred proc args t.res_enc then Some (Xdr.to_string t.res_enc) else None
 
 let dispatchable (proc : int) : bool =
   let open Nfs_proto in

@@ -11,11 +11,17 @@ val create : ?fh_prefix:string -> ?obs:Sfs_obs.Obs.registry -> Fs_intf.ops -> t
 
 val root_fh : t -> Nfs_types.fh
 
+val dispatch_into : t -> Sfs_os.Simos.cred -> int -> string -> Sfs_xdr.Xdr.enc -> bool
+(** [dispatch_into t cred proc args e] runs one procedure on marshaled
+    arguments and marshals its results onto [e] in place; [false], with
+    nothing written, means unparsable args or unknown procedure.  The
+    entry point the SFS server uses (with its own credential mapping
+    and handle translation around it), writing straight into its reply
+    encoder. *)
+
 val dispatch : t -> Sfs_os.Simos.cred -> int -> string -> string option
-(** [dispatch t cred proc args] runs one procedure on marshaled
-    arguments; [None] means unparsable args or unknown procedure.  Also
-    the entry point the SFS server uses (with its own credential
-    mapping and handle translation around it). *)
+(** {!dispatch_into} on a reusable encoder, copied out once; [None] for
+    [false]. *)
 
 val handle_message : t -> string -> string
 (** One marshaled Sun RPC call (NFS or MOUNT program) to one marshaled

@@ -16,12 +16,13 @@
    channel was created with [encrypt:false] (the "SFS w/o encryption"
    ablation) or the caller suppresses billing for pipelined traffic.
 
-   Fast path: each direction owns one grow-on-demand frame buffer.
-   [seal] writes length word, plaintext and MAC into it in place, then
-   makes a single ARC4 pass over the whole frame; [open_] decrypts the
-   wire straight into the same buffer and verifies the tag in place.
-   The only per-message allocations are the returned string, the MAC
-   re-key bytes and the HMAC schedule clones. *)
+   Fast path: each direction owns one grow-on-demand frame buffer and
+   one HMAC schedule.  Per message, the 32 MAC-key bytes are drawn into
+   a fixed key buffer and the schedule is re-keyed from them in place;
+   [seal] writes length word, plaintext and MAC into the frame buffer,
+   then makes a single ARC4 pass over the whole frame; [open_] decrypts
+   the wire straight into the same buffer and verifies the tag where it
+   lies.  The only per-message allocation is the returned output. *)
 
 module Arc4 = Sfs_crypto.Arc4
 module Mac = Sfs_crypto.Mac
@@ -42,13 +43,17 @@ type open_error = [ `Mac_mismatch | `Replay ]
    pre_len) is the unconsumed window.  Sealing/opening consumes the
    buffered bytes before touching the live stream, so the cipher bytes
    are identical to the eager path — the stream is one deterministic
-   byte sequence and only *when* it is generated changes. *)
+   byte sequence and only *when* it is generated changes.  [mac] is the
+   direction's HMAC state, re-keyed in place from [mac_key] (the 32
+   stream bytes drawn ahead of each frame). *)
 type half = {
   stream : Arc4.t;
   mutable buf : Bytes.t;
   mutable pre : Bytes.t;
   mutable pre_len : int;
   mutable pre_pos : int;
+  mac : Mac.schedule;
+  mac_key : Bytes.t;
 }
 
 type stats = {
@@ -99,8 +104,19 @@ let mac_key_bytes = 32
    and how much idle time a long quiet stretch can bank. *)
 let pre_cap = 1 lsl 18
 
+(* The schedule starts under an empty key and is re-keyed before every
+   message; it is built by the secret-source constructor all the same,
+   so the analysis sees each half as holding MAC key state. *)
 let fresh_half (key : string) : half =
-  { stream = Arc4.create key; buf = Bytes.create 256; pre = Bytes.create 0; pre_len = 0; pre_pos = 0 }
+  {
+    stream = Arc4.create key;
+    buf = Bytes.create 256;
+    pre = Bytes.create 0;
+    pre_len = 0;
+    pre_pos = 0;
+    mac = Mac.schedule ~key:"";
+    mac_key = Bytes.create mac_key_bytes;
+  }
 
 let create ?(encrypt = true) ?clock ?obs ?(label = "chan")
     ~(send_key : string) ~(recv_key : string) () : t =
@@ -156,22 +172,6 @@ let frame_buf (h : half) (n : int) : Bytes.t =
 
 let pre_avail (h : half) : int = h.pre_len - h.pre_pos
 
-let take_keystream (h : half) (n : int) : string =
-  let avail = pre_avail h in
-  if avail = 0 then Arc4.keystream h.stream n
-  else if avail >= n then begin
-    let s = Bytes.sub_string h.pre h.pre_pos n in
-    h.pre_pos <- h.pre_pos + n;
-    s
-  end
-  else begin
-    let s = Bytes.create n in
-    Bytes.blit h.pre h.pre_pos s 0 avail;
-    h.pre_pos <- h.pre_len;
-    Arc4.keystream_into h.stream s ~off:avail ~len:(n - avail);
-    Bytes.unsafe_to_string s (* freshly built, never mutated after *)
-  end
-
 (* In-place encrypt; returns how many bytes came from the buffer. *)
 let encrypt_consume (h : half) (buf : Bytes.t) ~(off : int) ~(len : int) : int =
   let take = min (pre_avail h) len in
@@ -203,6 +203,14 @@ let skip_consume (h : half) (n : int) : unit =
   h.pre_pos <- h.pre_pos + take;
   if n > take then Arc4.skip h.stream (n - take)
 
+(* Draw the next 32 stream bytes (keystream xor zeros) and re-key the
+   half's MAC from them: the per-message key of section 3.1.3, never
+   used for encryption. *)
+let rekey_mac (h : half) : unit =
+  Bytes.fill h.mac_key 0 mac_key_bytes '\000';
+  ignore (encrypt_consume h h.mac_key ~off:0 ~len:mac_key_bytes);
+  Mac.rekey h.mac h.mac_key ~off:0 ~len:mac_key_bytes
+
 (* Even with encryption disabled the channel keeps its framing and MAC
    discipline (the ablation removes only the ARC4 pass), so "SFS w/o
    encryption" still detects tampering, as the real system's
@@ -218,8 +226,7 @@ let seal ?(bill = true) (t : t) (plaintext : string) : string =
         Obs.add t.obs t.keys.k_crypto_us_out
           (int_of_float (Costmodel.crypto_us n));
       if bill then charge t n;
-      let mac_key = take_keystream t.send_half mac_key_bytes in
-      let sched = Mac.schedule ~key:mac_key in
+      rekey_mac t.send_half;
       (* Frame assembled in place: be32 length ∥ plaintext ∥ MAC, the
          tag written directly after the bytes it covers, then one
          cipher pass over the whole frame. *)
@@ -227,7 +234,7 @@ let seal ?(bill = true) (t : t) (plaintext : string) : string =
       let buf = frame_buf t.send_half frame_len in
       Sfs_util.Bytesutil.put_be32 buf ~off:0 n;
       Bytes.blit_string plaintext 0 buf 4 n;
-      Mac.mac_into sched buf ~off:0 ~len:(4 + n) ~dst:buf ~dst_off:(4 + n);
+      Mac.mac_into t.send_half.mac buf ~off:0 ~len:(4 + n) ~dst:buf ~dst_off:(4 + n);
       if t.encrypt then ignore (encrypt_consume t.send_half buf ~off:0 ~len:frame_len)
       else
         (* Keep the stream positions in lock-step with the encrypted mode. *)
@@ -253,8 +260,7 @@ let open_ (t : t) (wire : string) : (string, open_error) result =
         if t.encrypt then
           Obs.add t.obs t.keys.k_crypto_us_in
             (int_of_float (Costmodel.crypto_us (wire_len - 4 - Mac.mac_size)));
-        let mac_key = take_keystream t.recv_half mac_key_bytes in
-        let sched = Mac.schedule ~key:mac_key in
+        rekey_mac t.recv_half;
         let buf = frame_buf t.recv_half wire_len in
         let from_buf =
           if t.encrypt then
@@ -271,27 +277,19 @@ let open_ (t : t) (wire : string) : (string, open_error) result =
              dropped/replayed/reordered ciphertext shifted the cipher
              positions and nothing decrypts sensibly any more. *)
           reject t `Replay
+        else if not (Mac.verify_into t.recv_half.mac buf ~off:0 ~len:(4 + len) ~tag_off:(4 + len))
+        then reject t `Mac_mismatch
         else begin
-          let tag = Bytes.create Mac.mac_size in
-          Mac.mac_into sched buf ~off:0 ~len:(4 + len) ~dst:tag ~dst_off:0;
-          (* [tag] never escapes nor mutates after this point. *)
-          if
-            not
-              (Sfs_util.Bytesutil.ct_equal_sub (Bytes.unsafe_to_string tag) buf
-                 ~off:(4 + len))
-          then reject t `Mac_mismatch
-          else begin
-            t.bytes_in <- t.bytes_in + len;
-            Obs.add t.obs t.keys.k_bytes_in len;
-            (* The keystream share of this message that precompute had
-               already generated — creditable against whoever is billed
-               for the peer's seal (the mux's srv timeline).  Capped at
-               the payload's keystream share so framing overhead served
-               from the buffer is never monetised. *)
-            if t.encrypt && from_buf > 0 then
-              t.recv_claim_us <- Costmodel.keystream_us (min len from_buf);
-            Ok (Bytes.sub_string buf 4 len)
-          end
+          t.bytes_in <- t.bytes_in + len;
+          Obs.add t.obs t.keys.k_bytes_in len;
+          (* The keystream share of this message that precompute had
+             already generated — creditable against whoever is billed
+             for the peer's seal (the mux's srv timeline).  Capped at
+             the payload's keystream share so framing overhead served
+             from the buffer is never monetised. *)
+          if t.encrypt && from_buf > 0 then
+            t.recv_claim_us <- Costmodel.keystream_us (min len from_buf);
+          Ok (Bytes.sub_string buf 4 len)
         end
       end)
 
@@ -318,8 +316,7 @@ let open_slice (t : t) (wire : string) : (Sfs_util.Slice.t, open_error) result =
         if t.encrypt then
           Obs.add t.obs t.keys.k_crypto_us_in
             (int_of_float (Costmodel.crypto_us (wire_len - 4 - Mac.mac_size)));
-        let mac_key = take_keystream t.recv_half mac_key_bytes in
-        let sched = Mac.schedule ~key:mac_key in
+        rekey_mac t.recv_half;
         let buf, from_buf, plain =
           if t.encrypt then begin
             let frame = Bytes.create wire_len in (* sfslint: allow SL013 — the one detached frame the zero-copy path threads through; open_'s scratch would be overwritten under the view *)
@@ -339,22 +336,14 @@ let open_slice (t : t) (wire : string) : (Sfs_util.Slice.t, open_error) result =
         in
         let len = Sfs_util.Bytesutil.get_be32 buf ~off:0 in
         if len < 0 || len <> wire_len - 4 - Mac.mac_size then reject t `Replay
+        else if not (Mac.verify_into t.recv_half.mac buf ~off:0 ~len:(4 + len) ~tag_off:(4 + len))
+        then reject t `Mac_mismatch
         else begin
-          (* sfslint: allow SL013 — fixed 20-byte MAC tag scratch, not a payload-sized copy *)
-          let tag = Bytes.create Mac.mac_size in
-          Mac.mac_into sched buf ~off:0 ~len:(4 + len) ~dst:tag ~dst_off:0;
-          if
-            not
-              (Sfs_util.Bytesutil.ct_equal_sub (Bytes.unsafe_to_string tag) buf
-                 ~off:(4 + len))
-          then reject t `Mac_mismatch
-          else begin
-            t.bytes_in <- t.bytes_in + len;
-            Obs.add t.obs t.keys.k_bytes_in len;
-            if t.encrypt && from_buf > 0 then
-              t.recv_claim_us <- Costmodel.keystream_us (min len from_buf);
-            Ok (Sfs_util.Slice.make plain ~off:4 ~len)
-          end
+          t.bytes_in <- t.bytes_in + len;
+          Obs.add t.obs t.keys.k_bytes_in len;
+          if t.encrypt && from_buf > 0 then
+            t.recv_claim_us <- Costmodel.keystream_us (min len from_buf);
+          Ok (Sfs_util.Slice.make plain ~off:4 ~len)
         end
       end)
 

@@ -42,14 +42,19 @@ val create :
 val seal : ?bill:bool -> t -> string -> string
 [@@sfs.declassify "the trusted seal boundary: MAC-then-encrypt output is what SFS puts on the wire"]
 (** Protect one outgoing message.  [~bill:false] suppresses the time
-    charge (pipelined write-behind traffic bills a fraction instead). *)
+    charge (pipelined write-behind traffic bills a fraction instead).
+    Allocates only the returned frame: the per-message MAC key is drawn
+    into a fixed buffer, the direction's HMAC state is re-keyed from it
+    in place, and the frame is assembled and encrypted in a reused
+    buffer. *)
 
 val open_ : t -> string -> (string, open_error) result
 (** Open one incoming message.  Any [Error] poisons the channel (the
     receive stream position is unrecoverable): the caller must tear the
     connection down and signal reconnection.  Both error cases bump the
     [channel.<label>.mac_failures] counter; [`Replay] additionally
-    bumps [channel.<label>.replays]. *)
+    bumps [channel.<label>.replays].  Allocates only the returned
+    plaintext: the tag is checked where it lies in the decrypted frame. *)
 
 val open_slice : t -> string -> (Sfs_util.Slice.t, open_error) result
 (** {!open_} returning the plaintext as a view instead of a copy: with
@@ -62,6 +67,7 @@ val stats : t -> stats
 (** Message counts, tamper detections and plaintext byte totals. *)
 
 val crypto_cost_us : t -> int -> float
+[@@sfs.declassify "a modeled time computed from the encrypt flag and a byte count; no key or stream state reaches it"]
 (** The time {!seal} would charge for a payload of that size; zero when
     encryption is off. *)
 
@@ -83,6 +89,7 @@ val precompute : ?dir:[ `Send | `Recv ] -> t -> budget_us:float -> float
     on a non-encrypting channel. *)
 
 val take_recv_claim : t -> float
+[@@sfs.declassify "a modeled time computed from how many buffered keystream bytes an open consumed; no key or stream bytes reach it"]
 (** The keystream share of the most recently {!open_}ed message that
     was served from the precomputed buffer, read-and-clear.  The caller
     subtracts it from whatever timeline was billed for the peer's seal

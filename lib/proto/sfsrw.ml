@@ -25,20 +25,23 @@ type response =
   | Auth_denied of { seqno : int; reason : string }
   | Proto_error of string
 
+let enc_fs_call e ~xid ~authno ~proc ~trace ~span (args : Xdr.enc -> unit) =
+  Xdr.enc_uint32 e 0;
+  Xdr.enc_uint32 e xid;
+  Xdr.enc_uint32 e authno;
+  Xdr.enc_uint32 e proc;
+  (* Trace context (tracing annex): lets the server attach its spans to
+     the causing client op.  Zero when tracing is off.  Outside [args]
+     so a retransmission with a different context still hits the
+     duplicate request cache. *)
+  Xdr.enc_uint32 e trace;
+  Xdr.enc_uint32 e span;
+  Xdr.enc_nested e args
+
 let enc_request e (r : request) =
   match r with
   | Fs_call { xid; authno; proc; trace; span; args } ->
-      Xdr.enc_uint32 e 0;
-      Xdr.enc_uint32 e xid;
-      Xdr.enc_uint32 e authno;
-      Xdr.enc_uint32 e proc;
-      (* Trace context (tracing annex): lets the server attach its
-         spans to the causing client op.  Zero when tracing is off.
-         Outside [args] so a retransmission with a different context
-         still hits the duplicate request cache. *)
-      Xdr.enc_uint32 e trace;
-      Xdr.enc_uint32 e span;
-      Xdr.enc_opaque e args
+      enc_fs_call e ~xid ~authno ~proc ~trace ~span (fun e -> Xdr.enc_raw e args)
   | Auth_req { seqno; authmsg } ->
       Xdr.enc_uint32 e 1;
       Xdr.enc_uint32 e seqno;
@@ -59,6 +62,16 @@ let dec_request d : request =
       let authmsg = Xdr.dec_opaque d ~max:8192 in
       Auth_req { seqno; authmsg }
   | t -> Xdr.error "bad request tag %d" t
+
+(* The invalidations are taken only once the results are written, so a
+   failed dispatch leaves them queued for the next reply. *)
+let enc_fs_reply e (results : Xdr.enc -> bool) (invalidations : unit -> fh list) : bool =
+  Xdr.enc_uint32 e 0;
+  Xdr.enc_nested e results
+  && begin
+       Xdr.enc_array e enc_fh (invalidations ());
+       true
+     end
 
 let enc_response e (r : response) =
   match r with

@@ -23,6 +23,29 @@ type response =
   | Auth_denied of { seqno : int; reason : string }
   | Proto_error of string
 
+val enc_fs_call :
+  Sfs_xdr.Xdr.enc ->
+  xid:int ->
+  authno:int ->
+  proc:int ->
+  trace:int ->
+  span:int ->
+  (Sfs_xdr.Xdr.enc -> unit) ->
+  unit
+(** Marshals an [Fs_call] in place, its arguments written by the
+    function as a nested opaque ({!Sfs_xdr.Xdr.enc_nested}): the bytes
+    of {!request_to_string} of the same call with the arguments encoded
+    separately. *)
+
+val enc_fs_reply : Sfs_xdr.Xdr.enc -> (Sfs_xdr.Xdr.enc -> bool) -> (unit -> fh list) -> bool
+(** [enc_fs_reply e results invalidations] marshals an [Fs_reply] in
+    place: [results] writes the NFS results as a nested opaque, and only
+    when it returns [true] is [invalidations ()] taken and appended —
+    the bytes of {!response_to_string}.  On [false] [e] holds a partial
+    message for the caller to discard. *)
+
+val enc_response : Sfs_xdr.Xdr.enc -> response -> unit
+
 val request_to_string : request -> string
 val response_to_string : response -> string
 val request_of_string : string -> (request, string) result

@@ -17,16 +17,17 @@ let ct_equal (a : string) (b : string) : bool =
   String.iteri (fun i c -> acc := !acc lor (Char.code c lxor Char.code b.[i])) a;
   !acc = 0
 
-(* Constant-time comparison of [a] against [String.length a] bytes of
-   [b] at [off], without extracting a substring. *)
-let ct_equal_sub (a : string) (b : Bytes.t) ~(off : int) : bool =
-  let n = String.length a in
-  off >= 0
-  && off + n <= Bytes.length b
+(* Constant-time comparison of the first [len] bytes of [a] against
+   [len] bytes of [b] at [off], without extracting a substring. *)
+let ct_equal_sub (a : Bytes.t) (b : Bytes.t) ~(off : int) ~(len : int) : bool =
+  len >= 0
+  && len <= Bytes.length a
+  && off >= 0
+  && off + len <= Bytes.length b
   &&
   let acc = ref 0 in
-  for i = 0 to n - 1 do
-    acc := !acc lor (Char.code (String.unsafe_get a i) lxor Char.code (Bytes.unsafe_get b (off + i)))
+  for i = 0 to len - 1 do
+    acc := !acc lor (Char.code (Bytes.unsafe_get a i) lxor Char.code (Bytes.unsafe_get b (off + i)))
   done;
   !acc = 0
 
@@ -36,9 +37,13 @@ let put_be32 (b : Bytes.t) ~(off : int) (v : int) : unit =
   Bytes.set b (off + 2) (Char.chr ((v lsr 8) land 0xff));
   Bytes.set b (off + 3) (Char.chr (v land 0xff))
 
+(* The big-endian readers are spelled out byte by byte: a local
+   [fun i -> ...] helper would allocate a closure on every call. *)
 let get_be32 (b : Bytes.t) ~(off : int) : int =
-  let c i = Char.code (Bytes.get b (off + i)) in
-  (c 0 lsl 24) lor (c 1 lsl 16) lor (c 2 lsl 8) lor c 3
+  (Char.code (Bytes.get b off) lsl 24)
+  lor (Char.code (Bytes.get b (off + 1)) lsl 16)
+  lor (Char.code (Bytes.get b (off + 2)) lsl 8)
+  lor Char.code (Bytes.get b (off + 3))
 
 let put_be64 (b : Bytes.t) ~(off : int) (v : int64) : unit =
   for i = 0 to 7 do
@@ -52,8 +57,10 @@ let be32_of_int (v : int) : string =
   Bytes.unsafe_to_string b
 
 let int_of_be32 (s : string) ~(off : int) : int =
-  let b i = Char.code s.[off + i] in
-  (b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3
+  (Char.code s.[off] lsl 24)
+  lor (Char.code s.[off + 1] lsl 16)
+  lor (Char.code s.[off + 2] lsl 8)
+  lor Char.code s.[off + 3]
 
 let be64_of_int64 (v : int64) : string =
   let b = Bytes.create 8 in

@@ -6,10 +6,11 @@ val xor : string -> string -> string
 val ct_equal : string -> string -> bool
 (** Constant-time equality, for MAC and digest comparison. *)
 
-val ct_equal_sub : string -> Bytes.t -> off:int -> bool
-(** [ct_equal_sub a b ~off] compares [a] in constant time against the
-    [String.length a] bytes of [b] starting at [off], without copying.
-    False when the range falls outside [b]. *)
+val ct_equal_sub : Bytes.t -> Bytes.t -> off:int -> len:int -> bool
+(** [ct_equal_sub a b ~off ~len] compares the first [len] bytes of [a]
+    in constant time against the [len] bytes of [b] at [off], without
+    copying — a tag computed into scratch against the tag stored in a
+    frame.  False when either range falls outside its buffer. *)
 
 val put_be32 : Bytes.t -> off:int -> int -> unit
 (** Writes the low 32 bits big-endian at [off]. *)

@@ -84,6 +84,19 @@ let enc_opaque (e : enc) (s : string) : unit =
 
 let enc_string = enc_opaque
 
+(* Reserve the length word, let [f] write the body in place, then
+   backpatch the length and zero-pad: [enc_opaque e (encode f v)]
+   without the intermediate encoder and string. *)
+let enc_nested (e : enc) (f : enc -> 'a) : 'a =
+  let at = reserve e 4 in
+  let r = f e in
+  let n = e.len - at - 4 in
+  Sfs_util.Bytesutil.put_be32 e.buf ~off:at n;
+  let pad = pad4 n in
+  let off = reserve e pad in
+  Bytes.fill e.buf off pad '\000';
+  r
+
 let enc_option (e : enc) (f : enc -> 'a -> unit) (v : 'a option) : unit =
   match v with
   | None -> enc_bool e false

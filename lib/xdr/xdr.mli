@@ -32,6 +32,13 @@ val enc_fixed_opaque : enc -> size:int -> string -> unit
 val enc_opaque : enc -> string -> unit
 (** Length-prefixed opaque data. *)
 
+val enc_nested : enc -> (enc -> 'a) -> 'a
+(** [enc_nested e f] writes a length-prefixed opaque whose body [f]
+    marshals in place, backpatching the length and padding afterwards,
+    and returns [f]'s result.  The bytes are those of
+    [enc_opaque e (encode g v)] when [f] is [fun e -> g e v], without
+    the intermediate encoder and string. *)
+
 val enc_string : enc -> string -> unit
 val enc_option : enc -> (enc -> 'a -> unit) -> 'a option -> unit
 val enc_array : enc -> (enc -> 'a -> unit) -> 'a list -> unit

@@ -715,11 +715,246 @@ let test_agent_remove_link () =
   Alcotest.(check (option string)) "removed name unresolved" None (Agent.resolve_name w.alice_agent "work");
   Alcotest.(check (option string)) "other name kept" (Some target) (Agent.resolve_name w.alice_agent "play")
 
+(* A bare server driven by hand: key negotiation over the raw
+   transport, then sealed Sfsrw traffic, so tests see the exact reply
+   plaintexts and can meter one request end to end. *)
+module Channel = Sfs_proto.Channel
+module Keyneg = Sfs_proto.Keyneg
+module Sfsrw = Sfs_proto.Sfsrw
+module Nfs_proto = Sfs_nfs.Nfs_proto
+module Xdr = Sfs_xdr.Xdr
+
+type raw_session = { r_conn : Simnet.conn; r_chan : Channel.t; mutable r_xid : int }
+
+(* A server over a fresh Memfs with a world-writable /pub.  The key is
+   drawn before the authserv, which is drawn before the server. *)
+let raw_server ?allow_anonymous (net : Simnet.t) (rng : Prng.t) (location : string) : Server.t =
+  let clock = Simnet.clock net in
+  let now () = Nfs_types.time_of_us (Simclock.now_us clock) in
+  let host = Simnet.add_host net location in
+  let fs = Memfs.create ~now () in
+  ignore (Memfs.mkdir fs (Simos.cred_of_user Simos.root_user) ~dir:Memfs.root_id "pub" ~mode:0o777);
+  let key = Rabin.generate ~bits:512 rng in
+  Server.create ?allow_anonymous net ~host ~location ~key ~rng
+    ~backend:(Memfs_ops.make ~fs ~disk:(Diskmodel.create clock))
+    ~authserv:(Authserv.create rng) ()
+
+let raw_connect (net : Simnet.t) (rng : Prng.t) ~(temp_key : Rabin.priv) (server : Server.t) :
+    raw_session =
+  let path = Server.self_path server in
+  let location = Pathname.location path in
+  let conn =
+    Simnet.connect net ~from_host:"client.example.com" ~addr:location ~port:Server.sfs_port
+      ~proto:Sfs_net.Costmodel.Tcp
+  in
+  let r =
+    Keyneg.client_negotiate ~rng ~temp_key ~location ~hostid:(Pathname.hostid path)
+      ~service:Keyneg.Fs (Simnet.call conn)
+  in
+  let keys = r.Keyneg.keys in
+  { r_conn = conn; r_chan = Channel.create ~send_key:keys.Keyneg.kcs ~recv_key:keys.Keyneg.ksc (); r_xid = 0 }
+
+(* The next Fs_call as plaintext, under a fresh xid. *)
+let raw_request (s : raw_session) ~(proc : int) (args : string) : string =
+  s.r_xid <- s.r_xid + 1;
+  Sfsrw.request_to_string
+    (Sfsrw.Fs_call { xid = s.r_xid; authno = 0; proc; trace = 0; span = 0; args })
+
+let raw_open (s : raw_session) (wire : string) : string =
+  match Channel.open_ s.r_chan wire with Ok p -> p | Error _ -> Alcotest.fail "reply failed to open"
+
+let raw_exchange (s : raw_session) (plaintext : string) : string =
+  raw_open s (Simnet.call s.r_conn (Channel.seal s.r_chan plaintext))
+
+let raw_results (reply : string) : string =
+  match Sfsrw.response_of_string reply with
+  | Ok (Sfsrw.Fs_reply { results; _ }) -> results
+  | _ -> Alcotest.fail "not an Fs_reply"
+
+let raw_root (s : raw_session) : Nfs_types.fh =
+  match
+    Xdr.run (raw_results (raw_exchange s (raw_request s ~proc:Sfsrw.proc_getroot ""))) Nfs_types.dec_fh
+  with
+  | Ok fh -> fh
+  | Error e -> Alcotest.fail e
+
+let raw_handle (reply : string) : Nfs_types.fh =
+  match Xdr.run (raw_results reply) (Nfs_proto.dec_res Nfs_proto.dec_lookup_ok) with
+  | Ok (Ok (fh, _)) -> fh
+  | _ -> Alcotest.fail "no handle in reply"
+
+let pattern n = String.init n (fun i -> Char.chr (((i * 31) + n) land 0xff))
+
+(* --- Byte-identity pins ---
+
+   SHA-1s over seeded wire output, recorded before the in-place
+   marshal/MAC/CBC paths replaced the copying ones: any change to the
+   bytes a handle, a reply or a frame puts on the wire fails by name. *)
+
+module Sha1 = Sfs_crypto.Sha1
+
+let hex_digest (h : Sha1.ctx) : string = Sfs_util.Hex.encode (Sha1.final h)
+
+let test_fhcrypt_pin () =
+  let f = Fhcrypt.of_prng (Prng.create [ "fhcrypt-pin" ]) in
+  let h = Sha1.init () in
+  for i = 0 to 63 do
+    let inner = String.init (i mod 41) (fun j -> Char.chr (((i * 7) + (j * 13)) land 0xff)) in
+    let wire = Fhcrypt.encrypt f inner in
+    Sha1.update h wire;
+    (match Fhcrypt.decrypt f wire with
+    | Some got -> Testkit.check_string "roundtrip" inner got
+    | None -> Alcotest.fail "decrypt failed");
+    let tampered = Bytes.of_string wire in
+    Bytes.set tampered (i mod 8) (Char.chr (Char.code wire.[i mod 8] lxor 0x20));
+    Testkit.check_bool "tampered" true (Fhcrypt.decrypt f (Bytes.to_string tampered) = None);
+    Testkit.check_bool "short" true
+      (Fhcrypt.decrypt f (String.sub wire 0 (String.length wire - 8)) = None);
+    (* A valid handle with a block appended decrypts to the same
+       prefix under CBC; only the exact length is accepted. *)
+    Testkit.check_bool "extended" true (Fhcrypt.decrypt f (wire ^ String.sub wire 0 8) = None)
+  done;
+  Testkit.check_string "64 wire handles" "81483c92d4242cafc9a6416826b703f8f235aa98" (hex_digest h);
+  List.iter
+    (fun n ->
+      Testkit.check_bool "over-long" true (Fhcrypt.decrypt f (String.make n '\x5a') = None))
+    [ 64; 72; 128; 4096 ];
+  List.iter
+    (fun n -> Testkit.check_bool "short" true (Fhcrypt.decrypt f (String.make n '\x5a') = None))
+    [ 0; 1; 8; 15 ]
+
+(* Every reply plaintext of a session covering each NFS procedure, a
+   lease callback, a duplicate-request replay, the protocol-error paths
+   and a server refusing anonymous access, hashed in order. *)
+let test_server_reply_pin () =
+  let rng = Prng.create [ "server-reply-pin" ] in
+  let net = Simnet.create (Simclock.create ()) in
+  let _c = Simnet.add_host net "client.example.com" in
+  let temp_key = Rabin.generate ~bits:512 rng in
+  let h = Sha1.init () in
+  let exchange s plaintext =
+    let reply = raw_exchange s plaintext in
+    Sha1.update h reply;
+    reply
+  in
+  let call s ~proc enc v = exchange s (raw_request s ~proc (Xdr.encode enc v)) in
+  let server = raw_server net rng "pin.example.com" in
+  let a = raw_connect net rng ~temp_key server in
+  let b = raw_connect net rng ~temp_key server in
+  let root =
+    match
+      Xdr.run (raw_results (exchange a (raw_request a ~proc:Sfsrw.proc_getroot ""))) Nfs_types.dec_fh
+    with
+    | Ok fh -> fh
+    | Error e -> Alcotest.fail e
+  in
+  let pub = raw_handle (call a ~proc:Nfs_proto.proc_lookup Nfs_proto.enc_diropargs (root, "pub")) in
+  ignore (exchange a (raw_request a ~proc:Nfs_proto.proc_null ""));
+  ignore (call a ~proc:Nfs_proto.proc_getattr Nfs_types.enc_fh root);
+  ignore (call a ~proc:Nfs_proto.proc_fsstat Nfs_types.enc_fh root);
+  let d = raw_handle (call a ~proc:Nfs_proto.proc_mkdir Nfs_proto.enc_create_args (pub, "d", 0o777)) in
+  let create_req =
+    raw_request a ~proc:Nfs_proto.proc_create (Xdr.encode Nfs_proto.enc_create_args (d, "f", 0o666))
+  in
+  let create_reply = exchange a create_req in
+  let f = raw_handle create_reply in
+  ignore (call a ~proc:Nfs_proto.proc_write Nfs_proto.enc_write_args (f, 0, true, pattern 8192));
+  ignore (call a ~proc:Nfs_proto.proc_write Nfs_proto.enc_write_args (f, 8192, false, pattern 100));
+  ignore (call a ~proc:Nfs_proto.proc_commit Nfs_proto.enc_read_args (f, 0, 0));
+  (match
+     Xdr.run
+       (raw_results (call a ~proc:Nfs_proto.proc_read Nfs_proto.enc_read_args (f, 0, 8192)))
+       (Nfs_proto.dec_res Nfs_proto.dec_read_ok)
+   with
+  | Ok (Ok (got, false, _)) -> Testkit.check_string "read back" (pattern 8192) got
+  | _ -> Alcotest.fail "read failed");
+  ignore (call a ~proc:Nfs_proto.proc_read Nfs_proto.enc_read_args (f, 8000, 1000));
+  ignore
+    (call a ~proc:Nfs_proto.proc_setattr Nfs_proto.enc_setattr_args
+       (f, { Nfs_types.sattr_empty with Nfs_types.set_mode = Some 0o644 }));
+  ignore (call a ~proc:Nfs_proto.proc_lookup Nfs_proto.enc_diropargs (d, "f"));
+  ignore (call a ~proc:Nfs_proto.proc_access Nfs_proto.enc_access_args (f, 0x3f));
+  let l = raw_handle (call a ~proc:Nfs_proto.proc_symlink Nfs_proto.enc_symlink_args (d, "l", "f")) in
+  ignore (call a ~proc:Nfs_proto.proc_readlink Nfs_types.enc_fh l);
+  ignore (call a ~proc:Nfs_proto.proc_link Nfs_proto.enc_link_args (f, d, "g"));
+  ignore (call a ~proc:Nfs_proto.proc_readdirplus Nfs_types.enc_fh d);
+  ignore (call a ~proc:Nfs_proto.proc_rename Nfs_proto.enc_rename_args (d, "g", d, "h"));
+  ignore (call a ~proc:Nfs_proto.proc_remove Nfs_proto.enc_diropargs (d, "h"));
+  ignore (call a ~proc:Nfs_proto.proc_mkdir Nfs_proto.enc_create_args (d, "e", 0o755));
+  ignore (call a ~proc:Nfs_proto.proc_rmdir Nfs_proto.enc_diropargs (d, "e"));
+  ignore (call a ~proc:Nfs_proto.proc_lookup Nfs_proto.enc_diropargs (d, "missing"));
+  (* Lease callbacks: b holds a lease on f, a's write queues b an
+     invalidation, b's next reply carries it. *)
+  ignore (call b ~proc:Nfs_proto.proc_getattr Nfs_types.enc_fh f);
+  ignore (call a ~proc:Nfs_proto.proc_write Nfs_proto.enc_write_args (f, 0, true, pattern 10));
+  (match Sfsrw.response_of_string (call b ~proc:Nfs_proto.proc_getattr Nfs_types.enc_fh d) with
+  | Ok (Sfsrw.Fs_reply { invalidations = [ inv ]; _ }) -> Testkit.check_string "callback" f inv
+  | _ -> Alcotest.fail "no invalidation callback");
+  (* Duplicate-request-cache replay: the same xid and arguments again. *)
+  Testkit.check_string "drc replay" create_reply (exchange a create_req);
+  (* Proto_error: unknown procedure, unparsable arguments, unparsable
+     request. *)
+  let proto_error reply =
+    match Sfsrw.response_of_string reply with
+    | Ok (Sfsrw.Proto_error _) -> ()
+    | _ -> Alcotest.fail "expected a protocol error"
+  in
+  proto_error (exchange a (raw_request a ~proc:99 ""));
+  proto_error (exchange a (raw_request a ~proc:Nfs_proto.proc_getattr "xx"));
+  proto_error (exchange a "garbage");
+  (* A server that refuses anonymous access still serves the root. *)
+  let strict = raw_connect net rng ~temp_key (raw_server ~allow_anonymous:false net rng "strict.example.com") in
+  ignore (exchange strict (raw_request strict ~proc:Sfsrw.proc_getroot ""));
+  ignore (call strict ~proc:Nfs_proto.proc_getattr Nfs_types.enc_fh root);
+  Testkit.check_string "reply plaintexts" "3e8d00982f968dae3c6021b8dfc4b8df5ec5defb" (hex_digest h)
+
+(* --- Allocation guards --- *)
+
+let test_fhcrypt_alloc () =
+  let f = Fhcrypt.of_prng (Prng.create [ "fhcrypt-alloc" ]) in
+  let inner = String.make 40 'i' in
+  let wire = Fhcrypt.encrypt f inner in
+  Testkit.check_alloc_under "Fhcrypt.encrypt" ~bound:512 (fun () -> ignore (Fhcrypt.encrypt f inner));
+  Testkit.check_alloc_under "Fhcrypt.decrypt" ~bound:512 (fun () -> ignore (Fhcrypt.decrypt f wire))
+
+(* One 8 KB READ through the server's fs connection — open, decode,
+   handle decryption, the Memfs read, reply marshaling, the DRC copy
+   and the seal — metered from the sealed request to the sealed reply.
+   The data itself accounts for three copies (Memfs read, DRC entry,
+   wire), ~25 KB. *)
+let test_server_read_alloc () =
+  let rng = Prng.create [ "server-read-alloc" ] in
+  let net = Simnet.create (Simclock.create ()) in
+  let _c = Simnet.add_host net "client.example.com" in
+  let temp_key = Rabin.generate ~bits:512 rng in
+  let s = raw_connect net rng ~temp_key (raw_server net rng "alloc.example.com") in
+  let call ~proc enc v = raw_exchange s (raw_request s ~proc (Xdr.encode enc v)) in
+  let pub = raw_handle (call ~proc:Nfs_proto.proc_lookup Nfs_proto.enc_diropargs (raw_root s, "pub")) in
+  let f = raw_handle (call ~proc:Nfs_proto.proc_create Nfs_proto.enc_create_args (pub, "f", 0o666)) in
+  ignore (call ~proc:Nfs_proto.proc_write Nfs_proto.enc_write_args (f, 0, true, pattern 8192));
+  let read () =
+    Channel.seal s.r_chan
+      (raw_request s ~proc:Nfs_proto.proc_read (Xdr.encode Nfs_proto.enc_read_args (f, 0, 8192)))
+  in
+  (* The first read grows the session's encoder and frame buffers. *)
+  ignore (raw_open s (Simnet.inject s.r_conn (read ())));
+  let wire = read () in
+  let reply = ref "" in
+  Testkit.check_alloc_under "8 KB READ through the server" ~bound:30_720 (fun () ->
+      reply := Simnet.inject s.r_conn wire);
+  match Xdr.run (raw_results (raw_open s !reply)) (Nfs_proto.dec_res Nfs_proto.dec_read_ok) with
+  | Ok (Ok (got, _, _)) -> Testkit.check_string "read back" (pattern 8192) got
+  | _ -> Alcotest.fail "read failed"
+
 let suite =
   ( "core",
     [
       Alcotest.test_case "pathname roundtrip" `Quick test_pathname_roundtrip;
       Alcotest.test_case "file handle crypto" `Quick test_fhcrypt;
+      Alcotest.test_case "file handle byte pin" `Quick test_fhcrypt_pin;
+      Alcotest.test_case "server reply byte pin" `Quick test_server_reply_pin;
+      Alcotest.test_case "file handle allocation" `Quick test_fhcrypt_alloc;
+      Alcotest.test_case "server read allocation" `Quick test_server_read_alloc;
       Alcotest.test_case "revocation certs" `Quick test_revocation;
       Alcotest.test_case "end-to-end read/write" `Quick test_end_to_end_rw;
       Alcotest.test_case "wrong hostid rejected" `Quick test_wrong_hostid_rejected;

@@ -108,14 +108,24 @@ let test_blowfish_cbc () =
   let t = Blowfish.create (String.make 20 '\x5f') in
   let iv = "initvect" in
   let pt = "0123456789abcdef0123456789abcdef" in
-  let ct = Blowfish.encrypt_cbc t ~iv pt in
-  Testkit.check_string "cbc roundtrip" pt (Blowfish.decrypt_cbc t ~iv ct);
+  let buf = Bytes.of_string ("<<" ^ pt ^ ">>") in
+  Blowfish.encrypt_cbc_into t ~iv buf ~off:2 ~len:32;
+  (* CBC by definition: each block is E(plaintext xor the previous
+     ciphertext block, or the IV for the first). *)
+  let c1 = Blowfish.encrypt_block t (Sfs_util.Bytesutil.xor (String.sub pt 0 8) iv) in
+  let c2 = Blowfish.encrypt_block t (Sfs_util.Bytesutil.xor (String.sub pt 8 8) c1) in
+  Testkit.check_string "first block" c1 (Bytes.sub_string buf 2 8);
+  Testkit.check_string "second block" c2 (Bytes.sub_string buf 10 8);
+  Testkit.check_string "outside the range" "<<>>"
+    (Bytes.sub_string buf 0 2 ^ Bytes.sub_string buf 34 2);
+  Blowfish.decrypt_cbc_into t ~iv buf ~off:2 ~len:32;
+  Testkit.check_string "cbc roundtrip" ("<<" ^ pt ^ ">>") (Bytes.to_string buf);
   (* Equal plaintext blocks must encrypt differently under CBC. *)
-  let pt2 = String.make 16 'A' in
-  let ct2 = Blowfish.encrypt_cbc t ~iv pt2 in
-  Testkit.check_bool "blocks differ" false (String.sub ct2 0 8 = String.sub ct2 8 8);
-  Alcotest.check_raises "unaligned" (Invalid_argument "Blowfish.encrypt_cbc: not block-aligned")
-    (fun () -> ignore (Blowfish.encrypt_cbc t ~iv "short"))
+  let b2 = Bytes.make 16 'A' in
+  Blowfish.encrypt_cbc_into t ~iv b2 ~off:0 ~len:16;
+  Testkit.check_bool "blocks differ" false (Bytes.sub b2 0 8 = Bytes.sub b2 8 8);
+  Alcotest.check_raises "unaligned" (Invalid_argument "Blowfish.encrypt_cbc_into: not block-aligned")
+    (fun () -> Blowfish.encrypt_cbc_into t ~iv (Bytes.of_string "short") ~off:0 ~len:5)
 
 (* --- Eksblowfish --- *)
 
@@ -282,6 +292,18 @@ let test_rabin_alloc () =
   Testkit.check_alloc_under "sign" ~bound:48_000 (fun () -> ignore (Rabin.sign sk "benchmark message"));
   Testkit.check_alloc_under "decrypt" ~bound:68_000 (fun () -> ignore (Rabin.decrypt sk c))
 
+(* The one-shot MAC keys two fresh contexts and builds no reusable
+   schedule: no heavier than the 1,056 B it cost when each call built a
+   schedule and cloned both of its contexts. *)
+let test_mac_one_shot_alloc () =
+  let key = String.make 32 'k' in
+  List.iter
+    (fun n ->
+      let msg = String.make n 'm' in
+      Testkit.check_alloc_under (Printf.sprintf "of_message %d B" n) ~bound:1_056 (fun () ->
+          ignore (Mac.of_message ~key msg)))
+    [ 64; 8192 ]
+
 (* --- SRP --- *)
 
 let srp_rng = Prng.create [ "srp-test-rng" ]
@@ -420,21 +442,44 @@ let props =
                 Arc4.xor_into fast ~src:msg ~src_off:0 ~dst ~dst_off:3 ~len:n;
                 Bytes.sub_string dst 3 n = arc4_ref_xor slow msg)
           ops);
-    (* Cached HMAC schedules are pure precomputation: same tags as the
-       one-shot path for any key length (including > block size, which
-       takes the digest-the-key branch) and any message mix. *)
+    (* A schedule is pure precomputation, and re-keying it in place
+       forgets the old key completely: one schedule, built under a
+       first key (over a block long, it takes the digest-the-key
+       branch) and then re-keyed before each message, gives the
+       one-shot tags — and verify_into accepts them and nothing else. *)
     Test.make ~count:100 ~name:"cached hmac schedule = one-shot hmac"
       (pair
          (string_gen_of_size (Gen.int_range 0 100) Gen.char)
-         (small_list (string_gen_of_size (Gen.int_range 0 200) Gen.char)))
-      (fun (key, msgs) ->
-        let s = Mac.schedule ~key in
-        List.for_all
-          (fun m ->
-            Mac.hmac_sched s m = Mac.hmac ~key m
-            && Mac.of_message_sched s m = Mac.of_message ~key m
-            && Mac.verify_sched s ~tag:(Mac.of_message ~key m) m)
-          msgs);
+         (small_list
+            (pair
+               (string_gen_of_size (Gen.int_range 0 64) Gen.char)
+               (string_gen_of_size (Gen.int_range 0 200) Gen.char))))
+      (fun (key0, msgs) ->
+        let s = Mac.schedule ~key:key0 in
+        let tag_ok key m =
+          let n = String.length m in
+          let plain = Bytes.create (n + Mac.mac_size) in
+          Bytes.blit_string m 0 plain 0 n;
+          Mac.mac_into s plain ~off:0 ~len:n ~dst:plain ~dst_off:n;
+          let frame = Bytes.create (4 + n + Mac.mac_size) in
+          Sfs_util.Bytesutil.put_be32 frame ~off:0 n;
+          Bytes.blit_string m 0 frame 4 n;
+          Mac.mac_into s frame ~off:0 ~len:(4 + n) ~dst:frame ~dst_off:(4 + n);
+          let framed_tag = Bytes.sub_string frame (4 + n) Mac.mac_size in
+          let accepted = Mac.verify_into s frame ~off:0 ~len:(4 + n) ~tag_off:(4 + n) in
+          Bytes.set frame (4 + n) (Char.chr (Char.code (Bytes.get frame (4 + n)) lxor 1));
+          Bytes.sub_string plain n Mac.mac_size = Mac.hmac ~key m
+          && framed_tag = Mac.of_message ~key m
+          && Mac.verify ~key ~tag:framed_tag m
+          && accepted
+          && not (Mac.verify_into s frame ~off:0 ~len:(4 + n) ~tag_off:(4 + n))
+        in
+        tag_ok key0 "first message"
+        && List.for_all
+             (fun (key, m) ->
+               Mac.rekey s (Bytes.of_string key) ~off:0 ~len:(String.length key);
+               tag_ok key m)
+             msgs);
     (* mac_into over a frame already carrying its length word equals
        of_message over the bare plaintext — the channel depends on it. *)
     Test.make ~count:100 ~name:"mac_into on framed bytes = of_message"
@@ -503,6 +548,7 @@ let suite =
       Alcotest.test_case "rabin priv serialization" `Quick test_rabin_priv_serialization;
       Alcotest.test_case "rabin signatures pinned" `Quick test_rabin_sign_pinned;
       Alcotest.test_case "rabin allocation" `Quick test_rabin_alloc;
+      Alcotest.test_case "mac one-shot allocation" `Quick test_mac_one_shot_alloc;
       Alcotest.test_case "srp agreement" `Quick test_srp_agreement;
       Alcotest.test_case "srp wrong password" `Quick test_srp_wrong_password;
       Alcotest.test_case "srp server proof" `Quick test_srp_server_proof;

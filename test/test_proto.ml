@@ -222,6 +222,45 @@ let test_seq_window () =
   Testkit.check_bool "far past rejected" false (Authproto.window_accept w 10);
   Testkit.check_bool "negative" false (Authproto.window_accept w (-1))
 
+(* Byte-identity pin: the SHA-1 of a fixed frame sequence in both
+   directions, with keystream banked ahead at irregular points, in both
+   channel modes.  Any change to the framing, the MAC re-keying or the
+   keystream order fails here by name. *)
+let test_channel_frame_pin () =
+  let digest encrypt =
+    let client, server = make_channel_pair ~encrypt () in
+    let h = Sfs_crypto.Sha1.init () in
+    List.iteri
+      (fun i n ->
+        if i mod 3 = 1 then
+          ignore (Channel.precompute ~dir:`Send client ~budget_us:(float_of_int (37 * i)));
+        if i mod 4 = 2 then
+          ignore (Channel.precompute ~dir:`Recv server ~budget_us:(float_of_int (53 * i)));
+        if i mod 5 = 3 then
+          ignore (Channel.precompute ~dir:`Recv client ~budget_us:(float_of_int (11 * i)));
+        let msg = String.init n (fun j -> Char.chr (((j * 13) + i) land 0xff)) in
+        let wire = Channel.seal client msg in
+        Sfs_crypto.Sha1.update h wire;
+        Testkit.check_string "request" msg (open_exn server wire);
+        let reply = Channel.seal server (msg ^ "!") in
+        Sfs_crypto.Sha1.update h reply;
+        Testkit.check_string "reply" (msg ^ "!") (open_exn client reply))
+      [ 0; 1; 31; 32; 100; 255; 256; 1000; 4096; 8192; 8300; 20000; 3; 64 ];
+    Sfs_util.Hex.encode (Sfs_crypto.Sha1.final h)
+  in
+  Testkit.check_string "encrypted frames" "7fab213dfa21263e453d56b44c536488397ff73d" (digest true);
+  Testkit.check_string "mac-only frames" "a2619449536b0a08a371848563e9bccecd06d84a" (digest false)
+
+(* Sealing and opening allocate only their outputs: the MAC is re-keyed
+   in place and the tag checked where it lies in the frame. *)
+let test_channel_alloc () =
+  let client, server = make_channel_pair () in
+  let msg = String.make 100 'm' in
+  (* The first message sizes the frame buffers. *)
+  ignore (open_exn server (Channel.seal client msg));
+  Testkit.check_alloc_under "seal + open of 100 B" ~bound:1_024 (fun () ->
+      ignore (Channel.open_ server (Channel.seal client msg)))
+
 (* The single-buffer seal/open_ fast path must round-trip any traffic
    pattern: message sizes from empty through several buffer-growth
    doublings, in both directions, with and without encryption. *)
@@ -444,6 +483,8 @@ let suite =
       Alcotest.test_case "channel reorder" `Quick test_channel_reorder;
       Alcotest.test_case "channel no-encryption ablation" `Quick test_channel_no_encryption_still_macs;
       Alcotest.test_case "channel crypto cost" `Quick test_channel_charges_crypto_time;
+      Alcotest.test_case "channel frame byte pin" `Quick test_channel_frame_pin;
+      Alcotest.test_case "channel allocation" `Quick test_channel_alloc;
       Alcotest.test_case "auth roundtrip" `Quick test_auth_roundtrip;
       Alcotest.test_case "auth session binding" `Quick test_auth_session_binding;
       Alcotest.test_case "auth audit trail" `Quick test_auth_audit_trail;

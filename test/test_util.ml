@@ -52,6 +52,13 @@ let test_bytesutil_misc () =
   Testkit.check_bool "ct_equal eq" true (Bytesutil.ct_equal "abc" "abc");
   Testkit.check_bool "ct_equal ne" false (Bytesutil.ct_equal "abc" "abd");
   Testkit.check_bool "ct_equal len" false (Bytesutil.ct_equal "ab" "abc");
+  let frame = Bytes.of_string "xxabcx" in
+  let sub a ~off ~len = Bytesutil.ct_equal_sub (Bytes.of_string a) frame ~off ~len in
+  Testkit.check_bool "ct_equal_sub eq" true (sub "abc" ~off:2 ~len:3);
+  Testkit.check_bool "ct_equal_sub prefix" true (sub "abz" ~off:2 ~len:2);
+  Testkit.check_bool "ct_equal_sub ne" false (sub "abd" ~off:2 ~len:3);
+  Testkit.check_bool "ct_equal_sub past b" false (sub "abc" ~off:4 ~len:3);
+  Testkit.check_bool "ct_equal_sub past a" false (sub "ab" ~off:2 ~len:3);
   Alcotest.(check (list string)) "chunks" [ "ab"; "cd"; "e" ] (Bytesutil.chunks ~size:2 "abcde");
   Alcotest.(check (list string)) "chunks empty" [] (Bytesutil.chunks ~size:2 "")
 

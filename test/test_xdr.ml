@@ -239,6 +239,41 @@ let props =
           Xdr.to_string e
         in
         with_reuse a = ref_encode a && with_reuse b = ref_encode b);
+    (* The in-place nested opaque (replies and requests marshal their
+       NFS payload straight into the outer encoder) must produce the
+       bytes of enc_opaque over a separately encoded body, after any
+       prefix, at every body length mod 4, nested twice. *)
+    Test.make ~count:300 ~name:"enc_nested = enc_opaque of encode"
+      (make
+         Gen.(
+           triple
+             (list_size (int_range 0 5) item_gen)
+             (list_size (int_range 0 10) item_gen)
+             (list_size (int_range 0 5) item_gen)))
+      (fun (pre, body, inner) ->
+        let items e l = List.iter (enc_item e) l in
+        let nested =
+          Xdr.encode
+            (fun e () ->
+              items e pre;
+              Xdr.enc_nested e (fun e ->
+                  items e body;
+                  Xdr.enc_nested e (fun e -> items e inner)))
+            ()
+        in
+        let reference =
+          Xdr.encode
+            (fun e () ->
+              items e pre;
+              Xdr.enc_opaque e
+                (Xdr.encode
+                   (fun e () ->
+                     items e body;
+                     Xdr.enc_opaque e (Xdr.encode items inner))
+                   ()))
+            ()
+        in
+        String.equal nested reference);
     Test.make ~count:300 ~name:"opaque roundtrip" (string_gen Gen.char) (fun s ->
         Xdr.run (Xdr.encode Xdr.enc_opaque s) (fun d -> Xdr.dec_opaque d) = Ok s);
     Test.make ~count:300 ~name:"uint64 roundtrip" (map Int64.of_int int) (fun v ->
