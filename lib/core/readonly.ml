@@ -32,6 +32,7 @@ module Simclock = Sfs_net.Simclock
 module Costmodel = Sfs_net.Costmodel
 module Obs = Sfs_obs.Obs
 module Xdr = Sfs_xdr.Xdr
+module Slice = Sfs_util.Slice
 
 (* --- Snapshot building --- *)
 
@@ -50,6 +51,7 @@ type snapshot = {
 }
 
 type build = {
+  b_enc : Xdr.enc; (* one encoder marshals every object of the build *)
   b_store : (string, string) Hashtbl.t;
   b_memo : (int, int * Ro.entry_kind * string) Hashtbl.t;
   mutable b_reused : int;
@@ -58,7 +60,9 @@ type build = {
 }
 
 let put (b : build) (o : Ro.obj) : string =
-  let bytes = Ro.obj_to_string o in
+  Xdr.reset b.b_enc;
+  Ro.enc_obj b.b_enc o;
+  let bytes = Xdr.to_string b.b_enc in
   let h = Sha1.digest bytes in
   Hashtbl.replace b.b_store h bytes;
   b.b_hashed <- b.b_hashed + 1;
@@ -136,6 +140,7 @@ let snapshot ?(serial = 1) ?prev ~(key : Rabin.priv) ~(now_s : int)
     (fs : Memfs.t) : snapshot =
   let b =
     {
+      b_enc = Xdr.make_enc ();
       b_store = Hashtbl.create 256;
       b_memo = Hashtbl.create 256;
       b_reused = 0;
@@ -177,21 +182,20 @@ let fresh_bytes (s : snapshot) : int = s.sn_fresh_bytes
 
    The server side is trivial by design: look up bytes, return them.
    It never touches a private key; [serve] works from any replica.
-   The fan-out procedures are for mirrors (Replica.mirror); a
-   publisher's own snapshot refuses them. *)
+   An object reply is built once at its exact size from the stored
+   bytes (Ro.obj_frame).  The fan-out procedures are for mirrors
+   (Replica.mirror); a publisher's own snapshot refuses them. *)
 
 let handle_request (s : snapshot) (bytes : string) : string =
-  let res =
-    match Ro.ro_request_of_string bytes with
-    | Result.Error e -> Ro.Ro_error e
-    | Ok Ro.Get_fsinfo -> Ro.Fsinfo_is { fsinfo = s.fsinfo; signature = s.signature }
-    | Ok (Ro.Get_obj h) -> (
-        match Hashtbl.find_opt s.store h with
-        | Some bytes -> Ro.Obj_is bytes
-        | None -> Ro.Ro_error "no such object")
-    | Ok (Ro.Put_objs _ | Ro.Put_root _) -> Ro.Ro_error "not a mirror"
-  in
-  Ro.ro_response_to_string res
+  let reply r = Ro.ro_response_to_string r in
+  match Ro.ro_request_of_string bytes with
+  | Result.Error e -> reply (Ro.Ro_error e)
+  | Ok Ro.Get_fsinfo -> reply (Ro.Fsinfo_is { fsinfo = s.fsinfo; signature = s.signature })
+  | Ok (Ro.Get_obj h) -> (
+      match Hashtbl.find_opt s.store h with
+      | Some bytes -> Ro.obj_frame (Slice.of_string bytes)
+      | None -> reply (Ro.Ro_error "no such object"))
+  | Ok (Ro.Put_objs _ | Ro.Put_root _) -> reply (Ro.Ro_error "not a mirror")
 
 (* --- Verifying client --- *)
 
@@ -203,6 +207,7 @@ type client = {
   clock : Simclock.t;
   obs : Obs.registry option;
   cache : Vcache.t; (* verified objects, LRU-bounded *)
+  enc : Xdr.enc; (* marshals every Get_obj request *)
   mutable fsinfo : Ro.fsinfo;
   mutable last_serial : int;
   mutable root_frame : string; (* raw bytes of the last verified root reply *)
@@ -252,6 +257,7 @@ let connect ?obs ?(cache_objs = 4096) ~(exchange : string -> string)
     clock;
     obs;
     cache = Vcache.create ?obs ~cap:cache_objs ();
+    enc = Xdr.make_enc ();
     fsinfo;
     last_serial = fsinfo.Ro.serial;
     root_frame = raw;
@@ -260,23 +266,29 @@ let connect ?obs ?(cache_objs = 4096) ~(exchange : string -> string)
   }
 
 (* Fetch an object and verify it is the preimage of the hash that named
-   it — the step that lets untrusted replicas serve the data.  Each
-   hash is verified once: the vcache remembers verified objects (LRU),
-   and content addressing keeps hits valid across replicas and across
-   root serials. *)
+   it — the step that lets untrusted replicas serve the data.  The
+   object is hashed and decoded where it lies in the reply, so a file's
+   bytes are copied once, into the decoded object.  Each hash is
+   verified once: the vcache remembers verified objects (LRU), and
+   content addressing keeps hits valid across replicas and across root
+   serials. *)
 let fetch (c : client) (h : string) : Ro.obj =
   match Vcache.find c.cache h with
   | Some o -> o
   | None -> (
-      match Ro.ro_response_of_string (c.exchange (Ro.ro_request_to_string (Ro.Get_obj h))) with
-      | Ok (Ro.Obj_is bytes) -> (
-          let n = String.length bytes in
+      Xdr.reset c.enc;
+      Ro.enc_ro_request c.enc (Ro.Get_obj h);
+      match Ro.obj_frame_view (c.exchange (Xdr.to_string c.enc)) with
+      | Result.Error e -> raise (Verification_failed e)
+      | Ok view -> (
+          let n = Slice.length view in
           Simclock.advance c.clock (float_of_int n *. Costmodel.sha1_us_per_byte);
-          if not (Sfs_util.Bytesutil.ct_equal (Sha1.digest bytes) h) then begin
+          let digest = Sha1.digest_sub (Slice.base view) ~off:(Slice.offset view) ~len:n in
+          if not (Sfs_util.Bytesutil.ct_equal digest h) then begin
             Obs.incr c.obs "ro.verify.fail";
             raise (Verification_failed "object does not match its hash")
           end;
-          match Ro.obj_of_string bytes with
+          match Ro.obj_of_slice view with
           | Ok o ->
               Obs.incr c.obs "ro.verify.ok";
               Obs.add c.obs "ro.verify.bytes" n;
@@ -284,10 +296,7 @@ let fetch (c : client) (h : string) : Ro.obj =
               o
           | Result.Error e ->
               Obs.incr c.obs "ro.verify.fail";
-              raise (Verification_failed e))
-      | Ok (Ro.Ro_error e) -> raise (Verification_failed e)
-      | Ok (Ro.Fsinfo_is _ | Ro.Put_ok _) -> raise (Verification_failed "unexpected response")
-      | Result.Error e -> raise (Verification_failed e))
+              raise (Verification_failed e)))
 
 (* --- Fs_intf over a verified snapshot --- *)
 

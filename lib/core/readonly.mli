@@ -50,9 +50,10 @@ val fresh_bytes : snapshot -> int
 (** Bytes actually hashed this publish — the publisher's SHA-1 bill. *)
 
 val handle_request : snapshot -> string -> string
-(** The entire server side: bytes in, bytes out, no cryptography.
-    Fan-out procedures (Put_objs/Put_root) are refused — they are for
-    mirrors (see {!Replica.mirror}). *)
+(** The entire server side: bytes in, bytes out, no cryptography.  An
+    object reply is built at its exact size from the stored bytes
+    ({!Ro.obj_frame}).  Fan-out procedures (Put_objs/Put_root) are
+    refused — they are for mirrors (see {!Replica.mirror}). *)
 
 (** {2 Verifying client} *)
 
@@ -72,7 +73,9 @@ val connect :
 
 val fetch : client -> string -> Ro.obj
 (** Fetch an object by hash, verify it is the preimage, cache it.
-    Cache hits skip both the network and the SHA-1. *)
+    The object is hashed and decoded where it lies in the reply, so a
+    file's bytes are copied once.  Cache hits skip both the network
+    and the SHA-1. *)
 
 val ops : client -> Sfs_nfs.Fs_intf.ops
 (** A read-only file system view over the verified snapshot; handles

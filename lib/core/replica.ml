@@ -30,6 +30,8 @@ module Simnet = Sfs_net.Simnet
 module Simclock = Sfs_net.Simclock
 module Costmodel = Sfs_net.Costmodel
 module Obs = Sfs_obs.Obs
+module Slice = Sfs_util.Slice
+module Xdr = Sfs_xdr.Xdr
 
 let ro_port = 5
 
@@ -37,7 +39,9 @@ let ro_port = 5
 
 type mirror = {
   mi_name : string;
-  mi_store : (string, string) Hashtbl.t; (* hash -> marshaled object *)
+  mi_store : (string, string) Hashtbl.t;
+      (* hash -> the Obj_is reply frame carrying the object, built once
+         when the object is pushed and sent as is to every client *)
   mutable mi_fsinfo : Ro.fsinfo option;
   mutable mi_signature : string;
   mi_clock : Simclock.t;
@@ -66,46 +70,52 @@ let serve_cost (m : mirror) (bytes : int) : unit =
     (Costmodel.userlevel_us_per_side
     +. (float_of_int bytes /. Costmodel.copy_bytes_per_us))
 
+(* The length of the object inside a stored frame: its XDR length
+   word, behind the reply tag. *)
+let obj_length (frame : string) : int = Sfs_util.Bytesutil.int_of_be32 frame ~off:4
+
+(* Serving an object is a lookup and a send: the stored frame is the
+   reply.  Every client shares that one string, which is safe because
+   strings are immutable and a tampering wire rewrites a copy. *)
 let handle (m : mirror) (bytes : string) : string =
-  let res =
-    match Ro.ro_request_of_string bytes with
-    | Result.Error e -> Ro.Ro_error e
-    | Ok Ro.Get_fsinfo -> (
-        match m.mi_fsinfo with
-        | None -> Ro.Ro_error "no root published"
-        | Some fsinfo ->
-            serve_cost m 64;
-            Ro.Fsinfo_is { fsinfo; signature = m.mi_signature })
-    | Ok (Ro.Get_obj h) -> (
-        match Hashtbl.find_opt m.mi_store h with
-        | None -> Ro.Ro_error "no such object"
-        | Some data ->
-            serve_cost m (String.length data);
-            m.mi_served_objs <- m.mi_served_objs + 1;
-            m.mi_served_bytes <- m.mi_served_bytes + String.length data;
-            Obs.incr m.mi_obs "ro.serve.objs";
-            Obs.add m.mi_obs "ro.serve.bytes" (String.length data);
-            Ro.Obj_is data)
-    | Ok (Ro.Put_objs objs) ->
-        let total =
-          List.fold_left
-            (fun acc (h, data) ->
-              Hashtbl.replace m.mi_store h data;
-              acc + String.length data)
-            0 objs
-        in
-        serve_cost m total;
-        Ro.Put_ok (List.length objs)
-    | Ok (Ro.Put_root { fsinfo; signature; evict }) ->
-        (* The root swap is what makes a push take effect atomically:
-           until it lands, clients keep being served the old tree. *)
-        List.iter (Hashtbl.remove m.mi_store) evict;
-        m.mi_fsinfo <- Some fsinfo;
-        m.mi_signature <- signature;
-        serve_cost m 64;
-        Ro.Put_ok (List.length evict)
-  in
-  Ro.ro_response_to_string res
+  let reply r = Ro.ro_response_to_string r in
+  match Ro.ro_request_of_string bytes with
+  | Result.Error e -> reply (Ro.Ro_error e)
+  | Ok Ro.Get_fsinfo -> (
+      match m.mi_fsinfo with
+      | None -> reply (Ro.Ro_error "no root published")
+      | Some fsinfo ->
+          serve_cost m 64;
+          reply (Ro.Fsinfo_is { fsinfo; signature = m.mi_signature }))
+  | Ok (Ro.Get_obj h) -> (
+      match Hashtbl.find_opt m.mi_store h with
+      | None -> reply (Ro.Ro_error "no such object")
+      | Some frame ->
+          let n = obj_length frame in
+          serve_cost m n;
+          m.mi_served_objs <- m.mi_served_objs + 1;
+          m.mi_served_bytes <- m.mi_served_bytes + n;
+          Obs.incr m.mi_obs "ro.serve.objs";
+          Obs.add m.mi_obs "ro.serve.bytes" n;
+          frame)
+  | Ok (Ro.Put_objs objs) ->
+      let total =
+        List.fold_left
+          (fun acc (h, o) ->
+            Hashtbl.replace m.mi_store h (Ro.obj_frame o);
+            acc + Slice.length o)
+          0 objs
+      in
+      serve_cost m total;
+      reply (Ro.Put_ok (List.length objs))
+  | Ok (Ro.Put_root { fsinfo; signature; evict }) ->
+      (* The root swap is what makes a push take effect atomically:
+         until it lands, clients keep being served the old tree. *)
+      List.iter (Hashtbl.remove m.mi_store) evict;
+      m.mi_fsinfo <- Some fsinfo;
+      m.mi_signature <- signature;
+      serve_cost m 64;
+      reply (Ro.Put_ok (List.length evict))
 
 let attach (net : Simnet.t) (m : mirror) (host : Simnet.host) : unit =
   Simnet.listen net host ~port:ro_port (fun ~peer:_ -> handle m)
@@ -218,15 +228,20 @@ let rec chunked (n : int) (xs : 'a list) : 'a list list =
    transport failure (Timeout / No_route); [fan_out] catches. *)
 let push_target (p : publisher) (snap : Readonly.snapshot) (t : target) : unit =
   let conn = conn_of p t in
+  (* One encoder marshals every chunk of this push. *)
+  let enc = Xdr.make_enc () in
   let exchange req =
     Simclock.advance p.p_clock Costmodel.userlevel_us_per_side;
-    match Ro.ro_response_of_string (Simnet.call conn (Ro.ro_request_to_string req)) with
+    Xdr.reset enc;
+    Ro.enc_ro_request enc req;
+    match Ro.ro_response_of_string (Simnet.call conn (Xdr.to_string enc)) with
     | Ok r -> r
     | Result.Error e -> failwith ("replica push: " ^ e)
   in
   let missing =
     Readonly.fold_store snap
-      (fun h bytes acc -> if Hashtbl.mem t.t_synced h then acc else (h, bytes) :: acc)
+      (fun h bytes acc ->
+        if Hashtbl.mem t.t_synced h then acc else (h, Slice.of_string bytes) :: acc)
       []
   in
   (* Sort for canonical wire bytes: the store hashtable's fold order is
@@ -239,7 +254,7 @@ let push_target (p : publisher) (snap : Readonly.snapshot) (t : target) : unit =
           List.iter (fun (h, _) -> Hashtbl.replace t.t_synced h ()) chunk;
           Obs.add p.p_obs "ro.fanout.objs" (List.length chunk);
           Obs.add p.p_obs "ro.fanout.bytes"
-            (List.fold_left (fun a (_, b) -> a + String.length b) 0 chunk)
+            (List.fold_left (fun a (_, b) -> a + Slice.length b) 0 chunk)
       | Ro.Ro_error e -> failwith ("replica push refused: " ^ e)
       | Ro.Fsinfo_is _ | Ro.Obj_is _ -> failwith "replica push: unexpected response")
     (chunked chunk_objs missing);

@@ -38,7 +38,9 @@ val attach : Simnet.t -> mirror -> Simnet.host -> unit
     crash/restart epochs, like the store itself. *)
 
 val handle : mirror -> string -> string
-(** The wire handler (exposed for direct-call tests). *)
+(** The wire handler (exposed for direct-call tests).  The store keeps
+    each object's whole [Obj_is] reply frame, built once when the
+    object is pushed, and a [Get_obj] returns that stored string. *)
 
 val mirror_root : mirror -> Ro.fsinfo option
 val mirror_objects : mirror -> int

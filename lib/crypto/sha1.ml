@@ -444,6 +444,11 @@ let digest (s : string) : string =
   update c s;
   final c
 
+let digest_sub (s : string) ~(off : int) ~(len : int) : string =
+  let c = init () in
+  feed_bytes c (Bytes.unsafe_of_string s) ~off ~len;
+  final c
+
 let digest_list (parts : string list) : string =
   let c = init () in
   List.iter (update c) parts;

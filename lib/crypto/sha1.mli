@@ -32,6 +32,12 @@ val digest_into : ctx -> Bytes.t -> off:int -> unit
 
 val digest : string -> string
 [@@sfs.declassify "a SHA-1 digest is one-way; SFS publishes digests of secrets (HostIDs, tags) by design"]
+val digest_sub : string -> off:int -> len:int -> string
+[@@sfs.declassify "a SHA-1 digest is one-way; SFS publishes digests of secrets (HostIDs, tags) by design"]
+(** [digest_sub s ~off ~len] is [digest (String.sub s off len)]
+    without the copy: a view is hashed where it lies.
+    @raise Invalid_argument when the range is out of bounds. *)
+
 val digest_list : string list -> string
 [@@sfs.declassify "a SHA-1 digest is one-way; SFS publishes digests of secrets (HostIDs, tags) by design"]
 (** [digest_list parts] hashes the concatenation of [parts]. *)

@@ -5,8 +5,10 @@
    order — a property the fleet simulator depends on (two clients
    submitting at the same microsecond must be served in submission
    order for byte-identical replay).  All operations are O(log n);
-   the array doubles geometrically and never shrinks below its
-   initial capacity. *)
+   the array doubles geometrically and never shrinks.  Slots past the
+   live prefix hold a sentinel entry, never a finished event: a popped
+   payload (for the engine, a closure over a client's state) must not
+   stay reachable from the queue. *)
 
 type 'a entry = { at : float; seq : int; v : 'a }
 
@@ -14,9 +16,11 @@ type 'a t = {
   mutable arr : 'a entry array;
   mutable len : int;
   mutable next_seq : int;
+  free : 'a entry; (* the sentinel every unused slot holds *)
 }
 
-let create () : 'a t = { arr = [||]; len = 0; next_seq = 0 }
+let create ~(dummy : 'a) : 'a t =
+  { arr = [||]; len = 0; next_seq = 0; free = { at = infinity; seq = -1; v = dummy } }
 
 let length (t : 'a t) : int = t.len
 let is_empty (t : 'a t) : bool = t.len = 0
@@ -26,10 +30,10 @@ let is_empty (t : 'a t) : bool = t.len = 0
 let before (a : 'a entry) (b : 'a entry) : bool =
   a.at < b.at || (a.at = b.at && a.seq < b.seq)
 
-let grow (t : 'a t) (seed : 'a entry) : unit =
+let grow (t : 'a t) : unit =
   let cap = Array.length t.arr in
   let ncap = if cap = 0 then 16 else cap * 2 in
-  let narr = Array.make ncap seed in
+  let narr = Array.make ncap t.free in
   Array.blit t.arr 0 narr 0 t.len;
   t.arr <- narr
 
@@ -61,7 +65,7 @@ let push (t : 'a t) ~(at : float) (v : 'a) : unit =
   if Float.is_nan at then invalid_arg "Eventq.push: NaN timestamp";
   let e = { at; seq = t.next_seq; v } in
   t.next_seq <- t.next_seq + 1;
-  if t.len = Array.length t.arr then grow t e;
+  if t.len = Array.length t.arr then grow t;
   t.arr.(t.len) <- e;
   t.len <- t.len + 1;
   sift_up t (t.len - 1)
@@ -73,13 +77,12 @@ let pop (t : 'a t) : (float * 'a) option =
   else begin
     let top = t.arr.(0) in
     t.len <- t.len - 1;
-    if t.len > 0 then begin
-      t.arr.(0) <- t.arr.(t.len);
-      (* Release the popped slot so payloads don't leak past their
-         event (the heap can live as long as the simulation). *)
-      t.arr.(t.len) <- top;
-      sift_down t 0
-    end;
+    t.arr.(0) <- t.arr.(t.len);
+    (* Release the vacated slot to the sentinel, so the popped payload
+       does not outlive its event (the heap can live as long as the
+       simulation). *)
+    t.arr.(t.len) <- t.free;
+    if t.len > 0 then sift_down t 0;
     Some (top.at, top.v)
   end
 

@@ -4,7 +4,11 @@
 
 type 'a t
 
-val create : unit -> 'a t
+val create : dummy:'a -> 'a t
+(** An empty queue.  Unused slots hold [dummy], never a popped
+    payload, so what a finished event captured can be collected; pass
+    a value that captures nothing. *)
+
 val length : 'a t -> int
 val is_empty : 'a t -> bool
 

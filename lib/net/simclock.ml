@@ -7,7 +7,7 @@
 
 type t = { mutable now_us : float; events : (unit -> unit) Eventq.t }
 
-let create () : t = { now_us = 0.0; events = Eventq.create () }
+let create () : t = { now_us = 0.0; events = Eventq.create ~dummy:ignore }
 
 let now_us (t : t) : float = t.now_us
 let now_s (t : t) : float = t.now_us /. 1_000_000.0

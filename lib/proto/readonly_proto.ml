@@ -23,6 +23,7 @@
 module Sha1 = Sfs_crypto.Sha1
 module Rabin = Sfs_crypto.Rabin
 module Xdr = Sfs_xdr.Xdr
+module Slice = Sfs_util.Slice
 
 type entry_kind = K_file | K_dir | K_symlink
 
@@ -65,16 +66,19 @@ let enc_obj e (o : obj) =
       Xdr.enc_uint32 e 2;
       Xdr.enc_string e target
 
+(* Largest object (and file) the dialect carries: 32 MiB. *)
+let obj_max = 0x2000000
+
 let dec_obj d : obj =
   match Xdr.dec_uint32 d with
-  | 0 -> O_file (Xdr.dec_opaque d ~max:0x2000000)
+  | 0 -> O_file (Xdr.dec_opaque d ~max:obj_max)
   | 1 -> O_dir (Xdr.dec_array d ~max:100000 dec_entry)
   | 2 -> O_symlink (Xdr.dec_string d ~max:1024)
   | t -> Xdr.error "bad object tag %d" t
 
 let obj_to_string (o : obj) : string = Xdr.encode enc_obj o
 
-let obj_of_string (s : string) : (obj, string) result = Xdr.run s dec_obj
+let obj_of_slice (s : Slice.t) : (obj, string) result = Xdr.run_slice s dec_obj
 
 (* Content addressing: the hash of an object is the hash of its
    marshaled bytes. *)
@@ -126,7 +130,9 @@ let verify_fsinfo (pubkey : Rabin.pub) (i : fsinfo) ~(signature : string) : bool
 type ro_request =
   | Get_fsinfo
   | Get_obj of string (* hash *)
-  | Put_objs of (string * string) list (* (hash, marshaled object) pairs *)
+  | Put_objs of (string * Slice.t) list
+      (* (hash, marshaled object) pairs; decoded as views into the
+         request, so a mirror builds each reply frame straight from it *)
   | Put_root of { fsinfo : fsinfo; signature : string; evict : string list }
 
 type ro_response =
@@ -135,13 +141,13 @@ type ro_response =
   | Ro_error of string
   | Put_ok of int (* objects stored / root accepted *)
 
-let enc_put_obj e ((h, bytes) : string * string) =
+let enc_put_obj e ((h, bytes) : string * Slice.t) =
   Xdr.enc_fixed_opaque e ~size:20 h;
-  Xdr.enc_opaque e bytes
+  Xdr.enc_opaque_slice e bytes
 
-let dec_put_obj d : string * string =
+let dec_put_obj d : string * Slice.t =
   let h = Xdr.dec_fixed_opaque d ~size:20 in
-  let bytes = Xdr.dec_opaque d ~max:0x2000000 in
+  let bytes = Xdr.dec_opaque_slice d ~max:obj_max in
   (h, bytes)
 
 let enc_ro_request e (r : ro_request) =
@@ -171,6 +177,10 @@ let dec_ro_request d : ro_request =
       Put_root { fsinfo; signature; evict }
   | t -> Xdr.error "bad ro request %d" t
 
+(* The wire tag of [Obj_is], shared by the generic codec and the
+   exact-size frame path below. *)
+let obj_is_tag = 1
+
 let enc_ro_response e (r : ro_response) =
   match r with
   | Fsinfo_is { fsinfo; signature } ->
@@ -178,7 +188,7 @@ let enc_ro_response e (r : ro_response) =
       enc_fsinfo e fsinfo;
       Xdr.enc_opaque e signature
   | Obj_is bytes ->
-      Xdr.enc_uint32 e 1;
+      Xdr.enc_uint32 e obj_is_tag;
       Xdr.enc_opaque e bytes
   | Ro_error msg ->
       Xdr.enc_uint32 e 2;
@@ -193,7 +203,7 @@ let dec_ro_response d : ro_response =
       let fsinfo = dec_fsinfo d in
       let signature = Xdr.dec_opaque d ~max:4096 in
       Fsinfo_is { fsinfo; signature }
-  | 1 -> Obj_is (Xdr.dec_opaque d ~max:0x2000000)
+  | 1 -> Obj_is (Xdr.dec_opaque d ~max:obj_max)
   | 2 -> Ro_error (Xdr.dec_string d ~max:255)
   | 3 -> Put_ok (Xdr.dec_uint32 d)
   | t -> Xdr.error "bad ro response %d" t
@@ -202,3 +212,32 @@ let ro_request_to_string r = Xdr.encode enc_ro_request r
 let ro_response_to_string r = Xdr.encode enc_ro_response r
 let ro_request_of_string s = Xdr.run s dec_ro_request
 let ro_response_of_string s = Xdr.run s dec_ro_response
+
+(* --- Serving from a lookup ---
+
+   An object reply is the object's marshaled bytes behind an 8-byte
+   header.  A server builds it once, at its exact size, and can then
+   hand the same string to every client; a client hashes and decodes
+   the object where it lies in the reply. *)
+
+let obj_frame (o : Slice.t) : string =
+  let n = Slice.length o in
+  let pad = (4 - (n land 3)) land 3 in
+  let b = Bytes.create (8 + n + pad) in
+  Sfs_util.Bytesutil.put_be32 b ~off:0 obj_is_tag;
+  Sfs_util.Bytesutil.put_be32 b ~off:4 n;
+  Slice.blit o ~src_off:0 b ~dst_off:8 ~len:n;
+  Bytes.fill b (8 + n) pad '\000';
+  Bytes.unsafe_to_string b
+
+let obj_frame_view (frame : string) : (Slice.t, string) result =
+  if String.length frame >= 4 && Int.equal (Sfs_util.Bytesutil.int_of_be32 frame ~off:0) obj_is_tag
+  then
+    Xdr.run frame (fun d ->
+        ignore (Xdr.dec_uint32 d);
+        Xdr.dec_opaque_slice d ~max:obj_max)
+  else
+    match ro_response_of_string frame with
+    | Ok (Ro_error e) -> Error e
+    | Ok (Fsinfo_is _ | Obj_is _ | Put_ok _) -> Error "unexpected response"
+    | Error e -> Error e

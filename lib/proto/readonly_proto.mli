@@ -6,6 +6,7 @@
 
 module Rabin = Sfs_crypto.Rabin
 module Xdr = Sfs_xdr.Xdr
+module Slice = Sfs_util.Slice
 
 type entry_kind = K_file | K_dir | K_symlink
 type entry = { e_name : string; e_kind : entry_kind; e_hash : string }
@@ -15,8 +16,12 @@ type obj =
   | O_dir of entry list (** children by content hash *)
   | O_symlink of string
 
+val enc_obj : Xdr.enc -> obj -> unit
 val obj_to_string : obj -> string
-val obj_of_string : string -> (obj, string) result
+
+val obj_of_slice : Slice.t -> (obj, string) result
+(** Decodes a marshaled object where it lies; only the payload of an
+    [O_file] or [O_symlink] and the entry names are copied out. *)
 
 val hash_obj : obj -> string
 (** SHA-1 of the marshaled object: its content address. *)
@@ -39,8 +44,9 @@ val verify_fsinfo : Rabin.pub -> fsinfo -> signature:string -> bool
 type ro_request =
   | Get_fsinfo
   | Get_obj of string
-  | Put_objs of (string * string) list
-      (** publisher → mirror fan-out: store these (hash, bytes) pairs.
+  | Put_objs of (string * Slice.t) list
+      (** publisher → mirror fan-out: store these (hash, bytes) pairs
+          (decoded as views into the request).
           The mirror verifies nothing — clients re-verify every object,
           so a bad push can only make fetches fail, never lie. *)
   | Put_root of { fsinfo : fsinfo; signature : string; evict : string list }
@@ -52,7 +58,21 @@ type ro_response =
   | Ro_error of string
   | Put_ok of int
 
+val enc_ro_request : Xdr.enc -> ro_request -> unit
 val ro_request_to_string : ro_request -> string
 val ro_response_to_string : ro_response -> string
 val ro_request_of_string : string -> (ro_request, string) result
 val ro_response_of_string : string -> (ro_response, string) result
+
+(** {2 Serving from a lookup} *)
+
+val obj_frame : Slice.t -> string
+(** [obj_frame o] is the [Obj_is] reply carrying the marshaled object
+    [o], allocated once at its exact size: the bytes of
+    [ro_response_to_string (Obj_is (Slice.to_string o))].  A server
+    may build it once and send it to every client. *)
+
+val obj_frame_view : string -> (Slice.t, string) result
+(** Decodes an object reply as a view of the marshaled object inside
+    it, with no copy.  A [Ro_error e] reply is [Error e]; any other
+    well-formed reply is [Error "unexpected response"]. *)

@@ -111,11 +111,12 @@ let rec walk ~(fetch : string -> Ro.obj) (hash : string) (names : string list) :
 let rec all_bytes (data : string) (b : char) (i : int) : bool =
   i >= String.length data || (data.[i] = b && all_bytes data b (i + 1))
 
-let run (cfg : config) : result =
+let run ?tap (cfg : config) : result =
   if cfg.clients < 1 || cfg.replicas < 1 || cfg.dirs < 1 || cfg.files_per_dir < 1 then
     invalid_arg "Flashcrowd.run: counts must be positive";
   let w = Crowd.world () in
   let clock = w.Crowd.clock and obs = w.Crowd.obs and net = w.Crowd.net in
+  Simnet.set_default_tap net tap;
   (* --- the publisher: file tree, private key, snapshot --- *)
   ignore (Simnet.add_host net publisher_loc);
   let now () = Sfs_nfs.Nfs_types.time_of_us (Simclock.now_us clock) in

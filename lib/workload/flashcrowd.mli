@@ -49,9 +49,11 @@ type result = {
   r_obs : Sfs_obs.Obs.registry;
 }
 
-val run : config -> result
+val run : ?tap:Sfs_net.Simnet.tap -> config -> result
 (** Publish, fan out, ramp the crowd in, pump the event queue dry.
-    Deterministic: same config, byte-identical {!ledger}. *)
+    Deterministic: same config, byte-identical {!ledger}.  [tap]
+    becomes the network's default tap, so it observes every exchange
+    (the reply byte pins). *)
 
 val throughput_reads_s : result -> float
 

@@ -66,13 +66,15 @@ let enc_uint64 (e : enc) (v : int64) : unit =
 
 let enc_bool (e : enc) (b : bool) : unit = enc_uint32 e (if b then 1 else 0)
 
-(* Blit the opaque bytes and zero their padding in one reservation. *)
-let enc_padded (e : enc) (s : string) : unit =
-  let n = String.length s in
-  let pad = pad4 n in
-  let off = reserve e (n + pad) in
-  Bytes.blit_string s 0 e.buf off n;
-  Bytes.fill e.buf (off + n) pad '\000'
+(* Blit [len] opaque bytes of [s] at [src] and zero their padding in
+   one reservation. *)
+let enc_padded_sub (e : enc) (s : string) ~(src : int) ~(len : int) : unit =
+  let pad = pad4 len in
+  let off = reserve e (len + pad) in
+  Bytes.blit_string s src e.buf off len;
+  Bytes.fill e.buf (off + len) pad '\000'
+
+let enc_padded (e : enc) (s : string) : unit = enc_padded_sub e s ~src:0 ~len:(String.length s)
 
 let enc_fixed_opaque (e : enc) ~(size : int) (s : string) : unit =
   if String.length s <> size then error "enc_fixed_opaque: expected %d bytes, got %d" size (String.length s);
@@ -81,6 +83,11 @@ let enc_fixed_opaque (e : enc) ~(size : int) (s : string) : unit =
 let enc_opaque (e : enc) (s : string) : unit =
   enc_uint32 e (String.length s);
   enc_padded e s
+
+let enc_opaque_slice (e : enc) (s : Sfs_util.Slice.t) : unit =
+  let len = Sfs_util.Slice.length s in
+  enc_uint32 e len;
+  enc_padded_sub e (Sfs_util.Slice.base s) ~src:(Sfs_util.Slice.offset s) ~len
 
 let enc_string = enc_opaque
 

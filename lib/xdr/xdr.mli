@@ -32,6 +32,10 @@ val enc_fixed_opaque : enc -> size:int -> string -> unit
 val enc_opaque : enc -> string -> unit
 (** Length-prefixed opaque data. *)
 
+val enc_opaque_slice : enc -> Sfs_util.Slice.t -> unit
+(** {!enc_opaque} of a view: the bytes of
+    [enc_opaque e (Slice.to_string s)] without the copy. *)
+
 val enc_nested : enc -> (enc -> 'a) -> 'a
 (** [enc_nested e f] writes a length-prefixed opaque whose body [f]
     marshals in place, backpatching the length and padding afterwards,

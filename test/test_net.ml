@@ -179,7 +179,7 @@ let eventq_order_prop =
   QCheck.Test.make ~count:300 ~name:"eventq pops timestamp-sorted, FIFO-stable on ties"
     QCheck.(list (int_bound 20))
     (fun times ->
-      let q = Eventq.create () in
+      let q = Eventq.create ~dummy:0 in
       List.iteri (fun i t -> Eventq.push q ~at:(float_of_int t) i) times;
       let rec drain acc =
         match Eventq.pop q with None -> List.rev acc | Some (at, v) -> drain ((at, v) :: acc)
@@ -198,7 +198,7 @@ let eventq_heap_prop =
   QCheck.Test.make ~count:300 ~name:"eventq heap invariant holds under push/pop interleavings"
     QCheck.(list (pair bool (int_bound 1000)))
     (fun ops ->
-      let q = Eventq.create () in
+      let q = Eventq.create ~dummy:0 in
       List.for_all
         (fun (is_pop, t) ->
           (if is_pop then ignore (Eventq.pop q)
@@ -208,9 +208,32 @@ let eventq_heap_prop =
       && (Eventq.is_empty q || Eventq.peek_at q <> None))
 
 let test_eventq_nan () =
-  let q = Eventq.create () in
+  let q = Eventq.create ~dummy:() in
   Alcotest.check_raises "nan rejected" (Invalid_argument "Eventq.push: NaN timestamp") (fun () ->
       Eventq.push q ~at:Float.nan ())
+
+(* Popped payloads are not pinned by the queue: every vacated slot
+   holds the sentinel, so what a finished event captured (for the
+   engine, a client's whole state) can be collected. *)
+let test_eventq_releases_popped () =
+  let q = Eventq.create ~dummy:Bytes.empty in
+  let w = Weak.create 3 in
+  let[@inline never] push_payloads () =
+    for i = 0 to 2 do
+      let b = Bytes.make 64 'x' in
+      Weak.set w i (Some b);
+      Eventq.push q ~at:(float_of_int (2 - i)) b
+    done
+  in
+  push_payloads ();
+  for _ = 0 to 2 do
+    ignore (Sys.opaque_identity (Eventq.pop q))
+  done;
+  Gc.full_major ();
+  for i = 0 to 2 do
+    Testkit.check_bool (Printf.sprintf "popped payload %d collected" i) false (Weak.check w i)
+  done;
+  Testkit.check_bool "queue drained" true (Eventq.is_empty q)
 
 let test_clock_events () =
   let clock = Simclock.create () in
@@ -364,6 +387,7 @@ let suite =
       Alcotest.test_case "clock events" `Quick test_clock_events;
       Alcotest.test_case "clock event budget" `Quick test_clock_event_budget;
       Alcotest.test_case "eventq nan" `Quick test_eventq_nan;
+      Alcotest.test_case "eventq releases popped payloads" `Quick test_eventq_releases_popped;
       Alcotest.test_case "admission" `Quick test_admission;
       Alcotest.test_case "host occupy" `Quick test_host_occupy;
       Alcotest.test_case "served accounting" `Quick test_served_accounting;

@@ -447,7 +447,7 @@ let test_readonly_objects () =
     Readonly_proto.O_dir
       [ { Readonly_proto.e_name = "README"; e_kind = Readonly_proto.K_file; e_hash = h } ]
   in
-  (match Readonly_proto.obj_of_string (Readonly_proto.obj_to_string dir) with
+  (match Readonly_proto.obj_of_slice (Sfs_util.Slice.of_string (Readonly_proto.obj_to_string dir)) with
   | Ok (Readonly_proto.O_dir [ e ]) ->
       Testkit.check_string "entry name" "README" e.Readonly_proto.e_name;
       Testkit.check_string "entry hash" (Sfs_util.Hex.encode h) (Sfs_util.Hex.encode e.Readonly_proto.e_hash)

@@ -286,6 +286,250 @@ let prop_flipped_root_bit =
           Readonly.current_fsinfo c = Readonly.fsinfo snap
       | exception Readonly.Verification_failed _ -> true)
 
+(* --- Byte pins: every message of the read-only dialect ---
+
+   SHA-1s recorded before mirrors kept stored reply frames and before
+   [handle_request] built its frames at their exact size: serving from
+   a lookup must not move a wire byte. *)
+
+let messages_sha1 (msgs : string list) : string =
+  Sfs_util.Hex.encode
+    (Sfs_crypto.Sha1.digest_list
+       (List.concat_map (fun r -> [ Sfs_util.Bytesutil.be32_of_int (String.length r); r ]) msgs))
+
+let test_reply_byte_pin () =
+  let module Flashcrowd = Sfs_workload.Flashcrowd in
+  let tap = Simnet.passive_tap () in
+  let cfg =
+    {
+      Flashcrowd.default with
+      Flashcrowd.clients = 24;
+      dirs = 2;
+      files_per_dir = 8;
+      file_bytes = 8190;
+      reads_per_client = 6;
+      republish_at_us = Some 25_000.0;
+    }
+  in
+  let r = Flashcrowd.run ~tap cfg in
+  Testkit.check_int "all clients finished" 24 r.Flashcrowd.r_clients_ok;
+  Testkit.check_int "republished mid-crowd" 1 r.Flashcrowd.r_republishes;
+  let messages dir =
+    List.rev (List.filter_map (fun (d, m) -> if d = dir then Some m else None) tap.Simnet.observed)
+  in
+  let mirror_replies = messages Simnet.To_client in
+  Testkit.check_int "mirror replies" 249 (List.length mirror_replies);
+  Testkit.check_string "mirror reply SHA-1" "99e3f6c71af3d728bbce7b2f33878ca963fe4e9f"
+    (messages_sha1 mirror_replies);
+  (* The requests too: the publisher's pushes carry objects as views. *)
+  Testkit.check_string "request SHA-1" "b9720f9fe1e484d106529f765893df700f6b82b5"
+    (messages_sha1 (messages Simnet.To_server));
+  let snap = Option.get (Replica.current r.Flashcrowd.r_publisher) in
+  let hashes = List.sort compare (Readonly.fold_store snap (fun h _ acc -> h :: acc) []) in
+  let requests =
+    [ Ro.Get_fsinfo; Ro.Put_objs []; Ro.Get_obj (String.make 20 '\000') ]
+    @ List.map (fun h -> Ro.Get_obj h) hashes
+  in
+  let served =
+    Readonly.handle_request snap "\255"
+    :: List.map (fun q -> Readonly.handle_request snap (Ro.ro_request_to_string q)) requests
+  in
+  Testkit.check_string "handle_request reply SHA-1" "c13c5bfab2221f2196c5d5fa7861253539ef8366"
+    (messages_sha1 served)
+
+(* --- Serving from a lookup: exact-size frames, views, allocation --- *)
+
+module Slice = Sfs_util.Slice
+
+(* The exact-size frame is the generic codec's Obj_is reply, for every
+   padding case (each case checks four consecutive lengths), also when
+   the object is a view inside a larger string; and the view decoder
+   finds the object again. *)
+let prop_obj_frame_bytes =
+  QCheck.Test.make ~count:200 ~name:"obj_frame = ro_response_to_string (Obj_is s), all paddings"
+    QCheck.(pair (int_range 0 8997) (int_range 0 255))
+    (fun (n0, seed) ->
+      List.for_all
+        (fun n ->
+          let s = String.init n (fun i -> Char.chr (((i * 31) + seed) land 255)) in
+          let framed = Ro.ro_response_to_string (Ro.Obj_is s) in
+          let padded = "pre" ^ s ^ "post" in
+          Ro.obj_frame (Slice.of_string s) = framed
+          && Ro.obj_frame (Slice.make padded ~off:3 ~len:n) = framed
+          &&
+          match Ro.obj_frame_view framed with
+          | Ok v -> Slice.to_string v = s
+          | Error _ -> false)
+        [ n0; n0 + 1; n0 + 2; n0 + 3 ])
+
+let test_obj_frame_view_errors () =
+  let view r = Ro.obj_frame_view (Ro.ro_response_to_string r) in
+  (match view (Ro.Ro_error "no such object") with
+  | Error e -> Testkit.check_string "error reply" "no such object" e
+  | Ok _ -> Alcotest.fail "error reply viewed as an object");
+  (match view (Ro.Put_ok 3) with
+  | Error e -> Testkit.check_string "other reply" "unexpected response" e
+  | Ok _ -> Alcotest.fail "Put_ok viewed as an object");
+  let frame = Ro.obj_frame (Slice.of_string "abcde") in
+  List.iter
+    (fun bad ->
+      match Ro.obj_frame_view bad with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "malformed frame of %d bytes accepted" (String.length bad))
+    [ ""; "\000\000"; String.sub frame 0 11; frame ^ "\000\000\000\000" ]
+
+(* A distinct 8 KB file per index: its object's hash is unique. *)
+let file_8k (i : int) : string = Printf.sprintf "%08d" i ^ String.make 8184 'v'
+
+let write_8k (fs : Memfs.t) ~(dir : int) (name : string) (i : int) : unit =
+  match Memfs.create_file fs root_cred ~dir name ~mode:0o644 with
+  | Ok (ino, _) -> ignore (Memfs.write fs root_cred ino ~off:0 (file_8k i))
+  | Error _ -> assert false
+
+let alloc_key = lazy (Rabin.generate ~bits:512 (Prng.create [ "replica-test"; "alloc" ]))
+
+(* Serving: a mirror's Get_obj is a lookup and a send. *)
+let test_mirror_serve_alloc () =
+  let clock = Simclock.create () in
+  let obs = Obs.create ~now_us:(fun () -> Simclock.now_us clock) () in
+  let m = Replica.mirror ~obs ~clock ~name:"m.alloc" () in
+  let obj = Ro.obj_to_string (Ro.O_file (file_8k 0)) in
+  let h = Sfs_crypto.Sha1.digest obj in
+  ignore (Replica.handle m (Ro.ro_request_to_string (Ro.Put_objs [ (h, Slice.of_string obj) ])));
+  let req = Ro.ro_request_to_string (Ro.Get_obj h) in
+  let first = Replica.handle m req in
+  Testkit.check_bool "reply is the Obj_is frame" true
+    (first = Ro.ro_response_to_string (Ro.Obj_is obj));
+  Testkit.check_alloc_under "mirror Get_obj of 8 KB" ~bound:512 (fun () ->
+      ignore (Sys.opaque_identity (Replica.handle m req)));
+  Testkit.check_bool "every client gets the stored frame" true (Replica.handle m req == first);
+  Testkit.check_bool "served bytes count the object" true
+    (Replica.mirror_served m = (3, 3 * String.length obj))
+
+(* Verifying: a vcache miss copies the file's bytes once. *)
+let test_fetch_miss_alloc () =
+  let key = Lazy.force alloc_key in
+  let clock = Simclock.create () in
+  let now () = Nfs_types.time_of_us (Simclock.now_us clock) in
+  let fs = Memfs.create ~fsid:1 ~now () in
+  write_8k fs ~dir:Memfs.root_id "f0" 0;
+  write_8k fs ~dir:Memfs.root_id "f1" 1;
+  let snap = Readonly.snapshot ~key ~now_s:0 fs in
+  let h0 = Ro.hash_obj (Ro.O_file (file_8k 0)) and h1 = Ro.hash_obj (Ro.O_file (file_8k 1)) in
+  (* Canned replies: the exchange itself allocates nothing. *)
+  let canned = Hashtbl.create 4 in
+  List.iter
+    (fun h ->
+      let req = Ro.ro_request_to_string (Ro.Get_obj h) in
+      Hashtbl.replace canned req (Readonly.handle_request snap req))
+    [ h0; h1 ];
+  let exchange req =
+    match Hashtbl.find_opt canned req with
+    | Some reply -> reply
+    | None -> Readonly.handle_request snap req
+  in
+  (* One cache slot: fetching the two files in turn misses every time. *)
+  let c = Readonly.connect ~cache_objs:1 ~exchange ~pubkey:key.Rabin.pub ~clock () in
+  List.iter (fun h -> ignore (Readonly.fetch c h)) [ h0; h1; h0; h1 ];
+  Testkit.check_alloc_under "fetch miss of 8 KB" ~bound:9_216 (fun () ->
+      ignore (Sys.opaque_identity (Readonly.fetch c h0)));
+  match Readonly.fetch c h1 with
+  | Ro.O_file data -> Testkit.check_string "verified file" (file_8k 1) data
+  | _ -> Alcotest.fail "not a file"
+
+(* Publishing: one encoder marshals every object of a build. *)
+let test_snapshot_alloc () =
+  let key = Lazy.force alloc_key in
+  let clock = Simclock.create () in
+  let now () = Nfs_types.time_of_us (Simclock.now_us clock) in
+  let fs = Memfs.create ~fsid:1 ~now () in
+  for d = 0 to 15 do
+    match Memfs.mkdir fs root_cred ~dir:Memfs.root_id (Printf.sprintf "d%d" d) ~mode:0o755 with
+    | Error _ -> assert false
+    | Ok (dir, _) ->
+        for f = 0 to 63 do
+          write_8k fs ~dir (Printf.sprintf "f%d" f) ((d * 64) + f)
+        done
+  done;
+  let snap = ref None in
+  Testkit.check_alloc_under "snapshot of 1,024 8 KB files" ~bound:(20 * 1024 * 1024) (fun () ->
+      snap := Some (Readonly.snapshot ~key ~now_s:0 fs));
+  match !snap with
+  | Some s -> Testkit.check_int "every object stored" (1024 + 16 + 1) (Readonly.object_count s)
+  | None -> assert false
+
+(* Every client shares a mirror's stored frames, so a corrupting wire
+   must rewrite a copy: after a crowd of corrupted replies, each stored
+   frame still carries the object its key names, byte for byte. *)
+let test_corrupt_replies_leave_store () =
+  let clock, obs, net = mk_world () in
+  let fs, _, _ = mk_tree () in
+  ignore (Simnet.add_host net "pub.test");
+  ignore (Simnet.add_host net "client.test");
+  let key = Rabin.generate ~bits:512 (Prng.create [ "replica-test"; "alias" ]) in
+  let p = Replica.publisher ~obs ~net ~host:"pub.test" ~key ~clock fs in
+  let mirrors =
+    Array.init 2 (fun m ->
+        let name = Printf.sprintf "m%d.test" m in
+        let mi = Replica.mirror ~obs ~clock ~name () in
+        Replica.attach net mi (Simnet.add_host net name);
+        mi)
+  in
+  let snap = Replica.publish p in
+  Testkit.check_int "fan-out clean" 0
+    (Replica.fan_out p [ Replica.target ~addr:"m0.test"; Replica.target ~addr:"m1.test" ]);
+  let objs = List.sort compare (Readonly.fold_store snap (fun h b acc -> (h, b) :: acc) []) in
+  let clients =
+    Array.map
+      (fun mi ->
+        let conn =
+          Simnet.connect net ~from_host:"client.test" ~addr:(Replica.mirror_name mi)
+            ~port:Replica.ro_port ~proto:Sfs_net.Costmodel.Tcp
+        in
+        Readonly.connect ~cache_objs:1 ~exchange:(Simnet.call conn) ~pubkey:key.Rabin.pub ~clock ())
+      mirrors
+  in
+  (* Corrupt every reply, at a different byte each time. *)
+  let k = ref 0 in
+  Simnet.set_injector net
+    (Some
+       {
+         Simnet.inj_message =
+           (fun ~dir ~src:_ ~dst:_ ~size:_ ->
+             incr k;
+             if dir = Simnet.To_client then Simnet.Fault_corrupt (!k * 7919) else Simnet.Fault_pass);
+         inj_host_down = (fun _ -> false);
+         inj_host_epoch = (fun _ -> 0);
+       });
+  let refused = ref 0 in
+  for _ = 1 to 3 do
+    Array.iter
+      (fun c ->
+        List.iter
+          (fun (h, _) ->
+            match Readonly.fetch c h with
+            | _ -> ()
+            | exception Readonly.Verification_failed _ -> incr refused)
+          objs)
+      clients
+  done;
+  Testkit.check_bool "corrupted replies were refused" true (!refused > 0);
+  Simnet.set_injector net None;
+  Array.iter
+    (fun mi ->
+      List.iter
+        (fun (h, bytes) ->
+          let frame = Replica.handle mi (Ro.ro_request_to_string (Ro.Get_obj h)) in
+          Testkit.check_bool "clean Get_obj returns the original bytes" true
+            (frame = Ro.ro_response_to_string (Ro.Obj_is bytes));
+          match Ro.obj_frame_view frame with
+          | Ok v ->
+              Testkit.check_bool "stored frame hashes to its key" true
+                (Sfs_crypto.Sha1.digest (Slice.to_string v) = h)
+          | Error e -> Alcotest.fail e)
+        objs)
+    mirrors
+
 let suite =
   ( "replica",
     [
@@ -293,5 +537,11 @@ let suite =
       Alcotest.test_case "incremental snapshot vs oracle" `Quick test_incremental_snapshot;
       Alcotest.test_case "fan-out delta and evict" `Quick test_fanout_delta_and_evict;
       Alcotest.test_case "refresh skip + rollback refusal" `Quick test_refresh_skip_and_rollback;
+      Alcotest.test_case "read-only reply byte pin" `Quick test_reply_byte_pin;
+      Alcotest.test_case "obj_frame_view errors" `Quick test_obj_frame_view_errors;
+      Alcotest.test_case "mirror Get_obj allocation" `Quick test_mirror_serve_alloc;
+      Alcotest.test_case "fetch miss allocation" `Quick test_fetch_miss_alloc;
+      Alcotest.test_case "snapshot allocation" `Quick test_snapshot_alloc;
+      Alcotest.test_case "corrupt replies leave stored frames" `Quick test_corrupt_replies_leave_store;
     ]
-    @ Testkit.to_alcotest [ prop_flipped_object_bit; prop_flipped_root_bit ] )
+    @ Testkit.to_alcotest [ prop_flipped_object_bit; prop_flipped_root_bit; prop_obj_frame_bytes ] )
