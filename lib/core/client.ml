@@ -58,6 +58,7 @@ type mount = {
   mutable m_session_id : string;
   mutable m_channel : Channel.t;
   mutable m_conn : Simnet.conn;
+  mutable m_hs : string Rpc_mux.t; (* handshakes and read-only fetches on m_conn *)
   m_invalidations : fh list ref;
   mutable m_cache : Cachefs.t option; (* None only during mount setup *)
   mutable m_ops : Fs_intf.ops option; (* cache-wrapped, what users consume *)
@@ -81,7 +82,6 @@ type t = {
   mutable cache_policy : Cachefs.policy;
   rpc_window : int; (* concurrent in-flight calls (1 = fully serial) *)
   readahead : int; (* sequential-read prefetch depth, in blocks *)
-  mux_shared_srv : bool; (* pipelined muxes serialize on the host run queue *)
   obs : Obs.registry option;
 }
 
@@ -89,17 +89,11 @@ type t = {
 let temp_key_bits = 512
 let temp_key_lifetime_us = 3600.0 *. 1_000_000.0
 
-(* Per-RPC recovery budget, including the first transmission. *)
-let rpc_attempts = 8
-
-(* Capped exponential backoff between RPC recovery attempts: the wait
-   before attempt [i+1] is min(base * 2^i, max). *)
-let rpc_backoff_base_us = 50_000.0
-let rpc_backoff_max_us = 1_600_000.0
+(* Per-RPC recovery, counting the first transmission. *)
+let rpc_backoff = { Nfs_client.attempts = 8; base_us = 50_000.0; max_us = 1_600_000.0 }
 
 let create ?temp_key ?(encrypt = true) ?(cache_policy = Cachefs.sfs_policy) ?(rpc_window = 1)
-    ?(readahead = 0) ?(mux_shared_srv = true) ?obs (net : Simnet.t) ~(from_host : string)
-    ~(rng : Prng.t) () : t =
+    ?(readahead = 0) ?obs (net : Simnet.t) ~(from_host : string) ~(rng : Prng.t) () : t =
   {
     net;
     clock = Simnet.clock net;
@@ -115,7 +109,6 @@ let create ?temp_key ?(encrypt = true) ?(cache_policy = Cachefs.sfs_policy) ?(rp
     cache_policy;
     rpc_window = max 1 rpc_window;
     readahead = max 0 readahead;
-    mux_shared_srv;
     obs;
   }
 
@@ -137,11 +130,10 @@ let find_mount (t : t) (path : Pathname.t) : mount option =
 let mounts (t : t) : mount list = Hashtbl.fold (fun _ m acc -> m :: acc) t.mounts []
 
 (* One sealed request/reply exchange on an established channel. *)
-let channel_exchange ~(channel : Channel.t) ~(conn : Simnet.conn) (req : Sfsrw.request) :
+let channel_exchange ~(channel : Channel.t) (hs : string Rpc_mux.t) (req : Sfsrw.request) :
     (Sfsrw.response, string) result =
   let wire = Channel.seal channel (Sfsrw.request_to_string req) in
-  (* sfslint: allow SL010 — authentication exchanges are serial by design *)
-  let reply = Simnet.call conn wire in
+  let reply = Rpc_mux.call hs wire in
   match Channel.open_ channel reply with
   | Ok plain -> Sfsrw.response_of_string plain
   | Error `Mac_mismatch -> Result.Error "mac mismatch"
@@ -149,10 +141,11 @@ let channel_exchange ~(channel : Channel.t) ~(conn : Simnet.conn) (req : Sfsrw.r
 
 (* --- Mounting --- *)
 
-(* Dial the server and run key negotiation; the building block of both
-   the initial mount and every reconnection. *)
+(* Dial the server and run key negotiation over the connection's
+   handshake mux; the building block of both the initial mount and
+   every reconnection. *)
 let dial (t : t) (path : Pathname.t) :
-    (Simnet.conn * Channel.t * string * Rabin.pub, mount_error) result =
+    (Simnet.conn * string Rpc_mux.t * Channel.t * string * Rabin.pub, mount_error) result =
   let location = Pathname.location path in
   match
     Simnet.connect t.net ~from_host:t.from_host ~addr:location ~port:Server.sfs_port
@@ -161,12 +154,11 @@ let dial (t : t) (path : Pathname.t) :
   | exception Simnet.No_route _ -> Error (Host_unreachable location)
   | exception Simnet.Timeout -> Error (Host_unreachable location)
   | conn -> (
+      let hs = Rpc_mux.of_conn t.net ~proto:Costmodel.Tcp conn in
       let extensions = if t.encrypt then [] else [ "no-encrypt" ] in
       match
         Keyneg.client_negotiate ~extensions ~rng:t.rng ~temp_key:(temp_key t) ~location
-          ~hostid:(Pathname.hostid path) ~service:Keyneg.Fs
-          (* sfslint: allow SL010 — key negotiation is a serial handshake *)
-          (fun msg -> Simnet.call conn msg)
+          ~hostid:(Pathname.hostid path) ~service:Keyneg.Fs (Rpc_mux.call hs)
       with
       | exception Keyneg.Host_revoked certificate ->
           Simnet.close conn;
@@ -182,7 +174,7 @@ let dial (t : t) (path : Pathname.t) :
             Channel.create ~encrypt:t.encrypt ~clock:t.clock ?obs:t.obs
               ~label:"client" ~send_key:keys.Keyneg.kcs ~recv_key:keys.Keyneg.ksc ()
           in
-          Ok (conn, channel, keys.Keyneg.session_id, server_pub))
+          Ok (conn, hs, channel, keys.Keyneg.session_id, server_pub))
 
 (* --- User authentication (Figure 4, client and agent side) --- *)
 
@@ -222,7 +214,7 @@ let authenticate ?local_uid (t : t) (m : mount) (agent : Agent.t) : int =
                authentication over a fresh session. *)
             let try_one i msg =
               match
-                channel_exchange ~channel:m.m_channel ~conn:m.m_conn
+                channel_exchange ~channel:m.m_channel m.m_hs
                   (Sfsrw.Auth_req { seqno = base + i; authmsg = Authproto.authmsg_to_string msg })
               with
               | Ok (Sfsrw.Auth_granted { authno; seqno }) when seqno = base + i -> Some authno
@@ -254,8 +246,9 @@ let reconnect (t : t) (m : mount) : (unit, mount_error) result =
   Simnet.close m.m_conn;
   match dial t m.m_path with
   | Error err -> Error err
-  | Ok (conn, channel, session_id, _server_pub) ->
+  | Ok (conn, hs, channel, session_id, _server_pub) ->
       m.m_conn <- conn;
+      m.m_hs <- hs;
       m.m_channel <- channel;
       m.m_session_id <- session_id;
       m.m_seqno <- 1;
@@ -367,15 +360,14 @@ let open_fs_reply ?obs (channel : Channel.t) (invalidations : fh list ref) (repl
 
 (* A mux over the mount's connection.  Its exchanges read m_conn and
    m_channel afresh, so a reconnection swaps them underneath. *)
-let mount_mux ?obs ?precompute ?srv_timeline (t : t) ~(window : int) ~(latency_us : float)
-    ~(op_us : float) (exchange : string -> 'a Rpc_mux.completion) : 'a Rpc_mux.t =
-  Rpc_mux.create ?obs ?precompute ?srv_timeline ~window ~clock:t.clock
+let mount_mux ?obs ?precompute (t : t) ~(window : int) ~(latency_us : float) ~(op_us : float)
+    (exchange : string -> 'a Rpc_mux.completion) : 'a Rpc_mux.t =
+  Rpc_mux.create ?obs ?precompute ~window ~clock:t.clock
     ~wire_us:(Costmodel.transfer_us Costmodel.Tcp)
     ~latency_us ~op_us ~exchange ()
 
-(* A window-1 mux: a private server timeline, no per-reply residual and
-   no keystream donation, so a call costs exactly its wire, server time
-   and [latency_us].  No registry either — its traffic is counted under
+(* A window-1 mux: no per-reply residual and no keystream donation, so
+   a call costs exactly its wire, server time and [latency_us].  No registry either — its traffic is counted under
    net.*, and the op spans carry the critical-path samples. *)
 let window1_mux (t : t) (m : mount) ~(latency_us : float) : string Rpc_mux.t =
   mount_mux t ~window:1 ~latency_us ~op_us:0.0 (fun wire ->
@@ -423,20 +415,8 @@ let attempt (t : t) (m : mount) (mux : string Rpc_mux.t) (os : Obs.open_span)
    byte-identical to the serial client's — while the round trips
    overlap in simulated time. *)
 let read_pipeline (t : t) (m : mount) : Fs_intf.pipeline =
-  (* Fan-in: the mux's server timeline is the serving host's run queue,
-     so several pipelined clients of one server queue behind each
-     other's measured occupancy instead of each assuming an idle
-     server.  (The fleet engine disables this and re-accounts server
-     time itself.) *)
-  let srv_timeline =
-    if t.mux_shared_srv then begin
-      let h = Simnet.conn_host m.m_conn in
-      Some ((fun () -> Simnet.host_timeline h), fun v -> Simnet.set_host_timeline h v)
-    end
-    else None
-  in
   let mux =
-    mount_mux ?obs:t.obs ?srv_timeline t ~window:t.rpc_window
+    mount_mux ?obs:t.obs t ~window:t.rpc_window
       ~latency_us:(Costmodel.rpc_fixed_us Costmodel.Tcp)
       (* Donated idle wire time becomes reply-stream keystream, banked
          ahead of the replies it will decrypt (reads m_channel afresh,
@@ -516,7 +496,7 @@ let mount (t : t) (path : Pathname.t) : (mount, mount_error) result =
         (fun () ->
           match dial t path with
           | Error e -> Error e
-          | Ok (conn, channel, session_id, server_pub) -> (
+          | Ok (conn, hs, channel, session_id, server_pub) -> (
               let m =
                 {
                   m_path = path;
@@ -524,6 +504,7 @@ let mount (t : t) (path : Pathname.t) : (mount, mount_error) result =
                   m_session_id = session_id;
                   m_channel = channel;
                   m_conn = conn;
+                  m_hs = hs;
                   m_invalidations = ref [];
                   m_cache = None;
                   m_ops = None;
@@ -553,46 +534,35 @@ let mount (t : t) (path : Pathname.t) : (mount, mount_error) result =
                   (if proc = Sfsrw.proc_getroot then "getroot" else Nfs_proto.proc_name proc)
                   ^ if async then "/wb" else ""
                 in
-                let rec go (i : int) : string =
-                  (* Per-attempt op span. *)
-                  let os = Obs.span_begin t.obs ~cat:"op" opname in
-                  let req = fs_request m ~cred ~proc ~xid os (fun e -> Xdr.enc_raw e args) in
-                  (* Any transport or channel failure poisons the ARC4
-                     streams; retransmission on the same channel is
-                     useless.  Back off, reconnect, re-issue. *)
-                  let recover (why : string) : string =
-                    Obs.span_end os;
-                    if i + 1 >= rpc_attempts then begin
-                      Obs.incr t.obs "recover.rpc_giveup";
-                      raise (Nfs_client.Rpc_failure why)
-                    end
-                    else begin
-                      Obs.incr t.obs "recover.rpc_retry";
-                      Simclock.advance t.clock
-                        (Float.min
-                           (rpc_backoff_base_us *. float_of_int (1 lsl min i 16))
-                           rpc_backoff_max_us);
-                      (match reconnect t m with
+                Nfs_client.with_backoff ?obs:t.obs ~clock:t.clock rpc_backoff (fun again ->
+                    (* Any transport or channel failure poisons the ARC4
+                       streams; retransmission on the same channel is
+                       useless.  Every later attempt reconnects first. *)
+                    if again then begin
+                      match reconnect t m with
                       | Ok () -> ()
                       | Error (Revoked _ as e) ->
                           Obs.incr t.obs "recover.rpc_giveup";
                           raise (Nfs_client.Rpc_failure (mount_error_to_string e))
-                      | Error _ -> (* still down; next attempt backs off again *) ());
-                      go (i + 1)
-                    end
-                  in
-                  match
-                    attempt t m (if async then write_behind else serial) os ~opname
-                      ~overlapped:async req
-                  with
-                  | results -> results
-                  | exception Simnet.Timeout -> recover "timeout"
-                  | exception Poisoned why -> recover why
-                  | exception (Nfs_client.Rpc_failure _ as e) ->
-                      Obs.span_end os;
-                      raise e
-                in
-                go 0
+                      | Error _ -> (* still down; this attempt fails and backs off again *) ()
+                    end;
+                    (* Per-attempt op span. *)
+                    let os = Obs.span_begin t.obs ~cat:"op" opname in
+                    let req = fs_request m ~cred ~proc ~xid os (fun e -> Xdr.enc_raw e args) in
+                    match
+                      attempt t m (if async then write_behind else serial) os ~opname
+                        ~overlapped:async req
+                    with
+                    | results -> Ok results
+                    | exception Simnet.Timeout ->
+                        Obs.span_end os;
+                        Error "timeout"
+                    | exception Poisoned why ->
+                        Obs.span_end os;
+                        Error why
+                    | exception (Nfs_client.Rpc_failure _ as e) ->
+                        Obs.span_end os;
+                        raise e)
               in
               (* Fetch the encrypted root handle in-band.  Handles are
                  stable across server restarts (Fhcrypt keys derive
@@ -642,8 +612,13 @@ let mount_readonly (t : t) (path : Pathname.t) : (mount, mount_error) result =
         Simnet.connect t.net ~from_host:t.from_host ~addr:location ~port:Server.sfs_port
           ~proto:Costmodel.Tcp
       with
-      | exception Simnet.No_route _ -> Error (Host_unreachable location)
+      | exception (Simnet.No_route _ | Simnet.Timeout) -> Error (Host_unreachable location)
       | conn -> (
+          let hs = Rpc_mux.of_conn t.net ~proto:Costmodel.Tcp conn in
+          let refuse e =
+            Simnet.close conn;
+            Error e
+          in
           (* The connect step still verifies the HostID, but key
              negotiation is skipped for the read-only dialect. *)
           let req =
@@ -655,51 +630,50 @@ let mount_readonly (t : t) (path : Pathname.t) : (mount, mount_error) result =
               extensions = [];
             }
           in
-          (* sfslint: allow SL010 — read-only connect handshake, serial by design *)
-          let res = Simnet.call conn (Xdr.encode Keyneg.enc_connect_req req) in
-          match Xdr.run res Keyneg.dec_connect_res with
-          | Result.Error e -> Error (Negotiation_failed e)
-          | Ok (Keyneg.Connect_error e) -> Error (Negotiation_failed e)
+          match
+            Xdr.run (Rpc_mux.call hs (Xdr.encode Keyneg.enc_connect_req req)) Keyneg.dec_connect_res
+          with
+          | exception Simnet.Timeout -> refuse (Host_unreachable location)
+          | Result.Error e | Ok (Keyneg.Connect_error e) -> refuse (Negotiation_failed e)
           | Ok (Keyneg.Connect_revoked { certificate }) ->
-              Error (Revoked (Revocation.cert_for path certificate))
+              refuse (Revoked (Revocation.cert_for path certificate))
+          | Ok (Keyneg.Connect_ok { pubkey })
+            when not (Sfs_proto.Hostid.check ~location ~pubkey ~hostid:(Pathname.hostid path)) ->
+              refuse (Negotiation_failed "server key does not match HostID")
           | Ok (Keyneg.Connect_ok { pubkey }) -> (
-              if not (Sfs_proto.Hostid.check ~location ~pubkey ~hostid:(Pathname.hostid path)) then
-                Error (Negotiation_failed "server key does not match HostID")
-              else
-                let exchange bytes =
-                  Simclock.advance t.clock Costmodel.userlevel_us_per_side;
-                  (* sfslint: allow SL010 — read-only dialect: every fetch is hash-verified against the previous, so the chain is serial *)
-                  Simnet.call conn bytes
-                in
-                match
-                  Readonly.connect ?obs:t.obs ~exchange ~pubkey ~clock:t.clock ()
-                with
-                | exception Readonly.Verification_failed e -> Error (Negotiation_failed e)
-                | ro ->
-                    let ops = Readonly.ops ro in
-                    let cache = Cachefs.create ?obs:t.obs ~clock:t.clock ~policy:t.cache_policy ops in
-                    let m =
-                      {
-                        m_path = path;
-                        m_server_pub = pubkey;
-                        m_session_id = "";
-                        m_channel =
-                          Channel.create ~encrypt:false ~send_key:(String.make 20 '0')
-                            ~recv_key:(String.make 20 '0') ();
-                        m_conn = conn;
-                        m_invalidations = ref [];
-                        m_cache = Some cache;
-                        m_ops = Some (Cachefs.ops cache);
-                        m_authnos = Hashtbl.create 1;
-                        m_agents = Hashtbl.create 1;
-                        m_seqno = 1;
-                        m_xid = 1;
-                        m_enc = Xdr.make_enc ();
-                        m_readonly = true;
-                      }
-                    in
-                    Hashtbl.replace t.mounts name m;
-                    Ok m)))
+              let exchange bytes =
+                Simclock.advance t.clock Costmodel.userlevel_us_per_side;
+                Rpc_mux.call hs bytes
+              in
+              match Readonly.connect ?obs:t.obs ~exchange ~pubkey ~clock:t.clock () with
+              | exception Readonly.Verification_failed e -> refuse (Negotiation_failed e)
+              | exception Simnet.Timeout -> refuse (Host_unreachable location)
+              | ro ->
+                  let ops = Readonly.ops ro in
+                  let cache = Cachefs.create ?obs:t.obs ~clock:t.clock ~policy:t.cache_policy ops in
+                  let m =
+                    {
+                      m_path = path;
+                      m_server_pub = pubkey;
+                      m_session_id = "";
+                      m_channel =
+                        Channel.create ~encrypt:false ~send_key:(String.make 20 '0')
+                          ~recv_key:(String.make 20 '0') ();
+                      m_conn = conn;
+                      m_hs = hs;
+                      m_invalidations = ref [];
+                      m_cache = Some cache;
+                      m_ops = Some (Cachefs.ops cache);
+                      m_authnos = Hashtbl.create 1;
+                      m_agents = Hashtbl.create 1;
+                      m_seqno = 1;
+                      m_xid = 1;
+                      m_enc = Xdr.make_enc ();
+                      m_readonly = true;
+                    }
+                  in
+                  Hashtbl.replace t.mounts name m;
+                  Ok m)))
 
 let ops (m : mount) : Fs_intf.ops =
   match m.m_ops with Some o -> o | None -> invalid_arg "Client.ops: mount not initialized"

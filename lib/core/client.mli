@@ -29,7 +29,6 @@ val create :
   ?cache_policy:Cachefs.policy ->
   ?rpc_window:int ->
   ?readahead:int ->
-  ?mux_shared_srv:bool ->
   ?obs:Sfs_obs.Obs.registry ->
   Simnet.t ->
   from_host:string ->
@@ -39,9 +38,9 @@ val create :
 (** [~encrypt:false] negotiates the "SFS w/o encryption" dialect;
     [cache_policy] defaults to lease-based SFS caching.  The short-lived
     key K_C (512 bits) regenerates every hour for forward secrecy.
-    Each RPC gets 8 attempts: a timeout or channel failure backs off
-    (capped exponential), reconnects and re-issues, because any loss
-    poisons the ARC4 streams.
+    Each RPC gets 8 attempts through {!Sfs_nfs.Nfs_client.with_backoff} (50 ms
+    base, 1.6 s cap): a timeout or channel failure backs off, reconnects
+    and re-issues, because any loss poisons the ARC4 streams.
 
     File system calls go through {!Sfs_net.Rpc_mux}, which records
     each call's critical-path sample.  Serial calls use a window-1 mux
@@ -55,14 +54,15 @@ val create :
 
     A pre-generated [temp_key] skips the (expensive) per-client key
     generation — fleet simulations share one K_C across thousands of
-    clients; hourly rotation still applies.  [mux_shared_srv] (default
-    true) makes the readahead mux serialize its modeled server
-    occupancy on the serving host's run queue, so concurrent clients of
-    one server contend instead of each assuming an idle server; the
-    fleet engine passes [false] and re-accounts occupancy itself
-    (DESIGN.md §15).  When [obs] is given, automount and authentication
-    spans are recorded, and the mount's channel and cache are
-    instrumented too ([channel.client.*], [cache.*]). *)
+    clients; hourly rotation still applies.  Each mux keeps a private
+    server timeline; the fleet engine re-accounts server occupancy on
+    the host's run queue itself (DESIGN.md §15).  When [obs] is given,
+    automount and authentication spans are recorded, and the mount's
+    channel and cache are instrumented too ([channel.client.*],
+    [cache.*]).
+
+    Key negotiation, authentication and read-only fetches ride one
+    window-1 mux per connection, priced as one serial round trip. *)
 
 val mount : t -> Pathname.t -> (mount, mount_error) result
 (** Dial the Location, negotiate keys, verify the HostID, fetch the
@@ -70,7 +70,9 @@ val mount : t -> Pathname.t -> (mount, mount_error) result
 
 val mount_readonly : t -> Pathname.t -> (mount, mount_error) result
 (** Mount with the signed read-only dialect: no secure channel, every
-    object verified against the hash chain from the signed root. *)
+    object verified against the hash chain from the signed root.  A
+    refused dial, a crash window or a lost message is
+    [Host_unreachable]; every error closes the connection. *)
 
 val find_mount : t -> Pathname.t -> mount option
 val mounts : t -> mount list

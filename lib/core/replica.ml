@@ -29,6 +29,7 @@ module Memfs = Sfs_nfs.Memfs
 module Simnet = Sfs_net.Simnet
 module Simclock = Sfs_net.Simclock
 module Costmodel = Sfs_net.Costmodel
+module Rpc_mux = Sfs_net.Rpc_mux
 module Obs = Sfs_obs.Obs
 module Slice = Sfs_util.Slice
 module Xdr = Sfs_xdr.Xdr
@@ -142,7 +143,7 @@ type publisher = {
 
 type target = {
   t_addr : string;
-  mutable t_conn : Simnet.conn option;
+  mutable t_conn : (Simnet.conn * string Rpc_mux.t) option; (* the push connection and its mux *)
   t_synced : (string, unit) Hashtbl.t;
       (* hashes the mirror acknowledged; confirmed per Put_objs reply,
          so a push that dies mid-stream resumes where it stopped *)
@@ -196,19 +197,20 @@ let publish (p : publisher) : Readonly.snapshot =
    reasonable wire unit and a mid-push crash loses at most a chunk. *)
 let chunk_objs = 64
 
-let conn_of (p : publisher) (t : target) : Simnet.conn =
+let mux_of (p : publisher) (t : target) : string Rpc_mux.t =
   match t.t_conn with
-  | Some c -> c
+  | Some (_, mux) -> mux
   | None ->
       let c =
         Simnet.connect p.p_net ~from_host:p.p_host ~addr:t.t_addr ~port:ro_port
           ~proto:Costmodel.Tcp
       in
-      t.t_conn <- Some c;
-      c
+      let mux = Rpc_mux.of_conn p.p_net ~proto:Costmodel.Tcp c in
+      t.t_conn <- Some (c, mux);
+      mux
 
 let disconnect (t : target) : unit =
-  (match t.t_conn with Some c -> (try Simnet.close c with _ -> ()) | None -> ());
+  (match t.t_conn with Some (c, _) -> (try Simnet.close c with _ -> ()) | None -> ());
   t.t_conn <- None
 
 let drop_conn = disconnect
@@ -227,14 +229,14 @@ let rec chunked (n : int) (xs : 'a list) : 'a list list =
    [t_synced]), then the signed root with an evict list.  Raises on
    transport failure (Timeout / No_route); [fan_out] catches. *)
 let push_target (p : publisher) (snap : Readonly.snapshot) (t : target) : unit =
-  let conn = conn_of p t in
+  let mux = mux_of p t in
   (* One encoder marshals every chunk of this push. *)
   let enc = Xdr.make_enc () in
   let exchange req =
     Simclock.advance p.p_clock Costmodel.userlevel_us_per_side;
     Xdr.reset enc;
     Ro.enc_ro_request enc req;
-    match Ro.ro_response_of_string (Simnet.call conn (Xdr.to_string enc)) with
+    match Ro.ro_response_of_string (Rpc_mux.call mux (Xdr.to_string enc)) with
     | Ok r -> r
     | Result.Error e -> failwith ("replica push: " ^ e)
   in

@@ -17,6 +17,7 @@
 
 module Simnet = Sfs_net.Simnet
 module Costmodel = Sfs_net.Costmodel
+module Rpc_mux = Sfs_net.Rpc_mux
 module Rabin = Sfs_crypto.Rabin
 module Srp = Sfs_crypto.Srp
 module Sha1 = Sfs_crypto.Sha1
@@ -78,15 +79,27 @@ type fetched = {
   private_key : Rabin.priv option;
   session_key : string; (* the SRP session key, for follow-up registration *)
   srp_conn : Simnet.conn;
+  srp_mux : string Rpc_mux.t; (* the one mux over [srp_conn] *)
 }
 
+(* One exchange on the SRP connection; a lost message is [Unreachable]. *)
+let srp_exchange (mux : string Rpc_mux.t) ~(location : string) (req : Authserv.srp_request) :
+    (Authserv.srp_response, error) result =
+  match Rpc_mux.call mux (Xdr.encode Authserv.enc_srp_request req) with
+  | exception Simnet.Timeout -> Error (Unreachable location)
+  | reply -> (
+      match Xdr.run reply Authserv.dec_srp_response with
+      | Ok r -> Ok r
+      | Result.Error e -> Error (Protocol_error e))
+
 let connect_auth_service (net : Simnet.t) ~(from_host : string) ~(location : string) :
-    (Simnet.conn, error) result =
+    (Simnet.conn * string Rpc_mux.t, error) result =
   match
     Simnet.connect net ~from_host ~addr:location ~port:Server.sfs_port ~proto:Costmodel.Tcp
   with
-  | exception Simnet.No_route _ -> Error (Unreachable location)
+  | exception (Simnet.No_route _ | Simnet.Timeout) -> Error (Unreachable location)
   | conn -> (
+      let mux = Rpc_mux.of_conn net ~proto:Costmodel.Tcp conn in
       (* The connect step names the Auth service; the hostid field is
          zero — SRP, not the HostID, authenticates this exchange. *)
       let req =
@@ -98,31 +111,29 @@ let connect_auth_service (net : Simnet.t) ~(from_host : string) ~(location : str
           extensions = [];
         }
       in
-      match Xdr.run (Simnet.call conn (Xdr.encode Keyneg.enc_connect_req req)) Keyneg.dec_connect_res with
-      | Ok (Keyneg.Connect_ok _) -> Ok conn
-      | Ok (Keyneg.Connect_error e) -> Error (Protocol_error e)
-      | Ok (Keyneg.Connect_revoked _) -> Error (Auth_failed "server key revoked")
-      | Result.Error e -> Error (Protocol_error e))
-
-let srp_exchange (conn : Simnet.conn) (req : Authserv.srp_request) :
-    (Authserv.srp_response, error) result =
-  match
-    Xdr.run (Simnet.call conn (Xdr.encode Authserv.enc_srp_request req)) Authserv.dec_srp_response
-  with
-  | Ok r -> Ok r
-  | Result.Error e -> Error (Protocol_error e)
+      let refuse e =
+        Simnet.close conn;
+        Error e
+      in
+      match Rpc_mux.call mux (Xdr.encode Keyneg.enc_connect_req req) with
+      | exception Simnet.Timeout -> refuse (Unreachable location)
+      | reply -> (
+          match Xdr.run reply Keyneg.dec_connect_res with
+          | Ok (Keyneg.Connect_ok _) -> Ok (conn, mux)
+          | Ok (Keyneg.Connect_error e) -> refuse (Protocol_error e)
+          | Ok (Keyneg.Connect_revoked _) -> refuse (Auth_failed "server key revoked")
+          | Result.Error e -> refuse (Protocol_error e)))
 
 let ( let* ) = Result.bind
 
-(* "sfskey add user@location": fetch the self-certifying pathname and
-   private key with nothing but a password. *)
-let fetch (net : Simnet.t) (rng : Prng.t) ~(from_host : string) ~(location : string)
+(* The SRP login over an accepted connection: mutual authentication,
+   then the sealed payload. *)
+let login (rng : Prng.t) (conn : Simnet.conn) (mux : string Rpc_mux.t) ~(location : string)
     ~(user : string) ~(password : string) : (fetched, error) result =
-  let* conn = connect_auth_service net ~from_host ~location in
   let grp = Srp.default_group in
   let client = Srp.client_start grp rng ~user ~password in
   let a_pub = Srp.client_pub client in
-  let* params = srp_exchange conn (Authserv.Srp_hello { user; a_pub }) in
+  let* params = srp_exchange mux ~location (Authserv.Srp_hello { user; a_pub }) in
   match params with
   | Authserv.Srp_failed reason -> Error (Auth_failed reason)
   | Authserv.Srp_registered | Authserv.Srp_server_proof _ -> Error (Protocol_error "unexpected response")
@@ -130,7 +141,7 @@ let fetch (net : Simnet.t) (rng : Prng.t) ~(from_host : string) ~(location : str
       match Srp.client_finish client ~salt ~cost ~b_pub with
       | None -> Error (Auth_failed "degenerate server parameters")
       | Some session -> (
-          let* reply = srp_exchange conn (Authserv.Srp_client_proof session.Srp.proof) in
+          let* reply = srp_exchange mux ~location (Authserv.Srp_client_proof session.Srp.proof) in
           match reply with
           | Authserv.Srp_failed reason -> Error (Auth_failed reason)
           | Authserv.Srp_registered | Authserv.Srp_params _ ->
@@ -154,12 +165,33 @@ let fetch (net : Simnet.t) (rng : Prng.t) ~(from_host : string) ~(location : str
                               Option.bind payload.Authserv.encrypted_key
                                 (decrypt_privkey ~cost ~salt ~user ~password)
                             in
-                            Ok { server_path; private_key; session_key = session.Srp.key; srp_conn = conn })))))
+                            Ok
+                              {
+                                server_path;
+                                private_key;
+                                session_key = session.Srp.key;
+                                srp_conn = conn;
+                                srp_mux = mux;
+                              })))))
+
+(* "sfskey add user@location": fetch the self-certifying pathname and
+   private key with nothing but a password.  A failed login closes the
+   connection. *)
+let fetch (net : Simnet.t) (rng : Prng.t) ~(from_host : string) ~(location : string)
+    ~(user : string) ~(password : string) : (fetched, error) result =
+  let* conn, mux = connect_auth_service net ~from_host ~location in
+  match login rng conn mux ~location ~user ~password with
+  | Ok _ as ok -> ok
+  | Error _ as e ->
+      Simnet.close conn;
+      e
 
 (* Register new key material over an authenticated SRP session. *)
 let register_remote (f : fetched) (reg : Authserv.registration) : (unit, error) result =
   let sealed = Authserv.seal_with f.session_key (Xdr.encode Authserv.enc_registration reg) in
-  let* reply = srp_exchange f.srp_conn (Authserv.Srp_register sealed) in
+  let* reply =
+    srp_exchange f.srp_mux ~location:(Pathname.location f.server_path) (Authserv.Srp_register sealed)
+  in
   match reply with
   | Authserv.Srp_registered -> Ok ()
   | Authserv.Srp_failed reason -> Error (Auth_failed reason)
@@ -171,6 +203,7 @@ let register_remote (f : fetched) (reg : Authserv.registration) : (unit, error) 
 let add (net : Simnet.t) (rng : Prng.t) (agent : Agent.t) ~(from_host : string)
     ~(location : string) ~(user : string) ~(password : string) : (Pathname.t, error) result =
   let* f = fetch net rng ~from_host ~location ~user ~password in
+  Simnet.close f.srp_conn;
   (match f.private_key with Some k -> Agent.add_key agent k | None -> ());
   Agent.add_link agent ~name:location ~target:(Pathname.to_string f.server_path);
   Ok f.server_path

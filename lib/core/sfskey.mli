@@ -36,6 +36,7 @@ type fetched = {
   session_key : string; [@sfs.secret]
       (** for follow-up registration on this session *)
   srp_conn : Simnet.conn;
+  srp_mux : string Sfs_net.Rpc_mux.t;  (** the one mux over [srp_conn] *)
 }
 
 val fetch :
@@ -47,7 +48,9 @@ val fetch :
   password:string ->
   (fetched, error) result
 (** The SRP exchange: mutual authentication from the password alone;
-    the payload arrives sealed under the session key. *)
+    the payload arrives sealed under the session key.  A refused dial,
+    a crash window or a lost message is [Unreachable].  Every error
+    closes the connection; on success the caller owns [srp_conn]. *)
 
 val register_remote : fetched -> Authserv.registration -> (unit, error) result
 (** Change keys / SRP data over an authenticated session ("It allows
@@ -63,5 +66,6 @@ val add :
   user:string ->
   password:string ->
   (Pathname.t, error) result
-(** The complete "sfskey add user@location": fetch, install the key in
-    the agent, link the server under /sfs by its location. *)
+(** The complete "sfskey add user@location": fetch, close the SRP
+    connection, install the key in the agent, link the server under
+    /sfs by its location. *)

@@ -85,29 +85,15 @@ type 'a t = {
   precompute : (budget_us:float -> float) option;
   obs : Obs.registry option;
   mutable up_free_us : float;
-  (* The server timeline may be shared: when several muxes (one per
-     client) target the same host, they serialize through the host's
-     run queue ({!Simnet.host_timeline}) instead of each keeping a
-     private fiction of an idle server.  The default is a private
-     ref, which behaves exactly as the old [srv_free_us] field. *)
-  srv_get : unit -> float;
-  srv_set : float -> unit;
+  mutable srv_free_us : float;
   mutable down_free_us : float;
   mutable last_seen_us : float; (* clock at the previous submit: idle is measured since here *)
   mutable pending : 'a ticket list; (* oldest first; length < window between submits *)
 }
 
-let create ?obs ?precompute ?srv_timeline ~(window : int) ~(clock : Simclock.t)
-    ~(wire_us : int -> float) ~(latency_us : float) ~(op_us : float)
-    ~(exchange : string -> 'a completion) () : 'a t =
+let create ?obs ?precompute ~(window : int) ~(clock : Simclock.t) ~(wire_us : int -> float)
+    ~(latency_us : float) ~(op_us : float) ~(exchange : string -> 'a completion) () : 'a t =
   if window < 1 then invalid_arg "Rpc_mux.create: window < 1";
-  let srv_get, srv_set =
-    match srv_timeline with
-    | Some (get, set) -> (get, set)
-    | None ->
-        let r = ref 0.0 in
-        ((fun () -> !r), fun v -> r := v)
-  in
   {
     window;
     clock;
@@ -118,14 +104,12 @@ let create ?obs ?precompute ?srv_timeline ~(window : int) ~(clock : Simclock.t)
     precompute;
     obs;
     up_free_us = 0.0;
-    srv_get;
-    srv_set;
+    srv_free_us = 0.0;
     down_free_us = 0.0;
     last_seen_us = Simclock.now_us clock;
     pending = [];
   }
 
-let window (t : _ t) : int = t.window
 let in_flight (t : _ t) : int = List.length t.pending
 
 (* Advance the clock to the ticket's ready time and fire its callback
@@ -178,7 +162,7 @@ let submit ?on_complete ?info (t : 'a t) ~(wire_bytes : int) (request : string) 
       end);
   t.last_seen_us <- now;
   if t.up_free_us < now then t.up_free_us <- now;
-  if t.srv_get () < now then t.srv_set now;
+  if t.srv_free_us < now then t.srv_free_us <- now;
   if t.down_free_us < now then t.down_free_us <- now;
   let tk =
     match t.exchange request with
@@ -191,12 +175,11 @@ let submit ?on_complete ?info (t : 'a t) ~(wire_bytes : int) (request : string) 
         let up_queue = t.up_free_us -. now in
         let req_done = t.up_free_us +. t.wire_us wire_bytes in
         t.up_free_us <- req_done;
-        let srv_free = t.srv_get () in
-        let srv_start = if req_done > srv_free then req_done else srv_free in
+        let srv_start = if req_done > t.srv_free_us then req_done else t.srv_free_us in
         (* Precomputed keystream already happened during donated idle
            wire time, so it does not occupy the server timeline again. *)
         let srv_done = srv_start +. c.c_server_us -. c.c_claim_us in
-        t.srv_set srv_done;
+        t.srv_free_us <- srv_done;
         let rep_start = if srv_done > t.down_free_us then srv_done else t.down_free_us in
         let rep_done = rep_start +. t.wire_us c.c_wire_bytes +. t.op_us in
         t.down_free_us <- rep_done;
@@ -267,3 +250,25 @@ let await (t : 'a t) (tk : 'a ticket) : 'a =
   match tk.tk_result with Ok payload -> payload | Error e -> raise e
 
 let drain (t : _ t) : unit = while t.pending <> [] do complete_oldest t done
+
+let call (t : 'a t) (request : string) : 'a =
+  await t (submit t ~wire_bytes:(String.length request) request)
+
+(* A mux over a clear connection, pricing [proto]'s wire.  The exchange
+   runs the full tap / fault / handler path and charges nothing itself.
+   The defaults price one serial round trip: the handshakes' mux. *)
+let of_conn ?obs ?(window = 1) ?latency_us ?(op_us = 0.0) (net : Simnet.t)
+    ~(proto : Costmodel.transport_proto) (conn : Simnet.conn) : string t =
+  let latency_us = Option.value latency_us ~default:(Costmodel.rpc_fixed_us proto) in
+  create ?obs ~window ~clock:(Simnet.clock net) ~wire_us:(Costmodel.transfer_us proto) ~latency_us
+    ~op_us
+    ~exchange:(fun msg ->
+      let reply, server_us = Simnet.call_measured conn msg in
+      {
+        c_payload = reply;
+        c_server_us = server_us;
+        c_wire_bytes = String.length reply;
+        c_crypto_us = 0.0 (* clear transport *);
+        c_claim_us = 0.0;
+      })
+    ()

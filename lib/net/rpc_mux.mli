@@ -58,7 +58,6 @@ type 'a t
 val create :
   ?obs:Sfs_obs.Obs.registry ->
   ?precompute:(budget_us:float -> float) ->
-  ?srv_timeline:(unit -> float) * (float -> unit) ->
   window:int ->
   clock:Simclock.t ->
   wire_us:(int -> float) ->
@@ -78,13 +77,6 @@ val create :
     (use {!Simnet.call_measured}).  When [obs] is given, counters
     [mux.submit], [mux.stall] (window-full forced waits) and [mux.fail]
     are recorded.
-
-    [srv_timeline] is a (get, set) pair for the server-CPU timeline.
-    By default it is a private ref (a lone mux owns its server); wiring
-    it to the serving host's run queue
-    ({!Simnet.host_timeline} / {!Simnet.set_host_timeline}) makes every
-    mux targeting that host serialize its measured server occupancy
-    through one shared timeline — the fleet fan-in model.
 
     [precompute] is the idle-wire donation hook ({!Channel.precompute}):
     at each submit the mux measures how long each wire direction's
@@ -120,5 +112,22 @@ val await : 'a t -> 'a ticket -> 'a
 val drain : _ t -> unit
 (** Force-complete every outstanding ticket in submission order. *)
 
-val window : _ t -> int
+val call : 'a t -> string -> 'a
+[@@sfs.sink "wire"]
+(** {!submit} then {!await}: one exchange priced by the mux. *)
+
+val of_conn :
+  ?obs:Sfs_obs.Obs.registry ->
+  ?window:int ->
+  ?latency_us:float ->
+  ?op_us:float ->
+  Simnet.t ->
+  proto:Costmodel.transport_proto ->
+  Simnet.conn ->
+  string t
+(** A mux over a clear connection, the one way to exchange messages on
+    a {!Simnet.conn}: raw replies, [proto]'s wire.  The defaults
+    ([window] 1, [latency_us] {!Costmodel.rpc_fixed_us}, [op_us] 0)
+    price one serial round trip.  Build one per connection. *)
+
 val in_flight : _ t -> int

@@ -2,8 +2,9 @@
 
    Hosts register services on ports; clients open connections and make
    synchronous request/reply exchanges.  All protocol bytes are real
-   marshaled messages; the wire only adds modeled time (Costmodel) and
-   gives the adversary its hooks.
+   marshaled messages.  An exchange charges nothing here: Rpc_mux
+   prices the wire (Costmodel) around it, and this module gives the
+   adversary its hooks.
 
    The paper's threat model (section 2.1.2) assumes "malicious parties
    entirely control the network": every message passes through an
@@ -63,8 +64,7 @@ type host = {
   services : (int, service) Hashtbl.t;
   (* Per-host run queue: the earliest instant this host's CPU is free.
      The fleet engine serializes overlapped work from thousands of
-     connections through this timeline (Rpc_mux shares it too, via
-     {!host_timeline}/{!set_host_timeline}). *)
+     connections through this timeline ({!host_occupy}). *)
   mutable cpu_free_us : float;
   (* Cumulative simulated time this host's services spent handling
      deliveries (handler charges plus injector delays).  The fleet
@@ -84,7 +84,6 @@ type endpoint_keys = {
   k_rpcs : string;
   k_bytes_out : string;
   k_bytes_in : string;
-  k_rpc_us : string;
   span_args : (string * string) list;
 }
 
@@ -129,8 +128,6 @@ let add_host (t : t) (name : string) : host =
 
 (* --- Per-host run queue and admission --- *)
 
-let host_timeline (h : host) : float = h.cpu_free_us
-let set_host_timeline (h : host) (v : float) : unit = h.cpu_free_us <- v
 let host_served_us (h : host) : float = h.served_us
 let host_active_conns (h : host) : int = h.active_conns
 let set_admission (h : host) (limit : int option) : unit = h.admit_limit <- limit
@@ -190,7 +187,6 @@ let endpoint_keys (t : t) (addr : string) (port : int) : endpoint_keys =
           k_rpcs = base ^ ".rpcs";
           k_bytes_out = base ^ ".bytes_out";
           k_bytes_in = base ^ ".bytes_in";
-          k_rpc_us = base ^ ".rpc_us";
           span_args = [ ("peer", ep) ];
         }
       in
@@ -239,8 +235,6 @@ let connect (t : t) ~(from_host : string) ~(addr : string) ~(port : int) ~(proto
 
 let set_tap (c : conn) (tap : tap option) : unit = c.tap <- tap
 let set_default_tap (t : t) (tap : tap option) : unit = t.default_tap <- tap
-
-let conn_host (c : conn) : host = c.host
 
 let close (c : conn) : unit =
   if not c.closed then begin
@@ -349,57 +343,32 @@ let deliver_reply (c : conn) (reply : string) : string =
           reply
       | Fault_corrupt idx -> corrupt_byte reply idx)
 
-(* The one delivery body: taps, the injector's verdict on both
+(* The one exchange primitive: taps, the injector's verdict on both
    directions and the handler, with the byte counters and the serving
-   host's [served_us].  It runs under [Simclock.absorb], so it charges
-   nothing: the simulated time the server side spent (handler charges
-   plus injector delays) is returned for the caller to account.  A
+   host's [served_us].  The delivery runs under [Simclock.absorb], so it
+   charges nothing: the simulated time the server side spent (handler
+   charges plus injector delays) is returned for Rpc_mux to account.  A
    failed exchange restores the clock and propagates, and the caller's
    backoff prices the loss. *)
-let exchange (c : conn) (request : string) : string * float =
-  let t = c.net in
-  c.rpc_count <- c.rpc_count + 1;
-  c.bytes_sent <- c.bytes_sent + String.length request;
-  Obs.incr t.obs c.keys.k_rpcs;
-  Obs.add t.obs c.keys.k_bytes_out (String.length request);
-  let reply, server_us =
-    Simclock.absorb t.clock (fun () ->
-        let request = apply_tap c To_server request in
-        let reply = deliver c request in
-        let reply = apply_tap c To_client reply in
-        deliver_reply c reply)
-  in
-  c.host.served_us <- c.host.served_us +. server_us;
-  c.bytes_received <- c.bytes_received + String.length reply;
-  Obs.add t.obs c.keys.k_bytes_in (String.length reply);
-  (reply, server_us)
-
-(* A windowed-pipeline exchange (Rpc_mux): the delivery body alone; the
-   dispatcher re-accounts the returned server time under its overlapped
-   time model. *)
 let call_measured (c : conn) (request : string) : string * float =
   check_liveness c;
-  Obs.span ~args:c.keys.span_args c.net.obs ~cat:"net" "rpc_pipe" (fun () -> exchange c request)
-
-(* One serial round trip: the delivery body plus the fixed per-RPC cost
-   and the wire time of both messages.  The request's half is charged
-   before delivery, so the handler runs at the instant the request
-   arrives; a failed exchange rolls that half back too. *)
-let call (c : conn) (request : string) : string =
-  let t = c.net in
-  let send () =
-    Simclock.advance t.clock (Costmodel.rpc_fixed_us c.proto);
-    Simclock.advance t.clock (Costmodel.transfer_us c.proto (String.length request))
-  in
-  check_liveness c;
-  Obs.span ~args:c.keys.span_args t.obs ~cat:"net" "rpc" (fun () ->
-      let start_us = Simclock.now_us t.clock in
-      let (reply, server_us), _ = Simclock.absorb t.clock (fun () -> send (); exchange c request) in
-      send ();
-      Simclock.advance t.clock server_us;
-      Simclock.advance t.clock (Costmodel.transfer_us c.proto (String.length reply));
-      Obs.observe t.obs c.keys.k_rpc_us (int_of_float (Simclock.now_us t.clock -. start_us));
-      reply)
+  Obs.span ~args:c.keys.span_args c.net.obs ~cat:"net" "rpc_pipe" (fun () ->
+      let t = c.net in
+      c.rpc_count <- c.rpc_count + 1;
+      c.bytes_sent <- c.bytes_sent + String.length request;
+      Obs.incr t.obs c.keys.k_rpcs;
+      Obs.add t.obs c.keys.k_bytes_out (String.length request);
+      let reply, server_us =
+        Simclock.absorb t.clock (fun () ->
+            let request = apply_tap c To_server request in
+            let reply = deliver c request in
+            let reply = apply_tap c To_client reply in
+            deliver_reply c reply)
+      in
+      c.host.served_us <- c.host.served_us +. server_us;
+      c.bytes_received <- c.bytes_received + String.length reply;
+      Obs.add t.obs c.keys.k_bytes_in (String.length reply);
+      (reply, server_us))
 
 (* Adversary entry point: deliver a raw message to the server as if it
    came from this connection, without charging the tap. *)

@@ -1,6 +1,7 @@
-(** The simulated internet: hosts, services, synchronous RPC exchanges,
-    and adversary taps with full control of the wire (paper section
-    2.1.2 threat model). *)
+(** The simulated internet: hosts, services, synchronous request/reply
+    deliveries, and adversary taps with full control of the wire (paper
+    section 2.1.2 threat model).  A delivery charges nothing to the
+    clock: every exchange rides an {!Rpc_mux}, which prices it. *)
 
 exception Timeout
 (** An exchange was dropped (by the adversary) or the peer is gone. *)
@@ -58,10 +59,10 @@ val set_injector : t -> injector option -> unit
     must reconnect. *)
 
 val create : ?obs:Sfs_obs.Obs.registry -> Simclock.t -> t
-(** When [obs] is given, every connection records per-peer RPC, byte
-    and modeled-latency metrics under [net.<addr>:<port>.*], plus one
-    span per {!call}/{!call_measured}.  {!inject} (the adversary's raw
-    entry point) is deliberately not instrumented. *)
+(** When [obs] is given, every connection records per-peer RPC and
+    byte counters under [net.<addr>:<port>.*], plus one span per
+    {!call_measured}.  {!inject} (the adversary's raw entry point) is
+    deliberately not instrumented. *)
 
 val clock : t -> Simclock.t
 
@@ -76,12 +77,8 @@ val listen : t -> host -> port:int -> service -> unit
     its CPU is free) and a served-time accumulator (simulated time its
     services spent handling deliveries).  The fleet engine re-accounts
     measured server work through {!host_occupy}, so overlapped requests
-    from thousands of connections serialize on the serving host;
-    {!Rpc_mux} shares the same timeline via {!host_timeline} /
-    {!set_host_timeline}. *)
+    from thousands of connections serialize on the serving host. *)
 
-val host_timeline : host -> float
-val set_host_timeline : host -> float -> unit
 val host_served_us : host -> float
 val host_active_conns : host -> int
 
@@ -103,26 +100,14 @@ val connect :
     @raise Timeout when an armed injector has the host inside a crash
     window, or the host is at its admission limit. *)
 
-val conn_host : conn -> host
-(** The serving host behind this connection. *)
-
-val call : conn -> string -> string
-[@@sfs.sink "wire"]
-(** One serial exchange for the handshakes: the {!call_measured}
-    delivery body plus the fixed per-RPC cost and both messages' wire
-    time, the request's half charged before delivery.
-    @raise Timeout when the adversary or the fault plan loses either
-    message, or the peer is down/restarted (TCP).  A failed exchange
-    charges nothing; the caller's backoff prices the loss. *)
-
 val call_measured : conn -> string -> string * float
 [@@sfs.sink "wire"]
-(** The delivery body ({!Rpc_mux}'s transport): runs the taps, the
-    armed injector's verdict on both directions and the handler, but
-    charges nothing to the clock.  Returns the raw reply and the
-    simulated microseconds the server side spent producing it (handler
-    charges plus injector delays), measured with {!Simclock.absorb}.
-    @raise Timeout as {!call} does; the clock is left unchanged. *)
+(** The one exchange primitive ({!Rpc_mux}'s transport): taps, the
+    injector's verdict on both directions and the handler, charging
+    nothing to the clock.  Returns the raw reply and the simulated
+    microseconds the server side spent on it ({!Simclock.absorb}).
+    @raise Timeout when the adversary or the fault plan loses either
+    message, or the peer is down/restarted (TCP). *)
 
 val inject : conn -> string -> string
 [@@sfs.sink "wire"]

@@ -11,6 +11,7 @@ module Simos = Sfs_os.Simos
 module Simnet = Sfs_net.Simnet
 module Rpc_mux = Sfs_net.Rpc_mux
 module Costmodel = Sfs_net.Costmodel
+module Simclock = Sfs_net.Simclock
 module Xdr = Sfs_xdr.Xdr
 module Sunrpc = Sfs_xdr.Sunrpc
 module Obs = Sfs_obs.Obs
@@ -18,23 +19,29 @@ module Obs = Sfs_obs.Obs
 type transport = string -> string
 (** Sends one marshaled RPC call, returns the marshaled reply. *)
 
-(* Per-call timeout handling: a lost request or reply surfaces as
-   [Simnet.Timeout]; the kernel NFS client's answer is to retransmit
-   the *same* xid after a capped exponential backoff, relying on the
-   server's duplicate request cache to keep retried non-idempotent
-   procedures harmless. *)
-type retry = {
-  r_charge : float -> unit; (* bill the wait to the simulated clock *)
-  r_obs : Obs.registry option;
-}
+exception Rpc_failure of string
 
-let retry_policy ?obs ~(charge : float -> unit) () : retry = { r_charge = charge; r_obs = obs }
+type backoff = { attempts : int; base_us : float; max_us : float }
 
-(* Total attempts, including the first; the backoff before attempt
-   [i + 1] is [min (retry_base_us * 2^i) retry_max_us]. *)
-let retry_attempts = 8
-let retry_base_us = 20_000.
-let retry_max_us = 800_000.
+(* The one retry loop: [Error why] is a transient failure, to back off
+   from or give up on; a permanent one is the attempt's own exception. *)
+let with_backoff ?obs ~(clock : Simclock.t) (b : backoff) (attempt : bool -> ('a, string) result) :
+    'a =
+  let rec go i =
+    match attempt (i > 0) with
+    | Ok v -> v
+    | Error _ when i + 1 < b.attempts ->
+        Obs.incr obs "recover.rpc_retry";
+        Simclock.advance clock (Float.min (b.base_us *. float_of_int (1 lsl min i 16)) b.max_us);
+        go (i + 1)
+    | Error why ->
+        Obs.incr obs "recover.rpc_giveup";
+        raise (Rpc_failure why)
+  in
+  go 0
+
+(* The kernel NFS client's retransmission budget. *)
+let nfs_backoff = { attempts = 8; base_us = 20_000.; max_us = 800_000. }
 
 (* [enc] is the connection's reusable RPC encoder: one buffer serves
    every call this client makes. *)
@@ -43,7 +50,7 @@ type t = {
   mutable xid : int;
   machine : string;
   enc : Xdr.enc;
-  retry : retry option;
+  clock : Simclock.t; (* billed for retransmission backoff *)
   obs : Obs.registry option; (* for the trace-context annex on calls *)
 }
 
@@ -53,12 +60,8 @@ let rpc_auth_of_cred (machine : string) (c : Simos.cred) : Sunrpc.auth_flavor =
     Sunrpc.Auth_unix
       { stamp = 0; machine; uid = c.Simos.cred_uid; gid = c.Simos.cred_gid; gids = c.Simos.cred_groups }
 
-let create ?retry ?obs ~(machine : string) (send : transport) : t =
-  { send; xid = 1; machine; enc = Xdr.make_enc (); retry; obs }
-
-exception Rpc_failure of string
-
-let backoff_us (i : int) : float = Float.min (retry_base_us *. float_of_int (1 lsl min i 16)) retry_max_us
+let create ?obs ~(clock : Simclock.t) ~(machine : string) (send : transport) : t =
+  { send; xid = 1; machine; enc = Xdr.make_enc (); clock; obs }
 
 let next_xid (t : t) : int =
   let xid = t.xid in
@@ -97,12 +100,10 @@ let reply_results ~(xid : int) (reply : string) :
   | Ok (Sunrpc.Call _) -> Error (`Fail "unexpected call")
   | Result.Error e -> Error (`Retry ("unparsable reply: " ^ e))
 
-(* One call: marshal, send, unmarshal, check xid.  With a retry policy,
-   timeouts and garbled replies retransmit the same xid (the server's
-   duplicate request cache absorbs re-executions); RPC-level rejections
-   are hard errors and never retried.  Retransmissions reuse the
-   message verbatim, keeping the byte-comparing duplicate request cache
-   effective. *)
+(* One call: marshal, send, unmarshal, check xid.  Timeouts and
+   garbled replies retransmit the message verbatim under the same xid,
+   keeping the byte-comparing duplicate request cache effective;
+   RPC-level rejections are hard errors and never retried. *)
 let call_raw (t : t) ~(cred : Simos.cred) ~(prog : int) ~(vers : int) ~(proc : int) (args : string) :
     string =
   let xid = next_xid t in
@@ -110,29 +111,14 @@ let call_raw (t : t) ~(cred : Simos.cred) ~(prog : int) ~(vers : int) ~(proc : i
   let msg =
     call_msg ~enc:t.enc ~machine:t.machine ~xid ~ctx:(Obs.current t.obs) ~cred ~prog ~vers ~proc args
   in
-  let attempts = match t.retry with None -> 1 | Some _ -> retry_attempts in
-  let rec attempt (i : int) : string =
-    (* A transient failure: back off and retransmit, or give up. *)
-    let retry_or (why : string) : string =
-      match t.retry with
-      | Some r when i + 1 < attempts ->
-          Obs.incr r.r_obs "recover.rpc_retry";
-          r.r_charge (backoff_us i);
-          attempt (i + 1)
-      | Some r ->
-          Obs.incr r.r_obs "recover.rpc_giveup";
-          raise (Rpc_failure why)
-      | None -> raise (Rpc_failure why)
-    in
-    match t.send msg with
-    | exception Simnet.Timeout -> retry_or "timeout"
-    | reply -> (
-        match reply_results ~xid reply with
-        | Ok results -> results
-        | Error (`Retry why) -> retry_or why
-        | Error (`Fail why) -> raise (Rpc_failure why))
-  in
-  attempt 0
+  with_backoff ?obs:t.obs ~clock:t.clock nfs_backoff (fun _again ->
+      match t.send msg with
+      | exception Simnet.Timeout -> Error "timeout"
+      | reply -> (
+          match reply_results ~xid reply with
+          | Ok results -> Ok results
+          | Error (`Retry why) -> Error why
+          | Error (`Fail why) -> raise (Rpc_failure why)))
 
 (* NFS procedures marshaled over any raw call function; shared with the
    SFS client, whose transport is the secure channel instead of Sun
@@ -217,24 +203,6 @@ let generic_ops (call : raw_call) ~(root : fh) : Fs_intf.ops =
     fs_fsstat = (fun cred h -> nfs_call ~cred ~proc:proc_fsstat enc_fh h (dec_res dec_fsstat_ok));
   }
 
-(* A mux over [conn], pricing [proto]'s wire.  The exchange runs the
-   full tap / fault / handler path and charges nothing itself. *)
-let conn_mux ?obs ~(window : int) ~(latency_us : float) ~(op_us : float) (net : Simnet.t)
-    ~(proto : Costmodel.transport_proto) (conn : Simnet.conn) : string Rpc_mux.t =
-  Rpc_mux.create ?obs ~window ~clock:(Simnet.clock net)
-    ~wire_us:(Costmodel.transfer_us proto)
-    ~latency_us ~op_us
-    ~exchange:(fun msg ->
-      let reply, server_us = Simnet.call_measured conn msg in
-      {
-        Rpc_mux.c_payload = reply;
-        c_server_us = server_us;
-        c_wire_bytes = String.length reply;
-        c_crypto_us = 0.0 (* clear transport *);
-        c_claim_us = 0.0;
-      })
-    ()
-
 (* Ops over a network connection.  Serial calls ride a window-1 mux,
    which prices exactly one round trip.  Async traffic (unstable
    WRITEs) rides a second one, whose latency is [async_floor_us]: the
@@ -245,13 +213,11 @@ let conn_mux ?obs ~(window : int) ~(latency_us : float) ~(op_us : float) (net : 
    spanning multiple TCP segments hit delayed-ACK/Nagle stalls — the
    pathology behind NFS 3 (TCP)'s poor showing on write-heavy
    workloads. *)
-let conn_ops ~(stall : int -> unit) ?retry ?obs (net : Simnet.t)
-    ~(proto : Costmodel.transport_proto) ~(machine : string) (conn : Simnet.conn) ~(root : fh) :
-    Fs_intf.ops =
+let conn_ops ~(stall : int -> unit) ?obs (net : Simnet.t) ~(proto : Costmodel.transport_proto)
+    ~(machine : string) (conn : Simnet.conn) ~(root : fh) : Fs_intf.ops =
   let client latency_us =
-    let mux = conn_mux ~window:1 ~latency_us ~op_us:0.0 net ~proto conn in
-    create ?retry ?obs ~machine (fun msg ->
-        Rpc_mux.await mux (Rpc_mux.submit mux ~wire_bytes:(String.length msg) msg))
+    create ?obs ~clock:(Simnet.clock net) ~machine
+      (Rpc_mux.call (Rpc_mux.of_conn ~latency_us net ~proto conn))
   in
   let sync = client (Costmodel.rpc_fixed_us proto) in
   let async_t = { (client Costmodel.async_floor_us) with xid = 100_000_000 } in
@@ -272,15 +238,14 @@ let conn_pipeline ?obs ~(window : int) ~(depth : int) (net : Simnet.t)
     ~(proto : Costmodel.transport_proto) ~(machine : string) (conn : Simnet.conn) :
     Fs_intf.pipeline =
   let mux =
-    conn_mux ?obs ~window ~latency_us:(Costmodel.rpc_fixed_us proto)
-      ~op_us:Costmodel.pipeline_nfs_op_us net ~proto conn
+    Rpc_mux.of_conn ?obs ~window ~op_us:Costmodel.pipeline_nfs_op_us net ~proto conn
   in
   let enc = Xdr.make_enc () in
   let next_xid = ref 200_000_000 in
   let pl_submit cred h ~off ~count =
     let xid = !next_xid in
     incr next_xid;
-    let t0 = Sfs_net.Simclock.now_us (Simnet.clock net) in
+    let t0 = Simclock.now_us (Simnet.clock net) in
     (* sfslint: allow SL012 — the open span is handed to Rpc_mux.submit via ~info, which closes it at the op's ready time (or at submit time on a failed exchange) *)
     let os = Obs.span_begin obs ~cat:"op" "read" in
     let msg =
@@ -314,13 +279,15 @@ let conn_pipeline ?obs ~(window : int) ~(depth : int) (net : Simnet.t)
 (* Convenience: dial an NFS server over the simulated network and mount
    its export; [window]/[readahead] > trivial also build the pipelined
    read path for the caching layer. *)
-let mount_pipelined ?retry ?obs ?(window = 1) ?(readahead = 0) (net : Simnet.t)
-    ~(from_host : string) ~(addr : string) ~(proto : Costmodel.transport_proto)
-    ~(cred : Simos.cred) : Fs_intf.ops * Fs_intf.pipeline option =
+let mount_pipelined ?obs ?(window = 1) ?(readahead = 0) (net : Simnet.t) ~(from_host : string)
+    ~(addr : string) ~(proto : Costmodel.transport_proto) ~(cred : Simos.cred) :
+    Fs_intf.ops * Fs_intf.pipeline option =
   let conn = Simnet.connect net ~from_host ~addr ~port:2049 ~proto in
   let root =
-    (* sfslint: allow SL010 — the MOUNT handshake is serial by design; data calls ride Rpc_mux *)
-    mount_root (create ?retry ?obs ~machine:from_host (fun bytes -> Simnet.call conn bytes)) ~cred
+    mount_root
+      (create ?obs ~clock:(Simnet.clock net) ~machine:from_host
+         (Rpc_mux.call (Rpc_mux.of_conn net ~proto conn)))
+      ~cred
   in
   let stall =
     match proto with
@@ -328,15 +295,15 @@ let mount_pipelined ?retry ?obs ?(window = 1) ?(readahead = 0) (net : Simnet.t)
     | Costmodel.Tcp ->
         fun bytes ->
           if bytes > Costmodel.mss_bytes then
-            Sfs_net.Simclock.advance (Simnet.clock net) Costmodel.nfs_tcp_stall_us
+            Simclock.advance (Simnet.clock net) Costmodel.nfs_tcp_stall_us
   in
   let pipeline =
     if window > 1 && readahead > 0 then
       Some (conn_pipeline ?obs ~window ~depth:readahead net ~proto ~machine:from_host conn)
     else None
   in
-  (conn_ops ~stall ?retry ?obs net ~proto ~machine:from_host conn ~root, pipeline)
+  (conn_ops ~stall ?obs net ~proto ~machine:from_host conn ~root, pipeline)
 
-let mount ?retry (net : Simnet.t) ~(from_host : string) ~(addr : string)
+let mount (net : Simnet.t) ~(from_host : string) ~(addr : string)
     ~(proto : Costmodel.transport_proto) ~(cred : Simos.cred) : Fs_intf.ops =
-  fst (mount_pipelined ?retry net ~from_host ~addr ~proto ~cred)
+  fst (mount_pipelined net ~from_host ~addr ~proto ~cred)

@@ -8,19 +8,24 @@ module Simnet = Sfs_net.Simnet
 
 exception Rpc_failure of string
 
-type retry
-(** Per-call timeout discipline: a [Simnet.Timeout] (or a garbled
-    reply) retransmits the {e same} xid after a capped exponential
-    backoff, so the server's duplicate request cache keeps retried
-    non-idempotent procedures harmless.  RPC-level rejections are
-    permanent and never retried.  Retries bump [recover.rpc_retry];
-    exhausting the budget bumps [recover.rpc_giveup] and raises
-    {!Rpc_failure}. *)
+type backoff = { attempts : int; base_us : float; max_us : float }
+(** A capped exponential backoff: [attempts] counts the first try, and
+    the wait before attempt [i + 1] is [min (base_us * 2^i) max_us]. *)
 
-val retry_policy : ?obs:Sfs_obs.Obs.registry -> charge:(float -> unit) -> unit -> retry
-(** Eight attempts, counting the first transmission; the backoff
-    before attempt [i + 1] is [min (20 ms * 2^i) 800 ms], billed to the
-    simulated clock via [charge]. *)
+val with_backoff :
+  ?obs:Sfs_obs.Obs.registry ->
+  clock:Sfs_net.Simclock.t ->
+  backoff ->
+  (bool -> ('a, string) result) ->
+  'a
+[@@sfs.declassify "returns the attempt's own reply and raises Rpc_failure with the attempt's own error text; the state the attempt closure captures (a mount's channel) reaches neither, the boundary Rpc_mux.create draws for its exchange closure"]
+(** The one retry loop, shared with the SFS client: [attempt false],
+    then [attempt true] per retry, until one returns [Ok v].  [Error
+    why] bumps [recover.rpc_retry] and charges the backoff to [clock];
+    with [b.attempts] spent it bumps [recover.rpc_giveup] and raises
+    {!Rpc_failure}[ why].  This client retransmits the {e same} xid
+    (8 attempts, 20 ms base, 0.8 s cap) on a timeout or garbled reply,
+    so the server's duplicate request cache absorbs re-executions. *)
 
 type raw_call = cred:Simos.cred -> proc:int -> async:bool -> string -> string
 (** A procedure-level transport.  [async] marks write-behind traffic
@@ -31,7 +36,6 @@ val generic_ops : raw_call -> root:fh -> Fs_intf.ops
     of this client and the SFS client. *)
 
 val mount :
-  ?retry:retry ->
   Simnet.t ->
   from_host:string ->
   addr:string ->
@@ -41,7 +45,6 @@ val mount :
 (** Dial an NFS server on the simulated network and mount its export. *)
 
 val mount_pipelined :
-  ?retry:retry ->
   ?obs:Sfs_obs.Obs.registry ->
   ?window:int ->
   ?readahead:int ->
@@ -53,8 +56,8 @@ val mount_pipelined :
   Fs_intf.ops * Fs_intf.pipeline option
 (** Like {!mount}, but when [window > 1] and [readahead > 0] (defaults
     are the trivial 1/0) also returns the pipelined read path for
-    {!Cachefs.create}'s [pipeline].  Only the MOUNT handshake uses
-    {!Simnet.call}.  Serial calls ride a window-1 {!Sfs_net.Rpc_mux}.
+    {!Cachefs.create}'s [pipeline].  The MOUNT handshake and serial
+    calls ride a window-1 {!Sfs_net.Rpc_mux}, retried by {!with_backoff}.
     Unstable WRITEs ride a second window-1 mux whose latency is
     [Costmodel.async_floor_us], in their own xid space.  Readahead has
     its own windowed mux and xid space. *)

@@ -9,6 +9,7 @@
 module Simclock = Sfs_net.Simclock
 module Simnet = Sfs_net.Simnet
 module Costmodel = Sfs_net.Costmodel
+module Rpc_mux = Sfs_net.Rpc_mux
 module Memfs = Sfs_nfs.Memfs
 module Prng = Sfs_crypto.Prng
 module Rabin = Sfs_crypto.Rabin
@@ -88,7 +89,7 @@ let client_loc (i : int) : string = Printf.sprintf "c%d.ro.client" i
 type rcl = {
   from : string; (* this client's host name *)
   rng : Prng.t;
-  mutable conn : Simnet.conn option;
+  mutable conn : (Simnet.conn * string Rpc_mux.t) option; (* the mirror connection and its mux *)
   mutable mirror : int; (* index of the mirror currently dialed *)
   mutable ro : Core.Readonly.client option; (* survives failover: content addressing *)
   mutable pending : int; (* file index mid-retry, or -1 *)
@@ -160,7 +161,7 @@ let run ?tap (cfg : config) : result =
         })
   in
   let drop_conn (c : rcl) : unit =
-    (match c.conn with Some conn -> (try Simnet.close conn with _ -> ()) | None -> ());
+    (match c.conn with Some (conn, _) -> (try Simnet.close conn with _ -> ()) | None -> ());
     c.conn <- None
   in
   (* Least-loaded failover: re-dial the mirror with the fewest live
@@ -180,10 +181,9 @@ let run ?tap (cfg : config) : result =
   let exchange (c : rcl) (bytes : string) : string =
     match c.conn with
     | None -> raise Simnet.Timeout
-    | Some conn ->
+    | Some (_, mux) ->
         Simclock.advance clock Costmodel.userlevel_us_per_side;
-        (* sfslint: allow SL010 — read-only dialect: every fetch is hash-verified against the previous, so the chain is serial *)
-        Simnet.call conn bytes
+        Rpc_mux.call mux bytes
   in
   (* One flash-crowd read: walk root dir -> subdir -> file through the
      verification cache and check every byte against the published
@@ -224,7 +224,7 @@ let run ?tap (cfg : config) : result =
       Simnet.connect net ~from_host:c.from ~addr:(mirror_loc c.mirror) ~port:Core.Replica.ro_port
         ~proto:Costmodel.Tcp
     in
-    c.conn <- Some conn;
+    c.conn <- Some (conn, Rpc_mux.of_conn net ~proto:Costmodel.Tcp conn);
     (* on a reconnect the root is already verified *)
     if Option.is_none c.ro then
       c.ro <-

@@ -2,10 +2,9 @@
    client connects by mounting (key negotiation), authenticating
    through its agent and resolving its working handles; each op is one
    Cachefs call.  Ops are independent NFS calls, so a failed one is
-   counted and the client moves on.  Pipelined clients keep private mux
-   timelines (~mux_shared_srv:false): absorb does not roll back
-   host-timeline writes, so a mux booking occupancy inside a measured
-   action would double-charge the host the engine re-accounts. *)
+   counted and the client moves on.  A client's muxes keep private
+   server timelines; the engine re-accounts each action's measured
+   server time on the host's run queue ({!Simnet.host_occupy}). *)
 
 module Simnet = Sfs_net.Simnet
 module Simos = Sfs_os.Simos
@@ -186,7 +185,7 @@ let run (cfg : config) : result =
     let from = client_loc i in
     ignore (Simnet.add_host net from);
     let cc =
-      Core.Client.create ~temp_key ~mux_shared_srv:false ~rpc_window:cfg.window
+      Core.Client.create ~temp_key ~rpc_window:cfg.window
         ~readahead:cfg.readahead ~obs net ~from_host:from
         ~rng:(Prng.create [ cfg.seed; "client"; string_of_int i ])
         ()

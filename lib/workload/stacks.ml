@@ -140,12 +140,8 @@ let make ?fault ?(server_disk_params = Diskmodel.default_params) ?(rpc_window = 
       let server = Nfs_server.create ~obs backend in
       Simnet.listen net server_host ~port:2049 (Nfs_server.service server);
       let proto = if stack = Nfs_udp then Costmodel.Udp else Costmodel.Tcp in
-      (* Kernel-NFS retry discipline: same-xid retransmits with capped
-         exponential backoff, billed to the simulated clock.  A no-op
-         on a fault-free network. *)
-      let retry = Nfs_client.retry_policy ~obs ~charge:(Simclock.advance clock) () in
       let ops, pipeline =
-        Nfs_client.mount_pipelined ~retry ~obs ~window:rpc_window ~readahead net
+        Nfs_client.mount_pipelined ~obs ~window:rpc_window ~readahead net
           ~from_host:client_host ~addr:server_location ~proto ~cred:root_cred
       in
       (* Readahead only: kernel NFS write traffic already goes through the

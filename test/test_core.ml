@@ -97,6 +97,7 @@ let test_revocation () =
 type world = {
   clock : Simclock.t;
   net : Simnet.t;
+  host : Simnet.host; (* the server's *)
   server_fs : Memfs.t;
   server : Server.t;
   authserv : Authserv.t;
@@ -146,7 +147,7 @@ let make_world ?(register_alice = true) () =
   let alice_agent = Agent.create ~now_us:(fun () -> Simclock.now_us clock) alice in
   Agent.add_key alice_agent alice_key;
   Vfs.set_agent vfs ~uid:alice.Simos.uid alice_agent;
-  { clock; net; server_fs; server; authserv; client; vfs; alice; alice_agent; alice_key; os }
+  { clock; net; host; server_fs; server; authserv; client; vfs; alice; alice_agent; alice_key; os }
 
 let vok msg = function Ok v -> v | Error e -> Alcotest.fail (msg ^ ": " ^ Vfs.verror_to_string e)
 let vexpect msg = function
@@ -353,6 +354,70 @@ let test_sfskey_agent_integration () =
   vok "write" (Vfs.write_file w.vfs cred "/sfs/server.example.com/home/trip-report" "worked");
   let attr = vok "stat" (Vfs.stat w.vfs cred "/sfs/server.example.com/home/trip-report") in
   Testkit.check_int "authenticated as alice" w.alice.Simos.uid attr.Nfs_types.uid
+
+(* Every handshake error is a typed result that releases its admission
+   slot: a refused dial, a dropped connect, a dropped fetch after it, a
+   HostID mismatch, and sfskey's SRP session once [add] is done. *)
+let test_handshake_errors () =
+  let w = make_world ~register_alice:false () in
+  Sfskey.register_local ~cost:2 w.authserv rng ~user:"alice" ~password:"pw" ~key:w.alice_key;
+  Server.serve_readonly w.server
+    (Readonly.snapshot ~key:(Lazy.force key_a) ~now_s:0 w.server_fs);
+  let path = Server.self_path w.server in
+  let released msg = Testkit.check_int msg 0 (Simnet.host_active_conns w.host) in
+  let ro msg expect =
+    match Client.mount_readonly w.client path with
+    | Error e when expect e -> released msg
+    | Error e -> Alcotest.fail (msg ^ ": " ^ Client.mount_error_to_string e)
+    | Ok _ -> Alcotest.fail (msg ^ ": mounted")
+  in
+  let key msg =
+    match
+      Sfskey.fetch w.net rng ~from_host:"client.example.com" ~location:"server.example.com"
+        ~user:"alice" ~password:"pw"
+    with
+    | Error (Sfskey.Unreachable _) -> released msg
+    | Error e -> Alcotest.fail (msg ^ ": " ^ Sfskey.error_to_string e)
+    | Ok _ -> Alcotest.fail (msg ^ ": fetched")
+  in
+  let unreachable = function Client.Host_unreachable _ -> true | _ -> false in
+  (* Refused at admission. *)
+  Simnet.set_admission w.host (Some 0);
+  ro "ro: refused dial" unreachable;
+  key "sfskey: refused dial";
+  Simnet.set_admission w.host None;
+  (* Drop everything after the first [pass] messages. *)
+  let drop_after pass =
+    let tap = Simnet.passive_tap () in
+    let seen = ref 0 in
+    (tap.Simnet.on_message <- fun _ _ -> incr seen; if !seen > pass then Simnet.Drop else Simnet.Pass);
+    Simnet.set_default_tap w.net (Some tap)
+  in
+  drop_after 0;
+  ro "ro: dropped connect" unreachable;
+  drop_after 0;
+  key "sfskey: dropped connect";
+  drop_after 2;
+  ro "ro: dropped root fetch" unreachable;
+  drop_after 2;
+  key "sfskey: dropped SRP hello";
+  Simnet.set_default_tap w.net None;
+  (* A server whose key does not match the HostID. *)
+  let wrong = Pathname.of_server ~location:"server.example.com" ~pubkey:(Lazy.force key_b).Rabin.pub in
+  (match Client.mount_readonly w.client wrong with
+  | Error (Client.Negotiation_failed _) -> released "ro: HostID mismatch"
+  | Error e -> Alcotest.fail (Client.mount_error_to_string e)
+  | Ok _ -> Alcotest.fail "mounted a mismatched HostID");
+  (match
+     Sfskey.add w.net rng (Agent.create w.alice) ~from_host:"client.example.com"
+       ~location:"server.example.com" ~user:"alice" ~password:"pw"
+   with
+  | Ok _ -> released "sfskey add"
+  | Error e -> Alcotest.fail (Sfskey.error_to_string e));
+  (* The clean read-only mount still works, and holds its one slot. *)
+  (match Client.mount_readonly w.client path with
+  | Ok _ -> Testkit.check_int "ro mount holds a slot" 1 (Simnet.host_active_conns w.host)
+  | Error e -> Alcotest.fail (Client.mount_error_to_string e))
 
 let test_certification_path () =
   let w = make_world () in
@@ -724,7 +789,12 @@ module Sfsrw = Sfs_proto.Sfsrw
 module Nfs_proto = Sfs_nfs.Nfs_proto
 module Xdr = Sfs_xdr.Xdr
 
-type raw_session = { r_conn : Simnet.conn; r_chan : Channel.t; mutable r_xid : int }
+type raw_session = {
+  r_conn : Simnet.conn;
+  r_call : string -> string; (* one mux over r_conn *)
+  r_chan : Channel.t;
+  mutable r_xid : int;
+}
 
 (* A server over a fresh Memfs with a world-writable /pub.  The key is
    drawn before the authserv, which is drawn before the server. *)
@@ -747,12 +817,18 @@ let raw_connect (net : Simnet.t) (rng : Prng.t) ~(temp_key : Rabin.priv) (server
     Simnet.connect net ~from_host:"client.example.com" ~addr:location ~port:Server.sfs_port
       ~proto:Sfs_net.Costmodel.Tcp
   in
+  let call = Testkit.call net conn in
   let r =
     Keyneg.client_negotiate ~rng ~temp_key ~location ~hostid:(Pathname.hostid path)
-      ~service:Keyneg.Fs (Simnet.call conn)
+      ~service:Keyneg.Fs call
   in
   let keys = r.Keyneg.keys in
-  { r_conn = conn; r_chan = Channel.create ~send_key:keys.Keyneg.kcs ~recv_key:keys.Keyneg.ksc (); r_xid = 0 }
+  {
+    r_conn = conn;
+    r_call = call;
+    r_chan = Channel.create ~send_key:keys.Keyneg.kcs ~recv_key:keys.Keyneg.ksc ();
+    r_xid = 0;
+  }
 
 (* The next Fs_call as plaintext, under a fresh xid. *)
 let raw_request (s : raw_session) ~(proc : int) (args : string) : string =
@@ -764,7 +840,7 @@ let raw_open (s : raw_session) (wire : string) : string =
   match Channel.open_ s.r_chan wire with Ok p -> p | Error _ -> Alcotest.fail "reply failed to open"
 
 let raw_exchange (s : raw_session) (plaintext : string) : string =
-  raw_open s (Simnet.call s.r_conn (Channel.seal s.r_chan plaintext))
+  raw_open s (s.r_call (Channel.seal s.r_chan plaintext))
 
 let raw_results (reply : string) : string =
   match Sfsrw.response_of_string reply with
@@ -906,7 +982,9 @@ let test_server_reply_pin () =
   let strict = raw_connect net rng ~temp_key (raw_server ~allow_anonymous:false net rng "strict.example.com") in
   ignore (exchange strict (raw_request strict ~proc:Sfsrw.proc_getroot ""));
   ignore (call strict ~proc:Nfs_proto.proc_getattr Nfs_types.enc_fh root);
-  Testkit.check_string "reply plaintexts" "3e8d00982f968dae3c6021b8dfc4b8df5ec5defb" (hex_digest h)
+  (* Each handler runs when the request is submitted to the session's
+     mux, so the attribute timestamps are those of the submit instants. *)
+  Testkit.check_string "reply plaintexts" "0aefc671d7aee163f41032ccce1002954aee97a8" (hex_digest h)
 
 (* --- Allocation guards --- *)
 
@@ -966,6 +1044,7 @@ let suite =
       Alcotest.test_case "agent revocation/blocking" `Quick test_agent_revocation_and_blocking;
       Alcotest.test_case "sfskey password flow" `Quick test_sfskey_password_flow;
       Alcotest.test_case "sfskey travelling user" `Quick test_sfskey_agent_integration;
+      Alcotest.test_case "handshake errors release their slot" `Quick test_handshake_errors;
       Alcotest.test_case "certification paths" `Quick test_certification_path;
       Alcotest.test_case "PKI gateway" `Quick test_pki_gateway;
       Alcotest.test_case "secure bookmarks" `Quick test_bookmark;

@@ -185,16 +185,22 @@ let test_sl009 () =
     "(* sfslint: allow SL009 — one-time counter names at create *)\nlet f a b = a ^ b"
 
 let test_sl010 () =
-  fires "Simnet.call in the SFS client" ~path:"lib/core/client.ml" ~code:"SL010"
-    {|let f conn wire = Simnet.call conn wire|};
-  fires "fully qualified" ~path:"lib/nfs/nfs_client.ml" ~code:"SL010"
-    {|let f conn wire = Sfs_net.Simnet.call conn wire|};
-  silent "call_measured feeds the mux" ~path:"lib/nfs/nfs_client.ml" ~code:"SL010"
+  fires "call_measured in the replica push" ~path:"lib/core/replica.ml" ~code:"SL010"
     {|let f conn wire = Simnet.call_measured conn wire|};
-  silent "outside the client hot paths" ~path:"lib/core/server.ml" ~code:"SL010"
-    {|let f conn wire = Simnet.call conn wire|};
-  silent "waived setup exchange" ~path:"lib/core/client.ml" ~code:"SL010"
-    "(* sfslint: allow SL010 — key negotiation is a serial handshake *)\nlet f conn wire = Simnet.call conn wire"
+  fires "fully qualified, in a workload" ~path:"lib/workload/flashcrowd.ml" ~code:"SL010"
+    {|let f conn wire = Sfs_net.Simnet.call_measured conn wire|};
+  fires "as a value" ~path:"lib/nfs/nfs_client.ml" ~code:"SL010"
+    {|let f conn = Readonly.connect ~exchange:(Simnet.call_measured conn)|};
+  silent "the mux constructor" ~path:"lib/net/rpc_mux.ml" ~code:"SL010"
+    {|let f conn wire = Simnet.call_measured conn wire|};
+  silent "the SFS client's sealed muxes" ~path:"lib/core/client.ml" ~code:"SL010"
+    {|let f conn wire = Simnet.call_measured conn wire|};
+  silent "priced through a mux" ~path:"lib/core/replica.ml" ~code:"SL010"
+    {|let f mux wire = Rpc_mux.call mux wire|};
+  silent "outside lib/" ~path:"test/test_net.ml" ~code:"SL010"
+    {|let f conn wire = Simnet.call_measured conn wire|};
+  silent "waived" ~path:"lib/core/replica.ml" ~code:"SL010"
+    "(* sfslint: allow SL010 — the caller prices this exchange itself *)\nlet f conn wire = Simnet.call_measured conn wire"
 
 let test_sl000_pragma_hygiene () =
   fires "no codes" ~path:"lib/core/vfs.ml" ~code:"SL000"
@@ -303,7 +309,7 @@ let suite =
       Alcotest.test_case "SL007 interface files" `Quick test_sl007;
       Alcotest.test_case "SL008 stdout silence" `Quick test_sl008;
       Alcotest.test_case "SL009 wire-path string building" `Quick test_sl009;
-      Alcotest.test_case "SL010 blocking call on hot path" `Quick test_sl010;
+      Alcotest.test_case "SL010 unpriced exchange" `Quick test_sl010;
       Alcotest.test_case "SL000 pragma hygiene" `Quick test_sl000_pragma_hygiene;
       Alcotest.test_case "SL011 bare waiver pragma" `Quick test_sl011_bare_waiver;
       Alcotest.test_case "SL012 span bracketing" `Quick test_sl012_span_bracketing;

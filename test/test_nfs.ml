@@ -219,7 +219,7 @@ let test_nfs_garbage_resilience () =
   (* The server must answer something parseable to arbitrary bytes. *)
   let _, net, _, _ = make_network_fs () in
   let conn = Simnet.connect net ~from_host:"x" ~addr:"nfs.example.com" ~port:2049 ~proto:Costmodel.Udp in
-  let reply = Simnet.call conn "total garbage" in
+  let reply = Testkit.call ~proto:Costmodel.Udp net conn "total garbage" in
   match Sfs_xdr.Sunrpc.msg_of_string reply with
   | Ok (Sfs_xdr.Sunrpc.Reply _) -> ()
   | _ -> Alcotest.fail "server crashed on garbage"

@@ -486,7 +486,7 @@ let test_corrupt_replies_leave_store () =
           Simnet.connect net ~from_host:"client.test" ~addr:(Replica.mirror_name mi)
             ~port:Replica.ro_port ~proto:Sfs_net.Costmodel.Tcp
         in
-        Readonly.connect ~cache_objs:1 ~exchange:(Simnet.call conn) ~pubkey:key.Rabin.pub ~clock ())
+        Readonly.connect ~cache_objs:1 ~exchange:(Testkit.call net conn) ~pubkey:key.Rabin.pub ~clock ())
       mirrors
   in
   (* Corrupt every reply, at a different byte each time. *)

@@ -51,3 +51,10 @@ let alloc_bytes (f : unit -> unit) : int =
 let check_alloc_under msg ~(bound : int) (f : unit -> unit) =
   let got = alloc_bytes f in
   if got > bound then Alcotest.failf "%s: allocated %d B, bound %d B" msg got bound
+
+(* One exchange on a raw connection through a window-1 mux, priced as
+   one serial round trip; partially applied, it is one mux per
+   connection. *)
+let call ?(proto = Sfs_net.Costmodel.Tcp) (net : Sfs_net.Simnet.t) (conn : Sfs_net.Simnet.conn) :
+    string -> string =
+  Sfs_net.Rpc_mux.call (Sfs_net.Rpc_mux.of_conn net ~proto conn)

@@ -94,9 +94,9 @@ let rules : rule_info list =
     };
     {
       ri_code = "SL010";
-      ri_title = "blocking Simnet.call on a client hot path";
+      ri_title = "unpriced Simnet.call_measured outside the mux builders";
       ri_hint =
-        "route request/reply traffic through Rpc_mux (Simnet.call_measured) so round trips can overlap; waive with a pragma for setup/auth/recovery exchanges that are serial by design";
+        "Simnet.call_measured charges nothing to the clock; exchange through an Rpc_mux (Rpc_mux.of_conn and Rpc_mux.call), which prices the wire";
     };
     {
       ri_code = "SL011";
@@ -159,13 +159,12 @@ let sl009_applies path =
 let sl009_hot path =
   List.mem path
     [ "lib/crypto/arc4.ml"; "lib/crypto/sha1.ml"; "lib/crypto/mac.ml"; "lib/proto/channel.ml" ]
-(* SL010: the client-side RPC hot paths.  A synchronous [Simnet.call]
-   here serialises the whole round trip; data traffic must go through
-   the windowed dispatcher or the async path.  Setup, key negotiation,
-   authentication and recovery exchanges are inherently serial and
-   carry pragmas. *)
+(* SL010: every exchange is priced by an Rpc_mux.  [Simnet.call_measured]
+   charges nothing, so outside the two places that build mux exchanges
+   (Rpc_mux.of_conn and the SFS client's sealed-channel muxes) a direct
+   call is a round trip the clock never sees. *)
 let sl010_applies path =
-  List.mem path [ "lib/nfs/nfs_client.ml"; "lib/core/client.ml" ]
+  in_lib path && not (List.mem path [ "lib/net/rpc_mux.ml"; "lib/core/client.ml" ])
 
 (* SL013: the audited wire->cache read path.  Within these files, any
    binding that is part of the zero-copy chain — the *_slice codecs and
@@ -528,9 +527,8 @@ let check_ast ~(path : string) ~(enabled : string list) (ast : structure) : diag
        | _ -> ());
     (if sl010_applies path then
        match p with
-       | [ "Simnet"; "call" ] | [ "Sfs_net"; "Simnet"; "call" ] ->
-           add ~loc "SL010"
-             "blocking Simnet.call serialises the round trip on a client hot path"
+       | [ "Simnet"; "call_measured" ] | [ "Sfs_net"; "Simnet"; "call_measured" ] ->
+           add ~loc "SL010" "Simnet.call_measured charges nothing: the exchange goes unpriced"
        | _ -> ());
     (if sl009_applies path then
        match p with
