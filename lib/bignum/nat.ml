@@ -577,8 +577,6 @@ let to_hex (a : t) : string =
     let h = Sfs_util.Hex.encode (to_bytes_be a) in
     if h.[0] = '0' then String.sub h 1 (String.length h - 1) else h
 
-let pp ppf a = Fmt.string ppf (to_hex a)
-
 (* Decimal conversion, for human-facing output and tests. *)
 let to_string (a : t) : string =
   if is_zero a then "0"

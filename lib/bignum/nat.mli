@@ -87,5 +87,3 @@ val of_string : string -> t
 
 val to_string : t -> string
 (** Decimal rendering. *)
-
-val pp : Format.formatter -> t -> unit

@@ -4,9 +4,6 @@
     (returning a uniform value of at most that many bits), keeping this
     library independent of the crypto PRNG built above it. *)
 
-val small_primes : int list
-(** All primes below 1000, used for trial division. *)
-
 val is_probably_prime : ?rounds:int -> rand_bits:(int -> Nat.t) -> Nat.t -> bool
 (** Trial division then [rounds] Miller-Rabin rounds (default 24). *)
 

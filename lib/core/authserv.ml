@@ -53,14 +53,13 @@ type t = {
      against the live record before use, so a stale entry can only
      cost a fallback scan, never a wrong credential. *)
   pub_index : (string, string) Hashtbl.t;
-  srp_group : Srp.group;
   mutable failed_attempts : (string * string) list; (* user, reason — the audit log *)
   obs : Obs.registry option;
 }
 
-let create ?(srp_group = Srp.default_group) ?obs (rng : Prng.t) : t =
+let create ?obs (rng : Prng.t) : t =
   let local = { db_name = "local"; writable = true; public = Hashtbl.create 16; private_ = Hashtbl.create 16 } in
-  { rng; dbs = [ local ]; pub_index = Hashtbl.create 64; srp_group; failed_attempts = []; obs }
+  { rng; dbs = [ local ]; pub_index = Hashtbl.create 64; failed_attempts = []; obs }
 
 let local_db (t : t) : db = List.find (fun db -> db.writable) t.dbs
 
@@ -441,7 +440,7 @@ let srp_connection (t : t) ~(self_cert_path : string) : string -> string =
                 log_failure t ~user "unknown user";
                 respond (Srp_failed "authentication failed")
             | Some v ->
-                let server = Srp.server_start t.srp_group t.rng v in
+                let server = Srp.server_start Srp.default_group t.rng v in
                 state := Awaiting_proof { user; server; a_pub };
                 respond
                   (Srp_params { salt = v.Srp.salt; cost = v.Srp.cost; b_pub = Srp.server_pub server }))
@@ -465,7 +464,7 @@ let srp_connection (t : t) ~(self_cert_path : string) : string -> string =
                   let sealed = seal_with session.Srp.key (Xdr.encode enc_srp_payload payload) in
                   respond
                     (Srp_server_proof
-                       { proof = Srp.server_proof t.srp_group ~a_pub session; sealed })
+                       { proof = Srp.server_proof Srp.default_group ~a_pub session; sealed })
                 end)
         | Authenticated { user; key }, Srp_register sealed -> (
             match open_with key sealed with

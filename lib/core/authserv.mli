@@ -16,7 +16,7 @@ module Xdr = Sfs_xdr.Xdr
 
 type t
 
-val create : ?srp_group:Srp.group -> ?obs:Sfs_obs.Obs.registry -> Prng.t -> t
+val create : ?obs:Sfs_obs.Obs.registry -> Prng.t -> t
 (** When [obs] is given, {!validate} records a span plus
     [auth.validate.ok] / [auth.validate.fail] counters. *)
 
@@ -30,7 +30,6 @@ val register_srp :
   t -> user:string -> Srp.verifier -> encrypted_privkey:string option -> (unit, string) result
 
 val srp_verifier : t -> user:string -> Srp.verifier option
-val encrypted_privkey : t -> user:string -> string option
 
 val register_key_share : t -> user:string -> string -> (unit, string) result
 (** Key-holder service for split-key agents (section 2.5.1): one share
@@ -80,7 +79,6 @@ val import_public_db : t -> name:string -> string -> (unit, string) result
 
 type srp_payload = { self_cert_path : string; encrypted_key : string option }
 
-val enc_srp_payload : Xdr.enc -> srp_payload -> unit
 val dec_srp_payload : Xdr.dec -> srp_payload
 
 type srp_request =
@@ -95,8 +93,6 @@ type srp_response =
   | Srp_failed of string
 
 val enc_srp_request : Xdr.enc -> srp_request -> unit
-val dec_srp_request : Xdr.dec -> srp_request
-val enc_srp_response : Xdr.enc -> srp_response -> unit
 val dec_srp_response : Xdr.dec -> srp_response
 
 type registration = {
@@ -106,7 +102,6 @@ type registration = {
 }
 
 val enc_registration : Xdr.enc -> registration -> unit
-val dec_registration : Xdr.dec -> registration
 
 val seal_with : string -> string -> string
 [@@sfs.declassify "ARC4+HMAC seal under the SRP session key; the sealed payload is wire-safe"]

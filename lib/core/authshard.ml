@@ -56,9 +56,6 @@ let create ?obs (shards : Authserv.t array) : t =
   in
   { shards; ring; k_validate; obs }
 
-let n_shards (t : t) : int = Array.length t.shards
-let shard (t : t) (i : int) : Authserv.t = t.shards.(i)
-
 (* Successor point on the ring (binary search, wrapping past the top). *)
 let shard_for_hash (t : t) (h : int64) : int =
   let n = Array.length t.ring in

@@ -12,9 +12,6 @@ val create : ?obs:Sfs_obs.Obs.registry -> Authserv.t array -> t
     given, each routed validation bumps [authshard.<i>.validate].
     @raise Invalid_argument on an empty shard array. *)
 
-val n_shards : t -> int
-val shard : t -> int -> Authserv.t
-
 val add_user_key : t -> user:string -> cred:Sfs_os.Simos.cred -> Sfs_crypto.Rabin.pub -> int
 (** Register [user] with [cred] and their public key on the owning
     shard; returns the shard index.

@@ -54,7 +54,6 @@ let mount_error_to_string = function
    out — valid across the swap. *)
 type mount = {
   m_path : Pathname.t;
-  m_server_pub : Rabin.pub;
   mutable m_session_id : string;
   mutable m_channel : Channel.t;
   mutable m_conn : Simnet.conn;
@@ -78,7 +77,7 @@ type t = {
   mutable temp_key : Rabin.priv option;
   mutable temp_key_born_us : float;
   mounts : (string, mount) Hashtbl.t; (* by Pathname.to_name *)
-  mutable encrypt : bool; (* ablation switch: "SFS w/o encryption" *)
+  encrypt : bool; (* ablation switch: "SFS w/o encryption" *)
   mutable cache_policy : Cachefs.policy;
   rpc_window : int; (* concurrent in-flight calls (1 = fully serial) *)
   readahead : int; (* sequential-read prefetch depth, in blocks *)
@@ -145,7 +144,7 @@ let channel_exchange ~(channel : Channel.t) (hs : string Rpc_mux.t) (req : Sfsrw
    handshake mux; the building block of both the initial mount and
    every reconnection. *)
 let dial (t : t) (path : Pathname.t) :
-    (Simnet.conn * string Rpc_mux.t * Channel.t * string * Rabin.pub, mount_error) result =
+    (Simnet.conn * string Rpc_mux.t * Channel.t * string, mount_error) result =
   let location = Pathname.location path in
   match
     Simnet.connect t.net ~from_host:t.from_host ~addr:location ~port:Server.sfs_port
@@ -169,12 +168,12 @@ let dial (t : t) (path : Pathname.t) :
       | exception Simnet.Timeout ->
           Simnet.close conn;
           Error (Host_unreachable location)
-      | { Keyneg.keys; server_pub } ->
+      | { Keyneg.keys; _ } ->
           let channel =
             Channel.create ~encrypt:t.encrypt ~clock:t.clock ?obs:t.obs
               ~label:"client" ~send_key:keys.Keyneg.kcs ~recv_key:keys.Keyneg.ksc ()
           in
-          Ok (conn, hs, channel, keys.Keyneg.session_id, server_pub))
+          Ok (conn, hs, channel, keys.Keyneg.session_id))
 
 (* --- User authentication (Figure 4, client and agent side) --- *)
 
@@ -246,7 +245,7 @@ let reconnect (t : t) (m : mount) : (unit, mount_error) result =
   Simnet.close m.m_conn;
   match dial t m.m_path with
   | Error err -> Error err
-  | Ok (conn, hs, channel, session_id, _server_pub) ->
+  | Ok (conn, hs, channel, session_id) ->
       m.m_conn <- conn;
       m.m_hs <- hs;
       m.m_channel <- channel;
@@ -496,11 +495,10 @@ let mount (t : t) (path : Pathname.t) : (mount, mount_error) result =
         (fun () ->
           match dial t path with
           | Error e -> Error e
-          | Ok (conn, hs, channel, session_id, server_pub) -> (
+          | Ok (conn, hs, channel, session_id) -> (
               let m =
                 {
                   m_path = path;
-                  m_server_pub = server_pub;
                   m_session_id = session_id;
                   m_channel = channel;
                   m_conn = conn;
@@ -654,7 +652,6 @@ let mount_readonly (t : t) (path : Pathname.t) : (mount, mount_error) result =
                   let m =
                     {
                       m_path = path;
-                      m_server_pub = pubkey;
                       m_session_id = "";
                       m_channel =
                         Channel.create ~encrypt:false ~send_key:(String.make 20 '0')
@@ -678,8 +675,6 @@ let mount_readonly (t : t) (path : Pathname.t) : (mount, mount_error) result =
 let ops (m : mount) : Fs_intf.ops =
   match m.m_ops with Some o -> o | None -> invalid_arg "Client.ops: mount not initialized"
 
-let path (m : mount) : Pathname.t = m.m_path
-let server_pub (m : mount) : Rabin.pub = m.m_server_pub
 let is_readonly (m : mount) : bool = m.m_readonly
 
 let cache (m : mount) : Cachefs.t =
@@ -692,10 +687,10 @@ let cache (m : mount) : Cachefs.t =
 let pending_invalidations (m : mount) : int = List.length !(m.m_invalidations)
 
 let unmount (t : t) (m : mount) : unit =
-  Simnet.close m.m_conn;
-  Hashtbl.remove t.mounts (Pathname.to_name m.m_path ^ if m.m_readonly then ":ro" else "")
-
-let set_encrypt (t : t) (enabled : bool) : unit = t.encrypt <- enabled
+  Hashtbl.remove t.mounts (Pathname.to_name m.m_path ^ if m.m_readonly then ":ro" else "");
+  Fun.protect
+    ~finally:(fun () -> Simnet.close m.m_conn)
+    (fun () -> Option.iter Cachefs.flush_dirty m.m_cache)
 
 (* Adversary-side helper for the attack demo and tests: deliver raw
    bytes on the mount's connection as a network attacker would

@@ -85,23 +85,14 @@ val authenticate : ?local_uid:int -> t -> mount -> Agent.t -> int
     as the paper's client does when the agent declines; a transport
     fault mid-exchange instead raises [Simnet.Timeout] — the channel is
     poisoned and must be renegotiated, not silently downgraded to
-    anonymous.  The agent is also remembered so that {!reconnect} can
+    anonymous.  The agent is also remembered so that a reconnection can
     re-run authentication against a fresh session. *)
-
-val reconnect : t -> mount -> (unit, mount_error) result
-(** Tear the mount's transport down and renegotiate in place: fresh
-    connection, channel and session id; attribute cache flushed
-    ([recover.cache_flush]); every remembered agent re-authenticated
-    ([recover.reauth]).  Called automatically by the RPC recovery path
-    ([recover.reconnect]); exposed for tests. *)
 
 (** {2 Mount accessors} *)
 
 val ops : mount -> Fs_intf.ops
 (** The cache-wrapped file system interface users consume. *)
 
-val path : mount -> Pathname.t
-val server_pub : mount -> Rabin.pub
 val is_readonly : mount -> bool
 val cache : mount -> Cachefs.t
 
@@ -111,8 +102,8 @@ val pending_invalidations : mount -> int
     reconcile server-sent against client-received counts exactly. *)
 
 val unmount : t -> mount -> unit
-val temp_key : t -> Rabin.priv
-val set_encrypt : t -> bool -> unit
+(** Flush the mount's write-behind data, then close its connection (also
+    when the flush raises) and forget it. *)
 
 val inject_raw : mount -> string -> (string, string) result
 (** Adversary-side helper (attack demo, tests): deliver raw bytes on

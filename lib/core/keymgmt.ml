@@ -22,14 +22,6 @@ let manual_link (vfs : Vfs.t) (cred : Simos.cred) ~(link : string) (path : Pathn
     (unit, Vfs.verror) result =
   Vfs.symlink vfs cred ~target:(Pathname.to_string path) link
 
-(* --- Secure links ---
-
-   A symlink on one SFS file system pointing to the self-certifying
-   pathname of another: following it extends trust from the first
-   server to the second.  Mechanically identical to manual_link, but
-   [link] lives inside /sfs. *)
-let secure_link = manual_link
-
 (* --- Secure bookmarks ---
 
    The 10-line bookmark shell script: creates

@@ -9,12 +9,9 @@ module Rabin = Sfs_crypto.Rabin
 val manual_link :
   Vfs.t -> Simos.cred -> link:string -> Pathname.t -> (unit, Vfs.verror) result
 (** Manual key distribution: a local symlink to a self-certifying
-    pathname. *)
-
-val secure_link :
-  Vfs.t -> Simos.cred -> link:string -> Pathname.t -> (unit, Vfs.verror) result
-(** The same operation with [link] inside another SFS file system:
-    following it extends trust from one server to the next. *)
+    pathname.  With [link] inside another SFS file system it is a
+    secure link: following it extends trust from one server to the
+    next. *)
 
 val bookmark :
   Vfs.t -> Simos.cred -> bookmarks_dir:string -> cwd:string -> (string, Vfs.verror) result

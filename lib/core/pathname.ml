@@ -61,5 +61,3 @@ let of_string (s : string) : (t * string list) option =
 
 let equal (a : t) (b : t) =
   a.location = b.location && Sfs_util.Bytesutil.ct_equal a.hostid b.hostid
-
-let pp ppf (t : t) = Fmt.string ppf (to_string t)

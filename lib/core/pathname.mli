@@ -6,9 +6,6 @@
     with its server; parsing one is SFS's entire key-distribution
     interface. *)
 
-val sfs_root : string
-(** ["/sfs"]. *)
-
 type t
 (** A (Location, HostID) pair. *)
 
@@ -33,4 +30,3 @@ val of_string : string -> (t * string list) option
 (** Parses a full path, returning the remainder components. *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -167,8 +167,6 @@ let pubkey (p : publisher) : Rabin.pub = p.p_key.Rabin.pub
 let current (p : publisher) : Readonly.snapshot option = p.p_snapshot
 let target ~(addr : string) : target =
   { t_addr = addr; t_conn = None; t_synced = Hashtbl.create 256; t_serial = 0 }
-let target_addr (t : target) : string = t.t_addr
-let target_synced (t : target) : int = Hashtbl.length t.t_synced
 
 (* Build the next snapshot incrementally off the previous one and sign
    it: SHA-1 is billed only for content that changed, the Rabin signing

@@ -83,10 +83,6 @@ val pubkey : publisher -> Rabin.pub
 val current : publisher -> Readonly.snapshot option
 
 val target : addr:string -> target
-val target_addr : target -> string
-
-val target_synced : target -> int
-(** Hashes this mirror has acknowledged storing. *)
 
 val disconnect : target -> unit
 (** Drop the push connection (the next fan-out redials). *)

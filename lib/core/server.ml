@@ -466,7 +466,6 @@ let crash_recover (t : t) : unit =
   Obs.incr t.obs "recover.server_restart"
 
 let self_path (t : t) : Pathname.t = t.path
-let public_key (t : t) : Rabin.pub = t.key.Rabin.pub
 let fs_calls (t : t) : int = t.fs_calls
 let invalidations_sent (t : t) : int = Lease.invalidations_sent t.leases
 let drc_entries (t : t) : int = Hashtbl.length t.drc

@@ -50,8 +50,6 @@ val crash_recover : t -> unit
 val self_path : t -> Pathname.t
 (** The server's self-certifying pathname — everything a client needs. *)
 
-val public_key : t -> Rabin.pub
-
 val serve_readonly : t -> Readonly.snapshot -> unit
 (** Also serve this signed snapshot to Fs_readonly connections. *)
 

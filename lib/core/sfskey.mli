@@ -19,9 +19,6 @@ val error_to_string : error -> string
     The key-encryption key is derived independently of the SRP
     verifier, so a stolen verifier does not reveal it. *)
 
-val decrypt_privkey :
-  cost:int -> salt:string -> user:string -> password:string -> string -> Rabin.priv option
-
 (** {2 Registration and retrieval} *)
 
 val register_local :

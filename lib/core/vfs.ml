@@ -65,8 +65,6 @@ let set_agent (t : t) ~(uid : int) (agent : Agent.t) : unit =
 let agent_for (t : t) (cred : Simos.cred) : Agent.t option =
   List.assoc_opt cred.Simos.cred_uid t.agents
 
-let sfscd (t : t) : Client.t option = t.sfscd
-
 (* --- Path utilities --- *)
 
 let split_path (p : string) : (string list, verror) result =
@@ -80,8 +78,6 @@ type pos = { stack : (Fs_intf.ops * fh) list; names : string list }
 
 let top (p : pos) (t : t) : Fs_intf.ops * fh =
   match p.stack with [] -> (t.root_fs, t.root_fs.Fs_intf.fs_root) | x :: _ -> x
-
-let _abs_of (p : pos) : string = "/" ^ String.concat "/" (List.rev p.names)
 
 let record_visit (t : t) (cred : Simos.cred) (name : string) : unit =
   let key = (cred.Simos.cred_uid, name) in
@@ -348,11 +344,6 @@ let unlink (t : t) (cred : Simos.cred) (path : string) : (unit, verror) result =
       let* ops, dir, name = resolve_parent t cred path in
       errno (ops.Fs_intf.fs_remove cred ~dir name))
 
-let rmdir (t : t) (cred : Simos.cred) (path : string) : (unit, verror) result =
-  run (fun () ->
-      let* ops, dir, name = resolve_parent t cred path in
-      errno (ops.Fs_intf.fs_rmdir cred ~dir name))
-
 let rename (t : t) (cred : Simos.cred) ~(src : string) ~(dst : string) : (unit, verror) result =
   run (fun () ->
       let* _, from_dir, from_name = resolve_parent t cred src in
@@ -366,11 +357,6 @@ let chmod (t : t) (cred : Simos.cred) (path : string) (mode : int) : (unit, verr
   run (fun () ->
       let* ops, fh = resolve t cred path in
       ignore (errno (ops.Fs_intf.fs_setattr cred fh { sattr_empty with set_mode = Some mode })))
-
-let truncate (t : t) (cred : Simos.cred) (path : string) (size : int) : (unit, verror) result =
-  run (fun () ->
-      let* ops, fh = resolve t cred path in
-      ignore (errno (ops.Fs_intf.fs_setattr cred fh { sattr_empty with set_size = Some size })))
 
 let readdir (t : t) (cred : Simos.cred) (path : string) : (string list, verror) result =
   run (fun () ->

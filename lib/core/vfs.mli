@@ -31,16 +31,12 @@ val set_agent : t -> uid:int -> Agent.t -> unit
 (** Each user runs the agent of their choice; registering the same
     agent under uid 0 models the ssu utility. *)
 
-val agent_for : t -> Simos.cred -> Agent.t option
-val sfscd : t -> Client.t option
-
 (** {2 Path operations}
 
     All paths are absolute; symbolic links (including agent-created
     ones and secure links back into /sfs) are followed up to a bound. *)
 
 val resolve : t -> Simos.cred -> string -> (Fs_intf.ops * fh, verror) result
-val resolve_parent : t -> Simos.cred -> string -> (Fs_intf.ops * fh * string, verror) result
 
 val stat : t -> Simos.cred -> string -> (fattr, verror) result
 val lstat : t -> Simos.cred -> string -> (fattr, verror) result
@@ -58,10 +54,8 @@ val mkdir : t -> Simos.cred -> ?mode:int -> string -> (unit, verror) result
 val symlink : t -> Simos.cred -> target:string -> string -> (unit, verror) result
 val readlink : t -> Simos.cred -> string -> (string, verror) result
 val unlink : t -> Simos.cred -> string -> (unit, verror) result
-val rmdir : t -> Simos.cred -> string -> (unit, verror) result
 val rename : t -> Simos.cred -> src:string -> dst:string -> (unit, verror) result
 val chmod : t -> Simos.cred -> string -> int -> (unit, verror) result
-val truncate : t -> Simos.cred -> string -> int -> (unit, verror) result
 
 val readdir : t -> Simos.cred -> string -> (string list, verror) result
 (** Listing /sfs shows only the calling user's visited pathnames and

@@ -120,8 +120,6 @@ let create (key : string) : t =
   expand_key st ~salt:zero_salt ~key;
   st
 
-let block_size = 8
-
 let crypt_block (f : t -> Bytes.t -> int -> unit) (name : string) (st : t) (block : string) : string =
   if String.length block <> 8 then invalid_arg name;
   let b = Bytes.of_string block in

@@ -8,8 +8,6 @@ val create : string -> t
 (** [create key] runs the standard key schedule; [key] must be 1..56
     bytes (SFS uses 20). *)
 
-val block_size : int
-
 val encrypt_block : t -> string -> string
 val decrypt_block : t -> string -> string
 (** Single 8-byte blocks. @raise Invalid_argument on other lengths. *)

@@ -41,8 +41,3 @@ let hash ~(cost : int) ~(salt : string) (password : string) : string =
   String.concat "" !blocks
 
 let hash_size = String.length magic
-
-(* Derive a salt deterministically from public, per-user data so clients
-   and servers agree without an extra round trip. *)
-let salt_of_user ~(server : string) ~(user : string) : string =
-  String.sub (Sha1.digest_list [ "eksblowfish-salt"; server; ":"; user ]) 0 16

@@ -3,16 +3,8 @@
     encryption so off-line guessing stays expensive as hardware improves
     (paper section 2.5.2). *)
 
-val setup : cost:int -> salt:string -> key:string -> Blowfish.state
-(** The expensive key schedule: [2^cost] extra expansion rounds.
-    @raise Invalid_argument unless [0 <= cost <= 31], the salt is 16
-    bytes and the key nonempty. *)
-
 val hash : cost:int -> salt:string -> string -> string
 (** 24-byte password hash (bcrypt's construction: the eksblowfish state
     encrypts a fixed magic value 64 times). *)
 
 val hash_size : int
-
-val salt_of_user : server:string -> user:string -> string
-(** Deterministic 16-byte per-user salt from public data. *)

@@ -14,8 +14,6 @@ val generate : ?bits:int -> Prng.t -> priv
 (** [generate ~bits rng] draws [p ≡ 3 (mod 8)], [q ≡ 7 (mod 8)] of
     [bits/2] bits each.  Default 1024-bit modulus; tests use smaller. *)
 
-val modulus_bytes : pub -> int
-
 val pub_to_string : pub -> string
 (** Canonical encoding, the [PublicKey] bytes hashed into HostIDs. *)
 

@@ -21,10 +21,10 @@ type verifier = { user : string; salt : string; v : Nat.t [@sfs.secret]; cost : 
 
 val make_verifier : ?cost:int -> group -> Prng.t -> user:string -> password:string -> verifier
 
+(* sfslint: allow SL014 — sfstaint reads secret sources from interfaces only, and this marks the password-derived exponent *)
 val private_key : cost:int -> salt:string -> user:string -> password:string -> Nat.t
 [@@sfs.secret]
-(** x = H(salt ∥ eksblowfish(cost, user ∥ password)); also used to
-    derive the key that encrypts a user's registered private key. *)
+(** x = H(salt ∥ eksblowfish(cost, user ∥ password)). *)
 
 type client
 type server

@@ -1,6 +1,7 @@
 (* Timing constants for the simulated substrate.  Each constant's anchor
    (a Figure 5 number, a pinned measured ratio, or "hand-set") is in the
-   interface.  In outline:
+   interface, beside the constant or the function that charges it.  In
+   outline:
 
    - a null NFS 3 RPC costs 200 us over UDP, 220 us over TCP;
    - SFS's user-level implementation adds 550 us per RPC (770 - 220),

@@ -6,38 +6,10 @@
 
 type transport_proto = Udp | Tcp
 
-val udp_rpc_us : float
-(** 200 µs: the Fig. 5 null NFS 3 RPC latency over UDP. *)
-
-val tcp_rpc_us : float
-(** 220 µs: the Fig. 5 null NFS 3 RPC latency over TCP. *)
-
-val udp_bytes_per_us : float
-(** 12 B/µs: raw wire bandwidth behind Fig. 5's 9.3 MB/s 8 KB NFS 3
-    reads over UDP. *)
-
-val tcp_bytes_per_us : float
-(** 9.55 B/µs: the same behind Fig. 5's 7.6 MB/s over TCP (FreeBSD's
-    TCP NFS was suboptimal). *)
-
 val userlevel_us_per_side : float
 (** 275 µs: the kernel/user crossing per RPC per daemon.  Fig. 5's SFS
     without encryption reads 770 µs against TCP's 220; the 550 µs
     difference splits evenly between client and server daemons. *)
-
-val crypto_us_per_byte : float
-(** 0.128 µs/B: ARC4 + SHA-1 MAC, charged once per message at the
-    sender (the receiver's decrypt overlaps the sender's next encrypt).
-    Chosen to reproduce Fig. 5's 4.1 MB/s encrypted SFS throughput.
-    No client configuration in this repo reads 4.1 MB/s today: fig5's
-    SFS row is 7.868 MB/s, because of window-16 readahead and idle-time
-    keystream (DESIGN §11, §14).  Which client the calibration targeted
-    is open (ROADMAP, "A paper-fidelity table"). *)
-
-val crypto_us_per_msg : float
-(** 10 µs: fixed MAC/rekey cost per sealed message.  Fig. 5's SFS null
-    RPC reads 790 µs against 770 without encryption: 20 µs for the two
-    sealed messages of one round trip. *)
 
 val async_floor_us : float
 (** 50 µs: latency of the write-behind mux, the part of a round trip a
@@ -72,10 +44,10 @@ val pipeline_sfs_op_us : float
     {!copy_bytes_per_us} ≈ 20 µs. *)
 
 val keystream_us_per_byte : float
-(** 0.054 µs/B: of {!crypto_us_per_byte}, the data-independent ARC4
-    keystream share — the part {!Channel.precompute} may bill to idle
-    wire time; the MAC share and {!crypto_us_per_msg} stay with the
-    message.  The value is pinned at 42% of 0.128, the real-CPU split
+(** 0.054 µs/B: of {!crypto_us}'s 0.128 µs/B, the data-independent
+    ARC4 keystream share — the part {!Channel.precompute} may bill to
+    idle wire time; the MAC share and the fixed per-message cost stay
+    with the message.  The value is pinned at 42% of 0.128, the real-CPU split
     of one past measurement (arc4-8k 24.9 µs vs hmac-sha1-8k 34.2 µs).
     It does not follow the host: the committed crypto row reads 26.5 µs
     vs 45.5 µs, a 37/63 split. *)
@@ -102,12 +74,25 @@ val copy_bytes_per_us : float
     Estimated. *)
 
 val rpc_fixed_us : transport_proto -> float
+(** The Fig. 5 null NFS 3 RPC latency: 200 µs over UDP, 220 µs over TCP. *)
 
 val transfer_us : transport_proto -> int -> float
-(** Wire time of one message beyond the fixed per-RPC cost. *)
+(** Wire time of one message beyond the fixed per-RPC cost, at the raw
+    bandwidth behind Fig. 5's 8 KB NFS 3 reads: 12 B/µs over UDP
+    (9.3 MB/s), 9.55 B/µs over TCP (7.6 MB/s; FreeBSD's TCP NFS was
+    suboptimal). *)
 
 val crypto_us : int -> float
-(** Encryption/MAC time for one sealed message of the given size. *)
+(** Encryption/MAC time for one sealed message of the given size: a
+    10 µs MAC/rekey cost plus 0.128 µs/B of ARC4 + SHA-1 MAC, charged
+    once at the sender (the receiver's decrypt overlaps the sender's
+    next encrypt).  Fig. 5's SFS null RPC reads 790 µs against 770
+    without encryption: 20 µs for the two sealed messages of one round
+    trip.  The per-byte rate reproduces Fig. 5's 4.1 MB/s encrypted SFS
+    throughput, which no client configuration here reads today: fig5's
+    SFS row is 7.868 MB/s, because of window-16 readahead and idle-time
+    keystream (DESIGN §11, §14).  Which client the calibration targeted
+    is open (ROADMAP, "A paper-fidelity table"). *)
 
 val keystream_us : int -> float
 (** The precomputable (data-independent keystream) slice of

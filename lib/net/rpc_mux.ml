@@ -71,8 +71,6 @@ type call_info = {
 type 'a ticket = {
   tk_ready_us : float;
   tk_result : ('a, exn) result;
-  tk_on_complete : (('a, exn) result -> unit) option;
-  mutable tk_done : bool; (* completion callback fired *)
 }
 
 type 'a t = {
@@ -112,17 +110,13 @@ let create ?obs ?precompute ~(window : int) ~(clock : Simclock.t) ~(wire_us : in
 
 let in_flight (t : _ t) : int = List.length t.pending
 
-(* Advance the clock to the ticket's ready time and fire its callback
-   (once).  Completion order is submission order for forced completions;
-   await may complete a younger ticket first, which is exactly the
-   out-of-order reply consumption the xid demux allows. *)
+(* Advance the clock to the ticket's ready time.  Completion order is
+   submission order for forced completions; await may complete a younger
+   ticket first, which is exactly the out-of-order reply consumption the
+   xid demux allows. *)
 let finish (t : 'a t) (tk : 'a ticket) : unit =
   let now = Simclock.now_us t.clock in
-  if tk.tk_ready_us > now then Simclock.advance t.clock (tk.tk_ready_us -. now);
-  if not tk.tk_done then begin
-    tk.tk_done <- true;
-    match tk.tk_on_complete with None -> () | Some f -> f tk.tk_result
-  end
+  if tk.tk_ready_us > now then Simclock.advance t.clock (tk.tk_ready_us -. now)
 
 let complete_oldest (t : _ t) : unit =
   match t.pending with
@@ -131,7 +125,7 @@ let complete_oldest (t : _ t) : unit =
       t.pending <- rest;
       finish t tk
 
-let submit ?on_complete ?info (t : 'a t) ~(wire_bytes : int) (request : string) : 'a ticket =
+let submit ?info (t : 'a t) ~(wire_bytes : int) (request : string) : 'a ticket =
   let enter = Simclock.now_us t.clock in
   (* Window enforcement: a full window means the client blocks until the
      oldest outstanding reply arrives before it may send again. *)
@@ -225,12 +219,7 @@ let submit ?on_complete ?info (t : 'a t) ~(wire_bytes : int) (request : string) 
                 cp_crypto_up_ctr = ci.ci_crypto_up_ctr;
                 cp_crypto_down_ctr = int_of_float c.c_crypto_us;
               });
-        {
-          tk_ready_us = ready;
-          tk_result = Ok c.c_payload;
-          tk_on_complete = on_complete;
-          tk_done = false;
-        }
+        { tk_ready_us = ready; tk_result = Ok c.c_payload }
     | exception e ->
         (* The exchange charged nothing (Simnet.call_measured restores
            the clock); the failure is observed when awaited.  No
@@ -239,7 +228,7 @@ let submit ?on_complete ?info (t : 'a t) ~(wire_bytes : int) (request : string) 
            the trace). *)
         Obs.incr t.obs "mux.fail";
         (match info with None -> () | Some ci -> Obs.span_end ci.ci_span);
-        { tk_ready_us = now; tk_result = Error e; tk_on_complete = on_complete; tk_done = false }
+        { tk_ready_us = now; tk_result = Error e }
   in
   t.pending <- t.pending @ [ tk ];
   tk

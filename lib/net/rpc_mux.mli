@@ -87,7 +87,6 @@ val create :
     @raise Invalid_argument if [window < 1]. *)
 
 val submit :
-  ?on_complete:(('a, exn) result -> unit) ->
   ?info:call_info ->
   'a t ->
   wire_bytes:int ->
@@ -98,8 +97,7 @@ val submit :
     the oldest outstanding reply's ready time (completing it).  The
     exchange itself runs now, in submission order; a raised exception is
     captured in the ticket and re-raised at {!await}.  [wire_bytes] is
-    the request's on-the-wire length.  [on_complete] fires exactly once,
-    when the ticket completes (forced or awaited).  With [?info], the
+    the request's on-the-wire length.  With [?info], the
     mux records in [ci_span]'s registry an {!Sfs_obs.Obs.cp_sample}
     decomposing the op's wall time (submit begin to reply ready) into
     additive segments, and closes [ci_span] at the ready time. *)

@@ -21,9 +21,6 @@ val create : ?fsid:int -> now:(unit -> nfstime) -> unit -> t
 val set_read_only : t -> bool -> unit
 (** A read-only file system fails all mutations with [NFS3ERR_ROFS]. *)
 
-val nobody_uid : int
-(** Anonymous creations are owned by "nobody" (65534). *)
-
 (** {2 Reads} *)
 
 val getattr : t -> int -> fattr res

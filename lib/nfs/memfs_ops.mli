@@ -2,10 +2,4 @@
     model.  This is both the "Local" benchmark stack (FreeBSD FFS in
     the paper) and the storage behind NFS and SFS servers. *)
 
-val fh_of_id : int -> Nfs_types.fh
-(** File handles are the decimal inode number — fine locally; the
-    network server layer wraps them in opaque protected handles. *)
-
-val id_of_fh : Nfs_types.fh -> int Nfs_types.res
-
 val make : fs:Memfs.t -> disk:Diskmodel.t -> Fs_intf.ops

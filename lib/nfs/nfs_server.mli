@@ -9,8 +9,6 @@ val create : ?fh_prefix:string -> ?obs:Sfs_obs.Obs.registry -> Fs_intf.ops -> t
 (** When [obs] is given, every dispatched procedure records a span plus
     [nfs.calls] and [nfs.op.<name>] counters. *)
 
-val root_fh : t -> Nfs_types.fh
-
 val dispatch_into : t -> Sfs_os.Simos.cred -> int -> string -> Sfs_xdr.Xdr.enc -> bool
 (** [dispatch_into t cred proc args e] runs one procedure on marshaled
     arguments and marshals its results onto [e] in place; [false], with
@@ -18,14 +16,6 @@ val dispatch_into : t -> Sfs_os.Simos.cred -> int -> string -> Sfs_xdr.Xdr.enc -
     entry point the SFS server uses (with its own credential mapping
     and handle translation around it), writing straight into its reply
     encoder. *)
-
-val dispatch : t -> Sfs_os.Simos.cred -> int -> string -> string option
-(** {!dispatch_into} on a reusable encoder, copied out once; [None] for
-    [false]. *)
-
-val handle_message : t -> string -> string
-(** One marshaled Sun RPC call (NFS or MOUNT program) to one marshaled
-    reply; never raises on garbage input. *)
 
 val service : t -> Sfs_net.Simnet.service
 (** Expose on a network port (2049 by convention). *)

@@ -94,8 +94,6 @@ let status_to_string = function
 
 exception Nfs_error of nfsstat
 
-let fail (s : nfsstat) : 'a = raise (Nfs_error s)
-
 type 'a res = ('a, nfsstat) result
 
 (* File handles: opaque strings, at most 64 bytes in NFS 3.  SFS

@@ -28,17 +28,9 @@ type nfsstat =
   | NFS3ERR_NOTSUPP
   | NFS3ERR_SERVERFAULT
 
-val status_code : nfsstat -> int
-
-val status_of_code : int -> nfsstat
-(** @raise Sfs_xdr.Xdr.Error on unknown codes (wire decode path). *)
-
 val status_to_string : nfsstat -> string
 
 exception Nfs_error of nfsstat
-
-val fail : nfsstat -> 'a
-(** [fail s] raises {!Nfs_error}; server loops catch it. *)
 
 type 'a res = ('a, nfsstat) result
 
@@ -99,8 +91,6 @@ type dirent = { d_fileid : int; d_name : string; d_fh : fh; d_attr : fattr }
 
 (** {2 XDR codecs} *)
 
-val enc_ftype : Sfs_xdr.Xdr.enc -> ftype -> unit
-val dec_ftype : Sfs_xdr.Xdr.dec -> ftype
 val enc_status : Sfs_xdr.Xdr.enc -> nfsstat -> unit
 val dec_status : Sfs_xdr.Xdr.dec -> nfsstat
 val enc_fh : Sfs_xdr.Xdr.enc -> fh -> unit

@@ -1,5 +1,5 @@
-(* Deterministic observability: spans, counters and histograms keyed to
-   the simulated clock.
+(* Deterministic observability: spans and counters keyed to the
+   simulated clock.
 
    Everything here is driven by a [now_us] closure supplied at registry
    creation time — in practice [Sfs_net.Simclock.now_us] — never the
@@ -9,16 +9,8 @@
    mutable state and no global default registry.
 
    Instrumentation sites receive a [registry option] so that a stack
-   built without observability pays nothing but an option test.  All
-   histogram observations are integers (microseconds or bytes, rounded
-   by the caller) so that merging histograms is exactly associative and
-   commutative — a property the test suite checks. *)
-
-type histogram = {
-  mutable h_count : int;
-  mutable h_sum : int;
-  h_buckets : int array; (* indexed by bit-count of the observed value *)
-}
+   built without observability pays nothing but an option test.
+   Quantiles are Sketch's job. *)
 
 type span = {
   sp_name : string;
@@ -78,7 +70,6 @@ type registry = {
   mutable dropped_spans : int;
   mutable depth : int;
   counters : (string, int ref) Hashtbl.t;
-  histos : (string, histogram) Hashtbl.t;
   (* trace ids are plain counters — deterministic by construction, and
      never derived from key material or the Prng *)
   mutable next_span : int;
@@ -99,7 +90,6 @@ let create ?(max_spans = 200_000) ~(now_us : unit -> float) () : registry =
     dropped_spans = 0;
     depth = 0;
     counters = Hashtbl.create 64;
-    histos = Hashtbl.create 16;
     next_span = 1;
     next_trace = 1;
     ctx_stack = [];
@@ -108,8 +98,6 @@ let create ?(max_spans = 200_000) ~(now_us : unit -> float) () : registry =
     cp_count = 0;
     dropped_cps = 0;
   }
-
-let now_us (r : registry) : float = r.now_us ()
 
 (* -- counters -------------------------------------------------------- *)
 
@@ -125,41 +113,6 @@ let incr (r : registry option) (name : string) : unit = add r name 1
 
 let counter (r : registry) (name : string) : int =
   match Hashtbl.find_opt r.counters name with Some c -> !c | None -> 0
-
-(* -- histograms ------------------------------------------------------ *)
-
-let buckets = 64
-
-(* Bucket index = number of significant bits of the value: 0 for v <= 0,
-   1 for 1, 2 for 2..3, 3 for 4..7, ... capped at 63.  Cheap, total, and
-   stable across platforms. *)
-let bucket_of (v : int) : int =
-  if v <= 0 then 0
-  else begin
-    let b = ref 0 and v = ref v in
-    while !v > 0 do
-      b := !b + 1;
-      v := !v lsr 1
-    done;
-    if !b > buckets - 1 then buckets - 1 else !b
-  end
-
-let observe (r : registry option) (name : string) (v : int) : unit =
-  match r with
-  | None -> ()
-  | Some r ->
-      let h =
-        match Hashtbl.find_opt r.histos name with
-        | Some h -> h
-        | None ->
-            let h = { h_count = 0; h_sum = 0; h_buckets = Array.make buckets 0 } in
-            Hashtbl.replace r.histos name h;
-            h
-      in
-      h.h_count <- h.h_count + 1;
-      h.h_sum <- h.h_sum + v;
-      let b = bucket_of v in
-      h.h_buckets.(b) <- h.h_buckets.(b) + 1
 
 (* -- spans ----------------------------------------------------------- *)
 
@@ -381,24 +334,10 @@ let cp_samples (r : registry) : cp_sample list =
 
 (* -- snapshots ------------------------------------------------------- *)
 
-type histo_snapshot = {
-  hs_count : int;
-  hs_sum : int;
-  hs_buckets : (int * int) list; (* (bucket index, count), sparse, ascending *)
-}
-
 type snapshot = {
   snap_counters : (string * int) list; (* sorted by name *)
-  snap_histograms : (string * histo_snapshot) list; (* sorted by name *)
   snap_spans : span list; (* completion order *)
 }
-
-let snapshot_histogram (h : histogram) : histo_snapshot =
-  let bs = ref [] in
-  for i = buckets - 1 downto 0 do
-    if h.h_buckets.(i) > 0 then bs := (i, h.h_buckets.(i)) :: !bs
-  done;
-  { hs_count = h.h_count; hs_sum = h.h_sum; hs_buckets = !bs }
 
 let by_name (a, _) (b, _) = compare (a : string) b
 
@@ -410,43 +349,13 @@ let snapshot (r : registry) : snapshot =
   let counters =
     if r.dropped_cps > 0 then ("obs.cp_dropped", r.dropped_cps) :: counters else counters
   in
-  let histos = Hashtbl.fold (fun k h acc -> (k, snapshot_histogram h) :: acc) r.histos [] in
   {
     snap_counters = List.sort by_name counters;
-    snap_histograms = List.sort by_name histos;
     snap_spans = List.rev r.spans;
   }
 
 let snap_counter (s : snapshot) (name : string) : int =
   match List.assoc_opt name s.snap_counters with Some n -> n | None -> 0
-
-(* Pure constructors used by the property tests: a snapshot built from a
-   list of observations, and a pointwise merge. *)
-let histo_of_observations (vs : int list) : histo_snapshot =
-  let b = Array.make buckets 0 in
-  let count = ref 0 and sum = ref 0 in
-  List.iter
-    (fun v ->
-      count := !count + 1;
-      sum := !sum + v;
-      let i = bucket_of v in
-      b.(i) <- b.(i) + 1)
-    vs;
-  let bs = ref [] in
-  for i = buckets - 1 downto 0 do
-    if b.(i) > 0 then bs := (i, b.(i)) :: !bs
-  done;
-  { hs_count = !count; hs_sum = !sum; hs_buckets = !bs }
-
-let histo_merge (a : histo_snapshot) (b : histo_snapshot) : histo_snapshot =
-  let arr = Array.make buckets 0 in
-  List.iter (fun (i, n) -> arr.(i) <- arr.(i) + n) a.hs_buckets;
-  List.iter (fun (i, n) -> arr.(i) <- arr.(i) + n) b.hs_buckets;
-  let bs = ref [] in
-  for i = buckets - 1 downto 0 do
-    if arr.(i) > 0 then bs := (i, arr.(i)) :: !bs
-  done;
-  { hs_count = a.hs_count + b.hs_count; hs_sum = a.hs_sum + b.hs_sum; hs_buckets = !bs }
 
 (* -- JSON helpers ---------------------------------------------------- *)
 
@@ -553,14 +462,6 @@ let jsonl_into (buf : Buffer.t) (r : registry) : unit =
       Buffer.add_string buf
         (Printf.sprintf "{\"type\":\"counter\",\"name\":\"%s\",\"value\":%d}\n" (json_escape name) v))
     s.snap_counters;
-  List.iter
-    (fun (name, h) ->
-      let bs = List.map (fun (i, n) -> Printf.sprintf "[%d,%d]" i n) h.hs_buckets in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"type\":\"histogram\",\"name\":\"%s\",\"count\":%d,\"sum\":%d,\"buckets\":[%s]}\n"
-           (json_escape name) h.hs_count h.hs_sum (String.concat "," bs)))
-    s.snap_histograms;
   List.iter
     (fun sp ->
       let ids =

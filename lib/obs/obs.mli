@@ -1,4 +1,4 @@
-(** Deterministic observability: spans, counters and histograms.
+(** Deterministic observability: spans and counters.
 
     A {!registry} is an explicit value created by whoever builds a
     stack (see [Sfs_workload.Stacks.make]) and threaded down through
@@ -7,11 +7,9 @@
     simulated clock), never the wall clock, so two identical runs
     export byte-identical traces.
 
-    Instrumentation entry points ({!add}, {!observe}, {!span}) take a
+    Instrumentation entry points ({!add}, {!span}) take a
     [registry option]: passing [None] makes them no-ops, so
     uninstrumented stacks pay only an option test. *)
-
-type histogram
 
 type span = {
   sp_name : string;
@@ -55,8 +53,6 @@ val create : ?max_spans:int -> now_us:(unit -> float) -> unit -> registry
     spans are retained (default 200_000); further completions bump the
     [obs.spans_dropped] counter instead of allocating. *)
 
-val now_us : registry -> float
-
 val add : registry option -> string -> int -> unit
 [@@sfs.sink "obs"]
 (** [add r name n] bumps counter [name] by [n]. *)
@@ -64,12 +60,6 @@ val add : registry option -> string -> int -> unit
 val incr : registry option -> string -> unit
 [@@sfs.sink "obs"]
 val counter : registry -> string -> int
-
-val observe : registry option -> string -> int -> unit
-[@@sfs.sink "obs"]
-(** [observe r name v] records integer observation [v] (microseconds or
-    bytes, rounded by the caller) into histogram [name].  Buckets are
-    power-of-two sized: bucket index = bit count of [v]. *)
 
 val span : ?args:(string * string) list -> registry option -> cat:string -> string -> (unit -> 'a) -> 'a
 [@@sfs.sink "obs"]
@@ -97,7 +87,7 @@ type open_span
 (** An explicitly bracketed span, for ops whose begin and end live in
     different call frames (pipelined RPCs).  Captures its causal parent
     at {!span_begin} but does not occupy the context stack, so
-    overlapping in-flight ops are fine.  sfslint rule SL012 checks that
+    overlapping in-flight ops are fine.  The linter's rule SL012 checks that
     every [span_begin] has a reachable [span_end]. *)
 
 val span_begin : registry option -> cat:string -> string -> open_span
@@ -129,27 +119,13 @@ val cp_record : registry option -> cp_sample -> unit
 val cp_samples : registry -> cp_sample list
 (** Recorded samples, oldest first. *)
 
-type histo_snapshot = {
-  hs_count : int;
-  hs_sum : int;
-  hs_buckets : (int * int) list;  (** (bucket index, count), sparse, ascending *)
-}
-
 type snapshot = {
   snap_counters : (string * int) list;  (** sorted by name *)
-  snap_histograms : (string * histo_snapshot) list;  (** sorted by name *)
   snap_spans : span list;  (** completion order *)
 }
 
 val snapshot : registry -> snapshot
 val snap_counter : snapshot -> string -> int
-
-val histo_of_observations : int list -> histo_snapshot
-(** Pure constructor for property tests. *)
-
-val histo_merge : histo_snapshot -> histo_snapshot -> histo_snapshot
-(** Pointwise sum of counts, sums and buckets; associative and
-    commutative because everything is an integer. *)
 
 val chrome_trace : ?ops_only:bool -> (string * registry) list -> string
 (** Chrome [trace_event] JSON (Perfetto / chrome://tracing loadable).
@@ -160,8 +136,8 @@ val chrome_trace : ?ops_only:bool -> (string * registry) list -> string
 
 val jsonl : registry -> string
 (** Flat JSONL event stream: one
-    [{"type":"counter"|"histogram"|"span"|"critical_path",...}] object
-    per line, counters and histograms sorted by name, spans and
+    [{"type":"counter"|"span"|"critical_path",...}] object per line,
+    counters sorted by name, spans and
     critical-path samples in completion order. *)
 
 val jsonl_of : (string * registry) list -> string

@@ -14,10 +14,7 @@ type op_agg = {
 val per_op : Obs.registry -> op_agg list
 (** Aggregate a registry's samples, sorted by op name. *)
 
-val json_of_op : op_agg -> string
-(** One [op: {count,wall_us,p50_us,p95_us,p99_us,segments}] JSON
-    object member. *)
-
 val critical_path_json : (string * Obs.registry) list -> string option
 (** Per-figure report: a JSON object keyed by registry label, one
-    {!json_of_op} member per op; [None] when nothing was sampled. *)
+    [op: {count,wall_us,p50_us,p95_us,p99_us,segments}] member per op;
+    [None] when nothing was sampled. *)

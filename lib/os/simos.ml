@@ -33,6 +33,3 @@ let add_user (t : t) (name : string) : user =
   let u = { name; uid; gid = uid; groups = [ uid ] } in
   t.users <- u :: t.users;
   u
-
-let find_user (t : t) (name : string) : user option = List.find_opt (fun u -> u.name = name) t.users
-let find_user_by_uid (t : t) (uid : int) : user option = List.find_opt (fun u -> u.uid = uid) t.users

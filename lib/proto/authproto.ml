@@ -81,22 +81,25 @@ let authmsg_of_string (s : string) : authmsg option =
    reasonable window to accommodate the possibility of multiple agents
    on the client returning out of order" (footnote 4). *)
 
-type seq_window = { mutable highest : int; mutable seen : int (* bitmask below highest *); width : int }
+(* Window width in sequence numbers: the [seen] mask fits a native int. *)
+let width = 62
 
-let make_window ?(width = 62) () : seq_window = { highest = -1; seen = 0; width }
+type seq_window = { mutable highest : int; mutable seen : int (* bitmask below highest *) }
+
+let make_window () : seq_window = { highest = -1; seen = 0 }
 
 (* Accept exactly-once semantics within the window. *)
 let window_accept (w : seq_window) (seqno : int) : bool =
   if seqno < 0 then false
   else if seqno > w.highest then begin
     let shift = seqno - w.highest in
-    w.seen <- (if shift >= w.width then 0 else (w.seen lsl shift) land ((1 lsl w.width) - 1)) lor 1;
+    w.seen <- (if shift >= width then 0 else (w.seen lsl shift) land ((1 lsl width) - 1)) lor 1;
     w.highest <- seqno;
     true
   end
   else begin
     let age = w.highest - seqno in
-    if age >= w.width then false (* too old *)
+    if age >= width then false (* too old *)
     else if (w.seen lsr age) land 1 = 1 then false (* replay *)
     else begin
       w.seen <- w.seen lor (1 lsl age);

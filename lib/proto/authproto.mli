@@ -17,9 +17,6 @@ type authinfo = {
 val authid_of : authinfo -> string
 (** AuthID = SHA-1 of the marshaled AuthInfo. *)
 
-val signed_req_bytes : authid:string -> seqno:int -> string
-(** The exact bytes an agent signs. *)
-
 type authmsg = { user_pub : Rabin.pub; signature : Rabin.signature }
 
 val make_authmsg :
@@ -41,5 +38,5 @@ val authmsg_of_string : string -> authmsg option
 
 type seq_window
 
-val make_window : ?width:int -> unit -> seq_window
+val make_window : unit -> seq_window
 val window_accept : seq_window -> int -> bool

@@ -56,14 +56,6 @@ type half = {
   mac_key : Bytes.t;
 }
 
-type stats = {
-  sent : int;
-  received : int;
-  mac_failures : int;
-  bytes_out : int;
-  bytes_in : int;
-}
-
 (* Counter names are precomputed in [create] so the per-message cost of
    instrumentation is a hash lookup, not string concatenation. *)
 type keys = {
@@ -86,11 +78,6 @@ type t = {
   clock : Simclock.t option;
   obs : Obs.registry option;
   keys : keys;
-  mutable sent : int;
-  mutable received : int;
-  mutable mac_failures : int;
-  mutable bytes_out : int;
-  mutable bytes_in : int;
   mutable recv_claim_us : float;
       (* the keystream share of the last successfully opened message
          that was served from the recv half's precomputed buffer —
@@ -140,11 +127,6 @@ let create ?(encrypt = true) ?clock ?obs ?(label = "chan")
         k_keystream_pre = k "keystream_precomputed_us";
         k_keystream_used = k "keystream_claimed_us";
       };
-    sent = 0;
-    received = 0;
-    mac_failures = 0;
-    bytes_out = 0;
-    bytes_in = 0;
     recv_claim_us = 0.0;
   }
 
@@ -218,8 +200,6 @@ let rekey_mac (h : half) : unit =
 let seal ?(bill = true) (t : t) (plaintext : string) : string =
   Obs.span t.obs ~cat:"channel" "seal" (fun () ->
       let n = String.length plaintext in
-      t.sent <- t.sent + 1;
-      t.bytes_out <- t.bytes_out + n;
       Obs.incr t.obs t.keys.k_sent;
       Obs.add t.obs t.keys.k_bytes_out n;
       if t.encrypt then
@@ -242,7 +222,6 @@ let seal ?(bill = true) (t : t) (plaintext : string) : string =
       Bytes.sub_string buf 0 frame_len)
 
 let reject (t : t) (e : open_error) : ('a, open_error) result =
-  t.mac_failures <- t.mac_failures + 1;
   Obs.incr t.obs t.keys.k_mac_failures;
   (match e with `Replay -> Obs.incr t.obs t.keys.k_replays | `Mac_mismatch -> ());
   Error e
@@ -250,7 +229,6 @@ let reject (t : t) (e : open_error) : ('a, open_error) result =
 let open_ (t : t) (wire : string) : (string, open_error) result =
   Obs.span t.obs ~cat:"channel" "open" (fun () ->
       let wire_len = String.length wire in
-      t.received <- t.received + 1;
       t.recv_claim_us <- 0.0;
       Obs.incr t.obs t.keys.k_received;
       if wire_len < 4 + Mac.mac_size then reject t `Replay
@@ -280,7 +258,6 @@ let open_ (t : t) (wire : string) : (string, open_error) result =
         else if not (Mac.verify_into t.recv_half.mac buf ~off:0 ~len:(4 + len) ~tag_off:(4 + len))
         then reject t `Mac_mismatch
         else begin
-          t.bytes_in <- t.bytes_in + len;
           Obs.add t.obs t.keys.k_bytes_in len;
           (* The keystream share of this message that precompute had
              already generated — creditable against whoever is billed
@@ -308,7 +285,6 @@ let open_ (t : t) (wire : string) : (string, open_error) result =
 let open_slice (t : t) (wire : string) : (Sfs_util.Slice.t, open_error) result =
   Obs.span t.obs ~cat:"channel" "open" (fun () ->
       let wire_len = String.length wire in
-      t.received <- t.received + 1;
       t.recv_claim_us <- 0.0;
       Obs.incr t.obs t.keys.k_received;
       if wire_len < 4 + Mac.mac_size then reject t `Replay
@@ -339,7 +315,6 @@ let open_slice (t : t) (wire : string) : (Sfs_util.Slice.t, open_error) result =
         else if not (Mac.verify_into t.recv_half.mac buf ~off:0 ~len:(4 + len) ~tag_off:(4 + len))
         then reject t `Mac_mismatch
         else begin
-          t.bytes_in <- t.bytes_in + len;
           Obs.add t.obs t.keys.k_bytes_in len;
           if t.encrypt && from_buf > 0 then
             t.recv_claim_us <- Costmodel.keystream_us (min len from_buf);
@@ -347,22 +322,10 @@ let open_slice (t : t) (wire : string) : (Sfs_util.Slice.t, open_error) result =
         end
       end)
 
-let stats (t : t) : stats =
-  {
-    sent = t.sent;
-    received = t.received;
-    mac_failures = t.mac_failures;
-    bytes_out = t.bytes_out;
-    bytes_in = t.bytes_in;
-  }
-
 (* The crypto time [seal] would charge for [bytes], for callers that
    bill pipelined traffic at a fraction. *)
 let crypto_cost_us (t : t) (bytes : int) : float =
   if t.encrypt then Costmodel.crypto_us bytes else 0.0
-
-let charge_us (t : t) (us : float) : unit =
-  match t.clock with Some clock -> Simclock.advance clock us | None -> ()
 
 (* Spend up to [budget_us] of (already-elapsed, otherwise-dead) time
    generating keystream ahead of need.  Charges nothing to the clock:

@@ -14,14 +14,6 @@ type open_error =
 
 type t
 
-type stats = {
-  sent : int;
-  received : int;
-  mac_failures : int;
-  bytes_out : int;  (** plaintext bytes sealed *)
-  bytes_in : int;  (** plaintext bytes successfully opened *)
-}
-
 val create :
   ?encrypt:bool ->
   ?clock:Sfs_net.Simclock.t ->
@@ -63,17 +55,10 @@ val open_slice : t -> string -> (Sfs_util.Slice.t, open_error) result
     with encryption off, straight into the wire string — zero
     per-message allocation.  Error semantics identical to {!open_}. *)
 
-val stats : t -> stats
-(** Message counts, tamper detections and plaintext byte totals. *)
-
 val crypto_cost_us : t -> int -> float
 [@@sfs.declassify "a modeled time computed from the encrypt flag and a byte count; no key or stream state reaches it"]
 (** The time {!seal} would charge for a payload of that size; zero when
     encryption is off. *)
-
-val charge_us : t -> float -> unit
-(** Charge arbitrary microseconds to the channel's clock (used for the
-    partial billing of pipelined traffic). *)
 
 val precompute : ?dir:[ `Send | `Recv ] -> t -> budget_us:float -> float
 (** [precompute t ~budget_us] generates up to [budget_us] worth of ARC4

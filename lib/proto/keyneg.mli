@@ -10,15 +10,9 @@ module Rabin = Sfs_crypto.Rabin
 module Prng = Sfs_crypto.Prng
 module Xdr = Sfs_xdr.Xdr
 
-val half_bytes : int
-(** Key halves are 20 bytes. *)
-
 type service = Fs | Auth | Fs_readonly
 (** Which subsidiary daemon the connection asks sfssd for
     (section 3.2). *)
-
-val service_code : service -> int
-val service_of_code : int -> service
 
 (** {2 Wire messages} *)
 
@@ -51,15 +45,6 @@ type session_keys = {
       (** server-to-client key *)
   session_id : string; (** SHA-1("SessionInfo", k_SC, k_CS), section 3.1.2 *)
 }
-
-val derive :
-  server_pub:Rabin.pub ->
-  client_pub:Rabin.pub ->
-  kc1:string ->
-  kc2:string ->
-  ks1:string ->
-  ks2:string ->
-  session_keys
 
 (** {2 Protocol runners} *)
 

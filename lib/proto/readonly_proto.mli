@@ -33,9 +33,6 @@ type fsinfo = {
   serial : int; (** monotone; stops rollback inside the window *)
 }
 
-val enc_fsinfo : Xdr.enc -> fsinfo -> unit
-val dec_fsinfo : Xdr.dec -> fsinfo
-
 val sign_fsinfo : Rabin.priv -> fsinfo -> string
 (** The one signature per snapshot. *)
 

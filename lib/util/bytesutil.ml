@@ -84,7 +84,3 @@ let chunks ~(size : int) (s : string) : string list =
       go (off + len) (String.sub s off len :: acc)
   in
   if n = 0 then [] else go 0 []
-
-let pp_short ppf (s : string) =
-  if String.length s <= 8 then Fmt.string ppf (Hex.encode s)
-  else Fmt.pf ppf "%s…(%d bytes)" (Hex.encode (String.sub s 0 8)) (String.length s)

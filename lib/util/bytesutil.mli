@@ -31,6 +31,3 @@ val int64_of_be64 : string -> off:int -> int64
 
 val chunks : size:int -> string -> string list
 (** [chunks ~size s] splits [s] into pieces of at most [size] bytes. *)
-
-val pp_short : Format.formatter -> string -> unit
-(** Prints a byte string abbreviated as hex, for logs. *)

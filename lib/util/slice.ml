@@ -26,14 +26,6 @@ let length (t : t) : int = t.len
 let is_empty (t : t) : bool = t.len = 0
 let base (t : t) : string = t.base
 let offset (t : t) : int = t.off
-let get (t : t) (i : int) : char =
-  if i < 0 || i >= t.len then invalid_arg "Slice.get: out of bounds";
-  String.unsafe_get t.base (t.off + i)
-
-let sub (t : t) ~(off : int) ~(len : int) : t =
-  if off < 0 || len < 0 || off + len > t.len then
-    invalid_arg (Printf.sprintf "Slice.sub: [%d,%d) outside slice of length %d" off (off + len) t.len);
-  { base = t.base; off = t.off + off; len }
 
 (* The one place a slice becomes a fresh string again.  Whole-base
    slices return the base itself: wrapping an existing string with
@@ -44,12 +36,3 @@ let to_string (t : t) : string =
 let blit (t : t) ~(src_off : int) (dst : Bytes.t) ~(dst_off : int) ~(len : int) : unit =
   if src_off < 0 || len < 0 || src_off + len > t.len then invalid_arg "Slice.blit: range outside slice";
   Bytes.blit_string t.base (t.off + src_off) dst dst_off len
-
-let equal (a : t) (b : t) : bool =
-  a.len = b.len
-  &&
-  let rec go i = i >= a.len || (String.unsafe_get a.base (a.off + i) = String.unsafe_get b.base (b.off + i) && go (i + 1)) in
-  go 0
-
-let pp (fmt : Format.formatter) (t : t) : unit =
-  Format.fprintf fmt "<slice %d+%d/%d>" t.off t.len (String.length t.base)

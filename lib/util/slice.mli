@@ -22,12 +22,6 @@ val is_empty : t -> bool
 val base : t -> string
 val offset : t -> int
 
-val get : t -> int -> char
-(** @raise Invalid_argument out of bounds. *)
-
-val sub : t -> off:int -> len:int -> t
-(** Re-view without copying. @raise Invalid_argument out of bounds. *)
-
 val to_string : t -> string
 (** The only copy point; whole-base views return the base unchanged. *)
 
@@ -35,8 +29,3 @@ val blit : t -> src_off:int -> Bytes.t -> dst_off:int -> len:int -> unit
 (** Copy a sub-range into [dst] at [dst_off] (the read path's final
     copy-out).  @raise Invalid_argument when either range is out of
     bounds. *)
-
-val equal : t -> t -> bool
-(** Content equality. *)
-
-val pp : Format.formatter -> t -> unit

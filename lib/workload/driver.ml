@@ -69,10 +69,6 @@ let commit w path =
   charge w;
   ok ("commit " ^ path) (Vfs.commit w.Stacks.vfs w.Stacks.cred path)
 
-let truncate w path size =
-  charge w;
-  ok ("truncate " ^ path) (Vfs.truncate w.Stacks.vfs w.Stacks.cred path size)
-
 (* Deterministic pseudo-random content so runs are reproducible and
    data moves through the real marshaling/crypto paths. *)
 let content ~(seed : int) (n : int) : string =

@@ -23,7 +23,6 @@ val access : Stacks.world -> string -> int -> int
 val readdir : Stacks.world -> string -> string list
 val unlink : Stacks.world -> string -> unit
 val commit : Stacks.world -> string -> unit
-val truncate : Stacks.world -> string -> int -> unit
 
 val content : seed:int -> int -> string
 (** Deterministic pseudo-random bytes, so runs are reproducible and

@@ -236,30 +236,46 @@ let run (cfg : config) : result =
     else if k land 1 = 0 then status (o.Fs_intf.fs_read cred fh_hot ~off:0 ~count:hot_read_bytes)
     else status (o.Fs_intf.fs_write cred fh_own ~off:0 ~stable:false (String.make 64 'o'))
   in
+  (* The unmount's final write-behind flush may bring callbacks back
+     with its reply, so what is left is counted after it. *)
+  let release (c : cl) (m : Core.Client.mount) =
+    Fun.protect
+      ~finally:(fun () -> dropped_invals := !dropped_invals + Core.Client.pending_invalidations m)
+      (fun () -> Core.Client.unmount c.cc m)
+  in
   (* Mount, authenticate, resolve the working handles: one connect
      step.  Admission refusals and crash windows surface as
-     Host_unreachable / timeout; those back off and re-dial. *)
+     Host_unreachable / timeout; those back off and re-dial.  A setup
+     that fails after the mount is made unmounts it: the client would
+     otherwise hand the same poisoned mount to every redial, and its
+     connection would never close. *)
   let do_mount (c : cl) =
     let cred, agent = users.(c.idx mod cfg.user_pool) in
     match Core.Client.mount c.cc (Core.Server.self_path servers.(c.idx mod cfg.servers)) with
     | Error (Core.Client.Host_unreachable _) -> Error Crowd.Retry
     | Error _ -> Error Crowd.Fatal
-    | Ok m ->
-        ignore (Core.Client.authenticate c.cc m agent);
-        let o = Core.Client.ops m in
-        let* fh_bench, _ = o.Fs_intf.fs_lookup cred ~dir:o.Fs_intf.fs_root "bench" in
-        let* fh_hot, _ = o.Fs_intf.fs_lookup cred ~dir:fh_bench "hot" in
-        let* fh_own, _ = o.Fs_intf.fs_lookup cred ~dir:fh_bench ("c" ^ string_of_int c.idx) in
-        c.mounted <- Some { m; o; cred; fh_hot; fh_own; fh_bench };
-        Ok ()
+    | Ok m -> (
+        match
+          ignore (Core.Client.authenticate c.cc m agent);
+          let o = Core.Client.ops m in
+          let* fh_bench, _ = o.Fs_intf.fs_lookup cred ~dir:o.Fs_intf.fs_root "bench" in
+          let* fh_hot, _ = o.Fs_intf.fs_lookup cred ~dir:fh_bench "hot" in
+          let* fh_own, _ = o.Fs_intf.fs_lookup cred ~dir:fh_bench ("c" ^ string_of_int c.idx) in
+          c.mounted <- Some { m; o; cred; fh_hot; fh_own; fh_bench };
+          Ok ()
+        with
+        | Ok () -> Ok ()
+        | Error _ as e ->
+            release c m;
+            e
+        | exception e ->
+            release c m;
+            raise e)
   in
   let do_unmount (c : cl) =
-    Option.iter
-      (fun { m; _ } ->
-        dropped_invals := !dropped_invals + Core.Client.pending_invalidations m;
-        Core.Client.unmount c.cc m)
-      c.mounted;
-    c.mounted <- None
+    let mounted = c.mounted in
+    c.mounted <- None;
+    Option.iter (fun { m; _ } -> release c m) mounted
   in
   let kind =
     {

@@ -188,13 +188,6 @@ let msg_of_string (s : string) : (msg, string) result =
 
 (* --- TCP record marking --- *)
 
-(* Fragment header: high bit = last fragment, low 31 bits = length. *)
-let add_record (buf : Buffer.t) (record : string) : unit =
-  let n = String.length record in
-  if n > 0x7FFFFFFF then invalid_arg "Sunrpc.add_record: too large";
-  Buffer.add_string buf (Sfs_util.Bytesutil.be32_of_int (n lor 0x80000000));
-  Buffer.add_string buf record
-
 let record_to_string (record : string) : string =
   let n = String.length record in
   if n > 0x7FFFFFFF then invalid_arg "Sunrpc.record_to_string: too large";

@@ -3,8 +3,6 @@
     standard, enough to carry the NFS 3 and SFS programs faithfully
     (paper section 3.2). *)
 
-val rpc_version : int
-
 type auth_flavor =
   | Auth_none
   | Auth_unix of { stamp : int; machine : string; uid : int; gid : int; gids : int list }
@@ -35,9 +33,6 @@ type reply = { reply_xid : int; body : reply_body }
 
 type msg = Call of call | Reply of reply
 
-val enc_auth : Xdr.enc -> auth_flavor -> unit
-val dec_auth : Xdr.dec -> auth_flavor
-
 val msg_to_string : ?enc:Xdr.enc -> msg -> string
 (** [?enc] reuses the given encoder (it is reset first) instead of
     allocating one per call. *)
@@ -46,9 +41,6 @@ val msg_of_string : string -> (msg, string) result
 (** Total: malformed envelopes yield [Error], never an exception. *)
 
 (** {2 TCP record marking} *)
-
-val add_record : Buffer.t -> string -> unit
-(** Appends one record with its fragment header. *)
 
 val record_to_string : string -> string
 

@@ -196,9 +196,6 @@ let dec_rest (d : dec) : string =
   d.pos <- d.stop;
   s
 
-let dec_done (d : dec) : unit =
-  if remaining d <> 0 then error "decode: %d trailing bytes" (remaining d)
-
 (* Run a decoder over a complete message. *)
 let run (data : string) (f : dec -> 'a) : ('a, string) result =
   let d = make_dec data in

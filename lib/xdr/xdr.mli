@@ -56,15 +56,6 @@ val encode : (enc -> 'a -> unit) -> 'a -> string
 
 type dec
 
-val make_dec : string -> dec
-
-val make_dec_sub : string -> off:int -> len:int -> dec
-(** A decoder bounded to a window of the input: nested structures
-    decode in place instead of being copied out first (the zero-copy
-    read path). @raise Error when the window exceeds the input. *)
-
-val remaining : dec -> int
-
 val dec_uint32 : dec -> int
 val dec_int32 : dec -> int
 val dec_uint64 : dec -> int64
@@ -85,9 +76,6 @@ val dec_array : ?max:int -> dec -> (dec -> 'a) -> 'a list
 
 val dec_rest : dec -> string
 (** Consumes all remaining bytes verbatim. *)
-
-val dec_done : dec -> unit
-(** @raise Error when input remains. *)
 
 val run : string -> (dec -> 'a) -> ('a, string) result
 (** Complete-message decode: trailing bytes are an error. *)

@@ -270,6 +270,51 @@ let test_sl013_zero_copy_read_path () =
     \  let tag = Bytes.create 20 in\n\
     \  check tag"
 
+(* SL014 reads the whole tree: one interface, its own .ml, and whatever
+   consumer sources a case adds. *)
+let sl014 ?(itf = "val used : int\nval dead : int -> int") uses =
+  let own = ("lib/util/m.ml", "let used = 1\nlet dead x = x + used") in
+  match Lint.unused_exports ~interfaces:[ ("lib/util/m.mli", itf) ] ~uses:(own :: uses) () with
+  | Ok ds -> List.map (fun d -> (d.Lint.code, d.Lint.line)) ds
+  | Error e -> Alcotest.failf "unexpected parse error: %s" e
+
+let test_sl014_unused_exports () =
+  let flags msg expected uses =
+    Alcotest.(check (list (pair string int))) msg expected (sl014 uses)
+  in
+  let user = ("lib/core/c.ml", "let f = M.used") in
+  flags "only its own .ml uses 'dead'" [ ("SL014", 2) ] [ user ];
+  flags "unused everywhere" [ ("SL014", 1); ("SL014", 2) ] [];
+  flags "a same-named value of another module is no use" [ ("SL014", 2) ]
+    [ user; ("lib/core/d.ml", "let g = N.dead 1") ];
+  flags "a bare name without an open is no use" [ ("SL014", 2) ]
+    [ user; ("lib/core/d.ml", "let g = dead 1") ];
+  flags "qualified through the library path" [] [ user; ("lib/core/d.ml", "let g = Sfs_util.M.dead") ];
+  flags "through a module alias" []
+    [ user; ("lib/core/d.ml", "module Q = Sfs_util.M\nlet g = Q.dead 1") ];
+  flags "through a let-module alias" []
+    [ user; ("lib/core/d.ml", "let g = let module Q = M in Q.dead 1") ];
+  flags "through open" [] [ user; ("lib/core/d.ml", "open Sfs_util.M\nlet g = dead 1") ];
+  flags "through a local open" [] [ user; ("lib/core/d.ml", "let g = M.(dead 1)") ];
+  flags "from test/" [] [ user; ("test/test_m.ml", "let t () = M.dead 1") ];
+  flags "from perfbench/" [] [ user; ("perfbench/probes.ml", "let p = Sfs_util.M.dead") ];
+  Alcotest.(check (list (pair string int)))
+    "a reasoned pragma waives" []
+    (sl014
+       ~itf:"val used : int\n(* sfslint: allow SL014 — the REPL printer set keeps it *)\nval dead : int -> int"
+       [ user ]);
+  Alcotest.(check (list (pair string int)))
+    "a pragma without a reason waives nothing" [ ("SL011", 2); ("SL014", 3) ]
+    (sl014 ~itf:"val used : int\n(* sfslint: allow SL014 *)\nval dead : int -> int" [ user ]);
+  Alcotest.(check (list (pair string int)))
+    "disabled" []
+    (match
+       Lint.unused_exports ~enabled:[ "SL001" ] ~interfaces:[ ("lib/util/m.mli", "val dead : int") ]
+         ~uses:[] ()
+     with
+    | Ok ds -> List.map (fun d -> (d.Lint.code, d.Lint.line)) ds
+    | Error e -> Alcotest.failf "unexpected parse error: %s" e)
+
 let test_enable_disable () =
   let src = "let x = Random.int 10\nlet f ~tag y = tag = y" in
   let all = codes ~path:"lib/core/agent.ml" src in
@@ -314,6 +359,7 @@ let suite =
       Alcotest.test_case "SL011 bare waiver pragma" `Quick test_sl011_bare_waiver;
       Alcotest.test_case "SL012 span bracketing" `Quick test_sl012_span_bracketing;
       Alcotest.test_case "SL013 zero-copy read path" `Quick test_sl013_zero_copy_read_path;
+      Alcotest.test_case "SL014 unused exports" `Quick test_sl014_unused_exports;
       Alcotest.test_case "enable/disable filtering" `Quick test_enable_disable;
       Alcotest.test_case "engine robustness" `Quick test_engine_robustness;
     ] )

@@ -155,6 +155,38 @@ let test_fleet_admission () =
     (Sfs_obs.Obs.counter r.Fleet.r_obs "net.admission.refused" > 0);
   Testkit.check_bool "re-dials counted" true (r.Fleet.r_mount_retries > 0)
 
+let test_fleet_drop_mount_setup () =
+  (* Dropped frames during mount setup (authentication, the handle
+     lookups) fail the connect step after the client has cached the
+     mount.  The fleet must drop that mount, so the redial negotiates a
+     fresh channel instead of reusing the poisoned one, and every
+     connection is closed at the end. *)
+  let r =
+    Fleet.run
+      {
+        Fleet.default with
+        Fleet.clients = 60;
+        user_pool = 8;
+        ops_per_client = 6;
+        admit_per_server = Some 30;
+        hot_write_every = 10;
+        seed = "soak";
+        fault = Some (Sfs_fault.Fault.make ~drop_pm:200 ~seed:"p1" ());
+      }
+  in
+  Testkit.check_int "all mounted" 60 r.Fleet.r_mount_ok;
+  Testkit.check_bool "all connections closed" true
+    (List.assoc "all_conns_closed" (Fleet.reconcile r));
+  Testkit.check_bool "last client ready within 5 s" true (r.Fleet.r_last_ready_us < 5e6)
+
+let test_fleet_unmount_flushes () =
+  (* Each client's two unstable writes to its own file sit in the
+     write-behind buffer; the second flushes the first, and unmount must
+     flush the second rather than drop it. *)
+  let r = Fleet.run { Fleet.default with Fleet.hot_write_every = 0 } in
+  check_reconcile r;
+  Testkit.check_int "server WRITEs" 16 (Sfs_obs.Obs.counter r.Fleet.r_obs "nfs.op.write")
+
 let test_fleet_determinism () =
   (* Two same-config runs must produce byte-identical ledgers — the
      property the chaos-soak job checks at scale. *)
@@ -373,10 +405,10 @@ let crash_window ~host ~down_s ~up_s =
 
 let golden_fleet =
   [
-    ("default", Fleet.default, "63737929f94ca27bb095596c573054824916b9b2");
+    ("default", Fleet.default, "1d376fc5ed725f985e1c48dd4c3c9a2c7f9bb85e");
     ( "admission cap",
       { Fleet.default with Fleet.clients = 6; servers = 1; admit_per_server = Some 2 },
-      "db3f1636d6044e44f6e5f76347ba4f00d2343a77" );
+      "e46b9f2298f241cc19382fd377f3aa924dde33ba" );
     ( "zipf ramp",
       {
         Fleet.default with
@@ -398,7 +430,7 @@ let golden_fleet =
                ~crashes:[ crash_window ~host:"srv0.fleet.lcs.mit.edu" ~down_s:0.02 ~up_s:0.1 ]
                ~seed:"golden/rw-crash" ());
       },
-      "77b56a097494a34e8022e97639d644bd0270c4b2" );
+      "63a77682407e2228ff0f5f1dc09b9c5668a02674" );
   ]
 
 let golden_flashcrowd =
@@ -453,6 +485,8 @@ let suite =
       Alcotest.test_case "flush caches" `Quick test_flush_caches;
       Alcotest.test_case "fleet smoke" `Quick test_fleet_smoke;
       Alcotest.test_case "fleet admission" `Quick test_fleet_admission;
+      Alcotest.test_case "fleet drop during mount setup" `Quick test_fleet_drop_mount_setup;
+      Alcotest.test_case "fleet unmount flushes write-behind" `Quick test_fleet_unmount_flushes;
       Alcotest.test_case "fleet determinism" `Quick test_fleet_determinism;
       Alcotest.test_case "fleet 10k clients" `Slow test_fleet_10k;
       Alcotest.test_case "fleet zipf reads" `Quick test_fleet_zipf;

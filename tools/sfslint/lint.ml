@@ -121,6 +121,13 @@ let rules : rule_info list =
          of fresh Bytes.create/Bytes.sub/String.sub copies, or waive with a pragma saying why the \
          copy is inherent";
     };
+    {
+      ri_code = "SL014";
+      ri_title = "lib export that no other file uses";
+      ri_hint =
+        "delete the value if its own module does not use it either, else drop it from the .mli; \
+         waive with a pragma on the val saying who needs it";
+    };
   ]
 
 let all_codes = List.map (fun r -> r.ri_code) rules
@@ -659,15 +666,17 @@ let check_ast ~(path : string) ~(enabled : string list) (ast : structure) : diag
 
 (* --- entry points --- *)
 
-let parse_implementation ~(path : string) (source : string) : (structure, string) result =
+let parse_with (parse : Lexing.lexbuf -> 'a) ~(path : string) (source : string) : ('a, string) result =
   let lexbuf = Lexing.from_string source in
   Lexing.set_filename lexbuf path;
-  match Parse.implementation lexbuf with
+  match parse lexbuf with
   | ast -> Ok ast
   | exception e -> (
       match Location.error_of_exn e with
       | Some (`Ok report) -> Error (Format.asprintf "%a" Location.print_report report)
       | _ -> Error (Printexc.to_string e))
+
+let parse_implementation ~path source = parse_with Parse.implementation ~path source
 
 let compare_diag (a : diagnostic) (b : diagnostic) : int =
   match compare a.file b.file with
@@ -676,6 +685,37 @@ let compare_diag (a : diagnostic) (b : diagnostic) : int =
       | 0 -> ( match compare a.col b.col with 0 -> compare a.code b.code | c -> c)
       | c -> c)
   | c -> c
+
+(* SL000/SL011: the pragmas of one file that are malformed or bare. *)
+let pragma_diags ~(enabled : string list) ~(path : string) (pragmas : pragma list) :
+    diagnostic list =
+  List.filter_map
+    (fun p ->
+      match p.p_malformed with
+      | Some msg when List.mem "SL000" enabled ->
+          Some
+            {
+              code = "SL000";
+              file = path;
+              line = p.p_line_start;
+              col = 0;
+              message = msg;
+              hint = hint_of_code "SL000";
+            }
+      | None when p.p_bare && List.mem "SL011" enabled ->
+          Some
+            {
+              code = "SL011";
+              file = path;
+              line = p.p_line_start;
+              col = 0;
+              message =
+                Printf.sprintf "pragma waives %s without a justification"
+                  (String.concat ", " p.p_codes);
+              hint = hint_of_code "SL011";
+            }
+      | _ -> None)
+    pragmas
 
 (* Lint one compilation unit.  [path] is the repo-relative path used
    for rule applicability; [source] is the file contents. *)
@@ -686,39 +726,10 @@ let check_source ?(enabled = all_codes) ~(path : string) ~(source : string) () :
   | Ok ast ->
       let pragmas = scan_pragmas source in
       let ast_diags = check_ast ~path ~enabled ast in
-      let pragma_diags =
-        List.filter_map
-          (fun p ->
-            match p.p_malformed with
-            | Some msg when List.mem "SL000" enabled ->
-                Some
-                  {
-                    code = "SL000";
-                    file = path;
-                    line = p.p_line_start;
-                    col = 0;
-                    message = msg;
-                    hint = hint_of_code "SL000";
-                  }
-            | None when p.p_bare && List.mem "SL011" enabled ->
-                Some
-                  {
-                    code = "SL011";
-                    file = path;
-                    line = p.p_line_start;
-                    col = 0;
-                    message =
-                      Printf.sprintf "pragma waives %s without a justification"
-                        (String.concat ", " p.p_codes);
-                    hint = hint_of_code "SL011";
-                  }
-            | _ -> None)
-          pragmas
-      in
       let kept =
         List.filter (fun d -> not (suppressed pragmas d.code d.line)) ast_diags
       in
-      Ok (List.sort compare_diag (kept @ pragma_diags))
+      Ok (List.sort compare_diag (kept @ pragma_diags ~enabled ~path pragmas))
 
 (* SL007 is a file-level rule: the caller knows whether the sibling
    .mli exists.  A pragma anywhere in the file waives it. *)
@@ -743,6 +754,128 @@ let missing_interface ?(enabled = all_codes) ~(path : string) ~(source : string)
         message = "module has no interface file (.mli)";
         hint = hint_of_code "SL007";
       }
+
+(* --- SL014: exports that nothing uses ---
+
+   A whole-tree rule: each value a lib/ interface declares at top level
+   must be named by some .ml other than its module's own.  Uses are
+   read syntactically from every .ml under lib/ and [consumer_dirs]:
+   - [A.B.M.v] is a use of [M.v], whatever the path before [M];
+   - after [module X = A.M] (or [let module]), [X.v] is a use of [M.v];
+   - in a file that opens [M] ([open M], [let open M in], [M.(e)]),
+     every bare identifier [v] is a use of [M.v].
+   A module is known by its file's basename, so a same-named module
+   elsewhere, or a local binding in a file that opens [M], counts as a
+   use: the rule can miss a dead export but never reports a live one.
+   The other rules stay on lib/; the consumer directories beside it
+   are only read. *)
+
+let consumer_dirs = [ "test"; "bench"; "bin"; "examples"; "tools"; "perfbench" ]
+
+let module_of_path (path : string) : string =
+  String.capitalize_ascii (Filename.remove_extension (Filename.basename path))
+
+(* Every (module, value) pair one implementation names. *)
+let uses_of_ast (ast : structure) : (string * string) list =
+  let aliases = Hashtbl.create 8 in
+  let opens = ref [] and bare = ref [] and qualified = ref [] in
+  let last_module (lid : Longident.t) =
+    match List.rev (lid_flatten lid) with m :: _ -> Some m | [] -> None
+  in
+  let note_alias name (me : module_expr) =
+    match (name, me.pmod_desc) with
+    | Some x, Pmod_ident { txt; _ } -> Option.iter (Hashtbl.replace aliases x) (last_module txt)
+    | _ -> ()
+  in
+  let iter =
+    {
+      Ast_iterator.default_iterator with
+      expr =
+        (fun self e ->
+          (match e.pexp_desc with
+          | Pexp_ident { txt = Longident.Lident v; _ } -> bare := v :: !bare
+          | Pexp_ident { txt = Longident.Ldot (m, v); _ } ->
+              Option.iter (fun m -> qualified := (m, v) :: !qualified) (last_module m)
+          | Pexp_letmodule ({ txt; _ }, me, _) -> note_alias txt me
+          | _ -> ());
+          Ast_iterator.default_iterator.expr self e);
+      module_binding =
+        (fun self mb ->
+          note_alias mb.pmb_name.txt mb.pmb_expr;
+          Ast_iterator.default_iterator.module_binding self mb);
+      open_declaration =
+        (fun self od ->
+          (match od.popen_expr.pmod_desc with
+          | Pmod_ident { txt; _ } -> Option.iter (fun m -> opens := m :: !opens) (last_module txt)
+          | _ -> ());
+          Ast_iterator.default_iterator.open_declaration self od);
+    }
+  in
+  iter.structure iter ast;
+  (* Aliases are file-wide; follow a chain of them a few steps. *)
+  let rec resolve depth m =
+    match Hashtbl.find_opt aliases m with
+    | Some m' when depth > 0 && m' <> m -> resolve (depth - 1) m'
+    | _ -> m
+  in
+  List.map (fun (m, v) -> (resolve 8 m, v)) !qualified
+  @ List.concat_map (fun m -> List.map (fun v -> (resolve 8 m, v)) !bare) !opens
+
+(* The values an interface declares at top level, with their lines. *)
+let exported_values (sg : signature) : (string * int) list =
+  List.filter_map
+    (fun si ->
+      match si.psig_desc with
+      | Psig_value vd -> Some (vd.pval_name.txt, vd.pval_loc.Location.loc_start.Lexing.pos_lnum)
+      | _ -> None)
+    sg
+
+(* [interfaces] are the lib/ .mli files and [uses] every consumer .ml,
+   each as (repo-relative path, source).  Reports SL014 for each export
+   no file but its module's own .ml names, plus SL000/SL011 for the
+   interfaces' own pragmas. *)
+let unused_exports ?(enabled = all_codes) ~(interfaces : (string * string) list)
+    ~(uses : (string * string) list) () : (diagnostic list, string) result =
+  let exception Unparsable of string in
+  let parse parser (path, source) =
+    match parse_with parser ~path source with
+    | Ok ast -> ast
+    | Error msg -> raise (Unparsable (path ^ ": " ^ msg))
+  in
+  let unused_in users ((path, source) as file) =
+    let pragmas = scan_pragmas source in
+    let own = Filename.remove_extension path ^ ".ml" and m = module_of_path path in
+    let dead (v, line) =
+      List.mem "SL014" enabled
+      && (not (List.exists (fun f -> f <> own) (Hashtbl.find_all users (m, v))))
+      && not (suppressed pragmas "SL014" line)
+    in
+    List.filter_map
+      (fun ((v, line) as export) ->
+        if not (dead export) then None
+        else
+          Some
+            {
+              code = "SL014";
+              file = path;
+              line;
+              col = 0;
+              message = Printf.sprintf "%s.%s is exported but no file other than %s uses it" m v own;
+              hint = hint_of_code "SL014";
+            })
+      (exported_values (parse Parse.interface file))
+    @ pragma_diags ~enabled ~path pragmas
+  in
+  match
+    let users = Hashtbl.create 4096 in
+    List.iter
+      (fun ((path, _) as file) ->
+        List.iter (fun key -> Hashtbl.add users key path) (uses_of_ast (parse Parse.implementation file)))
+      uses;
+    List.concat_map (unused_in users) interfaces
+  with
+  | ds -> Ok (List.sort compare_diag ds)
+  | exception Unparsable msg -> Error msg
 
 (* --- rendering --- *)
 

@@ -2,7 +2,9 @@
 
    Usage: main.exe [options] <path>...
    Walks the given files/directories (typically just "lib"), lints
-   every .ml, and reports violations.
+   every .ml, and reports violations.  For SL014 it also reads the
+   .mli files under the roots and, for a root named "lib", every .ml
+   in the sibling directories of Lint.consumer_dirs that exist.
 
    Exit codes: 0 clean, 1 violations found, 2 usage/IO/parse error.
    --exit-zero reports but always exits 0 (parse errors still exit 2)
@@ -54,15 +56,25 @@ let rel_path (p : string) : string =
   | Some suffix -> String.concat "/" suffix
   | None -> p
 
-let rec walk (p : string) : string list =
+let rec walk ~(ext : string) (p : string) : string list =
   if Sys.is_directory p then
     Sys.readdir p |> Array.to_list |> List.sort compare
     |> List.concat_map (fun name ->
            if name = "_build" || name = ".git" || (String.length name > 0 && name.[0] = '.') then
              []
-           else walk (Filename.concat p name))
-  else if Filename.check_suffix p ".ml" then [ p ]
+           else walk ~ext (Filename.concat p name))
+  else if Filename.check_suffix p ext then [ p ]
   else []
+
+(* The consumer directories beside a root named "lib". *)
+let siblings (root : string) : string list =
+  if Filename.basename root <> "lib" || not (Sys.is_directory root) then []
+  else
+    List.filter_map
+      (fun d ->
+        let p = Filename.concat (Filename.dirname root) d in
+        if Sys.file_exists p && Sys.is_directory p then Some p else None)
+      Lint.consumer_dirs
 
 let read_file (p : string) : string =
   let ic = open_in_bin p in
@@ -98,7 +110,7 @@ let () =
     List.concat_map
       (fun root ->
         if not (Sys.file_exists root) then die "no such path: %s" root;
-        walk root)
+        walk ~ext:".ml" root)
       !roots
   in
   if files = [] then die "no .ml files under %s" (String.concat " " !roots);
@@ -118,6 +130,17 @@ let () =
       | Some d -> diags := !diags @ [ d ]
       | None -> ())
     files;
+  let sources paths = List.map (fun f -> (rel_path f, try read_file f with Sys_error e -> die "%s" e)) paths in
+  let interfaces =
+    List.concat_map (walk ~ext:".mli") !roots
+    |> List.filter (fun f -> Lint.in_lib (rel_path f))
+  in
+  let uses = files @ List.concat_map (fun r -> List.concat_map (walk ~ext:".ml") (siblings r)) !roots in
+  (match Lint.unused_exports ~enabled ~interfaces:(sources interfaces) ~uses:(sources uses) () with
+  | Ok ds -> diags := !diags @ ds
+  | Error msg ->
+      had_error := true;
+      Printf.eprintf "sfslint: parse error:\n%s\n" msg);
   let diags = List.sort Lint.compare_diag !diags in
   let json = Lint.report_json ~files_checked:(List.length files) diags in
   (match !format with
