@@ -1,6 +1,6 @@
 # Convenience targets; everything is driven by dune underneath.
 
-.PHONY: all build lint taint test bench trace perf perfbench-selfcheck soak soak-sample ci clean
+.PHONY: all build lint taint test bench trace perf perfbench-selfcheck soak soak-sample ci clean loc
 
 all: build
 
@@ -98,6 +98,11 @@ soak-sample: build
 ci: build test perf perfbench-selfcheck soak-sample
 	dune build @lint @taint
 	@echo "ci: all gates passed"
+
+# Line count of the library: every .ml and .mli under lib/, the
+# figure ROADMAP and CHANGES quote.
+loc:
+	@find lib \( -name '*.ml' -o -name '*.mli' \) -type f | xargs cat | wc -l
 
 clean:
 	dune clean

@@ -57,7 +57,6 @@ type mount = {
   mutable m_session_id : string;
   mutable m_channel : Channel.t;
   mutable m_conn : Simnet.conn;
-  mutable m_hs : string Rpc_mux.t; (* handshakes and read-only fetches on m_conn *)
   m_invalidations : fh list ref;
   mutable m_cache : Cachefs.t option; (* None only during mount setup *)
   mutable m_ops : Fs_intf.ops option; (* cache-wrapped, what users consume *)
@@ -128,23 +127,100 @@ let find_mount (t : t) (path : Pathname.t) : mount option =
 
 let mounts (t : t) : mount list = Hashtbl.fold (fun _ m acc -> m :: acc) t.mounts []
 
-(* One sealed request/reply exchange on an established channel. *)
-let channel_exchange ~(channel : Channel.t) (hs : string Rpc_mux.t) (req : Sfsrw.request) :
-    (Sfsrw.response, string) result =
-  let wire = Channel.seal channel (Sfsrw.request_to_string req) in
-  let reply = Rpc_mux.call hs wire in
-  match Channel.open_ channel reply with
-  | Ok plain -> Sfsrw.response_of_string plain
-  | Error `Mac_mismatch -> Result.Error "mac mismatch"
-  | Error `Replay -> Result.Error "channel desync"
+(* --- The secure-channel exchange ---
+
+   Every message on a mount's secure channel (authentication, serial
+   and write-behind calls, pipelined READs) rides a mux over the
+   mount's connection, and every reply comes back through [exchange]:
+   opened in place, decoded once. *)
+
+(* Why a reply proves the channel poisoned: a MAC failure, a stream
+   desync, or an opened frame that does not decode. *)
+type poison = [ Channel.open_error | `Garbled of string ]
+
+(* A data call's poisoned reply.  A serial attempt counts it and
+   reconnects; readahead drops the ticket. *)
+exception Poisoned of poison
+
+(* One exchange on the mount's connection.  Reads m_conn and m_channel
+   afresh, so a reconnection swaps them underneath.  The reply frame is
+   the single buffer it rides from here to the caller: the decode and
+   the payload [k] picks out of it are views.  Invalidation callbacks
+   are banked eagerly, so a ticket the cache later abandons never loses
+   one.  [k] sees a poisoned reply too: a data call raises inside the
+   exchange, which then charges nothing, while authentication takes it
+   as its reply. *)
+let exchange (m : mount) ~(pipelined : bool) (k : (Sfsrw.response, poison) result -> 'a)
+    (wire : string) : 'a Rpc_mux.completion =
+  let reply, server_us = Simnet.call_measured m.m_conn wire in
+  let opened = Channel.open_slice m.m_channel reply in
+  let response =
+    match opened with
+    | Error e -> Error (e :> poison)
+    | Ok frame -> (
+        match Sfsrw.response_of_slice frame with
+        | Result.Error e -> Error (`Garbled e)
+        | Ok r ->
+            (match r with
+            | Sfsrw.Fs_reply { invalidations; _ } ->
+                m.m_invalidations := !(m.m_invalidations) @ invalidations
+            | Sfsrw.Auth_granted _ | Sfsrw.Auth_denied _ | Sfsrw.Proto_error _ -> ());
+            Ok r)
+  in
+  let plain_len = match opened with Ok frame -> Slice.length frame | Error _ -> 0 in
+  let payload = k response in
+  {
+    Rpc_mux.c_payload = payload;
+    c_server_us = server_us;
+    c_wire_bytes = String.length reply;
+    (* Of the measured server time, the reply seal — attributed to the
+       down direction so the analyzer never double-counts full-duplex
+       crypto overlap. *)
+    c_crypto_us = Channel.crypto_cost_us m.m_channel plain_len;
+    (* Keystream this open consumed from the idle-time prefetch: that
+       slice of the seal already ran during dead wire time.  Only the
+       pipelined mux donates idle time, so only it claims. *)
+    c_claim_us = (if pipelined then Channel.take_recv_claim m.m_channel else 0.0);
+  }
+
+(* The NFS results of a data call's reply: a view into the opened
+   frame.  A protocol error or a stray auth reply raises
+   [Rpc_failure]: the channel is fine, the call is not. *)
+let fs_results : (Sfsrw.response, poison) result -> Slice.t = function
+  | Ok (Sfsrw.Fs_reply { results; _ }) -> results
+  | Ok (Sfsrw.Proto_error e) -> raise (Nfs_client.Rpc_failure e)
+  | Ok (Sfsrw.Auth_granted _ | Sfsrw.Auth_denied _) ->
+      raise (Nfs_client.Rpc_failure "unexpected auth response")
+  | Error p -> raise (Poisoned p)
+
+(* A mux over the mount's connection.  A window-1 mux (authentication,
+   serial calls, write-behind) has no per-reply residual, no keystream
+   donation and no registry, so a call costs exactly its wire, server
+   time and [latency_us]: its traffic is counted under net.*, and the
+   op spans carry the critical-path samples.  A wider window is the
+   readahead mux: it records mux.*, pays the per-reply residual, and
+   donates idle wire time to reply-stream keystream, banked ahead of the
+   replies it will decrypt. *)
+let mount_mux (t : t) (m : mount) ~(window : int) ~(latency_us : float)
+    (k : (Sfsrw.response, poison) result -> 'a) : 'a Rpc_mux.t =
+  let pipelined = window > 1 in
+  Rpc_mux.create
+    ?obs:(if pipelined then t.obs else None)
+    ?precompute:
+      (if pipelined then Some (fun ~budget_us -> Channel.precompute m.m_channel ~budget_us)
+       else None)
+    ~window ~clock:t.clock
+    ~wire_us:(Costmodel.transfer_us Costmodel.Tcp)
+    ~latency_us
+    ~op_us:(if pipelined then Costmodel.pipeline_sfs_op_us else 0.0)
+    ~exchange:(exchange m ~pipelined k) ()
 
 (* --- Mounting --- *)
 
-(* Dial the server and run key negotiation over the connection's
-   handshake mux; the building block of both the initial mount and
+(* Dial the server and run key negotiation over a handshake mux on the
+   new connection; the building block of both the initial mount and
    every reconnection. *)
-let dial (t : t) (path : Pathname.t) :
-    (Simnet.conn * string Rpc_mux.t * Channel.t * string, mount_error) result =
+let dial (t : t) (path : Pathname.t) : (Simnet.conn * Channel.t * string, mount_error) result =
   let location = Pathname.location path in
   match
     Simnet.connect t.net ~from_host:t.from_host ~addr:location ~port:Server.sfs_port
@@ -173,7 +249,7 @@ let dial (t : t) (path : Pathname.t) :
             Channel.create ~encrypt:t.encrypt ~clock:t.clock ?obs:t.obs
               ~label:"client" ~send_key:keys.Keyneg.kcs ~recv_key:keys.Keyneg.ksc ()
           in
-          Ok (conn, hs, channel, keys.Keyneg.session_id))
+          Ok (conn, channel, keys.Keyneg.session_id))
 
 (* --- User authentication (Figure 4, client and agent side) --- *)
 
@@ -204,6 +280,9 @@ let authenticate ?local_uid (t : t) (m : mount) (agent : Agent.t) : int =
             let base = m.m_seqno in
             let msgs = Agent.sign_requests agent info ~seqno_of:(fun i -> base + i) in
             m.m_seqno <- base + List.length msgs;
+            let mux =
+              mount_mux t m ~window:1 ~latency_us:(Costmodel.rpc_fixed_us Costmodel.Tcp) Fun.id
+            in
             (* Only an explicit denial means "no": anything else — a
                timeout, a MAC failure, a garbled reply — is a transport
                fault on a now-poisoned channel, and silently degrading
@@ -212,14 +291,13 @@ let authenticate ?local_uid (t : t) (m : mount) (agent : Agent.t) : int =
                Propagate as Timeout; reconnection retries the whole
                authentication over a fresh session. *)
             let try_one i msg =
-              match
-                channel_exchange ~channel:m.m_channel m.m_hs
-                  (Sfsrw.Auth_req { seqno = base + i; authmsg = Authproto.authmsg_to_string msg })
-              with
+              let req =
+                Sfsrw.Auth_req { seqno = base + i; authmsg = Authproto.authmsg_to_string msg }
+              in
+              match Rpc_mux.call mux (Channel.seal m.m_channel (Sfsrw.request_to_string req)) with
               | Ok (Sfsrw.Auth_granted { authno; seqno }) when seqno = base + i -> Some authno
               | Ok (Sfsrw.Auth_denied _) -> None
-              | Ok (Sfsrw.Auth_granted _ | Sfsrw.Fs_reply _ | Sfsrw.Proto_error _)
-              | Result.Error _ ->
+              | Ok (Sfsrw.Auth_granted _ | Sfsrw.Fs_reply _ | Sfsrw.Proto_error _) | Error _ ->
                   raise Simnet.Timeout
             in
             (* The first granted request wins; later ones are not sent. *)
@@ -245,9 +323,8 @@ let reconnect (t : t) (m : mount) : (unit, mount_error) result =
   Simnet.close m.m_conn;
   match dial t m.m_path with
   | Error err -> Error err
-  | Ok (conn, hs, channel, session_id) ->
+  | Ok (conn, channel, session_id) ->
       m.m_conn <- conn;
-      m.m_hs <- hs;
       m.m_channel <- channel;
       m.m_session_id <- session_id;
       m.m_seqno <- 1;
@@ -285,28 +362,30 @@ let reconnect (t : t) (m : mount) : (unit, mount_error) result =
 
 (* --- The read-write data path ---
 
-   Every Fs_call is built by [fs_request] and rides a mux over the
-   mount's connection: a window-1 mux for serial calls, a second one
-   for write-behind (unstable WRITEs), and — with readahead on — a
-   windowed mux for pipelined READs. *)
-
-(* A reply that proves the channel poisoned (MAC failure, stream
-   desync, garbled frame): the recovery path reconnects and re-issues. *)
-exception Poisoned of string
+   Every Fs_call is built and sealed by [submit] and rides a mount mux:
+   a window-1 mux for serial calls, a second one for write-behind
+   (unstable WRITEs), and, with readahead on, a windowed mux for
+   pipelined READs. *)
 
 let next_xid (m : mount) : int =
   let xid = m.m_xid in
   m.m_xid <- xid + 1;
   xid
 
-(* The Fs_call for one attempt at [xid]: the caller's authno, and the
-   attempt's op span context, which rides the wire so the server's
-   spans attach to this attempt.  Reads the mount's state afresh, so a
-   reconnection between attempts is transparent.  [args] marshals the
-   NFS arguments straight into the mount's encoder, which is copied
-   out once as the plaintext to seal. *)
-let fs_request (m : mount) ~(cred : Simos.cred) ~(proc : int) ~(xid : int) (os : Obs.open_span)
-    (args : Xdr.enc -> unit) : string =
+(* Build, seal and submit the Fs_call for one attempt at [xid]: the
+   caller's authno, and the attempt's op span context, which rides the
+   wire so the server's spans attach to this attempt.  Reads the
+   mount's state afresh, so a reconnection between attempts is
+   transparent.  [args] marshals the NFS arguments straight into the
+   mount's encoder, copied out once as the plaintext to seal.  A serial
+   call pays a user-level crossing and its full seal; an overlapped one
+   (write-behind, readahead) hides most of both behind the pipeline, so
+   only the residual fractions are charged.  The mux records the
+   critical-path sample and closes [os] at the op's ready time. *)
+let submit (t : t) (m : mount) (mux : 'a Rpc_mux.t) (os : Obs.open_span) ~(cred : Simos.cred)
+    ~(proc : int) ~(xid : int) ~(opname : string) ~(overlapped : bool) (args : Xdr.enc -> unit) :
+    'a Rpc_mux.ticket =
+  let t0 = Simclock.now_us t.clock in
   let authno =
     match Hashtbl.find_opt m.m_authnos cred.Simos.cred_uid with
     | Some a -> a
@@ -317,84 +396,20 @@ let fs_request (m : mount) ~(cred : Simos.cred) ~(proc : int) ~(xid : int) (os :
   in
   Xdr.reset m.m_enc;
   Sfsrw.enc_fs_call m.m_enc ~xid ~authno ~proc ~trace ~span args;
-  Xdr.to_string m.m_enc
-
-(* Seal a request for an overlapped send (write-behind, windowed
-   READs): the pipeline hides most of the user-level crossings and part
-   of the encryption, so only the residual fractions are charged.
-   Returns the wire bytes, the seal time charged, and the full seal
-   cost (the counter attribution). *)
-let seal_overlapped (t : t) (m : mount) (req : string) : string * float * float =
-  Simclock.advance t.clock
-    (Costmodel.async_userlevel_factor *. (2.0 *. Costmodel.userlevel_us_per_side));
-  let wire = Channel.seal ~bill:false m.m_channel req in
+  let req = Xdr.to_string m.m_enc in
   let full = Channel.crypto_cost_us m.m_channel (String.length req) in
-  let crypto_up = Costmodel.async_crypto_factor *. full in
-  Simclock.advance t.clock crypto_up;
-  (wire, crypto_up, full)
-
-(* Open and decode one Fs_call reply on [channel], banking its
-   invalidation callbacks; returns the results and the plaintext
-   length.  A poisoned channel raises [Poisoned] (after bumping its
-   recover counter); a protocol error or a stray auth reply raises
-   [Rpc_failure] — the channel is fine, the call is not. *)
-let open_fs_reply ?obs (channel : Channel.t) (invalidations : fh list ref) (reply : string) :
-    string * int =
-  match Channel.open_ channel reply with
-  | Error `Mac_mismatch ->
-      Obs.incr obs "recover.mac_mismatch";
-      raise (Poisoned "mac mismatch")
-  | Error `Replay ->
-      Obs.incr obs "recover.replay";
-      raise (Poisoned "channel desync")
-  | Ok plain -> (
-      match Sfsrw.response_of_string plain with
-      | Ok (Sfsrw.Fs_reply { results; invalidations = inv }) ->
-          invalidations := !invalidations @ inv;
-          (results, String.length plain)
-      | Ok (Sfsrw.Proto_error e) -> raise (Nfs_client.Rpc_failure e)
-      | Ok (Sfsrw.Auth_granted _ | Sfsrw.Auth_denied _) ->
-          raise (Nfs_client.Rpc_failure "unexpected auth response")
-      | Result.Error e -> raise (Poisoned ("garbled response: " ^ e)))
-
-(* A mux over the mount's connection.  Its exchanges read m_conn and
-   m_channel afresh, so a reconnection swaps them underneath. *)
-let mount_mux ?obs ?precompute (t : t) ~(window : int) ~(latency_us : float) ~(op_us : float)
-    (exchange : string -> 'a Rpc_mux.completion) : 'a Rpc_mux.t =
-  Rpc_mux.create ?obs ?precompute ~window ~clock:t.clock
-    ~wire_us:(Costmodel.transfer_us Costmodel.Tcp)
-    ~latency_us ~op_us ~exchange ()
-
-(* A window-1 mux: no per-reply residual and no keystream donation, so
-   a call costs exactly its wire, server time and [latency_us].  No registry either — its traffic is counted under
-   net.*, and the op spans carry the critical-path samples. *)
-let window1_mux (t : t) (m : mount) ~(latency_us : float) : string Rpc_mux.t =
-  mount_mux t ~window:1 ~latency_us ~op_us:0.0 (fun wire ->
-      let reply, server_us = Simnet.call_measured m.m_conn wire in
-      let results, plain_len =
-        open_fs_reply ?obs:t.obs m.m_channel m.m_invalidations reply
-      in
-      {
-        Rpc_mux.c_payload = results;
-        c_server_us = server_us;
-        c_wire_bytes = String.length reply;
-        c_crypto_us = Channel.crypto_cost_us m.m_channel plain_len;
-        c_claim_us = 0.0;
-      })
-
-(* One attempt on a window-1 mux, which records the critical-path
-   sample at decode success.  A serial call pays a user-level crossing
-   and its full seal; write-behind seals overlapped. *)
-let attempt (t : t) (m : mount) (mux : string Rpc_mux.t) (os : Obs.open_span)
-    ~(opname : string) ~(overlapped : bool) (req : string) : string =
-  let t0 = Simclock.now_us t.clock in
-  let wire, crypto_up, full =
-    if overlapped then seal_overlapped t m req
+  let wire, crypto_up =
+    if overlapped then begin
+      Simclock.advance t.clock
+        (Costmodel.async_userlevel_factor *. (2.0 *. Costmodel.userlevel_us_per_side));
+      let wire = Channel.seal ~bill:false m.m_channel req in
+      let crypto_up = Costmodel.async_crypto_factor *. full in
+      Simclock.advance t.clock crypto_up;
+      (wire, crypto_up)
+    end
     else begin
       Simclock.advance t.clock Costmodel.userlevel_us_per_side;
-      let wire = Channel.seal m.m_channel req in
-      let crypto_up = Channel.crypto_cost_us m.m_channel (String.length req) in
-      (wire, crypto_up, crypto_up)
+      (Channel.seal m.m_channel req, full)
     end
   in
   let info =
@@ -406,79 +421,34 @@ let attempt (t : t) (m : mount) (mux : string Rpc_mux.t) (os : Obs.open_span)
       ci_span = os;
     }
   in
-  Rpc_mux.await mux (Rpc_mux.submit ~info mux ~wire_bytes:(String.length wire) wire)
+  Rpc_mux.submit ~info mux ~wire_bytes:(String.length wire) wire
 
 (* The windowed READ path (readahead).  Requests ride the same secure
    channel in submission order — the mux runs exchanges eagerly, so the
    ARC4 stream positions and the server's execution order are
    byte-identical to the serial client's — while the round trips
-   overlap in simulated time. *)
+   overlap in simulated time.  A failed exchange raises out of the
+   await thunk and the cache falls back to the serial path, whose
+   recovery reconnects. *)
 let read_pipeline (t : t) (m : mount) : Fs_intf.pipeline =
   let mux =
-    mount_mux ?obs:t.obs t ~window:t.rpc_window
-      ~latency_us:(Costmodel.rpc_fixed_us Costmodel.Tcp)
-      (* Donated idle wire time becomes reply-stream keystream, banked
-         ahead of the replies it will decrypt (reads m_channel afresh,
-         so a reconnection swaps the beneficiary too). *)
-      ~precompute:(fun ~budget_us -> Channel.precompute m.m_channel ~budget_us)
-      ~op_us:Costmodel.pipeline_sfs_op_us
-      (fun wire ->
-        let reply, server_us = Simnet.call_measured m.m_conn wire in
-        (* Zero-copy: the opened frame is the single buffer the reply
-           rides from here to the block cache — the decode below and
-           the READ payload are views into it. *)
-        match Channel.open_slice m.m_channel reply with
-        | Ok frame -> (
-            match Sfsrw.fs_reply_of_slice frame with
-            | Ok (results, inv) ->
-                (* Capture invalidations eagerly: a ticket the cache
-                   later abandons must not lose a callback. *)
-                m.m_invalidations := !(m.m_invalidations) @ inv;
-                {
-                  Rpc_mux.c_payload = results;
-                  c_server_us = server_us;
-                  c_wire_bytes = String.length reply;
-                  (* Of the measured server time, the reply seal —
-                     attributed to the down direction so the analyzer
-                     never double-counts full-duplex crypto overlap. *)
-                  c_crypto_us = Channel.crypto_cost_us m.m_channel (Slice.length frame);
-                  (* Keystream this open_ consumed from the idle-time
-                     prefetch: that slice of the seal already ran
-                     during dead wire time. *)
-                  c_claim_us = Channel.take_recv_claim m.m_channel;
-                }
-            | Result.Error _ -> raise Simnet.Timeout)
-        | Error _ ->
-            (* Poisoned streams: surface as a timeout; the serial
-               fallback's recovery reconnects and re-authenticates. *)
-            raise Simnet.Timeout)
+    mount_mux t m ~window:t.rpc_window ~latency_us:(Costmodel.rpc_fixed_us Costmodel.Tcp)
+      fs_results
   in
   let pl_submit cred fh ~off ~count =
-    let t0 = Simclock.now_us t.clock in
     let xid = next_xid m in
     (* sfslint: allow SL012 — the open span is handed to Rpc_mux.submit via ~info, which closes it at the op's ready time (or at submit time on a failed exchange) *)
     let os = Obs.span_begin t.obs ~cat:"op" "read" in
-    let req =
-      fs_request m ~cred ~proc:Nfs_proto.proc_read ~xid os (fun e ->
-          Nfs_proto.enc_read_args e (fh, off, count))
+    let ticket =
+      submit t m mux os ~cred ~proc:Nfs_proto.proc_read ~xid ~opname:"read" ~overlapped:true
+        (fun e -> Nfs_proto.enc_read_args e (fh, off, count))
     in
-    let wire, crypto_up, full = seal_overlapped t m req in
-    let info =
-      {
-        Rpc_mux.ci_op = "read";
-        ci_t0_us = t0;
-        ci_crypto_up_us = crypto_up;
-        ci_crypto_up_ctr = int_of_float full;
-        ci_span = os;
-      }
-    in
-    let ticket = Rpc_mux.submit ~info mux ~wire_bytes:(String.length wire) wire in
-    Some
-      (fun () ->
-        let results = Rpc_mux.await mux ticket in
-        match Xdr.run_slice results (Nfs_proto.dec_res Nfs_proto.dec_read_ok_slice) with
-        | Ok v -> v
-        | Result.Error e -> raise (Nfs_client.Rpc_failure ("unparsable result: " ^ e)))
+    fun () ->
+      match
+        Xdr.run_slice (Rpc_mux.await mux ticket) (Nfs_proto.dec_res Nfs_proto.dec_read_ok_slice)
+      with
+      | Ok v -> v
+      | Result.Error e -> raise (Nfs_client.Rpc_failure ("unparsable result: " ^ e))
   in
   { Fs_intf.pl_depth = t.readahead; pl_submit }
 
@@ -495,14 +465,13 @@ let mount (t : t) (path : Pathname.t) : (mount, mount_error) result =
         (fun () ->
           match dial t path with
           | Error e -> Error e
-          | Ok (conn, hs, channel, session_id) -> (
+          | Ok (conn, channel, session_id) -> (
               let m =
                 {
                   m_path = path;
                   m_session_id = session_id;
                   m_channel = channel;
                   m_conn = conn;
-                  m_hs = hs;
                   m_invalidations = ref [];
                   m_cache = None;
                   m_ops = None;
@@ -515,9 +484,12 @@ let mount (t : t) (path : Pathname.t) : (mount, mount_error) result =
                 }
               in
               let serial =
-                window1_mux t m ~latency_us:(Costmodel.rpc_fixed_us Costmodel.Tcp)
+                mount_mux t m ~window:1 ~latency_us:(Costmodel.rpc_fixed_us Costmodel.Tcp)
+                  fs_results
               in
-              let write_behind = window1_mux t m ~latency_us:Costmodel.async_floor_us in
+              let write_behind =
+                mount_mux t m ~window:1 ~latency_us:Costmodel.async_floor_us fs_results
+              in
               (* The secure-channel transport for the read-write
                  protocol. *)
               let raw_call : Nfs_client.raw_call =
@@ -546,18 +518,27 @@ let mount (t : t) (path : Pathname.t) : (mount, mount_error) result =
                     end;
                     (* Per-attempt op span. *)
                     let os = Obs.span_begin t.obs ~cat:"op" opname in
-                    let req = fs_request m ~cred ~proc ~xid os (fun e -> Xdr.enc_raw e args) in
+                    let mux = if async then write_behind else serial in
                     match
-                      attempt t m (if async then write_behind else serial) os ~opname
-                        ~overlapped:async req
+                      Rpc_mux.await mux
+                        (submit t m mux os ~cred ~proc ~xid ~opname ~overlapped:async (fun e ->
+                             Xdr.enc_raw e args))
                     with
                     | results -> Ok results
                     | exception Simnet.Timeout ->
                         Obs.span_end os;
                         Error "timeout"
-                    | exception Poisoned why ->
+                    | exception Poisoned p ->
                         Obs.span_end os;
-                        Error why
+                        Error
+                          (match p with
+                          | `Mac_mismatch ->
+                              Obs.incr t.obs "recover.mac_mismatch";
+                              "mac mismatch"
+                          | `Replay ->
+                              Obs.incr t.obs "recover.replay";
+                              "channel desync"
+                          | `Garbled e -> "garbled response: " ^ e)
                     | exception (Nfs_client.Rpc_failure _ as e) ->
                         Obs.span_end os;
                         raise e)
@@ -567,7 +548,7 @@ let mount (t : t) (path : Pathname.t) : (mount, mount_error) result =
                  from the server's key), so the root outlives any
                  reconnection. *)
               match
-                Xdr.run
+                Xdr.run_slice
                   (raw_call ~cred:Simos.anonymous_cred ~proc:Sfsrw.proc_getroot ~async:false "")
                   dec_fh
               with
@@ -657,7 +638,6 @@ let mount_readonly (t : t) (path : Pathname.t) : (mount, mount_error) result =
                         Channel.create ~encrypt:false ~send_key:(String.make 20 '0')
                           ~recv_key:(String.make 20 '0') ();
                       m_conn = conn;
-                      m_hs = hs;
                       m_invalidations = ref [];
                       m_cache = Some cache;
                       m_ops = Some (Cachefs.ops cache);

@@ -61,8 +61,14 @@ val create :
     channel and cache are instrumented too ([channel.client.*],
     [cache.*]).
 
-    Key negotiation, authentication and read-only fetches ride one
-    window-1 mux per connection, priced as one serial round trip. *)
+    Key negotiation and read-only fetches ride one window-1 mux per
+    connection, priced as one serial round trip.  Every reply on the
+    secure channel (serial, write-behind, readahead and authentication)
+    comes back through one exchange: opened in place with
+    {!Sfs_proto.Channel.open_slice} and decoded once by
+    {!Sfs_proto.Sfsrw.response_of_slice}, so NFS results reach the
+    decoder as a view into the opened frame.  Authentication rides a
+    window-1 mux of its own, priced like a serial call. *)
 
 val mount : t -> Pathname.t -> (mount, mount_error) result
 (** Dial the Location, negotiate keys, verify the HostID, fetch the

@@ -9,10 +9,10 @@
     [window] round trips overlap in simulated wall-clock.  With
     [window = 1] the schedule degenerates to the serial one.
 
-    The mux is polymorphic in the reply payload: the serial string path
-    instantiates ['a = string], while the zero-copy pipelined read path
-    carries decoded {!Sfs_util.Slice.t}-based results straight through
-    without re-marshaling. *)
+    The mux is polymorphic in the reply payload: a clear connection
+    ({!of_conn}) instantiates ['a = string], while the SFS client's
+    muxes carry what it decoded in place from the opened frame — NFS
+    results as a {!Sfs_util.Slice.t} view — without re-marshaling. *)
 
 type 'a completion = {
   c_payload : 'a;  (** decoded reply payload *)

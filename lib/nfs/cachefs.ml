@@ -87,12 +87,6 @@ type t = {
      free. *)
   blocks : (fh * int, Slice.t) Lru.t;
   mutable cached_bytes : int;
-  mutable lookups : int;
-  mutable lookup_hits : int;
-  mutable getattrs : int;
-  mutable getattr_hits : int;
-  mutable reads : int;
-  mutable read_hits : int;
   obs : Obs.registry option;
 }
 
@@ -118,12 +112,6 @@ let create ?(take_invalidations = no_invalidations) ?obs ?pipeline ?(write_behin
     negatives = Hashtbl.create 16;
     blocks = Lru.create 16;
     cached_bytes = 0;
-    lookups = 0;
-    lookup_hits = 0;
-    getattrs = 0;
-    getattr_hits = 0;
-    reads = 0;
-    read_hits = 0;
   }
 
 let drop_blocks (t : t) (h : fh) : unit =
@@ -142,12 +130,14 @@ let drop_access (t : t) (h : fh) : unit =
 
 (* Abandon submitted readahead for a handle: the replies are simply
    never awaited (the dispatcher force-completes their tickets under
-   window pressure, as a real client would discard stale replies). *)
+   window pressure, as a real client would discard stale replies).
+   Every write calls this, so the common empty table costs no scan. *)
 let drop_inflight (t : t) (h : fh) : unit =
-  let doomed =
-    Hashtbl.fold (fun (f, b) _ acc -> if f = h then (f, b) :: acc else acc) t.inflight []
-  in
-  List.iter (Hashtbl.remove t.inflight) doomed
+  if Hashtbl.length t.inflight > 0 then
+    let doomed =
+      Hashtbl.fold (fun (f, b) _ acc -> if f = h then (f, b) :: acc else acc) t.inflight []
+    in
+    List.iter (Hashtbl.remove t.inflight) doomed
 
 let invalidate_fh (t : t) (h : fh) : unit =
   Hashtbl.remove t.attrs h;
@@ -242,15 +232,15 @@ let may (cred : Simos.cred) (a : fattr) ~(want : int) : bool =
 
 let ( let* ) = Result.bind
 
-let stats (t : t) : (int * int) * (int * int) * (int * int) =
-  ((t.getattrs, t.getattr_hits), (t.lookups, t.lookup_hits), (t.reads, t.read_hits))
-
 (* --- Write-behind --- *)
 
 (* Cache what a write (direct or flushed) put on the server: attributes
    first (the mtime change evicts stale blocks), then the aligned
-   chunks, partial ones only when they form the file's tail. *)
+   chunks, partial ones only when they form the file's tail.  Readahead
+   submitted before the write carries the old bytes and attributes, so
+   it is dropped rather than claimed over the new blocks. *)
 let note_written (t : t) (h : fh) ~(off : int) (data : string) (a : fattr) : unit =
+  drop_inflight t h;
   note_attr t h a;
   if off mod block_size = 0 then
     List.iteri
@@ -324,20 +314,17 @@ let top_up (t : t) (cred : Simos.cred) (h : fh) ~(next : int) : unit =
   match (t.pipeline, fresh_attr t h) with
   | Some pl, Some e when pl.Fs_intf.pl_depth > 0 ->
       let size = e.attr.size in
-      (try
-         for b = next to next + pl.Fs_intf.pl_depth - 1 do
-           if
-             b * block_size < size
-             && (not (Lru.mem t.blocks (h, b)))
-             && not (Hashtbl.mem t.inflight (h, b))
-           then
-             match pl.Fs_intf.pl_submit cred h ~off:(b * block_size) ~count:block_size with
-             | Some thunk ->
-                 Obs.incr t.obs "cache.readahead.submit";
-                 Hashtbl.replace t.inflight (h, b) thunk
-             | None -> raise Exit
-         done
-       with Exit -> ())
+      for b = next to next + pl.Fs_intf.pl_depth - 1 do
+        if
+          b * block_size < size
+          && (not (Lru.mem t.blocks (h, b)))
+          && not (Hashtbl.mem t.inflight (h, b))
+        then begin
+          let thunk = pl.Fs_intf.pl_submit cred h ~off:(b * block_size) ~count:block_size in
+          Obs.incr t.obs "cache.readahead.submit";
+          Hashtbl.replace t.inflight (h, b) thunk
+        end
+      done
   | _ -> ()
 
 (* Copy a read out of cached blocks, bounded by the fresh size in [e]:
@@ -381,8 +368,8 @@ let serve_cached (t : t) (h : fh) ~(off : int) ~(count : int) : (string * bool *
 
 (* Fetch the demanded blocks through the windowed dispatcher, top the
    readahead window up behind them so everything overlaps, then await
-   the demanded ones and serve from cache.  Any refusal or failure
-   returns [None]: the caller falls back to the synchronous read, whose
+   the demanded ones and serve from cache.  Any failure returns
+   [None]: the caller falls back to the synchronous read, whose
    recovery path handles transport faults (reads are idempotent). *)
 let fetch_pipelined (t : t) (cred : Simos.cred) (h : fh) ~(off : int) ~(count : int)
     ~(first : int) ~(last : int) : (string * bool * fattr) option =
@@ -394,33 +381,26 @@ let fetch_pipelined (t : t) (cred : Simos.cred) (h : fh) ~(off : int) ~(count : 
           (last - first + 1)
           (fun i ->
             let b = first + i in
-            if Lru.mem t.blocks (h, b) then Some None
-            else
-              match pl.Fs_intf.pl_submit cred h ~off:(b * block_size) ~count:block_size with
-              | Some thunk -> Some (Some (b, thunk))
-              | None -> None)
+            if Lru.mem t.blocks (h, b) then None
+            else Some (b, pl.Fs_intf.pl_submit cred h ~off:(b * block_size) ~count:block_size))
       in
-      if List.exists (function None -> true | Some _ -> false) fg then
-        None (* abandon any submitted tickets; the sync path re-fetches *)
-      else begin
-        top_up t cred h ~next:(last + 1);
-        let ok =
-          List.for_all
-            (function
-              | Some (Some (b, thunk)) -> (
-                  match thunk () with
-                  | Ok (data, eof, a) ->
-                      note_attr t h a;
-                      if (not (Slice.is_empty data)) && (Slice.length data = block_size || eof)
-                      then note_block t h b data;
-                      true
-                  | Error _ -> false
-                  | exception _ -> false)
-              | _ -> true)
-            fg
-        in
-        if ok then serve_cached t h ~off ~count else None
-      end
+      top_up t cred h ~next:(last + 1);
+      let ok =
+        List.for_all
+          (function
+            | Some (b, thunk) -> (
+                match thunk () with
+                | Ok (data, eof, a) ->
+                    note_attr t h a;
+                    if (not (Slice.is_empty data)) && (Slice.length data = block_size || eof) then
+                      note_block t h b data;
+                    true
+                | Error _ -> false
+                | exception _ -> false)
+            | None -> true)
+          fg
+      in
+      if ok then serve_cached t h ~off ~count else None
 
 (* Each syscall-level entry point is a trace root: a fresh trace id is
    allocated on the way in, and everything underneath — cache
@@ -458,7 +438,6 @@ let ops (t : t) : Fs_intf.ops =
   let inner = t.inner in
   let getattr cred h =
     drain_invalidations t;
-    t.getattrs <- t.getattrs + 1;
     (* A fresh cached attribute already reflects the write-behind
        buffer (its size is updated as the buffer grows); only a miss
        with dirty data must flush first, or the server would answer
@@ -466,7 +445,6 @@ let ops (t : t) : Fs_intf.ops =
     if t.write_behind && fresh_attr t h = None then flush_for t h;
     match fresh_attr t h with
     | Some e ->
-        t.getattr_hits <- t.getattr_hits + 1;
         Obs.incr t.obs "cache.attr.hit";
         charge_hit t 64;
         Ok e.attr
@@ -491,10 +469,8 @@ let ops (t : t) : Fs_intf.ops =
     fs_lookup =
       (fun cred ~dir name ->
         drain_invalidations t;
-        t.lookups <- t.lookups + 1;
         match Hashtbl.find_opt t.negatives (dir, name) with
         | Some expiry when t.policy.use_leases && expiry > Simclock.now_us t.clock ->
-            t.lookup_hits <- t.lookup_hits + 1;
             Obs.incr t.obs "cache.neg.hit";
             charge_hit t 64;
             Error NFS3ERR_NOENT
@@ -510,7 +486,6 @@ let ops (t : t) : Fs_intf.ops =
                 charge_hit t 64;
                 Error NFS3ERR_ACCES
             | Some e, _ ->
-                t.lookup_hits <- t.lookup_hits + 1;
                 Obs.incr t.obs "cache.name.hit";
                 charge_hit t 64;
                 Ok (target, e.attr)
@@ -569,7 +544,6 @@ let ops (t : t) : Fs_intf.ops =
       (fun cred h ~off ~count ->
         drain_invalidations t;
         if t.write_behind then flush_for t h;
-        t.reads <- t.reads + 1;
         (* Whole-block caching: a read is a hit when every covered block
            is cached and attributes are fresh. *)
         let first = off / block_size and last = if count = 0 then off / block_size else (off + count - 1) / block_size in
@@ -610,7 +584,6 @@ let ops (t : t) : Fs_intf.ops =
         | Some e -> (
             match copy_out t h e ~off ~count with
             | Some r ->
-                t.read_hits <- t.read_hits + 1;
                 Obs.incr t.obs "cache.read.hit";
                 charge_hit t count;
                 (* Keep the window full behind a sequential consumer. *)

@@ -61,6 +61,3 @@ val invalidate_all : t -> unit
 val flush_dirty : t -> unit
 (** Push any buffered write-behind data to the server now (one gather
     WRITE).  No-op when clean. *)
-
-val stats : t -> (int * int) * (int * int) * (int * int)
-(** [((getattrs, hits), (lookups, hits), (reads, hits))]. *)

@@ -37,14 +37,13 @@ type ops = {
 
 (* A pipelined read path the transport may offer the cache (readahead).
    [pl_submit] issues one READ through the windowed dispatcher and
-   returns a thunk that awaits the reply — or [None] when the transport
-   cannot pipeline right now.  The thunk may raise (transport fault);
-   callers fall back to the synchronous [fs_read], whose recovery path
-   handles it.  READs are idempotent, so an abandoned in-flight prefetch
-   is harmless.  The data arrives as a slice — a view into the opened
-   wire frame on zero-copy transports — which the block cache stores as
-   is; transports without a zero-copy path wrap their strings with
-   [Slice.of_string] (free). *)
+   returns a thunk that awaits the reply.  The thunk may raise
+   (transport fault); callers fall back to the synchronous [fs_read],
+   whose recovery path handles it.  READs are idempotent, so an
+   abandoned in-flight prefetch is harmless.  The data arrives as a
+   slice — a view into the opened wire frame on zero-copy transports —
+   which the block cache stores as is; transports without a zero-copy
+   path wrap their strings with [Slice.of_string] (free). *)
 type pipeline = {
   pl_depth : int; (* readahead depth (blocks beyond the demanded one) *)
   pl_submit :
@@ -52,5 +51,5 @@ type pipeline = {
     fh ->
     off:int ->
     count:int ->
-    (unit -> (Sfs_util.Slice.t * bool * fattr) res) option;
+    (unit -> (Sfs_util.Slice.t * bool * fattr) res);
 }

@@ -37,10 +37,9 @@ type ops = {
 
 (** A pipelined read path the transport may offer the cache (readahead,
     DESIGN.md §11).  [pl_submit] issues one READ through the windowed
-    dispatcher and returns a thunk that awaits the reply — or [None]
-    when the transport cannot pipeline right now.  The thunk may raise a
-    transport fault; callers fall back to the synchronous [fs_read],
-    whose recovery path handles it (READs are idempotent, so an
+    dispatcher and returns a thunk that awaits the reply.  The thunk may
+    raise a transport fault; callers fall back to the synchronous
+    [fs_read], whose recovery path handles it (READs are idempotent, so an
     abandoned in-flight prefetch is harmless).  Data arrives as a
     {!Sfs_util.Slice.t} — a view into the opened wire frame on
     zero-copy transports, a free whole-string wrapper elsewhere — and
@@ -52,5 +51,5 @@ type pipeline = {
     fh ->
     off:int ->
     count:int ->
-    (unit -> (Sfs_util.Slice.t * bool * fattr) res) option;
+    (unit -> (Sfs_util.Slice.t * bool * fattr) res);
 }

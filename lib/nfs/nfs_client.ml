@@ -15,6 +15,7 @@ module Simclock = Sfs_net.Simclock
 module Xdr = Sfs_xdr.Xdr
 module Sunrpc = Sfs_xdr.Sunrpc
 module Obs = Sfs_obs.Obs
+module Slice = Sfs_util.Slice
 
 type transport = string -> string
 (** Sends one marshaled RPC call, returns the marshaled reply. *)
@@ -123,15 +124,16 @@ let call_raw (t : t) ~(cred : Simos.cred) ~(prog : int) ~(vers : int) ~(proc : i
 (* NFS procedures marshaled over any raw call function; shared with the
    SFS client, whose transport is the secure channel instead of Sun
    RPC. *)
-type raw_call = cred:Simos.cred -> proc:int -> async:bool -> string -> string
+type raw_call = cred:Simos.cred -> proc:int -> async:bool -> string -> Slice.t
 (* [async] marks write-behind traffic (unstable WRITEs): the transport
-   may pipeline it instead of paying a full round trip. *)
+   may pipeline it instead of paying a full round trip.  The results
+   come back as a view: into the opened frame on the secure channel, a
+   whole-string wrapper here. *)
 
 let generic_call ?(async = false) (call : raw_call) ~(cred : Simos.cred) ~(proc : int)
     (enc_args : Xdr.enc -> 'a -> unit) (a : 'a) (dec_result : Xdr.dec -> 'b) : 'b =
   let args = Xdr.encode enc_args a in
-  let results = call ~cred ~proc ~async args in
-  match Xdr.run results dec_result with
+  match Xdr.run_slice (call ~cred ~proc ~async args) dec_result with
   | Ok v -> v
   | Result.Error e ->
       (* sfstaint: allow TNT004 — Xdr errors interpolate only lengths and tag values, never reply bytes; the transport closure's captured channel state stays out of the message *)
@@ -225,7 +227,7 @@ let conn_ops ~(stall : int -> unit) ?obs (net : Simnet.t) ~(proto : Costmodel.tr
     (fun ~cred ~proc ~async args ->
       stall (String.length args);
       let t = if async then async_t else sync in
-      call_raw t ~cred ~prog:Nfs_proto.prog ~vers:Nfs_proto.vers ~proc args)
+      Slice.of_string (call_raw t ~cred ~prog:Nfs_proto.prog ~vers:Nfs_proto.vers ~proc args))
     ~root
 
 (* The windowed READ path (readahead): its own xid space, so pipelined
@@ -263,16 +265,15 @@ let conn_pipeline ?obs ~(window : int) ~(depth : int) (net : Simnet.t)
       }
     in
     let ticket = Rpc_mux.submit ~info mux ~wire_bytes:(String.length msg) msg in
-    Some
-      (fun () ->
-        match reply_results ~xid (Rpc_mux.await mux ticket) with
-        | Ok results -> (
-            (* Slice decode: the block cache keeps a view into
-               [results] instead of a copied-out string. *)
-            match Xdr.run results (Nfs_proto.dec_res Nfs_proto.dec_read_ok_slice) with
-            | Ok v -> v
-            | Result.Error e -> raise (Rpc_failure ("unparsable result: " ^ e)))
-        | Error (`Retry why | `Fail why) -> raise (Rpc_failure ("pipelined read: " ^ why)))
+    fun () ->
+      match reply_results ~xid (Rpc_mux.await mux ticket) with
+      | Ok results -> (
+          (* Slice decode: the block cache keeps a view into [results]
+             instead of a copied-out string. *)
+          match Xdr.run results (Nfs_proto.dec_res Nfs_proto.dec_read_ok_slice) with
+          | Ok v -> v
+          | Result.Error e -> raise (Rpc_failure ("unparsable result: " ^ e)))
+      | Error (`Retry why | `Fail why) -> raise (Rpc_failure ("pipelined read: " ^ why))
   in
   { Fs_intf.pl_depth = depth; pl_submit }
 

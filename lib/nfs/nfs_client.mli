@@ -27,9 +27,13 @@ val with_backoff :
     (8 attempts, 20 ms base, 0.8 s cap) on a timeout or garbled reply,
     so the server's duplicate request cache absorbs re-executions. *)
 
-type raw_call = cred:Simos.cred -> proc:int -> async:bool -> string -> string
-(** A procedure-level transport.  [async] marks write-behind traffic
-    (unstable WRITEs), which implementations may pipeline. *)
+type raw_call = cred:Simos.cred -> proc:int -> async:bool -> string -> Sfs_util.Slice.t
+(** A procedure-level transport: marshaled arguments in, marshaled
+    results out.  [async] marks write-behind traffic (unstable WRITEs),
+    which implementations may pipeline.  The results are a view, decoded
+    in place: the SFS client hands back a view into the opened reply
+    frame, and this client wraps its Sun RPC results with the free
+    {!Sfs_util.Slice.of_string}. *)
 
 val generic_ops : raw_call -> root:fh -> Fs_intf.ops
 (** NFS 3 procedures marshaled over any raw transport — the shared core

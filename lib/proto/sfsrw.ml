@@ -14,13 +14,14 @@
 
 open Sfs_nfs.Nfs_types
 module Xdr = Sfs_xdr.Xdr
+module Slice = Sfs_util.Slice
 
 type request =
   | Fs_call of { xid : int; authno : int; proc : int; trace : int; span : int; args : string }
   | Auth_req of { seqno : int; authmsg : string }
 
 type response =
-  | Fs_reply of { results : string; invalidations : fh list }
+  | Fs_reply of { results : Slice.t; invalidations : fh list }
   | Auth_granted of { authno : int; seqno : int }
   | Auth_denied of { seqno : int; reason : string }
   | Proto_error of string
@@ -77,7 +78,7 @@ let enc_response e (r : response) =
   match r with
   | Fs_reply { results; invalidations } ->
       Xdr.enc_uint32 e 0;
-      Xdr.enc_opaque e results;
+      Xdr.enc_opaque_slice e results;
       Xdr.enc_array e enc_fh invalidations
   | Auth_granted { authno; seqno } ->
       Xdr.enc_uint32 e 1;
@@ -91,10 +92,13 @@ let enc_response e (r : response) =
       Xdr.enc_uint32 e 3;
       Xdr.enc_string e msg
 
+(* An Fs_reply's [results] stays a view into the decoded buffer: on the
+   client that is the opened frame, so the reply is never carved out
+   with a copy. *)
 let dec_response d : response =
   match Xdr.dec_uint32 d with
   | 0 ->
-      let results = Xdr.dec_opaque d ~max:0x200000 in
+      let results = Xdr.dec_opaque_slice d ~max:0x200000 in
       let invalidations = Xdr.dec_array d ~max:4096 dec_fh in
       Fs_reply { results; invalidations }
   | 1 ->
@@ -108,24 +112,11 @@ let dec_response d : response =
   | 3 -> Proto_error (Xdr.dec_string d ~max:255)
   | t -> Xdr.error "bad response tag %d" t
 
-(* Zero-copy decode of an Fs_reply: [results] stays a view into the
-   opened frame instead of being carved out with a copy.  Any other
-   (valid) response tag is an error here — the pipelined read path only
-   ever receives file system replies. *)
-let fs_reply_of_slice (frame : Sfs_util.Slice.t) : (Sfs_util.Slice.t * fh list, string) result =
-  Xdr.run_slice frame (fun d ->
-      match Xdr.dec_uint32 d with
-      | 0 ->
-          let results = Xdr.dec_opaque_slice d ~max:0x200000 in
-          let invalidations = Xdr.dec_array d ~max:4096 dec_fh in
-          (results, invalidations)
-      | t -> Xdr.error "unexpected response tag %d on the read path" t)
-
 let request_to_string (r : request) : string = Xdr.encode enc_request r
 let response_to_string (r : response) : string = Xdr.encode enc_response r
 
 let request_of_string (s : string) : (request, string) result = Xdr.run s dec_request
-let response_of_string (s : string) : (response, string) result = Xdr.run s dec_response
+let response_of_slice (frame : Slice.t) : (response, string) result = Xdr.run_slice frame dec_response
 
 (* The anonymous authentication number (paper section 3.1.2). *)
 let authno_anonymous = 0

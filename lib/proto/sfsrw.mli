@@ -18,10 +18,12 @@ type request =
     matching. *)
 
 type response =
-  | Fs_reply of { results : string; invalidations : fh list }
+  | Fs_reply of { results : Sfs_util.Slice.t; invalidations : fh list }
   | Auth_granted of { authno : int; seqno : int }
   | Auth_denied of { seqno : int; reason : string }
   | Proto_error of string
+(** [results] holds the marshaled NFS results: a view into the buffer
+    the reply was decoded from, not a copy. *)
 
 val enc_fs_call :
   Sfs_xdr.Xdr.enc ->
@@ -49,14 +51,11 @@ val enc_response : Sfs_xdr.Xdr.enc -> response -> unit
 val request_to_string : request -> string
 val response_to_string : response -> string
 val request_of_string : string -> (request, string) result
-val response_of_string : string -> (response, string) result
-
-val fs_reply_of_slice :
-  Sfs_util.Slice.t -> (Sfs_util.Slice.t * fh list, string) result
-(** Zero-copy decode of an [Fs_reply] from an opened frame: the
-    returned [results] is a view into the frame, not a copy.  Errors on
-    malformed input {e and} on any other response tag — the pipelined
-    read path only ever sees file system replies. *)
+val response_of_slice : Sfs_util.Slice.t -> (response, string) result
+(** The one response decoder, over an opened frame
+    ({!Channel.open_slice}): an [Fs_reply]'s [results] is a view into
+    [frame].  Callers holding a string wrap it with the free
+    {!Sfs_util.Slice.of_string}. *)
 
 val authno_anonymous : int
 (** 0 — requests without (successful) user authentication. *)

@@ -17,10 +17,14 @@ val make : string -> off:int -> len:int -> t
 (** @raise Invalid_argument when the range exceeds the base. *)
 
 val length : t -> int
+[@@sfs.declassify "a view's length, like String.length of its bytes, is a size and never content"]
+
 val is_empty : t -> bool
 
 val base : t -> string
+
 val offset : t -> int
+[@@sfs.declassify "a position inside the backing string, never its content"]
 
 val to_string : t -> string
 (** The only copy point; whole-base views return the base unchanged. *)

@@ -245,6 +245,31 @@ let test_serial_replay () =
   Testkit.check_int "no mac mismatch counted" 0 (Obs.counter w.Stacks.obs "recover.mac_mismatch");
   Testkit.check_int "one reconnect" 1 (Obs.counter w.Stacks.obs "recover.reconnect")
 
+(* The recovery counters of one reply path, pinned: a seeded window-16
+   sequential read of a 2 MB file under drops and corruption.  A serial
+   attempt that opens a bad reply counts recover.mac_mismatch or
+   recover.replay and reconnects; a readahead exchange that fails
+   counts only mux.fail and leaves recovery to the serial fallback.
+   Every block still reads back intact. *)
+let test_reply_path_counters () =
+  let w = Stacks.make ~rpc_window:16 Stacks.Sfs in
+  let path = w.Stacks.workdir ^ "/big" and bs = 8192 in
+  let data = Sfs_workload.Driver.content ~seed:7 (2 * 1024 * 1024) in
+  Sfs_workload.Driver.write_file w path data;
+  Sfs_workload.Driver.commit w path;
+  Stacks.flush_caches w;
+  Stacks.arm_faults w (Fault.make ~seed:"reply-path" ~drop_pm:100 ~corrupt_pm:100 ());
+  for b = 0 to 255 do
+    if Sfs_workload.Driver.read_at w path ~off:(b * bs) ~count:bs <> String.sub data (b * bs) bs
+    then Alcotest.failf "block %d read back wrong" b
+  done;
+  let counter = Obs.counter w.Stacks.obs in
+  Testkit.check_int "recover.mac_mismatch" 1 (counter "recover.mac_mismatch");
+  Testkit.check_int "recover.replay" 2 (counter "recover.replay");
+  Testkit.check_int "recover.reconnect" 8 (counter "recover.reconnect");
+  Testkit.check_int "mux.fail" 112 (counter "mux.fail");
+  Testkit.check_int "channel.client.mac_failures" 41 (counter "channel.client.mac_failures")
+
 (* A fresh file in the world's working directory, created under the
    tap (every message passes). *)
 let fresh_file (w : Stacks.world) (m : Client.mount) (name : string) : Sfs_nfs.Nfs_types.fh =
@@ -482,6 +507,7 @@ let suite =
       Alcotest.test_case "crash window: reconnect + reauth" `Quick test_crash_recovery;
       Alcotest.test_case "serial reply MAC mismatch recovers" `Quick test_serial_mac_mismatch;
       Alcotest.test_case "serial replayed reply recovers" `Quick test_serial_replay;
+      Alcotest.test_case "reply-path recovery counters" `Quick test_reply_path_counters;
       Alcotest.test_case "serial dropped request charges nothing" `Quick
         test_serial_drop_charges_nothing;
       Alcotest.test_case "write-behind dropped request charges nothing" `Quick

@@ -356,7 +356,8 @@ let test_cachefs_byte_pressure_eviction () =
     { backend with Fs_intf.fs_read = (fun c h ~off ~count -> incr misses; backend.Fs_intf.fs_read c h ~off ~count) }
   in
   let policy = { Cachefs.nfs_policy with Cachefs.data_cache_bytes = 3 * bs } in
-  let cache = Cachefs.create ~clock ~policy counted in
+  let obs = Sfs_obs.Obs.create ~now_us:(fun () -> Simclock.now_us clock) () in
+  let cache = Cachefs.create ~obs ~clock ~policy counted in
   let ops = Cachefs.ops cache in
   let steps =
     (* (file, block, expect a miss) *)
@@ -384,8 +385,8 @@ let test_cachefs_byte_pressure_eviction () =
         (Printf.sprintf "step %d: %s%d %s" i name b (if want_miss then "misses" else "hits"))
         want_miss (!misses > before))
     steps;
-  let _, _, (reads, hits) = Cachefs.stats cache in
-  Testkit.check_int "reads" (List.length steps) reads;
+  let hits = Sfs_obs.Obs.counter obs "cache.read.hit" in
+  Testkit.check_int "reads" (List.length steps) (hits + Sfs_obs.Obs.counter obs "cache.read.miss");
   Testkit.check_int "hits" 3 hits
 
 let suite =

@@ -117,6 +117,28 @@ let test_flush_caches () =
   (* Still correct after the flush; just slower. *)
   Testkit.check_string "reread after flush" "data" (Driver.read_file w (w.Stacks.workdir ^ "/cached"))
 
+(* A client's write must win over readahead it submitted before the
+   write: a sequential run arms readahead past block 14, the client
+   overwrites block 14, and the next read of it returns the new bytes,
+   not the prefetched old ones, on every remote stack. *)
+let test_readahead_after_own_write () =
+  let bs = 8192 in
+  List.iter
+    (fun s ->
+      let w = Stacks.make ~rpc_window:16 s in
+      let path = w.Stacks.workdir ^ "/seq" in
+      Driver.write_file w path (String.make (64 * bs) 'a');
+      Driver.commit w path;
+      Stacks.flush_caches w;
+      for b = 0 to 11 do
+        ignore (Driver.read_at w path ~off:(b * bs) ~count:bs)
+      done;
+      Driver.write_at w path ~off:(14 * bs) (String.make bs 'Z');
+      let got = Driver.read_at w path ~off:(14 * bs) ~count:bs in
+      Testkit.check_bool (Stacks.stack_name s ^ ": block 14 holds the write") true
+        (got = String.make bs 'Z'))
+    [ Stacks.Nfs_udp; Stacks.Nfs_tcp; Stacks.Sfs; Stacks.Sfs_noenc ]
+
 (* --- Fleet: the discrete-event mass-client engine (DESIGN.md §15) --- *)
 
 let check_reconcile r =
@@ -483,6 +505,7 @@ let suite =
       Alcotest.test_case "fig7 compile crossover" `Slow test_compile_crossover;
       Alcotest.test_case "fig9 write ordering" `Slow test_fig9_write_ordering;
       Alcotest.test_case "flush caches" `Quick test_flush_caches;
+      Alcotest.test_case "readahead after own write" `Quick test_readahead_after_own_write;
       Alcotest.test_case "fleet smoke" `Quick test_fleet_smoke;
       Alcotest.test_case "fleet admission" `Quick test_fleet_admission;
       Alcotest.test_case "fleet drop during mount setup" `Quick test_fleet_drop_mount_setup;
