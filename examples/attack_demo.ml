@@ -69,7 +69,7 @@ let () =
   (* Alice stores a file over NFS while the attacker listens. *)
   let tap = Simnet.passive_tap () in
   Simnet.set_default_tap net (Some tap);
-  let nfs = Nfs_client.mount net ~from_host:"client.example.com" ~addr:"victim.example.com" ~proto:Costmodel.Udp ~cred:root_cred in
+  let nfs, _ = Nfs_client.mount net ~from_host:"client.example.com" ~addr:"victim.example.com" ~proto:Costmodel.Udp ~cred:root_cred in
   let dir, _ =
     match nfs.Fs_intf.fs_lookup alice_cred ~dir:nfs.Fs_intf.fs_root "home" with
     | Ok v -> v
@@ -85,7 +85,7 @@ let () =
 
   attack "1. sniffed alice's file handle off the wire: %S" (String.sub f 0 (min 12 (String.length f)));
   attack "   and forges RPCs with alice's uid to read her 0600 file";
-  let mallory_nfs = Nfs_client.mount net ~from_host:"mallory.example.com" ~addr:"victim.example.com" ~proto:Costmodel.Udp ~cred:root_cred in
+  let mallory_nfs, _ = Nfs_client.mount net ~from_host:"mallory.example.com" ~addr:"victim.example.com" ~proto:Costmodel.Udp ~cred:root_cred in
   let forged = { Simos.cred_uid = alice.Simos.uid; cred_gid = alice.Simos.gid; cred_groups = [] } in
   (match mallory_nfs.Fs_intf.fs_read forged f ~off:0 ~count:100 with
   | Ok (data, _, _) -> outcome "NFS hands over the secret: %S" data
@@ -96,7 +96,7 @@ let () =
   tamper_tap.Simnet.on_message <-
     (fun dir msg -> if dir = Simnet.To_client then Simnet.Replace (corrupt msg) else Simnet.Pass);
   Simnet.set_default_tap net (Some tamper_tap);
-  let victim_nfs = Nfs_client.mount net ~from_host:"client.example.com" ~addr:"victim.example.com" ~proto:Costmodel.Udp ~cred:root_cred in
+  let victim_nfs, _ = Nfs_client.mount net ~from_host:"client.example.com" ~addr:"victim.example.com" ~proto:Costmodel.Udp ~cred:root_cred in
   Simnet.set_default_tap net (Some tamper_tap);
   (match victim_nfs.Fs_intf.fs_read alice_cred f ~off:0 ~count:100 with
   | Ok (data, _, _) -> outcome "alice reads silently corrupted data: %S" data

@@ -16,7 +16,6 @@
 open Sfs_nfs.Nfs_types
 module Fs_intf = Sfs_nfs.Fs_intf
 module Nfs_client = Sfs_nfs.Nfs_client
-module Nfs_proto = Sfs_nfs.Nfs_proto
 module Cachefs = Sfs_nfs.Cachefs
 module Simos = Sfs_os.Simos
 module Simnet = Sfs_net.Simnet
@@ -63,7 +62,6 @@ type mount = {
   m_authnos : (int, int) Hashtbl.t; (* uid -> authno; reset on reconnect *)
   m_agents : (int, Agent.t) Hashtbl.t; (* uid -> agent, for re-authentication *)
   mutable m_seqno : int;
-  mutable m_xid : int; (* next Fs_call xid; NOT reset on reconnect *)
   m_enc : Xdr.enc; (* every Fs_call is marshaled here, then sealed *)
   m_readonly : bool;
 }
@@ -127,93 +125,18 @@ let find_mount (t : t) (path : Pathname.t) : mount option =
 
 let mounts (t : t) : mount list = Hashtbl.fold (fun _ m acc -> m :: acc) t.mounts []
 
-(* --- The secure-channel exchange ---
-
-   Every message on a mount's secure channel (authentication, serial
-   and write-behind calls, pipelined READs) rides a mux over the
-   mount's connection, and every reply comes back through [exchange]:
-   opened in place, decoded once. *)
-
-(* Why a reply proves the channel poisoned: a MAC failure, a stream
-   desync, or an opened frame that does not decode. *)
-type poison = [ Channel.open_error | `Garbled of string ]
-
-(* A data call's poisoned reply.  A serial attempt counts it and
-   reconnects; readahead drops the ticket. *)
-exception Poisoned of poison
-
-(* One exchange on the mount's connection.  Reads m_conn and m_channel
-   afresh, so a reconnection swaps them underneath.  The reply frame is
-   the single buffer it rides from here to the caller: the decode and
-   the payload [k] picks out of it are views.  Invalidation callbacks
-   are banked eagerly, so a ticket the cache later abandons never loses
-   one.  [k] sees a poisoned reply too: a data call raises inside the
-   exchange, which then charges nothing, while authentication takes it
-   as its reply. *)
-let exchange (m : mount) ~(pipelined : bool) (k : (Sfsrw.response, poison) result -> 'a)
-    (wire : string) : 'a Rpc_mux.completion =
-  let reply, server_us = Simnet.call_measured m.m_conn wire in
-  let opened = Channel.open_slice m.m_channel reply in
-  let response =
-    match opened with
-    | Error e -> Error (e :> poison)
-    | Ok frame -> (
-        match Sfsrw.response_of_slice frame with
-        | Result.Error e -> Error (`Garbled e)
-        | Ok r ->
-            (match r with
-            | Sfsrw.Fs_reply { invalidations; _ } ->
-                m.m_invalidations := !(m.m_invalidations) @ invalidations
-            | Sfsrw.Auth_granted _ | Sfsrw.Auth_denied _ | Sfsrw.Proto_error _ -> ());
-            Ok r)
-  in
-  let plain_len = match opened with Ok frame -> Slice.length frame | Error _ -> 0 in
-  let payload = k response in
-  {
-    Rpc_mux.c_payload = payload;
-    c_server_us = server_us;
-    c_wire_bytes = String.length reply;
-    (* Of the measured server time, the reply seal — attributed to the
-       down direction so the analyzer never double-counts full-duplex
-       crypto overlap. *)
-    c_crypto_us = Channel.crypto_cost_us m.m_channel plain_len;
-    (* Keystream this open consumed from the idle-time prefetch: that
-       slice of the seal already ran during dead wire time.  Only the
-       pipelined mux donates idle time, so only it claims. *)
-    c_claim_us = (if pipelined then Channel.take_recv_claim m.m_channel else 0.0);
-  }
-
-(* The NFS results of a data call's reply: a view into the opened
-   frame.  A protocol error or a stray auth reply raises
-   [Rpc_failure]: the channel is fine, the call is not. *)
-let fs_results : (Sfsrw.response, poison) result -> Slice.t = function
-  | Ok (Sfsrw.Fs_reply { results; _ }) -> results
-  | Ok (Sfsrw.Proto_error e) -> raise (Nfs_client.Rpc_failure e)
-  | Ok (Sfsrw.Auth_granted _ | Sfsrw.Auth_denied _) ->
-      raise (Nfs_client.Rpc_failure "unexpected auth response")
-  | Error p -> raise (Poisoned p)
-
-(* A mux over the mount's connection.  A window-1 mux (authentication,
-   serial calls, write-behind) has no per-reply residual, no keystream
-   donation and no registry, so a call costs exactly its wire, server
-   time and [latency_us]: its traffic is counted under net.*, and the
-   op spans carry the critical-path samples.  A wider window is the
-   readahead mux: it records mux.*, pays the per-reply residual, and
-   donates idle wire time to reply-stream keystream, banked ahead of the
-   replies it will decrypt. *)
-let mount_mux (t : t) (m : mount) ~(window : int) ~(latency_us : float)
-    (k : (Sfsrw.response, poison) result -> 'a) : 'a Rpc_mux.t =
-  let pipelined = window > 1 in
-  Rpc_mux.create
-    ?obs:(if pipelined then t.obs else None)
-    ?precompute:
-      (if pipelined then Some (fun ~budget_us -> Channel.precompute m.m_channel ~budget_us)
-       else None)
-    ~window ~clock:t.clock
-    ~wire_us:(Costmodel.transfer_us Costmodel.Tcp)
-    ~latency_us
-    ~op_us:(if pipelined then Costmodel.pipeline_sfs_op_us else 0.0)
-    ~exchange:(exchange m ~pipelined k) ()
+(* Decode an opened reply frame in place.  Invalidation callbacks are
+   banked eagerly, so a readahead ticket the cache later abandons never
+   loses one. *)
+let decode_response (m : mount) (frame : Slice.t) : (Sfsrw.response, string) result =
+  match Sfsrw.response_of_slice frame with
+  | Result.Error _ as e -> e
+  | Ok r ->
+      (match r with
+      | Sfsrw.Fs_reply { invalidations; _ } ->
+          m.m_invalidations := !(m.m_invalidations) @ invalidations
+      | Sfsrw.Auth_granted _ | Sfsrw.Auth_denied _ | Sfsrw.Proto_error _ -> ());
+      Ok r
 
 (* --- Mounting --- *)
 
@@ -280,9 +203,7 @@ let authenticate ?local_uid (t : t) (m : mount) (agent : Agent.t) : int =
             let base = m.m_seqno in
             let msgs = Agent.sign_requests agent info ~seqno_of:(fun i -> base + i) in
             m.m_seqno <- base + List.length msgs;
-            let mux =
-              mount_mux t m ~window:1 ~latency_us:(Costmodel.rpc_fixed_us Costmodel.Tcp) Fun.id
-            in
+            let mux = Rpc_mux.of_conn t.net ~proto:Costmodel.Tcp m.m_conn in
             (* Only an explicit denial means "no": anything else — a
                timeout, a MAC failure, a garbled reply — is a transport
                fault on a now-poisoned channel, and silently degrading
@@ -294,11 +215,15 @@ let authenticate ?local_uid (t : t) (m : mount) (agent : Agent.t) : int =
               let req =
                 Sfsrw.Auth_req { seqno = base + i; authmsg = Authproto.authmsg_to_string msg }
               in
-              match Rpc_mux.call mux (Channel.seal m.m_channel (Sfsrw.request_to_string req)) with
-              | Ok (Sfsrw.Auth_granted { authno; seqno }) when seqno = base + i -> Some authno
-              | Ok (Sfsrw.Auth_denied _) -> None
-              | Ok (Sfsrw.Auth_granted _ | Sfsrw.Fs_reply _ | Sfsrw.Proto_error _) | Error _ ->
-                  raise Simnet.Timeout
+              let reply = Rpc_mux.call mux (Channel.seal m.m_channel (Sfsrw.request_to_string req)) in
+              match Channel.open_slice m.m_channel reply with
+              | Error _ -> raise Simnet.Timeout
+              | Ok frame -> (
+                  match decode_response m frame with
+                  | Ok (Sfsrw.Auth_granted { authno; seqno }) when seqno = base + i -> Some authno
+                  | Ok (Sfsrw.Auth_denied _) -> None
+                  | Ok (Sfsrw.Auth_granted _ | Sfsrw.Fs_reply _ | Sfsrw.Proto_error _) | Error _ ->
+                      raise Simnet.Timeout)
             in
             (* The first granted request wins; later ones are not sent. *)
             let rec first i = function
@@ -362,95 +287,103 @@ let reconnect (t : t) (m : mount) : (unit, mount_error) result =
 
 (* --- The read-write data path ---
 
-   Every Fs_call is built and sealed by [submit] and rides a mount mux:
-   a window-1 mux for serial calls, a second one for write-behind
-   (unstable WRITEs), and, with readahead on, a windowed mux for
-   pipelined READs. *)
+   The NFS 3 calls of the read-write protocol, sealed in the mount's
+   channel: the transport [Nfs_client.data_path] builds the serial,
+   write-behind and readahead paths over.  Every function reads the
+   mount's connection and channel afresh, so a reconnection between
+   attempts is transparent. *)
 
-let next_xid (m : mount) : int =
-  let xid = m.m_xid in
-  m.m_xid <- xid + 1;
-  xid
-
-(* Build, seal and submit the Fs_call for one attempt at [xid]: the
-   caller's authno, and the attempt's op span context, which rides the
-   wire so the server's spans attach to this attempt.  Reads the
-   mount's state afresh, so a reconnection between attempts is
-   transparent.  [args] marshals the NFS arguments straight into the
-   mount's encoder, copied out once as the plaintext to seal.  A serial
-   call pays a user-level crossing and its full seal; an overlapped one
-   (write-behind, readahead) hides most of both behind the pipeline, so
-   only the residual fractions are charged.  The mux records the
-   critical-path sample and closes [os] at the op's ready time. *)
-let submit (t : t) (m : mount) (mux : 'a Rpc_mux.t) (os : Obs.open_span) ~(cred : Simos.cred)
-    ~(proc : int) ~(xid : int) ~(opname : string) ~(overlapped : bool) (args : Xdr.enc -> unit) :
-    'a Rpc_mux.ticket =
-  let t0 = Simclock.now_us t.clock in
+(* Build and seal the Fs_call for one attempt at [xid]: the caller's
+   authno, and the attempt's op span context, which rides the wire so
+   the server's spans attach to this attempt.  The arguments are
+   marshaled straight into the mount's encoder, copied out once as the
+   plaintext to seal.  A serial call pays a user-level crossing and its
+   full seal; an overlapped one (write-behind, readahead) hides most of
+   both behind the pipeline, so only the residual fractions are
+   charged. *)
+let frame (t : t) (m : mount) ~(xid : int) ~(ctx : Obs.ctx option) ~(cred : Simos.cred)
+    ~(overlapped : bool) (call : Nfs_client.call) (args : Xdr.enc -> unit) : string * float * int =
   let authno =
     match Hashtbl.find_opt m.m_authnos cred.Simos.cred_uid with
     | Some a -> a
     | None -> Sfsrw.authno_anonymous
   in
-  let trace, span =
-    match Obs.open_ctx os with Some cx -> (cx.Obs.cx_trace, cx.Obs.cx_span) | None -> (0, 0)
-  in
+  let trace, span = match ctx with Some cx -> (cx.Obs.cx_trace, cx.Obs.cx_span) | None -> (0, 0) in
+  let proc = match call with Nfs_client.Root -> Sfsrw.proc_getroot | Nfs_client.Proc p -> p in
   Xdr.reset m.m_enc;
   Sfsrw.enc_fs_call m.m_enc ~xid ~authno ~proc ~trace ~span args;
   let req = Xdr.to_string m.m_enc in
   let full = Channel.crypto_cost_us m.m_channel (String.length req) in
-  let wire, crypto_up =
-    if overlapped then begin
-      Simclock.advance t.clock
-        (Costmodel.async_userlevel_factor *. (2.0 *. Costmodel.userlevel_us_per_side));
-      let wire = Channel.seal ~bill:false m.m_channel req in
-      let crypto_up = Costmodel.async_crypto_factor *. full in
-      Simclock.advance t.clock crypto_up;
-      (wire, crypto_up)
-    end
-    else begin
-      Simclock.advance t.clock Costmodel.userlevel_us_per_side;
-      (Channel.seal m.m_channel req, full)
-    end
-  in
-  let info =
-    {
-      Rpc_mux.ci_op = opname;
-      ci_t0_us = t0;
-      ci_crypto_up_us = crypto_up;
-      ci_crypto_up_ctr = int_of_float full;
-      ci_span = os;
-    }
-  in
-  Rpc_mux.submit ~info mux ~wire_bytes:(String.length wire) wire
+  if overlapped then begin
+    Simclock.advance t.clock
+      (Costmodel.async_userlevel_factor *. (2.0 *. Costmodel.userlevel_us_per_side));
+    let wire = Channel.seal ~bill:false m.m_channel req in
+    let crypto_up = Costmodel.async_crypto_factor *. full in
+    Simclock.advance t.clock crypto_up;
+    (wire, crypto_up, int_of_float full)
+  end
+  else begin
+    Simclock.advance t.clock Costmodel.userlevel_us_per_side;
+    (Channel.seal m.m_channel req, full, int_of_float full)
+  end
 
-(* The windowed READ path (readahead).  Requests ride the same secure
-   channel in submission order — the mux runs exchanges eagerly, so the
-   ARC4 stream positions and the server's execution order are
-   byte-identical to the serial client's — while the round trips
-   overlap in simulated time.  A failed exchange raises out of the
-   await thunk and the cache falls back to the serial path, whose
-   recovery reconnects. *)
-let read_pipeline (t : t) (m : mount) : Fs_intf.pipeline =
-  let mux =
-    mount_mux t m ~window:t.rpc_window ~latency_us:(Costmodel.rpc_fixed_us Costmodel.Tcp)
-      fs_results
-  in
-  let pl_submit cred fh ~off ~count =
-    let xid = next_xid m in
-    (* sfslint: allow SL012 — the open span is handed to Rpc_mux.submit via ~info, which closes it at the op's ready time (or at submit time on a failed exchange) *)
-    let os = Obs.span_begin t.obs ~cat:"op" "read" in
-    let ticket =
-      submit t m mux os ~cred ~proc:Nfs_proto.proc_read ~xid ~opname:"read" ~overlapped:true
-        (fun e -> Nfs_proto.enc_read_args e (fh, off, count))
-    in
-    fun () ->
-      match
-        Xdr.run_slice (Rpc_mux.await mux ticket) (Nfs_proto.dec_res Nfs_proto.dec_read_ok_slice)
-      with
-      | Ok v -> v
-      | Result.Error e -> raise (Nfs_client.Rpc_failure ("unparsable result: " ^ e))
-  in
-  { Fs_intf.pl_depth = t.readahead; pl_submit }
+(* Open a reply in place and pick out its NFS results.  A reply that
+   proves the channel poisoned (a MAC failure, a stream desync, a frame
+   that does not decode) raises [Poisoned]; a MAC failure or desync is
+   counted for serial and write-behind replies only, since a readahead
+   ticket's failure is the cache's to drop.  A protocol error or a
+   stray auth reply raises [Rpc_failure]: the channel is fine, the call
+   is not.  Keystream this open consumed from the idle-time prefetch
+   already ran during dead wire time; only the readahead mux donates
+   idle time, so only it claims. *)
+let open_reply (t : t) (m : mount) ~(readahead : bool) (reply : string) : Nfs_client.opened =
+  match Channel.open_slice m.m_channel reply with
+  | Error e ->
+      let counter, why =
+        match e with
+        | `Mac_mismatch -> ("recover.mac_mismatch", "mac mismatch")
+        | `Replay -> ("recover.replay", "channel desync")
+      in
+      if not readahead then Obs.incr t.obs counter;
+      raise (Nfs_client.Poisoned why)
+  | Ok frame -> (
+      match decode_response m frame with
+      | Result.Error e -> raise (Nfs_client.Poisoned ("garbled response: " ^ e))
+      | Ok (Sfsrw.Proto_error e) -> raise (Nfs_client.Rpc_failure e)
+      | Ok (Sfsrw.Auth_granted _ | Sfsrw.Auth_denied _) ->
+          raise (Nfs_client.Rpc_failure "unexpected auth response")
+      | Ok (Sfsrw.Fs_reply { results; _ }) ->
+          {
+            Nfs_client.results = Ok results;
+            (* Of the measured server time, the reply seal — attributed
+               to the down direction so the analyzer never
+               double-counts full-duplex crypto overlap. *)
+            crypto_us = Channel.crypto_cost_us m.m_channel (Slice.length frame);
+            claim_us = (if readahead then Channel.take_recv_claim m.m_channel else 0.0);
+          })
+
+(* Any transport or channel failure poisons the ARC4 streams, so
+   retransmission on the same channel is useless: every later attempt
+   reconnects first and re-seals under the same xid. *)
+let transport (t : t) (m : mount) : Nfs_client.transport =
+  {
+    Nfs_client.conn = (fun () -> m.m_conn);
+    proto = Costmodel.Tcp;
+    verbatim = false;
+    frame = frame t m;
+    open_reply = (fun ~readahead ~request:_ reply -> open_reply t m ~readahead reply);
+    op_us = Costmodel.pipeline_sfs_op_us;
+    precompute = Some (fun ~budget_us -> Channel.precompute m.m_channel ~budget_us);
+    before_retry =
+      (fun () ->
+        match reconnect t m with
+        | Ok () -> ()
+        | Error (Revoked _ as e) ->
+            Obs.incr t.obs "recover.rpc_giveup";
+            raise (Nfs_client.Rpc_failure (mount_error_to_string e))
+        | Error _ -> (* still down; this attempt fails and backs off again *) ());
+    backoff = rpc_backoff;
+  }
 
 let mount (t : t) (path : Pathname.t) : (mount, mount_error) result =
   match find_mount t path with
@@ -478,90 +411,22 @@ let mount (t : t) (path : Pathname.t) : (mount, mount_error) result =
                   m_authnos = Hashtbl.create 4;
                   m_agents = Hashtbl.create 4;
                   m_seqno = 1;
-                  m_xid = 1;
                   m_enc = Xdr.make_enc ();
                   m_readonly = false;
                 }
               in
-              let serial =
-                mount_mux t m ~window:1 ~latency_us:(Costmodel.rpc_fixed_us Costmodel.Tcp)
-                  fs_results
-              in
-              let write_behind =
-                mount_mux t m ~window:1 ~latency_us:Costmodel.async_floor_us fs_results
-              in
-              (* The secure-channel transport for the read-write
-                 protocol. *)
-              let raw_call : Nfs_client.raw_call =
-               fun ~cred ~proc ~async args ->
-                (* One xid per logical call, held across every retry of
-                   it — including re-issues after a reconnection — so
-                   the server's duplicate request cache can recognise a
-                   retransmission whose first execution succeeded but
-                   whose reply was lost. *)
-                let xid = next_xid m in
-                let opname =
-                  (if proc = Sfsrw.proc_getroot then "getroot" else Nfs_proto.proc_name proc)
-                  ^ if async then "/wb" else ""
-                in
-                Nfs_client.with_backoff ?obs:t.obs ~clock:t.clock rpc_backoff (fun again ->
-                    (* Any transport or channel failure poisons the ARC4
-                       streams; retransmission on the same channel is
-                       useless.  Every later attempt reconnects first. *)
-                    if again then begin
-                      match reconnect t m with
-                      | Ok () -> ()
-                      | Error (Revoked _ as e) ->
-                          Obs.incr t.obs "recover.rpc_giveup";
-                          raise (Nfs_client.Rpc_failure (mount_error_to_string e))
-                      | Error _ -> (* still down; this attempt fails and backs off again *) ()
-                    end;
-                    (* Per-attempt op span. *)
-                    let os = Obs.span_begin t.obs ~cat:"op" opname in
-                    let mux = if async then write_behind else serial in
-                    match
-                      Rpc_mux.await mux
-                        (submit t m mux os ~cred ~proc ~xid ~opname ~overlapped:async (fun e ->
-                             Xdr.enc_raw e args))
-                    with
-                    | results -> Ok results
-                    | exception Simnet.Timeout ->
-                        Obs.span_end os;
-                        Error "timeout"
-                    | exception Poisoned p ->
-                        Obs.span_end os;
-                        Error
-                          (match p with
-                          | `Mac_mismatch ->
-                              Obs.incr t.obs "recover.mac_mismatch";
-                              "mac mismatch"
-                          | `Replay ->
-                              Obs.incr t.obs "recover.replay";
-                              "channel desync"
-                          | `Garbled e -> "garbled response: " ^ e)
-                    | exception (Nfs_client.Rpc_failure _ as e) ->
-                        Obs.span_end os;
-                        raise e)
-              in
-              (* Fetch the encrypted root handle in-band.  Handles are
-                 stable across server restarts (Fhcrypt keys derive
-                 from the server's key), so the root outlives any
-                 reconnection. *)
+              (* The root handle is fetched in-band, encrypted.
+                 Handles are stable across server restarts (Fhcrypt
+                 keys derive from the server's key), so the root
+                 outlives any reconnection. *)
               match
-                Xdr.run_slice
-                  (raw_call ~cred:Simos.anonymous_cred ~proc:Sfsrw.proc_getroot ~async:false "")
-                  dec_fh
+                Nfs_client.data_path ?obs:t.obs ~window:t.rpc_window ~readahead:t.readahead
+                  ~cred:Simos.anonymous_cred t.net (transport t m)
               with
-              | Result.Error e ->
-                  Simnet.close m.m_conn;
-                  Error (Negotiation_failed ("bad root handle: " ^ e))
               | exception Nfs_client.Rpc_failure e ->
                   Simnet.close m.m_conn;
                   Error (Negotiation_failed e)
-              | Ok root ->
-                  let pipeline =
-                    if t.rpc_window > 1 && t.readahead > 0 then Some (read_pipeline t m) else None
-                  in
+              | ops, pipeline ->
                   let cache =
                     Cachefs.create
                       ~take_invalidations:(fun () ->
@@ -570,8 +435,7 @@ let mount (t : t) (path : Pathname.t) : (mount, mount_error) result =
                         inv)
                       ?obs:t.obs ?pipeline
                       ~write_behind:(t.rpc_window > 1)
-                      ~clock:t.clock ~policy:t.cache_policy
-                      (Nfs_client.generic_ops raw_call ~root)
+                      ~clock:t.clock ~policy:t.cache_policy ops
                   in
                   m.m_cache <- Some cache;
                   m.m_ops <- Some (Cachefs.ops cache);
@@ -644,7 +508,6 @@ let mount_readonly (t : t) (path : Pathname.t) : (mount, mount_error) result =
                       m_authnos = Hashtbl.create 1;
                       m_agents = Hashtbl.create 1;
                       m_seqno = 1;
-                      m_xid = 1;
                       m_enc = Xdr.make_enc ();
                       m_readonly = true;
                     }

@@ -38,16 +38,17 @@ val create :
 (** [~encrypt:false] negotiates the "SFS w/o encryption" dialect;
     [cache_policy] defaults to lease-based SFS caching.  The short-lived
     key K_C (512 bits) regenerates every hour for forward secrecy.
-    Each RPC gets 8 attempts through {!Sfs_nfs.Nfs_client.with_backoff} (50 ms
-    base, 1.6 s cap): a timeout or channel failure backs off, reconnects
-    and re-issues, because any loss poisons the ARC4 streams.
+    Each RPC gets 8 attempts (50 ms base, 1.6 s cap): a timeout or
+    channel failure backs off, reconnects and re-seals under the same
+    xid, because any loss poisons the ARC4 streams.
 
-    File system calls go through {!Sfs_net.Rpc_mux}, which records
-    each call's critical-path sample.  Serial calls use a window-1 mux
-    per mount, which costs exactly one round trip.  Unstable WRITEs
-    use a second window-1 mux whose latency is
+    File system calls ride the data path both clients share,
+    {!Sfs_nfs.Nfs_client.data_path}: the mount hands it a transport
+    that seals each NFS 3 call in the secure channel and opens each
+    reply in place.  Serial calls cost exactly one round trip.
+    Unstable WRITEs ride the write-behind mux, whose latency is
     [Costmodel.async_floor_us], with an overlapped seal.  [rpc_window]
-    (default 1) is the window of a third mux for sequential-read
+    (default 1) is the window of the readahead mux, for sequential-read
     readahead of [readahead] blocks (default 0); any window above 1
     also turns on write-behind gathering in the cache layer — DESIGN.md
     §11.
@@ -61,14 +62,12 @@ val create :
     channel and cache are instrumented too ([channel.client.*],
     [cache.*]).
 
-    Key negotiation and read-only fetches ride one window-1 mux per
-    connection, priced as one serial round trip.  Every reply on the
-    secure channel (serial, write-behind, readahead and authentication)
-    comes back through one exchange: opened in place with
-    {!Sfs_proto.Channel.open_slice} and decoded once by
+    Key negotiation, authentication and read-only fetches ride one
+    {!Sfs_net.Rpc_mux.of_conn} per exchange sequence, priced as one
+    serial round trip.  Every reply on the secure channel is opened in
+    place with {!Sfs_proto.Channel.open_slice} and decoded once by
     {!Sfs_proto.Sfsrw.response_of_slice}, so NFS results reach the
-    decoder as a view into the opened frame.  Authentication rides a
-    window-1 mux of its own, priced like a serial call. *)
+    decoder as a view into the opened frame. *)
 
 val mount : t -> Pathname.t -> (mount, mount_error) result
 (** Dial the Location, negotiate keys, verify the HostID, fetch the

@@ -243,14 +243,12 @@ let drain (t : _ t) : unit = while t.pending <> [] do complete_oldest t done
 let call (t : 'a t) (request : string) : 'a =
   await t (submit t ~wire_bytes:(String.length request) request)
 
-(* A mux over a clear connection, pricing [proto]'s wire.  The exchange
-   runs the full tap / fault / handler path and charges nothing itself.
-   The defaults price one serial round trip: the handshakes' mux. *)
-let of_conn ?obs ?(window = 1) ?latency_us ?(op_us = 0.0) (net : Simnet.t)
-    ~(proto : Costmodel.transport_proto) (conn : Simnet.conn) : string t =
-  let latency_us = Option.value latency_us ~default:(Costmodel.rpc_fixed_us proto) in
-  create ?obs ~window ~clock:(Simnet.clock net) ~wire_us:(Costmodel.transfer_us proto) ~latency_us
-    ~op_us
+(* The handshakes' mux: one serial round trip over a clear connection,
+   pricing [proto]'s wire.  The exchange runs the full tap / fault /
+   handler path and charges nothing itself. *)
+let of_conn (net : Simnet.t) ~(proto : Costmodel.transport_proto) (conn : Simnet.conn) : string t =
+  create ~window:1 ~clock:(Simnet.clock net) ~wire_us:(Costmodel.transfer_us proto)
+    ~latency_us:(Costmodel.rpc_fixed_us proto) ~op_us:0.0
     ~exchange:(fun msg ->
       let reply, server_us = Simnet.call_measured conn msg in
       {

@@ -10,9 +10,10 @@
     [window = 1] the schedule degenerates to the serial one.
 
     The mux is polymorphic in the reply payload: a clear connection
-    ({!of_conn}) instantiates ['a = string], while the SFS client's
-    muxes carry what it decoded in place from the opened frame — NFS
-    results as a {!Sfs_util.Slice.t} view — without re-marshaling. *)
+    ({!of_conn}) instantiates ['a = string], while the read-write data
+    path ([Nfs_client.data_path], the one other constructor of muxes)
+    carries what its transport opened from the reply — NFS results as a
+    {!Sfs_util.Slice.t} view — without re-marshaling. *)
 
 type 'a completion = {
   c_payload : 'a;  (** decoded reply payload *)
@@ -114,18 +115,13 @@ val call : 'a t -> string -> 'a
 [@@sfs.sink "wire"]
 (** {!submit} then {!await}: one exchange priced by the mux. *)
 
-val of_conn :
-  ?obs:Sfs_obs.Obs.registry ->
-  ?window:int ->
-  ?latency_us:float ->
-  ?op_us:float ->
-  Simnet.t ->
-  proto:Costmodel.transport_proto ->
-  Simnet.conn ->
-  string t
-(** A mux over a clear connection, the one way to exchange messages on
-    a {!Simnet.conn}: raw replies, [proto]'s wire.  The defaults
-    ([window] 1, [latency_us] {!Costmodel.rpc_fixed_us}, [op_us] 0)
-    price one serial round trip.  Build one per connection. *)
+val of_conn : Simnet.t -> proto:Costmodel.transport_proto -> Simnet.conn -> string t
+(** A window-1 mux over a clear connection, returning raw replies and
+    pricing one serial round trip on [proto]'s wire
+    ({!Costmodel.rpc_fixed_us} plus both messages' wire time and the
+    server's measured time): the handshakes' mux (key negotiation,
+    authentication, read-only fetches, SRP, replica pushes).  Build one
+    per connection.  The read-write data path builds its own muxes
+    ({!Sfs_nfs.Nfs_client.data_path}). *)
 
 val in_flight : _ t -> int

@@ -1,10 +1,14 @@
-(* NFS 3 client: [Fs_intf.ops] over a Sun RPC connection.
+(* The read-write data path of both clients: NFS 3 procedures over a
+   transport, as [Fs_intf.ops] plus an optional readahead pipeline.
 
-   This is the kernel NFS client of the benchmark baselines, and also
-   what an SFS server uses to reach the NFS server on its own machine
-   (in-machine traffic uses a zero-cost loopback connection).  Caching
-   lives in the separate Cachefs layer, so this module is a pure
-   protocol translator. *)
+   The kernel NFS client of the benchmark baselines frames each call as
+   Sun RPC on a clear connection; the SFS client (paper section 3.3)
+   carries the same NFS 3 calls inside its secure channel.  So the two
+   differ only in their [transport]: how a call is framed and a reply
+   opened.  Everything else is built once, here: the xid counter, the
+   three muxes (serial, write-behind, readahead), the retry loop and
+   the readahead pipeline.  Caching lives in the separate Cachefs
+   layer. *)
 
 open Nfs_types
 module Simos = Sfs_os.Simos
@@ -17,10 +21,8 @@ module Sunrpc = Sfs_xdr.Sunrpc
 module Obs = Sfs_obs.Obs
 module Slice = Sfs_util.Slice
 
-type transport = string -> string
-(** Sends one marshaled RPC call, returns the marshaled reply. *)
-
 exception Rpc_failure of string
+exception Poisoned of string
 
 type backoff = { attempts : int; base_us : float; max_us : float }
 
@@ -41,118 +43,42 @@ let with_backoff ?obs ~(clock : Simclock.t) (b : backoff) (attempt : bool -> ('a
   in
   go 0
 
-(* The kernel NFS client's retransmission budget. *)
-let nfs_backoff = { attempts = 8; base_us = 20_000.; max_us = 800_000. }
+type call = Root | Proc of int
+type reply = (Slice.t, [ `Retry of string | `Fail of string ]) result
+type opened = { results : reply; crypto_us : float; claim_us : float }
 
-(* [enc] is the connection's reusable RPC encoder: one buffer serves
-   every call this client makes. *)
-type t = {
-  send : transport;
-  mutable xid : int;
-  machine : string;
-  enc : Xdr.enc;
-  clock : Simclock.t; (* billed for retransmission backoff *)
-  obs : Obs.registry option; (* for the trace-context annex on calls *)
+type transport = {
+  conn : unit -> Simnet.conn;
+  proto : Costmodel.transport_proto;
+  verbatim : bool;
+  frame :
+    xid:int ->
+    ctx:Obs.ctx option ->
+    cred:Simos.cred ->
+    overlapped:bool ->
+    call ->
+    (Xdr.enc -> unit) ->
+    string * float * int;
+  open_reply : readahead:bool -> request:string -> string -> opened;
+  op_us : float;
+  precompute : (budget_us:float -> float) option;
+  before_retry : unit -> unit;
+  backoff : backoff;
 }
 
-let rpc_auth_of_cred (machine : string) (c : Simos.cred) : Sunrpc.auth_flavor =
-  if Simos.is_anonymous c then Sunrpc.Auth_none
-  else
-    Sunrpc.Auth_unix
-      { stamp = 0; machine; uid = c.Simos.cred_uid; gid = c.Simos.cred_gid; gids = c.Simos.cred_groups }
-
-let create ?obs ~(clock : Simclock.t) ~(machine : string) (send : transport) : t =
-  { send; xid = 1; machine; enc = Xdr.make_enc (); clock; obs }
-
-let next_xid (t : t) : int =
-  let xid = t.xid in
-  t.xid <- xid + 1;
-  xid
-
-(* One marshaled Sun RPC call.  [ctx] is the causal context for the
-   trace annex, so server-side spans attach to the op that caused
-   them. *)
-let call_msg ~(enc : Xdr.enc) ~(machine : string) ~(xid : int) ~(ctx : Obs.ctx option)
-    ~(cred : Simos.cred) ~(prog : int) ~(vers : int) ~(proc : int) (args : string) : string =
-  let trace, span = match ctx with Some cx -> (cx.Obs.cx_trace, cx.Obs.cx_span) | None -> (0, 0) in
-  Sunrpc.msg_to_string ~enc
-    (Sunrpc.Call
-       { Sunrpc.xid; prog; vers; proc; trace; span; cred = rpc_auth_of_cred machine cred; args })
-
-(* The results a reply to [xid] carries, or why it carries none:
-   [`Retry] when the bytes on the wire were damaged (retransmitting
-   may help), [`Fail] for an RPC-level rejection (it will not). *)
-let reply_results ~(xid : int) (reply : string) :
-    (string, [ `Retry of string | `Fail of string ]) result =
-  match Sunrpc.msg_of_string reply with
-  | Ok (Sunrpc.Reply r) when r.Sunrpc.reply_xid = xid || r.Sunrpc.reply_xid = 0 -> (
-      match r.Sunrpc.body with
-      | Sunrpc.Success results -> Ok results
-      | Sunrpc.Garbage_args ->
-          (* Our request arrived corrupted; the bytes on the wire were
-             damaged, not the program. *)
-          Error (`Retry "garbage args")
-      | Sunrpc.Prog_unavail -> Error (`Fail "program unavailable")
-      | Sunrpc.Prog_mismatch _ -> Error (`Fail "program version mismatch")
-      | Sunrpc.Proc_unavail -> Error (`Fail "procedure unavailable")
-      | Sunrpc.System_err -> Error (`Fail "system error")
-      | Sunrpc.Rejected _ -> Error (`Fail "call rejected"))
-  | Ok (Sunrpc.Reply _) -> Error (`Retry "xid mismatch")
-  | Ok (Sunrpc.Call _) -> Error (`Fail "unexpected call")
-  | Result.Error e -> Error (`Retry ("unparsable reply: " ^ e))
-
-(* One call: marshal, send, unmarshal, check xid.  Timeouts and
-   garbled replies retransmit the message verbatim under the same xid,
-   keeping the byte-comparing duplicate request cache effective;
-   RPC-level rejections are hard errors and never retried. *)
-let call_raw (t : t) ~(cred : Simos.cred) ~(prog : int) ~(vers : int) ~(proc : int) (args : string) :
-    string =
-  let xid = next_xid t in
-  (* The ambient causal context: the enclosing Cachefs op root. *)
-  let msg =
-    call_msg ~enc:t.enc ~machine:t.machine ~xid ~ctx:(Obs.current t.obs) ~cred ~prog ~vers ~proc args
-  in
-  with_backoff ?obs:t.obs ~clock:t.clock nfs_backoff (fun _again ->
-      match t.send msg with
-      | exception Simnet.Timeout -> Error "timeout"
-      | reply -> (
-          match reply_results ~xid reply with
-          | Ok results -> Ok results
-          | Error (`Retry why) -> Error why
-          | Error (`Fail why) -> raise (Rpc_failure why)))
-
-(* NFS procedures marshaled over any raw call function; shared with the
-   SFS client, whose transport is the secure channel instead of Sun
-   RPC. *)
-type raw_call = cred:Simos.cred -> proc:int -> async:bool -> string -> Slice.t
-(* [async] marks write-behind traffic (unstable WRITEs): the transport
-   may pipeline it instead of paying a full round trip.  The results
-   come back as a view: into the opened frame on the secure channel, a
-   whole-string wrapper here. *)
-
-let generic_call ?(async = false) (call : raw_call) ~(cred : Simos.cred) ~(proc : int)
-    (enc_args : Xdr.enc -> 'a -> unit) (a : 'a) (dec_result : Xdr.dec -> 'b) : 'b =
-  let args = Xdr.encode enc_args a in
-  match Xdr.run_slice (call ~cred ~proc ~async args) dec_result with
+let decode (results : Slice.t) (dec : Xdr.dec -> 'a) : 'a =
+  match Xdr.run_slice results dec with
   | Ok v -> v
-  | Result.Error e ->
-      (* sfstaint: allow TNT004 — Xdr errors interpolate only lengths and tag values, never reply bytes; the transport closure's captured channel state stays out of the message *)
-      raise (Rpc_failure ("unparsable result: " ^ e))
+  | Result.Error e -> raise (Rpc_failure ("unparsable result: " ^ e))
 
-(* Fetch the root handle via the MOUNT program. *)
-let mount_root (t : t) ~(cred : Simos.cred) : fh =
-  let results =
-    call_raw t ~cred ~prog:Nfs_proto.mount_prog ~vers:Nfs_proto.mount_vers
-      ~proc:Nfs_proto.mount_proc_mnt ""
-  in
-  match Xdr.run results dec_fh with
-  | Ok h -> h
-  | Result.Error e -> raise (Rpc_failure ("bad mount reply: " ^ e))
-
-let generic_ops (call : raw_call) ~(root : fh) : Fs_intf.ops =
+(* NFS 3 procedures marshaled over [call], which takes the arguments as
+   a writer into the transport's own encoder and returns the results as
+   a view.  [async] marks write-behind traffic (unstable WRITEs). *)
+let generic_ops (call : async:bool -> cred:Simos.cred -> call -> (Xdr.enc -> unit) -> Slice.t)
+    ~(root : fh) : Fs_intf.ops =
   let open Nfs_proto in
-  let nfs_call ?async ~cred ~proc enc_args a dec_result =
-    generic_call ?async call ~cred ~proc enc_args a dec_result
+  let nfs_call ?(async = false) ~cred ~proc enc_args a dec_result =
+    decode (call ~async ~cred (Proc proc) (fun e -> enc_args e a)) dec_result
   in
   {
     Fs_intf.fs_root = root;
@@ -205,106 +131,218 @@ let generic_ops (call : raw_call) ~(root : fh) : Fs_intf.ops =
     fs_fsstat = (fun cred h -> nfs_call ~cred ~proc:proc_fsstat enc_fh h (dec_res dec_fsstat_ok));
   }
 
-(* Ops over a network connection.  Serial calls ride a window-1 mux,
-   which prices exactly one round trip.  Async traffic (unstable
-   WRITEs) rides a second one, whose latency is [async_floor_us]: the
-   part of the round trip a write-behind caller still waits for.
-   Neither keeps a registry or takes critical-path samples, so the
-   mux.* counters describe readahead alone.  [stall] models FreeBSD's
-   suboptimal kernel NFS-over-TCP (paper section 4.1): requests
-   spanning multiple TCP segments hit delayed-ACK/Nagle stalls — the
-   pathology behind NFS 3 (TCP)'s poor showing on write-heavy
-   workloads. *)
-let conn_ops ~(stall : int -> unit) ?obs (net : Simnet.t) ~(proto : Costmodel.transport_proto)
-    ~(machine : string) (conn : Simnet.conn) ~(root : fh) : Fs_intf.ops =
-  let client latency_us =
-    create ?obs ~clock:(Simnet.clock net) ~machine
-      (Rpc_mux.call (Rpc_mux.of_conn ~latency_us net ~proto conn))
-  in
-  let sync = client (Costmodel.rpc_fixed_us proto) in
-  let async_t = { (client Costmodel.async_floor_us) with xid = 100_000_000 } in
-  generic_ops
-    (fun ~cred ~proc ~async args ->
-      stall (String.length args);
-      let t = if async then async_t else sync in
-      Slice.of_string (call_raw t ~cred ~prog:Nfs_proto.prog ~vers:Nfs_proto.vers ~proc args))
-    ~root
+(* The builder.  One xid counter numbers every call on the transport:
+   the root fetch, serial and write-behind calls and readahead, so no
+   two share an entry in the server's duplicate request cache.
 
-(* The windowed READ path (readahead): its own xid space, so pipelined
-   traffic can never collide with the sync (base 1) or async (base 1e8)
-   clients, and its own Rpc_mux.  No retransmission here — a fault
-   raises out of the await thunk, and the caller (Cachefs) falls back
-   to the synchronous path, whose retry machinery recovers; READs are
+   Serial calls ride a window-1 mux, which prices exactly one round
+   trip.  Write-behind rides a second one, whose latency is
+   [async_floor_us]: the part of the round trip a write-behind caller
+   still waits for.  Neither keeps a registry, so the mux.* counters
+   describe readahead alone.  Readahead rides a windowed mux, built
+   after the root fetch so its idle-wire harvest starts at the mount.
+   A readahead fault raises out of the await thunk and the cache falls
+   back to the serial path, whose retry loop recovers; READs are
    idempotent, so the abandoned xid is harmless. *)
-let conn_pipeline ?obs ~(window : int) ~(depth : int) (net : Simnet.t)
-    ~(proto : Costmodel.transport_proto) ~(machine : string) (conn : Simnet.conn) :
-    Fs_intf.pipeline =
-  let mux =
-    Rpc_mux.of_conn ?obs ~window ~op_us:Costmodel.pipeline_nfs_op_us net ~proto conn
+let data_path ?obs ~(window : int) ~(readahead : int) ~(cred : Simos.cred) (net : Simnet.t)
+    (tr : transport) : Fs_intf.ops * Fs_intf.pipeline option =
+  let clock = Simnet.clock net in
+  let last_xid = ref 0 in
+  let next_xid () =
+    incr last_xid;
+    !last_xid
   in
-  let enc = Xdr.make_enc () in
-  let next_xid = ref 200_000_000 in
-  let pl_submit cred h ~off ~count =
-    let xid = !next_xid in
-    incr next_xid;
-    let t0 = Simclock.now_us (Simnet.clock net) in
+  let mux ?obs ?precompute ~readahead ~window ~latency_us ~op_us () =
+    Rpc_mux.create ?obs ?precompute ~window ~clock ~wire_us:(Costmodel.transfer_us tr.proto)
+      ~latency_us ~op_us
+      ~exchange:(fun request ->
+        let reply, server_us = Simnet.call_measured (tr.conn ()) request in
+        let o = tr.open_reply ~readahead ~request reply in
+        {
+          Rpc_mux.c_payload = o.results;
+          c_server_us = server_us;
+          c_wire_bytes = String.length reply;
+          c_crypto_us = o.crypto_us;
+          c_claim_us = o.claim_us;
+        })
+      ()
+  in
+  let round_trip = Costmodel.rpc_fixed_us tr.proto in
+  let serial = mux ~readahead:false ~window:1 ~latency_us:round_trip ~op_us:0.0 () in
+  let write_behind =
+    mux ~readahead:false ~window:1 ~latency_us:Costmodel.async_floor_us ~op_us:0.0 ()
+  in
+  (* Frame one call under a fresh op span and submit it: the mux
+     records the op's critical-path sample and closes the span at the
+     op's ready time. *)
+  let submit_op mux ~op ~xid ~cred ~overlapped call args =
     (* sfslint: allow SL012 — the open span is handed to Rpc_mux.submit via ~info, which closes it at the op's ready time (or at submit time on a failed exchange) *)
-    let os = Obs.span_begin obs ~cat:"op" "read" in
-    let msg =
-      call_msg ~enc ~machine ~xid ~ctx:(Obs.open_ctx os) ~cred ~prog:Nfs_proto.prog
-        ~vers:Nfs_proto.vers ~proc:Nfs_proto.proc_read
-        (Xdr.encode Nfs_proto.enc_read_args (h, off, count))
+    let os = Obs.span_begin obs ~cat:"op" op in
+    let t0 = Simclock.now_us clock in
+    let wire, crypto_up, crypto_ctr =
+      tr.frame ~xid ~ctx:(Obs.open_ctx os) ~cred ~overlapped call args
     in
     let info =
       {
-        Rpc_mux.ci_op = "read";
+        Rpc_mux.ci_op = op;
         ci_t0_us = t0;
-        ci_crypto_up_us = 0.0;
-        ci_crypto_up_ctr = 0;
+        ci_crypto_up_us = crypto_up;
+        ci_crypto_up_ctr = crypto_ctr;
         ci_span = os;
       }
     in
-    let ticket = Rpc_mux.submit ~info mux ~wire_bytes:(String.length msg) msg in
-    fun () ->
-      match reply_results ~xid (Rpc_mux.await mux ticket) with
-      | Ok results -> (
-          (* Slice decode: the block cache keeps a view into [results]
-             instead of a copied-out string. *)
-          match Xdr.run results (Nfs_proto.dec_res Nfs_proto.dec_read_ok_slice) with
-          | Ok v -> v
-          | Result.Error e -> raise (Rpc_failure ("unparsable result: " ^ e)))
-      | Error (`Retry why | `Fail why) -> raise (Rpc_failure ("pipelined read: " ^ why))
+    Rpc_mux.submit ~info mux ~wire_bytes:(String.length wire) wire
   in
-  { Fs_intf.pl_depth = depth; pl_submit }
+  (* One logical call: one xid, held across every attempt, so the
+     server's duplicate request cache recognises a retransmission whose
+     first execution succeeded but whose reply was lost. *)
+  let rpc ~async ~cred call args =
+    let xid = next_xid () in
+    let mux = if async then write_behind else serial in
+    let verbatim =
+      if tr.verbatim then Some (tr.frame ~xid ~ctx:(Obs.current obs) ~cred ~overlapped:async call args)
+      else None
+    in
+    let submit () =
+      match verbatim with
+      | Some (wire, _, _) -> Rpc_mux.submit mux ~wire_bytes:(String.length wire) wire
+      | None ->
+          let name = match call with Root -> "getroot" | Proc p -> Nfs_proto.proc_name p in
+          submit_op mux ~op:(if async then name ^ "/wb" else name) ~xid ~cred ~overlapped:async call args
+    in
+    with_backoff ?obs ~clock tr.backoff (fun again ->
+        if again then tr.before_retry ();
+        match Rpc_mux.await mux (submit ()) with
+        | Ok results -> Ok results
+        | Error (`Retry why) -> Error why
+        | Error (`Fail why) -> raise (Rpc_failure why)
+        | exception Simnet.Timeout -> Error "timeout"
+        | exception Poisoned why -> Error why)
+  in
+  let root = decode (rpc ~async:false ~cred Root ignore) dec_fh in
+  let pipeline =
+    if window > 1 && readahead > 0 then begin
+      let mux =
+        mux ?obs ?precompute:tr.precompute ~readahead:true ~window ~latency_us:round_trip
+          ~op_us:tr.op_us ()
+      in
+      let pl_submit cred h ~off ~count =
+        let ticket =
+          submit_op mux ~op:"read" ~xid:(next_xid ()) ~cred ~overlapped:true
+            (Proc Nfs_proto.proc_read) (fun e -> Nfs_proto.enc_read_args e (h, off, count))
+        in
+        fun () ->
+          match Rpc_mux.await mux ticket with
+          | Ok results ->
+              (* The block cache keeps a view into the reply. *)
+              decode results (Nfs_proto.dec_res Nfs_proto.dec_read_ok_slice)
+          | Error (`Retry why | `Fail why) -> raise (Rpc_failure ("pipelined read: " ^ why))
+      in
+      Some { Fs_intf.pl_depth = readahead; pl_submit }
+    end
+    else None
+  in
+  (generic_ops rpc ~root, pipeline)
 
-(* Convenience: dial an NFS server over the simulated network and mount
-   its export; [window]/[readahead] > trivial also build the pipelined
-   read path for the caching layer. *)
-let mount_pipelined ?obs ?(window = 1) ?(readahead = 0) (net : Simnet.t) ~(from_host : string)
-    ~(addr : string) ~(proto : Costmodel.transport_proto) ~(cred : Simos.cred) :
-    Fs_intf.ops * Fs_intf.pipeline option =
-  let conn = Simnet.connect net ~from_host ~addr ~port:2049 ~proto in
-  let root =
-    mount_root
-      (create ?obs ~clock:(Simnet.clock net) ~machine:from_host
-         (Rpc_mux.call (Rpc_mux.of_conn net ~proto conn)))
-      ~cred
-  in
+(* --- NFS 3 over Sun RPC --- *)
+
+(* The kernel NFS client's retransmission budget. *)
+let nfs_backoff = { attempts = 8; base_us = 20_000.; max_us = 800_000. }
+
+let rpc_auth_of_cred (machine : string) (c : Simos.cred) : Sunrpc.auth_flavor =
+  if Simos.is_anonymous c then Sunrpc.Auth_none
+  else
+    Sunrpc.Auth_unix
+      { stamp = 0; machine; uid = c.Simos.cred_uid; gid = c.Simos.cred_gid; gids = c.Simos.cred_groups }
+
+(* The results a reply to [xid] carries, or why it carries none:
+   [`Retry] when the bytes on the wire were damaged (retransmitting
+   may help), [`Fail] for an RPC-level rejection (it will not). *)
+let reply_results ~(xid : int) (reply : string) : reply =
+  match Sunrpc.msg_of_string reply with
+  | Ok (Sunrpc.Reply r) when r.Sunrpc.reply_xid = xid || r.Sunrpc.reply_xid = 0 -> (
+      match r.Sunrpc.body with
+      | Sunrpc.Success results -> Ok (Slice.of_string results)
+      | Sunrpc.Garbage_args ->
+          (* Our request arrived corrupted; the bytes on the wire were
+             damaged, not the program. *)
+          Error (`Retry "garbage args")
+      | Sunrpc.Prog_unavail -> Error (`Fail "program unavailable")
+      | Sunrpc.Prog_mismatch _ -> Error (`Fail "program version mismatch")
+      | Sunrpc.Proc_unavail -> Error (`Fail "procedure unavailable")
+      | Sunrpc.System_err -> Error (`Fail "system error")
+      | Sunrpc.Rejected _ -> Error (`Fail "call rejected"))
+  | Ok (Sunrpc.Reply _) -> Error (`Retry "xid mismatch")
+  | Ok (Sunrpc.Call _) -> Error (`Fail "unexpected call")
+  | Result.Error e -> Error (`Retry ("unparsable reply: " ^ e))
+
+(* Sun RPC on a clear connection.  A call is framed once, from the
+   ambient causal context (the enclosing Cachefs op root), and every
+   retransmission resends those bytes under the same xid: the server's
+   duplicate request cache compares whole messages.  A damaged reply
+   still took its round trip; it is retried after it, and an RPC-level
+   rejection is never retried.  [stall] models FreeBSD's suboptimal
+   kernel NFS over TCP (paper section 4.1): a request spanning several
+   TCP segments hits delayed-ACK/Nagle stalls, the pathology behind NFS
+   3 (TCP)'s poor showing on write-heavy workloads. *)
+let sunrpc (net : Simnet.t) ~(proto : Costmodel.transport_proto) ~(machine : string)
+    (conn : Simnet.conn) : transport =
+  let clock = Simnet.clock net in
+  let enc = Xdr.make_enc () and args_enc = Xdr.make_enc () in
   let stall =
     match proto with
     | Costmodel.Udp -> fun _ -> ()
     | Costmodel.Tcp ->
-        fun bytes ->
-          if bytes > Costmodel.mss_bytes then
-            Simclock.advance (Simnet.clock net) Costmodel.nfs_tcp_stall_us
+        fun bytes -> if bytes > Costmodel.mss_bytes then Simclock.advance clock Costmodel.nfs_tcp_stall_us
   in
-  let pipeline =
-    if window > 1 && readahead > 0 then
-      Some (conn_pipeline ?obs ~window ~depth:readahead net ~proto ~machine:from_host conn)
-    else None
+  let frame ~xid ~ctx ~cred ~overlapped:_ call write_args =
+    Xdr.reset args_enc;
+    write_args args_enc;
+    let args = Xdr.to_string args_enc in
+    stall (String.length args);
+    let prog, vers, proc =
+      match call with
+      | Root -> (Nfs_proto.mount_prog, Nfs_proto.mount_vers, Nfs_proto.mount_proc_mnt)
+      | Proc p -> (Nfs_proto.prog, Nfs_proto.vers, p)
+    in
+    (* The trace annex: server-side spans attach to the op that caused
+       them. *)
+    let trace, span = match ctx with Some cx -> (cx.Obs.cx_trace, cx.Obs.cx_span) | None -> (0, 0) in
+    let msg =
+      Sunrpc.msg_to_string ~enc
+        (Sunrpc.Call
+           { Sunrpc.xid; prog; vers; proc; trace; span; cred = rpc_auth_of_cred machine cred; args })
+    in
+    (msg, 0.0, 0)
   in
-  (conn_ops ~stall ?obs net ~proto ~machine:from_host conn ~root, pipeline)
+  {
+    conn = (fun () -> conn);
+    proto;
+    verbatim = true;
+    frame;
+    (* A Sun RPC message opens with its xid. *)
+    open_reply =
+      (fun ~readahead:_ ~request reply ->
+        {
+          results = reply_results ~xid:(Sfs_util.Bytesutil.int_of_be32 request ~off:0) reply;
+          crypto_us = 0.0;
+          claim_us = 0.0;
+        });
+    op_us = Costmodel.pipeline_nfs_op_us;
+    precompute = None;
+    before_retry = ignore;
+    backoff = nfs_backoff;
+  }
 
-let mount (net : Simnet.t) ~(from_host : string) ~(addr : string)
-    ~(proto : Costmodel.transport_proto) ~(cred : Simos.cred) : Fs_intf.ops =
-  fst (mount_pipelined net ~from_host ~addr ~proto ~cred)
+(* Dial an NFS server over the simulated network and mount its export;
+   [window]/[readahead] > trivial also build the pipelined read path
+   for the caching layer.  Any failure closes the connection. *)
+let mount ?obs ?(window = 1) ?(readahead = 0) (net : Simnet.t) ~(from_host : string)
+    ~(addr : string) ~(proto : Costmodel.transport_proto) ~(cred : Simos.cred) :
+    Fs_intf.ops * Fs_intf.pipeline option =
+  let conn = Simnet.connect net ~from_host ~addr ~port:2049 ~proto in
+  match data_path ?obs ~window ~readahead ~cred net (sunrpc net ~proto ~machine:from_host conn) with
+  | mounted -> mounted
+  | exception e ->
+      Simnet.close conn;
+      raise e

@@ -1,54 +1,96 @@
-(** NFS 3 client: [Fs_intf.ops] over Sun RPC, plus the generic
-    procedure-marshaling layer that the SFS client reuses over its
-    secure channel. *)
+(** The read-write data path of both clients: NFS 3 procedures over a
+    {!transport}, as {!Fs_intf.ops} plus an optional readahead
+    pipeline.  The NFS 3 client frames calls as Sun RPC ({!mount}); the
+    SFS client carries the same calls inside its secure channel
+    (paper section 3.3) and passes its own transport to {!data_path}. *)
 
-open Nfs_types
 module Simos = Sfs_os.Simos
 module Simnet = Sfs_net.Simnet
 
 exception Rpc_failure of string
+(** A call failed for good: an RPC-level rejection, an undecodable
+    result, or the retry budget spent. *)
+
+exception Poisoned of string
+(** Raised by a transport's [open_reply] for a reply that proves the
+    transport itself broken (a MAC failure, a desynchronised stream, an
+    undecodable frame).  The exchange then charges nothing, and a
+    serial call retries after [before_retry]. *)
 
 type backoff = { attempts : int; base_us : float; max_us : float }
 (** A capped exponential backoff: [attempts] counts the first try, and
-    the wait before attempt [i + 1] is [min (base_us * 2^i) max_us]. *)
+    the wait before attempt [i + 1] is [min (base_us * 2^i) max_us].  A
+    retry bumps [recover.rpc_retry]; a spent budget bumps
+    [recover.rpc_giveup] and raises {!Rpc_failure}. *)
 
-val with_backoff :
+type call = Root | Proc of int
+(** The root-handle fetch (MOUNT's MNT on NFS 3, the dialect's GETROOT
+    on SFS), or an NFS 3 procedure. *)
+
+type opened = {
+  results : (Sfs_util.Slice.t, [ `Retry of string | `Fail of string ]) result;
+      (** the NFS results as a view into the reply; [`Retry] when the
+          reply was damaged on the wire, [`Fail] for a rejection *)
+  crypto_us : float;  (** of the measured server time, the reply seal; [0.] when clear *)
+  claim_us : float;  (** of [crypto_us], keystream banked during idle wire time *)
+}
+
+type transport = {
+  conn : unit -> Simnet.conn;
+      (** the connection, read afresh per exchange so a reconnection
+          can swap it *)
+  proto : Sfs_net.Costmodel.transport_proto;  (** prices the wire and the round trip *)
+  verbatim : bool;
+      (** [true]: a call is framed once, from the ambient trace context,
+          and every attempt resends those bytes (NFS 3: the duplicate
+          request cache compares whole messages); it opens no op span
+          and records no critical-path sample.  [false]: every attempt
+          frames afresh under its own op span (SFS: a reconnection
+          re-keys the channel). *)
+  frame :
+    xid:int ->
+    ctx:Sfs_obs.Obs.ctx option ->
+    cred:Simos.cred ->
+    overlapped:bool ->
+    call ->
+    (Sfs_xdr.Xdr.enc -> unit) ->
+    string * float * int;
+      (** the wire bytes of one call, its arguments written by the
+          function, and the up-direction crypto it charged: the
+          critical-path share and the counter's integer
+          ({!Sfs_net.Rpc_mux.call_info}).  [overlapped] marks
+          write-behind and readahead *)
+  open_reply : readahead:bool -> request:string -> string -> opened;
+      (** open the reply to [request]; may raise {!Poisoned} or
+          {!Rpc_failure}, and then the exchange charges nothing *)
+  op_us : float;  (** the readahead mux's per-reply residual *)
+  precompute : (budget_us:float -> float) option;
+      (** the readahead mux's idle-wire donation hook *)
+  before_retry : unit -> unit;  (** run before every attempt after the first *)
+  backoff : backoff;
+}
+
+val data_path :
   ?obs:Sfs_obs.Obs.registry ->
-  clock:Sfs_net.Simclock.t ->
-  backoff ->
-  (bool -> ('a, string) result) ->
-  'a
-[@@sfs.declassify "returns the attempt's own reply and raises Rpc_failure with the attempt's own error text; the state the attempt closure captures (a mount's channel) reaches neither, the boundary Rpc_mux.create draws for its exchange closure"]
-(** The one retry loop, shared with the SFS client: [attempt false],
-    then [attempt true] per retry, until one returns [Ok v].  [Error
-    why] bumps [recover.rpc_retry] and charges the backoff to [clock];
-    with [b.attempts] spent it bumps [recover.rpc_giveup] and raises
-    {!Rpc_failure}[ why].  This client retransmits the {e same} xid
-    (8 attempts, 20 ms base, 0.8 s cap) on a timeout or garbled reply,
-    so the server's duplicate request cache absorbs re-executions. *)
-
-type raw_call = cred:Simos.cred -> proc:int -> async:bool -> string -> Sfs_util.Slice.t
-(** A procedure-level transport: marshaled arguments in, marshaled
-    results out.  [async] marks write-behind traffic (unstable WRITEs),
-    which implementations may pipeline.  The results are a view, decoded
-    in place: the SFS client hands back a view into the opened reply
-    frame, and this client wraps its Sun RPC results with the free
-    {!Sfs_util.Slice.of_string}. *)
-
-val generic_ops : raw_call -> root:fh -> Fs_intf.ops
-(** NFS 3 procedures marshaled over any raw transport — the shared core
-    of this client and the SFS client. *)
+  window:int ->
+  readahead:int ->
+  cred:Simos.cred ->
+  Simnet.t ->
+  transport ->
+  Fs_intf.ops * Fs_intf.pipeline option
+[@@sfs.declassify "an opaque transport handle, the boundary Rpc_mux.create draws: the frame and open closures and the channel state they capture stay inside the muxes; the ops return only decoded results and raise Rpc_failure with transport-chosen error text"]
+(** Fetch the root handle as [cred] and build the data path over a
+    transport.  One xid counter numbers every call, and the serial
+    calls, write-behind (unstable WRITEs) and readahead each ride their
+    own {!Sfs_net.Rpc_mux}: window 1 priced at one round trip, window 1
+    priced at [Costmodel.async_floor_us], and [window] wide with the
+    transport's [op_us] and [precompute].  The pipeline is [Some] only
+    when [window > 1] and [readahead > 0].  Serial and write-behind
+    calls retry through [backoff] on a timeout, a [`Retry] reply or
+    {!Poisoned}.  Only the readahead mux keeps [obs]'s mux.* counters.
+    @raise Rpc_failure when the root fetch fails. *)
 
 val mount :
-  Simnet.t ->
-  from_host:string ->
-  addr:string ->
-  proto:Sfs_net.Costmodel.transport_proto ->
-  cred:Simos.cred ->
-  Fs_intf.ops
-(** Dial an NFS server on the simulated network and mount its export. *)
-
-val mount_pipelined :
   ?obs:Sfs_obs.Obs.registry ->
   ?window:int ->
   ?readahead:int ->
@@ -58,10 +100,8 @@ val mount_pipelined :
   proto:Sfs_net.Costmodel.transport_proto ->
   cred:Simos.cred ->
   Fs_intf.ops * Fs_intf.pipeline option
-(** Like {!mount}, but when [window > 1] and [readahead > 0] (defaults
-    are the trivial 1/0) also returns the pipelined read path for
-    {!Cachefs.create}'s [pipeline].  The MOUNT handshake and serial
-    calls ride a window-1 {!Sfs_net.Rpc_mux}, retried by {!with_backoff}.
-    Unstable WRITEs ride a second window-1 mux whose latency is
-    [Costmodel.async_floor_us], in their own xid space.  Readahead has
-    its own windowed mux and xid space. *)
+(** Dial an NFS server on the simulated network and mount its export as
+    [cred] over Sun RPC: {!data_path} with [window] (default 1) and
+    [readahead] (default 0).  A call is retransmitted byte for byte
+    under its xid (8 attempts, 20 ms base, 0.8 s cap).  Any failure
+    closes the connection and re-raises. *)

@@ -141,12 +141,12 @@ let make ?fault ?(server_disk_params = Diskmodel.default_params) ?(rpc_window = 
       Simnet.listen net server_host ~port:2049 (Nfs_server.service server);
       let proto = if stack = Nfs_udp then Costmodel.Udp else Costmodel.Tcp in
       let ops, pipeline =
-        Nfs_client.mount_pipelined ~obs ~window:rpc_window ~readahead net
+        Nfs_client.mount ~obs ~window:rpc_window ~readahead net
           ~from_host:client_host ~addr:server_location ~proto ~cred:root_cred
       in
       (* Readahead only: kernel NFS write traffic already goes through the
-         async write-behind path in [conn_ops], so the cache stays
-         write-through here to keep the fig9 write calibration intact. *)
+         data path's write-behind mux, so the cache stays write-through
+         here to keep the fig9 write calibration intact. *)
       let cache = Cachefs.create ~obs ~clock ?pipeline ~policy:Cachefs.nfs_policy ops in
       let vfs = Core.Vfs.make ~clock ~root_fs:client_root () in
       Core.Vfs.add_mount vfs ~at:"/mnt" (Cachefs.ops cache);

@@ -189,11 +189,11 @@ let test_sl010 () =
     {|let f conn wire = Simnet.call_measured conn wire|};
   fires "fully qualified, in a workload" ~path:"lib/workload/flashcrowd.ml" ~code:"SL010"
     {|let f conn wire = Sfs_net.Simnet.call_measured conn wire|};
-  fires "as a value" ~path:"lib/nfs/nfs_client.ml" ~code:"SL010"
+  fires "as a value, in the SFS client" ~path:"lib/core/client.ml" ~code:"SL010"
     {|let f conn = Readonly.connect ~exchange:(Simnet.call_measured conn)|};
   silent "the mux constructor" ~path:"lib/net/rpc_mux.ml" ~code:"SL010"
     {|let f conn wire = Simnet.call_measured conn wire|};
-  silent "the SFS client's sealed muxes" ~path:"lib/core/client.ml" ~code:"SL010"
+  silent "the data path builder" ~path:"lib/nfs/nfs_client.ml" ~code:"SL010"
     {|let f conn wire = Simnet.call_measured conn wire|};
   silent "priced through a mux" ~path:"lib/core/replica.ml" ~code:"SL010"
     {|let f mux wire = Rpc_mux.call mux wire|};

@@ -181,7 +181,7 @@ let make_network_fs () =
 
 let test_nfs_end_to_end () =
   let _, net, _, _ = make_network_fs () in
-  let ops = Nfs_client.mount net ~from_host:"client" ~addr:"nfs.example.com" ~proto:Costmodel.Udp ~cred:root in
+  let ops, _ = Nfs_client.mount net ~from_host:"client" ~addr:"nfs.example.com" ~proto:Costmodel.Udp ~cred:root in
   let dir, _ = ok "mkdir" (ops.Fs_intf.fs_mkdir root ~dir:ops.Fs_intf.fs_root "docs" ~mode:0o755) in
   let f, _ = ok "create" (ops.Fs_intf.fs_create root ~dir "paper.txt" ~mode:0o644) in
   ignore (ok "write" (ops.Fs_intf.fs_write root f ~off:0 ~stable:false "self-certifying"));
@@ -199,7 +199,7 @@ let test_nfs_end_to_end () =
 
 let test_nfs_credentials_cross_wire () =
   let _, net, _, _ = make_network_fs () in
-  let ops = Nfs_client.mount net ~from_host:"client" ~addr:"nfs.example.com" ~proto:Costmodel.Udp ~cred:root in
+  let ops, _ = Nfs_client.mount net ~from_host:"client" ~addr:"nfs.example.com" ~proto:Costmodel.Udp ~cred:root in
   let home, _ = ok "mkhome" (ops.Fs_intf.fs_mkdir root ~dir:ops.Fs_intf.fs_root "home" ~mode:0o777) in
   let f, _ = ok "create" (ops.Fs_intf.fs_create alice ~dir:home "mine" ~mode:0o600) in
   ignore (ok "alice writes" (ops.Fs_intf.fs_write alice f ~off:0 ~stable:false "private"));
@@ -211,7 +211,7 @@ let test_nfs_credentials_cross_wire () =
 
 let test_nfs_bad_handle () =
   let _, net, _, _ = make_network_fs () in
-  let ops = Nfs_client.mount net ~from_host:"client" ~addr:"nfs.example.com" ~proto:Costmodel.Udp ~cred:root in
+  let ops, _ = Nfs_client.mount net ~from_host:"client" ~addr:"nfs.example.com" ~proto:Costmodel.Udp ~cred:root in
   expect_err "bad handle" NFS3ERR_BADHANDLE (ops.Fs_intf.fs_getattr root "bogus");
   expect_err "stale id" NFS3ERR_STALE (ops.Fs_intf.fs_getattr root "nfs3:99999")
 
@@ -224,11 +224,57 @@ let test_nfs_garbage_resilience () =
   | Ok (Sfs_xdr.Sunrpc.Reply _) -> ()
   | _ -> Alcotest.fail "server crashed on garbage"
 
+(* MOUNT and the NFS calls after it share one connection and so one
+   duplicate request cache: every call must take a fresh entry, which
+   needs a distinct xid per call. *)
+let test_nfs_mount_xids_distinct () =
+  let clock = Simclock.create () in
+  let obs = Sfs_obs.Obs.create ~now_us:(fun () -> Simclock.now_us clock) () in
+  let net = Simnet.create clock in
+  let host = Simnet.add_host net "nfs.example.com" in
+  let fs = Memfs.create ~now:(now_fn clock) () in
+  let server = Nfs_server.create ~obs (Memfs_ops.make ~fs ~disk:(Diskmodel.create clock)) in
+  Simnet.listen net host ~port:2049 (Nfs_server.service server);
+  let ops, _ =
+    Nfs_client.mount net ~from_host:"client" ~addr:"nfs.example.com" ~proto:Costmodel.Udp ~cred:root
+  in
+  for _ = 1 to 3 do
+    ignore (ok "getattr" (ops.Fs_intf.fs_getattr root ops.Fs_intf.fs_root))
+  done;
+  Testkit.check_int "rpcs" 4 (Nfs_server.calls server);
+  Testkit.check_int "one cache entry per rpc" (Nfs_server.calls server)
+    (Sfs_obs.Obs.counter obs "nfs.drc_insert")
+
+(* A MOUNT that fails must release its connection: under an admission
+   limit of one, the next mount would otherwise be refused. *)
+let test_nfs_failed_mount_releases_conn () =
+  let clock = Simclock.create () in
+  let net = Simnet.create clock in
+  let host = Simnet.add_host net "nfs.example.com" in
+  let fs = Memfs.create ~now:(now_fn clock) () in
+  let server = Nfs_server.create (Memfs_ops.make ~fs ~disk:(Diskmodel.create clock)) in
+  Simnet.listen net host ~port:2049 (Nfs_server.service server);
+  Simnet.set_admission host (Some 1);
+  let drop_all = Simnet.passive_tap () in
+  drop_all.Simnet.on_message <- (fun _ _ -> Simnet.Drop);
+  Simnet.set_default_tap net (Some drop_all);
+  let mount () =
+    Nfs_client.mount net ~from_host:"client" ~addr:"nfs.example.com" ~proto:Costmodel.Udp ~cred:root
+  in
+  (match mount () with
+  | exception Nfs_client.Rpc_failure _ -> ()
+  | _ -> Alcotest.fail "mounted through a tap that drops everything");
+  Testkit.check_int "slot released" 0 (Simnet.host_active_conns host);
+  Simnet.set_default_tap net None;
+  match mount () with
+  | exception (Simnet.Timeout | Nfs_client.Rpc_failure _) -> Alcotest.fail "second mount refused"
+  | ops, _ -> ignore (ok "getattr" (ops.Fs_intf.fs_getattr root ops.Fs_intf.fs_root))
+
 (* --- Cachefs --- *)
 
 let test_cachefs_attr_cache () =
   let clock, net, _, server = make_network_fs () in
-  let ops = Nfs_client.mount net ~from_host:"client" ~addr:"nfs.example.com" ~proto:Costmodel.Udp ~cred:root in
+  let ops, _ = Nfs_client.mount net ~from_host:"client" ~addr:"nfs.example.com" ~proto:Costmodel.Udp ~cred:root in
   let cache = Cachefs.create ~clock ~policy:Cachefs.nfs_policy ops in
   let cops = Cachefs.ops cache in
   let f, _ = ok "create" (cops.Fs_intf.fs_create root ~dir:cops.Fs_intf.fs_root "f" ~mode:0o644) in
@@ -245,7 +291,7 @@ let test_cachefs_attr_cache () =
 
 let test_cachefs_data_cache () =
   let clock, net, _, server = make_network_fs () in
-  let ops = Nfs_client.mount net ~from_host:"client" ~addr:"nfs.example.com" ~proto:Costmodel.Udp ~cred:root in
+  let ops, _ = Nfs_client.mount net ~from_host:"client" ~addr:"nfs.example.com" ~proto:Costmodel.Udp ~cred:root in
   let cache = Cachefs.create ~clock ~policy:Cachefs.nfs_policy ops in
   let cops = Cachefs.ops cache in
   let f, _ = ok "create" (cops.Fs_intf.fs_create root ~dir:cops.Fs_intf.fs_root "data" ~mode:0o644) in
@@ -260,7 +306,7 @@ let test_cachefs_lease_invalidation () =
   (* SFS-style: an invalidation delivered through the queue drops the
      cache entry before its TTL. *)
   let clock, net, _, _ = make_network_fs () in
-  let ops = Nfs_client.mount net ~from_host:"client" ~addr:"nfs.example.com" ~proto:Costmodel.Udp ~cred:root in
+  let ops, _ = Nfs_client.mount net ~from_host:"client" ~addr:"nfs.example.com" ~proto:Costmodel.Udp ~cred:root in
   let queue = ref [] in
   let cache =
     Cachefs.create
@@ -285,7 +331,7 @@ let test_cachefs_hit_permissions () =
   (* Regression: a shared cache must not let one user's hits bypass
      another user's permission checks (the section 5.1 hazard). *)
   let clock, net, _, _ = make_network_fs () in
-  let ops = Nfs_client.mount net ~from_host:"client" ~addr:"nfs.example.com" ~proto:Costmodel.Udp ~cred:root in
+  let ops, _ = Nfs_client.mount net ~from_host:"client" ~addr:"nfs.example.com" ~proto:Costmodel.Udp ~cred:root in
   let cache = Cachefs.create ~clock ~policy:Cachefs.sfs_policy ops in
   let cops = Cachefs.ops cache in
   let dir, _ = ok "mkdir" (cops.Fs_intf.fs_mkdir root ~dir:cops.Fs_intf.fs_root "locked" ~mode:0o700) in
@@ -300,7 +346,7 @@ let test_cachefs_hit_permissions () =
 
 let test_cachefs_negative_lookup () =
   let clock, net, _, server = make_network_fs () in
-  let ops = Nfs_client.mount net ~from_host:"client" ~addr:"nfs.example.com" ~proto:Costmodel.Udp ~cred:root in
+  let ops, _ = Nfs_client.mount net ~from_host:"client" ~addr:"nfs.example.com" ~proto:Costmodel.Udp ~cred:root in
   (* Under leases (stamp attrs with a lease via a fake wrapping). *)
   let stamped =
     { ops with
@@ -464,6 +510,8 @@ let suite =
       Alcotest.test_case "nfs credentials" `Quick test_nfs_credentials_cross_wire;
       Alcotest.test_case "nfs bad handles" `Quick test_nfs_bad_handle;
       Alcotest.test_case "nfs garbage resilience" `Quick test_nfs_garbage_resilience;
+      Alcotest.test_case "nfs mount xids distinct" `Quick test_nfs_mount_xids_distinct;
+      Alcotest.test_case "nfs failed mount releases its conn" `Quick test_nfs_failed_mount_releases_conn;
       Alcotest.test_case "cachefs attributes" `Quick test_cachefs_attr_cache;
       Alcotest.test_case "cachefs data" `Quick test_cachefs_data_cache;
       Alcotest.test_case "cachefs lease invalidation" `Quick test_cachefs_lease_invalidation;

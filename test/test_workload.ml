@@ -139,6 +139,85 @@ let test_readahead_after_own_write () =
         (got = String.make bs 'Z'))
     [ Stacks.Nfs_udp; Stacks.Nfs_tcp; Stacks.Sfs; Stacks.Sfs_noenc ]
 
+(* --- Wire pin: every frame of a short mix on each read-write stack --- *)
+
+module Simnet = Sfs_net.Simnet
+module Cachefs = Sfs_nfs.Cachefs
+
+(* Remount [w]'s remote file system under a default tap, so the tap
+   sees every frame from the dial on: NFS through a fresh MOUNT that
+   shadows the primed one at /mnt, SFS through a fresh automount on the
+   next path lookup.  Returns a cache flush for the new mount. *)
+let tapped_remount (w : Stacks.world) (tap : Simnet.tap) ~(rpc_window : int) : unit -> unit =
+  Simnet.set_default_tap w.Stacks.net (Some tap);
+  match w.Stacks.sfs_client with
+  | Some client ->
+      List.iter (Sfs_core.Client.unmount client) (Sfs_core.Client.mounts client);
+      fun () ->
+        List.iter
+          (fun m -> Cachefs.invalidate_all (Sfs_core.Client.cache m))
+          (Sfs_core.Client.mounts client)
+  | None ->
+      let proto = if w.Stacks.stack = Stacks.Nfs_udp then Sfs_net.Costmodel.Udp else Sfs_net.Costmodel.Tcp in
+      let ops, pipeline =
+        Sfs_nfs.Nfs_client.mount ~obs:w.Stacks.obs ~window:rpc_window ~readahead:8
+          w.Stacks.net ~from_host:Stacks.client_host ~addr:Stacks.server_location ~proto
+          ~cred:(Sfs_os.Simos.cred_of_user Sfs_os.Simos.root_user)
+      in
+      let cache =
+        Cachefs.create ~obs:w.Stacks.obs ~clock:w.Stacks.clock ?pipeline ~policy:Cachefs.nfs_policy ops
+      in
+      Sfs_core.Vfs.add_mount w.Stacks.vfs ~at:"/mnt" (Cachefs.ops cache);
+      fun () -> Cachefs.invalidate_all cache
+
+(* SHA-1 over every frame a short mix puts on the wire: an unstable
+   (write-behind) WRITE, a sequential read long enough to arm readahead,
+   a readdir and a remove.  NFS frames are hashed with their leading
+   xid zeroed, so the pin holds however the client numbers its calls;
+   SFS frames are hashed whole. *)
+let wire_digest (s : Stacks.stack) ~(rpc_window : int) : string =
+  let w = Stacks.make ~rpc_window ~readahead:8 s in
+  let tap = Simnet.passive_tap () in
+  let flush = tapped_remount w tap ~rpc_window in
+  let path = w.Stacks.workdir ^ "/pin" in
+  let data = Driver.content ~seed:26 (24 * 8192) in
+  Driver.write_file w path data;
+  Driver.commit w path;
+  flush ();
+  Testkit.check_bool "read back" true (Driver.read_file w path = data);
+  ignore (Driver.readdir w w.Stacks.workdir);
+  Driver.unlink w path;
+  Testkit.check_bool "readahead ran" (rpc_window > 1)
+    (Sfs_obs.Obs.counter w.Stacks.obs "mux.submit" > 0);
+  let ctx = Sfs_crypto.Sha1.init () in
+  let nfs = w.Stacks.sfs_client = None in
+  List.iter
+    (fun (dir, frame) ->
+      Sfs_crypto.Sha1.update ctx (if dir = Simnet.To_server then ">" else "<");
+      Sfs_crypto.Sha1.update ctx
+        (if nfs && String.length frame >= 4 then
+           "\000\000\000\000" ^ String.sub frame 4 (String.length frame - 4)
+         else frame))
+    (List.rev tap.Simnet.observed);
+  Sfs_util.Hex.encode (Sfs_crypto.Sha1.final ctx)
+
+let test_wire_pin () =
+  List.iter
+    (fun (s, rpc_window, want) ->
+      Testkit.check_string
+        (Printf.sprintf "%s, window %d" (Stacks.stack_name s) rpc_window)
+        want (wire_digest s ~rpc_window))
+    [
+      (Stacks.Nfs_udp, 1, "29f58fac36be9139ad9f4d896a4af59e380caf15");
+      (Stacks.Nfs_udp, 16, "234550d9a776aff8e7a77cf886fcf99db7bd4979");
+      (Stacks.Nfs_tcp, 1, "78455d382be5025c766358044479ffc4dc37bc78");
+      (Stacks.Nfs_tcp, 16, "89a12ea3eda46b29bbe4f01a7588e2c7215bf9bc");
+      (Stacks.Sfs, 1, "18815348a07d62ac7150b417904f296e64b1ff9a");
+      (Stacks.Sfs, 16, "7214fd21fec960fe2f460ec0e97816c4fc49100a");
+      (Stacks.Sfs_noenc, 1, "d0f26a4c843d08864dec722a6ee84581c8669df9");
+      (Stacks.Sfs_noenc, 16, "cde42129df29cb74edf26d85f04876bceeef4412");
+    ]
+
 (* --- Fleet: the discrete-event mass-client engine (DESIGN.md §15) --- *)
 
 let check_reconcile r =
@@ -506,6 +585,7 @@ let suite =
       Alcotest.test_case "fig9 write ordering" `Slow test_fig9_write_ordering;
       Alcotest.test_case "flush caches" `Quick test_flush_caches;
       Alcotest.test_case "readahead after own write" `Quick test_readahead_after_own_write;
+      Alcotest.test_case "wire pin" `Quick test_wire_pin;
       Alcotest.test_case "fleet smoke" `Quick test_fleet_smoke;
       Alcotest.test_case "fleet admission" `Quick test_fleet_admission;
       Alcotest.test_case "fleet drop during mount setup" `Quick test_fleet_drop_mount_setup;

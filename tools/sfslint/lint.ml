@@ -168,10 +168,10 @@ let sl009_hot path =
     [ "lib/crypto/arc4.ml"; "lib/crypto/sha1.ml"; "lib/crypto/mac.ml"; "lib/proto/channel.ml" ]
 (* SL010: every exchange is priced by an Rpc_mux.  [Simnet.call_measured]
    charges nothing, so outside the two places that build mux exchanges
-   (Rpc_mux.of_conn and the SFS client's sealed-channel muxes) a direct
-   call is a round trip the clock never sees. *)
+   (Rpc_mux.of_conn, and Nfs_client.data_path, the one data path of
+   both clients) a direct call is a round trip the clock never sees. *)
 let sl010_applies path =
-  in_lib path && not (List.mem path [ "lib/net/rpc_mux.ml"; "lib/core/client.ml" ])
+  in_lib path && not (List.mem path [ "lib/net/rpc_mux.ml"; "lib/nfs/nfs_client.ml" ])
 
 (* SL013: the audited wire->cache read path.  Within these files, any
    binding that is part of the zero-copy chain — the *_slice codecs and
