@@ -75,7 +75,7 @@ type t = {
   mutable temp_key_born_us : float;
   mounts : (string, mount) Hashtbl.t; (* by Pathname.to_name *)
   encrypt : bool; (* ablation switch: "SFS w/o encryption" *)
-  mutable cache_policy : Cachefs.policy;
+  cache_policy : Cachefs.policy;
   rpc_window : int; (* concurrent in-flight calls (1 = fully serial) *)
   readahead : int; (* sequential-read prefetch depth, in blocks *)
   obs : Obs.registry option;

@@ -32,17 +32,18 @@ module Slice = Sfs_util.Slice
 module Lru = Sfs_util.Lru
 
 type policy = {
-  attr_ttl_s : float; (* fixed attribute timeout when no lease is used *)
   use_leases : bool; (* trust per-attribute lease fields + callbacks *)
   data_cache_bytes : int;
-  memcpy_bytes_per_us : float; (* cost of serving a hit *)
 }
 
-let nfs_policy =
-  { attr_ttl_s = 3.0; use_leases = false; data_cache_bytes = 25 * 1024 * 1024; memcpy_bytes_per_us = 400.0 }
+let nfs_policy = { use_leases = false; data_cache_bytes = 25 * 1024 * 1024 }
+let sfs_policy = { use_leases = true; data_cache_bytes = 25 * 1024 * 1024 }
 
-let sfs_policy =
-  { attr_ttl_s = 3.0; use_leases = true; data_cache_bytes = 25 * 1024 * 1024; memcpy_bytes_per_us = 400.0 }
+(* Lifetime of every entry that no trusted lease covers. *)
+let attr_ttl_s = 3.0
+
+(* Copy rate that prices a hit (at least 64 bytes' worth). *)
+let memcpy_bytes_per_us = 400.0
 
 let block_size = 8192
 
@@ -73,14 +74,17 @@ type t = {
   pipeline : Fs_intf.pipeline option; (* windowed read path, when the transport offers one *)
   write_behind : bool;
   inflight : (fh * int, unit -> (Slice.t * bool * fattr) res) Hashtbl.t;
-  (* submitted readahead, by block; claimed (awaited) on the next read *)
+  (* submitted block reads, by block; claimed (awaited) by the next read *)
   last_read : (fh, int * int) Hashtbl.t; (* last block read, run length *)
-  mutable wbuf : wbuf option;
+  mutable wbuf : wbuf option; (* only ever set when [write_behind] *)
   gather : Buffer.t; (* the live run's bytes; cleared, not freed, by each flush *)
   attrs : (fh, attr_entry) Hashtbl.t;
-  names : (fh * string, (fh * float) (* target, expiry *)) Hashtbl.t;
+  (* Name and negative entries carry the uid whose lookup, create or
+     readdir the server answered: the search evidence for a hit when
+     the directory's attributes are not fresh (see [may_search]). *)
+  names : (fh * string, fh * float * int) Hashtbl.t; (* target, expiry, uid *)
+  negatives : (fh * string, float * int) Hashtbl.t; (* lease-backed: expiry, uid *)
   access_cache : (fh * int * int, int * float) Hashtbl.t; (* (fh, uid, mask) -> granted, expiry *)
-  negatives : (fh * string, float) Hashtbl.t; (* lease-backed negative lookups *)
   (* Block data is stored as slices: on the zero-copy transports these
      are views into the opened wire frame (no per-block copy between
      the channel and here); elsewhere they wrap whole strings for
@@ -108,11 +112,15 @@ let create ?(take_invalidations = no_invalidations) ?obs ?pipeline ?(write_behin
     gather = Buffer.create 16;
     attrs = Hashtbl.create 16;
     names = Hashtbl.create 16;
-    access_cache = Hashtbl.create 16;
     negatives = Hashtbl.create 16;
+    access_cache = Hashtbl.create 16;
     blocks = Lru.create 16;
     cached_bytes = 0;
   }
+
+(* Remove every binding of [tbl] that [doomed] picks. *)
+let drop_where (tbl : ('k, 'v) Hashtbl.t) (doomed : 'k -> 'v -> bool) : unit =
+  Hashtbl.filter_map_inplace (fun k v -> if doomed k v then None else Some v) tbl
 
 let drop_blocks (t : t) (h : fh) : unit =
   let doomed = Lru.fold (fun (f, b) data acc -> if f = h then ((f, b), data) :: acc else acc) t.blocks [] in
@@ -122,36 +130,22 @@ let drop_blocks (t : t) (h : fh) : unit =
       Lru.remove t.blocks k)
     doomed
 
-let drop_access (t : t) (h : fh) : unit =
-  let doomed =
-    Hashtbl.fold (fun (f, u, m) _ acc -> if f = h then (f, u, m) :: acc else acc) t.access_cache []
-  in
-  List.iter (Hashtbl.remove t.access_cache) doomed
-
 (* Abandon submitted readahead for a handle: the replies are simply
    never awaited (the dispatcher force-completes their tickets under
    window pressure, as a real client would discard stale replies).
    Every write calls this, so the common empty table costs no scan. *)
 let drop_inflight (t : t) (h : fh) : unit =
-  if Hashtbl.length t.inflight > 0 then
-    let doomed =
-      Hashtbl.fold (fun (f, b) _ acc -> if f = h then (f, b) :: acc else acc) t.inflight []
-    in
-    List.iter (Hashtbl.remove t.inflight) doomed
+  if Hashtbl.length t.inflight > 0 then drop_where t.inflight (fun (f, _) _ -> f = h)
 
 let invalidate_fh (t : t) (h : fh) : unit =
   Hashtbl.remove t.attrs h;
-  drop_access t h;
+  drop_where t.access_cache (fun (f, _, _) _ -> f = h);
   drop_blocks t h;
   drop_inflight t h;
   Hashtbl.remove t.last_read h;
   (* Name entries pointing into or out of this handle go too. *)
-  let doomed =
-    Hashtbl.fold (fun (d, n) (tgt, _) acc -> if d = h || tgt = h then (d, n) :: acc else acc) t.names []
-  in
-  List.iter (Hashtbl.remove t.names) doomed;
-  let doomed_neg = Hashtbl.fold (fun (d, n) _ acc -> if d = h then (d, n) :: acc else acc) t.negatives [] in
-  List.iter (Hashtbl.remove t.negatives) doomed_neg
+  drop_where t.names (fun (d, _) (tgt, _, _) -> d = h || tgt = h);
+  drop_where t.negatives (fun (d, _) _ -> d = h)
 
 let drain_invalidations (t : t) : unit =
   if t.policy.use_leases then begin
@@ -175,25 +169,37 @@ let invalidate_all (t : t) : unit =
   t.cached_bytes <- 0
 
 let charge_hit (t : t) (bytes : int) : unit =
-  Simclock.advance t.clock (float_of_int (max bytes 64) /. t.policy.memcpy_bytes_per_us)
+  Simclock.advance t.clock (float_of_int (max bytes 64) /. memcpy_bytes_per_us)
 
-(* Remember attributes; the expiry honours the lease when present and
-   trusted, else the fixed TTL. *)
-let note_attr (t : t) (h : fh) (a : fattr) : unit =
-  let now = Simclock.now_us t.clock in
+(* The one expiry rule, for attributes, names, negative entries and
+   access results alike: an entry noted now lives for the lease of [a]
+   when leases are trusted and [a] carries one, else the fixed TTL.
+   Under leases an entry cannot go stale without a server callback. *)
+let expiry_us (t : t) (a : fattr option) : float =
   let ttl_s =
-    if t.policy.use_leases && a.lease > 0 then float_of_int a.lease else t.policy.attr_ttl_s
+    match a with Some a when t.policy.use_leases && a.lease > 0 -> float_of_int a.lease | _ -> attr_ttl_s
   in
-  (* Data cache consistency: newer mtime invalidates cached blocks. *)
+  Simclock.now_us t.clock +. (ttl_s *. 1_000_000.0)
+
+let fresh_attr (t : t) (h : fh) : fattr option =
+  match Hashtbl.find_opt t.attrs h with
+  | Some e when e.expires_us > Simclock.now_us t.clock -> Some e.attr
+  | _ -> None
+
+(* Remember attributes.  Data cache consistency: a newer mtime
+   invalidates the cached blocks. *)
+let note_attr (t : t) (h : fh) (a : fattr) : unit =
+  let expires_us = expiry_us t (Some a) in
   (match Hashtbl.find_opt t.attrs h with
   | Some old when time_compare old.attr.mtime a.mtime <> 0 -> drop_blocks t h
   | _ -> ());
-  Hashtbl.replace t.attrs h { attr = a; expires_us = now +. (ttl_s *. 1_000_000.0) }
+  Hashtbl.replace t.attrs h { attr = a; expires_us }
 
-let fresh_attr (t : t) (h : fh) : attr_entry option =
-  match Hashtbl.find_opt t.attrs h with
-  | Some e when e.expires_us > Simclock.now_us t.clock -> Some e
-  | _ -> None
+(* Remember that [name] in [dir] is [h], as the server told [cred]; the
+   name lives as long as the target's attributes would. *)
+let note_name (t : t) (cred : Simos.cred) ~(dir : fh) (name : string) (h : fh) (a : fattr) : unit =
+  Hashtbl.remove t.negatives (dir, name);
+  Hashtbl.replace t.names (dir, name) (h, expiry_us t (Some a), cred.Simos.cred_uid)
 
 let rec evict_blocks_if_needed (t : t) : unit =
   if t.cached_bytes > t.policy.data_cache_bytes then
@@ -211,11 +217,16 @@ let note_block (t : t) (h : fh) (block : int) (data : Slice.t) : unit =
   t.cached_bytes <- t.cached_bytes + Slice.length data;
   evict_blocks_if_needed t
 
-(* Name-cache entry lifetime: under leases a directory entry cannot
-   change without a server callback, so names live as long as the
-   accompanying attribute lease; NFS-style caching uses the fixed TTL. *)
-let name_ttl_s (t : t) (a : fattr) : float =
-  if t.policy.use_leases && a.lease > 0 then float_of_int a.lease else t.policy.attr_ttl_s
+(* Cache the block-aligned chunks of [data] read from or written at
+   [off]; a short chunk only when [ends_file] (the read path bounds hits
+   by the cached size). *)
+let note_chunks (t : t) (h : fh) ~(off : int) ~(ends_file : bool) (data : string) : unit =
+  if off mod block_size = 0 then
+    List.iteri
+      (fun i chunk ->
+        if String.length chunk = block_size || ends_file then
+          note_block t h ((off / block_size) + i) (Slice.of_string chunk))
+      (Sfs_util.Bytesutil.chunks ~size:block_size data)
 
 (* Client-side permission enforcement for cache hits.  The cache is
    shared between local users (safe for consistency because they named
@@ -230,25 +241,29 @@ let may (cred : Simos.cred) (a : fattr) ~(want : int) : bool =
   in
   (a.mode lsr shift) land want = want
 
+(* Whether a cached name or negative entry under [dir], recorded for
+   [uid], may answer [cred]: by the search bit of the directory's fresh
+   attributes, else only for [uid] itself or the superuser.  Anyone
+   else asks the server, which would refuse a user who cannot search. *)
+let may_search (t : t) (cred : Simos.cred) ~(dir : fh) ~(uid : int) : bool =
+  match fresh_attr t dir with
+  | Some d -> may cred d ~want:1
+  | None -> Simos.is_superuser cred || cred.Simos.cred_uid = uid
+
 let ( let* ) = Result.bind
 
 (* --- Write-behind --- *)
 
 (* Cache what a write (direct or flushed) put on the server: attributes
    first (the mtime change evicts stale blocks), then the aligned
-   chunks, partial ones only when they form the file's tail.  Readahead
-   submitted before the write carries the old bytes and attributes, so
-   it is dropped rather than claimed over the new blocks. *)
+   chunks, a partial one only when it forms the file's tail; an
+   unaligned write drops the file's blocks.  Readahead submitted before
+   the write carries the old bytes and attributes, so it is dropped
+   rather than claimed over the new blocks. *)
 let note_written (t : t) (h : fh) ~(off : int) (data : string) (a : fattr) : unit =
   drop_inflight t h;
   note_attr t h a;
-  if off mod block_size = 0 then
-    List.iteri
-      (fun i chunk ->
-        let chunk_off = off + (i * block_size) in
-        if String.length chunk = block_size || chunk_off + String.length chunk = a.size then
-          note_block t h (chunk_off / block_size) (Slice.of_string chunk))
-      (Sfs_util.Bytesutil.chunks ~size:block_size data)
+  if off mod block_size = 0 then note_chunks t h ~off ~ends_file:(off + String.length data = a.size) data
   else drop_blocks t h
 
 (* Push the gather buffer to the server as one unstable WRITE.  A
@@ -256,7 +271,8 @@ let note_written (t : t) (h : fh) ~(off : int) (data : string) (a : fattr) : uni
    recovery (retransmit / reconnect / re-auth) a synchronous write rides.
    A server-side error drops our now-unreliable cached blocks; the
    serial client would have surfaced it to the writer, but either way
-   the server state is "that write did not happen". *)
+   the server state is "that write did not happen".  A no-op without
+   write-behind, which never sets [wbuf]. *)
 let flush_dirty (t : t) : unit =
   match t.wbuf with
   | None -> ()
@@ -276,9 +292,9 @@ let flush_for (t : t) (h : fh) : unit =
 
 (* --- Readahead --- *)
 
-(* Await previously submitted readahead covering the demanded blocks;
-   successful replies feed the block cache (turning this read into a
-   hit), failures are ignored — the synchronous path will re-fetch and
+(* Await submitted block reads covering the demanded blocks; successful
+   replies land in the block cache (turning this read into a hit),
+   failures are ignored — the synchronous path will re-fetch and
    recover. *)
 let claim_inflight (t : t) (h : fh) (first : int) (last : int) : unit =
   for b = first to last do
@@ -291,8 +307,7 @@ let claim_inflight (t : t) (h : fh) (first : int) (last : int) : unit =
             note_attr t h a;
             if (not (Slice.is_empty data)) && (Slice.length data = block_size || eof) then
               note_block t h b data
-        | Error _ -> ()
-        | exception _ -> ())
+        | Error _ | exception _ -> ())
   done
 
 (* Track sequential consumption per handle: the run length of
@@ -312,11 +327,10 @@ let note_seq (t : t) (h : fh) (first : int) (last : int) : int =
    the (fresh) known size. *)
 let top_up (t : t) (cred : Simos.cred) (h : fh) ~(next : int) : unit =
   match (t.pipeline, fresh_attr t h) with
-  | Some pl, Some e when pl.Fs_intf.pl_depth > 0 ->
-      let size = e.attr.size in
+  | Some pl, Some a when pl.Fs_intf.pl_depth > 0 ->
       for b = next to next + pl.Fs_intf.pl_depth - 1 do
         if
-          b * block_size < size
+          b * block_size < a.size
           && (not (Lru.mem t.blocks (h, b)))
           && not (Hashtbl.mem t.inflight (h, b))
         then begin
@@ -327,15 +341,13 @@ let top_up (t : t) (cred : Simos.cred) (h : fh) ~(next : int) : unit =
       done
   | _ -> ()
 
-(* Copy a read out of cached blocks, bounded by the fresh size in [e]:
+(* Copy a read out of cached blocks, bounded by the fresh size in [a]:
    one allocation of exactly the reply's length, filled straight from
    the cached slices.  [None] when a needed block is missing or short
    (the caller goes to the wire).  Recency is not touched: a hit is not
    a use. *)
-let copy_out (t : t) (h : fh) (e : attr_entry) ~(off : int) ~(count : int) :
-    (string * bool * fattr) option =
-  let size = e.attr.size in
-  let n = min count (max 0 (size - off)) in
+let copy_out (t : t) (h : fh) (a : fattr) ~(off : int) ~(count : int) : (string * bool * fattr) option =
+  let n = min count (max 0 (a.size - off)) in
   let out = Bytes.create n in
   let rec fill filled =
     filled >= n
@@ -352,55 +364,27 @@ let copy_out (t : t) (h : fh) (e : attr_entry) ~(off : int) ~(count : int) :
         Slice.blit data ~src_off:block_off out ~dst_off:filled ~len:take;
         fill (filled + take)
   in
-  if fill 0 then Some (Bytes.unsafe_to_string out, off + n >= size, e.attr) else None
+  if fill 0 then Some (Bytes.unsafe_to_string out, off + n >= a.size, a) else None
 
-(* Serve a read from cached blocks; [None] when anything needed is
-   missing. *)
-let serve_cached (t : t) (h : fh) ~(off : int) ~(count : int) : (string * bool * fattr) option =
-  match fresh_attr t h with
-  | None -> None
-  | Some e -> (
-      match copy_out t h e ~off ~count with
-      | Some _ as r ->
-          charge_hit t count;
-          r
-      | None -> None)
-
-(* Fetch the demanded blocks through the windowed dispatcher, top the
-   readahead window up behind them so everything overlaps, then await
-   the demanded ones and serve from cache.  Any failure returns
-   [None]: the caller falls back to the synchronous read, whose
-   recovery path handles transport faults (reads are idempotent). *)
+(* Submit the demanded blocks through the windowed dispatcher, top the
+   readahead window up behind them so everything overlaps, then claim
+   the demanded ones like any readahead and copy the read out of the
+   cache.  [None] when that fails: the caller falls back to the
+   synchronous read, whose recovery path handles transport faults
+   (reads are idempotent). *)
 let fetch_pipelined (t : t) (cred : Simos.cred) (h : fh) ~(off : int) ~(count : int)
     ~(first : int) ~(last : int) : (string * bool * fattr) option =
   match t.pipeline with
   | None -> None
   | Some pl ->
-      let fg =
-        List.init
-          (last - first + 1)
-          (fun i ->
-            let b = first + i in
-            if Lru.mem t.blocks (h, b) then None
-            else Some (b, pl.Fs_intf.pl_submit cred h ~off:(b * block_size) ~count:block_size))
-      in
+      for b = first to last do
+        if not (Lru.mem t.blocks (h, b)) then
+          Hashtbl.replace t.inflight (h, b)
+            (pl.Fs_intf.pl_submit cred h ~off:(b * block_size) ~count:block_size)
+      done;
       top_up t cred h ~next:(last + 1);
-      let ok =
-        List.for_all
-          (function
-            | Some (b, thunk) -> (
-                match thunk () with
-                | Ok (data, eof, a) ->
-                    note_attr t h a;
-                    if (not (Slice.is_empty data)) && (Slice.length data = block_size || eof) then
-                      note_block t h b data;
-                    true
-                | Error _ -> false
-                | exception _ -> false)
-            | None -> true)
-          fg
-      in
-      if ok then serve_cached t h ~off ~count else None
+      claim_inflight t h first last;
+      Option.bind (fresh_attr t h) (fun a -> copy_out t h a ~off ~count)
 
 (* Each syscall-level entry point is a trace root: a fresh trace id is
    allocated on the way in, and everything underneath — cache
@@ -442,17 +426,47 @@ let ops (t : t) : Fs_intf.ops =
        buffer (its size is updated as the buffer grows); only a miss
        with dirty data must flush first, or the server would answer
        with the pre-buffer size. *)
-    if t.write_behind && fresh_attr t h = None then flush_for t h;
+    if fresh_attr t h = None then flush_for t h;
     match fresh_attr t h with
-    | Some e ->
+    | Some a ->
         Obs.incr t.obs "cache.attr.hit";
         charge_hit t 64;
-        Ok e.attr
+        Ok a
     | None ->
         Obs.incr t.obs "cache.attr.miss";
         let* a = inner.Fs_intf.fs_getattr cred h in
         note_attr t h a;
         Ok a
+  in
+  let lookup_miss cred ~dir name =
+    Obs.incr t.obs "cache.name.miss";
+    match inner.Fs_intf.fs_lookup cred ~dir name with
+    | Ok (h, a) as r ->
+        note_attr t h a;
+        note_name t cred ~dir name h a;
+        r
+    | Error NFS3ERR_NOENT when t.policy.use_leases ->
+        (* Negative caching under the directory's lease: the name
+           cannot appear without a callback on the dir. *)
+        Hashtbl.replace t.negatives (dir, name) (expiry_us t (fresh_attr t dir), cred.Simos.cred_uid);
+        Error NFS3ERR_NOENT
+    | Error _ as r -> r
+  in
+  (* Our own mutations keep leases valid for us (the server only calls
+     back other holders); NFS-style caching conservatively drops the
+     directory's attributes. *)
+  let dir_changed dir = if not t.policy.use_leases then Hashtbl.remove t.attrs dir in
+  let made cred ~dir name = function
+    | Ok (h, a) as r ->
+        dir_changed dir;
+        note_attr t h a;
+        note_name t cred ~dir name h a;
+        r
+    | Error _ as r -> r
+  in
+  let gone ~dir name =
+    Hashtbl.remove t.names (dir, name);
+    dir_changed dir
   in
   rooted t.obs
   {
@@ -461,7 +475,7 @@ let ops (t : t) : Fs_intf.ops =
     fs_setattr =
       (fun cred h s ->
         drain_invalidations t;
-        if t.write_behind then flush_for t h;
+        flush_for t h;
         let* a = inner.Fs_intf.fs_setattr cred h s in
         invalidate_fh t h;
         note_attr t h a;
@@ -469,53 +483,23 @@ let ops (t : t) : Fs_intf.ops =
     fs_lookup =
       (fun cred ~dir name ->
         drain_invalidations t;
+        let now = Simclock.now_us t.clock in
         match Hashtbl.find_opt t.negatives (dir, name) with
-        | Some expiry when t.policy.use_leases && expiry > Simclock.now_us t.clock ->
+        | Some (expires, uid) when expires > now && may_search t cred ~dir ~uid ->
             Obs.incr t.obs "cache.neg.hit";
             charge_hit t 64;
             Error NFS3ERR_NOENT
         | _ -> (
-        match Hashtbl.find_opt t.names (dir, name) with
-        | Some (target, expires) when expires > Simclock.now_us t.clock -> (
-            (* Serve the lookup from cache when the target's attributes
-               are also fresh — but only for users the cached directory
-               attributes let traverse. *)
-            match (fresh_attr t target, fresh_attr t dir) with
-            | Some e, Some d when not (may cred d.attr ~want:1) ->
-                ignore e;
-                charge_hit t 64;
-                Error NFS3ERR_ACCES
-            | Some e, _ ->
-                Obs.incr t.obs "cache.name.hit";
-                charge_hit t 64;
-                Ok (target, e.attr)
-            | None, _ ->
-                Obs.incr t.obs "cache.name.miss";
-                let* h, a = inner.Fs_intf.fs_lookup cred ~dir name in
-                note_attr t h a;
-                Hashtbl.replace t.names (dir, name)
-                  (h, Simclock.now_us t.clock +. (name_ttl_s t a *. 1_000_000.0));
-                Ok (h, a))
-        | _ -> (
-            Obs.incr t.obs "cache.name.miss";
-            match inner.Fs_intf.fs_lookup cred ~dir name with
-            | Ok (h, a) ->
-                note_attr t h a;
-                Hashtbl.replace t.names (dir, name)
-                  (h, Simclock.now_us t.clock +. (name_ttl_s t a *. 1_000_000.0));
-                Ok (h, a)
-            | Error NFS3ERR_NOENT when t.policy.use_leases ->
-                (* Negative caching under the directory's lease: the
-                   name cannot appear without a callback on the dir. *)
-                let ttl_s =
-                  match fresh_attr t dir with
-                  | Some e when e.attr.lease > 0 -> float_of_int e.attr.lease
-                  | _ -> t.policy.attr_ttl_s
-                in
-                Hashtbl.replace t.negatives (dir, name)
-                  (Simclock.now_us t.clock +. (ttl_s *. 1_000_000.0));
-                Error NFS3ERR_NOENT
-            | Error e -> Error e)));
+            (* A name hit also needs the target's attributes fresh. *)
+            match Hashtbl.find_opt t.names (dir, name) with
+            | Some (target, expires, uid) when expires > now && may_search t cred ~dir ~uid -> (
+                match fresh_attr t target with
+                | Some a ->
+                    Obs.incr t.obs "cache.name.hit";
+                    charge_hit t 64;
+                    Ok (target, a)
+                | None -> lookup_miss cred ~dir name)
+            | _ -> lookup_miss cred ~dir name));
     fs_access =
       (fun cred h want ->
         drain_invalidations t;
@@ -531,19 +515,13 @@ let ops (t : t) : Fs_intf.ops =
         | _ ->
             Obs.incr t.obs "cache.access.miss";
             let* granted = inner.Fs_intf.fs_access cred h want in
-            let ttl_s =
-              match fresh_attr t h with
-              | Some e when t.policy.use_leases && e.attr.lease > 0 -> float_of_int e.attr.lease
-              | _ -> t.policy.attr_ttl_s
-            in
-            Hashtbl.replace t.access_cache key
-              (granted, Simclock.now_us t.clock +. (ttl_s *. 1_000_000.0));
+            Hashtbl.replace t.access_cache key (granted, expiry_us t (fresh_attr t h));
             Ok granted);
     fs_readlink = (fun cred h -> inner.Fs_intf.fs_readlink cred h);
     fs_read =
       (fun cred h ~off ~count ->
         drain_invalidations t;
-        if t.write_behind then flush_for t h;
+        flush_for t h;
         (* Whole-block caching: a read is a hit when every covered block
            is cached and attributes are fresh. *)
         let first = off / block_size and last = if count = 0 then off / block_size else (off + count - 1) / block_size in
@@ -553,9 +531,9 @@ let ops (t : t) : Fs_intf.ops =
         let run = if t.pipeline <> None then note_seq t h first last else 0 in
         let cached =
           match fresh_attr t h with
-          | Some e ->
+          | Some a ->
               let rec all b = b > last || (Lru.mem t.blocks (h, b) && all (b + 1)) in
-              if all first then Some e else None
+              if all first then Some a else None
           | None -> None
         in
         let miss () =
@@ -564,25 +542,19 @@ let ops (t : t) : Fs_intf.ops =
             if run >= readahead_min_run then fetch_pipelined t cred h ~off ~count ~first ~last
             else None
           with
-          | Some r -> Ok r
+          | Some r ->
+              charge_hit t count;
+              Ok r
           | None ->
               let* data, eof, a = inner.Fs_intf.fs_read cred h ~off ~count in
               note_attr t h a;
-              (* Cache only block-aligned full coverage to keep bookkeeping
-                 simple; partial tail blocks are cached on eof. *)
-              if off mod block_size = 0 then begin
-                List.iteri
-                  (fun i chunk ->
-                    if String.length chunk = block_size || eof then
-                      note_block t h ((off / block_size) + i) (Slice.of_string chunk))
-                  (Sfs_util.Bytesutil.chunks ~size:block_size data)
-              end;
+              note_chunks t h ~off ~ends_file:eof data;
               Ok (data, eof, a)
         in
         match cached with
-        | Some e when not (may cred e.attr ~want:4) -> Error NFS3ERR_ACCES
-        | Some e -> (
-            match copy_out t h e ~off ~count with
+        | Some a when not (may cred a ~want:4) -> Error NFS3ERR_ACCES
+        | Some a -> (
+            match copy_out t h a ~off ~count with
             | Some r ->
                 Obs.incr t.obs "cache.read.hit";
                 charge_hit t count;
@@ -633,8 +605,8 @@ let ops (t : t) : Fs_intf.ops =
               flush_dirty t;
               inner.Fs_intf.fs_getattr cred h
         in
-        if not (t.write_behind && not stable) then begin
-          if t.write_behind then flush_for t h;
+        if stable || not t.write_behind then begin
+          flush_for t h;
           write_through ()
         end
         else begin
@@ -657,61 +629,32 @@ let ops (t : t) : Fs_intf.ops =
     fs_create =
       (fun cred ~dir name ~mode ->
         drain_invalidations t;
-        let* h, a = inner.Fs_intf.fs_create cred ~dir name ~mode in
-        (* Our own mutation: leases stay valid for us (the server only
-           calls back other holders); NFS-style caching conservatively
-           drops the directory entry. *)
-        if not t.policy.use_leases then Hashtbl.remove t.attrs dir;
-        note_attr t h a;
-        Hashtbl.remove t.negatives (dir, name);
-        Hashtbl.replace t.names (dir, name) (h, Simclock.now_us t.clock +. (name_ttl_s t a *. 1_000_000.0));
-        Ok (h, a));
+        made cred ~dir name (inner.Fs_intf.fs_create cred ~dir name ~mode));
     fs_mkdir =
-      (fun cred ~dir name ~mode ->
-        let* h, a = inner.Fs_intf.fs_mkdir cred ~dir name ~mode in
-        if not t.policy.use_leases then Hashtbl.remove t.attrs dir;
-        note_attr t h a;
-        Hashtbl.remove t.negatives (dir, name);
-        Hashtbl.replace t.names (dir, name) (h, Simclock.now_us t.clock +. (name_ttl_s t a *. 1_000_000.0));
-        Ok (h, a));
+      (fun cred ~dir name ~mode -> made cred ~dir name (inner.Fs_intf.fs_mkdir cred ~dir name ~mode));
     fs_symlink =
-      (fun cred ~dir name ~target ->
-        let* h, a = inner.Fs_intf.fs_symlink cred ~dir name ~target in
-        if not t.policy.use_leases then Hashtbl.remove t.attrs dir;
-        note_attr t h a;
-        Hashtbl.remove t.negatives (dir, name);
-        Hashtbl.replace t.names (dir, name) (h, Simclock.now_us t.clock +. (name_ttl_s t a *. 1_000_000.0));
-        Ok (h, a));
+      (fun cred ~dir name ~target -> made cred ~dir name (inner.Fs_intf.fs_symlink cred ~dir name ~target));
     fs_remove =
       (fun cred ~dir name ->
-        if t.write_behind then flush_dirty t;
+        flush_dirty t;
         let* () = inner.Fs_intf.fs_remove cred ~dir name in
-        Hashtbl.remove t.names (dir, name);
-        if not t.policy.use_leases then Hashtbl.remove t.attrs dir;
-        Ok ());
+        Ok (gone ~dir name));
     fs_rmdir =
       (fun cred ~dir name ->
-        if t.write_behind then flush_dirty t;
+        flush_dirty t;
         let* () = inner.Fs_intf.fs_rmdir cred ~dir name in
-        Hashtbl.remove t.names (dir, name);
-        if not t.policy.use_leases then Hashtbl.remove t.attrs dir;
-        Ok ());
+        Ok (gone ~dir name));
     fs_rename =
       (fun cred ~from_dir ~from_name ~to_dir ~to_name ->
-        if t.write_behind then flush_dirty t;
+        flush_dirty t;
         let* () = inner.Fs_intf.fs_rename cred ~from_dir ~from_name ~to_dir ~to_name in
-        Hashtbl.remove t.names (from_dir, from_name);
-        Hashtbl.remove t.names (to_dir, to_name);
+        gone ~dir:from_dir from_name;
         Hashtbl.remove t.negatives (to_dir, to_name);
-        if not t.policy.use_leases then begin
-          Hashtbl.remove t.attrs from_dir;
-          Hashtbl.remove t.attrs to_dir
-        end;
-        Ok ());
+        Ok (gone ~dir:to_dir to_name));
     fs_link =
       (fun cred ~target ~dir name ->
         let* a = inner.Fs_intf.fs_link cred ~target ~dir name in
-        if not t.policy.use_leases then Hashtbl.remove t.attrs dir;
+        dir_changed dir;
         Hashtbl.remove t.negatives (dir, name);
         note_attr t target a;
         Ok a);
@@ -723,15 +666,14 @@ let ops (t : t) : Fs_intf.ops =
         List.iter
           (fun de ->
             note_attr t de.d_fh de.d_attr;
-            Hashtbl.replace t.names (h, de.d_name)
-              (de.d_fh, Simclock.now_us t.clock +. (name_ttl_s t de.d_attr *. 1_000_000.0)))
+            note_name t cred ~dir:h de.d_name de.d_fh de.d_attr)
           entries;
         Ok entries);
     fs_commit =
       (fun cred h ->
         (* The deferred COMMIT: dirty data goes out as one gather-WRITE
            first, then the commit covers it. *)
-        if t.write_behind then flush_for t h;
+        flush_for t h;
         inner.Fs_intf.fs_commit cred h);
     fs_fsstat = (fun cred h -> inner.Fs_intf.fs_fsstat cred h);
   }

@@ -6,17 +6,28 @@
     negative-lookup caching) — the "enhanced attribute and access
     caching" of paper section 3.3.
 
-    The cache may be shared between local users (section 5.1); hits are
-    still checked against the cached attributes' mode bits, so sharing
-    never bypasses permissions. *)
+    Every entry (attributes, names, negative lookups, access results)
+    lives for the lease of the attributes it came with when leases are
+    trusted and the lease is set, else for a fixed 3 s TTL.  A hit costs
+    the simulated time of copying its bytes (at least 64) at 400 bytes
+    per microsecond.
+
+    The cache may be shared between local users (section 5.1), so no hit
+    answers a user the server would refuse.  A data or access hit is
+    checked against the cached attributes' mode bits.  A name or
+    negative-lookup hit needs search evidence: fresh attributes of the
+    directory that let the caller search, or, without them, a caller who
+    is the user whose lookup the server answered, or the superuser;
+    anyone else's lookup goes to the server. *)
 
 open Nfs_types
 
 type policy = {
-  attr_ttl_s : float; (** fixed timeout when no lease is trusted *)
-  use_leases : bool; (** honour lease fields + invalidation callbacks *)
-  data_cache_bytes : int;
-  memcpy_bytes_per_us : float; (** cost of serving a hit *)
+  use_leases : bool;
+      (** honour lease fields + invalidation callbacks, and cache
+          negative lookups; otherwise every entry lives the fixed TTL and
+          our own directory mutations drop the directory's attributes *)
+  data_cache_bytes : int;  (** bound on the block cache (LRU, in bytes) *)
 }
 
 val nfs_policy : policy

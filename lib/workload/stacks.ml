@@ -114,110 +114,79 @@ let make ?fault ?(server_disk_params = Diskmodel.default_params) ?(rpc_window = 
   let client_fs = Memfs.create ~fsid:1 ~now () in
   let client_disk = Diskmodel.create ~params:server_disk_params clock in
   let client_root = Memfs_ops.make ~fs:client_fs ~disk:client_disk in
-  let w =
+  let vfs, workdir, sfs_server, sfs_client, client_cache, agent =
     match stack with
-  | Local ->
-      (* Workload runs on the server machine's own disk. *)
-      let vfs = Core.Vfs.make ~clock ~root_fs:backend () in
-      {
-        stack;
-        clock;
-        net;
-        server_host;
-        server_fs;
-        server_disk;
-        vfs;
-        cred;
-        workdir = "/bench";
-        sfs_server = None;
-        sfs_client = None;
-        client_cache = None;
-        user;
-        agent = None;
-        obs;
-      }
-  | Nfs_udp | Nfs_tcp ->
-      let server = Nfs_server.create ~obs backend in
-      Simnet.listen net server_host ~port:2049 (Nfs_server.service server);
-      let proto = if stack = Nfs_udp then Costmodel.Udp else Costmodel.Tcp in
-      let ops, pipeline =
-        Nfs_client.mount ~obs ~window:rpc_window ~readahead net
-          ~from_host:client_host ~addr:server_location ~proto ~cred:root_cred
-      in
-      (* Readahead only: kernel NFS write traffic already goes through the
-         data path's write-behind mux, so the cache stays write-through
-         here to keep the fig9 write calibration intact. *)
-      let cache = Cachefs.create ~obs ~clock ?pipeline ~policy:Cachefs.nfs_policy ops in
-      let vfs = Core.Vfs.make ~clock ~root_fs:client_root () in
-      Core.Vfs.add_mount vfs ~at:"/mnt" (Cachefs.ops cache);
-      {
-        stack;
-        clock;
-        net;
-        server_host;
-        server_fs;
-        server_disk;
-        vfs;
-        cred;
-        workdir = "/mnt/bench";
-        sfs_server = None;
-        sfs_client = None;
-        client_cache = Some cache;
-        user;
-        agent = None;
-        obs;
-      }
-  | Sfs | Sfs_noenc | Sfs_nocache ->
-      let rng = Prng.create [ "stack-rng"; stack_name stack ] in
-      let server_key = Rabin.generate ~bits:key_bits rng in
-      let authserv = Core.Authserv.create ~obs rng in
-      Core.Authserv.add_user authserv ~user:"bench" ~cred;
-      let user_key = Rabin.generate ~bits:key_bits rng in
-      (match Core.Authserv.register_pubkey authserv ~user:"bench" user_key.Rabin.pub with
-      | Ok () -> ()
-      | Error e -> invalid_arg e);
-      let server =
-        Core.Server.create ~obs net ~host:server_host ~location:server_location ~key:server_key
-          ~rng ~backend ~authserv ()
-      in
-      let encrypt = stack <> Sfs_noenc in
-      let cache_policy = if stack = Sfs_nocache then Cachefs.nfs_policy else Cachefs.sfs_policy in
-      let client =
-        Core.Client.create ~encrypt ~cache_policy ~rpc_window ~readahead ~obs net
-          ~from_host:client_host ~rng ()
-      in
-      let vfs = Core.Vfs.make ~sfscd:client ~clock ~root_fs:client_root () in
-      let agent = Core.Agent.create ~now_us:(fun () -> Simclock.now_us clock) ~obs user in
-      Core.Agent.add_key agent user_key;
-      Core.Vfs.set_agent vfs ~uid:user.Simos.uid agent;
-      let path = Core.Server.self_path server in
-      let workdir = Core.Pathname.to_string path ^ "/bench" in
-      (* Prime the mount so workloads measure steady-state traffic, as
-         the paper's benchmarks do (the testbed was already mounted). *)
-      let cache =
-        match Core.Client.mount client path with
-        | Ok m ->
-            ignore (Core.Client.authenticate client m agent);
-            Some (Core.Client.cache m)
-        | Error e -> invalid_arg (Core.Client.mount_error_to_string e)
-      in
-      {
-        stack;
-        clock;
-        net;
-        server_host;
-        server_fs;
-        server_disk;
-        vfs;
-        cred;
-        workdir;
-        sfs_server = Some server;
-        sfs_client = Some client;
-        client_cache = cache;
-        user;
-        agent = Some agent;
-        obs;
-      }
+    | Local ->
+        (* Workload runs on the server machine's own disk. *)
+        (Core.Vfs.make ~clock ~root_fs:backend (), "/bench", None, None, None, None)
+    | Nfs_udp | Nfs_tcp ->
+        let server = Nfs_server.create ~obs backend in
+        Simnet.listen net server_host ~port:2049 (Nfs_server.service server);
+        let proto = if stack = Nfs_udp then Costmodel.Udp else Costmodel.Tcp in
+        let ops, pipeline =
+          Nfs_client.mount ~obs ~window:rpc_window ~readahead net
+            ~from_host:client_host ~addr:server_location ~proto ~cred:root_cred
+        in
+        (* Readahead only: kernel NFS write traffic already goes through the
+           data path's write-behind mux, so the cache stays write-through
+           here to keep the fig9 write calibration intact. *)
+        let cache = Cachefs.create ~obs ~clock ?pipeline ~policy:Cachefs.nfs_policy ops in
+        let vfs = Core.Vfs.make ~clock ~root_fs:client_root () in
+        Core.Vfs.add_mount vfs ~at:"/mnt" (Cachefs.ops cache);
+        (vfs, "/mnt/bench", None, None, Some cache, None)
+    | Sfs | Sfs_noenc | Sfs_nocache ->
+        let rng = Prng.create [ "stack-rng"; stack_name stack ] in
+        let server_key = Rabin.generate ~bits:key_bits rng in
+        let authserv = Core.Authserv.create ~obs rng in
+        Core.Authserv.add_user authserv ~user:"bench" ~cred;
+        let user_key = Rabin.generate ~bits:key_bits rng in
+        (match Core.Authserv.register_pubkey authserv ~user:"bench" user_key.Rabin.pub with
+        | Ok () -> ()
+        | Error e -> invalid_arg e);
+        let server =
+          Core.Server.create ~obs net ~host:server_host ~location:server_location ~key:server_key
+            ~rng ~backend ~authserv ()
+        in
+        let encrypt = stack <> Sfs_noenc in
+        let cache_policy = if stack = Sfs_nocache then Cachefs.nfs_policy else Cachefs.sfs_policy in
+        let client =
+          Core.Client.create ~encrypt ~cache_policy ~rpc_window ~readahead ~obs net
+            ~from_host:client_host ~rng ()
+        in
+        let vfs = Core.Vfs.make ~sfscd:client ~clock ~root_fs:client_root () in
+        let agent = Core.Agent.create ~now_us:(fun () -> Simclock.now_us clock) ~obs user in
+        Core.Agent.add_key agent user_key;
+        Core.Vfs.set_agent vfs ~uid:user.Simos.uid agent;
+        let path = Core.Server.self_path server in
+        (* Prime the mount so workloads measure steady-state traffic, as
+           the paper's benchmarks do (the testbed was already mounted). *)
+        let cache =
+          match Core.Client.mount client path with
+          | Ok m ->
+              ignore (Core.Client.authenticate client m agent);
+              Core.Client.cache m
+          | Error e -> invalid_arg (Core.Client.mount_error_to_string e)
+        in
+        (vfs, Core.Pathname.to_string path ^ "/bench", Some server, Some client, Some cache, Some agent)
+  in
+  let w =
+    {
+      stack;
+      clock;
+      net;
+      server_host;
+      server_fs;
+      server_disk;
+      vfs;
+      cred;
+      workdir;
+      sfs_server;
+      sfs_client;
+      client_cache;
+      user;
+      agent;
+      obs;
+    }
   in
   (* Faults arm only after the world is built and primed: construction
      (key exchange, mount, authentication) runs clean, as the paper's

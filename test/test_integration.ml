@@ -13,6 +13,7 @@ module Fs_intf = Sfs_nfs.Fs_intf
 module Cachefs = Sfs_nfs.Cachefs
 module Rabin = Sfs_crypto.Rabin
 module Prng = Sfs_crypto.Prng
+module Obs = Sfs_obs.Obs
 
 let rng = Prng.create [ "integration" ]
 
@@ -30,7 +31,7 @@ let make_site () =
   let net = Simnet.create clock in
   { clock; net; os = Simos.create (); servers = [] }
 
-let add_server (s : site) (location : string) : Server.t * Authserv.t * Memfs.t =
+let add_server ?obs (s : site) (location : string) : Server.t * Authserv.t * Memfs.t =
   let host = Simnet.add_host s.net location in
   let now () = Nfs_types.time_of_us (Simclock.now_us s.clock) in
   let fs = Memfs.create ~now () in
@@ -41,7 +42,7 @@ let add_server (s : site) (location : string) : Server.t * Authserv.t * Memfs.t 
   let key = Rabin.generate ~bits:512 rng in
   let authserv = Authserv.create rng in
   let server =
-    Server.create s.net ~host ~location ~key ~rng
+    Server.create ?obs s.net ~host ~location ~key ~rng
       ~backend:(Memfs_ops.make ~fs ~disk:(Diskmodel.create s.clock)) ~authserv ()
   in
   s.servers <- (location, server, authserv, fs) :: s.servers;
@@ -109,7 +110,8 @@ let test_cross_client_invalidation () =
 
 let test_shared_cache_two_users () =
   let s = make_site () in
-  let server, authserv, _ = add_server s "files.example.com" in
+  let obs = Obs.create ~now_us:(fun () -> Simclock.now_us s.clock) () in
+  let server, authserv, _ = add_server ~obs s "files.example.com" in
   let alice = Simos.add_user s.os "alice" in
   let bob = Simos.add_user s.os "bob" in
   let akey = Rabin.generate ~bits:512 rng in
@@ -127,11 +129,18 @@ let test_shared_cache_two_users () =
   (* Both users share one mount and one cache — they asked for the same
      public key, so neither can forge data for the other. *)
   Testkit.check_int "one shared mount" 1 (List.length (Client.mounts m.sfscd));
-  (* Bob reads the public file: served from the shared cache. *)
+  (* Bob reads the public file: the data is served from the shared
+     cache.  The one server call is bob's LOOKUP of [share] in the mount
+     root: alice's lookup made that entry, and the cache never fetched
+     the root's attributes, so it holds no evidence bob may search
+     there. *)
   let calls_before = Server.fs_calls server in
+  let lookups = Obs.counter obs "nfs.op.lookup" and reads = Obs.counter obs "nfs.op.read" in
   Testkit.check_string "bob reads via shared cache" "for everyone"
     (vok "bob read" (Vfs.read_file m.vfs bcred (base ^ "/share/public.txt")));
-  Testkit.check_int "no extra data RPCs for cached read" calls_before (Server.fs_calls server);
+  Testkit.check_int "one server call for the read" (calls_before + 1) (Server.fs_calls server);
+  Testkit.check_int "it is bob's lookup of share" (lookups + 1) (Obs.counter obs "nfs.op.lookup");
+  Testkit.check_int "no extra READ for cached read" reads (Obs.counter obs "nfs.op.read");
   (* But the shared cache still enforces permissions. *)
   (match Vfs.read_file m.vfs bcred (base ^ "/share/private.txt") with
   | Error _ -> ()

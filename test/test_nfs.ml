@@ -330,19 +330,33 @@ let test_cachefs_lease_invalidation () =
 let test_cachefs_hit_permissions () =
   (* Regression: a shared cache must not let one user's hits bypass
      another user's permission checks (the section 5.1 hazard). *)
-  let clock, net, _, _ = make_network_fs () in
-  let ops, _ = Nfs_client.mount net ~from_host:"client" ~addr:"nfs.example.com" ~proto:Costmodel.Udp ~cred:root in
-  let cache = Cachefs.create ~clock ~policy:Cachefs.sfs_policy ops in
-  let cops = Cachefs.ops cache in
-  let dir, _ = ok "mkdir" (cops.Fs_intf.fs_mkdir root ~dir:cops.Fs_intf.fs_root "locked" ~mode:0o700) in
-  let f, _ = ok "create" (cops.Fs_intf.fs_create root ~dir "secret" ~mode:0o600) in
-  ignore (ok "write" (cops.Fs_intf.fs_write root f ~off:0 ~stable:false "classified"));
-  (* Prime the caches as root. *)
-  ignore (ok "prime lookup" (cops.Fs_intf.fs_lookup root ~dir "secret"));
-  ignore (ok "prime read" (cops.Fs_intf.fs_read root f ~off:0 ~count:100));
-  (* alice now asks through the same cache. *)
-  expect_err "cached lookup checks exec" NFS3ERR_ACCES (cops.Fs_intf.fs_lookup alice ~dir "secret");
-  expect_err "cached read checks read bits" NFS3ERR_ACCES (cops.Fs_intf.fs_read alice f ~off:0 ~count:100)
+  List.iter
+    (fun (what, policy) ->
+      let check msg = expect_err (what ^ ": " ^ msg) NFS3ERR_ACCES in
+      let clock, net, _, _ = make_network_fs () in
+      let ops, _ = Nfs_client.mount net ~from_host:"client" ~addr:"nfs.example.com" ~proto:Costmodel.Udp ~cred:root in
+      let cops = Cachefs.ops (Cachefs.create ~clock ~policy ops) in
+      let dir, _ = ok "mkdir" (cops.Fs_intf.fs_mkdir root ~dir:cops.Fs_intf.fs_root "locked" ~mode:0o700) in
+      (* The directory's attributes (noted by mkdir) will lapse a second
+         before the entries made now. *)
+      Simclock.advance clock 2_000_000.0;
+      let f, _ = ok "create" (cops.Fs_intf.fs_create root ~dir "secret" ~mode:0o600) in
+      ignore (ok "write" (cops.Fs_intf.fs_write root f ~off:0 ~stable:false "classified"));
+      (* Prime the caches as root, a negative entry included. *)
+      ignore (ok "prime lookup" (cops.Fs_intf.fs_lookup root ~dir "secret"));
+      ignore (ok "prime read" (cops.Fs_intf.fs_read root f ~off:0 ~count:100));
+      expect_err "prime miss" NFS3ERR_NOENT (cops.Fs_intf.fs_lookup root ~dir "ghost");
+      (* alice now asks through the same cache.  Under the NFS policy
+         root's create dropped the directory's attributes. *)
+      check "cached lookup checks exec" (cops.Fs_intf.fs_lookup alice ~dir "secret");
+      check "cached read checks read bits" (cops.Fs_intf.fs_read alice f ~off:0 ~count:100);
+      check "negative entry checks exec" (cops.Fs_intf.fs_lookup alice ~dir "ghost");
+      (* With the directory's attributes lapsed and the name still
+         fresh, root's entry is no evidence that alice may search. *)
+      Simclock.advance clock 1_500_000.0;
+      check "lapsed directory" (cops.Fs_intf.fs_lookup alice ~dir "secret");
+      ignore (ok "root still served" (cops.Fs_intf.fs_lookup root ~dir "secret")))
+    [ ("sfs", Cachefs.sfs_policy); ("nfs", Cachefs.nfs_policy) ]
 
 let test_cachefs_negative_lookup () =
   let clock, net, _, server = make_network_fs () in
@@ -493,6 +507,63 @@ let cache_read_equivalence =
           | _ -> false)
         reads)
 
+(* Property: two users sharing one cache see what the uncached backing
+   store says.  Root makes directories and files and changes modes
+   through the cache, with clock advances of 0-4 s between steps; root
+   or alice looks names up and reads files.  Every lookup and read
+   status, and the bytes of every read, must equal the backing store's.
+   A step is (kind, a, b, c), read against the handles made so far. *)
+let cache_two_users (what, policy) =
+  let names = [| "a"; "b"; "c" |] in
+  let modes = [| 0o755; 0o700; 0o711; 0o644; 0o600; 0o000; 0o705; 0o750 |] in
+  QCheck.Test.make ~count:400 ~name:("cachefs two users agree with backing store, " ^ what)
+    QCheck.(list_of_size (Gen.int_range 1 60) (quad (int_bound 7) small_nat small_nat small_nat))
+    (fun steps ->
+      let clock = Simclock.create () in
+      let fs = Memfs.create ~now:(now_fn clock) () in
+      let backing = Memfs_ops.make ~fs ~disk:(Diskmodel.create clock) in
+      let cops = Cachefs.ops (Cachefs.create ~clock ~policy backing) in
+      let dirs = ref [| backing.Fs_intf.fs_root |] and files = ref [||] in
+      let pick arr i = arr.(i mod Array.length arr) in
+      let user a = if a mod 2 = 0 then root else alice in
+      let add arr = function Ok (h, _) -> arr := Array.append !arr [| h |] | Error _ -> () in
+      let mode i = pick modes i and name i = pick names i in
+      List.for_all
+        (fun (kind, a, b, c) ->
+          match kind with
+          | 0 ->
+              add dirs (cops.Fs_intf.fs_mkdir root ~dir:(pick !dirs a) (name b) ~mode:(mode c));
+              true
+          | 1 ->
+              let made = cops.Fs_intf.fs_create root ~dir:(pick !dirs a) (name b) ~mode:(mode c) in
+              Result.iter
+                (fun (h, _) ->
+                  ignore (cops.Fs_intf.fs_write root h ~off:0 ~stable:false (String.make (c + 1) 'x')))
+                made;
+              add files made;
+              true
+          | 2 ->
+              let h = pick (Array.append !dirs !files) a in
+              ignore (cops.Fs_intf.fs_setattr root h { sattr_empty with set_mode = Some (mode b) });
+              true
+          | 3 ->
+              Simclock.advance clock (float_of_int (c mod 5) *. 1_000_000.0);
+              true
+          | 4 | 5 ->
+              let lookup (o : Fs_intf.ops) =
+                Result.map fst (o.Fs_intf.fs_lookup (user a) ~dir:(pick !dirs b) (name c))
+              in
+              lookup cops = lookup backing
+          | _ -> (
+              Array.length !files = 0
+              ||
+              let read (o : Fs_intf.ops) = o.Fs_intf.fs_read (user a) (pick !files b) ~off:0 ~count:100 in
+              match (read cops, read backing) with
+              | Ok (x, ex, _), Ok (y, ey, _) -> x = y && ex = ey
+              | Error x, Error y -> x = y
+              | _ -> false))
+        steps)
+
 let suite =
   ( "nfs",
     [
@@ -520,4 +591,9 @@ let suite =
       Alcotest.test_case "cachefs gather runs" `Quick test_cachefs_gather_runs;
       Alcotest.test_case "cachefs write-behind allocation" `Quick test_cachefs_write_alloc;
     ]
-    @ Testkit.to_alcotest [ cache_read_equivalence ] )
+    @ Testkit.to_alcotest
+        [
+          cache_read_equivalence;
+          cache_two_users ("nfs", Cachefs.nfs_policy);
+          cache_two_users ("sfs", Cachefs.sfs_policy);
+        ] )
