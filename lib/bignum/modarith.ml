@@ -1,43 +1,22 @@
 (* Modular arithmetic over naturals: inverses and the modular square
    roots Rabin decryption needs. *)
 
-type sign = Pos | Neg
-
-(* Extended gcd on naturals with explicit signs, iterative to avoid deep
-   recursion on adversarial inputs.  Returns (g, s, sign_s) such that
-   s*a = g (mod b) with the given sign. *)
-let egcd (a : Nat.t) (b : Nat.t) : Nat.t * Nat.t * sign =
-  let rec go r0 r1 s0 sg0 s1 sg1 =
-    if Nat.is_zero r1 then (r0, s0, sg0)
-    else begin
-      let q, r2 = Nat.divmod r0 r1 in
-      (* s2 = s0 - q*s1, tracking sign. *)
-      let qs1 = Nat.mul q s1 in
-      let s2, sg2 =
-        match (sg0, sg1) with
-        | Pos, Neg -> (Nat.add s0 qs1, Pos)
-        | Neg, Pos -> (Nat.add s0 qs1, Neg)
-        | Pos, Pos -> if Nat.compare s0 qs1 >= 0 then (Nat.sub s0 qs1, Pos) else (Nat.sub qs1 s0, Neg)
-        | Neg, Neg -> if Nat.compare s0 qs1 >= 0 then (Nat.sub s0 qs1, Neg) else (Nat.sub qs1 s0, Pos)
-      in
-      go r1 r2 s1 sg1 s2 sg2
-    end
-  in
-  go a b Nat.one Pos Nat.zero Pos
-
-let inverse ~(x : Nat.t) ~(modulus : Nat.t) : Nat.t option =
+(* The inverse, [None] exactly when gcd(x, m) <> 1.  An odd modulus
+   takes the extended binary gcd ({!Nat.inverse_odd}).  An even one
+   needs an odd x, and then x⁻¹ mod m = (1 + m·(x - y)) / x for
+   y = m⁻¹ mod x: the numerator is ≡ 0 (mod x) and ≡ 1 (mod m), and
+   the quotient lies below m. *)
+let rec inverse ~(x : Nat.t) ~(modulus : Nat.t) : Nat.t option =
   if Nat.is_zero modulus then raise Division_by_zero;
   let x = Nat.rem x modulus in
   if Nat.is_zero x then None
-  else begin
-    let g, s, sg = egcd x modulus in
-    if not (Nat.equal g Nat.one) then None
-    else
-      let s = Nat.rem s modulus in
-      match sg with
-      | Pos -> Some s
-      | Neg -> Some (if Nat.is_zero s then Nat.zero else Nat.sub modulus s)
-  end
+  else if Nat.testbit modulus 0 then Nat.inverse_odd x modulus
+  else if not (Nat.testbit x 0) then None
+  else if Nat.equal x Nat.one then Some Nat.one
+  else
+    Option.map
+      (fun y -> Nat.div (Nat.add Nat.one (Nat.mul modulus (Nat.sub x y))) x)
+      (inverse ~x:modulus ~modulus:x)
 
 (* Square root modulo a prime p ≡ 3 (mod 4): x^((p+1)/4). The caller must
    ensure x is a quadratic residue; we verify and return None otherwise. *)

@@ -60,9 +60,12 @@ let testbit (a : t) (i : int) : bool =
   let limb = i / limb_bits and off = i mod limb_bits in
   limb < Array.length a && (a.(limb) lsr off) land 1 = 1
 
+(* Normalized operands give a normalized sum: the longer operand's top
+   limb is nonzero, so only a carry out of it adds a limb, and the
+   common case allocates the result once. *)
 let add (a : t) (b : t) : t =
   let la = Array.length a and lb = Array.length b in
-  let n = max la lb + 1 in
+  let n = max la lb in
   let out = Array.make n 0 in
   let carry = ref 0 in
   for i = 0 to n - 1 do
@@ -70,7 +73,19 @@ let add (a : t) (b : t) : t =
     out.(i) <- s land limb_mask;
     carry := s lsr limb_bits
   done;
-  normalize out
+  if !carry = 0 then out else Array.append out [| !carry |]
+
+(* [a] with bit [i] set: [a] itself when it already is, else one copy. *)
+let set_bit (a : t) (i : int) : t =
+  if i < 0 then invalid_arg "Nat.set_bit";
+  if testbit a i then a
+  else begin
+    let limb = i / limb_bits in
+    let out = Array.make (max (Array.length a) (limb + 1)) 0 in
+    Array.blit a 0 out 0 (Array.length a);
+    out.(limb) <- out.(limb) lor (1 lsl (i mod limb_bits));
+    out
+  end
 
 (* [sub a b] requires a >= b. *)
 let sub (a : t) (b : t) : t =
@@ -305,142 +320,6 @@ let modexp_reference ~(base : t) ~(exp : t) ~(modulus : t) : t =
     !result
   end
 
-(* --- Montgomery exponentiation (DESIGN.md §14) ---
-
-   For an odd k-limb modulus m and R = 2^(26k), the Montgomery form of a
-   is a·R mod m, and a Montgomery product of two such values is
-   a·b·R mod m.  CIOS (coarsely integrated operand scanning) interleaves
-   multiplication and reduction one limb of a at a time: add a_i·b to a
-   (k+2)-limb accumulator t, add u·m with u = t_0·m' mod 2^26 so the low
-   limb becomes zero, and shift t down one limb.  Only the one-limb
-   m' = -m⁻¹ mod 2^26 is needed, and every operand is a fixed-width
-   k-limb buffer. *)
-
-(* -m0⁻¹ mod 2^26 for odd m0.  x = m0 is already an inverse mod 2^3
-   (odd squares are 1 mod 8), and each Newton step x ← x·(2 - m0·x)
-   doubles the valid bits: 3 → 6 → 12 → 24 → 48.  Products wrap mod
-   2^63, which the final mask makes harmless. *)
-let neg_inv_limb (m0 : int) : int =
-  let x = ref m0 in
-  for _ = 1 to 4 do
-    x := !x * (2 - (m0 * !x)) land limb_mask
-  done;
-  (limb_base - !x) land limb_mask
-
-(* out ← a·b·R⁻¹ mod m, for k-limb a, b < m.  [t] is k+2 limbs of
-   scratch.  [out] may be [a] or [b]: it is written only after the last
-   read of either, which is what lets the ladder below square in place.
-   Only [modexp] calls this, with every buffer sized from k, so the two
-   inner loops skip bounds checks (a third of the run time). *)
-let mont_mul ~(m : t) ~(m' : int) ~(t : int array) (a : int array) (b : int array) (out : int array) :
-    unit =
-  let k = Array.length m in
-  Array.fill t 0 (k + 2) 0;
-  for i = 0 to k - 1 do
-    let ai = a.(i) in
-    let c = ref 0 in
-    for j = 0 to k - 1 do
-      let v = Array.unsafe_get t j + (ai * Array.unsafe_get b j) + !c in
-      Array.unsafe_set t j (v land limb_mask);
-      c := v lsr limb_bits
-    done;
-    let v = t.(k) + !c in
-    t.(k) <- v land limb_mask;
-    t.(k + 1) <- v lsr limb_bits;
-    let u = t.(0) * m' land limb_mask in
-    let c = ref ((t.(0) + (u * m.(0))) lsr limb_bits) in
-    for j = 1 to k - 1 do
-      let v = Array.unsafe_get t j + (u * Array.unsafe_get m j) + !c in
-      Array.unsafe_set t (j - 1) (v land limb_mask);
-      c := v lsr limb_bits
-    done;
-    let v = t.(k) + !c in
-    t.(k - 1) <- v land limb_mask;
-    t.(k) <- t.(k + 1) + (v lsr limb_bits)
-  done;
-  (* t = t[0 .. k] < 2m: subtract m once if t >= m. *)
-  let i = ref (k - 1) in
-  while !i >= 0 && t.(!i) = m.(!i) do decr i done;
-  if t.(k) <> 0 || !i < 0 || t.(!i) > m.(!i) then begin
-    let borrow = ref 0 in
-    for j = 0 to k - 1 do
-      let d = t.(j) - m.(j) - !borrow in
-      out.(j) <- d land limb_mask;
-      borrow := if d < 0 then 1 else 0
-    done
-  end
-  else Array.blit t 0 out 0 k
-
-(* Sliding-window width by exponent size: 4 covers SRP's 512-bit group,
-   5 the 1024-bit-plus Rabin keys; tiny exponents stay binary. *)
-let window_bits (nb : int) : int =
-  if nb <= 24 then 1 else if nb <= 96 then 3 else if nb <= 768 then 4 else 5
-
-let modexp ~(base : t) ~(exp : t) ~(modulus : t) : t =
-  if is_zero modulus then raise Division_by_zero;
-  if equal modulus one then zero
-  else if not (testbit modulus 0) then
-    (* Even modulus: no R⁻¹ exists; take the reference path. *)
-    modexp_reference ~base ~exp ~modulus
-  else if is_zero exp then one
-  else begin
-    let m = modulus in
-    let k = Array.length m in
-    let m' = neg_inv_limb m.(0) in
-    let t = Array.make (k + 2) 0 in
-    let w = window_bits (num_bits exp) in
-    (* base·R mod m, zero-padded to k limbs: one division. *)
-    let bm = Array.make k 0 in
-    let b = rem (shift_limbs base k) m in
-    Array.blit b 0 bm 0 (Array.length b);
-    (* Odd powers bm^1, bm^3, ... bm^(2^w - 1), in Montgomery form. *)
-    let odd = Array.make (1 lsl (w - 1)) bm in
-    if w > 1 then begin
-      let b2 = Array.make k 0 in
-      mont_mul ~m ~m' ~t bm bm b2;
-      for i = 1 to Array.length odd - 1 do
-        odd.(i) <- Array.make k 0;
-        mont_mul ~m ~m' ~t odd.(i - 1) b2 odd.(i)
-      done
-    end;
-    (* The top bit of exp is set, so the first window seeds [acc]
-       directly instead of squaring R mod m. *)
-    let acc = Array.make k 0 in
-    let seeded = ref false in
-    let i = ref (num_bits exp - 1) in
-    while !i >= 0 do
-      if not (testbit exp !i) then begin
-        mont_mul ~m ~m' ~t acc acc acc;
-        decr i
-      end
-      else begin
-        (* Longest window ending in a set bit, at most w bits. *)
-        let l = ref (max 0 (!i - w + 1)) in
-        while not (testbit exp !l) do incr l done;
-        let v = ref 0 in
-        for b = !i downto !l do
-          v := (!v lsl 1) lor (if testbit exp b then 1 else 0)
-        done;
-        if !seeded then begin
-          for _ = !l to !i do
-            mont_mul ~m ~m' ~t acc acc acc
-          done;
-          mont_mul ~m ~m' ~t acc odd.(!v lsr 1) acc
-        end
-        else begin
-          Array.blit odd.(!v lsr 1) 0 acc 0 k;
-          seeded := true
-        end;
-        i := !l - 1
-      end
-    done;
-    (* Out of Montgomery form: one more product, by 1. *)
-    let unit = Array.make k 0 in
-    unit.(0) <- 1;
-    mont_mul ~m ~m' ~t acc unit acc;
-    normalize acc
-  end
-
 (* --- Binary gcd, in place ---
    The helpers work on a limb buffer and an explicit length, so the
    loop below runs on two private copies without allocating. *)
@@ -527,6 +406,260 @@ let jacobi (a : t) (n : t) : int =
     nu := sub_in_place !u !nu !v !nv
   done;
   if !nv = 1 && !v.(0) = 1 then !s else 0
+
+(* --- Montgomery arithmetic (DESIGN.md §14) ---
+
+   For an odd k-limb modulus m and R = 2^(26k), the Montgomery form of a
+   is a·R mod m, and a Montgomery product of two such values is
+   a·b·R mod m.  CIOS (coarsely integrated operand scanning) interleaves
+   multiplication and reduction one limb of a at a time: add a_i·b to a
+   (k+2)-limb accumulator t, add u·m with u = t_0·m' mod 2^26 so the low
+   limb becomes zero, and shift t down one limb.  Only the one-limb
+   m' = -m⁻¹ mod 2^26 is needed, and every operand is a fixed-width
+   k-limb buffer.  A context ([mont]) holds m', R mod m, R² mod m and
+   the buffers; [modexp] builds one per call and the Miller-Rabin rounds
+   of one prime candidate share one. *)
+
+(* -m0⁻¹ mod 2^26 for odd m0.  x = m0 is already an inverse mod 2^3
+   (odd squares are 1 mod 8), and each Newton step x ← x·(2 - m0·x)
+   doubles the valid bits: 3 → 6 → 12 → 24 → 48.  Products wrap mod
+   2^63, which the final mask makes harmless. *)
+let neg_inv_limb (m0 : int) : int =
+  let x = ref m0 in
+  for _ = 1 to 4 do
+    x := !x * (2 - (m0 * !x)) land limb_mask
+  done;
+  (limb_base - !x) land limb_mask
+
+(* dst ← x - m when x >= m, else x, for x = carry·R + x[0 .. k) < 2m;
+   a carry out of the top limb cancels the final borrow.  [dst] may be
+   [x]. *)
+let reduce_once ~(m : t) ~(carry : int) (x : int array) (dst : int array) : unit =
+  let k = Array.length m in
+  let i = ref (k - 1) in
+  while !i >= 0 && x.(!i) = m.(!i) do decr i done;
+  if carry <> 0 || !i < 0 || x.(!i) > m.(!i) then begin
+    let borrow = ref 0 in
+    for j = 0 to k - 1 do
+      let d = x.(j) - m.(j) - !borrow in
+      dst.(j) <- d land limb_mask;
+      borrow := if d < 0 then 1 else 0
+    done
+  end
+  else if x != dst then Array.blit x 0 dst 0 k
+
+(* out ← a·b·R⁻¹ mod m, for k-limb a < R and b < m (the result is below
+   2m before its one conditional subtraction, so a need not be reduced).
+   [t] is k+2 limbs of scratch.  [out] may be [a] or [b]: it is written
+   only after the last read of either, which is what lets the ladder
+   below square in place.  Every caller sizes its buffers from k, so the
+   two inner loops skip bounds checks (a third of the run time). *)
+let mont_mul ~(m : t) ~(m' : int) ~(t : int array) (a : int array) (b : int array) (out : int array) :
+    unit =
+  let k = Array.length m in
+  Array.fill t 0 (k + 2) 0;
+  for i = 0 to k - 1 do
+    let ai = a.(i) in
+    let c = ref 0 in
+    for j = 0 to k - 1 do
+      let v = Array.unsafe_get t j + (ai * Array.unsafe_get b j) + !c in
+      Array.unsafe_set t j (v land limb_mask);
+      c := v lsr limb_bits
+    done;
+    let v = t.(k) + !c in
+    t.(k) <- v land limb_mask;
+    t.(k + 1) <- v lsr limb_bits;
+    let u = t.(0) * m' land limb_mask in
+    let c = ref ((t.(0) + (u * m.(0))) lsr limb_bits) in
+    for j = 1 to k - 1 do
+      let v = Array.unsafe_get t j + (u * Array.unsafe_get m j) + !c in
+      Array.unsafe_set t (j - 1) (v land limb_mask);
+      c := v lsr limb_bits
+    done;
+    let v = t.(k) + !c in
+    t.(k - 1) <- v land limb_mask;
+    t.(k) <- t.(k + 1) + (v lsr limb_bits)
+  done;
+  reduce_once ~m ~carry:t.(k) t out
+
+(* Sliding-window width by exponent size: 4 covers SRP's 512-bit group,
+   5 the 1024-bit-plus Rabin keys; tiny exponents stay binary. *)
+let window_bits (nb : int) : int =
+  if nb <= 24 then 1 else if nb <= 96 then 3 else if nb <= 768 then 4 else 5
+
+type mont = {
+  m : t;
+  m' : int;
+  r1 : int array; (* R mod m: 1 in Montgomery form *)
+  rm1 : int array; (* m - R mod m: m - 1 in Montgomery form *)
+  r2 : int array; (* R² mod m: one product by it enters Montgomery form *)
+  t : int array; (* k+2 limbs of product scratch *)
+  acc : int array; (* the value [mont_pow] sets and [mont_square] squares *)
+  sq : int array; (* base² while the window table fills; 1 on the way out *)
+  mutable odd : int array array; (* odd powers of the base, grown on demand *)
+}
+
+(* x ← 2x mod m for a k-limb x < m (k = limbs of m), in place. *)
+let double_mod (x : int array) (m : t) : unit =
+  let c = ref 0 in
+  for j = 0 to Array.length m - 1 do
+    let v = (x.(j) lsl 1) lor !c in
+    x.(j) <- v land limb_mask;
+    c := v lsr limb_bits
+  done;
+  reduce_once ~m ~carry:!c x x
+
+(* R mod m by doubling 2^(bits(m) - 1) up to 2^(26k); then R² mod m,
+   the Montgomery form of 2^(26k), by square-and-double from the
+   Montgomery form of 1 along the bits of 26k.  No division. *)
+let mont (m : t) : mont =
+  if not (testbit m 0) || equal m one then invalid_arg "Nat.mont: even modulus or 1";
+  let k = Array.length m in
+  let m' = neg_inv_limb m.(0) in
+  let t = Array.make (k + 2) 0 in
+  let nb = num_bits m in
+  let r1 = Array.make k 0 in
+  r1.((nb - 1) / limb_bits) <- 1 lsl ((nb - 1) mod limb_bits);
+  for _ = nb to k * limb_bits do
+    double_mod r1 m
+  done;
+  let r2 = Array.copy r1 in
+  let e = k * limb_bits in
+  for i = num_bits (of_int e) - 1 downto 0 do
+    mont_mul ~m ~m' ~t r2 r2 r2;
+    if (e lsr i) land 1 = 1 then double_mod r2 m
+  done;
+  let rm1 = Array.copy m in
+  ignore (sub_in_place rm1 k r1 k);
+  { m; m'; r1; rm1; r2; t; acc = Array.make k 0; sq = Array.make k 0; odd = [||] }
+
+(* acc ← base^exp in Montgomery form: a sliding window over the odd
+   powers of the base, the top window seeding [acc] directly. *)
+let mont_pow (c : mont) ~(base : t) ~(exp : t) : unit =
+  let { m; m'; t; acc; _ } = c in
+  let k = Array.length m in
+  if is_zero exp then Array.blit c.r1 0 acc 0 k
+  else begin
+    let w = window_bits (num_bits exp) in
+    if Array.length c.odd < 1 lsl (w - 1) then
+      c.odd <- Array.init (1 lsl (w - 1)) (fun _ -> Array.make k 0);
+    let odd = c.odd in
+    (* base·R mod m: a base of at most k limbs times R² mod m. *)
+    let b = if Array.length base > k then rem base m else base in
+    Array.fill acc 0 k 0;
+    Array.blit b 0 acc 0 (Array.length b);
+    mont_mul ~m ~m' ~t acc c.r2 odd.(0);
+    if w > 1 then begin
+      mont_mul ~m ~m' ~t odd.(0) odd.(0) c.sq;
+      for i = 1 to (1 lsl (w - 1)) - 1 do
+        mont_mul ~m ~m' ~t odd.(i - 1) c.sq odd.(i)
+      done
+    end;
+    let seeded = ref false in
+    let i = ref (num_bits exp - 1) in
+    while !i >= 0 do
+      if not (testbit exp !i) then begin
+        mont_mul ~m ~m' ~t acc acc acc;
+        decr i
+      end
+      else begin
+        (* Longest window ending in a set bit, at most w bits. *)
+        let l = ref (max 0 (!i - w + 1)) in
+        while not (testbit exp !l) do incr l done;
+        let v = ref 0 in
+        for b = !i downto !l do
+          v := (!v lsl 1) lor (if testbit exp b then 1 else 0)
+        done;
+        if !seeded then begin
+          for _ = !l to !i do
+            mont_mul ~m ~m' ~t acc acc acc
+          done;
+          mont_mul ~m ~m' ~t acc odd.(!v lsr 1) acc
+        end
+        else begin
+          Array.blit odd.(!v lsr 1) 0 acc 0 k;
+          seeded := true
+        end;
+        i := !l - 1
+      end
+    done
+  end
+
+let mont_square (c : mont) : unit = mont_mul ~m:c.m ~m':c.m' ~t:c.t c.acc c.acc c.acc
+
+let mont_unit (c : mont) : int = if c.acc = c.r1 then 1 else if c.acc = c.rm1 then -1 else 0
+
+let modexp ~(base : t) ~(exp : t) ~(modulus : t) : t =
+  if is_zero modulus then raise Division_by_zero;
+  if equal modulus one then zero
+  else if not (testbit modulus 0) then
+    (* Even modulus: no R⁻¹ exists; take the reference path. *)
+    modexp_reference ~base ~exp ~modulus
+  else begin
+    let c = mont modulus in
+    mont_pow c ~base ~exp;
+    (* Out of Montgomery form: one more product, by 1. *)
+    let k = Array.length modulus in
+    Array.fill c.sq 0 k 0;
+    c.sq.(0) <- 1;
+    mont_mul ~m:c.m ~m':c.m' ~t:c.t c.acc c.sq c.acc;
+    normalize c.acc
+  end
+
+(* u[0 .. k] ← u[0 .. k) + q·m, for the k-limb m and a one-limb q. *)
+let add_mul_in_place (u : int array) (m : t) (q : int) : unit =
+  let k = Array.length m in
+  let c = ref 0 in
+  for j = 0 to k - 1 do
+    let w = u.(j) + (q * m.(j)) + !c in
+    u.(j) <- w land limb_mask;
+    c := w lsr limb_bits
+  done;
+  u.(k) <- !c
+
+(* Extended binary gcd for an odd modulus m > 1 and 0 < x < m: Stein's
+   loop on a = x and b = m, each carrying a coefficient mod m
+   (a ≡ u·x, b ≡ v·x) in a (k+1)-limb buffer.  Stripping z zeros from a
+   divides u by 2^z, in steps of at most 25 bits: u + q·m with
+   q = u·m' mod 2^z is divisible by 2^z and stays below m once divided.
+   The loop ends with b = gcd(x, m), and then v is the inverse. *)
+let inverse_odd (x : t) (m : t) : t option =
+  let k = Array.length m in
+  let m' = neg_inv_limb m.(0) in
+  let a = ref (Array.make k 0) and b = ref (Array.copy m) in
+  Array.blit x 0 !a 0 (Array.length x);
+  let na = ref (Array.length x) and nb = ref k in
+  let u = ref (Array.make (k + 1) 0) and v = ref (Array.make (k + 1) 0) in
+  !u.(0) <- 1;
+  while !na > 0 do
+    let z = ref (trailing_zeros !a) in
+    na := shift_right_in_place !a !na !z;
+    while !z > 0 do
+      let s = min !z (limb_bits - 1) in
+      add_mul_in_place !u m (!u.(0) * m' land ((1 lsl s) - 1));
+      ignore (shift_right_in_place !u (k + 1) s);
+      z := !z - s
+    done;
+    if less_in_place !a !na !b !nb then begin
+      let a0 = !a and na0 = !na and u0 = !u in
+      a := !b;
+      na := !nb;
+      b := a0;
+      nb := na0;
+      u := !v;
+      v := u0
+    end;
+    na := sub_in_place !a !na !b !nb;
+    (* u ← u - v mod m, adding m first when u < v. *)
+    if less_in_place !u k !v k then add_mul_in_place !u m 1;
+    ignore (sub_in_place !u (k + 1) !v k)
+  done;
+  if !nb = 1 && !b.(0) = 1 then begin
+    let n = ref k in
+    while !n > 0 && !v.(!n - 1) = 0 do decr n done;
+    Some (Array.sub !v 0 !n)
+  end
+  else None
 
 let of_bytes_be (s : string) : t =
   let n = String.length s in

@@ -2,7 +2,8 @@
 
     SFS's cryptography (Rabin-Williams, SRP) runs over naturals of up to a
     few thousand bits.  The representation is little-endian arrays of
-    26-bit limbs; all operations are purely functional. *)
+    26-bit limbs; every [t] is immutable.  The one mutable value is a
+    Montgomery context ({!mont}), which owns its buffers. *)
 
 type t
 
@@ -26,6 +27,10 @@ val num_bits : t -> int
 val testbit : t -> int -> bool
 
 val add : t -> t -> t
+
+val set_bit : t -> int -> t
+(** [set_bit a i] is [a] with bit [i] set: [a] itself when it already
+    is, else one copy. @raise Invalid_argument on negative [i]. *)
 
 val sub : t -> t -> t
 (** @raise Invalid_argument when the result would be negative. *)
@@ -52,11 +57,31 @@ val shift_right : t -> int -> t
 
 val modexp : base:t -> exp:t -> modulus:t -> t
 (** Sliding-window exponentiation (window 4–5 at cryptographic sizes)
-    over CIOS Montgomery products on fixed k-limb buffers: each product
-    interleaves multiply and reduce limb by limb with the one-limb
-    -m⁻¹ mod 2^26, so a whole exponentiation allocates only its
-    window table and a few scratch buffers.  Falls back to
-    {!modexp_reference} for even moduli. *)
+    on a fresh {!mont} context: CIOS Montgomery products on fixed k-limb
+    buffers, each interleaving multiply and reduce limb by limb with the
+    one-limb -m⁻¹ mod 2^26, so a whole exponentiation allocates only
+    its context and result.  Falls back to {!modexp_reference} for even
+    moduli. *)
+
+type mont
+(** A Montgomery context for one odd modulus m > 1: the one-limb
+    -m⁻¹ mod 2^26, R mod m and R² mod m (R = 2^(26k) for a k-limb m),
+    computed by doubling and squaring with no division, plus scratch
+    and an accumulator.  Every operation on it runs in place. *)
+
+val mont : t -> mont
+(** @raise Invalid_argument when the modulus is even or 1. *)
+
+val mont_pow : mont -> base:t -> exp:t -> unit
+(** Sets the accumulator to [base^exp mod m] (kept in Montgomery
+    form); the odd-power table is allocated by the first call only. *)
+
+val mont_square : mont -> unit
+(** Squares the accumulator in place. *)
+
+val mont_unit : mont -> int
+(** [1] when the accumulator holds 1, [-1] when it holds [m - 1],
+    [0] otherwise: the comparisons a Miller-Rabin round makes. *)
 
 val modexp_reference : base:t -> exp:t -> modulus:t -> t
 (** Binary exponentiation with a division per step: the slow, obviously
@@ -69,6 +94,11 @@ val jacobi : t -> t -> int
 (** Jacobi symbol [(a/n)] for odd [n], any [a]; result in [{-1, 0, 1}].
     Binary, on private copies of the operands, like {!gcd}.
     @raise Invalid_argument on even [n]. *)
+
+val inverse_odd : t -> t -> t option
+(** [inverse_odd x m] is [x⁻¹ mod m] for an odd [m > 1] and
+    [0 < x < m], [None] when [gcd x m <> 1]: an extended binary gcd on
+    limb buffers, with no division. *)
 
 val of_bytes_be : string -> t
 (** Big-endian byte-string interpretation, as protocol fields use. *)

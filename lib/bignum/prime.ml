@@ -3,8 +3,8 @@
    Randomness is supplied by the caller as [rand_bits : int -> Nat.t],
    keeping this library independent of the crypto PRNG built on top. *)
 
-let small_primes =
-  (* All primes below 1000, for trial division. *)
+(* All primes below 1000, for trial division. *)
+let small_primes : int array =
   let sieve = Array.make 1000 true in
   sieve.(0) <- false;
   sieve.(1) <- false;
@@ -17,83 +17,64 @@ let small_primes =
       done
     end
   done;
-  let acc = ref [] in
-  for i = 999 downto 2 do
-    if sieve.(i) then acc := i :: !acc
-  done;
-  !acc
+  Array.of_list (List.filter (fun i -> sieve.(i)) (List.init 1000 Fun.id))
 
-(* A hit is rare, so only then is [n = p] (n itself a small prime) ruled out. *)
+(* Only called on n >= 1000, so a zero remainder always means composite. *)
 let divisible_by_small_prime (n : Nat.t) : bool =
-  List.exists (fun p -> Nat.rem_int n p = 0 && not (Nat.equal n (Nat.of_int p))) small_primes
+  let i = ref 0 in
+  while !i < Array.length small_primes && Nat.rem_int n small_primes.(!i) <> 0 do incr i done;
+  !i < Array.length small_primes
 
-(* One Miller-Rabin round with witness [a]. *)
-let miller_rabin_witness (n : Nat.t) (a : Nat.t) : bool =
-  (* Returns true when [a] proves n composite. *)
+(* [rounds] Miller-Rabin rounds on an odd n >= 1000.  n - 1 = d·2^s is
+   split once, and every round runs in one Montgomery context: a^d, then
+   up to s - 1 squarings in place, each compared against 1 and n - 1 in
+   Montgomery form.  Each witness is one draw below 2^bits(n) brought
+   into [2, n - 2] by subtracting n - 3 (at most twice, as the draw is
+   below 2n); the rounds stop at the first that proves n composite. *)
+let miller_rabin ~(rounds : int) ~(rand_bits : int -> Nat.t) (n : Nat.t) : bool =
   let n1 = Nat.sub n Nat.one in
-  let s = ref 0 in
-  let d = ref n1 in
-  while not (Nat.testbit !d 0) do
-    d := Nat.shift_right !d 1;
-    incr s
-  done;
-  let x = ref (Nat.modexp ~base:a ~exp:!d ~modulus:n) in
-  if Nat.equal !x Nat.one || Nat.equal !x n1 then false
-  else begin
-    let composite = ref true in
-    (try
-       for _ = 1 to !s - 1 do
-         x := Nat.rem (Nat.mul !x !x) n;
-         if Nat.equal !x n1 then begin
-           composite := false;
-           raise Exit
-         end
-       done
-     with Exit -> ());
-    !composite
-  end
+  let s = ref 1 in
+  while not (Nat.testbit n1 !s) do incr s done;
+  let d = Nat.shift_right n1 !s in
+  let n3 = Nat.sub n1 Nat.two in
+  let bits = Nat.num_bits n in
+  let c = Nat.mont n in
+  let passes () =
+    let a = ref (rand_bits bits) in
+    while Nat.compare !a n3 >= 0 do a := Nat.sub !a n3 done;
+    Nat.mont_pow c ~base:(Nat.add !a Nat.two) ~exp:d;
+    Nat.mont_unit c <> 0
+    ||
+    let u = ref 0 and j = ref 1 in
+    while !u = 0 && !j < !s do
+      Nat.mont_square c;
+      u := Nat.mont_unit c;
+      incr j
+    done;
+    !u = -1
+  in
+  let i = ref 0 in
+  while !i < rounds && passes () do incr i done;
+  !i = rounds
 
 let is_probably_prime ?(rounds = 24) ~(rand_bits : int -> Nat.t) (n : Nat.t) : bool =
   match Nat.to_int_opt n with
-  | Some v when v < 2 -> false
-  | Some v when v < 1000 -> List.mem v small_primes
-  | _ ->
-      (not (Nat.testbit n 0 = false))
-      && (not (divisible_by_small_prime n))
-      &&
-      let bits = Nat.num_bits n in
-      let rec attempt i =
-        if i >= rounds then true
-        else begin
-          (* Draw a witness in [2, n-2]. *)
-          let a = Nat.add (Nat.rem (rand_bits bits) (Nat.sub n (Nat.of_int 3))) Nat.two in
-          if miller_rabin_witness n a then false else attempt (i + 1)
-        end
-      in
-      attempt 0
+  | Some v when v < 1000 -> Array.mem v small_primes
+  | _ -> Nat.testbit n 0 && (not (divisible_by_small_prime n)) && miller_rabin ~rounds ~rand_bits n
 
 (* Generate a prime of exactly [bits] bits with n ≡ congruent (mod modulus)
    when a congruence is requested (Rabin-Williams needs p ≡ 3 (mod 8) and
-   q ≡ 7 (mod 8)). *)
+   q ≡ 7 (mod 8)).  A candidate is a draw with its top bit and bit 0
+   set, then raised by (r - c mod m) mod m; a raise that carries past
+   the top bit makes the candidate too wide, and a fresh one is drawn. *)
 let generate ?(congruence : (int * int) option) ~(rand_bits : int -> Nat.t) (bits : int) : Nat.t =
   if bits < 8 then invalid_arg "Prime.generate: too few bits";
   let rec try_candidate () =
-    let c = rand_bits bits in
-    (* Force the top bit (exact width) and low bit (odd). *)
-    let c = Nat.add c (Nat.shift_left Nat.one (bits - 1)) in
-    let c = Nat.rem c (Nat.shift_left Nat.one bits) in
-    let c = if Nat.testbit c (bits - 1) then c else Nat.add c (Nat.shift_left Nat.one (bits - 1)) in
-    let c = if Nat.testbit c 0 then c else Nat.add c Nat.one in
+    let c = Nat.set_bit (Nat.set_bit (rand_bits bits) (bits - 1)) 0 in
     let c =
       match congruence with
       | None -> c
-      | Some (residue, modulus) ->
-          let m = Nat.of_int modulus in
-          let r = Nat.of_int residue in
-          let cur = Nat.rem c m in
-          let c = Modarith.addmod c (Modarith.submod r cur m) (Nat.shift_left Nat.one (bits + 4)) in
-          (* Adjusting the residue may clear the top bit; retry if so. *)
-          c
+      | Some (r, m) -> Nat.add c (Nat.of_int (((r mod m) - Nat.rem_int c m + m) mod m))
     in
     if Nat.num_bits c <> bits then try_candidate ()
     else if is_probably_prime ~rand_bits c then c

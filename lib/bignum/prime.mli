@@ -11,4 +11,5 @@ val generate : ?congruence:int * int -> rand_bits:(int -> Nat.t) -> int -> Nat.t
 [@@sfs.secret]
 (** [generate ~rand_bits bits] draws a random prime of exactly [bits]
     bits.  [~congruence:(r, m)] additionally forces [p ≡ r (mod m)], as
-    Rabin-Williams needs [p ≡ 3 (mod 8)] and [q ≡ 7 (mod 8)]. *)
+    Rabin-Williams needs [p ≡ 3 (mod 8)] and [q ≡ 7 (mod 8)]; [m] is a
+    native int of at most [2^36]. *)

@@ -16,10 +16,13 @@
 
 open Sfs_bignum
 
-type t = { mutable xkey : Nat.t; mutable pool : string; mutable pool_used : int }
+(* XKEY is a 64-byte big-endian buffer, hashed by one reused SHA-1
+   context into [pool], the last 20-byte output; [pool_used] of it has
+   been handed out (20 when it is spent).  A step allocates nothing. *)
+type t = { xkey : Bytes.t; ctx : Sha1.ctx; pool : Bytes.t; mutable pool_used : int }
 
 let state_bytes = 64 (* 512 bits *)
-let modulus = Nat.shift_left Nat.one (8 * state_bytes)
+let step_bytes = Sha1.digest_size
 
 (* SHA-1-based expansion of arbitrary entropy into 512 bits. *)
 let condense (sources : string list) : string =
@@ -28,48 +31,62 @@ let condense (sources : string list) : string =
     (List.map
        (fun i -> Sha1.digest_list [ base; String.make 1 (Char.chr i) ])
        [ 0; 1; 2; 3 ])
-  |> fun s -> String.sub s 0 state_bytes
+  |> fun s -> String.sub s 0 state_bytes (* sfslint: allow SL009 — one-time seeding, not a generator step *)
 
 let create (sources : string list) : t =
-  { xkey = Nat.of_bytes_be (condense sources); pool = ""; pool_used = 0 }
+  {
+    xkey = Bytes.of_string (condense sources);
+    ctx = Sha1.init ();
+    pool = Bytes.create step_bytes;
+    pool_used = step_bytes;
+  }
 
 let add_entropy (t : t) (source : string) : unit =
-  let mixed = condense [ Nat.to_bytes_be_padded ~width:state_bytes t.xkey; source ] in
-  t.xkey <- Nat.of_bytes_be mixed
+  Bytes.blit_string (condense [ Bytes.to_string t.xkey; source ]) 0 t.xkey 0 state_bytes
 
-(* One generator step: 20 fresh bytes. *)
-let step (t : t) : string =
-  let key_bytes = Nat.to_bytes_be_padded ~width:state_bytes t.xkey in
-  let x = Sha1.digest key_bytes in
-  t.xkey <- Nat.rem (Nat.add (Nat.add t.xkey (Nat.of_bytes_be x)) Nat.one) modulus;
-  x
+(* One generator step: x = G(XKEY) into [pool], then
+   XKEY ← 1 + XKEY + x mod 2^512 as a byte-wise carry from the low end
+   (x is the low 20 bytes of the addend), dropping the carry out. *)
+let step (t : t) : unit =
+  Sha1.reset t.ctx;
+  Sha1.feed_bytes t.ctx t.xkey ~off:0 ~len:state_bytes;
+  Sha1.digest_into t.ctx t.pool ~off:0;
+  let carry = ref 1 in
+  for i = 1 to state_bytes do
+    let x = if i <= step_bytes then Bytes.get_uint8 t.pool (step_bytes - i) else 0 in
+    let v = Bytes.get_uint8 t.xkey (state_bytes - i) + x + !carry in
+    Bytes.set_uint8 t.xkey (state_bytes - i) (v land 0xff);
+    carry := v lsr 8
+  done;
+  t.pool_used <- 0
+
+(* Fills [buf] from the pool, stepping whenever it runs dry. *)
+let fill (t : t) (buf : Bytes.t) : unit =
+  let n = Bytes.length buf in
+  let filled = ref 0 in
+  while !filled < n do
+    if t.pool_used = step_bytes then step t;
+    let take = min (step_bytes - t.pool_used) (n - !filled) in
+    Bytes.blit t.pool t.pool_used buf !filled take;
+    t.pool_used <- t.pool_used + take;
+    filled := !filled + take
+  done
 
 let random_bytes (t : t) (n : int) : string =
   if n < 0 then invalid_arg "Prng.random_bytes";
-  let buf = Buffer.create n in
-  (* Drain the partial block left by the previous call first. *)
-  let from_pool = min n (String.length t.pool - t.pool_used) in
-  if from_pool > 0 then begin
-    Buffer.add_substring buf t.pool t.pool_used from_pool;
-    t.pool_used <- t.pool_used + from_pool
-  end;
-  while Buffer.length buf < n do
-    let x = step t in
-    let take = min (String.length x) (n - Buffer.length buf) in
-    Buffer.add_substring buf x 0 take;
-    if take < String.length x then begin
-      t.pool <- x;
-      t.pool_used <- take
-    end
-  done;
-  Buffer.contents buf
+  let buf = Bytes.create n in
+  fill t buf;
+  Bytes.unsafe_to_string buf
 
+(* ceil(bits/8) bytes with the surplus high bits of the first masked
+   off: the value is below 2^bits. *)
 let random_nat (t : t) ~(bits : int) : Nat.t =
   if bits <= 0 then Nat.zero
   else begin
-    let nbytes = (bits + 7) / 8 in
-    let s = random_bytes t nbytes in
-    Nat.rem (Nat.of_bytes_be s) (Nat.shift_left Nat.one bits)
+    let buf = Bytes.create ((bits + 7) / 8) in
+    fill t buf;
+    if bits land 7 <> 0 then Bytes.set_uint8 buf 0 (Bytes.get_uint8 buf 0 land ((1 lsl (bits land 7)) - 1));
+    Nat.of_bytes_be (Bytes.unsafe_to_string buf)
   end
 
 (* Uniform value in [0, bound). *)
@@ -82,10 +99,25 @@ let random_below (t : t) ~(bound : Nat.t) : Nat.t =
   in
   draw ()
 
+(* [random_below] on native ints: the same draws (ceil(bits/8) bytes,
+   masked to bits, rejected at or above the bound), read from the pool
+   byte by byte. *)
 let random_int (t : t) (bound : int) : int =
-  match Nat.to_int_opt (random_below t ~bound:(Nat.of_int bound)) with
-  | Some v -> v
-  | None -> assert false
+  if bound <= 0 then invalid_arg "Prng.random_int";
+  let bits = ref 0 in
+  while bound lsr !bits <> 0 do incr bits done;
+  let mask = (1 lsl !bits) - 1 in
+  let v = ref bound in
+  while !v >= bound do
+    v := 0;
+    for _ = 1 to (!bits + 7) / 8 do
+      if t.pool_used = step_bytes then step t;
+      v := (!v lsl 8) lor Bytes.get_uint8 t.pool t.pool_used;
+      t.pool_used <- t.pool_used + 1
+    done;
+    v := !v land mask
+  done;
+  !v
 
 (* Explicit deterministic seeding: the path simulations and tests are
    expected to take.  Same seed, same byte stream, every run. *)

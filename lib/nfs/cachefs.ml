@@ -195,11 +195,15 @@ let note_attr (t : t) (h : fh) (a : fattr) : unit =
   | _ -> ());
   Hashtbl.replace t.attrs h { attr = a; expires_us }
 
-(* Remember that [name] in [dir] is [h], as the server told [cred]; the
-   name lives as long as the target's attributes would. *)
-let note_name (t : t) (cred : Simos.cred) ~(dir : fh) (name : string) (h : fh) (a : fattr) : unit =
+(* Remember that [name] in [dir] is [h], with [uid] the user whose
+   request showed it may search [dir] ([no_searcher] when none did);
+   the name lives as long as the target's attributes would. *)
+let note_name (t : t) ~(uid : int) ~(dir : fh) (name : string) (h : fh) (a : fattr) : unit =
   Hashtbl.remove t.negatives (dir, name);
-  Hashtbl.replace t.names (dir, name) (h, expiry_us t (Some a), cred.Simos.cred_uid)
+  Hashtbl.replace t.names (dir, name) (h, expiry_us t (Some a), uid)
+
+(* Not a uid: real users are >= 0 and the anonymous user is -2. *)
+let no_searcher = -1
 
 let rec evict_blocks_if_needed (t : t) : unit =
   if t.cached_bytes > t.policy.data_cache_bytes then
@@ -443,7 +447,7 @@ let ops (t : t) : Fs_intf.ops =
     match inner.Fs_intf.fs_lookup cred ~dir name with
     | Ok (h, a) as r ->
         note_attr t h a;
-        note_name t cred ~dir name h a;
+        note_name t ~uid:cred.Simos.cred_uid ~dir name h a;
         r
     | Error NFS3ERR_NOENT when t.policy.use_leases ->
         (* Negative caching under the directory's lease: the name
@@ -460,7 +464,7 @@ let ops (t : t) : Fs_intf.ops =
     | Ok (h, a) as r ->
         dir_changed dir;
         note_attr t h a;
-        note_name t cred ~dir name h a;
+        note_name t ~uid:cred.Simos.cred_uid ~dir name h a;
         r
     | Error _ as r -> r
   in
@@ -662,11 +666,18 @@ let ops (t : t) : Fs_intf.ops =
       (fun cred h ->
         drain_invalidations t;
         let* entries = inner.Fs_intf.fs_readdir cred h in
-        (* READDIRPLUS feeds the attribute and name caches. *)
+        (* READDIRPLUS feeds the attribute and name caches.  It needs
+           only read permission, so the names are search evidence for
+           [cred] only when the directory's fresh attributes grant it. *)
+        let uid =
+          match fresh_attr t h with
+          | Some d when may cred d ~want:1 -> cred.Simos.cred_uid
+          | _ -> no_searcher
+        in
         List.iter
           (fun de ->
             note_attr t de.d_fh de.d_attr;
-            note_name t cred ~dir:h de.d_name de.d_fh de.d_attr)
+            note_name t ~uid ~dir:h de.d_name de.d_fh de.d_attr)
           entries;
         Ok entries);
     fs_commit =

@@ -122,6 +122,10 @@ let can_read cred i = check_perm cred i ~want:4
 let can_write cred i = check_perm cred i ~want:2
 let can_exec cred i = check_perm cred i ~want:1
 
+(* A namespace change needs write and search permission on each
+   directory it changes (POSIX). *)
+let can_change_dir cred d = check_perm cred d ~want:3
+
 let check_writable (t : t) : unit res = if t.read_only then Error NFS3ERR_ROFS else Ok ()
 
 let valid_name (name : string) : unit res =
@@ -160,8 +164,9 @@ let access (t : t) (cred : Simos.cred) (id : int) (want : int) : int res =
   let granted =
     match i.kind with
     | Dir _ ->
+        (* Changing a directory's entries also needs search. *)
         bit r access_read lor bit x access_lookup
-        lor bit w (access_modify lor access_extend lor access_delete)
+        lor bit (w && x) (access_modify lor access_extend lor access_delete)
     | Reg _ | Symlink _ ->
         bit r access_read lor bit w (access_modify lor access_extend) lor bit x access_execute
   in
@@ -289,7 +294,7 @@ let add_entry (t : t) (cred : Simos.cred) ~(dir : int) (name : string) (make : u
   let* () = valid_name name in
   let* d = find t dir in
   let* entries = dir_entries d in
-  let* () = can_write cred d in
+  let* () = can_change_dir cred d in
   if Hashtbl.mem entries name then Error NFS3ERR_EXIST
   else begin
     let i = make () in
@@ -345,7 +350,7 @@ let remove (t : t) (cred : Simos.cred) ~(dir : int) (name : string) : unit res =
   let* () = valid_name name in
   let* d = find t dir in
   let* entries = dir_entries d in
-  let* () = can_write cred d in
+  let* () = can_change_dir cred d in
   match Hashtbl.find_opt entries name with
   | None -> Error NFS3ERR_NOENT
   | Some id ->
@@ -364,7 +369,7 @@ let rmdir (t : t) (cred : Simos.cred) ~(dir : int) (name : string) : unit res =
   let* () = valid_name name in
   let* d = find t dir in
   let* entries = dir_entries d in
-  let* () = can_write cred d in
+  let* () = can_change_dir cred d in
   match Hashtbl.find_opt entries name with
   | None -> Error NFS3ERR_NOENT
   | Some id -> (
@@ -389,7 +394,7 @@ let link (t : t) (cred : Simos.cred) ~(target : int) ~(dir : int) (name : string
   let* i = find t target in
   let* d = find t dir in
   let* entries = dir_entries d in
-  let* () = can_write cred d in
+  let* () = can_change_dir cred d in
   match i.kind with
   | Dir _ -> Error NFS3ERR_ISDIR
   | Reg _ | Symlink _ ->
@@ -418,10 +423,10 @@ let rename (t : t) (cred : Simos.cred) ~(from_dir : int) ~(from_name : string) ~
   let* () = valid_name to_name in
   let* fd = find t from_dir in
   let* fentries = dir_entries fd in
-  let* () = can_write cred fd in
+  let* () = can_change_dir cred fd in
   let* td = find t to_dir in
   let* tentries = dir_entries td in
-  let* () = can_write cred td in
+  let* () = can_change_dir cred td in
   match Hashtbl.find_opt fentries from_name with
   | None -> Error NFS3ERR_NOENT
   | Some id when Hashtbl.find_opt tentries to_name = Some id ->

@@ -251,9 +251,30 @@ let odd_arb =
       frequency
         [ (1, return Nat.one); (9, map (fun x -> Nat.add (Nat.shift_left x 1) Nat.one) wide_gen) ])
 
+(* The inverse is the one value in [0, m) whose product with x is 1
+   mod m, and exists exactly when gcd(x, m) = 1; below m = 2 it never
+   does (the inverse of anything mod 1 is reported absent).  Moduli run
+   over odd, even and tiny values, x over zero, multiples of m and
+   values far above it. *)
+let inverse_law (x, m) =
+  match Modarith.inverse ~x ~modulus:m with
+  | Some v ->
+      Nat.compare m Nat.one > 0
+      && Nat.compare v m < 0
+      && Nat.equal (Nat.rem (Nat.mul x v) m) Nat.one
+      && Nat.equal (Nat.gcd x m) Nat.one
+  | None -> Nat.equal m Nat.one || not (Nat.equal (Nat.gcd x m) Nat.one)
+
 let props =
   let open QCheck in
   [
+    Test.make ~count:500 ~name:"binary inverse: x·inv = 1 mod m, None iff gcd <> 1"
+      (pair wide_arb wide_nonzero_arb) inverse_law;
+    Test.make ~count:300 ~name:"binary inverse over odd moduli" (pair wide_arb odd_arb) inverse_law;
+    Test.make ~count:300 ~name:"binary inverse of a multiple's neighbour"
+      (pair wide_nonzero_arb (int_range 1 5)) (fun (m, k) ->
+        inverse_law (Nat.add (Nat.mul m (Nat.of_int k)) Nat.one, m)
+        && inverse_law (Nat.mul m (Nat.of_int k), m));
     (* a ranges over zero, values below n and values far above it. *)
     Test.make ~count:500 ~name:"binary jacobi agrees with reciprocity" (pair wide_arb odd_arb)
       (fun (a, m) -> Nat.jacobi a m = jacobi_reciprocity a m);

@@ -177,6 +177,45 @@ let test_prng () =
   let parts = List.map (Prng.random_bytes gc) [ 3; 7; 1; 25; 4 ] in
   Testkit.check_string "pool consistency" (Prng.random_bytes gd 40) (String.concat "" parts)
 
+(* Known answers for the generator and the key search, pinned before
+   either moved to in-place buffers: the SHA-1 of an interleaved stream
+   of every draw kind from one seed, the public-key fingerprints of two
+   seeded keys, and three seeded primes.  A change in how the generator
+   steps, pools, masks or rejects, or in how the prime search consumes
+   its draws, fails here by name. *)
+let test_prng_known_answers () =
+  let g = Prng.create [ "prng-kat" ] in
+  let h = Sha1.init () in
+  for i = 0 to 39 do
+    Sha1.update h (Prng.random_bytes g (i mod 23));
+    Sha1.update h (Nat.to_hex (Prng.random_nat g ~bits:(1 + (i * 37 mod 300))));
+    Sha1.update h (string_of_int (Prng.random_int g (1 + (i * 7919))));
+    Sha1.update h (Nat.to_hex (Prng.random_below g ~bound:(Nat.of_string "1000000000000000000000007")));
+    if i mod 9 = 4 then Prng.add_entropy g (string_of_int i)
+  done;
+  Testkit.check_string "interleaved stream sha1" "f5691c6db734bc7b235e927d0fed40b2bff839b0"
+    (Sfs_util.Hex.encode (Sha1.final h));
+  List.iter
+    (fun (bits, want) ->
+      let sk = Rabin.generate ~bits (Prng.create [ "prng-kat-key"; string_of_int bits ]) in
+      Testkit.check_string (Printf.sprintf "rabin-%d fingerprint" bits) want
+        (Sfs_util.Hex.encode (Rabin.pub_fingerprint sk.Rabin.pub)))
+    [
+      (384, "dde22a87a2fa54aafea1021d794797a4c77f2176");
+      (512, "faf24d6c5365b6b96277ca94ed317ae99db372c3");
+    ];
+  List.iter
+    (fun (label, congruence, want) ->
+      let g = Prng.create [ "prng-kat-prime"; label ] in
+      let rand_bits b = Prng.random_nat g ~bits:b in
+      Testkit.check_string ("prime " ^ label) want
+        (Nat.to_hex (Sfs_bignum.Prime.generate ?congruence ~rand_bits 160)))
+    [
+      ("3 mod 8", Some (3, 8), "fa515f091fd50f030f90163e0ae6456f2bb607c3");
+      ("7 mod 8", Some (7, 8), "f6eafc7534a83d905886aaab130105d53a939287");
+      ("any", None, "8ea0dbad5f61931baccae60725342a2bf13aa1cf");
+    ]
+
 (* --- Rabin-Williams --- *)
 
 let test_rng = Prng.create [ "rabin-test-rng" ]
@@ -291,6 +330,22 @@ let test_rabin_alloc () =
   ignore (Rabin.sign sk "warm-up");
   Testkit.check_alloc_under "sign" ~bound:48_000 (fun () -> ignore (Rabin.sign sk "benchmark message"));
   Testkit.check_alloc_under "decrypt" ~bound:68_000 (fun () -> ignore (Rabin.decrypt sk c))
+
+(* Allocation guards for key generation, about 1.5x the reading once
+   the generator stepped in place and the prime search, Miller-Rabin
+   and the inverse ran on limb buffers (readings 128 B, 96 B, 632 B and
+   128 KB, the first two mostly the 96 B a reading costs; before, in
+   the same order: 1,392 B, 632 B, 72 KB and 1.2 MB). *)
+let test_keygen_alloc () =
+  let g = Prng.create [ "keygen-alloc" ] in
+  ignore (Prng.random_bytes g 7);
+  Testkit.check_alloc_under "random_bytes 20" ~bound:192 (fun () -> ignore (Prng.random_bytes g 20));
+  Testkit.check_alloc_under "random_int" ~bound:144 (fun () -> ignore (Prng.random_int g 1_000_000));
+  let rand_bits b = Prng.random_nat g ~bits:b in
+  let m = Sfs_bignum.Prime.generate ~rand_bits 256 and x = rand_bits 256 in
+  Testkit.check_alloc_under "256-bit inverse" ~bound:960 (fun () -> ignore (Modarith.inverse ~x ~modulus:m));
+  Testkit.check_alloc_under "512-bit key" ~bound:192_000 (fun () ->
+      ignore (Rabin.generate ~bits:512 (Prng.create [ "keygen-alloc-key" ])))
 
 (* The one-shot MAC keys two fresh contexts and builds no reusable
    schedule: no heavier than the 1,056 B it cost when each call built a
@@ -539,6 +594,7 @@ let suite =
       Alcotest.test_case "eksblowfish" `Quick test_eksblowfish;
       Alcotest.test_case "eksblowfish cost curve" `Slow test_eksblowfish_cost_curve;
       Alcotest.test_case "prng" `Quick test_prng;
+      Alcotest.test_case "prng known answers" `Quick test_prng_known_answers;
       Alcotest.test_case "rabin keygen" `Quick test_rabin_keygen;
       Alcotest.test_case "rabin sign/verify" `Quick test_rabin_sign_verify;
       Alcotest.test_case "rabin tweak bits" `Quick test_rabin_tweaks;
@@ -548,6 +604,7 @@ let suite =
       Alcotest.test_case "rabin priv serialization" `Quick test_rabin_priv_serialization;
       Alcotest.test_case "rabin signatures pinned" `Quick test_rabin_sign_pinned;
       Alcotest.test_case "rabin allocation" `Quick test_rabin_alloc;
+      Alcotest.test_case "key generation allocation" `Quick test_keygen_alloc;
       Alcotest.test_case "mac one-shot allocation" `Quick test_mac_one_shot_alloc;
       Alcotest.test_case "srp agreement" `Quick test_srp_agreement;
       Alcotest.test_case "srp wrong password" `Quick test_srp_wrong_password;

@@ -167,11 +167,13 @@ let test_sl009 () =
     {|let f n g = String.init n (fun _ -> Char.chr (g ()))|};
   fires "String.mapi" ~path:"lib/proto/channel.ml" ~code:"SL009"
     {|let f s = String.mapi (fun _ c -> c) s|};
-  (* Concatenation and String.sub are flagged only in the four hot
-     files, where per-message copies cost a figure. *)
+  (* Concatenation and String.sub are flagged only in the five hot
+     files, where per-message or per-draw copies cost a figure. *)
   fires "concat in hot file" ~path:"lib/proto/channel.ml" ~code:"SL009"
     {|let f a b = a ^ b|};
   fires "String.sub in hot file" ~path:"lib/crypto/mac.ml" ~code:"SL009"
+    {|let f s = String.sub s 0 20|};
+  fires "String.sub on the generator path" ~path:"lib/crypto/prng.ml" ~code:"SL009"
     {|let f s = String.sub s 0 20|};
   silent "concat off the hot path" ~path:"lib/proto/hostid.ml" ~code:"SL009"
     {|let f a b = a ^ b|};

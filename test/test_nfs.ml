@@ -358,6 +358,71 @@ let test_cachefs_hit_permissions () =
       ignore (ok "root still served" (cops.Fs_intf.fs_lookup root ~dir "secret")))
     [ ("sfs", Cachefs.sfs_policy); ("nfs", Cachefs.nfs_policy) ]
 
+(* A namespace change needs write and search permission on the
+   directory (POSIX): in a -w- directory alice can neither add, remove,
+   link nor rename, and ACCESS says so.  Through the cache, a create she
+   was refused leaves no entry to serve her once the directory's
+   attributes lapse. *)
+let test_dir_search_permission () =
+  let _, fs = setup () in
+  let dir, _ = ok "mkdir" (Memfs.mkdir fs root ~dir:Memfs.root_id "dropbox" ~mode:0o722) in
+  let f, _ = ok "root create" (Memfs.create_file fs root ~dir "f" ~mode:0o666) in
+  let sub, _ = ok "root mkdir" (Memfs.mkdir fs root ~dir "sub" ~mode:0o777) in
+  ignore sub;
+  let check msg = expect_err msg NFS3ERR_ACCES in
+  check "create" (Memfs.create_file fs alice ~dir "mine" ~mode:0o644);
+  check "mkdir" (Memfs.mkdir fs alice ~dir "d" ~mode:0o755);
+  check "symlink" (Memfs.symlink fs alice ~dir "s" ~target:"f");
+  check "remove" (Memfs.remove fs alice ~dir "f");
+  check "rmdir" (Memfs.rmdir fs alice ~dir "sub");
+  check "link" (Memfs.link fs alice ~target:f ~dir "g");
+  check "rename out" (Memfs.rename fs alice ~from_dir:dir ~from_name:"f" ~to_dir:Memfs.root_id ~to_name:"f");
+  let home, _ = ok "home" (Memfs.mkdir fs root ~dir:Memfs.root_id "home" ~mode:0o777) in
+  let h, _ = ok "home file" (Memfs.create_file fs root ~dir:home "h" ~mode:0o666) in
+  ignore h;
+  check "rename in" (Memfs.rename fs alice ~from_dir:home ~from_name:"h" ~to_dir:dir ~to_name:"h");
+  Testkit.check_int "ACCESS grants no modify" 0
+    (ok "access" (Memfs.access fs alice dir (access_modify lor access_extend lor access_delete)));
+  List.iter
+    (fun (what, policy) ->
+      let clock, net, _, _ = make_network_fs () in
+      let ops, _ = Nfs_client.mount net ~from_host:"client" ~addr:"nfs.example.com" ~proto:Costmodel.Udp ~cred:root in
+      let cops = Cachefs.ops (Cachefs.create ~clock ~policy ops) in
+      let dir, _ = ok "mkdir" (cops.Fs_intf.fs_mkdir root ~dir:cops.Fs_intf.fs_root "dropbox" ~mode:0o722) in
+      (* The directory's attributes lapse a second before any entry made now. *)
+      Simclock.advance clock 2_000_000.0;
+      check (what ^ ": create") (cops.Fs_intf.fs_create alice ~dir "mine" ~mode:0o644);
+      ignore (ok "root create" (cops.Fs_intf.fs_create root ~dir "mine" ~mode:0o644));
+      Simclock.advance clock 1_500_000.0;
+      check (what ^ ": lookup after lapse") (cops.Fs_intf.fs_lookup alice ~dir "mine"))
+    [ ("sfs", Cachefs.sfs_policy); ("nfs", Cachefs.nfs_policy) ]
+
+(* READDIRPLUS needs only read permission, so listing an r-- directory
+   is no evidence that the reader may search it: her later lookups go
+   to the server, which refuses them, while root's are still served
+   from the cache. *)
+let test_cachefs_readdir_evidence () =
+  List.iter
+    (fun (what, policy) ->
+      let check msg = expect_err (what ^ ": " ^ msg) NFS3ERR_ACCES in
+      let clock, net, _, server = make_network_fs () in
+      let ops, _ = Nfs_client.mount net ~from_host:"client" ~addr:"nfs.example.com" ~proto:Costmodel.Udp ~cred:root in
+      let cops = Cachefs.ops (Cachefs.create ~clock ~policy ops) in
+      let dir, _ = ok "mkdir" (cops.Fs_intf.fs_mkdir root ~dir:cops.Fs_intf.fs_root "listing" ~mode:0o744) in
+      ignore (ok "create" (cops.Fs_intf.fs_create root ~dir "entry" ~mode:0o644));
+      Simclock.advance clock 2_000_000.0;
+      let names = List.map (fun de -> de.d_name) (ok "readdir" (cops.Fs_intf.fs_readdir alice dir)) in
+      Alcotest.(check (list string)) (what ^ ": listed") [ "entry" ] names;
+      check "lookup while fresh" (cops.Fs_intf.fs_lookup alice ~dir "entry");
+      Simclock.advance clock 1_500_000.0;
+      check "lookup after lapse" (cops.Fs_intf.fs_lookup alice ~dir "entry");
+      (* root lists and is served its own lookups without a server trip. *)
+      ignore (ok "root readdir" (cops.Fs_intf.fs_readdir root dir));
+      let calls = Nfs_server.calls server in
+      ignore (ok "root lookup" (cops.Fs_intf.fs_lookup root ~dir "entry"));
+      Testkit.check_int (what ^ ": root served from cache") calls (Nfs_server.calls server))
+    [ ("sfs", Cachefs.sfs_policy); ("nfs", Cachefs.nfs_policy) ]
+
 let test_cachefs_negative_lookup () =
   let clock, net, _, server = make_network_fs () in
   let ops, _ = Nfs_client.mount net ~from_host:"client" ~addr:"nfs.example.com" ~proto:Costmodel.Udp ~cred:root in
@@ -587,6 +652,8 @@ let suite =
       Alcotest.test_case "cachefs data" `Quick test_cachefs_data_cache;
       Alcotest.test_case "cachefs lease invalidation" `Quick test_cachefs_lease_invalidation;
       Alcotest.test_case "cachefs hit permissions" `Quick test_cachefs_hit_permissions;
+      Alcotest.test_case "directory search permission" `Quick test_dir_search_permission;
+      Alcotest.test_case "cachefs readdir evidence" `Quick test_cachefs_readdir_evidence;
       Alcotest.test_case "cachefs negative lookups" `Quick test_cachefs_negative_lookup;
       Alcotest.test_case "cachefs gather runs" `Quick test_cachefs_gather_runs;
       Alcotest.test_case "cachefs write-behind allocation" `Quick test_cachefs_write_alloc;

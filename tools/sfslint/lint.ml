@@ -158,14 +158,21 @@ let sl002_applies path = in_lib path && path <> "lib/crypto/prng.ml"
 (* SL009: per-byte string building is banned on the wire path.  The
    String combinators are flagged across the crypto and protocol
    trees; copy-heavy [String.sub] and [(^)] only in the files that sit
-   on the per-message fast path, where cold-path uses (key schedules,
-   label building) are expected to carry a pragma. *)
+   on the per-message fast path or the random-generator path, where
+   cold-path uses (key schedules, label building, seeding) are
+   expected to carry a pragma. *)
 let sl009_applies path =
   starts_with ~prefix:"lib/crypto/" path || starts_with ~prefix:"lib/proto/" path
 
 let sl009_hot path =
   List.mem path
-    [ "lib/crypto/arc4.ml"; "lib/crypto/sha1.ml"; "lib/crypto/mac.ml"; "lib/proto/channel.ml" ]
+    [
+      "lib/crypto/arc4.ml";
+      "lib/crypto/sha1.ml";
+      "lib/crypto/mac.ml";
+      "lib/crypto/prng.ml";
+      "lib/proto/channel.ml";
+    ]
 (* SL010: every exchange is priced by an Rpc_mux.  [Simnet.call_measured]
    charges nothing, so outside the two places that build mux exchanges
    (Rpc_mux.of_conn, and Nfs_client.data_path, the one data path of
