@@ -296,8 +296,9 @@ let reconnect (t : t) (m : mount) : (unit, mount_error) result =
 (* Build and seal the Fs_call for one attempt at [xid]: the caller's
    authno, and the attempt's op span context, which rides the wire so
    the server's spans attach to this attempt.  The arguments are
-   marshaled straight into the mount's encoder, copied out once as the
-   plaintext to seal.  A serial call pays a user-level crossing and its
+   marshaled straight into the mount's encoder, and the channel seals
+   from the encoder's buffer, so the request is never a string of its
+   own.  A serial call pays a user-level crossing and its
    full seal; an overlapped one (write-behind, readahead) hides most of
    both behind the pipeline, so only the residual fractions are
    charged. *)
@@ -312,19 +313,19 @@ let frame (t : t) (m : mount) ~(xid : int) ~(ctx : Obs.ctx option) ~(cred : Simo
   let proc = match call with Nfs_client.Root -> Sfsrw.proc_getroot | Nfs_client.Proc p -> p in
   Xdr.reset m.m_enc;
   Sfsrw.enc_fs_call m.m_enc ~xid ~authno ~proc ~trace ~span args;
-  let req = Xdr.to_string m.m_enc in
-  let full = Channel.crypto_cost_us m.m_channel (String.length req) in
+  let len = Xdr.length m.m_enc in
+  let full = Channel.crypto_cost_us m.m_channel len in
   if overlapped then begin
     Simclock.advance t.clock
       (Costmodel.async_userlevel_factor *. (2.0 *. Costmodel.userlevel_us_per_side));
-    let wire = Channel.seal ~bill:false m.m_channel req in
+    let wire = Channel.seal_bytes ~bill:false m.m_channel (Xdr.buffer m.m_enc) ~len in
     let crypto_up = Costmodel.async_crypto_factor *. full in
     Simclock.advance t.clock crypto_up;
     (wire, crypto_up, int_of_float full)
   end
   else begin
     Simclock.advance t.clock Costmodel.userlevel_us_per_side;
-    (Channel.seal m.m_channel req, full, int_of_float full)
+    (Channel.seal_bytes m.m_channel (Xdr.buffer m.m_enc) ~len, full, int_of_float full)
   end
 
 (* Open a reply in place and pick out its NFS results.  A reply that

@@ -35,6 +35,12 @@ module Obs = Sfs_obs.Obs
 
 let sfs_port = 4
 
+(* A duplicate-request-cache entry: the procedure, the arguments, and
+   the marshaled reply plaintext, the first [d_len] bytes of [d_reply]
+   — the very bytes that were sealed.  An entry owns its buffer alone;
+   a buffer changes hands only when its entry is evicted. *)
+type drc_entry = { d_proc : int; d_args : string; d_reply : Bytes.t; d_len : int }
+
 type t = {
   net : Simnet.t;
   clock : Simclock.t;
@@ -57,17 +63,24 @@ type t = {
      reconnects after a lost reply re-issues the same xid, and the
      stored reply is replayed instead of re-executing a non-idempotent
      procedure.  (In real SFS the loopback NFS server's cache plays
-     this role; here the relay serves the backend directly.)  Each
-     entry holds the procedure, the arguments and the marshaled reply
-     plaintext — the very string that was sealed.  Bounded, FIFO
-     eviction, volatile across crash_recover. *)
-  drc : (string * int, int * string * string) Hashtbl.t;
+     this role; here the relay serves the backend directly.)  Every
+     procedure is cached, reads included: a reply carries the lease
+     invalidations taken for it, which a re-execution would lose.
+     Bounded, FIFO eviction, volatile across crash_recover. *)
+  drc : (string * int, drc_entry) Hashtbl.t;
   drc_order : (string * int) Queue.t;
   obs : Obs.registry option;
 }
 
 (* Bound on the duplicate request cache. *)
 let drc_size = 512
+
+(* Replies longer than this are copied into the buffer of the entry
+   their insert evicts, when it is big enough.  2 KB is the largest
+   object OCaml's minor heap takes: a larger buffer goes straight to
+   the major heap, so reusing it saves a major allocation, while
+   recycling small buffers only keeps them alive longer. *)
+let drc_recycle_min = 2048
 
 let ( let* ) = Result.bind
 
@@ -202,7 +215,7 @@ let secure_ops (t : t) ~(conn : int) : Fs_intf.ops =
 
 type fs_session = {
   channel : Channel.t;
-  enc : Xdr.enc; (* every reply is marshaled here, then copied out once *)
+  enc : Xdr.enc; (* every reply is marshaled here; the seal reads it in place *)
   conn_id : int;
   peer : string; (* client host; keys the duplicate request cache *)
   dispatcher : Nfs_server.t;
@@ -257,10 +270,46 @@ let execute_fs_call (t : t) (s : fs_session) ~(authno : int) ~(proc : int) (args
     Sfsrw.enc_response e (Sfsrw.Proto_error "bad procedure or arguments")
   end
 
-(* One request to its marshaled reply plaintext. *)
-let handle_fs_request (t : t) (s : fs_session) (req : Sfsrw.request) : string =
+(* Record the reply in [s.enc] under [key] and return the entry.  A
+   new key is queued, and once the cache is full the oldest entry is
+   evicted first, so that a long reply can take over its buffer;
+   otherwise the reply gets an exact-size copy.  A replaced entry (a
+   reused xid with other arguments) keeps its queue place. *)
+let drc_insert (t : t) (s : fs_session) (key : string * int) ~(proc : int) ~(args : string)
+    ~(fresh : bool) : drc_entry =
+  let evicted =
+    if fresh then begin
+      Obs.incr t.obs "server.drc_insert";
+      Queue.push key t.drc_order;
+      if Queue.length t.drc_order > drc_size then begin
+        Obs.incr t.obs "server.drc_evict";
+        let old = Queue.pop t.drc_order in
+        let e = Hashtbl.find_opt t.drc old in
+        Hashtbl.remove t.drc old;
+        e
+      end
+      else None
+    end
+    else None
+  in
+  let len = Xdr.length s.enc in
+  let reply =
+    match evicted with
+    | Some e when len > drc_recycle_min && Bytes.length e.d_reply >= len -> e.d_reply
+    | Some _ | None -> Bytes.create len (* sfslint: allow SL013 — a short reply, or no evicted buffer big enough: the entry's own exact-size copy *)
+  in
+  Bytes.blit (Xdr.buffer s.enc) 0 reply 0 len;
+  let e = { d_proc = proc; d_args = args; d_reply = reply; d_len = len } in
+  Hashtbl.replace t.drc key e;
+  e
+
+(* A reply plaintext: a file system call's lives in its DRC entry; an
+   authentication or protocol-error reply is a string of its own. *)
+type reply = Cached of drc_entry | Message of string
+
+let handle_fs_request (t : t) (s : fs_session) (req : Sfsrw.request) : reply =
   match req with
-  | Sfsrw.Auth_req { seqno; authmsg } -> (
+  | Sfsrw.Auth_req { seqno; authmsg } ->
       (* Figure 4, server side: check the AuthID names this session,
          the seqno is fresh, and authserv vouches for the signature. *)
       let authid =
@@ -272,19 +321,20 @@ let handle_fs_request (t : t) (s : fs_session) (req : Sfsrw.request) : string =
             session_id = s.session_id;
           }
       in
-      Sfsrw.response_to_string
-        (if not (Authproto.window_accept s.window seqno) then
-           Sfsrw.Auth_denied { seqno; reason = "replayed or stale sequence number" }
-         else
-           match t.auth.Authserv.b_validate ~authmsg ~authid ~seqno with
-           | Error reason ->
-               t.auth.Authserv.b_log_failure ~user:"?" ~reason;
-               Sfsrw.Auth_denied { seqno; reason }
-           | Ok (user, cred) ->
-               let authno = s.next_authno in
-               s.next_authno <- authno + 1;
-               Hashtbl.replace s.authnos authno (user, cred);
-               Sfsrw.Auth_granted { authno; seqno }))
+      Message
+        (Sfsrw.response_to_string
+           (if not (Authproto.window_accept s.window seqno) then
+              Sfsrw.Auth_denied { seqno; reason = "replayed or stale sequence number" }
+            else
+              match t.auth.Authserv.b_validate ~authmsg ~authid ~seqno with
+              | Error reason ->
+                  t.auth.Authserv.b_log_failure ~user:"?" ~reason;
+                  Sfsrw.Auth_denied { seqno; reason }
+              | Ok (user, cred) ->
+                  let authno = s.next_authno in
+                  s.next_authno <- authno + 1;
+                  Hashtbl.replace s.authnos authno (user, cred);
+                  Sfsrw.Auth_granted { authno; seqno }))
   | Sfsrw.Fs_call { xid; authno; proc; trace; span; args } ->
       (* Adopt the client's causal context for the extent of the call:
          every span recorded below (DRC hit, NFS proc execution, lease
@@ -298,26 +348,15 @@ let handle_fs_request (t : t) (s : fs_session) (req : Sfsrw.request) : string =
              differ: re-authentication after a reconnect renumbers it). *)
           let key = (s.peer, xid) in
           match Hashtbl.find_opt t.drc key with
-          | Some (p0, a0, reply) when p0 = proc && String.equal a0 args -> (* sfslint: allow SL001 — duplicate-request-cache argument compare, nothing secret *)
+          | Some e when e.d_proc = proc && String.equal e.d_args args -> (* sfslint: allow SL001 — duplicate-request-cache argument compare, nothing secret *)
               Obs.incr t.obs "recover.retransmit_hit";
               (* Instantaneous marker: the replay shows up in the trace
                  attached to the retransmitting op. *)
               Obs.span t.obs ~cat:"server" "drc_hit" (fun () -> ());
-              reply
+              Cached e
           | previous ->
               execute_fs_call t s ~authno ~proc args;
-              (* The one copy of the reply: DRC entry and seal input. *)
-              let reply = Xdr.to_string s.enc in
-              Hashtbl.replace t.drc key (proc, args, reply);
-              if previous = None then begin
-                Obs.incr t.obs "server.drc_insert";
-                Queue.push key t.drc_order;
-                if Queue.length t.drc_order > drc_size then begin
-                  Obs.incr t.obs "server.drc_evict";
-                  Hashtbl.remove t.drc (Queue.pop t.drc_order)
-                end
-              end;
-              reply)
+              Cached (drc_insert t s key ~proc ~args ~fresh:(previous = None)))
 
 let fs_connection ?(encrypt = true) ~(peer : string) (t : t) : string -> string =
   (* Connection state machine: connect -> keyneg -> channel traffic.
@@ -371,9 +410,13 @@ let fs_connection ?(encrypt = true) ~(peer : string) (t : t) : string -> string 
             let reply =
               match Sfsrw.request_of_string plaintext with
               | Ok req -> handle_fs_request t s req
-              | Result.Error e -> Sfsrw.response_to_string (Sfsrw.Proto_error e)
+              | Result.Error e -> Message (Sfsrw.response_to_string (Sfsrw.Proto_error e))
             in
-            Channel.seal s.channel reply)
+            (* A cached reply is sealed straight from its entry's
+               bytes: no plaintext copy is made for the seal. *)
+            match reply with
+            | Cached e -> Channel.seal_bytes s.channel e.d_reply ~len:e.d_len
+            | Message m -> Channel.seal s.channel m)
     | `Dead -> raise Simnet.Timeout
 
 (* --- The connection dispatcher (sfssd proper) --- *)

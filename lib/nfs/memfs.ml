@@ -10,8 +10,15 @@
 open Nfs_types
 module Simos = Sfs_os.Simos
 
+(* A regular file's data: one immutable string per 8,192-byte block,
+   each a prefix of its block, and the file size.  The bytes after a
+   block's stored prefix, up to [size], read as zeros; no stored byte
+   lies at or past [size].  Blocks past the end of [blocks] store
+   nothing, so extending a file allocates nothing. *)
+type file = { mutable blocks : string array; mutable size : int }
+
 type node_kind =
-  | Reg of { mutable data : Bytes.t; mutable len : int }
+  | Reg of file
   | Dir of (string, int) Hashtbl.t
   | Symlink of string
 
@@ -80,7 +87,7 @@ let kind_ftype = function Reg _ -> NF_REG | Dir _ -> NF_DIR | Symlink _ -> NF_LN
 
 let node_size (i : inode) : int =
   match i.kind with
-  | Reg f -> f.len
+  | Reg f -> f.size
   | Dir entries -> 512 + (Hashtbl.length entries * 32)
   | Symlink target -> String.length target
 
@@ -177,21 +184,99 @@ let readlink (t : t) (cred : Simos.cred) (id : int) : string res =
   let* () = can_read cred i in
   match i.kind with Symlink target -> Ok target | Reg _ | Dir _ -> Error NFS3ERR_INVAL
 
+(* --- The block store --- *)
+
+let block_size = 8192
+
+let stored (f : file) (b : int) : string = if b < Array.length f.blocks then f.blocks.(b) else ""
+
+(* The file bytes [off, off + n), [0 < n] and [off + n <= f.size].  A
+   range that is exactly one stored block is served as that block
+   itself; any other range is one exact-size copy, zeros where nothing
+   is stored. *)
+let read_blocks (f : file) ~(off : int) ~(n : int) : string =
+  let first = stored f (off / block_size) in
+  if off mod block_size = 0 && String.length first = n then first
+  else begin
+    let out = Bytes.make n '\000' in (* sfslint: allow SL013 — a range other than one stored block has no string of its own *)
+    let pos = ref off in
+    while !pos < off + n do
+      let b = !pos / block_size in
+      let boff = !pos - (b * block_size) in
+      let take = min (block_size - boff) (off + n - !pos) in
+      let s = stored f b in
+      let have = min take (String.length s - boff) in
+      if have > 0 then Bytes.blit_string s boff out (!pos - off) have;
+      pos := !pos + take
+    done;
+    Bytes.unsafe_to_string out
+  end
+
+(* Write [data] at [off].  A block the write covers from its start past
+   its stored bytes becomes the caller's string itself when that string
+   is the whole of what lands in the block; any other block touched is
+   copied once, with its old bytes, the zeros of any gap and the new
+   bytes.  Callers pass immutable strings: no writer keeps a view of a
+   buffer it later reuses. *)
+let write_blocks (f : file) ~(off : int) (data : string) : unit =
+  let len = String.length data in
+  let endoff = off + len in
+  let nb = (endoff + block_size - 1) / block_size in
+  if len > 0 && nb > Array.length f.blocks then begin
+    let grown = Array.make (max nb (2 * Array.length f.blocks)) "" in
+    Array.blit f.blocks 0 grown 0 (Array.length f.blocks);
+    f.blocks <- grown
+  end;
+  let pos = ref off in
+  while !pos < endoff do
+    let b = !pos / block_size in
+    let boff = !pos - (b * block_size) in
+    let take = min (block_size - boff) (endoff - !pos) in
+    let old = f.blocks.(b) in
+    f.blocks.(b) <-
+      (if boff = 0 && take = len && len >= String.length old then data
+       else begin
+         let keep = String.length old in
+         let blk = Bytes.make (max keep (boff + take)) '\000' in (* sfslint: allow SL013 — copy-on-write of a block the write covers only in part *)
+         Bytes.blit_string old 0 blk 0 keep;
+         Bytes.blit_string data (!pos - off) blk boff take;
+         Bytes.unsafe_to_string blk
+       end);
+    pos := !pos + take
+  done;
+  if endoff > f.size then f.size <- endoff
+
+(* Set the size: a cut drops the blocks past it and trims the block it
+   falls in, so a later extension reads zeros there; an extension
+   allocates nothing. *)
+let resize (f : file) (size : int) : unit =
+  if size < f.size then begin
+    let nb = (size + block_size - 1) / block_size in
+    if nb < Array.length f.blocks then f.blocks <- Array.sub f.blocks 0 nb;
+    if nb > 0 then begin
+      let last = stored f (nb - 1) and keep = size - ((nb - 1) * block_size) in
+      if String.length last > keep then f.blocks.(nb - 1) <- String.sub last 0 keep
+    end
+  end;
+  f.size <- size
+
+(* Matches instead of [let*]: the data path's commonest call builds no
+   continuation closures. *)
 let read (t : t) (cred : Simos.cred) (id : int) ~(off : int) ~(count : int) : (string * bool) res =
-  let* i = find t id in
-  let* () = can_read cred i in
-  match i.kind with
-  | Dir _ -> Error NFS3ERR_ISDIR
-  | Symlink _ -> Error NFS3ERR_INVAL
-  | Reg f ->
-      if off < 0 || count < 0 then Error NFS3ERR_INVAL
-      else begin
-        i.atime <- t.now ();
-        let avail = max 0 (f.len - off) in
-        let n = min count avail in
-        let chunk = if n = 0 then "" else Bytes.sub_string f.data off n in
-        Ok (chunk, off + n >= f.len)
-      end
+  match Hashtbl.find_opt t.inodes id with
+  | None -> Error NFS3ERR_STALE
+  | Some i -> (
+      match (can_read cred i, i.kind) with
+      | Error e, _ -> Error e
+      | Ok (), Dir _ -> Error NFS3ERR_ISDIR
+      | Ok (), Symlink _ -> Error NFS3ERR_INVAL
+      | Ok (), Reg f ->
+          if off < 0 || count < 0 then Error NFS3ERR_INVAL
+          else begin
+            i.atime <- t.now ();
+            let n = min count (max 0 (f.size - off)) in
+            Ok ((if n = 0 then "" else read_blocks f ~off ~n), off + n >= f.size)
+          end)
 
 let readdir (t : t) (cred : Simos.cred) (id : int) : dirent list res =
   let* i = find t id in
@@ -246,13 +331,7 @@ let setattr (t : t) (cred : Simos.cred) (id : int) (s : sattr) : fattr res =
         else
           match i.kind with
           | Reg f ->
-              if size <= f.len then f.len <- size
-              else begin
-                let nd = Bytes.make size '\000' in
-                Bytes.blit f.data 0 nd 0 f.len;
-                f.data <- nd;
-                f.len <- size
-              end;
+              resize f size;
               i.mtime <- t.now ();
               bump_gen t i;
               Ok ()
@@ -307,7 +386,7 @@ let add_entry (t : t) (cred : Simos.cred) ~(dir : int) (name : string) (make : u
 
 let create_file (t : t) (cred : Simos.cred) ~(dir : int) (name : string) ~(mode : int) : (int * fattr) res =
   add_entry t cred ~dir name (fun () ->
-      alloc t (Reg { data = Bytes.create 0; len = 0 }) ~cred ~mode:(mode land 0o7777))
+      alloc t (Reg { blocks = [||]; size = 0 }) ~cred ~mode:(mode land 0o7777))
 
 let mkdir (t : t) (cred : Simos.cred) ~(dir : int) (name : string) ~(mode : int) : (int * fattr) res =
   add_entry t cred ~dir name (fun () -> alloc t (Dir (Hashtbl.create 8)) ~cred ~mode:(mode land 0o7777))
@@ -325,15 +404,7 @@ let write (t : t) (cred : Simos.cred) (id : int) ~(off : int) (data : string) : 
   | Reg f ->
       if off < 0 then Error NFS3ERR_INVAL
       else begin
-        let endoff = off + String.length data in
-        if endoff > Bytes.length f.data then begin
-          let cap = max endoff (max 256 (2 * Bytes.length f.data)) in
-          let nd = Bytes.make cap '\000' in
-          Bytes.blit f.data 0 nd 0 f.len;
-          f.data <- nd
-        end;
-        Bytes.blit_string data 0 f.data off (String.length data);
-        if endoff > f.len then f.len <- endoff;
+        write_blocks f ~off data;
         i.mtime <- t.now ();
         i.ctime <- i.mtime;
         bump_gen t i;

@@ -6,8 +6,13 @@
 open Nfs_types
 module Simos = Sfs_os.Simos
 
+type file
+(** A regular file's data: one immutable string per 8,192-byte block,
+    each a prefix of its block, plus the size; unstored bytes read as
+    zeros. *)
+
 type node_kind =
-  | Reg of { mutable data : Bytes.t; mutable len : int }
+  | Reg of file
   | Dir of (string, int) Hashtbl.t
   | Symlink of string
 
@@ -29,7 +34,8 @@ val access : t -> Simos.cred -> int -> int -> int res
 val readlink : t -> Simos.cred -> int -> string res
 
 val read : t -> Simos.cred -> int -> off:int -> count:int -> (string * bool) res
-(** [(data, eof)]. *)
+(** [(data, eof)].  A range that is exactly one stored block returns
+    the stored string itself; any other range is one exact-size copy. *)
 
 val readdir : t -> Simos.cred -> int -> dirent list res
 (** Entries sorted by name; [d_fh] fields carry inode numbers. *)
@@ -38,12 +44,20 @@ val readdir : t -> Simos.cred -> int -> dirent list res
 
 val setattr : t -> Simos.cred -> int -> sattr -> fattr res
 (** chmod/chown/utimes require ownership (chown: root); truncate
-    requires write access. *)
+    requires write access.  A cut drops the stored bytes past the new
+    size, so a later extension reads zeros there; an extension
+    allocates nothing. *)
 
 val create_file : t -> Simos.cred -> dir:int -> string -> mode:int -> (int * fattr) res
 val mkdir : t -> Simos.cred -> dir:int -> string -> mode:int -> (int * fattr) res
 val symlink : t -> Simos.cred -> dir:int -> string -> target:string -> (int * fattr) res
+
 val write : t -> Simos.cred -> int -> off:int -> string -> fattr res
+(** Keeps [data] itself as a block when it is all that lands in a block
+    it covers from the start past the stored bytes, so [data] must not
+    be a view of a buffer the caller reuses; any other block touched is
+    copied once. *)
+
 val remove : t -> Simos.cred -> dir:int -> string -> unit res
 val rmdir : t -> Simos.cred -> dir:int -> string -> unit res
 

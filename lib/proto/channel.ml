@@ -196,10 +196,11 @@ let rekey_mac (h : half) : unit =
 (* Even with encryption disabled the channel keeps its framing and MAC
    discipline (the ablation removes only the ARC4 pass), so "SFS w/o
    encryption" still detects tampering, as the real system's
-   no-encryption dialect would still MAC traffic. *)
-let seal ?(bill = true) (t : t) (plaintext : string) : string =
+   no-encryption dialect would still MAC traffic.  The plaintext is the
+   first [len] bytes of [src]: an encoder's buffer seals with no copy
+   of its own. *)
+let seal_bytes ?(bill = true) (t : t) (src : Bytes.t) ~len:(n : int) : string =
   Obs.span t.obs ~cat:"channel" "seal" (fun () ->
-      let n = String.length plaintext in
       Obs.incr t.obs t.keys.k_sent;
       Obs.add t.obs t.keys.k_bytes_out n;
       if t.encrypt then
@@ -213,13 +214,17 @@ let seal ?(bill = true) (t : t) (plaintext : string) : string =
       let frame_len = 4 + n + Mac.mac_size in
       let buf = frame_buf t.send_half frame_len in
       Sfs_util.Bytesutil.put_be32 buf ~off:0 n;
-      Bytes.blit_string plaintext 0 buf 4 n;
+      Bytes.blit src 0 buf 4 n;
       Mac.mac_into t.send_half.mac buf ~off:0 ~len:(4 + n) ~dst:buf ~dst_off:(4 + n);
       if t.encrypt then ignore (encrypt_consume t.send_half buf ~off:0 ~len:frame_len)
       else
         (* Keep the stream positions in lock-step with the encrypted mode. *)
         skip_consume t.send_half frame_len;
       Bytes.sub_string buf 0 frame_len)
+
+(* [seal_bytes] only reads its source, so a string is sealed in place. *)
+let seal ?bill (t : t) (plaintext : string) : string =
+  seal_bytes ?bill t (Bytes.unsafe_of_string plaintext) ~len:(String.length plaintext)
 
 let reject (t : t) (e : open_error) : ('a, open_error) result =
   Obs.incr t.obs t.keys.k_mac_failures;

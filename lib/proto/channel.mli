@@ -31,14 +31,19 @@ val create :
     and MAC-failure counters are recorded under [channel.<label>.*]
     (default label ["chan"]). *)
 
+val seal_bytes : ?bill:bool -> t -> Bytes.t -> len:int -> string
+[@@sfs.declassify "the trusted seal boundary: MAC-then-encrypt output is what SFS puts on the wire"]
+(** Protect one outgoing message, the first [len] bytes of the buffer
+    (an encoder's, or a duplicate-request-cache entry's), which is only
+    read.  [~bill:false] suppresses the time charge (pipelined
+    write-behind traffic bills a fraction instead).  Allocates only the
+    returned frame: the per-message MAC key is drawn into a fixed
+    buffer, the direction's HMAC state is re-keyed from it in place,
+    and the frame is assembled and encrypted in a reused buffer. *)
+
 val seal : ?bill:bool -> t -> string -> string
 [@@sfs.declassify "the trusted seal boundary: MAC-then-encrypt output is what SFS puts on the wire"]
-(** Protect one outgoing message.  [~bill:false] suppresses the time
-    charge (pipelined write-behind traffic bills a fraction instead).
-    Allocates only the returned frame: the per-message MAC key is drawn
-    into a fixed buffer, the direction's HMAC state is re-keyed from it
-    in place, and the frame is assembled and encrypted in a reused
-    buffer. *)
+(** {!seal_bytes} of a whole string. *)
 
 val open_ : t -> string -> (string, open_error) result
 (** Open one incoming message.  Any [Error] poisons the channel (the

@@ -25,6 +25,8 @@ let make_enc () : enc = { buf = Bytes.create 256; len = 0 }
 let reset (e : enc) : unit = e.len <- 0
 
 let to_string (e : enc) : string = Bytes.sub_string e.buf 0 e.len
+let buffer (e : enc) : Bytes.t = e.buf
+let length (e : enc) : int = e.len
 
 (* Room for [n] more bytes, growing geometrically.  Bytes.create leaves
    contents uninitialized; writers below fill every byte they claim. *)

@@ -14,6 +14,13 @@ type enc
 val make_enc : unit -> enc
 val to_string : enc -> string
 
+val buffer : enc -> Bytes.t
+(** The encoder's own buffer, not a copy: its first [length e] bytes
+    are the message.  Valid until the next write or {!reset}; read it,
+    never write it. *)
+
+val length : enc -> int
+
 val reset : enc -> unit
 (** Empties the encoder, keeping its buffer — one encoder can serve a
     whole connection without per-call allocation. *)

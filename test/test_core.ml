@@ -788,6 +788,7 @@ module Keyneg = Sfs_proto.Keyneg
 module Sfsrw = Sfs_proto.Sfsrw
 module Nfs_proto = Sfs_nfs.Nfs_proto
 module Xdr = Sfs_xdr.Xdr
+module Obs = Sfs_obs.Obs
 
 type raw_session = {
   r_conn : Simnet.conn;
@@ -798,14 +799,14 @@ type raw_session = {
 
 (* A server over a fresh Memfs with a world-writable /pub.  The key is
    drawn before the authserv, which is drawn before the server. *)
-let raw_server ?allow_anonymous (net : Simnet.t) (rng : Prng.t) (location : string) : Server.t =
+let raw_server ?allow_anonymous ?obs (net : Simnet.t) (rng : Prng.t) (location : string) : Server.t =
   let clock = Simnet.clock net in
   let now () = Nfs_types.time_of_us (Simclock.now_us clock) in
   let host = Simnet.add_host net location in
   let fs = Memfs.create ~now () in
   ignore (Memfs.mkdir fs (Simos.cred_of_user Simos.root_user) ~dir:Memfs.root_id "pub" ~mode:0o777);
   let key = Rabin.generate ~bits:512 rng in
-  Server.create ?allow_anonymous net ~host ~location ~key ~rng
+  Server.create ?allow_anonymous ?obs net ~host ~location ~key ~rng
     ~backend:(Memfs_ops.make ~fs ~disk:(Diskmodel.create clock))
     ~authserv:(Authserv.create rng) ()
 
@@ -998,11 +999,13 @@ let test_fhcrypt_alloc () =
   Testkit.check_alloc_under "Fhcrypt.encrypt" ~bound:512 (fun () -> ignore (Fhcrypt.encrypt f inner));
   Testkit.check_alloc_under "Fhcrypt.decrypt" ~bound:512 (fun () -> ignore (Fhcrypt.decrypt f wire))
 
-(* One 8 KB READ through the server's fs connection — open, decode,
-   handle decryption, the Memfs read, reply marshaling, the DRC copy
-   and the seal — metered from the sealed request to the sealed reply.
-   The data itself accounts for three copies (Memfs read, DRC entry,
-   wire), ~25 KB. *)
+(* One 8 KB READ through the server, from the sealed request to the
+   sealed reply, once the duplicate-request cache is full: the stored
+   block is served as itself, marshaled into the session encoder,
+   copied into the buffer of the entry the insert evicts, and sealed
+   from there, so the one payload-sized allocation is the frame.  It
+   reads 10,816 B; copying the data out of Memfs and out of the
+   encoder as well cost about 27 KB. *)
 let test_server_read_alloc () =
   let rng = Prng.create [ "server-read-alloc" ] in
   let net = Simnet.create (Simclock.create ()) in
@@ -1017,21 +1020,90 @@ let test_server_read_alloc () =
     Channel.seal s.r_chan
       (raw_request s ~proc:Nfs_proto.proc_read (Xdr.encode Nfs_proto.enc_read_args (f, 0, 8192)))
   in
-  (* The first read grows the session's encoder and frame buffers. *)
-  ignore (raw_open s (Simnet.inject s.r_conn (read ())));
+  (* More READs than the cache holds: every later insert evicts an
+     8 KB entry whose buffer it takes over. *)
+  for _ = 1 to 600 do
+    ignore (raw_open s (Simnet.inject s.r_conn (read ())))
+  done;
   let wire = read () in
   let reply = ref "" in
-  Testkit.check_alloc_under "8 KB READ through the server" ~bound:30_720 (fun () ->
+  Testkit.check_alloc_under "8 KB READ through the server" ~bound:13_520 (fun () ->
       reply := Simnet.inject s.r_conn wire);
   match Xdr.run (raw_results (raw_open s !reply)) (Nfs_proto.dec_res Nfs_proto.dec_read_ok) with
   | Ok (Ok (got, _, _)) -> Testkit.check_string "read back" (pattern 8192) got
   | _ -> Alcotest.fail "read failed"
 
+(* The duplicate-request cache under buffer reuse: more than 600 8 KB
+   READs interleaved with CREATEs and WRITEs, so that most inserts take
+   over an evicted entry's buffer.  A retransmission of any live xid
+   replays the reply it first got, byte for byte, also after further
+   inserts have reused buffers; an evicted xid executes again. *)
+let test_drc_recycling () =
+  let rng = Prng.create [ "drc-recycling" ] in
+  let clock = Simclock.create () in
+  let net = Simnet.create clock in
+  let _c = Simnet.add_host net "client.example.com" in
+  let temp_key = Rabin.generate ~bits:512 rng in
+  let obs = Obs.create ~now_us:(fun () -> Simclock.now_us clock) () in
+  let server = raw_server ~obs net rng "drc.example.com" in
+  let s = raw_connect net rng ~temp_key server in
+  let call ~proc enc v = raw_exchange s (raw_request s ~proc (Xdr.encode enc v)) in
+  let pub = raw_handle (call ~proc:Nfs_proto.proc_lookup Nfs_proto.enc_diropargs (raw_root s, "pub")) in
+  let f = raw_handle (call ~proc:Nfs_proto.proc_create Nfs_proto.enc_create_args (pub, "f", 0o666)) in
+  for b = 0 to 3 do
+    ignore (call ~proc:Nfs_proto.proc_write Nfs_proto.enc_write_args (f, b * 8192, true, pattern (8192 + b)))
+  done;
+  (* Every request sent, with the digest of the reply it got. *)
+  let sent = ref [] in
+  let send ~proc enc v =
+    let req = raw_request s ~proc (Xdr.encode enc v) in
+    sent := (req, Sha1.digest (raw_exchange s req)) :: !sent
+  in
+  let step i =
+    if i mod 10 = 0 then
+      send ~proc:Nfs_proto.proc_create Nfs_proto.enc_create_args (pub, Printf.sprintf "c%d" i, 0o666)
+    else if i mod 7 = 0 then
+      send ~proc:Nfs_proto.proc_write Nfs_proto.enc_write_args (f, (i mod 4) * 8192, true, pattern (8192 + (i mod 4)))
+    else send ~proc:Nfs_proto.proc_read Nfs_proto.enc_read_args (f, (i mod 4) * 8192, 8192)
+  in
+  for i = 1 to 640 do
+    step i
+  done;
+  let hits () = Obs.counter obs "recover.retransmit_hit" in
+  let inserts () = Obs.counter obs "server.drc_insert" in
+  Testkit.check_int "cache full" 512 (Server.drc_entries server);
+  Testkit.check_bool "buffers recycled" true (Obs.counter obs "server.drc_evict" > 100);
+  (* Replay every live entry: the newest 512 requests. *)
+  let live () = List.filteri (fun i _ -> i < 512) !sent in
+  let replay_all label =
+    let h0 = hits () and i0 = inserts () in
+    List.iter
+      (fun (req, digest) -> Testkit.check_string label digest (Sha1.digest (raw_exchange s req)))
+      (live ());
+    Testkit.check_int (label ^ ": all replayed") (h0 + 512) (hits ());
+    Testkit.check_int (label ^ ": nothing inserted") i0 (inserts ())
+  in
+  replay_all "replay before reuse";
+  (* Fifty more READs evict fifty entries and take over their buffers;
+     no live entry's bytes may change. *)
+  for i = 641 to 690 do
+    step (if i mod 10 = 0 || i mod 7 = 0 then 1 else i)
+  done;
+  replay_all "replay after reuse";
+  (* The oldest request was evicted long ago: it executes again. *)
+  let oldest, _ = List.nth !sent (List.length !sent - 1) in
+  let h0 = hits () and i0 = inserts () in
+  ignore (raw_exchange s oldest);
+  Testkit.check_int "evicted: no replay" h0 (hits ());
+  Testkit.check_int "evicted: executed and cached" (i0 + 1) (inserts ())
+
 (* One serial 4 KB READ through the SFS client, from the cache miss to
    the returned data: seal, the exchange, the reply opened in place,
    the results decoded straight out of the frame, and the cache fill.
    Opening replies as a string and copying the results out cost
-   42,680 B here; decoding in place reads 38,576 B. *)
+   42,680 B here, and decoding in place 38,576 B, later 34,240 B.
+   Sealing each request from the encoder, with the server serving the
+   stored block and reusing evicted reply buffers, reads 29,968 B. *)
 let test_client_read_alloc () =
   let w = Sfs_workload.Stacks.make ~rpc_window:1 ~readahead:0 Sfs_workload.Stacks.Sfs in
   let path = w.Sfs_workload.Stacks.workdir ^ "/small" in
@@ -1055,7 +1127,7 @@ let test_client_read_alloc () =
   Sfs_nfs.Cachefs.invalidate_all (Client.cache m);
   read ();
   Sfs_nfs.Cachefs.invalidate_all (Client.cache m);
-  Testkit.check_alloc_under "serial 4 KB READ through the client" ~bound:42_680 read;
+  Testkit.check_alloc_under "serial 4 KB READ through the client" ~bound:37_460 read;
   Testkit.check_string "read back" (pattern 4096) !got
 
 let suite =
@@ -1067,6 +1139,7 @@ let suite =
       Alcotest.test_case "server reply byte pin" `Quick test_server_reply_pin;
       Alcotest.test_case "file handle allocation" `Quick test_fhcrypt_alloc;
       Alcotest.test_case "server read allocation" `Quick test_server_read_alloc;
+      Alcotest.test_case "drc buffer recycling" `Quick test_drc_recycling;
       Alcotest.test_case "client read allocation" `Quick test_client_read_alloc;
       Alcotest.test_case "revocation certs" `Quick test_revocation;
       Alcotest.test_case "end-to-end read/write" `Quick test_end_to_end_rw;

@@ -86,8 +86,11 @@ let signature (fs : Memfs.t) : string =
       let name = String.concat "/" path in
       let line =
         match Memfs.inode_kind fs id with
-        | Some (Memfs.Reg { data; len }) ->
-            Printf.sprintf "F %s %d %s" name len (Digest.to_hex (Digest.subbytes data 0 len))
+        | Some (Memfs.Reg _) -> (
+            match Memfs.read fs (Sfs_os.Simos.cred_of_user Sfs_os.Simos.root_user) id ~off:0 ~count:max_int with
+            | Ok (data, _) ->
+                Printf.sprintf "F %s %d %s" name (String.length data) (Digest.to_hex (Digest.string data))
+            | Error _ -> "? " ^ name)
         | Some (Memfs.Dir _) -> "D " ^ name
         | Some (Memfs.Symlink t) -> Printf.sprintf "L %s %s" name t
         | None -> "? " ^ name

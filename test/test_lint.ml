@@ -260,6 +260,14 @@ let test_sl013_zero_copy_read_path () =
     "let note_block t h b data = store t h b (String.sub data 0 8192)";
   fires "Bytes.sub_string in the slice codec" ~path:"lib/xdr/xdr.ml" ~code:"SL013"
     "let dec_opaque_slice d = Bytes.sub_string d.data d.pos 8";
+  fires "Bytes.make in Memfs's block read" ~path:"lib/nfs/memfs.ml" ~code:"SL013"
+    "let read_blocks f ~off ~n = let out = Bytes.make n '\\000' in fill f out";
+  fires "Bytes.create in the DRC insert" ~path:"lib/core/server.ml" ~code:"SL013"
+    "let drc_insert t s key = let reply = Bytes.create 8192 in store t key reply";
+  fires "String.sub at the server's seal" ~path:"lib/core/server.ml" ~code:"SL013"
+    "let fs_connection t = fun bytes -> seal t (String.sub bytes 0 4)";
+  silent "copy outside the audited server bindings" ~path:"lib/core/server.ml" ~code:"SL013"
+    "let revoke t = Bytes.create 16";
   silent "Slice view construction" ~path:"lib/proto/channel.ml" ~code:"SL013"
     "let open_slice t wire = Sfs_util.Slice.make wire ~off:4 ~len:10";
   silent "copy outside the audited bindings" ~path:"lib/proto/channel.ml" ~code:"SL013"

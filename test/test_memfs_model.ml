@@ -3,7 +3,10 @@
    association list of paths); observable results must agree.
 
    The model covers the namespace and file contents for a single
-   superuser credential; permission logic has its own directed tests. *)
+   superuser credential; permission logic has its own directed tests.
+   Writes at offsets and truncations cross 8 KB block boundaries and go
+   past the end of the file, and each is observed as the file's whole
+   contents after it; the model zero-fills every hole. *)
 
 module Memfs = Sfs_nfs.Memfs
 module Nfs_types = Sfs_nfs.Nfs_types
@@ -42,6 +45,8 @@ type op =
   | Create of string list * string
   | Mkdir of string list * string
   | Write of string list * string (* append marker content *)
+  | Write_at of string list * int * string
+  | Truncate of string list * int
   | Read of string list
   | Remove of string list * string
   | Rmdir of string list * string
@@ -55,6 +60,9 @@ let pp_op = function
   | Create (p, n) -> Printf.sprintf "create %s/%s" (pp_path p) n
   | Mkdir (p, n) -> Printf.sprintf "mkdir %s/%s" (pp_path p) n
   | Write (p, data) -> Printf.sprintf "write %s (%d bytes)" (pp_path p) (String.length data)
+  | Write_at (p, off, data) ->
+      Printf.sprintf "write %s at %d (%d bytes)" (pp_path p) off (String.length data)
+  | Truncate (p, n) -> Printf.sprintf "truncate %s to %d" (pp_path p) n
   | Read p -> Printf.sprintf "read %s" (pp_path p)
   | Remove (p, n) -> Printf.sprintf "remove %s/%s" (pp_path p) n
   | Rmdir (p, n) -> Printf.sprintf "rmdir %s/%s" (pp_path p) n
@@ -70,14 +78,47 @@ let gen_name = QCheck.Gen.oneofl names
 let gen_path : string list QCheck.Gen.t =
   QCheck.Gen.(list_size (int_range 0 2) gen_name)
 
+(* Files are mostly created in the root, and data ops mostly aim at
+   the root's entries, so that writes, truncations and reads meet on
+   one file. *)
+let gen_create_dir : string list QCheck.Gen.t = QCheck.Gen.(frequency [ (1, return []); (1, gen_path) ])
+
+let gen_file_path : string list QCheck.Gen.t =
+  QCheck.Gen.(frequency [ (3, map (fun n -> [ n ]) gen_name); (1, gen_path) ])
+
+(* Offsets and sizes near the first two block boundaries, inside the
+   first blocks, and out to past three blocks. *)
+let gen_offset : int QCheck.Gen.t =
+  let open QCheck.Gen in
+  frequency
+    [
+      (2, int_range 0 100);
+      (2, oneofl [ 0; 8192; 16384 ]);
+      (2, map (fun k -> 8192 + k) (int_range (-40) 40));
+      (1, map (fun k -> 16384 + k) (int_range (-40) 40));
+      (2, int_range 0 30_000);
+    ]
+
+(* Mostly short writes; some fill or nearly fill a block. *)
+let gen_data : string QCheck.Gen.t =
+  let open QCheck.Gen in
+  frequency
+    [
+      (4, string_size ~gen:printable (int_range 0 64));
+      (1, string_size ~gen:printable (int_range 8150 8192));
+      (1, string_size ~gen:printable (int_range 8193 9000));
+    ]
+
 let gen_op : op QCheck.Gen.t =
   let open QCheck.Gen in
   frequency
     [
-      (3, map2 (fun p n -> Create (p, n)) gen_path gen_name);
+      (3, map3 (fun p off d -> Write_at (p, off, d)) gen_file_path gen_offset gen_data);
+      (2, map2 (fun p n -> Truncate (p, n)) gen_file_path gen_offset);
+      (3, map2 (fun p n -> Create (p, n)) gen_create_dir gen_name);
       (2, map2 (fun p n -> Mkdir (p, n)) gen_path gen_name);
-      (3, map2 (fun p s -> Write (p, s)) gen_path (string_size ~gen:printable (int_range 0 64)));
-      (3, map (fun p -> Read p) gen_path);
+      (3, map2 (fun p s -> Write (p, s)) gen_file_path (string_size ~gen:printable (int_range 0 64)));
+      (3, map (fun p -> Read p) gen_file_path);
       (2, map2 (fun p n -> Remove (p, n)) gen_path gen_name);
       (1, map2 (fun p n -> Rmdir (p, n)) gen_path gen_name);
       (1, map (fun ((p, n), (q, m)) -> Rename (p, n, q, m)) (pair (pair gen_path gen_name) (pair gen_path gen_name)));
@@ -119,6 +160,25 @@ let model_apply (m : model) (op : op) : model * string option =
   | Write (p, data) -> (
       match mlookup m p with
       | Some (Mfile _) -> (((p, Mfile data) :: List.remove_assoc p m), Some "ok")
+      | _ -> (m, Some "err"))
+  | Write_at (p, off, data) -> (
+      match mlookup m p with
+      | Some (Mfile old) ->
+          let len = max (String.length old) (off + String.length data) in
+          let b = Bytes.make len '\000' in
+          Bytes.blit_string old 0 b 0 (String.length old);
+          Bytes.blit_string data 0 b off (String.length data);
+          let data = Bytes.to_string b in
+          (((p, Mfile data) :: List.remove_assoc p m), Some ("data:" ^ data))
+      | _ -> (m, Some "err"))
+  | Truncate (p, n) -> (
+      match mlookup m p with
+      | Some (Mfile old) ->
+          let cut =
+            if n <= String.length old then String.sub old 0 n
+            else old ^ String.make (n - String.length old) '\000'
+          in
+          (((p, Mfile cut) :: List.remove_assoc p m), Some ("data:" ^ cut))
       | _ -> (m, Some "err"))
   | Read p -> (
       match mlookup m p with
@@ -194,6 +254,12 @@ let model_apply (m : model) (op : op) : model * string option =
       | Some Mdir -> (m, Some ("ls:" ^ String.concat "," (mchildren m p)))
       | _ -> (m, Some "err"))
 
+(* A file's whole contents, the observation after a data op. *)
+let contents (fs : Memfs.t) (id : int) : string =
+  match Memfs.read fs root_cred id ~off:0 ~count:max_int with
+  | Ok (data, _) -> "data:" ^ data
+  | Error _ -> "err"
+
 let real_apply (fs : Memfs.t) (op : op) : string =
   let dir_of p = resolve fs p in
   match op with
@@ -220,11 +286,31 @@ let real_apply (fs : Memfs.t) (op : op) : string =
                   match Memfs.write fs root_cred id ~off:0 data with Ok _ -> "ok" | Error _ -> "err")
               | Error _ -> "err")
           | _ -> "err"))
+  | Write_at (p, off, data) -> (
+      match dir_of p with
+      | None -> "err"
+      | Some id -> (
+          match Memfs.inode_kind fs id with
+          | Some (Memfs.Reg _) -> (
+              match Memfs.write fs root_cred id ~off data with
+              | Ok _ -> contents fs id
+              | Error _ -> "err")
+          | _ -> "err"))
+  | Truncate (p, n) -> (
+      match dir_of p with
+      | None -> "err"
+      | Some id -> (
+          match Memfs.inode_kind fs id with
+          | Some (Memfs.Reg _) -> (
+              match Memfs.setattr fs root_cred id { Nfs_types.sattr_empty with Nfs_types.set_size = Some n } with
+              | Ok _ -> contents fs id
+              | Error _ -> "err")
+          | _ -> "err"))
   | Read p -> (
       match dir_of p with
       | None -> "err"
       | Some id -> (
-          match Memfs.read fs root_cred id ~off:0 ~count:10_000 with
+          match Memfs.read fs root_cred id ~off:0 ~count:max_int with
           | Ok (data, _) -> "data:" ^ data
           | Error _ -> "err"))
   | Remove (p, n) -> (
@@ -269,8 +355,15 @@ let run_trace (ops : op list) : bool =
         let m', expected = model_apply m op in
         let got = real_apply fs op in
         if Some got <> expected then (
-          QCheck.Test.fail_reportf "divergence on %s: model=%s real=%s" (pp_op op)
-            (Option.value expected ~default:"-") got)
+          let expected = Option.value expected ~default:"-" in
+          let rec first i =
+            if i < String.length expected && i < String.length got && expected.[i] = got.[i] then first (i + 1)
+            else i
+          in
+          let at = first 0 in
+          let near s = String.sub s at (min 16 (String.length s - at)) in
+          QCheck.Test.fail_reportf "divergence on %s: model (%d B) and real (%d B) differ at %d: %S vs %S"
+            (pp_op op) (String.length expected) (String.length got) at (near expected) (near got))
         else go m' rest
   in
   go [] ops
@@ -279,7 +372,7 @@ let model_test =
   QCheck.Test.make ~count:300 ~name:"memfs agrees with reference model"
     (QCheck.make
        ~print:(fun ops -> String.concat "; " (List.map pp_op ops))
-       QCheck.Gen.(list_size (int_range 1 40) gen_op))
+       QCheck.Gen.(list_size (int_range 1 60) gen_op))
     run_trace
 
 let suite = ("memfs-model", Testkit.to_alcotest [ model_test ])

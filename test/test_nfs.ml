@@ -121,6 +121,51 @@ let test_memfs_truncate () =
   let data, _ = ok "read2" (Memfs.read fs root f ~off:0 ~count:10) in
   Testkit.check_string "zero pad" "0123\000\000\000\000" data
 
+(* Bytes cut off by a truncation never come back: a later write past
+   the cut leaves zeros in the hole, within a block and across blocks. *)
+let test_memfs_truncate_hole () =
+  let _, fs = setup () in
+  let f, _ = ok "create" (Memfs.create_file fs root ~dir:Memfs.root_id "s" ~mode:0o644) in
+  ignore (ok "write" (Memfs.write fs root f ~off:0 "SECRETSECRET"));
+  ignore (ok "truncate" (Memfs.setattr fs root f { sattr_empty with set_size = Some 0 }));
+  ignore (ok "write past the cut" (Memfs.write fs root f ~off:8 "xy"));
+  let data, eof = ok "read" (Memfs.read fs root f ~off:0 ~count:100) in
+  Testkit.check_string "hole reads zeros" (String.make 8 '\000' ^ "xy") data;
+  Testkit.check_bool "eof" true eof;
+  let g, _ = ok "create" (Memfs.create_file fs root ~dir:Memfs.root_id "g" ~mode:0o644) in
+  ignore (ok "write" (Memfs.write fs root g ~off:0 (String.make 20_000 'S')));
+  ignore (ok "cut mid-block" (Memfs.setattr fs root g { sattr_empty with set_size = Some 10_000 }));
+  ignore (ok "write past the cut" (Memfs.write fs root g ~off:16_400 "z"));
+  let data, _ = ok "read" (Memfs.read fs root g ~off:0 ~count:20_000) in
+  Testkit.check_int "size" 16_401 (String.length data);
+  Testkit.check_string "kept" (String.make 10_000 'S') (String.sub data 0 10_000);
+  Testkit.check_string "hole" (String.make 6_400 '\000') (String.sub data 10_000 6_400);
+  Testkit.check_string "tail" "z" (String.sub data 16_400 1)
+
+(* The block store's costs: an aligned 8 KB read of a stored block is
+   the stored string itself, the very string an aligned whole-block
+   write handed in; extending a file to 64 MB allocates nothing for
+   its hole, which reads back as zeros. *)
+let test_memfs_block_alloc () =
+  let _, fs = setup () in
+  let f, _ = ok "create" (Memfs.create_file fs root ~dir:Memfs.root_id "b" ~mode:0o644) in
+  let block = String.init 8192 (fun i -> Char.chr (i land 0xff)) in
+  ignore (ok "write" (Memfs.write fs root f ~off:8192 block));
+  let got = ref "" in
+  let read () = got := fst (ok "read" (Memfs.read fs root f ~off:8192 ~count:8192)) in
+  read ();
+  Testkit.check_alloc_under "aligned 8 KB Memfs.read" ~bound:224 read;
+  Testkit.check_bool "served as stored" true (!got == block);
+  let big = 64 * 1024 * 1024 in
+  Testkit.check_alloc_under "setattr to 64 MB" ~bound:1024 (fun () ->
+      ignore (ok "extend" (Memfs.setattr fs root f { sattr_empty with set_size = Some big })));
+  let data, eof = ok "read hole" (Memfs.read fs root f ~off:(32 * 1024 * 1024) ~count:8192) in
+  Testkit.check_string "hole" (String.make 8192 '\000') data;
+  Testkit.check_bool "not eof" false eof;
+  let data, eof = ok "read end" (Memfs.read fs root f ~off:(big - 100) ~count:8192) in
+  Testkit.check_string "end" (String.make 100 '\000') data;
+  Testkit.check_bool "eof" true eof
+
 let test_memfs_read_only () =
   let _, fs = setup () in
   let f, _ = ok "create" (Memfs.create_file fs root ~dir:Memfs.root_id "x" ~mode:0o644) in
@@ -638,6 +683,8 @@ let suite =
       Alcotest.test_case "memfs remove/rename" `Quick test_memfs_remove_rename;
       Alcotest.test_case "memfs links" `Quick test_memfs_links_and_symlinks;
       Alcotest.test_case "memfs truncate" `Quick test_memfs_truncate;
+      Alcotest.test_case "memfs hole after truncation" `Quick test_memfs_truncate_hole;
+      Alcotest.test_case "memfs block store allocation" `Quick test_memfs_block_alloc;
       Alcotest.test_case "memfs read-only" `Quick test_memfs_read_only;
       Alcotest.test_case "memfs bad names" `Quick test_memfs_bad_names;
       Alcotest.test_case "diskmodel caching" `Quick test_diskmodel_caching;

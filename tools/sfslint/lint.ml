@@ -114,12 +114,13 @@ let rules : rule_info list =
     };
     {
       ri_code = "SL013";
-      ri_title = "copying allocation on the zero-copy read path";
+      ri_title = "copying allocation on the zero-copy data path";
       ri_hint =
         "the wire-to-cache read path threads one buffer end to end (Channel.open_slice -> \
-         Xdr.dec_opaque_slice -> Cachefs blocks); build Slice views into the opened frame instead \
-         of fresh Bytes.create/Bytes.sub/String.sub copies, or waive with a pragma saying why the \
-         copy is inherent";
+         Xdr.dec_opaque_slice -> Cachefs blocks), Memfs serves and keeps whole stored blocks, and \
+         the server seals a reply from its DRC entry; build Slice views or reuse the stored bytes \
+         instead of fresh Bytes.create/Bytes.make/Bytes.sub/String.sub copies, or waive with a \
+         pragma saying why the copy is inherent";
     };
     {
       ri_code = "SL014";
@@ -180,18 +181,37 @@ let sl009_hot path =
 let sl010_applies path =
   in_lib path && not (List.mem path [ "lib/net/rpc_mux.ml"; "lib/nfs/nfs_client.ml" ])
 
-(* SL013: the audited wire->cache read path.  Within these files, any
-   binding that is part of the zero-copy chain — the *_slice codecs and
-   the block-cache feeders — must not allocate payload copies; a frame
-   is opened once and every later stage views into it.  Fixed-size or
-   inherent allocations carry pragmas. *)
+(* SL013: the audited zero-copy data path.  Within these files, any
+   binding that is part of the zero-copy chain — the *_slice codecs,
+   the block-cache feeders, Memfs's block store and the server's DRC
+   insert and seal — must not allocate payload copies; a frame is
+   opened once and every later stage views into it, a stored block is
+   served as itself, and a reply is sealed from the bytes that hold
+   it.  Fixed-size or inherent allocations carry pragmas. *)
 let sl013_applies path =
   List.mem path
-    [ "lib/proto/channel.ml"; "lib/proto/sfsrw.ml"; "lib/xdr/xdr.ml"; "lib/nfs/cachefs.ml" ]
+    [
+      "lib/proto/channel.ml";
+      "lib/proto/sfsrw.ml";
+      "lib/xdr/xdr.ml";
+      "lib/nfs/cachefs.ml";
+      "lib/nfs/memfs.ml";
+      "lib/core/server.ml";
+    ]
 
 let sl013_scope_name name =
   ends_with ~suffix:"_slice" name
-  || List.mem name [ "note_block"; "serve_cached"; "claim_inflight"; "fetch_pipelined" ]
+  || List.mem name
+       [
+         "note_block";
+         "claim_inflight";
+         "fetch_pipelined";
+         "read_blocks";
+         "write_blocks";
+         "drc_insert";
+         "handle_fs_request";
+         "fs_connection";
+       ]
 
 let sl003_applies path = in_lib path && path <> "lib/net/simclock.ml"
 let sl004_applies path = starts_with ~prefix:"lib/xdr/" path || starts_with ~prefix:"lib/proto/" path
@@ -558,10 +578,10 @@ let check_ast ~(path : string) ~(enabled : string list) (ast : structure) : diag
        | _ -> ());
     (if sl013_applies path && in_slice_scope () then
        match p with
-       | [ "Bytes"; "create" ] | [ "Bytes"; "sub" ] | [ "Bytes"; "sub_string" ]
+       | [ "Bytes"; "create" ] | [ "Bytes"; "make" ] | [ "Bytes"; "sub" ] | [ "Bytes"; "sub_string" ]
        | [ "String"; "sub" ] | [ "Bytes"; "of_string" ] | [ "Bytes"; "to_string" ] ->
            add ~loc "SL013"
-             (Printf.sprintf "%s allocates a copy inside the zero-copy wire-to-cache read path"
+             (Printf.sprintf "%s allocates a copy inside the zero-copy data path"
                 (String.concat "." p))
        | _ -> ());
     (if in_lib path then
