@@ -19,6 +19,7 @@
 open Sfs_nfs.Nfs_types
 module Fs_intf = Sfs_nfs.Fs_intf
 module Nfs_server = Sfs_nfs.Nfs_server
+module Drc = Sfs_nfs.Drc
 module Simos = Sfs_os.Simos
 module Simnet = Sfs_net.Simnet
 module Simclock = Sfs_net.Simclock
@@ -38,8 +39,8 @@ let sfs_port = 4
 (* A duplicate-request-cache entry: the procedure, the arguments, and
    the marshaled reply plaintext, the first [d_len] bytes of [d_reply]
    — the very bytes that were sealed.  An entry owns its buffer alone;
-   a buffer changes hands only when its entry is evicted. *)
-type drc_entry = { d_proc : int; d_args : string; d_reply : Bytes.t; d_len : int }
+   [d_reply] is set once, to the evicted entry's buffer or a new one. *)
+type drc_entry = { d_proc : int; d_args : string; mutable d_reply : Bytes.t; d_len : int }
 
 type t = {
   net : Simnet.t;
@@ -66,9 +67,8 @@ type t = {
      this role; here the relay serves the backend directly.)  Every
      procedure is cached, reads included: a reply carries the lease
      invalidations taken for it, which a re-execution would lose.
-     Bounded, FIFO eviction, volatile across crash_recover. *)
-  drc : (string * int, drc_entry) Hashtbl.t;
-  drc_order : (string * int) Queue.t;
+     Volatile across crash_recover. *)
+  drc : (string * int, drc_entry) Drc.t;
   obs : Obs.registry option;
 }
 
@@ -264,43 +264,25 @@ let execute_fs_call (t : t) (s : fs_session) ~(authno : int) ~(proc : int) (args
            enc_fh e (Fhcrypt.encrypt t.fhc t.backend.Fs_intf.fs_root);
            true)
          (fun () -> []))
-  else if not (Sfsrw.enc_fs_reply e (Nfs_server.dispatch_into s.dispatcher cred proc args) take)
-  then begin
-    Xdr.reset e;
-    Sfsrw.enc_response e (Sfsrw.Proto_error "bad procedure or arguments")
-  end
+  else
+    let dispatched e = Nfs_server.dispatch_into s.dispatcher cred proc args e = Nfs_server.Done in
+    if not (Sfsrw.enc_fs_reply e dispatched take) then begin
+      Xdr.reset e;
+      Sfsrw.enc_response e (Sfsrw.Proto_error "bad procedure or arguments")
+    end
 
 (* Record the reply in [s.enc] under [key] and return the entry.  A
-   new key is queued, and once the cache is full the oldest entry is
-   evicted first, so that a long reply can take over its buffer;
-   otherwise the reply gets an exact-size copy.  A replaced entry (a
-   reused xid with other arguments) keeps its queue place. *)
-let drc_insert (t : t) (s : fs_session) (key : string * int) ~(proc : int) ~(args : string)
-    ~(fresh : bool) : drc_entry =
-  let evicted =
-    if fresh then begin
-      Obs.incr t.obs "server.drc_insert";
-      Queue.push key t.drc_order;
-      if Queue.length t.drc_order > drc_size then begin
-        Obs.incr t.obs "server.drc_evict";
-        let old = Queue.pop t.drc_order in
-        let e = Hashtbl.find_opt t.drc old in
-        Hashtbl.remove t.drc old;
-        e
-      end
-      else None
-    end
-    else None
-  in
+   long reply takes over the buffer of the entry its insert evicts, when
+   that is big enough; otherwise it gets an exact-size copy. *)
+let drc_insert (t : t) (s : fs_session) (key : string * int) ~(proc : int) ~(args : string) :
+    drc_entry =
   let len = Xdr.length s.enc in
-  let reply =
-    match evicted with
-    | Some e when len > drc_recycle_min && Bytes.length e.d_reply >= len -> e.d_reply
-    | Some _ | None -> Bytes.create len (* sfslint: allow SL013 — a short reply, or no evicted buffer big enough: the entry's own exact-size copy *)
-  in
-  Bytes.blit (Xdr.buffer s.enc) 0 reply 0 len;
-  let e = { d_proc = proc; d_args = args; d_reply = reply; d_len = len } in
-  Hashtbl.replace t.drc key e;
+  let e = { d_proc = proc; d_args = args; d_reply = Bytes.empty; d_len = len } in
+  (e.d_reply <-
+     match Drc.admit t.drc key e with
+     | Some old when len > drc_recycle_min && Bytes.length old.d_reply >= len -> old.d_reply
+     | Some _ | None -> Bytes.create len (* sfslint: allow SL013 — a short reply, or no evicted buffer big enough: the entry's own exact-size copy *));
+  Bytes.blit (Xdr.buffer s.enc) 0 e.d_reply 0 len;
   e
 
 (* A reply plaintext: a file system call's lives in its DRC entry; an
@@ -347,16 +329,16 @@ let handle_fs_request (t : t) (s : fs_session) (req : Sfsrw.request) : reply =
              — only a true retransmission replays (the authno may legally
              differ: re-authentication after a reconnect renumbers it). *)
           let key = (s.peer, xid) in
-          match Hashtbl.find_opt t.drc key with
+          match Drc.find t.drc key with
           | Some e when e.d_proc = proc && String.equal e.d_args args -> (* sfslint: allow SL001 — duplicate-request-cache argument compare, nothing secret *)
               Obs.incr t.obs "recover.retransmit_hit";
               (* Instantaneous marker: the replay shows up in the trace
                  attached to the retransmitting op. *)
               Obs.span t.obs ~cat:"server" "drc_hit" (fun () -> ());
               Cached e
-          | previous ->
+          | _ ->
               execute_fs_call t s ~authno ~proc args;
-              Cached (drc_insert t s key ~proc ~args ~fresh:(previous = None)))
+              Cached (drc_insert t s key ~proc ~args))
 
 let fs_connection ?(encrypt = true) ~(peer : string) (t : t) : string -> string =
   (* Connection state machine: connect -> keyneg -> channel traffic.
@@ -488,8 +470,7 @@ let create ?(allow_anonymous = true) ?auth_backend
       revocation = None;
       connections = 0;
       fs_calls = 0;
-      drc = Hashtbl.create 64;
-      drc_order = Queue.create ();
+      drc = Drc.create ?obs ~bound:drc_size ~counters:"server" ();
       obs;
     }
   in
@@ -504,14 +485,13 @@ let create ?(allow_anonymous = true) ?auth_backend
    injector's restart hook calls this (see Stacks.arm_faults). *)
 let crash_recover (t : t) : unit =
   Lease.reset t.leases;
-  Hashtbl.reset t.drc;
-  Queue.clear t.drc_order;
+  Drc.clear t.drc;
   Obs.incr t.obs "recover.server_restart"
 
 let self_path (t : t) : Pathname.t = t.path
 let fs_calls (t : t) : int = t.fs_calls
 let invalidations_sent (t : t) : int = Lease.invalidations_sent t.leases
-let drc_entries (t : t) : int = Hashtbl.length t.drc
+let drc_entries (t : t) : int = Drc.length t.drc
 let leases (t : t) : Lease.t = t.leases
 
 let serve_readonly (t : t) (snap : Readonly.snapshot) : unit = t.readonly <- Some snap

@@ -262,7 +262,7 @@ let reply_results ~(xid : int) (reply : string) : reply =
   match Sunrpc.msg_of_string reply with
   | Ok (Sunrpc.Reply r) when r.Sunrpc.reply_xid = xid || r.Sunrpc.reply_xid = 0 -> (
       match r.Sunrpc.body with
-      | Sunrpc.Success results -> Ok (Slice.of_string results)
+      | Sunrpc.Success results -> Ok results
       | Sunrpc.Garbage_args ->
           (* Our request arrived corrupted; the bytes on the wire were
              damaged, not the program. *)
@@ -288,7 +288,7 @@ let reply_results ~(xid : int) (reply : string) : reply =
 let sunrpc (net : Simnet.t) ~(proto : Costmodel.transport_proto) ~(machine : string)
     (conn : Simnet.conn) : transport =
   let clock = Simnet.clock net in
-  let enc = Xdr.make_enc () and args_enc = Xdr.make_enc () in
+  let enc = Xdr.make_enc () in
   let stall =
     match proto with
     | Costmodel.Udp -> fun _ -> ()
@@ -296,10 +296,6 @@ let sunrpc (net : Simnet.t) ~(proto : Costmodel.transport_proto) ~(machine : str
         fun bytes -> if bytes > Costmodel.mss_bytes then Simclock.advance clock Costmodel.nfs_tcp_stall_us
   in
   let frame ~xid ~ctx ~cred ~overlapped:_ call write_args =
-    Xdr.reset args_enc;
-    write_args args_enc;
-    let args = Xdr.to_string args_enc in
-    stall (String.length args);
     let prog, vers, proc =
       match call with
       | Root -> (Nfs_proto.mount_prog, Nfs_proto.mount_vers, Nfs_proto.mount_proc_mnt)
@@ -308,12 +304,12 @@ let sunrpc (net : Simnet.t) ~(proto : Costmodel.transport_proto) ~(machine : str
     (* The trace annex: server-side spans attach to the op that caused
        them. *)
     let trace, span = match ctx with Some cx -> (cx.Obs.cx_trace, cx.Obs.cx_span) | None -> (0, 0) in
-    let msg =
-      Sunrpc.msg_to_string ~enc
-        (Sunrpc.Call
-           { Sunrpc.xid; prog; vers; proc; trace; span; cred = rpc_auth_of_cred machine cred; args })
-    in
-    (msg, 0.0, 0)
+    Xdr.reset enc;
+    Sunrpc.enc_call_header enc ~xid ~prog ~vers ~proc ~trace ~span (rpc_auth_of_cred machine cred);
+    let header = Xdr.length enc in
+    write_args enc;
+    stall (Xdr.length enc - header);
+    (Xdr.to_string enc, 0.0, 0)
   in
   {
     conn = (fun () -> conn);

@@ -9,16 +9,20 @@ val create : ?fh_prefix:string -> ?obs:Sfs_obs.Obs.registry -> Fs_intf.ops -> t
 (** When [obs] is given, every dispatched procedure records a span plus
     [nfs.calls] and [nfs.op.<name>] counters. *)
 
-val dispatch_into : t -> Sfs_os.Simos.cred -> int -> string -> Sfs_xdr.Xdr.enc -> bool
+type outcome =
+  | Done
+  | Bad_args  (** the arguments do not parse *)
+  | No_proc  (** no such procedure *)
+
+val dispatch_into : t -> Sfs_os.Simos.cred -> int -> string -> Sfs_xdr.Xdr.enc -> outcome
 (** [dispatch_into t cred proc args e] runs one procedure on marshaled
-    arguments and marshals its results onto [e] in place; [false], with
-    nothing written, means unparsable args or unknown procedure.  The
-    entry point the SFS server uses (with its own credential mapping
-    and handle translation around it), writing straight into its reply
-    encoder. *)
+    arguments and marshals its results onto [e] in place, after a Sun
+    RPC reply header here, inside an Fs_reply in the SFS server.
+    Nothing is written unless it is [Done]. *)
 
 val service : t -> Sfs_net.Simnet.service
-(** Expose on a network port (2049 by convention). *)
+(** Expose on a network port (2049 by convention), with a
+    per-connection {!Drc} of 128 entries keyed by xid ([nfs.drc_*]). *)
 
 val calls : t -> int
 (** Total RPCs handled, for cache-behaviour assertions. *)

@@ -21,7 +21,8 @@ type call = {
 type reject_reason = Rpc_mismatch of int * int | Auth_error of int
 
 type reply_body =
-  | Success of string  (** marshaled results *)
+  | Success of Sfs_util.Slice.t
+      (** marshaled results; a decoded reply's are a view into the message *)
   | Prog_unavail
   | Prog_mismatch of int * int
   | Proc_unavail
@@ -33,9 +34,17 @@ type reply = { reply_xid : int; body : reply_body }
 
 type msg = Call of call | Reply of reply
 
-val msg_to_string : ?enc:Xdr.enc -> msg -> string
-(** [?enc] reuses the given encoder (it is reset first) instead of
-    allocating one per call. *)
+val enc_call_header :
+  Xdr.enc -> xid:int -> prog:int -> vers:int -> proc:int -> trace:int -> span:int -> auth_flavor -> unit
+(** A call's envelope; the caller marshals the arguments next. *)
+
+val enc_success : Xdr.enc -> xid:int -> unit
+(** A SUCCESS reply's envelope; the caller marshals the results next. *)
+
+val enc_reply : Xdr.enc -> xid:int -> reply_body -> unit
+(** A whole reply; its accepted-reply header is {!enc_success}'s. *)
+
+val msg_to_string : msg -> string
 
 val msg_of_string : string -> (msg, string) result
 (** Total: malformed envelopes yield [Error], never an exception. *)

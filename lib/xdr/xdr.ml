@@ -192,9 +192,9 @@ let dec_array ?(max = 0x10000) (d : dec) (f : dec -> 'a) : 'a list =
   if n > max then error "dec_array: length %d exceeds bound %d" n max;
   List.init n (fun _ -> f d)
 
-(* Consume all remaining bytes verbatim (trailing RPC args/results). *)
-let dec_rest (d : dec) : string =
-  let s = String.sub d.data d.pos (remaining d) in
+(* All remaining bytes (trailing RPC args or results), as a view. *)
+let dec_rest_slice (d : dec) : Sfs_util.Slice.t =
+  let s = Sfs_util.Slice.make d.data ~off:d.pos ~len:(remaining d) in
   d.pos <- d.stop;
   s
 

@@ -81,8 +81,8 @@ val dec_string : ?max:int -> dec -> string
 val dec_option : dec -> (dec -> 'a) -> 'a option
 val dec_array : ?max:int -> dec -> (dec -> 'a) -> 'a list
 
-val dec_rest : dec -> string
-(** Consumes all remaining bytes verbatim. *)
+val dec_rest_slice : dec -> Sfs_util.Slice.t
+(** Consumes all remaining bytes, as a view in place — no copy. *)
 
 val run : string -> (dec -> 'a) -> ('a, string) result
 (** Complete-message decode: trailing bytes are an error. *)

@@ -290,6 +290,117 @@ let test_nfs_mount_xids_distinct () =
   Testkit.check_int "one cache entry per rpc" (Nfs_server.calls server)
     (Sfs_obs.Obs.counter obs "nfs.drc_insert")
 
+(* The one duplicate request cache of both servers: FIFO eviction at
+   the bound, a replaced key keeps its queue place, and an eviction
+   hands the evicted entry back to the caller. *)
+let test_drc_fifo () =
+  let obs = Sfs_obs.Obs.create ~now_us:(fun () -> 0.0) () in
+  let d = Drc.create ~obs ~bound:3 ~counters:"t" () in
+  let admit k v = Drc.admit d k v in
+  let check_evicted msg want got = Alcotest.(check (option string)) msg want got in
+  check_evicted "1 fits" None (admit 1 "a");
+  check_evicted "2 fits" None (admit 2 "b");
+  check_evicted "3 fits" None (admit 3 "c");
+  check_evicted "replacing 2 evicts nothing" None (admit 2 "b2");
+  Alcotest.(check (option string)) "replaced" (Some "b2") (Drc.find d 2);
+  check_evicted "4 evicts the oldest" (Some "a") (admit 4 "d");
+  Alcotest.(check (option string)) "1 is gone" None (Drc.find d 1);
+  check_evicted "2 kept its place" (Some "b2") (admit 5 "e");
+  Testkit.check_int "live" 3 (Drc.length d);
+  Testkit.check_int "inserts" 5 (Sfs_obs.Obs.counter obs "t.drc_insert");
+  Testkit.check_int "evictions" 2 (Sfs_obs.Obs.counter obs "t.drc_evict");
+  Drc.clear d;
+  Testkit.check_int "cleared" 0 (Drc.length d);
+  check_evicted "room again" None (admit 6 "f")
+
+(* A Sun RPC call to the NFS 3 program, as bytes. *)
+let nfs_call ~xid ~proc args =
+  Sfs_xdr.Sunrpc.msg_to_string
+    (Sfs_xdr.Sunrpc.Call
+       {
+         Sfs_xdr.Sunrpc.xid;
+         prog = Nfs_proto.prog;
+         vers = Nfs_proto.vers;
+         proc;
+         trace = 0;
+         span = 0;
+         cred = Sfs_xdr.Sunrpc.Auth_unix { stamp = 0; machine = "c"; uid = 0; gid = 0; gids = [] };
+         args;
+       })
+
+(* An NFS 3 server holding one 8 KB file, a handler for one of its
+   connections, and the file's wire handle. *)
+let nfs_service_with_file ?obs () =
+  let clock = Simclock.create () in
+  let fs = Memfs.create ~now:(now_fn clock) () in
+  let backend = Memfs_ops.make ~fs ~disk:(Diskmodel.create clock) in
+  let id, _ = ok "create" (Memfs.create_file fs root ~dir:Memfs.root_id "f" ~mode:0o644) in
+  ignore (ok "write" (Memfs.write fs root id ~off:0 (String.init 8192 (fun i -> Char.chr (i land 255)))));
+  let server = Nfs_server.create ?obs backend in
+  let fh, _ = ok "lookup" (backend.Fs_intf.fs_lookup root ~dir:backend.Fs_intf.fs_root "f") in
+  (server, Nfs_server.service server ~peer:"client", "nfs3:" ^ fh)
+
+(* The NFS 3 server's duplicate request cache, driven through
+   [Nfs_server.service]: a byte-identical retransmission replays, a
+   reused xid with other bytes executes again, and the 129th distinct
+   xid evicts the first. *)
+let test_nfs_service_drc () =
+  let obs = Sfs_obs.Obs.create ~now_us:(fun () -> 0.0) () in
+  let server, serve, fh = nfs_service_with_file ~obs () in
+  let getattr xid = nfs_call ~xid ~proc:Nfs_proto.proc_getattr (Sfs_xdr.Xdr.encode enc_fh fh) in
+  let read xid = nfs_call ~xid ~proc:Nfs_proto.proc_read (Sfs_xdr.Xdr.encode Nfs_proto.enc_read_args (fh, 0, 16)) in
+  let counter = Sfs_obs.Obs.counter obs in
+  let hits () = counter "recover.retransmit_hit" in
+  let live () = counter "nfs.drc_insert" - counter "nfs.drc_evict" in
+  let first = serve (getattr 1) in
+  Testkit.check_string "retransmission replays" first (serve (getattr 1));
+  Testkit.check_int "one hit" 1 (hits ());
+  Testkit.check_int "executed once" 1 (Nfs_server.calls server);
+  let other = serve (read 1) in
+  Testkit.check_bool "other bytes, same xid: executed" true (other <> first);
+  Testkit.check_int "executed again" 2 (Nfs_server.calls server);
+  Testkit.check_int "no hit" 1 (hits ());
+  Testkit.check_int "replaced in place" 1 (live ());
+  Testkit.check_string "the replacement replays" other (serve (read 1));
+  Testkit.check_int "second hit" 2 (hits ());
+  (* Garbage is answered but never cached. *)
+  ignore (serve "total garbage");
+  Testkit.check_int "garbage counted" 3 (Nfs_server.calls server);
+  Testkit.check_int "garbage not cached" 1 (live ());
+  for xid = 2 to 128 do
+    ignore (serve (getattr xid))
+  done;
+  Testkit.check_int "full" 128 (live ());
+  Testkit.check_int "nothing evicted yet" 0 (counter "nfs.drc_evict");
+  ignore (serve (getattr 129));
+  Testkit.check_int "129th evicts one" 1 (counter "nfs.drc_evict");
+  Testkit.check_int "still full" 128 (live ());
+  let calls = Nfs_server.calls server and h = hits () in
+  ignore (serve (read 1));
+  Testkit.check_int "evicted xid: executed" (calls + 1) (Nfs_server.calls server);
+  Testkit.check_int "evicted xid: no hit" h (hits ());
+  ignore (serve (getattr 129));
+  Testkit.check_int "newest still replays" (h + 1) (hits ())
+
+(* One 8 KB NFS 3 READ through [Nfs_server.service] once its cache is
+   full: the reply header and the results are marshaled into one
+   encoder, and the one payload-sized allocation is the wire message
+   the cache keeps.  It reads 10,008 B; copying the results out of
+   their own encoder and decoding each call twice read 18,776 B. *)
+let test_nfs_service_read_alloc () =
+  let _, serve, fh = nfs_service_with_file () in
+  let read xid =
+    nfs_call ~xid ~proc:Nfs_proto.proc_read (Sfs_xdr.Xdr.encode Nfs_proto.enc_read_args (fh, 0, 8192))
+  in
+  for xid = 1 to 200 do
+    ignore (serve (read xid))
+  done;
+  let call = read 201 in
+  let reply = ref "" in
+  Testkit.check_alloc_under "8 KB READ through the NFS 3 server" ~bound:12_510 (fun () ->
+      reply := serve call);
+  Testkit.check_bool "a full reply" true (String.length !reply > 8192)
+
 (* A MOUNT that fails must release its connection: under an admission
    limit of one, the next mount would otherwise be refused. *)
 let test_nfs_failed_mount_releases_conn () =
@@ -695,6 +806,9 @@ let suite =
       Alcotest.test_case "nfs garbage resilience" `Quick test_nfs_garbage_resilience;
       Alcotest.test_case "nfs mount xids distinct" `Quick test_nfs_mount_xids_distinct;
       Alcotest.test_case "nfs failed mount releases its conn" `Quick test_nfs_failed_mount_releases_conn;
+      Alcotest.test_case "drc fifo" `Quick test_drc_fifo;
+      Alcotest.test_case "nfs service drc" `Quick test_nfs_service_drc;
+      Alcotest.test_case "nfs service read allocation" `Quick test_nfs_service_read_alloc;
       Alcotest.test_case "cachefs attributes" `Quick test_cachefs_attr_cache;
       Alcotest.test_case "cachefs data" `Quick test_cachefs_data_cache;
       Alcotest.test_case "cachefs lease invalidation" `Quick test_cachefs_lease_invalidation;

@@ -117,10 +117,11 @@ let rules : rule_info list =
       ri_title = "copying allocation on the zero-copy data path";
       ri_hint =
         "the wire-to-cache read path threads one buffer end to end (Channel.open_slice -> \
-         Xdr.dec_opaque_slice -> Cachefs blocks), Memfs serves and keeps whole stored blocks, and \
-         the server seals a reply from its DRC entry; build Slice views or reuse the stored bytes \
-         instead of fresh Bytes.create/Bytes.make/Bytes.sub/String.sub copies, or waive with a \
-         pragma saying why the copy is inherent";
+         Xdr.dec_opaque_slice -> Cachefs blocks), Memfs serves and keeps whole stored blocks, the \
+         SFS server seals a reply from its DRC entry, and the NFS 3 server marshals a reply into \
+         one encoder whose one copy is the wire message; build Slice views or reuse the stored \
+         bytes instead of fresh Bytes.create/Bytes.make/Bytes.sub/String.sub/Xdr.to_string copies, \
+         or waive with a pragma saying why the copy is inherent";
     };
     {
       ri_code = "SL014";
@@ -183,11 +184,13 @@ let sl010_applies path =
 
 (* SL013: the audited zero-copy data path.  Within these files, any
    binding that is part of the zero-copy chain — the *_slice codecs,
-   the block-cache feeders, Memfs's block store and the server's DRC
-   insert and seal — must not allocate payload copies; a frame is
-   opened once and every later stage views into it, a stored block is
-   served as itself, and a reply is sealed from the bytes that hold
-   it.  Fixed-size or inherent allocations carry pragmas. *)
+   the block-cache feeders, Memfs's block store, the duplicate request
+   cache, the SFS server's DRC insert and seal and the NFS 3 server's
+   reply builder — must not allocate payload copies; a frame is opened
+   once and every later stage views into it, a stored block is served
+   as itself, and a reply is sealed, or copied out once as the wire
+   message, from the encoder that holds it.  Fixed-size or inherent
+   allocations carry pragmas. *)
 let sl013_applies path =
   List.mem path
     [
@@ -196,6 +199,8 @@ let sl013_applies path =
       "lib/xdr/xdr.ml";
       "lib/nfs/cachefs.ml";
       "lib/nfs/memfs.ml";
+      "lib/nfs/drc.ml";
+      "lib/nfs/nfs_server.ml";
       "lib/core/server.ml";
     ]
 
@@ -208,9 +213,12 @@ let sl013_scope_name name =
          "fetch_pipelined";
          "read_blocks";
          "write_blocks";
+         "admit";
          "drc_insert";
          "handle_fs_request";
          "fs_connection";
+         "handle_call";
+         "service";
        ]
 
 let sl003_applies path = in_lib path && path <> "lib/net/simclock.ml"
@@ -579,7 +587,8 @@ let check_ast ~(path : string) ~(enabled : string list) (ast : structure) : diag
     (if sl013_applies path && in_slice_scope () then
        match p with
        | [ "Bytes"; "create" ] | [ "Bytes"; "make" ] | [ "Bytes"; "sub" ] | [ "Bytes"; "sub_string" ]
-       | [ "String"; "sub" ] | [ "Bytes"; "of_string" ] | [ "Bytes"; "to_string" ] ->
+       | [ "String"; "sub" ] | [ "Bytes"; "of_string" ] | [ "Bytes"; "to_string" ]
+       | [ "Xdr"; "to_string" ] | [ "Sfs_xdr"; "Xdr"; "to_string" ] ->
            add ~loc "SL013"
              (Printf.sprintf "%s allocates a copy inside the zero-copy data path"
                 (String.concat "." p))
