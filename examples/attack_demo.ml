@@ -44,6 +44,24 @@ let corrupt (msg : string) : string =
     Bytes.to_string b
   end
 
+(* NFS 3 sends file data in the clear, so an attacker who has seen the
+   plaintext once finds it in a READ reply and flips one bit of its
+   last digit ('0' becomes '8'). *)
+let corrupt_data ~(seen : string) (msg : string) : string =
+  let n = String.length seen in
+  let rec find i =
+    if i + n > String.length msg then None
+    else if String.sub msg i n = seen then Some i
+    else find (i + 1)
+  in
+  match find 0 with
+  | None -> msg
+  | Some i ->
+      let b = Bytes.of_string msg in
+      let j = i + n - 1 in
+      Bytes.set b j (Char.chr (Char.code (Bytes.get b j) lxor 0x08));
+      Bytes.to_string b
+
 let () =
   let clock = Simclock.create () in
   let net = Simnet.create clock in
@@ -87,14 +105,20 @@ let () =
   attack "   and forges RPCs with alice's uid to read her 0600 file";
   let mallory_nfs, _ = Nfs_client.mount net ~from_host:"mallory.example.com" ~addr:"victim.example.com" ~proto:Costmodel.Udp ~cred:root_cred in
   let forged = { Simos.cred_uid = alice.Simos.uid; cred_gid = alice.Simos.gid; cred_groups = [] } in
-  (match mallory_nfs.Fs_intf.fs_read forged f ~off:0 ~count:100 with
-  | Ok (data, _, _) -> outcome "NFS hands over the secret: %S" data
-  | Error e -> outcome "unexpected: %s" (Nfs_types.status_to_string e));
+  let seen =
+    match mallory_nfs.Fs_intf.fs_read forged f ~off:0 ~count:100 with
+    | Ok (data, _, _) ->
+        outcome "NFS hands over the secret: %S" data;
+        data
+    | Error e ->
+        outcome "unexpected: %s" (Nfs_types.status_to_string e);
+        ""
+  in
 
   attack "2. tampers with a read in flight (flips one byte)";
   let tamper_tap = Simnet.passive_tap () in
   tamper_tap.Simnet.on_message <-
-    (fun dir msg -> if dir = Simnet.To_client then Simnet.Replace (corrupt msg) else Simnet.Pass);
+    (fun dir msg -> if dir = Simnet.To_client then Simnet.Replace (corrupt_data ~seen msg) else Simnet.Pass);
   Simnet.set_default_tap net (Some tamper_tap);
   let victim_nfs, _ = Nfs_client.mount net ~from_host:"client.example.com" ~addr:"victim.example.com" ~proto:Costmodel.Udp ~cred:root_cred in
   Simnet.set_default_tap net (Some tamper_tap);

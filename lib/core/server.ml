@@ -82,133 +82,21 @@ let drc_size = 512
    recycling small buffers only keeps them alive longer. *)
 let drc_recycle_min = 2048
 
-let ( let* ) = Result.bind
-
-(* --- The per-connection secure ops wrapper ---
-
-   Translates between wire handles (Blowfish-encrypted, public) and
-   backend handles, stamps leases into attributes, registers lease
-   grants for this connection and queues invalidations to others. *)
-
-let secure_ops (t : t) ~(conn : int) : Fs_intf.ops =
-  let b = t.backend in
-  let enc h = Fhcrypt.encrypt t.fhc h in
-  let dec h =
-    match Fhcrypt.decrypt t.fhc h with Some inner -> Ok inner | None -> Error NFS3ERR_BADHANDLE
-  in
-  let stamp (a : fattr) : fattr = { a with lease = Lease.lease_s } in
+(* A connection's wire handles are Blowfish-encrypted backend handles,
+   public but unforgeable.  Every attribute served carries a lease
+   granted to the connection; a mutation queues invalidations to the
+   other holders. *)
+let handles (t : t) ~(conn : int) : Nfs_server.handles =
   let grant wire_fh = Lease.grant t.leases ~conn wire_fh in
-  let mutate wire_fh = Lease.invalidate t.leases ~by:conn wire_fh in
-  let attr_out wire_fh a =
-    grant wire_fh;
-    stamp a
-  in
   {
-    Fs_intf.fs_root = enc b.Fs_intf.fs_root;
-    fs_getattr =
-      (fun cred h ->
-        let* ih = dec h in
-        let* a = b.Fs_intf.fs_getattr cred ih in
-        Ok (attr_out h a));
-    fs_setattr =
-      (fun cred h s ->
-        let* ih = dec h in
-        let* a = b.Fs_intf.fs_setattr cred ih s in
-        mutate h;
-        Ok (attr_out h a));
-    fs_lookup =
-      (fun cred ~dir name ->
-        let* idir = dec dir in
-        let* ih, a = b.Fs_intf.fs_lookup cred ~dir:idir name in
-        let wh = enc ih in
-        Ok (wh, attr_out wh a));
-    fs_access =
-      (fun cred h want ->
-        let* ih = dec h in
-        b.Fs_intf.fs_access cred ih want);
-    fs_readlink =
-      (fun cred h ->
-        let* ih = dec h in
-        b.Fs_intf.fs_readlink cred ih);
-    fs_read =
-      (fun cred h ~off ~count ->
-        let* ih = dec h in
-        let* data, eof, a = b.Fs_intf.fs_read cred ih ~off ~count in
-        Ok (data, eof, attr_out h a));
-    fs_write =
-      (fun cred h ~off ~stable data ->
-        let* ih = dec h in
-        let* a = b.Fs_intf.fs_write cred ih ~off ~stable data in
-        mutate h;
-        Ok (attr_out h a));
-    fs_create =
-      (fun cred ~dir name ~mode ->
-        let* idir = dec dir in
-        let* ih, a = b.Fs_intf.fs_create cred ~dir:idir name ~mode in
-        mutate dir;
-        let wh = enc ih in
-        Ok (wh, attr_out wh a));
-    fs_mkdir =
-      (fun cred ~dir name ~mode ->
-        let* idir = dec dir in
-        let* ih, a = b.Fs_intf.fs_mkdir cred ~dir:idir name ~mode in
-        mutate dir;
-        let wh = enc ih in
-        Ok (wh, attr_out wh a));
-    fs_symlink =
-      (fun cred ~dir name ~target ->
-        let* idir = dec dir in
-        let* ih, a = b.Fs_intf.fs_symlink cred ~dir:idir name ~target in
-        mutate dir;
-        let wh = enc ih in
-        Ok (wh, attr_out wh a));
-    fs_remove =
-      (fun cred ~dir name ->
-        let* idir = dec dir in
-        let* () = b.Fs_intf.fs_remove cred ~dir:idir name in
-        mutate dir;
-        Ok ());
-    fs_rmdir =
-      (fun cred ~dir name ->
-        let* idir = dec dir in
-        let* () = b.Fs_intf.fs_rmdir cred ~dir:idir name in
-        mutate dir;
-        Ok ());
-    fs_rename =
-      (fun cred ~from_dir ~from_name ~to_dir ~to_name ->
-        let* ifd = dec from_dir in
-        let* itd = dec to_dir in
-        let* () = b.Fs_intf.fs_rename cred ~from_dir:ifd ~from_name ~to_dir:itd ~to_name in
-        mutate from_dir;
-        mutate to_dir;
-        Ok ());
-    fs_link =
-      (fun cred ~target ~dir name ->
-        let* it = dec target in
-        let* idir = dec dir in
-        let* a = b.Fs_intf.fs_link cred ~target:it ~dir:idir name in
-        mutate dir;
-        mutate target;
-        Ok (attr_out target a));
-    fs_readdir =
-      (fun cred h ->
-        let* ih = dec h in
-        let* entries = b.Fs_intf.fs_readdir cred ih in
-        grant h;
-        Ok
-          (List.map
-             (fun de ->
-               let wh = enc de.d_fh in
-               { de with d_fh = wh; d_attr = attr_out wh de.d_attr })
-             entries));
-    fs_commit =
-      (fun cred h ->
-        let* ih = dec h in
-        b.Fs_intf.fs_commit cred ih);
-    fs_fsstat =
-      (fun cred h ->
-        let* ih = dec h in
-        b.Fs_intf.fs_fsstat cred ih);
+    Nfs_server.export = Fhcrypt.encrypt t.fhc;
+    import = Fhcrypt.decrypt t.fhc;
+    attr =
+      (fun wire_fh a ->
+        grant wire_fh;
+        { a with lease = Lease.lease_s });
+    grant;
+    changed = Lease.invalidate t.leases ~by:conn;
   }
 
 (* --- The Fs service connection --- *)
@@ -357,9 +245,6 @@ let fs_connection ?(encrypt = true) ~(peer : string) (t : t) : string -> string 
               Channel.create ~encrypt ~clock:t.clock ?obs:t.obs ~label:"server"
                 ~send_key:keys.Keyneg.ksc ~recv_key:keys.Keyneg.kcs ()
             in
-            let dispatcher =
-              Nfs_server.create ~fh_prefix:"" ?obs:t.obs (secure_ops t ~conn:conn_id)
-            in
             state :=
               `Established
                 {
@@ -367,7 +252,7 @@ let fs_connection ?(encrypt = true) ~(peer : string) (t : t) : string -> string 
                   enc = Xdr.make_enc ();
                   conn_id;
                   peer;
-                  dispatcher;
+                  dispatcher = Nfs_server.create ~handles:(handles t ~conn:conn_id) ?obs:t.obs t.backend;
                   authnos = Hashtbl.create 8;
                   window = Authproto.make_window ();
                   next_authno = 1;

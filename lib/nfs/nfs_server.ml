@@ -17,9 +17,17 @@ module Xdr = Sfs_xdr.Xdr
 module Sunrpc = Sfs_xdr.Sunrpc
 module Obs = Sfs_obs.Obs
 
+type handles = {
+  export : fh -> fh;
+  import : fh -> fh option;
+  attr : fh -> fattr -> fattr;
+  grant : fh -> unit;
+  changed : fh -> unit;
+}
+
 type t = {
   backend : Fs_intf.ops;
-  fh_prefix : string; (* distinguishes wire handles from backend ones *)
+  handles : handles;
   mutable calls : int;
   obs : Obs.registry option;
 }
@@ -28,22 +36,30 @@ type t = {
 let op_key (proc : int) : string = "nfs.op." ^ Nfs_proto.proc_name proc
 let op_keys = Array.init 22 op_key (* sfslint: allow SL005 — constant counter names, never written *)
 
-let create ?(fh_prefix = "nfs3:") ?obs (backend : Fs_intf.ops) : t =
-  { backend; fh_prefix; calls = 0; obs }
+(* NFS 3 wire handles just prefix the backend handle: deliberately
+   guessable, like the weak handles the paper warns about (section
+   3.3).  They carry no leases. *)
+let nfs3_prefix = "nfs3:"
 
-(* Wire handles just prefix the backend handle: deliberately guessable,
-   like the weak handles the paper warns about (section 3.3). *)
-let export_fh (t : t) (h : fh) : fh = t.fh_prefix ^ h
+(* Whether [h] carries the prefix from byte [i] on, compared in place
+   ([String.starts_with] allocates a closure per call without flambda). *)
+let rec nfs3_prefixed (h : fh) (i : int) : bool =
+  i = String.length nfs3_prefix
+  || (i < String.length h && Char.equal h.[i] nfs3_prefix.[i] && nfs3_prefixed h (i + 1))
+
+let nfs3_handles : handles =
+  let n = String.length nfs3_prefix in
+  let import h = if nfs3_prefixed h 0 then Some (String.sub h n (String.length h - n)) else None in
+  { export = (fun h -> nfs3_prefix ^ h); import; attr = (fun _ a -> a); grant = ignore; changed = ignore }
+
+let create ?(handles = nfs3_handles) ?obs (backend : Fs_intf.ops) : t =
+  { backend; handles; calls = 0; obs }
 
 (* A wire handle this server never issued: NFS3ERR_BADHANDLE. *)
 exception Bad_handle
 
 let import_fh (t : t) (h : fh) : fh =
-  let n = String.length t.fh_prefix in
-  if String.length h >= n && String.sub h 0 n = t.fh_prefix then String.sub h n (String.length h - n)
-  else raise Bad_handle
-
-let root_fh (t : t) : fh = export_fh t t.backend.Fs_intf.fs_root
+  match t.handles.import h with Some inner -> inner | None -> raise Bad_handle
 
 let cred_of_rpc (c : Sunrpc.auth_flavor) : Simos.cred =
   match c with
@@ -53,17 +69,30 @@ let cred_of_rpc (c : Sunrpc.auth_flavor) : Simos.cred =
 
 let ( let* ) = Result.bind
 
-(* Rewrites backend handles to wire handles inside results. *)
-let export_lookup (t : t) (r : (fh * fattr) res) : (fh * fattr) res =
-  Result.map (fun (h, a) -> (export_fh t h, a)) r
+(* What a reply owes the handles it serves, met only when the backend
+   call succeeded.  Every [fh] here is a wire handle. *)
+let served_attr (t : t) (h : fh) (r : fattr res) : fattr res =
+  match r with Ok a -> Ok (t.handles.attr h a) | Error _ as err -> err
 
-let export_dirents (t : t) (r : dirent list res) : dirent list res =
-  Result.map (List.map (fun de -> { de with d_fh = export_fh t de.d_fh })) r
+let changed (t : t) (h : fh) (r : 'a res) : 'a res =
+  (match r with Ok _ -> t.handles.changed h | Error _ -> ());
+  r
+
+let export_lookup (t : t) (r : (fh * fattr) res) : (fh * fattr) res =
+  match r with
+  | Ok (h, a) ->
+      let wh = t.handles.export h in
+      Ok (wh, t.handles.attr wh a)
+  | Error _ as err -> err
+
+let export_dirent (t : t) (de : dirent) : dirent =
+  let wh = t.handles.export de.d_fh in
+  { de with d_fh = wh; d_attr = t.handles.attr wh de.d_attr }
 
 type outcome = Done | Bad_args | No_proc
 
 (* Runs one procedure and marshals its results onto [e]; nothing is
-   written unless it is [Done]. *)
+   written unless it is [Done].  Each handle is imported once. *)
 let dispatch_body (t : t) (cred : Simos.cred) (proc : int) (args : string) (e : Xdr.enc) : outcome =
   let b = t.backend in
   let run dec_args enc_result f =
@@ -76,48 +105,57 @@ let dispatch_body (t : t) (cred : Simos.cred) (proc : int) (args : string) (e : 
   let open Nfs_proto in
   if proc = proc_null then Done
   else if proc = proc_getattr then
-    run dec_fh (enc_res enc_fattr) (fun h -> b.Fs_intf.fs_getattr cred (import_fh t h))
+    run dec_fh (enc_res enc_fattr) (fun h ->
+        served_attr t h (b.Fs_intf.fs_getattr cred (import_fh t h)))
   else if proc = proc_setattr then
-    run dec_setattr_args (enc_res enc_fattr) (fun (h, s) -> b.Fs_intf.fs_setattr cred (import_fh t h) s)
+    run dec_setattr_args (enc_res enc_fattr) (fun (h, s) ->
+        served_attr t h (changed t h (b.Fs_intf.fs_setattr cred (import_fh t h) s)))
   else if proc = proc_lookup then
     run dec_diropargs (enc_res enc_lookup_ok) (fun (dir, name) ->
         export_lookup t (b.Fs_intf.fs_lookup cred ~dir:(import_fh t dir) name))
   else if proc = proc_access then
     run dec_access_args (enc_res enc_access_ok) (fun (h, want) ->
-        let h = import_fh t h in
-        let* granted = b.Fs_intf.fs_access cred h want in
-        let* a = b.Fs_intf.fs_getattr cred h in
-        Ok (a, granted))
+        let ih = import_fh t h in
+        let* granted = b.Fs_intf.fs_access cred ih want in
+        let* a = b.Fs_intf.fs_getattr cred ih in
+        Ok (t.handles.attr h a, granted))
   else if proc = proc_readlink then
     run dec_fh (enc_res (fun e s -> Xdr.enc_string e s)) (fun h ->
         b.Fs_intf.fs_readlink cred (import_fh t h))
   else if proc = proc_read then
     run dec_read_args (enc_res enc_read_ok) (fun (h, off, count) ->
-        b.Fs_intf.fs_read cred (import_fh t h) ~off ~count)
+        match b.Fs_intf.fs_read cred (import_fh t h) ~off ~count with
+        | Ok (data, eof, a) -> Ok (data, eof, t.handles.attr h a)
+        | Error _ as err -> err)
   else if proc = proc_write then
     run dec_write_args (enc_res enc_fattr) (fun (h, off, stable, data) ->
-        b.Fs_intf.fs_write cred (import_fh t h) ~off ~stable data)
+        served_attr t h (changed t h (b.Fs_intf.fs_write cred (import_fh t h) ~off ~stable data)))
   else if proc = proc_create || proc = proc_mkdir then
     let make = if proc = proc_create then b.Fs_intf.fs_create else b.Fs_intf.fs_mkdir in
     run dec_create_args (enc_res enc_lookup_ok) (fun (dir, name, mode) ->
-        export_lookup t (make cred ~dir:(import_fh t dir) name ~mode))
+        export_lookup t (changed t dir (make cred ~dir:(import_fh t dir) name ~mode)))
   else if proc = proc_symlink then
     run dec_symlink_args (enc_res enc_lookup_ok) (fun (dir, name, target) ->
-        export_lookup t (b.Fs_intf.fs_symlink cred ~dir:(import_fh t dir) name ~target))
+        export_lookup t (changed t dir (b.Fs_intf.fs_symlink cred ~dir:(import_fh t dir) name ~target)))
   else if proc = proc_remove || proc = proc_rmdir then
     let unlink = if proc = proc_remove then b.Fs_intf.fs_remove else b.Fs_intf.fs_rmdir in
-    run dec_diropargs (enc_res enc_unit_ok) (fun (dir, name) -> unlink cred ~dir:(import_fh t dir) name)
+    run dec_diropargs (enc_res enc_unit_ok) (fun (dir, name) ->
+        changed t dir (unlink cred ~dir:(import_fh t dir) name))
   else if proc = proc_rename then
     run dec_rename_args (enc_res enc_unit_ok) (fun (fd, fn, td, tn) ->
         let from_dir = import_fh t fd and to_dir = import_fh t td in
-        b.Fs_intf.fs_rename cred ~from_dir ~from_name:fn ~to_dir ~to_name:tn)
+        let r = b.Fs_intf.fs_rename cred ~from_dir ~from_name:fn ~to_dir ~to_name:tn in
+        changed t td (changed t fd r))
   else if proc = proc_link then
     run dec_link_args (enc_res enc_fattr) (fun (target, dir, name) ->
-        let target = import_fh t target and dir = import_fh t dir in
-        b.Fs_intf.fs_link cred ~target ~dir name)
+        let it = import_fh t target and idir = import_fh t dir in
+        let r = b.Fs_intf.fs_link cred ~target:it ~dir:idir name in
+        served_attr t target (changed t target (changed t dir r)))
   else if proc = proc_readdirplus then
     run dec_fh (enc_res enc_readdir_ok) (fun h ->
-        export_dirents t (b.Fs_intf.fs_readdir cred (import_fh t h)))
+        let* entries = b.Fs_intf.fs_readdir cred (import_fh t h) in
+        t.handles.grant h;
+        Ok (List.map (export_dirent t) entries))
   else if proc = proc_fsstat then
     run dec_fh (enc_res enc_fsstat_ok) (fun h -> b.Fs_intf.fs_fsstat cred (import_fh t h))
   else if proc = proc_commit then
@@ -157,7 +195,7 @@ let handle_call (t : t) (e : Xdr.enc) (c : Sunrpc.call) : unit =
     else if c.Sunrpc.proc <> mount_proc_mnt then Sunrpc.enc_reply e ~xid Sunrpc.Proc_unavail
     else begin
       Sunrpc.enc_success e ~xid;
-      enc_fh e (root_fh t)
+      enc_fh e (t.handles.export t.backend.Fs_intf.fs_root)
     end
   else if c.Sunrpc.prog <> prog then Sunrpc.enc_reply e ~xid Sunrpc.Prog_unavail
   else if c.Sunrpc.vers <> vers then Sunrpc.enc_reply e ~xid (Sunrpc.Prog_mismatch (vers, vers))

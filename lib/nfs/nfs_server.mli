@@ -5,9 +5,24 @@
 
 type t
 
-val create : ?fh_prefix:string -> ?obs:Sfs_obs.Obs.registry -> Fs_intf.ops -> t
-(** When [obs] is given, every dispatched procedure records a span plus
-    [nfs.calls] and [nfs.op.<name>] counters. *)
+(** How wire handles map to backend handles, and what a reply owes
+    them.  The hooks see wire handles and run only after the backend
+    call succeeds: [changed] on each handle a mutation touched (RENAME
+    from-directory first, LINK directory before target), then [attr]
+    on the attributes served for a handle. *)
+type handles = {
+  export : Nfs_types.fh -> Nfs_types.fh;
+  import : Nfs_types.fh -> Nfs_types.fh option;  (** [None] is NFS3ERR_BADHANDLE *)
+  attr : Nfs_types.fh -> Nfs_types.fattr -> Nfs_types.fattr;
+  grant : Nfs_types.fh -> unit;  (** the directory of a READDIRPLUS *)
+  changed : Nfs_types.fh -> unit;
+}
+
+val create : ?handles:handles -> ?obs:Sfs_obs.Obs.registry -> Fs_intf.ops -> t
+(** [handles] defaults to NFS 3's: the backend handle behind a
+    guessable ["nfs3:"] prefix, attributes as the backend gives them,
+    no leases.  When [obs] is given, every dispatched procedure records
+    a span plus [nfs.calls] and [nfs.op.<name>] counters. *)
 
 type outcome =
   | Done

@@ -865,6 +865,22 @@ let raw_handle (reply : string) : Nfs_types.fh =
 
 let pattern n = String.init n (fun i -> Char.chr (((i * 31) + n) land 0xff))
 
+let raw_call (s : raw_session) ~(proc : int) enc v : string =
+  raw_exchange s (raw_request s ~proc (Xdr.encode enc v))
+
+(* A fresh server with two raw sessions on it and the handle of /pub. *)
+let raw_pair (seed : string) (location : string) :
+    Prng.t * Server.t * raw_session * raw_session * Nfs_types.fh =
+  let rng = Prng.create [ seed ] in
+  let net = Simnet.create (Simclock.create ()) in
+  let _c = Simnet.add_host net "client.example.com" in
+  let temp_key = Rabin.generate ~bits:512 rng in
+  let server = raw_server net rng location in
+  let a = raw_connect net rng ~temp_key server in
+  let b = raw_connect net rng ~temp_key server in
+  let pub = raw_handle (raw_call a ~proc:Nfs_proto.proc_lookup Nfs_proto.enc_diropargs (raw_root a, "pub")) in
+  (rng, server, a, b, pub)
+
 (* --- Byte-identity pins ---
 
    SHA-1s over seeded wire output, recorded before the in-place
@@ -903,22 +919,25 @@ let test_fhcrypt_pin () =
     (fun n -> Testkit.check_bool "short" true (Fhcrypt.decrypt f (String.make n '\x5a') = None))
     [ 0; 1; 8; 15 ]
 
-(* Every reply plaintext of a session covering each NFS procedure, a
-   lease callback, a duplicate-request replay, the protocol-error paths
-   and a server refusing anonymous access, hashed in order. *)
-let test_server_reply_pin () =
+(* A session covering each NFS procedure, a lease callback, a
+   duplicate-request replay, the protocol-error paths and a server
+   refusing anonymous access.  Returns the SHA-1 of every reply
+   plaintext in order, the first server, and its named handles. *)
+let reply_pin_session ?obs ?(on_reply = ignore) (clock : Simclock.t) :
+    string * Server.t * (string * Nfs_types.fh) list =
   let rng = Prng.create [ "server-reply-pin" ] in
-  let net = Simnet.create (Simclock.create ()) in
+  let net = Simnet.create clock in
   let _c = Simnet.add_host net "client.example.com" in
   let temp_key = Rabin.generate ~bits:512 rng in
   let h = Sha1.init () in
   let exchange s plaintext =
     let reply = raw_exchange s plaintext in
     Sha1.update h reply;
+    on_reply ();
     reply
   in
   let call s ~proc enc v = exchange s (raw_request s ~proc (Xdr.encode enc v)) in
-  let server = raw_server net rng "pin.example.com" in
+  let server = raw_server ?obs net rng "pin.example.com" in
   let a = raw_connect net rng ~temp_key server in
   let b = raw_connect net rng ~temp_key server in
   let root =
@@ -986,9 +1005,152 @@ let test_server_reply_pin () =
   let strict = raw_connect net rng ~temp_key (raw_server ~allow_anonymous:false net rng "strict.example.com") in
   ignore (exchange strict (raw_request strict ~proc:Sfsrw.proc_getroot ""));
   ignore (call strict ~proc:Nfs_proto.proc_getattr Nfs_types.enc_fh root);
-  (* Each handler runs when the request is submitted to the session's
-     mux, so the attribute timestamps are those of the submit instants. *)
-  Testkit.check_string "reply plaintexts" "0aefc671d7aee163f41032ccce1002954aee97a8" (hex_digest h)
+  (hex_digest h, server, [ ("root", root); ("pub", pub); ("d", d); ("f", f); ("l", l) ])
+
+(* Each handler runs when the request is submitted to the session's
+   mux, so the attribute timestamps are those of the submit instants. *)
+let reply_pin_digest = "0aefc671d7aee163f41032ccce1002954aee97a8"
+
+let test_server_reply_pin () =
+  let digest, _, _ = reply_pin_session (Simclock.create ()) in
+  Testkit.check_string "reply plaintexts" reply_pin_digest digest
+
+module Lease = Sfs_proto.Lease
+
+(* Where the pin session's replies grant and invalidate leases.  No
+   reply byte shows the order of a reply's lease duties (the ACCESS
+   grant, the READDIRPLUS grant, LINK's two invalidations); the lease
+   counters after each reply and the holders each handle is left with
+   do. *)
+let test_server_lease_points () =
+  let clock = Simclock.create () in
+  let obs = Obs.create ~now_us:(fun () -> Simclock.now_us clock) () in
+  (* One token per reply: g for each new grant, p for each refreshed
+     lease, i for each queued invalidation, "." for none. *)
+  let steps = ref [] and last = Hashtbl.create 3 in
+  let on_reply () =
+    let took (name, c) =
+      let n = Obs.counter obs name in
+      let before = Option.value (Hashtbl.find_opt last name) ~default:0 in
+      Hashtbl.replace last name n;
+      String.make (n - before) c
+    in
+    let kinds = [ ("lease.grants", 'g'); ("lease.piggyback", 'p'); ("lease.invalidations", 'i') ] in
+    let token = String.concat "" (List.map took kinds) in
+    steps := (if token = "" then "." else token) :: !steps
+  in
+  let digest, server, handles = reply_pin_session ~obs ~on_reply clock in
+  Testkit.check_string "reply plaintexts" reply_pin_digest digest;
+  Testkit.check_string "lease work per reply"
+    ". g . g . g g g g . p p . p p g . g gppp . . g . . g gi g . . . . . ."
+    (String.concat " " (List.rev !steps));
+  let counted (k, v) =
+    if String.starts_with ~prefix:"lease." k || String.starts_with ~prefix:"nfs.op." k then
+      Some (Printf.sprintf "%s=%d" k v)
+    else None
+  in
+  Testkit.check_string "lease and procedure counters"
+    ("lease.grants=13 lease.invalidations=1 lease.piggyback=7 nfs.op.access=1 nfs.op.commit=1 "
+   ^ "nfs.op.create=1 nfs.op.fsstat=1 nfs.op.getattr=4 nfs.op.link=1 nfs.op.lookup=3 "
+   ^ "nfs.op.mkdir=2 nfs.op.null=1 nfs.op.proc99=1 nfs.op.read=2 nfs.op.readdirplus=1 "
+   ^ "nfs.op.readlink=1 nfs.op.remove=1 nfs.op.rename=1 nfs.op.rmdir=1 nfs.op.setattr=1 "
+   ^ "nfs.op.symlink=1 nfs.op.write=3")
+    (String.concat " " (List.filter_map counted (Obs.snapshot obs).Obs.snap_counters));
+  Testkit.check_string "lease holders" "root=1 pub=0 d=1 f=1 l=1"
+    (String.concat " "
+       (List.map
+          (fun (name, fh) -> Printf.sprintf "%s=%d" name (Lease.holder_count (Server.leases server) fh))
+          handles))
+
+(* The order in which a mutation's invalidations reach another holder:
+   LINK invalidates the directory before the target, RENAME the
+   from-directory before the to-directory, whatever order the holder
+   was granted them in. *)
+let test_server_callback_order () =
+  let _, _, a, b, pub = raw_pair "server-callback-order" "order.example.com" in
+  let make proc name = raw_handle (raw_call a ~proc Nfs_proto.enc_create_args (pub, name, 0o777)) in
+  let d = make Nfs_proto.proc_mkdir "d" in
+  let f = make Nfs_proto.proc_create "f" in
+  (* b caches the attributes of [held], a's [mutation] succeeds, and
+     b's next reply carries the invalidations. *)
+  let callbacks held dec mutation =
+    List.iter (fun h -> ignore (raw_call b ~proc:Nfs_proto.proc_getattr Nfs_types.enc_fh h)) held;
+    (match Xdr.run (raw_results (mutation ())) (Nfs_proto.dec_res dec) with
+    | Ok (Ok _) -> ()
+    | _ -> Alcotest.fail "mutation failed");
+    match raw_response (raw_exchange b (raw_request b ~proc:Nfs_proto.proc_null "")) with
+    | Ok (Sfsrw.Fs_reply { invalidations; _ }) -> invalidations
+    | _ -> Alcotest.fail "not an Fs_reply"
+  in
+  Alcotest.(check (list string)) "LINK: directory, then target" [ d; f ]
+    (callbacks [ f; d ] Nfs_types.dec_fattr (fun () ->
+         raw_call a ~proc:Nfs_proto.proc_link Nfs_proto.enc_link_args (f, d, "k")));
+  Alcotest.(check (list string)) "RENAME: from, then to" [ pub; d ]
+    (callbacks [ d; pub ] Nfs_proto.dec_unit_ok (fun () ->
+         raw_call a ~proc:Nfs_proto.proc_rename Nfs_proto.enc_rename_args (pub, "f", d, "g")))
+
+(* Handles this server never issued: random bytes, a real handle one
+   block short, an NFS 3 handle and a bare backend handle (/pub's
+   inode number).  Each is answered
+   NFS3ERR_BADHANDLE on GETATTR, LOOKUP and READ, and as the second
+   handle of a RENAME or LINK whose first is good.  None adds a lease
+   holder, queues an invalidation or changes the namespace. *)
+let test_server_forged_handles () =
+  let rng, server, a, b, pub = raw_pair "server-forged-handles" "forge.example.com" in
+  let f =
+    raw_handle (raw_call a ~proc:Nfs_proto.proc_create Nfs_proto.enc_create_args (pub, "f", 0o666))
+  in
+  ignore (raw_call a ~proc:Nfs_proto.proc_write Nfs_proto.enc_write_args (f, 0, true, pattern 100));
+  let names () =
+    match
+      Xdr.run
+        (raw_results (raw_call a ~proc:Nfs_proto.proc_readdirplus Nfs_types.enc_fh pub))
+        (Nfs_proto.dec_res Nfs_proto.dec_readdir_ok)
+    with
+    | Ok (Ok entries) -> List.sort compare (List.map (fun de -> de.Nfs_types.d_name) entries)
+    | _ -> Alcotest.fail "readdir failed"
+  in
+  let before = names () in
+  (* b holds leases on pub and f too: a mutation by a would queue b an
+     invalidation. *)
+  ignore (raw_call b ~proc:Nfs_proto.proc_getattr Nfs_types.enc_fh pub);
+  ignore (raw_call b ~proc:Nfs_proto.proc_getattr Nfs_types.enc_fh f);
+  let leases = Server.leases server in
+  let holders () = List.map (Lease.holder_count leases) [ pub; f ] in
+  let held = holders () in
+  Alcotest.(check (list int)) "both connections hold pub and f" [ 2; 2 ] held;
+  let bad what dec reply =
+    match Xdr.run (raw_results reply) (Nfs_proto.dec_res dec) with
+    | Ok (Error Nfs_types.NFS3ERR_BADHANDLE) -> ()
+    | _ -> Alcotest.failf "%s: not NFS3ERR_BADHANDLE" what
+  in
+  let forged =
+    [
+      ("random", Prng.random_bytes rng 16);
+      ("truncated", String.sub f 0 (String.length f - 8));
+      ("nfs3", "nfs3:2");
+      ("bare", "2");
+    ]
+  in
+  List.iter
+    (fun (kind, h) ->
+      let what proc = kind ^ " " ^ proc in
+      bad (what "GETATTR") Nfs_types.dec_fattr
+        (raw_call a ~proc:Nfs_proto.proc_getattr Nfs_types.enc_fh h);
+      bad (what "LOOKUP") Nfs_proto.dec_lookup_ok
+        (raw_call a ~proc:Nfs_proto.proc_lookup Nfs_proto.enc_diropargs (h, "f"));
+      bad (what "READ") Nfs_proto.dec_read_ok
+        (raw_call a ~proc:Nfs_proto.proc_read Nfs_proto.enc_read_args (h, 0, 100));
+      bad (what "RENAME") Nfs_proto.dec_unit_ok
+        (raw_call a ~proc:Nfs_proto.proc_rename Nfs_proto.enc_rename_args (pub, "f", h, "g"));
+      bad (what "LINK") Nfs_types.dec_fattr
+        (raw_call a ~proc:Nfs_proto.proc_link Nfs_proto.enc_link_args (f, h, "g"));
+      Testkit.check_int (what "holders") 0 (Lease.holder_count leases h))
+    forged;
+  Alcotest.(check (list int)) "holders unchanged" held (holders ());
+  Testkit.check_int "no invalidation queued" 0 (Lease.pending_count leases);
+  Testkit.check_int "no invalidation sent" 0 (Server.invalidations_sent server);
+  Alcotest.(check (list string)) "namespace unchanged" before (names ())
 
 (* --- Allocation guards --- *)
 
@@ -1004,7 +1166,7 @@ let test_fhcrypt_alloc () =
    block is served as itself, marshaled into the session encoder,
    copied into the buffer of the entry the insert evicts, and sealed
    from there, so the one payload-sized allocation is the frame.  It
-   reads 10,816 B; copying the data out of Memfs and out of the
+   reads 10,432 B; copying the data out of Memfs and out of the
    encoder as well cost about 27 KB. *)
 let test_server_read_alloc () =
   let rng = Prng.create [ "server-read-alloc" ] in
@@ -1137,6 +1299,9 @@ let suite =
       Alcotest.test_case "file handle crypto" `Quick test_fhcrypt;
       Alcotest.test_case "file handle byte pin" `Quick test_fhcrypt_pin;
       Alcotest.test_case "server reply byte pin" `Quick test_server_reply_pin;
+      Alcotest.test_case "server lease points" `Quick test_server_lease_points;
+      Alcotest.test_case "server callback order" `Quick test_server_callback_order;
+      Alcotest.test_case "server forged handles" `Quick test_server_forged_handles;
       Alcotest.test_case "file handle allocation" `Quick test_fhcrypt_alloc;
       Alcotest.test_case "server read allocation" `Quick test_server_read_alloc;
       Alcotest.test_case "drc buffer recycling" `Quick test_drc_recycling;

@@ -385,7 +385,7 @@ let test_nfs_service_drc () =
 (* One 8 KB NFS 3 READ through [Nfs_server.service] once its cache is
    full: the reply header and the results are marshaled into one
    encoder, and the one payload-sized allocation is the wire message
-   the cache keeps.  It reads 10,008 B; copying the results out of
+   the cache keeps.  It reads 10,056 B; copying the results out of
    their own encoder and decoding each call twice read 18,776 B. *)
 let test_nfs_service_read_alloc () =
   let _, serve, fh = nfs_service_with_file () in
