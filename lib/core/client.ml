@@ -216,14 +216,16 @@ let authenticate ?local_uid (t : t) (m : mount) (agent : Agent.t) : int =
                 Sfsrw.Auth_req { seqno = base + i; authmsg = Authproto.authmsg_to_string msg }
               in
               let reply = Rpc_mux.call mux (Channel.seal m.m_channel (Sfsrw.request_to_string req)) in
-              match Channel.open_slice m.m_channel reply with
+              let granted frame =
+                match decode_response m frame with
+                | Ok (Sfsrw.Auth_granted { authno; seqno }) when seqno = base + i -> Some authno
+                | Ok (Sfsrw.Auth_denied _) -> None
+                | Ok (Sfsrw.Auth_granted _ | Sfsrw.Fs_reply _ | Sfsrw.Proto_error _) | Error _ ->
+                    raise Simnet.Timeout
+              in
+              match Channel.open_with m.m_channel reply granted with
+              | Ok authno -> authno
               | Error _ -> raise Simnet.Timeout
-              | Ok frame -> (
-                  match decode_response m frame with
-                  | Ok (Sfsrw.Auth_granted { authno; seqno }) when seqno = base + i -> Some authno
-                  | Ok (Sfsrw.Auth_denied _) -> None
-                  | Ok (Sfsrw.Auth_granted _ | Sfsrw.Fs_reply _ | Sfsrw.Proto_error _) | Error _ ->
-                      raise Simnet.Timeout)
             in
             (* The first granted request wins; later ones are not sent. *)
             let rec first i = function
@@ -328,40 +330,45 @@ let frame (t : t) (m : mount) ~(xid : int) ~(ctx : Obs.ctx option) ~(cred : Simo
     (Channel.seal_bytes m.m_channel (Xdr.buffer m.m_enc) ~len, full, int_of_float full)
   end
 
-(* Open a reply in place and pick out its NFS results.  A reply that
-   proves the channel poisoned (a MAC failure, a stream desync, a frame
-   that does not decode) raises [Poisoned]; a MAC failure or desync is
-   counted for serial and write-behind replies only, since a readahead
-   ticket's failure is the cache's to drop.  A protocol error or a
-   stray auth reply raises [Rpc_failure]: the channel is fine, the call
-   is not.  Keystream this open consumed from the idle-time prefetch
-   already ran during dead wire time; only the readahead mux donates
-   idle time, so only it claims. *)
-let open_reply (t : t) (m : mount) ~(readahead : bool) (reply : string) : Nfs_client.opened =
-  match Channel.open_slice m.m_channel reply with
-  | Error e ->
-      let counter, why =
-        match e with
-        | `Mac_mismatch -> ("recover.mac_mismatch", "mac mismatch")
-        | `Replay -> ("recover.replay", "channel desync")
-      in
-      if not readahead then Obs.incr t.obs counter;
-      raise (Nfs_client.Poisoned why)
-  | Ok frame -> (
-      match decode_response m frame with
-      | Result.Error e -> raise (Nfs_client.Poisoned ("garbled response: " ^ e))
-      | Ok (Sfsrw.Proto_error e) -> raise (Nfs_client.Rpc_failure e)
-      | Ok (Sfsrw.Auth_granted _ | Sfsrw.Auth_denied _) ->
-          raise (Nfs_client.Rpc_failure "unexpected auth response")
-      | Ok (Sfsrw.Fs_reply { results; _ }) ->
-          {
-            Nfs_client.results = Ok results;
-            (* Of the measured server time, the reply seal — attributed
-               to the down direction so the analyzer never
-               double-counts full-duplex crypto overlap. *)
-            crypto_us = Channel.crypto_cost_us m.m_channel (Slice.length frame);
-            claim_us = (if readahead then Channel.take_recv_claim m.m_channel else 0.0);
-          })
+(* Open a reply in the channel's frame buffer and hand its NFS results
+   to [decode] while the channel lends them; the callback is built once
+   per mux.  A reply that proves the channel poisoned (a MAC failure, a
+   stream desync, a frame that does not decode) raises [Poisoned]; a
+   MAC failure or desync is counted for serial and write-behind replies
+   only, since a readahead ticket's failure is the cache's to drop.  A
+   protocol error or a stray auth reply raises [Rpc_failure]: the
+   channel is fine, the call is not.  Keystream this open consumed from
+   the idle-time prefetch already ran during dead wire time; only the
+   readahead mux donates idle time, so only it claims. *)
+let open_reply (t : t) (m : mount) ~(readahead : bool) (decode : Slice.t -> 'a) :
+    request:string -> string -> 'a Nfs_client.opened =
+  let opened frame =
+    match decode_response m frame with
+    | Result.Error e -> raise (Nfs_client.Poisoned ("garbled response: " ^ e))
+    | Ok (Sfsrw.Proto_error e) -> raise (Nfs_client.Rpc_failure e)
+    | Ok (Sfsrw.Auth_granted _ | Sfsrw.Auth_denied _) ->
+        raise (Nfs_client.Rpc_failure "unexpected auth response")
+    | Ok (Sfsrw.Fs_reply { results; _ }) ->
+        {
+          Nfs_client.results = Ok (decode results);
+          (* Of the measured server time, the reply seal — attributed
+             to the down direction so the analyzer never
+             double-counts full-duplex crypto overlap. *)
+          crypto_us = Channel.crypto_cost_us m.m_channel (Slice.length frame);
+          claim_us = (if readahead then Channel.take_recv_claim m.m_channel else 0.0);
+        }
+  in
+  fun ~request:_ reply ->
+    match Channel.open_with m.m_channel reply opened with
+    | Ok o -> o
+    | Error e ->
+        let counter, why =
+          match e with
+          | `Mac_mismatch -> ("recover.mac_mismatch", "mac mismatch")
+          | `Replay -> ("recover.replay", "channel desync")
+        in
+        if not readahead then Obs.incr t.obs counter;
+        raise (Nfs_client.Poisoned why)
 
 (* Any transport or channel failure poisons the ARC4 streams, so
    retransmission on the same channel is useless: every later attempt
@@ -372,7 +379,7 @@ let transport (t : t) (m : mount) : Nfs_client.transport =
     proto = Costmodel.Tcp;
     verbatim = false;
     frame = frame t m;
-    open_reply = (fun ~readahead ~request:_ reply -> open_reply t m ~readahead reply);
+    open_reply = (fun ~readahead decode -> open_reply t m ~readahead decode);
     op_us = Costmodel.pipeline_sfs_op_us;
     precompute = Some (fun ~budget_us -> Channel.precompute m.m_channel ~budget_us);
     before_retry =

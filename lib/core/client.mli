@@ -64,10 +64,12 @@ val create :
 
     Key negotiation, authentication and read-only fetches ride one
     {!Sfs_net.Rpc_mux.of_conn} per exchange sequence, priced as one
-    serial round trip.  Every reply on the secure channel is opened in
-    place with {!Sfs_proto.Channel.open_slice} and decoded once by
-    {!Sfs_proto.Sfsrw.response_of_slice}, so NFS results reach the
-    decoder as a view into the opened frame. *)
+    serial round trip.  Every reply on the secure channel is opened
+    into the channel's reused frame buffer with
+    {!Sfs_proto.Channel.open_with} and decoded there by
+    {!Sfs_proto.Sfsrw.response_of_slice}: a serial or write-behind call
+    copies its NFS results out, and a readahead READ decodes its data
+    once, into the string the block cache keeps. *)
 
 val mount : t -> Pathname.t -> (mount, mount_error) result
 (** Dial the Location, negotiate keys, verify the HostID, fetch the

@@ -264,7 +264,7 @@ let fs_connection ?(encrypt = true) ~(peer : string) (t : t) : string -> string 
            state is unrecoverable, so the session goes dead, its leases
            are dropped, and the exchange fails like a vanished peer —
            the client's recovery path reconnects and renegotiates. *)
-        match Channel.open_ s.channel bytes with
+        match Channel.open_with s.channel bytes Sfsrw.request_of_slice with
         | Error e ->
             Obs.incr t.obs
               (match e with
@@ -273,9 +273,9 @@ let fs_connection ?(encrypt = true) ~(peer : string) (t : t) : string -> string 
             Lease.drop_conn t.leases s.conn_id;
             state := `Dead;
             raise Simnet.Timeout
-        | Ok plaintext ->
+        | Ok decoded ->
             let reply =
-              match Sfsrw.request_of_string plaintext with
+              match decoded with
               | Ok req -> handle_fs_request t s req
               | Result.Error e -> Message (Sfsrw.response_to_string (Sfsrw.Proto_error e))
             in

@@ -71,6 +71,7 @@ type call_info = {
 type 'a ticket = {
   tk_ready_us : float;
   tk_result : ('a, exn) result;
+  mutable tk_done : bool; (* awaited or force-completed: no longer in flight *)
 }
 
 type 'a t = {
@@ -86,7 +87,9 @@ type 'a t = {
   mutable srv_free_us : float;
   mutable down_free_us : float;
   mutable last_seen_us : float; (* clock at the previous submit: idle is measured since here *)
-  mutable pending : 'a ticket list; (* oldest first; length < window between submits *)
+  pending : 'a ticket Queue.t;
+      (* submission order; done tickets linger until they reach the front *)
+  mutable live : int; (* tickets in [pending] not yet done; < window between submits *)
 }
 
 let create ?obs ?precompute ~(window : int) ~(clock : Simclock.t) ~(wire_us : int -> float)
@@ -105,10 +108,11 @@ let create ?obs ?precompute ~(window : int) ~(clock : Simclock.t) ~(wire_us : in
     srv_free_us = 0.0;
     down_free_us = 0.0;
     last_seen_us = Simclock.now_us clock;
-    pending = [];
+    pending = Queue.create ();
+    live = 0;
   }
 
-let in_flight (t : _ t) : int = List.length t.pending
+let in_flight (t : _ t) : int = t.live
 
 (* Advance the clock to the ticket's ready time.  Completion order is
    submission order for forced completions; await may complete a younger
@@ -118,18 +122,29 @@ let finish (t : 'a t) (tk : 'a ticket) : unit =
   let now = Simclock.now_us t.clock in
   if tk.tk_ready_us > now then Simclock.advance t.clock (tk.tk_ready_us -. now)
 
-let complete_oldest (t : _ t) : unit =
-  match t.pending with
-  | [] -> ()
-  | tk :: rest ->
-      t.pending <- rest;
+let retire (t : _ t) (tk : _ ticket) : unit =
+  if not tk.tk_done then begin
+    tk.tk_done <- true;
+    t.live <- t.live - 1
+  end
+
+(* Complete the oldest ticket still in flight, dropping the done ones
+   ahead of it. *)
+let rec complete_oldest (t : _ t) : unit =
+  if not (Queue.is_empty t.pending) then begin
+    let tk = Queue.take t.pending in
+    if tk.tk_done then complete_oldest t
+    else begin
+      retire t tk;
       finish t tk
+    end
+  end
 
 let submit ?info (t : 'a t) ~(wire_bytes : int) (request : string) : 'a ticket =
   let enter = Simclock.now_us t.clock in
   (* Window enforcement: a full window means the client blocks until the
      oldest outstanding reply arrives before it may send again. *)
-  while List.length t.pending >= t.window do
+  while t.live >= t.window do
     Obs.incr t.obs "mux.stall";
     complete_oldest t
   done;
@@ -219,7 +234,7 @@ let submit ?info (t : 'a t) ~(wire_bytes : int) (request : string) : 'a ticket =
                 cp_crypto_up_ctr = ci.ci_crypto_up_ctr;
                 cp_crypto_down_ctr = int_of_float c.c_crypto_us;
               });
-        { tk_ready_us = ready; tk_result = Ok c.c_payload }
+        { tk_ready_us = ready; tk_result = Ok c.c_payload; tk_done = false }
     | exception e ->
         (* The exchange charged nothing (Simnet.call_measured restores
            the clock); the failure is observed when awaited.  No
@@ -228,17 +243,21 @@ let submit ?info (t : 'a t) ~(wire_bytes : int) (request : string) : 'a ticket =
            the trace). *)
         Obs.incr t.obs "mux.fail";
         (match info with None -> () | Some ci -> Obs.span_end ci.ci_span);
-        { tk_ready_us = now; tk_result = Error e }
+        { tk_ready_us = now; tk_result = Error e; tk_done = false }
   in
-  t.pending <- t.pending @ [ tk ];
+  Queue.push tk t.pending;
+  t.live <- t.live + 1;
   tk
 
 let await (t : 'a t) (tk : 'a ticket) : 'a =
-  t.pending <- List.filter (fun p -> p != tk) t.pending;
+  retire t tk;
+  while (not (Queue.is_empty t.pending)) && (Queue.peek t.pending).tk_done do
+    ignore (Queue.take t.pending)
+  done;
   finish t tk;
   match tk.tk_result with Ok payload -> payload | Error e -> raise e
 
-let drain (t : _ t) : unit = while t.pending <> [] do complete_oldest t done
+let drain (t : _ t) : unit = while t.live > 0 do complete_oldest t done
 
 let call (t : 'a t) (request : string) : 'a =
   await t (submit t ~wire_bytes:(String.length request) request)

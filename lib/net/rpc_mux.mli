@@ -12,8 +12,9 @@
     The mux is polymorphic in the reply payload: a clear connection
     ({!of_conn}) instantiates ['a = string], while the read-write data
     path ([Nfs_client.data_path], the one other constructor of muxes)
-    carries what its transport opened from the reply — NFS results as a
-    {!Sfs_util.Slice.t} view — without re-marshaling. *)
+    carries what its transport decoded from the opened reply: the
+    marshaled NFS results as a string, or a readahead READ's decoded
+    data. *)
 
 type 'a completion = {
   c_payload : 'a;  (** decoded reply payload *)

@@ -28,7 +28,6 @@ open Nfs_types
 module Simos = Sfs_os.Simos
 module Simclock = Sfs_net.Simclock
 module Obs = Sfs_obs.Obs
-module Slice = Sfs_util.Slice
 module Lru = Sfs_util.Lru
 
 type policy = {
@@ -73,7 +72,7 @@ type t = {
   take_invalidations : unit -> fh list; (* drained before each cache consult *)
   pipeline : Fs_intf.pipeline option; (* windowed read path, when the transport offers one *)
   write_behind : bool;
-  inflight : (fh * int, unit -> (Slice.t * bool * fattr) res) Hashtbl.t;
+  inflight : (fh * int, unit -> (string * bool * fattr) res) Hashtbl.t;
   (* submitted block reads, by block; claimed (awaited) by the next read *)
   last_read : (fh, int * int) Hashtbl.t; (* last block read, run length *)
   mutable wbuf : wbuf option; (* only ever set when [write_behind] *)
@@ -85,11 +84,10 @@ type t = {
   names : (fh * string, fh * float * int) Hashtbl.t; (* target, expiry, uid *)
   negatives : (fh * string, float * int) Hashtbl.t; (* lease-backed: expiry, uid *)
   access_cache : (fh * int * int, int * float) Hashtbl.t; (* (fh, uid, mask) -> granted, expiry *)
-  (* Block data is stored as slices: on the zero-copy transports these
-     are views into the opened wire frame (no per-block copy between
-     the channel and here); elsewhere they wrap whole strings for
-     free. *)
-  blocks : (fh * int, Slice.t) Lru.t;
+  (* Each block is a string of its own: the data a READ reply decoded
+     or a write put on the server, shared with every reader it is
+     served to whole. *)
+  blocks : (fh * int, string) Lru.t;
   mutable cached_bytes : int;
   obs : Obs.registry option;
 }
@@ -126,7 +124,7 @@ let drop_blocks (t : t) (h : fh) : unit =
   let doomed = Lru.fold (fun (f, b) data acc -> if f = h then ((f, b), data) :: acc else acc) t.blocks [] in
   List.iter
     (fun (k, data) ->
-      t.cached_bytes <- t.cached_bytes - Slice.length data;
+      t.cached_bytes <- t.cached_bytes - String.length data;
       Lru.remove t.blocks k)
     doomed
 
@@ -209,16 +207,16 @@ let rec evict_blocks_if_needed (t : t) : unit =
   if t.cached_bytes > t.policy.data_cache_bytes then
     match Lru.pop_lru t.blocks with
     | Some (_, data) ->
-        t.cached_bytes <- t.cached_bytes - Slice.length data;
+        t.cached_bytes <- t.cached_bytes - String.length data;
         evict_blocks_if_needed t
     | None -> t.cached_bytes <- 0
 
-let note_block (t : t) (h : fh) (block : int) (data : Slice.t) : unit =
+let note_block (t : t) (h : fh) (block : int) (data : string) : unit =
   (match Lru.peek t.blocks (h, block) with
-  | Some old -> t.cached_bytes <- t.cached_bytes - Slice.length old
+  | Some old -> t.cached_bytes <- t.cached_bytes - String.length old
   | None -> ());
   Lru.replace t.blocks (h, block) data;
-  t.cached_bytes <- t.cached_bytes + Slice.length data;
+  t.cached_bytes <- t.cached_bytes + String.length data;
   evict_blocks_if_needed t
 
 (* Cache the block-aligned chunks of [data] read from or written at
@@ -229,7 +227,7 @@ let note_chunks (t : t) (h : fh) ~(off : int) ~(ends_file : bool) (data : string
     List.iteri
       (fun i chunk ->
         if String.length chunk = block_size || ends_file then
-          note_block t h ((off / block_size) + i) (Slice.of_string chunk))
+          note_block t h ((off / block_size) + i) chunk)
       (Sfs_util.Bytesutil.chunks ~size:block_size data)
 
 (* Client-side permission enforcement for cache hits.  The cache is
@@ -297,9 +295,9 @@ let flush_for (t : t) (h : fh) : unit =
 (* --- Readahead --- *)
 
 (* Await submitted block reads covering the demanded blocks; successful
-   replies land in the block cache (turning this read into a hit),
-   failures are ignored — the synchronous path will re-fetch and
-   recover. *)
+   replies land in the block cache as the very string the reply decoded
+   (turning this read into a hit), failures are ignored — the
+   synchronous path will re-fetch and recover. *)
 let claim_inflight (t : t) (h : fh) (first : int) (last : int) : unit =
   for b = first to last do
     match Hashtbl.find_opt t.inflight (h, b) with
@@ -309,8 +307,8 @@ let claim_inflight (t : t) (h : fh) (first : int) (last : int) : unit =
         match thunk () with
         | Ok (data, eof, a) ->
             note_attr t h a;
-            if (not (Slice.is_empty data)) && (Slice.length data = block_size || eof) then
-              note_block t h b data
+            let len = String.length data in
+            if len > 0 && (len = block_size || eof) then note_block t h b data
         | Error _ | exception _ -> ())
   done
 
@@ -345,30 +343,36 @@ let top_up (t : t) (cred : Simos.cred) (h : fh) ~(next : int) : unit =
       done
   | _ -> ()
 
-(* Copy a read out of cached blocks, bounded by the fresh size in [a]:
-   one allocation of exactly the reply's length, filled straight from
-   the cached slices.  [None] when a needed block is missing or short
-   (the caller goes to the wire).  Recency is not touched: a hit is not
-   a use. *)
+(* Serve a read out of cached blocks, bounded by the fresh size in
+   [a].  A read of exactly one cached block from its start returns the
+   stored string itself; any other read is assembled into one
+   allocation of exactly the reply's length, filled straight from the
+   cached blocks.  [None] when a needed block is missing or short (the
+   caller goes to the wire).  Recency is not touched: a hit is not a
+   use. *)
 let copy_out (t : t) (h : fh) (a : fattr) ~(off : int) ~(count : int) : (string * bool * fattr) option =
   let n = min count (max 0 (a.size - off)) in
-  let out = Bytes.create n in
-  let rec fill filled =
-    filled >= n
-    ||
-    let pos = off + filled in
-    let b = pos / block_size in
-    match Lru.peek t.blocks (h, b) with
-    | None -> false
-    | Some data ->
-        let block_off = pos - (b * block_size) in
-        block_off < Slice.length data
-        &&
-        let take = min (Slice.length data - block_off) (n - filled) in
-        Slice.blit data ~src_off:block_off out ~dst_off:filled ~len:take;
-        fill (filled + take)
-  in
-  if fill 0 then Some (Bytes.unsafe_to_string out, off + n >= a.size, a) else None
+  let eof = off + n >= a.size in
+  match Lru.peek t.blocks (h, off / block_size) with
+  | Some data when off mod block_size = 0 && String.length data = n -> Some (data, eof, a)
+  | _ ->
+      let out = Bytes.create n in (* sfslint: allow SL013 — a read that cuts or spans cached blocks is assembled into the one string its caller gets *)
+      let rec fill filled =
+        filled >= n
+        ||
+        let pos = off + filled in
+        let b = pos / block_size in
+        match Lru.peek t.blocks (h, b) with
+        | None -> false
+        | Some data ->
+            let block_off = pos - (b * block_size) in
+            block_off < String.length data
+            &&
+            let take = min (String.length data - block_off) (n - filled) in
+            Bytes.blit_string data block_off out filled take;
+            fill (filled + take)
+      in
+      if fill 0 then Some (Bytes.unsafe_to_string out, eof, a) else None
 
 (* Submit the demanded blocks through the windowed dispatcher, top the
    readahead window up behind them so everything overlaps, then claim

@@ -41,15 +41,9 @@ type ops = {
    (transport fault); callers fall back to the synchronous [fs_read],
    whose recovery path handles it.  READs are idempotent, so an
    abandoned in-flight prefetch is harmless.  The data arrives as a
-   slice — a view into the opened wire frame on zero-copy transports —
-   which the block cache stores as is; transports without a zero-copy
-   path wrap their strings with [Slice.of_string] (free). *)
+   string of its own, decoded once out of the opened reply, which the
+   block cache stores as the block and hands to readers as is. *)
 type pipeline = {
   pl_depth : int; (* readahead depth (blocks beyond the demanded one) *)
-  pl_submit :
-    Simos.cred ->
-    fh ->
-    off:int ->
-    count:int ->
-    (unit -> (Sfs_util.Slice.t * bool * fattr) res);
+  pl_submit : Simos.cred -> fh -> off:int -> count:int -> (unit -> (string * bool * fattr) res);
 }

@@ -40,16 +40,11 @@ type ops = {
     dispatcher and returns a thunk that awaits the reply.  The thunk may
     raise a transport fault; callers fall back to the synchronous
     [fs_read], whose recovery path handles it (READs are idempotent, so an
-    abandoned in-flight prefetch is harmless).  Data arrives as a
-    {!Sfs_util.Slice.t} — a view into the opened wire frame on
-    zero-copy transports, a free whole-string wrapper elsewhere — and
-    the block cache stores it as is. *)
+    abandoned in-flight prefetch is harmless).  The data is a string of
+    its own, decoded once out of the opened reply (DESIGN.md §14): the
+    block cache stores it as the block, and a read of exactly that block
+    returns it as is. *)
 type pipeline = {
   pl_depth : int;  (** readahead depth (blocks beyond the demanded one) *)
-  pl_submit :
-    Simos.cred ->
-    fh ->
-    off:int ->
-    count:int ->
-    (unit -> (Sfs_util.Slice.t * bool * fattr) res);
+  pl_submit : Simos.cred -> fh -> off:int -> count:int -> (unit -> (string * bool * fattr) res);
 }

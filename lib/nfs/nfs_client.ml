@@ -44,8 +44,8 @@ let with_backoff ?obs ~(clock : Simclock.t) (b : backoff) (attempt : bool -> ('a
   go 0
 
 type call = Root | Proc of int
-type reply = (Slice.t, [ `Retry of string | `Fail of string ]) result
-type opened = { results : reply; crypto_us : float; claim_us : float }
+type 'a reply = ('a, [ `Retry of string | `Fail of string ]) result
+type 'a opened = { results : 'a reply; crypto_us : float; claim_us : float }
 
 type transport = {
   conn : unit -> Simnet.conn;
@@ -59,22 +59,22 @@ type transport = {
     call ->
     (Xdr.enc -> unit) ->
     string * float * int;
-  open_reply : readahead:bool -> request:string -> string -> opened;
+  open_reply : 'a. readahead:bool -> (Slice.t -> 'a) -> request:string -> string -> 'a opened;
   op_us : float;
   precompute : (budget_us:float -> float) option;
   before_retry : unit -> unit;
   backoff : backoff;
 }
 
-let decode (results : Slice.t) (dec : Xdr.dec -> 'a) : 'a =
-  match Xdr.run_slice results dec with
+let decode (results : string) (dec : Xdr.dec -> 'a) : 'a =
+  match Xdr.run results dec with
   | Ok v -> v
   | Result.Error e -> raise (Rpc_failure ("unparsable result: " ^ e))
 
 (* NFS 3 procedures marshaled over [call], which takes the arguments as
-   a writer into the transport's own encoder and returns the results as
-   a view.  [async] marks write-behind traffic (unstable WRITEs). *)
-let generic_ops (call : async:bool -> cred:Simos.cred -> call -> (Xdr.enc -> unit) -> Slice.t)
+   a writer into the transport's own encoder and returns the marshaled
+   results.  [async] marks write-behind traffic (unstable WRITEs). *)
+let generic_ops (call : async:bool -> cred:Simos.cred -> call -> (Xdr.enc -> unit) -> string)
     ~(root : fh) : Fs_intf.ops =
   let open Nfs_proto in
   let nfs_call ?(async = false) ~cred ~proc enc_args a dec_result =
@@ -135,6 +135,13 @@ let generic_ops (call : async:bool -> cred:Simos.cred -> call -> (Xdr.enc -> uni
    the root fetch, serial and write-behind calls and readahead, so no
    two share an entry in the server's duplicate request cache.
 
+   Each mux hands the transport its decoder, which runs on the opened
+   results while the transport still lends them.  Serial and
+   write-behind calls copy the marshaled results out and decode them
+   afterwards; readahead decodes its READ result in place, which
+   copies the data once, into the string the block cache keeps and a
+   reader gets.
+
    Serial calls ride a window-1 mux, which prices exactly one round
    trip.  Write-behind rides a second one, whose latency is
    [async_floor_us]: the part of the round trip a write-behind caller
@@ -152,12 +159,13 @@ let data_path ?obs ~(window : int) ~(readahead : int) ~(cred : Simos.cred) (net 
     incr last_xid;
     !last_xid
   in
-  let mux ?obs ?precompute ~readahead ~window ~latency_us ~op_us () =
+  let mux ?obs ?precompute ~readahead ~window ~latency_us ~op_us decode =
+    let open_reply = tr.open_reply ~readahead decode in
     Rpc_mux.create ?obs ?precompute ~window ~clock ~wire_us:(Costmodel.transfer_us tr.proto)
       ~latency_us ~op_us
       ~exchange:(fun request ->
         let reply, server_us = Simnet.call_measured (tr.conn ()) request in
-        let o = tr.open_reply ~readahead ~request reply in
+        let o = open_reply ~request reply in
         {
           Rpc_mux.c_payload = o.results;
           c_server_us = server_us;
@@ -168,9 +176,9 @@ let data_path ?obs ~(window : int) ~(readahead : int) ~(cred : Simos.cred) (net 
       ()
   in
   let round_trip = Costmodel.rpc_fixed_us tr.proto in
-  let serial = mux ~readahead:false ~window:1 ~latency_us:round_trip ~op_us:0.0 () in
+  let serial = mux ~readahead:false ~window:1 ~latency_us:round_trip ~op_us:0.0 Slice.to_string in
   let write_behind =
-    mux ~readahead:false ~window:1 ~latency_us:Costmodel.async_floor_us ~op_us:0.0 ()
+    mux ~readahead:false ~window:1 ~latency_us:Costmodel.async_floor_us ~op_us:0.0 Slice.to_string
   in
   (* Frame one call under a fresh op span and submit it: the mux
      records the op's critical-path sample and closes the span at the
@@ -222,9 +230,13 @@ let data_path ?obs ~(window : int) ~(readahead : int) ~(cred : Simos.cred) (net 
   let root = decode (rpc ~async:false ~cred Root ignore) dec_fh in
   let pipeline =
     if window > 1 && readahead > 0 then begin
+      (* An undecodable result is kept as a value and raised by the
+         await thunk, like a damaged reply: the exchange itself
+         succeeded and its timelines stand. *)
+      let dec_read = Nfs_proto.dec_res Nfs_proto.dec_read_ok in
       let mux =
         mux ?obs ?precompute:tr.precompute ~readahead:true ~window ~latency_us:round_trip
-          ~op_us:tr.op_us ()
+          ~op_us:tr.op_us (fun results -> Xdr.run_slice results dec_read)
       in
       let pl_submit cred h ~off ~count =
         let ticket =
@@ -233,9 +245,8 @@ let data_path ?obs ~(window : int) ~(readahead : int) ~(cred : Simos.cred) (net 
         in
         fun () ->
           match Rpc_mux.await mux ticket with
-          | Ok results ->
-              (* The block cache keeps a view into the reply. *)
-              decode results (Nfs_proto.dec_res Nfs_proto.dec_read_ok_slice)
+          | Ok (Ok read) -> read
+          | Ok (Result.Error e) -> raise (Rpc_failure ("unparsable result: " ^ e))
           | Error (`Retry why | `Fail why) -> raise (Rpc_failure ("pipelined read: " ^ why))
       in
       Some { Fs_intf.pl_depth = readahead; pl_submit }
@@ -258,7 +269,7 @@ let rpc_auth_of_cred (machine : string) (c : Simos.cred) : Sunrpc.auth_flavor =
 (* The results a reply to [xid] carries, or why it carries none:
    [`Retry] when the bytes on the wire were damaged (retransmitting
    may help), [`Fail] for an RPC-level rejection (it will not). *)
-let reply_results ~(xid : int) (reply : string) : reply =
+let reply_results ~(xid : int) (reply : string) : Slice.t reply =
   match Sunrpc.msg_of_string reply with
   | Ok (Sunrpc.Reply r) when r.Sunrpc.reply_xid = xid || r.Sunrpc.reply_xid = 0 -> (
       match r.Sunrpc.body with
@@ -318,9 +329,10 @@ let sunrpc (net : Simnet.t) ~(proto : Costmodel.transport_proto) ~(machine : str
     frame;
     (* A Sun RPC message opens with its xid. *)
     open_reply =
-      (fun ~readahead:_ ~request reply ->
+      (fun ~readahead:_ decode ~request reply ->
         {
-          results = reply_results ~xid:(Sfs_util.Bytesutil.int_of_be32 request ~off:0) reply;
+          results =
+            Result.map decode (reply_results ~xid:(Sfs_util.Bytesutil.int_of_be32 request ~off:0) reply);
           crypto_us = 0.0;
           claim_us = 0.0;
         });

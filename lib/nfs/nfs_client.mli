@@ -27,9 +27,9 @@ type call = Root | Proc of int
 (** The root-handle fetch (MOUNT's MNT on NFS 3, the dialect's GETROOT
     on SFS), or an NFS 3 procedure. *)
 
-type opened = {
-  results : (Sfs_util.Slice.t, [ `Retry of string | `Fail of string ]) result;
-      (** the NFS results as a view into the reply; [`Retry] when the
+type 'a opened = {
+  results : ('a, [ `Retry of string | `Fail of string ]) result;
+      (** what the decoder made of the NFS results; [`Retry] when the
           reply was damaged on the wire, [`Fail] for a rejection *)
   crypto_us : float;  (** of the measured server time, the reply seal; [0.] when clear *)
   claim_us : float;  (** of [crypto_us], keystream banked during idle wire time *)
@@ -60,9 +60,13 @@ type transport = {
           critical-path share and the counter's integer
           ({!Sfs_net.Rpc_mux.call_info}).  [overlapped] marks
           write-behind and readahead *)
-  open_reply : readahead:bool -> request:string -> string -> opened;
-      (** open the reply to [request]; may raise {!Poisoned} or
-          {!Rpc_failure}, and then the exchange charges nothing *)
+  open_reply : 'a. readahead:bool -> (Sfs_util.Slice.t -> 'a) -> request:string -> string -> 'a opened;
+      (** [open_reply ~readahead decode], once per mux, opens each
+          reply to [request] and applies [decode] to its NFS results.
+          The view may be lent (SFS: the channel's reused frame
+          buffer), so [decode] copies or decodes what it keeps.  May
+          raise {!Poisoned} or {!Rpc_failure}, and then the exchange
+          charges nothing *)
   op_us : float;  (** the readahead mux's per-reply residual *)
   precompute : (budget_us:float -> float) option;
       (** the readahead mux's idle-wire donation hook *)
@@ -84,8 +88,11 @@ val data_path :
     calls, write-behind (unstable WRITEs) and readahead each ride their
     own {!Sfs_net.Rpc_mux}: window 1 priced at one round trip, window 1
     priced at [Costmodel.async_floor_us], and [window] wide with the
-    transport's [op_us] and [precompute].  The pipeline is [Some] only
-    when [window > 1] and [readahead > 0].  Serial and write-behind
+    transport's [op_us] and [precompute].  Serial and write-behind
+    replies copy their marshaled results out of the transport's lent
+    view; a readahead reply decodes its READ result in the view, so its
+    data is copied once.  The pipeline is [Some] only when
+    [window > 1] and [readahead > 0].  Serial and write-behind
     calls retry through [backoff] on a timeout, a [`Retry] reply or
     {!Poisoned}.  Only the readahead mux keeps [obs]'s mux.* counters.
     @raise Rpc_failure when the root fetch fails. *)

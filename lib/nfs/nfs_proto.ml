@@ -192,16 +192,6 @@ let dec_read_ok d =
   let data = Xdr.dec_opaque d ~max:0x200000 in
   (data, eof, a)
 
-(* Zero-copy READ result: the data payload stays a view into the frame
-   being decoded (the pipelined path hands it to the block cache as
-   is). *)
-let dec_read_ok_slice d =
-  let a = dec_fattr d in
-  let _count = Xdr.dec_uint32 d in
-  let eof = Xdr.dec_bool d in
-  let data = Xdr.dec_opaque_slice d ~max:0x200000 in
-  (data, eof, a)
-
 let enc_access_ok e ((a : fattr), (granted : int)) =
   enc_fattr e a;
   Xdr.enc_uint32 e granted

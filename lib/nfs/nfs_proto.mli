@@ -78,10 +78,6 @@ val dec_lookup_ok : Sfs_xdr.Xdr.dec -> fh * fattr
 val enc_read_ok : Sfs_xdr.Xdr.enc -> string * bool * fattr -> unit
 val dec_read_ok : Sfs_xdr.Xdr.dec -> string * bool * fattr
 
-val dec_read_ok_slice : Sfs_xdr.Xdr.dec -> Sfs_util.Slice.t * bool * fattr
-(** {!dec_read_ok} with the data payload left as a view into the frame
-    being decoded — the zero-copy read path's block-cache input. *)
-
 val enc_access_ok : Sfs_xdr.Xdr.enc -> fattr * int -> unit
 val dec_access_ok : Sfs_xdr.Xdr.dec -> fattr * int
 val enc_readdir_ok : Sfs_xdr.Xdr.enc -> dirent list -> unit

@@ -20,9 +20,11 @@
    one HMAC schedule.  Per message, the 32 MAC-key bytes are drawn into
    a fixed key buffer and the schedule is re-keyed from them in place;
    [seal] writes length word, plaintext and MAC into the frame buffer,
-   then makes a single ARC4 pass over the whole frame; [open_] decrypts
-   the wire straight into the same buffer and verifies the tag where it
-   lies.  The only per-message allocation is the returned output. *)
+   then makes a single ARC4 pass over the whole frame; [open_with]
+   decrypts the wire straight into the same buffer, verifies the tag
+   where it lies and only then lends the plaintext to its caller.  The
+   only per-message allocation is the sealed frame, or whatever the
+   caller makes of the lent plaintext. *)
 
 module Arc4 = Sfs_crypto.Arc4
 module Mac = Sfs_crypto.Mac
@@ -135,16 +137,11 @@ let charge (t : t) (bytes : int) : unit =
   | Some clock when t.encrypt -> Simclock.advance clock (Costmodel.crypto_us bytes)
   | _ -> ()
 
-(* The per-direction frame buffer, grown geometrically and reused for
-   every message on that half. *)
+(* The per-direction frame buffer, reused for every message on that
+   half.  It at least doubles when it grows, and a message more than
+   twice its size gets a buffer of exactly its length. *)
 let frame_buf (h : half) (n : int) : Bytes.t =
-  if Bytes.length h.buf < n then begin
-    let cap = ref (Bytes.length h.buf) in
-    while !cap < n do
-      cap := !cap * 2
-    done;
-    h.buf <- Bytes.create !cap
-  end;
+  if Bytes.length h.buf < n then h.buf <- Bytes.create (max n (2 * Bytes.length h.buf));
   h.buf
 
 (* Buffered-first keystream consumption.  Each helper serves as much as
@@ -231,7 +228,13 @@ let reject (t : t) (e : open_error) : ('a, open_error) result =
   (match e with `Replay -> Obs.incr t.obs t.keys.k_replays | `Mac_mismatch -> ());
   Error e
 
-let open_ (t : t) (wire : string) : (string, open_error) result =
+(* Open one message into the receive half's reused frame buffer and,
+   once its tag has verified, lend the plaintext to [f] as a view into
+   that buffer.  The next open on this half overwrites the buffer, so
+   the view is valid only while [f] runs: [f] decodes or copies out
+   what it keeps.  With encryption off the wire is copied in unchanged
+   and the MAC discipline is the same. *)
+let open_with (t : t) (wire : string) (f : Sfs_util.Slice.t -> 'a) : ('a, open_error) result =
   Obs.span t.obs ~cat:"channel" "open" (fun () ->
       let wire_len = String.length wire in
       t.recv_claim_us <- 0.0;
@@ -271,61 +274,12 @@ let open_ (t : t) (wire : string) : (string, open_error) result =
              from the buffer is never monetised. *)
           if t.encrypt && from_buf > 0 then
             t.recv_claim_us <- Costmodel.keystream_us (min len from_buf);
-          Ok (Bytes.sub_string buf 4 len)
+          Ok (f (Sfs_util.Slice.make (Bytes.unsafe_to_string buf) ~off:4 ~len))
         end
       end)
 
-(* Zero-copy variant of [open_] for the pipelined read path: the
-   plaintext is returned as a view instead of a copied-out string.
-
-   Ownership: with encryption on, the frame is decrypted into a fresh,
-   detached, exact-size buffer — unlike [open_]'s reusable scratch
-   buffer, which the next message on this half would overwrite under
-   the view.  That one allocation is the single buffer the read path
-   threads from wire to block cache (DESIGN.md §14); everything
-   downstream is views into it.  With encryption off the wire string
-   itself is the plaintext: the MAC is checked against it (via the
-   reusable scratch, read-only) and the view points straight into
-   [wire] — zero per-message allocation. *)
-let open_slice (t : t) (wire : string) : (Sfs_util.Slice.t, open_error) result =
-  Obs.span t.obs ~cat:"channel" "open" (fun () ->
-      let wire_len = String.length wire in
-      t.recv_claim_us <- 0.0;
-      Obs.incr t.obs t.keys.k_received;
-      if wire_len < 4 + Mac.mac_size then reject t `Replay
-      else begin
-        if t.encrypt then
-          Obs.add t.obs t.keys.k_crypto_us_in
-            (int_of_float (Costmodel.crypto_us (wire_len - 4 - Mac.mac_size)));
-        rekey_mac t.recv_half;
-        let buf, from_buf, plain =
-          if t.encrypt then begin
-            let frame = Bytes.create wire_len in (* sfslint: allow SL013 — the one detached frame the zero-copy path threads through; open_'s scratch would be overwritten under the view *)
-            let from_buf =
-              xor_consume t.recv_half ~src:wire ~src_off:0 ~dst:frame ~dst_off:0 ~len:wire_len
-            in
-            (* [frame] is sealed below this point: every later use is a
-               read, so freezing it into the slice's base is sound. *)
-            (frame, from_buf, Bytes.unsafe_to_string frame)
-          end
-          else begin
-            let scratch = frame_buf t.recv_half wire_len in
-            Bytes.blit_string wire 0 scratch 0 wire_len;
-            skip_consume t.recv_half wire_len;
-            (scratch, 0, wire)
-          end
-        in
-        let len = Sfs_util.Bytesutil.get_be32 buf ~off:0 in
-        if len < 0 || len <> wire_len - 4 - Mac.mac_size then reject t `Replay
-        else if not (Mac.verify_into t.recv_half.mac buf ~off:0 ~len:(4 + len) ~tag_off:(4 + len))
-        then reject t `Mac_mismatch
-        else begin
-          Obs.add t.obs t.keys.k_bytes_in len;
-          if t.encrypt && from_buf > 0 then
-            t.recv_claim_us <- Costmodel.keystream_us (min len from_buf);
-          Ok (Sfs_util.Slice.make plain ~off:4 ~len)
-        end
-      end)
+let open_ (t : t) (wire : string) : (string, open_error) result =
+  open_with t wire Sfs_util.Slice.to_string
 
 (* The crypto time [seal] would charge for [bytes], for callers that
    bill pipelined traffic at a fraction. *)

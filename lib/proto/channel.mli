@@ -4,7 +4,7 @@
 
     Drop, replay or reorder desynchronizes the streams and fails the
     MAC, so the channel provides secrecy, integrity, freshness and
-    replay protection together.  After an {!open_} error the channel is
+    replay protection together.  After an {!open_with} error the channel is
     unusable: tear the connection down and renegotiate, as SFS does. *)
 
 type open_error =
@@ -45,20 +45,23 @@ val seal : ?bill:bool -> t -> string -> string
 [@@sfs.declassify "the trusted seal boundary: MAC-then-encrypt output is what SFS puts on the wire"]
 (** {!seal_bytes} of a whole string. *)
 
-val open_ : t -> string -> (string, open_error) result
-(** Open one incoming message.  Any [Error] poisons the channel (the
-    receive stream position is unrecoverable): the caller must tear the
-    connection down and signal reconnection.  Both error cases bump the
+val open_with : t -> string -> (Sfs_util.Slice.t -> 'a) -> ('a, open_error) result
+(** [open_with t wire f] opens one incoming message and applies [f] to
+    its plaintext.  The message is decrypted into the receive
+    direction's reused frame buffer and its MAC is checked there; [f]
+    runs only after the tag has verified, so no unauthenticated byte
+    reaches it.  The view is lent, not given: the next open on this
+    channel overwrites the buffer, so [f] must decode or copy out
+    whatever it keeps, and the view must not outlive the call.  Any
+    [Error] poisons the channel (the receive stream position is
+    unrecoverable): the caller must tear the connection down and
+    signal reconnection.  Both error cases bump the
     [channel.<label>.mac_failures] counter; [`Replay] additionally
-    bumps [channel.<label>.replays].  Allocates only the returned
-    plaintext: the tag is checked where it lies in the decrypted frame. *)
+    bumps [channel.<label>.replays].  Allocates only the view and the
+    result; an exception from [f] propagates. *)
 
-val open_slice : t -> string -> (Sfs_util.Slice.t, open_error) result
-(** {!open_} returning the plaintext as a view instead of a copy: with
-    encryption on, into a fresh detached exact-size frame (the single
-    buffer the zero-copy read path threads from wire to block cache);
-    with encryption off, straight into the wire string — zero
-    per-message allocation.  Error semantics identical to {!open_}. *)
+val open_ : t -> string -> (string, open_error) result
+(** {!open_with} copying the plaintext out. *)
 
 val crypto_cost_us : t -> int -> float
 [@@sfs.declassify "a modeled time computed from the encrypt flag and a byte count; no key or stream state reaches it"]

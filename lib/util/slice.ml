@@ -1,15 +1,13 @@
-(* An immutable view into a string: the currency of the zero-copy read
-   path (DESIGN.md §14).  A decrypted wire frame is allocated once by
-   Channel.open_slice; XDR decoding, the RPC demux and the block cache
-   all pass around [t] values into that one buffer, and bytes are only
-   copied again at the final user-visible boundary (the block cache's
-   copy-out, via [blit]).
+(* A read-only view into a string: the currency of the read path's
+   decoders (DESIGN.md §14).  Channel.open_with lends each decrypted
+   message as a view into the channel's reused frame buffer for the
+   length of one callback; XDR decoding reads views in place, and
+   whatever the callback keeps is copied out ([to_string]) or decoded
+   into values of its own.
 
    Slices never own their base: holding a slice retains the whole
-   backing string.  That is the intended trade on the read path — an
-   8 KB READ reply frame carries ~56 bytes of framing beyond the block
-   it backs — but callers slicing small fields out of large transient
-   buffers should [to_string] instead. *)
+   backing string, so callers slicing small fields out of large
+   transient buffers should [to_string] instead. *)
 
 type t = { base : string; off : int; len : int }
 
@@ -23,7 +21,6 @@ let make (base : string) ~(off : int) ~(len : int) : t =
   { base; off; len }
 
 let length (t : t) : int = t.len
-let is_empty (t : t) : bool = t.len = 0
 let base (t : t) : string = t.base
 let offset (t : t) : int = t.off
 

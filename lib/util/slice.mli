@@ -1,8 +1,9 @@
-(** An immutable view (base string, offset, length) — the currency of
-    the zero-copy read path.  {!Channel.open_slice} allocates one
-    detached frame per message; XDR decoding, the RPC demux and the
-    block cache pass views into it and bytes are copied again only at
-    the final user-visible boundary.
+(** A read-only view (base string, offset, length) — the currency of
+    the read path's decoders.  {!Channel.open_with} lends the plaintext
+    of each message as a view into the channel's reused frame buffer,
+    valid only while its callback runs; XDR decoding works on views in
+    place, and whatever outlives the callback is copied out of the view
+    ({!to_string}) or decoded into values of its own.
 
     A slice retains its whole backing string; slice small fields out of
     large transient buffers with {!to_string} instead. *)
@@ -19,17 +20,15 @@ val make : string -> off:int -> len:int -> t
 val length : t -> int
 [@@sfs.declassify "a view's length, like String.length of its bytes, is a size and never content"]
 
-val is_empty : t -> bool
-
 val base : t -> string
 
 val offset : t -> int
 [@@sfs.declassify "a position inside the backing string, never its content"]
 
 val to_string : t -> string
-(** The only copy point; whole-base views return the base unchanged. *)
+(** A copy of the viewed bytes, which outlives a lent view; whole-base
+    views return the base unchanged. *)
 
 val blit : t -> src_off:int -> Bytes.t -> dst_off:int -> len:int -> unit
-(** Copy a sub-range into [dst] at [dst_off] (the read path's final
-    copy-out).  @raise Invalid_argument when either range is out of
-    bounds. *)
+(** Copy a sub-range into [dst] at [dst_off].  @raise Invalid_argument
+    when either range is out of bounds. *)

@@ -1260,12 +1260,16 @@ let test_drc_recycling () =
   Testkit.check_int "evicted: executed and cached" (i0 + 1) (inserts ())
 
 (* One serial 4 KB READ through the SFS client, from the cache miss to
-   the returned data: seal, the exchange, the reply opened in place,
-   the results decoded straight out of the frame, and the cache fill.
-   Opening replies as a string and copying the results out cost
-   42,680 B here, and decoding in place 38,576 B, later 34,240 B.
-   Sealing each request from the encoder, with the server serving the
-   stored block and reusing evicted reply buffers, reads 29,968 B. *)
+   the returned data: seal, the exchange, the reply opened in the
+   channel's frame buffer, the results copied out of it and decoded,
+   and the cache fill.  Opening replies as a string and copying the
+   results out cost 42,680 B here, and decoding in place 38,576 B,
+   later 34,240 B.  Sealing each request from the encoder, with the
+   server serving the stored block and reusing evicted reply buffers,
+   read 29,968 B, and 29,584 B once the server stopped copying
+   handles.  Opening into the reused buffer on both ends, the server
+   decoding the request where it lies, and the cache keeping a
+   one-block read as the string it returns reads 25,328 B. *)
 let test_client_read_alloc () =
   let w = Sfs_workload.Stacks.make ~rpc_window:1 ~readahead:0 Sfs_workload.Stacks.Sfs in
   let path = w.Sfs_workload.Stacks.workdir ^ "/small" in
@@ -1292,6 +1296,153 @@ let test_client_read_alloc () =
   Testkit.check_alloc_under "serial 4 KB READ through the client" ~bound:37_460 read;
   Testkit.check_string "read back" (pattern 4096) !got
 
+(* --- The readahead read path: one data string per READ --- *)
+
+module Stacks = Sfs_workload.Stacks
+module Driver = Sfs_workload.Driver
+
+let block = 8192
+
+(* An SFS world at window 16 and readahead 16 holding a [blocks]-block
+   file of seeded bytes, committed, with the client's cache emptied.
+   [tap], when given, carries every client connection: the primed mount
+   is dropped and the file system remounted under it. *)
+let readahead_file ?tap ~(blocks : int) () =
+  let w = Stacks.make ~rpc_window:16 ~readahead:16 Stacks.Sfs in
+  let client = Option.get w.Stacks.sfs_client in
+  (match tap with
+  | None -> ()
+  | Some tap ->
+      List.iter (Client.unmount client) (Client.mounts client);
+      Simnet.set_default_tap w.Stacks.net (Some tap));
+  let path = w.Stacks.workdir ^ "/seq" in
+  let data = Driver.content ~seed:34 (blocks * block) in
+  Driver.write_file w path data;
+  Driver.commit w path;
+  let m = List.hd (Client.mounts client) in
+  let fh =
+    match Vfs.resolve w.Stacks.vfs w.Stacks.cred path with
+    | Ok (_, fh) -> fh
+    | Error e -> Alcotest.failf "resolve: %s" (Vfs.verror_to_string e)
+  in
+  Sfs_nfs.Cachefs.invalidate_all (Client.cache m);
+  let ops = Client.ops m in
+  let read b =
+    match ops.Fs_intf.fs_read w.Stacks.cred fh ~off:(b * block) ~count:block with
+    | Ok (d, _, _) -> d
+    | Error e -> Alcotest.failf "read block %d: %s" b (Nfs_types.status_to_string e)
+  in
+  let expect b = String.sub data (b * block) block in
+  (w, read, expect)
+
+(* Warmed aligned 8 KB sequential hits: every read claims a prefetched
+   block and tops the window up with one more READ, client and server
+   together, with the world's spans and critical-path samples recorded.
+   Opening each reply into a detached frame and copying every read out
+   of the cached view cost 43,619 B per read here; opening into the
+   channel's own buffer, decoding the data once and serving the cached
+   block as itself reads 34,379 B. *)
+let test_readahead_read_alloc () =
+  let w, read, expect = readahead_file ~blocks:256 () in
+  (* Arm readahead and grow the frame buffers, the mux queue and the
+     cache's tables. *)
+  for b = 0 to 63 do
+    ignore (read b)
+  done;
+  let hits () = Obs.counter w.Stacks.obs "cache.read.hit" in
+  let h0 = hits () and n = 128 in
+  let got = ref "" in
+  let bytes =
+    Testkit.alloc_bytes (fun () ->
+        for b = 64 to 64 + n - 1 do
+          got := read b
+        done)
+  in
+  Testkit.check_int "every read a hit" n (hits () - h0);
+  Testkit.check_string "last block" (expect (64 + n - 1)) !got;
+  if bytes / n > 36_000 then
+    Alcotest.failf "one readahead READ allocated %d B, bound 36,000 B" (bytes / n)
+
+(* A read of exactly one cached block returns the stored string itself,
+   whether readahead or a serial miss filled it. *)
+let test_cached_block_itself () =
+  let _, read, expect = readahead_file ~blocks:32 () in
+  let serial = read 0 in
+  for b = 1 to 15 do
+    ignore (read b)
+  done;
+  let first = read 20 in
+  let second = read 20 in
+  Testkit.check_string "readahead block" (expect 20) first;
+  Testkit.check_bool "readahead block served as itself" true (first == second);
+  Testkit.check_string "serial block" (expect 0) serial;
+  Testkit.check_bool "serial block served as itself" true (serial == read 0)
+
+(* Every readahead reply is opened into the channel's one reused frame
+   buffer, so a block that kept a view into it would change under later
+   replies.  Read 64 blocks with 16 in flight, then read every block
+   back out of the cache. *)
+let test_readahead_borrow () =
+  let w, read, expect = readahead_file ~blocks:64 () in
+  for b = 0 to 63 do
+    Testkit.check_string (Printf.sprintf "block %d" b) (expect b) (read b)
+  done;
+  let hits () = Obs.counter w.Stacks.obs "cache.read.hit" in
+  let sent () = Obs.counter w.Stacks.obs "channel.client.sent" in
+  let h0 = hits () and s0 = sent () in
+  for b = 0 to 63 do
+    Testkit.check_string (Printf.sprintf "cached block %d" b) (expect b) (read b)
+  done;
+  Testkit.check_int "every re-read a hit" 64 (hits () - h0);
+  Testkit.check_int "no call sent" 0 (sent () - s0)
+
+(* Flip a bit in the MAC tags of the readahead reply carrying block 11
+   and of the pipelined refetch its failed claim sends: neither opens,
+   the block is never cached from them, and the read of block 11 falls
+   back to the serial path, whose reply is intact. *)
+let test_tampered_readahead () =
+  let tap = Simnet.passive_tap () in
+  let w, read, expect = readahead_file ~tap ~blocks:32 () in
+  let big = ref 0 and tamper = ref [] in
+  tap.Simnet.on_message <-
+    (fun dir msg ->
+      if dir = Simnet.To_client && String.length msg > block then begin
+        incr big;
+        if List.mem !big !tamper then begin
+          let b = Bytes.of_string msg in
+          let i = Bytes.length b - 1 in
+          Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1));
+          Simnet.Replace (Bytes.to_string b)
+        end
+        else Simnet.Pass
+      end
+      else Simnet.Pass);
+  let counter = Obs.counter w.Stacks.obs in
+  (* Blocks 0-7 are serial READs; the ninth read submits block 8 and
+     tops up blocks 9-24, so block 11 is the twelfth 8 KB reply, and
+     the reads of blocks 9 and 10 top up one block each. *)
+  tamper := [ 12 ];
+  for b = 0 to 10 do
+    Testkit.check_string (Printf.sprintf "block %d" b) (expect b) (read b)
+  done;
+  Testkit.check_int "tampered reply sent" 27 !big;
+  Testkit.check_int "its exchange failed" 1 (counter "mux.fail");
+  let miss0 = counter "cache.read.miss" and fail0 = counter "mux.fail" in
+  let submit0 = counter "mux.submit" and sent0 = counter "channel.client.sent" in
+  tamper := [ !big + 1 ];
+  let got = read 11 in
+  Testkit.check_string "block 11 recovered" (expect 11) got;
+  Testkit.check_int "block 11 missed the cache" 1 (counter "cache.read.miss" - miss0);
+  Testkit.check_int "the refetch failed" 1 (counter "mux.fail" - fail0);
+  (* The refetch and one top-up rode the readahead mux; the recovering
+     READ is the one serial call. *)
+  Testkit.check_int "readahead submits" 2 (counter "mux.submit" - submit0);
+  Testkit.check_int "one serial call" 3 (counter "channel.client.sent" - sent0);
+  Testkit.check_bool "recovered block cached as itself" true (read 11 == got);
+  for b = 12 to 31 do
+    Testkit.check_string (Printf.sprintf "block %d" b) (expect b) (read b)
+  done
+
 let suite =
   ( "core",
     [
@@ -1306,6 +1457,10 @@ let suite =
       Alcotest.test_case "server read allocation" `Quick test_server_read_alloc;
       Alcotest.test_case "drc buffer recycling" `Quick test_drc_recycling;
       Alcotest.test_case "client read allocation" `Quick test_client_read_alloc;
+      Alcotest.test_case "readahead read allocation" `Quick test_readahead_read_alloc;
+      Alcotest.test_case "cached block served as itself" `Quick test_cached_block_itself;
+      Alcotest.test_case "readahead borrow safety" `Quick test_readahead_borrow;
+      Alcotest.test_case "tampered readahead reply" `Quick test_tampered_readahead;
       Alcotest.test_case "revocation certs" `Quick test_revocation;
       Alcotest.test_case "end-to-end read/write" `Quick test_end_to_end_rw;
       Alcotest.test_case "wrong hostid rejected" `Quick test_wrong_hostid_rejected;

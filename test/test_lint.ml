@@ -254,8 +254,12 @@ let test_sl012_span_bracketing () =
     "let f obs = Obs.span_begin obs ~cat:\"op\" \"read\""
 
 let test_sl013_zero_copy_read_path () =
-  fires "Bytes.create in a *_slice binding" ~path:"lib/proto/channel.ml" ~code:"SL013"
-    "let open_slice t wire = let buf = Bytes.create 16 in decode buf";
+  fires "Bytes.create in a *_slice binding" ~path:"lib/xdr/xdr.ml" ~code:"SL013"
+    "let dec_rest_slice d = let buf = Bytes.create 16 in view buf";
+  fires "Bytes.create in the channel's lending open" ~path:"lib/proto/channel.ml" ~code:"SL013"
+    "let open_with t wire f = let frame = Bytes.create 16 in f frame";
+  fires "String.sub in the block cache's copy-out" ~path:"lib/nfs/cachefs.ml" ~code:"SL013"
+    "let copy_out t h a ~off ~count = Some (String.sub (block t h) 0 count, false, a)";
   fires "String.sub in a cache feeder" ~path:"lib/nfs/cachefs.ml" ~code:"SL013"
     "let note_block t h b data = store t h b (String.sub data 0 8192)";
   fires "Bytes.sub_string in the slice codec" ~path:"lib/xdr/xdr.ml" ~code:"SL013"
@@ -277,13 +281,13 @@ let test_sl013_zero_copy_read_path () =
   silent "copy outside the audited server bindings" ~path:"lib/core/server.ml" ~code:"SL013"
     "let revoke t = Bytes.create 16";
   silent "Slice view construction" ~path:"lib/proto/channel.ml" ~code:"SL013"
-    "let open_slice t wire = Sfs_util.Slice.make wire ~off:4 ~len:10";
+    "let open_with t wire f = f (Sfs_util.Slice.make wire ~off:4 ~len:10)";
   silent "copy outside the audited bindings" ~path:"lib/proto/channel.ml" ~code:"SL013"
     "let seal t msg = Bytes.create 16";
   silent "copy outside the audited files" ~path:"lib/core/client.ml" ~code:"SL013"
-    "let open_slice t wire = Bytes.create 16";
+    "let open_with t wire = Bytes.create 16";
   silent "pragma for an inherent copy" ~path:"lib/proto/channel.ml" ~code:"SL013"
-    "let open_slice t wire =\n\
+    "let open_with t wire =\n\
     \  (* sfslint: allow SL013 — fixed-size MAC tag scratch *)\n\
     \  let tag = Bytes.create 20 in\n\
     \  check tag"

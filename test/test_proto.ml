@@ -315,11 +315,11 @@ let channel_precompute_identity_prop =
           | Error _ -> false)
         msgs)
 
-(* The zero-copy open must be observationally identical to the copying
+(* The lending open must be observationally identical to the copying
    one: same plaintext bytes, same stream advance, with and without
    encryption. *)
-let channel_open_slice_prop =
-  QCheck.Test.make ~count:50 ~name:"open_slice agrees with open_"
+let channel_open_with_prop =
+  QCheck.Test.make ~count:50 ~name:"open_with agrees with open_"
     QCheck.(pair bool (list_of_size (QCheck.Gen.int_range 1 8) (int_range 0 10_000)))
     (fun (encrypt, sizes) ->
       let client_a, server_a = make_channel_pair ~encrypt () in
@@ -329,12 +329,32 @@ let channel_open_slice_prop =
           let msg = String.init n (fun i -> Char.chr ((i * 41 + n) land 0xff)) in
           let wire_a = Channel.seal client_a msg in
           let wire_b = Channel.seal client_b msg in
-          match (Channel.open_ server_a wire_a, Channel.open_slice server_b wire_b) with
-          | Ok plain, Ok slice ->
-              String.equal plain (Sfs_util.Slice.to_string slice)
-              && Sfs_util.Slice.length slice = String.length msg
+          let lent view = (Sfs_util.Slice.length view, Sfs_util.Slice.to_string view) in
+          match (Channel.open_ server_a wire_a, Channel.open_with server_b wire_b lent) with
+          | Ok plain, Ok (len, copy) -> String.equal plain copy && len = String.length msg
           | _ -> false)
         (0 :: sizes))
+
+(* A decoder sees a plaintext byte only once the tag has verified: a
+   tampered or truncated frame is refused before [f] runs. *)
+let test_open_with_verifies_first () =
+  let client, server = make_channel_pair () in
+  let wire = Channel.seal client "attack at dawn" in
+  let tampered = Bytes.of_string wire in
+  Bytes.set tampered 6 (Char.chr (Char.code (Bytes.get tampered 6) lxor 1));
+  let called = ref false in
+  let lent _ = called := true in
+  (match Channel.open_with server (Bytes.to_string tampered) lent with
+  | Error `Mac_mismatch -> ()
+  | Error `Replay -> Alcotest.fail "tampered frame read as a replay"
+  | Ok () -> Alcotest.fail "tampered frame opened");
+  Testkit.check_bool "decoder not run on a bad tag" false !called;
+  let client, server = make_channel_pair () in
+  let wire = Channel.seal client "attack at dawn" in
+  (match Channel.open_with server (String.sub wire 0 10) lent with
+  | Error `Replay -> ()
+  | Error `Mac_mismatch | Ok () -> Alcotest.fail "truncated frame not refused as a replay");
+  Testkit.check_bool "decoder not run on a short frame" false !called
 
 let seq_window_prop =
   QCheck.Test.make ~count:200 ~name:"window accepts each seqno at most once"
@@ -418,7 +438,7 @@ let test_sfsrw_roundtrip () =
   in
   List.iter
     (fun r ->
-      match Sfsrw.request_of_string (Sfsrw.request_to_string r) with
+      match Sfsrw.request_of_slice (Sfs_util.Slice.of_string (Sfsrw.request_to_string r)) with
       | Ok r' -> Testkit.check_bool "request roundtrip" true (r = r')
       | Result.Error e -> Alcotest.fail e)
     reqs;
@@ -482,6 +502,7 @@ let suite =
       Alcotest.test_case "keyneg MITM rejected" `Quick test_keyneg_wrong_key_rejected;
       Alcotest.test_case "channel roundtrip" `Quick test_channel_roundtrip;
       Alcotest.test_case "channel tamper" `Quick test_channel_tamper;
+      Alcotest.test_case "open_with verifies before lending" `Quick test_open_with_verifies_first;
       Alcotest.test_case "channel replay" `Quick test_channel_replay;
       Alcotest.test_case "channel reorder" `Quick test_channel_reorder;
       Alcotest.test_case "channel no-encryption ablation" `Quick test_channel_no_encryption_still_macs;
@@ -504,6 +525,6 @@ let suite =
         [
           channel_roundtrip_prop;
           channel_precompute_identity_prop;
-          channel_open_slice_prop;
+          channel_open_with_prop;
           seq_window_prop;
         ] )

@@ -103,6 +103,28 @@ let test_declassified_and_waived () =
         (String.length f.Taint.f_reason > 0)
   | fs -> Alcotest.failf "expected exactly one waived flow, got %d" (List.length fs)
 
+(* A partial application stored in a record and called later through
+   the field: the secret it holds reaches the sink, so the flow is
+   reported where the partial application is built. *)
+let leak_partial =
+  "type hooks = { fire : unit -> unit }\n\
+   let send_later k () = Fx.send k\n\
+   let hooks k = { fire = send_later k }\n\
+   let run () = (hooks (Fx.make_key ())).fire ()\n"
+
+let test_partial_application () =
+  match Taint.analyze ~intfs ~impls:[ ("lib/fx/leak_partial.ml", leak_partial) ] () with
+  | Error msg -> Alcotest.failf "fixture analysis failed: %s" msg
+  | Ok r ->
+      let summary f =
+        Printf.sprintf "%s %s %s -> %s" f.Taint.f_file f.Taint.f_code f.Taint.f_source
+          f.Taint.f_sink
+      in
+      Alcotest.(check (list string))
+        "the captured key reaches the sink"
+        [ "lib/fx/leak_partial.ml TNT001 Fx.make_key -> Fx.send" ]
+        (List.sort_uniq compare (List.map summary (Taint.unwaived r)))
+
 (* --- determinism --- *)
 
 let test_report_reproducible () =
@@ -141,6 +163,7 @@ let suite =
       Alcotest.test_case "fixture findings" `Quick test_findings;
       Alcotest.test_case "transitive chain shape" `Quick test_transitive_chain;
       Alcotest.test_case "declassified and waived" `Quick test_declassified_and_waived;
+      Alcotest.test_case "partial application keeps its taint" `Quick test_partial_application;
       Alcotest.test_case "report reproducibility" `Quick test_report_reproducible;
       QCheck_alcotest.to_alcotest prop_order_invariant;
     ] )

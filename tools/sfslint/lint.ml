@@ -116,8 +116,9 @@ let rules : rule_info list =
       ri_code = "SL013";
       ri_title = "copying allocation on the zero-copy data path";
       ri_hint =
-        "the wire-to-cache read path threads one buffer end to end (Channel.open_slice -> \
-         Xdr.dec_opaque_slice -> Cachefs blocks), Memfs serves and keeps whole stored blocks, the \
+        "the wire-to-cache read path opens a reply in the channel's reused frame buffer and copies \
+         the data once, into the string the block cache keeps and a reader gets (Channel.open_with \
+         -> decode -> Cachefs blocks -> copy_out), Memfs serves and keeps whole stored blocks, the \
          SFS server seals a reply from its DRC entry, and the NFS 3 server marshals a reply into \
          one encoder whose one copy is the wire message; build Slice views or reuse the stored \
          bytes instead of fresh Bytes.create/Bytes.make/Bytes.sub/String.sub/Xdr.to_string copies, \
@@ -184,13 +185,14 @@ let sl010_applies path =
 
 (* SL013: the audited zero-copy data path.  Within these files, any
    binding that is part of the zero-copy chain — the *_slice codecs,
-   the block-cache feeders, Memfs's block store, the duplicate request
-   cache, the SFS server's DRC insert and seal and the NFS 3 server's
-   reply builder — must not allocate payload copies; a frame is opened
-   once and every later stage views into it, a stored block is served
-   as itself, and a reply is sealed, or copied out once as the wire
-   message, from the encoder that holds it.  Fixed-size or inherent
-   allocations carry pragmas. *)
+   the channel's lending open, the block-cache feeders and its
+   copy-out, Memfs's block store, the duplicate request cache, the SFS
+   server's DRC insert and seal and the NFS 3 server's reply builder —
+   must not allocate payload copies; a frame is opened in a reused
+   buffer and decoded once, a stored block is served as itself, and a
+   reply is sealed, or copied out once as the wire message, from the
+   encoder that holds it.  Fixed-size or inherent allocations carry
+   pragmas. *)
 let sl013_applies path =
   List.mem path
     [
@@ -208,8 +210,10 @@ let sl013_scope_name name =
   ends_with ~suffix:"_slice" name
   || List.mem name
        [
+         "open_with";
          "note_block";
          "claim_inflight";
+         "copy_out";
          "fetch_pipelined";
          "read_blocks";
          "write_blocks";

@@ -105,6 +105,12 @@ let rec collapse (v : tv) : Atoms.t =
       List.fold_left (fun acc (_, a) -> Atoms.union acc (collapse a)) base pend
   | _ -> base
 
+(* A partial application carries the taint of the arguments it holds:
+   stored in a record or list and called later through an opaque field,
+   it still shows what it captured. *)
+let pending_atoms (pending : (Asttypes.arg_label * tv) list) : Atoms.t =
+  List.fold_left (fun acc (_, a) -> Atoms.union acc (collapse a)) Atoms.empty pending
+
 let max_path = 3
 let max_depth = 4
 let max_frames = 12
@@ -926,50 +932,55 @@ let analyze_body (p : prog) (d : def) (events : event list ref) : tv * (int * tv
               | _ -> ())
             args
         in
+        (* A partial application takes its callee's events and writes on
+           the arguments it holds where it is built, as a closure's body
+           is evaluated where the closure is built, and the value
+           carries those arguments' taint: stored in a record and called
+           later through an opaque field, it still shows what it
+           captured. *)
         let apply_def (def_key : string) (pending : (Asttypes.arg_label * tv) list) src =
           match Hashtbl.find_opt p.defs def_key with
           | None -> clean
           | Some def ->
               let all = pending @ argvs in
+              let labels = List.map fst def.d_params in
+              let actuals = match_args labels all in
+              let sum = try SMap.find def_key p.summaries with Not_found -> empty_summary in
+              propagate_events ~loc def_key sum actuals;
+              (* apply the callee's writes-through-parameter effects to
+                 the caller identifiers that landed in those slots *)
+              if sum.s_writes <> [] then begin
+                let expr_slots =
+                  match_slots labels
+                    (List.map (fun (l, _) -> (l, None)) pending
+                    @ List.map (fun (l, ax) -> (l, Some ax)) args)
+                in
+                List.iter
+                  (fun (i, wtv) ->
+                    if i < Array.length expr_slots then
+                      let wtv' = subst_tv actuals wtv in
+                      if compare_tv wtv' clean <> 0 then
+                        List.iter
+                          (function
+                            | Some ax -> (
+                                match havoc_target ax with
+                                | Some (name, path) when SMap.mem name env ->
+                                    havoc_write name (nest_fields path wtv')
+                                | _ -> ())
+                            | None -> ())
+                          expr_slots.(i))
+                  sum.s_writes
+              end;
               if List.length all < def.d_required then
-                { clean with fn = Some (FDef (def_key, all)) }
-              else begin
-                let labels = List.map fst def.d_params in
-                let actuals = match_args labels all in
-                let sum = try SMap.find def_key p.summaries with Not_found -> empty_summary in
-                propagate_events ~loc def_key sum actuals;
-                (* apply the callee's writes-through-parameter effects to
-                   the caller identifiers that landed in those slots *)
-                if sum.s_writes <> [] then begin
-                  let expr_slots =
-                    match_slots labels
-                      (List.map (fun (l, _) -> (l, None)) pending
-                      @ List.map (fun (l, ax) -> (l, Some ax)) args)
-                  in
-                  List.iter
-                    (fun (i, wtv) ->
-                      if i < Array.length expr_slots then
-                        let wtv' = subst_tv actuals wtv in
-                        if compare_tv wtv' clean <> 0 then
-                          List.iter
-                            (function
-                              | Some ax -> (
-                                  match havoc_target ax with
-                                  | Some (name, path) when SMap.mem name env ->
-                                      havoc_write name (nest_fields path wtv')
-                                  | _ -> ())
-                              | None -> ())
-                            expr_slots.(i))
-                    sum.s_writes
-                end;
+                { (of_atoms (pending_atoms all)) with fn = Some (FDef (def_key, all)) }
+              else
                 let ret = subst_tv actuals sum.s_ret in
                 match src with Some id -> join ret (src_tv id) | None -> ret
-              end
         in
         let apply_closure (c : closure) =
           let all = c.c_pending @ argvs in
           if List.length all < required_params c.c_params then
-            { clean with fn = Some (FClosure { c with c_pending = all }) }
+            { (of_atoms (pending_atoms all)) with fn = Some (FClosure { c with c_pending = all }) }
           else if !inline_depth >= max_inline then begin
             havoc_args Atoms.empty;
             of_atoms
