@@ -55,7 +55,6 @@ let hostid location bits seed =
 
 type world = {
   clock : Simclock.t;
-  net : Simnet.t;
   vfs : Vfs.t;
   alice : Simos.user;
   agent : Agent.t;
@@ -105,7 +104,7 @@ let build_world seed =
   List.iter
     (fun (l, s) -> Agent.add_link agent ~name:l ~target:(Pathname.to_string (Server.self_path s)))
     servers;
-  { clock; net; vfs; alice; agent; servers }
+  { clock; vfs; alice; agent; servers }
 
 (* --- tour --- *)
 

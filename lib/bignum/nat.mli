@@ -83,6 +83,7 @@ val mont_unit : mont -> int
 (** [1] when the accumulator holds 1, [-1] when it holds [m - 1],
     [0] otherwise: the comparisons a Miller-Rabin round makes. *)
 
+(* sfslint: allow SL014 — the obviously correct oracle the Montgomery path is tested against *)
 val modexp_reference : base:t -> exp:t -> modulus:t -> t
 (** Binary exponentiation with a division per step: the slow, obviously
     correct oracle the Montgomery path is equivalence-tested against. *)
@@ -111,9 +112,12 @@ val to_bytes_be_padded : width:int -> t -> string
     @raise Invalid_argument when the value needs more than [width] bytes. *)
 
 val of_hex : string -> t
+(* sfslint: allow SL014 — hex text of the Prng and prime known-answer digests *)
 val to_hex : t -> string
+(* sfslint: allow SL014 — decimal text of the bignum known-answer vectors *)
 val of_string : string -> t
 (** Decimal digits. @raise Invalid_argument on other characters. *)
 
+(* sfslint: allow SL014 — decimal text of the bignum known-answer vectors and counterexamples *)
 val to_string : t -> string
 (** Decimal rendering. *)

@@ -29,22 +29,27 @@ val user : t -> Simos.user
 
 val add_key : t -> Rabin.priv -> unit
 
+(* sfslint: allow SL014 — §2.3: the keys the agent itself holds, which the split-key and proxy tests read *)
 val keys : t -> Rabin.priv list
 [@@sfs.secret]
 (** Directly-held keys only (not split or proxied signers). *)
 
+(* sfslint: allow SL014 — §2.5.1: an agent signing with a split private key *)
 val add_split_key : t -> local:Keysplit.share -> fetch_rest:(unit -> Keysplit.share list) -> unit
 (** A signer without direct key knowledge (section 2.5.1): the agent
     holds one share; the rest are fetched from key-holder services and
     the key is reconstructed only transiently inside signing. *)
 
+(* sfslint: allow SL014 — §2.3: an agent signing through another agent (remote login) *)
 val add_proxy : t -> name:string -> (Authproto.authinfo -> seqno:int -> Authproto.authmsg option) -> unit
 (** Forward signing requests to another agent — the ssh-like remote
     login scenario the paper envisages. *)
 
+(* sfslint: allow SL014 — §2.3: the remote end of an agent proxy chain *)
 val forwarder : t -> Authproto.authinfo -> seqno:int -> Authproto.authmsg option
 (** Expose this agent as the remote end of a proxy chain. *)
 
+(* sfslint: allow SL014 — §2.3: the user drops every key from the agent *)
 val forget_keys : t -> unit
 (** Drop every signer. *)
 
@@ -59,9 +64,11 @@ val audit_trail : t -> audit_entry list
 val add_link : t -> name:string -> target:string -> unit
 (** A symlink in /sfs visible only to this agent's user. *)
 
+(* sfslint: allow SL014 — §2.3: removing one of the user's dynamic /sfs links *)
 val remove_link : t -> string -> unit
 val links : t -> (string * string) list
 val add_hook : t -> name:string -> link_hook -> unit
+(* sfslint: allow SL014 — §2.3: removing one of the agent's name-resolution hooks *)
 val remove_hook : t -> string -> unit
 
 val resolve_name : t -> string -> string option

@@ -29,14 +29,18 @@ val register_pubkey : t -> user:string -> Rabin.pub -> (unit, string) result
 val register_srp :
   t -> user:string -> Srp.verifier -> encrypted_privkey:string option -> (unit, string) result
 
+(* sfslint: allow SL014 — §2.5.2: the private half that an exported database must not carry *)
 val srp_verifier : t -> user:string -> Srp.verifier option
 
+(* sfslint: allow SL014 — §2.5.1: the key-holder service for split keys *)
 val register_key_share : t -> user:string -> string -> (unit, string) result
 (** Key-holder service for split-key agents (section 2.5.1): one share
     of the user's private key, useless on its own. *)
 
+(* sfslint: allow SL014 — §2.5.1: the key-holder service for split keys *)
 val key_share : t -> user:string -> string option
 
+(* sfslint: allow SL014 — §2.5: the key-to-credentials map that validate searches *)
 val cred_of_pubkey : t -> Rabin.pub -> (string * Simos.cred) option
 (** Search all databases, writable first. *)
 
@@ -67,10 +71,12 @@ val failed_attempts : t -> (string * string) list
 
 (** {2 Public database export/import (section 2.5.2)} *)
 
+(* sfslint: allow SL014 — §2.5.2: exporting the public database *)
 val export_public_db : t -> string
 (** Serialized public half — no password-derived material; safe to
     publish over SFS to untrusted servers. *)
 
+(* sfslint: allow SL014 — §2.5.2: importing another server's public database *)
 val import_public_db : t -> name:string -> string -> (unit, string) result
 (** Install (or refresh) a read-only database; the copy keeps working
     when the origin is unreachable. *)

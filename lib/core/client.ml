@@ -526,8 +526,6 @@ let mount_readonly (t : t) (path : Pathname.t) : (mount, mount_error) result =
 let ops (m : mount) : Fs_intf.ops =
   match m.m_ops with Some o -> o | None -> invalid_arg "Client.ops: mount not initialized"
 
-let is_readonly (m : mount) : bool = m.m_readonly
-
 let cache (m : mount) : Cachefs.t =
   match m.m_cache with Some c -> c | None -> invalid_arg "Client.cache: mount not initialized"
 

@@ -82,6 +82,7 @@ val mount_readonly : t -> Pathname.t -> (mount, mount_error) result
     [Host_unreachable]; every error closes the connection. *)
 
 val find_mount : t -> Pathname.t -> mount option
+(* sfslint: allow SL014 — §2.2: the automounter's live mounts, through which the cache and unmount tests reach a mount *)
 val mounts : t -> mount list
 
 val authenticate : ?local_uid:int -> t -> mount -> Agent.t -> int
@@ -100,7 +101,6 @@ val authenticate : ?local_uid:int -> t -> mount -> Agent.t -> int
 val ops : mount -> Fs_intf.ops
 (** The cache-wrapped file system interface users consume. *)
 
-val is_readonly : mount -> bool
 val cache : mount -> Cachefs.t
 
 val pending_invalidations : mount -> int

@@ -27,16 +27,14 @@ let max_inner = 40
 (* redundancy ∥ length byte ∥ inner, zero-padded to whole blocks *)
 let wire_len (n : int) : int = (redundancy_bytes + 1 + n + 7) land lnot 7
 
-let create (key : string) : t =
-  if String.length key <> 20 then invalid_arg "Fhcrypt.create: key must be 20 bytes";
+let of_prng (rng : Sfs_crypto.Prng.t) : t =
+  let key = Sfs_crypto.Prng.random_bytes rng 20 in
   {
     cipher = Blowfish.create key;
     mac = Mac.schedule ~key:(Sfs_crypto.Sha1.digest ("fh-redundancy:" ^ key));
     blk = Bytes.create (wire_len max_inner);
     tag = Bytes.create Mac.mac_size;
   }
-
-let of_prng (rng : Sfs_crypto.Prng.t) : t = create (Sfs_crypto.Prng.random_bytes rng 20)
 
 let zero_iv = String.make 8 '\000'
 

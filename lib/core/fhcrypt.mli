@@ -5,10 +5,8 @@
 
 type t
 
-val create : string -> t
-(** @raise Invalid_argument unless the key is exactly 20 bytes. *)
-
 val of_prng : Sfs_crypto.Prng.t -> t
+(** A fresh 20-byte handle key drawn from the generator. *)
 
 val encrypt : t -> string -> string
 [@@sfs.declassify "blinded file handle: Blowfish-CBC over keyed redundancy reveals nothing about the handle key"]

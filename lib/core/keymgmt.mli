@@ -13,6 +13,7 @@ val manual_link :
     secure link: following it extends trust from one server to the
     next. *)
 
+(* sfslint: allow SL014 — §2.4: the bookmark script *)
 val bookmark :
   Vfs.t -> Simos.cred -> bookmarks_dir:string -> cwd:string -> (string, Vfs.verror) result
 (** The 10-line bookmark script: creates Location -> current mount's
@@ -35,12 +36,14 @@ val scan_revocation_dir : Agent.t -> Vfs.t -> string -> int
 (** Agent-side sweep of a revocation directory (possibly on a distrusted
     CA — scanning is safe); returns how many certificates were learned. *)
 
+(* sfslint: allow SL014 — §2.4: the agent that bridges an existing PKI *)
 val install_pki_gateway :
   Agent.t -> prefix:string -> lookup:(string -> (string * Rabin.pub) option) -> unit
 (** Bridge an existing PKI: names [prefix^host] under /sfs resolve
     through the oracle to generated self-certifying pathnames
     (the paper's SSL-certificate agent). *)
 
+(* sfslint: allow SL014 — §2.4: forwarding symlinks for a moved file system *)
 val install_forwarding_root : Memfs.t -> new_path:Pathname.t -> unit
 (** Replace a moved file system's root contents with forwarding
     symlinks to the new self-certifying pathname. *)

@@ -10,6 +10,7 @@ type share = { idx : int; count : int; bytes : string }
 (** Any proper subset of shares is information-theoretically
     independent of the key. *)
 
+(* sfslint: allow SL014 — §2.5.1: split private keys *)
 val split : Prng.t -> Rabin.priv -> n:int -> share list
 (** @raise Invalid_argument for [n < 2]. *)
 
@@ -17,10 +18,13 @@ val combine : share list -> Rabin.priv option
 [@@sfs.secret]
 (** Needs all [n] distinct shares of one splitting. *)
 
+(* sfslint: allow SL014 — §2.5.1: proactive re-randomization of split keys *)
 val refresh : Prng.t -> share list -> share list option
 (** Proactive re-randomization: the key is unchanged but old and new
     share sets are incompatible. *)
 
+(* sfslint: allow SL014 — §2.5.1: a share as the key-holder service stores it *)
 val share_to_string : share -> string
 [@@sfs.declassify "one serialized share of an n-of-n XOR split is uniformly random on its own (section 2.5.1)"]
+(* sfslint: allow SL014 — §2.5.1: a share as the key-holder service stores it *)
 val share_of_string : string -> share option

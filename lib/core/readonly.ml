@@ -38,7 +38,6 @@ module Slice = Sfs_util.Slice
 
 type snapshot = {
   store : (string, string) Hashtbl.t; (* hash -> marshaled object *)
-  root_hash : string;
   fsinfo : Ro.fsinfo;
   signature : string;
   memo : (int, int * Ro.entry_kind * string) Hashtbl.t;
@@ -156,7 +155,6 @@ let snapshot ?(serial = 1) ?prev ~(key : Rabin.priv) ~(now_s : int)
       let fsinfo = { Ro.root_hash; issued_s = now_s; duration_s; serial } in
       {
         store = b.b_store;
-        root_hash;
         fsinfo;
         signature = Ro.sign_fsinfo key fsinfo;
         memo = b.b_memo;
@@ -211,8 +209,6 @@ type client = {
   mutable fsinfo : Ro.fsinfo;
   mutable last_serial : int;
   mutable root_frame : string; (* raw bytes of the last verified root reply *)
-  mutable sig_verified : int;
-  mutable sig_skipped : int;
 }
 
 (* Fetch the signed root.  When [cached] matches the reply byte for
@@ -261,8 +257,6 @@ let connect ?obs ?(cache_objs = 4096) ~(exchange : string -> string)
     fsinfo;
     last_serial = fsinfo.Ro.serial;
     root_frame = raw;
-    sig_verified = 1;
-    sig_skipped = 0;
   }
 
 (* Fetch an object and verify it is the preimage of the hash that named
@@ -426,16 +420,13 @@ let refresh (c : client) : unit =
       ~min_serial:c.last_serial ~cached:(Some c.root_frame)
   in
   if skipped then begin
-    c.sig_skipped <- c.sig_skipped + 1;
     Obs.incr c.obs "ro.root.skip"
   end
   else begin
-    c.sig_verified <- c.sig_verified + 1;
     Obs.incr c.obs "ro.root.verify"
   end;
   c.fsinfo <- fsinfo;
   c.root_frame <- raw;
   c.last_serial <- fsinfo.Ro.serial
 
-let refresh_checks (c : client) : int * int = (c.sig_verified, c.sig_skipped)
 let current_fsinfo (c : client) : Ro.fsinfo = c.fsinfo

@@ -88,7 +88,4 @@ val refresh : client -> unit
     checks still run); the verification cache survives root changes —
     content addressing pins each hash to its bytes forever. *)
 
-val refresh_checks : client -> int * int
-(** [(verified, skipped)] root signature checks so far. *)
-
 val current_fsinfo : client -> Ro.fsinfo

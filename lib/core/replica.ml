@@ -39,7 +39,6 @@ let ro_port = 5
 (* --- Mirror --- *)
 
 type mirror = {
-  mi_name : string;
   mi_store : (string, string) Hashtbl.t;
       (* hash -> the Obj_is reply frame carrying the object, built once
          when the object is pushed and sent as is to every client *)
@@ -51,9 +50,8 @@ type mirror = {
   mutable mi_served_bytes : int;
 }
 
-let mirror ?obs ~(clock : Simclock.t) ~(name : string) () : mirror =
+let mirror ?obs ~(clock : Simclock.t) () : mirror =
   {
-    mi_name = name;
     mi_store = Hashtbl.create 256;
     mi_fsinfo = None;
     mi_signature = "";
@@ -123,9 +121,7 @@ let attach (net : Simnet.t) (m : mirror) (host : Simnet.host) : unit =
 
 let mirror_root (m : mirror) : Ro.fsinfo option = m.mi_fsinfo
 let mirror_objects (m : mirror) : int = Hashtbl.length m.mi_store
-let mirror_has (m : mirror) (h : string) : bool = Hashtbl.mem m.mi_store h
 let mirror_served (m : mirror) : int * int = (m.mi_served_objs, m.mi_served_bytes)
-let mirror_name (m : mirror) : string = m.mi_name
 
 (* --- Publisher --- *)
 
@@ -147,7 +143,6 @@ type target = {
   t_synced : (string, unit) Hashtbl.t;
       (* hashes the mirror acknowledged; confirmed per Put_objs reply,
          so a push that dies mid-stream resumes where it stopped *)
-  mutable t_serial : int; (* last root serial the mirror acknowledged *)
 }
 
 let publisher ?obs ~(net : Simnet.t) ~(host : string) ~(key : Rabin.priv) ~(clock : Simclock.t)
@@ -166,7 +161,7 @@ let publisher ?obs ~(net : Simnet.t) ~(host : string) ~(key : Rabin.priv) ~(cloc
 let pubkey (p : publisher) : Rabin.pub = p.p_key.Rabin.pub
 let current (p : publisher) : Readonly.snapshot option = p.p_snapshot
 let target ~(addr : string) : target =
-  { t_addr = addr; t_conn = None; t_synced = Hashtbl.create 256; t_serial = 0 }
+  { t_addr = addr; t_conn = None; t_synced = Hashtbl.create 256 }
 
 (* Build the next snapshot incrementally off the previous one and sign
    it: SHA-1 is billed only for content that changed, the Rabin signing
@@ -268,7 +263,6 @@ let push_target (p : publisher) (snap : Readonly.snapshot) (t : target) : unit =
   with
   | Ro.Put_ok _ ->
       List.iter (Hashtbl.remove t.t_synced) evict;
-      t.t_serial <- (Readonly.fsinfo snap).Ro.serial;
       Obs.add p.p_obs "ro.fanout.evicted" (List.length evict)
   | Ro.Ro_error e -> failwith ("replica root push refused: " ^ e)
   | Ro.Fsinfo_is _ | Ro.Obj_is _ -> failwith "replica root push: unexpected response"

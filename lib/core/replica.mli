@@ -28,7 +28,6 @@ type mirror
 val mirror :
   ?obs:Sfs_obs.Obs.registry ->
   clock:Simclock.t ->
-  name:string ->
   unit ->
   mirror
 (** An empty mirror; it serves nothing until a publisher pushes a root. *)
@@ -37,19 +36,11 @@ val attach : Simnet.t -> mirror -> Simnet.host -> unit
 (** Listen on {!ro_port} of [host].  Service registration survives
     crash/restart epochs, like the store itself. *)
 
-val handle : mirror -> string -> string
-(** The wire handler (exposed for direct-call tests).  The store keeps
-    each object's whole [Obj_is] reply frame, built once when the
-    object is pushed, and a [Get_obj] returns that stored string. *)
-
 val mirror_root : mirror -> Ro.fsinfo option
 val mirror_objects : mirror -> int
-val mirror_has : mirror -> string -> bool
 
 val mirror_served : mirror -> int * int
 (** [(objects, bytes)] served to clients so far. *)
-
-val mirror_name : mirror -> string
 
 (** {2 Publisher} *)
 

@@ -43,11 +43,10 @@ let sfs_port = 4
 type drc_entry = { d_proc : int; d_args : string; mutable d_reply : Bytes.t; d_len : int }
 
 type t = {
-  net : Simnet.t;
   clock : Simclock.t;
   rng : Prng.t;
   location : string;
-  key : Rabin.priv;
+  server_key : Rabin.priv;
   path : Pathname.t;
   backend : Fs_intf.ops;
   leases : Lease.t;
@@ -58,7 +57,6 @@ type t = {
   mutable readonly : Readonly.snapshot option;
   mutable revocation : Revocation.t option; (* served on connect when set *)
   mutable connections : int;
-  mutable fs_calls : int;
   (* Duplicate request cache for the read-write protocol, keyed by
      (client host, xid) so it survives session teardown: a client that
      reconnects after a lost reply re-issues the same xid, and the
@@ -117,7 +115,6 @@ type fs_session = {
    NFS results are written in place inside the Fs_reply, never built
    as a string of their own. *)
 let execute_fs_call (t : t) (s : fs_session) ~(authno : int) ~(proc : int) (args : string) : unit =
-  t.fs_calls <- t.fs_calls + 1;
   (* The paper's user-level server implementation cost.  Unstable
      writes ride the write-behind pipeline, whose residual cost the
      client already charged for both ends. *)
@@ -237,7 +234,7 @@ let fs_connection ?(encrypt = true) ~(peer : string) (t : t) : string -> string 
   fun bytes ->
     match !state with
     | `Expect_keyneg -> (
-        match Keyneg.server_negotiate ~rng:t.rng ~server_key:t.key bytes with
+        match Keyneg.server_negotiate ~rng:t.rng ~server_key:t.server_key bytes with
         | Result.Error e -> Xdr.encode Keyneg.enc_connect_res (Keyneg.Connect_error e)
         | Ok (keys, response) ->
             let conn_id = Lease.register_conn t.leases in
@@ -327,7 +324,7 @@ let connection (t : t) ~(peer : string) : string -> string =
                       Xdr.encode Keyneg.enc_connect_res
                         (Keyneg.Connect_error "read-only dialect not served here")
                   | _ ->
-                      Xdr.encode Keyneg.enc_connect_res (Keyneg.Connect_ok { pubkey = t.key.Rabin.pub })
+                      Xdr.encode Keyneg.enc_connect_res (Keyneg.Connect_ok { pubkey = t.server_key.Rabin.pub })
                 end))
 
 let create ?(allow_anonymous = true) ?auth_backend
@@ -339,11 +336,10 @@ let create ?(allow_anonymous = true) ?auth_backend
   in
   let t =
     {
-      net;
       clock;
       rng;
       location;
-      key;
+      server_key = key;
       path = Pathname.of_server ~location ~pubkey:key.Rabin.pub;
       backend;
       leases = Lease.create ?obs clock;
@@ -354,7 +350,6 @@ let create ?(allow_anonymous = true) ?auth_backend
       readonly = None;
       revocation = None;
       connections = 0;
-      fs_calls = 0;
       drc = Drc.create ?obs ~bound:drc_size ~counters:"server" ();
       obs;
     }
@@ -374,8 +369,6 @@ let crash_recover (t : t) : unit =
   Obs.incr t.obs "recover.server_restart"
 
 let self_path (t : t) : Pathname.t = t.path
-let fs_calls (t : t) : int = t.fs_calls
-let invalidations_sent (t : t) : int = Lease.invalidations_sent t.leases
 let drc_entries (t : t) : int = Drc.length t.drc
 let leases (t : t) : Lease.t = t.leases
 
@@ -384,9 +377,9 @@ let serve_readonly (t : t) (snap : Readonly.snapshot) : unit = t.readonly <- Som
 (* Revoke this server's own pathname: subsequent connections receive
    the self-authenticating certificate instead of service. *)
 let revoke (t : t) : Revocation.t =
-  let cert = Revocation.make ~key:t.key ~location:t.location Revocation.Revoke in
+  let cert = Revocation.make ~key:t.server_key ~location:t.location Revocation.Revoke in
   t.revocation <- Some cert;
   cert
 
 let forwarding_pointer (t : t) ~(new_path : Pathname.t) : Revocation.t =
-  Revocation.make ~key:t.key ~location:t.location (Revocation.Forward new_path)
+  Revocation.make ~key:t.server_key ~location:t.location (Revocation.Forward new_path)

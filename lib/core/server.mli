@@ -62,9 +62,6 @@ val forwarding_pointer : t -> new_path:Pathname.t -> Revocation.t
 
 (** {2 Statistics} *)
 
-val fs_calls : t -> int
-val invalidations_sent : t -> int
-
 val drc_entries : t -> int
 (** Live duplicate-request-cache entries (reconciles against
     [server.drc_insert] - [server.drc_evict] in the fleet tests). *)

@@ -36,6 +36,7 @@ type fetched = {
   srp_mux : string Sfs_net.Rpc_mux.t;  (** the one mux over [srp_conn] *)
 }
 
+(* sfslint: allow SL014 — §2.4: the SRP retrieval on its own, before any agent is involved *)
 val fetch :
   Simnet.t ->
   Prng.t ->
@@ -49,6 +50,7 @@ val fetch :
     a crash window or a lost message is [Unreachable].  Every error
     closes the connection; on success the caller owns [srp_conn]. *)
 
+(* sfslint: allow SL014 — §2.5.2: changing keys over an authenticated sfskey session *)
 val register_remote : fetched -> Authserv.registration -> (unit, error) result
 (** Change keys / SRP data over an authenticated session ("It allows
     them to connect over the network with sfskey and change their

@@ -3,8 +3,7 @@
    The recency structure is the shared O(1) [Sfs_util.Lru]; a hit
    refreshes recency and eviction pops the least recent entry.
    Content addressing makes invalidation unnecessary — a hash names its
-   bytes forever — so the only reason an entry leaves is capacity (or
-   an explicit [clear]). *)
+   bytes forever — so the only reason an entry leaves is capacity. *)
 
 module Ro = Sfs_proto.Readonly_proto
 module Obs = Sfs_obs.Obs
@@ -50,7 +49,3 @@ let add (t : t) ~(hash : string) ~(bytes : int) (o : Ro.obj) : unit =
 
 let count (t : t) : int = Lru.length t.lru
 let bytes (t : t) : int = t.live_bytes
-
-let clear (t : t) : unit =
-  Lru.clear t.lru;
-  t.live_bytes <- 0

@@ -31,5 +31,3 @@ val add : t -> hash:string -> bytes:int -> Ro.obj -> unit
 val count : t -> int
 val bytes : t -> int
 (** Live entries and the marshaled bytes they pin. *)
-
-val clear : t -> unit

@@ -39,6 +39,7 @@ val set_agent : t -> uid:int -> Agent.t -> unit
 val resolve : t -> Simos.cred -> string -> (Fs_intf.ops * fh, verror) result
 
 val stat : t -> Simos.cred -> string -> (fattr, verror) result
+(* sfslint: allow SL014 — §2.4: a secure link is a symlink; lstat reads the link itself *)
 val lstat : t -> Simos.cred -> string -> (fattr, verror) result
 val access : t -> Simos.cred -> string -> int -> (int, verror) result
 
@@ -54,6 +55,7 @@ val mkdir : t -> Simos.cred -> ?mode:int -> string -> (unit, verror) result
 val symlink : t -> Simos.cred -> target:string -> string -> (unit, verror) result
 val readlink : t -> Simos.cred -> string -> (string, verror) result
 val unlink : t -> Simos.cred -> string -> (unit, verror) result
+(* sfslint: allow SL014 — rename(2) of the simulated OS, which the fault property's op mix issues *)
 val rename : t -> Simos.cred -> src:string -> dst:string -> (unit, verror) result
 val chmod : t -> Simos.cred -> string -> int -> (unit, verror) result
 

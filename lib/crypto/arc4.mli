@@ -11,6 +11,7 @@ val create : string -> t
     A key of at most 16 bytes therefore behaves exactly like standard
     ARC4. @raise Invalid_argument on an empty key. *)
 
+(* sfslint: allow SL014 — the one-byte reference step the batched keystream is tested against *)
 val next_byte : t -> int
 (** Reference single-byte step; the block operations below are
     property-tested against it. *)
@@ -20,6 +21,7 @@ val skip : t -> int -> unit
     no-encrypt channel half stays in lock-step without allocating a
     throwaway keystream. *)
 
+(* sfslint: allow SL014 — the raw keystream that the reference-ARC4 property compares *)
 val keystream : t -> int -> string
 [@@sfs.secret]
 (** [keystream t n] advances the stream, returning [n] bytes. *)

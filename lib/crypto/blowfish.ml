@@ -4,7 +4,7 @@
    handles (paper section 3.3), and eksblowfish (Provos-Mazières '99)
    builds on its key schedule for password hashing. *)
 
-type state = { p : int array; s0 : int array; s1 : int array; s2 : int array; s3 : int array }
+type state = { p_array : int array; s0 : int array; s1 : int array; s2 : int array; s3 : int array }
 
 let mask32 = 0xFFFFFFFF
 
@@ -13,7 +13,7 @@ let initial : state Lazy.t =
   lazy
     (let w = Pi_digits.words 1042 in
      {
-       p = Array.sub w 0 18;
+       p_array = Array.sub w 0 18;
        s0 = Array.sub w 18 256;
        s1 = Array.sub w 274 256;
        s2 = Array.sub w 530 256;
@@ -22,7 +22,7 @@ let initial : state Lazy.t =
 
 let copy_state (st : state) : state =
   {
-    p = Array.copy st.p;
+    p_array = Array.copy st.p_array;
     s0 = Array.copy st.s0;
     s1 = Array.copy st.s1;
     s2 = Array.copy st.s2;
@@ -39,7 +39,7 @@ let feistel (st : state) (x : int) : int =
 let encrypt_words (st : state) (xl : int) (xr : int) : int * int =
   let xl = ref xl and xr = ref xr in
   for i = 0 to 15 do
-    xl := !xl lxor st.p.(i);
+    xl := !xl lxor st.p_array.(i);
     xr := !xr lxor feistel st !xl;
     let t = !xl in
     xl := !xr;
@@ -47,7 +47,7 @@ let encrypt_words (st : state) (xl : int) (xr : int) : int * int =
   done;
   (* Undo the final swap, then whiten. *)
   let t = !xl in
-  let xl = !xr lxor st.p.(17) and xr = t lxor st.p.(16) in
+  let xl = !xr lxor st.p_array.(17) and xr = t lxor st.p_array.(16) in
   (xl, xr)
 
 (* One block in place at [off], as two big-endian words: the rounds of
@@ -57,15 +57,15 @@ let crypt_at ~(decrypt : bool) (st : state) (buf : Bytes.t) (off : int) : unit =
   let xl = ref (Sfs_util.Bytesutil.get_be32 buf ~off)
   and xr = ref (Sfs_util.Bytesutil.get_be32 buf ~off:(off + 4)) in
   for r = 0 to 15 do
-    xl := !xl lxor st.p.(if decrypt then 17 - r else r);
+    xl := !xl lxor st.p_array.(if decrypt then 17 - r else r);
     xr := !xr lxor feistel st !xl;
     let t = !xl in
     xl := !xr;
     xr := t
   done;
   let t = !xl in
-  Sfs_util.Bytesutil.put_be32 buf ~off (!xr lxor st.p.(if decrypt then 0 else 17));
-  Sfs_util.Bytesutil.put_be32 buf ~off:(off + 4) (t lxor st.p.(if decrypt then 1 else 16))
+  Sfs_util.Bytesutil.put_be32 buf ~off (!xr lxor st.p_array.(if decrypt then 0 else 17));
+  Sfs_util.Bytesutil.put_be32 buf ~off:(off + 4) (t lxor st.p_array.(if decrypt then 1 else 16))
 
 let key_word (key : string) (pos : int) : int * int =
   (* 32 bits of key material starting at byte offset [pos], cyclic. *)
@@ -83,7 +83,7 @@ let expand_key (st : state) ~(salt : string) ~(key : string) : unit =
   let pos = ref 0 in
   for i = 0 to 17 do
     let w, p' = key_word key !pos in
-    st.p.(i) <- st.p.(i) lxor w;
+    st.p_array.(i) <- st.p_array.(i) lxor w;
     pos := p'
   done;
   let salt_word half i = Sfs_util.Bytesutil.int_of_be32 salt ~off:((8 * half) + (4 * i)) in
@@ -97,8 +97,8 @@ let expand_key (st : state) ~(salt : string) ~(key : string) : unit =
   in
   for i = 0 to 8 do
     step ();
-    st.p.(2 * i) <- !xl;
-    st.p.((2 * i) + 1) <- !xr
+    st.p_array.(2 * i) <- !xl;
+    st.p_array.((2 * i) + 1) <- !xr
   done;
   List.iter
     (fun box ->

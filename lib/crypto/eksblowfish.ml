@@ -40,4 +40,3 @@ let hash ~(cost : int) ~(salt : string) (password : string) : string =
   done;
   String.concat "" !blocks
 
-let hash_size = String.length magic

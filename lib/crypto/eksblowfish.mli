@@ -6,5 +6,3 @@
 val hash : cost:int -> salt:string -> string -> string
 (** 24-byte password hash (bcrypt's construction: the eksblowfish state
     encrypts a fixed magic value 64 times). *)
-
-val hash_size : int

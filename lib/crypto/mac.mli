@@ -19,6 +19,7 @@ val rekey : schedule -> Bytes.t -> off:int -> len:int -> unit
     @raise Invalid_argument when the range is out of bounds or longer
     than the 64-byte SHA-1 block. *)
 
+(* sfslint: allow SL014 — one-shot HMAC-SHA1, which the RFC 2202 vectors check *)
 val hmac : key:string -> string -> string
 [@@sfs.declassify "an HMAC tag is published alongside the message; it does not invert to the key"]
 (** Plain HMAC-SHA-1, also used by SRP key confirmation. *)

@@ -9,6 +9,7 @@ val create : string list -> t
 (** [create sources] condenses the entropy [sources] into a 512-bit
     seed.  Deterministic: tests pass fixed sources. *)
 
+(* sfslint: allow SL014 — mixes entropy into the generator; the Prng known-answer stream pins it *)
 val add_entropy : t -> string -> unit
 (** Folds more entropy into the state (keystrokes, timers, ...). *)
 
@@ -16,6 +17,7 @@ val random_bytes : t -> int -> string
 [@@sfs.declassify "forward-secure PRNG output doubles as public nonces; it does not reveal the seed state"]
 val random_nat : t -> bits:int -> Sfs_bignum.Nat.t
 [@@sfs.declassify "forward-secure PRNG output doubles as public nonces; it does not reveal the seed state"]
+(* sfslint: allow SL014 — a bounded draw the Prng known-answer stream pins *)
 val random_below : t -> bound:Sfs_bignum.Nat.t -> Sfs_bignum.Nat.t
 [@@sfs.declassify "forward-secure PRNG output doubles as public nonces; it does not reveal the seed state"]
 val random_int : t -> int -> int

@@ -44,6 +44,7 @@ val signature_of_string : string -> signature option
 
 (** {2 Encryption} *)
 
+(* sfslint: allow SL014 — the OAEP message bound, at which the encryption test encrypts *)
 val max_plaintext : pub -> int
 (** OAEP capacity in bytes for direct encryption. *)
 

@@ -455,4 +455,3 @@ let digest_list (parts : string list) : string =
   final c
 
 let digest_size = 20
-let hex s = Sfs_util.Hex.encode (digest s)

@@ -43,6 +43,3 @@ val digest_list : string list -> string
 (** [digest_list parts] hashes the concatenation of [parts]. *)
 
 val digest_size : int
-val hex : string -> string
-[@@sfs.declassify "hex rendering of the one-way digest, for fingerprint display"]
-(** [hex s] is the digest of [s] in lowercase hex. *)

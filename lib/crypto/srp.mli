@@ -12,6 +12,7 @@ val default_group : group
 (** A 512-bit safe-prime group with generator 2, produced by this
     library (see DESIGN.md). *)
 
+(* sfslint: allow SL014 — fresh safe-prime groups for a deployment that refuses the shared one *)
 val generate_group : Prng.t -> bits:int -> group
 (** Fresh safe-prime group; expensive at large sizes. *)
 

@@ -60,6 +60,7 @@ val injector :
     [Sfs_core.Server.crash_recover]).  When [obs] is given, every
     injected fault bumps a [fault.*] counter. *)
 
+(* sfslint: allow SL014 — the fault/recovery ledger that the same-seed determinism tests compare *)
 val ledger : Sfs_obs.Obs.registry -> string
 (** The fault/recovery ledger: all [fault.*] and [recover.*] counters,
     one "name value" line each, sorted by name.  Two same-seed runs of

@@ -49,8 +49,8 @@ val keystream_us_per_byte : float
     idle wire time; the MAC share and the fixed per-message cost stay
     with the message.  The value is pinned at 42% of 0.128, the real-CPU split
     of one past measurement (arc4-8k 24.9 µs vs hmac-sha1-8k 34.2 µs).
-    It does not follow the host: the committed crypto row reads 26.5 µs
-    vs 45.5 µs, a 37/63 split. *)
+    It does not follow the host: compare the [arc4-8k] and
+    [hmac-sha1-8k] rows of the crypto figure in [BENCH_results.json]. *)
 
 val sha1_us_per_byte : float
 (** 0.04 µs/B: bare SHA-1 over bulk data, ~25 MB/s on the testbed's

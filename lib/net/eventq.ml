@@ -10,7 +10,7 @@
    payload (for the engine, a closure over a client's state) must not
    stay reachable from the queue. *)
 
-type 'a entry = { at : float; seq : int; v : 'a }
+type 'a entry = { at : float; seq : int; payload : 'a }
 
 type 'a t = {
   mutable arr : 'a entry array;
@@ -20,10 +20,7 @@ type 'a t = {
 }
 
 let create ~(dummy : 'a) : 'a t =
-  { arr = [||]; len = 0; next_seq = 0; free = { at = infinity; seq = -1; v = dummy } }
-
-let length (t : 'a t) : int = t.len
-let is_empty (t : 'a t) : bool = t.len = 0
+  { arr = [||]; len = 0; next_seq = 0; free = { at = infinity; seq = -1; payload = dummy } }
 
 (* Strict heap order: earlier time wins; equal times fall back to
    insertion sequence. *)
@@ -63,14 +60,12 @@ let rec sift_down (t : 'a t) (i : int) : unit =
 
 let push (t : 'a t) ~(at : float) (v : 'a) : unit =
   if Float.is_nan at then invalid_arg "Eventq.push: NaN timestamp";
-  let e = { at; seq = t.next_seq; v } in
+  let e = { at; seq = t.next_seq; payload = v } in
   t.next_seq <- t.next_seq + 1;
   if t.len = Array.length t.arr then grow t;
   t.arr.(t.len) <- e;
   t.len <- t.len + 1;
   sift_up t (t.len - 1)
-
-let peek_at (t : 'a t) : float option = if t.len = 0 then None else Some t.arr.(0).at
 
 let pop (t : 'a t) : (float * 'a) option =
   if t.len = 0 then None
@@ -83,7 +78,7 @@ let pop (t : 'a t) : (float * 'a) option =
        simulation). *)
     t.arr.(t.len) <- t.free;
     if t.len > 0 then sift_down t 0;
-    Some (top.at, top.v)
+    Some (top.at, top.payload)
   end
 
 (* Test hook: verify the heap invariant over the live prefix. *)

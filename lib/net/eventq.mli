@@ -9,9 +9,6 @@ val create : dummy:'a -> 'a t
     payload, so what a finished event captured can be collected; pass
     a value that captures nothing. *)
 
-val length : 'a t -> int
-val is_empty : 'a t -> bool
-
 val push : 'a t -> at:float -> 'a -> unit
 (** Insert an event at timestamp [at].
     @raise Invalid_argument on a NaN timestamp. *)
@@ -20,8 +17,6 @@ val pop : 'a t -> (float * 'a) option
 (** Remove and return the earliest event; among equal timestamps, the
     one pushed first. *)
 
-val peek_at : 'a t -> float option
-(** Timestamp of the earliest event without removing it. *)
-
+(* sfslint: allow SL014 — the heap-invariant check the push/pop property runs after every step *)
 val check : 'a t -> bool
 (** Test hook: does the internal array satisfy the heap invariant? *)

@@ -112,8 +112,6 @@ let create ?obs ?precompute ~(window : int) ~(clock : Simclock.t) ~(wire_us : in
     live = 0;
   }
 
-let in_flight (t : _ t) : int = t.live
-
 (* Advance the clock to the ticket's ready time.  Completion order is
    submission order for forced completions; await may complete a younger
    ticket first, which is exactly the out-of-order reply consumption the
@@ -256,8 +254,6 @@ let await (t : 'a t) (tk : 'a ticket) : 'a =
   done;
   finish t tk;
   match tk.tk_result with Ok payload -> payload | Error e -> raise e
-
-let drain (t : _ t) : unit = while t.live > 0 do complete_oldest t done
 
 let call (t : 'a t) (request : string) : 'a =
   await t (submit t ~wire_bytes:(String.length request) request)

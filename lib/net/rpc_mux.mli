@@ -109,9 +109,6 @@ val await : 'a t -> 'a ticket -> 'a
     and return the payload, or re-raise the exchange's exception.
     Idempotent on completed tickets. *)
 
-val drain : _ t -> unit
-(** Force-complete every outstanding ticket in submission order. *)
-
 val call : 'a t -> string -> 'a
 [@@sfs.sink "wire"]
 (** {!submit} then {!await}: one exchange priced by the mux. *)
@@ -124,5 +121,3 @@ val of_conn : Simnet.t -> proto:Costmodel.transport_proto -> Simnet.conn -> stri
     authentication, read-only fetches, SRP, replica pushes).  Build one
     per connection.  The read-write data path builds its own muxes
     ({!Sfs_nfs.Nfs_client.data_path}). *)
-
-val in_flight : _ t -> int

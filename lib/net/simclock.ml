@@ -10,7 +10,6 @@ type t = { mutable now_us : float; events : (unit -> unit) Eventq.t }
 let create () : t = { now_us = 0.0; events = Eventq.create ~dummy:ignore }
 
 let now_us (t : t) : float = t.now_us
-let now_s (t : t) : float = t.now_us /. 1_000_000.0
 
 let advance (t : t) (us : float) : unit =
   if us < 0.0 then invalid_arg "Simclock.advance: negative";
@@ -51,8 +50,6 @@ let seconds (t : t) : int = int_of_float (t.now_us /. 1_000_000.0)
 let schedule (t : t) ~(at_us : float) (f : unit -> unit) : unit =
   let at = if at_us < t.now_us then t.now_us else at_us in
   Eventq.push t.events ~at f
-
-let pending_events (t : t) : int = Eventq.length t.events
 
 (* Pop and run the earliest event, advancing the clock to its
    timestamp first.  The callback may schedule further events. *)

@@ -4,7 +4,6 @@ type t
 
 val create : unit -> t
 val now_us : t -> float
-val now_s : t -> float
 val seconds : t -> int
 
 val advance : t -> float -> unit
@@ -41,5 +40,3 @@ val run_all : ?max_events:int -> t -> int
 (** Pump events until the queue is dry; returns how many ran.
     @raise Failure once more than [max_events] (default 10^8) have
     fired — a runaway-simulation backstop. *)
-
-val pending_events : t -> int

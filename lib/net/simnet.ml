@@ -59,8 +59,6 @@ type injector = {
 }
 
 type host = {
-  host_name : string;
-  mutable aliases : string list;
   services : (int, service) Hashtbl.t;
   (* Per-host run queue: the earliest instant this host's CPU is free.
      The fleet engine serializes overlapped work from thousands of
@@ -89,7 +87,7 @@ type endpoint_keys = {
 
 type t = {
   clock : Simclock.t;
-  hosts : (string, host) Hashtbl.t; (* by name and alias *)
+  hosts : (string, host) Hashtbl.t; (* by name *)
   keys_cache : (string, endpoint_keys) Hashtbl.t; (* by "addr:port" *)
   mutable default_tap : tap option; (* applied to new connections *)
   mutable injector : injector option; (* environment faults, armed per run *)
@@ -114,8 +112,6 @@ let add_host (t : t) (name : string) : host =
   if Hashtbl.mem t.hosts name then invalid_arg ("Simnet.add_host: duplicate " ^ name);
   let h =
     {
-      host_name = name;
-      aliases = [];
       services = Hashtbl.create 4;
       cpu_free_us = 0.0;
       served_us = 0.0;
@@ -141,18 +137,6 @@ let host_occupy (h : host) ~(at_us : float) ~(dur_us : float) : float =
   h.cpu_free_us <- fin;
   fin
 
-let add_alias (t : t) (h : host) (alias : string) : unit =
-  if Hashtbl.mem t.hosts alias then invalid_arg ("Simnet.add_alias: duplicate " ^ alias);
-  h.aliases <- alias :: h.aliases;
-  Hashtbl.replace t.hosts alias h
-
-let remove_host (t : t) (name : string) : unit =
-  match Hashtbl.find_opt t.hosts name with
-  | None -> ()
-  | Some h ->
-      Hashtbl.remove t.hosts h.host_name;
-      List.iter (Hashtbl.remove t.hosts) h.aliases
-
 let listen (t : t) (h : host) ~(port : int) (service : service) : unit =
   ignore t;
   Hashtbl.replace h.services port service
@@ -168,11 +152,8 @@ type conn = {
   mutable epoch : int; (* peer restarts observed when (re)bound *)
   mutable dead : bool; (* stream peer restarted: connection state is gone *)
   held : string Queue.t; (* reorder-parked requests, delivered before the next send *)
-  mutable tap : tap option;
+  tap : tap option;
   mutable closed : bool;
-  mutable rpc_count : int;
-  mutable bytes_sent : int;
-  mutable bytes_received : int;
   keys : endpoint_keys; (* shared per (addr, port); see endpoint_keys *)
 }
 
@@ -227,13 +208,9 @@ let connect (t : t) ~(from_host : string) ~(addr : string) ~(port : int) ~(proto
             held = Queue.create ();
             tap = t.default_tap;
             closed = false;
-            rpc_count = 0;
-            bytes_sent = 0;
-            bytes_received = 0;
             keys = endpoint_keys t addr port;
           })
 
-let set_tap (c : conn) (tap : tap option) : unit = c.tap <- tap
 let set_default_tap (t : t) (tap : tap option) : unit = t.default_tap <- tap
 
 let close (c : conn) : unit =
@@ -354,8 +331,6 @@ let call_measured (c : conn) (request : string) : string * float =
   check_liveness c;
   Obs.span ~args:c.keys.span_args c.net.obs ~cat:"net" "rpc_pipe" (fun () ->
       let t = c.net in
-      c.rpc_count <- c.rpc_count + 1;
-      c.bytes_sent <- c.bytes_sent + String.length request;
       Obs.incr t.obs c.keys.k_rpcs;
       Obs.add t.obs c.keys.k_bytes_out (String.length request);
       let reply, server_us =
@@ -366,12 +341,9 @@ let call_measured (c : conn) (request : string) : string * float =
             deliver_reply c reply)
       in
       c.host.served_us <- c.host.served_us +. server_us;
-      c.bytes_received <- c.bytes_received + String.length reply;
       Obs.add t.obs c.keys.k_bytes_in (String.length reply);
       (reply, server_us))
 
 (* Adversary entry point: deliver a raw message to the server as if it
    came from this connection, without charging the tap. *)
 let inject (c : conn) (request : string) : string = c.handler request
-
-let stats (c : conn) : int * int * int = (c.rpc_count, c.bytes_sent, c.bytes_received)

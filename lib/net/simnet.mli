@@ -67,8 +67,6 @@ val create : ?obs:Sfs_obs.Obs.registry -> Simclock.t -> t
 val clock : t -> Simclock.t
 
 val add_host : t -> string -> host
-val add_alias : t -> host -> string -> unit
-val remove_host : t -> string -> unit
 val listen : t -> host -> port:int -> service -> unit
 
 (** {2 Per-host run queue and admission}
@@ -113,9 +111,7 @@ val inject : conn -> string -> string
 [@@sfs.sink "wire"]
 (** Adversary-side raw delivery (replay), bypassing taps and billing. *)
 
-val set_tap : conn -> tap option -> unit
 val set_default_tap : t -> tap option -> unit
-val close : conn -> unit
+(** The tap every later {!connect} installs on its connection. *)
 
-val stats : conn -> int * int * int
-(** [(rpc_count, bytes_sent, bytes_received)]. *)
+val close : conn -> unit

@@ -24,7 +24,7 @@ type node_kind =
 
 type inode = {
   id : int;
-  mutable kind : node_kind;
+  kind : node_kind;
   mutable mode : int;
   mutable uid : int;
   mutable gid : int;
@@ -551,24 +551,6 @@ type fsstat = { total_files : int; total_bytes : int }
 let statfs (t : t) : fsstat =
   let bytes = Hashtbl.fold (fun _ i acc -> acc + node_size i) t.inodes 0 in
   { total_files = Hashtbl.length t.inodes; total_bytes = bytes }
-
-(* Depth-first fold over the tree by inode id, for snapshot builders
-   and integrity sweeps. *)
-let fold (t : t) (f : 'a -> path:string list -> int -> 'a) (init : 'a) : 'a =
-  let rec walk acc path id =
-    match Hashtbl.find_opt t.inodes id with
-    | None -> acc
-    | Some i -> (
-        let acc = f acc ~path id in
-        match i.kind with
-        | Dir entries ->
-            let names = List.sort compare (Hashtbl.fold (fun k _ a -> k :: a) entries []) in
-            List.fold_left
-              (fun acc name -> walk acc (path @ [ name ]) (Hashtbl.find entries name))
-              acc names
-        | Reg _ | Symlink _ -> acc)
-  in
-  walk init [] root_id
 
 let inode_kind (t : t) (id : int) : node_kind option =
   Option.map (fun i -> i.kind) (Hashtbl.find_opt t.inodes id)

@@ -23,6 +23,7 @@ val root_id : int
 val create : ?fsid:int -> now:(unit -> nfstime) -> unit -> t
 (** [now] supplies timestamps (wired to the simulation clock). *)
 
+(* sfslint: allow SL014 — NFS 3's read-only export (NFS3ERR_ROFS), which only the Memfs tests mount *)
 val set_read_only : t -> bool -> unit
 (** A read-only file system fails all mutations with [NFS3ERR_ROFS]. *)
 
@@ -71,9 +72,6 @@ val rename :
 type fsstat = { total_files : int; total_bytes : int }
 
 val statfs : t -> fsstat
-
-val fold : t -> ('a -> path:string list -> int -> 'a) -> 'a -> 'a
-(** Depth-first walk of the whole tree by inode id. *)
 
 val inode_kind : t -> int -> node_kind option
 (** Direct structural access, used by the read-only snapshot builder. *)

@@ -28,7 +28,6 @@ type handles = {
 type t = {
   backend : Fs_intf.ops;
   handles : handles;
-  mutable calls : int;
   obs : Obs.registry option;
 }
 
@@ -53,7 +52,7 @@ let nfs3_handles : handles =
   { export = (fun h -> nfs3_prefix ^ h); import; attr = (fun _ a -> a); grant = ignore; changed = ignore }
 
 let create ?(handles = nfs3_handles) ?obs (backend : Fs_intf.ops) : t =
-  { backend; handles; calls = 0; obs }
+  { backend; handles; obs }
 
 (* A wire handle this server never issued: NFS3ERR_BADHANDLE. *)
 exception Bad_handle
@@ -178,7 +177,6 @@ let dispatch_into (t : t) (cred : Simos.cred) (proc : int) (args : string) (e : 
 (* Marshal the reply to one call into [e]: the accepted-reply header,
    then the results, written in place by [dispatch_into]. *)
 let handle_call (t : t) (e : Xdr.enc) (c : Sunrpc.call) : unit =
-  t.calls <- t.calls + 1;
   let xid = c.Sunrpc.xid in
   Xdr.reset e;
   (* Adopt the caller's trace context (if any) so the dispatch span and
@@ -235,7 +233,4 @@ let service (t : t) : Simnet.service =
             reply)
     | Result.Error _ | Ok (Sunrpc.Reply _) ->
         (* Garbage never enters the cache. *)
-        t.calls <- t.calls + 1;
         garbage_reply
-
-let calls (t : t) : int = t.calls

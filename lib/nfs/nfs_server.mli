@@ -38,6 +38,3 @@ val dispatch_into : t -> Sfs_os.Simos.cred -> int -> string -> Sfs_xdr.Xdr.enc -
 val service : t -> Sfs_net.Simnet.service
 (** Expose on a network port (2049 by convention), with a
     per-connection {!Drc} of 128 entries keyed by xid ([nfs.drc_*]). *)
-
-val calls : t -> int
-(** Total RPCs handled, for cache-behaviour assertions. *)

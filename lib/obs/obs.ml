@@ -295,9 +295,6 @@ let open_ctx (os : open_span) : ctx option =
 
 let open_registry (os : open_span) : registry option = os.os_reg
 
-let spans (r : registry) : span list = List.rev r.spans
-let dropped_spans (r : registry) : int = r.dropped_spans
-
 (* -- critical-path samples ------------------------------------------- *)
 
 let cp_record (r : registry option) (s : cp_sample) : unit =
@@ -491,11 +488,6 @@ let jsonl_into (buf : Buffer.t) (r : registry) : unit =
            (String.concat "," segs)))
     (cp_samples r)
 
-let jsonl (r : registry) : string =
-  let buf = Buffer.create 4096 in
-  jsonl_into buf r;
-  Buffer.contents buf
-
 let jsonl_of (regs : (string * registry) list) : string =
   let buf = Buffer.create 4096 in
   List.iter
@@ -505,74 +497,3 @@ let jsonl_of (regs : (string * registry) list) : string =
       jsonl_into buf r)
     regs;
   Buffer.contents buf
-
-(* Decode the counter lines of our own JSONL format (and only those).
-   This is not a general JSON parser: it recognises exactly the lines
-   [jsonl] emits, which is what the round-trip property needs. *)
-let counters_of_jsonl (s : string) : (string * int) list =
-  let lines = String.split_on_char '\n' s in
-  let prefix = "{\"type\":\"counter\",\"name\":\"" in
-  let unescape str =
-    let buf = Buffer.create (String.length str) in
-    let i = ref 0 in
-    let n = String.length str in
-    while !i < n do
-      (if str.[!i] = '\\' && !i + 1 < n then begin
-         (match str.[!i + 1] with
-         | '"' -> Buffer.add_char buf '"'
-         | '\\' -> Buffer.add_char buf '\\'
-         | 'n' -> Buffer.add_char buf '\n'
-         | 't' -> Buffer.add_char buf '\t'
-         | 'r' -> Buffer.add_char buf '\r'
-         | 'u' when !i + 5 < n ->
-             let code = int_of_string ("0x" ^ String.sub str (!i + 2) 4) in
-             Buffer.add_char buf (Char.chr (code land 0xff));
-             i := !i + 4
-         | c -> Buffer.add_char buf c);
-         i := !i + 2
-       end
-       else begin
-         Buffer.add_char buf str.[!i];
-         i := !i + 1
-       end)
-    done;
-    Buffer.contents buf
-  in
-  List.filter_map
-    (fun line ->
-      if String.length line > String.length prefix && String.sub line 0 (String.length prefix) = prefix
-      then begin
-        let rest = String.sub line (String.length prefix) (String.length line - String.length prefix) in
-        (* rest is the name (possibly containing escapes), a closing
-           quote, then the value field; find the closing unescaped
-           quote. *)
-        let n = String.length rest in
-        let rec find_quote i =
-          if i >= n then None
-          else if rest.[i] = '\\' then find_quote (i + 2)
-          else if rest.[i] = '"' then Some i
-          else find_quote (i + 1)
-        in
-        match find_quote 0 with
-        | None -> None
-        | Some q ->
-            let name = unescape (String.sub rest 0 q) in
-            let tail = String.sub rest q (n - q) in
-            let vprefix = "\",\"value\":" in
-            if String.length tail > String.length vprefix
-               && String.sub tail 0 (String.length vprefix) = vprefix
-            then
-              let vs =
-                String.sub tail (String.length vprefix)
-                  (String.length tail - String.length vprefix)
-              in
-              let vs =
-                match String.index_opt vs '}' with
-                | Some j -> String.sub vs 0 j
-                | None -> vs
-              in
-              match int_of_string_opt vs with Some v -> Some (name, v) | None -> None
-            else None
-      end
-      else None)
-    lines

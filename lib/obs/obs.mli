@@ -106,11 +106,6 @@ val open_registry : open_span -> registry option
 (** The registry the span records into: where samples about the op it
     brackets belong ([None] for a span begun without one). *)
 
-val spans : registry -> span list
-(** Completed spans in completion order. *)
-
-val dropped_spans : registry -> int
-
 val cp_record : registry option -> cp_sample -> unit
 [@@sfs.sink "obs"]
 (** Append a critical-path sample (bounded like spans; overflow bumps
@@ -134,19 +129,12 @@ val chrome_trace : ?ops_only:bool -> (string * registry) list -> string
     "s"/"f" flow-arrow pairs from their causing span.  [~ops_only:true]
     keeps only spans belonging to a trace (the [--trace-ops] view). *)
 
-val jsonl : registry -> string
-(** Flat JSONL event stream: one
-    [{"type":"counter"|"span"|"critical_path",...}] object per line,
-    counters sorted by name, spans and
-    critical-path samples in completion order. *)
-
 val jsonl_of : (string * registry) list -> string
-(** Like {!jsonl} but for several registries; each is preceded by a
-    [{"type":"registry","label":...}] line. *)
+(** Flat JSONL event stream: per registry, a
+    [{"type":"registry","label":...}] line, then one
+    [{"type":"counter"|"span"|"critical_path",...}] object per line,
+    counters sorted by name, spans and critical-path samples in
+    completion order. *)
 
 val json_escape : string -> string
 (** JSON string-body escaping, shared with the other exporters. *)
-
-val counters_of_jsonl : string -> (string * int) list
-(** Decode the counter lines of the {!jsonl} format (inverse of the
-    counter part of {!jsonl}; ignores other line types). *)

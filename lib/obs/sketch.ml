@@ -1,12 +1,11 @@
-(* Mergeable log-linear quantile sketch (HDR-histogram style).
+(* Log-linear quantile sketch (HDR-histogram style).
 
    Fixed bucket layout, integer observations: values below [linear_max]
    get one bucket each (exact); larger values fall into log-linear
    buckets — each power-of-two octave is split into [subbuckets] equal
    sub-ranges, bounding the relative quantile error by
    1/subbuckets = 1/16.  The layout is a pure function of the value, so
-   merging is a pointwise array sum: exactly associative and
-   commutative, and independent of observation order — the property the
+   a sketch is independent of observation order — the property the
    fleet-scale aggregation path needs.
 
    Quantile estimates return the *upper edge* of the bucket holding the
@@ -61,26 +60,6 @@ let observe (t : t) (v : int) : unit =
   let b = bucket_of v in
   t.buckets.(b) <- t.buckets.(b) + 1
 
-let count (t : t) : int = t.count
-let sum (t : t) : int = t.sum
-
-let of_observations (vs : int list) : t =
-  let t = create () in
-  List.iter (observe t) vs;
-  t
-
-let merge (a : t) (b : t) : t =
-  let t = create () in
-  t.count <- a.count + b.count;
-  t.sum <- a.sum + b.sum;
-  for i = 0 to nbuckets - 1 do
-    t.buckets.(i) <- a.buckets.(i) + b.buckets.(i)
-  done;
-  t
-
-let equal (a : t) (b : t) : bool =
-  a.count = b.count && a.sum = b.sum && a.buckets = b.buckets
-
 (* [quantile t q]: upper edge of the bucket containing the ceil(q*count)-th
    smallest observation (1-based).  0 on an empty sketch. *)
 let quantile (t : t) (q : float) : int =
@@ -101,8 +80,8 @@ let quantile (t : t) (q : float) : int =
     bucket_upper !found
   end
 
-(* Sparse, ascending, deterministic: merging then printing is
-   independent of observation order. *)
+(* Sparse, ascending, deterministic: printing is independent of
+   observation order. *)
 let to_json (t : t) : string =
   let bs = ref [] in
   for i = nbuckets - 1 downto 0 do

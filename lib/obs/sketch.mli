@@ -1,13 +1,12 @@
-(** Mergeable log-linear quantile sketch (HDR-histogram style).
+(** Log-linear quantile sketch (HDR-histogram style).
 
     Integer observations land in fixed buckets: values below 32 are
     exact; larger values use 16 sub-buckets per power-of-two octave,
     bounding relative quantile error by 1/16.  The bucket layout is a
-    pure function of the value, so {!merge} is a pointwise array sum —
-    exactly associative and commutative, independent of observation
-    order, and byte-identically printable.  This is the primitive the
-    fleet-scale p50/p99 aggregation needs: thousands of clients each
-    keep a sketch and the results merge without raw samples. *)
+    pure function of the value, so a sketch is independent of
+    observation order and byte-identically printable.  This is the
+    primitive the fleet-scale p50/p99 aggregation needs: thousands of
+    clients feed one sketch without keeping raw samples. *)
 
 type t
 
@@ -18,16 +17,6 @@ val observe : t -> int -> unit
 (** [observe t v] records [v] (microseconds or bytes; [v <= 0] maps to
     bucket 0). *)
 
-val count : t -> int
-val sum : t -> int
-
-val of_observations : int list -> t
-
-val merge : t -> t -> t
-(** Pointwise sum; associative, commutative, order-independent. *)
-
-val equal : t -> t -> bool
-
 val quantile : t -> float -> int
 (** [quantile t q] returns the upper edge of the bucket holding the
     [ceil (q * count)]-th smallest observation — never below the true
@@ -37,10 +26,3 @@ val quantile : t -> float -> int
 val to_json : t -> string
 (** [{"count":N,"sum":S,"buckets":[[i,n],...]}] — sparse, ascending,
     deterministic. *)
-
-(**/**)
-
-val bucket_of : int -> int
-val bucket_upper : int -> int
-(** Exposed for the property tests: [bucket_upper (bucket_of v) >= v]
-    with bounded relative slack. *)

@@ -56,12 +56,9 @@ let dec_authmsg d : authmsg =
   | Some user_pub, Some signature -> { user_pub; signature }
   | _ -> Xdr.error "bad authmsg"
 
-(* Agent side: sign an authentication request.  The [audit] callback
-   receives the AuthInfo so agents can keep "a full audit trail of
-   every private key operation" (section 2.5.1). *)
-let make_authmsg ?(audit = fun (_ : authinfo) -> ()) ~(key : Rabin.priv) (info : authinfo)
-    ~(seqno : int) : authmsg =
-  audit info;
+(* Agent side: sign an authentication request.  The agent keeps "a
+   full audit trail of every private key operation" (section 2.5.1). *)
+let make_authmsg ~(key : Rabin.priv) (info : authinfo) ~(seqno : int) : authmsg =
   let authid = authid_of info in
   { user_pub = key.Rabin.pub; signature = Rabin.sign key (signed_req_bytes ~authid ~seqno) }
 

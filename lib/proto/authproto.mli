@@ -19,10 +19,9 @@ val authid_of : authinfo -> string
 
 type authmsg = { user_pub : Rabin.pub; signature : Rabin.signature }
 
-val make_authmsg :
-  ?audit:(authinfo -> unit) -> key:Rabin.priv -> authinfo -> seqno:int -> authmsg
-(** Agent side.  [audit] observes every private-key operation
-    (section 2.5.1's audit trail). *)
+val make_authmsg : key:Rabin.priv -> authinfo -> seqno:int -> authmsg
+(** Agent side; the agent keeps the audit trail of every private-key
+    operation (section 2.5.1). *)
 
 val validate_authmsg : authmsg -> authid:string -> seqno:int -> bool
 (** Authserver side: does the signature cover this (AuthID, SeqNo)? *)

@@ -27,7 +27,6 @@ type t = {
   pending : (int, string list ref) Hashtbl.t; (* conn -> queued invalidations *)
   mutable sweep_at : int; (* [holders] size that triggers the next expired-lease sweep *)
   mutable next_conn : int;
-  mutable invalidations_sent : int;
   obs : Obs.registry option;
 }
 
@@ -42,7 +41,6 @@ let create ?obs (clock : Simclock.t) : t =
     pending = Hashtbl.create 16;
     sweep_at = sweep_floor;
     next_conn = 1;
-    invalidations_sent = 0;
     obs;
   }
 
@@ -110,7 +108,6 @@ let invalidate (t : t) ~(by : int) (fh : string) : unit =
             | Some q ->
                 if not (List.mem fh !q) then begin
                   q := fh :: !q;
-                  t.invalidations_sent <- t.invalidations_sent + 1;
                   Obs.incr t.obs "lease.invalidations"
                 end
             | None -> ()
@@ -127,8 +124,6 @@ let take (t : t) (conn : int) : string list =
       let out = List.rev !q in
       q := [];
       out
-
-let invalidations_sent (t : t) : int = t.invalidations_sent
 
 (* Queued callbacks not yet drained by [take] — the server-side leg of
    the fleet reconciliation: sent == applied + client-pending + this. *)

@@ -29,13 +29,12 @@ val invalidate : t -> by:int -> string -> unit
 val take : t -> int -> string list
 (** Drain the callback queue for a connection. *)
 
-val invalidations_sent : t -> int
-
 val pending_count : t -> int
 (** Invalidations queued to connections but not yet drained by {!take}.
     The fleet tests reconcile: [lease.invalidations] (queued) equals
     applied at clients + pending at clients + this. *)
 
+(* sfslint: allow SL014 — invariant check: how many connections hold a lease on a handle *)
 val holder_count : t -> string -> int
 (** How many connections currently hold a lease entry on this wire
     handle (expired entries included until the next invalidation or

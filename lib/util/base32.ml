@@ -57,6 +57,3 @@ let decode (s : string) : string =
   if !have > 0 && !acc land ((1 lsl !have) - 1) <> 0 then
     invalid_arg "Base32.decode: nonzero padding";
   Buffer.contents out
-
-let is_valid (s : string) : bool =
-  s <> "" && String.for_all (fun c -> value_table.(Char.code c) >= 0) s

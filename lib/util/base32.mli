@@ -4,6 +4,7 @@
     confusable characters ["l"], ["1"], ["0"] and ["o"].  A 20-byte SHA-1
     HostID encodes to exactly 32 characters. *)
 
+(* sfslint: allow SL014 — §2.2: the HostID alphabet, which leaves out l, 1, 0 and o *)
 val alphabet : string
 (** The 32-character alphabet, in value order. *)
 
@@ -14,7 +15,3 @@ val decode : string -> string
 (** [decode e] inverts {!encode}.
     @raise Invalid_argument on characters outside the alphabet or on
     nonzero padding bits. *)
-
-val is_valid : string -> bool
-(** [is_valid e] is true when [e] is nonempty and uses only alphabet
-    characters. *)

@@ -62,11 +62,6 @@ let int_of_be32 (s : string) ~(off : int) : int =
   lor (Char.code s.[off + 2] lsl 8)
   lor Char.code s.[off + 3]
 
-let be64_of_int64 (v : int64) : string =
-  let b = Bytes.create 8 in
-  put_be64 b ~off:0 v;
-  Bytes.unsafe_to_string b
-
 let int64_of_be64 (s : string) ~(off : int) : int64 =
   let b i = Int64.of_int (Char.code s.[off + i]) in
   let ( <| ) x n = Int64.shift_left x n in

@@ -26,7 +26,6 @@ val be32_of_int : int -> string
 val int_of_be32 : string -> off:int -> int
 (** Reads a big-endian 32-bit unsigned value at [off]. *)
 
-val be64_of_int64 : int64 -> string
 val int64_of_be64 : string -> off:int -> int64
 
 val chunks : size:int -> string -> string list

@@ -22,6 +22,7 @@ val peek : ('k, 'v) t -> 'k -> 'v option
 val find : ('k, 'v) t -> 'k -> 'v option
 (** Lookup; a present key becomes the most recent. *)
 
+(* sfslint: allow SL014 — the recency step that the LRU model property drives directly *)
 val promote : ('k, 'v) t -> 'k -> unit
 (** Make a present key the most recent; no-op when absent. *)
 

@@ -131,8 +131,7 @@ let run ?tap (cfg : config) : result =
   ignore (Core.Replica.publish publisher);
   (* --- the mirror tier --- *)
   let mirrors =
-    Array.init cfg.replicas (fun m ->
-        Core.Replica.mirror ~obs ~clock ~name:(mirror_loc m) ())
+    Array.init cfg.replicas (fun _ -> Core.Replica.mirror ~obs ~clock ())
   in
   let mhosts =
     Array.init cfg.replicas (fun m ->

@@ -3,7 +3,6 @@
 
 type result = { latency_us : float; throughput_mb_s : float }
 
-val latency_us : Stacks.world -> float
 val throughput_mb_s : Stacks.world -> float
 
 val run : Stacks.stack -> result * Stacks.world list

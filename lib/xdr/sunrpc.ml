@@ -1,9 +1,8 @@
 (* Sun RPC (RFC 1831) message framing.
 
    All SFS programs talk Sun RPC (paper section 3.2).  We implement the
-   call/reply envelope with AUTH_NONE / AUTH_UNIX credentials and the
-   TCP record-marking standard (fragment headers with a last-fragment
-   bit), enough to carry the NFS 3 and SFS programs faithfully. *)
+   call/reply envelope with AUTH_NONE / AUTH_UNIX credentials, enough
+   to carry the NFS 3 and SFS programs faithfully. *)
 
 let rpc_version = 2
 
@@ -181,46 +180,3 @@ let dec_msg (d : Xdr.dec) : msg =
 let msg_to_string (m : msg) : string = Xdr.encode enc_msg m
 
 let msg_of_string (s : string) : (msg, string) result = Xdr.run s dec_msg
-
-(* --- TCP record marking --- *)
-
-let record_to_string (record : string) : string =
-  let n = String.length record in
-  if n > 0x7FFFFFFF then invalid_arg "Sunrpc.record_to_string: too large";
-  let b = Bytes.create (n + 4) in
-  Sfs_util.Bytesutil.put_be32 b ~off:0 (n lor 0x80000000);
-  Bytes.blit_string record 0 b 4 n;
-  Bytes.unsafe_to_string b
-
-(* Incremental record reassembly, for the stream transports. *)
-type reader = { mutable pending : string; mutable records : string list }
-
-let make_reader () : reader = { pending = ""; records = [] }
-
-let reader_feed (r : reader) (bytes : string) : unit =
-  r.pending <- r.pending ^ bytes;
-  let progress = ref true in
-  while !progress do
-    progress := false;
-    let n = String.length r.pending in
-    if n >= 4 then begin
-      let hdr = Sfs_util.Bytesutil.int_of_be32 r.pending ~off:0 in
-      let last = hdr land 0x80000000 <> 0 in
-      let len = hdr land 0x7FFFFFFF in
-      if n >= 4 + len then begin
-        (* Multi-fragment records concatenate; we treat each complete
-           fragment chain as one record (single-fragment in practice). *)
-        if not last then Xdr.error "fragmented records unsupported";
-        r.records <- String.sub r.pending 4 len :: r.records;
-        r.pending <- String.sub r.pending (4 + len) (n - 4 - len);
-        progress := true
-      end
-    end
-  done
-
-let reader_next (r : reader) : string option =
-  match List.rev r.records with
-  | [] -> None
-  | first :: rest ->
-      r.records <- List.rev rest;
-      Some first

@@ -1,7 +1,6 @@
 (** Sun RPC (RFC 1831) message framing: the call/reply envelope with
-    AUTH_NONE / AUTH_UNIX credentials and the TCP record-marking
-    standard, enough to carry the NFS 3 and SFS programs faithfully
-    (paper section 3.2). *)
+    AUTH_NONE / AUTH_UNIX credentials, enough to carry the NFS 3 and
+    SFS programs faithfully (paper section 3.2). *)
 
 type auth_flavor =
   | Auth_none
@@ -44,18 +43,8 @@ val enc_success : Xdr.enc -> xid:int -> unit
 val enc_reply : Xdr.enc -> xid:int -> reply_body -> unit
 (** A whole reply; its accepted-reply header is {!enc_success}'s. *)
 
+(* sfslint: allow SL014 — the encoder the envelope round-trip laws and the raw NFS service tests drive *)
 val msg_to_string : msg -> string
 
 val msg_of_string : string -> (msg, string) result
 (** Total: malformed envelopes yield [Error], never an exception. *)
-
-(** {2 TCP record marking} *)
-
-val record_to_string : string -> string
-
-type reader
-(** Incremental record reassembly for the stream transports. *)
-
-val make_reader : unit -> reader
-val reader_feed : reader -> string -> unit
-val reader_next : reader -> string option

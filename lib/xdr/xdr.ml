@@ -57,11 +57,6 @@ let enc_uint32 (e : enc) (v : int) : unit =
   let off = reserve e 4 in
   Sfs_util.Bytesutil.put_be32 e.buf ~off v
 
-let enc_int32 (e : enc) (v : int) : unit =
-  if v < -0x80000000 || v > 0x7FFFFFFF then error "enc_int32: out of range: %d" v;
-  let off = reserve e 4 in
-  Sfs_util.Bytesutil.put_be32 e.buf ~off (v land 0xFFFFFFFF)
-
 let enc_uint64 (e : enc) (v : int64) : unit =
   let off = reserve e 8 in
   Sfs_util.Bytesutil.put_be64 e.buf ~off v
@@ -145,10 +140,6 @@ let dec_uint32 (d : dec) : int =
   let v = Sfs_util.Bytesutil.int_of_be32 d.data ~off:d.pos in
   d.pos <- d.pos + 4;
   v
-
-let dec_int32 (d : dec) : int =
-  let v = dec_uint32 d in
-  if v land 0x80000000 <> 0 then v - 0x100000000 else v
 
 let dec_uint64 (d : dec) : int64 =
   need d 8;

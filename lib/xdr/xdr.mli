@@ -29,7 +29,6 @@ val enc_raw : enc -> string -> unit
 (** Appends pre-marshaled bytes verbatim. *)
 
 val enc_uint32 : enc -> int -> unit
-val enc_int32 : enc -> int -> unit
 val enc_uint64 : enc -> int64 -> unit
 val enc_bool : enc -> bool -> unit
 
@@ -64,7 +63,6 @@ val encode : (enc -> 'a -> unit) -> 'a -> string
 type dec
 
 val dec_uint32 : dec -> int
-val dec_int32 : dec -> int
 val dec_uint64 : dec -> int64
 val dec_bool : dec -> bool
 val dec_fixed_opaque : dec -> size:int -> string

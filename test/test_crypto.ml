@@ -4,15 +4,17 @@ module Modarith = Sfs_bignum.Modarith
 
 (* --- SHA-1: FIPS 180-1 test vectors --- *)
 
+let sha1_hex s = Sfs_util.Hex.encode (Sha1.digest s)
+
 let test_sha1_vectors () =
-  Testkit.check_string "empty" "da39a3ee5e6b4b0d3255bfef95601890afd80709" (Sha1.hex "");
-  Testkit.check_string "abc" "a9993e364706816aba3e25717850c26c9cd0d89d" (Sha1.hex "abc");
+  Testkit.check_string "empty" "da39a3ee5e6b4b0d3255bfef95601890afd80709" (sha1_hex "");
+  Testkit.check_string "abc" "a9993e364706816aba3e25717850c26c9cd0d89d" (sha1_hex "abc");
   Testkit.check_string "two-block"
     "84983e441c3bd26ebaae4aa1f95129e5e54670f1"
-    (Sha1.hex "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq");
+    (sha1_hex "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq");
   Testkit.check_string "million a"
     "34aa973cd4c4daa4f61eeb2bdbad27316534016f"
-    (Sha1.hex (String.make 1_000_000 'a'))
+    (sha1_hex (String.make 1_000_000 'a'))
 
 let test_sha1_incremental () =
   (* Chunked updates agree with one-shot digests at every split point. *)
@@ -132,7 +134,7 @@ let test_blowfish_cbc () =
 let test_eksblowfish () =
   let salt = String.make 16 '\x01' in
   let h1 = Eksblowfish.hash ~cost:2 ~salt "password" in
-  Testkit.check_int "size" Eksblowfish.hash_size (String.length h1);
+  Testkit.check_int "size" 24 (String.length h1);
   Testkit.check_string "deterministic" (Sfs_util.Hex.encode h1)
     (Sfs_util.Hex.encode (Eksblowfish.hash ~cost:2 ~salt "password"));
   Testkit.check_bool "password matters" false (h1 = Eksblowfish.hash ~cost:2 ~salt "passwore");
@@ -319,7 +321,7 @@ let test_rabin_sign_pinned () =
     List.init 16 (fun i -> Rabin.signature_to_string (Rabin.sign sk (Printf.sprintf "msg %d" i)))
   in
   Testkit.check_string "signatures sha1" "14ecd69a4cf72ab2fcead889e1b85e4f10f07f89"
-    (Sha1.hex (String.concat "" sigs))
+    (sha1_hex (String.concat "" sigs))
 
 (* Allocation guards: about 4x the measured figure (512-bit key:
    sign 11.6 KB, decrypt 17.0 KB), well under the 176 KB and 93 KB a

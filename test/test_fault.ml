@@ -81,23 +81,21 @@ let ops_of_seed (seed : int) : op list =
    path, kind, and content digest, sorted.  Two runs agree iff their
    surviving trees are identical. *)
 let signature (fs : Memfs.t) : string =
-  Memfs.fold fs
-    (fun acc ~path id ->
-      let name = String.concat "/" path in
-      let line =
-        match Memfs.inode_kind fs id with
-        | Some (Memfs.Reg _) -> (
-            match Memfs.read fs (Sfs_os.Simos.cred_of_user Sfs_os.Simos.root_user) id ~off:0 ~count:max_int with
-            | Ok (data, _) ->
-                Printf.sprintf "F %s %d %s" name (String.length data) (Digest.to_hex (Digest.string data))
-            | Error _ -> "? " ^ name)
-        | Some (Memfs.Dir _) -> "D " ^ name
-        | Some (Memfs.Symlink t) -> Printf.sprintf "L %s %s" name t
-        | None -> "? " ^ name
-      in
-      line :: acc)
-    []
-  |> List.sort compare |> String.concat "\n"
+  let rec walk acc path id =
+    let name = String.concat "/" path in
+    match Memfs.inode_kind fs id with
+    | Some (Memfs.Reg _) ->
+        (match Memfs.read fs (Sfs_os.Simos.cred_of_user Sfs_os.Simos.root_user) id ~off:0 ~count:max_int with
+        | Ok (data, _) ->
+            Printf.sprintf "F %s %d %s" name (String.length data) (Digest.to_hex (Digest.string data))
+        | Error _ -> "? " ^ name)
+        :: acc
+    | Some (Memfs.Dir entries) ->
+        Hashtbl.fold (fun n child acc -> walk acc (path @ [ n ]) child) entries (("D " ^ name) :: acc)
+    | Some (Memfs.Symlink t) -> Printf.sprintf "L %s %s" name t :: acc
+    | None -> acc
+  in
+  walk [] [] Memfs.root_id |> List.sort compare |> String.concat "\n"
 
 (* --- The empty plan is a no-op --- *)
 
@@ -303,7 +301,7 @@ let check_drop_charges_nothing (w : Stacks.world) ~(opname : string) (run : unit
   let attempts =
     List.filter
       (fun s -> s.Obs.sp_cat = "op" && s.Obs.sp_name = opname && s.Obs.sp_parent <> 0)
-      (Obs.spans w.Stacks.obs)
+      (Obs.snapshot w.Stacks.obs).Obs.snap_spans
   in
   let failed, retry =
     match List.rev attempts with

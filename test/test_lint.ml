@@ -318,13 +318,19 @@ let test_sl014_unused_exports () =
     [ user; ("lib/core/d.ml", "let g = let module Q = M in Q.dead 1") ];
   flags "through open" [] [ user; ("lib/core/d.ml", "open Sfs_util.M\nlet g = dead 1") ];
   flags "through a local open" [] [ user; ("lib/core/d.ml", "let g = M.(dead 1)") ];
-  flags "from test/" [] [ user; ("test/test_m.ml", "let t () = M.dead 1") ];
+  flags "a test is not a program: a use under test/ is no use" [ ("SL014", 2) ]
+    [ user; ("test/test_m.ml", "let t () = M.dead 1") ];
   flags "from perfbench/" [] [ user; ("perfbench/probes.ml", "let p = Sfs_util.M.dead") ];
   Alcotest.(check (list (pair string int)))
     "a reasoned pragma waives" []
     (sl014
        ~itf:"val used : int\n(* sfslint: allow SL014 — the REPL printer set keeps it *)\nval dead : int -> int"
        [ user ]);
+  Alcotest.(check (list (pair string int)))
+    "a test-only export with a reasoned pragma stays" []
+    (sl014
+       ~itf:"val used : int\n(* sfslint: allow SL014 — the known-answer test compares against it *)\nval dead : int -> int"
+       [ user; ("test/test_m.ml", "let t () = M.dead 1") ]);
   Alcotest.(check (list (pair string int)))
     "a pragma without a reason waives nothing" [ ("SL011", 2); ("SL014", 3) ]
     (sl014 ~itf:"val used : int\n(* sfslint: allow SL014 *)\nval dead : int -> int" [ user ]);

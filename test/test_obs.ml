@@ -3,7 +3,7 @@
    The contract under test is determinism — two identical op sequences
    (and two identical simulated stack runs) must export byte-identical
    snapshots and JSONL — plus span well-formedness across exceptions,
-   and the counter codec's round trip.  Sketch's merge laws are in
+   and the JSONL bytes of a scripted registry.  Sketch's laws are in
    test_sketch.ml. *)
 
 module Obs = Sfs_obs.Obs
@@ -13,6 +13,8 @@ module Stacks = Sfs_workload.Stacks
 let fake_clock () =
   let t = ref 0.0 in
   ((fun () -> !t), fun us -> t := !t +. us)
+
+let spans r = (Obs.snapshot r).Obs.snap_spans
 
 (* --- spans --- *)
 
@@ -24,7 +26,7 @@ let test_span_nesting () =
       advance 10.0;
       Obs.span obs ~cat:"inner" "b" (fun () -> advance 5.0);
       advance 2.0);
-  (match Obs.spans r with
+  (match spans r with
   | [ b; a ] ->
       (* Completion order: the inner span closes first. *)
       Alcotest.(check string) "inner name" "b" b.Obs.sp_name;
@@ -40,7 +42,7 @@ let test_span_nesting () =
         (a.Obs.sp_start_us <= b.Obs.sp_start_us
         && b.Obs.sp_start_us +. b.Obs.sp_dur_us <= a.Obs.sp_start_us +. a.Obs.sp_dur_us)
   | ss -> Alcotest.failf "expected 2 spans, got %d" (List.length ss));
-  Alcotest.(check int) "nothing dropped" 0 (Obs.dropped_spans r)
+  Alcotest.(check int) "nothing dropped" 0 (Obs.snap_counter (Obs.snapshot r) "obs.spans_dropped")
 
 let test_span_exception () =
   let now, advance = fake_clock () in
@@ -54,7 +56,7 @@ let test_span_exception () =
          failwith "boom")
    with Failure _ -> ());
   Obs.span obs ~cat:"c" "after" (fun () -> advance 1.0);
-  match Obs.spans r with
+  match spans r with
   | [ boom; after ] ->
       Alcotest.(check string) "raising span recorded" "boom" boom.Obs.sp_name;
       Alcotest.(check (float 1e-9)) "raising span duration" 3.0 boom.Obs.sp_dur_us;
@@ -68,8 +70,7 @@ let test_span_cap () =
   for _ = 1 to 5 do
     Obs.span obs ~cat:"c" "s" (fun () -> ())
   done;
-  Alcotest.(check int) "retained" 3 (List.length (Obs.spans r));
-  Alcotest.(check int) "dropped" 2 (Obs.dropped_spans r);
+  Alcotest.(check int) "retained" 3 (List.length (spans r));
   Alcotest.(check int) "drop counter exported" 2
     (Obs.snap_counter (Obs.snapshot r) "obs.spans_dropped")
 
@@ -88,9 +89,11 @@ let scripted_run () =
   Obs.add obs "alpha" 1;
   r
 
+let jsonl r = Obs.jsonl_of [ ("lbl", r) ]
+
 let test_jsonl_determinism () =
-  let a = Obs.jsonl (scripted_run ()) in
-  let b = Obs.jsonl (scripted_run ()) in
+  let a = jsonl (scripted_run ()) in
+  let b = jsonl (scripted_run ()) in
   Alcotest.(check string) "identical op sequences export identical JSONL" a b;
   (* Counters come out sorted regardless of touch order. *)
   let names = List.map fst (Obs.snapshot (scripted_run ())).Obs.snap_counters in
@@ -107,7 +110,7 @@ let test_stack_determinism () =
     w.Stacks.obs
   in
   let r1 = run () and r2 = run () in
-  Alcotest.(check string) "jsonl byte-equal" (Obs.jsonl r1) (Obs.jsonl r2);
+  Alcotest.(check string) "jsonl byte-equal" (jsonl r1) (jsonl r2);
   Alcotest.(check string) "chrome trace byte-equal"
     (Obs.chrome_trace [ ("sfs", r1) ])
     (Obs.chrome_trace [ ("sfs", r2) ]);
@@ -130,28 +133,23 @@ let test_chrome_trace_shape () =
   Alcotest.(check bool) "complete events" true (has "\"ph\":\"X\"");
   Alcotest.(check bool) "span args survive" true (has "\"peer\":\"s1\"")
 
-(* --- QCheck: counter codec --- *)
+(* --- the exported bytes --- *)
 
-let counter_name =
-  (* Printable names, including chars the JSON codec must escape. *)
-  QCheck.string_gen_of_size (QCheck.Gen.int_range 1 12)
-    (QCheck.Gen.oneof
-       [
-         QCheck.Gen.char_range 'a' 'z';
-         QCheck.Gen.oneofl [ '.'; '_'; '"'; '\\'; ' '; '/' ];
-       ])
-
-let prop_counter_roundtrip =
-  QCheck.Test.make ~count:200 ~name:"counter JSONL round-trip"
-    (QCheck.list_of_size (QCheck.Gen.int_bound 20)
-       (QCheck.pair counter_name (QCheck.int_bound 1_000_000_000)))
-    (fun pairs ->
-      let now, _ = fake_clock () in
-      let r = Obs.create ~now_us:now () in
-      let obs = Some r in
-      List.iter (fun (name, v) -> Obs.add obs name v) pairs;
-      let expected = (Obs.snapshot r).Obs.snap_counters in
-      Obs.counters_of_jsonl (Obs.jsonl r) = expected)
+(* bench/ writes every figure's metrics through [jsonl_of]; pin its
+   bytes for the scripted registry, with a counter name that needs
+   escaping. *)
+let test_jsonl_pinned () =
+  let r = scripted_run () in
+  Obs.add (Some r) "q\"uote\\d" 7;
+  Alcotest.(check string) "jsonl bytes"
+    {|{"type":"registry","label":"lbl"}
+{"type":"counter","name":"alpha","value":4}
+{"type":"counter","name":"q\"uote\\d","value":7}
+{"type":"counter","name":"zeta","value":1}
+{"type":"span","cat":"net","name":"inner","ts":12.000,"dur":4.000,"depth":1}
+{"type":"span","cat":"net","name":"rpc","ts":0.000,"dur":16.000,"depth":0}
+|}
+    (jsonl r)
 
 let suite =
   ( "obs",
@@ -162,5 +160,5 @@ let suite =
       Alcotest.test_case "jsonl determinism" `Quick test_jsonl_determinism;
       Alcotest.test_case "stack run determinism" `Quick test_stack_determinism;
       Alcotest.test_case "chrome trace shape" `Quick test_chrome_trace_shape;
-      QCheck_alcotest.to_alcotest prop_counter_roundtrip;
+      Alcotest.test_case "jsonl of a scripted registry" `Quick test_jsonl_pinned;
     ] )

@@ -202,13 +202,17 @@ let test_auth_session_binding () =
   Testkit.check_bool "session bound" false (mk (String.make 20 '1') = mk (String.make 20 '2'))
 
 let test_auth_audit_trail () =
-  let uk = Lazy.force user_key in
-  let audited = ref [] in
+  let agent = Sfs_core.Agent.create (Sfs_os.Simos.add_user (Sfs_os.Simos.create ()) "u") in
+  Sfs_core.Agent.add_key agent (Lazy.force user_key);
   let info =
     { Authproto.service = "FS"; location = "srv"; hostid = String.make 20 'h'; session_id = String.make 20 's' }
   in
-  ignore (Authproto.make_authmsg ~audit:(fun i -> audited := i :: !audited) ~key:uk info ~seqno:1);
-  Testkit.check_int "audit recorded" 1 (List.length !audited)
+  ignore (Sfs_core.Agent.sign_requests agent info ~seqno_of:(fun i -> i + 1));
+  match Sfs_core.Agent.audit_trail agent with
+  | [ e ] ->
+      Testkit.check_bool "audit records the AuthInfo" true (e.Sfs_core.Agent.info = info);
+      Testkit.check_int "and its seqno" 1 e.Sfs_core.Agent.seqno
+  | l -> Alcotest.failf "expected one audit entry, got %d" (List.length l)
 
 let test_seq_window () =
   let w = Authproto.make_window () in

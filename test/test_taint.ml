@@ -125,6 +125,27 @@ let test_partial_application () =
         [ "lib/fx/leak_partial.ml TNT001 Fx.make_key -> Fx.send" ]
         (List.sort_uniq compare (List.map summary (Taint.unwaived r)))
 
+(* Fields match by bare name, so a secret field's name must be the
+   only record field of that name: another record's same-named field is
+   a TNT006 diagnostic, and renaming it clears both the diagnostic and
+   the false flow it caused. *)
+let test_shared_secret_field_name () =
+  let keyfx = ("lib/fx/keyfx.mli", "type key = { p : string [@sfs.secret] }\n") in
+  let run impl =
+    match Taint.analyze ~intfs:(keyfx :: intfs) ~impls:[ ("lib/fx/cipher.ml", impl) ] () with
+    | Ok r -> r
+    | Error msg -> Alcotest.failf "fixture analysis failed: %s" msg
+  in
+  let r = run "type state = { p : int array }\nlet run st = Fx.send (string_of_int st.p.(0))\n" in
+  Alcotest.(check (list string))
+    "the same-named field of the other record is reported" [ "lib/fx/cipher.ml:1 TNT006" ]
+    (List.map
+       (fun d -> Printf.sprintf "%s:%d %s" d.Taint.dg_file d.Taint.dg_line d.Taint.dg_code)
+       r.Taint.r_diags);
+  let r = run "type state = { p_array : int array }\nlet run st = Fx.send (string_of_int st.p_array.(0))\n" in
+  Alcotest.(check int) "renamed: no diagnostic" 0 (List.length r.Taint.r_diags);
+  Alcotest.(check int) "renamed: no flow" 0 (List.length r.Taint.r_flows)
+
 (* --- determinism --- *)
 
 let test_report_reproducible () =
@@ -164,6 +185,7 @@ let suite =
       Alcotest.test_case "transitive chain shape" `Quick test_transitive_chain;
       Alcotest.test_case "declassified and waived" `Quick test_declassified_and_waived;
       Alcotest.test_case "partial application keeps its taint" `Quick test_partial_application;
+      Alcotest.test_case "secret field names are unique" `Quick test_shared_secret_field_name;
       Alcotest.test_case "report reproducibility" `Quick test_report_reproducible;
       QCheck_alcotest.to_alcotest prop_order_invariant;
     ] )

@@ -89,7 +89,7 @@ let test_keystream_ledger_reconciles () =
 let test_server_adopts_trace () =
   let w = Stacks.make Stacks.Sfs in
   run_workload w;
-  let spans = Obs.spans w.Stacks.obs in
+  let spans = (Obs.snapshot w.Stacks.obs).Obs.snap_spans in
   (* Cachefs entry points are trace roots... *)
   let roots = List.filter (fun s -> s.Obs.sp_trace > 0 && s.Obs.sp_parent = 0) spans in
   Alcotest.(check bool) "trace roots exist" true (roots <> []);

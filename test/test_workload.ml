@@ -27,14 +27,19 @@ let test_driver_helpers () =
   Driver.unlink w (d ^ "/f");
   Driver.stat_probe w (d ^ "/f")
 
+(* Figure 5's rows for NFS 3 UDP, NFS 3 TCP, SFS and SFS without
+   encryption, measured once for both shape tests. *)
+let fig5 = lazy (List.map (fun s -> fst (Microbench.run s)) Stacks.[ Nfs_udp; Nfs_tcp; Sfs; Sfs_noenc ])
+
+let fig5_column (f : Microbench.result -> float) : float * float * float * float =
+  match List.map f (Lazy.force fig5) with
+  | [ udp; tcp; sfs; noenc ] -> (udp, tcp, sfs, noenc)
+  | _ -> assert false
+
 let test_fig5_latency_shape () =
   (* The headline shape of Figure 5: SFS latency is several times NFS,
      dominated by the user-level implementation, not encryption. *)
-  let lat s = Microbench.latency_us (Stacks.make s) in
-  let udp = lat Stacks.Nfs_udp in
-  let tcp = lat Stacks.Nfs_tcp in
-  let sfs = lat Stacks.Sfs in
-  let noenc = lat Stacks.Sfs_noenc in
+  let udp, tcp, sfs, noenc = fig5_column (fun r -> r.Microbench.latency_us) in
   Testkit.check_bool "udp ~200us" true (udp > 150.0 && udp < 300.0);
   Testkit.check_bool "tcp slower than udp" true (tcp > udp);
   Testkit.check_bool "sfs 3-5x nfs" true (sfs > 3.0 *. udp && sfs < 5.0 *. udp);
@@ -42,14 +47,7 @@ let test_fig5_latency_shape () =
   Testkit.check_bool "noenc still far above tcp" true (noenc > 2.0 *. tcp)
 
 let test_fig5_throughput_shape () =
-  let thr s =
-    let params = { Sfs_nfs.Diskmodel.default_params with Sfs_nfs.Diskmodel.cache_blocks = 16384 } in
-    Microbench.throughput_mb_s (Stacks.make ~server_disk_params:params s)
-  in
-  let udp = thr Stacks.Nfs_udp in
-  let tcp = thr Stacks.Nfs_tcp in
-  let sfs = thr Stacks.Sfs in
-  let noenc = thr Stacks.Sfs_noenc in
+  let udp, tcp, sfs, noenc = fig5_column (fun r -> r.Microbench.throughput_mb_s) in
   (* Paper ordering was UDP 9.3 > TCP 7.6 > noenc 7.1 > SFS 4.1; with
      keystream precomputation overlapping the idle wire (DESIGN.md §14)
      encryption no longer costs streaming throughput, so SFS rides at

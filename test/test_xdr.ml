@@ -6,7 +6,6 @@ let test_primitives () =
     Xdr.encode
       (fun e () ->
         Xdr.enc_uint32 e 7;
-        Xdr.enc_int32 e (-3);
         Xdr.enc_uint64 e 0x1122334455667788L;
         Xdr.enc_bool e true;
         Xdr.enc_string e "hello";
@@ -18,18 +17,16 @@ let test_primitives () =
   match
     Xdr.run s (fun d ->
         let a = Xdr.dec_uint32 d in
-        let b = Xdr.dec_int32 d in
         let c = Xdr.dec_uint64 d in
         let t = Xdr.dec_bool d in
         let str = Xdr.dec_string d in
         let o1 = Xdr.dec_option d Xdr.dec_uint32 in
         let o2 = Xdr.dec_option d Xdr.dec_uint32 in
         let l = Xdr.dec_array d Xdr.dec_uint32 in
-        (a, b, c, t, str, o1, o2, l))
+        (a, c, t, str, o1, o2, l))
   with
-  | Ok (a, b, c, t, str, o1, o2, l) ->
+  | Ok (a, c, t, str, o1, o2, l) ->
       Testkit.check_int "uint32" 7 a;
-      Testkit.check_int "int32" (-3) b;
       Alcotest.(check int64) "uint64" 0x1122334455667788L c;
       Testkit.check_bool "bool" true t;
       Testkit.check_string "string" "hello" str;
@@ -104,15 +101,6 @@ let test_sunrpc_errors () =
       Sunrpc.Rejected (Sunrpc.Auth_error 1);
     ]
 
-let test_record_marking () =
-  let r = Sunrpc.make_reader () in
-  let wire = Sunrpc.record_to_string "first" ^ Sunrpc.record_to_string "second" in
-  (* Feed byte by byte to exercise reassembly. *)
-  String.iter (fun c -> Sunrpc.reader_feed r (String.make 1 c)) wire;
-  Alcotest.(check (option string)) "first" (Some "first") (Sunrpc.reader_next r);
-  Alcotest.(check (option string)) "second" (Some "second") (Sunrpc.reader_next r);
-  Alcotest.(check (option string)) "drained" None (Sunrpc.reader_next r)
-
 (* Generators for whole Sun RPC messages, exercising every arm of the
    call/reply envelope. *)
 let auth_gen =
@@ -165,7 +153,6 @@ let msg_gen =
    any mix of items, or every figure in the eval would shift. *)
 type xdr_item =
   | X_u32 of int
-  | X_i32 of int
   | X_u64 of int64
   | X_bool of bool
   | X_opaque of string
@@ -185,7 +172,6 @@ let ref_encode (items : xdr_item list) : string =
     (fun item ->
       match item with
       | X_u32 v -> u32 v
-      | X_i32 v -> u32 (v land 0xFFFFFFFF)
       | X_u64 v ->
           u32 (Int64.to_int (Int64.shift_right_logical v 32));
           u32 (Int64.to_int (Int64.logand v 0xFFFFFFFFL))
@@ -203,7 +189,6 @@ let ref_encode (items : xdr_item list) : string =
 let enc_item (e : Xdr.enc) (item : xdr_item) : unit =
   match item with
   | X_u32 v -> Xdr.enc_uint32 e v
-  | X_i32 v -> Xdr.enc_int32 e v
   | X_u64 v -> Xdr.enc_uint64 e v
   | X_bool v -> Xdr.enc_bool e v
   | X_opaque s -> Xdr.enc_opaque e s
@@ -215,7 +200,6 @@ let item_gen =
   oneof
     [
       map (fun v -> X_u32 v) (int_range 0 0xFFFFFFFF);
-      map (fun v -> X_i32 v) (int_range (-0x80000000) 0x7FFFFFFF);
       map (fun v -> X_u64 (Int64.of_int v)) int;
       map (fun v -> X_bool v) bool;
       map (fun s -> X_opaque s) (string_size ~gen:char (int_range 0 40));
@@ -282,8 +266,6 @@ let props =
         Xdr.run (Xdr.encode Xdr.enc_uint64 v) Xdr.dec_uint64 = Ok v);
     Test.make ~count:300 ~name:"uint32 roundtrip" (int_range 0 0xFFFFFFFF) (fun v ->
         Xdr.run (Xdr.encode Xdr.enc_uint32 v) Xdr.dec_uint32 = Ok v);
-    Test.make ~count:300 ~name:"int32 roundtrip" (int_range (-0x80000000) 0x7FFFFFFF) (fun v ->
-        Xdr.run (Xdr.encode Xdr.enc_int32 v) Xdr.dec_int32 = Ok v);
     Test.make ~count:100 ~name:"bool roundtrip" bool (fun b ->
         Xdr.run (Xdr.encode Xdr.enc_bool b) Xdr.dec_bool = Ok b);
     Test.make ~count:200 ~name:"fixed opaque roundtrip"
@@ -316,15 +298,6 @@ let props =
           | m -> m
         in
         Result.map by_content (Sunrpc.msg_of_string (Sunrpc.msg_to_string m)) = Ok m);
-    Test.make ~count:200 ~name:"record marking roundtrip"
-      (list (string_gen_of_size (Gen.int_range 0 50) Gen.char))
-      (fun records ->
-        let r = Sunrpc.make_reader () in
-        Sunrpc.reader_feed r (String.concat "" (List.map Sunrpc.record_to_string records));
-        let rec drain acc =
-          match Sunrpc.reader_next r with Some x -> drain (x :: acc) | None -> List.rev acc
-        in
-        drain [] = records);
     Test.make ~count:200 ~name:"decoder never crashes on garbage" (string_gen Gen.char) (fun s ->
         match Sunrpc.msg_of_string s with Ok _ | Result.Error _ -> true);
     Test.make ~count:200 ~name:"truncated messages decode to Error, not exceptions"
@@ -344,6 +317,5 @@ let suite =
       Alcotest.test_case "malformed input" `Quick test_errors;
       Alcotest.test_case "sunrpc roundtrip" `Quick test_sunrpc_roundtrip;
       Alcotest.test_case "sunrpc error bodies" `Quick test_sunrpc_errors;
-      Alcotest.test_case "record marking" `Quick test_record_marking;
     ]
     @ Testkit.to_alcotest props )

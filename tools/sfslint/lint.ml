@@ -795,11 +795,12 @@ let missing_interface ?(enabled = all_codes) ~(path : string) ~(source : string)
         hint = hint_of_code "SL007";
       }
 
-(* --- SL014: exports that nothing uses ---
+(* --- SL014: exports that no program uses ---
 
    A whole-tree rule: each value a lib/ interface declares at top level
-   must be named by some .ml other than its module's own.  Uses are
-   read syntactically from every .ml under lib/ and [consumer_dirs]:
+   must be named by some program .ml other than its module's own.  Uses
+   are read syntactically from every .ml under lib/ and [consumer_dirs];
+   a test is not a program, so a use under test/ does not count:
    - [A.B.M.v] is a use of [M.v], whatever the path before [M];
    - after [module X = A.M] (or [let module]), [X.v] is a use of [M.v];
    - in a file that opens [M] ([open M], [let open M in], [M.(e)]),
@@ -810,7 +811,14 @@ let missing_interface ?(enabled = all_codes) ~(path : string) ~(source : string)
    The other rules stay on lib/; the consumer directories beside it
    are only read. *)
 
-let consumer_dirs = [ "test"; "bench"; "bin"; "examples"; "tools"; "perfbench" ]
+let consumer_dirs = [ "bench"; "bin"; "examples"; "tools"; "perfbench" ]
+
+(* Is this repo-relative path a program's source: under lib/ or a
+   consumer directory? *)
+let in_program (path : string) : bool =
+  match String.split_on_char '/' path with
+  | d :: _ :: _ -> d = "lib" || List.mem d consumer_dirs
+  | _ -> false
 
 let module_of_path (path : string) : string =
   String.capitalize_ascii (Filename.remove_extension (Filename.basename path))
@@ -872,8 +880,8 @@ let exported_values (sg : signature) : (string * int) list =
 
 (* [interfaces] are the lib/ .mli files and [uses] every consumer .ml,
    each as (repo-relative path, source).  Reports SL014 for each export
-   no file but its module's own .ml names, plus SL000/SL011 for the
-   interfaces' own pragmas. *)
+   no program file but its module's own .ml names, plus SL000/SL011 for
+   the interfaces' own pragmas. *)
 let unused_exports ?(enabled = all_codes) ~(interfaces : (string * string) list)
     ~(uses : (string * string) list) () : (diagnostic list, string) result =
   let exception Unparsable of string in
@@ -911,7 +919,7 @@ let unused_exports ?(enabled = all_codes) ~(interfaces : (string * string) list)
     List.iter
       (fun ((path, _) as file) ->
         List.iter (fun key -> Hashtbl.add users key path) (uses_of_ast (parse Parse.implementation file)))
-      uses;
+      (List.filter (fun (path, _) -> in_program path) uses);
     List.concat_map (unused_in users) interfaces
   with
   | ds -> Ok (List.sort compare_diag ds)

@@ -4,7 +4,8 @@
    Walks the given files/directories (typically just "lib"), lints
    every .ml, and reports violations.  For SL014 it also reads the
    .mli files under the roots and, for a root named "lib", every .ml
-   in the sibling directories of Lint.consumer_dirs that exist.
+   in the sibling directories of Lint.consumer_dirs that exist, each
+   under its repo-relative path.
 
    Exit codes: 0 clean, 1 violations found, 2 usage/IO/parse error.
    --exit-zero reports but always exits 0 (parse errors still exit 2)
@@ -66,14 +67,14 @@ let rec walk ~(ext : string) (p : string) : string list =
   else if Filename.check_suffix p ext then [ p ]
   else []
 
-(* The consumer directories beside a root named "lib". *)
-let siblings (root : string) : string list =
+(* The consumer directories beside a root named "lib", as (name, path). *)
+let siblings (root : string) : (string * string) list =
   if Filename.basename root <> "lib" || not (Sys.is_directory root) then []
   else
     List.filter_map
       (fun d ->
         let p = Filename.concat (Filename.dirname root) d in
-        if Sys.file_exists p && Sys.is_directory p then Some p else None)
+        if Sys.file_exists p && Sys.is_directory p then Some (d, p) else None)
       Lint.consumer_dirs
 
 let read_file (p : string) : string =
@@ -130,13 +131,26 @@ let () =
       | Some d -> diags := !diags @ [ d ]
       | None -> ())
     files;
-  let sources paths = List.map (fun f -> (rel_path f, try read_file f with Sys_error e -> die "%s" e)) paths in
+  let read f = try read_file f with Sys_error e -> die "%s" e in
+  let sources paths = List.map (fun f -> (rel_path f, read f)) paths in
   let interfaces =
     List.concat_map (walk ~ext:".mli") !roots
     |> List.filter (fun f -> Lint.in_lib (rel_path f))
   in
-  let uses = files @ List.concat_map (fun r -> List.concat_map (walk ~ext:".ml") (siblings r)) !roots in
-  (match Lint.unused_exports ~enabled ~interfaces:(sources interfaces) ~uses:(sources uses) () with
+  (* A consumer file's path from the repo root: its directory's name,
+     then the rest of the path below that directory. *)
+  let consumers =
+    List.concat_map
+      (fun r ->
+        List.concat_map
+          (fun (name, dir) ->
+            List.map
+              (fun f -> (name ^ String.sub f (String.length dir) (String.length f - String.length dir), read f))
+              (walk ~ext:".ml" dir))
+          (siblings r))
+      !roots
+  in
+  (match Lint.unused_exports ~enabled ~interfaces:(sources interfaces) ~uses:(sources files @ consumers) () with
   | Ok ds -> diags := !diags @ ds
   | Error msg ->
       had_error := true;

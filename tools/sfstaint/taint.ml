@@ -175,8 +175,9 @@ let code_of_kind = function
   | _ -> "TNT000"
 
 (* TNT000 malformed pragma · TNT001 wire · TNT002 obs · TNT003 format
-   · TNT004 exception · TNT005 attribute misuse *)
-let taint_codes = [ "TNT000"; "TNT001"; "TNT002"; "TNT003"; "TNT004"; "TNT005" ]
+   · TNT004 exception · TNT005 attribute misuse · TNT006 a secret field's
+   name shared with another record *)
+let taint_codes = [ "TNT000"; "TNT001"; "TNT002"; "TNT003"; "TNT004"; "TNT005"; "TNT006" ]
 
 type diagnostic = { dg_code : string; dg_file : string; dg_line : int; dg_msg : string }
 
@@ -1228,6 +1229,63 @@ let find_waiver (by_file : Sfslint_core.Lint.pragma list SMap.t) (fl : flow) : s
       | Some _ as r -> r
       | None -> covers entry.fr_file entry.fr_line)
 
+(* --- secret field names ---
+
+   A projection [e.f] is matched against [field_secret] by the bare
+   name [f]: the analysis has no types.  So a field marked secret must
+   be the only record field of its name, or every same-named field of
+   another record reads as that secret.  Each record field is
+   (owner "Module.type", name, file, line, marked secret). *)
+
+let record_fields ~(path : string) (visit : Ast_iterator.iterator -> unit) :
+    (string * string * string * int * bool) list =
+  let acc = ref [] in
+  let m = module_of_path path in
+  let type_declaration self (td : type_declaration) =
+    (match td.ptype_kind with
+    | Ptype_record labels ->
+        List.iter
+          (fun (ld : label_declaration) ->
+            let secret =
+              List.exists (fun (a : attribute) -> a.attr_name.txt = "sfs.secret") ld.pld_attributes
+            in
+            acc :=
+              ( m ^ "." ^ td.ptype_name.txt,
+                ld.pld_name.txt,
+                path,
+                ld.pld_loc.Location.loc_start.Lexing.pos_lnum,
+                secret )
+              :: !acc)
+          labels
+    | _ -> ());
+    Ast_iterator.default_iterator.type_declaration self td
+  in
+  visit { Ast_iterator.default_iterator with type_declaration };
+  !acc
+
+(* TNT006 at every field that shares its name with another record's
+   secret field.  An .ml that repeats its .mli's record repeats its
+   owner, so it is no collision. *)
+let shared_secret_names (fields : (string * string * string * int * bool) list) : diagnostic list =
+  List.filter_map
+    (fun (owner, name, file, line, _) ->
+      let owners = List.filter_map (fun (o, n, _, _, s) -> if s && n = name then Some o else None) fields in
+      match owners with
+      | secret_owner :: _ when not (List.mem owner owners) ->
+          Some
+            {
+              dg_code = "TNT006";
+              dg_file = file;
+              dg_line = line;
+              dg_msg =
+                Printf.sprintf
+                  "field %s of %s shares its name with the secret field %s of %s: fields match by name, so \
+                   reading it reads as that secret; rename one of them"
+                  name owner name secret_owner;
+            }
+      | _ -> None)
+    fields
+
 (* Full analysis over in-memory sources; the CLI reads files into this
    same entry point, and the test suite feeds synthetic fixtures. *)
 let analyze ~(intfs : (string * string) list) ~(impls : (string * string) list) () :
@@ -1237,6 +1295,7 @@ let analyze ~(intfs : (string * string) list) ~(impls : (string * string) list) 
   let defs = Hashtbl.create 256 in
   let order = ref [] in
   let err = ref None in
+  let fields = ref [] in
   let intfs = List.sort compare intfs and impls = List.sort compare impls in
   List.iter
     (fun (path, source) ->
@@ -1244,7 +1303,9 @@ let analyze ~(intfs : (string * string) list) ~(impls : (string * string) list) 
         let lexbuf = Lexing.from_string source in
         Lexing.set_filename lexbuf path;
         match Parse.interface lexbuf with
-        | sg -> scan_interface ~path sg pol diags
+        | sg ->
+            scan_interface ~path sg pol diags;
+            fields := record_fields ~path (fun it -> it.signature it sg) @ !fields
         | exception e ->
             err :=
               Some
@@ -1257,12 +1318,15 @@ let analyze ~(intfs : (string * string) list) ~(impls : (string * string) list) 
     (fun (path, source) ->
       if !err = None then
         match Sfslint_core.Lint.parse_implementation ~path source with
-        | Ok ast -> collect_defs ~path ast defs order
+        | Ok ast ->
+            collect_defs ~path ast defs order;
+            fields := record_fields ~path (fun it -> it.structure it ast) @ !fields
         | Error msg -> err := Some (Printf.sprintf "%s: parse error:\n%s" path msg))
     impls;
   match !err with
   | Some msg -> Error msg
   | None ->
+      diags := shared_secret_names !fields @ !diags;
       let prog = { pol; defs; order = List.rev !order; summaries = SMap.empty } in
       run_fixpoint prog;
       (* pragma scan per implementation file *)
