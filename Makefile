@@ -1,6 +1,6 @@
 # Convenience targets; everything is driven by dune underneath.
 
-.PHONY: all build lint taint test bench trace perf perfbench-selfcheck soak soak-sample ci clean loc
+.PHONY: all build lint taint test bench trace perf perfbench-selfcheck soak soak-sample mutants ci clean loc
 
 all: build
 
@@ -87,6 +87,14 @@ soak: build
 
 soak-sample: build
 	dune exec --no-build tools/soak/soak.exe -- --plans 5 --sha $$(git rev-parse HEAD)
+
+# Security mutants (tools/mutants): apply each catalogue entry to a
+# fresh copy of the tree under $TMPDIR, run `dune build && dune
+# runtest` there, and write mutants-report.json (killed, survived or
+# broken, and the tests that failed).  Not tier-1: every mutant
+# rebuilds the tree from scratch.  Exits 1 if any mutant survives.
+mutants: build
+	dune exec --no-build tools/mutants/main.exe -- --report mutants-report.json
 
 # Everything the CI workflow runs, in the same order: build, the full
 # tier-1 test suite (which includes the @lint/@taint drift gates), the

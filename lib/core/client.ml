@@ -74,6 +74,9 @@ type t = {
   mutable temp_key : Rabin.priv option;
   mutable temp_key_born_us : float;
   mounts : (string, mount) Hashtbl.t; (* by Pathname.to_name *)
+  xids : int ref;
+      (* the last xid sent, across every mount and remount: the server's
+         duplicate request cache keys on (client host, xid) *)
   encrypt : bool; (* ablation switch: "SFS w/o encryption" *)
   cache_policy : Cachefs.policy;
   rpc_window : int; (* concurrent in-flight calls (1 = fully serial) *)
@@ -101,6 +104,7 @@ let create ?temp_key ?(encrypt = true) ?(cache_policy = Cachefs.sfs_policy) ?(rp
     temp_key;
     temp_key_born_us = 0.0;
     mounts = Hashtbl.create 8;
+    xids = ref 0;
     encrypt;
     cache_policy;
     rpc_window = max 1 rpc_window;
@@ -140,34 +144,68 @@ let decode_response (m : mount) (frame : Slice.t) : (Sfsrw.response, string) res
 
 (* --- Mounting --- *)
 
-(* Dial the server and run key negotiation over a handshake mux on the
-   new connection; the building block of both the initial mount and
-   every reconnection. *)
-let dial (t : t) (path : Pathname.t) : (Simnet.conn * Channel.t * string, mount_error) result =
+(* A mount over [conn], before its cache and ops are set. *)
+let new_mount (path : Pathname.t) ~(conn : Simnet.conn) ~(channel : Channel.t)
+    ~(session_id : string) ~(readonly : bool) : mount =
+  {
+    m_path = path;
+    m_session_id = session_id;
+    m_channel = channel;
+    m_conn = conn;
+    m_invalidations = ref [];
+    m_cache = None;
+    m_ops = None;
+    m_authnos = Hashtbl.create 4;
+    m_agents = Hashtbl.create 4;
+    m_seqno = 1;
+    m_enc = Xdr.make_enc ();
+    m_readonly = readonly;
+  }
+
+(* The one connect step of the read-write mount, every reconnection and
+   the read-only mount: dial, name [service], and hand [session] the
+   connection, its handshake exchange and the served key.  [session ()]
+   runs before the connect step, so a read-write session draws K_C
+   whatever the server answers.  Any failure closes the connection; a
+   refused dial, a crash window or a lost message is [Host_unreachable]. *)
+let dial (t : t) (path : Pathname.t) ~(service : Keyneg.service)
+    (session : unit -> Simnet.conn -> (string -> string) -> Rabin.pub -> ('a, mount_error) result) :
+    ('a, mount_error) result =
   let location = Pathname.location path in
   match
     Simnet.connect t.net ~from_host:t.from_host ~addr:location ~port:Server.sfs_port
       ~proto:Costmodel.Tcp
   with
-  | exception Simnet.No_route _ -> Error (Host_unreachable location)
-  | exception Simnet.Timeout -> Error (Host_unreachable location)
+  | exception (Simnet.No_route _ | Simnet.Timeout) -> Error (Host_unreachable location)
   | conn -> (
-      let hs = Rpc_mux.of_conn t.net ~proto:Costmodel.Tcp conn in
-      let extensions = if t.encrypt then [] else [ "no-encrypt" ] in
-      match
-        Keyneg.client_negotiate ~extensions ~rng:t.rng ~temp_key:(temp_key t) ~location
-          ~hostid:(Pathname.hostid path) ~service:Keyneg.Fs (Rpc_mux.call hs)
-      with
-      | exception Keyneg.Host_revoked certificate ->
+      let session = session () in
+      let exchange = Rpc_mux.call (Rpc_mux.of_conn t.net ~proto:Costmodel.Tcp conn) in
+      let extensions = if service = Keyneg.Fs && not t.encrypt then [ "no-encrypt" ] else [] in
+      let connected () =
+        let hostid = Pathname.hostid path in
+        match Keyneg.connect ~location ~hostid ~service ~extensions exchange with
+        | Error (Keyneg.Refused e) -> Error (Negotiation_failed e)
+        | Error (Keyneg.Revoked cert) -> Error (Revoked (Revocation.cert_for path cert))
+        | Ok server_pub -> session conn exchange server_pub
+      in
+      match connected () with
+      | Ok _ as ok -> ok
+      | Error _ as e ->
           Simnet.close conn;
-          Error (Revoked (Revocation.cert_for path certificate))
-      | exception Keyneg.Negotiation_failed e ->
-          Simnet.close conn;
-          Error (Negotiation_failed e)
+          e
       | exception Simnet.Timeout ->
           Simnet.close conn;
-          Error (Host_unreachable location)
-      | { Keyneg.keys; _ } ->
+          Error (Host_unreachable location))
+
+(* A read-write session: the connect step, then the key-halves
+   exchange and the secure channel over its keys. *)
+let dial_fs (t : t) (path : Pathname.t) : (Simnet.conn * Channel.t * string, mount_error) result =
+  dial t path ~service:Keyneg.Fs (fun () ->
+      let temp_key = temp_key t in
+      fun conn exchange server_pub ->
+      match Keyneg.negotiate ~rng:t.rng ~temp_key ~server_pub exchange with
+      | Error e -> Error (Negotiation_failed e)
+      | Ok keys ->
           let channel =
             Channel.create ~encrypt:t.encrypt ~clock:t.clock ?obs:t.obs
               ~label:"client" ~send_key:keys.Keyneg.kcs ~recv_key:keys.Keyneg.ksc ()
@@ -248,7 +286,7 @@ let authenticate ?local_uid (t : t) (m : mount) (agent : Agent.t) : int =
    session id. *)
 let reconnect (t : t) (m : mount) : (unit, mount_error) result =
   Simnet.close m.m_conn;
-  match dial t m.m_path with
+  match dial_fs t m.m_path with
   | Error err -> Error err
   | Ok (conn, channel, session_id) ->
       m.m_conn <- conn;
@@ -404,32 +442,17 @@ let mount (t : t) (path : Pathname.t) : (mount, mount_error) result =
         ~args:[ ("path", Pathname.to_string path) ]
         t.obs ~cat:"client" "automount"
         (fun () ->
-          match dial t path with
+          match dial_fs t path with
           | Error e -> Error e
           | Ok (conn, channel, session_id) -> (
-              let m =
-                {
-                  m_path = path;
-                  m_session_id = session_id;
-                  m_channel = channel;
-                  m_conn = conn;
-                  m_invalidations = ref [];
-                  m_cache = None;
-                  m_ops = None;
-                  m_authnos = Hashtbl.create 4;
-                  m_agents = Hashtbl.create 4;
-                  m_seqno = 1;
-                  m_enc = Xdr.make_enc ();
-                  m_readonly = false;
-                }
-              in
+              let m = new_mount path ~conn ~channel ~session_id ~readonly:false in
               (* The root handle is fetched in-band, encrypted.
                  Handles are stable across server restarts (Fhcrypt
                  keys derive from the server's key), so the root
                  outlives any reconnection. *)
               match
-                Nfs_client.data_path ?obs:t.obs ~window:t.rpc_window ~readahead:t.readahead
-                  ~cred:Simos.anonymous_cred t.net (transport t m)
+                Nfs_client.data_path ?obs:t.obs ~xids:t.xids ~window:t.rpc_window
+                  ~readahead:t.readahead ~cred:Simos.anonymous_cred t.net (transport t m)
               with
               | exception Nfs_client.Rpc_failure e ->
                   Simnet.close m.m_conn;
@@ -457,71 +480,26 @@ let mount_readonly (t : t) (path : Pathname.t) : (mount, mount_error) result =
   let name = Pathname.to_name path ^ ":ro" in
   match Hashtbl.find_opt t.mounts name with
   | Some m -> Ok m
-  | None -> (
-      let location = Pathname.location path in
-      match
-        Simnet.connect t.net ~from_host:t.from_host ~addr:location ~port:Server.sfs_port
-          ~proto:Costmodel.Tcp
-      with
-      | exception (Simnet.No_route _ | Simnet.Timeout) -> Error (Host_unreachable location)
-      | conn -> (
-          let hs = Rpc_mux.of_conn t.net ~proto:Costmodel.Tcp conn in
-          let refuse e =
-            Simnet.close conn;
-            Error e
+  | None ->
+      (* The connect step still verifies the HostID, but key
+         negotiation is skipped for the read-only dialect. *)
+      dial t path ~service:Keyneg.Fs_readonly (fun () conn call pubkey ->
+          let exchange bytes =
+            Simclock.advance t.clock Costmodel.userlevel_us_per_side;
+            call bytes
           in
-          (* The connect step still verifies the HostID, but key
-             negotiation is skipped for the read-only dialect. *)
-          let req =
-            {
-              Keyneg.version = "sfs-1";
-              location;
-              hostid = Pathname.hostid path;
-              service = Keyneg.Fs_readonly;
-              extensions = [];
-            }
-          in
-          match
-            Xdr.run (Rpc_mux.call hs (Xdr.encode Keyneg.enc_connect_req req)) Keyneg.dec_connect_res
-          with
-          | exception Simnet.Timeout -> refuse (Host_unreachable location)
-          | Result.Error e | Ok (Keyneg.Connect_error e) -> refuse (Negotiation_failed e)
-          | Ok (Keyneg.Connect_revoked { certificate }) ->
-              refuse (Revoked (Revocation.cert_for path certificate))
-          | Ok (Keyneg.Connect_ok { pubkey })
-            when not (Sfs_proto.Hostid.check ~location ~pubkey ~hostid:(Pathname.hostid path)) ->
-              refuse (Negotiation_failed "server key does not match HostID")
-          | Ok (Keyneg.Connect_ok { pubkey }) -> (
-              let exchange bytes =
-                Simclock.advance t.clock Costmodel.userlevel_us_per_side;
-                Rpc_mux.call hs bytes
-              in
-              match Readonly.connect ?obs:t.obs ~exchange ~pubkey ~clock:t.clock () with
-              | exception Readonly.Verification_failed e -> refuse (Negotiation_failed e)
-              | exception Simnet.Timeout -> refuse (Host_unreachable location)
-              | ro ->
-                  let ops = Readonly.ops ro in
-                  let cache = Cachefs.create ?obs:t.obs ~clock:t.clock ~policy:t.cache_policy ops in
-                  let m =
-                    {
-                      m_path = path;
-                      m_session_id = "";
-                      m_channel =
-                        Channel.create ~encrypt:false ~send_key:(String.make 20 '0')
-                          ~recv_key:(String.make 20 '0') ();
-                      m_conn = conn;
-                      m_invalidations = ref [];
-                      m_cache = Some cache;
-                      m_ops = Some (Cachefs.ops cache);
-                      m_authnos = Hashtbl.create 1;
-                      m_agents = Hashtbl.create 1;
-                      m_seqno = 1;
-                      m_enc = Xdr.make_enc ();
-                      m_readonly = true;
-                    }
-                  in
-                  Hashtbl.replace t.mounts name m;
-                  Ok m)))
+          match Readonly.connect ?obs:t.obs ~exchange ~pubkey ~clock:t.clock () with
+          | exception Readonly.Verification_failed e -> Error (Negotiation_failed e)
+          | ro ->
+              let ops = Readonly.ops ro in
+              let cache = Cachefs.create ?obs:t.obs ~clock:t.clock ~policy:t.cache_policy ops in
+              let zero = String.make 20 '0' in
+              let channel = Channel.create ~encrypt:false ~send_key:zero ~recv_key:zero () in
+              let m = new_mount path ~conn ~channel ~session_id:"" ~readonly:true in
+              m.m_cache <- Some cache;
+              m.m_ops <- Some (Cachefs.ops cache);
+              Hashtbl.replace t.mounts name m;
+              Ok m)
 
 let ops (m : mount) : Fs_intf.ops =
   match m.m_ops with Some o -> o | None -> invalid_arg "Client.ops: mount not initialized"

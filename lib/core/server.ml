@@ -36,11 +36,18 @@ module Obs = Sfs_obs.Obs
 
 let sfs_port = 4
 
-(* A duplicate-request-cache entry: the procedure, the arguments, and
-   the marshaled reply plaintext, the first [d_len] bytes of [d_reply]
-   — the very bytes that were sealed.  An entry owns its buffer alone;
-   [d_reply] is set once, to the evicted entry's buffer or a new one. *)
-type drc_entry = { d_proc : int; d_args : string; mutable d_reply : Bytes.t; d_len : int }
+(* A duplicate-request-cache entry: the procedure, the arguments, the
+   credentials the call ran under, and the marshaled reply plaintext,
+   the first [d_len] bytes of [d_reply] — the very bytes that were
+   sealed.  An entry owns its buffer alone; [d_reply] is set once, to
+   the evicted entry's buffer or a new one. *)
+type drc_entry = {
+  d_proc : int;
+  d_args : string;
+  d_cred : Simos.cred;
+  mutable d_reply : Bytes.t;
+  d_len : int;
+}
 
 type t = {
   clock : Simclock.t;
@@ -111,10 +118,17 @@ type fs_session = {
   session_id : string;
 }
 
-(* Run one file system call, marshaling its reply into [s.enc]: the
-   NFS results are written in place inside the Fs_reply, never built
-   as a string of their own. *)
-let execute_fs_call (t : t) (s : fs_session) ~(authno : int) ~(proc : int) (args : string) : unit =
+(* The credentials an authno stands for in this session; an unknown
+   authno is anonymous. *)
+let cred_of (s : fs_session) (authno : int) : Simos.cred =
+  if authno = Sfsrw.authno_anonymous then Simos.anonymous_cred
+  else match Hashtbl.find_opt s.authnos authno with Some (_, c) -> c | None -> Simos.anonymous_cred
+
+(* Run one file system call as [cred], marshaling its reply into
+   [s.enc]: the NFS results are written in place inside the Fs_reply,
+   never built as a string of their own. *)
+let execute_fs_call (t : t) (s : fs_session) ~(cred : Simos.cred) ~(proc : int) (args : string) :
+    unit =
   (* The paper's user-level server implementation cost.  Unstable
      writes ride the write-behind pipeline, whose residual cost the
      client already charged for both ends. *)
@@ -126,10 +140,6 @@ let execute_fs_call (t : t) (s : fs_session) ~(authno : int) ~(proc : int) (args
     | Result.Error _ -> false
   in
   if not unstable_write then Simclock.advance t.clock Costmodel.userlevel_us_per_side;
-  let cred =
-    if authno = Sfsrw.authno_anonymous then Simos.anonymous_cred
-    else match Hashtbl.find_opt s.authnos authno with Some (_, c) -> c | None -> Simos.anonymous_cred
-  in
   let e = s.enc in
   let take () = Lease.take t.leases s.conn_id in
   Xdr.reset e;
@@ -159,10 +169,10 @@ let execute_fs_call (t : t) (s : fs_session) ~(authno : int) ~(proc : int) (args
 (* Record the reply in [s.enc] under [key] and return the entry.  A
    long reply takes over the buffer of the entry its insert evicts, when
    that is big enough; otherwise it gets an exact-size copy. *)
-let drc_insert (t : t) (s : fs_session) (key : string * int) ~(proc : int) ~(args : string) :
-    drc_entry =
+let drc_insert (t : t) (s : fs_session) (key : string * int) ~(proc : int) ~(args : string)
+    ~(cred : Simos.cred) : drc_entry =
   let len = Xdr.length s.enc in
-  let e = { d_proc = proc; d_args = args; d_reply = Bytes.empty; d_len = len } in
+  let e = { d_proc = proc; d_args = args; d_cred = cred; d_reply = Bytes.empty; d_len = len } in
   (e.d_reply <-
      match Drc.admit t.drc key e with
      | Some old when len > drc_recycle_min && Bytes.length old.d_reply >= len -> old.d_reply
@@ -210,20 +220,26 @@ let handle_fs_request (t : t) (s : fs_session) (req : Sfsrw.request) : reply =
         if trace > 0 then Some { Obs.cx_trace = trace; cx_span = span } else None
       in
       Obs.with_ctx t.obs ctx (fun () ->
-          (* A hit requires the same procedure and byte-identical arguments
-             — only a true retransmission replays (the authno may legally
-             differ: re-authentication after a reconnect renumbers it). *)
+          (* A hit requires the same procedure, byte-identical
+             arguments and equal credentials — only a true
+             retransmission by the same user replays.  The authno may
+             legally differ (re-authentication after a reconnect
+             renumbers it), so it is compared by what it resolves to. *)
           let key = (s.peer, xid) in
+          let cred = cred_of s authno in
           match Drc.find t.drc key with
-          | Some e when e.d_proc = proc && String.equal e.d_args args -> (* sfslint: allow SL001 — duplicate-request-cache argument compare, nothing secret *)
+          | Some e
+            when e.d_proc = proc
+                 && String.equal e.d_args args (* sfslint: allow SL001 — duplicate-request-cache argument compare, nothing secret *)
+                 && e.d_cred = cred ->
               Obs.incr t.obs "recover.retransmit_hit";
               (* Instantaneous marker: the replay shows up in the trace
                  attached to the retransmitting op. *)
               Obs.span t.obs ~cat:"server" "drc_hit" (fun () -> ());
               Cached e
           | _ ->
-              execute_fs_call t s ~authno ~proc args;
-              Cached (drc_insert t s key ~proc ~args))
+              execute_fs_call t s ~cred ~proc args;
+              Cached (drc_insert t s key ~proc ~args ~cred))
 
 let fs_connection ?(encrypt = true) ~(peer : string) (t : t) : string -> string =
   (* Connection state machine: connect -> keyneg -> channel traffic.

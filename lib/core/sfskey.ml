@@ -100,29 +100,18 @@ let connect_auth_service (net : Simnet.t) ~(from_host : string) ~(location : str
   | exception (Simnet.No_route _ | Simnet.Timeout) -> Error (Unreachable location)
   | conn -> (
       let mux = Rpc_mux.of_conn net ~proto:Costmodel.Tcp conn in
-      (* The connect step names the Auth service; the hostid field is
-         zero — SRP, not the HostID, authenticates this exchange. *)
-      let req =
-        {
-          Keyneg.version = "sfs-1";
-          location;
-          hostid = String.make 20 '\000';
-          service = Keyneg.Auth;
-          extensions = [];
-        }
-      in
       let refuse e =
         Simnet.close conn;
         Error e
       in
-      match Rpc_mux.call mux (Xdr.encode Keyneg.enc_connect_req req) with
+      match
+        Keyneg.connect ~location ~hostid:(String.make Sfs_proto.Hostid.size '\000')
+          ~service:Keyneg.Auth ~extensions:[] (Rpc_mux.call mux)
+      with
       | exception Simnet.Timeout -> refuse (Unreachable location)
-      | reply -> (
-          match Xdr.run reply Keyneg.dec_connect_res with
-          | Ok (Keyneg.Connect_ok _) -> Ok (conn, mux)
-          | Ok (Keyneg.Connect_error e) -> refuse (Protocol_error e)
-          | Ok (Keyneg.Connect_revoked _) -> refuse (Auth_failed "server key revoked")
-          | Result.Error e -> refuse (Protocol_error e)))
+      | Ok _ -> Ok (conn, mux)
+      | Error (Keyneg.Refused e) -> refuse (Protocol_error e)
+      | Error (Keyneg.Revoked _) -> refuse (Auth_failed "server key revoked"))
 
 let ( let* ) = Result.bind
 

@@ -131,9 +131,10 @@ let generic_ops (call : async:bool -> cred:Simos.cred -> call -> (Xdr.enc -> uni
     fs_fsstat = (fun cred h -> nfs_call ~cred ~proc:proc_fsstat enc_fh h (dec_res dec_fsstat_ok));
   }
 
-(* The builder.  One xid counter numbers every call on the transport:
-   the root fetch, serial and write-behind calls and readahead, so no
-   two share an entry in the server's duplicate request cache.
+(* The builder.  The caller's xid counter numbers every call on the
+   transport: the root fetch, serial and write-behind calls and
+   readahead, so no two share an entry in the server's duplicate
+   request cache.
 
    Each mux hands the transport its decoder, which runs on the opened
    results while the transport still lends them.  Serial and
@@ -151,13 +152,12 @@ let generic_ops (call : async:bool -> cred:Simos.cred -> call -> (Xdr.enc -> uni
    A readahead fault raises out of the await thunk and the cache falls
    back to the serial path, whose retry loop recovers; READs are
    idempotent, so the abandoned xid is harmless. *)
-let data_path ?obs ~(window : int) ~(readahead : int) ~(cred : Simos.cred) (net : Simnet.t)
-    (tr : transport) : Fs_intf.ops * Fs_intf.pipeline option =
+let data_path ?obs ~(xids : int ref) ~(window : int) ~(readahead : int) ~(cred : Simos.cred)
+    (net : Simnet.t) (tr : transport) : Fs_intf.ops * Fs_intf.pipeline option =
   let clock = Simnet.clock net in
-  let last_xid = ref 0 in
   let next_xid () =
-    incr last_xid;
-    !last_xid
+    incr xids;
+    !xids
   in
   let mux ?obs ?precompute ~readahead ~window ~latency_us ~op_us decode =
     let open_reply = tr.open_reply ~readahead decode in
@@ -344,12 +344,16 @@ let sunrpc (net : Simnet.t) ~(proto : Costmodel.transport_proto) ~(machine : str
 
 (* Dial an NFS server over the simulated network and mount its export;
    [window]/[readahead] > trivial also build the pipelined read path
-   for the caching layer.  Any failure closes the connection. *)
+   for the caching layer.  Any failure closes the connection.  The
+   server's duplicate request cache is per connection, so each mount
+   numbers its xids afresh. *)
 let mount ?obs ?(window = 1) ?(readahead = 0) (net : Simnet.t) ~(from_host : string)
     ~(addr : string) ~(proto : Costmodel.transport_proto) ~(cred : Simos.cred) :
     Fs_intf.ops * Fs_intf.pipeline option =
   let conn = Simnet.connect net ~from_host ~addr ~port:2049 ~proto in
-  match data_path ?obs ~window ~readahead ~cred net (sunrpc net ~proto ~machine:from_host conn) with
+  match
+    data_path ?obs ~xids:(ref 0) ~window ~readahead ~cred net (sunrpc net ~proto ~machine:from_host conn)
+  with
   | mounted -> mounted
   | exception e ->
       Simnet.close conn;

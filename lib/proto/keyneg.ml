@@ -150,48 +150,43 @@ let derive ~(server_pub : Rabin.pub) ~(client_pub : Rabin.pub) ~(kc1 : string) ~
 
 (* --- Client side --- *)
 
-type client_result = {
-  keys : session_keys;
-  server_pub : Rabin.pub;
-}
+type refusal = Refused of string | Revoked of string (* marshaled revocation cert *)
 
-exception Negotiation_failed of string
-exception Host_revoked of string (* marshaled revocation certificate *)
-
-(* Run the negotiation over a raw exchange function.  [temp_key] is the
-   client's short-lived K_C (callers cache one and regenerate hourly). *)
-let client_negotiate ?(extensions = []) ~(rng : Prng.t) ~(temp_key : Rabin.priv)
-    ~(location : string) ~(hostid : string) ~(service : service) (exchange : string -> string) :
-    client_result =
+(* The connect step every SFS connection opens with.  For the file
+   services the served key is good iff it hashes to the HostID the user
+   named — the heart of self-certifying pathnames.  An Auth connection
+   names no HostID: SRP, not the key, authenticates that exchange. *)
+let connect ~(location : string) ~(hostid : string) ~(service : service)
+    ~(extensions : string list) (exchange : string -> string) : (Rabin.pub, refusal) result =
   let req = { version = "sfs-1"; location; hostid; service; extensions } in
-  let res = exchange (Xdr.encode enc_connect_req req) in
-  match Xdr.run res dec_connect_res with
-  | Result.Error e -> raise (Negotiation_failed ("bad connect response: " ^ e))
-  | Ok (Connect_error msg) -> raise (Negotiation_failed msg)
-  | Ok (Connect_revoked { certificate }) -> raise (Host_revoked certificate)
+  match Xdr.run (exchange (Xdr.encode enc_connect_req req)) dec_connect_res with
+  | Result.Error e -> Error (Refused ("bad connect response: " ^ e))
+  | Ok (Connect_error msg) -> Error (Refused msg)
+  | Ok (Connect_revoked { certificate }) -> Error (Revoked certificate)
   | Ok (Connect_ok { pubkey }) ->
-      (* The heart of self-certifying pathnames: the reply is good iff
-         it hashes to the HostID the user named. *)
-      if not (Hostid.check ~location ~pubkey ~hostid) then
-        raise (Negotiation_failed "server key does not match HostID");
-      let kc1 = Prng.random_bytes rng half_bytes in
-      let kc2 = Prng.random_bytes rng half_bytes in
-      let sealed = Rabin.encrypt_blob pubkey rng (Xdr.encode enc_halves (kc1, kc2)) in
-      let req2 = { kc_pub = temp_key.Rabin.pub; sealed_client_halves = sealed } in
-      let res2 = exchange (Xdr.encode enc_keyneg_req req2) in
-      (match Xdr.run res2 dec_keyneg_res with
-      | Result.Error e -> raise (Negotiation_failed ("bad keyneg response: " ^ e))
-      | Ok { sealed_server_halves } -> (
-          match Rabin.decrypt_blob temp_key sealed_server_halves with
-          | None -> raise (Negotiation_failed "cannot decrypt server key halves")
-          | Some halves -> (
-              match Xdr.run halves dec_halves with
-              | Result.Error e -> raise (Negotiation_failed ("bad server halves: " ^ e))
-              | Ok (ks1, ks2) ->
-                  {
-                    keys = derive ~server_pub:pubkey ~client_pub:temp_key.Rabin.pub ~kc1 ~kc2 ~ks1 ~ks2;
-                    server_pub = pubkey;
-                  })))
+      if service <> Auth && not (Hostid.check ~location ~pubkey ~hostid) then
+        Error (Refused "server key does not match HostID")
+      else Ok pubkey
+
+(* Exchange key halves with the server whose key [connect] returned.
+   [temp_key] is the client's short-lived K_C (callers cache one and
+   regenerate hourly). *)
+let negotiate ~(rng : Prng.t) ~(temp_key : Rabin.priv) ~(server_pub : Rabin.pub)
+    (exchange : string -> string) : (session_keys, string) result =
+  let kc1 = Prng.random_bytes rng half_bytes in
+  let kc2 = Prng.random_bytes rng half_bytes in
+  let sealed = Rabin.encrypt_blob server_pub rng (Xdr.encode enc_halves (kc1, kc2)) in
+  let req = { kc_pub = temp_key.Rabin.pub; sealed_client_halves = sealed } in
+  match Xdr.run (exchange (Xdr.encode enc_keyneg_req req)) dec_keyneg_res with
+  | Result.Error e -> Error ("bad keyneg response: " ^ e)
+  | Ok { sealed_server_halves } -> (
+      match Rabin.decrypt_blob temp_key sealed_server_halves with
+      | None -> Error "cannot decrypt server key halves"
+      | Some halves -> (
+          match Xdr.run halves dec_halves with
+          | Result.Error e -> Error ("bad server halves: " ^ e)
+          | Ok (ks1, ks2) ->
+              Ok (derive ~server_pub ~client_pub:temp_key.Rabin.pub ~kc1 ~kc2 ~ks1 ~ks2)))
 
 (* --- Server side --- *)
 

@@ -24,7 +24,6 @@ type connect_req = {
   extensions : string list; (** dialect extensions, e.g. ["no-encrypt"] *)
 }
 
-val enc_connect_req : Xdr.enc -> connect_req -> unit
 val dec_connect_req : Xdr.dec -> connect_req
 
 type connect_res =
@@ -48,27 +47,33 @@ type session_keys = {
 
 (** {2 Protocol runners} *)
 
-type client_result = { keys : session_keys; server_pub : Rabin.pub }
+type refusal =
+  | Refused of string  (** the server's error, a malformed reply or a HostID mismatch *)
+  | Revoked of string  (** the marshaled revocation certificate the server served *)
 
-exception Negotiation_failed of string
-
-exception Host_revoked of string
-(** Carries the marshaled revocation certificate the server served. *)
-
-val client_negotiate :
-  ?extensions:string list ->
-  rng:Prng.t ->
-  temp_key:Rabin.priv ->
+val connect :
   location:string ->
   hostid:string ->
   service:service ->
+  extensions:string list ->
   ((string -> string)[@sfs.sink "wire"]) ->
-  client_result
-(** Run the two-exchange negotiation over a raw transport.  Checks the
-    served key against [hostid] — a man in the middle substituting a
-    key fails here.
-    @raise Negotiation_failed on mismatch or malformed replies.
-    @raise Host_revoked when the server answers with a certificate. *)
+  (Rabin.pub, refusal) result
+(** The connect step (Figure 3, messages 1 and 2) over a raw transport:
+    name [service] at [location] and return the key the server serves.
+    For [Fs] and [Fs_readonly] the key must hash to [hostid] — a man in
+    the middle substituting a key is [Refused] here.  An [Auth]
+    connection sends a zero [hostid] and is authenticated by SRP
+    instead.  Exceptions of [exchange] propagate. *)
+
+val negotiate :
+  rng:Prng.t ->
+  temp_key:Rabin.priv ->
+  server_pub:Rabin.pub ->
+  ((string -> string)[@sfs.sink "wire"]) ->
+  (session_keys, string) result
+(** The key-halves exchange (messages 3 and 4) with the server whose
+    key {!connect} returned, under the client's short-lived [temp_key];
+    [Error] on a malformed or undecryptable reply. *)
 
 val server_negotiate :
   rng:Prng.t -> server_key:Rabin.priv -> string -> (session_keys * string, string) result

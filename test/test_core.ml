@@ -109,7 +109,7 @@ type world = {
   os : Simos.t;
 }
 
-let make_world ?(register_alice = true) () =
+let make_world ?(register_alice = true) ?obs () =
   let clock = Simclock.create () in
   let net = Simnet.create clock in
   let host = Simnet.add_host net "server.example.com" in
@@ -125,7 +125,7 @@ let make_world ?(register_alice = true) () =
   | Ok _ -> ()
   | Error _ -> assert false);
   let server_key = Lazy.force key_a in
-  let authserv = Authserv.create rng in
+  let authserv = Authserv.create ?obs rng in
   Authserv.add_user authserv ~user:"alice" ~cred:(Simos.cred_of_user alice);
   let alice_key = Rabin.generate ~bits:512 rng in
   if register_alice then
@@ -549,6 +549,28 @@ let test_proxy_agent () =
   | Ok attr -> Testkit.check_bool "anonymous read still works" true (attr.Nfs_types.ftype = Nfs_types.NF_DIR)
   | Error e -> Alcotest.fail (Vfs.verror_to_string e)
 
+(* A signer that splices: it answers with an AuthMsg signed by alice's
+   registered key, but for another session (Figure 4's AuthID names
+   the session).  The server must check the signature against this
+   session's AuthID, deny the request, and leave the user anonymous. *)
+let test_spliced_authmsg () =
+  let obs = Sfs_obs.Obs.create ~now_us:(fun () -> 0.0) () in
+  let w = make_world ~obs () in
+  let m =
+    match Client.mount w.client (Server.self_path w.server) with
+    | Ok m -> m
+    | Error e -> Alcotest.fail (Client.mount_error_to_string e)
+  in
+  let splicer = Agent.create w.alice in
+  Agent.add_proxy splicer ~name:"splice" (fun info ~seqno ->
+      Some
+        (Sfs_proto.Authproto.make_authmsg ~key:w.alice_key
+           { info with Sfs_proto.Authproto.session_id = String.make 20 'x' }
+           ~seqno));
+  Testkit.check_int "anonymous" Sfs_proto.Sfsrw.authno_anonymous (Client.authenticate w.client m splicer);
+  Testkit.check_int "one failed validation" 1 (Sfs_obs.Obs.counter obs "auth.validate.fail");
+  Testkit.check_int "none granted" 0 (Sfs_obs.Obs.counter obs "auth.validate.ok")
+
 (* --- VFS path-resolution edge cases --- *)
 
 let test_vfs_dotdot_and_relative_links () =
@@ -795,20 +817,23 @@ type raw_session = {
   r_call : string -> string; (* one mux over r_conn *)
   r_chan : Channel.t;
   mutable r_xid : int;
+  r_session_id : string;
 }
 
 (* A server over a fresh Memfs with a world-writable /pub.  The key is
    drawn before the authserv, which is drawn before the server. *)
-let raw_server ?allow_anonymous ?obs (net : Simnet.t) (rng : Prng.t) (location : string) : Server.t =
+let raw_server ?allow_anonymous ?obs ?authserv (net : Simnet.t) (rng : Prng.t) (location : string) :
+    Server.t =
   let clock = Simnet.clock net in
   let now () = Nfs_types.time_of_us (Simclock.now_us clock) in
   let host = Simnet.add_host net location in
   let fs = Memfs.create ~now () in
   ignore (Memfs.mkdir fs (Simos.cred_of_user Simos.root_user) ~dir:Memfs.root_id "pub" ~mode:0o777);
   let key = Rabin.generate ~bits:512 rng in
+  let authserv = match authserv with Some a -> a | None -> Authserv.create rng in
   Server.create ?allow_anonymous ?obs net ~host ~location ~key ~rng
     ~backend:(Memfs_ops.make ~fs ~disk:(Diskmodel.create clock))
-    ~authserv:(Authserv.create rng) ()
+    ~authserv ()
 
 let raw_connect (net : Simnet.t) (rng : Prng.t) ~(temp_key : Rabin.priv) (server : Server.t) :
     raw_session =
@@ -819,16 +844,20 @@ let raw_connect (net : Simnet.t) (rng : Prng.t) ~(temp_key : Rabin.priv) (server
       ~proto:Sfs_net.Costmodel.Tcp
   in
   let call = Testkit.call net conn in
-  let r =
-    Keyneg.client_negotiate ~rng ~temp_key ~location ~hostid:(Pathname.hostid path)
-      ~service:Keyneg.Fs call
+  let keys =
+    match Keyneg.connect ~location ~hostid:(Pathname.hostid path) ~service:Keyneg.Fs ~extensions:[] call with
+    | Error _ -> Alcotest.fail "connect refused"
+    | Ok server_pub -> (
+        match Keyneg.negotiate ~rng ~temp_key ~server_pub call with
+        | Ok keys -> keys
+        | Error e -> Alcotest.fail e)
   in
-  let keys = r.Keyneg.keys in
   {
     r_conn = conn;
     r_call = call;
     r_chan = Channel.create ~send_key:keys.Keyneg.kcs ~recv_key:keys.Keyneg.ksc ();
     r_xid = 0;
+    r_session_id = keys.Keyneg.session_id;
   }
 
 (* The next Fs_call as plaintext, under a fresh xid. *)
@@ -1155,6 +1184,41 @@ let test_server_forged_handles () =
 
 (* --- Allocation guards --- *)
 
+(* The same signed Auth_req sent twice on one session: the first is
+   granted, and the second is a replay the server's sequence window
+   must deny (Figure 4, footnote 4). *)
+let test_auth_replay_denied () =
+  let rng = Prng.create [ "auth-replay" ] in
+  let net = Simnet.create (Simclock.create ()) in
+  let _c = Simnet.add_host net "client.example.com" in
+  let temp_key = Rabin.generate ~bits:512 rng in
+  let authserv = Authserv.create rng in
+  let alice = Simos.add_user (Simos.create ()) "alice" in
+  let key = Rabin.generate ~bits:512 rng in
+  Authserv.add_user authserv ~user:"alice" ~cred:(Simos.cred_of_user alice);
+  (match Authserv.register_pubkey authserv ~user:"alice" key.Rabin.pub with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  let server = raw_server ~authserv net rng "replay.example.com" in
+  let s = raw_connect net rng ~temp_key server in
+  let path = Server.self_path server in
+  let info =
+    {
+      Sfs_proto.Authproto.service = "FS";
+      location = Pathname.location path;
+      hostid = Pathname.hostid path;
+      session_id = s.r_session_id;
+    }
+  in
+  let authmsg = Sfs_proto.Authproto.(authmsg_to_string (make_authmsg ~key info ~seqno:1)) in
+  let req = Sfsrw.request_to_string (Sfsrw.Auth_req { seqno = 1; authmsg }) in
+  (match raw_response (raw_exchange s req) with
+  | Ok (Sfsrw.Auth_granted _) -> ()
+  | _ -> Alcotest.fail "first request not granted");
+  match raw_response (raw_exchange s req) with
+  | Ok (Sfsrw.Auth_denied _) -> ()
+  | _ -> Alcotest.fail "replayed request not denied"
+
 let test_fhcrypt_alloc () =
   let f = Fhcrypt.of_prng (Prng.create [ "fhcrypt-alloc" ]) in
   let inner = String.make 40 'i' in
@@ -1454,6 +1518,7 @@ let suite =
       Alcotest.test_case "server lease points" `Quick test_server_lease_points;
       Alcotest.test_case "server callback order" `Quick test_server_callback_order;
       Alcotest.test_case "server forged handles" `Quick test_server_forged_handles;
+      Alcotest.test_case "server denies a replayed auth request" `Quick test_auth_replay_denied;
       Alcotest.test_case "file handle allocation" `Quick test_fhcrypt_alloc;
       Alcotest.test_case "server read allocation" `Quick test_server_read_alloc;
       Alcotest.test_case "drc buffer recycling" `Quick test_drc_recycling;
@@ -1480,6 +1545,7 @@ let suite =
       Alcotest.test_case "keysplit roundtrip" `Quick test_keysplit_roundtrip;
       Alcotest.test_case "split-key agent" `Quick test_split_key_agent;
       Alcotest.test_case "proxy agent" `Quick test_proxy_agent;
+      Alcotest.test_case "spliced authmsg denied" `Quick test_spliced_authmsg;
       Alcotest.test_case "vfs dotdot and relative links" `Quick test_vfs_dotdot_and_relative_links;
       Alcotest.test_case "vfs dotdot across mounts" `Quick test_vfs_dotdot_across_mount;
       Alcotest.test_case "ssu via agent mapping" `Quick test_ssu_maps_root_to_user_agent;

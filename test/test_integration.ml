@@ -48,8 +48,8 @@ let add_server ?obs (s : site) (location : string) : Server.t * Authserv.t * Mem
   s.servers <- (location, server, authserv, fs) :: s.servers;
   (server, authserv, fs)
 
-let add_machine (s : site) (hostname : string) : machine =
-  ignore (Simnet.add_host s.net hostname);
+(* A client machine on host [hostname], which already exists. *)
+let machine_on (s : site) (hostname : string) : machine =
   let now () = Nfs_types.time_of_us (Simclock.now_us s.clock) in
   let fs = Memfs.create ~now () in
   (match
@@ -63,6 +63,10 @@ let add_machine (s : site) (hostname : string) : machine =
     Vfs.make ~sfscd ~clock:s.clock ~root_fs:(Memfs_ops.make ~fs ~disk:(Diskmodel.create s.clock)) ()
   in
   { vfs; sfscd }
+
+let add_machine (s : site) (hostname : string) : machine =
+  ignore (Simnet.add_host s.net hostname);
+  machine_on s hostname
 
 let enroll (authserv : Authserv.t) (user : Simos.user) (key : Rabin.priv) =
   Authserv.add_user authserv ~user:user.Simos.name ~cred:(Simos.cred_of_user user);
@@ -341,9 +345,95 @@ let test_server_failure_and_recovery () =
   (* The host returns (same key, same data): the same pathname mounts
      again — "attackers can do no worse than delay". *)
   down := false;
-  match Client.mount m.sfscd (Server.self_path server) with
+  (match Client.mount m.sfscd (Server.self_path server) with
   | Ok _ -> ()
-  | Error e -> Alcotest.fail ("remount after recovery: " ^ Client.mount_error_to_string e)
+  | Error e -> Alcotest.fail ("remount after recovery: " ^ Client.mount_error_to_string e));
+  (* The remount numbers its calls after the first mount's, so none is
+     answered from the server's duplicate request cache with a reply
+     made before the file existed. *)
+  Testkit.check_string "reads the data written before the crash" "1"
+    (vok "read after recovery" (Vfs.read_file m.vfs cred (base ^ "/share/a")))
+
+(* --- The duplicate request cache answers only the caller it ran for --- *)
+
+(* A server whose share holds alice's private file: share/alice is
+   0700 and share/alice/secret 0600, written from a machine of its own
+   so the readers' call sequences start fresh.  Alice and bob are
+   enrolled with agents. *)
+let private_file_site () =
+  let s = make_site () in
+  let server, authserv, _ = add_server s "files.example.com" in
+  let alice = Simos.add_user s.os "alice" and bob = Simos.add_user s.os "bob" in
+  let akey = Rabin.generate ~bits:512 rng and bkey = Rabin.generate ~bits:512 rng in
+  enroll authserv alice akey;
+  enroll authserv bob bkey;
+  let setup = add_machine s "setup.example.com" in
+  ignore (with_agent setup alice akey);
+  let acred = Simos.cred_of_user alice in
+  let base = Pathname.to_string (Server.self_path server) in
+  let dir = base ^ "/share/alice" in
+  vok "mkdir" (Vfs.mkdir setup.vfs acred dir);
+  vok "chmod 700" (Vfs.chmod setup.vfs acred dir 0o700);
+  vok "write" (Vfs.write_file setup.vfs acred (dir ^ "/secret") "alice-data");
+  vok "chmod 600" (Vfs.chmod setup.vfs acred (dir ^ "/secret") 0o600);
+  (s, (alice, akey), (bob, bkey), dir ^ "/secret")
+
+let expect_eacces msg = function
+  | Error (Vfs.Errno Nfs_types.NFS3ERR_ACCES) -> ()
+  | Error e -> Alcotest.fail (msg ^ ": " ^ Vfs.verror_to_string e)
+  | Ok data -> Alcotest.fail (msg ^ ": read " ^ data)
+
+(* Alice reads her file, every mount goes, and bob on the same machine
+   reads the same path: his remount must not be answered with alice's
+   replies. *)
+let test_drc_remount_other_user () =
+  let s, (alice, akey), (bob, bkey), secret = private_file_site () in
+  let m = add_machine s "client.example.com" in
+  ignore (with_agent m alice akey);
+  ignore (with_agent m bob bkey);
+  Testkit.check_string "alice reads" "alice-data"
+    (vok "alice read" (Vfs.read_file m.vfs (Simos.cred_of_user alice) secret));
+  List.iter (Client.unmount m.sfscd) (Client.mounts m.sfscd);
+  expect_eacces "bob after remount" (Vfs.read_file m.vfs (Simos.cred_of_user bob) secret)
+
+(* Two client programs on one host number their calls independently,
+   so their xids collide in the server's cache, which keys on the host.
+   A collision answers bob's calls only if it ran them as bob: he gets
+   EACCES, not alice's data. *)
+let test_drc_twin_clients () =
+  let s, (alice, akey), (bob, bkey), secret = private_file_site () in
+  let m1 = add_machine s "twin.example.com" in
+  let m2 = machine_on s "twin.example.com" in
+  ignore (with_agent m1 alice akey);
+  ignore (with_agent m2 bob bkey);
+  Testkit.check_string "alice reads" "alice-data"
+    (vok "alice read" (Vfs.read_file m1.vfs (Simos.cred_of_user alice) secret));
+  expect_eacces "bob on the twin" (Vfs.read_file m2.vfs (Simos.cred_of_user bob) secret)
+
+(* One user on two such clients: the same xid carries a lookup of
+   [x] from one and of [y] from the other, and each gets its own
+   answer; the calls both made alike are answered from the cache. *)
+let test_drc_twin_lookups () =
+  let s = make_site () in
+  let obs = Obs.create ~now_us:(fun () -> Simclock.now_us s.clock) () in
+  let server, authserv, _ = add_server ~obs s "files.example.com" in
+  let alice = Simos.add_user s.os "alice" in
+  let akey = Rabin.generate ~bits:512 rng in
+  enroll authserv alice akey;
+  let cred = Simos.cred_of_user alice in
+  let base = Pathname.to_string (Server.self_path server) in
+  let setup = add_machine s "setup.example.com" in
+  ignore (with_agent setup alice akey);
+  vok "write x" (Vfs.write_file setup.vfs cred (base ^ "/share/x") "x");
+  vok "write y" (Vfs.write_file setup.vfs cred (base ^ "/share/y") "y");
+  let m1 = add_machine s "twin.example.com" in
+  let m2 = machine_on s "twin.example.com" in
+  ignore (with_agent m1 alice akey);
+  ignore (with_agent m2 alice akey);
+  let hits = Obs.counter obs "recover.retransmit_hit" in
+  Testkit.check_string "x" "x" (vok "read x" (Vfs.read_file m1.vfs cred (base ^ "/share/x")));
+  Testkit.check_string "y" "y" (vok "read y" (Vfs.read_file m2.vfs cred (base ^ "/share/y")));
+  Testkit.check_bool "the xids collided" true (Obs.counter obs "recover.retransmit_hit" > hits)
 
 let suite =
   ( "integration",
@@ -355,4 +445,7 @@ let suite =
       Alcotest.test_case "read-only via untrusted replica" `Quick test_readonly_end_to_end;
       Alcotest.test_case "forwarding pointer" `Quick test_forwarding_end_to_end;
       Alcotest.test_case "server failure and recovery" `Quick test_server_failure_and_recovery;
+      Alcotest.test_case "drc: remount by another user" `Quick test_drc_remount_other_user;
+      Alcotest.test_case "drc: twin clients, two users" `Quick test_drc_twin_clients;
+      Alcotest.test_case "drc: twin clients, two lookups" `Quick test_drc_twin_lookups;
     ] )

@@ -20,4 +20,5 @@ let () =
       Test_obs.suite;
       Test_sketch.suite;
       Test_trace.suite;
+      Test_mutants.suite;
     ]

@@ -47,29 +47,28 @@ let run_negotiation ?(tamper_pubkey = false) () =
         | Result.Error e -> Alcotest.fail e)
   in
   let result =
-    Keyneg.client_negotiate ~rng ~temp_key:tk ~location ~hostid ~service:Keyneg.Fs exchange
+    match Keyneg.connect ~location ~hostid ~service:Keyneg.Fs ~extensions:[] exchange with
+    | Error (Keyneg.Refused e | Keyneg.Revoked e) -> Error e
+    | Ok server_pub -> Keyneg.negotiate ~rng ~temp_key:tk ~server_pub exchange
   in
   (result, !server_keys)
 
 let test_keyneg_agreement () =
-  let result, server_keys = run_negotiation () in
-  match server_keys with
-  | None -> Alcotest.fail "server never negotiated"
-  | Some sk ->
-      Testkit.check_string "kcs" (Sfs_util.Hex.encode sk.Keyneg.kcs)
-        (Sfs_util.Hex.encode result.Keyneg.keys.Keyneg.kcs);
-      Testkit.check_string "ksc" (Sfs_util.Hex.encode sk.Keyneg.ksc)
-        (Sfs_util.Hex.encode result.Keyneg.keys.Keyneg.ksc);
+  match run_negotiation () with
+  | Error e, _ -> Alcotest.fail e
+  | Ok _, None -> Alcotest.fail "server never negotiated"
+  | Ok keys, Some sk ->
+      Testkit.check_string "kcs" (Sfs_util.Hex.encode sk.Keyneg.kcs) (Sfs_util.Hex.encode keys.Keyneg.kcs);
+      Testkit.check_string "ksc" (Sfs_util.Hex.encode sk.Keyneg.ksc) (Sfs_util.Hex.encode keys.Keyneg.ksc);
       Testkit.check_string "session id" (Sfs_util.Hex.encode sk.Keyneg.session_id)
-        (Sfs_util.Hex.encode result.Keyneg.keys.Keyneg.session_id);
+        (Sfs_util.Hex.encode keys.Keyneg.session_id);
       Testkit.check_bool "directional keys differ" false (sk.Keyneg.kcs = sk.Keyneg.ksc)
 
 let test_keyneg_wrong_key_rejected () =
   (* A man-in-the-middle substituting its own public key fails the
      HostID check — the defining property of self-certifying names. *)
   match run_negotiation ~tamper_pubkey:true () with
-  | exception Keyneg.Negotiation_failed msg ->
-      Testkit.check_bool "failure reported" true (String.length msg > 0)
+  | Error msg, None -> Testkit.check_string "failure reported" "server key does not match HostID" msg
   | _ -> Alcotest.fail "accepted a wrong public key"
 
 (* --- Secure channel --- *)

@@ -172,7 +172,8 @@ let tapped_remount (w : Stacks.world) (tap : Simnet.tap) ~(rpc_window : int) : u
    (write-behind) WRITE, a sequential read long enough to arm readahead,
    a readdir and a remove.  NFS frames are hashed with their leading
    xid zeroed, so the pin holds however the client numbers its calls;
-   SFS frames are hashed whole. *)
+   SFS frames are hashed whole, and the tapped remount numbers its
+   calls after the first mount's: a client machine has one xid space. *)
 let wire_digest (s : Stacks.stack) ~(rpc_window : int) : string =
   let w = Stacks.make ~rpc_window ~readahead:8 s in
   let tap = Simnet.passive_tap () in
@@ -210,10 +211,10 @@ let test_wire_pin () =
       (Stacks.Nfs_udp, 16, "234550d9a776aff8e7a77cf886fcf99db7bd4979");
       (Stacks.Nfs_tcp, 1, "78455d382be5025c766358044479ffc4dc37bc78");
       (Stacks.Nfs_tcp, 16, "89a12ea3eda46b29bbe4f01a7588e2c7215bf9bc");
-      (Stacks.Sfs, 1, "18815348a07d62ac7150b417904f296e64b1ff9a");
-      (Stacks.Sfs, 16, "7214fd21fec960fe2f460ec0e97816c4fc49100a");
-      (Stacks.Sfs_noenc, 1, "d0f26a4c843d08864dec722a6ee84581c8669df9");
-      (Stacks.Sfs_noenc, 16, "cde42129df29cb74edf26d85f04876bceeef4412");
+      (Stacks.Sfs, 1, "4a16371278146988845f460f52675e806e5a9d37");
+      (Stacks.Sfs, 16, "a9233e7a3c98f551b91e4b34fbdabca30b64da2a");
+      (Stacks.Sfs_noenc, 1, "67f2f44c7141f3cdcaf145239bb58717627f551b");
+      (Stacks.Sfs_noenc, 16, "3593ffd0dd79d0a5e9c54c96e2c1184b0c063fde");
     ]
 
 (* --- Fleet: the discrete-event mass-client engine (DESIGN.md §15) --- *)

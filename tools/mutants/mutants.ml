@@ -1,0 +1,137 @@
+(* The mutant catalogue: one-line breaks of the checks the paper's
+   security rests on, each paired with the test that must fail when the
+   check is gone.  A check no test notices missing is not yet evidence
+   that the code performs it.
+
+   Each mutant keeps the checked call and discards its verdict
+   ([ignore (check ...); false]), so the tree still compiles without an
+   unused-value warning and only the behaviour changes.  `make mutants`
+   applies each entry to a copy of the tree and runs the suite there
+   (main.ml); tier-1 checks only that every [old_text] still occurs
+   exactly once in its file, so the catalogue cannot rot as the code
+   moves. *)
+
+type entry = {
+  name : string;
+  file : string;  (** relative to the repository root *)
+  old_text : string;  (** occurs exactly once in [file] *)
+  new_text : string;
+  claim : string;  (** the paper's claim the check stands for *)
+  killer : string;  (** the test that must fail, as "<suite> <test name>" *)
+}
+
+let catalogue =
+  [
+    {
+      name = "authserv-validate-skip";
+      file = "lib/core/authserv.ml";
+      old_text = "if not (Authproto.validate_authmsg msg ~authid ~seqno) then";
+      new_text = "if (ignore (Authproto.validate_authmsg msg ~authid ~seqno); false) then";
+      claim =
+        "Fig. 4: authserv maps a request to a user only if the AuthMsg is signed by that user's \
+         key over this session's AuthID and sequence number";
+      killer = "core spliced authmsg denied";
+    };
+    {
+      name = "server-window-skip";
+      file = "lib/core/server.ml";
+      old_text = "if not (Authproto.window_accept s.window seqno) then";
+      new_text = "if (ignore (Authproto.window_accept s.window seqno); false) then";
+      claim = "Fig. 4, footnote 4: the server rejects a replayed or stale sequence number";
+      killer = "core server denies a replayed auth request";
+    };
+    {
+      name = "drc-args";
+      file = "lib/core/server.ml";
+      old_text = "&& String.equal e.d_args args";
+      new_text = "&& (ignore (String.equal e.d_args args); true)";
+      claim =
+        "section 3.3: a duplicate request cache hit replays only a retransmission of the same call";
+      killer = "integration drc: twin clients, two lookups";
+    };
+    {
+      name = "drc-cred";
+      file = "lib/core/server.ml";
+      old_text = "&& e.d_cred = cred ->";
+      new_text = "&& (ignore (e.d_cred = cred); true) ->";
+      claim =
+        "Fig. 4: the server runs each request as the user whose agent authenticated it, also when \
+         it answers from its duplicate request cache";
+      killer = "integration drc: twin clients, two users";
+    };
+    {
+      name = "client-hostid-check";
+      file = "lib/proto/keyneg.ml";
+      old_text = "not (Hostid.check ~location ~pubkey ~hostid)";
+      new_text = "(ignore (Hostid.check ~location ~pubkey ~hostid); false)";
+      claim =
+        "section 2.1, 3.1.1: the client accepts a server key only if it hashes to the HostID in \
+         the self-certifying pathname";
+      killer = "proto keyneg MITM rejected";
+    };
+  ]
+
+let read_file (path : string) : string = In_channel.with_open_bin path In_channel.input_all
+
+(* Non-overlapping occurrences of [sub] in [s]. *)
+let occurrences ~(sub : string) (s : string) : int =
+  let n = String.length sub and len = String.length s in
+  let rec go i acc =
+    if n = 0 || i + n > len then acc
+    else if String.sub s i n = sub then go (i + n) (acc + 1)
+    else go (i + 1) acc
+  in
+  go 0 0
+
+(* [s] with its one occurrence of [e.old_text] replaced. *)
+let apply (e : entry) (s : string) : string =
+  let n = String.length e.old_text in
+  let rec find i =
+    if i + n > String.length s then invalid_arg ("Mutants.apply: " ^ e.name ^ ": old text not found")
+    else if String.sub s i n = e.old_text then i
+    else find (i + 1)
+  in
+  let i = find 0 in
+  String.sub s 0 i ^ e.new_text ^ String.sub s (i + n) (String.length s - i - n)
+
+(* Drop ANSI colour sequences from a log line. *)
+let strip_ansi (s : string) : string =
+  let b = Buffer.create (String.length s) in
+  let rec go i =
+    if i < String.length s then
+      if s.[i] = '\027' then
+        let j = ref (i + 1) in
+        while !j < String.length s && not (Char.equal s.[!j] 'm') do incr j done;
+        go (!j + 1)
+      else begin
+        Buffer.add_char b s.[i];
+        go (i + 1)
+      end
+  in
+  go 0;
+  Buffer.contents b
+
+(* "<suite> <test name>" for each test alcotest reports failed, once,
+   in order.  A failure is reported on several lines, prefixed ("> ")
+   or boxed ("│"), and a line may cut a long name short ("..."), so
+   reports are matched by suite and index and the longest name kept. *)
+let failed_tests (log : string) : string list =
+  let rec after_fail = function [] -> [] | "[FAIL]" :: rest -> rest | _ :: rest -> after_fail rest in
+  let rec strip_dots name =
+    if String.ends_with ~suffix:"." name then strip_dots (String.sub name 0 (String.length name - 1))
+    else name
+  in
+  String.split_on_char '\n' log
+  |> List.filter_map (fun line ->
+         let words = String.split_on_char ' ' (strip_ansi line) in
+         match after_fail (List.filter (fun w -> w <> "" && w <> "\u{2502}") words) with
+         | suite :: index :: name -> Some ((suite, index), strip_dots (String.concat " " name))
+         | _ -> None)
+  |> List.fold_left
+       (fun acc (key, name) ->
+         match List.assoc_opt key acc with
+         | Some seen when String.length seen >= String.length name -> acc
+         | Some _ -> List.map (fun (k, n) -> if k = key then (k, name) else (k, n)) acc
+         | None -> acc @ [ (key, name) ])
+       []
+  |> List.map (fun ((suite, _), name) -> suite ^ " " ^ name)

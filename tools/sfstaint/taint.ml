@@ -28,7 +28,7 @@
          passing tainted data to this val is a leak (kinds: wire,
          obs, format, exception)
 
-     val client_negotiate : ... -> ((string -> string)[@sfs.sink "wire"]) -> ...
+     val negotiate : ... -> ((string -> string)[@sfs.sink "wire"]) -> ...
          calling this *parameter* emits on the wire, so inside the
          implementation the callback itself is a sink
 
