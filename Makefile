@@ -92,7 +92,8 @@ soak-sample: build
 # fresh copy of the tree under $TMPDIR, run `dune build && dune
 # runtest` there, and write mutants-report.json (killed, survived or
 # broken, and the tests that failed).  Not tier-1: every mutant
-# rebuilds the tree from scratch.  Exits 1 if any mutant survives.
+# rebuilds the tree from scratch.  Exits 1 if any mutant survives or
+# breaks the build.
 mutants: build
 	dune exec --no-build tools/mutants/main.exe -- --report mutants-report.json
 

@@ -412,7 +412,12 @@ let test_drc_twin_clients () =
 
 (* One user on two such clients: the same xid carries a lookup of
    [x] from one and of [y] from the other, and each gets its own
-   answer; the calls both made alike are answered from the cache. *)
+   answer.  The last check only shows that the xids did collide, so
+   the two lookups met in the cache.  The hits it sees (the calls both
+   clients made alike) are the open gap of DESIGN §10, not a property:
+   they replay one client's replies to the other, stale or not.  Once
+   each client starts its xids at a point of its own, this test must
+   force the collision. *)
 let test_drc_twin_lookups () =
   let s = make_site () in
   let obs = Obs.create ~now_us:(fun () -> Simclock.now_us s.clock) () in

@@ -3,18 +3,19 @@
    killed it and which tests failed.  Not tier-1: each mutant rebuilds
    the tree from scratch (about a minute or two each).
 
-   Usage:
-     main.exe [--root DIR] [--report FILE] [--only NAME]
+   Usage, from the repository root:
+     main.exe [--report FILE] [--only NAME]
 
    Copies go under $TMPDIR and are removed after each run.  The report
    is JSON, one object per mutant: "killed" when a test failed,
    "survived" when none did, "broken" when the build failed and no test
-   ran.  The catalogue's own test ("mutants" suite) always fails in a
-   mutated copy, whose old text is gone, so it kills nothing. *)
+   ran.  It exits 1 if any mutant survived or broke: a broken entry
+   tests nothing.  The catalogue's own test ("mutants" suite) always
+   fails in a mutated copy, whose old text is gone, so it kills
+   nothing. *)
 
 module M = Sfs_mutants.Mutants
 
-let root = ref "."
 let report = ref "mutants-report.json"
 let only = ref None
 
@@ -41,8 +42,7 @@ let mutate (e : M.entry) : string * string =
   let dir = Filename.temp_dir "sfs-mutant-" "" in
   let q = Filename.quote in
   let copy =
-    Printf.sprintf "tar -C %s --exclude=./_build --exclude=./.git -cf - . | tar -C %s -xf -" (q !root)
-      (q dir)
+    Printf.sprintf "tar --exclude=./_build --exclude=./.git -cf - . | tar -C %s -xf -" (q dir)
   in
   if Sys.command copy <> 0 then failwith ("cannot copy the tree into " ^ dir);
   let path = Filename.concat dir e.M.file in
@@ -74,16 +74,15 @@ let mutate (e : M.entry) : string * string =
 let () =
   Arg.parse
     [
-      ("--root", Arg.Set_string root, "DIR repository root (default .)");
       ("--report", Arg.Set_string report, "FILE JSON report (default mutants-report.json)");
       ("--only", Arg.String (fun n -> only := Some n), "NAME run one catalogue entry");
     ]
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
-    "main.exe [--root DIR] [--report FILE] [--only NAME]";
+    "main.exe [--report FILE] [--only NAME]";
   let entries =
     List.filter (fun e -> match !only with None -> true | Some n -> e.M.name = n) M.catalogue
   in
   let results = List.map mutate entries in
   Out_channel.with_open_bin !report (fun oc ->
       output_string oc ("[\n" ^ String.concat ",\n" (List.map snd results) ^ "\n]\n"));
-  if List.exists (fun (outcome, _) -> outcome = "survived") results then exit 1
+  if List.exists (fun (outcome, _) -> outcome <> "killed") results then exit 1
