@@ -448,9 +448,9 @@ let faults () =
      with
     | Ok _ -> ()
     | Error e -> fail e);
-    for b = 0 to (bytes / Diskmodel.block_size) - 1 do
-      Diskmodel.write w.Stacks.server_disk ~fileid:fid ~off:(b * Diskmodel.block_size)
-        ~bytes:Diskmodel.block_size ~stable:false
+    for b = 0 to (bytes / Sfs_nfs.Nfs_types.block_size) - 1 do
+      Diskmodel.write w.Stacks.server_disk ~fileid:fid ~off:(b * Sfs_nfs.Nfs_types.block_size)
+        ~bytes:Sfs_nfs.Nfs_types.block_size ~stable:false
     done;
     bytes
   in

@@ -57,10 +57,10 @@ let miller_rabin ~(rounds : int) ~(rand_bits : int -> Nat.t) (n : Nat.t) : bool 
   while !i < rounds && passes () do incr i done;
   !i = rounds
 
-let is_probably_prime ?(rounds = 24) ~(rand_bits : int -> Nat.t) (n : Nat.t) : bool =
+let is_probably_prime ~(rand_bits : int -> Nat.t) (n : Nat.t) : bool =
   match Nat.to_int_opt n with
   | Some v when v < 1000 -> Array.mem v small_primes
-  | _ -> Nat.testbit n 0 && (not (divisible_by_small_prime n)) && miller_rabin ~rounds ~rand_bits n
+  | _ -> Nat.testbit n 0 && (not (divisible_by_small_prime n)) && miller_rabin ~rounds:24 ~rand_bits n
 
 (* Generate a prime of exactly [bits] bits with n ≡ congruent (mod modulus)
    when a congruence is requested (Rabin-Williams needs p ≡ 3 (mod 8) and

@@ -4,8 +4,9 @@
     (returning a uniform value of at most that many bits), keeping this
     library independent of the crypto PRNG built above it. *)
 
-val is_probably_prime : ?rounds:int -> rand_bits:(int -> Nat.t) -> Nat.t -> bool
-(** Trial division then [rounds] Miller-Rabin rounds (default 24). *)
+(* sfslint: allow SL014 — the primality oracle the prime known answers and the Srp.default_group check run *)
+val is_probably_prime : rand_bits:(int -> Nat.t) -> Nat.t -> bool
+(** Trial division then 24 Miller-Rabin rounds. *)
 
 val generate : ?congruence:int * int -> rand_bits:(int -> Nat.t) -> int -> Nat.t
 [@@sfs.secret]

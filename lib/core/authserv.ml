@@ -19,6 +19,7 @@
 module Simos = Sfs_os.Simos
 module Rabin = Sfs_crypto.Rabin
 module Srp = Sfs_crypto.Srp
+module Sha1 = Sfs_crypto.Sha1
 module Prng = Sfs_crypto.Prng
 module Authproto = Sfs_proto.Authproto
 module Xdr = Sfs_xdr.Xdr
@@ -46,20 +47,13 @@ type db = {
 type t = {
   rng : Prng.t;
   mutable dbs : db list; (* searched in order *)
-  (* Pubkey -> user index over all databases.  [cred_of_pubkey] was a
-     linear fold over every record per validation — quadratic under a
-     mass-authentication load (KeyAuth's motivating scenario); the
-     index makes the common case O(1) and every hit is re-verified
-     against the live record before use, so a stale entry can only
-     cost a fallback scan, never a wrong credential. *)
-  pub_index : (string, string) Hashtbl.t;
   mutable failed_attempts : (string * string) list; (* user, reason — the audit log *)
   obs : Obs.registry option;
 }
 
 let create ?obs (rng : Prng.t) : t =
   let local = { db_name = "local"; writable = true; public = Hashtbl.create 16; private_ = Hashtbl.create 16 } in
-  { rng; dbs = [ local ]; pub_index = Hashtbl.create 64; failed_attempts = []; obs }
+  { rng; dbs = [ local ]; failed_attempts = []; obs }
 
 let local_db (t : t) : db = List.find (fun db -> db.writable) t.dbs
 
@@ -86,7 +80,6 @@ let register_pubkey (t : t) ~(user : string) (pubkey : Rabin.pub) : (unit, strin
       if not db.writable then Error "database is read-only"
       else begin
         Hashtbl.replace db.public user { r with pr_pubkey = Some pubkey };
-        Hashtbl.replace t.pub_index (Rabin.pub_to_string pubkey) user;
         Ok ()
       end
 
@@ -149,7 +142,9 @@ let failed_attempts (t : t) : (string * string) list = t.failed_attempts
 
 (* --- Credential mapping (Figure 4, steps 4-5) --- *)
 
-let cred_of_pubkey_scan (t : t) (pubkey : Rabin.pub) : (string * Simos.cred) option =
+(* The databases in search order, the first record bound to the key.
+   Within one database the first is the first in its table's order. *)
+let cred_of_pubkey (t : t) (pubkey : Rabin.pub) : (string * Simos.cred) option =
   List.find_map
     (fun db ->
       Hashtbl.fold
@@ -162,22 +157,6 @@ let cred_of_pubkey_scan (t : t) (pubkey : Rabin.pub) : (string * Simos.cred) opt
               | _ -> None))
         db.public None)
     t.dbs
-
-let cred_of_pubkey (t : t) (pubkey : Rabin.pub) : (string * Simos.cred) option =
-  let verified_hit =
-    match Hashtbl.find_opt t.pub_index (Rabin.pub_to_string pubkey) with
-    | None -> None
-    | Some user -> (
-        (* Re-verify against the live record: the key may have been
-           rotated since the index entry was written. *)
-        match find_user t user with
-        | Some (_, r) -> (
-            match r.pr_pubkey with
-            | Some pk when Rabin.pub_equal pk pubkey -> Some (r.pr_user, r.pr_cred)
-            | _ -> None)
-        | None -> None)
-  in
-  match verified_hit with Some _ -> verified_hit | None -> cred_of_pubkey_scan t pubkey
 
 (* Validate a signed authentication request and map it to credentials.
    The sequence-number window is per session and lives with the file
@@ -265,17 +244,7 @@ let import_public_db (t : t) ~(name : string) (bytes : string) : (unit, string) 
       let db =
         { db_name = name; writable = false; public = Hashtbl.create 64; private_ = Hashtbl.create 0 }
       in
-      List.iter
-        (fun r ->
-          Hashtbl.replace db.public r.pr_user r;
-          (* Index imported keys too, but never shadow an existing
-             mapping: earlier databases win the search order. *)
-          match r.pr_pubkey with
-          | Some pk ->
-              let key = Rabin.pub_to_string pk in
-              if not (Hashtbl.mem t.pub_index key) then Hashtbl.replace t.pub_index key r.pr_user
-          | None -> ())
-        records;
+      List.iter (fun r -> Hashtbl.replace db.public r.pr_user r) records;
       (* Replace a previous import of the same name (refresh); keep a
          stale copy usable when the origin is unreachable by simply not
          requiring refreshes. *)
@@ -290,11 +259,14 @@ let import_public_db (t : t) ~(name : string) (bytes : string) : (unit, string) 
      C->S  Srp_hello {user, A}
      S->C  Srp_params {salt, cost, B}
      C->S  Srp_client_proof {M1}
-     S->C  Srp_server_proof {M2, sealed}   (sealed: payload under K)
+     S->C  Srp_server_proof {M2, sealed}   (sealed: payload under k_SC)
+     C->S  Srp_register {sealed}            (optional; sealed under k_CS)
 
-   The sealed payload carries the server's self-certifying pathname and
-   the user's encrypted private key: everything sfskey needs to get the
-   user "secure access to his files back at MIT" from a password. *)
+   k_SC and k_CS are the direction keys drawn from the SRP session key
+   K ({!srp_direction_key}).  The sealed payload carries the server's
+   self-certifying pathname and the user's encrypted private key:
+   everything sfskey needs to get the user "secure access to his files
+   back at MIT" from a password. *)
 
 type srp_payload = { self_cert_path : string; encrypted_key : string option }
 
@@ -310,7 +282,7 @@ let dec_srp_payload d : srp_payload =
 type srp_request =
   | Srp_hello of { user : string; a_pub : Sfs_bignum.Nat.t }
   | Srp_client_proof of string
-  | Srp_register of string (* sealed under the session key: registration record *)
+  | Srp_register of string (* a registration record, sealed under the session's k_CS *)
 
 type srp_response =
   | Srp_params of { salt : string; cost : int; b_pub : Sfs_bignum.Nat.t }
@@ -409,7 +381,7 @@ let dec_registration d : registration =
   let reg_encrypted_key = Xdr.dec_option d (fun d -> Xdr.dec_opaque d ~max:65536) in
   { reg_pubkey; reg_srp; reg_encrypted_key }
 
-(* Sealing under the SRP session key: a one-shot secure channel. *)
+(* Sealing under a symmetric key: a one-shot secure channel. *)
 let seal_with (key : string) (plaintext : string) : string =
   let ch = Sfs_proto.Channel.create ~send_key:key ~recv_key:key () in
   Sfs_proto.Channel.seal ch plaintext
@@ -419,6 +391,21 @@ let open_with (key : string) (wire : string) : string option =
   match Sfs_proto.Channel.open_ ch wire with
   | Ok plaintext -> Some plaintext
   | Error (`Mac_mismatch | `Replay) -> None
+
+(* An SRP session's key for one direction, drawn from the session key K
+   as Keyneg.derive draws k_SC and k_CS: the server's sealed payload and
+   the client's sealed registration share no keystream and no MAC key,
+   so neither can be sent back as the other. *)
+type srp_direction = To_client | To_server
+
+let srp_direction_key (dir : srp_direction) (key : string) : string =
+  let label = match dir with To_client -> "SRP-SC" | To_server -> "SRP-CS" in
+  Sha1.digest
+    (Xdr.encode
+       (fun e () ->
+         Xdr.enc_string e label;
+         Xdr.enc_opaque e key)
+       ())
 
 (* Per-connection SRP server state machine. *)
 type srp_session_state =
@@ -461,13 +448,17 @@ let srp_connection (t : t) ~(self_cert_path : string) : string -> string =
                   let payload =
                     { self_cert_path; encrypted_key = encrypted_privkey t ~user }
                   in
-                  let sealed = seal_with session.Srp.key (Xdr.encode enc_srp_payload payload) in
+                  let sealed =
+                    seal_with
+                      (srp_direction_key To_client session.Srp.key)
+                      (Xdr.encode enc_srp_payload payload)
+                  in
                   respond
                     (Srp_server_proof
                        { proof = Srp.server_proof Srp.default_group ~a_pub session; sealed })
                 end)
         | Authenticated { user; key }, Srp_register sealed -> (
-            match open_with key sealed with
+            match open_with (srp_direction_key To_server key) sealed with
             | None -> respond (Srp_failed "bad registration seal")
             | Some plaintext -> (
                 match Xdr.run plaintext dec_registration with

@@ -42,7 +42,9 @@ val key_share : t -> user:string -> string option
 
 (* sfslint: allow SL014 — §2.5: the key-to-credentials map that validate searches *)
 val cred_of_pubkey : t -> Rabin.pub -> (string * Simos.cred) option
-(** Search all databases, writable first. *)
+(** A scan of the databases in search order, the local one first and
+    then the imports in the order they were made; the first record
+    bound to the key wins. *)
 
 val validate : t -> authmsg:string -> authid:string -> seqno:int -> (string * Simos.cred, string) result
 (** Figure 4, steps 4-5: check the signature and map the key. *)
@@ -90,7 +92,7 @@ val dec_srp_payload : Xdr.dec -> srp_payload
 type srp_request =
   | Srp_hello of { user : string; a_pub : Sfs_bignum.Nat.t }
   | Srp_client_proof of string
-  | Srp_register of string (** sealed under the session key *)
+  | Srp_register of string (** sealed under {!srp_direction_key} [To_server] *)
 
 type srp_response =
   | Srp_params of { salt : string; cost : int; b_pub : Sfs_bignum.Nat.t }
@@ -111,9 +113,20 @@ val enc_registration : Xdr.enc -> registration -> unit
 
 val seal_with : string -> string -> string
 [@@sfs.declassify "ARC4+HMAC seal under the SRP session key; the sealed payload is wire-safe"]
-(** One-shot sealing under a symmetric key (the SRP session key). *)
+(** One-shot sealing under a symmetric key: an SRP direction key, or
+    sfskey's password-derived key-encryption key. *)
 
 val open_with : string -> string -> string option
+
+type srp_direction = To_client | To_server
+
+val srp_direction_key : srp_direction -> string -> string
+[@@sfs.secret]
+(** The key an SRP session seals one direction's messages under,
+    derived from the session key as {!Sfs_proto.Keyneg.derive} derives
+    k_SC and k_CS: the server's sealed payload ([To_client]) and the
+    client's sealed registration ([To_server]) share no keystream and
+    no MAC key. *)
 
 val srp_connection : t -> self_cert_path:string -> string -> string
 (** The per-connection SRP state machine sfssd hands Auth-service

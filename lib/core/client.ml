@@ -74,9 +74,6 @@ type t = {
   mutable temp_key : Rabin.priv option;
   mutable temp_key_born_us : float;
   mounts : (string, mount) Hashtbl.t; (* by Pathname.to_name *)
-  xids : int ref;
-      (* the last xid sent, across every mount and remount: the server's
-         duplicate request cache keys on (client host, xid) *)
   encrypt : bool; (* ablation switch: "SFS w/o encryption" *)
   cache_policy : Cachefs.policy;
   rpc_window : int; (* concurrent in-flight calls (1 = fully serial) *)
@@ -104,7 +101,6 @@ let create ?temp_key ?(encrypt = true) ?(cache_policy = Cachefs.sfs_policy) ?(rp
     temp_key;
     temp_key_born_us = 0.0;
     mounts = Hashtbl.create 8;
-    xids = ref 0;
     encrypt;
     cache_policy;
     rpc_window = max 1 rpc_window;
@@ -451,7 +447,7 @@ let mount (t : t) (path : Pathname.t) : (mount, mount_error) result =
                  keys derive from the server's key), so the root
                  outlives any reconnection. *)
               match
-                Nfs_client.data_path ?obs:t.obs ~xids:t.xids ~window:t.rpc_window
+                Nfs_client.data_path ?obs:t.obs ~window:t.rpc_window
                   ~readahead:t.readahead ~cred:Simos.anonymous_cred t.net (transport t m)
               with
               | exception Nfs_client.Rpc_failure e ->

@@ -141,7 +141,9 @@ let login (rng : Prng.t) (conn : Simnet.conn) (mux : string Rpc_mux.t) ~(locatio
               if not (Srp.check_server_proof grp ~a_pub session ~proof) then
                 Error (Auth_failed "server failed its proof")
               else
-                match Authserv.open_with session.Srp.key sealed with
+                match
+                  Authserv.open_with (Authserv.srp_direction_key To_client session.Srp.key) sealed
+                with
                 | None -> Error (Protocol_error "cannot open sealed payload")
                 | Some plaintext -> (
                     match Xdr.run plaintext Authserv.dec_srp_payload with
@@ -177,7 +179,11 @@ let fetch (net : Simnet.t) (rng : Prng.t) ~(from_host : string) ~(location : str
 
 (* Register new key material over an authenticated SRP session. *)
 let register_remote (f : fetched) (reg : Authserv.registration) : (unit, error) result =
-  let sealed = Authserv.seal_with f.session_key (Xdr.encode Authserv.enc_registration reg) in
+  let sealed =
+    Authserv.seal_with
+      (Authserv.srp_direction_key To_server f.session_key)
+      (Xdr.encode Authserv.enc_registration reg)
+  in
   let* reply =
     srp_exchange f.srp_mux ~location:(Pathname.location f.server_path) (Authserv.Srp_register sealed)
   in

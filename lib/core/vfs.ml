@@ -279,9 +279,9 @@ let access (t : t) (cred : Simos.cred) (path : string) (want : int) : (int, verr
 let read_file (t : t) (cred : Simos.cred) (path : string) : (string, verror) result =
   run (fun () ->
       let* ops, fh = resolve t cred path in
-      let buf = Buffer.create 8192 in
+      let buf = Buffer.create block_size in
       let rec go off =
-        let data, eof, _ = errno (ops.Fs_intf.fs_read cred fh ~off ~count:8192) in
+        let data, eof, _ = errno (ops.Fs_intf.fs_read cred fh ~off ~count:block_size) in
         Buffer.add_string buf data;
         if (not eof) && data <> "" then go (off + String.length data)
       in
@@ -308,8 +308,8 @@ let write_file (t : t) (cred : Simos.cred) (path : string) (data : string) : (un
       in
       List.iteri
         (fun i chunk ->
-          ignore (errno (ops.Fs_intf.fs_write cred fh ~off:(i * 8192) ~stable:false chunk)))
-        (if data = "" then [] else Sfs_util.Bytesutil.chunks ~size:8192 data);
+          ignore (errno (ops.Fs_intf.fs_write cred fh ~off:(i * block_size) ~stable:false chunk)))
+        (if data = "" then [] else Sfs_util.Bytesutil.chunks ~size:block_size data);
       errno (ops.Fs_intf.fs_commit cred fh))
 
 let write_at (t : t) (cred : Simos.cred) (path : string) ~(off : int) (data : string) :

@@ -150,18 +150,3 @@ let check_client_proof (server_session : session) ~(proof : string) : bool =
 
 let check_server_proof (grp : group) ~(a_pub : Nat.t) (client_session : session) ~(proof : string) : bool =
   Sfs_util.Bytesutil.ct_equal (server_proof grp ~a_pub client_session) proof
-
-(* Fresh group generation for deployments that refuse shared parameters:
-   p = 2q + 1 with p ≡ 3 (mod 8), so 2 is a primitive root. *)
-let generate_group (rng : Prng.t) ~(bits : int) : group =
-  let rand_bits b = Prng.random_nat rng ~bits:b in
-  let rec go () =
-    let q = Prime.generate ~rand_bits (bits - 1) in
-    let p = Nat.add (Nat.shift_left q 1) Nat.one in
-    if
-      Nat.to_int_opt (Nat.rem p (Nat.of_int 8)) = Some 3
-      && Prime.is_probably_prime ~rounds:24 ~rand_bits p
-    then { n = p; g = Nat.two }
-    else go ()
-  in
-  go ()

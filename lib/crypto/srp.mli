@@ -12,10 +12,6 @@ val default_group : group
 (** A 512-bit safe-prime group with generator 2, produced by this
     library (see DESIGN.md). *)
 
-(* sfslint: allow SL014 — fresh safe-prime groups for a deployment that refuses the shared one *)
-val generate_group : Prng.t -> bits:int -> group
-(** Fresh safe-prime group; expensive at large sizes. *)
-
 type verifier = { user : string; salt : string; v : Nat.t [@sfs.secret]; cost : int }
 (** What the server stores.  A stolen verifier admits only an
     eksblowfish-cost-paced guessing attack, never direct login. *)

@@ -89,6 +89,11 @@ type t = {
   clock : Simclock.t;
   hosts : (string, host) Hashtbl.t; (* by name *)
   keys_cache : (string, endpoint_keys) Hashtbl.t; (* by "addr:port" *)
+  (* One xid counter per client host name, the last xid it numbered:
+     the client machine's one sfscd numbers every RPC it relays (paper
+     section 3.3), and servers key their duplicate request caches on
+     (client host, xid). *)
+  xids : (string, int ref) Hashtbl.t;
   mutable default_tap : tap option; (* applied to new connections *)
   mutable injector : injector option; (* environment faults, armed per run *)
   obs : Obs.registry option;
@@ -99,6 +104,7 @@ let create ?obs (clock : Simclock.t) : t =
     clock;
     hosts = Hashtbl.create 16;
     keys_cache = Hashtbl.create 16;
+    xids = Hashtbl.create 16;
     default_tap = None;
     injector = None;
     obs;
@@ -155,6 +161,7 @@ type conn = {
   tap : tap option;
   mutable closed : bool;
   keys : endpoint_keys; (* shared per (addr, port); see endpoint_keys *)
+  xid : int ref; (* [from_host]'s xid counter, shared by all its connections *)
 }
 
 let endpoint_keys (t : t) (addr : string) (port : int) : endpoint_keys =
@@ -173,6 +180,14 @@ let endpoint_keys (t : t) (addr : string) (port : int) : endpoint_keys =
       in
       Hashtbl.replace t.keys_cache ep k;
       k
+
+let host_xids (t : t) (from_host : string) : int ref =
+  match Hashtbl.find_opt t.xids from_host with
+  | Some r -> r
+  | None ->
+      let r = ref 0 in
+      Hashtbl.replace t.xids from_host r;
+      r
 
 let connect (t : t) ~(from_host : string) ~(addr : string) ~(port : int) ~(proto : Costmodel.transport_proto) : conn =
   (* A host inside a crash window refuses connections: the dial times
@@ -209,7 +224,12 @@ let connect (t : t) ~(from_host : string) ~(addr : string) ~(port : int) ~(proto
             tap = t.default_tap;
             closed = false;
             keys = endpoint_keys t addr port;
+            xid = host_xids t from_host;
           })
+
+let next_xid (c : conn) : int =
+  incr c.xid;
+  !(c.xid)
 
 let set_default_tap (t : t) (tap : tap option) : unit = t.default_tap <- tap
 

@@ -98,6 +98,12 @@ val connect :
     @raise Timeout when an armed injector has the host inside a crash
     window, or the host is at its admission limit. *)
 
+val next_xid : conn -> int
+(** The next xid of the connection's client host.  Every connection
+    from one host name draws from that host's one counter, so no two
+    calls a server's duplicate request cache keys on (client host, xid)
+    share an xid. *)
+
 val call_measured : conn -> string -> string * float
 [@@sfs.sink "wire"]
 (** The one exchange primitive ({!Rpc_mux}'s transport): taps, the

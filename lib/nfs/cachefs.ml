@@ -44,8 +44,6 @@ let attr_ttl_s = 3.0
 (* Copy rate that prices a hit (at least 64 bytes' worth). *)
 let memcpy_bytes_per_us = 400.0
 
-let block_size = 8192
-
 (* Write-behind gather threshold: dirty bytes coalesce into one
    unstable WRITE of up to this size (8 blocks), the paper's "multiple
    outstanding requests" discipline applied to the write side. *)

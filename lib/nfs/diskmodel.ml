@@ -43,8 +43,6 @@ let default_params =
     cache_blocks = 3200 (* 25 MB *);
   }
 
-let block_size = 8192
-
 type key = int * int (* fileid, block number *)
 
 type t = {
@@ -69,7 +67,7 @@ let rec evict_if_needed (t : t) : unit =
     match Lru.pop_lru t.cache with
     | Some (_, dirty) ->
         (* Write-back on eviction. *)
-        if !dirty then charge t (t.params.position_us +. transfer_us t block_size);
+        if !dirty then charge t (t.params.position_us +. transfer_us t Nfs_types.block_size);
         evict_if_needed t
     | None -> ()
 
@@ -86,17 +84,17 @@ let sequential (t : t) ~(fileid : int) ~(block : int) : bool =
 (* Read [bytes] at byte offset [off] of [fileid]. *)
 let read (t : t) ~(fileid : int) ~(off : int) ~(bytes : int) : unit =
   if bytes > 0 then begin
-    let first = off / block_size and last = (off + bytes - 1) / block_size in
+    let first = off / Nfs_types.block_size and last = (off + bytes - 1) / Nfs_types.block_size in
     for block = first to last do
       t.reads <- t.reads + 1;
       let k = (fileid, block) in
       if Lru.mem t.cache k then begin
         t.hits <- t.hits + 1;
-        charge t (memcpy_us t (min bytes block_size))
+        charge t (memcpy_us t (min bytes Nfs_types.block_size))
       end
       else begin
         if not (sequential t ~fileid ~block) then charge t t.params.position_us;
-        charge t (transfer_us t block_size);
+        charge t (transfer_us t Nfs_types.block_size);
         insert t k ~dirty:false
       end;
       t.last_access <- Some (fileid, block)
@@ -107,16 +105,16 @@ let read (t : t) ~(fileid : int) ~(off : int) ~(bytes : int) : unit =
    COMMIT).  Unstable writes dirty the cache. *)
 let write (t : t) ~(fileid : int) ~(off : int) ~(bytes : int) ~(stable : bool) : unit =
   if bytes > 0 then begin
-    let first = off / block_size and last = (off + bytes - 1) / block_size in
+    let first = off / Nfs_types.block_size and last = (off + bytes - 1) / Nfs_types.block_size in
     for block = first to last do
       let k = (fileid, block) in
       if stable then begin
         if not (sequential t ~fileid ~block) then charge t t.params.position_us;
-        charge t (transfer_us t (min bytes block_size));
+        charge t (transfer_us t (min bytes Nfs_types.block_size));
         insert t k ~dirty:false
       end
       else begin
-        charge t (memcpy_us t (min bytes block_size));
+        charge t (memcpy_us t (min bytes Nfs_types.block_size));
         insert t k ~dirty:true
       end;
       t.last_access <- Some (fileid, block)
@@ -139,7 +137,7 @@ let flush (t : t) ?(fileid : int option) () : unit =
   if dirty <> [] then begin
     let files = List.sort_uniq compare (List.map (fun ((f, _), _) -> f) dirty) in
     charge t (float_of_int (List.length files) *. t.params.position_us);
-    charge t (transfer_us t (List.length dirty * block_size));
+    charge t (transfer_us t (List.length dirty * Nfs_types.block_size));
     List.iter (fun (_, d) -> d := false) dirty
   end
 

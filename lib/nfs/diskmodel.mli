@@ -13,7 +13,6 @@ type params = {
 }
 
 val default_params : params
-val block_size : int
 
 type t
 

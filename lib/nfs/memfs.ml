@@ -40,7 +40,6 @@ type t = {
   now : unit -> nfstime;
   inodes : (int, inode) Hashtbl.t;
   mutable next_id : int;
-  mutable read_only : bool;
   mutable mutation : int; (* global content-mutation counter; gen values come from here *)
 }
 
@@ -48,7 +47,7 @@ let root_id = 1
 
 let create ?(fsid = 1) ~(now : unit -> nfstime) () : t =
   let t =
-    { fsid; now; inodes = Hashtbl.create 256; next_id = 2; read_only = false; mutation = 0 }
+    { fsid; now; inodes = Hashtbl.create 256; next_id = 2; mutation = 0 }
   in
   let time = now () in
   Hashtbl.replace t.inodes root_id
@@ -76,8 +75,6 @@ let bump_gen (t : t) (i : inode) : unit =
   t.mutation <- t.mutation + 1;
   i.gen <- t.mutation
 
-let set_read_only (t : t) (ro : bool) : unit = t.read_only <- ro
-
 let ( let* ) = Result.bind
 
 let find (t : t) (id : int) : inode res =
@@ -101,7 +98,7 @@ let attr_of_inode (t : t) (i : inode) : fattr =
     uid = i.uid;
     gid = i.gid;
     size = node_size i;
-    used = (node_size i + 8191) / 8192 * 8192;
+    used = (node_size i + block_size - 1) / block_size * block_size;
     fsid = t.fsid;
     fileid = i.id;
     atime = i.atime;
@@ -132,8 +129,6 @@ let can_exec cred i = check_perm cred i ~want:1
 (* A namespace change needs write and search permission on each
    directory it changes (POSIX). *)
 let can_change_dir cred d = check_perm cred d ~want:3
-
-let check_writable (t : t) : unit res = if t.read_only then Error NFS3ERR_ROFS else Ok ()
 
 let valid_name (name : string) : unit res =
   if name = "" || name = "." || name = ".." then Error NFS3ERR_INVAL
@@ -166,7 +161,7 @@ let access (t : t) (cred : Simos.cred) (id : int) (want : int) : int res =
   let* i = find t id in
   let bit cond flag = if cond then flag else 0 in
   let r = Result.is_ok (can_read cred i) in
-  let w = (not t.read_only) && Result.is_ok (can_write cred i) in
+  let w = Result.is_ok (can_write cred i) in
   let x = Result.is_ok (can_exec cred i) in
   let granted =
     match i.kind with
@@ -185,8 +180,6 @@ let readlink (t : t) (cred : Simos.cred) (id : int) : string res =
   match i.kind with Symlink target -> Ok target | Reg _ | Dir _ -> Error NFS3ERR_INVAL
 
 (* --- The block store --- *)
-
-let block_size = 8192
 
 let stored (f : file) (b : int) : string = if b < Array.length f.blocks then f.blocks.(b) else ""
 
@@ -297,7 +290,6 @@ let readdir (t : t) (cred : Simos.cred) (id : int) : dirent list res =
 (* --- Mutations --- *)
 
 let setattr (t : t) (cred : Simos.cred) (id : int) (s : sattr) : fattr res =
-  let* () = check_writable t in
   let* i = find t id in
   let owner = Simos.is_superuser cred || cred.Simos.cred_uid = i.uid in
   (* chmod/chown/utimes need ownership; truncate needs write access. *)
@@ -369,7 +361,6 @@ let alloc (t : t) (kind : node_kind) ~(cred : Simos.cred) ~(mode : int) : inode 
 
 let add_entry (t : t) (cred : Simos.cred) ~(dir : int) (name : string) (make : unit -> inode) :
     (int * fattr) res =
-  let* () = check_writable t in
   let* () = valid_name name in
   let* d = find t dir in
   let* entries = dir_entries d in
@@ -395,7 +386,6 @@ let symlink (t : t) (cred : Simos.cred) ~(dir : int) (name : string) ~(target : 
   add_entry t cred ~dir name (fun () -> alloc t (Symlink target) ~cred ~mode:0o777)
 
 let write (t : t) (cred : Simos.cred) (id : int) ~(off : int) (data : string) : fattr res =
-  let* () = check_writable t in
   let* i = find t id in
   let* () = can_write cred i in
   match i.kind with
@@ -417,7 +407,6 @@ let drop_inode (t : t) (i : inode) : unit =
   if i.nlink <= 0 then Hashtbl.remove t.inodes i.id
 
 let remove (t : t) (cred : Simos.cred) ~(dir : int) (name : string) : unit res =
-  let* () = check_writable t in
   let* () = valid_name name in
   let* d = find t dir in
   let* entries = dir_entries d in
@@ -436,7 +425,6 @@ let remove (t : t) (cred : Simos.cred) ~(dir : int) (name : string) : unit res =
           Ok ())
 
 let rmdir (t : t) (cred : Simos.cred) ~(dir : int) (name : string) : unit res =
-  let* () = check_writable t in
   let* () = valid_name name in
   let* d = find t dir in
   let* entries = dir_entries d in
@@ -460,7 +448,6 @@ let rmdir (t : t) (cred : Simos.cred) ~(dir : int) (name : string) : unit res =
           end)
 
 let link (t : t) (cred : Simos.cred) ~(target : int) ~(dir : int) (name : string) : fattr res =
-  let* () = check_writable t in
   let* () = valid_name name in
   let* i = find t target in
   let* d = find t dir in
@@ -489,7 +476,6 @@ let rec in_subtree (t : t) ~(root_id : int) (candidate : int) : bool =
 
 let rename (t : t) (cred : Simos.cred) ~(from_dir : int) ~(from_name : string) ~(to_dir : int)
     ~(to_name : string) : unit res =
-  let* () = check_writable t in
   let* () = valid_name from_name in
   let* () = valid_name to_name in
   let* fd = find t from_dir in

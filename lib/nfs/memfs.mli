@@ -23,10 +23,6 @@ val root_id : int
 val create : ?fsid:int -> now:(unit -> nfstime) -> unit -> t
 (** [now] supplies timestamps (wired to the simulation clock). *)
 
-(* sfslint: allow SL014 — NFS 3's read-only export (NFS3ERR_ROFS), which only the Memfs tests mount *)
-val set_read_only : t -> bool -> unit
-(** A read-only file system fails all mutations with [NFS3ERR_ROFS]. *)
-
 (** {2 Reads} *)
 
 val getattr : t -> int -> fattr res

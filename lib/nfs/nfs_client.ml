@@ -5,10 +5,9 @@
    Sun RPC on a clear connection; the SFS client (paper section 3.3)
    carries the same NFS 3 calls inside its secure channel.  So the two
    differ only in their [transport]: how a call is framed and a reply
-   opened.  Everything else is built once, here: the xid counter, the
-   three muxes (serial, write-behind, readahead), the retry loop and
-   the readahead pipeline.  Caching lives in the separate Cachefs
-   layer. *)
+   opened.  Everything else is built once, here: the three muxes
+   (serial, write-behind, readahead), the retry loop and the readahead
+   pipeline.  Caching lives in the separate Cachefs layer. *)
 
 open Nfs_types
 module Simos = Sfs_os.Simos
@@ -131,15 +130,10 @@ let generic_ops (call : async:bool -> cred:Simos.cred -> call -> (Xdr.enc -> uni
     fs_fsstat = (fun cred h -> nfs_call ~cred ~proc:proc_fsstat enc_fh h (dec_res dec_fsstat_ok));
   }
 
-(* The builder.  The caller's xid counter numbers every call on the
-   transport: the root fetch, serial and write-behind calls and
-   readahead, so no two share an entry in the server's duplicate
-   request cache.
-
-   Each mux hands the transport its decoder, which runs on the opened
-   results while the transport still lends them.  Serial and
-   write-behind calls copy the marshaled results out and decode them
-   afterwards; readahead decodes its READ result in place, which
+(* The builder.  Each mux hands the transport its decoder, which runs
+   on the opened results while the transport still lends them.  Serial
+   and write-behind calls copy the marshaled results out and decode
+   them afterwards; readahead decodes its READ result in place, which
    copies the data once, into the string the block cache keeps and a
    reader gets.
 
@@ -152,13 +146,9 @@ let generic_ops (call : async:bool -> cred:Simos.cred -> call -> (Xdr.enc -> uni
    A readahead fault raises out of the await thunk and the cache falls
    back to the serial path, whose retry loop recovers; READs are
    idempotent, so the abandoned xid is harmless. *)
-let data_path ?obs ~(xids : int ref) ~(window : int) ~(readahead : int) ~(cred : Simos.cred)
-    (net : Simnet.t) (tr : transport) : Fs_intf.ops * Fs_intf.pipeline option =
+let data_path ?obs ~(window : int) ~(readahead : int) ~(cred : Simos.cred) (net : Simnet.t)
+    (tr : transport) : Fs_intf.ops * Fs_intf.pipeline option =
   let clock = Simnet.clock net in
-  let next_xid () =
-    incr xids;
-    !xids
-  in
   let mux ?obs ?precompute ~readahead ~window ~latency_us ~op_us decode =
     let open_reply = tr.open_reply ~readahead decode in
     Rpc_mux.create ?obs ?precompute ~window ~clock ~wire_us:(Costmodel.transfer_us tr.proto)
@@ -205,7 +195,7 @@ let data_path ?obs ~(xids : int ref) ~(window : int) ~(readahead : int) ~(cred :
      server's duplicate request cache recognises a retransmission whose
      first execution succeeded but whose reply was lost. *)
   let rpc ~async ~cred call args =
-    let xid = next_xid () in
+    let xid = Simnet.next_xid (tr.conn ()) in
     let mux = if async then write_behind else serial in
     let verbatim =
       if tr.verbatim then Some (tr.frame ~xid ~ctx:(Obs.current obs) ~cred ~overlapped:async call args)
@@ -240,7 +230,7 @@ let data_path ?obs ~(xids : int ref) ~(window : int) ~(readahead : int) ~(cred :
       in
       let pl_submit cred h ~off ~count =
         let ticket =
-          submit_op mux ~op:"read" ~xid:(next_xid ()) ~cred ~overlapped:true
+          submit_op mux ~op:"read" ~xid:(Simnet.next_xid (tr.conn ())) ~cred ~overlapped:true
             (Proc Nfs_proto.proc_read) (fun e -> Nfs_proto.enc_read_args e (h, off, count))
         in
         fun () ->
@@ -344,15 +334,13 @@ let sunrpc (net : Simnet.t) ~(proto : Costmodel.transport_proto) ~(machine : str
 
 (* Dial an NFS server over the simulated network and mount its export;
    [window]/[readahead] > trivial also build the pipelined read path
-   for the caching layer.  Any failure closes the connection.  The
-   server's duplicate request cache is per connection, so each mount
-   numbers its xids afresh. *)
+   for the caching layer.  Any failure closes the connection. *)
 let mount ?obs ?(window = 1) ?(readahead = 0) (net : Simnet.t) ~(from_host : string)
     ~(addr : string) ~(proto : Costmodel.transport_proto) ~(cred : Simos.cred) :
     Fs_intf.ops * Fs_intf.pipeline option =
   let conn = Simnet.connect net ~from_host ~addr ~port:2049 ~proto in
   match
-    data_path ?obs ~xids:(ref 0) ~window ~readahead ~cred net (sunrpc net ~proto ~machine:from_host conn)
+    data_path ?obs ~window ~readahead ~cred net (sunrpc net ~proto ~machine:from_host conn)
   with
   | mounted -> mounted
   | exception e ->

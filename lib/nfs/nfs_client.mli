@@ -76,7 +76,6 @@ type transport = {
 
 val data_path :
   ?obs:Sfs_obs.Obs.registry ->
-  xids:int ref ->
   window:int ->
   readahead:int ->
   cred:Simos.cred ->
@@ -85,9 +84,9 @@ val data_path :
   Fs_intf.ops * Fs_intf.pipeline option
 [@@sfs.declassify "an opaque transport handle, the boundary Rpc_mux.create draws: the frame and open closures and the channel state they capture stay inside the muxes; the ops return only decoded results and raise Rpc_failure with transport-chosen error text"]
 (** Fetch the root handle as [cred] and build the data path over a
-    transport.  [xids] holds the last xid sent and numbers every call;
-    it belongs to whatever the server's duplicate request cache keys
-    on, so no two calls it caches share an xid.  The serial
+    transport.  Each logical call takes its xid from the connection's
+    host ({!Simnet.next_xid}); serial and write-behind calls hold it
+    across retries, and each readahead READ draws its own.  The serial
     calls, write-behind (unstable WRITEs) and readahead each ride their
     own {!Sfs_net.Rpc_mux}: window 1 priced at one round trip, window 1
     priced at [Costmodel.async_floor_us], and [window] wide with the

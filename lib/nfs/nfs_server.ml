@@ -211,8 +211,7 @@ let garbage_reply = Xdr.encode (fun e () -> Sunrpc.enc_reply e ~xid:0 Sunrpc.Gar
 
 (* A per-connection duplicate request cache holds each reply's wire
    message.  A hit needs byte-identical request bytes: a distinct call
-   that reuses an xid (clients sharing a connection each number from
-   their own xid space) executes. *)
+   that reuses an xid executes. *)
 let dup_cache_size = 128
 
 let service (t : t) : Simnet.service =

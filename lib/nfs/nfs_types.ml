@@ -9,6 +9,13 @@
 
 module Xdr = Sfs_xdr.Xdr
 
+(* The one block size.  Memfs stores files in these blocks and serves
+   one without a copy only to a READ that covers exactly one of them;
+   Cachefs caches and reads ahead whole blocks; Diskmodel prices them;
+   Vfs moves whole files in them.  So Cachefs's READs stay copy-free
+   only because all four agree. *)
+let block_size = 8192
+
 type ftype = NF_REG | NF_DIR | NF_LNK
 
 type nfsstat =

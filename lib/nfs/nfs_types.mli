@@ -6,6 +6,12 @@
     "virtually identical to NFS 3", extended with attribute leases, so
     these types carry both protocols. *)
 
+val block_size : int
+(** 8 KB: the block Memfs stores, Cachefs caches and reads ahead,
+    Diskmodel prices and Vfs moves whole files in.  Memfs serves a
+    stored block without a copy only to a READ of exactly that block,
+    so one size keeps Cachefs's whole-block READs copy-free. *)
+
 type ftype = NF_REG | NF_DIR | NF_LNK
 
 type nfsstat =

@@ -69,9 +69,9 @@ let throughput_mb_s (w : Stacks.world) : float =
    with
   | Ok _ -> ()
   | Error e -> Driver.fail "seed: %s" (Sfs_nfs.Nfs_types.status_to_string e));
-  for b = 0 to (bytes / Diskmodel.block_size) - 1 do
-    Diskmodel.write w.Stacks.server_disk ~fileid:fid ~off:(b * Diskmodel.block_size)
-      ~bytes:Diskmodel.block_size ~stable:false
+  for b = 0 to (bytes / Sfs_nfs.Nfs_types.block_size) - 1 do
+    Diskmodel.write w.Stacks.server_disk ~fileid:fid ~off:(b * Sfs_nfs.Nfs_types.block_size)
+      ~bytes:Sfs_nfs.Nfs_types.block_size ~stable:false
   done;
   let path =
     match w.Stacks.stack with

@@ -685,6 +685,35 @@ let test_sfskey_remote_key_change () =
           | Some (user, _) -> Testkit.check_string "new key registered" "alice" user
           | None -> Alcotest.fail "new key not found"))
 
+(* The server's sealed SRP payload, sent back on the same connection
+   as a registration: each direction has its own key, so the server
+   refuses the seal rather than open it. *)
+let test_srp_reflected_payload () =
+  let w = make_world ~register_alice:false () in
+  Sfskey.register_local ~cost:2 w.authserv rng ~user:"alice" ~password:"pw" ~key:w.alice_key;
+  let tap = Simnet.passive_tap () in
+  Simnet.set_default_tap w.net (Some tap);
+  match
+    Sfskey.fetch w.net rng ~from_host:"client.example.com" ~location:"server.example.com"
+      ~user:"alice" ~password:"pw"
+  with
+  | Error e -> Alcotest.fail (Sfskey.error_to_string e)
+  | Ok f -> (
+      let decode reply = Sfs_xdr.Xdr.run reply Authserv.dec_srp_response in
+      (* The newest reply on the wire is the server's proof. *)
+      let sealed =
+        match List.find_opt (fun (dir, _) -> dir = Simnet.To_client) tap.Simnet.observed with
+        | Some (_, reply) -> (
+            match decode reply with
+            | Ok (Authserv.Srp_server_proof { sealed; _ }) -> sealed
+            | _ -> Alcotest.fail "last reply is not the server proof")
+        | None -> Alcotest.fail "no reply observed"
+      in
+      let request = Sfs_xdr.Xdr.encode Authserv.enc_srp_request (Authserv.Srp_register sealed) in
+      match decode (Sfs_net.Rpc_mux.call f.Sfskey.srp_mux request) with
+      | Ok (Authserv.Srp_failed reason) -> Testkit.check_string "refused" "bad registration seal" reason
+      | _ -> Alcotest.fail "reflected payload not refused")
+
 let test_no_anonymous_server () =
   (* A server configured to refuse anonymous access: unauthenticated
      users can negotiate and fetch the root, but no operation passes. *)
@@ -1219,6 +1248,113 @@ let test_auth_replay_denied () =
   | Ok (Sfsrw.Auth_denied _) -> ()
   | _ -> Alcotest.fail "replayed request not denied"
 
+(* --- A reused xid is a new call unless everything else matches ---
+
+   The server's duplicate request cache keys on (client host, xid).  A
+   call that reuses an xid with other arguments, or as another user, is
+   not a retransmission: it must run. *)
+
+(* An Fs_call under a chosen xid and authno. *)
+let raw_fs_call (s : raw_session) ~(xid : int) ~(authno : int) ~(proc : int) enc v : string =
+  raw_exchange s
+    (Sfsrw.request_to_string
+       (Sfsrw.Fs_call { xid; authno; proc; trace = 0; span = 0; args = Xdr.encode enc v }))
+
+let test_drc_reused_xid_other_args () =
+  let _, _, a, _, pub = raw_pair "drc-reused-xid-args" "xid.example.com" in
+  ignore (raw_call a ~proc:Nfs_proto.proc_create Nfs_proto.enc_create_args (pub, "f", 0o666));
+  let xid = a.r_xid + 1 in
+  let lookup name =
+    Xdr.run
+      (raw_results
+         (raw_fs_call a ~xid ~authno:Sfsrw.authno_anonymous ~proc:Nfs_proto.proc_lookup
+            Nfs_proto.enc_diropargs (pub, name)))
+      (Nfs_proto.dec_res Nfs_proto.dec_lookup_ok)
+  in
+  (match lookup "f" with Ok (Ok _) -> () | _ -> Alcotest.fail "lookup of f failed");
+  match lookup "missing" with
+  | Ok (Error Nfs_types.NFS3ERR_NOENT) -> ()
+  | _ -> Alcotest.fail "the lookup of missing was answered with the lookup of f"
+
+(* Alice authenticates on a raw session and creates a 0600 file.  Her
+   ACCESS call grants read and modify; the same call under the same
+   xid, sent anonymously, must grant nothing. *)
+let test_drc_reused_xid_other_user () =
+  let rng = Prng.create [ "drc-reused-xid-user" ] in
+  let net = Simnet.create (Simclock.create ()) in
+  let _c = Simnet.add_host net "client.example.com" in
+  let temp_key = Rabin.generate ~bits:512 rng in
+  let authserv = Authserv.create rng in
+  let alice = Simos.add_user (Simos.create ()) "alice" in
+  let key = Rabin.generate ~bits:512 rng in
+  Authserv.add_user authserv ~user:"alice" ~cred:(Simos.cred_of_user alice);
+  (match Authserv.register_pubkey authserv ~user:"alice" key.Rabin.pub with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  let server = raw_server ~authserv net rng "xid.example.com" in
+  let s = raw_connect net rng ~temp_key server in
+  let path = Server.self_path server in
+  let info =
+    {
+      Sfs_proto.Authproto.service = "FS";
+      location = Pathname.location path;
+      hostid = Pathname.hostid path;
+      session_id = s.r_session_id;
+    }
+  in
+  let authmsg = Sfs_proto.Authproto.(authmsg_to_string (make_authmsg ~key info ~seqno:1)) in
+  let authno =
+    match raw_response (raw_exchange s (Sfsrw.request_to_string (Sfsrw.Auth_req { seqno = 1; authmsg }))) with
+    | Ok (Sfsrw.Auth_granted { authno; _ }) -> authno
+    | _ -> Alcotest.fail "alice not granted"
+  in
+  let pub = raw_handle (raw_call s ~proc:Nfs_proto.proc_lookup Nfs_proto.enc_diropargs (raw_root s, "pub")) in
+  let f =
+    raw_handle
+      (raw_fs_call s ~xid:(s.r_xid + 1) ~authno ~proc:Nfs_proto.proc_create Nfs_proto.enc_create_args
+         (pub, "f", 0o600))
+  in
+  let want = Nfs_types.(access_read lor access_modify) in
+  let access authno =
+    match
+      Xdr.run
+        (raw_results
+           (raw_fs_call s ~xid:(s.r_xid + 2) ~authno ~proc:Nfs_proto.proc_access
+              Nfs_proto.enc_access_args (f, want)))
+        (Nfs_proto.dec_res Nfs_proto.dec_access_ok)
+    with
+    | Ok (Ok (_, granted)) -> granted
+    | _ -> Alcotest.fail "access failed"
+  in
+  Testkit.check_int "alice" want (access authno);
+  Testkit.check_int "anonymous, same xid" 0 (access Sfsrw.authno_anonymous)
+
+(* An AuthMsg signed by a key no user registered maps to no one, while
+   alice's key is registered. *)
+let test_authserv_unregistered_key () =
+  let rng = Prng.create [ "authserv-unregistered-key" ] in
+  let authserv = Authserv.create rng in
+  let alice = Simos.add_user (Simos.create ()) "alice" in
+  Authserv.add_user authserv ~user:"alice" ~cred:(Simos.cred_of_user alice);
+  (match Authserv.register_pubkey authserv ~user:"alice" (Rabin.generate ~bits:512 rng).Rabin.pub with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  let info =
+    {
+      Sfs_proto.Authproto.service = "FS";
+      location = "server.example.com";
+      hostid = String.make Hostid.size 'h';
+      session_id = String.make 20 's';
+    }
+  in
+  let stranger = Rabin.generate ~bits:512 rng in
+  let authmsg = Sfs_proto.Authproto.(authmsg_to_string (make_authmsg ~key:stranger info ~seqno:1)) in
+  match
+    Authserv.validate authserv ~authmsg ~authid:(Sfs_proto.Authproto.authid_of info) ~seqno:1
+  with
+  | Error reason -> Testkit.check_string "refused" "unknown public key" reason
+  | Ok (user, _) -> Alcotest.fail ("mapped to " ^ user)
+
 let test_fhcrypt_alloc () =
   let f = Fhcrypt.of_prng (Prng.create [ "fhcrypt-alloc" ]) in
   let inner = String.make 40 'i' in
@@ -1556,4 +1692,10 @@ let suite =
       Alcotest.test_case "forwarding root after key change" `Quick test_forwarding_root;
       Alcotest.test_case "agent forgets keys" `Quick test_agent_forget_keys;
       Alcotest.test_case "agent removes a link" `Quick test_agent_remove_link;
+      Alcotest.test_case "drc: a reused xid with other args runs" `Quick
+        test_drc_reused_xid_other_args;
+      Alcotest.test_case "drc: a reused xid as another user runs" `Quick
+        test_drc_reused_xid_other_user;
+      Alcotest.test_case "authserv refuses an unregistered key" `Quick test_authserv_unregistered_key;
+      Alcotest.test_case "srp reflected payload refused" `Quick test_srp_reflected_payload;
     ] )

@@ -566,17 +566,9 @@ let props =
         Bytes.sub_string out 3 Sha1.digest_size = Sha1.digest msg);
   ]
 
-let test_srp_group_generation () =
-  (* Fresh (tiny) safe-prime group: p = 2q+1, p = 3 (mod 8), g = 2. *)
-  let g = Srp.generate_group srp_rng ~bits:48 in
-  let p = g.Srp.n in
-  Testkit.check_int "width" 48 (Nat.num_bits p);
-  Alcotest.(check (option int)) "p mod 8" (Some 3) (Nat.to_int_opt (Nat.rem p (Nat.of_int 8)));
-  let q = Nat.shift_right (Nat.sub p Nat.one) 1 in
+(* The built-in group: a 512-bit prime. *)
+let test_srp_default_group () =
   let rand_bits b = Prng.random_nat srp_rng ~bits:b in
-  Testkit.check_bool "p prime" true (Sfs_bignum.Prime.is_probably_prime ~rand_bits p);
-  Testkit.check_bool "q prime" true (Sfs_bignum.Prime.is_probably_prime ~rand_bits q);
-  (* And the default group checks out too. *)
   let d = Srp.default_group.Srp.n in
   Testkit.check_int "default width" 512 (Nat.num_bits d);
   Testkit.check_bool "default prime" true (Sfs_bignum.Prime.is_probably_prime ~rand_bits d)
@@ -613,6 +605,6 @@ let suite =
       Alcotest.test_case "srp server proof" `Quick test_srp_server_proof;
       Alcotest.test_case "srp degenerate values" `Quick test_srp_degenerate;
       Alcotest.test_case "srp verifier leak" `Quick test_srp_verifier_no_password_equivalent;
-      Alcotest.test_case "srp group generation" `Slow test_srp_group_generation;
+      Alcotest.test_case "srp default group" `Quick test_srp_default_group;
     ]
     @ Testkit.to_alcotest props )

@@ -357,9 +357,8 @@ let test_server_failure_and_recovery () =
 (* --- The duplicate request cache answers only the caller it ran for --- *)
 
 (* A server whose share holds alice's private file: share/alice is
-   0700 and share/alice/secret 0600, written from a machine of its own
-   so the readers' call sequences start fresh.  Alice and bob are
-   enrolled with agents. *)
+   0700 and share/alice/secret 0600, written from a machine of its
+   own.  Alice and bob are enrolled with agents. *)
 let private_file_site () =
   let s = make_site () in
   let server, authserv, _ = add_server s "files.example.com" in
@@ -396,10 +395,9 @@ let test_drc_remount_other_user () =
   List.iter (Client.unmount m.sfscd) (Client.mounts m.sfscd);
   expect_eacces "bob after remount" (Vfs.read_file m.vfs (Simos.cred_of_user bob) secret)
 
-(* Two client programs on one host number their calls independently,
-   so their xids collide in the server's cache, which keys on the host.
-   A collision answers bob's calls only if it ran them as bob: he gets
-   EACCES, not alice's data. *)
+(* Two client programs on one host: the host numbers the calls of
+   both, so none of bob's calls meets one of alice's in the server's
+   cache, and he gets EACCES, not alice's data. *)
 let test_drc_twin_clients () =
   let s, (alice, akey), (bob, bkey), secret = private_file_site () in
   let m1 = add_machine s "twin.example.com" in
@@ -410,15 +408,9 @@ let test_drc_twin_clients () =
     (vok "alice read" (Vfs.read_file m1.vfs (Simos.cred_of_user alice) secret));
   expect_eacces "bob on the twin" (Vfs.read_file m2.vfs (Simos.cred_of_user bob) secret)
 
-(* One user on two such clients: the same xid carries a lookup of
-   [x] from one and of [y] from the other, and each gets its own
-   answer.  The last check only shows that the xids did collide, so
-   the two lookups met in the cache.  The hits it sees (the calls both
-   clients made alike) are the open gap of DESIGN §10, not a property:
-   they replay one client's replies to the other, stale or not.  Once
-   each client starts its xids at a point of its own, this test must
-   force the collision. *)
-let test_drc_twin_lookups () =
+(* A site with [share/x] and [share/y] written from a machine of its
+   own, and two clients on one host, each with alice's agent. *)
+let twin_site () =
   let s = make_site () in
   let obs = Obs.create ~now_us:(fun () -> Simclock.now_us s.clock) () in
   let server, authserv, _ = add_server ~obs s "files.example.com" in
@@ -435,10 +427,29 @@ let test_drc_twin_lookups () =
   let m2 = machine_on s "twin.example.com" in
   ignore (with_agent m1 alice akey);
   ignore (with_agent m2 alice akey);
+  (obs, cred, base, setup, m1, m2)
+
+(* One user on two such clients makes the same calls in the same
+   order: no reply of one is replayed to the other. *)
+let test_drc_twin_lookups () =
+  let obs, cred, base, _, m1, m2 = twin_site () in
   let hits = Obs.counter obs "recover.retransmit_hit" in
   Testkit.check_string "x" "x" (vok "read x" (Vfs.read_file m1.vfs cred (base ^ "/share/x")));
   Testkit.check_string "y" "y" (vok "read y" (Vfs.read_file m2.vfs cred (base ^ "/share/y")));
-  Testkit.check_bool "the xids collided" true (Obs.counter obs "recover.retransmit_hit" > hits)
+  Testkit.check_int "no reply replayed" hits (Obs.counter obs "recover.retransmit_hit")
+
+(* Client 1 reads [share/a] before it exists, another machine creates
+   it, and client 2 on the same host, as the same user, reads it: it
+   gets the data, not client 1's NFS3ERR_NOENT. *)
+let test_drc_twin_stale_read () =
+  let _, cred, base, setup, m1, m2 = twin_site () in
+  let a = base ^ "/share/a" in
+  (match Vfs.read_file m1.vfs cred a with
+  | Error (Vfs.Errno Nfs_types.NFS3ERR_NOENT) -> ()
+  | Error e -> Alcotest.fail ("client 1: " ^ Vfs.verror_to_string e)
+  | Ok data -> Alcotest.fail ("client 1 read " ^ data));
+  vok "write a" (Vfs.write_file setup.vfs cred a "a");
+  Testkit.check_string "client 2 reads a" "a" (vok "client 2 read" (Vfs.read_file m2.vfs cred a))
 
 let suite =
   ( "integration",
@@ -453,4 +464,5 @@ let suite =
       Alcotest.test_case "drc: remount by another user" `Quick test_drc_remount_other_user;
       Alcotest.test_case "drc: twin clients, two users" `Quick test_drc_twin_clients;
       Alcotest.test_case "drc: twin clients, two lookups" `Quick test_drc_twin_lookups;
+      Alcotest.test_case "drc: twin clients, stale read" `Quick test_drc_twin_stale_read;
     ] )

@@ -147,7 +147,7 @@ module List_diskmodel = struct
     mutable hits : int;
   }
 
-  let block_size = Diskmodel.block_size
+  let block_size = Nfs_types.block_size
 
   let create ~params clock =
     { clock; params; cache = Hashtbl.create 64; lru = []; last_access = None; reads = 0; hits = 0 }
@@ -256,7 +256,7 @@ let show_disk_op = function
 
 let gen_disk_op =
   let open QCheck.Gen in
-  let bs = Diskmodel.block_size in
+  let bs = Nfs_types.block_size in
   let file = int_range 1 3 in
   (* Offsets and sizes straddle block boundaries so multi-block ops and
      sequential runs both occur. *)
@@ -317,7 +317,7 @@ let test_diskmodel_eviction_order () =
   let clock = Simclock.create () in
   let params = { Diskmodel.default_params with Diskmodel.cache_blocks = 2 } in
   let d = Diskmodel.create ~params clock in
-  let bs = Diskmodel.block_size in
+  let bs = Nfs_types.block_size in
   let writeback = params.Diskmodel.position_us +. (float_of_int bs /. params.Diskmodel.bytes_per_us) in
   Diskmodel.write d ~fileid:1 ~off:0 ~bytes:bs ~stable:false;
   Diskmodel.write d ~fileid:2 ~off:0 ~bytes:bs ~stable:false;

@@ -166,14 +166,6 @@ let test_memfs_block_alloc () =
   Testkit.check_string "end" (String.make 100 '\000') data;
   Testkit.check_bool "eof" true eof
 
-let test_memfs_read_only () =
-  let _, fs = setup () in
-  let f, _ = ok "create" (Memfs.create_file fs root ~dir:Memfs.root_id "x" ~mode:0o644) in
-  Memfs.set_read_only fs true;
-  expect_err "write on rofs" NFS3ERR_ROFS (Memfs.write fs root f ~off:0 "y");
-  expect_err "create on rofs" NFS3ERR_ROFS (Memfs.create_file fs root ~dir:Memfs.root_id "z" ~mode:0o644);
-  ignore (ok "read ok" (Memfs.read fs root f ~off:0 ~count:1))
-
 let test_memfs_bad_names () =
   let _, fs = setup () in
   List.iter
@@ -799,7 +791,6 @@ let suite =
       Alcotest.test_case "memfs truncate" `Quick test_memfs_truncate;
       Alcotest.test_case "memfs hole after truncation" `Quick test_memfs_truncate_hole;
       Alcotest.test_case "memfs block store allocation" `Quick test_memfs_block_alloc;
-      Alcotest.test_case "memfs read-only" `Quick test_memfs_read_only;
       Alcotest.test_case "memfs bad names" `Quick test_memfs_bad_names;
       Alcotest.test_case "diskmodel caching" `Quick test_diskmodel_caching;
       Alcotest.test_case "diskmodel writes" `Quick test_diskmodel_writes;

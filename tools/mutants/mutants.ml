@@ -47,7 +47,7 @@ let catalogue =
       new_text = "&& (ignore (String.equal e.d_args args); true)";
       claim =
         "section 3.3: a duplicate request cache hit replays only a retransmission of the same call";
-      killer = "integration drc: twin clients, two lookups";
+      killer = "core drc: a reused xid with other args runs";
     };
     {
       name = "drc-cred";
@@ -57,7 +57,38 @@ let catalogue =
       claim =
         "Fig. 4: the server runs each request as the user whose agent authenticated it, also when \
          it answers from its duplicate request cache";
-      killer = "integration drc: twin clients, two users";
+      killer = "core drc: a reused xid as another user runs";
+    };
+    {
+      name = "xid-per-connection";
+      file = "lib/net/simnet.ml";
+      old_text = "xid = host_xids t from_host;";
+      new_text = "xid = (ignore (host_xids t from_host); ref 0);";
+      claim =
+        "section 3.3: one sfscd per machine relays every local user's calls, so the machine \
+         numbers its RPCs once and no two calls of its clients meet in a server's duplicate \
+         request cache";
+      killer = "integration drc: twin clients, two lookups";
+    };
+    {
+      name = "authserv-key-compare";
+      file = "lib/core/authserv.ml";
+      old_text = "when Rabin.pub_equal pk pubkey ->";
+      new_text = "when (ignore (Rabin.pub_equal pk pubkey); true) ->";
+      claim =
+        "section 2.5: authserv maps a public key to the credentials of the user who registered \
+         that key, and an unregistered key to none";
+      killer = "core authserv refuses an unregistered key";
+    };
+    {
+      name = "srp-direction-keys";
+      file = "lib/core/authserv.ml";
+      old_text = "| To_server -> \"SRP-CS\"";
+      new_text = "| To_server -> \"SRP-SC\"";
+      claim =
+        "section 2.4: what SRP seals from the server cannot be sent back as the client's own \
+         sealed registration";
+      killer = "core srp reflected payload refused";
     };
     {
       name = "client-hostid-check";
