@@ -394,10 +394,12 @@ let ablations () =
     let t0 = Sys.time () in
     let snap = Sfs_core.Readonly.snapshot ~key ~now_s:0 fs in
     let sign_time = Sys.time () -. t0 in
+    let store = Sfs_core.Readonly.store ~clock snap in
     let t1 = Sys.time () in
     for _ = 1 to clients do
-      ignore (Sfs_core.Readonly.handle_request snap
-                (Sfs_proto.Readonly_proto.ro_request_to_string Sfs_proto.Readonly_proto.Get_fsinfo))
+      ignore (Sfs_core.Readonly.serve store
+                (Sfs_proto.Readonly_proto.ro_request_of_string
+                   (Sfs_proto.Readonly_proto.ro_request_to_string Sfs_proto.Readonly_proto.Get_fsinfo)))
     done;
     let serve_time = Sys.time () -. t1 in
     (sign_time, serve_time)

@@ -63,7 +63,6 @@ type mount = {
   m_agents : (int, Agent.t) Hashtbl.t; (* uid -> agent, for re-authentication *)
   mutable m_seqno : int;
   m_enc : Xdr.enc; (* every Fs_call is marshaled here, then sealed *)
-  m_readonly : bool;
 }
 
 type t = {
@@ -142,7 +141,7 @@ let decode_response (m : mount) (frame : Slice.t) : (Sfsrw.response, string) res
 
 (* A mount over [conn], before its cache and ops are set. *)
 let new_mount (path : Pathname.t) ~(conn : Simnet.conn) ~(channel : Channel.t)
-    ~(session_id : string) ~(readonly : bool) : mount =
+    ~(session_id : string) : mount =
   {
     m_path = path;
     m_session_id = session_id;
@@ -155,7 +154,6 @@ let new_mount (path : Pathname.t) ~(conn : Simnet.conn) ~(channel : Channel.t)
     m_agents = Hashtbl.create 4;
     m_seqno = 1;
     m_enc = Xdr.make_enc ();
-    m_readonly = readonly;
   }
 
 (* The one connect step of the read-write mount, every reconnection and
@@ -215,63 +213,57 @@ let authenticate ?local_uid (t : t) (m : mount) (agent : Agent.t) : int =
      normally the agent's own user, but ssu maps a super-user shell to
      an ordinary user's agent (paper footnote 2). *)
   let uid = Option.value local_uid ~default:(Agent.user agent).Simos.uid in
-  if not m.m_readonly then Hashtbl.replace m.m_agents uid agent;
+  Hashtbl.replace m.m_agents uid agent;
   match Hashtbl.find_opt m.m_authnos uid with
   | Some authno -> authno
   | None ->
-      if m.m_readonly then begin
-        Hashtbl.replace m.m_authnos uid Sfsrw.authno_anonymous;
-        Sfsrw.authno_anonymous
-      end
-      else begin
-        Obs.incr t.obs "client.auth_attempts";
-        Obs.span t.obs ~cat:"client" "authenticate" (fun () ->
-            let info =
-              {
-                Authproto.service = "FS";
-                location = Pathname.location m.m_path;
-                hostid = Pathname.hostid m.m_path;
-                session_id = m.m_session_id;
-              }
+      Obs.incr t.obs "client.auth_attempts";
+      Obs.span t.obs ~cat:"client" "authenticate" (fun () ->
+          let info =
+            {
+              Authproto.service = "FS";
+              location = Pathname.location m.m_path;
+              hostid = Pathname.hostid m.m_path;
+              session_id = m.m_session_id;
+            }
+          in
+          let base = m.m_seqno in
+          let msgs = Agent.sign_requests agent info ~seqno_of:(fun i -> base + i) in
+          m.m_seqno <- base + List.length msgs;
+          let mux = Rpc_mux.of_conn t.net ~proto:Costmodel.Tcp m.m_conn in
+          (* Only an explicit denial means "no": anything else — a
+             timeout, a MAC failure, a garbled reply — is a transport
+             fault on a now-poisoned channel, and silently degrading
+             to anonymous access would be wrong (the server would
+             apply the anonymous credential to every later call).
+             Propagate as Timeout; reconnection retries the whole
+             authentication over a fresh session. *)
+          let try_one i msg =
+            let req =
+              Sfsrw.Auth_req { seqno = base + i; authmsg = Authproto.authmsg_to_string msg }
             in
-            let base = m.m_seqno in
-            let msgs = Agent.sign_requests agent info ~seqno_of:(fun i -> base + i) in
-            m.m_seqno <- base + List.length msgs;
-            let mux = Rpc_mux.of_conn t.net ~proto:Costmodel.Tcp m.m_conn in
-            (* Only an explicit denial means "no": anything else — a
-               timeout, a MAC failure, a garbled reply — is a transport
-               fault on a now-poisoned channel, and silently degrading
-               to anonymous access would be wrong (the server would
-               apply the anonymous credential to every later call).
-               Propagate as Timeout; reconnection retries the whole
-               authentication over a fresh session. *)
-            let try_one i msg =
-              let req =
-                Sfsrw.Auth_req { seqno = base + i; authmsg = Authproto.authmsg_to_string msg }
-              in
-              let reply = Rpc_mux.call mux (Channel.seal m.m_channel (Sfsrw.request_to_string req)) in
-              let granted frame =
-                match decode_response m frame with
-                | Ok (Sfsrw.Auth_granted { authno; seqno }) when seqno = base + i -> Some authno
-                | Ok (Sfsrw.Auth_denied _) -> None
-                | Ok (Sfsrw.Auth_granted _ | Sfsrw.Fs_reply _ | Sfsrw.Proto_error _) | Error _ ->
-                    raise Simnet.Timeout
-              in
-              match Channel.open_with m.m_channel reply granted with
-              | Ok authno -> authno
-              | Error _ -> raise Simnet.Timeout
+            let reply = Rpc_mux.call mux (Channel.seal m.m_channel (Sfsrw.request_to_string req)) in
+            let granted frame =
+              match decode_response m frame with
+              | Ok (Sfsrw.Auth_granted { authno; seqno }) when seqno = base + i -> Some authno
+              | Ok (Sfsrw.Auth_denied _) -> None
+              | Ok (Sfsrw.Auth_granted _ | Sfsrw.Fs_reply _ | Sfsrw.Proto_error _) | Error _ ->
+                  raise Simnet.Timeout
             in
-            (* The first granted request wins; later ones are not sent. *)
-            let rec first i = function
-              | [] -> None
-              | msg :: rest -> ( match try_one i msg with Some _ as a -> a | None -> first (i + 1) rest)
-            in
-            let authno = first 0 msgs in
-            if authno <> None then Obs.incr t.obs "client.auth_granted";
-            let authno = Option.value authno ~default:Sfsrw.authno_anonymous in
-            Hashtbl.replace m.m_authnos uid authno;
-            authno)
-      end
+            match Channel.open_with m.m_channel reply granted with
+            | Ok authno -> authno
+            | Error _ -> raise Simnet.Timeout
+          in
+          (* The first granted request wins; later ones are not sent. *)
+          let rec first i = function
+            | [] -> None
+            | msg :: rest -> ( match try_one i msg with Some _ as a -> a | None -> first (i + 1) rest)
+          in
+          let authno = first 0 msgs in
+          if authno <> None then Obs.incr t.obs "client.auth_granted";
+          let authno = Option.value authno ~default:Sfsrw.authno_anonymous in
+          Hashtbl.replace m.m_authnos uid authno;
+          authno)
 
 (* --- Recovery --- *)
 
@@ -441,7 +433,7 @@ let mount (t : t) (path : Pathname.t) : (mount, mount_error) result =
           match dial_fs t path with
           | Error e -> Error e
           | Ok (conn, channel, session_id) -> (
-              let m = new_mount path ~conn ~channel ~session_id ~readonly:false in
+              let m = new_mount path ~conn ~channel ~session_id in
               (* The root handle is fetched in-band, encrypted.
                  Handles are stable across server restarts (Fhcrypt
                  keys derive from the server's key), so the root
@@ -470,32 +462,18 @@ let mount (t : t) (path : Pathname.t) : (mount, mount_error) result =
                   Ok m))
 
 (* Mount the read-only dialect of a pathname (used for certification
-   authorities).  No secure channel: integrity comes from the signed
-   root and the hash chain; the transport stays in the clear. *)
-let mount_readonly (t : t) (path : Pathname.t) : (mount, mount_error) result =
-  let name = Pathname.to_name path ^ ":ro" in
-  match Hashtbl.find_opt t.mounts name with
-  | Some m -> Ok m
-  | None ->
-      (* The connect step still verifies the HostID, but key
-         negotiation is skipped for the read-only dialect. *)
-      dial t path ~service:Keyneg.Fs_readonly (fun () conn call pubkey ->
-          let exchange bytes =
-            Simclock.advance t.clock Costmodel.userlevel_us_per_side;
-            call bytes
+   authorities).  No secure channel and no mount record: integrity comes
+   from the signed root and the hash chain, and the transport stays in
+   the clear.  The connect step still verifies the HostID. *)
+let mount_readonly (t : t) (path : Pathname.t) : (Fs_intf.ops, mount_error) result =
+  dial t path ~service:Keyneg.Fs_readonly (fun () _conn exchange pubkey ->
+      match Readonly.connect ?obs:t.obs ~exchange ~pubkey ~clock:t.clock () with
+      | exception Readonly.Verification_failed e -> Error (Negotiation_failed e)
+      | ro ->
+          let cache =
+            Cachefs.create ?obs:t.obs ~clock:t.clock ~policy:t.cache_policy (Readonly.ops ro)
           in
-          match Readonly.connect ?obs:t.obs ~exchange ~pubkey ~clock:t.clock () with
-          | exception Readonly.Verification_failed e -> Error (Negotiation_failed e)
-          | ro ->
-              let ops = Readonly.ops ro in
-              let cache = Cachefs.create ?obs:t.obs ~clock:t.clock ~policy:t.cache_policy ops in
-              let zero = String.make 20 '0' in
-              let channel = Channel.create ~encrypt:false ~send_key:zero ~recv_key:zero () in
-              let m = new_mount path ~conn ~channel ~session_id:"" ~readonly:true in
-              m.m_cache <- Some cache;
-              m.m_ops <- Some (Cachefs.ops cache);
-              Hashtbl.replace t.mounts name m;
-              Ok m)
+          Ok (Cachefs.ops cache))
 
 let ops (m : mount) : Fs_intf.ops =
   match m.m_ops with Some o -> o | None -> invalid_arg "Client.ops: mount not initialized"
@@ -510,7 +488,7 @@ let cache (m : mount) : Cachefs.t =
 let pending_invalidations (m : mount) : int = List.length !(m.m_invalidations)
 
 let unmount (t : t) (m : mount) : unit =
-  Hashtbl.remove t.mounts (Pathname.to_name m.m_path ^ if m.m_readonly then ":ro" else "");
+  Hashtbl.remove t.mounts (Pathname.to_name m.m_path);
   Fun.protect
     ~finally:(fun () -> Simnet.close m.m_conn)
     (fun () -> Option.iter Cachefs.flush_dirty m.m_cache)

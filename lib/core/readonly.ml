@@ -22,12 +22,10 @@
 
 open Sfs_nfs.Nfs_types
 module Ro = Sfs_proto.Readonly_proto
-module Keyneg = Sfs_proto.Keyneg
 module Rabin = Sfs_crypto.Rabin
 module Sha1 = Sfs_crypto.Sha1
 module Memfs = Sfs_nfs.Memfs
 module Simos = Sfs_os.Simos
-module Simnet = Sfs_net.Simnet
 module Simclock = Sfs_net.Simclock
 module Costmodel = Sfs_net.Costmodel
 module Obs = Sfs_obs.Obs
@@ -37,7 +35,7 @@ module Slice = Sfs_util.Slice
 (* --- Snapshot building --- *)
 
 type snapshot = {
-  store : (string, string) Hashtbl.t; (* hash -> marshaled object *)
+  store : (string, string) Hashtbl.t; (* hash -> Obj_is reply frame, built when hashed *)
   fsinfo : Ro.fsinfo;
   signature : string;
   memo : (int, int * Ro.entry_kind * string) Hashtbl.t;
@@ -58,19 +56,27 @@ type build = {
   mutable b_fresh : int;
 }
 
+(* The object inside a stored frame: its XDR length word follows the
+   reply tag, and its bytes follow that. *)
+let obj_length (frame : string) : int = Sfs_util.Bytesutil.int_of_be32 frame ~off:4
+let obj_view (frame : string) : Slice.t = Slice.make frame ~off:8 ~len:(obj_length frame)
+
+(* Marshal [o] as its reply frame and hash the object inside it: the
+   frame is the one copy the store keeps. *)
 let put (b : build) (o : Ro.obj) : string =
   Xdr.reset b.b_enc;
-  Ro.enc_obj b.b_enc o;
-  let bytes = Xdr.to_string b.b_enc in
-  let h = Sha1.digest bytes in
-  Hashtbl.replace b.b_store h bytes;
+  Ro.enc_obj_frame b.b_enc o;
+  let frame = Xdr.to_string b.b_enc in
+  let n = obj_length frame in
+  let h = Sha1.digest_sub frame ~off:8 ~len:n in
+  Hashtbl.replace b.b_store h frame;
   b.b_hashed <- b.b_hashed + 1;
-  b.b_fresh <- b.b_fresh + String.length bytes;
+  b.b_fresh <- b.b_fresh + n;
   h
 
 (* A leaf (file/symlink) is clean when the previous snapshot memoized
-   the same inode at the same content generation and still holds the
-   bytes: carry hash and bytes over without reading or hashing. *)
+   the same inode at the same content generation and still holds its
+   frame: carry hash and frame over without reading or hashing. *)
 let reuse_leaf (prev : snapshot option) (fs : Memfs.t) (id : int) : (Ro.entry_kind * string * string) option =
   match prev with
   | None -> None
@@ -78,7 +84,7 @@ let reuse_leaf (prev : snapshot option) (fs : Memfs.t) (id : int) : (Ro.entry_ki
       match (Hashtbl.find_opt p.memo id, Memfs.inode_gen fs id) with
       | Some (gen, kind, hash), Some gen' when gen = gen' -> (
           match Hashtbl.find_opt p.store hash with
-          | Some bytes -> Some (kind, hash, bytes)
+          | Some frame -> Some (kind, hash, frame)
           | None -> None)
       | _ -> None)
 
@@ -94,8 +100,8 @@ let rec snap_inode (fs : Memfs.t) ~(prev : snapshot option) (b : build) (cred : 
   | None -> None
   | Some (Memfs.Reg _ | Memfs.Symlink _) -> (
       match reuse_leaf prev fs id with
-      | Some (kind, hash, bytes) ->
-          Hashtbl.replace b.b_store hash bytes;
+      | Some (kind, hash, frame) ->
+          Hashtbl.replace b.b_store hash frame;
           memoize b fs id kind hash;
           b.b_reused <- b.b_reused + 1;
           Some (kind, hash)
@@ -165,34 +171,65 @@ let snapshot ?(serial = 1) ?prev ~(key : Rabin.priv) ~(now_s : int)
   | _ -> invalid_arg "Readonly.snapshot: root is not a directory"
 
 let snapshot_size (s : snapshot) : int =
-  Hashtbl.fold (fun _ bytes acc -> acc + String.length bytes) s.store 0
+  Hashtbl.fold (fun _ frame acc -> acc + obj_length frame) s.store 0
 
 let fsinfo (s : snapshot) : Ro.fsinfo = s.fsinfo
 let signature (s : snapshot) : string = s.signature
 let object_count (s : snapshot) : int = Hashtbl.length s.store
 let mem (s : snapshot) (h : string) : bool = Hashtbl.mem s.store h
-let fold_store (s : snapshot) (f : string -> string -> 'a -> 'a) (init : 'a) : 'a =
-  Hashtbl.fold f s.store init
+let fold_store (s : snapshot) (f : string -> Slice.t -> 'a -> 'a) (init : 'a) : 'a =
+  Hashtbl.fold (fun h frame acc -> f h (obj_view frame) acc) s.store init
 let reuse_stats (s : snapshot) : int * int = (s.sn_reused, s.sn_hashed)
 let fresh_bytes (s : snapshot) : int = s.sn_fresh_bytes
 
 (* --- Server ---
 
-   The server side is trivial by design: look up bytes, return them.
-   It never touches a private key; [serve] works from any replica.
-   An object reply is built once at its exact size from the stored
-   bytes (Ro.obj_frame).  The fan-out procedures are for mirrors
-   (Replica.mirror); a publisher's own snapshot refuses them. *)
+   The server side is trivial by design: look up a frame, send it.  It
+   never touches a private key, so any machine runs it: sfssd's
+   Fs_readonly service over its snapshot, and every mirror
+   (Replica.mirror) over what a publisher pushed. *)
 
-let handle_request (s : snapshot) (bytes : string) : string =
+type store = {
+  frames : (string, string) Hashtbl.t; (* hash -> Obj_is reply frame *)
+  mutable root : (Ro.fsinfo * string) option; (* the signed root and its Fsinfo_is reply frame *)
+  clock : Simclock.t;
+  obs : Obs.registry option;
+}
+
+let store ?obs ~(clock : Simclock.t) (s : snapshot) : store =
+  let root = Ro.Fsinfo_is { fsinfo = s.fsinfo; signature = s.signature } in
+  { frames = s.store; root = Some (s.fsinfo, Ro.ro_response_to_string root); clock; obs }
+
+(* Serving a reply costs a protection-boundary crossing plus a buffer
+   copy, no cryptography.  Charged inside the handler, so Simnet
+   attributes it to the serving host's run queue. *)
+let serve_cost (st : store) (bytes : int) : unit =
+  Simclock.advance st.clock
+    (Costmodel.userlevel_us_per_side +. (float_of_int bytes /. Costmodel.copy_bytes_per_us))
+
+(* Every client shares the stored frames, which is safe because strings
+   are immutable and a tampering wire rewrites a copy.  Fan-out
+   procedures are refused here: a mirror takes them before calling
+   [serve], and no client may push into sfssd's store. *)
+let serve (st : store) (req : (Ro.ro_request, string) result) : string =
   let reply r = Ro.ro_response_to_string r in
-  match Ro.ro_request_of_string bytes with
+  match req with
   | Result.Error e -> reply (Ro.Ro_error e)
-  | Ok Ro.Get_fsinfo -> reply (Ro.Fsinfo_is { fsinfo = s.fsinfo; signature = s.signature })
+  | Ok Ro.Get_fsinfo -> (
+      match st.root with
+      | None -> reply (Ro.Ro_error "no root published")
+      | Some (_, frame) ->
+          serve_cost st 64;
+          frame)
   | Ok (Ro.Get_obj h) -> (
-      match Hashtbl.find_opt s.store h with
-      | Some bytes -> Ro.obj_frame (Slice.of_string bytes)
-      | None -> reply (Ro.Ro_error "no such object"))
+      match Hashtbl.find_opt st.frames h with
+      | None -> reply (Ro.Ro_error "no such object")
+      | Some frame ->
+          let n = obj_length frame in
+          serve_cost st n;
+          Obs.incr st.obs "ro.serve.objs";
+          Obs.add st.obs "ro.serve.bytes" n;
+          frame)
   | Ok (Ro.Put_objs _ | Ro.Put_root _) -> reply (Ro.Ro_error "not a mirror")
 
 (* --- Verifying client --- *)
@@ -215,10 +252,12 @@ type client = {
    byte, the signature was already checked over exactly these bytes and
    only the clock has advanced, so the (expensive) Rabin verification
    is skipped; the validity-window and rollback checks always run —
-   they depend on the present, not on the bytes. *)
+   they depend on the present, not on the bytes.  Each exchange, here
+   and in [fetch], first pays the client's user-level crossing. *)
 let fetch_root ~(exchange : string -> string) ~(pubkey : Rabin.pub) ~(clock : Simclock.t)
     ~(min_serial : int) ~(cached : string option) :
     Ro.fsinfo * string * bool =
+  Simclock.advance clock Costmodel.userlevel_us_per_side;
   let raw = exchange (Ro.ro_request_to_string Ro.Get_fsinfo) in
   match Ro.ro_response_of_string raw with
   | Ok (Ro.Fsinfo_is { fsinfo; signature }) ->
@@ -272,6 +311,7 @@ let fetch (c : client) (h : string) : Ro.obj =
   | None -> (
       Xdr.reset c.enc;
       Ro.enc_ro_request c.enc (Ro.Get_obj h);
+      Simclock.advance c.clock Costmodel.userlevel_us_per_side;
       match Ro.obj_frame_view (c.exchange (Xdr.to_string c.enc)) with
       | Result.Error e -> raise (Verification_failed e)
       | Ok view -> (

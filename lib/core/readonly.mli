@@ -30,7 +30,7 @@ val snapshot :
     the rate of change, not the tree size. *)
 
 val snapshot_size : snapshot -> int
-(** Total marshaled bytes in the store. *)
+(** Total marshaled object bytes in the store. *)
 
 val fsinfo : snapshot -> Ro.fsinfo
 val signature : snapshot -> string
@@ -39,8 +39,9 @@ val object_count : snapshot -> int
 val mem : snapshot -> string -> bool
 (** Does the store hold this hash? *)
 
-val fold_store : snapshot -> (string -> string -> 'a -> 'a) -> 'a -> 'a
-(** Fold over (hash, marshaled bytes); order unspecified. *)
+val fold_store : snapshot -> (string -> Sfs_util.Slice.t -> 'a -> 'a) -> 'a -> 'a
+(** Fold over (hash, marshaled object); each object is a view into the
+    reply frame the store keeps for it.  Order unspecified. *)
 
 val reuse_stats : snapshot -> int * int
 (** [(reused, hashed)]: leaf objects carried over from [prev] versus
@@ -49,11 +50,28 @@ val reuse_stats : snapshot -> int * int
 val fresh_bytes : snapshot -> int
 (** Bytes actually hashed this publish — the publisher's SHA-1 bill. *)
 
-val handle_request : snapshot -> string -> string
-(** The entire server side: bytes in, bytes out, no cryptography.  An
-    object reply is built at its exact size from the stored bytes
-    ({!Ro.obj_frame}).  Fan-out procedures (Put_objs/Put_root) are
-    refused — they are for mirrors (see {!Replica.mirror}). *)
+(** {2 Serving} *)
+
+type store = {
+  frames : (string, string) Hashtbl.t;  (** hash -> [Obj_is] reply frame, sent as is *)
+  mutable root : (Ro.fsinfo * string) option;  (** the signed root and its reply frame *)
+  clock : Simclock.t;  (** the serving host's *)
+  obs : Sfs_obs.Obs.registry option;
+}
+(** What a read-only server answers from: a snapshot's ({!store}), or
+    what a publisher pushed to a mirror ({!Replica.mirror}). *)
+
+val store : ?obs:Sfs_obs.Obs.registry -> clock:Simclock.t -> snapshot -> store
+(** The snapshot's frames (shared, not copied) and its signed root. *)
+
+val serve_cost : store -> int -> unit
+(** Charge serving [n] bytes: a user-level crossing and a copy. *)
+
+val serve : store -> (Ro.ro_request, string) result -> string
+(** The whole server side: Get_fsinfo and Get_obj are answered with the
+    stored frames, charging {!serve_cost} and counting [ro.serve.objs]
+    and [ro.serve.bytes]; anything else, the fan-out procedures a mirror
+    takes first included, is a [Ro_error] reply. *)
 
 (** {2 Verifying client} *)
 
@@ -69,6 +87,7 @@ val connect :
   client
 (** Fetch and verify the signed root (signature, validity window).
     [cache_objs] bounds the verification cache (default 4096 objects).
+    Every exchange is first charged a user-level crossing on [clock].
     @raise Verification_failed otherwise. *)
 
 val fetch : client -> string -> Ro.obj

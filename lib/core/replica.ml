@@ -5,11 +5,12 @@
    key" — means the serving side can be replicated onto untrusted
    machines at will.  This module provides the two halves:
 
-   - A [mirror]: a dumb content-addressed byte store behind the wire
-     protocol.  It verifies nothing (it could not be trusted to), it
-     merely answers Get_fsinfo/Get_obj and accepts Put_objs/Put_root
-     pushes.  Clients re-verify every object against the hash chain, so
-     the worst a compromised mirror can do is fail to serve.
+   - A [mirror]: a dumb content-addressed store of reply frames behind
+     the wire protocol.  It verifies nothing (it could not be trusted
+     to): it accepts Put_objs/Put_root pushes and answers Get_fsinfo and
+     Get_obj through Readonly.serve, as sfssd does.  Clients re-verify
+     every object against the hash chain, so the worst a compromised
+     mirror can do is fail to serve.
 
    - A [publisher]: holds the file system and the private key, builds
      incremental snapshots (one Rabin signing per publish, SHA-1 only
@@ -38,90 +39,40 @@ let ro_port = 5
 
 (* --- Mirror --- *)
 
-type mirror = {
-  mi_store : (string, string) Hashtbl.t;
-      (* hash -> the Obj_is reply frame carrying the object, built once
-         when the object is pushed and sent as is to every client *)
-  mutable mi_fsinfo : Ro.fsinfo option;
-  mutable mi_signature : string;
-  mi_clock : Simclock.t;
-  mi_obs : Obs.registry option;
-  mutable mi_served_objs : int;
-  mutable mi_served_bytes : int;
-}
+(* A mirror is a read-only store that starts empty and adds the push
+   half to Readonly.serve; each pushed object is stored as its frame. *)
+type mirror = Readonly.store
 
 let mirror ?obs ~(clock : Simclock.t) () : mirror =
-  {
-    mi_store = Hashtbl.create 256;
-    mi_fsinfo = None;
-    mi_signature = "";
-    mi_clock = clock;
-    mi_obs = obs;
-    mi_served_objs = 0;
-    mi_served_bytes = 0;
-  }
+  { Readonly.frames = Hashtbl.create 256; root = None; clock; obs }
 
-(* Serving an object costs a protection-boundary crossing plus a buffer
-   copy — no cryptography.  Charged inside the handler, so Simnet
-   attributes it to the mirror host's run queue. *)
-let serve_cost (m : mirror) (bytes : int) : unit =
-  Simclock.advance m.mi_clock
-    (Costmodel.userlevel_us_per_side
-    +. (float_of_int bytes /. Costmodel.copy_bytes_per_us))
-
-(* The length of the object inside a stored frame: its XDR length
-   word, behind the reply tag. *)
-let obj_length (frame : string) : int = Sfs_util.Bytesutil.int_of_be32 frame ~off:4
-
-(* Serving an object is a lookup and a send: the stored frame is the
-   reply.  Every client shares that one string, which is safe because
-   strings are immutable and a tampering wire rewrites a copy. *)
 let handle (m : mirror) (bytes : string) : string =
   let reply r = Ro.ro_response_to_string r in
   match Ro.ro_request_of_string bytes with
-  | Result.Error e -> reply (Ro.Ro_error e)
-  | Ok Ro.Get_fsinfo -> (
-      match m.mi_fsinfo with
-      | None -> reply (Ro.Ro_error "no root published")
-      | Some fsinfo ->
-          serve_cost m 64;
-          reply (Ro.Fsinfo_is { fsinfo; signature = m.mi_signature }))
-  | Ok (Ro.Get_obj h) -> (
-      match Hashtbl.find_opt m.mi_store h with
-      | None -> reply (Ro.Ro_error "no such object")
-      | Some frame ->
-          let n = obj_length frame in
-          serve_cost m n;
-          m.mi_served_objs <- m.mi_served_objs + 1;
-          m.mi_served_bytes <- m.mi_served_bytes + n;
-          Obs.incr m.mi_obs "ro.serve.objs";
-          Obs.add m.mi_obs "ro.serve.bytes" n;
-          frame)
   | Ok (Ro.Put_objs objs) ->
       let total =
         List.fold_left
           (fun acc (h, o) ->
-            Hashtbl.replace m.mi_store h (Ro.obj_frame o);
+            Hashtbl.replace m.Readonly.frames h (Ro.obj_frame o);
             acc + Slice.length o)
           0 objs
       in
-      serve_cost m total;
+      Readonly.serve_cost m total;
       reply (Ro.Put_ok (List.length objs))
   | Ok (Ro.Put_root { fsinfo; signature; evict }) ->
       (* The root swap is what makes a push take effect atomically:
          until it lands, clients keep being served the old tree. *)
-      List.iter (Hashtbl.remove m.mi_store) evict;
-      m.mi_fsinfo <- Some fsinfo;
-      m.mi_signature <- signature;
-      serve_cost m 64;
+      List.iter (Hashtbl.remove m.Readonly.frames) evict;
+      m.Readonly.root <- Some (fsinfo, reply (Ro.Fsinfo_is { fsinfo; signature }));
+      Readonly.serve_cost m 64;
       reply (Ro.Put_ok (List.length evict))
+  | req -> Readonly.serve m req
 
 let attach (net : Simnet.t) (m : mirror) (host : Simnet.host) : unit =
   Simnet.listen net host ~port:ro_port (fun ~peer:_ -> handle m)
 
-let mirror_root (m : mirror) : Ro.fsinfo option = m.mi_fsinfo
-let mirror_objects (m : mirror) : int = Hashtbl.length m.mi_store
-let mirror_served (m : mirror) : int * int = (m.mi_served_objs, m.mi_served_bytes)
+let mirror_root (m : mirror) : Ro.fsinfo option = Option.map fst m.Readonly.root
+let mirror_objects (m : mirror) : int = Hashtbl.length m.Readonly.frames
 
 (* --- Publisher --- *)
 
@@ -235,8 +186,7 @@ let push_target (p : publisher) (snap : Readonly.snapshot) (t : target) : unit =
   in
   let missing =
     Readonly.fold_store snap
-      (fun h bytes acc ->
-        if Hashtbl.mem t.t_synced h then acc else (h, Slice.of_string bytes) :: acc)
+      (fun h obj acc -> if Hashtbl.mem t.t_synced h then acc else (h, obj) :: acc)
       []
   in
   (* Sort for canonical wire bytes: the store hashtable's fold order is

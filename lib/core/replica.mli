@@ -1,8 +1,9 @@
 (** Replica fan-out for the read-only dialect: untrusted mirrors served
     by a publisher that keeps the only copy of the private key.
 
-    A {!mirror} is a dumb content-addressed byte store — it verifies
-    nothing and holds no key material; clients verify every object
+    A {!mirror} is a dumb content-addressed store of reply frames,
+    served through {!Readonly.serve} as sfssd serves a snapshot — it
+    verifies nothing and holds no key material; clients verify every object
     against the hash chain ending at the signed root, so a compromised
     mirror can at worst refuse to serve.  A {!publisher} builds
     incremental signed snapshots (one Rabin signing per publish, SHA-1
@@ -38,9 +39,6 @@ val attach : Simnet.t -> mirror -> Simnet.host -> unit
 
 val mirror_root : mirror -> Ro.fsinfo option
 val mirror_objects : mirror -> int
-
-val mirror_served : mirror -> int * int
-(** [(objects, bytes)] served to clients so far. *)
 
 (** {2 Publisher} *)
 

@@ -31,6 +31,7 @@ module Channel = Sfs_proto.Channel
 module Authproto = Sfs_proto.Authproto
 module Sfsrw = Sfs_proto.Sfsrw
 module Lease = Sfs_proto.Lease
+module Ro = Sfs_proto.Readonly_proto
 module Xdr = Sfs_xdr.Xdr
 module Obs = Sfs_obs.Obs
 
@@ -61,7 +62,7 @@ type t = {
   authserv : Authserv.t; (* the local instance (serves the SRP service) *)
   auth : Authserv.backend; (* validation route: local instance or a shard ring *)
   allow_anonymous : bool; (* section 2.5: servers may refuse anonymous access *)
-  mutable readonly : Readonly.snapshot option;
+  mutable readonly : Readonly.store option; (* the snapshot Fs_readonly serves *)
   mutable revocation : Revocation.t option; (* served on connect when set *)
   mutable connections : int;
   (* Duplicate request cache for the read-write protocol, keyed by
@@ -333,7 +334,8 @@ let connection (t : t) ~(peer : string) : string -> string =
                              ~self_cert_path:(Pathname.to_string t.path))
                   | Keyneg.Fs_readonly -> (
                       match t.readonly with
-                      | Some snap -> sub := Some (Readonly.handle_request snap)
+                      | Some st ->
+                          sub := Some (fun bytes -> Readonly.serve st (Ro.ro_request_of_string bytes))
                       | None -> ()));
                   match (req.Keyneg.service, t.readonly) with
                   | Keyneg.Fs_readonly, None ->
@@ -388,7 +390,8 @@ let self_path (t : t) : Pathname.t = t.path
 let drc_entries (t : t) : int = Drc.length t.drc
 let leases (t : t) : Lease.t = t.leases
 
-let serve_readonly (t : t) (snap : Readonly.snapshot) : unit = t.readonly <- Some snap
+let serve_readonly (t : t) (snap : Readonly.snapshot) : unit =
+  t.readonly <- Some (Readonly.store ?obs:t.obs ~clock:t.clock snap)
 
 (* Revoke this server's own pathname: subsequent connections receive
    the self-authenticating certificate instead of service. *)

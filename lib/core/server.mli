@@ -51,7 +51,11 @@ val self_path : t -> Pathname.t
 (** The server's self-certifying pathname — everything a client needs. *)
 
 val serve_readonly : t -> Readonly.snapshot -> unit
-(** Also serve this signed snapshot to Fs_readonly connections. *)
+(** Also serve this signed snapshot to Fs_readonly connections made
+    from now on, through {!Readonly.serve} over the snapshot's stored
+    frames, as a mirror serves.  Serving is charged to this server's
+    host; the fan-out procedures a publisher sends a mirror are
+    refused, so no client can push into the store. *)
 
 val revoke : t -> Revocation.t
 (** Issue a revocation certificate for this server's own pathname and

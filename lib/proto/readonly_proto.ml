@@ -230,6 +230,10 @@ let obj_frame (o : Slice.t) : string =
   Bytes.fill b (8 + n) pad '\000';
   Bytes.unsafe_to_string b
 
+let enc_obj_frame (e : Xdr.enc) (o : obj) : unit =
+  Xdr.enc_uint32 e obj_is_tag;
+  Xdr.enc_nested e (fun e -> enc_obj e o)
+
 let obj_frame_view (frame : string) : (Slice.t, string) result =
   if String.length frame >= 4 && Int.equal (Sfs_util.Bytesutil.int_of_be32 frame ~off:0) obj_is_tag
   then

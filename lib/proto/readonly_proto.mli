@@ -16,7 +16,6 @@ type obj =
   | O_dir of entry list (** children by content hash *)
   | O_symlink of string
 
-val enc_obj : Xdr.enc -> obj -> unit
 (* sfslint: allow SL014 — the object encoder that the codec round trip and the mirror tests build objects with *)
 val obj_to_string : obj -> string
 
@@ -69,6 +68,11 @@ val obj_frame : Slice.t -> string
     [o], allocated once at its exact size: the bytes of
     [ro_response_to_string (Obj_is (Slice.to_string o))].  A server
     may build it once and send it to every client. *)
+
+val enc_obj_frame : Xdr.enc -> obj -> unit
+(** Marshals the [Obj_is] reply carrying [o] in place: the bytes of
+    [obj_frame (Slice.of_string (obj_to_string o))], with no
+    intermediate string. *)
 
 val obj_frame_view : string -> (Slice.t, string) result
 (** Decodes an object reply as a view of the marshaled object inside

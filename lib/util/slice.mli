@@ -10,6 +10,7 @@
 
 type t = private { base : string; off : int; len : int }
 
+(* sfslint: allow SL014 — the whole-string view the codec, channel and read-only tests build their views from *)
 val of_string : string -> t
 (** Whole-string view; allocation-free, and {!to_string} of it returns
     the original string, also allocation-free. *)

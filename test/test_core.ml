@@ -416,7 +416,11 @@ let test_handshake_errors () =
   | Error e -> Alcotest.fail (Sfskey.error_to_string e));
   (* The clean read-only mount still works, and holds its one slot. *)
   (match Client.mount_readonly w.client path with
-  | Ok _ -> Testkit.check_int "ro mount holds a slot" 1 (Simnet.host_active_conns w.host)
+  | Ok ops -> (
+      Testkit.check_int "ro mount holds a slot" 1 (Simnet.host_active_conns w.host);
+      match ops.Fs_intf.fs_getattr Simos.anonymous_cred ops.Fs_intf.fs_root with
+      | Ok attr -> Testkit.check_bool "verified root is a directory" true (attr.Nfs_types.ftype = Nfs_types.NF_DIR)
+      | Error e -> Alcotest.fail (Nfs_types.status_to_string e))
   | Error e -> Alcotest.fail (Client.mount_error_to_string e))
 
 let test_certification_path () =

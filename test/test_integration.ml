@@ -250,8 +250,13 @@ let test_readonly_end_to_end () =
   let now () = Nfs_types.time_of_us (Simclock.now_us s.clock) in
   ignore now;
   let snap = Readonly.snapshot ~key ~now_s:(Simclock.seconds s.clock) fs in
-  (* Served from an untrusted replica: a different machine, same
-     snapshot, same signing key — the client only cares about the key. *)
+  (* Served from a second machine running sfssd with the snapshot's
+     signing key.  It is not an untrusted replica: it holds the private
+     key and serves the read-write file system too.  Only sfssd answers
+     the connect step a self-certifying pathname needs, and sfssd cannot
+     run without a private key; the key-free mirrors (Replica) answer no
+     connect step, so their clients get the public key out of band
+     (Flashcrowd). *)
   let replica_auth = Authserv.create rng in
   let replica =
     Server.create s.net ~host:host2 ~location:"replica.example.com" ~key ~rng
@@ -261,8 +266,7 @@ let test_readonly_end_to_end () =
   let m = add_machine s "reader.example.com" in
   (match Client.mount_readonly m.sfscd (Server.self_path replica) with
   | Error e -> Alcotest.fail (Client.mount_error_to_string e)
-  | Ok mount ->
-      let ops = Client.ops mount in
+  | Ok ops ->
       let cred = Simos.anonymous_cred in
       let share, _ =
         match ops.Fs_intf.fs_lookup cred ~dir:ops.Fs_intf.fs_root "share" with

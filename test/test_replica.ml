@@ -15,8 +15,15 @@ module Readonly = Sfs_core.Readonly
 module Replica = Sfs_core.Replica
 module Vcache = Sfs_core.Vcache
 module Obs = Sfs_obs.Obs
+module Slice = Sfs_util.Slice
 
 let root_cred = Simos.cred_of_user Simos.root_user
+
+(* sfssd's read-only service over [snap] with no transport around it:
+   request bytes in, reply bytes out. *)
+let serve_snapshot (snap : Readonly.snapshot) : string -> string =
+  let st = Readonly.store ~clock:(Simclock.create ()) snap in
+  fun req -> Readonly.serve st (Ro.ro_request_of_string req)
 
 (* --- Vcache: bounded LRU over verified objects --- *)
 
@@ -173,7 +180,7 @@ let test_fanout_delta_and_evict () =
       | None -> Alcotest.fail "mirror lost its root")
     mirrors;
   (* A snapshot's own server refuses fan-out procedures. *)
-  let direct = Readonly.handle_request s2 (Ro.ro_request_to_string (Ro.Put_objs [])) in
+  let direct = serve_snapshot s2 (Ro.ro_request_to_string (Ro.Put_objs [])) in
   match Ro.ro_response_of_string direct with
   | Ok (Ro.Ro_error _) -> ()
   | _ -> Alcotest.fail "publisher-side server accepted a Put"
@@ -187,7 +194,7 @@ let test_refresh_skip_and_rollback () =
   let fs, _, f00 = mk_tree () in
   let s1 = Readonly.snapshot ~serial:1 ~key ~now_s:0 fs in
   let served = ref s1 in
-  let exchange bytes = Readonly.handle_request !served bytes in
+  let exchange bytes = serve_snapshot !served bytes in
   let c = Readonly.connect ~obs ~exchange ~pubkey:key.Rabin.pub ~clock () in
   Testkit.check_bool "connected on serial 1" true ((Readonly.current_fsinfo c).Ro.serial = 1);
   (* Same root, byte-identical reply: the Rabin verification is skipped
@@ -213,13 +220,9 @@ let test_refresh_skip_and_rollback () =
   | exception Readonly.Verification_failed _ -> ());
   Testkit.check_bool "client still on serial 2" true ((Readonly.current_fsinfo c).Ro.serial = 2)
 
-(* --- Tamper property: one flipped bit never surfaces through ops --- *)
+(* --- Fixed-input refusals: each check of the verifying client --- *)
 
-let flip_bit (s : string) (bit : int) : string =
-  let b = Bytes.of_string s in
-  let i = bit / 8 in
-  Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl (bit mod 8))));
-  Bytes.to_string b
+let alloc_key = lazy (Rabin.generate ~bits:512 (Prng.create [ "replica-test"; "alloc" ]))
 
 (* Shared fixture: key generation is too slow per-property-case. *)
 let tamper_fixture =
@@ -229,6 +232,67 @@ let tamper_fixture =
      let snap = Readonly.snapshot ~serial:1 ~key ~now_s:0 fs in
      (key, snap))
 
+(* A validly signed root under a key other than the one the client
+   holds is refused at connect. *)
+let test_root_other_key_refused () =
+  let key, snap = Lazy.force tamper_fixture in
+  let other = Lazy.force alloc_key in
+  Testkit.check_bool "the keys differ" false (Rabin.pub_equal key.Rabin.pub other.Rabin.pub);
+  match
+    Readonly.connect ~exchange:(serve_snapshot snap) ~pubkey:other.Rabin.pub
+      ~clock:(Simclock.create ()) ()
+  with
+  | _ -> Alcotest.fail "root signed by another key accepted"
+  | exception Readonly.Verification_failed e -> Testkit.check_string "reason" "bad root signature" e
+
+(* A root is good until its issue time plus a day, inclusive: a refresh
+   one second later is refused, although the reply is byte-identical to
+   the one verified at connect. *)
+let test_root_past_window_refused () =
+  let key, snap = Lazy.force tamper_fixture in
+  let clock = Simclock.create () in
+  let c = Readonly.connect ~exchange:(serve_snapshot snap) ~pubkey:key.Rabin.pub ~clock () in
+  let issued = (Readonly.fsinfo snap).Ro.issued_s in
+  Simclock.advance clock
+    ((float_of_int (issued + (24 * 3600)) *. 1_000_000.0) -. Simclock.now_us clock);
+  Readonly.refresh c;
+  Simclock.advance clock 1_000_000.0;
+  match Readonly.refresh c with
+  | () -> Alcotest.fail "root past its validity window accepted"
+  | exception Readonly.Verification_failed e ->
+      Testkit.check_string "reason" "stale snapshot (past validity window)" e
+
+(* Another valid object of the same snapshot, served under the
+   requested hash, is refused by fetch and is an I/O error through
+   ops. *)
+let test_substituted_object_refused () =
+  let key, snap = Lazy.force tamper_fixture in
+  let serve = serve_snapshot snap in
+  let hashes = List.sort compare (Readonly.fold_store snap (fun h _ acc -> h :: acc) []) in
+  let wanted = List.nth hashes 0 and other = List.nth hashes 1 in
+  let exchange req =
+    match Ro.ro_request_of_string req with
+    | Ok (Ro.Get_obj h) when h = wanted -> serve (Ro.ro_request_to_string (Ro.Get_obj other))
+    | _ -> serve req
+  in
+  let c = Readonly.connect ~exchange ~pubkey:key.Rabin.pub ~clock:(Simclock.create ()) () in
+  (match Readonly.fetch c wanted with
+  | _ -> Alcotest.fail "substituted object accepted by fetch"
+  | exception Readonly.Verification_failed e ->
+      Testkit.check_string "reason" "object does not match its hash" e);
+  match (Readonly.ops c).Sfs_nfs.Fs_intf.fs_getattr Simos.anonymous_cred wanted with
+  | Error Nfs_types.NFS3ERR_IO -> ()
+  | Error e -> Alcotest.fail (Nfs_types.status_to_string e)
+  | Ok _ -> Alcotest.fail "substituted object surfaced through ops"
+
+(* --- Tamper property: one flipped bit never surfaces through ops --- *)
+
+let flip_bit (s : string) (bit : int) : string =
+  let b = Bytes.of_string s in
+  let i = bit / 8 in
+  Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl (bit mod 8))));
+  Bytes.to_string b
+
 let prop_flipped_object_bit =
   QCheck.Test.make ~count:200 ~name:"flipped object bit raises Verification_failed"
     QCheck.(pair small_nat (int_range 0 1_000_000))
@@ -237,16 +301,16 @@ let prop_flipped_object_bit =
       let clock = Simclock.create () in
       (* Collect the store deterministically and pick a victim object. *)
       let objs =
-        List.sort compare (Readonly.fold_store snap (fun h bytes acc -> (h, bytes) :: acc) [])
+        List.sort compare
+          (Readonly.fold_store snap (fun h obj acc -> (h, Slice.to_string obj) :: acc) [])
       in
       let h, bytes = List.nth objs (pick mod List.length objs) in
       let bit = bit mod (String.length bytes * 8) in
       let tampered = flip_bit bytes bit in
       let exchange req =
         match Ro.ro_request_of_string req with
-        | Ok Ro.Get_fsinfo -> Readonly.handle_request snap req
         | Ok (Ro.Get_obj h') when h' = h -> Ro.ro_response_to_string (Ro.Obj_is tampered)
-        | Ok _ -> Readonly.handle_request snap req
+        | Ok _ -> serve_snapshot snap req
         | Result.Error e -> failwith e
       in
       let c = Readonly.connect ~exchange ~pubkey:key.Rabin.pub ~clock () in
@@ -273,13 +337,13 @@ let prop_flipped_root_bit =
     (fun bit ->
       let key, snap = Lazy.force tamper_fixture in
       let clock = Simclock.create () in
-      let genuine = Readonly.handle_request snap (Ro.ro_request_to_string Ro.Get_fsinfo) in
+      let genuine = serve_snapshot snap (Ro.ro_request_to_string Ro.Get_fsinfo) in
       let bit = bit mod (String.length genuine * 8) in
       let tampered = flip_bit genuine bit in
       let exchange req =
         match Ro.ro_request_of_string req with
         | Ok Ro.Get_fsinfo -> tampered
-        | _ -> Readonly.handle_request snap req
+        | _ -> serve_snapshot snap req
       in
       match Readonly.connect ~exchange ~pubkey:key.Rabin.pub ~clock () with
       | c ->
@@ -291,9 +355,9 @@ let prop_flipped_root_bit =
 
 (* --- Byte pins: every message of the read-only dialect ---
 
-   SHA-1s recorded before mirrors kept stored reply frames and before
-   [handle_request] built its frames at their exact size: serving from
-   a lookup must not move a wire byte. *)
+   SHA-1s recorded before mirrors and sfssd's read-only service served
+   stored reply frames: serving from a lookup must not move a wire
+   byte. *)
 
 let messages_sha1 (msgs : string list) : string =
   Sfs_util.Hex.encode
@@ -333,16 +397,12 @@ let test_reply_byte_pin () =
     [ Ro.Get_fsinfo; Ro.Put_objs []; Ro.Get_obj (String.make 20 '\000') ]
     @ List.map (fun h -> Ro.Get_obj h) hashes
   in
-  let served =
-    Readonly.handle_request snap "\255"
-    :: List.map (fun q -> Readonly.handle_request snap (Ro.ro_request_to_string q)) requests
-  in
-  Testkit.check_string "handle_request reply SHA-1" "c13c5bfab2221f2196c5d5fa7861253539ef8366"
+  let serve = serve_snapshot snap in
+  let served = serve "\255" :: List.map (fun q -> serve (Ro.ro_request_to_string q)) requests in
+  Testkit.check_string "sfssd read-only reply SHA-1" "c13c5bfab2221f2196c5d5fa7861253539ef8366"
     (messages_sha1 served)
 
 (* --- Serving from a lookup: exact-size frames, views, allocation --- *)
-
-module Slice = Sfs_util.Slice
 
 (* The exact-size frame is the generic codec's Obj_is reply, for every
    padding case (each case checks four consecutive lengths), also when
@@ -389,8 +449,6 @@ let write_8k (fs : Memfs.t) ~(dir : int) (name : string) (i : int) : unit =
   | Ok (ino, _) -> ignore (Memfs.write fs root_cred ino ~off:0 (file_8k i))
   | Error _ -> assert false
 
-let alloc_key = lazy (Rabin.generate ~bits:512 (Prng.create [ "replica-test"; "alloc" ]))
-
 (* Serving: a mirror's Get_obj is a lookup and a send. *)
 let test_mirror_serve_alloc () =
   let clock = Simclock.create () in
@@ -413,8 +471,9 @@ let test_mirror_serve_alloc () =
   Testkit.check_alloc_under "mirror Get_obj of 8 KB" ~bound:512 (fun () ->
       ignore (Sys.opaque_identity (handle req)));
   Testkit.check_bool "every client gets the stored frame" true (handle req == first);
-  Testkit.check_bool "served bytes count the object" true
-    (Replica.mirror_served m = (3, 3 * String.length obj))
+  Testkit.check_int "served objects counted" 3 (Obs.counter obs "ro.serve.objs");
+  Testkit.check_int "served bytes count the object" (3 * String.length obj)
+    (Obs.counter obs "ro.serve.bytes")
 
 (* Verifying: a vcache miss copies the file's bytes once. *)
 let test_fetch_miss_alloc () =
@@ -427,17 +486,14 @@ let test_fetch_miss_alloc () =
   let snap = Readonly.snapshot ~key ~now_s:0 fs in
   let h0 = Ro.hash_obj (Ro.O_file (file_8k 0)) and h1 = Ro.hash_obj (Ro.O_file (file_8k 1)) in
   (* Canned replies: the exchange itself allocates nothing. *)
+  let serve = serve_snapshot snap in
   let canned = Hashtbl.create 4 in
   List.iter
     (fun h ->
       let req = Ro.ro_request_to_string (Ro.Get_obj h) in
-      Hashtbl.replace canned req (Readonly.handle_request snap req))
+      Hashtbl.replace canned req (serve req))
     [ h0; h1 ];
-  let exchange req =
-    match Hashtbl.find_opt canned req with
-    | Some reply -> reply
-    | None -> Readonly.handle_request snap req
-  in
+  let exchange req = match Hashtbl.find_opt canned req with Some reply -> reply | None -> serve req in
   (* One cache slot: fetching the two files in turn misses every time. *)
   let c = Readonly.connect ~cache_objs:1 ~exchange ~pubkey:key.Rabin.pub ~clock () in
   List.iter (fun h -> ignore (Readonly.fetch c h)) [ h0; h1; h0; h1 ];
@@ -488,7 +544,9 @@ let test_corrupt_replies_leave_store () =
   let snap = Replica.publish p in
   Testkit.check_int "fan-out clean" 0
     (Replica.fan_out p [ Replica.target ~addr:"m0.test"; Replica.target ~addr:"m1.test" ]);
-  let objs = List.sort compare (Readonly.fold_store snap (fun h b acc -> (h, b) :: acc) []) in
+  let objs =
+    List.sort compare (Readonly.fold_store snap (fun h b acc -> (h, Slice.to_string b) :: acc) [])
+  in
   let conns =
     Array.mapi
       (fun m _ ->
@@ -550,6 +608,9 @@ let suite =
       Alcotest.test_case "incremental snapshot vs oracle" `Quick test_incremental_snapshot;
       Alcotest.test_case "fan-out delta and evict" `Quick test_fanout_delta_and_evict;
       Alcotest.test_case "refresh skip + rollback refusal" `Quick test_refresh_skip_and_rollback;
+      Alcotest.test_case "root signed by another key refused" `Quick test_root_other_key_refused;
+      Alcotest.test_case "root past its validity window refused" `Quick test_root_past_window_refused;
+      Alcotest.test_case "substituted object refused" `Quick test_substituted_object_refused;
       Alcotest.test_case "read-only reply byte pin" `Quick test_reply_byte_pin;
       Alcotest.test_case "obj_frame_view errors" `Quick test_obj_frame_view_errors;
       Alcotest.test_case "mirror Get_obj allocation" `Quick test_mirror_serve_alloc;

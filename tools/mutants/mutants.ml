@@ -91,6 +91,56 @@ let catalogue =
       killer = "core srp reflected payload refused";
     };
     {
+      name = "ro-root-signature";
+      file = "lib/core/readonly.ml";
+      old_text = "if not (Ro.verify_fsinfo pubkey fsinfo ~signature) then";
+      new_text = "if (ignore (Ro.verify_fsinfo pubkey fsinfo ~signature); false) then";
+      claim =
+        "section 2.4: a read-only client accepts a snapshot root only under the signature of the \
+         key its self-certifying pathname names";
+      killer = "replica root signed by another key refused";
+    };
+    {
+      name = "ro-validity-window";
+      file = "lib/core/readonly.ml";
+      old_text = "if now > fsinfo.Ro.issued_s + fsinfo.Ro.duration_s then";
+      new_text = "if (ignore (now > fsinfo.Ro.issued_s + fsinfo.Ro.duration_s); false) then";
+      claim =
+        "section 3.2: a signed root is stamped with a validity window, and a client refuses it \
+         once the window has passed";
+      killer = "replica root past its validity window refused";
+    };
+    {
+      name = "ro-rollback";
+      file = "lib/core/readonly.ml";
+      old_text = "if fsinfo.Ro.serial < min_serial then";
+      new_text = "if (ignore (fsinfo.Ro.serial < min_serial); false) then";
+      claim =
+        "section 3.2: a client never goes back to an older snapshot than one it already verified, \
+         even when the older root is validly signed and still inside its window";
+      killer = "replica refresh skip + rollback refusal";
+    };
+    {
+      name = "ro-root-skip";
+      file = "lib/core/readonly.ml";
+      old_text = "| Some prev -> Sfs_util.Bytesutil.ct_equal raw prev";
+      new_text = "| Some prev -> (ignore (Sfs_util.Bytesutil.ct_equal raw prev); true)";
+      claim =
+        "section 2.4: a client skips the signature check only for a root reply byte-identical to \
+         one it already verified; a new root is verified";
+      killer = "replica refresh skip + rollback refusal";
+    };
+    {
+      name = "ro-object-hash";
+      file = "lib/core/readonly.ml";
+      old_text = "if not (Sfs_util.Bytesutil.ct_equal digest h) then begin";
+      new_text = "if (ignore (Sfs_util.Bytesutil.ct_equal digest h); false) then begin";
+      claim =
+        "sections 2.4, 3.2: a client accepts an object only if it hashes to the hash that named \
+         it, so an untrusted replica can refuse to serve but never lie";
+      killer = "replica substituted object refused";
+    };
+    {
       name = "client-hostid-check";
       file = "lib/proto/keyneg.ml";
       old_text = "not (Hostid.check ~location ~pubkey ~hostid)";
