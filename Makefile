@@ -89,11 +89,11 @@ soak-sample: build
 	dune exec --no-build tools/soak/soak.exe -- --plans 5 --sha $$(git rev-parse HEAD)
 
 # Security mutants (tools/mutants): apply each catalogue entry to a
-# fresh copy of the tree under $TMPDIR, run `dune build && dune
+# fresh copy of the tree under $TMPDIR, run `dune build`, then `dune
 # runtest` there, and write mutants-report.json (killed, survived or
 # broken, and the tests that failed).  Not tier-1: every mutant
 # rebuilds the tree from scratch.  Exits 1 if any mutant survives or
-# breaks the build.
+# does not compile.
 mutants: build
 	dune exec --no-build tools/mutants/main.exe -- --report mutants-report.json
 

@@ -953,30 +953,17 @@ let crypto () =
 
 (* --- JSON output (stable key order, no dependencies) --- *)
 
-let json_escape (s : string) : string =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let json_of_fig (fo : fig_out) : string =
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf (Printf.sprintf "{\"figure\":\"%s\",\"headers\":[" (json_escape fo.fo_name));
+  Buffer.add_string buf (Printf.sprintf "{\"figure\":\"%s\",\"headers\":[" (Obs.json_escape fo.fo_name));
   Buffer.add_string buf
-    (String.concat "," (List.map (fun h -> Printf.sprintf "\"%s\"" (json_escape h)) fo.fo_headers));
+    (String.concat "," (List.map (fun h -> Printf.sprintf "\"%s\"" (Obs.json_escape h)) fo.fo_headers));
   Buffer.add_string buf "],\"rows\":[";
   Buffer.add_string buf
     (String.concat ","
        (List.map
           (fun (label, values) ->
-            Printf.sprintf "{\"system\":\"%s\",\"values\":[%s]}" (json_escape label)
+            Printf.sprintf "{\"system\":\"%s\",\"values\":[%s]}" (Obs.json_escape label)
               (String.concat "," (List.map (fun v -> Printf.sprintf "%.3f" v) values)))
           fo.fo_rows));
   Buffer.add_string buf "],\"counters\":{";
@@ -985,10 +972,10 @@ let json_of_fig (fo : fig_out) : string =
        (List.map
           (fun (label, reg) ->
             let snap = Obs.snapshot reg in
-            Printf.sprintf "\"%s\":{%s}" (json_escape label)
+            Printf.sprintf "\"%s\":{%s}" (Obs.json_escape label)
               (String.concat ","
                  (List.map
-                    (fun (n, v) -> Printf.sprintf "\"%s\":%d" (json_escape n) v)
+                    (fun (n, v) -> Printf.sprintf "\"%s\":%d" (Obs.json_escape n) v)
                     snap.Obs.snap_counters)))
           fo.fo_regs));
   Buffer.add_string buf "}";

@@ -21,7 +21,6 @@ module Simos = Sfs_os.Simos
 module Simnet = Sfs_net.Simnet
 module Simclock = Sfs_net.Simclock
 module Costmodel = Sfs_net.Costmodel
-module Rpc_mux = Sfs_net.Rpc_mux
 module Rabin = Sfs_crypto.Rabin
 module Prng = Sfs_crypto.Prng
 module Keyneg = Sfs_proto.Keyneg
@@ -46,22 +45,27 @@ let mount_error_to_string = function
   | Revoked None -> "server sent an invalid revocation certificate"
   | Negotiation_failed e -> "key negotiation failed: " ^ e
 
-(* Channel, connection and session identity are mutable: when the
-   secure channel desyncs (MAC failure, server restart, dead TCP
-   connection) the client tears the transport down and renegotiates in
-   place, keeping the mount — and every [Fs_intf.ops] closure handed
-   out — valid across the swap. *)
+(* One connection to sfssd and everything it carries; a reconnection
+   swaps in a fresh one whole. *)
+type session = {
+  conn : Simnet.conn;
+  exchange : string -> string; (* the dial's handshake mux *)
+  channel : Channel.t;
+  session_id : string;
+  mutable seqno : int; (* the next authentication sequence number *)
+  authnos : (int, int) Hashtbl.t; (* uid -> authno *)
+  mutable invalidations : fh list; (* banked callbacks, not yet drained *)
+}
+
+(* When the secure channel desyncs (MAC failure, server restart, dead
+   TCP connection) the client swaps in a fresh session, keeping the
+   mount — and every [Fs_intf.ops] closure handed out — valid. *)
 type mount = {
   m_path : Pathname.t;
-  mutable m_session_id : string;
-  mutable m_channel : Channel.t;
-  mutable m_conn : Simnet.conn;
-  m_invalidations : fh list ref;
+  mutable m_session : session;
   mutable m_cache : Cachefs.t option; (* None only during mount setup *)
   mutable m_ops : Fs_intf.ops option; (* cache-wrapped, what users consume *)
-  m_authnos : (int, int) Hashtbl.t; (* uid -> authno; reset on reconnect *)
   m_agents : (int, Agent.t) Hashtbl.t; (* uid -> agent, for re-authentication *)
-  mutable m_seqno : int;
   m_enc : Xdr.enc; (* every Fs_call is marshaled here, then sealed *)
 }
 
@@ -133,56 +137,31 @@ let decode_response (m : mount) (frame : Slice.t) : (Sfsrw.response, string) res
   | Ok r ->
       (match r with
       | Sfsrw.Fs_reply { invalidations; _ } ->
-          m.m_invalidations := !(m.m_invalidations) @ invalidations
+          let s = m.m_session in
+          s.invalidations <- s.invalidations @ invalidations
       | Sfsrw.Auth_granted _ | Sfsrw.Auth_denied _ | Sfsrw.Proto_error _ -> ());
       Ok r
 
 (* --- Mounting --- *)
 
-(* A mount over [conn], before its cache and ops are set. *)
-let new_mount (path : Pathname.t) ~(conn : Simnet.conn) ~(channel : Channel.t)
-    ~(session_id : string) : mount =
-  {
-    m_path = path;
-    m_session_id = session_id;
-    m_channel = channel;
-    m_conn = conn;
-    m_invalidations = ref [];
-    m_cache = None;
-    m_ops = None;
-    m_authnos = Hashtbl.create 4;
-    m_agents = Hashtbl.create 4;
-    m_seqno = 1;
-    m_enc = Xdr.make_enc ();
-  }
-
-(* The one connect step of the read-write mount, every reconnection and
-   the read-only mount: dial, name [service], and hand [session] the
-   connection, its handshake exchange and the served key.  [session ()]
-   runs before the connect step, so a read-write session draws K_C
-   whatever the server answers.  Any failure closes the connection; a
+(* The one dial of the read-write mount, every reconnection and the
+   read-only mount, then [session] over the connection, its handshake
+   exchange and the served key.  Any failure closes the connection; a
    refused dial, a crash window or a lost message is [Host_unreachable]. *)
 let dial (t : t) (path : Pathname.t) ~(service : Keyneg.service)
-    (session : unit -> Simnet.conn -> (string -> string) -> Rabin.pub -> ('a, mount_error) result) :
+    (session : Simnet.conn -> (string -> string) -> Rabin.pub -> ('a, mount_error) result) :
     ('a, mount_error) result =
   let location = Pathname.location path in
+  let extensions = if service = Keyneg.Fs && not t.encrypt then [ "no-encrypt" ] else [] in
   match
-    Simnet.connect t.net ~from_host:t.from_host ~addr:location ~port:Server.sfs_port
-      ~proto:Costmodel.Tcp
+    Keyneg.dial t.net ~from_host:t.from_host ~location ~hostid:(Pathname.hostid path) ~service
+      ~extensions
   with
-  | exception (Simnet.No_route _ | Simnet.Timeout) -> Error (Host_unreachable location)
-  | conn -> (
-      let session = session () in
-      let exchange = Rpc_mux.call (Rpc_mux.of_conn t.net ~proto:Costmodel.Tcp conn) in
-      let extensions = if service = Keyneg.Fs && not t.encrypt then [ "no-encrypt" ] else [] in
-      let connected () =
-        let hostid = Pathname.hostid path in
-        match Keyneg.connect ~location ~hostid ~service ~extensions exchange with
-        | Error (Keyneg.Refused e) -> Error (Negotiation_failed e)
-        | Error (Keyneg.Revoked cert) -> Error (Revoked (Revocation.cert_for path cert))
-        | Ok server_pub -> session conn exchange server_pub
-      in
-      match connected () with
+  | Error Keyneg.Unreachable -> Error (Host_unreachable location)
+  | Error (Keyneg.Refused e) -> Error (Negotiation_failed e)
+  | Error (Keyneg.Revoked cert) -> Error (Revoked (Revocation.cert_for path cert))
+  | Ok (conn, exchange, server_pub) -> (
+      match session conn exchange server_pub with
       | Ok _ as ok -> ok
       | Error _ as e ->
           Simnet.close conn;
@@ -191,12 +170,12 @@ let dial (t : t) (path : Pathname.t) ~(service : Keyneg.service)
           Simnet.close conn;
           Error (Host_unreachable location))
 
-(* A read-write session: the connect step, then the key-halves
-   exchange and the secure channel over its keys. *)
-let dial_fs (t : t) (path : Pathname.t) : (Simnet.conn * Channel.t * string, mount_error) result =
-  dial t path ~service:Keyneg.Fs (fun () ->
-      let temp_key = temp_key t in
-      fun conn exchange server_pub ->
+(* A read-write session: K_C, drawn before the dial whatever the server
+   answers, then the key-halves exchange and the secure channel over its
+   keys. *)
+let dial_fs (t : t) (path : Pathname.t) : (session, mount_error) result =
+  let temp_key = temp_key t in
+  dial t path ~service:Keyneg.Fs (fun conn exchange server_pub ->
       match Keyneg.negotiate ~rng:t.rng ~temp_key ~server_pub exchange with
       | Error e -> Error (Negotiation_failed e)
       | Ok keys ->
@@ -204,7 +183,9 @@ let dial_fs (t : t) (path : Pathname.t) : (Simnet.conn * Channel.t * string, mou
             Channel.create ~encrypt:t.encrypt ~clock:t.clock ?obs:t.obs
               ~label:"client" ~send_key:keys.Keyneg.kcs ~recv_key:keys.Keyneg.ksc ()
           in
-          Ok (conn, channel, keys.Keyneg.session_id))
+          Ok
+            { conn; exchange; channel; session_id = keys.Keyneg.session_id; seqno = 1;
+              authnos = Hashtbl.create 4; invalidations = [] })
 
 (* --- User authentication (Figure 4, client and agent side) --- *)
 
@@ -214,7 +195,8 @@ let authenticate ?local_uid (t : t) (m : mount) (agent : Agent.t) : int =
      an ordinary user's agent (paper footnote 2). *)
   let uid = Option.value local_uid ~default:(Agent.user agent).Simos.uid in
   Hashtbl.replace m.m_agents uid agent;
-  match Hashtbl.find_opt m.m_authnos uid with
+  let s = m.m_session in
+  match Hashtbl.find_opt s.authnos uid with
   | Some authno -> authno
   | None ->
       Obs.incr t.obs "client.auth_attempts";
@@ -224,13 +206,12 @@ let authenticate ?local_uid (t : t) (m : mount) (agent : Agent.t) : int =
               Authproto.service = "FS";
               location = Pathname.location m.m_path;
               hostid = Pathname.hostid m.m_path;
-              session_id = m.m_session_id;
+              session_id = s.session_id;
             }
           in
-          let base = m.m_seqno in
+          let base = s.seqno in
           let msgs = Agent.sign_requests agent info ~seqno_of:(fun i -> base + i) in
-          m.m_seqno <- base + List.length msgs;
-          let mux = Rpc_mux.of_conn t.net ~proto:Costmodel.Tcp m.m_conn in
+          s.seqno <- base + List.length msgs;
           (* Only an explicit denial means "no": anything else — a
              timeout, a MAC failure, a garbled reply — is a transport
              fault on a now-poisoned channel, and silently degrading
@@ -242,7 +223,7 @@ let authenticate ?local_uid (t : t) (m : mount) (agent : Agent.t) : int =
             let req =
               Sfsrw.Auth_req { seqno = base + i; authmsg = Authproto.authmsg_to_string msg }
             in
-            let reply = Rpc_mux.call mux (Channel.seal m.m_channel (Sfsrw.request_to_string req)) in
+            let reply = s.exchange (Channel.seal s.channel (Sfsrw.request_to_string req)) in
             let granted frame =
               match decode_response m frame with
               | Ok (Sfsrw.Auth_granted { authno; seqno }) when seqno = base + i -> Some authno
@@ -250,7 +231,7 @@ let authenticate ?local_uid (t : t) (m : mount) (agent : Agent.t) : int =
               | Ok (Sfsrw.Auth_granted _ | Sfsrw.Fs_reply _ | Sfsrw.Proto_error _) | Error _ ->
                   raise Simnet.Timeout
             in
-            match Channel.open_with m.m_channel reply granted with
+            match Channel.open_with s.channel reply granted with
             | Ok authno -> authno
             | Error _ -> raise Simnet.Timeout
           in
@@ -262,27 +243,21 @@ let authenticate ?local_uid (t : t) (m : mount) (agent : Agent.t) : int =
           let authno = first 0 msgs in
           if authno <> None then Obs.incr t.obs "client.auth_granted";
           let authno = Option.value authno ~default:Sfsrw.authno_anonymous in
-          Hashtbl.replace m.m_authnos uid authno;
+          Hashtbl.replace s.authnos uid authno;
           authno)
 
 (* --- Recovery --- *)
 
-(* Tear the mount's transport down and renegotiate in place: fresh
-   connection, fresh channel, fresh session id.  Volatile server state
-   (leases, authnos) died with the old session, so the attribute cache
-   is flushed and every known agent re-authenticates against the new
-   session id. *)
+(* Close the mount's session and swap in a freshly negotiated one.
+   Volatile server state (leases, authnos) died with the old session,
+   so the attribute cache is flushed and every known agent
+   re-authenticates against the new session id. *)
 let reconnect (t : t) (m : mount) : (unit, mount_error) result =
-  Simnet.close m.m_conn;
+  Simnet.close m.m_session.conn;
   match dial_fs t m.m_path with
   | Error err -> Error err
-  | Ok (conn, channel, session_id) ->
-      m.m_conn <- conn;
-      m.m_channel <- channel;
-      m.m_session_id <- session_id;
-      m.m_seqno <- 1;
-      Hashtbl.reset m.m_authnos;
-      m.m_invalidations := [];
+  | Ok session ->
+      m.m_session <- session;
       (match m.m_cache with
       | Some cache ->
           Cachefs.invalidate_all cache;
@@ -290,7 +265,7 @@ let reconnect (t : t) (m : mount) : (unit, mount_error) result =
       | None -> ());
       Obs.incr t.obs "recover.reconnect";
       (* Deterministic order: snapshot and sort by uid (re-running
-         authentication mutates m_authnos under our feet otherwise). *)
+         authentication mutates m_agents under our feet otherwise). *)
       let agents =
         Hashtbl.fold (fun uid a acc -> (uid, a) :: acc) m.m_agents []
         |> List.sort (fun (a, _) (b, _) -> compare (a : int) b)
@@ -298,7 +273,7 @@ let reconnect (t : t) (m : mount) : (unit, mount_error) result =
       (* A transport fault mid-authentication means the fresh channel
          is already dead: close it and report the reconnect as failed
          so the caller backs off and dials again.  The close matters —
-         leaving a live channel behind with m_authnos empty would let
+         leaving a live channel behind with no authnos would let
          the next attempt run silently downgraded to anonymous
          access. *)
       match
@@ -310,7 +285,7 @@ let reconnect (t : t) (m : mount) : (unit, mount_error) result =
       with
       | () -> Ok ()
       | exception Simnet.Timeout ->
-          Simnet.close m.m_conn;
+          Simnet.close session.conn;
           Error (Host_unreachable (Pathname.location m.m_path))
 
 (* --- The read-write data path ---
@@ -332,8 +307,9 @@ let reconnect (t : t) (m : mount) : (unit, mount_error) result =
    charged. *)
 let frame (t : t) (m : mount) ~(xid : int) ~(ctx : Obs.ctx option) ~(cred : Simos.cred)
     ~(overlapped : bool) (call : Nfs_client.call) (args : Xdr.enc -> unit) : string * float * int =
+  let { authnos; channel; _ } = m.m_session in
   let authno =
-    match Hashtbl.find_opt m.m_authnos cred.Simos.cred_uid with
+    match Hashtbl.find_opt authnos cred.Simos.cred_uid with
     | Some a -> a
     | None -> Sfsrw.authno_anonymous
   in
@@ -342,18 +318,18 @@ let frame (t : t) (m : mount) ~(xid : int) ~(ctx : Obs.ctx option) ~(cred : Simo
   Xdr.reset m.m_enc;
   Sfsrw.enc_fs_call m.m_enc ~xid ~authno ~proc ~trace ~span args;
   let len = Xdr.length m.m_enc in
-  let full = Channel.crypto_cost_us m.m_channel len in
+  let full = Channel.crypto_cost_us channel len in
   if overlapped then begin
     Simclock.advance t.clock
       (Costmodel.async_userlevel_factor *. (2.0 *. Costmodel.userlevel_us_per_side));
-    let wire = Channel.seal_bytes ~bill:false m.m_channel (Xdr.buffer m.m_enc) ~len in
+    let wire = Channel.seal_bytes ~bill:false channel (Xdr.buffer m.m_enc) ~len in
     let crypto_up = Costmodel.async_crypto_factor *. full in
     Simclock.advance t.clock crypto_up;
     (wire, crypto_up, int_of_float full)
   end
   else begin
     Simclock.advance t.clock Costmodel.userlevel_us_per_side;
-    (Channel.seal_bytes m.m_channel (Xdr.buffer m.m_enc) ~len, full, int_of_float full)
+    (Channel.seal_bytes channel (Xdr.buffer m.m_enc) ~len, full, int_of_float full)
   end
 
 (* Open a reply in the channel's frame buffer and hand its NFS results
@@ -380,12 +356,12 @@ let open_reply (t : t) (m : mount) ~(readahead : bool) (decode : Slice.t -> 'a) 
           (* Of the measured server time, the reply seal — attributed
              to the down direction so the analyzer never
              double-counts full-duplex crypto overlap. *)
-          crypto_us = Channel.crypto_cost_us m.m_channel (Slice.length frame);
-          claim_us = (if readahead then Channel.take_recv_claim m.m_channel else 0.0);
+          crypto_us = Channel.crypto_cost_us m.m_session.channel (Slice.length frame);
+          claim_us = (if readahead then Channel.take_recv_claim m.m_session.channel else 0.0);
         }
   in
   fun ~request:_ reply ->
-    match Channel.open_with m.m_channel reply opened with
+    match Channel.open_with m.m_session.channel reply opened with
     | Ok o -> o
     | Error e ->
         let counter, why =
@@ -401,13 +377,13 @@ let open_reply (t : t) (m : mount) ~(readahead : bool) (decode : Slice.t -> 'a) 
    reconnects first and re-seals under the same xid. *)
 let transport (t : t) (m : mount) : Nfs_client.transport =
   {
-    Nfs_client.conn = (fun () -> m.m_conn);
+    Nfs_client.conn = (fun () -> m.m_session.conn);
     proto = Costmodel.Tcp;
     verbatim = false;
     frame = frame t m;
     open_reply = (fun ~readahead decode -> open_reply t m ~readahead decode);
     op_us = Costmodel.pipeline_sfs_op_us;
-    precompute = Some (fun ~budget_us -> Channel.precompute m.m_channel ~budget_us);
+    precompute = Some (fun ~budget_us -> Channel.precompute m.m_session.channel ~budget_us);
     before_retry =
       (fun () ->
         match reconnect t m with
@@ -432,8 +408,11 @@ let mount (t : t) (path : Pathname.t) : (mount, mount_error) result =
         (fun () ->
           match dial_fs t path with
           | Error e -> Error e
-          | Ok (conn, channel, session_id) -> (
-              let m = new_mount path ~conn ~channel ~session_id in
+          | Ok session -> (
+              let m =
+                { m_path = path; m_session = session; m_cache = None; m_ops = None;
+                  m_agents = Hashtbl.create 4; m_enc = Xdr.make_enc () }
+              in
               (* The root handle is fetched in-band, encrypted.
                  Handles are stable across server restarts (Fhcrypt
                  keys derive from the server's key), so the root
@@ -443,14 +422,15 @@ let mount (t : t) (path : Pathname.t) : (mount, mount_error) result =
                   ~readahead:t.readahead ~cred:Simos.anonymous_cred t.net (transport t m)
               with
               | exception Nfs_client.Rpc_failure e ->
-                  Simnet.close m.m_conn;
+                  Simnet.close m.m_session.conn;
                   Error (Negotiation_failed e)
               | ops, pipeline ->
                   let cache =
                     Cachefs.create
                       ~take_invalidations:(fun () ->
-                        let inv = !(m.m_invalidations) in
-                        m.m_invalidations := [];
+                        let s = m.m_session in
+                        let inv = s.invalidations in
+                        s.invalidations <- [];
                         inv)
                       ?obs:t.obs ?pipeline
                       ~write_behind:(t.rpc_window > 1)
@@ -466,7 +446,7 @@ let mount (t : t) (path : Pathname.t) : (mount, mount_error) result =
    from the signed root and the hash chain, and the transport stays in
    the clear.  The connect step still verifies the HostID. *)
 let mount_readonly (t : t) (path : Pathname.t) : (Fs_intf.ops, mount_error) result =
-  dial t path ~service:Keyneg.Fs_readonly (fun () _conn exchange pubkey ->
+  dial t path ~service:Keyneg.Fs_readonly (fun _conn exchange pubkey ->
       match Readonly.connect ?obs:t.obs ~exchange ~pubkey ~clock:t.clock () with
       | exception Readonly.Verification_failed e -> Error (Negotiation_failed e)
       | ro ->
@@ -485,19 +465,19 @@ let cache (m : mount) : Cachefs.t =
    the cache (drains happen on the next cache consult).  The fleet
    reconciliation sums this leftover so server-sent == client-received
    holds exactly at quiesce. *)
-let pending_invalidations (m : mount) : int = List.length !(m.m_invalidations)
+let pending_invalidations (m : mount) : int = List.length m.m_session.invalidations
 
 let unmount (t : t) (m : mount) : unit =
   Hashtbl.remove t.mounts (Pathname.to_name m.m_path);
   Fun.protect
-    ~finally:(fun () -> Simnet.close m.m_conn)
+    ~finally:(fun () -> Simnet.close m.m_session.conn)
     (fun () -> Option.iter Cachefs.flush_dirty m.m_cache)
 
 (* Adversary-side helper for the attack demo and tests: deliver raw
    bytes on the mount's connection as a network attacker would
    (replay).  Reports whether the server's channel accepted them. *)
 let inject_raw (m : mount) (bytes : string) : (string, string) result =
-  match Simnet.inject m.m_conn bytes with
+  match Simnet.inject m.m_session.conn bytes with
   | reply -> Ok reply
   | exception Simnet.Timeout ->
       (* The server's channel rejected the bytes and killed the

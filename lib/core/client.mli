@@ -62,9 +62,11 @@ val create :
     channel and cache are instrumented too ([channel.client.*],
     [cache.*]).
 
-    Key negotiation, authentication and read-only fetches ride one
-    {!Sfs_net.Rpc_mux.of_conn} per exchange sequence, priced as one
-    serial round trip.  Every reply on the secure channel is opened
+    Every connection to sfssd comes from {!Sfs_proto.Keyneg.dial}, and
+    key negotiation, authentication and read-only fetches ride the one
+    window-1 mux it builds, each exchange priced as one serial round
+    trip; a reconnection replaces the whole session.  Every reply on
+    the secure channel is opened
     into the channel's reused frame buffer with
     {!Sfs_proto.Channel.open_with} and decoded there by
     {!Sfs_proto.Sfsrw.response_of_slice}: a serial or write-behind call

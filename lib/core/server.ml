@@ -35,8 +35,6 @@ module Ro = Sfs_proto.Readonly_proto
 module Xdr = Sfs_xdr.Xdr
 module Obs = Sfs_obs.Obs
 
-let sfs_port = 4
-
 (* A duplicate-request-cache entry: the procedure, the arguments, the
    credentials the call ran under, and the marshaled reply plaintext,
    the first [d_len] bytes of [d_reply] — the very bytes that were
@@ -372,7 +370,7 @@ let create ?(allow_anonymous = true) ?auth_backend
       obs;
     }
   in
-  Simnet.listen net host ~port:sfs_port (fun ~peer -> connection t ~peer);
+  Simnet.listen net host ~port:Keyneg.sfs_port (fun ~peer -> connection t ~peer);
   t
 
 (* A simulated crash/restart: every piece of volatile per-connection

@@ -9,9 +9,6 @@ module Rabin = Sfs_crypto.Rabin
 module Prng = Sfs_crypto.Prng
 module Fs_intf = Sfs_nfs.Fs_intf
 
-val sfs_port : int
-(** 4, as deployed SFS used. *)
-
 type t
 
 val create :
@@ -27,7 +24,7 @@ val create :
   authserv:Authserv.t ->
   unit ->
   t
-(** Registers the listener on {!sfs_port}.  [backend] is the NFS
+(** Registers the listener on {!Sfs_proto.Keyneg.sfs_port}.  [backend] is the NFS
     backend (in deployment, an NFS server on the same machine reached
     over loopback).  Attributes carry {!Sfs_proto.Lease.lease_s}
     leases.  [allow_anonymous] (default true) controls whether

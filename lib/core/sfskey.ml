@@ -16,8 +16,6 @@
    any password-equivalent data". *)
 
 module Simnet = Sfs_net.Simnet
-module Costmodel = Sfs_net.Costmodel
-module Rpc_mux = Sfs_net.Rpc_mux
 module Rabin = Sfs_crypto.Rabin
 module Srp = Sfs_crypto.Srp
 module Sha1 = Sfs_crypto.Sha1
@@ -79,50 +77,29 @@ type fetched = {
   private_key : Rabin.priv option;
   session_key : string; (* the SRP session key, for follow-up registration *)
   srp_conn : Simnet.conn;
-  srp_mux : string Rpc_mux.t; (* the one mux over [srp_conn] *)
+  srp_exchange : string -> string; (* the dial's exchange over [srp_conn] *)
 }
 
-(* One exchange on the SRP connection; a lost message is [Unreachable]. *)
-let srp_exchange (mux : string Rpc_mux.t) ~(location : string) (req : Authserv.srp_request) :
+(* One SRP exchange; a lost message is [Unreachable]. *)
+let srp_call (exchange : string -> string) ~(location : string) (req : Authserv.srp_request) :
     (Authserv.srp_response, error) result =
-  match Rpc_mux.call mux (Xdr.encode Authserv.enc_srp_request req) with
+  match exchange (Xdr.encode Authserv.enc_srp_request req) with
   | exception Simnet.Timeout -> Error (Unreachable location)
   | reply -> (
       match Xdr.run reply Authserv.dec_srp_response with
       | Ok r -> Ok r
       | Result.Error e -> Error (Protocol_error e))
 
-let connect_auth_service (net : Simnet.t) ~(from_host : string) ~(location : string) :
-    (Simnet.conn * string Rpc_mux.t, error) result =
-  match
-    Simnet.connect net ~from_host ~addr:location ~port:Server.sfs_port ~proto:Costmodel.Tcp
-  with
-  | exception (Simnet.No_route _ | Simnet.Timeout) -> Error (Unreachable location)
-  | conn -> (
-      let mux = Rpc_mux.of_conn net ~proto:Costmodel.Tcp conn in
-      let refuse e =
-        Simnet.close conn;
-        Error e
-      in
-      match
-        Keyneg.connect ~location ~hostid:(String.make Sfs_proto.Hostid.size '\000')
-          ~service:Keyneg.Auth ~extensions:[] (Rpc_mux.call mux)
-      with
-      | exception Simnet.Timeout -> refuse (Unreachable location)
-      | Ok _ -> Ok (conn, mux)
-      | Error (Keyneg.Refused e) -> refuse (Protocol_error e)
-      | Error (Keyneg.Revoked _) -> refuse (Auth_failed "server key revoked"))
-
 let ( let* ) = Result.bind
 
 (* The SRP login over an accepted connection: mutual authentication,
    then the sealed payload. *)
-let login (rng : Prng.t) (conn : Simnet.conn) (mux : string Rpc_mux.t) ~(location : string)
+let login (rng : Prng.t) (conn : Simnet.conn) (exchange : string -> string) ~(location : string)
     ~(user : string) ~(password : string) : (fetched, error) result =
   let grp = Srp.default_group in
   let client = Srp.client_start grp rng ~user ~password in
   let a_pub = Srp.client_pub client in
-  let* params = srp_exchange mux ~location (Authserv.Srp_hello { user; a_pub }) in
+  let* params = srp_call exchange ~location (Authserv.Srp_hello { user; a_pub }) in
   match params with
   | Authserv.Srp_failed reason -> Error (Auth_failed reason)
   | Authserv.Srp_registered | Authserv.Srp_server_proof _ -> Error (Protocol_error "unexpected response")
@@ -130,7 +107,7 @@ let login (rng : Prng.t) (conn : Simnet.conn) (mux : string Rpc_mux.t) ~(locatio
       match Srp.client_finish client ~salt ~cost ~b_pub with
       | None -> Error (Auth_failed "degenerate server parameters")
       | Some session -> (
-          let* reply = srp_exchange mux ~location (Authserv.Srp_client_proof session.Srp.proof) in
+          let* reply = srp_call exchange ~location (Authserv.Srp_client_proof session.Srp.proof) in
           match reply with
           | Authserv.Srp_failed reason -> Error (Auth_failed reason)
           | Authserv.Srp_registered | Authserv.Srp_params _ ->
@@ -162,16 +139,23 @@ let login (rng : Prng.t) (conn : Simnet.conn) (mux : string Rpc_mux.t) ~(locatio
                                 private_key;
                                 session_key = session.Srp.key;
                                 srp_conn = conn;
-                                srp_mux = mux;
+                                srp_exchange = exchange;
                               })))))
 
 (* "sfskey add user@location": fetch the self-certifying pathname and
-   private key with nothing but a password.  A failed login closes the
-   connection. *)
+   private key with nothing but a password.  The dial closes the
+   connection on a refusal, and a failed login closes it here. *)
 let fetch (net : Simnet.t) (rng : Prng.t) ~(from_host : string) ~(location : string)
     ~(user : string) ~(password : string) : (fetched, error) result =
-  let* conn, mux = connect_auth_service net ~from_host ~location in
-  match login rng conn mux ~location ~user ~password with
+  let* conn, exchange, _ =
+    Keyneg.dial net ~from_host ~location ~hostid:(String.make Sfs_proto.Hostid.size '\000')
+      ~service:Keyneg.Auth ~extensions:[]
+    |> Result.map_error (function
+         | Keyneg.Unreachable -> Unreachable location
+         | Keyneg.Refused e -> Protocol_error e
+         | Keyneg.Revoked _ -> Auth_failed "server key revoked")
+  in
+  match login rng conn exchange ~location ~user ~password with
   | Ok _ as ok -> ok
   | Error _ as e ->
       Simnet.close conn;
@@ -185,7 +169,7 @@ let register_remote (f : fetched) (reg : Authserv.registration) : (unit, error) 
       (Xdr.encode Authserv.enc_registration reg)
   in
   let* reply =
-    srp_exchange f.srp_mux ~location:(Pathname.location f.server_path) (Authserv.Srp_register sealed)
+    srp_call f.srp_exchange ~location:(Pathname.location f.server_path) (Authserv.Srp_register sealed)
   in
   match reply with
   | Authserv.Srp_registered -> Ok ()

@@ -33,7 +33,9 @@ type fetched = {
   session_key : string; [@sfs.secret]
       (** for follow-up registration on this session *)
   srp_conn : Simnet.conn;
-  srp_mux : string Sfs_net.Rpc_mux.t;  (** the one mux over [srp_conn] *)
+  srp_exchange : string -> string;
+      (** the exchange {!Sfs_proto.Keyneg.dial} returned over [srp_conn]:
+          the connect step and every SRP message ride its one mux *)
 }
 
 (* sfslint: allow SL014 — §2.4: the SRP retrieval on its own, before any agent is involved *)
@@ -47,8 +49,9 @@ val fetch :
   (fetched, error) result
 (** The SRP exchange: mutual authentication from the password alone;
     the payload arrives sealed under the session key.  A refused dial,
-    a crash window or a lost message is [Unreachable].  Every error
-    closes the connection; on success the caller owns [srp_conn]. *)
+    a crash window or a lost message is [Unreachable], and a revoked
+    server [Auth_failed "server key revoked"].  Every error closes the
+    connection; on success the caller owns [srp_conn]. *)
 
 (* sfslint: allow SL014 — §2.5.2: changing keys over an authenticated sfskey session *)
 val register_remote : fetched -> Authserv.registration -> (unit, error) result

@@ -181,15 +181,7 @@ and walk (t : t) (cred : Simos.cred) ~(follow_last : bool) ~(budget : int ref) (
                   (* The agent materialized a symlink on the fly. *)
                   if !budget <= 0 then fail_v Symlink_loop;
                   decr budget;
-                  if target <> "" && target.[0] = '/' then
-                    walk t cred ~follow_last ~budget { stack = []; names = [] }
-                      (match split_path (target ^ "/" ^ String.concat "/" rest) with
-                      | Ok c -> c
-                      | Error e -> fail_v e)
-                  else
-                    walk t cred ~follow_last ~budget p
-                      (List.filter (fun c -> c <> "" && c <> ".") (String.split_on_char '/' target)
-                      @ rest))))
+                  splice t cred ~follow_last ~budget p target rest)))
   | name :: rest -> (
       (* A conventional mount point shadows the underlying name. *)
       let next_names = name :: p.names in
@@ -212,21 +204,23 @@ and walk (t : t) (cred : Simos.cred) ~(follow_last : bool) ~(budget : int ref) (
                     decr budget;
                     match ops.Fs_intf.fs_readlink cred fh with
                     | Error e -> fail_v (Errno e)
-                    | Ok target ->
-                        if target <> "" && target.[0] = '/' then
-                          let* comps = split_path target in
-                          walk t cred ~follow_last ~budget { stack = []; names = [] } (comps @ rest)
-                        else
-                          walk t cred ~follow_last ~budget p
-                            (List.filter
-                               (fun c -> c <> "" && c <> ".")
-                               (String.split_on_char '/' target)
-                            @ rest))
+                    | Ok target -> splice t cred ~follow_last ~budget p target rest)
                 | NF_LNK | NF_REG | NF_DIR ->
                     walk t cred ~follow_last ~budget
                       { stack = (ops, fh) :: p.stack; names = next_names }
                       rest)
           end)
+
+(* Follow a symlink to [target] found at [p], with [rest] still to
+   resolve: an absolute target restarts at /, a relative one is spliced
+   in where the link was.  [rest] came from [split_path], so it holds no
+   empty or "." component, and the target's are dropped the same way. *)
+and splice (t : t) (cred : Simos.cred) ~(follow_last : bool) ~(budget : int ref) (p : pos)
+    (target : string) (rest : string list) : node =
+  let comps = List.filter (fun c -> c <> "" && c <> ".") (String.split_on_char '/' target) @ rest in
+  if target <> "" && target.[0] = '/' then
+    walk t cred ~follow_last ~budget { stack = []; names = [] } comps
+  else walk t cred ~follow_last ~budget p comps
 
 (* --- Public operations --- *)
 

@@ -22,6 +22,9 @@ module Rabin = Sfs_crypto.Rabin
 module Sha1 = Sfs_crypto.Sha1
 module Prng = Sfs_crypto.Prng
 module Xdr = Sfs_xdr.Xdr
+module Simnet = Sfs_net.Simnet
+module Costmodel = Sfs_net.Costmodel
+module Rpc_mux = Sfs_net.Rpc_mux
 
 let half_bytes = 20
 
@@ -150,7 +153,11 @@ let derive ~(server_pub : Rabin.pub) ~(client_pub : Rabin.pub) ~(kc1 : string) ~
 
 (* --- Client side --- *)
 
-type refusal = Refused of string | Revoked of string (* marshaled revocation cert *)
+(* sfssd's one port (4, as deployed SFS used); the connect request
+   names the service (section 3.2). *)
+let sfs_port = 4
+
+type refusal = Unreachable | Refused of string | Revoked of string (* marshaled revocation cert *)
 
 (* The connect step every SFS connection opens with.  For the file
    services the served key is good iff it hashes to the HostID the user
@@ -168,7 +175,26 @@ let connect ~(location : string) ~(hostid : string) ~(service : service)
         Error (Refused "server key does not match HostID")
       else Ok pubkey
 
-(* Exchange key halves with the server whose key [connect] returned.
+(* The one dial to sfssd: the connection, one window-1 mux for every
+   handshake on it, and the connect step.  Every failure closes the
+   connection; a refused dial or a lost message is [Unreachable]. *)
+let dial (net : Simnet.t) ~(from_host : string) ~(location : string) ~(hostid : string)
+    ~(service : service) ~(extensions : string list) :
+    (Simnet.conn * (string -> string) * Rabin.pub, refusal) result =
+  match Simnet.connect net ~from_host ~addr:location ~port:sfs_port ~proto:Costmodel.Tcp with
+  | exception (Simnet.No_route _ | Simnet.Timeout) -> Error Unreachable
+  | conn -> (
+      let exchange = Rpc_mux.call (Rpc_mux.of_conn net ~proto:Costmodel.Tcp conn) in
+      match connect ~location ~hostid ~service ~extensions exchange with
+      | Ok pubkey -> Ok (conn, exchange, pubkey)
+      | Error _ as e ->
+          Simnet.close conn;
+          e
+      | exception Simnet.Timeout ->
+          Simnet.close conn;
+          Error Unreachable)
+
+(* Exchange key halves with the server whose key [dial] returned.
    [temp_key] is the client's short-lived K_C (callers cache one and
    regenerate hourly). *)
 let negotiate ~(rng : Prng.t) ~(temp_key : Rabin.priv) ~(server_pub : Rabin.pub)

@@ -9,6 +9,7 @@
 module Rabin = Sfs_crypto.Rabin
 module Prng = Sfs_crypto.Prng
 module Xdr = Sfs_xdr.Xdr
+module Simnet = Sfs_net.Simnet
 
 type service = Fs | Auth | Fs_readonly
 (** Which subsidiary daemon the connection asks sfssd for
@@ -47,23 +48,30 @@ type session_keys = {
 
 (** {2 Protocol runners} *)
 
+val sfs_port : int
+(** The one port sfssd listens on (4, as deployed SFS used). *)
+
 type refusal =
+  | Unreachable  (** a refused dial, a crash window or a lost message *)
   | Refused of string  (** the server's error, a malformed reply or a HostID mismatch *)
   | Revoked of string  (** the marshaled revocation certificate the server served *)
 
-val connect :
+val dial :
+  Simnet.t ->
+  from_host:string ->
   location:string ->
   hostid:string ->
   service:service ->
   extensions:string list ->
-  ((string -> string)[@sfs.sink "wire"]) ->
-  (Rabin.pub, refusal) result
-(** The connect step (Figure 3, messages 1 and 2) over a raw transport:
-    name [service] at [location] and return the key the server serves.
-    For [Fs] and [Fs_readonly] the key must hash to [hostid] — a man in
-    the middle substituting a key is [Refused] here.  An [Auth]
-    connection sends a zero [hostid] and is authenticated by SRP
-    instead.  Exceptions of [exchange] propagate. *)
+  (Simnet.conn * (string -> string) * Rabin.pub, refusal) result
+(** The one dial every client makes to sfssd: connect to [location]'s
+    {!sfs_port}, build one window-1 {!Sfs_net.Rpc_mux.of_conn}, and run
+    the connect step (Figure 3, messages 1 and 2) naming [service].
+    Returns the connection, the mux's exchange, which every later
+    handshake on the connection reuses, and the served key.  For [Fs]
+    and [Fs_readonly] the key must hash to [hostid]: a substituted key
+    is [Refused].  An [Auth] connection sends a zero [hostid]; SRP
+    authenticates it instead.  Every failure closes the connection. *)
 
 val negotiate :
   rng:Prng.t ->
@@ -72,7 +80,7 @@ val negotiate :
   ((string -> string)[@sfs.sink "wire"]) ->
   (session_keys, string) result
 (** The key-halves exchange (messages 3 and 4) with the server whose
-    key {!connect} returned, under the client's short-lived [temp_key];
+    key {!dial} returned, under the client's short-lived [temp_key];
     [Error] on a malformed or undecryptable reply. *)
 
 val server_negotiate :

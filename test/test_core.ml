@@ -357,7 +357,8 @@ let test_sfskey_agent_integration () =
 
 (* Every handshake error is a typed result that releases its admission
    slot: a refused dial, a dropped connect, a dropped fetch after it, a
-   HostID mismatch, and sfskey's SRP session once [add] is done. *)
+   HostID mismatch, a revoked server, and sfskey's SRP session once
+   [add] is done. *)
 let test_handshake_errors () =
   let w = make_world ~register_alice:false () in
   Sfskey.register_local ~cost:2 w.authserv rng ~user:"alice" ~password:"pw" ~key:w.alice_key;
@@ -421,7 +422,34 @@ let test_handshake_errors () =
       match ops.Fs_intf.fs_getattr Simos.anonymous_cred ops.Fs_intf.fs_root with
       | Ok attr -> Testkit.check_bool "verified root is a directory" true (attr.Nfs_types.ftype = Nfs_types.NF_DIR)
       | Error e -> Alcotest.fail (Nfs_types.status_to_string e))
-  | Error e -> Alcotest.fail (Client.mount_error_to_string e))
+  | Error e -> Alcotest.fail (Client.mount_error_to_string e));
+  (* A revoked server refuses every caller of the one dial, which
+     closes the connection each time. *)
+  let revoked_host = Simnet.add_host w.net "revoked.example.com" in
+  let revoked =
+    Server.create w.net ~host:revoked_host ~location:"revoked.example.com" ~key:(Lazy.force key_b)
+      ~rng
+      ~backend:(Memfs_ops.make ~fs:w.server_fs ~disk:(Diskmodel.create w.clock))
+      ~authserv:w.authserv ()
+  in
+  ignore (Server.revoke revoked);
+  let path = Server.self_path revoked in
+  let closed msg = Testkit.check_int msg 0 (Simnet.host_active_conns revoked_host) in
+  (match Client.mount w.client path with
+  | Error (Client.Revoked (Some _)) -> closed "rw: revoked"
+  | Error e -> Alcotest.fail ("rw: " ^ Client.mount_error_to_string e)
+  | Ok _ -> Alcotest.fail "rw: mounted a revoked server");
+  (match Client.mount_readonly w.client path with
+  | Error (Client.Revoked _) -> closed "ro: revoked"
+  | Error e -> Alcotest.fail ("ro: " ^ Client.mount_error_to_string e)
+  | Ok _ -> Alcotest.fail "ro: mounted a revoked server");
+  match
+    Sfskey.fetch w.net rng ~from_host:"client.example.com" ~location:"revoked.example.com"
+      ~user:"alice" ~password:"pw"
+  with
+  | Error (Sfskey.Auth_failed "server key revoked") -> closed "sfskey: revoked"
+  | Error e -> Alcotest.fail ("sfskey: " ^ Sfskey.error_to_string e)
+  | Ok _ -> Alcotest.fail "sfskey: fetched from a revoked server"
 
 let test_certification_path () =
   let w = make_world () in
@@ -714,7 +742,7 @@ let test_srp_reflected_payload () =
         | None -> Alcotest.fail "no reply observed"
       in
       let request = Sfs_xdr.Xdr.encode Authserv.enc_srp_request (Authserv.Srp_register sealed) in
-      match decode (Sfs_net.Rpc_mux.call f.Sfskey.srp_mux request) with
+      match decode (f.Sfskey.srp_exchange request) with
       | Ok (Authserv.Srp_failed reason) -> Testkit.check_string "refused" "bad registration seal" reason
       | _ -> Alcotest.fail "reflected payload not refused")
 
@@ -847,7 +875,7 @@ module Obs = Sfs_obs.Obs
 
 type raw_session = {
   r_conn : Simnet.conn;
-  r_call : string -> string; (* one mux over r_conn *)
+  r_call : string -> string; (* the dial's one mux over r_conn *)
   r_chan : Channel.t;
   mutable r_xid : int;
   r_session_id : string;
@@ -871,18 +899,15 @@ let raw_server ?allow_anonymous ?obs ?authserv (net : Simnet.t) (rng : Prng.t) (
 let raw_connect (net : Simnet.t) (rng : Prng.t) ~(temp_key : Rabin.priv) (server : Server.t) :
     raw_session =
   let path = Server.self_path server in
-  let location = Pathname.location path in
-  let conn =
-    Simnet.connect net ~from_host:"client.example.com" ~addr:location ~port:Server.sfs_port
-      ~proto:Sfs_net.Costmodel.Tcp
-  in
-  let call = Testkit.call net conn in
-  let keys =
-    match Keyneg.connect ~location ~hostid:(Pathname.hostid path) ~service:Keyneg.Fs ~extensions:[] call with
+  let conn, call, keys =
+    match
+      Keyneg.dial net ~from_host:"client.example.com" ~location:(Pathname.location path)
+        ~hostid:(Pathname.hostid path) ~service:Keyneg.Fs ~extensions:[]
+    with
     | Error _ -> Alcotest.fail "connect refused"
-    | Ok server_pub -> (
+    | Ok (conn, call, server_pub) -> (
         match Keyneg.negotiate ~rng ~temp_key ~server_pub call with
-        | Ok keys -> keys
+        | Ok keys -> (conn, call, keys)
         | Error e -> Alcotest.fail e)
   in
   {

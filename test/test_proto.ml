@@ -2,6 +2,7 @@ open Sfs_proto
 module Rabin = Sfs_crypto.Rabin
 module Prng = Sfs_crypto.Prng
 module Simclock = Sfs_net.Simclock
+module Simnet = Sfs_net.Simnet
 
 let rng = Prng.create [ "proto-test" ]
 let server_key = lazy (Rabin.generate ~bits:512 rng)
@@ -34,7 +35,7 @@ let run_negotiation ?(tamper_pubkey = false) () =
   let hostid = Hostid.of_location_key ~location ~pubkey:sk.Rabin.pub in
   let server_keys = ref None in
   let exchange msg =
-    (* A miniature server loop answering the two negotiation steps. *)
+    (* A miniature sfssd answering the two negotiation steps. *)
     match Sfs_xdr.Xdr.run msg Keyneg.dec_connect_req with
     | Ok _ ->
         let pub = if tamper_pubkey then (Lazy.force temp_key).Rabin.pub else sk.Rabin.pub in
@@ -46,10 +47,16 @@ let run_negotiation ?(tamper_pubkey = false) () =
             response
         | Result.Error e -> Alcotest.fail e)
   in
+  let net = Simnet.create (Simclock.create ()) in
+  Simnet.listen net (Simnet.add_host net location) ~port:Keyneg.sfs_port (fun ~peer:_ -> exchange);
   let result =
-    match Keyneg.connect ~location ~hostid ~service:Keyneg.Fs ~extensions:[] exchange with
+    match
+      Keyneg.dial net ~from_host:"client.example.com" ~location ~hostid ~service:Keyneg.Fs
+        ~extensions:[]
+    with
+    | Error Keyneg.Unreachable -> Error "unreachable"
     | Error (Keyneg.Refused e | Keyneg.Revoked e) -> Error e
-    | Ok server_pub -> Keyneg.negotiate ~rng ~temp_key:tk ~server_pub exchange
+    | Ok (_, call, server_pub) -> Keyneg.negotiate ~rng ~temp_key:tk ~server_pub call
   in
   (result, !server_keys)
 

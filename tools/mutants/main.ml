@@ -1,15 +1,18 @@
 (* make mutants: apply each catalogue entry to a fresh copy of the tree,
-   run `dune build && dune runtest` there, and record whether the suite
-   killed it and which tests failed.  Not tier-1: each mutant rebuilds
-   the tree from scratch (about a minute or two each).
+   run `dune build` and then `dune runtest` there, and record whether
+   the suite killed it and which tests failed.  The suite runs even when
+   the build fails: `dune build` also runs the examples, and a mutant
+   that compiles but crashes one must still meet its test.  Not tier-1:
+   each mutant rebuilds the tree from scratch (about a minute or two
+   each).
 
    Usage, from the repository root:
      main.exe [--report FILE] [--only NAME]
 
    Copies go under $TMPDIR and are removed after each run.  The report
    is JSON, one object per mutant: "killed" when a test failed,
-   "survived" when none did, "broken" when the build failed and no test
-   ran.  It exits 1 if any mutant survived or broke: a broken entry
+   "survived" when none did, "broken" when no test ran (the mutant does
+   not compile).  It exits 1 if any mutant survived or broke: a broken entry
    tests nothing.  The catalogue's own test ("mutants" suite) always
    fails in a mutated copy, whose old text is gone, so it kills
    nothing. *)
@@ -51,7 +54,7 @@ let mutate (e : M.entry) : string * string =
   let log = Filename.concat dir "mutant.log" in
   let status =
     Sys.command
-      (Printf.sprintf "cd %s && (dune build --root . 2>&1 && dune runtest --root . 2>&1) > %s" (q dir)
+      (Printf.sprintf "cd %s && (dune build --root . 2>&1; dune runtest --root . 2>&1) > %s" (q dir)
          (q log))
   in
   let out = M.read_file log in

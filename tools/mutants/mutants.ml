@@ -150,6 +150,42 @@ let catalogue =
          the self-certifying pathname";
       killer = "proto keyneg MITM rejected";
     };
+    {
+      name = "channel-mac-verify";
+      file = "lib/proto/channel.ml";
+      old_text =
+        "if not (Mac.verify_into t.recv_half.mac buf ~off:0 ~len:(4 + len) ~tag_off:(4 + len))";
+      new_text =
+        "if (ignore (Mac.verify_into t.recv_half.mac buf ~off:0 ~len:(4 + len) ~tag_off:(4 + \
+         len)); false)";
+      claim =
+        "section 3.1.3: the secure channel accepts a message only under its MAC, so ciphertext an \
+         attacker altered is refused";
+      killer = "proto channel tamper";
+    };
+    {
+      name = "channel-length-replay";
+      file = "lib/proto/channel.ml";
+      old_text = "if len < 0 || len <> wire_len - 4 - Mac.mac_size then";
+      new_text = "if (ignore (len < 0 || len <> wire_len - 4 - Mac.mac_size); false) then";
+      claim =
+        "section 3.1.3: a replayed, dropped or reordered message desynchronizes the ARC4 stream, \
+         and the channel refuses the garbled length word it decrypts to";
+      killer = "proto channel replay";
+    };
+    {
+      name = "fhcrypt-redundancy";
+      file = "lib/core/fhcrypt.ml";
+      old_text =
+        "if Sfs_util.Bytesutil.ct_equal_sub t.tag t.blk ~off:0 ~len:redundancy_bytes then";
+      new_text =
+        "if (ignore (Sfs_util.Bytesutil.ct_equal_sub t.tag t.blk ~off:0 \
+         ~len:redundancy_bytes); true) then";
+      claim =
+        "section 3.3: the server accepts a file handle only if its redundancy checks out, so a \
+         client cannot forge a handle to a file it was never given";
+      killer = "core file handle crypto";
+    };
   ]
 
 let read_file (path : string) : string = In_channel.with_open_bin path In_channel.input_all
