@@ -398,8 +398,7 @@ let ablations () =
     let t1 = Sys.time () in
     for _ = 1 to clients do
       ignore (Sfs_core.Readonly.serve store
-                (Sfs_proto.Readonly_proto.ro_request_of_string
-                   (Sfs_proto.Readonly_proto.ro_request_to_string Sfs_proto.Readonly_proto.Get_fsinfo)))
+                (Sfs_proto.Readonly_proto.ro_request_to_string Sfs_proto.Readonly_proto.Get_fsinfo))
     done;
     let serve_time = Sys.time () -. t1 in
     (sign_time, serve_time)

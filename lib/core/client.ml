@@ -441,10 +441,8 @@ let mount (t : t) (path : Pathname.t) : (mount, mount_error) result =
                   Hashtbl.replace t.mounts (Pathname.to_name path) m;
                   Ok m))
 
-(* Mount the read-only dialect of a pathname (used for certification
-   authorities).  No secure channel and no mount record: integrity comes
-   from the signed root and the hash chain, and the transport stays in
-   the clear.  The connect step still verifies the HostID. *)
+(* The read-only mount: the connect step verifies the HostID, the signed
+   root and hash chain everything after it; no channel, no mount record. *)
 let mount_readonly (t : t) (path : Pathname.t) : (Fs_intf.ops, mount_error) result =
   dial t path ~service:Keyneg.Fs_readonly (fun _conn exchange pubkey ->
       match Readonly.connect ?obs:t.obs ~exchange ~pubkey ~clock:t.clock () with

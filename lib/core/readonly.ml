@@ -211,9 +211,9 @@ let serve_cost (st : store) (bytes : int) : unit =
    are immutable and a tampering wire rewrites a copy.  Fan-out
    procedures are refused here: a mirror takes them before calling
    [serve], and no client may push into sfssd's store. *)
-let serve (st : store) (req : (Ro.ro_request, string) result) : string =
+let serve (st : store) (bytes : string) : string =
   let reply r = Ro.ro_response_to_string r in
-  match req with
+  match Ro.ro_request_of_string bytes with
   | Result.Error e -> reply (Ro.Ro_error e)
   | Ok Ro.Get_fsinfo -> (
       match st.root with
@@ -244,59 +244,57 @@ type client = {
   cache : Vcache.t; (* verified objects, LRU-bounded *)
   enc : Xdr.enc; (* marshals every Get_obj request *)
   mutable fsinfo : Ro.fsinfo;
-  mutable last_serial : int;
   mutable root_frame : string; (* raw bytes of the last verified root reply *)
 }
 
-(* Fetch the signed root.  When [cached] matches the reply byte for
-   byte, the signature was already checked over exactly these bytes and
-   only the clock has advanced, so the (expensive) Rabin verification
-   is skipped; the validity-window and rollback checks always run —
-   they depend on the present, not on the bytes.  Each exchange, here
-   and in [fetch], first pays the client's user-level crossing. *)
-let fetch_root ~(exchange : string -> string) ~(pubkey : Rabin.pub) ~(clock : Simclock.t)
-    ~(min_serial : int) ~(cached : string option) :
-    Ro.fsinfo * string * bool =
-  Simclock.advance clock Costmodel.userlevel_us_per_side;
-  let raw = exchange (Ro.ro_request_to_string Ro.Get_fsinfo) in
+(* Fetch and verify the signed root, refusing rollback below the serial
+   already verified.  When the reply matches the last verified one byte
+   for byte, the signature was already checked over exactly these bytes
+   and only the clock has advanced, so the (expensive) Rabin
+   verification is skipped; the validity-window and rollback checks
+   always run — they depend on the present, not on the bytes.  Cached
+   objects survive a root change: content addressing means a hash still
+   reachable from the new root names the same bytes.  Each exchange,
+   here and in [fetch], first pays the client's user-level crossing. *)
+let refresh (c : client) : unit =
+  Simclock.advance c.clock Costmodel.userlevel_us_per_side;
+  let raw = c.exchange (Ro.ro_request_to_string Ro.Get_fsinfo) in
   match Ro.ro_response_of_string raw with
   | Ok (Ro.Fsinfo_is { fsinfo; signature }) ->
-      let skipped =
-        match cached with
-        | Some prev -> Sfs_util.Bytesutil.ct_equal raw prev
-        | None -> false
-      in
+      let skipped = Sfs_util.Bytesutil.ct_equal raw c.root_frame in
       if not skipped then begin
-        Simclock.advance clock Costmodel.rabin_verify_us;
-        if not (Ro.verify_fsinfo pubkey fsinfo ~signature) then
+        Simclock.advance c.clock Costmodel.rabin_verify_us;
+        if not (Ro.verify_fsinfo c.pubkey fsinfo ~signature) then
           raise (Verification_failed "bad root signature")
       end;
-      let now = Simclock.seconds clock in
+      let now = Simclock.seconds c.clock and min_serial = c.fsinfo.Ro.serial in
       if now > fsinfo.Ro.issued_s + fsinfo.Ro.duration_s then
         raise (Verification_failed "stale snapshot (past validity window)");
       if fsinfo.Ro.serial < min_serial then raise (Verification_failed "snapshot rollback detected");
-      (fsinfo, raw, skipped)
+      Obs.incr c.obs (if skipped then "ro.root.skip" else "ro.root.verify");
+      c.fsinfo <- fsinfo;
+      c.root_frame <- raw
   | Ok (Ro.Ro_error e) -> raise (Verification_failed e)
   | Ok (Ro.Obj_is _ | Ro.Put_ok _) -> raise (Verification_failed "unexpected response")
   | Result.Error e -> raise (Verification_failed e)
 
+(* A client starts below every root: serial 0, no verified frame. *)
 let connect ?obs ?(cache_objs = 4096) ~(exchange : string -> string)
     ~(pubkey : Rabin.pub) ~(clock : Simclock.t) () : client =
-  let fsinfo, raw, _ =
-    fetch_root ~exchange ~pubkey ~clock ~min_serial:0 ~cached:None
+  let c =
+    {
+      exchange;
+      pubkey;
+      clock;
+      obs;
+      cache = Vcache.create ?obs ~cap:cache_objs ();
+      enc = Xdr.make_enc ();
+      fsinfo = { Ro.root_hash = ""; issued_s = 0; duration_s = 0; serial = 0 };
+      root_frame = "";
+    }
   in
-  Obs.incr obs "ro.root.verify";
-  {
-    exchange;
-    pubkey;
-    clock;
-    obs;
-    cache = Vcache.create ?obs ~cap:cache_objs ();
-    enc = Xdr.make_enc ();
-    fsinfo;
-    last_serial = fsinfo.Ro.serial;
-    root_frame = raw;
-  }
+  refresh c;
+  c
 
 (* Fetch an object and verify it is the preimage of the hash that named
    it — the step that lets untrusted replicas serve the data.  The
@@ -410,7 +408,10 @@ let ops (c : client) : Sfs_nfs.Fs_intf.ops =
             else begin
               let avail = max 0 (String.length data - off) in
               let n = min count avail in
-              let chunk = if n = 0 then "" else String.sub data off n in
+              (* a whole-file read is the (immutable) verified string itself *)
+              let chunk =
+                if n = String.length data then data else if n = 0 then "" else String.sub data off n
+              in
               Ok (chunk, off + n >= String.length data, synth_attr c h o)
             end
         | Ro.O_dir _ -> Error NFS3ERR_ISDIR
@@ -446,27 +447,5 @@ let ops (c : client) : Sfs_nfs.Fs_intf.ops =
     fs_commit = (fun _ _ -> Ok ());
     fs_fsstat = (fun _ _ -> Ok (Vcache.count c.cache, Vcache.bytes c.cache));
   }
-
-(* Refresh the signed root (e.g. after the validity window lapses or to
-   pick up a new snapshot).  Rollback to an older serial is refused.
-   When the reply is byte-identical to the one already verified, the
-   signature check is skipped — re-verifying the same bytes proves
-   nothing new; only the window and serial checks rerun.  Cached
-   objects survive a root change: content addressing means a hash still
-   reachable from the new root names the same bytes. *)
-let refresh (c : client) : unit =
-  let fsinfo, raw, skipped =
-    fetch_root ~exchange:c.exchange ~pubkey:c.pubkey ~clock:c.clock
-      ~min_serial:c.last_serial ~cached:(Some c.root_frame)
-  in
-  if skipped then begin
-    Obs.incr c.obs "ro.root.skip"
-  end
-  else begin
-    Obs.incr c.obs "ro.root.verify"
-  end;
-  c.fsinfo <- fsinfo;
-  c.root_frame <- raw;
-  c.last_serial <- fsinfo.Ro.serial
 
 let current_fsinfo (c : client) : Ro.fsinfo = c.fsinfo

@@ -67,11 +67,11 @@ val store : ?obs:Sfs_obs.Obs.registry -> clock:Simclock.t -> snapshot -> store
 val serve_cost : store -> int -> unit
 (** Charge serving [n] bytes: a user-level crossing and a copy. *)
 
-val serve : store -> (Ro.ro_request, string) result -> string
-(** The whole server side: Get_fsinfo and Get_obj are answered with the
-    stored frames, charging {!serve_cost} and counting [ro.serve.objs]
-    and [ro.serve.bytes]; anything else, the fan-out procedures a mirror
-    takes first included, is a [Ro_error] reply. *)
+val serve : store -> string -> string
+(** The whole server side, from request bytes: Get_fsinfo and Get_obj
+    are answered with the stored frames, charging {!serve_cost} and
+    counting [ro.serve.objs] and [ro.serve.bytes]; anything else, the
+    fan-out procedures a mirror takes first included, is a [Ro_error]. *)
 
 (** {2 Verifying client} *)
 
@@ -90,6 +90,7 @@ val connect :
     Every exchange is first charged a user-level crossing on [clock].
     @raise Verification_failed otherwise. *)
 
+(* sfslint: allow SL014 — §3.2: the verifying client's one check of an object against its hash, which the refusal, tamper and allocation tests drive with a fixed exchange; every reader goes through ops *)
 val fetch : client -> string -> Ro.obj
 (** Fetch an object by hash, verify it is the preimage, cache it.
     The object is hashed and decoded where it lies in the reply, so a
@@ -98,13 +99,12 @@ val fetch : client -> string -> Ro.obj
 
 val ops : client -> Sfs_nfs.Fs_intf.ops
 (** A read-only file system view over the verified snapshot; handles
-    are object hashes. *)
+    are object hashes, and a whole-file read is the verified string. *)
 
 val refresh : client -> unit
-(** Re-fetch the signed root (e.g. after expiry); refuses serial
-    rollback.  When the reply is byte-identical to the last verified
-    one, the Rabin verification is skipped (the window and serial
-    checks still run); the verification cache survives root changes —
-    content addressing pins each hash to its bytes forever. *)
+(** Re-fetch the signed root, refusing serial rollback.  A reply
+    byte-identical to the last verified one skips the Rabin check (the
+    window and serial checks still run); the verification cache
+    survives root changes. *)
 
 val current_fsinfo : client -> Ro.fsinfo

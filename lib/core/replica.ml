@@ -3,28 +3,12 @@
    The paper's pitch — serving a signed snapshot "requires no
    cryptographic computation" and "no on-line copies of the private
    key" — means the serving side can be replicated onto untrusted
-   machines at will.  This module provides the two halves:
-
-   - A [mirror]: a dumb content-addressed store of reply frames behind
-     the wire protocol.  It verifies nothing (it could not be trusted
-     to): it accepts Put_objs/Put_root pushes and answers Get_fsinfo and
-     Get_obj through Readonly.serve, as sfssd does.  Clients re-verify
-     every object against the hash chain, so the worst a compromised
-     mirror can do is fail to serve.
-
-   - A [publisher]: holds the file system and the private key, builds
-     incremental snapshots (one Rabin signing per publish, SHA-1 only
-     over content that actually changed), and pushes the delta — new
-     objects plus the new signed root plus an evict list — to each
-     mirror.  Cryptographic cost is proportional to the file system's
-     size and rate of change, never to the client count.
-
-   The mirror's store models an on-disk object store: it survives a
-   simulated crash/restart (crash epochs kill TCP connections, not the
-   disk), so a recovering mirror resumes from its last synced state and
-   the publisher only ships what is missing. *)
+   machines at will: a mirror holds the public key and store bytes
+   only, and a publisher's crypto bill tracks the file system's size
+   and rate of change, never the client count (replica.mli). *)
 
 module Ro = Sfs_proto.Readonly_proto
+module Keyneg = Sfs_proto.Keyneg
 module Rabin = Sfs_crypto.Rabin
 module Memfs = Sfs_nfs.Memfs
 module Simnet = Sfs_net.Simnet
@@ -35,44 +19,57 @@ module Obs = Sfs_obs.Obs
 module Slice = Sfs_util.Slice
 module Xdr = Sfs_xdr.Xdr
 
-let ro_port = 5
+let push_port = 5
 
 (* --- Mirror --- *)
 
-(* A mirror is a read-only store that starts empty and adds the push
-   half to Readonly.serve; each pushed object is stored as its frame. *)
-type mirror = Readonly.store
+(* A read-only store that starts empty, its Location and the key it serves. *)
+type mirror = { store : Readonly.store; location : string; pubkey : Rabin.pub }
 
-let mirror ?obs ~(clock : Simclock.t) () : mirror =
-  { Readonly.frames = Hashtbl.create 256; root = None; clock; obs }
+let mirror ?obs ~(clock : Simclock.t) ~(location : string) ~(pubkey : Rabin.pub) () : mirror =
+  { store = { Readonly.frames = Hashtbl.create 256; root = None; clock; obs }; location; pubkey }
 
-let handle (m : mirror) (bytes : string) : string =
+let path (m : mirror) : Pathname.t = Pathname.of_server ~location:m.location ~pubkey:m.pubkey
+
+(* The push half: each pushed object is stored as its frame. *)
+let push (st : Readonly.store) (bytes : string) : string =
   let reply r = Ro.ro_response_to_string r in
   match Ro.ro_request_of_string bytes with
   | Ok (Ro.Put_objs objs) ->
       let total =
         List.fold_left
           (fun acc (h, o) ->
-            Hashtbl.replace m.Readonly.frames h (Ro.obj_frame o);
+            Hashtbl.replace st.Readonly.frames h (Ro.obj_frame o);
             acc + Slice.length o)
           0 objs
       in
-      Readonly.serve_cost m total;
+      Readonly.serve_cost st total;
       reply (Ro.Put_ok (List.length objs))
   | Ok (Ro.Put_root { fsinfo; signature; evict }) ->
       (* The root swap is what makes a push take effect atomically:
          until it lands, clients keep being served the old tree. *)
-      List.iter (Hashtbl.remove m.Readonly.frames) evict;
-      m.Readonly.root <- Some (fsinfo, reply (Ro.Fsinfo_is { fsinfo; signature }));
-      Readonly.serve_cost m 64;
+      List.iter (Hashtbl.remove st.Readonly.frames) evict;
+      st.Readonly.root <- Some (fsinfo, reply (Ro.Fsinfo_is { fsinfo; signature }));
+      Readonly.serve_cost st 64;
       reply (Ro.Put_ok (List.length evict))
-  | req -> Readonly.serve m req
+  | _ -> Readonly.serve st bytes
 
-let attach (net : Simnet.t) (m : mirror) (host : Simnet.host) : unit =
-  Simnet.listen net host ~port:ro_port (fun ~peer:_ -> handle m)
+(* The read half: the connect step for the mirror's own pathname, then
+   the read-only dialect; a mirror runs no other service. *)
+let service (m : mirror) (req : Keyneg.connect_req) : (string -> string, string) result =
+  match req.Keyneg.service with
+  | Keyneg.Fs_readonly -> Ok (Readonly.serve m.store)
+  | Keyneg.Fs | Keyneg.Auth -> Error "a mirror serves only the read-only dialect"
 
-let mirror_root (m : mirror) : Ro.fsinfo option = Option.map fst m.Readonly.root
-let mirror_objects (m : mirror) : int = Hashtbl.length m.Readonly.frames
+let attach (net : Simnet.t) (m : mirror) : Simnet.host =
+  let host = Simnet.add_host net m.location in
+  Simnet.listen net host ~port:Keyneg.sfs_port (fun ~peer:_ ->
+      Keyneg.respond ~location:m.location ~pubkey:m.pubkey ~revoked:(fun () -> None) (service m));
+  Simnet.listen net host ~port:push_port (fun ~peer:_ -> push m.store);
+  host
+
+let mirror_root (m : mirror) : Ro.fsinfo option = Option.map fst m.store.Readonly.root
+let mirror_objects (m : mirror) : int = Hashtbl.length m.store.Readonly.frames
 
 (* --- Publisher --- *)
 
@@ -109,7 +106,6 @@ let publisher ?obs ~(net : Simnet.t) ~(host : string) ~(key : Rabin.priv) ~(cloc
     p_serial = 0;
   }
 
-let pubkey (p : publisher) : Rabin.pub = p.p_key.Rabin.pub
 let current (p : publisher) : Readonly.snapshot option = p.p_snapshot
 let target ~(addr : string) : target =
   { t_addr = addr; t_conn = None; t_synced = Hashtbl.create 256 }
@@ -146,7 +142,7 @@ let mux_of (p : publisher) (t : target) : string Rpc_mux.t =
   | Some (_, mux) -> mux
   | None ->
       let c =
-        Simnet.connect p.p_net ~from_host:p.p_host ~addr:t.t_addr ~port:ro_port
+        Simnet.connect p.p_net ~from_host:p.p_host ~addr:t.t_addr ~port:push_port
           ~proto:Costmodel.Tcp
       in
       let mux = Rpc_mux.of_conn p.p_net ~proto:Costmodel.Tcp c in
@@ -154,10 +150,8 @@ let mux_of (p : publisher) (t : target) : string Rpc_mux.t =
       mux
 
 let disconnect (t : target) : unit =
-  (match t.t_conn with Some (c, _) -> (try Simnet.close c with _ -> ()) | None -> ());
+  Option.iter (fun (c, _) -> Simnet.close c) t.t_conn;
   t.t_conn <- None
-
-let drop_conn = disconnect
 
 let rec chunked (n : int) (xs : 'a list) : 'a list list =
   if xs = [] then []
@@ -231,7 +225,7 @@ let fan_out (p : publisher) (targets : target list) : int =
           match push_target p snap t with
           | () -> failed
           | exception (Simnet.Timeout | Simnet.No_route _ | Failure _) ->
-              drop_conn t;
+              disconnect t;
               Obs.incr p.p_obs "ro.fanout.failed";
               failed + 1)
         0 targets

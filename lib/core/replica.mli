@@ -1,26 +1,27 @@
 (** Replica fan-out for the read-only dialect: untrusted mirrors served
     by a publisher that keeps the only copy of the private key.
 
-    A {!mirror} is a dumb content-addressed store of reply frames,
-    served through {!Readonly.serve} as sfssd serves a snapshot — it
-    verifies nothing and holds no key material; clients verify every object
-    against the hash chain ending at the signed root, so a compromised
-    mirror can at worst refuse to serve.  A {!publisher} builds
-    incremental signed snapshots (one Rabin signing per publish, SHA-1
-    only over changed content) and pushes deltas to each mirror:
-    missing objects in bounded chunks, then the new signed root with an
-    evict list.  The mirror's store models a disk — it survives
-    simulated crash/restarts, so recovery resumes from the last synced
-    state. *)
+    A {!mirror} is a dumb content-addressed store of reply frames that
+    holds only the publisher's public key [K].  It has a pathname of
+    its own, [/sfs/mirrorN:HostID(mirrorN, K)] ({!path}), and answers
+    the connect step for it on {!Sfs_proto.Keyneg.sfs_port} through
+    {!Sfs_proto.Keyneg.respond}, as sfssd does; it serves only the
+    read-only dialect, through {!Readonly.serve}, and refuses every
+    other service.  It verifies nothing: clients check [K] against the
+    HostID their pathname names and verify every object against the
+    hash chain ending at the signed root, so a compromised mirror can
+    at worst refuse to serve.  A {!publisher} builds incremental signed
+    snapshots (one Rabin signing per publish, SHA-1 only over changed
+    content) and pushes deltas to each mirror on a port of its own,
+    which no client dials: missing objects in bounded chunks, then the
+    new signed root with an evict list.  The mirror's store models a
+    disk: it survives simulated crash/restarts. *)
 
 module Ro = Sfs_proto.Readonly_proto
 module Rabin = Sfs_crypto.Rabin
 module Memfs = Sfs_nfs.Memfs
 module Simnet = Sfs_net.Simnet
 module Simclock = Sfs_net.Simclock
-
-val ro_port : int
-(** Port mirrors (and their clients) use for the read-only dialect. *)
 
 (** {2 Mirror} *)
 
@@ -29,13 +30,21 @@ type mirror
 val mirror :
   ?obs:Sfs_obs.Obs.registry ->
   clock:Simclock.t ->
+  location:string ->
+  pubkey:Rabin.pub ->
   unit ->
   mirror
-(** An empty mirror; it serves nothing until a publisher pushes a root. *)
+(** An empty mirror for [location], serving the publisher's public key
+    [pubkey]; it serves nothing until a publisher pushes a root. *)
 
-val attach : Simnet.t -> mirror -> Simnet.host -> unit
-(** Listen on {!ro_port} of [host].  Service registration survives
-    crash/restart epochs, like the store itself. *)
+val path : mirror -> Pathname.t
+(** The mirror's own self-certifying pathname: its Location and the
+    HostID of the key it serves. *)
+
+val attach : Simnet.t -> mirror -> Simnet.host
+(** Add the mirror's host, named by its Location, listening for clients
+    and for the publisher's pushes; like the store, it survives
+    crash/restart epochs. *)
 
 val mirror_root : mirror -> Ro.fsinfo option
 val mirror_objects : mirror -> int
@@ -68,7 +77,6 @@ val publisher :
   Memfs.t ->
   publisher
 
-val pubkey : publisher -> Rabin.pub
 val current : publisher -> Readonly.snapshot option
 
 val target : addr:string -> target

@@ -31,7 +31,6 @@ module Channel = Sfs_proto.Channel
 module Authproto = Sfs_proto.Authproto
 module Sfsrw = Sfs_proto.Sfsrw
 module Lease = Sfs_proto.Lease
-module Ro = Sfs_proto.Readonly_proto
 module Xdr = Sfs_xdr.Xdr
 module Obs = Sfs_obs.Obs
 
@@ -62,7 +61,6 @@ type t = {
   allow_anonymous : bool; (* section 2.5: servers may refuse anonymous access *)
   mutable readonly : Readonly.store option; (* the snapshot Fs_readonly serves *)
   mutable revocation : Revocation.t option; (* served on connect when set *)
-  mutable connections : int;
   (* Duplicate request cache for the read-write protocol, keyed by
      (client host, xid) so it survives session teardown: a client that
      reconnects after a lost reply re-issues the same xid, and the
@@ -300,48 +298,25 @@ let fs_connection ?(encrypt = true) ~(peer : string) (t : t) : string -> string 
 
 (* --- The connection dispatcher (sfssd proper) --- *)
 
+(* sfssd's handler for the service a connect request names. *)
+let service (t : t) ~(peer : string) (req : Keyneg.connect_req) :
+    (string -> string, string) result =
+  match req.Keyneg.service with
+  | Keyneg.Fs ->
+      let encrypt = not (List.mem "no-encrypt" req.Keyneg.extensions) in
+      Ok (fs_connection ~encrypt ~peer t)
+  | Keyneg.Auth ->
+      Ok (Authserv.srp_connection t.authserv ~self_cert_path:(Pathname.to_string t.path))
+  | Keyneg.Fs_readonly -> (
+      match t.readonly with
+      | Some st -> Ok (Readonly.serve st)
+      | None -> Error "read-only dialect not served here")
+
 let connection (t : t) ~(peer : string) : string -> string =
-  t.connections <- t.connections + 1;
   Obs.incr t.obs "server.connections";
-  let sub = ref None in
-  fun bytes ->
-    match !sub with
-    | Some handler -> handler bytes
-    | None -> (
-        (* First message must be a connect request naming the service. *)
-        match Xdr.run bytes Keyneg.dec_connect_req with
-        | Result.Error e -> Xdr.encode Keyneg.enc_connect_res (Keyneg.Connect_error e)
-        | Ok req -> (
-            match t.revocation with
-            | Some cert ->
-                Xdr.encode Keyneg.enc_connect_res
-                  (Keyneg.Connect_revoked { certificate = Revocation.to_string cert })
-            | None ->
-                if req.Keyneg.location <> t.location then
-                  Xdr.encode Keyneg.enc_connect_res
-                    (Keyneg.Connect_error "wrong location")
-                else begin
-                  (match req.Keyneg.service with
-                  | Keyneg.Fs ->
-                      let encrypt = not (List.mem "no-encrypt" req.Keyneg.extensions) in
-                      sub := Some (fs_connection ~encrypt ~peer t)
-                  | Keyneg.Auth ->
-                      sub :=
-                        Some
-                          (Authserv.srp_connection t.authserv
-                             ~self_cert_path:(Pathname.to_string t.path))
-                  | Keyneg.Fs_readonly -> (
-                      match t.readonly with
-                      | Some st ->
-                          sub := Some (fun bytes -> Readonly.serve st (Ro.ro_request_of_string bytes))
-                      | None -> ()));
-                  match (req.Keyneg.service, t.readonly) with
-                  | Keyneg.Fs_readonly, None ->
-                      Xdr.encode Keyneg.enc_connect_res
-                        (Keyneg.Connect_error "read-only dialect not served here")
-                  | _ ->
-                      Xdr.encode Keyneg.enc_connect_res (Keyneg.Connect_ok { pubkey = t.server_key.Rabin.pub })
-                end))
+  Keyneg.respond ~location:t.location ~pubkey:t.server_key.Rabin.pub
+    ~revoked:(fun () -> Option.map Revocation.to_string t.revocation)
+    (service t ~peer)
 
 let create ?(allow_anonymous = true) ?auth_backend
     ?obs (net : Simnet.t) ~(host : Simnet.host) ~(location : string) ~(key : Rabin.priv)
@@ -365,7 +340,6 @@ let create ?(allow_anonymous = true) ?auth_backend
       allow_anonymous;
       readonly = None;
       revocation = None;
-      connections = 0;
       drc = Drc.create ?obs ~bound:drc_size ~counters:"server" ();
       obs;
     }

@@ -153,8 +153,8 @@ let derive ~(server_pub : Rabin.pub) ~(client_pub : Rabin.pub) ~(kc1 : string) ~
 
 (* --- Client side --- *)
 
-(* sfssd's one port (4, as deployed SFS used); the connect request
-   names the service (section 3.2). *)
+(* sfssd's one port (4, as deployed SFS used), which read-only mirrors
+   answer on too; the connect request names the service (section 3.2). *)
 let sfs_port = 4
 
 type refusal = Unreachable | Refused of string | Revoked of string (* marshaled revocation cert *)
@@ -175,9 +175,8 @@ let connect ~(location : string) ~(hostid : string) ~(service : service)
         Error (Refused "server key does not match HostID")
       else Ok pubkey
 
-(* The one dial to sfssd: the connection, one window-1 mux for every
-   handshake on it, and the connect step.  Every failure closes the
-   connection; a refused dial or a lost message is [Unreachable]. *)
+(* The one dial to a server (keyneg.mli); every failure closes the
+   connection, and a refused dial or a lost message is [Unreachable]. *)
 let dial (net : Simnet.t) ~(from_host : string) ~(location : string) ~(hostid : string)
     ~(service : service) ~(extensions : string list) :
     (Simnet.conn * (string -> string) * Rabin.pub, refusal) result =
@@ -216,8 +215,30 @@ let negotiate ~(rng : Prng.t) ~(temp_key : Rabin.priv) ~(server_pub : Rabin.pub)
 
 (* --- Server side --- *)
 
-(* Handle the second client message; the first (connect) is answered by
-   the caller, which owns key and revocation state. *)
+(* The connect step every server answers (messages 1 and 2); sfssd
+   and every read-only mirror answer through this one function. *)
+let respond ~(location : string) ~(pubkey : Rabin.pub) ~(revoked : unit -> string option)
+    (serve : connect_req -> (string -> string, string) result) : string -> string =
+  let sub = ref None in
+  fun bytes ->
+    match !sub with
+    | Some handler -> handler bytes
+    | None ->
+        Xdr.encode enc_connect_res
+          (match Xdr.run bytes dec_connect_req with
+          | Result.Error e -> Connect_error e
+          | Ok req -> (
+              match revoked () with
+              | Some certificate -> Connect_revoked { certificate }
+              | None when req.location <> location -> Connect_error "wrong location"
+              | None -> (
+                  match serve req with
+                  | Ok handler ->
+                      sub := Some handler;
+                      Connect_ok { pubkey }
+                  | Error refusal -> Connect_error refusal)))
+
+(* Handle the client's key-halves message after [respond]. *)
 let server_negotiate ~(rng : Prng.t) ~(server_key : Rabin.priv) (keyneg_req_bytes : string) :
     (session_keys * string (* response bytes *), string) result =
   match Xdr.run keyneg_req_bytes dec_keyneg_req with

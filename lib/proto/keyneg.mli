@@ -25,8 +25,6 @@ type connect_req = {
   extensions : string list; (** dialect extensions, e.g. ["no-encrypt"] *)
 }
 
-val dec_connect_req : Xdr.dec -> connect_req
-
 type connect_res =
   | Connect_ok of { pubkey : Rabin.pub }
   | Connect_revoked of { certificate : string }
@@ -49,7 +47,8 @@ type session_keys = {
 (** {2 Protocol runners} *)
 
 val sfs_port : int
-(** The one port sfssd listens on (4, as deployed SFS used). *)
+(** The one port sfssd listens on (4, as deployed SFS used), and every
+    read-only mirror with it. *)
 
 type refusal =
   | Unreachable  (** a refused dial, a crash window or a lost message *)
@@ -64,9 +63,10 @@ val dial :
   service:service ->
   extensions:string list ->
   (Simnet.conn * (string -> string) * Rabin.pub, refusal) result
-(** The one dial every client makes to sfssd: connect to [location]'s
-    {!sfs_port}, build one window-1 {!Sfs_net.Rpc_mux.of_conn}, and run
-    the connect step (Figure 3, messages 1 and 2) naming [service].
+(** The one dial every client makes to an SFS server, sfssd or a
+    read-only mirror: connect to [location]'s {!sfs_port}, build one
+    window-1 {!Sfs_net.Rpc_mux.of_conn}, and run the connect step
+    (Figure 3, messages 1 and 2) naming [service].
     Returns the connection, the mux's exchange, which every later
     handshake on the connection reuses, and the served key.  For [Fs]
     and [Fs_readonly] the key must hash to [hostid]: a substituted key
@@ -83,7 +83,23 @@ val negotiate :
     key {!dial} returned, under the client's short-lived [temp_key];
     [Error] on a malformed or undecryptable reply. *)
 
+val respond :
+  location:string ->
+  pubkey:Rabin.pub ->
+  revoked:(unit -> string option) ->
+  (connect_req -> (string -> string, string) result) ->
+  string ->
+  string
+(** One connection's server side of the connect step, for sfssd and
+    every read-only mirror.  While [revoked ()] (read as each request
+    arrives) is a marshaled certificate, it is served instead of
+    [pubkey]; a request naming another Location is refused with ["wrong
+    location"].  Otherwise [serve req] returns the handler for every
+    later message and [pubkey] is served, or the server's own refusal
+    text. *)
+
 val server_negotiate :
   rng:Prng.t -> server_key:Rabin.priv -> string -> (session_keys * string, string) result
-(** Handle the client's key-halves message; returns the session keys
-    and the marshaled response to send back. *)
+(** Handle the client's key-halves message once {!respond} has
+    answered the connect step; returns the session keys and the
+    marshaled response to send back. *)

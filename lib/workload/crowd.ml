@@ -148,7 +148,7 @@ let run (w : world) (kind : 'c kind) ~(arrival : arrival) ~(ops : int) ~(fault :
       | Error Retry when s.attempts < kind.retry_limit -> redial s ready
       | Error Refresh when s.attempts < kind.retry_limit ->
           (* nothing wrong got cached: refresh the root (a republish may
-             have evicted what the old one referenced) and re-walk *)
+             have evicted what the old one referenced) and re-read *)
           t.refreshes <- t.refreshes + 1;
           let _, _, rready = timed s (fun () -> Ok (kind.refresh s.c)) in
           Simclock.schedule w.clock ~at_us:(rready +. backoff s) (op s)

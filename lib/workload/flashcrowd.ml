@@ -1,18 +1,17 @@
-(* Flash-crowd simulation, the read-only kind of the Crowd engine.
-   Per-client state is a slim record plus a verification cache (no key
-   negotiation, no channel, no Cachefs), and mirrors burn no
-   cryptography per request, so capacity scales with the replica count.
-   A read is one verified chain, so a failed read is retried, not
-   skipped: a route failure re-dials the least-loaded mirror, a
-   verification failure refreshes the root and re-walks. *)
+(* Flash-crowd simulation, the read-only kind of the Crowd engine
+   (flashcrowd.mli).  Clients hold mirror pathnames, never a key, and
+   mount and read as Client.mount_readonly does; per-client state is a
+   slim record plus a verification cache, and mirrors burn no
+   cryptography per request, so capacity scales with the replicas. *)
 
 module Simclock = Sfs_net.Simclock
 module Simnet = Sfs_net.Simnet
-module Costmodel = Sfs_net.Costmodel
-module Rpc_mux = Sfs_net.Rpc_mux
 module Memfs = Sfs_nfs.Memfs
+module Fs_intf = Sfs_nfs.Fs_intf
+module Nfs_types = Sfs_nfs.Nfs_types
 module Prng = Sfs_crypto.Prng
 module Rabin = Sfs_crypto.Rabin
+module Keyneg = Sfs_proto.Keyneg
 module Core = Sfs_core
 module Ro = Sfs_proto.Readonly_proto
 module Obs = Sfs_obs.Obs
@@ -89,25 +88,28 @@ let client_loc (i : int) : string = Printf.sprintf "c%d.ro.client" i
 type rcl = {
   from : string; (* this client's host name *)
   rng : Prng.t;
-  mutable conn : (Simnet.conn * string Rpc_mux.t) option; (* the mirror connection and its mux *)
-  mutable mirror : int; (* index of the mirror currently dialed *)
-  mutable ro : Core.Readonly.client option; (* survives failover: content addressing *)
+  mutable conn : (Simnet.conn * (string -> string)) option; (* the dial's connection, exchange *)
+  mutable mirror : int; (* index of the mirror pathname currently dialed *)
+  mutable ro : (Core.Readonly.client * Fs_intf.ops) option; (* survives every failover *)
   mutable pending : int; (* file index mid-retry, or -1 *)
 }
 
-(* Walk [names] down from the directory object [hash] to a file's
-   bytes.  A missing entry or an object of the wrong shape is a tree the
-   signed root never described: fatal, not a route failure to fail over
-   from.  Verification failures raise out of [fetch]. *)
-let rec walk ~(fetch : string -> Ro.obj) (hash : string) (names : string list) :
+(* A client's read (flashcrowd.mli); a lost message raises out of [ops]. *)
+let read (ops : Fs_intf.ops) ~(root : string) (names : string list) :
     (string, Crowd.failure) Stdlib.result =
-  match (fetch hash, names) with
-  | Ro.O_file data, [] -> Ok data
-  | Ro.O_dir entries, name :: rest -> (
-      match List.find_opt (fun e -> e.Ro.e_name = name) entries with
-      | Some e -> walk ~fetch e.Ro.e_hash rest
-      | None -> Error Crowd.Fatal)
-  | _ -> Error Crowd.Fatal
+  let failed = function Nfs_types.NFS3ERR_IO -> Error Crowd.Refresh | _ -> Error Crowd.Fatal in
+  let cred = Sfs_os.Simos.anonymous_cred in
+  let rec go fh size = function
+    | name :: rest -> (
+        match ops.Fs_intf.fs_lookup cred ~dir:fh name with
+        | Ok (fh, attr) -> go fh attr.Nfs_types.size rest
+        | Error e -> failed e)
+    | [] -> (
+        match ops.Fs_intf.fs_read cred fh ~off:0 ~count:size with
+        | Ok (data, _, _) -> Ok data
+        | Error e -> failed e)
+  in
+  go root 0 names
 
 let rec all_bytes (data : string) (b : char) (i : int) : bool =
   i >= String.length data || (data.[i] = b && all_bytes data b (i + 1))
@@ -131,20 +133,23 @@ let run ?tap (cfg : config) : result =
   ignore (Core.Replica.publish publisher);
   (* --- the mirror tier --- *)
   let mirrors =
-    Array.init cfg.replicas (fun _ -> Core.Replica.mirror ~obs ~clock ())
+    Array.init cfg.replicas (fun m ->
+        Core.Replica.mirror ~obs ~clock ~location:(mirror_loc m) ~pubkey:key.Rabin.pub ())
   in
   let mhosts =
-    Array.init cfg.replicas (fun m ->
-        let h = Simnet.add_host net (mirror_loc m) in
-        Core.Replica.attach net mirrors.(m) h;
+    Array.map
+      (fun mi ->
+        let h = Core.Replica.attach net mi in
         Simnet.set_admission h cfg.admit_per_mirror;
         h)
+      mirrors
   in
+  (* What the crowd is handed: each mirror's own pathname. *)
+  let paths = Array.map Core.Replica.path mirrors in
   let targets =
     Array.to_list (Array.init cfg.replicas (fun m -> Core.Replica.target ~addr:(mirror_loc m)))
   in
   let fanout_failures = ref (Core.Replica.fan_out publisher targets) in
-  let pubkey = Core.Replica.pubkey publisher in
   let cdf = Crowd.zipf_cdf ~n:(cfg.dirs * cfg.files_per_dir) ~theta:cfg.theta in
   let bad_content = ref 0 and republishes = ref 0 in
   let cls =
@@ -160,7 +165,7 @@ let run ?tap (cfg : config) : result =
         })
   in
   let drop_conn (c : rcl) : unit =
-    (match c.conn with Some (conn, _) -> (try Simnet.close conn with _ -> ()) | None -> ());
+    Option.iter (fun (conn, _) -> Simnet.close conn) c.conn;
     c.conn <- None
   in
   (* Least-loaded failover: re-dial the mirror with the fewest live
@@ -174,30 +179,24 @@ let run ?tap (cfg : config) : result =
     done;
     !best
   in
-  (* Reads [c.conn] at call time, so one Readonly.client and its
-     verification cache survive reconnects and mirror switches: a
-     content hash names the same bytes everywhere.  The client charges
-     each exchange its user-level crossing. *)
+  (* Read at call time: one verification cache survives every failover. *)
   let exchange (c : rcl) (bytes : string) : string =
-    match c.conn with None -> raise Simnet.Timeout | Some (_, mux) -> Rpc_mux.call mux bytes
+    match c.conn with None -> raise Simnet.Timeout | Some (_, call) -> call bytes
   in
-  (* One flash-crowd read: walk root dir -> subdir -> file through the
-     verification cache and check every byte against the published
-     generations.  A wrong byte here would mean unverified data reached
-     the application — counted, and asserted zero by [reconcile]. *)
+  (* One flash-crowd read through the verification cache, every byte
+     checked against the published generations: a wrong byte would be
+     unverified data reaching the application, asserted zero by
+     [reconcile]. *)
   let do_read (c : rcl) : (unit, Crowd.failure) Stdlib.result =
-    let ro = match c.ro with Some ro -> ro | None -> assert false in
+    let ro, ops = match c.ro with Some v -> v | None -> assert false in
     let file = if c.pending >= 0 then c.pending else Crowd.zipf_sample cdf c.rng in
     c.pending <- file;
     let d, f = Crowd.zipf_names ~files_per_dir:cfg.files_per_dir file in
-    let root = (Core.Readonly.current_fsinfo ro).Ro.root_hash in
-    match walk ~fetch:(Core.Readonly.fetch ro) root [ d; f ] with
+    match read ops ~root:(Core.Readonly.current_fsinfo ro).Ro.root_hash [ d; f ] with
     | Error _ as e -> e
     | Ok data ->
-        (* Either generation of the file is fine (a republish rewrites
-           the hottest file per directory with 'Z'); anything else is
-           bytes the hash chain never vouched for.  Checked in place,
-           without building either generation. *)
+        (* Either generation is fine (a republish rewrites the hottest
+           file per directory with 'Z'), checked in place. *)
         if
           String.length data = cfg.file_bytes
           && (cfg.file_bytes = 0
@@ -214,21 +213,29 @@ let run ?tap (cfg : config) : result =
           Error Crowd.Fatal
         end
   in
+  (* The two calls of Client.mount_readonly.  The dial closes the
+     connection on every refusal, so no byte is read from a refusing
+     mirror; a key the pathname does not name fails over, since a
+     reply corrupted in the clear refuses the same way (DESIGN §15). *)
   let do_connect (c : rcl) : (unit, Crowd.failure) Stdlib.result =
-    let conn =
-      (* sfstaint: allow TNT003 TNT004 — Simnet.connect interpolates only host names and ports into its errors and span labels; the client's Zipf Prng stays out of both *)
-      Simnet.connect net ~from_host:c.from ~addr:(mirror_loc c.mirror) ~port:Core.Replica.ro_port
-        ~proto:Costmodel.Tcp
-    in
-    c.conn <- Some (conn, Rpc_mux.of_conn net ~proto:Costmodel.Tcp conn);
-    (* on a reconnect the root is already verified *)
-    if Option.is_none c.ro then
-      c.ro <-
-        Some
-          (* sfstaint: allow TNT004 — connect raises plain Simnet/Verification errors; the per-client Zipf Prng never reaches the exchange or the message *)
-          (Core.Readonly.connect ~obs ~cache_objs:cfg.vcache_objs
-             ~exchange:(exchange c) ~pubkey ~clock ());
-    Ok ()
+    let path = paths.(c.mirror) in
+    match
+      Keyneg.dial net ~from_host:c.from ~location:(Core.Pathname.location path)
+        ~hostid:(Core.Pathname.hostid path) ~service:Keyneg.Fs_readonly ~extensions:[]
+    with
+    | Error (Keyneg.Unreachable | Keyneg.Refused _) -> Error Crowd.Retry
+    | Error (Keyneg.Revoked _) -> Error Crowd.Fatal
+    | Ok (conn, call, pubkey) ->
+        c.conn <- Some (conn, call);
+        (* on a reconnect the root is already verified *)
+        if Option.is_none c.ro then begin
+          let ro =
+            Core.Readonly.connect ~obs ~cache_objs:cfg.vcache_objs ~exchange:(exchange c) ~pubkey
+              ~clock ()
+          in
+          c.ro <- Some (ro, Core.Readonly.ops ro)
+        end;
+        Ok ()
   in
   let kind =
     {
@@ -245,7 +252,7 @@ let run ?tap (cfg : config) : result =
           Obs.incr (Some obs) "ro.client.retry";
           match c.ro with
           (* sfstaint: allow TNT004 — refresh raises Verification_failed with protocol text only; the client's Zipf Prng is not part of the exception *)
-          | Some ro -> Core.Readonly.refresh ro
+          | Some (ro, _) -> Core.Readonly.refresh ro
           | None -> ());
       finish = drop_conn;
       retry_ops = true;

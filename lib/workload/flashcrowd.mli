@@ -35,7 +35,7 @@ type result = {
   r_clients_ok : int;
   r_clients_failed : int;
   r_failovers : int;  (** re-dials to a different (or the same) mirror *)
-  r_retries : int;  (** verify-failure retries (refresh + re-walk) *)
+  r_retries : int;  (** verify-failure retries (refresh + re-read) *)
   r_bad_content : int;  (** reads matching no published generation *)
   r_republishes : int;
   r_fanout_failures : int;
@@ -67,14 +67,13 @@ val ledger : result -> string
 (** Byte-identity artifact for the determinism gates (config, tallies,
     sketches, sorted counters). *)
 
-(* sfslint: allow SL014 — its missing-path verdicts, which Flashcrowd.run never meets, are pinned by a unit test *)
-val walk :
-  fetch:(string -> Sfs_proto.Readonly_proto.obj) -> string -> string list ->
-  (string, Crowd.failure) Stdlib.result
-(** [walk ~fetch root names]: follow [names] from the directory object
-    [root] to a file's bytes.  A missing entry or an object of the
-    wrong shape is [Fatal] — the signed tree never had that path, so no
-    other mirror will either. *)
+(* sfslint: allow SL014 — its verdicts for a path the signed tree lacks, which Flashcrowd.run never meets, are pinned by a unit test *)
+val read :
+  Sfs_nfs.Fs_intf.ops -> root:string -> string list -> (string, Crowd.failure) Stdlib.result
+(** A crowd client's read: look [names] up from the directory [root]
+    and read the file whole through {!Sfs_core.Readonly.ops}.  A failed
+    verification ([NFS3ERR_IO]) is [Refresh]; a path the signed tree
+    never had ([NOENT], [NOTDIR], [ISDIR]) is [Fatal]. *)
 
 val publisher_loc : string
 val mirror_loc : int -> string

@@ -235,7 +235,7 @@ let test_mechanism_composition () =
 
 let test_readonly_end_to_end () =
   let s = make_site () in
-  let server, _, fs = add_server s "ro.example.com" in
+  let _, _, fs = add_server s "ro.example.com" in
   let root_cred = Simos.cred_of_user Simos.root_user in
   (match Memfs.lookup fs root_cred ~dir:Memfs.root_id "share" with
   | Ok (share, _) -> (
@@ -243,28 +243,25 @@ let test_readonly_end_to_end () =
       | Ok (id, _) -> ignore (Memfs.write fs root_cred id ~off:0 "published content")
       | Error e -> Alcotest.fail (Nfs_types.status_to_string e))
   | Error e -> Alcotest.fail (Nfs_types.status_to_string e));
-  (* Snapshot under the server's own key (the mli hides the key; reuse
-     a server helper by creating a fresh snapshot from a known key). *)
+  (* The publisher signs a snapshot of the tree with a key of its own
+     and pushes it to a mirror that holds only the public key.  The
+     mirror answers the connect step for its own pathname; the reader
+     checks the served key against that pathname's HostID, then every
+     object against the signed root. *)
   let key = Rabin.generate ~bits:512 rng in
-  let host2 = Simnet.add_host s.net "replica.example.com" in
-  let now () = Nfs_types.time_of_us (Simclock.now_us s.clock) in
-  ignore now;
-  let snap = Readonly.snapshot ~key ~now_s:(Simclock.seconds s.clock) fs in
-  (* Served from a second machine running sfssd with the snapshot's
-     signing key.  It is not an untrusted replica: it holds the private
-     key and serves the read-write file system too.  Only sfssd answers
-     the connect step a self-certifying pathname needs, and sfssd cannot
-     run without a private key; the key-free mirrors (Replica) answer no
-     connect step, so their clients get the public key out of band
-     (Flashcrowd). *)
-  let replica_auth = Authserv.create rng in
-  let replica =
-    Server.create s.net ~host:host2 ~location:"replica.example.com" ~key ~rng
-      ~backend:(Memfs_ops.make ~fs ~disk:(Diskmodel.create s.clock)) ~authserv:replica_auth ()
+  ignore (Simnet.add_host s.net "publisher.example.com");
+  let publisher =
+    Replica.publisher ~net:s.net ~host:"publisher.example.com" ~key ~clock:s.clock fs
   in
-  Server.serve_readonly replica snap;
+  let mirror =
+    Replica.mirror ~clock:s.clock ~location:"replica.example.com" ~pubkey:key.Rabin.pub ()
+  in
+  ignore (Replica.attach s.net mirror);
+  ignore (Replica.publish publisher);
+  Testkit.check_int "pushed to the mirror" 0
+    (Replica.fan_out publisher [ Replica.target ~addr:"replica.example.com" ]);
   let m = add_machine s "reader.example.com" in
-  (match Client.mount_readonly m.sfscd (Server.self_path replica) with
+  (match Client.mount_readonly m.sfscd (Replica.path mirror) with
   | Error e -> Alcotest.fail (Client.mount_error_to_string e)
   | Ok ops ->
       let cred = Simos.anonymous_cred in
@@ -285,8 +282,7 @@ let test_readonly_end_to_end () =
       (match ops.Fs_intf.fs_write cred doc ~off:0 ~stable:true "vandalism" with
       | Error Nfs_types.NFS3ERR_ROFS -> ()
       | Error e -> Alcotest.fail (Nfs_types.status_to_string e)
-      | Ok _ -> Alcotest.fail "wrote to a read-only snapshot"));
-  ignore server
+      | Ok _ -> Alcotest.fail "wrote to a read-only snapshot"))
 
 (* --- Forwarding pointer end-to-end --- *)
 

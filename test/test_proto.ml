@@ -34,21 +34,18 @@ let run_negotiation ?(tamper_pubkey = false) () =
   let location = "server.example.com" in
   let hostid = Hostid.of_location_key ~location ~pubkey:sk.Rabin.pub in
   let server_keys = ref None in
-  let exchange msg =
-    (* A miniature sfssd answering the two negotiation steps. *)
-    match Sfs_xdr.Xdr.run msg Keyneg.dec_connect_req with
-    | Ok _ ->
-        let pub = if tamper_pubkey then (Lazy.force temp_key).Rabin.pub else sk.Rabin.pub in
-        Sfs_xdr.Xdr.encode Keyneg.enc_connect_res (Keyneg.Connect_ok { pubkey = pub })
-    | Result.Error _ -> (
-        match Keyneg.server_negotiate ~rng ~server_key:sk msg with
-        | Ok (keys, response) ->
-            server_keys := Some keys;
-            response
-        | Result.Error e -> Alcotest.fail e)
+  (* A miniature sfssd answering the two negotiation steps. *)
+  let negotiate msg =
+    match Keyneg.server_negotiate ~rng ~server_key:sk msg with
+    | Ok (keys, response) ->
+        server_keys := Some keys;
+        response
+    | Result.Error e -> Alcotest.fail e
   in
+  let pubkey = if tamper_pubkey then (Lazy.force temp_key).Rabin.pub else sk.Rabin.pub in
   let net = Simnet.create (Simclock.create ()) in
-  Simnet.listen net (Simnet.add_host net location) ~port:Keyneg.sfs_port (fun ~peer:_ -> exchange);
+  Simnet.listen net (Simnet.add_host net location) ~port:Keyneg.sfs_port (fun ~peer:_ ->
+      Keyneg.respond ~location ~pubkey ~revoked:(fun () -> None) (fun _ -> Ok negotiate));
   let result =
     match
       Keyneg.dial net ~from_host:"client.example.com" ~location ~hostid ~service:Keyneg.Fs

@@ -13,17 +13,38 @@ module Rabin = Sfs_crypto.Rabin
 module Ro = Sfs_proto.Readonly_proto
 module Readonly = Sfs_core.Readonly
 module Replica = Sfs_core.Replica
+module Pathname = Sfs_core.Pathname
+module Keyneg = Sfs_proto.Keyneg
 module Vcache = Sfs_core.Vcache
 module Obs = Sfs_obs.Obs
 module Slice = Sfs_util.Slice
 
 let root_cred = Simos.cred_of_user Simos.root_user
 
+(* A key-free mirror for [location] serving [pubkey], on its own host. *)
+let add_mirror ?obs (net : Simnet.t) ~(location : string) ~(pubkey : Rabin.pub) : Replica.mirror =
+  let m = Replica.mirror ?obs ~clock:(Simnet.clock net) ~location ~pubkey () in
+  ignore (Replica.attach net m);
+  m
+
+(* A client's dial to a pathname's read-only dialect. *)
+let dial_ro (net : Simnet.t) ~(from : string) (path : Pathname.t) =
+  Keyneg.dial net ~from_host:from ~location:(Pathname.location path) ~hostid:(Pathname.hostid path)
+    ~service:Keyneg.Fs_readonly ~extensions:[]
+
+(* The connection and exchange of a dial the mirror must accept. *)
+let dial_mirror (net : Simnet.t) ~(from : string) (m : Replica.mirror) :
+    Simnet.conn * (string -> string) * Rabin.pub =
+  match dial_ro net ~from (Replica.path m) with
+  | Ok v -> v
+  | Error (Keyneg.Refused e | Keyneg.Revoked e) -> Alcotest.fail ("connect step refused: " ^ e)
+  | Error Keyneg.Unreachable -> Alcotest.fail "mirror unreachable"
+
 (* sfssd's read-only service over [snap] with no transport around it:
    request bytes in, reply bytes out. *)
 let serve_snapshot (snap : Readonly.snapshot) : string -> string =
   let st = Readonly.store ~clock:(Simclock.create ()) snap in
-  fun req -> Readonly.serve st (Ro.ro_request_of_string req)
+  Readonly.serve st
 
 (* --- Vcache: bounded LRU over verified objects --- *)
 
@@ -129,10 +150,7 @@ let test_fanout_delta_and_evict () =
   let p = Replica.publisher ~obs ~net ~host:"pub.test" ~key ~clock fs in
   let mirrors =
     Array.init 2 (fun m ->
-        let name = Printf.sprintf "m%d.test" m in
-        let mi = Replica.mirror ~obs ~clock () in
-        Replica.attach net mi (Simnet.add_host net name);
-        mi)
+        add_mirror ~obs net ~location:(Printf.sprintf "m%d.test" m) ~pubkey:key.Rabin.pub)
   in
   let targets = [ Replica.target ~addr:"m0.test"; Replica.target ~addr:"m1.test" ] in
   let s1 = Replica.publish p in
@@ -160,14 +178,11 @@ let test_fanout_delta_and_evict () =
   Testkit.check_int "only the delta travelled" 6 pushed_delta;
   Testkit.check_bool "stale objects evicted" true (Obs.counter obs "ro.fanout.evicted" >= 2);
   ignore (Simnet.add_host net "check.test");
-  Array.iteri
-    (fun m mi ->
+  Array.iter
+    (fun mi ->
       Testkit.check_int "mirror store converged" (Readonly.object_count s2)
         (Replica.mirror_objects mi);
-      let conn =
-        Simnet.connect net ~from_host:"check.test" ~addr:(Printf.sprintf "m%d.test" m)
-          ~port:Replica.ro_port ~proto:Sfs_net.Costmodel.Tcp
-      in
+      let conn, _, _ = dial_mirror net ~from:"check.test" mi in
       Readonly.fold_store s2
         (fun h _ () ->
           Testkit.check_bool "mirror has every live hash" true
@@ -359,6 +374,9 @@ let prop_flipped_root_bit =
    stored reply frames: serving from a lookup must not move a wire
    byte. *)
 
+(* Every connect request opens with its version string, "sfs-1". *)
+let connect_prefix = "\000\000\000\005sfs-1"
+
 let messages_sha1 (msgs : string list) : string =
   Sfs_util.Hex.encode
     (Sfs_crypto.Sha1.digest_list
@@ -381,16 +399,31 @@ let test_reply_byte_pin () =
   let r = Flashcrowd.run ~tap cfg in
   Testkit.check_int "all clients finished" 24 r.Flashcrowd.r_clients_ok;
   Testkit.check_int "republished mid-crowd" 1 r.Flashcrowd.r_republishes;
-  let messages dir =
-    List.rev (List.filter_map (fun (d, m) -> if d = dir then Some m else None) tap.Simnet.observed)
+  (* The read-only dialect's own messages: each connect step a client
+     opens with (its request and the reply that follows) is left out. *)
+  let rec dialect = function
+    | (Simnet.To_server, q) :: (Simnet.To_client, _) :: rest
+      when String.starts_with ~prefix:connect_prefix q ->
+        dialect rest
+    | m :: rest -> m :: dialect rest
+    | [] -> []
   in
-  let mirror_replies = messages Simnet.To_client in
+  let observed = List.rev tap.Simnet.observed in
+  let messages dir =
+    List.filter_map (fun (d, m) -> if d = dir then Some m else None) observed
+  in
+  let dialect_messages dir =
+    List.filter_map (fun (d, m) -> if d = dir then Some m else None) (dialect observed)
+  in
+  Testkit.check_int "one connect step per client" 24
+    (List.length (List.filter (fun q -> String.starts_with ~prefix:connect_prefix q) (messages Simnet.To_server)));
+  let mirror_replies = dialect_messages Simnet.To_client in
   Testkit.check_int "mirror replies" 249 (List.length mirror_replies);
   Testkit.check_string "mirror reply SHA-1" "99e3f6c71af3d728bbce7b2f33878ca963fe4e9f"
     (messages_sha1 mirror_replies);
   (* The requests too: the publisher's pushes carry objects as views. *)
   Testkit.check_string "request SHA-1" "b9720f9fe1e484d106529f765893df700f6b82b5"
-    (messages_sha1 (messages Simnet.To_server));
+    (messages_sha1 (dialect_messages Simnet.To_server));
   let snap = Option.get (Replica.current r.Flashcrowd.r_publisher) in
   let hashes = List.sort compare (Readonly.fold_store snap (fun h _ acc -> h :: acc) []) in
   let requests =
@@ -451,20 +484,22 @@ let write_8k (fs : Memfs.t) ~(dir : int) (name : string) (i : int) : unit =
 
 (* Serving: a mirror's Get_obj is a lookup and a send. *)
 let test_mirror_serve_alloc () =
-  let clock = Simclock.create () in
-  let obs = Obs.create ~now_us:(fun () -> Simclock.now_us clock) () in
-  let m = Replica.mirror ~obs ~clock () in
-  (* The mirror's wire handler, called with no transport around it. *)
-  let net = Simnet.create clock in
-  Replica.attach net m (Simnet.add_host net "m.alloc");
-  let handle =
-    Simnet.inject
-      (Simnet.connect net ~from_host:"c" ~addr:"m.alloc" ~port:Replica.ro_port ~proto:Sfs_net.Costmodel.Tcp)
-  in
+  let clock, obs, net = mk_world () in
+  let key = Lazy.force alloc_key in
+  let now () = Nfs_types.time_of_us (Simclock.now_us clock) in
+  let fs = Memfs.create ~fsid:1 ~now () in
+  write_8k fs ~dir:Memfs.root_id "f0" 0;
+  ignore (Simnet.add_host net "pub.alloc");
+  let p = Replica.publisher ~obs ~net ~host:"pub.alloc" ~key ~clock fs in
+  ignore (Replica.publish p);
+  let m = add_mirror ~obs net ~location:"m.alloc" ~pubkey:key.Rabin.pub in
+  Testkit.check_int "fan-out clean" 0 (Replica.fan_out p [ Replica.target ~addr:"m.alloc" ]);
+  (* The mirror's wire handler once the connect step has run, called
+     with no transport around it. *)
+  let conn, _, _ = dial_mirror net ~from:"c" m in
+  let handle = Simnet.inject conn in
   let obj = Ro.obj_to_string (Ro.O_file (file_8k 0)) in
-  let h = Sfs_crypto.Sha1.digest obj in
-  ignore (handle (Ro.ro_request_to_string (Ro.Put_objs [ (h, Slice.of_string obj) ])));
-  let req = Ro.ro_request_to_string (Ro.Get_obj h) in
+  let req = Ro.ro_request_to_string (Ro.Get_obj (Sfs_crypto.Sha1.digest obj)) in
   let first = handle req in
   Testkit.check_bool "reply is the Obj_is frame" true
     (first = Ro.ro_response_to_string (Ro.Obj_is obj));
@@ -536,10 +571,7 @@ let test_corrupt_replies_leave_store () =
   let p = Replica.publisher ~obs ~net ~host:"pub.test" ~key ~clock fs in
   let mirrors =
     Array.init 2 (fun m ->
-        let name = Printf.sprintf "m%d.test" m in
-        let mi = Replica.mirror ~obs ~clock () in
-        Replica.attach net mi (Simnet.add_host net name);
-        mi)
+        add_mirror ~obs net ~location:(Printf.sprintf "m%d.test" m) ~pubkey:key.Rabin.pub)
   in
   let snap = Replica.publish p in
   Testkit.check_int "fan-out clean" 0
@@ -547,18 +579,12 @@ let test_corrupt_replies_leave_store () =
   let objs =
     List.sort compare (Readonly.fold_store snap (fun h b acc -> (h, Slice.to_string b) :: acc) [])
   in
-  let conns =
-    Array.mapi
-      (fun m _ ->
-        Simnet.connect net ~from_host:"client.test" ~addr:(Printf.sprintf "m%d.test" m)
-          ~port:Replica.ro_port ~proto:Sfs_net.Costmodel.Tcp)
-      mirrors
-  in
+  let dials = Array.map (dial_mirror net ~from:"client.test") mirrors in
+  let conns = Array.map (fun (conn, _, _) -> conn) dials in
   let clients =
     Array.map
-      (fun conn ->
-        Readonly.connect ~cache_objs:1 ~exchange:(Testkit.call net conn) ~pubkey:key.Rabin.pub ~clock ())
-      conns
+      (fun (_, exchange, pubkey) -> Readonly.connect ~cache_objs:1 ~exchange ~pubkey ~clock ())
+      dials
   in
   (* Corrupt every reply, at a different byte each time. *)
   let k = ref 0 in
@@ -601,6 +627,144 @@ let test_corrupt_replies_leave_store () =
         objs)
     conns
 
+(* --- Key-free mirrors and the connect step --- *)
+
+(* A mirror that serves a key its pathname does not name fails the
+   HostID check at the connect step: the dial refuses it, and no crowd
+   client reads a byte from it. *)
+let test_mirror_wrong_key_refused () =
+  let _, _, net = mk_world () in
+  let key, _ = Lazy.force tamper_fixture in
+  let other = Lazy.force alloc_key in
+  let m = add_mirror net ~location:"m.wrong" ~pubkey:other.Rabin.pub in
+  (match dial_ro net ~from:"c" (Pathname.of_server ~location:"m.wrong" ~pubkey:key.Rabin.pub) with
+  | Error (Keyneg.Refused e) -> Testkit.check_string "reason" "server key does not match HostID" e
+  | Error _ -> Alcotest.fail "refused for another reason"
+  | Ok _ -> Alcotest.fail "a key the pathname does not name was accepted");
+  Testkit.check_bool "its own pathname dials" true (Result.is_ok (dial_ro net ~from:"c" (Replica.path m)));
+  (* A crowd whose every mirror answers the connect step with another
+     key than the one its pathname names: the tap substitutes it in
+     each connect reply, as a mirror set up with the wrong key would
+     serve it.  A refusal fails over (Refused is Retry), so each client
+     re-dials until it gives up, and never asks for the root or an
+     object. *)
+  let module Flashcrowd = Sfs_workload.Flashcrowd in
+  let wrong =
+    Sfs_xdr.Xdr.encode Keyneg.enc_connect_res (Keyneg.Connect_ok { pubkey = other.Rabin.pub })
+  in
+  let tap = Simnet.passive_tap () in
+  let connecting = ref false in
+  tap.Simnet.on_message <-
+    (fun dir msg ->
+      match dir with
+      | Simnet.To_server ->
+          connecting := String.starts_with ~prefix:connect_prefix msg;
+          Simnet.Pass
+      | Simnet.To_client when !connecting ->
+          connecting := false;
+          Simnet.Replace wrong
+      | Simnet.To_client -> Simnet.Pass);
+  let cfg = { Flashcrowd.default with Flashcrowd.clients = 8; reads_per_client = 2 } in
+  let r = Flashcrowd.run ~tap cfg in
+  List.iter
+    (fun (name, ok) -> Testkit.check_bool ("reconcile: " ^ name) true ok)
+    (Flashcrowd.reconcile r);
+  Testkit.check_int "every client gave up" 8 r.Flashcrowd.r_clients_failed;
+  Testkit.check_int "each refusal failed over, up to the attempt limit" (8 * 1000)
+    r.Flashcrowd.r_failovers;
+  Testkit.check_int "no read" 0 r.Flashcrowd.r_reads_ok;
+  Testkit.check_int "no object served" 0 (Obs.counter r.Flashcrowd.r_obs "ro.serve.objs");
+  Testkit.check_int "no root verified" 0 (Obs.counter r.Flashcrowd.r_obs "ro.root.verify");
+  let read_requests =
+    List.filter
+      (fun (d, q) ->
+        d = Simnet.To_server
+        &&
+        match Ro.ro_request_of_string q with
+        | Ok (Ro.Get_fsinfo | Ro.Get_obj _) -> true
+        | Ok (Ro.Put_objs _ | Ro.Put_root _) | Error _ -> false)
+      tap.Simnet.observed
+  in
+  Testkit.check_int "no read request reached a mirror" 0 (List.length read_requests)
+
+(* A connect request as its bytes, for what Keyneg.dial never sends: a
+   Location other than the host it reached. *)
+let connect_request ~(location : string) ~(hostid : string) : string =
+  let module Xdr = Sfs_xdr.Xdr in
+  Xdr.encode
+    (fun e () ->
+      Xdr.enc_string e "sfs-1";
+      Xdr.enc_string e location;
+      Xdr.enc_fixed_opaque e ~size:20 hostid;
+      Xdr.enc_uint32 e 3 (* Fs_readonly *);
+      Xdr.enc_array e Xdr.enc_string [])
+    ()
+
+(* A mirror runs the read-only dialect only, for its own Location only. *)
+let test_mirror_refuses_other_services () =
+  let _, _, net = mk_world () in
+  let key, _ = Lazy.force tamper_fixture in
+  let m = add_mirror net ~location:"m.only" ~pubkey:key.Rabin.pub in
+  let path = Replica.path m in
+  List.iter
+    (fun (name, service) ->
+      match
+        Keyneg.dial net ~from_host:"c" ~location:"m.only" ~hostid:(Pathname.hostid path) ~service
+          ~extensions:[]
+      with
+      | Error (Keyneg.Refused e) ->
+          Testkit.check_string (name ^ " refused") "a mirror serves only the read-only dialect" e
+      | Error _ -> Alcotest.fail (name ^ ": refused for another reason")
+      | Ok _ -> Alcotest.fail (name ^ " served by a mirror"))
+    [ ("Fs", Keyneg.Fs); ("Auth", Keyneg.Auth) ];
+  let conn =
+    Simnet.connect net ~from_host:"c" ~addr:"m.only" ~port:Keyneg.sfs_port
+      ~proto:Sfs_net.Costmodel.Tcp
+  in
+  let answer location =
+    Sfs_xdr.Xdr.run
+      (Simnet.inject conn (connect_request ~location ~hostid:(Pathname.hostid path)))
+      Keyneg.dec_connect_res
+  in
+  (match answer "elsewhere.test" with
+  | Ok (Keyneg.Connect_error e) -> Testkit.check_string "other Location" "wrong location" e
+  | _ -> Alcotest.fail "a request naming another Location was answered");
+  match answer "m.only" with
+  | Ok (Keyneg.Connect_ok { pubkey }) ->
+      Testkit.check_bool "its own Location gets the key" true (Rabin.pub_equal pubkey key.Rabin.pub)
+  | _ -> Alcotest.fail "the mirror's own Location was refused"
+
+(* A cached whole-file read through the ops is the verified string
+   itself, not a copy. *)
+let test_whole_file_read_alloc () =
+  let key = Lazy.force alloc_key in
+  let clock = Simclock.create () in
+  let now () = Nfs_types.time_of_us (Simclock.now_us clock) in
+  let fs = Memfs.create ~fsid:1 ~now () in
+  write_8k fs ~dir:Memfs.root_id "f0" 0;
+  let snap = Readonly.snapshot ~key ~now_s:0 fs in
+  let c = Readonly.connect ~exchange:(serve_snapshot snap) ~pubkey:key.Rabin.pub ~clock () in
+  let ops = Readonly.ops c in
+  let cred = Simos.anonymous_cred in
+  let fh =
+    match ops.Sfs_nfs.Fs_intf.fs_lookup cred ~dir:ops.Sfs_nfs.Fs_intf.fs_root "f0" with
+    | Ok (fh, _) -> fh
+    | Error e -> Alcotest.fail (Nfs_types.status_to_string e)
+  in
+  let read () = ops.Sfs_nfs.Fs_intf.fs_read cred fh ~off:0 ~count:8192 in
+  (match (read (), Readonly.fetch c fh) with
+  | Ok (data, eof, _), Ro.O_file verified ->
+      Testkit.check_bool "eof" true eof;
+      Testkit.check_bool "the verified string itself" true (data == verified)
+  | _ -> Alcotest.fail "f0 not read");
+  Testkit.check_alloc_under "cached whole-file read of 8 KB" ~bound:1000 (fun () ->
+      ignore (Sys.opaque_identity (read ())));
+  match ops.Sfs_nfs.Fs_intf.fs_read cred fh ~off:8 ~count:16 with
+  | Ok (data, eof, _) ->
+      Testkit.check_string "a part is a copy of its bytes" (String.sub (file_8k 0) 8 16) data;
+      Testkit.check_bool "not at eof" false eof
+  | Error e -> Alcotest.fail (Nfs_types.status_to_string e)
+
 let suite =
   ( "replica",
     [
@@ -617,5 +781,9 @@ let suite =
       Alcotest.test_case "fetch miss allocation" `Quick test_fetch_miss_alloc;
       Alcotest.test_case "snapshot allocation" `Quick test_snapshot_alloc;
       Alcotest.test_case "corrupt replies leave stored frames" `Quick test_corrupt_replies_leave_store;
+      Alcotest.test_case "mirror serving another key refused" `Quick test_mirror_wrong_key_refused;
+      Alcotest.test_case "mirror refuses services, locations" `Quick
+        test_mirror_refuses_other_services;
+      Alcotest.test_case "whole-file read allocation" `Quick test_whole_file_read_alloc;
     ]
     @ Testkit.to_alcotest [ prop_flipped_object_bit; prop_flipped_root_bit; prop_obj_frame_bytes ] )

@@ -475,23 +475,52 @@ let test_crowd_failure_classes () =
   check "skipped, not retried" [ 1; 0; 0; 1; 0 ] (run ~retry_ops:false (fun () -> Error Crowd.Retry))
 
 let test_flashcrowd_missing_entry () =
-  (* A path the signed tree does not have is a shape error like a wrong
-     object type: Fatal, so the client gives up instead of failing over
-     to a mirror that serves the same tree. *)
+  (* A crowd client's read over a verified snapshot's ops.  A path the
+     signed tree does not have is a shape error like a wrong object
+     type: Fatal, so the client gives up instead of failing over to a
+     mirror that serves the same tree.  A failed verification is an
+     I/O error through the ops: Refresh, so the client refreshes the
+     root and reads again. *)
   let module Ro = Sfs_proto.Readonly_proto in
-  let objs =
-    [
-      ("root", Ro.O_dir [ { Ro.e_name = "d0"; e_kind = Ro.K_dir; e_hash = "dir" } ]);
-      ("dir", Ro.O_dir [ { Ro.e_name = "f0"; e_kind = Ro.K_file; e_hash = "file" } ]);
-      ("file", Ro.O_file "bytes");
-    ]
+  let module Readonly = Sfs_core.Readonly in
+  let module Memfs = Sfs_nfs.Memfs in
+  let root_cred = Sfs_os.Simos.cred_of_user Sfs_os.Simos.root_user in
+  let clock = Simclock.create () in
+  let now () = Sfs_nfs.Nfs_types.time_of_us (Simclock.now_us clock) in
+  let fs = Memfs.create ~fsid:1 ~now () in
+  Crowd.write_file fs
+    ~dir:
+      (match Memfs.mkdir fs root_cred ~dir:Memfs.root_id "d0" ~mode:0o755 with
+      | Ok (d, _) -> d
+      | Error _ -> assert false)
+    "f0" "bytes";
+  let key = Sfs_crypto.Rabin.generate ~bits:512 (Sfs_crypto.Prng.create [ "missing-entry" ]) in
+  let snap = Readonly.snapshot ~key ~now_s:0 fs in
+  let store = Readonly.store ~clock snap in
+  let file_hash = Ro.hash_obj (Ro.O_file "bytes") in
+  (* [tamper] serves the root directory's bytes for the file's hash. *)
+  let tamper = ref false in
+  let exchange req =
+    match Ro.ro_request_of_string req with
+    | Ok (Ro.Get_obj h) when !tamper && h = file_hash ->
+        Readonly.serve store (Ro.ro_request_to_string (Ro.Get_obj (Readonly.fsinfo snap).Ro.root_hash))
+    | _ -> Readonly.serve store req
   in
-  let walk names = Flashcrowd.walk ~fetch:(fun h -> List.assoc h objs) "root" names in
-  Testkit.check_bool "present path reads" true (walk [ "d0"; "f0" ] = Ok "bytes");
-  Testkit.check_bool "no file entry" true (walk [ "d0"; "f1" ] = Error Crowd.Fatal);
-  Testkit.check_bool "no dir entry" true (walk [ "d1"; "f0" ] = Error Crowd.Fatal);
-  Testkit.check_bool "file is not a directory" true (walk [ "d0"; "f0"; "x" ] = Error Crowd.Fatal);
-  Testkit.check_bool "directory is not a file" true (walk [ "d0" ] = Error Crowd.Fatal)
+  let c = Readonly.connect ~cache_objs:1 ~exchange ~pubkey:key.Sfs_crypto.Rabin.pub ~clock () in
+  let ops = Readonly.ops c in
+  let read names = Flashcrowd.read ops ~root:(Readonly.current_fsinfo c).Ro.root_hash names in
+  Testkit.check_bool "present path reads" true (read [ "d0"; "f0" ] = Ok "bytes");
+  Testkit.check_bool "no file entry (NOENT)" true (read [ "d0"; "f1" ] = Error Crowd.Fatal);
+  Testkit.check_bool "no dir entry (NOENT)" true (read [ "d1"; "f0" ] = Error Crowd.Fatal);
+  Testkit.check_bool "file is not a directory (NOTDIR)" true
+    (read [ "d0"; "f0"; "x" ] = Error Crowd.Fatal);
+  Testkit.check_bool "directory is not a file (ISDIR)" true (read [ "d0" ] = Error Crowd.Fatal);
+  (* One cache slot: the file is fetched again, and its substitute
+     fails verification. *)
+  tamper := true;
+  Testkit.check_bool "failed verification (IO)" true (read [ "d0"; "f0" ] = Error Crowd.Refresh);
+  tamper := false;
+  Testkit.check_bool "reads again once served honestly" true (read [ "d0"; "f0" ] = Ok "bytes")
 
 (* --- Golden ledgers: SHA-1 of each engine's ledger for small fixed
    configs.  The determinism tests above only compare two runs of one
@@ -536,7 +565,7 @@ let golden_fleet =
 let golden_flashcrowd =
   [
     ("default + republish", { Flashcrowd.default with Flashcrowd.republish_at_us = Some 30_000.0 },
-      "3e07e3e78baf02582fd4a86934befe8df09ededd" );
+      "df1829bf0335a286f85111c2c2808ed50561fe35" );
     ( "mirror crash",
       {
         Flashcrowd.default with
@@ -551,7 +580,7 @@ let golden_flashcrowd =
                ~crashes:[ crash_window ~host:(Flashcrowd.mirror_loc 0) ~down_s:0.03 ~up_s:0.1 ]
                ~seed:"golden/ro-crash" ());
       },
-      "cec46ba034d2d8e56b1645f29cc340a878e7972e" );
+      "84823c0e1de2a136b6169b9c6e2672c064f6a0ed" );
   ]
 
 (* Every digest is computed before the test fails, so one run names

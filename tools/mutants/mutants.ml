@@ -93,8 +93,8 @@ let catalogue =
     {
       name = "ro-root-signature";
       file = "lib/core/readonly.ml";
-      old_text = "if not (Ro.verify_fsinfo pubkey fsinfo ~signature) then";
-      new_text = "if (ignore (Ro.verify_fsinfo pubkey fsinfo ~signature); false) then";
+      old_text = "if not (Ro.verify_fsinfo c.pubkey fsinfo ~signature) then";
+      new_text = "if (ignore (Ro.verify_fsinfo c.pubkey fsinfo ~signature); false) then";
       claim =
         "section 2.4: a read-only client accepts a snapshot root only under the signature of the \
          key its self-certifying pathname names";
@@ -123,8 +123,8 @@ let catalogue =
     {
       name = "ro-root-skip";
       file = "lib/core/readonly.ml";
-      old_text = "| Some prev -> Sfs_util.Bytesutil.ct_equal raw prev";
-      new_text = "| Some prev -> (ignore (Sfs_util.Bytesutil.ct_equal raw prev); true)";
+      old_text = "let skipped = Sfs_util.Bytesutil.ct_equal raw c.root_frame in";
+      new_text = "let skipped = (ignore (Sfs_util.Bytesutil.ct_equal raw c.root_frame); true) in";
       claim =
         "section 2.4: a client skips the signature check only for a root reply byte-identical to \
          one it already verified; a new root is verified";
@@ -149,6 +149,27 @@ let catalogue =
         "section 2.1, 3.1.1: the client accepts a server key only if it hashes to the HostID in \
          the self-certifying pathname";
       killer = "proto keyneg MITM rejected";
+    };
+    {
+      name = "respond-revocation-skip";
+      file = "lib/proto/keyneg.ml";
+      old_text = "match revoked () with";
+      new_text = "match (ignore (revoked ()); None) with";
+      claim =
+        "section 2.4: a server whose key is revoked answers every connect step with the \
+         self-authenticating revocation certificate instead of its key, so no client reaches the \
+         fenced HostID";
+      killer = "core server revocation";
+    };
+    {
+      name = "respond-location-check";
+      file = "lib/proto/keyneg.ml";
+      old_text = "| None when req.location <> location ->";
+      new_text = "| None when (ignore (req.location <> location); false) ->";
+      claim =
+        "section 2.2, 3.1.1: a server answers the connect step only for the Location its HostID \
+         binds to its key, also when it is a key-free mirror";
+      killer = "replica mirror refuses services, locations";
     };
     {
       name = "channel-mac-verify";
