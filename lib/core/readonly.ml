@@ -209,8 +209,8 @@ let serve_cost (st : store) (bytes : int) : unit =
 
 (* Every client shares the stored frames, which is safe because strings
    are immutable and a tampering wire rewrites a copy.  Fan-out
-   procedures are refused here: a mirror takes them before calling
-   [serve], and no client may push into sfssd's store. *)
+   procedures are refused here: a mirror takes them on its push port,
+   and no client may push into sfssd's store. *)
 let serve (st : store) (bytes : string) : string =
   let reply r = Ro.ro_response_to_string r in
   match Ro.ro_request_of_string bytes with

@@ -71,7 +71,7 @@ val serve : store -> string -> string
 (** The whole server side, from request bytes: Get_fsinfo and Get_obj
     are answered with the stored frames, charging {!serve_cost} and
     counting [ro.serve.objs] and [ro.serve.bytes]; anything else, the
-    fan-out procedures a mirror takes first included, is a [Ro_error]. *)
+    fan-out procedures included, is a [Ro_error]. *)
 
 (** {2 Verifying client} *)
 

@@ -31,7 +31,7 @@ let mirror ?obs ~(clock : Simclock.t) ~(location : string) ~(pubkey : Rabin.pub)
 
 let path (m : mirror) : Pathname.t = Pathname.of_server ~location:m.location ~pubkey:m.pubkey
 
-(* The push half: each pushed object is stored as its frame. *)
+(* The push half: objects are stored as frames; reads must take the connect step. *)
 let push (st : Readonly.store) (bytes : string) : string =
   let reply r = Ro.ro_response_to_string r in
   match Ro.ro_request_of_string bytes with
@@ -52,7 +52,7 @@ let push (st : Readonly.store) (bytes : string) : string =
       st.Readonly.root <- Some (fsinfo, reply (Ro.Fsinfo_is { fsinfo; signature }));
       Readonly.serve_cost st 64;
       reply (Ro.Put_ok (List.length evict))
-  | _ -> Readonly.serve st bytes
+  | _ -> reply (Ro.Ro_error "push port: Put_objs and Put_root only")
 
 (* The read half: the connect step for the mirror's own pathname, then
    the read-only dialect; a mirror runs no other service. *)

@@ -13,7 +13,7 @@
     at worst refuse to serve.  A {!publisher} builds incremental signed
     snapshots (one Rabin signing per publish, SHA-1 only over changed
     content) and pushes deltas to each mirror on a port of its own,
-    which no client dials: missing objects in bounded chunks, then the
+    which refuses reads: missing objects in bounded chunks, then the
     new signed root with an evict list.  The mirror's store models a
     disk: it survives simulated crash/restarts. *)
 

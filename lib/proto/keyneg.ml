@@ -182,16 +182,12 @@ let dial (net : Simnet.t) ~(from_host : string) ~(location : string) ~(hostid : 
     (Simnet.conn * (string -> string) * Rabin.pub, refusal) result =
   match Simnet.connect net ~from_host ~addr:location ~port:sfs_port ~proto:Costmodel.Tcp with
   | exception (Simnet.No_route _ | Simnet.Timeout) -> Error Unreachable
-  | conn -> (
+  | conn ->
       let exchange = Rpc_mux.call (Rpc_mux.of_conn net ~proto:Costmodel.Tcp conn) in
-      match connect ~location ~hostid ~service ~extensions exchange with
-      | Ok pubkey -> Ok (conn, exchange, pubkey)
-      | Error _ as e ->
-          Simnet.close conn;
-          e
-      | exception Simnet.Timeout ->
-          Simnet.close conn;
-          Error Unreachable)
+      let step () = connect ~location ~hostid ~service ~extensions exchange in
+      let r = try step () with Simnet.Timeout -> Error Unreachable in
+      if Result.is_error r then Simnet.close conn;
+      Result.map (fun pubkey -> (conn, exchange, pubkey)) r
 
 (* Exchange key halves with the server whose key [dial] returned.
    [temp_key] is the client's short-lived K_C (callers cache one and

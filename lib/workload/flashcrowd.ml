@@ -90,6 +90,7 @@ type rcl = {
   rng : Prng.t;
   mutable conn : (Simnet.conn * (string -> string)) option; (* the dial's connection, exchange *)
   mutable mirror : int; (* index of the mirror pathname currently dialed *)
+  mutable refused : int list; (* distinct mirrors whose connect step refused this client *)
   mutable ro : (Core.Readonly.client * Fs_intf.ops) option; (* survives every failover *)
   mutable pending : int; (* file index mid-retry, or -1 *)
 }
@@ -160,6 +161,7 @@ let run ?tap (cfg : config) : result =
           rng = Prng.create [ cfg.seed; "roclient"; string_of_int i ];
           conn = None;
           mirror = i mod cfg.replicas;
+          refused = [];
           ro = None;
           pending = -1;
         })
@@ -168,14 +170,15 @@ let run ?tap (cfg : config) : result =
     Option.iter (fun (conn, _) -> Simnet.close conn) c.conn;
     c.conn <- None
   in
-  (* Least-loaded failover: re-dial the mirror with the fewest live
-     connections (lowest index on ties) — the admission counter doubles
-     as the load signal. *)
-  let pick_mirror () : int =
+  (* Least-loaded failover (fewest live connections, lowest index on ties) among the
+     mirrors that have not refused this client, since a refusing mirror holds no
+     connection and would always look least loaded; once all have refused, all are retried. *)
+  let pick_mirror (c : rcl) : int =
+    if List.length c.refused = cfg.replicas then c.refused <- [];
+    let load m = if List.mem m c.refused then max_int else Simnet.host_active_conns mhosts.(m) in
     let best = ref 0 in
     for m = 1 to cfg.replicas - 1 do
-      if Simnet.host_active_conns mhosts.(m) < Simnet.host_active_conns mhosts.(!best) then
-        best := m
+      if load m < load !best then best := m
     done;
     !best
   in
@@ -223,7 +226,8 @@ let run ?tap (cfg : config) : result =
       Keyneg.dial net ~from_host:c.from ~location:(Core.Pathname.location path)
         ~hostid:(Core.Pathname.hostid path) ~service:Keyneg.Fs_readonly ~extensions:[]
     with
-    | Error (Keyneg.Unreachable | Keyneg.Refused _) -> Error Crowd.Retry
+    | Error Keyneg.Unreachable -> Error Crowd.Retry
+    | Error (Keyneg.Refused _) -> c.refused <- c.mirror :: c.refused; Error Crowd.Retry
     | Error (Keyneg.Revoked _) -> Error Crowd.Fatal
     | Ok (conn, call, pubkey) ->
         c.conn <- Some (conn, call);
@@ -246,7 +250,7 @@ let run ?tap (cfg : config) : result =
         (fun c ->
           Obs.incr (Some obs) "ro.client.failover";
           drop_conn c;
-          c.mirror <- pick_mirror ());
+          c.mirror <- pick_mirror c);
       refresh =
         (fun c ->
           Obs.incr (Some obs) "ro.client.retry";

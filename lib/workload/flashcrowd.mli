@@ -1,11 +1,11 @@
 (** Flash-crowd simulation: the read-only dialect as a CDN tier, and
     the read-only kind of the {!Crowd} engine.  A publisher signs a
-    snapshot and fans it out to N untrusted mirrors
-    ({!Sfs_core.Replica}); read-only clients arrive on
-    [Crowd.Ramp ramp_us], read Zipf-popular files through per-client
-    verification caches, and fail over to the least-loaded mirror.  A
-    client gives up after 1000 consecutive failures; the publisher
-    signs with a 512-bit key and a one-day validity window. *)
+    snapshot and fans it out to N untrusted mirrors ({!Sfs_core.Replica});
+    read-only clients arrive on [Crowd.Ramp ramp_us], read Zipf-popular
+    files through per-client verification caches, and fail over to the
+    least-loaded mirror that has not refused them.  A client gives up
+    after 1000 consecutive failures; the publisher signs with a 512-bit
+    key and a one-day validity window. *)
 
 type config = {
   clients : int;

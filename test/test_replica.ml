@@ -194,6 +194,20 @@ let test_fanout_delta_and_evict () =
       | Some i -> Testkit.check_int "mirror on serial 2" 2 i.Ro.serial
       | None -> Alcotest.fail "mirror lost its root")
     mirrors;
+  (* The push port (5, the publisher's own) takes Puts only: a read
+     there skips the connect step, so it is refused. *)
+  let push =
+    Simnet.connect net ~from_host:"check.test" ~addr:"m0.test" ~port:5 ~proto:Sfs_net.Costmodel.Tcp
+  in
+  let some_hash = Readonly.fold_store s2 (fun h _ _ -> h) "" in
+  List.iter
+    (fun (name, req) ->
+      match Ro.ro_response_of_string (Simnet.inject push (Ro.ro_request_to_string req)) with
+      | Ok (Ro.Ro_error e) ->
+          Testkit.check_string (name ^ " refused on the push port")
+            "push port: Put_objs and Put_root only" e
+      | _ -> Alcotest.fail (name ^ " answered on the push port"))
+    [ ("Get_fsinfo", Ro.Get_fsinfo); ("Get_obj", Ro.Get_obj some_hash) ];
   (* A snapshot's own server refuses fan-out procedures. *)
   let direct = serve_snapshot s2 (Ro.ro_request_to_string (Ro.Put_objs [])) in
   match Ro.ro_response_of_string direct with

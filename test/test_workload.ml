@@ -406,6 +406,67 @@ let test_flashcrowd_republish () =
   Testkit.check_bool "incremental publish reused objects" true
     (Sfs_obs.Obs.counter r.Flashcrowd.r_obs "ro.publish.reused" > 0)
 
+let test_flashcrowd_wrong_key_mirror () =
+  (* One mirror of three answers the connect step with a key its
+     pathname does not name (the tap substitutes it in each of that
+     mirror's connect replies), and a good mirror crashes while loaded.
+     A refusing mirror keeps no connection, so it always looks least
+     loaded: each client must fail over past it, not back to it, and
+     finish its reads without a byte read from it. *)
+  let module Xdr = Sfs_xdr.Xdr in
+  let module Keyneg = Sfs_proto.Keyneg in
+  let module Simnet = Sfs_net.Simnet in
+  let bad = Flashcrowd.mirror_loc 1 in
+  let other = Sfs_crypto.Rabin.generate ~bits:512 (Sfs_crypto.Prng.create [ "another key" ]) in
+  let wrong =
+    Xdr.encode Keyneg.enc_connect_res (Keyneg.Connect_ok { pubkey = other.Sfs_crypto.Rabin.pub })
+  in
+  let to_bad =
+    Xdr.encode
+      (fun e () ->
+        Xdr.enc_string e "sfs-1";
+        Xdr.enc_string e bad)
+      ()
+  in
+  let tap = Simnet.passive_tap () in
+  let connecting = ref false and bad_connects = ref 0 in
+  tap.Simnet.on_message <-
+    (fun dir msg ->
+      match dir with
+      | Simnet.To_server ->
+          connecting := String.starts_with ~prefix:to_bad msg;
+          if !connecting then incr bad_connects;
+          Simnet.Pass
+      | Simnet.To_client when !connecting ->
+          connecting := false;
+          Simnet.Replace wrong
+      | Simnet.To_client -> Simnet.Pass);
+  let crash =
+    { Sfs_fault.Fault.c_host = Flashcrowd.mirror_loc 2; c_down_us = 60_000.0; c_up_us = 150_000.0 }
+  in
+  let cfg =
+    {
+      Flashcrowd.default with
+      Flashcrowd.clients = 30;
+      replicas = 3;
+      reads_per_client = 12;
+      ramp_us = 1_000.0;
+      fault = Some (Sfs_fault.Fault.make ~crashes:[ crash ] ~seed:"wrong-key mirror" ());
+    }
+  in
+  let r = Flashcrowd.run ~tap cfg in
+  check_fc_reconcile r;
+  Testkit.check_int "every client finished" 30 r.Flashcrowd.r_clients_ok;
+  Testkit.check_int "every read done" (30 * 12) r.Flashcrowd.r_reads_ok;
+  Testkit.check_bool "the crash turned clients away" true
+    (Sfs_obs.Obs.counter r.Flashcrowd.r_obs "fault.refused" > 0);
+  (* The ten clients handed its pathname and the ten leaving the
+     crashed mirror, each refused once. *)
+  Testkit.check_int "each client refused by it at most once" 20 !bad_connects;
+  Testkit.check_int "every request it got was a connect step" !bad_connects
+    (Sfs_obs.Obs.counter r.Flashcrowd.r_obs
+       (Printf.sprintf "net.%s:%d.rpcs" bad Keyneg.sfs_port))
+
 let test_flashcrowd_20k () =
   (* Past the read-write fleet's 10^4: slim per-connection state lets
      the crowd double without the engine breaking a sweat.  Every
@@ -625,6 +686,8 @@ let suite =
       Alcotest.test_case "flashcrowd determinism" `Quick test_flashcrowd_determinism;
       Alcotest.test_case "flashcrowd admission failover" `Quick test_flashcrowd_admission_failover;
       Alcotest.test_case "flashcrowd republish" `Quick test_flashcrowd_republish;
+      Alcotest.test_case "flashcrowd wrong-key mirror among good ones" `Quick
+        test_flashcrowd_wrong_key_mirror;
       Alcotest.test_case "flashcrowd 20k clients" `Slow test_flashcrowd_20k;
       Alcotest.test_case "golden ledgers" `Quick test_golden_ledgers;
       Alcotest.test_case "crowd failure classes" `Quick test_crowd_failure_classes;
