@@ -61,15 +61,18 @@ type build = {
 let obj_length (frame : string) : int = Sfs_util.Bytesutil.int_of_be32 frame ~off:4
 let obj_view (frame : string) : Slice.t = Slice.make frame ~off:8 ~len:(obj_length frame)
 
-(* Marshal [o] as its reply frame and hash the object inside it: the
-   frame is the one copy the store keeps. *)
+(* Marshal [o] as its reply frame and hash the object where it lies in
+   the encoder's buffer.  The frame is copied out only for a hash the
+   build has not stored yet: it is then the one copy the store keeps. *)
 let put (b : build) (o : Ro.obj) : string =
   Xdr.reset b.b_enc;
   Ro.enc_obj_frame b.b_enc o;
-  let frame = Xdr.to_string b.b_enc in
-  let n = obj_length frame in
-  let h = Sha1.digest_sub frame ~off:8 ~len:n in
-  Hashtbl.replace b.b_store h frame;
+  let buf = Xdr.buffer b.b_enc in
+  let n = Sfs_util.Bytesutil.get_be32 buf ~off:4 in
+  let ctx = Sha1.init () in
+  Sha1.feed_bytes ctx buf ~off:8 ~len:n;
+  let h = Sha1.final ctx in
+  if not (Hashtbl.mem b.b_store h) then Hashtbl.replace b.b_store h (Xdr.to_string b.b_enc);
   b.b_hashed <- b.b_hashed + 1;
   b.b_fresh <- b.b_fresh + n;
   h
@@ -136,7 +139,7 @@ let rec snap_inode (fs : Memfs.t) ~(prev : snapshot option) (b : build) (cred : 
           (* Directory spines are rebuilt every publish: cheap (a few
              dozen bytes per entry) and unavoidable — the walk must
              read them to find the dirt below. *)
-          Some (Ro.K_dir, put b (Ro.O_dir children)))
+          Some (Ro.K_dir, put b (Ro.O_dir (Ro.dir_of_entries children))))
 
 (* Validity window of every signed root: a day. *)
 let duration_s = 24 * 3600
@@ -345,7 +348,7 @@ let synth_attr (c : client) (h : string) (o : Ro.obj) : fattr =
   let ftype, size, mode =
     match o with
     | Ro.O_file data -> (NF_REG, String.length data, 0o444)
-    | Ro.O_dir entries -> (NF_DIR, 512 + (List.length entries * 32), 0o555)
+    | Ro.O_dir d -> (NF_DIR, 512 + (Ro.dir_length d * 32), 0o555)
     | Ro.O_symlink target -> (NF_LNK, String.length target, 0o777)
   in
   {
@@ -379,12 +382,12 @@ let ops (c : client) : Sfs_nfs.Fs_intf.ops =
       (fun _cred ~dir name ->
         let* o = obj_of_fh c dir in
         match o with
-        | Ro.O_dir entries -> (
-            match List.find_opt (fun e -> e.Ro.e_name = name) entries with
+        | Ro.O_dir d -> (
+            match Ro.dir_find d name with
             | None -> Error NFS3ERR_NOENT
-            | Some e ->
-                let* child = obj_of_fh c e.Ro.e_hash in
-                Ok (e.Ro.e_hash, synth_attr c e.Ro.e_hash child))
+            | Some h ->
+                let* child = obj_of_fh c h in
+                Ok (h, synth_attr c h child))
         | Ro.O_file _ | Ro.O_symlink _ -> Error NFS3ERR_NOTDIR);
     fs_access =
       (fun _cred h want ->
@@ -428,7 +431,7 @@ let ops (c : client) : Sfs_nfs.Fs_intf.ops =
       (fun _cred h ->
         let* o = obj_of_fh c h in
         match o with
-        | Ro.O_dir entries ->
+        | Ro.O_dir d ->
             Ok
               (List.filter_map
                  (fun e ->
@@ -442,7 +445,7 @@ let ops (c : client) : Sfs_nfs.Fs_intf.ops =
                            d_attr = synth_attr c e.Ro.e_hash child;
                          }
                    | Error _ -> None)
-                 entries)
+                 (Ro.dir_entries d))
         | Ro.O_file _ | Ro.O_symlink _ -> Error NFS3ERR_NOTDIR);
     fs_commit = (fun _ _ -> Ok ());
     fs_fsstat = (fun _ _ -> Ok (Vcache.count c.cache, Vcache.bytes c.cache));

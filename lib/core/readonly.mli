@@ -94,12 +94,16 @@ val connect :
 val fetch : client -> string -> Ro.obj
 (** Fetch an object by hash, verify it is the preimage, cache it.
     The object is hashed and decoded where it lies in the reply, so a
-    file's bytes are copied once.  Cache hits skip both the network
-    and the SHA-1. *)
+    file's bytes are copied once, and a directory is not copied at
+    all: it stays a view into the reply string the exchange returned,
+    checked once for structure ({!Ro.obj_of_slice}).  Cache hits skip
+    the network, the SHA-1 and the check. *)
 
 val ops : client -> Sfs_nfs.Fs_intf.ops
 (** A read-only file system view over the verified snapshot; handles
-    are object hashes, and a whole-file read is the verified string. *)
+    are object hashes, and a whole-file read is the verified string.
+    A lookup scans the verified directory's bytes ({!Ro.dir_find});
+    only a readdir decodes its entries. *)
 
 val refresh : client -> unit
 (** Re-fetch the signed root, refusing serial rollback.  A reply

@@ -18,7 +18,9 @@ type t = {
 
 let create ?obs ~(cap : int) () : t =
   if cap < 1 then invalid_arg "Vcache.create: cap must be >= 1";
-  { lru = Lru.create (min cap 256); cap; obs; live_bytes = 0 }
+  (* The table starts at the first few entries and grows with use: a
+     crowd client verifies a root, a few directories and its files. *)
+  { lru = Lru.create (min cap 16); cap; obs; live_bytes = 0 }
 
 let find (t : t) (hash : string) : Ro.obj option =
   match Lru.find t.lru hash with

@@ -9,6 +9,9 @@
     root serials — a new root that still references the same hash
     references the same bytes by construction.
 
+    A cached directory is its verified bytes: a view into the reply
+    string it arrived in ({!Ro.dir}), which the entry keeps alive.
+
     Counters (when a registry is supplied): [ro.verify.hit],
     [ro.verify.hit_bytes], [ro.verify.miss], [ro.vcache.evict]. *)
 
@@ -17,7 +20,9 @@ module Ro = Sfs_proto.Readonly_proto
 type t
 
 val create : ?obs:Sfs_obs.Obs.registry -> cap:int -> unit -> t
-(** LRU over at most [cap] verified objects ([cap >= 1]). *)
+(** LRU over at most [cap] verified objects ([cap >= 1]).  The table
+    starts sized for the first few entries and grows as they come, so
+    a client that verifies a dozen objects does not pay for [cap]. *)
 
 val find : t -> string -> Ro.obj option
 (** [find t hash] returns the verified object and refreshes its

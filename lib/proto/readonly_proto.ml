@@ -29,15 +29,20 @@ type entry_kind = K_file | K_dir | K_symlink
 
 type entry = { e_name : string; e_kind : entry_kind; e_hash : string }
 
+(* A directory is the XDR bytes of its entry array (count word, then
+   each entry's name, kind and child hash), kept as a view into the
+   string they arrived in.  Every [dir] has passed [dir_valid] or was
+   built by [dir_of_entries], so the scans below never leave it. *)
+type dir = Slice.t
+
 type obj =
   | O_file of string
-  | O_dir of entry list
+  | O_dir of dir
   | O_symlink of string
 
 let enc_kind e (k : entry_kind) = Xdr.enc_uint32 e (match k with K_file -> 0 | K_dir -> 1 | K_symlink -> 2)
 
-let dec_kind d : entry_kind =
-  match Xdr.dec_uint32 d with
+let kind_of_int : int -> entry_kind = function
   | 0 -> K_file
   | 1 -> K_dir
   | 2 -> K_symlink
@@ -48,20 +53,85 @@ let enc_entry e (en : entry) =
   enc_kind e en.e_kind;
   Xdr.enc_fixed_opaque e ~size:20 en.e_hash
 
-let dec_entry d : entry =
-  let e_name = Xdr.dec_string d ~max:255 in
-  let e_kind = dec_kind d in
-  let e_hash = Xdr.dec_fixed_opaque d ~size:20 in
-  { e_name; e_kind; e_hash }
+(* Bounds of the directory encoding: entries per directory, bytes per
+   name. *)
+let dir_max = 100000
+let name_max = 255
+
+let be32 (s : string) (off : int) : int = Sfs_util.Bytesutil.int_of_be32 s ~off
+
+let pad4 (n : int) : int = (4 - (n land 3)) land 3
+
+(* The offset of the kind word of the entry at [pos]: past its name's
+   length word, the name and the name's padding. *)
+let kind_off (s : string) (pos : int) : int =
+  let n = be32 s pos in
+  pos + 4 + n + pad4 n
+
+let rec zeros (s : string) (off : int) (n : int) : bool =
+  n = 0 || (Char.equal s.[off] '\000' && zeros s (off + 1) (n - 1))
+
+(* The offset past the [left] entries starting at [pos] when each is
+   well formed and inside [stop], else -1.  Allocation-free. *)
+let rec entries_end (s : string) (pos : int) (stop : int) (left : int) : int =
+  if left = 0 then pos
+  else if pos + 4 > stop then -1
+  else
+    let n = be32 s pos in
+    let k = kind_off s pos in
+    if n > name_max || k + 24 > stop || (not (zeros s (pos + 4 + n) (pad4 n))) || be32 s k > 2
+    then -1
+    else entries_end s (k + 24) stop (left - 1)
+
+(* The one structure check: a count within bounds, then exactly that
+   many well-formed entries and no trailing bytes. *)
+let dir_valid (d : Slice.t) : bool =
+  let s = Slice.base d and off = Slice.offset d in
+  let stop = off + Slice.length d in
+  off + 4 <= stop
+  && be32 s off <= dir_max
+  && Int.equal (entries_end s (off + 4) stop (be32 s off)) stop
+
+let dir_of_entries (entries : entry list) : dir =
+  Slice.of_string (Xdr.encode (fun e l -> Xdr.enc_array e enc_entry l) entries)
+
+let dir_length (d : dir) : int = be32 (Slice.base d) (Slice.offset d)
+
+let rec same_name (s : string) (off : int) (name : string) (i : int) : bool =
+  i = String.length name || (Char.equal s.[off + i] name.[i] && same_name s off name (i + 1))
+
+let rec find_from (s : string) (pos : int) (stop : int) (name : string) : string option =
+  if pos >= stop then None
+  else
+    let k = kind_off s pos in
+    if Int.equal (be32 s pos) (String.length name) && same_name s (pos + 4) name 0 then
+      Some (String.sub s (k + 4) 20)
+    else find_from s (k + 24) stop name
+
+let dir_find (d : dir) (name : string) : string option =
+  let off = Slice.offset d in
+  find_from (Slice.base d) (off + 4) (off + Slice.length d) name
+
+let rec entries_from (s : string) (pos : int) (stop : int) : entry list =
+  if pos >= stop then []
+  else
+    let k = kind_off s pos in
+    let e_name = String.sub s (pos + 4) (be32 s pos) in
+    let e = { e_name; e_kind = kind_of_int (be32 s k); e_hash = String.sub s (k + 4) 20 } in
+    e :: entries_from s (k + 24) stop
+
+let dir_entries (d : dir) : entry list =
+  let off = Slice.offset d in
+  entries_from (Slice.base d) (off + 4) (off + Slice.length d)
 
 let enc_obj e (o : obj) =
   match o with
   | O_file data ->
       Xdr.enc_uint32 e 0;
       Xdr.enc_opaque e data
-  | O_dir entries ->
+  | O_dir d ->
       Xdr.enc_uint32 e 1;
-      Xdr.enc_array e enc_entry entries
+      Xdr.enc_raw e (Slice.to_string d)
   | O_symlink target ->
       Xdr.enc_uint32 e 2;
       Xdr.enc_string e target
@@ -69,10 +139,14 @@ let enc_obj e (o : obj) =
 (* Largest object (and file) the dialect carries: 32 MiB. *)
 let obj_max = 0x2000000
 
+(* A directory stays where it lies: validated, not decoded. *)
 let dec_obj d : obj =
   match Xdr.dec_uint32 d with
   | 0 -> O_file (Xdr.dec_opaque d ~max:obj_max)
-  | 1 -> O_dir (Xdr.dec_array d ~max:100000 dec_entry)
+  | 1 ->
+      let dir = Xdr.dec_rest_slice d in
+      if not (dir_valid dir) then Xdr.error "malformed directory";
+      O_dir dir
   | 2 -> O_symlink (Xdr.dec_string d ~max:1024)
   | t -> Xdr.error "bad object tag %d" t
 

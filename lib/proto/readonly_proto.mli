@@ -11,17 +11,43 @@ module Slice = Sfs_util.Slice
 type entry_kind = K_file | K_dir | K_symlink
 type entry = { e_name : string; e_kind : entry_kind; e_hash : string }
 
+type dir
+(** A verified directory: the XDR bytes of its entry array (count,
+    then each entry's name, kind and child hash), kept where they lie.
+    A [dir] decoded by {!obj_of_slice} is a view into the caller's
+    string and retains all of it; names are looked up in place and
+    only {!dir_entries} decodes. *)
+
 type obj =
   | O_file of string
-  | O_dir of entry list (** children by content hash *)
+  | O_dir of dir (** children by content hash *)
   | O_symlink of string
+
+val dir_of_entries : entry list -> dir
+(** The publisher's directory: its entries marshaled in order. *)
+
+val dir_length : dir -> int
+(** The number of entries, read from the count word. *)
+
+val dir_find : dir -> string -> string option
+(** [dir_find d name] is the hash of the first entry named [name],
+    comparing names where they lie: it allocates only the 20-byte
+    hash it returns. *)
+
+val dir_entries : dir -> entry list
+(** Every entry, decoded, in order. *)
 
 (* sfslint: allow SL014 — the object encoder that the codec round trip and the mirror tests build objects with *)
 val obj_to_string : obj -> string
 
 val obj_of_slice : Slice.t -> (obj, string) result
-(** Decodes a marshaled object where it lies; only the payload of an
-    [O_file] or [O_symlink] and the entry names are copied out. *)
+(** Decodes a marshaled object where it lies.  The payload of an
+    [O_file] or [O_symlink] is copied out; an [O_dir] is validated in
+    one allocation-free pass (entry count, each name's length and zero
+    padding, each kind, no trailing bytes) and kept as a view into the
+    slice's base.  The base must be a string the caller owns and never
+    rewrites, such as a reply an exchange returned — never a view lent
+    by {!Channel.open_with}, whose buffer is reused. *)
 
 val hash_obj : obj -> string
 (** SHA-1 of the marshaled object: its content address. *)

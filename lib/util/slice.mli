@@ -5,6 +5,12 @@
     place, and whatever outlives the callback is copied out of the view
     ({!to_string}) or decoded into values of its own.
 
+    A view into a string that nobody rewrites (a reply an exchange
+    returned, a stored frame) may outlive the call that made it: a
+    verified read-only directory ([Readonly_proto.dir]) is such a
+    view, kept for as long as the client's verification cache holds
+    it.  A view lent by [Channel.open_with] never may.
+
     A slice retains its whole backing string; slice small fields out of
     large transient buffers with {!to_string} instead. *)
 

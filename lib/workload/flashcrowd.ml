@@ -166,16 +166,24 @@ let run ?tap (cfg : config) : result =
           pending = -1;
         })
   in
+  (* Each mirror's load: the crowd's connections to it.  The host's own
+     count would also hold the publisher's push connection, which a
+     failed fan-out drops. *)
+  let clients_on = Array.make cfg.replicas 0 in
   let drop_conn (c : rcl) : unit =
-    Option.iter (fun (conn, _) -> Simnet.close conn) c.conn;
-    c.conn <- None
+    match c.conn with
+    | None -> ()
+    | Some (conn, _) ->
+        Simnet.close conn;
+        clients_on.(c.mirror) <- clients_on.(c.mirror) - 1;
+        c.conn <- None
   in
-  (* Least-loaded failover (fewest live connections, lowest index on ties) among the
+  (* Least-loaded failover (fewest client connections, lowest index on ties) among the
      mirrors that have not refused this client, since a refusing mirror holds no
      connection and would always look least loaded; once all have refused, all are retried. *)
   let pick_mirror (c : rcl) : int =
     if List.length c.refused = cfg.replicas then c.refused <- [];
-    let load m = if List.mem m c.refused then max_int else Simnet.host_active_conns mhosts.(m) in
+    let load m = if List.mem m c.refused then max_int else clients_on.(m) in
     let best = ref 0 in
     for m = 1 to cfg.replicas - 1 do
       if load m < load !best then best := m
@@ -231,6 +239,7 @@ let run ?tap (cfg : config) : result =
     | Error (Keyneg.Revoked _) -> Error Crowd.Fatal
     | Ok (conn, call, pubkey) ->
         c.conn <- Some (conn, call);
+        clients_on.(c.mirror) <- clients_on.(c.mirror) + 1;
         (* on a reconnect the root is already verified *)
         if Option.is_none c.ro then begin
           let ro =

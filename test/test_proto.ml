@@ -475,16 +475,118 @@ let test_readonly_objects () =
   Testkit.check_int "sha1 size" 20 (String.length h);
   let dir =
     Readonly_proto.O_dir
-      [ { Readonly_proto.e_name = "README"; e_kind = Readonly_proto.K_file; e_hash = h } ]
+      (Readonly_proto.dir_of_entries
+         [ { Readonly_proto.e_name = "README"; e_kind = Readonly_proto.K_file; e_hash = h } ])
   in
   (match Readonly_proto.obj_of_slice (Sfs_util.Slice.of_string (Readonly_proto.obj_to_string dir)) with
-  | Ok (Readonly_proto.O_dir [ e ]) ->
-      Testkit.check_string "entry name" "README" e.Readonly_proto.e_name;
-      Testkit.check_string "entry hash" (Sfs_util.Hex.encode h) (Sfs_util.Hex.encode e.Readonly_proto.e_hash)
+  | Ok (Readonly_proto.O_dir d) -> (
+      match Readonly_proto.dir_entries d with
+      | [ e ] ->
+          Testkit.check_string "entry name" "README" e.Readonly_proto.e_name;
+          Testkit.check_string "entry hash" (Sfs_util.Hex.encode h)
+            (Sfs_util.Hex.encode e.Readonly_proto.e_hash)
+      | _ -> Alcotest.fail "dir roundtrip")
   | _ -> Alcotest.fail "dir roundtrip");
   (* Content addressing: different content, different hash. *)
   Testkit.check_bool "hash binds content" false
     (Readonly_proto.hash_obj (Readonly_proto.O_file "x") = Readonly_proto.hash_obj (Readonly_proto.O_file "y"))
+
+(* --- Read-only directories: validated once, scanned where they lie --- *)
+
+let ro_kinds = [| Readonly_proto.K_file; Readonly_proto.K_dir; Readonly_proto.K_symlink |]
+
+(* Names from a three-name alphabet collide, so the first of several
+   equal names is exercised; the rest have random bytes and lengths up
+   to 255, most of them odd (padded). *)
+let gen_ro_name : string QCheck.Gen.t =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, oneofl [ "a"; "b"; "ab" ]);
+        ( 3,
+          string_size ~gen:char
+            (oneof [ int_range 0 8; map (fun n -> (2 * n) + 1) (int_range 0 127); return 255 ]) );
+      ])
+
+let gen_ro_entries : Readonly_proto.entry list QCheck.Gen.t =
+  QCheck.Gen.(
+    list_size (int_range 0 24)
+      (map3
+         (fun e_name k e_hash -> { Readonly_proto.e_name; e_kind = ro_kinds.(k); e_hash })
+         gen_ro_name (int_range 0 2)
+         (string_size ~gen:char (return 20))))
+
+let arb_ro_dir =
+  QCheck.make
+    ~print:(fun (es, probe) ->
+      Printf.sprintf "%d entries %s; probe %S" (List.length es)
+        (String.concat ","
+           (List.map (fun e -> Printf.sprintf "%S" e.Readonly_proto.e_name) es))
+        probe)
+    QCheck.Gen.(pair gen_ro_entries gen_ro_name)
+
+(* The marshaled directory object of [entries], decoded as a view into a
+   longer string: bytes before and after the object are never read. *)
+let ro_dir_view (entries : Readonly_proto.entry list) : string * Readonly_proto.dir option =
+  let obj = Readonly_proto.obj_to_string (Readonly_proto.O_dir (Readonly_proto.dir_of_entries entries)) in
+  let framed = "head" ^ obj ^ "tail" in
+  match Readonly_proto.obj_of_slice (Sfs_util.Slice.make framed ~off:4 ~len:(String.length obj)) with
+  | Ok (Readonly_proto.O_dir d) -> (obj, Some d)
+  | Ok _ | Error _ -> (obj, None)
+
+let ro_dir_find_prop =
+  QCheck.Test.make ~count:300 ~name:"readonly dir_find agrees with List.find_opt" arb_ro_dir
+    (fun (entries, probe) ->
+      match ro_dir_view entries with
+      | _, None -> false
+      | _, Some d ->
+          let expect name =
+            Option.map
+              (fun e -> e.Readonly_proto.e_hash)
+              (List.find_opt (fun e -> String.equal e.Readonly_proto.e_name name) entries)
+          in
+          Readonly_proto.dir_length d = List.length entries
+          && Readonly_proto.dir_entries d = entries
+          && List.for_all
+               (fun name -> Readonly_proto.dir_find d name = expect name)
+               (probe :: List.map (fun e -> e.Readonly_proto.e_name) entries))
+
+(* [s] with the 32-bit word at [off] replaced by [v]. *)
+let with_be32 (s : string) ~(off : int) (v : int) : string =
+  let b = Bytes.of_string s in
+  Sfs_util.Bytesutil.put_be32 b ~off v;
+  Bytes.to_string b
+
+let ro_dir_refusal_prop =
+  QCheck.Test.make ~count:300 ~name:"readonly truncated or length-flipped directory refused"
+    QCheck.(pair arb_ro_dir (pair small_nat small_nat))
+    (fun ((entries, _), (cut, pick)) ->
+      let obj, _ = ro_dir_view entries in
+      let refused bytes =
+        match Readonly_proto.obj_of_slice (Sfs_util.Slice.of_string bytes) with
+        | Error _ -> true
+        | Ok _ -> false
+        | exception _ -> false
+      in
+      let count = List.length entries in
+      (* The offset of each entry's name-length word. *)
+      let _, name_offs =
+        List.fold_left
+          (fun (off, acc) e ->
+            let n = String.length e.Readonly_proto.e_name in
+            (off + 4 + n + ((4 - (n land 3)) land 3) + 24, off :: acc))
+          (8, []) entries
+      in
+      refused (String.sub obj 0 (cut mod String.length obj))
+      && refused (with_be32 obj ~off:4 (count + 1))
+      && (count = 0 || refused (with_be32 obj ~off:4 (count - 1)))
+      &&
+      match name_offs with
+      | [] -> true
+      | offs ->
+          let off = List.nth offs (pick mod List.length offs) in
+          let n = Sfs_util.Bytesutil.int_of_be32 obj ~off in
+          refused (with_be32 obj ~off (n + 256)))
 
 let test_readonly_fsinfo_signature () =
   let sk = Lazy.force server_key in
@@ -534,4 +636,6 @@ let suite =
           channel_precompute_identity_prop;
           channel_open_with_prop;
           seq_window_prop;
+          ro_dir_find_prop;
+          ro_dir_refusal_prop;
         ] )

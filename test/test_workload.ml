@@ -467,6 +467,69 @@ let test_flashcrowd_wrong_key_mirror () =
     (Sfs_obs.Obs.counter r.Flashcrowd.r_obs
        (Printf.sprintf "net.%s:%d.rpcs" bad Keyneg.sfs_port))
 
+let test_flashcrowd_dropped_push_connection () =
+  (* The initial fan-out's reply to mirror 2's Put_root is garbled:
+     mirror 2 stores the root, but the publisher counts a failed
+     fan-out and drops its push connection, which mirrors 0 and 1
+     keep.  Mirror 0 then crashes while loaded.  Failover picks by the
+     crowd's own connections: mirror 0 now holds none and mirrors 1
+     and 2 hold ten each, so its clients wait for it to return, and
+     mirror 2 draws no failover its missing push connection would have
+     earned it. *)
+  let module Xdr = Sfs_xdr.Xdr in
+  let module Simnet = Sfs_net.Simnet in
+  let put_root = "\000\000\000\003\000\000\000\tRO-FSInfo" in
+  let connect_to m =
+    Xdr.encode
+      (fun e () ->
+        Xdr.enc_string e "sfs-1";
+        Xdr.enc_string e (Flashcrowd.mirror_loc m))
+      ()
+  in
+  let tap = Simnet.passive_tap () in
+  let roots = ref 0 and garble = ref false and connects = Array.make 3 0 in
+  tap.Simnet.on_message <-
+    (fun dir msg ->
+      match dir with
+      | Simnet.To_server ->
+          if String.starts_with ~prefix:put_root msg then begin
+            incr roots;
+            (* the fan-out pushes to mirrors 0, 1, 2 in turn *)
+            garble := !roots = 3
+          end;
+          Array.iteri
+            (fun m n -> if String.starts_with ~prefix:(connect_to m) msg then connects.(m) <- n + 1)
+            connects;
+          Simnet.Pass
+      | Simnet.To_client when !garble ->
+          garble := false;
+          Simnet.Replace "garbled"
+      | Simnet.To_client -> Simnet.Pass);
+  let crash =
+    { Sfs_fault.Fault.c_host = Flashcrowd.mirror_loc 0; c_down_us = 60_000.0; c_up_us = 150_000.0 }
+  in
+  let cfg =
+    {
+      Flashcrowd.default with
+      Flashcrowd.clients = 30;
+      replicas = 3;
+      reads_per_client = 12;
+      ramp_us = 1_000.0;
+      fault = Some (Sfs_fault.Fault.make ~crashes:[ crash ] ~seed:"dropped push connection" ());
+    }
+  in
+  let r = Flashcrowd.run ~tap cfg in
+  Testkit.check_int "one failed fan-out" 1 r.Flashcrowd.r_fanout_failures;
+  List.iter
+    (fun (name, ok) -> if name <> "fanout_clean" then Testkit.check_bool ("fc reconcile: " ^ name) true ok)
+    (Flashcrowd.reconcile r);
+  Testkit.check_int "every client finished" 30 r.Flashcrowd.r_clients_ok;
+  Testkit.check_int "every read done" (30 * 12) r.Flashcrowd.r_reads_ok;
+  Testkit.check_bool "the crash turned clients away" true (r.Flashcrowd.r_failovers > 0);
+  Testkit.check_int "mirror 0: its ten clients, twice" 20 connects.(0);
+  Testkit.check_int "mirror 1: its ten clients" 10 connects.(1);
+  Testkit.check_int "mirror 2: its ten clients" 10 connects.(2)
+
 let test_flashcrowd_20k () =
   (* Past the read-write fleet's 10^4: slim per-connection state lets
      the crowd double without the engine breaking a sweat.  Every
@@ -686,6 +749,8 @@ let suite =
       Alcotest.test_case "flashcrowd determinism" `Quick test_flashcrowd_determinism;
       Alcotest.test_case "flashcrowd admission failover" `Quick test_flashcrowd_admission_failover;
       Alcotest.test_case "flashcrowd republish" `Quick test_flashcrowd_republish;
+      Alcotest.test_case "flashcrowd dropped push connection" `Quick
+        test_flashcrowd_dropped_push_connection;
       Alcotest.test_case "flashcrowd wrong-key mirror among good ones" `Quick
         test_flashcrowd_wrong_key_mirror;
       Alcotest.test_case "flashcrowd 20k clients" `Slow test_flashcrowd_20k;

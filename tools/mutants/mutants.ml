@@ -141,6 +141,17 @@ let catalogue =
       killer = "replica substituted object refused";
     };
     {
+      name = "ro-dir-structure";
+      file = "lib/proto/readonly_proto.ml";
+      old_text = "if not (dir_valid dir) then Xdr.error \"malformed directory\";";
+      new_text = "if (ignore (dir_valid dir); false) then Xdr.error \"malformed directory\";";
+      claim =
+        "sections 2.4, 3.2: a client accepts a directory only if its entries are well formed, \
+         also when a hash the publisher signed names it, so every later lookup reads inside \
+         verified bytes";
+      killer = "replica malformed directory refused";
+    };
+    {
       name = "client-hostid-check";
       file = "lib/proto/keyneg.ml";
       old_text = "not (Hostid.check ~location ~pubkey ~hostid)";
