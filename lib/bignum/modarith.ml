@@ -1,5 +1,5 @@
-(* Modular arithmetic over naturals: inverses and the modular square
-   roots Rabin decryption needs. *)
+(* Modular arithmetic over naturals: inverses, CRT and the small
+   helpers Rabin needs. *)
 
 (* The inverse, [None] exactly when gcd(x, m) <> 1.  An odd modulus
    takes the extended binary gcd ({!Nat.inverse_odd}).  An even one
@@ -17,14 +17,6 @@ let rec inverse ~(x : Nat.t) ~(modulus : Nat.t) : Nat.t option =
     Option.map
       (fun y -> Nat.div (Nat.add Nat.one (Nat.mul modulus (Nat.sub x y))) x)
       (inverse ~x:modulus ~modulus:x)
-
-(* Square root modulo a prime p ≡ 3 (mod 4): x^((p+1)/4). The caller must
-   ensure x is a quadratic residue; we verify and return None otherwise. *)
-let sqrt_3mod4 ~(x : Nat.t) ~(p : Nat.t) : Nat.t option =
-  if not (Nat.testbit p 0 && Nat.testbit p 1) then invalid_arg "Modarith.sqrt_3mod4: p mod 4 <> 3";
-  let e = Nat.shift_right (Nat.add p Nat.one) 2 in
-  let r = Nat.modexp ~base:x ~exp:e ~modulus:p in
-  if Nat.equal (Nat.rem (Nat.mul r r) p) (Nat.rem x p) then Some r else None
 
 let mulmod a b m = Nat.rem (Nat.mul a b) m
 

@@ -1,11 +1,7 @@
-(** Modular arithmetic: inverses, square roots, CRT. *)
+(** Modular arithmetic: inverses, CRT. *)
 
 val inverse : x:Nat.t -> modulus:Nat.t -> Nat.t option
 (** Modular inverse, [None] when [gcd x modulus <> 1]. *)
-
-val sqrt_3mod4 : x:Nat.t -> p:Nat.t -> Nat.t option
-(** Square root of [x] modulo a prime [p ≡ 3 (mod 4)]; [None] when [x] is
-    not a quadratic residue. *)
 
 val crt : m1_inv:Nat.t -> r1:Nat.t -> m1:Nat.t -> r2:Nat.t -> m2:Nat.t -> Nat.t
 (** The unique [x < m1·m2] with [x ≡ r1 (mod m1)] and [x ≡ r2 (mod m2)],

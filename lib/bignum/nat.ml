@@ -75,6 +75,26 @@ let add (a : t) (b : t) : t =
   done;
   if !carry = 0 then out else Array.append out [| !carry |]
 
+(* a + v for a native v >= 0: like [add], one allocation unless the
+   carry leaves the top limb, and [a] itself when v = 0. *)
+let add_int (a : t) (v : int) : t =
+  if v < 0 then invalid_arg "Nat.add_int: negative";
+  if v = 0 then a
+  else begin
+    let la = Array.length a in
+    let rec limbs v acc = if v = 0 then acc else limbs (v lsr limb_bits) (acc + 1) in
+    let out = Array.make (max la (limbs v 0)) 0 in
+    Array.blit a 0 out 0 la;
+    let carry = ref v and i = ref 0 in
+    while !carry <> 0 && !i < Array.length out do
+      let s = out.(!i) + (!carry land limb_mask) in
+      out.(!i) <- s land limb_mask;
+      carry := (!carry lsr limb_bits) + (s lsr limb_bits);
+      incr i
+    done;
+    if !carry = 0 then out else Array.append out [| !carry |]
+  end
+
 (* [a] with bit [i] set: [a] itself when it already is, else one copy. *)
 let set_bit (a : t) (i : int) : t =
   if i < 0 then invalid_arg "Nat.set_bit";
@@ -488,8 +508,8 @@ let window_bits (nb : int) : int =
   if nb <= 24 then 1 else if nb <= 96 then 3 else if nb <= 768 then 4 else 5
 
 type mont = {
-  m : t;
-  m' : int;
+  mutable m : t;
+  mutable m' : int;
   r1 : int array; (* R mod m: 1 in Montgomery form *)
   rm1 : int array; (* m - R mod m: m - 1 in Montgomery form *)
   r2 : int array; (* R² mod m: one product by it enters Montgomery form *)
@@ -509,29 +529,46 @@ let double_mod (x : int array) (m : t) : unit =
   done;
   reduce_once ~m ~carry:!c x x
 
-(* R mod m by doubling 2^(bits(m) - 1) up to 2^(26k); then R² mod m,
-   the Montgomery form of 2^(26k), by square-and-double from the
-   Montgomery form of 1 along the bits of 26k.  No division. *)
-let mont (m : t) : mont =
+(* Points [c] at the odd modulus m of its limb count: m', then R mod m
+   by doubling 2^(bits(m) - 1) up to 2^(26k), then R² mod m, the
+   Montgomery form of 2^(26k), by square-and-double from the Montgomery
+   form of 1 along the bits of 26k.  No division and no allocation. *)
+let target (c : mont) (m : t) : unit =
   if not (testbit m 0) || equal m one then invalid_arg "Nat.mont: even modulus or 1";
   let k = Array.length m in
-  let m' = neg_inv_limb m.(0) in
-  let t = Array.make (k + 2) 0 in
+  c.m <- m;
+  c.m' <- neg_inv_limb m.(0);
+  let { m'; t; r1; r2; _ } = c in
   let nb = num_bits m in
-  let r1 = Array.make k 0 in
+  Array.fill r1 0 k 0;
   r1.((nb - 1) / limb_bits) <- 1 lsl ((nb - 1) mod limb_bits);
   for _ = nb to k * limb_bits do
     double_mod r1 m
   done;
-  let r2 = Array.copy r1 in
+  Array.blit r1 0 r2 0 k;
   let e = k * limb_bits in
   for i = num_bits (of_int e) - 1 downto 0 do
     mont_mul ~m ~m' ~t r2 r2 r2;
     if (e lsr i) land 1 = 1 then double_mod r2 m
   done;
-  let rm1 = Array.copy m in
-  ignore (sub_in_place rm1 k r1 k);
-  { m; m'; r1; rm1; r2; t; acc = Array.make k 0; sq = Array.make k 0; odd = [||] }
+  Array.blit m 0 c.rm1 0 k;
+  ignore (sub_in_place c.rm1 k r1 k)
+
+let mont (m : t) : mont =
+  let k = Array.length m in
+  let buf () = Array.make k 0 in
+  let c =
+    { m; m' = 0; r1 = buf (); rm1 = buf (); r2 = buf (); t = Array.make (k + 2) 0; acc = buf (); sq = buf (); odd = [||] }
+  in
+  target c m;
+  c
+
+let mont_for (prev : mont option) (m : t) : mont =
+  match prev with
+  | Some c when Array.length c.m = Array.length m ->
+      target c m;
+      c
+  | _ -> mont m
 
 (* acc ← base^exp in Montgomery form: a sliding window over the odd
    powers of the base, the top window seeding [acc] directly. *)
@@ -589,6 +626,18 @@ let mont_square (c : mont) : unit = mont_mul ~m:c.m ~m':c.m' ~t:c.t c.acc c.acc 
 
 let mont_unit (c : mont) : int = if c.acc = c.r1 then 1 else if c.acc = c.rm1 then -1 else 0
 
+(* Out of Montgomery form: one more product, by 1, into [sq]; the
+   result is copied out at its normalized length, so the context stays
+   the caller's to reuse. *)
+let mont_out (c : mont) : t =
+  let k = Array.length c.m in
+  Array.fill c.sq 0 k 0;
+  c.sq.(0) <- 1;
+  mont_mul ~m:c.m ~m':c.m' ~t:c.t c.acc c.sq c.sq;
+  let n = ref k in
+  while !n > 0 && c.sq.(!n - 1) = 0 do decr n done;
+  Array.sub c.sq 0 !n
+
 let modexp ~(base : t) ~(exp : t) ~(modulus : t) : t =
   if is_zero modulus then raise Division_by_zero;
   if equal modulus one then zero
@@ -598,12 +647,7 @@ let modexp ~(base : t) ~(exp : t) ~(modulus : t) : t =
   else begin
     let c = mont modulus in
     mont_pow c ~base ~exp;
-    (* Out of Montgomery form: one more product, by 1. *)
-    let k = Array.length modulus in
-    Array.fill c.sq 0 k 0;
-    c.sq.(0) <- 1;
-    mont_mul ~m:c.m ~m':c.m' ~t:c.t c.acc c.sq c.acc;
-    normalize c.acc
+    mont_out c
   end
 
 (* u[0 .. k] ← u[0 .. k) + q·m, for the k-limb m and a one-limb q. *)
@@ -677,31 +721,30 @@ let of_bytes_be (s : string) : t =
   done;
   normalize out
 
-let to_bytes_be (a : t) : string =
-  let nbytes = (num_bits a + 7) / 8 in
-  if nbytes = 0 then ""
-  else begin
-    let out = Bytes.make nbytes '\000' in
-    for byte = 0 to nbytes - 1 do
-      let bitpos = 8 * byte in
-      let limb = bitpos / limb_bits and off = bitpos mod limb_bits in
-      let v = a.(limb) lsr off in
-      let v =
-        if off > limb_bits - 8 && limb + 1 < Array.length a then
-          v lor (a.(limb + 1) lsl (limb_bits - off))
-        else v
-      in
-      Bytes.set out (nbytes - 1 - byte) (Char.chr (v land 0xff))
-    done;
-    Bytes.unsafe_to_string out
-  end
+(* The big-endian bytes of a, right-aligned in a fresh string of
+   [width] >= its byte length, zero-filled on the left. *)
+let bytes_be ~(width : int) (a : t) : string =
+  let out = Bytes.make width '\000' in
+  for byte = 0 to ((num_bits a + 7) / 8) - 1 do
+    let bitpos = 8 * byte in
+    let limb = bitpos / limb_bits and off = bitpos mod limb_bits in
+    let v = a.(limb) lsr off in
+    let v =
+      if off > limb_bits - 8 && limb + 1 < Array.length a then
+        v lor (a.(limb + 1) lsl (limb_bits - off))
+      else v
+    in
+    Bytes.set out (width - 1 - byte) (Char.chr (v land 0xff))
+  done;
+  Bytes.unsafe_to_string out
 
-(* Fixed-width big-endian encoding, for protocol messages. *)
+let to_bytes_be (a : t) : string = if is_zero a then "" else bytes_be ~width:((num_bits a + 7) / 8) a
+
+(* Fixed-width big-endian encoding, for protocol messages: one
+   allocation. *)
 let to_bytes_be_padded ~(width : int) (a : t) : string =
-  let s = to_bytes_be a in
-  let n = String.length s in
-  if n > width then invalid_arg "Nat.to_bytes_be_padded: too large";
-  String.make (width - n) '\000' ^ s
+  if (num_bits a + 7) / 8 > width then invalid_arg "Nat.to_bytes_be_padded: too large";
+  bytes_be ~width a
 
 let of_hex (h : string) : t = of_bytes_be (Sfs_util.Hex.decode (if String.length h mod 2 = 1 then "0" ^ h else h))
 let to_hex (a : t) : string =

@@ -28,6 +28,11 @@ val testbit : t -> int -> bool
 
 val add : t -> t -> t
 
+val add_int : t -> int -> t
+(** [add_int a v] is [a + v] for a native [v >= 0] with no intermediate
+    value: one allocation unless the carry leaves the top limb, and [a]
+    itself when [v = 0]. @raise Invalid_argument on negative [v]. *)
+
 val set_bit : t -> int -> t
 (** [set_bit a i] is [a] with bit [i] set: [a] itself when it already
     is, else one copy. @raise Invalid_argument on negative [i]. *)
@@ -60,17 +65,25 @@ val modexp : base:t -> exp:t -> modulus:t -> t
     on a fresh {!mont} context: CIOS Montgomery products on fixed k-limb
     buffers, each interleaving multiply and reduce limb by limb with the
     one-limb -m⁻¹ mod 2^26, so a whole exponentiation allocates only
-    its context and result.  Falls back to {!modexp_reference} for even
-    moduli. *)
+    its context and result ({!mont_pow}, then {!mont_out}).  Falls back
+    to {!modexp_reference} for even moduli. *)
 
 type mont
 (** A Montgomery context for one odd modulus m > 1: the one-limb
     -m⁻¹ mod 2^26, R mod m and R² mod m (R = 2^(26k) for a k-limb m),
     computed by doubling and squaring with no division, plus scratch
-    and an accumulator.  Every operation on it runs in place. *)
+    and an accumulator.  Every operation on it runs in place, so a
+    context is scratch: one computation at a time. *)
 
 val mont : t -> mont
 (** @raise Invalid_argument when the modulus is even or 1. *)
+
+val mont_for : mont option -> t -> mont
+(** [mont_for prev m] is a context for [m]: [prev] re-targeted in place,
+    with no allocation, when it has [m]'s limb count (its old modulus
+    is then forgotten), else a fresh {!mont}.  A prime search runs every
+    candidate of one width in one context.
+    @raise Invalid_argument when [m] is even or 1. *)
 
 val mont_pow : mont -> base:t -> exp:t -> unit
 (** Sets the accumulator to [base^exp mod m] (kept in Montgomery
@@ -78,6 +91,10 @@ val mont_pow : mont -> base:t -> exp:t -> unit
 
 val mont_square : mont -> unit
 (** Squares the accumulator in place. *)
+
+val mont_out : mont -> t
+(** The accumulator out of Montgomery form, as a fresh value below m:
+    one product by 1 and one copy.  The context is left for reuse. *)
 
 val mont_unit : mont -> int
 (** [1] when the accumulator holds 1, [-1] when it holds [m - 1],

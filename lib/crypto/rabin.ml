@@ -13,29 +13,50 @@
 
    Encryption applies OAEP (Bellare-Rogaway) before squaring, giving the
    plaintext-aware, chosen-ciphertext-secure scheme the paper cites;
-   decryption takes all four square roots and the OAEP redundancy
-   identifies the real plaintext. *)
+   decryption tries the square roots in turn and the OAEP redundancy
+   identifies the real plaintext.
+
+   The connect step (paper Figs. 3 and 4) runs this module on every
+   mount, so the private key carries each prime's Montgomery context and
+   root exponent, decryption stops at the first root OAEP accepts, and
+   OAEP and MGF1 work in place on one buffer through one SHA-1 context. *)
 
 open Sfs_bignum
 
 type pub = { n : Nat.t; bits : int }
 
+(* One prime's square-root context: its Montgomery context and the
+   exponent (p + 1)/4, since for p ≡ 3 (mod 4) a residue x mod p has
+   the root x^((p+1)/4).  The context is scratch every root computation
+   under the key reuses. *)
+type root = { ctx : Nat.mont; exp : Nat.t }
+
 (* [p_inv] = p⁻¹ mod q, the CRT coefficient (PKCS #1's qInv with the
-   primes swapped): computed once per key, never serialized. *)
+   primes swapped), and the two root contexts: computed once per key,
+   never serialized. *)
 type priv = {
   pub : pub;
   p : Nat.t;
   q : Nat.t;
   p_inv : Nat.t;
+  p_root : root;
+  q_root : root;
 }
 
-(* The key for primes p and q; [None] when they are not coprime. *)
+let root_of_prime (p : Nat.t) : root =
+  { ctx = Nat.mont p; exp = Nat.shift_right (Nat.add p Nat.one) 2 }
+
+(* The key for primes p and q, the one constructor; [None] unless both
+   are 3 (mod 4) and coprime. *)
 let priv_of_primes (p : Nat.t) (q : Nat.t) : priv option =
-  match Modarith.inverse ~x:p ~modulus:q with
-  | None -> None
-  | Some p_inv ->
-      let n = Nat.mul p q in
-      Some { pub = { n; bits = Nat.num_bits n }; p; q; p_inv }
+  let three_mod_four x = Nat.testbit x 0 && Nat.testbit x 1 in
+  if not (three_mod_four p && three_mod_four q) then None
+  else
+    match Modarith.inverse ~x:p ~modulus:q with
+    | None -> None
+    | Some p_inv ->
+        let n = Nat.mul p q in
+        Some { pub = { n; bits = Nat.num_bits n }; p; q; p_inv; p_root = root_of_prime p; q_root = root_of_prime q }
 
 let modulus_bytes (pk : pub) = (pk.bits + 7) / 8
 
@@ -104,44 +125,70 @@ let priv_of_string (s : string) : priv option =
 
 (* --- MGF1 with SHA-1, for OAEP and full-domain hashing --- *)
 
-let mgf1 (seed : string) (len : int) : string =
-  let buf = Buffer.create len in
-  let counter = ref 0 in
-  while Buffer.length buf < len do
-    Buffer.add_string buf (Sha1.digest (seed ^ Sfs_util.Bytesutil.be32_of_int !counter));
+let hash_len = Sha1.digest_size
+
+(* dst[off, off + len) ← dst[off, off + len) xor MGF1(seed) for the seed
+   src[soff, soff + slen): block i is SHA-1(seed ∥ be32 i).  Every block
+   is hashed through [h], and [scratch] (24 bytes) holds the counter and
+   then the block's digest.  The two ranges must not overlap. *)
+let mgf1_xor (h : Sha1.ctx) (scratch : Bytes.t) ~(src : Bytes.t) ~(soff : int) ~(slen : int) (dst : Bytes.t)
+    ~(off : int) ~(len : int) : unit =
+  let counter = ref 0 and pos = ref 0 in
+  while !pos < len do
+    Sha1.reset h;
+    Sha1.feed_bytes h src ~off:soff ~len:slen;
+    Sfs_util.Bytesutil.put_be32 scratch ~off:0 !counter;
+    Sha1.feed_bytes h scratch ~off:0 ~len:4;
+    Sha1.digest_into h scratch ~off:4;
+    for i = 0 to min hash_len (len - !pos) - 1 do
+      let j = off + !pos + i in
+      Bytes.set dst j (Char.chr (Char.code (Bytes.get dst j) lxor Char.code (Bytes.get scratch (4 + i))))
+    done;
+    pos := !pos + hash_len;
     incr counter
-  done;
-  String.sub (Buffer.contents buf) 0 len
+  done
 
 (* --- Square roots mod n via CRT --- *)
 
+(* The square root x^((p+1)/4) of x modulo the root's prime p, if x is
+   a residue there: the root squared back must give x mod p. *)
+let prime_root (r : root) (p : Nat.t) (x : Nat.t) : Nat.t option =
+  let xp = Nat.rem x p in
+  Nat.mont_pow r.ctx ~base:xp ~exp:r.exp;
+  let root = Nat.mont_out r.ctx in
+  Nat.mont_pow r.ctx ~base:root ~exp:Nat.two;
+  if Nat.equal (Nat.mont_out r.ctx) xp then Some root else None
+
 (* One square root of x modulo each prime, if x is a residue mod both. *)
 let prime_roots (sk : priv) (x : Nat.t) : (Nat.t * Nat.t) option =
-  match (Modarith.sqrt_3mod4 ~x:(Nat.rem x sk.p) ~p:sk.p, Modarith.sqrt_3mod4 ~x:(Nat.rem x sk.q) ~p:sk.q) with
-  | Some rp, Some rq -> Some (rp, rq)
-  | _ -> None
+  match prime_root sk.p_root sk.p x with
+  | None -> None
+  | Some rp -> ( match prime_root sk.q_root sk.q x with None -> None | Some rq -> Some (rp, rq))
 
 (* The root mod n = pq that is rp mod p and rq mod q. *)
 let combine (sk : priv) (rp : Nat.t) (rq : Nat.t) : Nat.t =
   Modarith.crt ~m1_inv:sk.p_inv ~r1:rp ~m1:sk.p ~r2:rq ~m2:sk.q
-
-(* All four square roots of a residue x mod n = pq. *)
-let sqrts (sk : priv) (x : Nat.t) : Nat.t list =
-  match prime_roots sk x with
-  | Some (rp, rq) ->
-      let rp' = Modarith.negmod rp sk.p and rq' = Modarith.negmod rq sk.q in
-      [ combine sk rp rq; combine sk rp rq'; combine sk rp' rq; combine sk rp' rq' ]
-  | None -> []
 
 (* --- Signatures --- *)
 
 type signature = { root : Nat.t; negate : bool; double : bool }
 
 (* Full-domain hash of a message to a value below n: expand with MGF1 to
-   one byte less than the modulus. *)
+   one byte less than the modulus, from the seed "rabin-fdh:" ∥
+   SHA-1(message), all through one SHA-1 context. *)
+let fdh_prefix = "rabin-fdh:"
+
 let fdh (pk : pub) (message : string) : Nat.t =
-  let k = modulus_bytes pk in
-  let m = Nat.of_bytes_be (mgf1 ("rabin-fdh:" ^ Sha1.digest message) (k - 1)) in
+  let plen = String.length fdh_prefix in
+  let seed = Bytes.create (plen + hash_len) in
+  Bytes.blit_string fdh_prefix 0 seed 0 plen;
+  let h = Sha1.init () in
+  Sha1.update h message;
+  Sha1.digest_into h seed ~off:plen;
+  let len = modulus_bytes pk - 1 in
+  let out = Bytes.make len '\000' in
+  mgf1_xor h (Bytes.create 24) ~src:seed ~soff:0 ~slen:(plen + hash_len) out ~off:0 ~len;
+  let m = Nat.of_bytes_be (Bytes.unsafe_to_string out) in
   (* Zero is never coprime to n; nudge (cannot occur for real SHA-1). *)
   if Nat.is_zero m then Nat.one else m
 
@@ -191,8 +238,6 @@ let signature_of_string (s : string) : signature option =
 
 (* --- Encryption (OAEP then squaring) --- *)
 
-let hash_len = Sha1.digest_size
-
 let max_plaintext (pk : pub) : int =
   let k = modulus_bytes pk in
   k - (2 * hash_len) - 3
@@ -201,43 +246,50 @@ let max_plaintext (pk : pub) : int =
      DB   = lhash ∥ 0x00.. ∥ 0x01 ∥ message
      X    = DB xor MGF1(seed)
      Y    = seed xor MGF1(X)
-     EM   = 0x00 ∥ Y ∥ X *)
+     EM   = 0x00 ∥ Y ∥ X
+   EM is built and unmasked in one buffer: Y at [1, 1 + hash_len), X
+   after it. *)
 let lhash = Sha1.digest "rabin-oaep"
 
 let oaep_encode (pk : pub) (rng : Prng.t) (message : string) : Nat.t =
   let k = modulus_bytes pk in
   let mlen = String.length message in
   if mlen > max_plaintext pk then invalid_arg "Rabin.encrypt: message too long";
-  let db_len = k - 1 - 1 - hash_len in
-  let pad = String.make (db_len - hash_len - 1 - mlen) '\000' in
-  let db = lhash ^ pad ^ "\x01" ^ message in
-  let seed = Prng.random_bytes rng hash_len in
-  let x = Sfs_util.Bytesutil.xor db (mgf1 seed db_len) in
-  let y = Sfs_util.Bytesutil.xor seed (mgf1 x hash_len) in
-  Nat.of_bytes_be ("\x00" ^ y ^ x)
+  let db_len = k - 2 - hash_len in
+  let em = Bytes.make (k - 1) '\000' in
+  Bytes.blit_string lhash 0 em (1 + hash_len) hash_len;
+  Bytes.set em (k - 2 - mlen) '\x01';
+  Bytes.blit_string message 0 em (k - 1 - mlen) mlen;
+  Bytes.blit_string (Prng.random_bytes rng hash_len) 0 em 1 hash_len;
+  let h = Sha1.init () and scratch = Bytes.create 24 in
+  mgf1_xor h scratch ~src:em ~soff:1 ~slen:hash_len em ~off:(1 + hash_len) ~len:db_len;
+  mgf1_xor h scratch ~src:em ~soff:(1 + hash_len) ~slen:db_len em ~off:1 ~len:hash_len;
+  Nat.of_bytes_be (Bytes.unsafe_to_string em)
 
 let oaep_decode (pk : pub) (em : Nat.t) : string option =
   let k = modulus_bytes pk in
-  let db_len = k - 1 - 1 - hash_len in
-  let bytes = try Nat.to_bytes_be_padded ~width:(k - 1) em with Invalid_argument _ -> "" in
-  if String.length bytes <> k - 1 || bytes.[0] <> '\x00' then None
+  (* EM is k-1 bytes with a zero first byte: below 2^(8(k-2)). *)
+  if Nat.num_bits em > 8 * (k - 2) then None
   else begin
-    let y = String.sub bytes 1 hash_len in
-    let x = String.sub bytes (1 + hash_len) db_len in
-    let seed = Sfs_util.Bytesutil.xor y (mgf1 x hash_len) in
-    let db = Sfs_util.Bytesutil.xor x (mgf1 seed db_len) in
-    if not (Sfs_util.Bytesutil.ct_equal (String.sub db 0 hash_len) lhash) then None
+    let db_len = k - 2 - hash_len in
+    let b = Bytes.of_string (Nat.to_bytes_be_padded ~width:(k - 1) em) in
+    let h = Sha1.init () and scratch = Bytes.create 24 in
+    (* seed = Y xor MGF1(X), then DB = X xor MGF1(seed), each in place. *)
+    mgf1_xor h scratch ~src:b ~soff:(1 + hash_len) ~slen:db_len b ~off:1 ~len:hash_len;
+    mgf1_xor h scratch ~src:b ~soff:1 ~slen:hash_len b ~off:(1 + hash_len) ~len:db_len;
+    let label = Bytes.unsafe_of_string lhash in
+    if not (Sfs_util.Bytesutil.ct_equal_sub label b ~off:(1 + hash_len) ~len:hash_len) then None
     else begin
       (* Scan the zero padding for the 0x01 separator. *)
       let rec find i =
-        if i >= String.length db then None
+        if i >= k - 1 then None
         else
-          match db.[i] with
+          match Bytes.get b i with
           | '\x00' -> find (i + 1)
-          | '\x01' -> Some (String.sub db (i + 1) (String.length db - i - 1))
+          | '\x01' -> Some (Bytes.sub_string b (i + 1) (k - 2 - i))
           | _ -> None
       in
-      find hash_len
+      find (1 + (2 * hash_len))
     end
   end
 
@@ -254,11 +306,25 @@ let encrypt (pk : pub) (rng : Prng.t) (message : string) : Nat.t =
   in
   go 0
 
+(* The four roots in turn, (rp, rq), (rp, -rq), (-rp, rq), (-rp, -rq),
+   stopping at the first OAEP accepts.  The last two are n minus the
+   second and the first, so at most two roots take a CRT. *)
 let decrypt (sk : priv) (c : Nat.t) : string option =
-  let candidates = sqrts sk (Nat.rem c sk.pub.n) in
-  List.fold_left
-    (fun acc root -> match acc with Some _ -> acc | None -> oaep_decode sk.pub root)
-    None candidates
+  match prime_roots sk (Nat.rem c sk.pub.n) with
+  | None -> None
+  | Some (rp, rq) -> (
+      let n = sk.pub.n in
+      let r1 = combine sk rp rq in
+      match oaep_decode sk.pub r1 with
+      | Some _ as m -> m
+      | None -> (
+          let r2 = combine sk rp (Modarith.negmod rq sk.q) in
+          match oaep_decode sk.pub r2 with
+          | Some _ as m -> m
+          | None -> (
+              match oaep_decode sk.pub (Modarith.negmod r2 n) with
+              | Some _ as m -> m
+              | None -> oaep_decode sk.pub (Modarith.negmod r1 n))))
 
 (* --- Hybrid encryption for protocol payloads ---
 
@@ -273,7 +339,7 @@ let encrypt_blob (pk : pub) (rng : Prng.t) (blob : string) : string =
   let stream = Arc4.create session in
   let body = Arc4.encrypt stream blob in
   let tag = Mac.of_message ~key:session body in
-  Sfs_util.Bytesutil.be32_of_int (String.length cb) ^ cb ^ tag ^ body
+  String.concat "" [ Sfs_util.Bytesutil.be32_of_int (String.length cb); cb; tag; body ]
 
 let decrypt_blob (sk : priv) (s : string) : string option =
   if String.length s < 4 then None

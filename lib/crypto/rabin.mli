@@ -6,8 +6,26 @@
 open Sfs_bignum
 
 type pub = { n : Nat.t; bits : int }
-type priv = { pub : pub [@sfs.public]; p : Nat.t [@sfs.secret]; q : Nat.t [@sfs.secret]; p_inv : Nat.t [@sfs.secret] }
-(** [p_inv] is the CRT coefficient p⁻¹ mod q, computed once per key. *)
+
+type root
+(** One prime's square-root context: its Montgomery context and the
+    exponent (p + 1)/4. *)
+
+type priv = {
+  pub : pub; [@sfs.public]
+  p : Nat.t; [@sfs.secret]
+  q : Nat.t; [@sfs.secret]
+  p_inv : Nat.t; [@sfs.secret]
+  p_root : root; [@sfs.secret]
+  q_root : root; [@sfs.secret]
+}
+(** [p_inv] is the CRT coefficient p⁻¹ mod q, and [p_root], [q_root]
+    the primes' root contexts; all are computed once per key.  The
+    contexts are scratch that {!sign} and {!decrypt} compute in, so a
+    key must not be used re-entrantly: no second call under the same
+    key may start before the first returns.  One key shared by many
+    clients of a single-threaded simulation, as the fleet shares one
+    K_C, is safe. *)
 
 val generate : ?bits:int -> Prng.t -> priv
 [@@sfs.secret]
@@ -28,8 +46,8 @@ val priv_of_string : string -> priv option
 [@@sfs.secret]
 (** Private-key serialization, for agent storage and the encrypted-key
     deposit with authserv.  Only p and q are stored; [priv_of_string]
-    recomputes [p_inv] and returns [None] when p and q are not
-    coprime. *)
+    recomputes [p_inv] and the root contexts, and returns [None] unless
+    p and q are coprime and both 3 (mod 4). *)
 
 (** {2 Signatures} *)
 
@@ -55,8 +73,10 @@ val encrypt : pub -> Prng.t -> string -> Nat.t
 
 val decrypt : priv -> Nat.t -> string option
 [@@sfs.declassify "recovered plaintext is the caller's message, not key material; callers re-assert secrecy where the payload is a key"]
-(** Takes all four square roots; the OAEP redundancy identifies the
-    plaintext. [None] on tampered or garbage ciphertext. *)
+(** Tries the four square roots in a fixed order, (rp, rq), (rp, -rq),
+    (-rp, rq), (-rp, -rq), and returns the first the OAEP redundancy
+    accepts: at most two CRT combinations, as the last two roots are
+    n minus the first two.  [None] on tampered or garbage ciphertext. *)
 
 val encrypt_blob : pub -> Prng.t -> string -> string
 [@@sfs.declassify "hybrid ciphertext+MAC under the recipient's public key; safe to transmit"]

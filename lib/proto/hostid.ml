@@ -16,17 +16,18 @@ module Xdr = Sfs_xdr.Xdr
 
 let size = Sha1.digest_size
 
-(* The hashed bytes are the XDR marshaling of the two fields, repeated. *)
+(* The hashed bytes are the XDR marshaling of the two fields, repeated:
+   the one encoding is fed to the hash twice where it lies. *)
 let of_location_key ~(location : string) ~(pubkey : Rabin.pub) : string =
-  let once =
-    Xdr.encode
-      (fun e () ->
-        Xdr.enc_string e "HostInfo";
-        Xdr.enc_string e location;
-        Xdr.enc_opaque e (Rabin.pub_to_string pubkey))
-      ()
-  in
-  Sha1.digest (once ^ once)
+  let e = Xdr.make_enc () in
+  Xdr.enc_string e "HostInfo";
+  Xdr.enc_string e location;
+  Xdr.enc_opaque e (Rabin.pub_to_string pubkey);
+  let h = Sha1.init () in
+  for _ = 1 to 2 do
+    Sha1.feed_bytes h (Xdr.buffer e) ~off:0 ~len:(Xdr.length e)
+  done;
+  Sha1.final h
 
 let to_base32 (hostid : string) : string = Sfs_util.Base32.encode hostid
 

@@ -121,35 +121,37 @@ let dec_halves d =
 
 (* --- Session key derivation --- *)
 
-let session_key ~(label : string) ~(server_pub : Rabin.pub) ~(server_half : string)
-    ~(client_pub : Rabin.pub) ~(client_half : string) : string =
-  Sha1.digest
-    (Xdr.encode
-       (fun e () ->
-         Xdr.enc_string e label;
-         Xdr.enc_opaque e (Rabin.pub_to_string server_pub);
-         Xdr.enc_fixed_opaque e ~size:half_bytes server_half;
-         Xdr.enc_opaque e (Rabin.pub_to_string client_pub);
-         Xdr.enc_fixed_opaque e ~size:half_bytes client_half)
-       ())
-
 type session_keys = { kcs : string; ksc : string; session_id : string }
 
+(* Each key is the SHA-1 of an XDR marshaling hashed where it lies in
+   one encoder, and each public key is encoded once for both session
+   keys. *)
 let derive ~(server_pub : Rabin.pub) ~(client_pub : Rabin.pub) ~(kc1 : string) ~(kc2 : string)
     ~(ks1 : string) ~(ks2 : string) : session_keys =
-  let kcs = session_key ~label:"KCS" ~server_pub ~server_half:ks1 ~client_pub ~client_half:kc1 in
-  let ksc = session_key ~label:"KSC" ~server_pub ~server_half:ks2 ~client_pub ~client_half:kc2 in
-  (* SessionID = SHA-1("SessionInfo", k_SC, k_CS) — section 3.1.2. *)
-  let session_id =
-    Sha1.digest
-      (Xdr.encode
-         (fun e () ->
-           Xdr.enc_string e "SessionInfo";
-           Xdr.enc_fixed_opaque e ~size:20 ksc;
-           Xdr.enc_fixed_opaque e ~size:20 kcs)
-         ())
+  let e = Xdr.make_enc () and h = Sha1.init () in
+  let hash () =
+    Sha1.reset h;
+    Sha1.feed_bytes h (Xdr.buffer e) ~off:0 ~len:(Xdr.length e);
+    Sha1.final h
   in
-  { kcs; ksc; session_id }
+  let server_pub = Rabin.pub_to_string server_pub and client_pub = Rabin.pub_to_string client_pub in
+  let session_key label ~server_half ~client_half =
+    Xdr.reset e;
+    Xdr.enc_string e label;
+    Xdr.enc_opaque e server_pub;
+    Xdr.enc_fixed_opaque e ~size:half_bytes server_half;
+    Xdr.enc_opaque e client_pub;
+    Xdr.enc_fixed_opaque e ~size:half_bytes client_half;
+    hash ()
+  in
+  let kcs = session_key "KCS" ~server_half:ks1 ~client_half:kc1 in
+  let ksc = session_key "KSC" ~server_half:ks2 ~client_half:kc2 in
+  (* SessionID = SHA-1("SessionInfo", k_SC, k_CS) — section 3.1.2. *)
+  Xdr.reset e;
+  Xdr.enc_string e "SessionInfo";
+  Xdr.enc_fixed_opaque e ~size:20 ksc;
+  Xdr.enc_fixed_opaque e ~size:20 kcs;
+  { kcs; ksc; session_id = hash () }
 
 (* --- Client side --- *)
 

@@ -44,6 +44,12 @@ type session_keys = {
   session_id : string; (** SHA-1("SessionInfo", k_SC, k_CS), section 3.1.2 *)
 }
 
+(* sfslint: allow SL014 — the session-key derivation the connect-step known answers and allocation guard measure *)
+val derive :
+  server_pub:Rabin.pub -> client_pub:Rabin.pub -> kc1:string -> kc2:string -> ks1:string -> ks2:string -> session_keys
+(** [k_CS = SHA-1("KCS", K_S, k_S1, K_C, k_C1)], [k_SC] likewise over the
+    second halves under ["KSC"], and the SessionID over both. *)
+
 (** {2 Protocol runners} *)
 
 val sfs_port : int

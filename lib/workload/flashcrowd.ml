@@ -90,7 +90,7 @@ type rcl = {
   rng : Prng.t;
   mutable conn : (Simnet.conn * (string -> string)) option; (* the dial's connection, exchange *)
   mutable mirror : int; (* index of the mirror pathname currently dialed *)
-  mutable refused : int list; (* distinct mirrors whose connect step refused this client *)
+  mutable avoid : int list; (* distinct mirrors this client failed over from *)
   mutable ro : (Core.Readonly.client * Fs_intf.ops) option; (* survives every failover *)
   mutable pending : int; (* file index mid-retry, or -1 *)
 }
@@ -161,7 +161,7 @@ let run ?tap (cfg : config) : result =
           rng = Prng.create [ cfg.seed; "roclient"; string_of_int i ];
           conn = None;
           mirror = i mod cfg.replicas;
-          refused = [];
+          avoid = [];
           ro = None;
           pending = -1;
         })
@@ -179,11 +179,13 @@ let run ?tap (cfg : config) : result =
         c.conn <- None
   in
   (* Least-loaded failover (fewest client connections, lowest index on ties) among the
-     mirrors that have not refused this client, since a refusing mirror holds no
-     connection and would always look least loaded; once all have refused, all are retried. *)
+     mirrors this client has not failed over from.  A mirror that refused the connect
+     step holds no connection, and a crashed one loses its clients as they leave, so
+     either would soon look least loaded; once the client has left every mirror, all
+     are tried again. *)
   let pick_mirror (c : rcl) : int =
-    if List.length c.refused = cfg.replicas then c.refused <- [];
-    let load m = if List.mem m c.refused then max_int else clients_on.(m) in
+    if List.length c.avoid = cfg.replicas then c.avoid <- [];
+    let load m = if List.mem m c.avoid then max_int else clients_on.(m) in
     let best = ref 0 in
     for m = 1 to cfg.replicas - 1 do
       if load m < load !best then best := m
@@ -234,8 +236,7 @@ let run ?tap (cfg : config) : result =
       Keyneg.dial net ~from_host:c.from ~location:(Core.Pathname.location path)
         ~hostid:(Core.Pathname.hostid path) ~service:Keyneg.Fs_readonly ~extensions:[]
     with
-    | Error Keyneg.Unreachable -> Error Crowd.Retry
-    | Error (Keyneg.Refused _) -> c.refused <- c.mirror :: c.refused; Error Crowd.Retry
+    | Error (Keyneg.Unreachable | Keyneg.Refused _) -> Error Crowd.Retry
     | Error (Keyneg.Revoked _) -> Error Crowd.Fatal
     | Ok (conn, call, pubkey) ->
         c.conn <- Some (conn, call);
@@ -259,6 +260,7 @@ let run ?tap (cfg : config) : result =
         (fun c ->
           Obs.incr (Some obs) "ro.client.failover";
           drop_conn c;
+          if not (List.mem c.mirror c.avoid) then c.avoid <- c.mirror :: c.avoid;
           c.mirror <- pick_mirror c);
       refresh =
         (fun c ->

@@ -143,18 +143,28 @@ let jacobi_reciprocity (a : Nat.t) (n : Nat.t) : int =
   in
   go a n 1
 
+(* The square root a Rabin key takes in each prime's context:
+   x^((p+1)/4) mod p for p ≡ 3 (mod 4), read out with [mont_out].
+   Squared back it gives x for a residue and not for a non-residue, and
+   the context is reused across calls. *)
 let test_sqrt () =
   let p = n "1000000007" in
   (* p mod 4 = 3 *)
+  let e = Nat.shift_right (Nat.add p Nat.one) 2 in
+  let c = Nat.mont p in
+  let root x =
+    Nat.mont_pow c ~base:x ~exp:e;
+    Nat.mont_out c
+  in
   let x = Modarith.mulmod (n "98765") (n "98765") p in
-  (match Modarith.sqrt_3mod4 ~x ~p with
-  | Some r -> check_nat "sqrt squared" x (Modarith.mulmod r r p)
-  | None -> Alcotest.fail "expected sqrt");
-  (* A non-residue must be rejected. *)
+  check_nat "sqrt squared" x (Modarith.mulmod (root x) (root x) p);
+  (* A non-residue has no root: the candidate does not square back. *)
   let rec find_nonresidue c =
     if Nat.jacobi (n (string_of_int c)) p = -1 then n (string_of_int c) else find_nonresidue (c + 1)
   in
-  Alcotest.(check bool) "nonresidue rejected" true (Modarith.sqrt_3mod4 ~x:(find_nonresidue 2) ~p = None)
+  let y = find_nonresidue 2 in
+  let r = root y in
+  Alcotest.(check bool) "nonresidue rejected" false (Nat.equal (Modarith.mulmod r r p) y)
 
 let test_crt () =
   match Modarith.inverse ~x:(n "3") ~modulus:(n "5") with
@@ -341,6 +351,29 @@ let props =
       (triple wide_arb wide_arb wide_nonzero_arb) (fun (b, e, m) ->
         Nat.equal (Nat.modexp ~base:b ~exp:e ~modulus:m)
           (Nat.modexp_reference ~base:b ~exp:e ~modulus:m));
+    (* A context re-targeted in place ([mont_for], as one prime search
+       runs all its candidates) computes as a fresh one: one context
+       walks a list of odd moduli, half of them forced to four limbs so
+       the limb count often repeats; it is reused exactly then, and
+       every power read out with [mont_out] matches the reference. *)
+    Test.make ~count:100 ~name:"re-targeted montgomery context agrees with reference"
+      (pair (list_of_size (Gen.int_range 1 8) (triple odd_arb bool wide_arb)) wide_arb)
+      (fun (steps, e) ->
+        let limbs m = (Nat.num_bits m + 25) / 26 in
+        let four_limbs m = Nat.set_bit (Nat.rem m (Nat.shift_left Nat.one 104)) 103 in
+        let prev = ref None in
+        List.for_all
+          (fun (m, narrow, b) ->
+            let m = if narrow then four_limbs m else m in
+            Nat.equal m Nat.one
+            ||
+            let c = Nat.mont_for (Option.map snd !prev) m in
+            let reused = match !prev with Some (m0, c0) -> c0 == c && limbs m0 = limbs m | None -> false in
+            let expected = match !prev with Some (m0, _) -> limbs m0 = limbs m | None -> false in
+            prev := Some (m, c);
+            Nat.mont_pow c ~base:b ~exp:e;
+            reused = expected && Nat.equal (Nat.mont_out c) (Nat.modexp_reference ~base:b ~exp:e ~modulus:m))
+          steps);
     Test.make ~count:100 ~name:"montgomery modexp agrees on even modulus"
       (triple wide_arb wide_arb wide_nonzero_arb) (fun (b, e, m) ->
         let m = Nat.mul m Nat.two in

@@ -312,6 +312,145 @@ let test_rabin_priv_serialization () =
   let twin = Rabin.priv_to_string { sk with Rabin.q = sk.Rabin.p } in
   Testkit.check_bool "p = q rejected" true (Rabin.priv_of_string twin = None)
 
+(* Known answers for the connect step, pinned before the private key
+   carried its own Montgomery contexts, decryption stopped at the first
+   root OAEP accepts and OAEP, session keys and HostIDs were hashed in
+   place: the SHA-1 of a seeded stream of hybrid ciphertexts, their
+   decryptions (also tampered, truncated and degenerate ones), direct
+   OAEP ciphertexts, signatures and their verdicts, session keys and
+   HostIDs, under a 384-bit and a 512-bit key.  A moved byte in any of
+   them fails here by name. *)
+let test_connect_step_known_answers () =
+  let g = Prng.create [ "connect-kat" ] in
+  let h = Sha1.init () in
+  let put s =
+    Sha1.update h (Sfs_util.Bytesutil.be32_of_int (String.length s));
+    Sha1.update h s
+  in
+  let put_opt = function None -> put "none" | Some s -> put ("some:" ^ s) in
+  let keys =
+    List.map (fun bits -> Rabin.generate ~bits (Prng.create [ "connect-kat-key"; string_of_int bits ]))
+      [ 384; 512; 768 ]
+  in
+  List.iter
+    (fun sk ->
+      let pk = sk.Rabin.pub in
+      for i = 0 to 11 do
+        let msg = String.init (i * 37 mod 200) (fun j -> Char.chr (((i * 31) + j) land 0xff)) in
+        (* A 384-bit key is too small for a 20-byte session key: it only signs. *)
+        if Rabin.max_plaintext pk >= 20 then begin
+          let blob = Rabin.encrypt_blob pk g msg in
+          put blob;
+          put_opt (Rabin.decrypt_blob sk blob);
+          let t = Bytes.of_string blob in
+          let pos = 4 + (i * 13 mod (String.length blob - 4)) in
+          Bytes.set t pos (Char.chr (Char.code (Bytes.get t pos) lxor (1 lsl (i mod 8))));
+          put_opt (Rabin.decrypt_blob sk (Bytes.to_string t));
+          put_opt (Rabin.decrypt_blob sk (String.sub blob 0 (i * 7 mod String.length blob)))
+        end;
+        let short = String.sub msg 0 (min (String.length msg) (Rabin.max_plaintext pk)) in
+        let c = Rabin.encrypt pk g short in
+        put (Nat.to_hex c);
+        put_opt (Rabin.decrypt sk c);
+        put_opt (Rabin.decrypt sk (Nat.add c (Nat.of_int (i + 1))));
+        put_opt (Rabin.decrypt sk (Nat.mul sk.Rabin.p (Nat.of_int (i + 1))));
+        put_opt (Rabin.decrypt sk (Nat.of_int i));
+        let s = Rabin.sign sk msg in
+        put (Rabin.signature_to_string s);
+        put (string_of_bool (Rabin.verify pk msg s));
+        put (string_of_bool (Rabin.verify pk (msg ^ "x") s));
+        put (string_of_bool (Rabin.verify pk msg { s with Rabin.root = Nat.add s.Rabin.root Nat.one }));
+        put (Sfs_proto.Hostid.of_location_key ~location:(Printf.sprintf "host%d.example.com" i) ~pubkey:pk)
+      done)
+    keys;
+  (match keys with
+  | [ _; ks; kc ] ->
+      for i = 0 to 7 do
+        let half () = Prng.random_bytes g 20 in
+        let kc1 = half () and kc2 = half () and ks1 = half () and ks2 = half () in
+        let server_pub, client_pub = if i mod 2 = 0 then (ks.Rabin.pub, kc.Rabin.pub) else (kc.Rabin.pub, ks.Rabin.pub) in
+        let k = Sfs_proto.Keyneg.derive ~server_pub ~client_pub ~kc1 ~kc2 ~ks1 ~ks2 in
+        put k.Sfs_proto.Keyneg.kcs;
+        put k.Sfs_proto.Keyneg.ksc;
+        put k.Sfs_proto.Keyneg.session_id
+      done
+  | _ -> assert false);
+  Testkit.check_string "connect-step stream sha1" "ab2e9b515667ea47e2f0eb72622bd42f62afc366" (Sfs_util.Hex.encode (Sha1.final h))
+
+(* A reference for decryption as it stood before roots were tried
+   lazily: all four square roots, each through an OAEP decoder written
+   over strings, the first the redundancy accepts.  The lazy decryption
+   must agree with it everywhere; the label test below builds OAEP
+   blocks with the same MGF1. *)
+let ref_mgf1 (seed : string) (len : int) : string =
+  let b = Buffer.create len in
+  let i = ref 0 in
+  while Buffer.length b < len do
+    Buffer.add_string b (Sha1.digest (seed ^ Sfs_util.Bytesutil.be32_of_int !i));
+    incr i
+  done;
+  Buffer.sub b 0 len
+
+let oaep_db_len (pk : Rabin.pub) = ((pk.Rabin.bits + 7) / 8) - 2 - Sha1.digest_size
+
+let ref_oaep_decode (pk : Rabin.pub) (em : Nat.t) : string option =
+  let db_len = oaep_db_len pk in
+  match Nat.to_bytes_be_padded ~width:(db_len + 21) em with
+  | exception Invalid_argument _ -> None
+  | b when b.[0] <> '\000' -> None
+  | b ->
+      let y = String.sub b 1 20 and x = String.sub b 21 db_len in
+      let seed = Sfs_util.Bytesutil.xor y (ref_mgf1 x 20) in
+      let db = Sfs_util.Bytesutil.xor x (ref_mgf1 seed db_len) in
+      if String.sub db 0 20 <> Sha1.digest "rabin-oaep" then None
+      else
+        let rec find i =
+          if i >= db_len then None
+          else
+            match db.[i] with
+            | '\000' -> find (i + 1)
+            | '\001' -> Some (String.sub db (i + 1) (db_len - i - 1))
+            | _ -> None
+        in
+        find 20
+
+let ref_decrypt (sk : Rabin.priv) (c : Nat.t) : string option =
+  let p = sk.Rabin.p and q = sk.Rabin.q in
+  let x = Nat.rem c sk.Rabin.pub.Rabin.n in
+  let root m =
+    let xm = Nat.rem x m in
+    let r = Nat.modexp ~base:xm ~exp:(Nat.shift_right (Nat.add m Nat.one) 2) ~modulus:m in
+    if Nat.equal (Modarith.mulmod r r m) xm then Some r else None
+  in
+  match (root p, root q) with
+  | Some rp, Some rq ->
+      let crt r1 r2 = Modarith.crt ~m1_inv:sk.Rabin.p_inv ~r1 ~m1:p ~r2 ~m2:q in
+      let rp' = Modarith.negmod rp p and rq' = Modarith.negmod rq q in
+      List.find_map (ref_oaep_decode sk.Rabin.pub) [ crt rp rq; crt rp rq'; crt rp' rq; crt rp' rq' ]
+  | _ -> None
+
+(* An OAEP block with a well-formed 0x01 separator under a wrong label
+   hash must be refused: the label compare is the only check that can
+   tell it from a real one (a tamper test would almost surely fail the
+   separator scan first). *)
+let test_rabin_oaep_label () =
+  let sk = Lazy.force test_key in
+  let pk = sk.Rabin.pub in
+  let db_len = oaep_db_len pk in
+  let msg = "twenty byte session!" in
+  let encrypt_under label =
+    let db = label ^ String.make (db_len - 21 - String.length msg) '\000' ^ "\001" ^ msg in
+    let seed = String.make 20 's' in
+    let x = Sfs_util.Bytesutil.xor db (ref_mgf1 seed db_len) in
+    let y = Sfs_util.Bytesutil.xor seed (ref_mgf1 x 20) in
+    let em = Nat.of_bytes_be ("\000" ^ y ^ x) in
+    Modarith.mulmod em em pk.Rabin.n
+  in
+  Alcotest.(check (option string)) "the real label decrypts" (Some msg)
+    (Rabin.decrypt sk (encrypt_under (Sha1.digest "rabin-oaep")));
+  Alcotest.(check (option string)) "a wrong label is refused" None
+    (Rabin.decrypt sk (encrypt_under (Sha1.digest "rabin-oaep, another label")))
+
 (* Signing is pinned to its output before the CRT coefficient moved
    into the key and the residue test became a Legendre symbol: the same
    seeded key signs the same messages to the same bytes. *)
@@ -348,6 +487,32 @@ let test_keygen_alloc () =
   Testkit.check_alloc_under "256-bit inverse" ~bound:960 (fun () -> ignore (Modarith.inverse ~x ~modulus:m));
   Testkit.check_alloc_under "512-bit key" ~bound:192_000 (fun () ->
       ignore (Rabin.generate ~bits:512 (Prng.create [ "keygen-alloc-key" ])))
+
+(* Allocation guards for the connect step's public-key and hashing
+   work, each under what the call cost before the key carried its root
+   contexts, decryption stopped at the first root OAEP accepts, OAEP
+   ran in one buffer and session keys were hashed in place (readings
+   then: decrypt_blob 18,072 B, encrypt_blob 7,752 B, a 384-bit
+   signature 10,280 B, derive 3,352 B; after: 8,896 B, 5,872 B,
+   5,200 B and 1,384 B). *)
+let test_keyneg_alloc () =
+  let sk = Lazy.force test_key in
+  let pk = sk.Rabin.pub in
+  let halves = String.make 40 'h' in
+  let g = Prng.create [ "keyneg-alloc" ] in
+  let blob = Rabin.encrypt_blob pk g halves in
+  ignore (Rabin.decrypt_blob sk blob);
+  Testkit.check_alloc_under "decrypt_blob 512" ~bound:12_000 (fun () -> ignore (Rabin.decrypt_blob sk blob));
+  Testkit.check_alloc_under "encrypt_blob 512" ~bound:6_800 (fun () ->
+      ignore (Rabin.encrypt_blob pk g halves));
+  let agent = Rabin.generate ~bits:384 (Prng.create [ "keyneg-alloc-agent" ]) in
+  ignore (Rabin.sign agent "warm-up");
+  Testkit.check_alloc_under "sign 384" ~bound:7_200 (fun () -> ignore (Rabin.sign agent "authentication request"));
+  let half c = String.make 20 c in
+  Testkit.check_alloc_under "derive" ~bound:2_000 (fun () ->
+      ignore
+        (Sfs_proto.Keyneg.derive ~server_pub:pk ~client_pub:agent.Rabin.pub ~kc1:(half 'a') ~kc2:(half 'b')
+           ~ks1:(half 'c') ~ks2:(half 'd')))
 
 (* The one-shot MAC keys two fresh contexts and builds no reusable
    schedule: no heavier than the 1,056 B it cost when each call built a
@@ -465,6 +630,23 @@ let props =
     Test.make ~count:20 ~name:"rabin encrypt/decrypt"
       (string_gen_of_size (Gen.int_range 0 20) Gen.char)
       (fun msg -> Rabin.decrypt sk (Rabin.encrypt sk.Rabin.pub test_rng msg) = Some msg);
+    (* Genuine ciphertexts, tampered ones, random values below n and
+       random squares (residues whose four roots are all garbage). *)
+    Test.make ~count:100 ~name:"rabin lazy decrypt = four-root reference"
+      (triple (string_gen_of_size (Gen.int_range 0 20) Gen.char) (int_range 0 3) (int_range 1 1000))
+      (fun (msg, kind, d) ->
+        let n = sk.Rabin.pub.Rabin.n in
+        let c = Rabin.encrypt sk.Rabin.pub test_rng msg in
+        let c =
+          match kind with
+          | 0 -> c
+          | 1 -> Nat.add c (Nat.of_int d)
+          | 2 -> Prng.random_below test_rng ~bound:n
+          | _ ->
+              let r = Prng.random_below test_rng ~bound:n in
+              Modarith.mulmod r r n
+        in
+        Rabin.decrypt sk c = ref_decrypt sk c);
     Test.make ~count:20 ~name:"hmac distinguishes keys"
       (triple
          (string_gen_of_size (Gen.return 20) Gen.char)
@@ -594,11 +776,14 @@ let suite =
       Alcotest.test_case "rabin tweak bits" `Quick test_rabin_tweaks;
       Alcotest.test_case "rabin encryption" `Quick test_rabin_encrypt;
       Alcotest.test_case "rabin hybrid blob" `Quick test_rabin_blob;
+      Alcotest.test_case "rabin oaep label" `Quick test_rabin_oaep_label;
       Alcotest.test_case "rabin pub serialization" `Quick test_rabin_pub_serialization;
       Alcotest.test_case "rabin priv serialization" `Quick test_rabin_priv_serialization;
       Alcotest.test_case "rabin signatures pinned" `Quick test_rabin_sign_pinned;
+      Alcotest.test_case "connect-step known answers" `Quick test_connect_step_known_answers;
       Alcotest.test_case "rabin allocation" `Quick test_rabin_alloc;
       Alcotest.test_case "key generation allocation" `Quick test_keygen_alloc;
+      Alcotest.test_case "key negotiation allocation" `Quick test_keyneg_alloc;
       Alcotest.test_case "mac one-shot allocation" `Quick test_mac_one_shot_alloc;
       Alcotest.test_case "srp agreement" `Quick test_srp_agreement;
       Alcotest.test_case "srp wrong password" `Quick test_srp_wrong_password;

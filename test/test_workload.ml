@@ -471,11 +471,14 @@ let test_flashcrowd_dropped_push_connection () =
   (* The initial fan-out's reply to mirror 2's Put_root is garbled:
      mirror 2 stores the root, but the publisher counts a failed
      fan-out and drops its push connection, which mirrors 0 and 1
-     keep.  Mirror 0 then crashes while loaded.  Failover picks by the
-     crowd's own connections: mirror 0 now holds none and mirrors 1
-     and 2 hold ten each, so its clients wait for it to return, and
-     mirror 2 draws no failover its missing push connection would have
-     earned it. *)
+     keep.  Mirror 0 then crashes while loaded.  A client that leaves a
+     mirror avoids it until it has left every mirror, so mirror 0 sees
+     only its first ten connect steps, though its client count falls
+     below the live mirrors' as they leave.  Failover picks by the
+     crowd's own connections: the ten leave in one burst while mirrors
+     1 and 2 hold ten each, so all ten go to mirror 1 (lowest index on
+     ties; a dial still in flight is not counted), and mirror 2 draws
+     no failover its missing push connection would have earned it. *)
   let module Xdr = Sfs_xdr.Xdr in
   let module Simnet = Sfs_net.Simnet in
   let put_root = "\000\000\000\003\000\000\000\tRO-FSInfo" in
@@ -526,8 +529,8 @@ let test_flashcrowd_dropped_push_connection () =
   Testkit.check_int "every client finished" 30 r.Flashcrowd.r_clients_ok;
   Testkit.check_int "every read done" (30 * 12) r.Flashcrowd.r_reads_ok;
   Testkit.check_bool "the crash turned clients away" true (r.Flashcrowd.r_failovers > 0);
-  Testkit.check_int "mirror 0: its ten clients, twice" 20 connects.(0);
-  Testkit.check_int "mirror 1: its ten clients" 10 connects.(1);
+  Testkit.check_int "mirror 0: its first ten clients only" 10 connects.(0);
+  Testkit.check_int "mirror 1: its ten clients and the ten that left mirror 0" 20 connects.(1);
   Testkit.check_int "mirror 2: its ten clients" 10 connects.(2)
 
 let test_flashcrowd_20k () =
@@ -704,7 +707,7 @@ let golden_flashcrowd =
                ~crashes:[ crash_window ~host:(Flashcrowd.mirror_loc 0) ~down_s:0.03 ~up_s:0.1 ]
                ~seed:"golden/ro-crash" ());
       },
-      "84823c0e1de2a136b6169b9c6e2672c064f6a0ed" );
+      "c9a6ff328215b622a46bc390fa094fc66481efe6" );
   ]
 
 (* Every digest is computed before the test fails, so one run names

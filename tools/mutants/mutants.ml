@@ -218,6 +218,20 @@ let catalogue =
          client cannot forge a handle to a file it was never given";
       killer = "core file handle crypto";
     };
+    {
+      name = "rabin-oaep-label";
+      file = "lib/crypto/rabin.ml";
+      old_text =
+        "if not (Sfs_util.Bytesutil.ct_equal_sub label b ~off:(1 + hash_len) ~len:hash_len) then None";
+      new_text =
+        "if (ignore (Sfs_util.Bytesutil.ct_equal_sub label b ~off:(1 + hash_len) ~len:hash_len); \
+         false) then None";
+      claim =
+        "section 3.1.3: Rabin decryption accepts a plaintext only under OAEP's redundancy, the \
+         label hash included, so a ciphertext an attacker built without the label is refused \
+         (the plaintext-aware, chosen-ciphertext-secure scheme the paper cites)";
+      killer = "crypto rabin oaep label";
+    };
   ]
 
 let read_file (path : string) : string = In_channel.with_open_bin path In_channel.input_all
