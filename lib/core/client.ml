@@ -189,12 +189,8 @@ let dial_fs (t : t) (path : Pathname.t) : (session, mount_error) result =
 
 (* --- User authentication (Figure 4, client and agent side) --- *)
 
-let authenticate ?local_uid (t : t) (m : mount) (agent : Agent.t) : int =
-  (* [local_uid] is the local credential the agent is answering for —
-     normally the agent's own user, but ssu maps a super-user shell to
-     an ordinary user's agent (paper footnote 2). *)
-  let uid = Option.value local_uid ~default:(Agent.user agent).Simos.uid in
-  Hashtbl.replace m.m_agents uid agent;
+(* Figure 4 for local user [uid] on the current session, no recovery. *)
+let authenticate_session (t : t) (m : mount) ~(uid : int) (agent : Agent.t) : int =
   let s = m.m_session in
   match Hashtbl.find_opt s.authnos uid with
   | Some authno -> authno
@@ -217,7 +213,7 @@ let authenticate ?local_uid (t : t) (m : mount) (agent : Agent.t) : int =
              fault on a now-poisoned channel, and silently degrading
              to anonymous access would be wrong (the server would
              apply the anonymous credential to every later call).
-             Propagate as Timeout; reconnection retries the whole
+             Propagate as Timeout; [authenticate] retries the whole
              authentication over a fresh session. *)
           let try_one i msg =
             let req =
@@ -280,13 +276,40 @@ let reconnect (t : t) (m : mount) : (unit, mount_error) result =
         List.iter
           (fun (uid, agent) ->
             Obs.incr t.obs "recover.reauth";
-            ignore (authenticate ~local_uid:uid t m agent))
+            ignore (authenticate_session t m ~uid agent))
           agents
       with
       | () -> Ok ()
       | exception Simnet.Timeout ->
           Simnet.close session.conn;
           Error (Host_unreachable (Pathname.location m.m_path))
+
+(* Before every attempt after the first: any failure poisons the ARC4
+   streams, so reconnect.  A revoked server ends the call. *)
+let before_retry (t : t) (m : mount) : unit =
+  match reconnect t m with
+  | Ok () -> ()
+  | Error (Revoked _ as e) ->
+      Obs.incr t.obs "recover.rpc_giveup";
+      raise (Nfs_client.Rpc_failure (mount_error_to_string e))
+  | Error _ -> (* still down; this attempt fails and backs off again *) ()
+
+(* Every /sfs access calls this, so a known user costs one lookup.  A
+   timed-out authentication, or a reconnect whose re-authentication
+   failed, leaves the session dead: retry as a data call does ([reconnect]
+   re-authenticates every known agent, this one included).  [local_uid]
+   is the uid the agent answers for: its user's, or root's under ssu. *)
+let authenticate ?local_uid (t : t) (m : mount) (agent : Agent.t) : int =
+  let uid = Option.value local_uid ~default:(Agent.user agent).Simos.uid in
+  Hashtbl.replace m.m_agents uid agent;
+  match Hashtbl.find_opt m.m_session.authnos uid with
+  | Some authno -> authno
+  | None ->
+      Nfs_client.with_backoff ?obs:t.obs ~clock:t.clock rpc_backoff (fun again ->
+          if again then before_retry t m;
+          match authenticate_session t m ~uid agent with
+          | authno -> Ok authno
+          | exception Simnet.Timeout -> Error "timeout")
 
 (* --- The read-write data path ---
 
@@ -301,12 +324,10 @@ let reconnect (t : t) (m : mount) : (unit, mount_error) result =
    the server's spans attach to this attempt.  The arguments are
    marshaled straight into the mount's encoder, and the channel seals
    from the encoder's buffer, so the request is never a string of its
-   own.  A serial call pays a user-level crossing and its
-   full seal; an overlapped one (write-behind, readahead) hides most of
-   both behind the pipeline, so only the residual fractions are
-   charged. *)
+   own.  Every call pays the client's user-level crossing and its
+   full seal on the caller's clock; the mux decides what overlaps. *)
 let frame (t : t) (m : mount) ~(xid : int) ~(ctx : Obs.ctx option) ~(cred : Simos.cred)
-    ~(overlapped : bool) (call : Nfs_client.call) (args : Xdr.enc -> unit) : string * float * int =
+    (call : Nfs_client.call) (args : Xdr.enc -> unit) : string * float =
   let { authnos; channel; _ } = m.m_session in
   let authno =
     match Hashtbl.find_opt authnos cred.Simos.cred_uid with
@@ -318,19 +339,8 @@ let frame (t : t) (m : mount) ~(xid : int) ~(ctx : Obs.ctx option) ~(cred : Simo
   Xdr.reset m.m_enc;
   Sfsrw.enc_fs_call m.m_enc ~xid ~authno ~proc ~trace ~span args;
   let len = Xdr.length m.m_enc in
-  let full = Channel.crypto_cost_us channel len in
-  if overlapped then begin
-    Simclock.advance t.clock
-      (Costmodel.async_userlevel_factor *. (2.0 *. Costmodel.userlevel_us_per_side));
-    let wire = Channel.seal_bytes ~bill:false channel (Xdr.buffer m.m_enc) ~len in
-    let crypto_up = Costmodel.async_crypto_factor *. full in
-    Simclock.advance t.clock crypto_up;
-    (wire, crypto_up, int_of_float full)
-  end
-  else begin
-    Simclock.advance t.clock Costmodel.userlevel_us_per_side;
-    (Channel.seal_bytes channel (Xdr.buffer m.m_enc) ~len, full, int_of_float full)
-  end
+  Simclock.advance t.clock Costmodel.userlevel_us_per_side;
+  (Channel.seal_bytes channel (Xdr.buffer m.m_enc) ~len, Channel.crypto_cost_us channel len)
 
 (* Open a reply in the channel's frame buffer and hand its NFS results
    to [decode] while the channel lends them; the callback is built once
@@ -372,9 +382,8 @@ let open_reply (t : t) (m : mount) ~(readahead : bool) (decode : Slice.t -> 'a) 
         if not readahead then Obs.incr t.obs counter;
         raise (Nfs_client.Poisoned why)
 
-(* Any transport or channel failure poisons the ARC4 streams, so
-   retransmission on the same channel is useless: every later attempt
-   reconnects first and re-seals under the same xid. *)
+(* Every attempt after the first reconnects ([before_retry]) and
+   re-seals under the same xid. *)
 let transport (t : t) (m : mount) : Nfs_client.transport =
   {
     Nfs_client.conn = (fun () -> m.m_session.conn);
@@ -384,14 +393,7 @@ let transport (t : t) (m : mount) : Nfs_client.transport =
     open_reply = (fun ~readahead decode -> open_reply t m ~readahead decode);
     op_us = Costmodel.pipeline_sfs_op_us;
     precompute = Some (fun ~budget_us -> Channel.precompute m.m_session.channel ~budget_us);
-    before_retry =
-      (fun () ->
-        match reconnect t m with
-        | Ok () -> ()
-        | Error (Revoked _ as e) ->
-            Obs.incr t.obs "recover.rpc_giveup";
-            raise (Nfs_client.Rpc_failure (mount_error_to_string e))
-        | Error _ -> (* still down; this attempt fails and backs off again *) ());
+    before_retry = (fun () -> before_retry t m);
     backoff = rpc_backoff;
   }
 

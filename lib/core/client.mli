@@ -47,7 +47,9 @@ val create :
     that seals each NFS 3 call in the secure channel and opens each
     reply in place.  Serial calls cost exactly one round trip.
     Unstable WRITEs ride the write-behind mux, whose latency is
-    [Costmodel.async_floor_us], with an overlapped seal.  [rpc_window]
+    [Costmodel.async_floor_us].  Every call pays the same price on
+    each side: the client charges its user-level crossing and its
+    request seal, sfssd its crossing and its reply seal.  [rpc_window]
     (default 1) is the window of the readahead mux, for sequential-read
     readahead of [readahead] blocks (default 0); any window above 1
     also turns on write-behind gathering in the cache layer — DESIGN.md
@@ -99,11 +101,12 @@ val authenticate : ?local_uid:int -> t -> mount -> Agent.t -> int
     signers; remembers the resulting authentication number under
     [local_uid] (default: the agent's own uid; ssu passes the
     super-user's).  Anonymous when the server {e denies} every signer,
-    as the paper's client does when the agent declines; a transport
-    fault mid-exchange instead raises [Simnet.Timeout] — the channel is
-    poisoned and must be renegotiated, not silently downgraded to
-    anonymous.  The agent is also remembered so that a reconnection can
-    re-run authentication against a fresh session. *)
+    as the paper's client does when the agent declines.  A transport
+    fault, or a session a failed reconnect left dead, is never
+    downgraded to anonymous: authentication retries as a data call
+    does, reconnecting before each later attempt, and raises
+    [Nfs_client.Rpc_failure] once the budget is spent.  The agent is
+    remembered, so every reconnection re-authenticates it. *)
 
 (** {2 Mount accessors} *)
 

@@ -126,17 +126,8 @@ let cred_of (s : fs_session) (authno : int) : Simos.cred =
    never built as a string of their own. *)
 let execute_fs_call (t : t) (s : fs_session) ~(cred : Simos.cred) ~(proc : int) (args : string) :
     unit =
-  (* The paper's user-level server implementation cost.  Unstable
-     writes ride the write-behind pipeline, whose residual cost the
-     client already charged for both ends. *)
-  let unstable_write =
-    proc = Sfs_nfs.Nfs_proto.proc_write
-    &&
-    match Xdr.run args Sfs_nfs.Nfs_proto.dec_write_stable with
-    | Ok stable -> not stable
-    | Result.Error _ -> false
-  in
-  if not unstable_write then Simclock.advance t.clock Costmodel.userlevel_us_per_side;
+  (* The paper's user-level server implementation cost, for every call. *)
+  Simclock.advance t.clock Costmodel.userlevel_us_per_side;
   let e = s.enc in
   let take () = Lease.take t.leases s.conn_id in
   Xdr.reset e;

@@ -292,12 +292,22 @@ let read_at (t : t) (cred : Simos.cred) (path : string) ~(off : int) ~(count : i
 let write_file (t : t) (cred : Simos.cred) (path : string) (data : string) : (unit, verror) result =
   run (fun () ->
       let* ops, dir, name = resolve_parent t cred path in
+      (* open(O_CREAT|O_TRUNC).  EEXIST for an absent name is the
+         create's own retransmission run twice (a restart emptied the
+         duplicate request cache): the file exists now, so open it. *)
+      let lookup () = ops.Fs_intf.fs_lookup cred ~dir name in
+      let truncate fh =
+        ignore (errno (ops.Fs_intf.fs_setattr cred fh { sattr_empty with set_size = Some 0 }));
+        fh
+      in
       let fh =
-        match ops.Fs_intf.fs_lookup cred ~dir name with
-        | Ok (fh, _) ->
-            ignore (errno (ops.Fs_intf.fs_setattr cred fh { sattr_empty with set_size = Some 0 }));
-            fh
-        | Error NFS3ERR_NOENT -> fst (errno (ops.Fs_intf.fs_create cred ~dir name ~mode:0o644))
+        match lookup () with
+        | Ok (fh, _) -> truncate fh
+        | Error NFS3ERR_NOENT -> (
+            match ops.Fs_intf.fs_create cred ~dir name ~mode:0o644 with
+            | Ok (fh, _) -> fh
+            | Error NFS3ERR_EXIST -> truncate (fst (errno (lookup ())))
+            | Error e -> fail_v (Errno e))
         | Error e -> fail_v (Errno e)
       in
       List.iteri

@@ -16,10 +16,10 @@
      9.3 MB/s at 8 KB reads over UDP means ~12 bytes/us raw, and TCP's
      7.6 MB/s means ~9.6 bytes/us (FreeBSD's TCP NFS was suboptimal);
    - write-behind (unstable WRITE) RPCs ride a window-1 Rpc_mux whose
-     latency is async_floor_us, not the fixed round trip, and pay only
-     a fraction of the user-level and crypto costs, as readahead's
-     seals do ("multiple outstanding requests can overlap the latency
-     of NFS RPCs", section 4.2);
+     latency is async_floor_us, not the fixed round trip; they pay
+     both crossings and the full seals like any RPC, and the mux alone
+     decides what overlaps ("multiple outstanding requests can overlap
+     the latency of NFS RPCs", section 4.2);
    - windowed (readahead) RPCs through Rpc_mux overlap round trips
      completely, so a saturated window is bandwidth-bound: its ceiling
      is set by reply wire transfer (the full-duplex wire carries the
@@ -46,8 +46,6 @@ let crypto_us_per_msg = 10.0
 let async_floor_us = 50.0
 let nfs_tcp_stall_us = 1200.0
 let mss_bytes = 1460
-let async_userlevel_factor = 0.35
-let async_crypto_factor = 0.7
 let pipeline_nfs_op_us = 100.0
 let pipeline_sfs_op_us = 120.0
 let keystream_us_per_byte = 0.054

@@ -24,14 +24,6 @@ val mss_bytes : int
 (** 1460 B: the TCP segment size on 1500-byte Ethernet frames; a
     request longer than this takes the TCP-NFS stall. *)
 
-val async_userlevel_factor : float
-(** 0.35: share of the user-level cost not hidden by the pipeline, for
-    write-behind and readahead seals.  Hand-set. *)
-
-val async_crypto_factor : float
-(** 0.7: share of the crypto cost not hidden by the pipeline.
-    Hand-set. *)
-
 val pipeline_nfs_op_us : float
 (** 100 µs: per-reply residual of a windowed ({!Rpc_mux}) NFS exchange:
     receive-side demux and copyout that serialise at the client even
@@ -49,8 +41,8 @@ val keystream_us_per_byte : float
     idle wire time; the MAC share and the fixed per-message cost stay
     with the message.  The value is pinned at 42% of 0.128, the real-CPU split
     of one past measurement (arc4-8k 24.9 µs vs hmac-sha1-8k 34.2 µs).
-    It does not follow the host: compare the [arc4-8k] and
-    [hmac-sha1-8k] rows of the crypto figure in [BENCH_results.json]. *)
+    It does not follow the host: the crypto figure prints it beside
+    the share its [arc4-8k] and [hmac-sha1-8k] rows measure. *)
 
 val sha1_us_per_byte : float
 (** 0.04 µs/B: bare SHA-1 over bulk data, ~25 MB/s on the testbed's

@@ -56,15 +56,11 @@ type 'a completion = {
 (* Critical-path capture: everything the caller knows about the op that
    the mux cannot see.  [ci_t0_us] is the clock when the client began
    the op, before its own user-level/seal charges; [ci_crypto_up_us] is
-   the seal time it billed since then (the async share); the [_ctr]
-   field is the exact integer the seal bumped [crypto_us_out] by, kept
-   separately so aggregate attribution reconciles against the counters
-   even though only a fraction of it is on the critical path. *)
+   the request seal it billed since then. *)
 type call_info = {
   ci_op : string;
   ci_t0_us : float;
   ci_crypto_up_us : float;
-  ci_crypto_up_ctr : int;
   ci_span : Obs.open_span;
 }
 
@@ -229,7 +225,7 @@ let submit ?info (t : 'a t) ~(wire_bytes : int) (request : string) : 'a ticket =
                 cp_start_us = ci.ci_t0_us;
                 cp_wall_us = ready -. ci.ci_t0_us;
                 cp_segments = segments;
-                cp_crypto_up_ctr = ci.ci_crypto_up_ctr;
+                cp_crypto_up_ctr = int_of_float ci.ci_crypto_up_us;
                 cp_crypto_down_ctr = int_of_float c.c_crypto_us;
               });
         { tk_ready_us = ready; tk_result = Ok c.c_payload; tk_done = false }

@@ -38,16 +38,14 @@ type 'a completion = {
 
 (** Critical-path capture for one submitted op (DESIGN.md §13):
     [ci_t0_us] is the clock when the client began the op (before its
-    own user-level/seal charges), [ci_crypto_up_us] the request-seal
-    time it billed since then, [ci_crypto_up_ctr] the exact integer
-    that seal added to the [crypto_us_out] counter (for
-    reconciliation), and [ci_span] the op's open span — closed by
-    {!submit} at the op's ready time. *)
+    own user-level/seal charges), [ci_crypto_up_us] the request seal
+    it billed since then (its integer part is what the seal added to
+    the [crypto_us_out] counter), and [ci_span] the op's open span —
+    closed by {!submit} at the op's ready time. *)
 type call_info = {
   ci_op : string;
   ci_t0_us : float;
   ci_crypto_up_us : float;
-  ci_crypto_up_ctr : int;
   ci_span : Sfs_obs.Obs.open_span;
 }
 

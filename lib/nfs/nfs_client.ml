@@ -54,10 +54,9 @@ type transport = {
     xid:int ->
     ctx:Obs.ctx option ->
     cred:Simos.cred ->
-    overlapped:bool ->
     call ->
     (Xdr.enc -> unit) ->
-    string * float * int;
+    string * float;
   open_reply : 'a. readahead:bool -> (Slice.t -> 'a) -> request:string -> string -> 'a opened;
   op_us : float;
   precompute : (budget_us:float -> float) option;
@@ -173,22 +172,12 @@ let data_path ?obs ~(window : int) ~(readahead : int) ~(cred : Simos.cred) (net 
   (* Frame one call under a fresh op span and submit it: the mux
      records the op's critical-path sample and closes the span at the
      op's ready time. *)
-  let submit_op mux ~op ~xid ~cred ~overlapped call args =
+  let submit_op mux ~op ~xid ~cred call args =
     (* sfslint: allow SL012 — the open span is handed to Rpc_mux.submit via ~info, which closes it at the op's ready time (or at submit time on a failed exchange) *)
     let os = Obs.span_begin obs ~cat:"op" op in
     let t0 = Simclock.now_us clock in
-    let wire, crypto_up, crypto_ctr =
-      tr.frame ~xid ~ctx:(Obs.open_ctx os) ~cred ~overlapped call args
-    in
-    let info =
-      {
-        Rpc_mux.ci_op = op;
-        ci_t0_us = t0;
-        ci_crypto_up_us = crypto_up;
-        ci_crypto_up_ctr = crypto_ctr;
-        ci_span = os;
-      }
-    in
+    let wire, crypto_up = tr.frame ~xid ~ctx:(Obs.open_ctx os) ~cred call args in
+    let info = { Rpc_mux.ci_op = op; ci_t0_us = t0; ci_crypto_up_us = crypto_up; ci_span = os } in
     Rpc_mux.submit ~info mux ~wire_bytes:(String.length wire) wire
   in
   (* One logical call: one xid, held across every attempt, so the
@@ -198,15 +187,14 @@ let data_path ?obs ~(window : int) ~(readahead : int) ~(cred : Simos.cred) (net 
     let xid = Simnet.next_xid (tr.conn ()) in
     let mux = if async then write_behind else serial in
     let verbatim =
-      if tr.verbatim then Some (tr.frame ~xid ~ctx:(Obs.current obs) ~cred ~overlapped:async call args)
-      else None
+      if tr.verbatim then Some (fst (tr.frame ~xid ~ctx:(Obs.current obs) ~cred call args)) else None
     in
     let submit () =
       match verbatim with
-      | Some (wire, _, _) -> Rpc_mux.submit mux ~wire_bytes:(String.length wire) wire
+      | Some wire -> Rpc_mux.submit mux ~wire_bytes:(String.length wire) wire
       | None ->
           let name = match call with Root -> "getroot" | Proc p -> Nfs_proto.proc_name p in
-          submit_op mux ~op:(if async then name ^ "/wb" else name) ~xid ~cred ~overlapped:async call args
+          submit_op mux ~op:(if async then name ^ "/wb" else name) ~xid ~cred call args
     in
     with_backoff ?obs ~clock tr.backoff (fun again ->
         if again then tr.before_retry ();
@@ -230,7 +218,7 @@ let data_path ?obs ~(window : int) ~(readahead : int) ~(cred : Simos.cred) (net 
       in
       let pl_submit cred h ~off ~count =
         let ticket =
-          submit_op mux ~op:"read" ~xid:(Simnet.next_xid (tr.conn ())) ~cred ~overlapped:true
+          submit_op mux ~op:"read" ~xid:(Simnet.next_xid (tr.conn ())) ~cred
             (Proc Nfs_proto.proc_read) (fun e -> Nfs_proto.enc_read_args e (h, off, count))
         in
         fun () ->
@@ -296,7 +284,7 @@ let sunrpc (net : Simnet.t) ~(proto : Costmodel.transport_proto) ~(machine : str
     | Costmodel.Tcp ->
         fun bytes -> if bytes > Costmodel.mss_bytes then Simclock.advance clock Costmodel.nfs_tcp_stall_us
   in
-  let frame ~xid ~ctx ~cred ~overlapped:_ call write_args =
+  let frame ~xid ~ctx ~cred call write_args =
     let prog, vers, proc =
       match call with
       | Root -> (Nfs_proto.mount_prog, Nfs_proto.mount_vers, Nfs_proto.mount_proc_mnt)
@@ -310,7 +298,7 @@ let sunrpc (net : Simnet.t) ~(proto : Costmodel.transport_proto) ~(machine : str
     let header = Xdr.length enc in
     write_args enc;
     stall (Xdr.length enc - header);
-    (Xdr.to_string enc, 0.0, 0)
+    (Xdr.to_string enc, 0.0)
   in
   {
     conn = (fun () -> conn);

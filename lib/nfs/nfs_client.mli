@@ -23,6 +23,13 @@ type backoff = { attempts : int; base_us : float; max_us : float }
     retry bumps [recover.rpc_retry]; a spent budget bumps
     [recover.rpc_giveup] and raises {!Rpc_failure}. *)
 
+val with_backoff :
+  ?obs:Sfs_obs.Obs.registry -> clock:Sfs_net.Simclock.t -> backoff -> (bool -> ('a, string) result) -> 'a
+(** The one retry loop (serial and write-behind calls, SFS user
+    authentication): [attempt again] until [Ok]; [again] is [false] on
+    the first attempt, and [Error why] backs off.  @raise Rpc_failure
+    once the budget is spent. *)
+
 type call = Root | Proc of int
 (** The root-handle fetch (MOUNT's MNT on NFS 3, the dialect's GETROOT
     on SFS), or an NFS 3 procedure. *)
@@ -51,15 +58,12 @@ type transport = {
     xid:int ->
     ctx:Sfs_obs.Obs.ctx option ->
     cred:Simos.cred ->
-    overlapped:bool ->
     call ->
     (Sfs_xdr.Xdr.enc -> unit) ->
-    string * float * int;
+    string * float;
       (** the wire bytes of one call, its arguments written by the
-          function, and the up-direction crypto it charged: the
-          critical-path share and the counter's integer
-          ({!Sfs_net.Rpc_mux.call_info}).  [overlapped] marks
-          write-behind and readahead *)
+          function, and the request seal it charged to the caller's
+          clock, the same on every mux ({!Sfs_net.Rpc_mux.call_info}) *)
   open_reply : 'a. readahead:bool -> (Sfs_util.Slice.t -> 'a) -> request:string -> string -> 'a opened;
       (** [open_reply ~readahead decode], once per mux, opens each
           reply to [request] and applies [decode] to its NFS results.

@@ -103,17 +103,6 @@ let dec_write_args d =
   let data = Xdr.dec_opaque d ~max:0x200000 in
   (h, off, stable, data)
 
-(* [dec_write_args] reduced to the stability word: the same messages
-   accepted and rejected, with the handle and the data checked in place
-   instead of copied out. *)
-let dec_write_stable d =
-  ignore (Xdr.dec_opaque_slice d ~max:max_fh_size);
-  ignore (Xdr.dec_uint64 d);
-  ignore (Xdr.dec_uint32 d);
-  let stable = Xdr.dec_uint32 d <> 0 in
-  ignore (Xdr.dec_opaque_slice d ~max:0x200000);
-  stable
-
 let enc_create_args e (dir, name, mode) =
   enc_diropargs e (dir, name);
   Xdr.enc_uint32 e mode

@@ -53,11 +53,6 @@ val dec_read_args : Sfs_xdr.Xdr.dec -> fh * int * int
 val enc_write_args : Sfs_xdr.Xdr.enc -> fh * int * bool * string -> unit
 val dec_write_args : Sfs_xdr.Xdr.dec -> fh * int * bool * string
 
-val dec_write_stable : Sfs_xdr.Xdr.dec -> bool
-(** The [stable] word of a WRITE's arguments, with the same messages
-    accepted as {!dec_write_args} but the data left in place, not
-    copied. *)
-
 val enc_create_args : Sfs_xdr.Xdr.enc -> fh * string * int -> unit
 val dec_create_args : Sfs_xdr.Xdr.dec -> fh * string * int
 val enc_symlink_args : Sfs_xdr.Xdr.enc -> fh * string * string -> unit

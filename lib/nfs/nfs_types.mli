@@ -41,11 +41,9 @@ exception Nfs_error of nfsstat
 type 'a res = ('a, nfsstat) result
 
 type fh = string
-(** File handles: opaque strings, at most {!max_fh_size} bytes in
-    NFS 3.  SFS encrypts them (paper section 3.3); the plain server
-    uses inode ids plus a per-filesystem generation secret. *)
-
-val max_fh_size : int
+(** File handles: opaque strings, at most 64 bytes in NFS 3.  SFS
+    encrypts them (paper section 3.3); the plain server uses inode ids
+    plus a per-filesystem generation secret. *)
 
 type nfstime = { seconds : int; nseconds : int }
 (** Times are (seconds, nanoseconds); the simulation uses microsecond

@@ -14,7 +14,7 @@
    modeled stand-in for the paper's measured software-encryption cost;
    the receiver's work overlaps the sender's next message), unless the
    channel was created with [encrypt:false] (the "SFS w/o encryption"
-   ablation) or the caller suppresses billing for pipelined traffic.
+   ablation).
 
    Fast path: each direction owns one grow-on-demand frame buffer and
    one HMAC schedule.  Per message, the 32 MAC-key bytes are drawn into
@@ -132,11 +132,6 @@ let create ?(encrypt = true) ?clock ?obs ?(label = "chan")
     recv_claim_us = 0.0;
   }
 
-let charge (t : t) (bytes : int) : unit =
-  match t.clock with
-  | Some clock when t.encrypt -> Simclock.advance clock (Costmodel.crypto_us bytes)
-  | _ -> ()
-
 (* The per-direction frame buffer, reused for every message on that
    half.  It at least doubles when it grows, and a message more than
    twice its size gets a buffer of exactly its length. *)
@@ -196,14 +191,15 @@ let rekey_mac (h : half) : unit =
    no-encryption dialect would still MAC traffic.  The plaintext is the
    first [len] bytes of [src]: an encoder's buffer seals with no copy
    of its own. *)
-let seal_bytes ?(bill = true) (t : t) (src : Bytes.t) ~len:(n : int) : string =
+let seal_bytes (t : t) (src : Bytes.t) ~len:(n : int) : string =
   Obs.span t.obs ~cat:"channel" "seal" (fun () ->
       Obs.incr t.obs t.keys.k_sent;
       Obs.add t.obs t.keys.k_bytes_out n;
-      if t.encrypt then
-        Obs.add t.obs t.keys.k_crypto_us_out
-          (int_of_float (Costmodel.crypto_us n));
-      if bill then charge t n;
+      if t.encrypt then begin
+        let us = Costmodel.crypto_us n in
+        Obs.add t.obs t.keys.k_crypto_us_out (int_of_float us);
+        match t.clock with Some clock -> Simclock.advance clock us | None -> ()
+      end;
       rekey_mac t.send_half;
       (* Frame assembled in place: be32 length ∥ plaintext ∥ MAC, the
          tag written directly after the bytes it covers, then one
@@ -220,8 +216,8 @@ let seal_bytes ?(bill = true) (t : t) (src : Bytes.t) ~len:(n : int) : string =
       Bytes.sub_string buf 0 frame_len)
 
 (* [seal_bytes] only reads its source, so a string is sealed in place. *)
-let seal ?bill (t : t) (plaintext : string) : string =
-  seal_bytes ?bill t (Bytes.unsafe_of_string plaintext) ~len:(String.length plaintext)
+let seal (t : t) (plaintext : string) : string =
+  seal_bytes t (Bytes.unsafe_of_string plaintext) ~len:(String.length plaintext)
 
 let reject (t : t) (e : open_error) : ('a, open_error) result =
   Obs.incr t.obs t.keys.k_mac_failures;
@@ -281,8 +277,8 @@ let open_with (t : t) (wire : string) (f : Sfs_util.Slice.t -> 'a) : ('a, open_e
 let open_ (t : t) (wire : string) : (string, open_error) result =
   open_with t wire Sfs_util.Slice.to_string
 
-(* The crypto time [seal] would charge for [bytes], for callers that
-   bill pipelined traffic at a fraction. *)
+(* The crypto time [seal] charges for [bytes], for callers that
+   attribute it without sealing. *)
 let crypto_cost_us (t : t) (bytes : int) : float =
   if t.encrypt then Costmodel.crypto_us bytes else 0.0
 

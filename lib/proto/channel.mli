@@ -31,17 +31,16 @@ val create :
     and MAC-failure counters are recorded under [channel.<label>.*]
     (default label ["chan"]). *)
 
-val seal_bytes : ?bill:bool -> t -> Bytes.t -> len:int -> string
+val seal_bytes : t -> Bytes.t -> len:int -> string
 [@@sfs.declassify "the trusted seal boundary: MAC-then-encrypt output is what SFS puts on the wire"]
 (** Protect one outgoing message, the first [len] bytes of the buffer
     (an encoder's, or a duplicate-request-cache entry's), which is only
-    read.  [~bill:false] suppresses the time charge (pipelined
-    write-behind traffic bills a fraction instead).  Allocates only the
-    returned frame: the per-message MAC key is drawn into a fixed
+    read.  Charges {!crypto_cost_us} to the clock, if any.  Allocates
+    only the returned frame: the per-message MAC key is drawn into a fixed
     buffer, the direction's HMAC state is re-keyed from it in place,
     and the frame is assembled and encrypted in a reused buffer. *)
 
-val seal : ?bill:bool -> t -> string -> string
+val seal : t -> string -> string
 [@@sfs.declassify "the trusted seal boundary: MAC-then-encrypt output is what SFS puts on the wire"]
 (** {!seal_bytes} of a whole string. *)
 
@@ -65,8 +64,8 @@ val open_ : t -> string -> (string, open_error) result
 
 val crypto_cost_us : t -> int -> float
 [@@sfs.declassify "a modeled time computed from the encrypt flag and a byte count; no key or stream state reaches it"]
-(** The time {!seal} would charge for a payload of that size; zero when
-    encryption is off. *)
+(** The time {!seal} charges for a payload of that size; zero when
+    encryption is off.  Critical-path samples attribute seals by it. *)
 
 val precompute : ?dir:[ `Send | `Recv ] -> t -> budget_us:float -> float
 (** [precompute t ~budget_us] generates up to [budget_us] worth of ARC4

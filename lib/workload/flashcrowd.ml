@@ -90,6 +90,7 @@ type rcl = {
   rng : Prng.t;
   mutable conn : (Simnet.conn * (string -> string)) option; (* the dial's connection, exchange *)
   mutable mirror : int; (* index of the mirror pathname currently dialed *)
+  mutable counted : bool; (* whether [mirror]'s load counts this client *)
   mutable avoid : int list; (* distinct mirrors this client failed over from *)
   mutable ro : (Core.Readonly.client * Fs_intf.ops) option; (* survives every failover *)
   mutable pending : int; (* file index mid-retry, or -1 *)
@@ -161,24 +162,33 @@ let run ?tap (cfg : config) : result =
           rng = Prng.create [ cfg.seed; "roclient"; string_of_int i ];
           conn = None;
           mirror = i mod cfg.replicas;
+          counted = false;
           avoid = [];
           ro = None;
           pending = -1;
         })
   in
-  (* Each mirror's load: the crowd's connections to it.  The host's own
-     count would also hold the publisher's push connection, which a
-     failed fan-out drops. *)
+  (* Each mirror's load: the crowd's clients on it, each counted from
+     its pick, so a burst of failovers spreads before any dial lands,
+     until its dial fails or its connection drops.  The host's own count
+     would also hold the publisher's push connection, which a failed
+     fan-out drops. *)
   let clients_on = Array.make cfg.replicas 0 in
+  let count (c : rcl) (counted : bool) : unit =
+    if c.counted <> counted then begin
+      c.counted <- counted;
+      clients_on.(c.mirror) <- (clients_on.(c.mirror) + if counted then 1 else -1)
+    end
+  in
   let drop_conn (c : rcl) : unit =
+    count c false;
     match c.conn with
     | None -> ()
     | Some (conn, _) ->
         Simnet.close conn;
-        clients_on.(c.mirror) <- clients_on.(c.mirror) - 1;
         c.conn <- None
   in
-  (* Least-loaded failover (fewest client connections, lowest index on ties) among the
+  (* Least-loaded failover (fewest clients, lowest index on ties) among the
      mirrors this client has not failed over from.  A mirror that refused the connect
      step holds no connection, and a crashed one loses its clients as they leave, so
      either would soon look least loaded; once the client has left every mirror, all
@@ -232,15 +242,16 @@ let run ?tap (cfg : config) : result =
      reply corrupted in the clear refuses the same way (DESIGN §15). *)
   let do_connect (c : rcl) : (unit, Crowd.failure) Stdlib.result =
     let path = paths.(c.mirror) in
+    count c true;
     match
       Keyneg.dial net ~from_host:c.from ~location:(Core.Pathname.location path)
         ~hostid:(Core.Pathname.hostid path) ~service:Keyneg.Fs_readonly ~extensions:[]
     with
-    | Error (Keyneg.Unreachable | Keyneg.Refused _) -> Error Crowd.Retry
-    | Error (Keyneg.Revoked _) -> Error Crowd.Fatal
+    | Error e ->
+        count c false;
+        Error (match e with Keyneg.Revoked _ -> Crowd.Fatal | Keyneg.Unreachable | Keyneg.Refused _ -> Crowd.Retry)
     | Ok (conn, call, pubkey) ->
         c.conn <- Some (conn, call);
-        clients_on.(c.mirror) <- clients_on.(c.mirror) + 1;
         (* on a reconnect the root is already verified *)
         if Option.is_none c.ro then begin
           let ro =
@@ -261,7 +272,8 @@ let run ?tap (cfg : config) : result =
           Obs.incr (Some obs) "ro.client.failover";
           drop_conn c;
           if not (List.mem c.mirror c.avoid) then c.avoid <- c.mirror :: c.avoid;
-          c.mirror <- pick_mirror c);
+          c.mirror <- pick_mirror c;
+          count c true);
       refresh =
         (fun c ->
           Obs.incr (Some obs) "ro.client.retry";

@@ -1096,7 +1096,7 @@ let reply_pin_session ?obs ?(on_reply = ignore) (clock : Simclock.t) :
 
 (* Each handler runs when the request is submitted to the session's
    mux, so the attribute timestamps are those of the submit instants. *)
-let reply_pin_digest = "0aefc671d7aee163f41032ccce1002954aee97a8"
+let reply_pin_digest = "d29db2a417a004fa600ce57f5ec0fc7a53b3d7e1"
 
 let test_server_reply_pin () =
   let digest, _, _ = reply_pin_session (Simclock.create ()) in

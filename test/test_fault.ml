@@ -150,6 +150,11 @@ let test_retransmit_cache () =
 
 (* --- Crash/restart: leases die, clients reconnect and re-authenticate --- *)
 
+let contains (s : string) (needle : string) : bool =
+  let n = String.length needle and m = String.length s in
+  let rec at i = i + n <= m && (String.sub s i n = needle || at (i + 1)) in
+  at 0
+
 let test_crash_recovery () =
   let w = Stacks.make Stacks.Sfs in
   let now = Simclock.now_us w.Stacks.clock in
@@ -167,13 +172,8 @@ let test_crash_recovery () =
   Testkit.check_bool "cache flushed" true (Obs.counter w.Stacks.obs "recover.cache_flush" > 0);
   (* All three ops landed despite the outage. *)
   let s = signature w.Stacks.server_fs in
-  let contains needle =
-    let n = String.length needle and m = String.length s in
-    let rec at i = i + n <= m && (String.sub s i n = needle || at (i + 1)) in
-    at 0
-  in
   Testkit.check_bool "post-crash writes survived" true
-    (contains "bench/during" && contains "bench/during/f")
+    (contains s "bench/during" && contains s "bench/during/f")
 
 (* --- Serial SFS calls recover through the window-1 mux --- *)
 
@@ -333,17 +333,23 @@ let test_write_behind_drop_charges_nothing () =
   arm Simnet.To_server (fun _ -> Simnet.Drop);
   check_drop_charges_nothing w ~opname:"write/wb" (fun () -> write_behind_once w m fh)
 
+(* The seal time of one sealed frame on the wire: [Channel.crypto_cost_us]
+   of its plaintext, which the frame wraps in a length word and a MAC. *)
+let seal_us (wire : string) : float =
+  Sfs_net.Costmodel.crypto_us (String.length wire - 4 - Sfs_crypto.Mac.mac_size)
+
 (* A write-behind caller waits for [async_floor_us] of the round trip
    plus both messages' wire time: the reply's wire time is a segment of
-   its own. *)
+   its own.  It pays the price of any other call: the client's crossing
+   and its whole request seal, and sfssd's crossing. *)
 let test_write_behind_sample () =
   let w, tap, m, _ = tapped_serial_world () in
   let fh = fresh_file w m "wb-sample" in
   write_behind_once w m fh;
-  let reply =
+  let request, reply =
     match tap.Simnet.observed with
-    | (Simnet.To_client, msg) :: _ -> msg
-    | _ -> Alcotest.fail "no reply observed"
+    | (Simnet.To_client, reply) :: (Simnet.To_server, request) :: _ -> (request, reply)
+    | _ -> Alcotest.fail "no exchange observed"
   in
   let sample =
     match List.rev (Obs.cp_samples w.Stacks.obs) with
@@ -355,7 +361,78 @@ let test_write_behind_sample () =
     (seg "latency");
   Alcotest.(check (float 1e-9)) "down_wire is the sealed reply's wire time"
     (Sfs_net.Costmodel.transfer_us Sfs_net.Costmodel.Tcp (String.length reply))
-    (seg "down_wire")
+    (seg "down_wire");
+  let crossing = Sfs_net.Costmodel.userlevel_us_per_side in
+  Alcotest.(check (float 1e-9)) "the client pays its whole crossing" crossing (seg "client");
+  Alcotest.(check (float 1e-9)) "crypto_up is the whole request seal" (seal_us request)
+    (seg "crypto_up");
+  Testkit.check_bool "sfssd pays its crossing" true (seg "server_cpu" >= crossing)
+
+(* A readahead READ pays the same: its sample's crypto_up is the whole
+   seal of its request, as a serial call's is. *)
+let test_readahead_sample () =
+  let w = Stacks.make ~rpc_window:16 ~readahead:16 Stacks.Sfs in
+  let path = w.Stacks.workdir ^ "/ra-sample" in
+  Sfs_workload.Driver.write_file w path (Sfs_workload.Driver.content ~seed:3 (32 * 8192));
+  Sfs_workload.Driver.commit w path;
+  Stacks.flush_caches w;
+  let tap = Simnet.passive_tap () in
+  Simnet.set_default_tap w.Stacks.net (Some tap);
+  let client = Option.get w.Stacks.sfs_client in
+  List.iter (Client.unmount client) (Client.mounts client);
+  let n0 = List.length (Obs.cp_samples w.Stacks.obs) in
+  let submits0 = Obs.counter w.Stacks.obs "mux.submit" in
+  for b = 0 to 31 do
+    ignore (Sfs_workload.Driver.read_at w path ~off:(b * 8192) ~count:8192)
+  done;
+  let reads =
+    List.filteri (fun i s -> i >= n0 && s.Obs.cp_op = "read") (Obs.cp_samples w.Stacks.obs)
+  in
+  Testkit.check_bool "readahead ran" true (Obs.counter w.Stacks.obs "mux.submit" - submits0 > 16);
+  Testkit.check_bool "READs sampled" true (List.length reads > 16);
+  (* Every READ request has the same length: fixed-width arguments. *)
+  let request =
+    match List.find_opt (fun (d, _) -> d = Simnet.To_server) tap.Simnet.observed with
+    | Some (_, msg) -> msg
+    | None -> Alcotest.fail "no request observed"
+  in
+  List.iter
+    (fun s ->
+      Alcotest.(check (float 1e-9)) "crypto_up is the whole request seal" (seal_us request)
+        (List.assoc "crypto_up" s.Obs.cp_segments))
+    reads
+
+(* A reconnect whose re-authentication loses its reply leaves the mount
+   on a dead session that holds no authno for the user.  Here every
+   reply but the connect step's is lost, so a GETATTR gives up after
+   its last reconnect failed that way.  Once the network heals, the
+   next access authenticates by dialing afresh. *)
+let test_dead_session_redials () =
+  let w, tap, m, _ = tapped_serial_world () in
+  let connect_step = ref 0 in
+  tap.Simnet.on_message <-
+    (fun dir msg ->
+      match dir with
+      | Simnet.To_server ->
+          (* The connect request names the server's Location in the
+             clear; it and the key negotiation are answered. *)
+          if contains msg Stacks.server_location then connect_step := 2;
+          Simnet.Pass
+      | Simnet.To_client when !connect_step > 0 ->
+          decr connect_step;
+          Simnet.Pass
+      | Simnet.To_client -> Simnet.Drop);
+  (match getattr_root w m with
+  | () -> Alcotest.fail "getattr succeeded with every reply lost"
+  | exception Sfs_nfs.Nfs_client.Rpc_failure _ -> ());
+  let reconnects = Obs.counter w.Stacks.obs "recover.reconnect" in
+  Testkit.check_bool "every retry reconnected" true (reconnects > 1);
+  tap.Simnet.on_message <- (fun _ _ -> Simnet.Pass);
+  (match Vfs.stat w.Stacks.vfs w.Stacks.cred w.Stacks.workdir with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "access after healing: %s" (Vfs.verror_to_string e));
+  Testkit.check_int "the access dialed afresh" (reconnects + 1)
+    (Obs.counter w.Stacks.obs "recover.reconnect")
 
 (* --- The oracle property --- *)
 
@@ -434,6 +511,32 @@ let test_oracle_gave_up_write () =
     (signature clean.Stacks.server_fs = signature faulty.Stacks.server_fs);
   Testkit.check_bool "clean tree of the first 16 ops matches" true
     (converges ~clean:(fun () -> Stacks.make stack) ops ~gave_up faulty)
+
+(* Scenario 77928, NFS 3 over UDP with a server crash window: op 3's
+   CREATE of f2 ran, its reply was lost, and the restart emptied the
+   duplicate request cache, so the retransmission ran again and
+   answered EEXIST.  The name was absent a moment before, so the file
+   is the write's own: it is opened and written, and the tree after op
+   3 is the clean run's. *)
+let test_write_file_own_create () =
+  let stack, spec, ops = scenario_of_seed 77928 in
+  Testkit.check_bool "NFS 3 over UDP" true (stack = Stacks.Nfs_udp);
+  let first = List.filteri (fun i _ -> i < 3) ops in
+  let path, data =
+    match List.nth ops 3 with
+    | Write (f, data) -> (f, data)
+    | _ -> Alcotest.fail "op 3 is not a write"
+  in
+  Testkit.check_string "op 3 writes f2" "f2" path;
+  let faulty = Stacks.make ~fault:spec stack in
+  run_ops faulty first;
+  (match Vfs.write_file faulty.Stacks.vfs faulty.Stacks.cred (faulty.Stacks.workdir ^ "/f2") data with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "write f2: %s" (Vfs.verror_to_string e));
+  let clean = Stacks.make stack in
+  run_ops clean (first @ [ Write (path, data) ]);
+  Testkit.check_string "f2 holds its 296 bytes" (signature clean.Stacks.server_fs)
+    (signature faulty.Stacks.server_fs)
 
 (* --- Pipelining is invisible to correctness (DESIGN.md §11) --- *)
 
@@ -515,6 +618,11 @@ let suite =
         test_write_behind_drop_charges_nothing;
       Alcotest.test_case "write-behind sample prices the reply wire" `Quick
         test_write_behind_sample;
+      Alcotest.test_case "readahead sample prices the whole request seal" `Quick
+        test_readahead_sample;
+      Alcotest.test_case "dead session redials on the next access" `Quick test_dead_session_redials;
+      Alcotest.test_case "write_file opens its own retransmitted create" `Quick
+        test_write_file_own_create;
       Alcotest.test_case "oracle accepts a given-up write (seed 338826)" `Quick
         test_oracle_gave_up_write;
     ]

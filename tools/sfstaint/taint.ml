@@ -19,7 +19,7 @@
          even from a tainted record — for public halves like a
          keypair's [pub] field)
 
-     val seal : ?bill:bool -> t -> string -> string
+     val seal : t -> string -> string
        [@@sfs.declassify "ARC4 encryption plus HMAC makes the output safe to emit"]
          the result is public no matter what flowed in; the reason
          string is mandatory and must say why
