@@ -76,9 +76,11 @@ perfbench-selfcheck: build
 	python3 perfbench/run.py --selfcheck
 
 # Chaos soak (tools/soak): seeded fault plans against a 60-client
-# pipelined fleet (25 plans) and the read-only replica tier (5 plans),
-# each plan run twice with a byte-identical-ledger determinism check.
-# `soak` runs the whole 30-plan corpus (~2 min);
+# pipelined fleet (25 plans) and the read-only replica tier (6 plans),
+# each plan run twice with a byte-identical-ledger determinism check; a
+# plan also fails if a client does not finish or a crash or partition
+# window opens after its run drained.
+# `soak` runs the whole 31-plan corpus (~6 s);
 # `soak-sample` runs the 5-plan slice CI runs per push, rotated
 # deterministically from the commit SHA so the corpus is covered over
 # a stream of commits without any one job paying for all of it.

@@ -639,8 +639,8 @@ let flashcrowd () =
     \ 8 reads per client, the whole crowd arriving on a 2 s accelerating ramp;\n\
     \ rw = one sfssd server doing key negotiation + encrypted channels; ro-N =\n\
     \ one signing publisher fanned out to N untrusted mirrors, clients verify\n\
-    \ the hash chain through a per-client cache and fail over to the\n\
-    \ least-loaded mirror on refusal)\n";
+    \ the hash chain through a per-client cache and fail over on refusal\n\
+    \ to a mirror drawn from the client's own host name)\n";
   let clients = 10_000 in
   let dirs = 16 and files_per_dir = 64 and file_bytes = 8192 in
   let theta = 1.0 and reads = 8 in

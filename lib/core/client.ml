@@ -144,22 +144,26 @@ let decode_response (m : mount) (frame : Slice.t) : (Sfsrw.response, string) res
 
 (* --- Mounting --- *)
 
-(* The one dial of the read-write mount, every reconnection and the
-   read-only mount, then [session] over the connection, its handshake
-   exchange and the served key.  Any failure closes the connection; a
-   refused dial, a crash window or a lost message is [Host_unreachable]. *)
-let dial (t : t) (path : Pathname.t) ~(service : Keyneg.service)
+(* A refused connect step: a refused dial, a crash window or a lost
+   message is [Host_unreachable]. *)
+let refused (path : Pathname.t) : Keyneg.refusal -> mount_error = function
+  | Keyneg.Unreachable -> Host_unreachable (Pathname.location path)
+  | Keyneg.Refused e -> Negotiation_failed e
+  | Keyneg.Revoked cert -> Revoked (Revocation.cert_for path cert)
+
+(* The one dial of the read-write mount and every reconnection, then
+   [session] over the connection, its handshake exchange and the served
+   key.  Any failure closes the connection. *)
+let dial (t : t) (path : Pathname.t)
     (session : Simnet.conn -> (string -> string) -> Rabin.pub -> ('a, mount_error) result) :
     ('a, mount_error) result =
   let location = Pathname.location path in
-  let extensions = if service = Keyneg.Fs && not t.encrypt then [ "no-encrypt" ] else [] in
+  let extensions = if t.encrypt then [] else [ "no-encrypt" ] in
   match
-    Keyneg.dial t.net ~from_host:t.from_host ~location ~hostid:(Pathname.hostid path) ~service
-      ~extensions
+    Keyneg.dial t.net ~from_host:t.from_host ~location ~hostid:(Pathname.hostid path)
+      ~service:Keyneg.Fs ~extensions
   with
-  | Error Keyneg.Unreachable -> Error (Host_unreachable location)
-  | Error (Keyneg.Refused e) -> Error (Negotiation_failed e)
-  | Error (Keyneg.Revoked cert) -> Error (Revoked (Revocation.cert_for path cert))
+  | Error r -> Error (refused path r)
   | Ok (conn, exchange, server_pub) -> (
       match session conn exchange server_pub with
       | Ok _ as ok -> ok
@@ -175,7 +179,7 @@ let dial (t : t) (path : Pathname.t) ~(service : Keyneg.service)
    keys. *)
 let dial_fs (t : t) (path : Pathname.t) : (session, mount_error) result =
   let temp_key = temp_key t in
-  dial t path ~service:Keyneg.Fs (fun conn exchange server_pub ->
+  dial t path (fun conn exchange server_pub ->
       match Keyneg.negotiate ~rng:t.rng ~temp_key ~server_pub exchange with
       | Error e -> Error (Negotiation_failed e)
       | Ok keys ->
@@ -446,14 +450,15 @@ let mount (t : t) (path : Pathname.t) : (mount, mount_error) result =
 (* The read-only mount: the connect step verifies the HostID, the signed
    root and hash chain everything after it; no channel, no mount record. *)
 let mount_readonly (t : t) (path : Pathname.t) : (Fs_intf.ops, mount_error) result =
-  dial t path ~service:Keyneg.Fs_readonly (fun _conn exchange pubkey ->
-      match Readonly.connect ?obs:t.obs ~exchange ~pubkey ~clock:t.clock () with
-      | exception Readonly.Verification_failed e -> Error (Negotiation_failed e)
-      | ro ->
-          let cache =
-            Cachefs.create ?obs:t.obs ~clock:t.clock ~policy:t.cache_policy (Readonly.ops ro)
-          in
-          Ok (Cachefs.ops cache))
+  match Readonly.dial ?obs:t.obs t.net ~from_host:t.from_host ~clock:t.clock path with
+  | Error r -> Error (refused path r)
+  | exception Readonly.Verification_failed e -> Error (Negotiation_failed e)
+  | exception Simnet.Timeout -> Error (Host_unreachable (Pathname.location path))
+  | Ok (_conn, ro) ->
+      let cache =
+        Cachefs.create ?obs:t.obs ~clock:t.clock ~policy:t.cache_policy (Readonly.ops ro)
+      in
+      Ok (Cachefs.ops cache)
 
 let ops (m : mount) : Fs_intf.ops =
   match m.m_ops with Some o -> o | None -> invalid_arg "Client.ops: mount not initialized"

@@ -80,17 +80,15 @@ val mount : t -> Pathname.t -> (mount, mount_error) result
     root handle.  Idempotent: mounts are cached and shared. *)
 
 val mount_readonly : t -> Pathname.t -> (Fs_intf.ops, mount_error) result
-(** Mount with the signed read-only dialect: no key negotiation, no
-    secure channel.  The pathname may name sfssd or a key-free
-    {!Replica} mirror; either answers the connect step, and the served
-    key must hash to the pathname's HostID.  The result is the
-    verified snapshot's {!Readonly.ops} under a cache, every object
-    checked against the hash chain from the signed root; it is not a
-    {!mount} and is not shared.
-    Each call dials its own connection, which stays open as long as the
-    server keeps it: nothing on the client closes it.  A refused dial, a
-    crash window or a lost message is [Host_unreachable]; every error
-    closes the connection. *)
+(** Mount with the signed read-only dialect through {!Readonly.dial}:
+    no key negotiation, no secure channel.  The pathname may name sfssd
+    or a key-free {!Replica} mirror, and the served key must hash to
+    its HostID.  The result is the verified snapshot's {!Readonly.ops}
+    under a cache; it is not a {!mount} and is not shared.  Each call
+    dials its own connection, which stays open as long as the server
+    keeps it.  A refused dial, a crash window or a lost message is
+    [Host_unreachable], a root that fails verification
+    [Negotiation_failed]; every error closes the connection. *)
 
 val find_mount : t -> Pathname.t -> mount option
 (* sfslint: allow SL014 — §2.2: the automounter's live mounts, through which the cache and unmount tests reach a mount *)

@@ -240,7 +240,7 @@ let serve (st : store) (bytes : string) : string =
 exception Verification_failed of string
 
 type client = {
-  exchange : string -> string;
+  mutable exchange : string -> string; (* the current connection's; a re-dial re-points it *)
   pubkey : Rabin.pub;
   clock : Simclock.t;
   obs : Obs.registry option;
@@ -298,6 +298,28 @@ let connect ?obs ?(cache_objs = 4096) ~(exchange : string -> string)
   in
   refresh c;
   c
+
+(* The read-only connect step, then the verifying client; a re-dial only
+   re-points [client].  Keyneg.dial closes the connection on every
+   refusal, and this on any exception from the first root's check. *)
+let dial ?obs ?cache_objs ?client (net : Sfs_net.Simnet.t) ~(from_host : string)
+    ~(clock : Simclock.t) (path : Pathname.t) =
+  match
+    Sfs_proto.Keyneg.dial net ~from_host ~location:(Pathname.location path)
+      ~hostid:(Pathname.hostid path) ~service:Sfs_proto.Keyneg.Fs_readonly ~extensions:[]
+  with
+  | Error r -> Error r
+  | Ok (conn, exchange, pubkey) -> (
+      match client with
+      | Some c ->
+          c.exchange <- exchange;
+          Ok (conn, c)
+      | None -> (
+          match connect ?obs ?cache_objs ~exchange ~pubkey ~clock () with
+          | c -> Ok (conn, c)
+          | exception e ->
+              Sfs_net.Simnet.close conn;
+              raise e))
 
 (* Fetch an object and verify it is the preimage of the hash that named
    it — the step that lets untrusted replicas serve the data.  The

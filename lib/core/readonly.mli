@@ -77,6 +77,7 @@ val serve : store -> string -> string
 
 type client
 
+(* sfslint: allow SL014 — §3.2: the verifying client over a bare exchange, which the refusal, tamper and allocation tests drive with a fixed server; every mount goes through dial *)
 val connect :
   ?obs:Sfs_obs.Obs.registry ->
   ?cache_objs:int ->
@@ -89,6 +90,16 @@ val connect :
     [cache_objs] bounds the verification cache (default 4096 objects).
     Every exchange is first charged a user-level crossing on [clock].
     @raise Verification_failed otherwise. *)
+
+val dial :
+  ?obs:Sfs_obs.Obs.registry -> ?cache_objs:int -> ?client:client -> Sfs_net.Simnet.t ->
+  from_host:string -> clock:Simclock.t -> Pathname.t ->
+  (Sfs_net.Simnet.conn * client, Sfs_proto.Keyneg.refusal) result
+(** The one read-only dial, to sfssd or a mirror: the [Fs_readonly]
+    connect step ({!Sfs_proto.Keyneg.dial}), then {!connect} over it.
+    A failover passes [client]: the connection replaces its exchange,
+    and its cache, root and first key carry over.  The caller owns the
+    connection, closed on every refusal and exception from {!connect}. *)
 
 (* sfslint: allow SL014 — §3.2: the verifying client's one check of an object against its hash, which the refusal, tamper and allocation tests drive with a fixed exchange; every reader goes through ops *)
 val fetch : client -> string -> Ro.obj

@@ -1,8 +1,8 @@
 (* Flash-crowd simulation, the read-only kind of the Crowd engine
    (flashcrowd.mli).  Clients hold mirror pathnames, never a key, and
-   mount and read as Client.mount_readonly does; per-client state is a
-   slim record plus a verification cache, and mirrors burn no
-   cryptography per request, so capacity scales with the replicas. *)
+   dial through Readonly.dial as Client.mount_readonly does; per-client
+   state is a slim record plus a verification cache, and mirrors burn
+   no cryptography per request, so capacity scales with the replicas. *)
 
 module Simclock = Sfs_net.Simclock
 module Simnet = Sfs_net.Simnet
@@ -88,9 +88,8 @@ let client_loc (i : int) : string = Printf.sprintf "c%d.ro.client" i
 type rcl = {
   from : string; (* this client's host name *)
   rng : Prng.t;
-  mutable conn : (Simnet.conn * (string -> string)) option; (* the dial's connection, exchange *)
+  mutable conn : Simnet.conn option; (* the last dial's *)
   mutable mirror : int; (* index of the mirror pathname currently dialed *)
-  mutable counted : bool; (* whether [mirror]'s load counts this client *)
   mutable avoid : int list; (* distinct mirrors this client failed over from *)
   mutable ro : (Core.Readonly.client * Fs_intf.ops) option; (* survives every failover *)
   mutable pending : int; (* file index mid-retry, or -1 *)
@@ -162,49 +161,22 @@ let run ?tap (cfg : config) : result =
           rng = Prng.create [ cfg.seed; "roclient"; string_of_int i ];
           conn = None;
           mirror = i mod cfg.replicas;
-          counted = false;
           avoid = [];
           ro = None;
           pending = -1;
         })
   in
-  (* Each mirror's load: the crowd's clients on it, each counted from
-     its pick, so a burst of failovers spreads before any dial lands,
-     until its dial fails or its connection drops.  The host's own count
-     would also hold the publisher's push connection, which a failed
-     fan-out drops. *)
-  let clients_on = Array.make cfg.replicas 0 in
-  let count (c : rcl) (counted : bool) : unit =
-    if c.counted <> counted then begin
-      c.counted <- counted;
-      clients_on.(c.mirror) <- (clients_on.(c.mirror) + if counted then 1 else -1)
-    end
-  in
   let drop_conn (c : rcl) : unit =
-    count c false;
-    match c.conn with
-    | None -> ()
-    | Some (conn, _) ->
-        Simnet.close conn;
-        c.conn <- None
+    Option.iter Simnet.close c.conn;
+    c.conn <- None
   in
-  (* Least-loaded failover (fewest clients, lowest index on ties) among the
-     mirrors this client has not failed over from.  A mirror that refused the connect
-     step holds no connection, and a crashed one loses its clients as they leave, so
-     either would soon look least loaded; once the client has left every mirror, all
-     are tried again. *)
+  (* Failover from what this client saw, never another's choice: a draw
+     from its host name and how many mirrors it has left, among those it
+     has not left; once it has left every mirror, all are tried again. *)
   let pick_mirror (c : rcl) : int =
     if List.length c.avoid = cfg.replicas then c.avoid <- [];
-    let load m = if List.mem m c.avoid then max_int else clients_on.(m) in
-    let best = ref 0 in
-    for m = 1 to cfg.replicas - 1 do
-      if load m < load !best then best := m
-    done;
-    !best
-  in
-  (* Read at call time: one verification cache survives every failover. *)
-  let exchange (c : rcl) (bytes : string) : string =
-    match c.conn with None -> raise Simnet.Timeout | Some (_, call) -> call bytes
+    let left = List.filter (fun m -> not (List.mem m c.avoid)) (List.init cfg.replicas Fun.id) in
+    List.nth left (Hashtbl.hash (c.from, List.length c.avoid) mod List.length left)
   in
   (* One flash-crowd read through the verification cache, every byte
      checked against the published generations: a wrong byte would be
@@ -236,30 +208,20 @@ let run ?tap (cfg : config) : result =
           Error Crowd.Fatal
         end
   in
-  (* The two calls of Client.mount_readonly.  The dial closes the
-     connection on every refusal, so no byte is read from a refusing
-     mirror; a key the pathname does not name fails over, since a
-     reply corrupted in the clear refuses the same way (DESIGN §15). *)
+  (* Client.mount_readonly's dial, which closes the connection on every
+     refusal: no byte is read from a refusing mirror, and a key the
+     pathname does not name fails over (DESIGN §15).  A re-dial re-points
+     the client, so its verification cache survives every failover. *)
   let do_connect (c : rcl) : (unit, Crowd.failure) Stdlib.result =
-    let path = paths.(c.mirror) in
-    count c true;
     match
-      Keyneg.dial net ~from_host:c.from ~location:(Core.Pathname.location path)
-        ~hostid:(Core.Pathname.hostid path) ~service:Keyneg.Fs_readonly ~extensions:[]
+      Core.Readonly.dial ~obs ~cache_objs:cfg.vcache_objs ?client:(Option.map fst c.ro) net
+        ~from_host:c.from ~clock paths.(c.mirror)
     with
-    | Error e ->
-        count c false;
-        Error (match e with Keyneg.Revoked _ -> Crowd.Fatal | Keyneg.Unreachable | Keyneg.Refused _ -> Crowd.Retry)
-    | Ok (conn, call, pubkey) ->
-        c.conn <- Some (conn, call);
-        (* on a reconnect the root is already verified *)
-        if Option.is_none c.ro then begin
-          let ro =
-            Core.Readonly.connect ~obs ~cache_objs:cfg.vcache_objs ~exchange:(exchange c) ~pubkey
-              ~clock ()
-          in
-          c.ro <- Some (ro, Core.Readonly.ops ro)
-        end;
+    | Error (Keyneg.Revoked _) -> Error Crowd.Fatal
+    | Error (Keyneg.Unreachable | Keyneg.Refused _) -> Error Crowd.Retry
+    | Ok (conn, ro) ->
+        c.conn <- Some conn;
+        if Option.is_none c.ro then c.ro <- Some (ro, Core.Readonly.ops ro);
         Ok ()
   in
   let kind =
@@ -272,8 +234,7 @@ let run ?tap (cfg : config) : result =
           Obs.incr (Some obs) "ro.client.failover";
           drop_conn c;
           if not (List.mem c.mirror c.avoid) then c.avoid <- c.mirror :: c.avoid;
-          c.mirror <- pick_mirror c;
-          count c true);
+          c.mirror <- pick_mirror c);
       refresh =
         (fun c ->
           Obs.incr (Some obs) "ro.client.retry";

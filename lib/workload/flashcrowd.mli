@@ -2,11 +2,12 @@
     the read-only kind of the {!Crowd} engine.  A publisher signs a
     snapshot and fans it out to N untrusted mirrors ({!Sfs_core.Replica});
     read-only clients arrive on [Crowd.Ramp ramp_us], read Zipf-popular
-    files through per-client verification caches, and fail over to the
-    least-loaded mirror they have not yet failed over from (all again
-    once they have left every mirror).  A client gives up
-    after 1000 consecutive failures; the publisher signs with a 512-bit
-    key and a one-day validity window. *)
+    files through per-client verification caches, and fail over through
+    {!Sfs_core.Readonly.dial}, keeping the cache, to a mirror they have
+    not left, drawn from their own host name (all again once they have
+    left every mirror).  A client gives up after 1000 consecutive
+    failures; the publisher signs with a 512-bit key and a one-day
+    validity window. *)
 
 type config = {
   clients : int;

@@ -252,8 +252,9 @@ let run (cfg : config) : result =
   let do_mount (c : cl) =
     let cred, agent = users.(c.idx mod cfg.user_pool) in
     match Core.Client.mount c.cc (Core.Server.self_path servers.(c.idx mod cfg.servers)) with
-    | Error (Core.Client.Host_unreachable _) -> Error Crowd.Retry
-    | Error _ -> Error Crowd.Fatal
+    (* a connect step corrupted in the clear fails negotiation: dial again *)
+    | Error (Core.Client.Host_unreachable _ | Core.Client.Negotiation_failed _) -> Error Crowd.Retry
+    | Error (Core.Client.Revoked _) -> Error Crowd.Fatal
     | Ok m -> (
         match
           ignore (Core.Client.authenticate c.cc m agent);

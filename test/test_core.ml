@@ -357,8 +357,8 @@ let test_sfskey_agent_integration () =
 
 (* Every handshake error is a typed result that releases its admission
    slot: a refused dial, a dropped connect, a dropped fetch after it, a
-   HostID mismatch, a revoked server, and sfskey's SRP session once
-   [add] is done. *)
+   root that fails verification, a HostID mismatch, a revoked server,
+   and sfskey's SRP session once [add] is done. *)
 let test_handshake_errors () =
   let w = make_world ~register_alice:false () in
   Sfskey.register_local ~cost:2 w.authserv rng ~user:"alice" ~password:"pw" ~key:w.alice_key;
@@ -403,6 +403,15 @@ let test_handshake_errors () =
   drop_after 2;
   key "sfskey: dropped SRP hello";
   Simnet.set_default_tap w.net None;
+  (* A root signed by a key the pathname does not name: the connect
+     step passes, the root's verification fails. *)
+  Server.serve_readonly w.server
+    (Readonly.snapshot ~key:(Lazy.force key_b) ~now_s:0 w.server_fs);
+  ro "ro: root verification failed" (function
+    | Client.Negotiation_failed "bad root signature" -> true
+    | _ -> false);
+  Server.serve_readonly w.server
+    (Readonly.snapshot ~key:(Lazy.force key_a) ~now_s:0 w.server_fs);
   (* A server whose key does not match the HostID. *)
   let wrong = Pathname.of_server ~location:"server.example.com" ~pubkey:(Lazy.force key_b).Rabin.pub in
   (match Client.mount_readonly w.client wrong with

@@ -689,6 +689,55 @@ let test_corrupt_replies_leave_store () =
 
 (* --- Key-free mirrors and the connect step --- *)
 
+(* A failover re-dials another mirror with the client it has: the
+   verification cache survives, so an object already verified is not
+   fetched again, and no root is fetched.  The client keeps checking
+   roots under its first key, so a mirror of another key's tree, whose
+   own pathname dials, fails verification at its root. *)
+let test_redial_keeps_cache () =
+  let clock, obs, net = mk_world () in
+  let fs, _, _ = mk_tree () in
+  List.iter (fun h -> ignore (Simnet.add_host net h)) [ "pub.test"; "pub2.test"; "client.test" ];
+  let key = Rabin.generate ~bits:512 (Prng.create [ "replica-test"; "redial" ]) in
+  let other = Lazy.force alloc_key in
+  let m1_obs = Obs.create ~now_us:(fun () -> Simclock.now_us clock) () in
+  let m0 = add_mirror ~obs net ~location:"m0.test" ~pubkey:key.Rabin.pub in
+  let m1 = add_mirror ~obs:m1_obs net ~location:"m1.test" ~pubkey:key.Rabin.pub in
+  let m2 = add_mirror net ~location:"m2.test" ~pubkey:other.Rabin.pub in
+  let publish host key targets =
+    let p = Replica.publisher ~obs ~net ~host ~key ~clock fs in
+    ignore (Replica.publish p);
+    Testkit.check_int "fan-out clean" 0
+      (Replica.fan_out p (List.map (fun addr -> Replica.target ~addr) targets))
+  in
+  publish "pub.test" key [ "m0.test"; "m1.test" ];
+  publish "pub2.test" other [ "m2.test" ];
+  let dial ?client m =
+    match Readonly.dial ~obs ?client net ~from_host:"client.test" ~clock (Replica.path m) with
+    | Ok v -> v
+    | Error _ -> Alcotest.fail "connect step refused"
+  in
+  let conn0, c = dial m0 in
+  let ops = Readonly.ops c in
+  let read names =
+    Sfs_workload.Flashcrowd.read ops ~root:(Readonly.current_fsinfo c).Ro.root_hash names
+  in
+  Testkit.check_bool "read through m0" true (read [ "d0"; "f0" ] = Ok (String.make 4096 'x'));
+  Simnet.close conn0;
+  let conn1, c' = dial ~client:c m1 in
+  Testkit.check_bool "the same client, re-pointed" true (c' == c);
+  let served () = Obs.counter m1_obs "ro.serve.objs" in
+  Testkit.check_bool "read again through m1" true (read [ "d0"; "f0" ] = Ok (String.make 4096 'x'));
+  Testkit.check_int "nothing verified is fetched again" 0 (served ());
+  Testkit.check_bool "a new file through m1" true (read [ "d1"; "f0" ] = Ok (String.make 1024 'z'));
+  Testkit.check_int "only its directory and itself are fetched" 2 (served ());
+  Testkit.check_int "the root was verified once" 1 (Obs.counter obs "ro.root.verify");
+  Simnet.close conn1;
+  let _conn2, _ = dial ~client:c m2 in
+  match Readonly.refresh c with
+  | () -> Alcotest.fail "a root signed by another key was accepted"
+  | exception Readonly.Verification_failed e -> Testkit.check_string "refused" "bad root signature" e
+
 (* A mirror that serves a key its pathname does not name fails the
    HostID check at the connect step: the dial refuses it, and no crowd
    client reads a byte from it. *)
@@ -885,6 +934,7 @@ let suite =
       Alcotest.test_case "snapshot allocation" `Quick test_snapshot_alloc;
       Alcotest.test_case "corrupt replies leave stored frames" `Quick test_corrupt_replies_leave_store;
       Alcotest.test_case "mirror serving another key refused" `Quick test_mirror_wrong_key_refused;
+      Alcotest.test_case "re-dial keeps the verification cache" `Quick test_redial_keeps_cache;
       Alcotest.test_case "mirror refuses services, locations" `Quick
         test_mirror_refuses_other_services;
       Alcotest.test_case "whole-file read allocation" `Quick test_whole_file_read_alloc;

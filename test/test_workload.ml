@@ -279,6 +279,30 @@ let test_fleet_drop_mount_setup () =
     (List.assoc "all_conns_closed" (Fleet.reconcile r));
   Testkit.check_bool "last client ready within 5 s" true (r.Fleet.r_last_ready_us < 5e6)
 
+let test_fleet_corrupt_connect_retried () =
+  (* The chaos soak's corrupt-1pct plan.  The connect step travels in
+     the clear, so a reply corrupted in transit fails key negotiation
+     ("cannot decrypt server key halves", trailing bytes): the client
+     dials again, as the read-only crowd does, instead of giving up. *)
+  let r =
+    Fleet.run
+      {
+        Fleet.default with
+        Fleet.clients = 60;
+        servers = 2;
+        auth_shards = 2;
+        user_pool = 8;
+        ops_per_client = 6;
+        admit_per_server = Some 30;
+        hot_write_every = 10;
+        seed = "soak";
+        fault = Some (Sfs_fault.Fault.make ~corrupt_pm:100 ~seed:"soak/corrupt-1pct" ());
+      }
+  in
+  Testkit.check_int "every client mounted" 60 r.Fleet.r_mount_ok;
+  Testkit.check_int "none gave up" 0 r.Fleet.r_mount_failed;
+  Testkit.check_bool "a corrupted connect step was dialled again" true (r.Fleet.r_mount_retries > 0)
+
 let test_fleet_unmount_flushes () =
   (* Each client's two unstable writes to its own file sit in the
      write-behind buffer; the second flushes the first, and unmount must
@@ -410,9 +434,10 @@ let test_flashcrowd_wrong_key_mirror () =
   (* One mirror of three answers the connect step with a key its
      pathname does not name (the tap substitutes it in each of that
      mirror's connect replies), and a good mirror crashes while loaded.
-     A refusing mirror keeps no connection, so it always looks least
-     loaded: each client must fail over past it, not back to it, and
-     finish its reads without a byte read from it. *)
+     A client that leaves a mirror does not draw it again until it has
+     left every mirror: each client must fail over past the refusing
+     mirror, not back to it, and finish its reads without a byte read
+     from it. *)
   let module Xdr = Sfs_xdr.Xdr in
   let module Keyneg = Sfs_proto.Keyneg in
   let module Simnet = Sfs_net.Simnet in
@@ -460,9 +485,10 @@ let test_flashcrowd_wrong_key_mirror () =
   Testkit.check_int "every read done" (30 * 12) r.Flashcrowd.r_reads_ok;
   Testkit.check_bool "the crash turned clients away" true
     (Sfs_obs.Obs.counter r.Flashcrowd.r_obs "fault.refused" > 0);
-  (* The ten clients handed its pathname and the ten leaving the
-     crashed mirror, each refused once. *)
-  Testkit.check_int "each client refused by it at most once" 20 !bad_connects;
+  (* Ten clients are handed its pathname, six of the ten leaving the
+     crashed mirror draw it, and none returns: each refused once. *)
+  Testkit.check_int "refusals: ten handed it, six that drew it" 16 !bad_connects;
+  Testkit.check_bool "each client refused by it at most once" true (!bad_connects <= 20);
   Testkit.check_int "every request it got was a connect step" !bad_connects
     (Sfs_obs.Obs.counter r.Flashcrowd.r_obs
        (Printf.sprintf "net.%s:%d.rpcs" bad Keyneg.sfs_port))
@@ -473,13 +499,12 @@ let test_flashcrowd_dropped_push_connection () =
      fan-out and drops its push connection, which mirrors 0 and 1
      keep.  Mirror 0 then crashes while loaded.  A client that leaves a
      mirror avoids it until it has left every mirror, so mirror 0 sees
-     only its first ten connect steps, though its client count falls
-     below the live mirrors' as they leave.  Failover picks by the
-     crowd's own clients, counted from the pick: the ten leave in one
-     burst while mirrors 1 and 2 hold ten each, and each pick raises
-     its mirror's load before the next client picks, so the burst
-     splits five and five, and mirror 2's missing push connection
-     neither earns nor costs it a failover. *)
+     only its first ten connect steps.  Each client draws its next
+     mirror from its own host name and how many mirrors it has left,
+     knowing nothing of the others: the ten leave in one burst, and
+     their local draws split it five and five between mirrors 1 and 2,
+     so mirror 2's missing push connection neither earns nor costs it
+     a failover. *)
   let module Xdr = Sfs_xdr.Xdr in
   let module Simnet = Sfs_net.Simnet in
   let put_root = "\000\000\000\003\000\000\000\tRO-FSInfo" in
@@ -708,7 +733,7 @@ let golden_flashcrowd =
                ~crashes:[ crash_window ~host:(Flashcrowd.mirror_loc 0) ~down_s:0.03 ~up_s:0.1 ]
                ~seed:"golden/ro-crash" ());
       },
-      "02485add6eb4f70d904c292417e1e3dd0bef5b5f" );
+      "95d5a7ce92ec1724fb195405a82836cf27b458a2" );
   ]
 
 (* Every digest is computed before the test fails, so one run names
@@ -745,6 +770,8 @@ let suite =
       Alcotest.test_case "fleet smoke" `Quick test_fleet_smoke;
       Alcotest.test_case "fleet admission" `Quick test_fleet_admission;
       Alcotest.test_case "fleet drop during mount setup" `Quick test_fleet_drop_mount_setup;
+      Alcotest.test_case "fleet corrupted connect step retried" `Quick
+        test_fleet_corrupt_connect_retried;
       Alcotest.test_case "fleet unmount flushes write-behind" `Quick test_fleet_unmount_flushes;
       Alcotest.test_case "fleet determinism" `Quick test_fleet_determinism;
       Alcotest.test_case "fleet 10k clients" `Slow test_fleet_10k;

@@ -1,8 +1,10 @@
-(* Chaos-soak sample: 30 seeded fault plans (25 against the pipelined
-   read-write fleet, 5 against the read-only replica tier), each run
-   TWICE.  A plan passes when every client is accounted for and both
-   runs produce a byte-identical ledger; each plan's line ends with the
-   ledger's SHA-1, so two builds' soak logs diff plan by plan.
+(* Chaos-soak sample: 31 seeded fault plans (25 against the pipelined
+   read-write fleet, 6 against the read-only replica tier), each run
+   TWICE.  A plan passes when every client finishes, every crash and
+   partition window opens before the run drains (a window that opens
+   later acts on nothing), and both runs produce a byte-identical
+   ledger; each plan's line ends with the ledger's SHA-1, so two
+   builds' soak logs diff plan by plan.
    Fault-free reconciliation invariants are NOT asserted here (crash
    windows legitimately strand lease state); the workload tests cover
    those.  CI runs a budgeted sample per push, rotated by the commit
@@ -22,7 +24,7 @@ module Fault = Sfs_fault.Fault
    inside every fault window). *)
 type world = Rw | Ro
 
-(* --- the corpus: 30 named, seeded plans --- *)
+(* --- the corpus: 31 named, seeded plans --- *)
 
 let crash ~host ~down_s ~up_s =
   { Fault.c_host = host; c_down_us = down_s *. 1e6; c_up_us = up_s *. 1e6 }
@@ -33,14 +35,28 @@ let part ~a ~b ~from_s ~until_s =
 let srv i = Printf.sprintf "srv%d.fleet.lcs.mit.edu" i
 let mir i = Flashcrowd.mirror_loc i
 
-let plan ?(world = Rw) name ?drop_pm ?dup_pm ?reorder_pm ?corrupt_pm ?delay_pm ?delay_mean_us
-    ?delay_p99_us ?partitions ?crashes () =
-  ( name,
-    world,
-    Fault.make ?drop_pm ?dup_pm ?reorder_pm ?corrupt_pm ?delay_pm ?delay_mean_us ?delay_p99_us
-      ?partitions ?crashes ~seed:("soak/" ^ name) () )
+(* A plan: its name, world, fault spec, and each crash or partition
+   window with the instant it opens. *)
+type plan = { name : string; world : world; spec : Fault.spec; windows : (string * float) list }
 
-let plans : (string * world * Fault.spec) list =
+let plan ?(world = Rw) name ?drop_pm ?dup_pm ?reorder_pm ?corrupt_pm ?delay_pm ?delay_mean_us
+    ?delay_p99_us ?(partitions = []) ?(crashes = []) () =
+  let windows =
+    List.map (fun c -> (Printf.sprintf "crash %s" c.Fault.c_host, c.Fault.c_down_us)) crashes
+    @ List.map
+        (fun p -> (Printf.sprintf "partition %s|%s" p.Fault.pa p.Fault.pb, p.Fault.p_from_us))
+        partitions
+  in
+  {
+    name;
+    world;
+    spec =
+      Fault.make ?drop_pm ?dup_pm ?reorder_pm ?corrupt_pm ?delay_pm ?delay_mean_us ?delay_p99_us
+        ~partitions ~crashes ~seed:("soak/" ^ name) ();
+    windows;
+  }
+
+let plans : plan list =
   [
     plan "clean" ();
     plan "drop-tiny" ~drop_pm:5 ();
@@ -61,18 +77,19 @@ let plans : (string * world * Fault.spec) list =
     plan "kitchen-sink" ~drop_pm:50 ~dup_pm:50 ~reorder_pm:50 ~corrupt_pm:25 ~delay_pm:100
       ~delay_mean_us:3_000 ~delay_p99_us:30_000 ();
     plan "crash-early" ~crashes:[ crash ~host:(srv 0) ~down_s:0.05 ~up_s:0.2 ] ();
-    plan "crash-mid" ~crashes:[ crash ~host:(srv 1) ~down_s:0.5 ~up_s:0.8 ] ();
-    plan "crash-both" ~crashes:[ crash ~host:(srv 0) ~down_s:0.1 ~up_s:0.3; crash ~host:(srv 1) ~down_s:0.4 ~up_s:0.6 ] ();
+    plan "crash-mid" ~crashes:[ crash ~host:(srv 1) ~down_s:0.08 ~up_s:0.12 ] ();
+    plan "crash-both" ~crashes:[ crash ~host:(srv 0) ~down_s:0.1 ~up_s:0.3; crash ~host:(srv 1) ~down_s:0.06 ~up_s:0.12 ] ();
     plan "crash+drop" ~drop_pm:100 ~crashes:[ crash ~host:(srv 0) ~down_s:0.2 ~up_s:0.5 ] ();
-    plan "flap" ~crashes:[ crash ~host:(srv 0) ~down_s:0.1 ~up_s:0.15; crash ~host:(srv 0) ~down_s:0.3 ~up_s:0.35; crash ~host:(srv 0) ~down_s:0.5 ~up_s:0.55 ] ();
+    plan "flap" ~crashes:[ crash ~host:(srv 0) ~down_s:0.03 ~up_s:0.05; crash ~host:(srv 0) ~down_s:0.08 ~up_s:0.1; crash ~host:(srv 0) ~down_s:0.13 ~up_s:0.15 ] ();
     plan "partition-early" ~partitions:[ part ~a:"c0.client.fleet" ~b:(srv 0) ~from_s:0.0 ~until_s:0.3 ] ();
     plan "partition+delay" ~delay_pm:200 ~delay_mean_us:2_000 ~delay_p99_us:20_000 ~partitions:[ part ~a:"c1.client.fleet" ~b:(srv 1) ~from_s:0.1 ~until_s:0.4 ] ();
-    plan "partition+crash" ~partitions:[ part ~a:"c2.client.fleet" ~b:(srv 0) ~from_s:0.0 ~until_s:0.2 ] ~crashes:[ crash ~host:(srv 1) ~down_s:0.3 ~up_s:0.5 ] ();
+    plan "partition+crash" ~partitions:[ part ~a:"c2.client.fleet" ~b:(srv 0) ~from_s:0.0 ~until_s:0.2 ] ~crashes:[ crash ~host:(srv 1) ~down_s:0.05 ~up_s:0.1 ] ();
     (* Read-only tier.  Mirror crashes kill connections, not the object
        store; the publisher<->mirror partition spans the republish, so
        one mirror serves the old root until the next fan-out. *)
+    plan ~world:Ro "ro-clean" ();
     plan ~world:Ro "ro-mirror-crash-mid" ~crashes:[ crash ~host:(mir 0) ~down_s:0.06 ~up_s:0.16 ] ();
-    plan ~world:Ro "ro-mirror-flap" ~crashes:[ crash ~host:(mir 1) ~down_s:0.03 ~up_s:0.05; crash ~host:(mir 1) ~down_s:0.09 ~up_s:0.11; crash ~host:(mir 1) ~down_s:0.17 ~up_s:0.19 ] ();
+    plan ~world:Ro "ro-mirror-flap" ~crashes:[ crash ~host:(mir 1) ~down_s:0.03 ~up_s:0.05; crash ~host:(mir 1) ~down_s:0.09 ~up_s:0.11; crash ~host:(mir 1) ~down_s:0.13 ~up_s:0.15 ] ();
     plan ~world:Ro "ro-publisher-partition" ~partitions:[ part ~a:Flashcrowd.publisher_loc ~b:(mir 0) ~from_s:0.05 ~until_s:0.3 ] ();
     plan ~world:Ro "ro-drop-1pct" ~drop_pm:100 ();
     plan ~world:Ro "ro-corrupt-1pct" ~corrupt_pm:100 ();
@@ -80,11 +97,11 @@ let plans : (string * world * Fault.spec) list =
 
 (* --- one soak: run a plan twice, demand byte-identical ledgers --- *)
 
-(* One run of a plan's world: its ledger, how many clients it accounted
-   for, and a one-line summary.  The ro world republishes at 120 ms, so
+(* One run of a plan's world: its ledger, how many clients finished,
+   the instant the run drained, and a one-line summary.  The ro world republishes at 120 ms, so
    every ro plan runs fan-out resume and client root refresh under the
    fault, not just the steady serving path. *)
-let run_world ~clients (world : world) (spec : Fault.spec) : string * int * string =
+let run_world ~clients (world : world) (spec : Fault.spec) : string * int * float * string =
   let admit = Some (max 4 (clients / 2)) in
   match world with
   | Rw ->
@@ -104,7 +121,8 @@ let run_world ~clients (world : world) (spec : Fault.spec) : string * int * stri
           }
       in
       ( Fleet.ledger r,
-        r.Fleet.r_mount_ok + r.Fleet.r_mount_failed,
+        r.Fleet.r_mount_ok,
+        r.Fleet.r_last_ready_us,
         Printf.sprintf "mounts %d/%d  ops ok %d failed %d  redials %d" r.Fleet.r_mount_ok clients
           r.Fleet.r_completed r.Fleet.r_failed r.Fleet.r_mount_retries )
   | Ro ->
@@ -122,24 +140,30 @@ let run_world ~clients (world : world) (spec : Fault.spec) : string * int * stri
           }
       in
       ( Flashcrowd.ledger r,
-        r.Flashcrowd.r_clients_ok + r.Flashcrowd.r_clients_failed,
+        r.Flashcrowd.r_clients_ok,
+        r.Flashcrowd.r_last_ready_us,
         Printf.sprintf "clients %d/%d  reads ok %d failed %d  failovers %d retries %d"
           r.Flashcrowd.r_clients_ok clients r.Flashcrowd.r_reads_ok r.Flashcrowd.r_reads_failed
           r.Flashcrowd.r_failovers r.Flashcrowd.r_retries )
 
-let run_plan ~clients (name, world, spec) : bool =
-  let l1, accounted, summary = run_world ~clients world spec in
-  let l2, _, _ = run_world ~clients world spec in
-  let identical = String.equal l1 l2 and ok_count = accounted = clients in
-  Printf.printf "  %-22s %s  %s  sha1 %s%s\n" name
-    (if identical && ok_count then "PASS" else "FAIL")
+let run_plan ~clients (p : plan) : bool =
+  let l1, finished, drained_us, summary = run_world ~clients p.world p.spec in
+  let l2, _, _, _ = run_world ~clients p.world p.spec in
+  let identical = String.equal l1 l2 and all_finished = finished = clients in
+  let late = List.filter (fun (_, opens_us) -> opens_us >= drained_us) p.windows in
+  let ok = identical && all_finished && late = [] in
+  Printf.printf "  %-22s %s  %s  sha1 %s%s\n" p.name
+    (if ok then "PASS" else "FAIL")
     summary
     (Sfs_util.Hex.encode (Sfs_crypto.Sha1.digest l1))
     (if identical then "" else "  <- ledgers diverged between identical runs");
-  if not ok_count then
-    Printf.printf "      client accounting broken: %d of %d clients accounted for\n" accounted
-      clients;
-  identical && ok_count
+  if not all_finished then Printf.printf "      only %d of %d clients finished\n" finished clients;
+  List.iter
+    (fun (window, opens_us) ->
+      Printf.printf "      %s opens at %.0f us, after the run drained at %.0f us\n" window opens_us
+        drained_us)
+    late;
+  ok
 
 (* Deterministic rotation: the first 8 hex digits of the commit SHA
    (the low 24 bits of them) pick where in the corpus this push's
@@ -163,7 +187,7 @@ let () =
     ]
     (fun a -> raise (Arg.Bad ("unknown argument " ^ a)))
     "soak.exe [--plans N] [--offset K | --sha HEX] [--clients N] [--list]";
-  if !list_only then List.iter (fun (name, _, _) -> print_endline name) plans
+  if !list_only then List.iter (fun p -> print_endline p.name) plans
   else begin
     let total = List.length plans in
     let count = min !n_plans total in
@@ -172,11 +196,13 @@ let () =
     Printf.printf
       "Chaos soak: %d plan(s) starting at corpus index %d, %d clients per plan\n\
        (rw plans: pipelined fleet, 2 servers; ro plans: flash crowd, publisher + 3 mirrors)\n\
-       (each plan runs twice; ledgers must be byte-identical)\n\n"
+       (each plan runs twice; ledgers must be byte-identical, every client must finish\n\
+       \ and every crash and partition window must open before the run drains)\n\n"
       count start !clients;
-    let ok = List.for_all (fun p -> run_plan ~clients:!clients p) sample in
+    (* every plan runs, so one log names every failing plan *)
+    let ok = List.for_all Fun.id (List.map (run_plan ~clients:!clients) sample) in
     print_newline ();
-    if ok then print_endline "soak: all plans deterministic"
+    if ok then print_endline "soak: all plans passed"
     else begin
       print_endline "soak: FAILURE — see above";
       exit 1
