@@ -78,8 +78,9 @@ perfbench-selfcheck: build
 # Chaos soak (tools/soak): seeded fault plans against a 60-client
 # pipelined fleet (25 plans) and the read-only replica tier (6 plans),
 # each plan run twice with a byte-identical-ledger determinism check; a
-# plan also fails if a client does not finish or a crash or partition
-# window opens after its run drained.
+# plan also fails if a client does not finish, a crash or partition
+# window opens after its run drained, or a faulted plan's ledger equals
+# its world's fault-free plan's.
 # `soak` runs the whole 31-plan corpus (~6 s);
 # `soak-sample` runs the 5-plan slice CI runs per push, rotated
 # deterministically from the commit SHA so the corpus is covered over

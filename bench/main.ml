@@ -938,13 +938,6 @@ let crypto () =
   Printf.printf "  crypto %-21s %12.1f ns/op %12.0f B/op (derived: seal+open - seal)\n" "open-8k"
     open_ns open_alloc;
   let rows = rows @ [ ("open-8k", [ open_ns; open_alloc ]) ] in
-  (* Report only, outside the recorded rows: the cost model pins the
-     keystream's share of the per-byte seal cost, and this host's
-     arc4-8k and hmac-sha1-8k rows measure it afresh. *)
-  let module Costmodel = Sfs_net.Costmodel in
-  Printf.printf "  keystream share of the per-byte seal cost: pinned %.0f%%, measured %.0f%%\n"
-    (100.0 *. Costmodel.keystream_us 8192 /. (Costmodel.crypto_us 8192 -. Costmodel.crypto_us 0))
-    (100.0 *. find "arc4-8k" 0 /. (find "arc4-8k" 0 +. find "hmac-sha1-8k" 0));
   (* The "crypto" line's ns column is real CPU time, so the determinism
      check (make perf) excludes the line from the byte-identical
      comparison; benchdiff gates it as a trend instead — a hard 10%

@@ -353,9 +353,7 @@ let frame (t : t) (m : mount) ~(xid : int) ~(ctx : Obs.ctx option) ~(cred : Simo
    MAC failure or desync is counted for serial and write-behind replies
    only, since a readahead ticket's failure is the cache's to drop.  A
    protocol error or a stray auth reply raises [Rpc_failure]: the
-   channel is fine, the call is not.  Keystream this open consumed from
-   the idle-time prefetch already ran during dead wire time; only the
-   readahead mux donates idle time, so only it claims. *)
+   channel is fine, the call is not. *)
 let open_reply (t : t) (m : mount) ~(readahead : bool) (decode : Slice.t -> 'a) :
     request:string -> string -> 'a Nfs_client.opened =
   let opened frame =
@@ -371,7 +369,6 @@ let open_reply (t : t) (m : mount) ~(readahead : bool) (decode : Slice.t -> 'a) 
              to the down direction so the analyzer never
              double-counts full-duplex crypto overlap. *)
           crypto_us = Channel.crypto_cost_us m.m_session.channel (Slice.length frame);
-          claim_us = (if readahead then Channel.take_recv_claim m.m_session.channel else 0.0);
         }
   in
   fun ~request:_ reply ->
@@ -396,7 +393,6 @@ let transport (t : t) (m : mount) : Nfs_client.transport =
     frame = frame t m;
     open_reply = (fun ~readahead decode -> open_reply t m ~readahead decode);
     op_us = Costmodel.pipeline_sfs_op_us;
-    precompute = Some (fun ~budget_us -> Channel.precompute m.m_session.channel ~budget_us);
     before_retry = (fun () -> before_retry t m);
     backoff = rpc_backoff;
   }

@@ -73,23 +73,6 @@ let skip (t : t) (n : int) : unit =
   t.i <- !i;
   t.j <- !j
 
-let keystream_into (t : t) (buf : Bytes.t) ~(off : int) ~(len : int) : unit =
-  if off < 0 || len < 0 || off + len > Bytes.length buf then
-    invalid_arg "Arc4.keystream_into";
-  let s = t.s in
-  let i = ref t.i and j = ref t.j in
-  for k = off to off + len - 1 do
-    i := (!i + 1) land 0xff;
-    let si = Array.unsafe_get s !i in
-    j := (!j + si) land 0xff;
-    let sj = Array.unsafe_get s !j in
-    Array.unsafe_set s !i sj;
-    Array.unsafe_set s !j si;
-    Bytes.unsafe_set buf k (Char.unsafe_chr (Array.unsafe_get s ((si + sj) land 0xff)))
-  done;
-  t.i <- !i;
-  t.j <- !j
-
 (* In-place xor of [len] bytes of [buf] at [off] against the stream:
    the channel encrypts (and decrypts) whole frames in their own
    buffer with a single pass and zero copies. *)
@@ -140,8 +123,8 @@ let xor_into (t : t) ~(src : string) ~(src_off : int) ~(dst : Bytes.t) ~(dst_off
 
 let keystream (t : t) (n : int) : string =
   if n < 0 then invalid_arg "Arc4.keystream";
-  let buf = Bytes.create n in
-  keystream_into t buf ~off:0 ~len:n;
+  let buf = Bytes.make n '\000' in
+  encrypt_into t buf ~off:0 ~len:n;
   Bytes.unsafe_to_string buf
 
 let encrypt (t : t) (plaintext : string) : string =

@@ -26,10 +26,6 @@ val keystream : t -> int -> string
 [@@sfs.secret]
 (** [keystream t n] advances the stream, returning [n] bytes. *)
 
-val keystream_into : t -> Bytes.t -> off:int -> len:int -> unit
-(** Writes [len] keystream bytes into the buffer at [off].
-    @raise Invalid_argument when the range is out of bounds. *)
-
 val encrypt : t -> string -> string
 [@@sfs.declassify "stream-cipher output is ciphertext; it reveals neither key nor keystream"]
 (** Xors the input against the stream, advancing it. *)

@@ -1,5 +1,5 @@
 (* Timing constants for the simulated substrate.  Each constant's anchor
-   (a Figure 5 number, a pinned measured ratio, or "hand-set") is in the
+   (a Figure 5 number, "hand-set" or "estimated") is in the
    interface, beside the constant or the function that charges it.  In
    outline:
 
@@ -10,7 +10,7 @@
      fixed per sealed message, plus 0.128 us/byte charged once at the
      sender (the receiver's decrypt overlaps the sender's next
      encrypt), a rate chosen to reproduce the paper's 4.1 MB/s
-     encrypted throughput, which fig5 no longer shows (see the
+     encrypted throughput (fig5's readahead client reads 5.7; see the
      interface);
    - effective wire bandwidth derives from Fig. 5 throughput:
      9.3 MB/s at 8 KB reads over UDP means ~12 bytes/us raw, and TCP's
@@ -48,7 +48,6 @@ let nfs_tcp_stall_us = 1200.0
 let mss_bytes = 1460
 let pipeline_nfs_op_us = 100.0
 let pipeline_sfs_op_us = 120.0
-let keystream_us_per_byte = 0.054
 let sha1_us_per_byte = 0.04
 let rabin_verify_us = 175.0
 let rabin_sign_us = 24_000.0
@@ -61,7 +60,3 @@ let transfer_us (proto : transport_proto) (bytes : int) : float =
   float_of_int bytes /. match proto with Udp -> udp_bytes_per_us | Tcp -> tcp_bytes_per_us
 
 let crypto_us (bytes : int) : float = crypto_us_per_msg +. (float_of_int bytes *. crypto_us_per_byte)
-
-(* No fixed per-message cost: MAC/rekey cannot run before the message
-   exists. *)
-let keystream_us (bytes : int) : float = float_of_int bytes *. keystream_us_per_byte

@@ -1,8 +1,8 @@
 (** Timing constants for the simulated substrate: the paper's one
     testbed, two 550 MHz Pentium IIIs on 100 Mbit switched Ethernet.
     Each constant names the anchor its value comes from — a Figure 5
-    number, a pinned measured ratio, or a hand-set value that no figure
-    derives.  There is no per-run override. *)
+    number, or a hand-set or estimated value that no figure derives.
+    There is no per-run override. *)
 
 type transport_proto = Udp | Tcp
 
@@ -34,15 +34,6 @@ val pipeline_sfs_op_us : float
     the relay store-and-forwarded each 8 KB reply through an extra
     buffer; the zero-copy read path removes that copy, 8192 B at
     {!copy_bytes_per_us} ≈ 20 µs. *)
-
-val keystream_us_per_byte : float
-(** 0.054 µs/B: of {!crypto_us}'s 0.128 µs/B, the data-independent
-    ARC4 keystream share — the part {!Channel.precompute} may bill to
-    idle wire time; the MAC share and the fixed per-message cost stay
-    with the message.  The value is pinned at 42% of 0.128, the real-CPU split
-    of one past measurement (arc4-8k 24.9 µs vs hmac-sha1-8k 34.2 µs).
-    It does not follow the host: the crypto figure prints it beside
-    the share its [arc4-8k] and [hmac-sha1-8k] rows measure. *)
 
 val sha1_us_per_byte : float
 (** 0.04 µs/B: bare SHA-1 over bulk data, ~25 MB/s on the testbed's
@@ -81,12 +72,8 @@ val crypto_us : int -> float
     next encrypt).  Fig. 5's SFS null RPC reads 790 µs against 770
     without encryption: 20 µs for the two sealed messages of one round
     trip.  The per-byte rate reproduces Fig. 5's 4.1 MB/s encrypted SFS
-    throughput, which no client configuration here reads today: fig5's
-    SFS row is 7.868 MB/s, because of window-16 readahead and idle-time
-    keystream (DESIGN §11, §14).  Which client the calibration targeted
-    is open (ROADMAP, "A paper-fidelity table"). *)
-
-val keystream_us : int -> float
-(** The precomputable (data-independent keystream) slice of
-    {!crypto_us} for the given payload size; excludes the fixed
-    per-message cost. *)
+    throughput, which no client configuration here reads exactly:
+    fig5's window-16 readahead client (DESIGN §11) reads 5.708 MB/s,
+    bound by the server's seal of each 8 KB reply, and the serial
+    client 2.8.  Which client the calibration targeted is open
+    (ROADMAP, "A paper-fidelity table"). *)

@@ -45,12 +45,6 @@ type 'a completion = {
   c_server_us : float; (* measured server-side time (Simnet.call_measured) *)
   c_wire_bytes : int; (* reply length on the wire (sealed, for SFS) *)
   c_crypto_us : float; (* reply-seal time inside c_server_us (0 when clear) *)
-  c_claim_us : float;
-      (* of c_crypto_us, keystream that was precomputed during donated
-         idle wire time (Channel.take_recv_claim): subtracted from the
-         srv timeline's occupancy and from the crypto_down segment, but
-         NOT from the _ctr attribution — the channel counters billed the
-         full seal, and reconciliation must keep matching them *)
 }
 
 (* Critical-path capture: everything the caller knows about the op that
@@ -77,18 +71,16 @@ type 'a t = {
   latency_us : float;
   op_us : float;
   exchange : string -> 'a completion;
-  precompute : (budget_us:float -> float) option;
   obs : Obs.registry option;
   mutable up_free_us : float;
   mutable srv_free_us : float;
   mutable down_free_us : float;
-  mutable last_seen_us : float; (* clock at the previous submit: idle is measured since here *)
   pending : 'a ticket Queue.t;
       (* submission order; done tickets linger until they reach the front *)
   mutable live : int; (* tickets in [pending] not yet done; < window between submits *)
 }
 
-let create ?obs ?precompute ~(window : int) ~(clock : Simclock.t) ~(wire_us : int -> float)
+let create ?obs ~(window : int) ~(clock : Simclock.t) ~(wire_us : int -> float)
     ~(latency_us : float) ~(op_us : float) ~(exchange : string -> 'a completion) () : 'a t =
   if window < 1 then invalid_arg "Rpc_mux.create: window < 1";
   {
@@ -98,12 +90,10 @@ let create ?obs ?precompute ~(window : int) ~(clock : Simclock.t) ~(wire_us : in
     latency_us;
     op_us;
     exchange;
-    precompute;
     obs;
     up_free_us = 0.0;
     srv_free_us = 0.0;
     down_free_us = 0.0;
-    last_seen_us = Simclock.now_us clock;
     pending = Queue.create ();
     live = 0;
   }
@@ -144,26 +134,6 @@ let submit ?info (t : 'a t) ~(wire_bytes : int) (request : string) : 'a ticket =
   done;
   Obs.incr t.obs "mux.submit";
   let now = Simclock.now_us t.clock in
-  (* Idle-wire harvest (DESIGN.md §14): any stretch since the last
-     submit during which a wire direction's timeline was free is dead
-     time on the channel — donate it to keystream precomputation before
-     the clamp below erases the evidence.  Purely a transfer of
-     already-elapsed time: the hook charges nothing to the clock, and
-     mux.idle_us_used mirrors what the channel banked so the two
-     ledgers reconcile. *)
-  (match t.precompute with
-  | None -> ()
-  | Some hook ->
-      let idle_of free_us =
-        let busy_until = if free_us > t.last_seen_us then free_us else t.last_seen_us in
-        if now > busy_until then now -. busy_until else 0.0
-      in
-      let budget = idle_of t.up_free_us +. idle_of t.down_free_us in
-      if budget > 0.0 then begin
-        let used = hook ~budget_us:budget in
-        if used > 0.0 then Obs.add t.obs "mux.idle_us_used" (int_of_float used)
-      end);
-  t.last_seen_us <- now;
   if t.up_free_us < now then t.up_free_us <- now;
   if t.srv_free_us < now then t.srv_free_us <- now;
   if t.down_free_us < now then t.down_free_us <- now;
@@ -179,9 +149,7 @@ let submit ?info (t : 'a t) ~(wire_bytes : int) (request : string) : 'a ticket =
         let req_done = t.up_free_us +. t.wire_us wire_bytes in
         t.up_free_us <- req_done;
         let srv_start = if req_done > t.srv_free_us then req_done else t.srv_free_us in
-        (* Precomputed keystream already happened during donated idle
-           wire time, so it does not occupy the server timeline again. *)
-        let srv_done = srv_start +. c.c_server_us -. c.c_claim_us in
+        let srv_done = srv_start +. c.c_server_us in
         t.srv_free_us <- srv_done;
         let rep_start = if srv_done > t.down_free_us then srv_done else t.down_free_us in
         let rep_done = rep_start +. t.wire_us c.c_wire_bytes +. t.op_us in
@@ -205,7 +173,7 @@ let submit ?info (t : 'a t) ~(wire_bytes : int) (request : string) : 'a ticket =
                 ("up_wire", t.wire_us wire_bytes);
                 ("srv_queue", srv_start -. req_done);
                 ("server_cpu", c.c_server_us -. c.c_crypto_us);
-                ("crypto_down", c.c_crypto_us -. c.c_claim_us);
+                ("crypto_down", c.c_crypto_us);
                 ("down_queue", rep_start -. srv_done);
                 ("down_wire", t.wire_us c.c_wire_bytes);
                 ("client_post", t.op_us);
@@ -267,6 +235,5 @@ let of_conn (net : Simnet.t) ~(proto : Costmodel.transport_proto) (conn : Simnet
         c_server_us = server_us;
         c_wire_bytes = String.length reply;
         c_crypto_us = 0.0 (* clear transport *);
-        c_claim_us = 0.0;
       })
     ()

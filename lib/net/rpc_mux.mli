@@ -27,13 +27,6 @@ type 'a completion = {
           split out so the critical-path analyzer attributes each
           direction's crypto separately instead of double-counting the
           full-duplex overlap under pipelining; [0.] on clear channels *)
-  c_claim_us : float;
-      (** of [c_crypto_us], keystream generation that already ran during
-          donated idle wire time ({!Channel.take_recv_claim}): removed
-          from the srv timeline's occupancy and the [crypto_down]
-          segment, but not from the [_ctr] counter attributions — the
-          channel ledgers billed the full seal; [0.] when nothing was
-          precomputed *)
 }
 
 (** Critical-path capture for one submitted op (DESIGN.md §13):
@@ -57,7 +50,6 @@ type 'a t
 
 val create :
   ?obs:Sfs_obs.Obs.registry ->
-  ?precompute:(budget_us:float -> float) ->
   window:int ->
   clock:Simclock.t ->
   wire_us:(int -> float) ->
@@ -77,13 +69,6 @@ val create :
     (use {!Simnet.call_measured}).  When [obs] is given, counters
     [mux.submit], [mux.stall] (window-full forced waits) and [mux.fail]
     are recorded.
-
-    [precompute] is the idle-wire donation hook ({!Channel.precompute}):
-    at each submit the mux measures how long each wire direction's
-    timeline sat free since the previous submit and offers that dead
-    time as a budget; the hook returns how much it spent, which is
-    accumulated in the [mux.idle_us_used] counter (reconciled against
-    [channel.*.keystream_precomputed_us] by the trace tests).
     @raise Invalid_argument if [window < 1]. *)
 
 val submit :

@@ -44,7 +44,7 @@ let with_backoff ?obs ~(clock : Simclock.t) (b : backoff) (attempt : bool -> ('a
 
 type call = Root | Proc of int
 type 'a reply = ('a, [ `Retry of string | `Fail of string ]) result
-type 'a opened = { results : 'a reply; crypto_us : float; claim_us : float }
+type 'a opened = { results : 'a reply; crypto_us : float }
 
 type transport = {
   conn : unit -> Simnet.conn;
@@ -59,7 +59,6 @@ type transport = {
     string * float;
   open_reply : 'a. readahead:bool -> (Slice.t -> 'a) -> request:string -> string -> 'a opened;
   op_us : float;
-  precompute : (budget_us:float -> float) option;
   before_retry : unit -> unit;
   backoff : backoff;
 }
@@ -140,17 +139,16 @@ let generic_ops (call : async:bool -> cred:Simos.cred -> call -> (Xdr.enc -> uni
    trip.  Write-behind rides a second one, whose latency is
    [async_floor_us]: the part of the round trip a write-behind caller
    still waits for.  Neither keeps a registry, so the mux.* counters
-   describe readahead alone.  Readahead rides a windowed mux, built
-   after the root fetch so its idle-wire harvest starts at the mount.
+   describe readahead alone.  Readahead rides a windowed mux.
    A readahead fault raises out of the await thunk and the cache falls
    back to the serial path, whose retry loop recovers; READs are
    idempotent, so the abandoned xid is harmless. *)
 let data_path ?obs ~(window : int) ~(readahead : int) ~(cred : Simos.cred) (net : Simnet.t)
     (tr : transport) : Fs_intf.ops * Fs_intf.pipeline option =
   let clock = Simnet.clock net in
-  let mux ?obs ?precompute ~readahead ~window ~latency_us ~op_us decode =
+  let mux ?obs ~readahead ~window ~latency_us ~op_us decode =
     let open_reply = tr.open_reply ~readahead decode in
-    Rpc_mux.create ?obs ?precompute ~window ~clock ~wire_us:(Costmodel.transfer_us tr.proto)
+    Rpc_mux.create ?obs ~window ~clock ~wire_us:(Costmodel.transfer_us tr.proto)
       ~latency_us ~op_us
       ~exchange:(fun request ->
         let reply, server_us = Simnet.call_measured (tr.conn ()) request in
@@ -160,7 +158,6 @@ let data_path ?obs ~(window : int) ~(readahead : int) ~(cred : Simos.cred) (net 
           c_server_us = server_us;
           c_wire_bytes = String.length reply;
           c_crypto_us = o.crypto_us;
-          c_claim_us = o.claim_us;
         })
       ()
   in
@@ -213,7 +210,7 @@ let data_path ?obs ~(window : int) ~(readahead : int) ~(cred : Simos.cred) (net 
          succeeded and its timelines stand. *)
       let dec_read = Nfs_proto.dec_res Nfs_proto.dec_read_ok in
       let mux =
-        mux ?obs ?precompute:tr.precompute ~readahead:true ~window ~latency_us:round_trip
+        mux ?obs ~readahead:true ~window ~latency_us:round_trip
           ~op_us:tr.op_us (fun results -> Xdr.run_slice results dec_read)
       in
       let pl_submit cred h ~off ~count =
@@ -312,10 +309,8 @@ let sunrpc (net : Simnet.t) ~(proto : Costmodel.transport_proto) ~(machine : str
           results =
             Result.map decode (reply_results ~xid:(Sfs_util.Bytesutil.int_of_be32 request ~off:0) reply);
           crypto_us = 0.0;
-          claim_us = 0.0;
         });
     op_us = Costmodel.pipeline_nfs_op_us;
-    precompute = None;
     before_retry = ignore;
     backoff = nfs_backoff;
   }

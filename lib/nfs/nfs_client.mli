@@ -39,7 +39,6 @@ type 'a opened = {
       (** what the decoder made of the NFS results; [`Retry] when the
           reply was damaged on the wire, [`Fail] for a rejection *)
   crypto_us : float;  (** of the measured server time, the reply seal; [0.] when clear *)
-  claim_us : float;  (** of [crypto_us], keystream banked during idle wire time *)
 }
 
 type transport = {
@@ -72,8 +71,6 @@ type transport = {
           raise {!Poisoned} or {!Rpc_failure}, and then the exchange
           charges nothing *)
   op_us : float;  (** the readahead mux's per-reply residual *)
-  precompute : (budget_us:float -> float) option;
-      (** the readahead mux's idle-wire donation hook *)
   before_retry : unit -> unit;  (** run before every attempt after the first *)
   backoff : backoff;
 }
@@ -94,7 +91,7 @@ val data_path :
     calls, write-behind (unstable WRITEs) and readahead each ride their
     own {!Sfs_net.Rpc_mux}: window 1 priced at one round trip, window 1
     priced at [Costmodel.async_floor_us], and [window] wide with the
-    transport's [op_us] and [precompute].  Serial and write-behind
+    transport's [op_us].  Serial and write-behind
     replies copy their marshaled results out of the transport's lent
     view; a readahead reply decodes its READ result in the view, so its
     data is copied once.  The pipeline is [Some] only when

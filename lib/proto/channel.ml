@@ -40,20 +40,11 @@ type open_error = [ `Mac_mismatch | `Replay ]
    stream positions.  Either way the channel is dead; the distinction
    feeds the recovery layer's counters. *)
 
-(* [pre] holds keystream bytes pulled off [stream] ahead of need by
-   {!precompute} (billed to idle wire time by the mux); [pre_pos ..
-   pre_len) is the unconsumed window.  Sealing/opening consumes the
-   buffered bytes before touching the live stream, so the cipher bytes
-   are identical to the eager path — the stream is one deterministic
-   byte sequence and only *when* it is generated changes.  [mac] is the
-   direction's HMAC state, re-keyed in place from [mac_key] (the 32
-   stream bytes drawn ahead of each frame). *)
+(* [mac] is the direction's HMAC state, re-keyed in place from
+   [mac_key] (the 32 stream bytes drawn ahead of each frame). *)
 type half = {
   stream : Arc4.t;
   mutable buf : Bytes.t;
-  mutable pre : Bytes.t;
-  mutable pre_len : int;
-  mutable pre_pos : int;
   mac : Mac.schedule;
   mac_key : Bytes.t;
 }
@@ -69,8 +60,6 @@ type keys = {
   k_replays : string;
   k_crypto_us_out : string;
   k_crypto_us_in : string;
-  k_keystream_pre : string;
-  k_keystream_used : string;
 }
 
 type t = {
@@ -80,18 +69,9 @@ type t = {
   clock : Simclock.t option;
   obs : Obs.registry option;
   keys : keys;
-  mutable recv_claim_us : float;
-      (* the keystream share of the last successfully opened message
-         that was served from the recv half's precomputed buffer —
-         read-and-cleared by [take_recv_claim], overwritten (forfeited)
-         by the next [open_] if nobody claims it *)
 }
 
 let mac_key_bytes = 32
-
-(* Upper bound on buffered-ahead keystream per half: bounds both memory
-   and how much idle time a long quiet stretch can bank. *)
-let pre_cap = 1 lsl 18
 
 (* The schedule starts under an empty key and is re-keyed before every
    message; it is built by the secret-source constructor all the same,
@@ -100,9 +80,6 @@ let fresh_half (key : string) : half =
   {
     stream = Arc4.create key;
     buf = Bytes.create 256;
-    pre = Bytes.create 0;
-    pre_len = 0;
-    pre_pos = 0;
     mac = Mac.schedule ~key:"";
     mac_key = Bytes.create mac_key_bytes;
   }
@@ -126,10 +103,7 @@ let create ?(encrypt = true) ?clock ?obs ?(label = "chan")
         k_replays = k "replays";
         k_crypto_us_out = k "crypto_us_out";
         k_crypto_us_in = k "crypto_us_in";
-        k_keystream_pre = k "keystream_precomputed_us";
-        k_keystream_used = k "keystream_claimed_us";
       };
-    recv_claim_us = 0.0;
   }
 
 (* The per-direction frame buffer, reused for every message on that
@@ -139,50 +113,12 @@ let frame_buf (h : half) (n : int) : Bytes.t =
   if Bytes.length h.buf < n then h.buf <- Bytes.create (max n (2 * Bytes.length h.buf));
   h.buf
 
-(* Buffered-first keystream consumption.  Each helper serves as much as
-   possible from the precomputed window, then falls through to the live
-   stream — which sits exactly [pre_len - pre_pos] bytes ahead, so the
-   concatenation is the unbroken ARC4 sequence. *)
-
-let pre_avail (h : half) : int = h.pre_len - h.pre_pos
-
-(* In-place encrypt; returns how many bytes came from the buffer. *)
-let encrypt_consume (h : half) (buf : Bytes.t) ~(off : int) ~(len : int) : int =
-  let take = min (pre_avail h) len in
-  for i = 0 to take - 1 do
-    Bytes.set buf (off + i)
-      (Char.chr (Char.code (Bytes.get buf (off + i)) lxor Char.code (Bytes.get h.pre (h.pre_pos + i))))
-  done;
-  h.pre_pos <- h.pre_pos + take;
-  if len > take then Arc4.encrypt_into h.stream buf ~off:(off + take) ~len:(len - take);
-  take
-
-(* Decrypt [src] into [dst]; returns how many bytes came from the buffer. *)
-let xor_consume (h : half) ~(src : string) ~(src_off : int) ~(dst : Bytes.t) ~(dst_off : int)
-    ~(len : int) : int =
-  let take = min (pre_avail h) len in
-  for i = 0 to take - 1 do
-    Bytes.set dst (dst_off + i)
-      (Char.chr
-         (Char.code (String.get src (src_off + i)) lxor Char.code (Bytes.get h.pre (h.pre_pos + i))))
-  done;
-  h.pre_pos <- h.pre_pos + take;
-  if len > take then
-    Arc4.xor_into h.stream ~src ~src_off:(src_off + take) ~dst ~dst_off:(dst_off + take)
-      ~len:(len - take);
-  take
-
-let skip_consume (h : half) (n : int) : unit =
-  let take = min (pre_avail h) n in
-  h.pre_pos <- h.pre_pos + take;
-  if n > take then Arc4.skip h.stream (n - take)
-
 (* Draw the next 32 stream bytes (keystream xor zeros) and re-key the
    half's MAC from them: the per-message key of section 3.1.3, never
    used for encryption. *)
 let rekey_mac (h : half) : unit =
   Bytes.fill h.mac_key 0 mac_key_bytes '\000';
-  ignore (encrypt_consume h h.mac_key ~off:0 ~len:mac_key_bytes);
+  Arc4.encrypt_into h.stream h.mac_key ~off:0 ~len:mac_key_bytes;
   Mac.rekey h.mac h.mac_key ~off:0 ~len:mac_key_bytes
 
 (* Even with encryption disabled the channel keeps its framing and MAC
@@ -209,10 +145,10 @@ let seal_bytes (t : t) (src : Bytes.t) ~len:(n : int) : string =
       Sfs_util.Bytesutil.put_be32 buf ~off:0 n;
       Bytes.blit src 0 buf 4 n;
       Mac.mac_into t.send_half.mac buf ~off:0 ~len:(4 + n) ~dst:buf ~dst_off:(4 + n);
-      if t.encrypt then ignore (encrypt_consume t.send_half buf ~off:0 ~len:frame_len)
+      if t.encrypt then Arc4.encrypt_into t.send_half.stream buf ~off:0 ~len:frame_len
       else
         (* Keep the stream positions in lock-step with the encrypted mode. *)
-        skip_consume t.send_half frame_len;
+        Arc4.skip t.send_half.stream frame_len;
       Bytes.sub_string buf 0 frame_len)
 
 (* [seal_bytes] only reads its source, so a string is sealed in place. *)
@@ -233,7 +169,6 @@ let reject (t : t) (e : open_error) : ('a, open_error) result =
 let open_with (t : t) (wire : string) (f : Sfs_util.Slice.t -> 'a) : ('a, open_error) result =
   Obs.span t.obs ~cat:"channel" "open" (fun () ->
       let wire_len = String.length wire in
-      t.recv_claim_us <- 0.0;
       Obs.incr t.obs t.keys.k_received;
       if wire_len < 4 + Mac.mac_size then reject t `Replay
       else begin
@@ -244,15 +179,12 @@ let open_with (t : t) (wire : string) (f : Sfs_util.Slice.t -> 'a) : ('a, open_e
             (int_of_float (Costmodel.crypto_us (wire_len - 4 - Mac.mac_size)));
         rekey_mac t.recv_half;
         let buf = frame_buf t.recv_half wire_len in
-        let from_buf =
-          if t.encrypt then
-            xor_consume t.recv_half ~src:wire ~src_off:0 ~dst:buf ~dst_off:0 ~len:wire_len
-          else begin
-            Bytes.blit_string wire 0 buf 0 wire_len;
-            skip_consume t.recv_half wire_len;
-            0
-          end
-        in
+        if t.encrypt then
+          Arc4.xor_into t.recv_half.stream ~src:wire ~src_off:0 ~dst:buf ~dst_off:0 ~len:wire_len
+        else begin
+          Bytes.blit_string wire 0 buf 0 wire_len;
+          Arc4.skip t.recv_half.stream wire_len
+        end;
         let len = Sfs_util.Bytesutil.get_be32 buf ~off:0 in
         if len < 0 || len <> wire_len - 4 - Mac.mac_size then
           (* A garbled length word is the stream-desync signature:
@@ -263,13 +195,6 @@ let open_with (t : t) (wire : string) (f : Sfs_util.Slice.t -> 'a) : ('a, open_e
         then reject t `Mac_mismatch
         else begin
           Obs.add t.obs t.keys.k_bytes_in len;
-          (* The keystream share of this message that precompute had
-             already generated — creditable against whoever is billed
-             for the peer's seal (the mux's srv timeline).  Capped at
-             the payload's keystream share so framing overhead served
-             from the buffer is never monetised. *)
-          if t.encrypt && from_buf > 0 then
-            t.recv_claim_us <- Costmodel.keystream_us (min len from_buf);
           Ok (f (Sfs_util.Slice.make (Bytes.unsafe_to_string buf) ~off:4 ~len))
         end
       end)
@@ -281,47 +206,3 @@ let open_ (t : t) (wire : string) : (string, open_error) result =
    attribute it without sealing. *)
 let crypto_cost_us (t : t) (bytes : int) : float =
   if t.encrypt then Costmodel.crypto_us bytes else 0.0
-
-(* Spend up to [budget_us] of (already-elapsed, otherwise-dead) time
-   generating keystream ahead of need.  Charges nothing to the clock:
-   the bytes are billed against the donated idle time, and the counter
-   pair keystream_precomputed_us / mux.idle_us_used lets a test prove
-   the two ledgers agree.  Deterministic: byte counts derive only from
-   the budget and the cost model, never from host time. *)
-let precompute ?(dir = `Recv) (t : t) ~(budget_us : float) : float =
-  if (not t.encrypt) || budget_us <= 0.0 then 0.0
-  else begin
-    let rate = Costmodel.keystream_us_per_byte in
-    let h = match dir with `Send -> t.send_half | `Recv -> t.recv_half in
-    let avail = pre_avail h in
-    let want = min (int_of_float (budget_us /. rate)) (pre_cap - avail) in
-    if want <= 0 then 0.0
-    else begin
-      (* Compact the unconsumed tail to the front, grow on demand. *)
-      if h.pre_pos > 0 then begin
-        Bytes.blit h.pre h.pre_pos h.pre 0 avail;
-        h.pre_pos <- 0;
-        h.pre_len <- avail
-      end;
-      if Bytes.length h.pre < avail + want then begin
-        let cap = ref (max 256 (Bytes.length h.pre)) in
-        while !cap < avail + want do
-          cap := !cap * 2
-        done;
-        let grown = Bytes.create !cap in
-        Bytes.blit h.pre 0 grown 0 avail;
-        h.pre <- grown
-      end;
-      Arc4.keystream_into h.stream h.pre ~off:h.pre_len ~len:want;
-      h.pre_len <- h.pre_len + want;
-      let used_us = float_of_int want *. rate in
-      Obs.add t.obs t.keys.k_keystream_pre (int_of_float used_us);
-      used_us
-    end
-  end
-
-let take_recv_claim (t : t) : float =
-  let c = t.recv_claim_us in
-  t.recv_claim_us <- 0.0;
-  if c > 0.0 then Obs.add t.obs t.keys.k_keystream_used (int_of_float c);
-  c

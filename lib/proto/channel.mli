@@ -66,27 +66,3 @@ val crypto_cost_us : t -> int -> float
 [@@sfs.declassify "a modeled time computed from the encrypt flag and a byte count; no key or stream state reaches it"]
 (** The time {!seal} charges for a payload of that size; zero when
     encryption is off.  Critical-path samples attribute seals by it. *)
-
-val precompute : ?dir:[ `Send | `Recv ] -> t -> budget_us:float -> float
-(** [precompute t ~budget_us] generates up to [budget_us] worth of ARC4
-    keystream (at {!Sfs_net.Costmodel.keystream_us_per_byte}) for the
-    given direction (default [`Recv]) ahead of need, buffered until
-    {!seal}/{!open_} consume it.  The cipher bytes are byte-identical
-    to the eager path — only when the keystream is generated changes.
-    Returns the time actually spent ([<= budget_us]; less when the
-    buffer cap binds), charges nothing to the clock (the caller donates
-    already-elapsed idle time, e.g. {!Rpc_mux}'s measured wire stalls),
-    and adds the same amount to
-    [channel.<label>.keystream_precomputed_us].  No-ops (returns [0.])
-    on a non-encrypting channel. *)
-
-val take_recv_claim : t -> float
-[@@sfs.declassify "a modeled time computed from how many buffered keystream bytes an open consumed; no key or stream bytes reach it"]
-(** The keystream share of the most recently {!open_}ed message that
-    was served from the precomputed buffer, read-and-clear.  The caller
-    subtracts it from whatever timeline was billed for the peer's seal
-    of that message (overlap credit); each successful [open_] overwrites
-    the previous value, so an unclaimed credit is forfeited, never
-    double-counted.  Claims accumulate in
-    [channel.<label>.keystream_claimed_us], always [<=] the
-    precomputed counter. *)

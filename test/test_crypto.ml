@@ -594,7 +594,7 @@ let test_srp_verifier_no_password_equivalent () =
 (* --- Properties --- *)
 
 (* Byte-at-a-time ARC4 output via the documented reference step; the
-   block entry points ([skip], [keystream_into], [encrypt_into],
+   block entry points ([skip], [keystream], [encrypt_into],
    [xor_into]) must agree with it over any interleaving. *)
 let arc4_ref_bytes (t : Arc4.t) (n : int) : string =
   let b = Bytes.create n in

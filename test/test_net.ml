@@ -307,7 +307,7 @@ let make_mux window clock =
     ~wire_us:(fun b -> float_of_int b /. 10.0)
     ~latency_us:100.0 ~op_us:5.0
     ~exchange:(fun req ->
-      { Rpc_mux.c_payload = "r:" ^ req; c_server_us = 40.0; c_wire_bytes = 200; c_crypto_us = 0.0; c_claim_us = 0.0 })
+      { Rpc_mux.c_payload = "r:" ^ req; c_server_us = 40.0; c_wire_bytes = 200; c_crypto_us = 0.0 })
     ()
 
 let test_mux_timing () =
@@ -344,7 +344,7 @@ let test_mux_semantics () =
       ~exchange:(fun req ->
         calls := req :: !calls;
         if !boom then failwith ("boom:" ^ req);
-        { Rpc_mux.c_payload = req; c_server_us = 5.0; c_wire_bytes = 1; c_crypto_us = 0.0; c_claim_us = 0.0 })
+        { Rpc_mux.c_payload = req; c_server_us = 5.0; c_wire_bytes = 1; c_crypto_us = 0.0 })
       ()
   in
   let t1 = Rpc_mux.submit mux ~wire_bytes:1 "a" in

@@ -230,21 +230,14 @@ let test_seq_window () =
   Testkit.check_bool "negative" false (Authproto.window_accept w (-1))
 
 (* Byte-identity pin: the SHA-1 of a fixed frame sequence in both
-   directions, with keystream banked ahead at irregular points, in both
-   channel modes.  Any change to the framing, the MAC re-keying or the
-   keystream order fails here by name. *)
+   directions, in both channel modes.  Any change to the framing, the
+   MAC re-keying or the keystream order fails here by name. *)
 let test_channel_frame_pin () =
   let digest encrypt =
     let client, server = make_channel_pair ~encrypt () in
     let h = Sfs_crypto.Sha1.init () in
     List.iteri
       (fun i n ->
-        if i mod 3 = 1 then
-          ignore (Channel.precompute ~dir:`Send client ~budget_us:(float_of_int (37 * i)));
-        if i mod 4 = 2 then
-          ignore (Channel.precompute ~dir:`Recv server ~budget_us:(float_of_int (53 * i)));
-        if i mod 5 = 3 then
-          ignore (Channel.precompute ~dir:`Recv client ~budget_us:(float_of_int (11 * i)));
         let msg = String.init n (fun j -> Char.chr (((j * 13) + i) land 0xff)) in
         let wire = Channel.seal client msg in
         Sfs_crypto.Sha1.update h wire;
@@ -282,45 +275,6 @@ let channel_roundtrip_prop =
           Channel.open_ server (Channel.seal client msg) = Ok msg
           && Channel.open_ client (Channel.seal server msg) = Ok msg)
         (0 :: sizes))
-
-(* Precomputed keystream must be invisible on the wire: a sender that
-   banks `Send keystream at arbitrary points produces byte-identical
-   ciphertext to an eager sender, and a receiver that banks `Recv
-   keystream opens it identically (claiming only time that was actually
-   banked).  Budgets are donated, never charged, so no clock is needed. *)
-let channel_precompute_identity_prop =
-  QCheck.Test.make ~count:50 ~name:"precomputed keystream is byte-identical on the wire"
-    QCheck.(
-      list_of_size (QCheck.Gen.int_range 1 8) (pair (int_range 0 10_000) (int_range 0 2_000)))
-    (fun msgs ->
-      let pre_client, pre_server = make_channel_pair () in
-      let eager_client, eager_server = make_channel_pair () in
-      (* Banked keystream carries over between messages, so claims are
-         bounded by the cumulative donation, not the per-round one. *)
-      let banked_total = ref 0.0 and claimed_total = ref 0.0 in
-      List.for_all
-        (fun (n, budget) ->
-          let msg = String.init n (fun i -> Char.chr ((i * 37 + n) land 0xff)) in
-          let banked_send =
-            Channel.precompute ~dir:`Send pre_client ~budget_us:(float_of_int budget)
-          in
-          banked_total :=
-            !banked_total
-            +. Channel.precompute ~dir:`Recv pre_server ~budget_us:(float_of_int budget);
-          let wire = Channel.seal pre_client msg in
-          let wire_eager = Channel.seal eager_client msg in
-          ignore (Channel.open_ eager_server wire_eager);
-          match Channel.open_ pre_server wire with
-          | Ok plain ->
-              let claim = Channel.take_recv_claim pre_server in
-              claimed_total := !claimed_total +. claim;
-              String.equal wire wire_eager && String.equal plain msg
-              && banked_send >= 0.0
-              && banked_send <= float_of_int budget
-              && claim >= 0.0
-              && !claimed_total <= !banked_total +. 0.000001
-          | Error _ -> false)
-        msgs)
 
 (* The lending open must be observationally identical to the copying
    one: same plaintext bytes, same stream advance, with and without
@@ -633,7 +587,6 @@ let suite =
     @ Testkit.to_alcotest
         [
           channel_roundtrip_prop;
-          channel_precompute_identity_prop;
           channel_open_with_prop;
           seq_window_prop;
           ro_dir_find_prop;

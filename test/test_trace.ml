@@ -66,26 +66,6 @@ let test_crypto_reconciles () =
   Testkit.check_int "reply seals reconcile" (counter "channel.server.crypto_us_out" - down0)
     down_sum
 
-(* Idle-harvest reconciliation (DESIGN.md §14): every microsecond the
-   mux donates to keystream precomputation shows up, to the same
-   integer truncation, in the channel's precomputed counter — the two
-   ledgers describe one transfer.  Claims draw on that bank and can
-   never exceed it. *)
-let test_keystream_ledger_reconciles () =
-  let w = Stacks.make Stacks.Sfs in
-  let counter name = Obs.snap_counter (Obs.snapshot w.Stacks.obs) name in
-  let idle0 = counter "mux.idle_us_used" in
-  let pre0 = counter "channel.client.keystream_precomputed_us" in
-  let used0 = counter "channel.client.keystream_claimed_us" in
-  run_workload w;
-  let idle = counter "mux.idle_us_used" - idle0 in
-  let pre = counter "channel.client.keystream_precomputed_us" - pre0 in
-  let used = counter "channel.client.keystream_claimed_us" - used0 in
-  Alcotest.(check bool) "idle time was donated" true (idle > 0);
-  Testkit.check_int "donated idle equals banked keystream" idle pre;
-  Alcotest.(check bool) "claims drawn from the bank" true (used > 0);
-  Alcotest.(check bool) "claims never exceed the bank" true (used <= pre)
-
 let test_server_adopts_trace () =
   let w = Stacks.make Stacks.Sfs in
   run_workload w;
@@ -146,7 +126,6 @@ let suite =
     [
       Alcotest.test_case "segments telescope to wall time" `Quick test_segments_telescope;
       Alcotest.test_case "crypto segments reconcile with counters" `Quick test_crypto_reconciles;
-      Alcotest.test_case "keystream ledger reconciles" `Quick test_keystream_ledger_reconciles;
       Alcotest.test_case "server adopts client trace" `Quick test_server_adopts_trace;
       Alcotest.test_case "two runs byte-identical" `Quick test_two_runs_byte_identical;
       Alcotest.test_case "per-op aggregation" `Quick test_per_op_aggregation;

@@ -48,15 +48,14 @@ let test_fig5_latency_shape () =
 
 let test_fig5_throughput_shape () =
   let udp, tcp, sfs, noenc = fig5_column (fun r -> r.Microbench.throughput_mb_s) in
-  (* Paper ordering was UDP 9.3 > TCP 7.6 > noenc 7.1 > SFS 4.1; with
-     keystream precomputation overlapping the idle wire (DESIGN.md §14)
-     encryption no longer costs streaming throughput, so SFS rides at
-     noenc's heels instead of 42% behind it. *)
+  (* The paper's ordering: UDP 9.3 > TCP 7.6 > noenc 7.1 > SFS 4.1.
+     The server seals every reply, so encryption costs streaming
+     throughput: SFS reads 0.58 of noenc in the paper. *)
   Testkit.check_bool "udp fastest" true (udp > tcp);
   Testkit.check_bool "tcp above noenc" true (tcp > noenc);
   Testkit.check_bool "noenc at or above sfs" true (noenc >= sfs);
   Testkit.check_bool "udp ~9MB/s" true (udp > 7.0 && udp < 11.0);
-  Testkit.check_bool "encryption within 10% of noenc" true (sfs > 0.9 *. noenc)
+  Testkit.check_bool "encryption costs 20% or more" true (sfs <= 0.8 *. noenc)
 
 let test_mab_shape () =
   let total s = Mab.total (Mab.run (Stacks.make s)) in
@@ -87,14 +86,19 @@ let test_lfs_small_shape () =
 
 (* Figure 9's write ordering: SFS's sequential write is slower than
    NFS 3 over UDP (the paper has it 44% above), which is slower than
-   the local file system.  Write-behind's accounting must keep it. *)
+   the local file system.  Write-behind's accounting must keep it.
+   SFS's sequential read takes at least twice NFS 3 over UDP's (the
+   paper has it 145% above): every 8 KB reply pays its seal. *)
 let test_fig9_write_ordering () =
-  let seq_write s = (Sprite_lfs.run_large (Stacks.make s)).Sprite_lfs.seq_write_s in
-  let local = seq_write Stacks.Local in
-  let udp = seq_write Stacks.Nfs_udp in
-  let sfs = seq_write Stacks.Sfs in
-  Testkit.check_bool "sfs above nfs/udp" true (sfs > udp);
-  Testkit.check_bool "nfs/udp above local" true (udp > local)
+  let large s = Sprite_lfs.run_large (Stacks.make s) in
+  let local = large Stacks.Local in
+  let udp = large Stacks.Nfs_udp in
+  let sfs = large Stacks.Sfs in
+  Testkit.check_bool "sfs above nfs/udp" true (sfs.Sprite_lfs.seq_write_s > udp.Sprite_lfs.seq_write_s);
+  Testkit.check_bool "nfs/udp above local" true
+    (udp.Sprite_lfs.seq_write_s > local.Sprite_lfs.seq_write_s);
+  Testkit.check_bool "sfs seq read 2x nfs/udp" true
+    (sfs.Sprite_lfs.seq_read_s >= 2.0 *. udp.Sprite_lfs.seq_read_s)
 
 let test_compile_crossover () =
   (* Figure 7's coup: SFS beats NFS 3 over TCP while losing to UDP. *)
@@ -212,7 +216,7 @@ let test_wire_pin () =
       (Stacks.Nfs_tcp, 1, "78455d382be5025c766358044479ffc4dc37bc78");
       (Stacks.Nfs_tcp, 16, "89a12ea3eda46b29bbe4f01a7588e2c7215bf9bc");
       (Stacks.Sfs, 1, "c576f0f81cf567b37e8f5c85f5130521b757bbbb");
-      (Stacks.Sfs, 16, "5835e58b8d53f615a3b2a6cd9fec557802085893");
+      (Stacks.Sfs, 16, "a969c32b4a400cc592bb7df093e607ef3c3f57d3");
       (Stacks.Sfs_noenc, 1, "7ef68c522be34c707a5c1b430b69593ab01fcad3");
       (Stacks.Sfs_noenc, 16, "e627a5d0f9ea862624f3c25fb5f6bf779a267fe9");
     ]

@@ -232,6 +232,16 @@ let catalogue =
          (the plaintext-aware, chosen-ciphertext-secure scheme the paper cites)";
       killer = "crypto rabin oaep label";
     };
+    {
+      name = "keyneg-derive-server-half";
+      file = "lib/proto/keyneg.ml";
+      old_text = "    Xdr.enc_fixed_opaque e ~size:half_bytes server_half;";
+      new_text = "    ignore server_half;";
+      claim =
+        "section 3.1.2: each session key hashes both parties' key halves, so neither party alone \
+         chooses the keys that protect the session";
+      killer = "crypto connect-step known answers";
+    };
   ]
 
 let read_file (path : string) : string = In_channel.with_open_bin path In_channel.input_all

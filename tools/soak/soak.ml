@@ -2,9 +2,11 @@
    read-write fleet, 6 against the read-only replica tier), each run
    TWICE.  A plan passes when every client finishes, every crash and
    partition window opens before the run drains (a window that opens
-   later acts on nothing), and both runs produce a byte-identical
-   ledger; each plan's line ends with the ledger's SHA-1, so two
-   builds' soak logs diff plan by plan.
+   later acts on nothing), both runs produce a byte-identical ledger,
+   and a faulted plan's ledger differs from its world's fault-free
+   plan's (`clean` or `ro-clean`: an equal ledger means the faults
+   acted on nothing); each plan's line ends with the ledger's SHA-1,
+   so two builds' soak logs diff plan by plan.
    Fault-free reconciliation invariants are NOT asserted here (crash
    windows legitimately strand lease state); the workload tests cover
    those.  CI runs a budgeted sample per push, rotated by the commit
@@ -146,12 +148,33 @@ let run_world ~clients (world : world) (spec : Fault.spec) : string * int * floa
           r.Flashcrowd.r_clients_ok clients r.Flashcrowd.r_reads_ok r.Flashcrowd.r_reads_failed
           r.Flashcrowd.r_failovers r.Flashcrowd.r_retries )
 
+(* Each world's fault-free plan, whose ledger a faulted plan must not
+   reproduce. *)
+let reference (world : world) : plan =
+  let name = match world with Rw -> "clean" | Ro -> "ro-clean" in
+  List.find (fun p -> p.name = name) plans
+
+(* The fault-free ledgers met so far, by world: a sampled run that
+   does not include the reference plan runs it once more. *)
+let reference_ledgers : (world, string) Hashtbl.t = Hashtbl.create 2
+
+let reference_ledger ~clients (world : world) : string =
+  match Hashtbl.find_opt reference_ledgers world with
+  | Some l -> l
+  | None ->
+      let l, _, _, _ = run_world ~clients world (reference world).spec in
+      Hashtbl.replace reference_ledgers world l;
+      l
+
 let run_plan ~clients (p : plan) : bool =
   let l1, finished, drained_us, summary = run_world ~clients p.world p.spec in
   let l2, _, _, _ = run_world ~clients p.world p.spec in
   let identical = String.equal l1 l2 and all_finished = finished = clients in
   let late = List.filter (fun (_, opens_us) -> opens_us >= drained_us) p.windows in
-  let ok = identical && all_finished && late = [] in
+  let ref_name = (reference p.world).name in
+  if p.name = ref_name then Hashtbl.replace reference_ledgers p.world l1;
+  let inert = p.name <> ref_name && String.equal l1 (reference_ledger ~clients p.world) in
+  let ok = identical && all_finished && late = [] && not inert in
   Printf.printf "  %-22s %s  %s  sha1 %s%s\n" p.name
     (if ok then "PASS" else "FAIL")
     summary
@@ -163,6 +186,7 @@ let run_plan ~clients (p : plan) : bool =
       Printf.printf "      %s opens at %.0f us, after the run drained at %.0f us\n" window opens_us
         drained_us)
     late;
+  if inert then Printf.printf "      ledger equals %s's: the faults acted on nothing\n" ref_name;
   ok
 
 (* Deterministic rotation: the first 8 hex digits of the commit SHA
@@ -196,8 +220,9 @@ let () =
     Printf.printf
       "Chaos soak: %d plan(s) starting at corpus index %d, %d clients per plan\n\
        (rw plans: pipelined fleet, 2 servers; ro plans: flash crowd, publisher + 3 mirrors)\n\
-       (each plan runs twice; ledgers must be byte-identical, every client must finish\n\
-       \ and every crash and partition window must open before the run drains)\n\n"
+       (each plan runs twice; ledgers must be byte-identical, every client must finish,\n\
+       \ every crash and partition window must open before the run drains, and a faulted\n\
+       \ plan's ledger must differ from its world's fault-free plan's)\n\n"
       count start !clients;
     (* every plan runs, so one log names every failing plan *)
     let ok = List.for_all Fun.id (List.map (run_plan ~clients:!clients) sample) in
